@@ -28,6 +28,7 @@ use aurora_vm::cow::{self, Capture};
 use aurora_vm::VmoId;
 
 use crate::fleet::FlushMode;
+use crate::flush::{delta_runs, hash_images, DirtyRuns, PlanEntry};
 use crate::group::{Group, GroupId};
 use crate::lockdep::OrderedMutex;
 use crate::metrics::{self, CheckpointBreakdown, CheckpointOutcome};
@@ -235,6 +236,7 @@ impl Host {
         breakdown.flush_bytes = flush_report.flush_bytes;
         breakdown.flush_workers = flush_report.workers;
         breakdown.hash_stage = flush_report.hash_stage;
+        breakdown.pages_hashed = flush_report.pages_hashed;
         breakdown.flush_span = flush_report.flush_span;
         breakdown.durable_at = durable;
         breakdown.ckpt = self.sls.group_ref(gid)?.last_checkpoint();
@@ -865,6 +867,8 @@ pub(crate) struct FlushReport {
     pub workers: u64,
     /// Hash-stage duration charged to the virtual clock.
     pub hash_stage: aurora_sim::time::SimDuration,
+    /// Pages the hash stage content-hashed.
+    pub pages_hashed: u64,
     /// Sim-time span from flush submission to the durable instant.
     pub flush_span: aurora_sim::time::SimDuration,
     /// Bytes actually flushed on the widest backend: full 4 KiB images
@@ -876,20 +880,22 @@ pub(crate) struct FlushReport {
 /// Writes captured pages and records to every backend and commits;
 /// returns the instant at which all backends are durable.
 ///
-/// The pipeline runs in three stages:
+/// The pipeline runs in four stages (see `crate::flush`):
 ///
-/// 1. **Resolve + hash** — each armed page is resolved to its store
-///    object once, then content-hashed on the `flush::hash_plan` worker
-///    pool. The hashes are computed *once* and reused by every backend
-///    (the serial path re-hashed the plan per backend inside
-///    `write_page`).
-/// 2. **Coalesced write** — each backend applies the whole plan through
-///    `ObjectStore::write_pages_coalesced`, which batches adjacent
-///    fresh blocks into extent-sized vectored device writes.
-/// 3. **Commit** — unchanged; the checkpoint is durable at the max of
-///    the backends' durable instants. Backends overlap in virtual
-///    time: device submissions complete asynchronously and only the
-///    commit barrier waits for them.
+/// 1. **Resolve + partition** — each armed page is resolved to its
+///    store object once, and every backend decides delta-vs-image for
+///    it before anything is hashed.
+/// 2. **Hash** — a page is content-hashed iff some backend stores its
+///    image. The hashes are computed *once* and shared by every
+///    backend.
+/// 3. **Coalesced write** — each backend stages its delta records
+///    straight from the plan and applies its images, in plan order,
+///    through `ObjectStore::write_pages_coalesced`, which batches
+///    adjacent fresh blocks into extent-sized vectored device writes.
+/// 4. **Commit** — the checkpoint is durable at the max of the
+///    backends' durable instants. Backends overlap in virtual time:
+///    device submissions complete asynchronously and only the commit
+///    barrier waits for them.
 ///
 /// Any error propagates without committing; `abort_checkpoint` then
 /// forces the next checkpoint full, so a partially-applied plan on one
@@ -908,25 +914,48 @@ fn flush_capture(
     let next_group = sls.next_group_value();
     let workers = sls.flush_workers.max(1);
 
-    // --- Stage 1: resolve the plan and hash it on the worker pool. ----
-    let mut plan: Vec<crate::flush::PlanPage> = Vec::with_capacity(captured.plan.flush.len());
-    for fp in &captured.plan.flush {
-        let oid = captured
-            .vmo_oid
-            .iter()
-            .find(|(v, _)| *v == fp.object)
-            .map(|(_, o)| *o)
-            .ok_or_else(|| Error::internal("flush page of uncaptured object"))?;
-        plan.push((oid, fp.page_idx, kernel.vm.frames.data(fp.frame).clone()));
+    // --- Stage 1: resolve the plan and partition it per backend. ------
+    let oid_of: HashMap<VmoId, ObjId> = captured.vmo_oid.iter().copied().collect();
+    let plan: Vec<PlanEntry<'_>> = captured
+        .plan
+        .flush
+        .iter()
+        .map(|fp| {
+            let oid = *oid_of
+                .get(&fp.object)
+                .ok_or_else(|| Error::internal("flush page of uncaptured object"))?;
+            Ok(PlanEntry {
+                oid,
+                idx: fp.page_idx,
+                frame: fp.frame,
+                dirty: &fp.dirty,
+            })
+        })
+        .collect::<Result<_>>()?;
+    // `deltas[backend][page]`: the runs that backend appends as a delta
+    // record, `None` where it stores the image.
+    let deltas: Vec<Vec<Option<DirtyRuns<'_>>>> = sls
+        .group_ref(gid)?
+        .backends
+        .iter()
+        .map(|backend| {
+            let store = backend.store.borrow();
+            plan.iter()
+                .map(|page| delta_runs(&store, full, page))
+                .collect()
+        })
+        .collect();
+    let mut wants_image = vec![false; plan.len()];
+    for backend in &deltas {
+        for (wanted, runs) in wants_image.iter_mut().zip(backend) {
+            *wanted |= runs.is_none();
+        }
     }
-    // Dirty footprints keyed like the resolved plan: a page whose mask
-    // is a small set of runs is a delta candidate on every backend.
-    let mut masks: HashMap<(ObjId, u64), &aurora_vm::DirtyMask> = HashMap::new();
-    for (fp, (oid, idx, _)) in captured.plan.flush.iter().zip(plan.iter()) {
-        masks.insert((*oid, *idx), &fp.dirty);
-    }
+
+    // --- Stage 2: hash what some backend stores as an image. ----------
     let flush_start = kernel.clock.now();
-    let pages_hashed = plan.len() as u64;
+    let images = hash_images(&kernel.vm.frames, &plan, &wants_image, workers);
+    let pages_hashed = images.iter().flatten().count() as u64;
     let hash_stage = aurora_sim::cost::hash_stage(pages_hashed, workers as u64);
     let hash_done = match mode {
         // The hash stage is charged to the virtual clock at its modeled
@@ -941,10 +970,10 @@ fn flush_capture(
         // Pipelined cycles hash on the fleet scheduler's lane horizons
         // instead: the driving thread returns to the next tenant's
         // capture while this flush's hash occupies an idle lane, and the
-        // durable instant below waits for the lane to finish.
+        // durable instant below waits for the lane to finish. A flush
+        // with nothing to hash books no lane.
         FlushMode::Pipelined => sls.fleet.hash_slot(flush_start, hash_stage),
     };
-    let writes = crate::flush::hash_plan(plan, workers);
     let group = sls
         .groups
         .get_mut(&gid.0)
@@ -953,7 +982,7 @@ fn flush_capture(
         return Err(Error::internal("commit locks out of step with backends"));
     }
 
-    // --- Stages 2+3: coalesced write and commit, per backend. ---------
+    // --- Stages 3+4: coalesced write and commit, per backend. ---------
     let mut durable = SimTime::ZERO;
     let mut extents = 0u64;
     let mut extent_blocks = 0u64;
@@ -965,7 +994,9 @@ fn flush_capture(
     let mut delta_records = 0u64;
     let mut delta_bytes = 0u64;
     let mut chain_len_max = 0u64;
-    for (backend, &store_commit) in group.backends.iter_mut().zip(commit_locks) {
+    for ((backend, &store_commit), backend_deltas) in
+        group.backends.iter_mut().zip(commit_locks).zip(&deltas)
+    {
         let mut store = backend.store.borrow_mut();
         for &(v, oid) in &captured.vmo_oid {
             if !store.object_exists(oid) {
@@ -980,39 +1011,23 @@ fn flush_capture(
         let repairs0 = store.stats.repair_path_entries.get();
         let drec0 = store.stats.delta_records;
         let dbytes0 = store.stats.delta_bytes;
-        // Delta/full partition. A captured page appends a sub-page delta
-        // record when the flush is incremental, its dirty footprint is a
-        // small run set within the policy budget, and this backend holds
-        // a committed base whose chain has room; everything else — and
-        // every page of a full checkpoint — takes the coalesced
-        // full-image path, which doubles as chain truncation.
-        let (delta_max_bytes, delta_max_chain) = store.delta_policy();
-        let mut full_count = writes.len() as u64;
-        if full || delta_max_bytes == 0 {
-            store.write_pages_coalesced(&writes)?;
-        } else {
-            let mut images: Vec<aurora_objstore::PageWrite> = Vec::new();
-            for w in &writes {
-                let runs = masks
-                    .get(&(w.oid, w.idx))
-                    .and_then(|m| m.runs())
-                    .filter(|runs| {
-                        let bytes: u64 = runs.iter().map(|&(_, l)| l as u64).sum();
-                        bytes > 0 && bytes <= delta_max_bytes as u64
-                    })
-                    .filter(|_| {
-                        store
-                            .can_delta(w.oid, w.idx)
-                            .is_some_and(|len| len < delta_max_chain)
-                    });
-                match runs {
-                    Some(runs) => store.stage_delta(w.oid, w.idx, &w.page, runs)?,
-                    None => images.push(w.clone()),
-                }
+        // Stage this backend's delta records straight from the frozen
+        // frames and collect its images, both in plan order.
+        let mut batch: Vec<&aurora_objstore::PageWrite> = Vec::new();
+        for ((page, runs), image) in plan.iter().zip(backend_deltas).zip(&images) {
+            match (runs, image) {
+                (Some(runs), _) => store.stage_delta(
+                    page.oid,
+                    page.idx,
+                    kernel.vm.frames.data(page.frame),
+                    runs,
+                )?,
+                (None, Some(write)) => batch.push(write),
+                (None, None) => return Err(Error::internal("image page was not hashed")),
             }
-            full_count = images.len() as u64;
-            store.write_pages_coalesced(&images)?;
         }
+        let full_count = batch.len() as u64;
+        store.write_pages_coalesced(batch)?;
         extents += store.stats.extents_coalesced - ext0;
         extent_blocks += store.stats.blocks_coalesced - blk0;
         for (key, bytes) in &captured.blobs {
@@ -1065,6 +1080,7 @@ fn flush_capture(
     {
         let mut m = metrics::METRICS.lock();
         m.flush_workers = workers as u64;
+        m.flush_pages += plan.len() as u64;
         m.flush_pages_hashed += pages_hashed;
         m.flush_hash_ns += hash_stage.as_nanos();
         m.flush_write_ns += flush_span.as_nanos();
@@ -1083,6 +1099,7 @@ fn flush_capture(
         FlushReport {
             workers: workers as u64,
             hash_stage,
+            pages_hashed,
             flush_span,
             flush_bytes,
         },

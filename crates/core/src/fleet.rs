@@ -430,8 +430,12 @@ impl FleetScheduler {
     }
 
     /// Books `cost` on the earliest-free hash lane at or after `now`;
-    /// returns the lane's completion instant.
+    /// returns the lane's completion instant. A flush with nothing to
+    /// hash books no lane and never waits behind other tenants' work.
     pub(crate) fn hash_slot(&mut self, now: SimTime, cost: SimDuration) -> SimTime {
+        if cost == SimDuration::ZERO {
+            return now;
+        }
         self.lanes.resize(self.hash_lanes.max(1), SimTime::ZERO);
         let lane = match self
             .lanes
@@ -922,6 +926,20 @@ mod tests {
         assert_eq!(f.hash_slot(t0, c), t0 + c);
         assert_eq!(f.hash_slot(t0, c), t0 + c);
         // The third queues behind the earliest lane.
+        assert_eq!(f.hash_slot(t0, c), t0 + c + c);
+    }
+
+    #[test]
+    fn flush_with_nothing_to_hash_books_no_lane() {
+        let mut f = FleetScheduler::new();
+        f.hash_lanes = 2;
+        let t0 = SimTime::ZERO;
+        let c = SimDuration::from_micros(10);
+        f.hash_slot(t0, c);
+        f.hash_slot(t0, c);
+        // Both lanes are busy until t0+c; an all-delta flush is done at once
+        // and leaves the horizons where they were.
+        assert_eq!(f.hash_slot(t0, SimDuration::ZERO), t0);
         assert_eq!(f.hash_slot(t0, c), t0 + c + c);
     }
 

@@ -1,23 +1,33 @@
-//! The parallel flush pipeline's hash stage.
+//! The flush pipeline's partition and hash stages.
 //!
-//! A checkpoint's flush plan is partitioned into contiguous shards, one
-//! per worker; a scoped thread pool content-hashes every page, and the
-//! driving thread reassembles the shards in plan order. The output is a
-//! [`PageWrite`] list whose hashes feed the object store's sharded dedup
-//! index (`write_pages_coalesced`) on *every* backend — the serial path
-//! re-hashed the whole plan once per backend.
+//! A checkpoint's flush runs in plan order through four steps:
 //!
-//! Determinism: shard boundaries depend only on plan length and worker
-//! count, workers never touch shared mutable state except the
-//! [`FLUSH_SHARD`] collector, and reassembly sorts by shard index — so
-//! the resulting write sequence is byte-identical to a serial hash pass
-//! regardless of worker count or scheduling. The differential test in
-//! `tests/parallel_flush_diff.rs` checks exactly this.
+//! 1. **Resolve** — each captured page becomes a [`PlanEntry`]: its
+//!    store object, page index, frozen frame and dirty footprint.
+//! 2. **Partition** — [`delta_runs`] decides, per backend and before
+//!    anything is hashed, whether the page is appended as a sub-page
+//!    delta record or stored as a full 4 KiB image.
+//! 3. **Hash** — [`hash_images`] content-hashes a page iff at least one
+//!    backend stores its image (a delta record neither stores nor
+//!    checks a content hash, so hashing a delta-only page buys
+//!    nothing), sharded over a scoped thread pool by [`hash_plan`].
+//! 4. **Write** — every backend stages its deltas straight from the
+//!    plan and feeds its images, in plan order, to the object store's
+//!    sharded dedup index (`write_pages_coalesced`). The hashes are
+//!    computed once and shared by every backend.
+//!
+//! Determinism: shard boundaries depend only on the number of pages
+//! hashed and the worker count, workers never touch shared mutable
+//! state except the [`FLUSH_SHARD`] collector, and reassembly sorts by
+//! shard index — so the resulting write sequence is byte-identical to a
+//! serial hash pass regardless of worker count or scheduling. The
+//! differential tests in `tests/parallel_flush_diff.rs` and
+//! `tests/delta_diff.rs` check exactly this.
 
 use std::thread;
 
-use aurora_objstore::{ObjId, PageWrite};
-use aurora_vm::PageData;
+use aurora_objstore::{ObjId, ObjectStore, PageWrite};
+use aurora_vm::{DirtyMask, FrameId, FrameTable, PageData};
 
 use crate::lockdep::{OrderedMutex, RANK_FLUSH_SHARD};
 
@@ -36,6 +46,67 @@ static FLUSH_SHARD: OrderedMutex<Vec<(usize, Vec<u64>)>> =
 /// One resolved page of the flush plan: destination object, page index,
 /// and the frozen contents.
 pub type PlanPage = (ObjId, u64, PageData);
+
+/// One captured page resolved to its store object. The contents stay
+/// in the frame table until a delta record or an image needs them.
+pub(crate) struct PlanEntry<'a> {
+    pub oid: ObjId,
+    pub idx: u64,
+    pub frame: FrameId,
+    /// Dirty footprint snapshotted at arm time (`Full` on a full
+    /// capture).
+    pub dirty: &'a DirtyMask,
+}
+
+/// A page's dirty footprint: sorted `(offset, len)` byte runs.
+pub(crate) type DirtyRuns<'a> = &'a [(u32, u32)];
+
+/// The dirty runs `store` appends as a delta record for this page, or
+/// `None` when it stores the full image. A page takes the delta path
+/// when the flush is incremental, its footprint is a non-empty run set
+/// within the store's byte budget, and the store holds a committed base
+/// whose chain has room; everything else — and every page of a full
+/// checkpoint — is an image, which doubles as chain truncation.
+pub(crate) fn delta_runs<'a>(
+    store: &ObjectStore,
+    full: bool,
+    page: &PlanEntry<'a>,
+) -> Option<DirtyRuns<'a>> {
+    let (max_bytes, max_chain) = store.delta_policy();
+    if full || max_bytes == 0 {
+        return None;
+    }
+    let bytes = page.dirty.bytes()?;
+    if bytes == 0 || bytes > max_bytes as u64 {
+        return None;
+    }
+    if store.can_delta(page.oid, page.idx)? >= max_chain {
+        return None;
+    }
+    page.dirty.runs()
+}
+
+/// Content-hashes every plan page for which `wanted` is set, on
+/// `workers` threads, and returns the images by plan position: `None`
+/// where no backend stores the page's image.
+pub(crate) fn hash_images(
+    frames: &FrameTable,
+    plan: &[PlanEntry<'_>],
+    wanted: &[bool],
+    workers: usize,
+) -> Vec<Option<PageWrite>> {
+    let pages: Vec<PlanPage> = plan
+        .iter()
+        .zip(wanted)
+        .filter(|(_, &wanted)| wanted)
+        .map(|(page, _)| (page.oid, page.idx, frames.data(page.frame).clone()))
+        .collect();
+    let mut hashed = hash_plan(pages, workers).into_iter();
+    wanted
+        .iter()
+        .map(|&wanted| if wanted { hashed.next() } else { None })
+        .collect()
+}
 
 /// Content-hashes the resolved flush plan on `workers` threads and
 /// returns the writes in plan order.
@@ -117,6 +188,36 @@ mod tests {
                     assert!(a.page.content_eq(&b.page));
                 }
             }
+        }
+    }
+
+    #[test]
+    fn hash_images_leaves_unwanted_pages_out() {
+        let mut frames = FrameTable::new();
+        let data = [
+            PageData::Seeded(1),
+            PageData::Seeded(2),
+            PageData::Seeded(3),
+        ];
+        let dirty = DirtyMask::Full;
+        let plan: Vec<PlanEntry<'_>> = data
+            .iter()
+            .enumerate()
+            .map(|(i, d)| PlanEntry {
+                oid: ObjId(7),
+                idx: i as u64,
+                frame: frames.alloc(d.clone()),
+                dirty: &dirty,
+            })
+            .collect();
+
+        let images = hash_images(&frames, &plan, &[true, false, true], 1);
+        assert_eq!(images.len(), plan.len(), "indexed by plan position");
+        assert!(images[1].is_none(), "unwanted page was hashed");
+        for at in [0, 2] {
+            let w = images[at].as_ref().unwrap();
+            assert_eq!((w.oid, w.idx), (ObjId(7), at as u64));
+            assert_eq!(w.hash, data[at].content_hash());
         }
     }
 

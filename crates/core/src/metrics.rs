@@ -17,8 +17,11 @@ pub struct GlobalCounters {
     pub restores_completed: u64,
     /// Worker-thread count of the most recent parallel flush.
     pub flush_workers: u64,
-    /// Pages content-hashed by the parallel flush hash stage.
+    /// Pages content-hashed by the parallel flush hash stage (captured
+    /// pages that took the delta path on every backend are not counted).
     pub flush_pages_hashed: u64,
+    /// Pages captured by committed flushes (hashed or delta-only).
+    pub flush_pages: u64,
     /// Hash-stage duration (sim ns): page bytes over the per-core hash
     /// bandwidth, divided across the workers. Charged to the simulation
     /// clock, so checkpoint latency reflects the configured parallelism.
@@ -121,6 +124,7 @@ pub static METRICS: OrderedMutex<GlobalCounters> =
         restores_completed: 0,
         flush_workers: 0,
         flush_pages_hashed: 0,
+        flush_pages: 0,
         flush_hash_ns: 0,
         flush_write_ns: 0,
         flush_extents: 0,
@@ -253,6 +257,10 @@ pub struct CheckpointBreakdown {
     pub flush_workers: u64,
     /// Duration of the hash stage, charged to the virtual clock.
     pub hash_stage: SimDuration,
+    /// Pages the flush content-hashed: those some backend stores as a
+    /// full image. The other `pages - pages_hashed` were delta records
+    /// on every backend and needed no hash.
+    pub pages_hashed: u64,
     /// Sim-time span from flush submission to the durable instant.
     pub flush_span: SimDuration,
     /// The incremental pre-pass found the base chain damaged

@@ -115,7 +115,7 @@ fn incremental_checkpoints_capture_only_dirty_pages() {
     }
     let gid = host.persist("writer", pid).unwrap();
     let full = host.checkpoint(gid, true, None).unwrap();
-    assert_eq!(full.pages, 64);
+    assert_eq!((full.pages, full.pages_hashed), (64, 64));
 
     // Touch 3 pages; the incremental captures exactly those.
     for i in [5u64, 17, 42] {
@@ -125,6 +125,9 @@ fn incremental_checkpoints_capture_only_dirty_pages() {
     }
     let incr = host.checkpoint(gid, false, None).unwrap();
     assert_eq!(incr.pages, 3);
+    // Five-byte pokes over a committed base are delta records: no hash.
+    assert_eq!(incr.pages_hashed, 0);
+    assert_eq!(incr.hash_stage, aurora_sim::time::SimDuration::ZERO);
     assert!(incr.lazy_data_copy < full.lazy_data_copy);
     assert!(incr.stop_time < full.stop_time);
 
@@ -140,6 +143,50 @@ fn incremental_checkpoints_capture_only_dirty_pages() {
     let mut buf = [0u8; 5];
     host.kernel.mem_read(new_pid, addr + 17 * 4096, &mut buf).unwrap();
     assert_eq!(&buf, b"dirty");
+}
+
+#[test]
+fn all_delta_flush_does_not_queue_behind_a_busy_hash_lane() {
+    const BIG: u64 = 512;
+    let mut host = new_host("h");
+    host.sls.fleet.hash_lanes = 1;
+
+    // Tenant A: a wide region of identical pages — a long hash stage,
+    // and (after dedup) next to nothing for the device to write.
+    let a = host.kernel.spawn("wide");
+    let a_addr = host.kernel.mmap_anon(a, BIG * 4096, false).unwrap();
+    for i in 0..BIG {
+        host.kernel.mem_write(a, a_addr + i * 4096, b"same").unwrap();
+    }
+    let gid_a = host.persist("wide", a).unwrap();
+
+    // Tenant B: one page with a committed base.
+    let b = host.kernel.spawn("small");
+    let b_addr = host.kernel.mmap_anon(b, 4096, false).unwrap();
+    host.kernel.mem_write(b, b_addr, b"base").unwrap();
+    let gid_b = host.persist("small", b).unwrap();
+    host.checkpoint_pipelined(gid_b, true, None).unwrap();
+    host.fleet_drain();
+
+    // A's full flush books the only lane for its whole hash stage.
+    let wide = host.checkpoint_pipelined(gid_a, true, None).unwrap();
+    assert_eq!(wide.pages_hashed, BIG);
+    let lane_busy_until = wide.durable_at;
+
+    // B's 4-byte poke is a delta record: nothing to hash, so it neither
+    // waits for the lane nor pushes its horizon.
+    host.kernel.mem_write(b, b_addr, b"poke").unwrap();
+    let small = host.checkpoint_pipelined(gid_b, false, None).unwrap();
+    assert!(small.outcome.committed());
+    assert_eq!((small.pages, small.pages_hashed), (1, 0));
+    assert_eq!(small.hash_stage, aurora_sim::time::SimDuration::ZERO);
+    assert!(
+        small.durable_at < lane_busy_until,
+        "all-delta flush durable at {:?}, lane busy until {:?}",
+        small.durable_at,
+        lane_busy_until
+    );
+    host.fleet_drain();
 }
 
 #[test]

@@ -985,7 +985,10 @@ impl ObjectStore {
     /// surfaces, so no later dedup hit or cache read can serve bytes
     /// the medium does not hold. The checkpoint pipeline then aborts
     /// without committing and forces the next checkpoint full.
-    pub fn write_pages_coalesced(&mut self, writes: &[PageWrite]) -> Result<()> {
+    pub fn write_pages_coalesced<'a>(
+        &mut self,
+        writes: impl IntoIterator<Item = &'a PageWrite>,
+    ) -> Result<()> {
         // Plan-order pass: dedup, allocation, live-map publication.
         let mut fresh: BTreeMap<u64, PageData> = BTreeMap::new();
         for w in writes {

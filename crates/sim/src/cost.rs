@@ -99,8 +99,11 @@ pub const IPC_BYTE_NS_PER_64: u64 = 14;
 /// FNV is serialized on its multiply dependency chain (~4 cycles/byte),
 /// which lands near 0.7 GB/s on the paper's Xeon Silver 4116 — confirmed
 /// by `bench_checkpoint --hash-micro`, which times the real `hash_plan`
-/// implementation (≈6 µs per 4 KiB page). Charged to the simulation
-/// clock by the flush pipeline's hash stage, divided by worker count.
+/// implementation (≈6 µs per 4 KiB page). The flush pipeline's hash
+/// stage charges it to the simulation clock, divided by worker count,
+/// for the pages it actually hashes: those some backend stores as a
+/// full image. Pages that are delta records on every backend are never
+/// hashed.
 pub const HASH_BW_PER_CORE: u64 = 700_000_000;
 
 /// Returns the modeled duration of content-hashing `pages` 4 KiB pages

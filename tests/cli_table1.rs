@@ -103,6 +103,10 @@ fn full_cli_lifecycle() {
     assert!(out.contains("checkpoints:"));
     assert!(out.contains("flush pipeline:"), "info flush stage: {out}");
     assert!(out.contains("workers configured"), "info workers: {out}");
+    assert!(
+        out.contains("pages hashed,") && out.contains("delta-only"),
+        "info hash demand: {out}"
+    );
     assert!(out.contains("fleet:"), "info fleet telemetry: {out}");
 }
 
