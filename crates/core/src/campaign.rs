@@ -304,10 +304,20 @@ fn run_schedule(cfg: &CampaignConfig, idx: u64, report: &mut CampaignReport) -> 
 /// every surviving page, so a torn extent that leaked into a committed
 /// checkpoint cannot hide) and every surviving checkpoint must restore
 /// to its recorded pre-checkpoint state.
-pub fn run_power_cut_sweep(cuts: u64, workers: usize) -> CampaignReport {
+///
+/// `pages` sizes the working set and `cuts` lists the write ordinals to
+/// cut at. A materialized extent burns one ordinal per block, so with
+/// nothing deduplicated write `k` is page `k` of the plan, and a working
+/// set wider than `FLUSH_BATCH_PAGES` puts cuts between the streamed
+/// flush's batches.
+pub fn run_power_cut_sweep(
+    pages: u64,
+    cuts: impl IntoIterator<Item = u64>,
+    workers: usize,
+) -> CampaignReport {
     let mut report = CampaignReport::default();
-    for n in 1..=cuts {
-        if let Err(e) = run_power_cut_iteration(n, workers, &mut report) {
+    for n in cuts {
+        if let Err(e) = run_power_cut_iteration(n, pages, workers, &mut report) {
             report
                 .violations
                 .push(format!("power-cut {n}: harness error: {e}"));
@@ -317,12 +327,17 @@ pub fn run_power_cut_sweep(cuts: u64, workers: usize) -> CampaignReport {
     report
 }
 
-/// Pages dirtied per sweep round — enough to span several coalesced
-/// extents even after dedup.
+/// Pages dirtied per round of the dense sweeps — enough to span several
+/// coalesced extents even after dedup.
 const SWEEP_PAGES: u64 = 96;
 
 /// One sweep iteration: cut power at device write `n` mid-flush.
-fn run_power_cut_iteration(n: u64, workers: usize, report: &mut CampaignReport) -> Result<()> {
+fn run_power_cut_iteration(
+    n: u64,
+    pages: u64,
+    workers: usize,
+    report: &mut CampaignReport,
+) -> Result<()> {
     let mut host = boot_host_config(StoreConfig {
         journal_blocks: 512,
         materialize_data: true,
@@ -330,17 +345,19 @@ fn run_power_cut_iteration(n: u64, workers: usize, report: &mut CampaignReport) 
     })?;
     host.sls.flush_workers = workers;
     let pid = host.kernel.spawn("app");
-    let addr = host.kernel.mmap_anon(pid, SWEEP_PAGES * 4096, false)?;
+    let addr = host.kernel.mmap_anon(pid, pages * 4096, false)?;
     let gid = host.persist("app", pid)?;
 
     let mut expected: HashMap<String, Vec<u8>> = HashMap::new();
     for round in 0..2u32 {
         let tag = format!("cut{n:04}-r{round}");
-        // Distinct contents per page so nothing dedups away and the
-        // flush plan really spans multiple extents.
-        for p in 0..SWEEP_PAGES {
-            let body = format!("{tag}-p{p:04}");
-            host.kernel.mem_write(pid, addr + p * 4096, body.as_bytes())?;
+        // Whole pages, so the incremental round stores images and not
+        // delta records; distinct contents per page so nothing dedups
+        // away and the flush plan really spans multiple extents.
+        for p in 0..pages {
+            let mut body = format!("{tag}-p{p:04}").into_bytes();
+            body.resize(4096, b'.');
+            host.kernel.mem_write(pid, addr + p * 4096, &body)?;
         }
         expected.insert(format!("r{round}"), format!("{tag}-p0000").into_bytes());
 
@@ -2110,7 +2127,7 @@ mod tests {
 
     #[test]
     fn power_cut_sweep_mid_parallel_flush_recovers_clean() {
-        let report = run_power_cut_sweep(18, 4);
+        let report = run_power_cut_sweep(SWEEP_PAGES, 1..=18, 4);
         assert!(report.passed(), "violations: {:?}", report.violations);
         assert_eq!(report.crashes, 18, "every iteration ends in a crash");
         assert!(
@@ -2120,6 +2137,31 @@ mod tests {
         assert!(
             report.restores_verified > 0,
             "baselines must survive every cut"
+        );
+    }
+
+    #[test]
+    fn power_cut_sweep_between_flush_batches_recovers_clean() {
+        // Three full batches and a partial one. Per batch, a cut at its
+        // first write (everything before it is whole batches already on
+        // the device) and one mid-extent; then the writes of the commit
+        // that follows the last batch.
+        let batch = crate::flush::FLUSH_BATCH_PAGES as u64;
+        let pages = 3 * batch + batch / 4;
+        let cuts: Vec<u64> = (0..4)
+            .flat_map(|k| [k * batch + 1, k * batch + batch / 8 + 7])
+            .chain(pages + 1..=pages + 3)
+            .collect();
+        let report = run_power_cut_sweep(pages, cuts.iter().copied(), 4);
+        assert!(report.passed(), "violations: {:?}", report.violations);
+        assert_eq!(report.crashes, cuts.len() as u64);
+        assert!(
+            report.aborted >= 8,
+            "every cut inside the data writes aborts: {report:?}"
+        );
+        assert!(
+            report.restores_verified >= cuts.len() as u64,
+            "the baseline survives every cut: {report:?}"
         );
     }
 

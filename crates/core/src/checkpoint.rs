@@ -22,13 +22,14 @@ use aurora_posix::inet::IsockState;
 use aurora_posix::unix::UsockState;
 use aurora_posix::{FileId, Kernel, Pid};
 use aurora_sim::clock::Stopwatch;
+use aurora_sim::cost;
 use aurora_sim::error::{Error, Result};
-use aurora_sim::time::SimTime;
+use aurora_sim::time::{SimDuration, SimTime};
 use aurora_vm::cow::{self, Capture};
 use aurora_vm::VmoId;
 
 use crate::fleet::FlushMode;
-use crate::flush::{delta_runs, hash_images, DirtyRuns, PlanEntry};
+use crate::flush::{delta_runs, hash_images, DirtyRuns, PlanEntry, FLUSH_BATCH_PAGES};
 use crate::group::{Group, GroupId};
 use crate::lockdep::OrderedMutex;
 use crate::metrics::{self, CheckpointBreakdown, CheckpointOutcome};
@@ -238,6 +239,7 @@ impl Host {
         breakdown.hash_stage = flush_report.hash_stage;
         breakdown.pages_hashed = flush_report.pages_hashed;
         breakdown.flush_span = flush_report.flush_span;
+        breakdown.write_wait = flush_report.write_wait;
         breakdown.durable_at = durable;
         breakdown.ckpt = self.sls.group_ref(gid)?.last_checkpoint();
 
@@ -845,9 +847,7 @@ fn capture_metadata(
 
     // Charge the serialization cost of every record.
     for (_, bytes) in &blobs {
-        kernel
-            .clock
-            .charge(aurora_sim::cost::meta_serialize(bytes.len()));
+        kernel.clock.charge(cost::meta_serialize(bytes.len()));
     }
 
     // File-system metadata commits with the same checkpoint.
@@ -866,11 +866,14 @@ pub(crate) struct FlushReport {
     /// Worker threads used by the hash stage.
     pub workers: u64,
     /// Hash-stage duration charged to the virtual clock.
-    pub hash_stage: aurora_sim::time::SimDuration,
+    pub hash_stage: SimDuration,
     /// Pages the hash stage content-hashed.
     pub pages_hashed: u64,
     /// Sim-time span from flush submission to the durable instant.
-    pub flush_span: aurora_sim::time::SimDuration,
+    pub flush_span: SimDuration,
+    /// Sim time from the end of the last batch's hash to the durable
+    /// instant: device work no later batch's hash was left to hide.
+    pub write_wait: SimDuration,
     /// Bytes actually flushed on the widest backend: full 4 KiB images
     /// plus encoded delta records (sub-page dirty extents make this far
     /// smaller than `armed_pages * 4096`).
@@ -880,22 +883,22 @@ pub(crate) struct FlushReport {
 /// Writes captured pages and records to every backend and commits;
 /// returns the instant at which all backends are durable.
 ///
-/// The pipeline runs in four stages (see `crate::flush`):
+/// The pipeline runs in plan order (see `crate::flush`):
 ///
 /// 1. **Resolve + partition** — each armed page is resolved to its
 ///    store object once, and every backend decides delta-vs-image for
 ///    it before anything is hashed.
-/// 2. **Hash** — a page is content-hashed iff some backend stores its
-///    image. The hashes are computed *once* and shared by every
-///    backend.
-/// 3. **Coalesced write** — each backend stages its delta records
-///    straight from the plan and applies its images, in plan order,
-///    through `ObjectStore::write_pages_coalesced`, which batches
-///    adjacent fresh blocks into extent-sized vectored device writes.
-/// 4. **Commit** — the checkpoint is durable at the max of the
-///    backends' durable instants. Backends overlap in virtual time:
-///    device submissions complete asynchronously and only the commit
-///    barrier waits for them.
+/// 2. **Stream** — per batch of `FLUSH_BATCH_PAGES`: content-hash the
+///    pages some backend stores as an image (once, shared by every
+///    backend), then each backend stages the batch's delta records
+///    straight from the plan and applies its images through
+///    `ObjectStore::write_pages_coalesced`, which batches adjacent
+///    fresh blocks into extent-sized vectored device writes. Device
+///    submissions complete asynchronously, so batch *k* drains while
+///    batch *k+1* is hashed.
+/// 3. **Commit** — one seal → barrier → flip per backend; the
+///    checkpoint is durable at the max of the backends' durable
+///    instants. Only the commit barrier waits for the device.
 ///
 /// Any error propagates without committing; `abort_checkpoint` then
 /// forces the next checkpoint full, so a partially-applied plan on one
@@ -952,26 +955,25 @@ fn flush_capture(
         }
     }
 
-    // --- Stage 2: hash what some backend stores as an image. ----------
+    // The hash stage is charged at its modeled per-core bandwidth
+    // divided by the worker count, for the pages some backend stores as
+    // an image, so checkpoint latency and the flush span reflect the
+    // configured parallelism regardless of how many physical CPUs the
+    // harness happens to have.
     let flush_start = kernel.clock.now();
-    let images = hash_images(&kernel.vm.frames, &plan, &wants_image, workers);
-    let pages_hashed = images.iter().flatten().count() as u64;
-    let hash_stage = aurora_sim::cost::hash_stage(pages_hashed, workers as u64);
+    let hash_cost = |pages: u64| cost::hash_stage(pages, workers as u64);
+    let pages_hashed = wants_image.iter().filter(|&&wanted| wanted).count() as u64;
+    let hash_stage = hash_cost(pages_hashed);
     let hash_done = match mode {
-        // The hash stage is charged to the virtual clock at its modeled
-        // per-core bandwidth divided by the worker count, so checkpoint
-        // latency and the flush span reflect the configured parallelism
-        // regardless of how many physical CPUs the harness happens to
-        // have.
-        FlushMode::Inline => {
-            kernel.clock.charge(hash_stage);
-            kernel.clock.now()
-        }
+        // Charged to the driving clock batch by batch below; the charges
+        // sum to exactly `hash_stage`.
+        FlushMode::Inline => flush_start + hash_stage,
         // Pipelined cycles hash on the fleet scheduler's lane horizons
         // instead: the driving thread returns to the next tenant's
         // capture while this flush's hash occupies an idle lane, and the
-        // durable instant below waits for the lane to finish. A flush
-        // with nothing to hash books no lane.
+        // durable instant below waits for the lane to finish. The lane
+        // is booked once for the whole plan; a flush with nothing to
+        // hash books no lane.
         FlushMode::Pipelined => sls.fleet.hash_slot(flush_start, hash_stage),
     };
     let group = sls
@@ -982,7 +984,62 @@ fn flush_capture(
         return Err(Error::internal("commit locks out of step with backends"));
     }
 
-    // --- Stages 3+4: coalesced write and commit, per backend. ---------
+    let mut stats0 = Vec::with_capacity(group.backends.len());
+    for backend in &group.backends {
+        let mut store = backend.store.borrow_mut();
+        for &(v, oid) in &captured.vmo_oid {
+            if !store.object_exists(oid) {
+                store.create_object(oid, kernel.vm.object(v).size_pages)?;
+            }
+        }
+        stats0.push(store.stats.clone());
+    }
+
+    // --- Stage 2: stream the plan, batch by batch. --------------------
+    // Batch k's images reach the device queue before batch k+1 is
+    // hashed, so the device drains under the next batch's hash.
+    let mut delta_batches: Vec<_> = deltas
+        .iter()
+        .map(|backend| backend.chunks(FLUSH_BATCH_PAGES))
+        .collect();
+    let mut hashed = 0u64;
+    for (pages, wanted) in plan
+        .chunks(FLUSH_BATCH_PAGES)
+        .zip(wants_image.chunks(FLUSH_BATCH_PAGES))
+    {
+        let images = hash_images(&kernel.vm.frames, pages, wanted, workers);
+        if mode == FlushMode::Inline {
+            // The difference of the cumulative cost, so the per-batch
+            // charges telescope to `hash_stage` to the nanosecond.
+            let before = hash_cost(hashed);
+            hashed += wanted.iter().filter(|&&wanted| wanted).count() as u64;
+            kernel.clock.charge(hash_cost(hashed).saturating_sub(before));
+        }
+        for (backend, batches) in group.backends.iter().zip(&mut delta_batches) {
+            let runs = batches
+                .next()
+                .ok_or_else(|| Error::internal("delta partition shorter than the plan"))?;
+            let mut store = backend.store.borrow_mut();
+            // Stage this backend's delta records straight from the
+            // frozen frames and collect its images, both in plan order.
+            let mut writes: Vec<&aurora_objstore::PageWrite> = Vec::new();
+            for ((page, runs), image) in pages.iter().zip(runs).zip(&images) {
+                match (runs, image) {
+                    (Some(runs), _) => store.stage_delta(
+                        page.oid,
+                        page.idx,
+                        kernel.vm.frames.data(page.frame),
+                        runs,
+                    )?,
+                    (None, Some(write)) => writes.push(write),
+                    (None, None) => return Err(Error::internal("image page was not hashed")),
+                }
+            }
+            store.write_pages_coalesced(writes)?;
+        }
+    }
+
+    // --- Stage 3: commit, per backend. --------------------------------
     let mut durable = SimTime::ZERO;
     let mut extents = 0u64;
     let mut extent_blocks = 0u64;
@@ -994,42 +1051,14 @@ fn flush_capture(
     let mut delta_records = 0u64;
     let mut delta_bytes = 0u64;
     let mut chain_len_max = 0u64;
-    for ((backend, &store_commit), backend_deltas) in
-        group.backends.iter_mut().zip(commit_locks).zip(&deltas)
+    for (((backend, &store_commit), backend_deltas), stats0) in group
+        .backends
+        .iter_mut()
+        .zip(commit_locks)
+        .zip(&deltas)
+        .zip(&stats0)
     {
         let mut store = backend.store.borrow_mut();
-        for &(v, oid) in &captured.vmo_oid {
-            if !store.object_exists(oid) {
-                store.create_object(oid, kernel.vm.object(v).size_pages)?;
-            }
-        }
-        let ext0 = store.stats.extents_coalesced;
-        let blk0 = store.stats.blocks_coalesced;
-        let seals0 = store.stats.journal_seals;
-        let barriers0 = store.stats.extent_barriers;
-        let flips0 = store.stats.superblock_flips;
-        let repairs0 = store.stats.repair_path_entries.get();
-        let drec0 = store.stats.delta_records;
-        let dbytes0 = store.stats.delta_bytes;
-        // Stage this backend's delta records straight from the frozen
-        // frames and collect its images, both in plan order.
-        let mut batch: Vec<&aurora_objstore::PageWrite> = Vec::new();
-        for ((page, runs), image) in plan.iter().zip(backend_deltas).zip(&images) {
-            match (runs, image) {
-                (Some(runs), _) => store.stage_delta(
-                    page.oid,
-                    page.idx,
-                    kernel.vm.frames.data(page.frame),
-                    runs,
-                )?,
-                (None, Some(write)) => batch.push(write),
-                (None, None) => return Err(Error::internal("image page was not hashed")),
-            }
-        }
-        let full_count = batch.len() as u64;
-        store.write_pages_coalesced(batch)?;
-        extents += store.stats.extents_coalesced - ext0;
-        extent_blocks += store.stats.blocks_coalesced - blk0;
         for (key, bytes) in &captured.blobs {
             store.put_blob(key, bytes.clone());
         }
@@ -1047,27 +1076,30 @@ fn flush_capture(
             let _commit = store_commit.lock();
             store.commit(name)?
         };
-        phase_seals += store.stats.journal_seals - seals0;
-        phase_barriers += store.stats.extent_barriers - barriers0;
-        phase_flips += store.stats.superblock_flips - flips0;
-        phase_repairs += store.stats.repair_path_entries.get() - repairs0;
+        let stats = &store.stats;
+        extents += stats.extents_coalesced - stats0.extents_coalesced;
+        extent_blocks += stats.blocks_coalesced - stats0.blocks_coalesced;
+        phase_seals += stats.journal_seals - stats0.journal_seals;
+        phase_barriers += stats.extent_barriers - stats0.extent_barriers;
+        phase_flips += stats.superblock_flips - stats0.superblock_flips;
+        phase_repairs += stats.repair_path_entries.get() - stats0.repair_path_entries.get();
         // Real bytes this backend flushed for page data: full images plus
         // the delta records the commit just made durable. The report
         // carries the widest backend.
-        let backend_dbytes = store.stats.delta_bytes - dbytes0;
-        delta_records += store.stats.delta_records - drec0;
+        let backend_dbytes = stats.delta_bytes - stats0.delta_bytes;
+        let images = backend_deltas.iter().filter(|runs| runs.is_none()).count() as u64;
+        delta_records += stats.delta_records - stats0.delta_records;
         delta_bytes += backend_dbytes;
-        chain_len_max = chain_len_max.max(store.stats.chain_len_max);
-        flush_bytes = flush_bytes.max(full_count * aurora_vm::PAGE_SIZE as u64 + backend_dbytes);
+        chain_len_max = chain_len_max.max(stats.chain_len_max);
+        flush_bytes = flush_bytes.max(images * aurora_vm::PAGE_SIZE as u64 + backend_dbytes);
         backend.history.push(ckpt);
         if full {
             backend.needs_full = false;
         }
         durable = durable.max(backend_durable);
     }
-    // A pipelined flush is not durable before its hash lane finishes
-    // (inline mode already advanced the clock past the hash, so this is
-    // a no-op there).
+    // A flush is not durable before its hash is done: the lane's horizon
+    // when pipelined; inline, the clock is already there.
     durable = durable.max(hash_done);
     group.history = group
         .backends
@@ -1076,14 +1108,15 @@ fn flush_capture(
         .history
         .clone();
 
-    let flush_span = durable.max(flush_start).since(flush_start);
+    let flush_span = durable.since(flush_start);
+    let write_wait = durable.since(hash_done);
     {
         let mut m = metrics::METRICS.lock();
         m.flush_workers = workers as u64;
         m.flush_pages += plan.len() as u64;
         m.flush_pages_hashed += pages_hashed;
         m.flush_hash_ns += hash_stage.as_nanos();
-        m.flush_write_ns += flush_span.as_nanos();
+        m.flush_write_ns += write_wait.as_nanos();
         m.flush_extents += extents;
         m.flush_extent_blocks += extent_blocks;
         m.commit_journal_seals += phase_seals;
@@ -1101,6 +1134,7 @@ fn flush_capture(
             hash_stage,
             pages_hashed,
             flush_span,
+            write_wait,
             flush_bytes,
         },
     ))

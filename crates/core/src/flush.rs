@@ -1,26 +1,30 @@
 //! The flush pipeline's partition and hash stages.
 //!
-//! A checkpoint's flush runs in plan order through four steps:
+//! A checkpoint's flush runs in plan order:
 //!
 //! 1. **Resolve** — each captured page becomes a [`PlanEntry`]: its
 //!    store object, page index, frozen frame and dirty footprint.
 //! 2. **Partition** — [`delta_runs`] decides, per backend and before
 //!    anything is hashed, whether the page is appended as a sub-page
 //!    delta record or stored as a full 4 KiB image.
-//! 3. **Hash** — [`hash_images`] content-hashes a page iff at least one
-//!    backend stores its image (a delta record neither stores nor
-//!    checks a content hash, so hashing a delta-only page buys
-//!    nothing), sharded over a scoped thread pool by [`hash_plan`].
-//! 4. **Write** — every backend stages its deltas straight from the
-//!    plan and feeds its images, in plan order, to the object store's
-//!    sharded dedup index (`write_pages_coalesced`). The hashes are
-//!    computed once and shared by every backend.
+//! 3. **Stream** — the plan is cut into batches of
+//!    [`FLUSH_BATCH_PAGES`]. For each batch, [`hash_images`]
+//!    content-hashes a page iff at least one backend stores its image
+//!    (a delta record neither stores nor checks a content hash, so
+//!    hashing a delta-only page buys nothing), sharded over a scoped
+//!    thread pool by [`hash_plan`]; then every backend stages the
+//!    batch's deltas straight from the plan and feeds its images to the
+//!    object store's sharded dedup index (`write_pages_coalesced`).
+//!    The device drains batch *k* while batch *k+1* is hashed. The
+//!    hashes are computed once and shared by every backend.
+//! 4. **Commit** — one seal → barrier → flip per backend after the last
+//!    batch.
 //!
-//! Determinism: shard boundaries depend only on the number of pages
-//! hashed and the worker count, workers never touch shared mutable
-//! state except the [`FLUSH_SHARD`] collector, and reassembly sorts by
-//! shard index — so the resulting write sequence is byte-identical to a
-//! serial hash pass regardless of worker count or scheduling. The
+//! Determinism: batch boundaries depend only on the plan length, shard
+//! boundaries only on the number of pages hashed in the batch and the
+//! worker count, workers share no mutable state, and shards are joined
+//! in shard order — so the resulting write sequence is byte-identical
+//! to a serial hash pass regardless of worker count or scheduling. The
 //! differential tests in `tests/parallel_flush_diff.rs` and
 //! `tests/delta_diff.rs` check exactly this.
 
@@ -29,19 +33,17 @@ use std::thread;
 use aurora_objstore::{ObjId, ObjectStore, PageWrite};
 use aurora_vm::{DirtyMask, FrameId, FrameTable, PageData};
 
-use crate::lockdep::{OrderedMutex, RANK_FLUSH_SHARD};
-
 /// Plans smaller than this are hashed inline: spawning threads costs
 /// more than hashing a handful of 4 KiB pages.
 pub const PARALLEL_THRESHOLD: usize = 64;
 
-/// Collector for hashed shards: workers push `(shard index, hashes)`
-/// pairs as they finish. The single driving thread runs one hash stage
-/// at a time (under the owning group's barrier), so at most one stage
-/// uses this collector at once even though unrelated tenants' cycles
-/// pipeline.
-static FLUSH_SHARD: OrderedMutex<Vec<(usize, Vec<u64>)>> =
-    OrderedMutex::new(RANK_FLUSH_SHARD, "flush_shard", Vec::new());
+/// Plan pages hashed and handed to the backends per batch of the
+/// streamed flush: 4 × `EXTENT_BLOCKS`. The flush is done one batch's
+/// hash after `max(hash, write)`, so a smaller batch shortens it — but
+/// every batch boundary can split a write extent and costs a round of
+/// worker spawns, and below a few extents' worth nothing is left to
+/// gain (DESIGN §11 has the sweep).
+pub const FLUSH_BATCH_PAGES: usize = 256;
 
 /// One resolved page of the flush plan: destination object, page index,
 /// and the frozen contents.
@@ -86,9 +88,9 @@ pub(crate) fn delta_runs<'a>(
     page.dirty.runs()
 }
 
-/// Content-hashes every plan page for which `wanted` is set, on
-/// `workers` threads, and returns the images by plan position: `None`
-/// where no backend stores the page's image.
+/// Content-hashes every page of `plan` (the whole plan or one batch of
+/// it) for which `wanted` is set, on `workers` threads, and returns the
+/// images by position: `None` where no backend stores the page's image.
 pub(crate) fn hash_images(
     frames: &FrameTable,
     plan: &[PlanEntry<'_>],
@@ -116,29 +118,25 @@ pub fn hash_plan(pages: Vec<PlanPage>, workers: usize) -> Vec<PageWrite> {
         return hash_serial(pages);
     }
 
+    fn hash_shard(shard: &[PlanPage]) -> Vec<u64> {
+        shard.iter().map(|(_, _, p)| p.content_hash()).collect()
+    }
     let shard_len = pages.len().div_ceil(workers);
-    {
-        FLUSH_SHARD.lock().clear();
-    }
-    thread::scope(|s| {
-        for (shard_idx, shard) in pages.chunks(shard_len).enumerate() {
-            s.spawn(move || {
-                let hashes: Vec<u64> = shard.iter().map(|(_, _, p)| p.content_hash()).collect();
-                {
-                    FLUSH_SHARD.lock().push((shard_idx, hashes));
-                }
-            });
+    let hashes: Vec<u64> = thread::scope(|s| {
+        // The driving thread would only wait: it hashes the first shard
+        // itself, which also saves a spawn per call.
+        let mut shards = pages.chunks(shard_len);
+        let first = shards.next().unwrap_or_default();
+        let rest: Vec<_> = shards
+            .map(|shard| s.spawn(move || hash_shard(shard)))
+            .collect();
+        let mut hashes = hash_shard(first);
+        // Joined in shard order; a worker's panic is this thread's.
+        for shard in rest {
+            hashes.extend(shard.join().unwrap_or_else(|p| std::panic::resume_unwind(p)));
         }
+        hashes
     });
-
-    let mut shards = std::mem::take(&mut *FLUSH_SHARD.lock());
-    shards.sort_unstable_by_key(|&(idx, _)| idx);
-    let hashes: Vec<u64> = shards.into_iter().flat_map(|(_, h)| h).collect();
-    if hashes.len() != pages.len() {
-        // A worker vanished (spawn failure). Fall back to the serial
-        // pass rather than writing pages with missing hashes.
-        return hash_serial(pages);
-    }
     pages
         .into_iter()
         .zip(hashes)
@@ -218,6 +216,47 @@ mod tests {
             let w = images[at].as_ref().unwrap();
             assert_eq!((w.oid, w.idx), (ObjId(7), at as u64));
             assert_eq!(w.hash, data[at].content_hash());
+        }
+    }
+
+    #[test]
+    fn batchwise_hash_images_equals_one_shot() {
+        let n = FLUSH_BATCH_PAGES * 5 / 2;
+        let mut frames = FrameTable::new();
+        let dirty = DirtyMask::Full;
+        let plan: Vec<PlanEntry<'_>> = plan(n)
+            .into_iter()
+            .map(|(oid, idx, data)| PlanEntry {
+                oid,
+                idx,
+                frame: frames.alloc(data),
+                dirty: &dirty,
+            })
+            .collect();
+        // Runs of wanted and unwanted pages, out of step with both the
+        // batch and the shard boundaries.
+        let wanted: Vec<bool> = (0..n).map(|i| i % 7 != 3 && (i / 50) % 3 != 1).collect();
+
+        let reference = hash_images(&frames, &plan, &wanted, 1);
+        assert_eq!(reference.len(), n);
+        for workers in [1, 2, 8] {
+            let batched: Vec<Option<PageWrite>> = plan
+                .chunks(FLUSH_BATCH_PAGES)
+                .zip(wanted.chunks(FLUSH_BATCH_PAGES))
+                .flat_map(|(pages, wanted)| hash_images(&frames, pages, wanted, workers))
+                .collect();
+            assert_eq!(batched.len(), n);
+            let key = |w: &PageWrite| (w.oid, w.idx, w.hash);
+            for (at, ((a, b), &wanted)) in
+                batched.iter().zip(&reference).zip(&wanted).enumerate()
+            {
+                assert_eq!(
+                    a.as_ref().map(key),
+                    b.as_ref().map(key),
+                    "page {at}, {workers} workers"
+                );
+                assert_eq!(a.is_some(), wanted);
+            }
         }
     }
 

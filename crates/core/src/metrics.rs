@@ -26,8 +26,10 @@ pub struct GlobalCounters {
     /// bandwidth, divided across the workers. Charged to the simulation
     /// clock, so checkpoint latency reflects the configured parallelism.
     pub flush_hash_ns: u64,
-    /// Sim-time span of the flush/commit stage (ns): submission of the
-    /// first page to the durable instant of the slowest backend.
+    /// Sim time flushes waited for the device after their hash was done
+    /// (ns): Σ `CheckpointBreakdown::write_wait`. Device work that ran
+    /// under a later batch's hash is not in here; the whole span of an
+    /// inline flush is `flush_hash_ns + flush_write_ns`.
     pub flush_write_ns: u64,
     /// Vectored extents issued by write coalescing.
     pub flush_extents: u64,
@@ -263,6 +265,11 @@ pub struct CheckpointBreakdown {
     pub pages_hashed: u64,
     /// Sim-time span from flush submission to the durable instant.
     pub flush_span: SimDuration,
+    /// Sim time from the end of the last batch's hash to the durable
+    /// instant: the device work (last batch's writes, backlog, commit)
+    /// that no later batch's hash was left to hide. For an inline
+    /// checkpoint `flush_span == hash_stage + write_wait`.
+    pub write_wait: SimDuration,
     /// The incremental pre-pass found the base chain damaged
     /// (unreadable or corrupt blocks) and degraded to full. Committed
     /// cycles with this set still signal a sick backend: the fleet's

@@ -5,14 +5,16 @@
 //! in *exactly* the state the serial `write_page` loop does: the same
 //! bytes on the device, the same dedup hit count, the same number of
 //! live blocks. Worker count and extent batching are pure performance
-//! knobs — any divergence here is a correctness bug.
+//! knobs — any divergence here is a correctness bug. A fixed case wider
+//! than two flush batches holds `Host::checkpoint`'s streamed loop to
+//! the same reference.
 
 // Test code asserts invariants; the workspace unwrap/expect denial is
 // for production flush paths.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 use std::collections::BTreeMap;
 
-use aurora_core::flush;
+use aurora_core::{flush, Host};
 use aurora_hw::ModelDev;
 use aurora_objstore::{ObjId, ObjectStore, StoreConfig};
 use aurora_sim::SimClock;
@@ -44,12 +46,12 @@ fn new_store() -> ObjectStore {
     s
 }
 
-/// FNV-1a digest over the whole device image.
-fn device_digest(store: &mut ObjectStore) -> u64 {
+/// FNV-1a digest over the device image from block `from` on.
+fn device_digest(store: &mut ObjectStore, from: u64) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     let mut buf = vec![0u8; 4096];
     let dev = store.device_mut();
-    for lba in 0..DEV_BLOCKS {
+    for lba in from..DEV_BLOCKS {
         if dev.read(lba, &mut buf).is_err() {
             continue;
         }
@@ -97,7 +99,7 @@ fn run_variant(writes: &[Write], workers: Option<usize>) -> (u64, u64, u64) {
     }
     let dedup_hits = store.stats.dedup_hits;
     let blocks = store.blocks_in_use();
-    (device_digest(&mut store), dedup_hits, blocks)
+    (device_digest(&mut store, 0), dedup_hits, blocks)
 }
 
 proptest! {
@@ -125,22 +127,97 @@ proptest! {
     }
 }
 
-/// The coalescer actually batches: a contiguous fresh run lands as few
-/// extents, and the stats counters prove it.
+/// Pages of the host-level case: two full flush batches and a partial
+/// third.
+const HOST_PAGES: u64 = 2 * flush::FLUSH_BATCH_PAGES as u64 + 64;
+
+/// Contents of page `p`: every third page repeats one of eight bodies
+/// (dedup hits, some across a batch boundary), the rest are distinct.
+fn host_page(p: u64) -> [u8; 4096] {
+    let mut page = [0xA5u8; 4096];
+    let tag = if p.is_multiple_of(3) { p % 8 } else { 1000 + p };
+    page[..8].copy_from_slice(&tag.to_le_bytes());
+    page
+}
+
+fn boot_host() -> Host {
+    let clock = SimClock::new();
+    let dev = Box::new(ModelDev::nvme(clock, "nvme0", DEV_BLOCKS));
+    Host::boot(
+        "diff",
+        dev,
+        StoreConfig {
+            journal_blocks: 256,
+            materialize_data: true,
+            ..StoreConfig::default()
+        },
+    )
+    .unwrap()
+}
+
+/// (data-region digest, pages_written, dedup_hits, blocks_in_use) of
+/// the host's primary store. The journal carries the checkpoint's
+/// metadata blobs, which the `write_page` reference does not write, so
+/// only the data region is digested.
+fn data_state(host: &Host) -> (u64, u64, u64, u64) {
+    let mut store = host.sls.primary.borrow_mut();
+    let (written, hits) = (store.stats.pages_written, store.stats.dedup_hits);
+    let blocks = store.blocks_in_use();
+    let data_start = store.data_start();
+    (device_digest(&mut store, data_start), written, hits, blocks)
+}
+
+/// The host-level flush loop — resolve, partition, then hash and write
+/// batch by batch — leaves the store's data exactly as the pre-pipeline
+/// `write_page` loop over the same pages does: same blocks, same bytes,
+/// same dedup decisions, for any worker count, with the coalescer
+/// really batching.
 #[test]
-fn coalescing_batches_adjacent_blocks() {
-    let mut store = new_store();
-    let plan: Vec<flush::PlanPage> = (0..128u64)
-        .map(|i| (ObjId(0), i % 64, PageData::Seeded(1000 + i)))
-        .collect();
-    let hashed = flush::hash_plan(plan, 4);
-    store.write_pages_coalesced(&hashed).unwrap();
-    store.commit(None).unwrap();
-    assert!(store.stats.extents_coalesced > 0);
-    assert!(
-        store.stats.blocks_coalesced > store.stats.extents_coalesced,
-        "adjacent fresh blocks must share extents: {} extents / {} blocks",
-        store.stats.extents_coalesced,
-        store.stats.blocks_coalesced
-    );
+fn streamed_host_flush_matches_write_page_loop() {
+    // Reference: the same boot-time store, each page written one at a
+    // time in plan order (ascending page index).
+    let reference = {
+        let host = boot_host();
+        {
+            let mut store = host.sls.primary.borrow_mut();
+            let oid = ObjId(1 << 40);
+            store.create_object(oid, HOST_PAGES).unwrap();
+            for p in 0..HOST_PAGES {
+                store
+                    .write_page(oid, p, &PageData::from_bytes(&host_page(p)))
+                    .unwrap();
+            }
+            store.commit(None).unwrap();
+        }
+        data_state(&host)
+    };
+    assert!(reference.2 > 0, "the workload must exercise dedup");
+
+    for workers in [1usize, 2, 8] {
+        let mut host = boot_host();
+        host.sls.flush_workers = workers;
+        let pid = host.kernel.spawn("app");
+        let addr = host.kernel.mmap_anon(pid, HOST_PAGES * 4096, false).unwrap();
+        for p in 0..HOST_PAGES {
+            host.kernel
+                .mem_write(pid, addr + p * 4096, &host_page(p))
+                .unwrap();
+        }
+        let gid = host.persist("app", pid).unwrap();
+        let bd = host.checkpoint(gid, true, None).unwrap();
+        assert!(bd.outcome.committed());
+        assert_eq!((bd.pages, bd.pages_hashed), (HOST_PAGES, HOST_PAGES));
+        assert_eq!(
+            data_state(&host),
+            reference,
+            "divergence at {workers} workers: (data digest, pages_written, dedup_hits, blocks_in_use)"
+        );
+        let store = host.sls.primary.borrow();
+        assert!(
+            store.stats.blocks_coalesced > store.stats.extents_coalesced,
+            "adjacent fresh blocks must share extents: {} extents / {} blocks",
+            store.stats.extents_coalesced,
+            store.stats.blocks_coalesced
+        );
+    }
 }

@@ -189,6 +189,79 @@ fn all_delta_flush_does_not_queue_behind_a_busy_hash_lane() {
     host.fleet_drain();
 }
 
+/// A base checkpoint, then a whole-page rewrite of 4 batches of
+/// distinct pages flushed at `workers`; returns the rewrite's breakdown.
+fn rewrite_flush(workers: usize, pipelined: bool) -> aurora_core::CheckpointBreakdown {
+    const PAGES: u64 = 4 * aurora_core::flush::FLUSH_BATCH_PAGES as u64;
+    let mut host = new_host("h");
+    host.sls.flush_workers = workers;
+    let pid = host.kernel.spawn("bulk");
+    let addr = host.kernel.mmap_anon(pid, PAGES * 4096, false).unwrap();
+    let gid = host.persist("bulk", pid).unwrap();
+    let rewrite = |host: &mut Host, generation: u8| {
+        for p in 0..PAGES {
+            let mut page = [generation; 4096];
+            page[..8].copy_from_slice(&p.to_le_bytes());
+            host.kernel.mem_write(pid, addr + p * 4096, &page).unwrap();
+        }
+    };
+    rewrite(&mut host, 1);
+    let base = host.checkpoint(gid, true, None).unwrap();
+    host.clock.advance_to(base.durable_at);
+
+    rewrite(&mut host, 2);
+    let bd = if pipelined {
+        let bd = host.checkpoint_pipelined(gid, false, None).unwrap();
+        host.fleet_drain();
+        bd
+    } else {
+        host.checkpoint(gid, false, None).unwrap()
+    };
+    assert!(bd.outcome.committed());
+    assert_eq!((bd.pages, bd.pages_hashed), (PAGES, PAGES));
+    assert_eq!(bd.hash_stage, aurora_sim::cost::hash_stage(PAGES, workers as u64));
+    bd
+}
+
+#[test]
+fn streamed_flush_span_is_the_longer_of_hash_and_write_plus_one_batch() {
+    let batch = aurora_core::flush::FLUSH_BATCH_PAGES as u64;
+    // The device's own time for this plan's writes and commit: a
+    // pipelined cycle charges no hash to the clock, so every batch is
+    // submitted at flush start and the device never idles. The writes
+    // do not depend on the worker count.
+    let alone = rewrite_flush(8, true);
+    let device = alone.flush_span;
+    assert!(alone.hash_stage < device, "8 workers out-hash the NVMe");
+
+    // Hash-bound: the device drains each batch under the next one's
+    // hash, so only the tail of the write is left after the last hash.
+    let slow_hash = rewrite_flush(2, false);
+    assert!(slow_hash.hash_stage > device, "2 workers do not");
+    assert!(slow_hash.flush_span >= slow_hash.hash_stage);
+    assert!(
+        slow_hash.flush_span < slow_hash.hash_stage + device,
+        "span {:?} is hash {:?} + write {:?} run back to back",
+        slow_hash.flush_span,
+        slow_hash.hash_stage,
+        device
+    );
+    assert_eq!(slow_hash.flush_span, slow_hash.hash_stage + slow_hash.write_wait);
+    assert!(slow_hash.write_wait < device);
+
+    // Device-bound: the device starts after the first batch's hash and
+    // is busy from then on.
+    let fast_hash = rewrite_flush(8, false);
+    assert!(fast_hash.flush_span > device);
+    assert!(
+        fast_hash.flush_span <= device + aurora_sim::cost::hash_stage(batch, 8),
+        "span {:?} exceeds write {:?} by more than one batch's hash",
+        fast_hash.flush_span,
+        device
+    );
+    assert_eq!(fast_hash.flush_span, fast_hash.hash_stage + fast_hash.write_wait);
+}
+
 #[test]
 fn fork_tree_with_shared_memory_roundtrips() {
     let mut host = new_host("h");

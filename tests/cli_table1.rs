@@ -107,6 +107,10 @@ fn full_cli_lifecycle() {
         out.contains("pages hashed,") && out.contains("delta-only"),
         "info hash demand: {out}"
     );
+    assert!(
+        out.contains("(hash ") && out.contains("ms + write wait "),
+        "info flush span split: {out}"
+    );
     assert!(out.contains("fleet:"), "info fleet telemetry: {out}");
 }
 

@@ -236,6 +236,102 @@ fn aborted_checkpoint_leaves_previous_snapshot_restorable() {
     assert_eq!(&buf, b"state-v3");
 }
 
+/// The streamed flush puts whole batches on the device before the rest
+/// of the plan is hashed. A write fault in a later batch must abort the
+/// way a fault in a later extent of one big batch did: nothing
+/// committed, the previous snapshot intact, no cached block the medium
+/// does not hold, and a full checkpoint next that commits.
+#[test]
+fn write_fault_in_a_later_batch_aborts_without_damage() {
+    use aurora::core::CheckpointOutcome;
+
+    const BATCH: u64 = aurora::core::flush::FLUSH_BATCH_PAGES as u64;
+    const PAGES: u64 = 3 * BATCH + BATCH / 4;
+    const POKED: u64 = 8;
+    let mut host = boot_materialized();
+    let pid = host.kernel.spawn("app");
+    let addr = host.kernel.mmap_anon(pid, PAGES * 4096, false).unwrap();
+    let gid = host.persist("app", pid).unwrap();
+    let rewrite = |host: &mut Host, generation: u8| {
+        for p in POKED..PAGES {
+            let mut page = [generation; 4096];
+            page[..8].copy_from_slice(&p.to_le_bytes());
+            host.kernel.mem_write(pid, addr + p * 4096, &page).unwrap();
+        }
+        // The first pages of batch 0 take a small poke instead: delta
+        // records staged before the fault.
+        for p in 0..POKED {
+            host.kernel.mem_write(pid, addr + p * 4096, &[generation; 16]).unwrap();
+        }
+    };
+    let region = |host: &mut Host, pid| {
+        let mut buf = vec![0u8; (PAGES * 4096) as usize];
+        host.kernel.mem_read(pid, addr, &mut buf).unwrap();
+        buf
+    };
+
+    rewrite(&mut host, 1);
+    let v1_state = region(&mut host, pid);
+    let bd = host.checkpoint(gid, true, Some("v1")).unwrap();
+    host.clock.advance_to(bd.durable_at);
+    let v1 = bd.ckpt.unwrap();
+
+    // With nothing deduplicated, data write k is the k-th image of the
+    // plan: this window opens inside batch 2 and outlasts the retries.
+    rewrite(&mut host, 2);
+    let v2_state = region(&mut host, pid);
+    host.sls
+        .primary
+        .borrow_mut()
+        .device_mut()
+        .install_fault_plan(FaultPlan::transient(2 * BATCH + 5, 10_000));
+    let written = |host: &Host| host.sls.primary.borrow().device().stats().bytes_written;
+    let before = written(&host);
+    let bd = host.checkpoint(gid, false, Some("v2")).unwrap();
+    assert_eq!(bd.outcome, CheckpointOutcome::Aborted, "{:?}", bd.fault);
+    assert!(bd.ckpt.is_none());
+    let landed = (written(&host) - before) / 4096;
+    assert!(
+        (2 * BATCH - POKED..3 * BATCH).contains(&landed),
+        "{landed} pages landed: the fault hit after two whole batches"
+    );
+    host.sls
+        .primary
+        .borrow_mut()
+        .device_mut()
+        .install_fault_plan(FaultPlan::default());
+
+    // Batches 0 and 1 reached the device; nothing of them is committed.
+    let store = host.sls.primary.clone();
+    assert_eq!(store.borrow().head(), Some(v1), "head still the old snapshot");
+    assert!(store.borrow().fsck().is_empty(), "store consistent after abort");
+    let r = host.restore(&store, v1, RestoreMode::Eager).unwrap();
+    let np = r.root_pid().unwrap();
+    assert!(region(&mut host, np) == v1_state, "v1 restores byte for byte");
+    let _ = host.kernel.exit(np, 0);
+    host.kernel.procs.remove(&np);
+
+    // The next checkpoint is full, over unchanged memory: every page of
+    // the failed batch probes the dedup index with the contents the
+    // fault bounced. Had the cache kept such a block, this commit would
+    // reference bytes that never reached the medium.
+    let bd = host.checkpoint(gid, false, Some("v3")).unwrap();
+    assert_eq!(bd.outcome, CheckpointOutcome::DegradedToFull);
+    assert!(bd.full, "abort forces the next checkpoint full");
+    assert_eq!(bd.flush_span, bd.hash_stage + bd.write_wait);
+    host.clock.advance_to(bd.durable_at);
+    assert!(!store.borrow().has_pending(), "nothing staged outlives the commit");
+
+    drop(store);
+    let mut host = host.crash_and_reboot().unwrap();
+    let store = host.sls.primary.clone();
+    assert!(store.borrow_mut().scrub().is_empty(), "every block holds its page");
+    let head = store.borrow().head().unwrap();
+    let r = host.restore(&store, head, RestoreMode::Eager).unwrap();
+    let np = r.root_pid().unwrap();
+    assert!(region(&mut host, np) == v2_state, "v3 restores the rewritten state");
+}
+
 /// Power-cut sweep during journal garbage collection: compaction writes
 /// its snapshot into the idle journal half, so a cut at ANY write during
 /// GC must leave a durable superblock pointing at an intact journal.
@@ -405,14 +501,13 @@ fn corrupted_superblock_falls_back_to_the_other_slot() {
     );
 }
 
-/// Boots a host on a materialized store (page bytes really live on the
-/// device) with a wide workload committed, ready for restore-path fault
-/// injection. Returns (host, addr, ckpt).
-fn boot_materialized_with_baseline() -> (Host, u64, aurora::objstore::CkptId) {
+/// Boots a host on a materialized store: page bytes really live on the
+/// device, and data writes consult the fault plan block by block.
+fn boot_materialized() -> Host {
     let clock = SimClock::new();
     let dev = Box::new(ModelDev::nvme(clock, "nvme0", 64 * 1024));
-    let mut host = Host::boot(
-        "read-fault",
+    Host::boot(
+        "materialized",
         dev,
         StoreConfig {
             journal_blocks: 512,
@@ -420,7 +515,14 @@ fn boot_materialized_with_baseline() -> (Host, u64, aurora::objstore::CkptId) {
             ..StoreConfig::default()
         },
     )
-    .unwrap();
+    .unwrap()
+}
+
+/// Boots a host on a materialized store (page bytes really live on the
+/// device) with a wide workload committed, ready for restore-path fault
+/// injection. Returns (host, addr, ckpt).
+fn boot_materialized_with_baseline() -> (Host, u64, aurora::objstore::CkptId) {
+    let mut host = boot_materialized();
     let pid = host.kernel.spawn("app");
     let pages = 96u64;
     let addr = host.kernel.mmap_anon(pid, pages * 4096, false).unwrap();
