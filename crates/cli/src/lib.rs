@@ -1002,7 +1002,7 @@ fn cmd_info(world: &Path) -> Result<String> {
         m.checkpoints_degraded_replication,
     );
     Ok(format!(
-        "world: {}\n  checkpoints: {}\n  blocks in use: {}\n  pages written: {} (dedup hits {})\n  commits: {}, compactions: {}, GC runs: {}\n  fsck: {}\n  device: {} ({} writes retried, {} transient errors absorbed, {} failures surfaced)\n{mirror_note}{repl_note}  checkpoints this session: {} degraded, {} aborted\n  commit-phase: {} journal seals, {} extent barriers, {} superblock flips, {} repair-path entries this session\n  flush pipeline: {} workers configured; {} pages hashed, {} delta-only (hash {:.2}ms + write wait {:.2}ms), {} extents / {} blocks coalesced\n  delta log: {} live records ({} bytes); session: {} delta records ({} bytes) flushed in place of full pages, {} chains folded, longest chain {}\n  restore pipeline: {} workers configured; {} pages hashed, {} extent reads\n  fleet: {} pipelined cycles ({} overlapped), queue depth max {}, {} admission stalls, stop p99 {:.1}us\n  fleet health: {} cycle errors, {} deadline misses, {} cycles skipped under quarantine, {} quarantines, {} re-admissions\n  read cache: {} of {} pages resident, {} hits / {} misses ({} content hits), {} evictions\n",
+        "world: {}\n  checkpoints: {}\n  blocks in use: {}\n  pages written: {} (dedup hits {})\n  commits: {}, compactions: {}, GC runs: {}\n  fsck: {}\n  device: {} ({} writes retried, {} transient errors absorbed, {} failures surfaced)\n{mirror_note}{repl_note}  checkpoints this session: {} degraded, {} aborted\n  commit-phase: {} journal seals, {} extent barriers, {} superblock flips, {} repair-path entries this session\n  flush pipeline: {} workers configured; {} pages hashed, {} delta-only (hash {:.2}ms + write wait {:.2}ms), {} extents / {} blocks coalesced\n  delta log: {} live records ({} bytes); session: {} delta records ({} bytes) flushed in place of full pages, {} chains folded, longest chain {}\n  restore pipeline: {} workers configured; {} pages hashed, {} extent reads (read {:.2}ms + verify wait {:.2}ms (hash work {:.2}ms))\n  fleet: {} pipelined cycles ({} overlapped), queue depth max {}, {} admission stalls, stop p99 {:.1}us\n  fleet health: {} cycle errors, {} deadline misses, {} cycles skipped under quarantine, {} quarantines, {} re-admissions\n  read cache: {} of {} pages resident, {} hits / {} misses ({} content hits), {} evictions\n",
         world.display(),
         store.checkpoints().len(),
         store.blocks_in_use(),
@@ -1038,6 +1038,9 @@ fn cmd_info(world: &Path) -> Result<String> {
         host.sls.restore_workers,
         m.restore_pages_hashed,
         m.restore_extents,
+        m.restore_read_ns as f64 / 1e6,
+        m.restore_verify_wait_ns as f64 / 1e6,
+        m.restore_hash_ns as f64 / 1e6,
         m.fleet_cycles_pipelined,
         m.fleet_overlapped_cycles,
         m.fleet_queue_depth_max,

@@ -402,13 +402,22 @@ fn run_power_cut_iteration(
 /// the restore really hits the device, then cuts power at exactly the
 /// `n`-th device read of an eager batched restore. Reads mutate
 /// nothing, so after the machine reboots the store must scrub clean and
-/// the baseline must restore byte-for-byte — every `n` walks the cut
-/// through a different point of the read pipeline (metadata fetch,
-/// first extent, mid-extent).
-pub fn run_restore_power_cut_sweep(cuts: u64, workers: usize) -> CampaignReport {
+/// the baseline must restore byte-for-byte.
+///
+/// `pages` sizes the image and `cuts` lists the read ordinals to cut
+/// at. Only page reads burn ordinals, one per block of an extent, and
+/// the sweep's pages are all distinct — so read `k` is block `k` of the
+/// read plan, and an image wider than `RESTORE_BATCH_BLOCKS` puts cuts
+/// between and inside the streamed page-in's later batches, after
+/// earlier batches were already verified and admitted to the read cache.
+pub fn run_restore_power_cut_sweep(
+    pages: u64,
+    cuts: impl IntoIterator<Item = u64>,
+    workers: usize,
+) -> CampaignReport {
     let mut report = CampaignReport::default();
-    for n in 1..=cuts {
-        if let Err(e) = run_restore_cut_iteration(n, workers, &mut report) {
+    for n in cuts {
+        if let Err(e) = run_restore_cut_iteration(n, pages, workers, &mut report) {
             report
                 .violations
                 .push(format!("restore-cut {n}: harness error: {e}"));
@@ -419,7 +428,12 @@ pub fn run_restore_power_cut_sweep(cuts: u64, workers: usize) -> CampaignReport 
 }
 
 /// One sweep iteration: cut power at device read `n` mid-restore.
-fn run_restore_cut_iteration(n: u64, workers: usize, report: &mut CampaignReport) -> Result<()> {
+fn run_restore_cut_iteration(
+    n: u64,
+    pages: u64,
+    workers: usize,
+    report: &mut CampaignReport,
+) -> Result<()> {
     let mut host = boot_host_config(StoreConfig {
         journal_blocks: 512,
         materialize_data: true,
@@ -427,11 +441,11 @@ fn run_restore_cut_iteration(n: u64, workers: usize, report: &mut CampaignReport
     })?;
     host.sls.restore_workers = workers;
     let pid = host.kernel.spawn("app");
-    let addr = host.kernel.mmap_anon(pid, SWEEP_PAGES * 4096, false)?;
+    let addr = host.kernel.mmap_anon(pid, pages * 4096, false)?;
     let gid = host.persist("app", pid)?;
 
     let tag = format!("rcut{n:04}");
-    for p in 0..SWEEP_PAGES {
+    for p in 0..pages {
         let body = format!("{tag}-p{p:04}");
         host.kernel.mem_write(pid, addr + p * 4096, body.as_bytes())?;
     }
@@ -2167,7 +2181,7 @@ mod tests {
 
     #[test]
     fn power_cut_sweep_mid_batched_restore_leaves_store_intact() {
-        let report = run_restore_power_cut_sweep(12, 4);
+        let report = run_restore_power_cut_sweep(SWEEP_PAGES, 1..=12, 4);
         assert!(report.passed(), "violations: {:?}", report.violations);
         assert_eq!(report.crashes, 12, "every iteration ends in a crash");
         assert!(
@@ -2177,6 +2191,31 @@ mod tests {
         assert_eq!(
             report.restores_verified, 12,
             "a read-side cut can never damage the baseline"
+        );
+    }
+
+    #[test]
+    fn power_cut_sweep_between_restore_batches_leaves_store_intact() {
+        // Two full batches and a partial one. In each later batch, a cut
+        // at its first read (every batch before it is verified and in
+        // the read cache) and one mid-extent.
+        let batch = crate::restore::RESTORE_BATCH_BLOCKS as u64;
+        let pages = 2 * batch + batch / 4;
+        let cuts: Vec<u64> = (1..3)
+            .flat_map(|k| [k * batch + 1, k * batch + batch / 8 + 7])
+            .collect();
+        let report = run_restore_power_cut_sweep(pages, cuts.iter().copied(), 4);
+        assert!(report.passed(), "violations: {:?}", report.violations);
+        assert_eq!(report.crashes, cuts.len() as u64);
+        assert_eq!(
+            report.aborted,
+            cuts.len() as u64,
+            "every cut lands inside the page-in's reads: {report:?}"
+        );
+        assert_eq!(
+            report.restores_verified,
+            cuts.len() as u64,
+            "a read-side cut can never damage the baseline: {report:?}"
         );
     }
 

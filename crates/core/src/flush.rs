@@ -113,19 +113,36 @@ pub(crate) fn hash_images(
 /// Content-hashes the resolved flush plan on `workers` threads and
 /// returns the writes in plan order.
 pub fn hash_plan(pages: Vec<PlanPage>, workers: usize) -> Vec<PageWrite> {
-    let workers = workers.max(1);
-    if workers == 1 || pages.len() < PARALLEL_THRESHOLD {
-        return hash_serial(pages);
-    }
+    let hashes = hash_pages(&pages, |(_, _, page)| page, workers);
+    pages
+        .into_iter()
+        .zip(hashes)
+        .map(|((oid, idx, page), hash)| PageWrite { oid, idx, page, hash })
+        .collect()
+}
 
-    fn hash_shard(shard: &[PlanPage]) -> Vec<u64> {
-        shard.iter().map(|(_, _, p)| p.content_hash()).collect()
+/// Content-hashes the page of every item on `workers` threads and
+/// returns the hashes in input order — the one sharded hasher under the
+/// flush's and the restore's hash stages. Shard boundaries depend only
+/// on the input length and the worker count, and shards are joined in
+/// shard order, so the output equals a serial pass for any worker count.
+pub(crate) fn hash_pages<T: Sync>(
+    items: &[T],
+    page: impl Fn(&T) -> &PageData + Sync,
+    workers: usize,
+) -> Vec<u64> {
+    let hash_shard = &|shard: &[T]| -> Vec<u64> {
+        shard.iter().map(|item| page(item).content_hash()).collect()
+    };
+    let workers = workers.max(1);
+    if workers == 1 || items.len() < PARALLEL_THRESHOLD {
+        return hash_shard(items);
     }
-    let shard_len = pages.len().div_ceil(workers);
-    let hashes: Vec<u64> = thread::scope(|s| {
+    let shard_len = items.len().div_ceil(workers);
+    thread::scope(|s| {
         // The driving thread would only wait: it hashes the first shard
         // itself, which also saves a spawn per call.
-        let mut shards = pages.chunks(shard_len);
+        let mut shards = items.chunks(shard_len);
         let first = shards.next().unwrap_or_default();
         let rest: Vec<_> = shards
             .map(|shard| s.spawn(move || hash_shard(shard)))
@@ -136,28 +153,23 @@ pub fn hash_plan(pages: Vec<PlanPage>, workers: usize) -> Vec<PageWrite> {
             hashes.extend(shard.join().unwrap_or_else(|p| std::panic::resume_unwind(p)));
         }
         hashes
-    });
-    pages
-        .into_iter()
-        .zip(hashes)
-        .map(|((oid, idx, page), hash)| PageWrite { oid, idx, page, hash })
-        .collect()
-}
-
-/// The single-threaded reference pass.
-fn hash_serial(pages: Vec<PlanPage>) -> Vec<PageWrite> {
-    pages
-        .into_iter()
-        .map(|(oid, idx, page)| {
-            let hash = page.content_hash();
-            PageWrite { oid, idx, page, hash }
-        })
-        .collect()
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The single-threaded reference pass.
+    fn hash_serial(pages: Vec<PlanPage>) -> Vec<PageWrite> {
+        pages
+            .into_iter()
+            .map(|(oid, idx, page)| {
+                let hash = page.content_hash();
+                PageWrite { oid, idx, page, hash }
+            })
+            .collect()
+    }
 
     fn plan(n: usize) -> Vec<PlanPage> {
         (0..n)

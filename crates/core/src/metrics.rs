@@ -39,6 +39,16 @@ pub struct GlobalCounters {
     pub restore_workers: u64,
     /// Pages content-hashed by the restore pipeline's hash stage.
     pub restore_pages_hashed: u64,
+    /// Sim time batched restores spent reading (ns): Σ
+    /// `RestoreBreakdown::read_stage`.
+    pub restore_read_ns: u64,
+    /// Sim time batched restores waited for verification after their
+    /// last read (ns): Σ `RestoreBreakdown::hash_stage`. Hashing that
+    /// ran under a later batch's read is not in here.
+    pub restore_verify_wait_ns: u64,
+    /// Modeled hash work of batched restores (ns): Σ
+    /// `RestoreBreakdown::hash_work`, hidden or not.
+    pub restore_hash_ns: u64,
     /// Restore read-cache hits (pages served without device access).
     pub restore_cache_hits: u64,
     /// Restore read-cache misses (pages that charged device time).
@@ -133,6 +143,9 @@ pub static METRICS: OrderedMutex<GlobalCounters> =
         flush_extent_blocks: 0,
         restore_workers: 0,
         restore_pages_hashed: 0,
+        restore_read_ns: 0,
+        restore_verify_wait_ns: 0,
+        restore_hash_ns: 0,
         restore_cache_hits: 0,
         restore_cache_misses: 0,
         restore_extents: 0,
@@ -293,11 +306,20 @@ pub struct RestoreBreakdown {
     /// Pages eagerly paged in (prefetch/eager modes).
     pub pages_prefetched: u64,
     /// Sim time spent in the batched read stage (device extents plus
-    /// cache hits); zero on the serial path.
+    /// cache hits), summed over the batches; zero on the serial path.
     pub read_stage: SimDuration,
-    /// Sim time charged for the restore hash stage; zero on the serial
-    /// path.
+    /// Sim time from the end of the last batch's read to the end of its
+    /// verification: the hash work no later batch's read was left to
+    /// hide (the restore-side twin of `CheckpointBreakdown::write_wait`).
+    /// `read_stage`, `hash_stage` and the wiring that follows partition
+    /// the page-in's share of `memory_state`. Zero on the serial path.
     pub hash_stage: SimDuration,
+    /// Modeled cost of content-hashing `pages_hashed` pages on
+    /// `restore_workers` workers, whether a read hid it or not.
+    pub hash_work: SimDuration,
+    /// Pages the batched pipeline fetched and verified (read-cache hits
+    /// need neither).
+    pub pages_hashed: u64,
     /// Worker threads the batched pipeline ran with (0 = serial path).
     pub restore_workers: u64,
     /// Pages served by the store's read cache.

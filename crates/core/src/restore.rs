@@ -21,7 +21,6 @@
 
 use std::collections::HashMap;
 use std::rc::Rc;
-use std::thread;
 
 use aurora_objstore::{CkptId, ObjId};
 use aurora_posix::fd::{FileId, FileKind, OpenFile};
@@ -39,7 +38,7 @@ use aurora_vm::map::RestoreHint;
 use aurora_vm::object::ResidentPage;
 use aurora_vm::{MapEntry, Pager, PageData, Prot, SlsPolicy, VmoId, VmoKind};
 
-use crate::lockdep::{OrderedMutex, RANK_RESTORE_SHARD};
+use crate::flush::hash_pages;
 use crate::metrics::{self, RestoreBreakdown};
 use crate::serialize::*;
 use crate::Host;
@@ -259,7 +258,6 @@ impl Host {
             }
         } else {
             self.batched_page_in(
-                manifest.gid,
                 store,
                 ckpt,
                 pager_id,
@@ -581,16 +579,15 @@ impl Host {
     }
 
     /// The batched page-in pipeline: resolves every target against the
-    /// checkpoint in one pass, reads the missing blocks as vectored
-    /// extents through the store's bounded read cache, content-hashes
-    /// the fetched pages on `workers` threads, and wires frames in the
-    /// same order the serial loop would — so the resulting memory image
+    /// checkpoint in one read plan, then streams it in batches of
+    /// [`RESTORE_BATCH_BLOCKS`] — the device reads batch *k+1*'s extents
+    /// (through the store's bounded read cache) while `workers` threads
+    /// content-hash what batch *k* fetched — and wires frames in the
+    /// same order the serial loop would, so the resulting memory image
     /// is byte-identical for any worker count (the differential test in
     /// `tests/parallel_restore_diff.rs` checks exactly this).
-    #[allow(clippy::too_many_arguments)]
     fn batched_page_in(
         &mut self,
-        gid: u32,
         store: &StoreHandle,
         ckpt: CkptId,
         pager: aurora_vm::PagerId,
@@ -643,34 +640,60 @@ impl Host {
         // blocks resolve once, adjacent blocks coalesce into extents.
         let plan_targets: Vec<(ObjId, u64)> =
             fetch.iter().map(|&(_, oid, idx)| (ObjId(oid), idx)).collect();
-        let (plan, outcome) = {
-            let mut st = store.borrow_mut();
-            let plan = st.plan_reads_at(ckpt, &plan_targets);
-            let outcome = st.execute_read_plan(&plan)?;
-            (plan, outcome)
-        };
-        breakdown.read_stage += sw.lap();
+        let plan = store.borrow().plan_reads_at(ckpt, &plan_targets);
 
-        // Pass 3: content-hash the freshly fetched pages in parallel.
-        // The hashes feed the store's content index (warm twin blocks)
-        // and the cost is divided across the workers. The target group's
-        // own barrier serializes use of the shard collector — restores
-        // of unrelated tenants pipeline with checkpoints, exactly like
-        // the flush path.
-        let fetched: Vec<(u64, PageData)> = outcome
-            .fetched
-            .iter()
-            .filter_map(|b| outcome.pages.get(b).map(|p| (*b, p.clone())))
-            .collect();
-        let pairs = {
-            let group_barrier = crate::fleet::barrier_for(gid);
-            let _cycle = group_barrier.lock();
-            hash_fetched(&fetched, workers)
-        };
-        self.clock
-            .charge(cost::hash_stage(fetched.len() as u64, workers as u64));
-        store.borrow_mut().note_read_hashes(&pairs);
-        breakdown.hash_stage += sw.lap();
+        // Pass 3: stream the plan, batch by batch. The device read
+        // advances the clock; the hash of what it fetched runs beside
+        // the next batch's read, on a horizon of its own. The hashes
+        // feed the store's content index (warm twin blocks), and every
+        // fetched block was compared with its recorded hash by the read
+        // itself before it entered the read cache.
+        let hash_cost = |pages: u64| cost::hash_stage(pages, workers as u64);
+        let mut pages: HashMap<u64, PageData> = HashMap::with_capacity(plan.blocks.len());
+        let (mut cache_hits, mut cache_misses, mut extents_read) = (0u64, 0u64, 0u64);
+        let mut pages_hashed = 0u64;
+        // Pass 1's wiring counts as read stage.
+        let mut read_stage = sw.lap();
+        let mut verify_done = clock.now();
+        for batch in plan.extent_batches(RESTORE_BATCH_BLOCKS) {
+            let outcome = store.borrow_mut().execute_read_plan_range(&plan, batch)?;
+            read_stage += sw.lap();
+            // The read already hashed the blocks it had a recorded hash
+            // to check against; the workers hash the rest.
+            let unhashed: Vec<&PageData> = outcome
+                .fetched
+                .iter()
+                .zip(&outcome.fetched_hashes)
+                .filter(|(_, known)| known.is_none())
+                .filter_map(|(b, _)| outcome.pages.get(b))
+                .collect();
+            let mut computed = hash_pages(&unhashed, |page| page, workers).into_iter();
+            let pairs: Vec<(u64, u64)> = outcome
+                .fetched
+                .iter()
+                .zip(&outcome.fetched_hashes)
+                .filter_map(|(&b, known)| Some((b, known.or_else(|| computed.next())?)))
+                .collect();
+            store.borrow_mut().note_read_hashes(&pairs);
+            // The difference of the cumulative cost, so the per-batch
+            // charges telescope to `hash_work` to the nanosecond.
+            let before = hash_cost(pages_hashed);
+            pages_hashed += outcome.fetched.len() as u64;
+            verify_done =
+                verify_done.max(clock.now()) + hash_cost(pages_hashed).saturating_sub(before);
+            cache_hits += outcome.cache_hits;
+            cache_misses += outcome.cache_misses;
+            extents_read += outcome.extents_read;
+            pages.extend(outcome.pages);
+        }
+        // No frame is wired before the last batch is verified.
+        clock.advance_to(verify_done);
+        let verify_wait = sw.lap();
+        let hash_work = hash_cost(pages_hashed);
+        breakdown.read_stage += read_stage;
+        breakdown.hash_stage += verify_wait;
+        breakdown.hash_work += hash_work;
+        breakdown.pages_hashed += pages_hashed;
 
         // Pass 4: wire frames in serial target order. Delta-backed pages
         // fetched their chain's *base* block through the plan; the chain
@@ -679,7 +702,7 @@ impl Host {
             let chain = plan.chains.get(i).copied().flatten();
             let data = match plan.resolved.get(i).copied().flatten() {
                 Some(ptr) => {
-                    let base = outcome.pages.get(&ptr.0).cloned().ok_or_else(|| {
+                    let base = pages.get(&ptr.0).cloned().ok_or_else(|| {
                         Error::internal(format!("planned block {} missing from read outcome", ptr.0))
                     })?;
                     match chain {
@@ -714,16 +737,19 @@ impl Host {
             breakdown.pages_prefetched += 1;
         }
 
-        breakdown.cache_hits += outcome.cache_hits;
-        breakdown.cache_misses += outcome.cache_misses;
-        breakdown.extents_read += outcome.extents_read;
+        breakdown.cache_hits += cache_hits;
+        breakdown.cache_misses += cache_misses;
+        breakdown.extents_read += extents_read;
         {
             let mut m = metrics::METRICS.lock();
             m.restore_workers = workers as u64;
-            m.restore_pages_hashed += fetched.len() as u64;
-            m.restore_cache_hits += outcome.cache_hits;
-            m.restore_cache_misses += outcome.cache_misses;
-            m.restore_extents += outcome.extents_read;
+            m.restore_pages_hashed += pages_hashed;
+            m.restore_read_ns += read_stage.as_nanos();
+            m.restore_verify_wait_ns += verify_wait.as_nanos();
+            m.restore_hash_ns += hash_work.as_nanos();
+            m.restore_cache_hits += cache_hits;
+            m.restore_cache_misses += cache_misses;
+            m.restore_extents += extents_read;
         }
         Ok(())
     }
@@ -840,53 +866,14 @@ impl Host {
     }
 }
 
-/// Collector for the restore hash stage: workers push
-/// `(shard index, hashes)` pairs as they finish. The single driving
-/// thread runs one hash stage at a time (under the target group's
-/// barrier), so at most one stage uses this collector at once even
-/// though unrelated tenants' cycles pipeline.
-static RESTORE_SHARD: OrderedMutex<Vec<(usize, Vec<u64>)>> =
-    OrderedMutex::new(RANK_RESTORE_SHARD, "restore_shard", Vec::new());
-
-/// Content-hashes fetched `(block, page)` pairs on `workers` threads
-/// and returns `(block, hash)` pairs in input order. Mirrors
-/// `crate::flush::hash_plan`: shard boundaries depend only on input
-/// length and worker count, and reassembly sorts by shard index, so the
-/// output is byte-identical to a serial pass for any worker count.
-fn hash_fetched(pages: &[(u64, PageData)], workers: usize) -> Vec<(u64, u64)> {
-    let workers = workers.max(1);
-    if workers == 1 || pages.len() < crate::flush::PARALLEL_THRESHOLD {
-        return hash_fetched_serial(pages);
-    }
-    let shard_len = pages.len().div_ceil(workers);
-    {
-        RESTORE_SHARD.lock().clear();
-    }
-    thread::scope(|s| {
-        for (shard_idx, shard) in pages.chunks(shard_len).enumerate() {
-            s.spawn(move || {
-                let hashes: Vec<u64> = shard.iter().map(|(_, p)| p.content_hash()).collect();
-                {
-                    RESTORE_SHARD.lock().push((shard_idx, hashes));
-                }
-            });
-        }
-    });
-    let mut shards = std::mem::take(&mut *RESTORE_SHARD.lock());
-    shards.sort_unstable_by_key(|&(idx, _)| idx);
-    let hashes: Vec<u64> = shards.into_iter().flat_map(|(_, h)| h).collect();
-    if hashes.len() != pages.len() {
-        // A worker vanished (spawn failure). Fall back to the serial
-        // pass rather than wiring pages with missing hashes.
-        return hash_fetched_serial(pages);
-    }
-    pages.iter().map(|&(b, _)| b).zip(hashes).collect()
-}
-
-/// The single-threaded reference pass.
-fn hash_fetched_serial(pages: &[(u64, PageData)]) -> Vec<(u64, u64)> {
-    pages.iter().map(|(b, p)| (*b, p.content_hash())).collect()
-}
+/// Blocks of the read plan fetched and verified per batch of the
+/// streamed page-in, a batch being whole extents: 4 × `EXTENT_BLOCKS`,
+/// the flush's batch. Memory state is done one batch's read or hash
+/// after `max(read, hash)`, so a smaller batch shortens the modelled
+/// restore — but `cost::hash_stage` divides a batch evenly over the
+/// workers, and below 4 × `PARALLEL_THRESHOLD` the default four workers
+/// no longer get a shard worth a thread each (DESIGN §12 has the sweep).
+pub const RESTORE_BATCH_BLOCKS: usize = 256;
 
 /// Fetches and parses every record of a checkpoint. All device read
 /// charges happen here (the "Object Store Read" phase).

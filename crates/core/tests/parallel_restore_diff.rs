@@ -83,17 +83,22 @@ fn run_variant(writes: &[Write], mode: RestoreMode, workers: usize) -> (u64, u64
     let r = host.restore(&store, ckpt, mode).unwrap();
     let new_pid = r.restored_pid(pid.0).unwrap();
 
-    // Touch every page (lazy modes fault the remainder in) and digest.
+    (memory_digest(&mut host, new_pid, addr, REGION_PAGES), r.pages_prefetched)
+}
+
+/// Touches every page of the region (lazy modes fault the remainder in)
+/// and returns an FNV-1a digest of its bytes.
+fn memory_digest(host: &mut Host, pid: aurora_posix::Pid, addr: u64, pages: u64) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     let mut buf = vec![0u8; 4096];
-    for i in 0..REGION_PAGES {
-        host.kernel.mem_read(new_pid, addr + i * 4096, &mut buf).unwrap();
+    for i in 0..pages {
+        host.kernel.mem_read(pid, addr + i * 4096, &mut buf).unwrap();
         for &b in &buf {
             h ^= b as u64;
             h = h.wrapping_mul(0x0000_0100_0000_01b3);
         }
     }
-    (h, r.pages_prefetched)
+    h
 }
 
 proptest! {
@@ -126,6 +131,108 @@ proptest! {
         prop_assert_eq!(digests[0], digests[1], "eager vs lazy");
         prop_assert_eq!(digests[0], digests[2], "eager vs lazy-prefetch");
     }
+}
+
+/// Pages in the streamed-restore image's region: after holes and dedup
+/// twins it still holds 2½ batches of unique blocks.
+const WIDE_PAGES: u64 = 1200;
+
+/// How page `i` of the wide image is written: every fifth page is a
+/// hole, every third of the rest one of 8 shared bodies.
+fn wide_body(i: u64) -> Option<[u8; 4096]> {
+    if i % 5 == 4 {
+        return None;
+    }
+    let mut page = [0u8; 4096];
+    if i % 3 == 0 {
+        page.fill(0xD0 + (i % 8) as u8);
+    } else {
+        page.fill(0x11);
+        page[..8].copy_from_slice(&i.to_le_bytes());
+    }
+    Some(page)
+}
+
+/// Builds the wide image — a full checkpoint, then two incremental
+/// rounds of 16-byte pokes that leave delta chains of length 1 and 2 —
+/// reboots, and restores the last checkpoint with `mode` at `workers`.
+/// Returns ((memory digest, pages_prefetched), the store's read counters
+/// right after the restore).
+fn run_wide(mode: RestoreMode, workers: usize) -> ((u64, u64), [u64; 4]) {
+    let clock = SimClock::new();
+    let dev = Box::new(ModelDev::nvme(clock, "nvme0", DEV_BLOCKS));
+    let mut host = Host::boot(
+        "wide",
+        dev,
+        StoreConfig {
+            journal_blocks: 2048,
+            ..StoreConfig::default()
+        },
+    )
+    .unwrap();
+    let pid = host.kernel.spawn("workload");
+    let addr = host.kernel.mmap_anon(pid, WIDE_PAGES * 4096, false).unwrap();
+    for i in 0..WIDE_PAGES {
+        if let Some(page) = wide_body(i) {
+            host.kernel.mem_write(pid, addr + i * 4096, &page).unwrap();
+        }
+    }
+    let gid = host.persist("workload", pid).unwrap();
+    let bd = host.checkpoint(gid, true, None).unwrap();
+    host.clock.advance_to(bd.durable_at);
+    let mut ckpt = bd.ckpt.unwrap();
+    for (round, step) in [(1u8, 7usize), (2, 14)] {
+        for i in (0..WIDE_PAGES).step_by(step).filter(|&i| wide_body(i).is_some()) {
+            host.kernel
+                .mem_write(pid, addr + i * 4096 + 128 * round as u64, &[round; 16])
+                .unwrap();
+        }
+        let bd = host.checkpoint(gid, false, None).unwrap();
+        assert!(bd.pages_hashed < bd.pages, "pokes are delta records");
+        host.clock.advance_to(bd.durable_at);
+        ckpt = bd.ckpt.unwrap();
+    }
+
+    let mut host = host.crash_and_reboot().unwrap();
+    host.sls.restore_workers = workers;
+    let store = host.sls.primary.clone();
+    let r = host.restore(&store, ckpt, mode).unwrap();
+    let counters = {
+        let st = store.borrow();
+        [
+            st.stats.read_extents_coalesced,
+            st.stats.read_blocks_coalesced,
+            st.stats.read_cache_hits,
+            st.stats.read_cache_misses,
+        ]
+    };
+    if mode == RestoreMode::Eager && workers > 1 {
+        let batch = aurora_core::restore::RESTORE_BATCH_BLOCKS as u64;
+        assert!(r.pages_hashed >= 2 * batch + batch / 4, "{} blocks", r.pages_hashed);
+    }
+    let new_pid = r.restored_pid(pid.0).unwrap();
+    let digest = memory_digest(&mut host, new_pid, addr, WIDE_PAGES);
+    ((digest, r.pages_prefetched), counters)
+}
+
+/// The streamed page-in over several batches — dedup twins fanned out
+/// across batches, holes, delta chains replayed over batched bases —
+/// installs the serial loop's memory image in every mode, and reads the
+/// same extents at any worker count.
+#[test]
+fn streamed_restore_matches_serial_loop() {
+    let mut digests = Vec::new();
+    for mode in [RestoreMode::Eager, RestoreMode::Lazy, RestoreMode::LazyPrefetch] {
+        let (reference, _) = run_wide(mode, 1);
+        let (two, two_reads) = run_wide(mode, 2);
+        let (eight, eight_reads) = run_wide(mode, 8);
+        assert_eq!(two, reference, "2 workers vs serial loop in {mode:?}");
+        assert_eq!(eight, reference, "8 workers vs serial loop in {mode:?}");
+        assert_eq!(two_reads, eight_reads, "read counters in {mode:?}");
+        digests.push(reference.0);
+    }
+    assert_eq!(digests[0], digests[1], "eager vs lazy");
+    assert_eq!(digests[0], digests[2], "eager vs lazy-prefetch");
 }
 
 /// The batched path actually engages: an eager 4-worker restore of a

@@ -262,6 +262,112 @@ fn streamed_flush_span_is_the_longer_of_hash_and_write_plus_one_batch() {
     assert_eq!(fast_hash.flush_span, fast_hash.hash_stage + fast_hash.write_wait);
 }
 
+/// A host rebooted cold over a committed image of 4 restore batches of
+/// distinct pages, with the image's checkpoint.
+fn wide_image_host() -> (Host, aurora_objstore::CkptId) {
+    const PAGES: u64 = 4 * aurora_core::restore::RESTORE_BATCH_BLOCKS as u64;
+    let mut host = new_host("h");
+    let pid = host.kernel.spawn("wide");
+    let addr = host.kernel.mmap_anon(pid, PAGES * 4096, false).unwrap();
+    for p in 0..PAGES {
+        host.kernel
+            .mem_write(pid, addr + p * 4096, format!("wide page {p}").as_bytes())
+            .unwrap();
+    }
+    let gid = host.persist("wide", pid).unwrap();
+    let bd = host.checkpoint(gid, true, None).unwrap();
+    host.clock.advance_to(bd.durable_at);
+    (host.crash_and_reboot().unwrap(), bd.ckpt.unwrap())
+}
+
+/// The read plan an eager restore of `ckpt` executes: every page of
+/// every object.
+fn image_read_plan(store: &ObjectStore, ckpt: aurora_objstore::CkptId) -> aurora_objstore::ReadPlan {
+    let targets: Vec<_> = store
+        .live_object_ids()
+        .into_iter()
+        .flat_map(|oid| {
+            store
+                .object_refs_at(ckpt, oid)
+                .into_iter()
+                .map(move |(idx, _)| (oid, idx))
+        })
+        .collect();
+    store.plan_reads_at(ckpt, &targets)
+}
+
+#[test]
+fn streamed_restore_page_in_is_the_longer_of_read_and_hash_plus_one_batch() {
+    use aurora_sim::cost::hash_stage;
+    let batch = aurora_core::restore::RESTORE_BATCH_BLOCKS;
+
+    // What a restore of this image costs besides paging in: a lazy
+    // restore builds the same shells and map entries and reads no page.
+    let (mut lazy_host, ckpt) = wide_image_host();
+    let store = lazy_host.sls.primary.clone();
+    let wire = lazy_host.restore(&store, ckpt, RestoreMode::Lazy).unwrap().memory_state;
+    // The first batch's read alone, on the same (still cold) store.
+    let first_batch_read = {
+        let mut st = store.borrow_mut();
+        let plan = image_read_plan(&st, ckpt);
+        let first = plan.extent_batches(batch).remove(0);
+        let clock = lazy_host.clock.clone();
+        clock.measure(|| st.execute_read_plan_range(&plan, first).unwrap()).1
+    };
+
+    // The whole plan read in one shot on a twin store.
+    let (twin, ckpt) = wide_image_host();
+    let (one_shot, one_shot_read) = {
+        let mut st = twin.sls.primary.borrow_mut();
+        let plan = image_read_plan(&st, ckpt);
+        assert!(plan.extent_batches(batch).len() >= 4, "the image spans 4 batches");
+        twin.clock.measure(|| st.execute_read_plan(&plan).unwrap())
+    };
+
+    let restore_at = |workers: usize| {
+        let (mut host, ckpt) = wide_image_host();
+        host.sls.restore_workers = workers;
+        let store = host.sls.primary.clone();
+        let bd = host.restore(&store, ckpt, RestoreMode::Eager).unwrap();
+        // The streamed reads are the one-shot reads.
+        assert_eq!(bd.read_stage, one_shot_read);
+        assert_eq!(bd.extents_read, one_shot.extents_read);
+        assert_eq!(
+            (bd.cache_hits, bd.cache_misses),
+            (one_shot.cache_hits, one_shot.cache_misses)
+        );
+        assert_eq!(bd.pages_hashed, one_shot.fetched.len() as u64);
+        assert_eq!(bd.hash_work, hash_stage(bd.pages_hashed, workers as u64));
+        // Read laps, the verify tail and the wiring partition memory state.
+        assert_eq!(bd.read_stage + bd.hash_stage + wire, bd.memory_state);
+        let page_in = bd.read_stage + bd.hash_stage;
+        assert!(bd.read_stage.max(bd.hash_work) <= page_in);
+        assert!(
+            page_in < bd.read_stage + bd.hash_work,
+            "page-in {page_in:?} is read {:?} + hash {:?} run back to back",
+            bd.read_stage,
+            bd.hash_work
+        );
+        bd
+    };
+
+    // Verify-bound: the hash workers start after the first batch's read
+    // and are busy from then on.
+    let slow_hash = restore_at(2);
+    assert!(slow_hash.hash_work > slow_hash.read_stage, "2 workers trail the NVMe");
+    assert_eq!(
+        slow_hash.read_stage + slow_hash.hash_stage,
+        first_batch_read + slow_hash.hash_work
+    );
+
+    // Read-bound: each batch is verified under the next one's read, so
+    // only the last batch's hash is left after the last read.
+    let fast_hash = restore_at(8);
+    assert!(fast_hash.hash_work < fast_hash.read_stage, "8 workers outrun it");
+    assert!(fast_hash.hash_stage <= hash_stage(batch as u64, 8));
+    assert!(fast_hash.hash_stage > aurora_sim::time::SimDuration::ZERO);
+}
+
 #[test]
 fn fork_tree_with_shared_memory_roundtrips() {
     let mut host = new_host("h");

@@ -10,6 +10,7 @@
 
 use std::cell::{Cell, Ref, RefCell};
 use std::collections::{BTreeMap, HashMap, HashSet};
+use std::ops::Range;
 
 use aurora_hw::{BlockDev, BLOCK_SIZE};
 use aurora_sim::cost::RESTORE_CACHE_HIT_NS;
@@ -454,8 +455,7 @@ enum ReadProbe {
 /// Page contents plus the dedup index and the bounded read cache,
 /// behind one lock so the read paths can stay `&self`: a cache fill is
 /// not a logical mutation. The lock carries lockdep rank `page_cache`
-/// because batched restores touch it from inside the checkpoint
-/// barrier while flush workers run.
+/// because flushes take it from inside their group's barrier.
 struct PageCache {
     /// Authoritative page contents by block (compact representation).
     data: HashMap<u64, PageData>,
@@ -586,6 +586,28 @@ pub struct ReadPlan {
     pub extents: Vec<(usize, usize)>,
 }
 
+impl ReadPlan {
+    /// Cuts the extent schedule into consecutive batches of whole
+    /// extents, each carrying at most `max_blocks` blocks: index ranges
+    /// into [`ReadPlan::extents`] for
+    /// [`ObjectStore::execute_read_plan_range`].
+    pub fn extent_batches(&self, max_blocks: usize) -> Vec<Range<usize>> {
+        let mut batches = Vec::new();
+        let (mut first, mut blocks) = (0usize, 0usize);
+        for (at, &(_, len)) in self.extents.iter().enumerate() {
+            if at > first && blocks + len > max_blocks {
+                batches.push(first..at);
+                (first, blocks) = (at, 0);
+            }
+            blocks += len;
+        }
+        if first < self.extents.len() {
+            batches.push(first..self.extents.len());
+        }
+        batches
+    }
+}
+
 /// What executing a [`ReadPlan`] produced.
 #[derive(Debug, Default)]
 pub struct ReadOutcome {
@@ -595,6 +617,10 @@ pub struct ReadOutcome {
     /// page table) rather than the read cache — the ones the restore
     /// pipeline still owes a content-hash pass.
     pub fetched: Vec<u64>,
+    /// Aligned with `fetched`: the block's content hash where the read
+    /// already computed it to check the bytes against the recorded one
+    /// (materialized stores), `None` where the hash pass still has to.
+    pub fetched_hashes: Vec<Option<u64>>,
     /// Probes served by the bounded read cache (identity or content).
     pub cache_hits: u64,
     /// Probes that charged device time.
@@ -1359,13 +1385,29 @@ impl ObjectStore {
     /// (transient electronics) before the plan aborts with
     /// `ErrorKind::Corrupt`, leaving the store intact.
     pub fn execute_read_plan(&mut self, plan: &ReadPlan) -> Result<ReadOutcome> {
+        self.execute_read_plan_range(plan, 0..plan.extents.len())
+    }
+
+    /// Executes the extents `extents` (a range into
+    /// [`ReadPlan::extents`], e.g. one of [`ReadPlan::extent_batches`])
+    /// of a read plan and returns the contents of their blocks. Probes,
+    /// charging and verification are per extent, so executing a plan
+    /// range by range costs and reads exactly what one
+    /// [`ObjectStore::execute_read_plan`] call does.
+    pub fn execute_read_plan_range(
+        &mut self,
+        plan: &ReadPlan,
+        extents: Range<usize>,
+    ) -> Result<ReadOutcome> {
+        let Some(extents) = plan.extents.get(extents) else {
+            return Err(Error::invalid("read plan extent range out of bounds"));
+        };
         let mut out = ReadOutcome::default();
-        for &(off, len) in &plan.extents {
+        for &(off, len) in extents {
             let Some(run) = plan.blocks.get(off..off + len) else {
                 return Err(Error::invalid("read plan extent out of range"));
             };
-            let run = run.to_vec();
-            self.read_extent(&run, &mut out)?;
+            self.read_extent(run, &mut out)?;
         }
         self.stats.read_cache_hits += out.cache_hits;
         self.stats.read_cache_misses += out.cache_misses;
@@ -1414,33 +1456,34 @@ impl ObjectStore {
             let lba = self.sb.data_start() + start;
             let mut bufs = vec![vec![0u8; BLOCK_SIZE]; run.len()];
             self.dev.get_mut().read_blocks(lba, &mut bufs)?;
-            if self.extent_hash_mismatch(run, &bufs) {
+            let mut checked = self.check_extent(run, &bufs);
+            if checked.is_none() {
                 // Damaged bytes came back. One re-read gives transient
                 // electronics the benefit of the doubt; damaged media
                 // re-reads identically, and then a mirror twin gets a
                 // chance to heal the damaged copy (read-repair) before
                 // the restore aborts with the committed store untouched.
-                let mut again = vec![vec![0u8; BLOCK_SIZE]; run.len()];
-                self.dev.get_mut().read_blocks(lba, &mut again)?;
-                if self.extent_hash_mismatch(run, &again)
-                    && !self.repair_extent(run, &mut again)?
-                {
-                    return Err(Error::corrupt(format!(
-                        "extent at block {start}: content hash mismatch on read"
-                    )));
+                // Healed bytes are checked like any others.
+                self.dev.get_mut().read_blocks(lba, &mut bufs)?;
+                checked = self.check_extent(run, &bufs);
+                if checked.is_none() && self.repair_extent(run, &mut bufs)? {
+                    checked = self.check_extent(run, &bufs);
                 }
-                bufs = again;
             }
+            let Some(checked) = checked else {
+                return Err(Error::corrupt(format!(
+                    "extent at block {start}: content hash mismatch on read"
+                )));
+            };
             let mut cache = self.cache.lock();
-            for (&b, buf) in run.iter().zip(&bufs) {
+            for (&b, (page, hash)) in run.iter().zip(checked) {
                 if out.pages.contains_key(&b) {
                     continue; // probe already served it
                 }
-                let page = PageData::from_bytes(buf);
                 cache.data.insert(b, page.clone());
-                let hash = cache.block_hash.get(&b).copied();
                 cache.read.admit(b, hash);
                 out.fetched.push(b);
+                out.fetched_hashes.push(hash);
                 out.pages.insert(b, page);
             }
         } else {
@@ -1458,6 +1501,7 @@ impl ObjectStore {
                     let hash = cache.block_hash.get(&b).copied();
                     cache.read.admit(b, hash);
                     out.fetched.push(b);
+                    out.fetched_hashes.push(None);
                     out.pages.insert(b, page);
                 }
             }
@@ -1509,16 +1553,24 @@ impl ObjectStore {
         Ok(true)
     }
 
-    /// True if any block in `run` whose content hash is recorded came
-    /// back from the medium with different bytes.
-    fn extent_hash_mismatch(&self, run: &[u64], bufs: &[Vec<u8>]) -> bool {
+    /// Decodes the bytes the medium returned for `run` and compares
+    /// every block whose content hash is recorded with it: `None` if
+    /// any differs, else each block's page with the hash computed for
+    /// the comparison (`None` for a block with no recorded hash).
+    fn check_extent(&self, run: &[u64], bufs: &[Vec<u8>]) -> Option<Vec<(PageData, Option<u64>)>> {
         let cache = self.cache.lock();
-        run.iter().zip(bufs).any(|(&b, buf)| {
-            cache
-                .block_hash
-                .get(&b)
-                .is_some_and(|&h| PageData::from_bytes(buf).content_hash() != h)
-        })
+        run.iter()
+            .zip(bufs)
+            .map(|(b, buf)| {
+                let page = PageData::from_bytes(buf);
+                match cache.block_hash.get(b) {
+                    Some(&recorded) => {
+                        (page.content_hash() == recorded).then_some((page, Some(recorded)))
+                    }
+                    None => Some((page, None)),
+                }
+            })
+            .collect()
     }
 
     /// Records content hashes computed by the restore pipeline's

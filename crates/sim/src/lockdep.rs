@@ -50,24 +50,19 @@ pub const RANK_GROUP_BARRIER: u32 = 2;
 pub const RANK_STORE_COMMIT: u32 = 3;
 /// Rank of the persistence-group table.
 pub const RANK_GROUP_TABLE: u32 = 4;
-/// Rank of the parallel restore pipeline's shard-result collector. The
-/// driving thread holds the target group's `group_barrier` while it
-/// gathers hashed shards, so this must rank inside the barrier; workers
-/// take it with nothing else held.
-pub const RANK_RESTORE_SHARD: u32 = 5;
 /// Rank of per-store metadata.
-pub const RANK_STORE_META: u32 = 6;
-/// Rank of the object store's shared page cache. The restore read
-/// pipeline takes it while the barrier is held; nothing below it but
-/// the device queue and metrics may nest inside.
-pub const RANK_PAGE_CACHE: u32 = 7;
+pub const RANK_STORE_META: u32 = 5;
+/// Rank of the object store's shared page cache. Flushes take it while
+/// their group's barrier is held; nothing below it but the device queue
+/// and metrics may nest inside.
+pub const RANK_PAGE_CACHE: u32 = 6;
 /// Rank of the journal append buffer.
-pub const RANK_JOURNAL_BUF: u32 = 8;
+pub const RANK_JOURNAL_BUF: u32 = 7;
 /// Rank of a device submission queue.
-pub const RANK_DEV_QUEUE: u32 = 9;
+pub const RANK_DEV_QUEUE: u32 = 8;
 /// Rank of the global metrics registry (innermost: any path may record
 /// counters while holding anything else).
-pub const RANK_METRICS: u32 = 10;
+pub const RANK_METRICS: u32 = 9;
 
 /// A mutex that participates in lock-order verification.
 pub struct OrderedMutex<T> {

@@ -111,6 +111,10 @@ fn full_cli_lifecycle() {
         out.contains("(hash ") && out.contains("ms + write wait "),
         "info flush span split: {out}"
     );
+    assert!(
+        out.contains("(read ") && out.contains("ms + verify wait ") && out.contains("(hash work "),
+        "info restore page-in split: {out}"
+    );
     assert!(out.contains("fleet:"), "info fleet telemetry: {out}");
 }
 

@@ -809,3 +809,170 @@ fn read_corruption_aborts_restore_and_store_survives() {
     host.kernel.mem_read(np, addr, &mut buf).unwrap();
     assert_eq!(&buf, b"read-fault-p00");
 }
+
+// ---------------------------------------------------------------------------
+// Streamed page-in: damage in a batch after the first.
+
+use aurora::core::restore::RESTORE_BATCH_BLOCKS;
+use aurora::objstore::CkptId;
+use aurora::sim::error::ErrorKind;
+
+/// Pages of the wide image: 2¼ restore batches, every page distinct.
+const WIDE_PAGES: u64 = (2 * RESTORE_BATCH_BLOCKS + RESTORE_BATCH_BLOCKS / 4) as u64;
+
+fn wide_page(p: u64) -> Vec<u8> {
+    format!("wide-page-{p:04}").into_bytes()
+}
+
+/// Writes and checkpoints the wide image, then drops every cached page
+/// so a restore must read the device. Returns (addr, ckpt).
+fn commit_wide_image(host: &mut Host) -> (u64, CkptId) {
+    let pid = host.kernel.spawn("wide");
+    let addr = host.kernel.mmap_anon(pid, WIDE_PAGES * 4096, false).unwrap();
+    for p in 0..WIDE_PAGES {
+        host.kernel.mem_write(pid, addr + p * 4096, &wide_page(p)).unwrap();
+    }
+    let gid = host.persist("wide", pid).unwrap();
+    let bd = host.checkpoint(gid, true, Some("wide")).unwrap();
+    host.clock.advance_to(bd.durable_at);
+    host.sls.primary.borrow_mut().drop_caches().unwrap();
+    (addr, bd.ckpt.unwrap())
+}
+
+/// LBA of a block the eager restore of `ckpt` reads in the middle of an
+/// extent of its second batch.
+fn second_batch_lba(host: &Host, ckpt: CkptId) -> u64 {
+    let store = host.sls.primary.borrow();
+    let targets: Vec<_> = store
+        .live_object_ids()
+        .into_iter()
+        .flat_map(|oid| {
+            store
+                .object_refs_at(ckpt, oid)
+                .into_iter()
+                .map(move |(idx, _)| (oid, idx))
+        })
+        .collect();
+    let plan = store.plan_reads_at(ckpt, &targets);
+    let batches = plan.extent_batches(RESTORE_BATCH_BLOCKS);
+    assert!(batches.len() >= 3, "the image spans {} batches", batches.len());
+    let (off, len) = plan.extents[batches[1].start];
+    store.data_start() + plan.blocks[off + len / 2]
+}
+
+/// Restores the wide image eagerly and checks every page.
+fn verify_wide_image(host: &mut Host, addr: u64, ckpt: CkptId) {
+    let store = host.sls.primary.clone();
+    let r = host.restore(&store, ckpt, RestoreMode::Eager).unwrap();
+    let np = r.root_pid().unwrap();
+    for p in 0..WIDE_PAGES {
+        let want = wide_page(p);
+        let mut buf = vec![0u8; want.len()];
+        host.kernel.mem_read(np, addr + p * 4096, &mut buf).unwrap();
+        assert_eq!(buf, want, "page {p} damaged");
+    }
+    let _ = host.kernel.exit(np, 0);
+    host.kernel.procs.remove(&np);
+}
+
+/// FNV-1a digest of the part of the data region the wide image can
+/// occupy, and the store's write-side counters.
+fn store_fingerprint(host: &Host) -> (u64, [u64; 5]) {
+    let mut store = host.sls.primary.borrow_mut();
+    let ds = store.data_start();
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut buf = vec![0u8; 4096];
+    for lba in ds..ds + 2 * WIDE_PAGES {
+        store.device_mut().read(lba, &mut buf).unwrap();
+        for &b in &buf {
+            h ^= b as u64;
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    let s = &store.stats;
+    (
+        h,
+        [
+            s.pages_written,
+            s.blocks_coalesced,
+            s.bytes_journaled,
+            s.commits,
+            s.read_repairs,
+        ],
+    )
+}
+
+/// One damaged block in the page-in's second batch, no mirror: the
+/// first batch is already verified and in the read cache when the
+/// damaged extent comes back, and the restore still aborts with
+/// `Corrupt` before anything of that extent is admitted — leaving the
+/// store exactly as it was.
+#[test]
+fn corrupt_block_in_a_later_restore_batch_aborts_without_damage() {
+    let mut host = boot_materialized();
+    let (addr, ckpt) = commit_wide_image(&mut host);
+    host.sls.restore_workers = 4;
+    let victim = second_batch_lba(&host, ckpt);
+    let before = store_fingerprint(&host);
+
+    host.sls
+        .primary
+        .borrow_mut()
+        .device_mut()
+        .install_fault_plan(FaultPlan::corrupt_read_blocks(victim, victim + 1, 100, 3));
+    let store = host.sls.primary.clone();
+    let err = host.restore(&store, ckpt, RestoreMode::Eager).unwrap_err();
+    assert_eq!(err.kind(), ErrorKind::Corrupt, "{err}");
+    let admitted = store.borrow().read_cache_len() as u64;
+    assert!(
+        (RESTORE_BATCH_BLOCKS as u64..WIDE_PAGES).contains(&admitted),
+        "{admitted} blocks admitted: the first batch, and not the damaged extent"
+    );
+
+    host.sls
+        .primary
+        .borrow_mut()
+        .device_mut()
+        .install_fault_plan(FaultPlan::default());
+    assert_eq!(store_fingerprint(&host), before, "a failed restore writes nothing");
+    assert!(store.borrow().fsck().is_empty());
+    assert!(store.borrow_mut().scrub().is_empty(), "platter never damaged");
+    verify_wide_image(&mut host, addr, ckpt);
+}
+
+/// The same damage at rest on one side of a width-2 mirror: the read
+/// of the second batch heals it from the twin (read-repair), the
+/// restore is exact, and afterwards the healed replica serves the
+/// image alone.
+#[test]
+fn corrupt_block_in_a_later_restore_batch_is_healed_by_the_mirror() {
+    // Allocation is deterministic: a fault-free twin tells which block
+    // the restore will read in its second batch.
+    let victim = {
+        let mut twin = boot_mirrored(2);
+        let (_, ckpt) = commit_wide_image(&mut twin);
+        second_batch_lba(&twin, ckpt)
+    };
+
+    let mut host = boot_mirrored(2);
+    mirror(&host, |m| {
+        m.install_replica_fault_plan(0, FaultPlan::corrupt_blocks(victim, victim + 1, 100, 3))
+    })
+    .unwrap();
+    let (addr, ckpt) = commit_wide_image(&mut host);
+    mirror(&host, |m| m.install_replica_fault_plan(0, FaultPlan::default())).unwrap();
+    host.sls.restore_workers = 4;
+    assert_eq!(second_batch_lba(&host, ckpt), victim);
+
+    verify_wide_image(&mut host, addr, ckpt);
+    assert_eq!(host.sls.primary.borrow().stats.read_repairs, 1);
+    assert_eq!(mirror(&host, |m| m.mirror_stats()).read_repairs, 1);
+
+    mirror(&host, |m| m.kill_replica(1)).unwrap();
+    host.sls.primary.borrow_mut().drop_caches().unwrap();
+    assert!(
+        host.sls.primary.borrow_mut().scrub().is_empty(),
+        "healed replica must scrub clean on its own"
+    );
+    verify_wide_image(&mut host, addr, ckpt);
+}
