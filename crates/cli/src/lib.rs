@@ -492,9 +492,11 @@ fn cmd_checkpoint(world: &Path, opts: &[&str]) -> Result<String> {
         host.prune_incarnation(old)?;
     }
     Ok(format!(
-        "checkpointed {name}: id {}{}, metadata {}, stop {}{}\n",
+        "checkpointed {name}: id {}{}, base verify {} ({} blocks), metadata {}, stop {}{}\n",
         bd.ckpt.map(|c| c.0).unwrap_or(0),
         tag.map(|t| format!(" (tag {t})")).unwrap_or_default(),
+        bd.base_verify,
+        bd.base_verify_blocks,
         bd.metadata_copy,
         bd.stop_time,
         outcome_note(&bd),

@@ -127,12 +127,24 @@ impl Host {
         // Degrade to a full checkpoint, which rewrites the whole working
         // set and does not depend on the damaged base.
         let mut base_damaged = false;
+        let mut base_verify_blocks = 0u64;
+        let verify_sw = Stopwatch::start(&self.clock);
         if !full {
             let group = self.sls.group_ref(gid)?;
             for backend in &group.backends {
                 let store = backend.store.borrow_mut();
                 let Some(head) = store.head() else { continue };
-                let problems = store.verify_checkpoint(head);
+                let read_before = store.device().stats().bytes_read;
+                let (problems, hashed) = store.verify_checkpoint(head);
+                base_verify_blocks +=
+                    (store.device().stats().bytes_read - read_before) / cost::PAGE_SIZE as u64;
+                // The device charged the reads; the comparison hashes
+                // every block it checked. The store does that on the
+                // calling thread, an extent at a time between one read
+                // and the next, so it is charged at one core's hash
+                // bandwidth and after the reads, not spread over the
+                // flush workers or hidden under the device.
+                self.clock.charge(cost::hash_stage(hashed, 1));
                 if let Some(p) = problems.first() {
                     fault = Some(format!("incremental base damaged: {p}"));
                     full = true;
@@ -148,6 +160,8 @@ impl Host {
         let mut breakdown = CheckpointBreakdown {
             full,
             base_damaged,
+            base_verify: verify_sw.elapsed(),
+            base_verify_blocks,
             outcome: if fault.is_some() {
                 CheckpointOutcome::DegradedToFull
             } else {

@@ -288,6 +288,13 @@ pub struct CheckpointBreakdown {
     /// cycles with this set still signal a sick backend: the fleet's
     /// health machine counts them against the tenant's fault domain.
     pub base_damaged: bool,
+    /// Sim time the incremental pre-pass spent checking the base on the
+    /// device, before the group was stopped: part of neither `stop_time`
+    /// nor `flush_span`, but of the call-to-durable latency. Zero for a
+    /// full checkpoint and on timing-only stores, which read nothing.
+    pub base_verify: SimDuration,
+    /// Device blocks that pre-pass read (bridged filler included).
+    pub base_verify_blocks: u64,
 }
 
 /// Restore-time breakdown (the rows of Table 4).

@@ -235,6 +235,112 @@ fn streamed_restore_matches_serial_loop() {
     assert_eq!(digests[0], digests[2], "eager vs lazy-prefetch");
 }
 
+/// Pages of the holey image.
+const HOLEY_PAGES: u64 = 600;
+
+/// Body of page `i` of the holey image as of `round`: distinct per page
+/// and per round, so nothing dedups and every overwrite takes a fresh
+/// block.
+fn holey_body(i: u64, round: u8) -> [u8; 4096] {
+    let mut page = [round; 4096];
+    page[..8].copy_from_slice(&i.to_le_bytes());
+    page
+}
+
+/// Builds an image whose blocks are scattered on purpose — a full
+/// checkpoint, then two rounds that rewrite a strided subset of the
+/// pages whole while the history window of 1 collects the checkpoint
+/// before, so the survivors sit between freed blocks and the rewrites
+/// land wherever the allocator found room — reboots, and restores the
+/// last checkpoint eagerly at `workers`. Returns the image, the
+/// rebooted store's counters after the restore, and how many of the
+/// plan's extents read through a hole.
+fn run_holey(workers: usize) -> ((u64, u64), aurora_objstore::store::StoreStats, usize) {
+    let clock = SimClock::new();
+    let dev = Box::new(ModelDev::nvme(clock, "nvme0", DEV_BLOCKS));
+    let mut host = Host::boot(
+        "holey",
+        dev,
+        StoreConfig {
+            journal_blocks: 2048,
+            ..StoreConfig::default()
+        },
+    )
+    .unwrap();
+    let pid = host.kernel.spawn("workload");
+    let addr = host.kernel.mmap_anon(pid, HOLEY_PAGES * 4096, false).unwrap();
+    for i in 0..HOLEY_PAGES {
+        host.kernel.mem_write(pid, addr + i * 4096, &holey_body(i, 1)).unwrap();
+    }
+    let gid = host.persist("workload", pid).unwrap();
+    host.sls.group_mut(gid).unwrap().history_window = 1;
+    let bd = host.checkpoint(gid, true, None).unwrap();
+    host.clock.advance_to(bd.durable_at);
+    let mut ckpt = bd.ckpt.unwrap();
+    for (round, stride, phase) in [(2u8, 4u64, 1u64), (3, 6, 0)] {
+        for i in (0..HOLEY_PAGES).filter(|i| i % stride == phase) {
+            host.kernel
+                .mem_write(pid, addr + i * 4096, &holey_body(i, round))
+                .unwrap();
+        }
+        let bd = host.checkpoint(gid, false, None).unwrap();
+        assert_eq!(bd.pages_hashed, bd.pages, "whole-page rewrites are full images");
+        host.clock.advance_to(bd.durable_at);
+        ckpt = bd.ckpt.unwrap();
+    }
+    assert_eq!(host.sls.primary.borrow().checkpoints().len(), 1, "history collected");
+
+    let mut host = host.crash_and_reboot().unwrap();
+    host.sls.restore_workers = workers;
+    let store = host.sls.primary.clone();
+    let bridged = {
+        let st = store.borrow();
+        let targets: Vec<_> = st
+            .live_object_ids()
+            .into_iter()
+            .flat_map(|oid| {
+                st.object_refs_at(ckpt, oid)
+                    .into_iter()
+                    .map(move |(idx, _)| (oid, idx))
+            })
+            .collect();
+        let plan = st.plan_reads_at(ckpt, &targets);
+        plan.extents
+            .iter()
+            .filter(|&&(off, len)| plan.blocks[off + len - 1] - plan.blocks[off] >= len as u64)
+            .count()
+    };
+    let r = host.restore(&store, ckpt, RestoreMode::Eager).unwrap();
+    let stats = store.borrow().stats.clone();
+    let new_pid = r.restored_pid(pid.0).unwrap();
+    let digest = memory_digest(&mut host, new_pid, addr, HOLEY_PAGES);
+    ((digest, r.pages_prefetched), stats, bridged)
+}
+
+/// On a layout full of holes the planner reads through, the restored
+/// image is the serial loop's at any worker count, and the batched
+/// pipeline leaves the store's counters — extents, planned blocks,
+/// cache traffic — the same at 2 and 8 workers.
+#[test]
+fn holey_layout_restores_identically_at_any_worker_count() {
+    let (reference, serial_stats, bridged) = run_holey(1);
+    assert!(bridged > 0, "the layout must make the planner bridge holes");
+    let (two, two_stats, _) = run_holey(2);
+    let (eight, eight_stats, _) = run_holey(8);
+    assert_eq!(two, reference, "2 workers vs serial loop");
+    assert_eq!(eight, reference, "8 workers vs serial loop");
+    assert_eq!(format!("{two_stats:?}"), format!("{eight_stats:?}"));
+    assert!(
+        two_stats.read_blocks_coalesced >= HOLEY_PAGES
+            && two_stats.read_extents_coalesced * 2 < two_stats.read_blocks_coalesced,
+        "{} extents for {} planned blocks",
+        two_stats.read_extents_coalesced,
+        two_stats.read_blocks_coalesced
+    );
+    // One worker takes the per-page loop, which plans no extents.
+    assert_eq!(serial_stats.read_extents_coalesced, 0);
+}
+
 /// The batched path actually engages: an eager 4-worker restore of a
 /// REGION_PAGES image reports coalesced extent reads and a populated
 /// read cache, and a sibling restore wires straight from the shared

@@ -67,6 +67,17 @@ pub struct CostModel {
     pub write_bw: u64,
 }
 
+impl CostModel {
+    /// The break-even of [`BlockDev::read_gap_blocks`]: the largest `g`
+    /// with `g × BLOCK_SIZE / read_bw < latency`, strictly, so a bridged
+    /// hole never costs more than the request it saves.
+    pub fn read_gap_blocks(&self) -> u64 {
+        let budget = u128::from(self.latency_ns) * u128::from(self.read_bw);
+        let block = BLOCK_SIZE as u128 * 1_000_000_000;
+        (budget.saturating_sub(1) / block) as u64
+    }
+}
+
 /// The block-device interface used by the object store and backends.
 pub trait BlockDev {
     /// Device description.
@@ -134,6 +145,18 @@ pub trait BlockDev {
             self.read(lba + i as u64, b)?;
         }
         Ok(())
+    }
+
+    /// The longest hole, in blocks, a vectored read should read through
+    /// rather than split at: moving that many unwanted blocks costs less
+    /// than the access latency of a second request. The object store's
+    /// read planner asks once per plan and discards the filler.
+    ///
+    /// Default: 0, never bridge — right for any device whose cost model
+    /// is unknown or whose latency is below one block's transfer time.
+    /// [`ModelDev`] derives it from its [`CostModel`]; wrappers forward.
+    fn read_gap_blocks(&self) -> u64 {
+        0
     }
 
     /// Issues a flush barrier; returns the instant at which every write
@@ -731,6 +754,10 @@ impl BlockDev for ModelDev {
         Ok(())
     }
 
+    fn read_gap_blocks(&self) -> u64 {
+        self.model.read_gap_blocks()
+    }
+
     fn flush(&mut self) -> Result<SimTime> {
         self.check_powered()?;
         self.stats.flushes += 1;
@@ -1093,6 +1120,29 @@ mod tests {
             vectored_elapsed < serial_elapsed,
             "extent read {vectored_elapsed:?} should beat serial {serial_elapsed:?}"
         );
+    }
+
+    #[test]
+    fn read_gap_is_the_cost_models_break_even() {
+        let clock = SimClock::new();
+        // 10 µs latency, 1.64 µs per block: six filler blocks are
+        // cheaper than a second request, seven are not.
+        let nvme = ModelDev::nvme(clock.clone(), "nvme0", 128);
+        assert_eq!(nvme.read_gap_blocks(), 6);
+        let lat = SimDuration::from_nanos(costdev::NVME_LAT_NS);
+        let bytes = |blocks: u64| blocks * BLOCK_SIZE as u64;
+        assert!(SimDuration::for_bytes(bytes(6), costdev::NVME_READ_BW) < lat);
+        assert!(SimDuration::for_bytes(bytes(7), costdev::NVME_READ_BW) > lat);
+        // Latency below one block's transfer time: never bridge.
+        assert_eq!(ModelDev::nvdimm(clock.clone(), "nvd0", 128).read_gap_blocks(), 0);
+        assert_eq!(ModelDev::ramdisk(clock, "md0", 128).read_gap_blocks(), 0);
+        // Strict: a hole that costs exactly one latency is not bridged.
+        let even = CostModel {
+            latency_ns: 1_000,
+            read_bw: BLOCK_SIZE as u64 * 1_000_000,
+            write_bw: 1,
+        };
+        assert_eq!(even.read_gap_blocks(), 0);
     }
 
     #[test]

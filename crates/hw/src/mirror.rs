@@ -565,6 +565,16 @@ impl BlockDev for MirrorDev {
         Ok(done)
     }
 
+    fn read_gap_blocks(&self) -> u64 {
+        // A read may land on any replica: bridge only what the least
+        // willing of them would.
+        self.replicas
+            .iter()
+            .map(|r| r.read_gap_blocks())
+            .min()
+            .unwrap_or(0)
+    }
+
     fn flush(&mut self) -> Result<SimTime> {
         let done = self.fan_out(|r| r.flush())?;
         self.stats.flushes += 1;

@@ -323,6 +323,10 @@ impl BlockDev for ResilientDev {
         self.with_retries(false, |d| d.write_blocks(lba, blocks))
     }
 
+    fn read_gap_blocks(&self) -> u64 {
+        self.inner.read_gap_blocks()
+    }
+
     fn flush(&mut self) -> Result<SimTime> {
         self.with_retries(false, |d| d.flush())
     }

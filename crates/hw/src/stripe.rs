@@ -131,6 +131,16 @@ impl<D: BlockDev> BlockDev for StripedDev<D> {
         Ok(())
     }
 
+    fn read_gap_blocks(&self) -> u64 {
+        // A hole of `g` stripe blocks is at most `g` on any one member,
+        // so a member's own break-even is a safe bound for the set.
+        self.members
+            .iter()
+            .map(|m| m.read_gap_blocks())
+            .min()
+            .unwrap_or(0)
+    }
+
     fn flush(&mut self) -> Result<SimTime> {
         let mut done = SimTime::ZERO;
         for m in &mut self.members {

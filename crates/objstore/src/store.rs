@@ -92,7 +92,8 @@ pub struct StoreStats {
     pub blocks_coalesced: u64,
     /// Vectored extent reads issued by the batched restore path.
     pub read_extents_coalesced: u64,
-    /// Blocks carried by those extent reads.
+    /// Planned blocks those extent reads fetched (bridged filler is in
+    /// the device's `bytes_read` only).
     pub read_blocks_coalesced: u64,
     /// Batched-read probes served by the bounded read cache.
     pub read_cache_hits: u64,
@@ -230,9 +231,56 @@ fn committed_refs(
 /// selected by masking the content hash.
 pub const DEDUP_SHARDS: usize = 16;
 
-/// Longest run of adjacent blocks submitted as one vectored device
-/// write by [`ObjectStore::write_pages_coalesced`].
+/// Most blocks one vectored device request covers, read or written:
+/// the span of an extent, first block to last.
 pub const EXTENT_BLOCKS: usize = 64;
+
+/// Cuts ascending, unique block ids into extents: `(offset, len)` runs
+/// into `blocks`. A run keeps growing while the next block lies at most
+/// `gap` unwanted blocks past the previous one and the span from the
+/// run's first block to that one stays within `cap`. `gap == 0` yields
+/// runs of strictly adjacent ids — what writes and resilver need, since
+/// neither may touch a block outside its set; the read planner passes
+/// the device's [`BlockDev::read_gap_blocks`].
+pub fn runs(blocks: &[u64], gap: u64, cap: usize) -> Vec<(usize, usize)> {
+    let mut out = Vec::new();
+    let mut it = blocks.iter().copied().enumerate();
+    let Some((mut off, mut first)) = it.next() else {
+        return out;
+    };
+    let mut prev = first;
+    for (at, b) in it {
+        let bridged = b - prev - 1 <= gap && b - first < cap as u64;
+        if !bridged {
+            out.push((off, at - off));
+            (off, first) = (at, b);
+        }
+        prev = b;
+    }
+    out.push((off, blocks.len() - off));
+    out
+}
+
+/// Reads `run` — ascending blocks of one extent, `lba0` the data
+/// region's first LBA — with a single vectored request over the span
+/// from its first block to its last, and returns the wanted blocks'
+/// bytes aligned with `run`. The filler between them is dropped here,
+/// unseen by any caller: it has no recorded hash to be checked against
+/// and no referent to serve.
+fn read_span(dev: &mut dyn BlockDev, lba0: u64, run: &[u64]) -> Result<Vec<Vec<u8>>> {
+    let (Some(&first), Some(&last)) = (run.first(), run.last()) else {
+        return Ok(Vec::new());
+    };
+    let mut span = vec![vec![0u8; BLOCK_SIZE]; (last - first + 1) as usize];
+    dev.read_blocks(lba0 + first, &mut span)?;
+    run.iter()
+        .map(|&b| {
+            span.get_mut((b - first) as usize)
+                .map(std::mem::take)
+                .ok_or_else(|| Error::internal(format!("extent block {b} outside its span")))
+        })
+        .collect()
+}
 
 /// The content-hash dedup index, partitioned into fixed shards by hash.
 ///
@@ -581,8 +629,10 @@ pub struct ReadPlan {
     /// once no matter how many targets they serve — they are read once
     /// and fanned out.
     pub blocks: Vec<u64>,
-    /// Extent schedule: `(offset, len)` runs into `blocks`, each a run
-    /// of adjacent block ids at most [`EXTENT_BLOCKS`] long.
+    /// Extent schedule: `(offset, len)` runs into `blocks`, each read
+    /// with one request spanning its first block to its last — at most
+    /// [`EXTENT_BLOCKS`], holes no longer than the device's
+    /// [`BlockDev::read_gap_blocks`] read through and discarded.
     pub extents: Vec<(usize, usize)>,
 }
 
@@ -1059,26 +1109,21 @@ impl ObjectStore {
         // Extent pass: each run of adjacent blocks becomes one
         // vectored write.
         let blocks: Vec<u64> = fresh.keys().copied().collect();
-        let mut i = 0usize;
-        while let Some(&start) = blocks.get(i) {
-            let mut len = 1usize;
-            while len < EXTENT_BLOCKS
-                && blocks.get(i + len).copied() == Some(start + len as u64)
-            {
-                len += 1;
-            }
+        for (off, len) in runs(&blocks, 0, EXTENT_BLOCKS) {
+            let Some(&start) = blocks.get(off) else {
+                continue;
+            };
             if let Err(e) = self.write_extent(&fresh, start, len) {
                 // Nothing from this run onward reached the platter:
                 // drop the unbacked contents so the cache never claims
                 // bytes the medium does not hold.
-                for &b in blocks.iter().skip(i) {
+                for &b in blocks.iter().skip(off) {
                     self.cache.get_mut().evict(BlockPtr(b));
                 }
                 return Err(e);
             }
             self.stats.extents_coalesced += 1;
             self.stats.blocks_coalesced += len as u64;
-            i += len;
         }
         Ok(())
     }
@@ -1328,8 +1373,8 @@ impl ObjectStore {
 
     /// Resolves a set of `(object, page)` targets as of a checkpoint
     /// into a batched read plan: per-target block pointers, the unique
-    /// block set (dedup-shared blocks once), and runs of adjacent
-    /// blocks coalesced into extents of at most [`EXTENT_BLOCKS`].
+    /// block set (dedup-shared blocks once), and that set cut into
+    /// extents by [`runs`] at the device's read break-even.
     pub fn plan_reads_at(&self, ckpt: CkptId, targets: &[(ObjId, u64)]) -> ReadPlan {
         let mut resolved = Vec::with_capacity(targets.len());
         let mut chains = Vec::with_capacity(targets.len());
@@ -1353,18 +1398,7 @@ impl ObjectStore {
             chains.push(head);
         }
         let blocks: Vec<u64> = uniq.into_iter().collect();
-        let mut extents = Vec::new();
-        let mut i = 0usize;
-        while let Some(&start) = blocks.get(i) {
-            let mut len = 1usize;
-            while len < EXTENT_BLOCKS
-                && blocks.get(i + len).copied() == Some(start + len as u64)
-            {
-                len += 1;
-            }
-            extents.push((i, len));
-            i += len;
-        }
+        let extents = runs(&blocks, self.dev.borrow().read_gap_blocks(), EXTENT_BLOCKS);
         ReadPlan {
             resolved,
             chains,
@@ -1415,10 +1449,12 @@ impl ObjectStore {
         Ok(out)
     }
 
-    /// Reads one extent run (adjacent ascending blocks) for
-    /// [`ObjectStore::execute_read_plan`].
+    /// Reads one extent of a plan — `run`, its wanted blocks ascending —
+    /// for [`ObjectStore::execute_read_plan`]. Only `run`'s blocks are
+    /// probed, checked, admitted to the read cache and returned; a hole
+    /// the planner bridged costs its transfer time and nothing else.
     fn read_extent(&mut self, run: &[u64], out: &mut ReadOutcome) -> Result<()> {
-        let Some(&start) = run.first() else {
+        let (Some(&start), Some(&last)) = (run.first(), run.last()) else {
             return Ok(());
         };
         let mut missed = false;
@@ -1447,15 +1483,14 @@ impl ObjectStore {
             self.dev.borrow().clock().charge(dur);
             return Ok(());
         }
-        // Any miss reads the whole run: the vectored request covers the
+        // Any miss reads the whole span: the vectored request covers the
         // extent either way, and hits in it ride along for free.
         out.extents_read += 1;
         self.stats.read_extents_coalesced += 1;
         self.stats.read_blocks_coalesced += run.len() as u64;
         if self.config.materialize_data {
-            let lba = self.sb.data_start() + start;
-            let mut bufs = vec![vec![0u8; BLOCK_SIZE]; run.len()];
-            self.dev.get_mut().read_blocks(lba, &mut bufs)?;
+            let lba0 = self.sb.data_start();
+            let mut bufs = read_span(self.dev.get_mut().as_mut(), lba0, run)?;
             let mut checked = self.check_extent(run, &bufs);
             if checked.is_none() {
                 // Damaged bytes came back. One re-read gives transient
@@ -1464,7 +1499,7 @@ impl ObjectStore {
                 // chance to heal the damaged copy (read-repair) before
                 // the restore aborts with the committed store untouched.
                 // Healed bytes are checked like any others.
-                self.dev.get_mut().read_blocks(lba, &mut bufs)?;
+                bufs = read_span(self.dev.get_mut().as_mut(), lba0, run)?;
                 checked = self.check_extent(run, &bufs);
                 if checked.is_none() && self.repair_extent(run, &mut bufs)? {
                     checked = self.check_extent(run, &bufs);
@@ -1507,7 +1542,7 @@ impl ObjectStore {
             }
             self.dev
                 .get_mut()
-                .charge_read_timing((run.len() * BLOCK_SIZE) as u64)?;
+                .charge_read_timing((last - start + 1) * BLOCK_SIZE as u64)?;
         }
         Ok(())
     }
@@ -2212,12 +2247,89 @@ impl ObjectStore {
     ///   contents (in the page table, or readable from the medium with a
     ///   matching content hash when data is materialized).
     ///
-    /// Returns the violations (empty = restorable). The checkpoint
+    /// Returns the violations (empty = restorable) and the number of
+    /// blocks whose platter copy was hashed for the comparison (zero on
+    /// timing-only stores): the device charges the reads itself, the
+    /// caller owns the clock the hashing is charged to. The checkpoint
     /// pipeline runs this on the incremental base and degrades to a full
     /// checkpoint when the base is damaged.
-    pub fn verify_checkpoint(&self, ckpt: CkptId) -> Vec<String> {
+    pub fn verify_checkpoint(&self, ckpt: CkptId) -> (Vec<String>, u64) {
+        let (problems, hashed) = self.verify_checkpoints(&[ckpt]);
+        (problems.into_iter().map(|(_, p)| p).collect(), hashed)
+    }
+
+    /// [`ObjectStore::verify_checkpoint`] over several checkpoints at
+    /// once, each violation tagged with the checkpoint it belongs to. A
+    /// block is read and compared once however many pages and
+    /// checkpoints share it; its verdict is reported under every one of
+    /// them. The second value counts the blocks hashed.
+    fn verify_checkpoints(&self, ids: &[CkptId]) -> (Vec<(CkptId, String)>, u64) {
         let mut problems = Vec::new();
-        // Chain resolution first: a broken chain makes the maps moot.
+        if !self.config.materialize_data {
+            // The page table is the only copy, so the walk is the whole
+            // check: one lock hold, nothing collected.
+            let table = self.cache.lock();
+            for &ckpt in ids {
+                let mut lost = Vec::new();
+                let walk = self.walk_base_blocks(ckpt, &mut |oid, idx, block| {
+                    if !table.data.contains_key(&block) {
+                        lost.push(format!(
+                            "object {} page {idx}: block {block} unrecoverable",
+                            oid.0
+                        ));
+                    }
+                });
+                problems.extend(walk.into_iter().chain(lost).map(|p| (ckpt, p)));
+            }
+            return (problems, 0);
+        }
+        // Materialized stores check the platter copy even when a clean
+        // copy is cached in memory: a write-time corruption would
+        // otherwise hide until the cache is dropped.
+        let mut blocks = std::collections::BTreeSet::new();
+        for &ckpt in ids {
+            let walk = self.walk_base_blocks(ckpt, &mut |_, _, block| {
+                blocks.insert(block);
+            });
+            problems.extend(walk.into_iter().map(|p| (ckpt, p)));
+        }
+        let blocks: Vec<u64> = blocks.into_iter().collect();
+        let gap = self.dev.borrow().read_gap_blocks();
+        let mut bad: BTreeMap<u64, String> = BTreeMap::new();
+        let mut hashed = 0u64;
+        for (off, len) in runs(&blocks, gap, EXTENT_BLOCKS) {
+            if let Some(run) = blocks.get(off..off + len) {
+                hashed += self.verify_extent(run, &mut bad);
+            }
+        }
+        if !bad.is_empty() {
+            // Name every page that restores from a bad block.
+            for &ckpt in ids {
+                self.walk_base_blocks(ckpt, &mut |oid, idx, block| {
+                    if let Some(what) = bad.get(&block) {
+                        problems.push((
+                            ckpt,
+                            format!("object {} page {idx}: block {block} {what}", oid.0),
+                        ));
+                    }
+                });
+            }
+        }
+        (problems, hashed)
+    }
+
+    /// Walks what restoring `ckpt` depends on: `visit(object, page, block)`
+    /// for the block under every page of its effective object maps — a
+    /// delta-backed page's chain base, since the chain replays over it.
+    /// Returns what is wrong with the walk itself: a parent chain that
+    /// does not resolve (nothing is visited then) or a delta chain with
+    /// records missing.
+    fn walk_base_blocks(
+        &self,
+        ckpt: CkptId,
+        visit: &mut dyn FnMut(ObjId, u64, u64),
+    ) -> Vec<String> {
+        let mut problems = Vec::new();
         let mut cur = Some(ckpt);
         while let Some(c) = cur {
             match self.ckpts.get(&c.0) {
@@ -2236,85 +2348,73 @@ impl ObjectStore {
             }
         };
         for oid in objects {
-            for (idx, page_ref) in self.object_refs_at(ckpt, oid) {
-                // A delta-backed page is restorable when every record in
-                // its chain is present and the chain's base block passes
-                // the same recoverability checks as a full image.
-                let ptr = match page_ref {
-                    PageRef::Full(ptr) => ptr,
-                    PageRef::Delta(lsn) => match self
-                        .delta
-                        .chain(lsn)
-                        .and_then(|chain| {
-                            chain.first().map(|r| r.base).ok_or_else(|| {
-                                Error::corrupt(format!("delta chain at lsn {lsn} is empty"))
-                            })
-                        }) {
-                        Ok(base) => base,
-                        Err(e) => {
-                            problems.push(format!(
-                                "object {} page {idx}: delta chain at lsn {lsn} \
-                                 broken: {e}",
-                                oid.0
-                            ));
-                            continue;
-                        }
+            for (idx, page_ref) in checkpoint::effective_refs(&self.ckpts, ckpt, oid) {
+                match page_ref {
+                    PageRef::Full(ptr) => visit(oid, idx, ptr.0),
+                    PageRef::Delta(lsn) => match self.delta.chain(lsn).and_then(|chain| {
+                        chain.first().map(|r| r.base).ok_or_else(|| {
+                            Error::corrupt(format!("delta chain at lsn {lsn} is empty"))
+                        })
+                    }) {
+                        Ok(base) => visit(oid, idx, base.0),
+                        Err(e) => problems.push(format!(
+                            "object {} page {idx}: delta chain at lsn {lsn} broken: {e}",
+                            oid.0
+                        )),
                     },
-                };
-                // Materialized stores verify the platter copy even when a
-                // clean copy is cached in memory: a write-time corruption
-                // would otherwise hide until the cache is dropped. One
-                // lock hold answers both questions for this block.
-                let (recallable, expect) = {
-                    let cache = self.cache.lock();
-                    (
-                        cache.data.contains_key(&ptr.0),
-                        cache.block_hash.get(&ptr.0).copied(),
-                    )
-                };
-                if recallable && !self.config.materialize_data {
-                    continue;
-                }
-                if !self.config.materialize_data {
-                    problems.push(format!(
-                        "object {} page {idx}: block {} unrecoverable",
-                        oid.0, ptr.0
-                    ));
-                    continue;
-                }
-                let lba = self.sb.data_start() + ptr.0;
-                let mut buf = vec![0u8; BLOCK_SIZE];
-                // Bound the device borrow to the read itself: the repair
-                // arms below need to borrow the device again.
-                let read_result = self.dev.borrow_mut().read(lba, &mut buf);
-                match read_result {
-                    Ok(()) => {
-                        if let Some(expect) = expect {
-                            let page = PageData::from_bytes(&buf);
-                            if page.content_hash() != expect
-                                && !self.try_repair(lba, expect)
-                            {
-                                problems.push(format!(
-                                    "object {} page {idx}: block {} content hash mismatch",
-                                    oid.0, ptr.0
-                                ));
-                            }
-                        }
-                    }
-                    Err(e) => {
-                        // A dead preferred copy may still have a healthy
-                        // twin: repair before declaring the block lost.
-                        if expect.is_none_or(|h| !self.try_repair(lba, h)) {
-                            problems.push(format!(
-                                "object {} page {idx}: block {} unreadable: {e}",
-                                oid.0, ptr.0
-                            ));
-                        }
-                    }
                 }
             }
         }
         problems
+    }
+
+    /// Compares the platter copies of `run` (one extent, ascending) with
+    /// their recorded content hashes, adds the blocks that fail to `bad`,
+    /// each with what is wrong with it, and returns how many blocks it
+    /// hashed. The read is one vectored request
+    /// past the read cache — a clean cached copy says nothing about the
+    /// medium. Only when that request fails or some block mismatches does
+    /// the run go block by block, so each block gets its own verdict and
+    /// its own chance at repair from a mirror twin.
+    fn verify_extent(&self, run: &[u64], bad: &mut BTreeMap<u64, String>) -> u64 {
+        let expect: Vec<Option<u64>> = {
+            let cache = self.cache.lock();
+            run.iter().map(|b| cache.block_hash.get(b).copied()).collect()
+        };
+        let hashed = expect.iter().flatten().count() as u64;
+        let matches = |buf: &[u8], h: u64| PageData::from_bytes(buf).content_hash() == h;
+        let lba0 = self.sb.data_start();
+        // Bound the device borrow to the read itself: the repair arms
+        // below need to borrow the device again.
+        let span = read_span(self.dev.borrow_mut().as_mut(), lba0, run);
+        if span.is_ok_and(|bufs| {
+            bufs.iter()
+                .zip(&expect)
+                .all(|(buf, e)| e.is_none_or(|h| matches(buf, h)))
+        }) {
+            return hashed;
+        }
+        let mut buf = vec![0u8; BLOCK_SIZE];
+        for (&b, &expect) in run.iter().zip(&expect) {
+            let lba = lba0 + b;
+            let read = self.dev.borrow_mut().read(lba, &mut buf);
+            match (read, expect) {
+                (Ok(()), None) => {}
+                (Ok(()), Some(h)) => {
+                    if !matches(&buf, h) && !self.try_repair(lba, h) {
+                        bad.insert(b, "content hash mismatch".to_string());
+                    }
+                }
+                // A dead preferred copy may still have a healthy twin:
+                // repair before declaring the block lost.
+                (Err(e), expect) => {
+                    if expect.is_none_or(|h| !self.try_repair(lba, h)) {
+                        bad.insert(b, format!("unreadable: {e}"));
+                    }
+                }
+            }
+        }
+        hashed
     }
 
     /// Background resilver: rebuilds every `Rebuilding` mirror replica
@@ -2343,35 +2443,23 @@ impl ObjectStore {
         }
         // Metadata region: blocks 0..data_start, extent-sized batches.
         let meta_end = self.sb.data_start();
-        let mut runs: Vec<(u64, usize, bool)> = Vec::new(); // (lba, count, real bytes)
+        let mut copies: Vec<(u64, usize, bool)> = Vec::new(); // (lba, count, real bytes)
         let mut lba = 0u64;
         while lba < meta_end {
             let count = (meta_end - lba).min(EXTENT_BLOCKS as u64) as usize;
-            runs.push((lba, count, true));
+            copies.push((lba, count, true));
             lba += count as u64;
         }
         // Live data blocks, adjacent ids coalesced into extents.
         let data_start = self.sb.data_start();
         let materialized = self.config.materialize_data;
-        let mut pending: Option<(u64, usize)> = None;
-        for b in self.alloc.allocated() {
-            match pending {
-                Some((start, count))
-                    if b == start + count as u64 && count < EXTENT_BLOCKS =>
-                {
-                    pending = Some((start, count + 1));
-                }
-                Some((start, count)) => {
-                    runs.push((data_start + start, count, materialized));
-                    pending = Some((b, 1));
-                }
-                None => pending = Some((b, 1)),
+        let live: Vec<u64> = self.alloc.allocated().collect();
+        for (off, count) in runs(&live, 0, EXTENT_BLOCKS) {
+            if let Some(&start) = live.get(off) {
+                copies.push((data_start + start, count, materialized));
             }
         }
-        if let Some((start, count)) = pending {
-            runs.push((data_start + start, count, materialized));
-        }
-        for (lba, count, real) in runs {
+        for (lba, count, real) in copies {
             let dev = self.dev.get_mut();
             let m = dev.as_mirror_mut().ok_or_else(|| {
                 Error::internal("resilver target vanished mid-walk")
@@ -2413,17 +2501,19 @@ impl ObjectStore {
     }
 
     /// Full offline-quality audit: [`ObjectStore::fsck`] invariants plus
-    /// a restorability check of every committed checkpoint. Backs the
-    /// `sls scrub` CLI command and the crash campaign's per-iteration
-    /// invariant.
+    /// a restorability check of every committed checkpoint — one pass
+    /// over the union of their blocks, each problem reported under every
+    /// checkpoint it affects. Backs the `sls scrub` CLI command and the
+    /// crash campaign's per-iteration invariant.
     pub fn scrub(&self) -> Vec<String> {
         let mut problems = self.fsck();
         let ids: Vec<CkptId> = self.ckpts.keys().map(|&i| CkptId(i)).collect();
-        for id in ids {
-            for p in self.verify_checkpoint(id) {
-                problems.push(format!("ckpt {}: {p}", id.0));
-            }
-        }
+        problems.extend(
+            self.verify_checkpoints(&ids)
+                .0
+                .into_iter()
+                .map(|(id, p)| format!("ckpt {}: {p}", id.0)),
+        );
         problems.sort();
         problems.dedup();
         problems

@@ -751,3 +751,191 @@ fn drop_caches_requires_materialized_data() {
     let out = s.execute_read_plan(&plan).unwrap();
     assert_eq!(out.pages.len(), 1);
 }
+
+// ---------------------------------------------------------------------------
+// Read planner: extents that read through short holes.
+
+use aurora_objstore::store::runs;
+use aurora_objstore::EXTENT_BLOCKS;
+
+/// First-to-last span of every run `runs` cut from `blocks`.
+fn spans(blocks: &[u64], cut: &[(usize, usize)]) -> Vec<u64> {
+    cut.iter()
+        .map(|&(off, len)| blocks[off + len - 1] - blocks[off] + 1)
+        .collect()
+}
+
+#[test]
+fn runs_bridge_a_hole_up_to_the_gap_and_no_further() {
+    // A hole of exactly `gap` blocks is read through; one block more
+    // starts a new extent.
+    for gap in [1u64, 6, 20] {
+        let bridged = [100, 100 + gap + 1];
+        assert_eq!(runs(&bridged, gap, EXTENT_BLOCKS), vec![(0, 2)], "gap {gap}");
+        let split = [100, 100 + gap + 2];
+        assert_eq!(runs(&split, gap, EXTENT_BLOCKS), vec![(0, 1), (1, 1)], "gap {gap}");
+    }
+    assert!(runs(&[], 6, EXTENT_BLOCKS).is_empty());
+    assert_eq!(runs(&[9], 6, EXTENT_BLOCKS), vec![(0, 1)]);
+}
+
+#[test]
+fn runs_never_span_more_than_the_cap() {
+    // Every hole is bridgeable, so only the cap ends an extent.
+    let strided: Vec<u64> = (0..200).map(|i| i * 7).collect();
+    let cut = runs(&strided, 6, EXTENT_BLOCKS);
+    assert!(spans(&strided, &cut).iter().all(|&s| s <= EXTENT_BLOCKS as u64));
+    // 10 blocks span 64 (0..=63); the 11th would make it 71.
+    assert_eq!(cut.first(), Some(&(0, 10)));
+    assert_eq!(cut.iter().map(|&(_, len)| len).sum::<usize>(), strided.len());
+    // Dense ids: whole extents and a tail, as before.
+    let dense: Vec<u64> = (5..205).collect();
+    assert_eq!(
+        runs(&dense, 6, EXTENT_BLOCKS),
+        vec![(0, 64), (64, 64), (128, 64), (192, 8)]
+    );
+}
+
+#[test]
+fn runs_with_no_gap_are_runs_of_adjacent_ids() {
+    // The loop `runs` replaced in the write, read and resilver paths.
+    fn adjacent(blocks: &[u64]) -> Vec<(usize, usize)> {
+        let mut out = Vec::new();
+        let mut i = 0usize;
+        while let Some(&start) = blocks.get(i) {
+            let mut len = 1usize;
+            while len < EXTENT_BLOCKS && blocks.get(i + len).copied() == Some(start + len as u64) {
+                len += 1;
+            }
+            out.push((i, len));
+            i += len;
+        }
+        out
+    }
+    let mut rng = aurora_sim::rng::Xoshiro256::seed_from(16);
+    for density in [2u64, 3, 10] {
+        let blocks: Vec<u64> = (0..2000u64).filter(|_| rng.next_below(density) != 0).collect();
+        assert_eq!(runs(&blocks, 0, EXTENT_BLOCKS), adjacent(&blocks), "density {density}");
+    }
+}
+
+/// A store on `dev` holding one 40-page object in adjacent blocks, and
+/// the plan for every third page of it.
+fn strided_plan(
+    dev: ModelDev,
+    materialize: bool,
+) -> (ObjectStore, aurora_objstore::store::ReadPlan) {
+    let mut s = ObjectStore::format(
+        Box::new(dev),
+        StoreConfig {
+            journal_blocks: 1024,
+            materialize_data: materialize,
+            ..StoreConfig::default()
+        },
+    )
+    .unwrap();
+    s.create_object(ObjId(1), 64).unwrap();
+    for i in 0..40u64 {
+        s.write_page(ObjId(1), i, &PageData::Seeded(900 + i)).unwrap();
+    }
+    let (ck, _) = s.commit(Some("strided")).unwrap();
+    let targets: Vec<(ObjId, u64)> = (0..40).step_by(3).map(|i| (ObjId(1), i)).collect();
+    let plan = s.plan_reads_at(ck, &targets);
+    assert_eq!(plan.blocks.len(), 14);
+    assert!(
+        plan.blocks.windows(2).all(|w| w[1] - w[0] == 3),
+        "pages landed in adjacent blocks: {:?}",
+        plan.blocks
+    );
+    (s, plan)
+}
+
+#[test]
+fn bridged_extent_returns_and_caches_only_planned_blocks() {
+    for materialize in [true, false] {
+        let clock = SimClock::new();
+        let (mut s, plan) = strided_plan(ModelDev::nvme(clock, "nvme0", DEV_BLOCKS), materialize);
+        // Holes of two blocks are under the NVMe break-even of six.
+        assert_eq!(plan.extents, vec![(0, 14)]);
+        if materialize {
+            s.drop_caches().unwrap();
+        }
+        let before = s.device().stats().clone();
+        let out = s.execute_read_plan(&plan).unwrap();
+        let after = s.device().stats().clone();
+        assert_eq!(after.reads - before.reads, 1, "one request for the span");
+        assert_eq!(
+            after.bytes_read - before.bytes_read,
+            40 * aurora_vm::PAGE_SIZE as u64,
+            "13 × 3 + 1 blocks cross the bus"
+        );
+        assert_eq!(out.extents_read, 1);
+        assert_eq!(out.fetched, plan.blocks, "filler is not fetched");
+        let mut got: Vec<u64> = out.pages.keys().copied().collect();
+        got.sort_unstable();
+        assert_eq!(got, plan.blocks, "filler is not returned");
+        assert_eq!(s.read_cache_len(), 14, "filler is not cached");
+        assert_eq!(s.stats.read_blocks_coalesced, 14);
+        for (i, b) in plan.blocks.iter().enumerate() {
+            let want = PageData::Seeded(900 + 3 * i as u64);
+            assert!(out.pages.get(b).unwrap().content_eq(&want), "block {b}");
+        }
+    }
+}
+
+#[test]
+fn a_device_that_never_bridges_plans_one_extent_per_island() {
+    let clock = SimClock::new();
+    let (mut s, plan) = strided_plan(ModelDev::nvdimm(clock, "nvd0", DEV_BLOCKS), true);
+    let islands: Vec<(usize, usize)> = (0..14).map(|i| (i, 1)).collect();
+    assert_eq!(plan.extents, islands, "break-even 0: today's extents");
+    s.drop_caches().unwrap();
+    let before = s.device().stats().clone();
+    let out = s.execute_read_plan(&plan).unwrap();
+    let after = s.device().stats().clone();
+    assert_eq!(out.extents_read, 14);
+    assert_eq!(after.reads - before.reads, 14);
+    assert_eq!(
+        after.bytes_read - before.bytes_read,
+        14 * aurora_vm::PAGE_SIZE as u64
+    );
+}
+
+#[test]
+fn extent_batches_cut_bridged_plans_at_whole_extents() {
+    let (mut s, _clock) = materialized_store(true);
+    s.create_object(ObjId(1), 1024).unwrap();
+    for i in 0..600u64 {
+        s.write_page(ObjId(1), i, &PageData::Seeded(5000 + i)).unwrap();
+    }
+    let (ck, _) = s.commit(Some("wide")).unwrap();
+    // Every other page, and a hole too wide to bridge every 50 pages.
+    let targets: Vec<(ObjId, u64)> = (0..600)
+        .filter(|i| i % 2 == 0 && i % 50 >= 10)
+        .map(|i| (ObjId(1), i))
+        .collect();
+    let plan = s.plan_reads_at(ck, &targets);
+    assert!(spans(&plan.blocks, &plan.extents)
+        .iter()
+        .all(|&s| s <= EXTENT_BLOCKS as u64));
+    assert!(plan.extents.iter().any(|&(_, len)| len > 1), "holes were bridged");
+
+    let batches = plan.extent_batches(48);
+    let mut next = 0usize;
+    for b in &batches {
+        assert_eq!(b.start, next, "batches are consecutive");
+        assert!(b.end > b.start);
+        next = b.end;
+        let blocks: usize = plan.extents[b.clone()].iter().map(|&(_, len)| len).sum();
+        assert!(blocks <= 48 || b.len() == 1, "batch of {blocks} planned blocks");
+    }
+    assert_eq!(next, plan.extents.len(), "every extent is in a batch");
+
+    // Batch by batch reads what one call reads.
+    s.drop_caches().unwrap();
+    let mut fetched = Vec::new();
+    for b in batches {
+        fetched.extend(s.execute_read_plan_range(&plan, b).unwrap().fetched);
+    }
+    assert_eq!(fetched, plan.blocks);
+}

@@ -77,6 +77,10 @@ fn full_cli_lifecycle() {
     // checkpoint with a tag; restore by tag and by latest.
     let out = sls(&base, &["checkpoint", "counter", "--tag", "golden"]).unwrap();
     assert!(out.contains("tag golden"));
+    assert!(
+        out.contains("base verify ") && out.contains(" blocks), metadata "),
+        "checkpoint line names the pre-flush base check: {out}"
+    );
     let out = sls(&base, &["run", "counter", "--steps", "4"]).unwrap();
     assert!(out.contains("hello, world #12"));
     let out = sls(&base, &["restore", "counter"]).unwrap();

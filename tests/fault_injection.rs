@@ -611,8 +611,9 @@ const MPAGES: u64 = 96;
 
 /// Checkpoints a `MPAGES`-page workload while replica 0's platter
 /// silently corrupts every data-region write, so replica 0 holds damaged
-/// bytes at rest and replica 1 holds the truth. Returns (host, addr).
-fn boot_with_rotten_replica0() -> (Host, u64) {
+/// bytes at rest and replica 1 holds the truth. Returns (host, addr,
+/// pid, gid).
+fn boot_with_rotten_replica0() -> (Host, u64, aurora::posix::Pid, aurora::core::GroupId) {
     let mut host = boot_mirrored(2);
     let pid = host.kernel.spawn("app");
     let addr = host.kernel.mmap_anon(pid, MPAGES * 4096, false).unwrap();
@@ -633,7 +634,7 @@ fn boot_with_rotten_replica0() -> (Host, u64) {
     // Electronics healthy again — but the damage is already at rest.
     mirror(&host, |m| m.install_replica_fault_plan(0, FaultPlan::default())).unwrap();
     host.sls.primary.borrow_mut().drop_caches().unwrap();
-    (host, addr)
+    (host, addr, pid, gid)
 }
 
 /// Restores every page of the named baseline and checks its contents.
@@ -658,7 +659,7 @@ fn verify_baseline(host: &mut Host, addr: u64) {
 /// once-rotten replica alone can serve the whole store.
 #[test]
 fn at_rest_corruption_is_read_repaired_from_the_twin() {
-    let (mut host, addr) = boot_with_rotten_replica0();
+    let (mut host, addr, ..) = boot_with_rotten_replica0();
     verify_baseline(&mut host, addr);
 
     let repairs = host.sls.primary.borrow().stats.read_repairs;
@@ -681,7 +682,7 @@ fn at_rest_corruption_is_read_repaired_from_the_twin() {
 /// every damaged at-rest block from the twin instead of reporting it.
 #[test]
 fn scrub_heals_at_rest_corruption_via_the_mirror() {
-    let (mut host, addr) = boot_with_rotten_replica0();
+    let (mut host, addr, ..) = boot_with_rotten_replica0();
     let problems = host.sls.primary.borrow_mut().scrub();
     assert!(
         problems.is_empty(),
@@ -701,7 +702,7 @@ fn scrub_heals_at_rest_corruption_via_the_mirror() {
 /// reboot; only a completed resilver readmits it.
 #[test]
 fn power_cut_during_read_repair_rewrite_never_trusts_the_torn_copy() {
-    let (mut host, addr) = boot_with_rotten_replica0();
+    let (mut host, addr, ..) = boot_with_rotten_replica0();
     // Replica 0 dies at its first write — which is the first repair
     // rewrite, since restores issue no other writes.
     mirror(&host, |m| m.install_replica_fault_plan(0, FaultPlan::power_cut(1))).unwrap();
@@ -824,24 +825,58 @@ fn wide_page(p: u64) -> Vec<u8> {
     format!("wide-page-{p:04}").into_bytes()
 }
 
-/// Writes and checkpoints the wide image, then drops every cached page
-/// so a restore must read the device. Returns (addr, ckpt).
-fn commit_wide_image(host: &mut Host) -> (u64, CkptId) {
-    let pid = host.kernel.spawn("wide");
-    let addr = host.kernel.mmap_anon(pid, WIDE_PAGES * 4096, false).unwrap();
-    for p in 0..WIDE_PAGES {
-        host.kernel.mem_write(pid, addr + p * 4096, &wide_page(p)).unwrap();
-    }
-    let gid = host.persist("wide", pid).unwrap();
-    let bd = host.checkpoint(gid, true, Some("wide")).unwrap();
-    host.clock.advance_to(bd.durable_at);
-    host.sls.primary.borrow_mut().drop_caches().unwrap();
-    (addr, bd.ckpt.unwrap())
+/// The wide image, committed and cold.
+struct WideImage {
+    pid: aurora::posix::Pid,
+    gid: aurora::core::GroupId,
+    addr: u64,
+    ckpt: CkptId,
 }
 
-/// LBA of a block the eager restore of `ckpt` reads in the middle of an
-/// extent of its second batch.
-fn second_batch_lba(host: &Host, ckpt: CkptId) -> u64 {
+/// Writes and checkpoints the wide image, then drops every cached page
+/// so a restore must read the device.
+///
+/// The layout is holey on purpose. Every fourth page is first written
+/// with a throwaway body and rewritten whole for a second, incremental
+/// checkpoint; with a history window of 1 that collects the first
+/// checkpoint, so each run of three surviving blocks is followed by a
+/// freed one and the rewrites sit in a dense tail. The read planner
+/// bridges the one-block holes: most extents of this image carry filler.
+fn commit_wide_image(host: &mut Host) -> WideImage {
+    let pid = host.kernel.spawn("wide");
+    let addr = host.kernel.mmap_anon(pid, WIDE_PAGES * 4096, false).unwrap();
+    let rewritten = |p: u64| p % 4 == 3;
+    for p in 0..WIDE_PAGES {
+        let mut body = wide_page(p);
+        if rewritten(p) {
+            // Distinct, so it takes a block of its own to free later.
+            body.resize(4096, 0xEE);
+        }
+        host.kernel.mem_write(pid, addr + p * 4096, &body).unwrap();
+    }
+    let gid = host.persist("wide", pid).unwrap();
+    host.sls.group_mut(gid).unwrap().history_window = 1;
+    let bd = host.checkpoint(gid, true, Some("wide-base")).unwrap();
+    host.clock.advance_to(bd.durable_at);
+    for p in (0..WIDE_PAGES).filter(|&p| rewritten(p)) {
+        let mut body = wide_page(p);
+        body.resize(4096, 0);
+        host.kernel.mem_write(pid, addr + p * 4096, &body).unwrap();
+    }
+    let bd = host.checkpoint(gid, false, Some("wide")).unwrap();
+    assert_eq!(bd.outcome, CheckpointOutcome::Committed, "{:?}", bd.fault);
+    host.clock.advance_to(bd.durable_at);
+    host.sls.primary.borrow_mut().drop_caches().unwrap();
+    WideImage {
+        pid,
+        gid,
+        addr,
+        ckpt: bd.ckpt.unwrap(),
+    }
+}
+
+/// The eager restore's read plan for `ckpt`, and the LBA of data block 0.
+fn restore_plan(host: &Host, ckpt: CkptId) -> (aurora::objstore::store::ReadPlan, u64) {
     let store = host.sls.primary.borrow();
     let targets: Vec<_> = store
         .live_object_ids()
@@ -853,11 +888,39 @@ fn second_batch_lba(host: &Host, ckpt: CkptId) -> u64 {
                 .map(move |(idx, _)| (oid, idx))
         })
         .collect();
-    let plan = store.plan_reads_at(ckpt, &targets);
+    (store.plan_reads_at(ckpt, &targets), store.data_start())
+}
+
+/// LBAs of the blocks the eager restore of `ckpt` wants from the first
+/// extent of batch `batch` of its read plan — an extent that reads
+/// through holes.
+fn bridged_extent(host: &Host, ckpt: CkptId, batch: usize) -> Vec<u64> {
+    let (plan, data_start) = restore_plan(host, ckpt);
     let batches = plan.extent_batches(RESTORE_BATCH_BLOCKS);
     assert!(batches.len() >= 3, "the image spans {} batches", batches.len());
-    let (off, len) = plan.extents[batches[1].start];
-    store.data_start() + plan.blocks[off + len / 2]
+    let (off, len) = plan.extents[batches[batch].start];
+    let lbas: Vec<u64> = plan.blocks[off..off + len]
+        .iter()
+        .map(|b| data_start + b)
+        .collect();
+    assert!(
+        lbas[len - 1] - lbas[0] >= len as u64,
+        "the extent must carry filler: {lbas:?}"
+    );
+    lbas
+}
+
+/// LBA of a block the eager restore of `ckpt` wants from the middle of
+/// a bridged extent of its second batch.
+fn second_batch_lba(host: &Host, ckpt: CkptId) -> u64 {
+    let lbas = bridged_extent(host, ckpt, 1);
+    lbas[lbas.len() / 2]
+}
+
+/// LBA of the first hole `lbas` (one extent's wanted blocks) reads
+/// through: a block the device moves and nobody asked for.
+fn first_filler(lbas: &[u64]) -> u64 {
+    lbas.windows(2).find(|w| w[1] - w[0] > 1).unwrap()[0] + 1
 }
 
 /// Restores the wide image eagerly and checks every page.
@@ -910,7 +973,7 @@ fn store_fingerprint(host: &Host) -> (u64, [u64; 5]) {
 #[test]
 fn corrupt_block_in_a_later_restore_batch_aborts_without_damage() {
     let mut host = boot_materialized();
-    let (addr, ckpt) = commit_wide_image(&mut host);
+    let WideImage { addr, ckpt, .. } = commit_wide_image(&mut host);
     host.sls.restore_workers = 4;
     let victim = second_batch_lba(&host, ckpt);
     let before = store_fingerprint(&host);
@@ -923,10 +986,13 @@ fn corrupt_block_in_a_later_restore_batch_aborts_without_damage() {
     let store = host.sls.primary.clone();
     let err = host.restore(&store, ckpt, RestoreMode::Eager).unwrap_err();
     assert_eq!(err.kind(), ErrorKind::Corrupt, "{err}");
-    let admitted = store.borrow().read_cache_len() as u64;
-    assert!(
-        (RESTORE_BATCH_BLOCKS as u64..WIDE_PAGES).contains(&admitted),
-        "{admitted} blocks admitted: the first batch, and not the damaged extent"
+    let (plan, _) = restore_plan(&host, ckpt);
+    let first_batch = plan.extent_batches(RESTORE_BATCH_BLOCKS).remove(0);
+    let first_batch: usize = plan.extents[first_batch].iter().map(|&(_, len)| len).sum();
+    assert_eq!(
+        store.borrow().read_cache_len(),
+        first_batch,
+        "admitted: the first batch's wanted blocks, no filler, nothing of the damaged extent"
     );
 
     host.sls
@@ -950,7 +1016,7 @@ fn corrupt_block_in_a_later_restore_batch_is_healed_by_the_mirror() {
     // the restore will read in its second batch.
     let victim = {
         let mut twin = boot_mirrored(2);
-        let (_, ckpt) = commit_wide_image(&mut twin);
+        let ckpt = commit_wide_image(&mut twin).ckpt;
         second_batch_lba(&twin, ckpt)
     };
 
@@ -959,14 +1025,17 @@ fn corrupt_block_in_a_later_restore_batch_is_healed_by_the_mirror() {
         m.install_replica_fault_plan(0, FaultPlan::corrupt_blocks(victim, victim + 1, 100, 3))
     })
     .unwrap();
-    let (addr, ckpt) = commit_wide_image(&mut host);
+    let WideImage { addr, ckpt, .. } = commit_wide_image(&mut host);
     mirror(&host, |m| m.install_replica_fault_plan(0, FaultPlan::default())).unwrap();
     host.sls.restore_workers = 4;
     assert_eq!(second_batch_lba(&host, ckpt), victim);
 
+    // The base check of the image's second checkpoint already found the
+    // damage, but its rewrite went through the same rotten electronics.
+    let before = mirror(&host, |m| m.mirror_stats()).read_repairs;
     verify_wide_image(&mut host, addr, ckpt);
     assert_eq!(host.sls.primary.borrow().stats.read_repairs, 1);
-    assert_eq!(mirror(&host, |m| m.mirror_stats()).read_repairs, 1);
+    assert_eq!(mirror(&host, |m| m.mirror_stats()).read_repairs, before + 1);
 
     mirror(&host, |m| m.kill_replica(1)).unwrap();
     host.sls.primary.borrow_mut().drop_caches().unwrap();
@@ -975,4 +1044,197 @@ fn corrupt_block_in_a_later_restore_batch_is_healed_by_the_mirror() {
         "healed replica must scrub clean on its own"
     );
     verify_wide_image(&mut host, addr, ckpt);
+}
+
+// ---------------------------------------------------------------------------
+// Faults under extents that read through holes.
+
+/// Damaged media under a *filler* block: the device hands the flipped
+/// bit back inside a bridged extent, nobody asked for that block, and
+/// the restore neither fails nor takes a nanosecond longer than on a
+/// healthy twin.
+#[test]
+fn corrupt_filler_block_in_a_bridged_extent_goes_unnoticed() {
+    let restore = |fault: bool| {
+        let mut host = boot_materialized();
+        let WideImage { addr, ckpt, .. } = commit_wide_image(&mut host);
+        host.sls.restore_workers = 4;
+        if fault {
+            let filler = first_filler(&bridged_extent(&host, ckpt, 1));
+            host.sls
+                .primary
+                .borrow_mut()
+                .device_mut()
+                .install_fault_plan(FaultPlan::corrupt_read_blocks(filler, filler + 1, 100, 3));
+        }
+        let store = host.sls.primary.clone();
+        let r = host.restore(&store, ckpt, RestoreMode::Eager).unwrap();
+        let np = r.root_pid().unwrap();
+        for p in 0..WIDE_PAGES {
+            let want = wide_page(p);
+            let mut buf = vec![0u8; want.len()];
+            host.kernel.mem_read(np, addr + p * 4096, &mut buf).unwrap();
+            assert_eq!(buf, want, "page {p} damaged");
+        }
+        let st = store.borrow();
+        assert_eq!(st.read_cache_len() as u64, WIDE_PAGES, "wanted blocks only");
+        assert_eq!(st.stats.repair_path_entries.get(), 0);
+        assert_eq!(st.device().retry_stats().reads_retried, 0);
+        let bytes_read = st.device().stats().bytes_read;
+        (r.total, r.extents_read, bytes_read)
+    };
+    let (healthy, faulted) = (restore(false), restore(true));
+    assert_eq!(faulted, healthy, "(latency, extents, bytes) with and without the fault");
+    assert!(
+        healthy.2 > WIDE_PAGES * 4096,
+        "the restore moved filler: {} bytes for {WIDE_PAGES} pages",
+        healthy.2
+    );
+}
+
+/// Power dies while the device is moving a filler block of the first
+/// bridged extent: the restore fails with the device dead and nothing
+/// admitted, and the rebooted store is fsck- and scrub-clean and
+/// restores the image exactly.
+#[test]
+fn power_cut_inside_a_bridged_extent_kills_the_device_and_recovery_is_clean() {
+    let mut host = boot_materialized();
+    let WideImage { addr, ckpt, .. } = commit_wide_image(&mut host);
+    host.sls.restore_workers = 4;
+    let lbas = bridged_extent(&host, ckpt, 0);
+    // The page-in's first device read is this extent, block by block.
+    let ordinal = first_filler(&lbas) - lbas[0] + 1;
+    host.sls
+        .primary
+        .borrow_mut()
+        .device_mut()
+        .install_fault_plan(FaultPlan::power_cut_on_read(ordinal));
+
+    let store = host.sls.primary.clone();
+    let err = host.restore(&store, ckpt, RestoreMode::Eager).unwrap_err();
+    assert_eq!(err.kind(), ErrorKind::DeviceDead, "{err}");
+    assert!(!store.borrow().device().powered());
+    assert_eq!(store.borrow().read_cache_len(), 0, "nothing of a failed extent is kept");
+    drop(store);
+
+    host.sls
+        .primary
+        .borrow_mut()
+        .device_mut()
+        .install_fault_plan(FaultPlan::default());
+    let mut host = host.crash_and_reboot().unwrap();
+    assert!(host.sls.primary.borrow().fsck().is_empty());
+    assert!(host.sls.primary.borrow().scrub().is_empty());
+    host.sls.primary.borrow_mut().drop_caches().unwrap();
+    verify_wide_image(&mut host, addr, ckpt);
+}
+
+// ---------------------------------------------------------------------------
+// The incremental-base check reads extents too.
+
+/// Dirties one page of the wide image and takes an incremental
+/// checkpoint, whose pre-flush check reads the whole base.
+fn incremental_over_wide_image(host: &mut Host, img: &WideImage) -> aurora::core::CheckpointBreakdown {
+    host.kernel.mem_write(img.pid, img.addr, b"dirty").unwrap();
+    let bd = host.checkpoint(img.gid, false, None).unwrap();
+    host.clock.advance_to(bd.durable_at);
+    bd
+}
+
+/// The base check compares every wanted block and only those: damage
+/// under a filler block of a bridged extent leaves the incremental
+/// alone, damage under a wanted block of the same extent degrades it to
+/// a full checkpoint with `base_damaged` set.
+#[test]
+fn base_check_ignores_filler_damage_and_degrades_on_wanted_damage() {
+    let mut host = boot_materialized();
+    let img = commit_wide_image(&mut host);
+    let lbas = bridged_extent(&host, img.ckpt, 1);
+    let arm = |host: &mut Host, lba: u64| {
+        host.sls
+            .primary
+            .borrow_mut()
+            .device_mut()
+            .install_fault_plan(FaultPlan::corrupt_read_blocks(lba, lba + 1, 100, 3));
+    };
+
+    arm(&mut host, first_filler(&lbas));
+    let bd = incremental_over_wide_image(&mut host, &img);
+    assert_eq!(bd.outcome, CheckpointOutcome::Committed, "{:?}", bd.fault);
+    assert!(!bd.base_damaged && !bd.full);
+    assert!(bd.base_verify_blocks > WIDE_PAGES, "the check read through holes");
+    assert!(bd.base_verify > aurora::sim::time::SimDuration::ZERO);
+
+    arm(&mut host, lbas[lbas.len() / 2]);
+    let bd = incremental_over_wide_image(&mut host, &img);
+    assert_eq!(bd.outcome, CheckpointOutcome::DegradedToFull);
+    assert!(bd.base_damaged && bd.full);
+    let fault = bd.fault.unwrap_or_default();
+    assert!(
+        fault.contains("incremental base damaged") && fault.contains("content hash mismatch"),
+        "{fault}"
+    );
+}
+
+/// On a mirror the base check heals what it finds. A rotten copy on the
+/// preferred replica is rewritten from its twin, block by block, once
+/// the extent read shows a mismatch; a preferred replica that dies
+/// under the extent read is failed over. Neither damages the base.
+#[test]
+fn base_check_repairs_a_rotten_mirror_copy_and_fails_over_a_dead_one() {
+    let (mut host, addr, pid, gid) = boot_with_rotten_replica0();
+    host.kernel.mem_write(pid, addr, b"dirty").unwrap();
+    let bd = host.checkpoint(gid, false, None).unwrap();
+    assert_eq!(bd.outcome, CheckpointOutcome::Committed, "{:?}", bd.fault);
+    assert!(!bd.base_damaged);
+    let healed = mirror(&host, |m| m.mirror_stats()).read_repairs;
+    assert!(healed >= MPAGES, "every rotten block rewritten: {healed}");
+    host.clock.advance_to(bd.durable_at);
+
+    // Replica 0 dies at its next read — the base check's first extent.
+    mirror(&host, |m| m.install_replica_fault_plan(0, FaultPlan::power_cut_on_read(1))).unwrap();
+    host.kernel.mem_write(pid, addr, b"dirty again").unwrap();
+    let bd = host.checkpoint(gid, false, None).unwrap();
+    assert_eq!(bd.outcome, CheckpointOutcome::DegradedMirror, "{:?}", bd.fault);
+    assert!(!bd.base_damaged && !bd.full, "the twin served the whole base");
+    assert_eq!(mirror(&host, |m| m.replica_state(0)), Some(ReplicaState::Detached));
+    assert!(mirror(&host, |m| m.mirror_stats()).failovers >= 1);
+}
+
+/// A base of N pages over U < N unique blocks is checked with reads
+/// that cover U blocks: a dedup-shared block is compared once, not once
+/// per page that maps it.
+#[test]
+fn base_check_reads_each_shared_block_once() {
+    let mut host = boot_materialized();
+    let pid = host.kernel.spawn("dup");
+    let (pages, bodies) = (192u64, 8u64);
+    let addr = host.kernel.mmap_anon(pid, pages * 4096, false).unwrap();
+    for p in 0..pages {
+        let body = vec![0xA0 + (p % bodies) as u8; 4096];
+        host.kernel.mem_write(pid, addr + p * 4096, &body).unwrap();
+    }
+    let gid = host.persist("dup", pid).unwrap();
+    let bd = host.checkpoint(gid, true, None).unwrap();
+    host.clock.advance_to(bd.durable_at);
+    let unique = host.sls.primary.borrow().blocks_in_use();
+    assert!(unique < pages / 2, "{unique} blocks back {pages} pages");
+
+    host.kernel.mem_write(pid, addr, b"dirty").unwrap();
+    let before = host.sls.primary.borrow().device().stats().clone();
+    let bd = host.checkpoint(gid, false, None).unwrap();
+    let after = host.sls.primary.borrow().device().stats().clone();
+    assert_eq!(bd.outcome, CheckpointOutcome::Committed, "{:?}", bd.fault);
+    assert_eq!(bd.base_verify_blocks, unique, "U blocks, not N");
+    assert!(
+        bd.base_verify > aurora::sim::cost::hash_stage(unique, 1),
+        "reads plus one core hashing U blocks: {}",
+        bd.base_verify
+    );
+    assert_eq!(after.bytes_read - before.bytes_read, unique * 4096);
+    assert!(
+        after.reads - before.reads <= unique.div_ceil(64) + 1,
+        "{} requests for {unique} blocks",
+        after.reads - before.reads
+    );
 }
