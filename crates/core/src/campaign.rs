@@ -2181,17 +2181,23 @@ mod tests {
 
     #[test]
     fn power_cut_sweep_mid_batched_restore_leaves_store_intact() {
-        let report = run_restore_power_cut_sweep(SWEEP_PAGES, 1..=12, 4);
-        assert!(report.passed(), "violations: {:?}", report.violations);
-        assert_eq!(report.crashes, 12, "every iteration ends in a crash");
-        assert!(
-            report.aborted > 0,
-            "cuts must land inside the batched restore's reads"
-        );
-        assert_eq!(
-            report.restores_verified, 12,
-            "a read-side cut can never damage the baseline"
-        );
+        // One worker runs the same pipeline: same reads, same ordinals,
+        // so the same cuts land inside it.
+        let [one, four] = [1, 4].map(|workers| {
+            let report = run_restore_power_cut_sweep(SWEEP_PAGES, 1..=12, workers);
+            assert!(report.passed(), "violations: {:?}", report.violations);
+            assert_eq!(report.crashes, 12, "every iteration ends in a crash");
+            assert!(
+                report.aborted > 0,
+                "cuts must land inside the batched restore's reads"
+            );
+            assert_eq!(
+                report.restores_verified, 12,
+                "a read-side cut can never damage the baseline"
+            );
+            report.aborted
+        });
+        assert_eq!(one, four, "aborted restores at 1 worker vs 4");
     }
 
     #[test]

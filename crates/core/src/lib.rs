@@ -37,7 +37,6 @@
 pub mod api;
 pub mod campaign;
 pub mod checkpoint;
-pub mod debug;
 pub mod fleet;
 pub mod flush;
 pub mod group;
@@ -114,8 +113,8 @@ pub struct Sls {
     /// Worker threads for the parallel flush hash stage (see
     /// `crate::flush`). 1 selects the serial path.
     pub flush_workers: usize,
-    /// Worker threads for the batched restore pipeline's hash stage
-    /// (see `crate::restore`). 1 selects the serial per-page path.
+    /// Worker threads for the restore page-in pipeline's hash stage
+    /// (see `crate::restore`). 1 runs the same pipeline on one thread.
     pub restore_workers: usize,
     /// Replica count of the primary store's mirror (1 = unmirrored).
     /// Derived from the device at boot and carried across

@@ -312,14 +312,15 @@ pub struct RestoreBreakdown {
     pub total: SimDuration,
     /// Pages eagerly paged in (prefetch/eager modes).
     pub pages_prefetched: u64,
-    /// Sim time spent in the batched read stage (device extents plus
-    /// cache hits), summed over the batches; zero on the serial path.
+    /// Sim time spent in the page-in's read stage (device extents plus
+    /// cache hits), summed over the batches; zero when nothing was left
+    /// to fetch.
     pub read_stage: SimDuration,
     /// Sim time from the end of the last batch's read to the end of its
     /// verification: the hash work no later batch's read was left to
     /// hide (the restore-side twin of `CheckpointBreakdown::write_wait`).
     /// `read_stage`, `hash_stage` and the wiring that follows partition
-    /// the page-in's share of `memory_state`. Zero on the serial path.
+    /// the page-in's share of `memory_state`.
     pub hash_stage: SimDuration,
     /// Modeled cost of content-hashing `pages_hashed` pages on
     /// `restore_workers` workers, whether a read hid it or not.
@@ -327,7 +328,7 @@ pub struct RestoreBreakdown {
     /// Pages the batched pipeline fetched and verified (read-cache hits
     /// need neither).
     pub pages_hashed: u64,
-    /// Worker threads the batched pipeline ran with (0 = serial path).
+    /// Worker threads the page-in pipeline ran with.
     pub restore_workers: u64,
     /// Pages served by the store's read cache.
     pub cache_hits: u64,

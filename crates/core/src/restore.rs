@@ -232,9 +232,8 @@ impl Host {
             }
         }
 
-        // Eager/prefetch page-in. The target list is built in the same
-        // order the serial loop visits pages, so the batched pipeline
-        // below installs a byte-identical memory image.
+        // Eager/prefetch page-in: the targets in image order, handed to
+        // the streamed pipeline whatever their number.
         let mut targets: Vec<(VmoId, u64, u64)> = Vec::new();
         for rec in &vmo_recs {
             let v = *oid_vmo.get(&rec.oid).ok_or_else(|| {
@@ -252,20 +251,7 @@ impl Host {
             }
         }
         let workers = self.sls.restore_workers.max(1);
-        if workers == 1 || targets.len() < crate::flush::PARALLEL_THRESHOLD {
-            for &(v, oid, idx) in &targets {
-                breakdown.pages_prefetched += self.page_in_image(v, pager_id, oid, idx)?;
-            }
-        } else {
-            self.batched_page_in(
-                store,
-                ckpt,
-                pager_id,
-                &targets,
-                workers,
-                &mut breakdown,
-            )?;
-        }
+        self.batched_page_in(store, ckpt, pager_id, &targets, workers, &mut breakdown)?;
         breakdown.memory_state = sw.lap();
 
         // --- Phase 3: metadata state. ----------------------------------------
@@ -578,14 +564,16 @@ impl Host {
         Ok(breakdown)
     }
 
-    /// The batched page-in pipeline: resolves every target against the
-    /// checkpoint in one read plan, then streams it in batches of
-    /// [`RESTORE_BATCH_BLOCKS`] — the device reads batch *k+1*'s extents
-    /// (through the store's bounded read cache) while `workers` threads
-    /// content-hash what batch *k* fetched — and wires frames in the
-    /// same order the serial loop would, so the resulting memory image
-    /// is byte-identical for any worker count (the differential test in
-    /// `tests/parallel_restore_diff.rs` checks exactly this).
+    /// The page-in pipeline, restore's only eager path: resolves every
+    /// target against the checkpoint in one read plan, then streams it
+    /// in batches of [`RESTORE_BATCH_BLOCKS`] — the device reads batch
+    /// *k+1*'s extents (through the store's bounded read cache) while
+    /// `workers` threads content-hash what batch *k* fetched — and wires
+    /// frames in target order. One worker and a one-page plan are
+    /// ordinary inputs. The resulting memory image is what faulting the
+    /// same pages in one by one produces, for any worker count (the
+    /// differential test in `tests/parallel_restore_diff.rs` checks
+    /// exactly this against the lazy path).
     fn batched_page_in(
         &mut self,
         store: &StoreHandle,
@@ -695,7 +683,7 @@ impl Host {
         breakdown.hash_work += hash_work;
         breakdown.pages_hashed += pages_hashed;
 
-        // Pass 4: wire frames in serial target order. Delta-backed pages
+        // Pass 4: wire frames in target order. Delta-backed pages
         // fetched their chain's *base* block through the plan; the chain
         // replays over it here.
         for (i, &(v, oid, idx)) in fetch.iter().enumerate() {
@@ -764,56 +752,6 @@ impl Host {
         if let Some(pager) = self.sls.pager_cache.remove(&cache_key) {
             self.kernel.vm.unregister_pager(pager);
         }
-    }
-
-    /// Pages one image page into an object, counting it when resident
-    /// work actually happened.
-    fn page_in_image(
-        &mut self,
-        v: VmoId,
-        pager: aurora_vm::PagerId,
-        oid: u64,
-        idx: u64,
-    ) -> Result<u64> {
-        if self.kernel.vm.object(v).page(idx).is_some() {
-            return Ok(0);
-        }
-        // Shared image frame: wire it; otherwise fetch from the store.
-        if let Some(frame) = self
-            .kernel
-            .vm
-            .image_cache_get(pager, oid, idx)
-            .filter(|f| self.kernel.vm.frames.exists(*f))
-        {
-            self.kernel.vm.frames.ref_frame(frame);
-            self.kernel.vm.object_mut(v).insert_page(
-                idx,
-                ResidentPage {
-                    frame,
-                    write_epoch: 0,
-                    cow_protected: false,
-                    referenced: true,
-                    heat: 1,
-                },
-            );
-            self.clock
-                .charge(SimDuration::from_nanos(cost::RESTORE_PAGE_WIRE_NS));
-            return Ok(1);
-        }
-        let data = self.kernel.vm.pager_mut(pager).page_in(oid, idx)?;
-        let frame = self.kernel.vm.frames.alloc(data);
-        self.kernel.vm.image_cache_put(pager, oid, idx, frame);
-        self.kernel.vm.object_mut(v).insert_page(
-            idx,
-            ResidentPage {
-                frame,
-                write_epoch: 0,
-                cow_protected: false,
-                referenced: true,
-                heat: 1,
-            },
-        );
-        Ok(1)
     }
 
     /// Rolls a live persistence group back to a checkpoint

@@ -1,30 +1,31 @@
-//! Differential test for the batched restore pipeline.
+//! Differential test for the restore page-in pipeline.
 //!
-//! For random workloads, restoring a checkpoint through the batched
-//! read pipeline (extent-coalesced reads + parallel hash stage) at 2
-//! and 8 workers must produce *exactly* the memory image the serial
-//! per-page loop (1 worker) does, for every restore mode — and once all
-//! pages are touched, eager, lazy and lazy-prefetch restores must
-//! converge on identical bytes. Worker count, extent batching and the
-//! read cache are pure performance knobs — any divergence here is a
-//! correctness bug.
+//! Every eager page-in — any worker count, any plan size — runs the one
+//! streamed pipeline (read plan, extent-coalesced reads, hash stage).
+//! For random workloads, restoring a checkpoint at 1, 2 and 8 workers
+//! must agree on *everything*: the memory image, `pages_prefetched` and
+//! the store's whole `StoreStats`, in every restore mode. The reference
+//! image is the lazy one, built fault by fault through the store's
+//! per-page read path, which shares no planning, batching or wiring
+//! code with the pipeline: once all pages are touched, eager and
+//! lazy-prefetch restores must hold exactly its bytes. Worker count,
+//! extent batching and the read cache are pure performance knobs — any
+//! divergence here is a correctness bug.
 
 // Test code asserts invariants; the workspace unwrap/expect denial is
 // for production flush paths.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
-use std::collections::BTreeMap;
-
 use aurora_core::restore::RestoreMode;
 use aurora_core::Host;
 use aurora_hw::ModelDev;
-use aurora_objstore::StoreConfig;
+use aurora_objstore::{StoreConfig, StoreStats};
 use aurora_sim::SimClock;
 use proptest::prelude::*;
 
 const DEV_BLOCKS: u64 = 64 * 1024;
 
-/// Pages in the workload's mapped region. Above the batched pipeline's
-/// threshold so eager restores exercise the parallel path.
+/// Pages in the workload's mapped region: enough that the hash stage
+/// really shards an eager restore over its workers.
 const REGION_PAGES: u64 = 96;
 
 /// One workload entry: (page index, content seed). Low seed cardinality
@@ -35,14 +36,19 @@ fn write_strategy() -> impl Strategy<Value = Write> {
     (0u64..REGION_PAGES, 0u64..8)
 }
 
-/// Builds the deterministic world for `writes`, checkpoints it, crashes
-/// the machine, and restores with `mode` at `workers`. Returns
-/// (restored memory digest, pages_prefetched).
+/// What one restore left behind: (restored memory digest,
+/// pages_prefetched, the rebooted store's counters right after the
+/// restore, before the digest's faults add theirs).
+type Restored = (u64, u64, StoreStats);
+
+/// Builds the deterministic world — the base pattern on the region's
+/// first `based` pages, then `writes` — checkpoints it, crashes the
+/// machine, and restores with `mode` at `workers`.
 ///
 /// Every variant rebuilds the world from scratch: the workload is
 /// deterministic, so the checkpoint images are identical and the
 /// restored memory may be compared across variants byte for byte.
-fn run_variant(writes: &[Write], mode: RestoreMode, workers: usize) -> (u64, u64) {
+fn run_variant(based: u64, writes: &[Write], mode: RestoreMode, workers: usize) -> Restored {
     let clock = SimClock::new();
     let dev = Box::new(ModelDev::nvme(clock, "nvme0", DEV_BLOCKS));
     let mut host = Host::boot(
@@ -59,8 +65,8 @@ fn run_variant(writes: &[Write], mode: RestoreMode, workers: usize) -> (u64, u64
         .kernel
         .mmap_anon(pid, REGION_PAGES * 4096, false)
         .unwrap();
-    // Deterministic base pattern on every page, then the random writes.
-    for i in 0..REGION_PAGES {
+    // Deterministic base pattern, then the random writes.
+    for i in 0..based {
         let base = [(i % 251) as u8; 32];
         host.kernel.mem_write(pid, addr + i * 4096, &base).unwrap();
     }
@@ -81,9 +87,24 @@ fn run_variant(writes: &[Write], mode: RestoreMode, workers: usize) -> (u64, u64
     host.sls.restore_workers = workers;
     let store = host.sls.primary.clone();
     let r = host.restore(&store, ckpt, mode).unwrap();
+    let stats = store.borrow().stats.clone();
     let new_pid = r.restored_pid(pid.0).unwrap();
 
-    (memory_digest(&mut host, new_pid, addr, REGION_PAGES), r.pages_prefetched)
+    (memory_digest(&mut host, new_pid, addr, REGION_PAGES), r.pages_prefetched, stats)
+}
+
+/// Restores with `mode` at 1, 2 and 8 workers and returns what they
+/// agreed on.
+fn agreed(mode: RestoreMode, run: impl Fn(RestoreMode, usize) -> Restored) -> Restored {
+    let one = run(mode, 1);
+    for workers in [2usize, 8] {
+        assert_eq!(
+            format!("{:?}", run(mode, workers)),
+            format!("{one:?}"),
+            "{workers} workers vs 1 in {mode:?}: (digest, pages_prefetched, StoreStats)"
+        );
+    }
+    one
 }
 
 /// Touches every page of the region (lazy modes fault the remainder in)
@@ -104,32 +125,39 @@ fn memory_digest(host: &mut Host, pid: aurora_posix::Pid, addr: u64, pages: u64)
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// The batched pipeline at 2 and 8 workers matches the serial
-    /// 1-worker path exactly (digest and prefetch count) for every
-    /// mode, and all modes converge on the same final bytes.
+    /// The pipeline at 1, 2 and 8 workers agrees exactly (digest,
+    /// prefetch count, store counters) in every mode, and every mode
+    /// converges on the bytes the lazy path faulted in one by one.
     #[test]
     fn parallel_restore_matches_serial(
         writes in proptest::collection::vec(write_strategy(), 1..80)
     ) {
-        let mut digests = Vec::new();
-        for mode in [RestoreMode::Eager, RestoreMode::Lazy, RestoreMode::LazyPrefetch] {
-            let reference = run_variant(&writes, mode, 1);
-            let mut results = BTreeMap::new();
-            for workers in [2usize, 8] {
-                results.insert(workers, run_variant(&writes, mode, workers));
-            }
-            for (workers, got) in results {
-                prop_assert_eq!(
-                    got, reference,
-                    "divergence at {} workers in {:?}: (digest, pages_prefetched)",
-                    workers, mode
-                );
-            }
-            digests.push(reference.0);
-        }
-        // Once touched, every mode holds the same bytes.
-        prop_assert_eq!(digests[0], digests[1], "eager vs lazy");
-        prop_assert_eq!(digests[0], digests[2], "eager vs lazy-prefetch");
+        let run = |mode, workers| run_variant(REGION_PAGES, &writes, mode, workers);
+        let (lazy, faulted_eagerly, _) = agreed(RestoreMode::Lazy, run);
+        prop_assert_eq!(faulted_eagerly, 0, "the reference pages nothing in up front");
+        let (eager, ..) = agreed(RestoreMode::Eager, run);
+        prop_assert_eq!(eager, lazy, "eager vs the fault-by-fault image");
+        // The recorded hot set is at most 32 pages an object: a plan far
+        // below a hash shard, streamed like any other.
+        let (prefetch, hot, _) = agreed(RestoreMode::LazyPrefetch, run);
+        prop_assert!((1..64).contains(&hot), "hot set of {} pages", hot);
+        prop_assert_eq!(prefetch, lazy, "lazy-prefetch vs the fault-by-fault image");
+    }
+}
+
+/// Plans of 1 and 63 targets — a single page, and one short of what the
+/// hash stage shards — go through the same pipeline at any worker
+/// count: extents are planned, the counters agree, and the image is the
+/// lazy path's.
+#[test]
+fn tiny_plans_take_the_pipeline_too() {
+    for pages in [1u64, 63] {
+        let run = |mode, workers| run_variant(pages, &[], mode, workers);
+        let (lazy, ..) = agreed(RestoreMode::Lazy, run);
+        let (eager, prefetched, stats) = agreed(RestoreMode::Eager, run);
+        assert_eq!(prefetched, pages, "one target per written page");
+        assert_eq!(eager, lazy, "{pages}-page plan vs the fault-by-fault image");
+        assert_eq!(stats.read_blocks_coalesced, pages, "the planner read the whole plan");
     }
 }
 
@@ -156,9 +184,7 @@ fn wide_body(i: u64) -> Option<[u8; 4096]> {
 /// Builds the wide image — a full checkpoint, then two incremental
 /// rounds of 16-byte pokes that leave delta chains of length 1 and 2 —
 /// reboots, and restores the last checkpoint with `mode` at `workers`.
-/// Returns ((memory digest, pages_prefetched), the store's read counters
-/// right after the restore).
-fn run_wide(mode: RestoreMode, workers: usize) -> ((u64, u64), [u64; 4]) {
+fn run_wide(mode: RestoreMode, workers: usize) -> Restored {
     let clock = SimClock::new();
     let dev = Box::new(ModelDev::nvme(clock, "nvme0", DEV_BLOCKS));
     let mut host = Host::boot(
@@ -197,42 +223,27 @@ fn run_wide(mode: RestoreMode, workers: usize) -> ((u64, u64), [u64; 4]) {
     host.sls.restore_workers = workers;
     let store = host.sls.primary.clone();
     let r = host.restore(&store, ckpt, mode).unwrap();
-    let counters = {
-        let st = store.borrow();
-        [
-            st.stats.read_extents_coalesced,
-            st.stats.read_blocks_coalesced,
-            st.stats.read_cache_hits,
-            st.stats.read_cache_misses,
-        ]
-    };
-    if mode == RestoreMode::Eager && workers > 1 {
+    let stats = store.borrow().stats.clone();
+    if mode == RestoreMode::Eager {
         let batch = aurora_core::restore::RESTORE_BATCH_BLOCKS as u64;
         assert!(r.pages_hashed >= 2 * batch + batch / 4, "{} blocks", r.pages_hashed);
     }
     let new_pid = r.restored_pid(pid.0).unwrap();
     let digest = memory_digest(&mut host, new_pid, addr, WIDE_PAGES);
-    ((digest, r.pages_prefetched), counters)
+    (digest, r.pages_prefetched, stats)
 }
 
 /// The streamed page-in over several batches — dedup twins fanned out
 /// across batches, holes, delta chains replayed over batched bases —
-/// installs the serial loop's memory image in every mode, and reads the
-/// same extents at any worker count.
+/// installs the image the lazy path faults in page by page, in every
+/// mode, and reads the same extents at any worker count.
 #[test]
 fn streamed_restore_matches_serial_loop() {
-    let mut digests = Vec::new();
-    for mode in [RestoreMode::Eager, RestoreMode::Lazy, RestoreMode::LazyPrefetch] {
-        let (reference, _) = run_wide(mode, 1);
-        let (two, two_reads) = run_wide(mode, 2);
-        let (eight, eight_reads) = run_wide(mode, 8);
-        assert_eq!(two, reference, "2 workers vs serial loop in {mode:?}");
-        assert_eq!(eight, reference, "8 workers vs serial loop in {mode:?}");
-        assert_eq!(two_reads, eight_reads, "read counters in {mode:?}");
-        digests.push(reference.0);
+    let (lazy, ..) = agreed(RestoreMode::Lazy, run_wide);
+    for mode in [RestoreMode::Eager, RestoreMode::LazyPrefetch] {
+        let (digest, ..) = agreed(mode, run_wide);
+        assert_eq!(digest, lazy, "{mode:?} vs the fault-by-fault image");
     }
-    assert_eq!(digests[0], digests[1], "eager vs lazy");
-    assert_eq!(digests[0], digests[2], "eager vs lazy-prefetch");
 }
 
 /// Pages of the holey image.
@@ -252,10 +263,10 @@ fn holey_body(i: u64, round: u8) -> [u8; 4096] {
 /// pages whole while the history window of 1 collects the checkpoint
 /// before, so the survivors sit between freed blocks and the rewrites
 /// land wherever the allocator found room — reboots, and restores the
-/// last checkpoint eagerly at `workers`. Returns the image, the
-/// rebooted store's counters after the restore, and how many of the
-/// plan's extents read through a hole.
-fn run_holey(workers: usize) -> ((u64, u64), aurora_objstore::store::StoreStats, usize) {
+/// last checkpoint with `mode` at `workers`. Returns what the restore
+/// left behind and how many extents of the eager plan read through a
+/// hole.
+fn run_holey(mode: RestoreMode, workers: usize) -> (Restored, usize) {
     let clock = SimClock::new();
     let dev = Box::new(ModelDev::nvme(clock, "nvme0", DEV_BLOCKS));
     let mut host = Host::boot(
@@ -310,35 +321,31 @@ fn run_holey(workers: usize) -> ((u64, u64), aurora_objstore::store::StoreStats,
             .filter(|&&(off, len)| plan.blocks[off + len - 1] - plan.blocks[off] >= len as u64)
             .count()
     };
-    let r = host.restore(&store, ckpt, RestoreMode::Eager).unwrap();
+    let r = host.restore(&store, ckpt, mode).unwrap();
     let stats = store.borrow().stats.clone();
     let new_pid = r.restored_pid(pid.0).unwrap();
     let digest = memory_digest(&mut host, new_pid, addr, HOLEY_PAGES);
-    ((digest, r.pages_prefetched), stats, bridged)
+    ((digest, r.pages_prefetched, stats), bridged)
 }
 
 /// On a layout full of holes the planner reads through, the restored
-/// image is the serial loop's at any worker count, and the batched
+/// image is the one the lazy path faults in block by block, and the
 /// pipeline leaves the store's counters — extents, planned blocks,
-/// cache traffic — the same at 2 and 8 workers.
+/// cache traffic — the same at 1, 2 and 8 workers.
 #[test]
 fn holey_layout_restores_identically_at_any_worker_count() {
-    let (reference, serial_stats, bridged) = run_holey(1);
+    let (_, bridged) = run_holey(RestoreMode::Eager, 1);
     assert!(bridged > 0, "the layout must make the planner bridge holes");
-    let (two, two_stats, _) = run_holey(2);
-    let (eight, eight_stats, _) = run_holey(8);
-    assert_eq!(two, reference, "2 workers vs serial loop");
-    assert_eq!(eight, reference, "8 workers vs serial loop");
-    assert_eq!(format!("{two_stats:?}"), format!("{eight_stats:?}"));
+    let (digest, _, stats) = agreed(RestoreMode::Eager, |mode, w| run_holey(mode, w).0);
+    let ((lazy, ..), _) = run_holey(RestoreMode::Lazy, 1);
+    assert_eq!(digest, lazy, "eager vs the fault-by-fault image");
     assert!(
-        two_stats.read_blocks_coalesced >= HOLEY_PAGES
-            && two_stats.read_extents_coalesced * 2 < two_stats.read_blocks_coalesced,
+        stats.read_blocks_coalesced >= HOLEY_PAGES
+            && stats.read_extents_coalesced * 2 < stats.read_blocks_coalesced,
         "{} extents for {} planned blocks",
-        two_stats.read_extents_coalesced,
-        two_stats.read_blocks_coalesced
+        stats.read_extents_coalesced,
+        stats.read_blocks_coalesced
     );
-    // One worker takes the per-page loop, which plans no extents.
-    assert_eq!(serial_stats.read_extents_coalesced, 0);
 }
 
 /// The batched path actually engages: an eager 4-worker restore of a

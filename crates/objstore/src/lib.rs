@@ -40,6 +40,7 @@ pub mod checkpoint;
 pub mod deltalog;
 pub mod journal;
 pub mod layout;
+pub mod read;
 pub mod store;
 pub mod stream;
 pub mod txn;

@@ -1,0 +1,875 @@
+//! The read side of the object store: the one checked reader of page
+//! bytes, the cache policies over it, the batched read planner and the
+//! restorability audits.
+//!
+//! Exactly one function here moves page data off the medium:
+//! `ObjectStore::read_checked`. It owns the whole policy for bytes
+//! leaving the platter — one vectored request over the run, every
+//! wanted block compared with its recorded content hash, one re-read
+//! for transient electronics, then a per-block heal from a mirror twin
+//! (the single `BlockDev::repair_block` call site) — and hands back a
+//! verdict per block. Everything else is a *cache policy* over it:
+//!
+//! * a lazy fault (`fetch_block`) serves the page-table copy, else
+//!   reads a one-block run and admits it;
+//! * the planner (`read_extent`) probes the bounded read cache, reads
+//!   the extent on any miss and admits what it fetched;
+//! * the audits (`verify_extent`) bypass the cache — a clean cached
+//!   copy says nothing about the medium — and collect the verdicts.
+//!
+//! A check is only enforceable when one function is licensed to do the
+//! I/O (the argument `txn.rs` makes for writes). In particular no read
+//! may replace a recorded hash with the hash of what it just read: the
+//! recorded hash is the only witness against the medium, and a reader
+//! that believes its own read turns one flipped bit into a store that
+//! fails its own scrub for good.
+
+use std::collections::{BTreeMap, HashMap};
+use std::ops::Range;
+
+use aurora_hw::{BlockDev, BLOCK_SIZE};
+use aurora_sim::cost::RESTORE_CACHE_HIT_NS;
+use aurora_sim::error::{Error, Result};
+use aurora_sim::time::SimDuration;
+use aurora_vm::PageData;
+
+use crate::checkpoint::{self, CkptId, PageRef};
+use crate::deltalog::Lsn;
+use crate::store::{ObjectStore, PageCache, EXTENT_BLOCKS};
+use crate::{BlockPtr, ObjId};
+
+/// Cuts ascending, unique block ids into extents: `(offset, len)` runs
+/// into `blocks`. A run keeps growing while the next block lies at most
+/// `gap` unwanted blocks past the previous one and the span from the
+/// run's first block to that one stays within `cap`. `gap == 0` yields
+/// runs of strictly adjacent ids — what writes and resilver need, since
+/// neither may touch a block outside its set; the read planner passes
+/// the device's [`BlockDev::read_gap_blocks`].
+pub fn runs(blocks: &[u64], gap: u64, cap: usize) -> Vec<(usize, usize)> {
+    let mut out = Vec::new();
+    let mut it = blocks.iter().copied().enumerate();
+    let Some((mut off, mut first)) = it.next() else {
+        return out;
+    };
+    let mut prev = first;
+    for (at, b) in it {
+        let bridged = b - prev - 1 <= gap && b - first < cap as u64;
+        if !bridged {
+            out.push((off, at - off));
+            (off, first) = (at, b);
+        }
+        prev = b;
+    }
+    out.push((off, blocks.len() - off));
+    out
+}
+
+/// Reads `run` — ascending blocks of one extent, `lba0` the data
+/// region's first LBA — with a single vectored request over the span
+/// from its first block to its last, and returns the wanted blocks'
+/// bytes aligned with `run`. The filler between them is dropped here,
+/// unseen by any caller: it has no recorded hash to be checked against
+/// and no referent to serve.
+fn read_span(dev: &mut dyn BlockDev, lba0: u64, run: &[u64]) -> Result<Vec<Vec<u8>>> {
+    let (Some(&first), Some(&last)) = (run.first(), run.last()) else {
+        return Ok(Vec::new());
+    };
+    let mut span = vec![vec![0u8; BLOCK_SIZE]; (last - first + 1) as usize];
+    dev.read_blocks(lba0 + first, &mut span)?;
+    run.iter()
+        .map(|&b| {
+            span.get_mut((b - first) as usize)
+                .map(std::mem::take)
+                .ok_or_else(|| Error::internal(format!("extent block {b} outside its span")))
+        })
+        .collect()
+}
+
+/// The bounded LRU read cache with a content-hash index.
+///
+/// This models the DRAM the paged-in working set occupies: a probe for a
+/// recently read block — or, through the content index, for a block whose
+/// *bytes* are already resident under a different block id — is an index
+/// lookup plus a frame adoption, not a device access. Page contents stay
+/// in the unbounded authoritative table ([`PageCache::data`]); the bound
+/// governs what the cost model treats as resident, never what the
+/// simulation can recall.
+///
+/// Eviction order is a deterministic LRU: a monotonic stamp counter
+/// replaces wall-clock recency, so runs are reproducible byte-for-byte.
+pub(crate) struct ReadCache {
+    /// Capacity in pages; 0 disables the cache.
+    capacity: usize,
+    /// block -> LRU stamp (higher = touched more recently).
+    stamps: HashMap<u64, u64>,
+    /// stamp -> block: oldest-first iteration drives eviction.
+    by_stamp: BTreeMap<u64, u64>,
+    /// block -> content hash of the resident bytes.
+    hashes: HashMap<u64, u64>,
+    /// content hash -> resident blocks holding those bytes.
+    by_hash: HashMap<u64, Vec<u64>>,
+    next_stamp: u64,
+    /// Lifetime evictions (capacity pressure, not explicit removal).
+    evictions: u64,
+}
+
+impl ReadCache {
+    pub(crate) fn new(capacity: usize) -> Self {
+        ReadCache {
+            capacity,
+            stamps: HashMap::new(),
+            by_stamp: BTreeMap::new(),
+            hashes: HashMap::new(),
+            by_hash: HashMap::new(),
+            next_stamp: 0,
+            evictions: 0,
+        }
+    }
+
+    /// Refreshes a resident block's LRU position.
+    fn touch(&mut self, block: u64) {
+        if let Some(stamp) = self.stamps.get(&block).copied() {
+            self.by_stamp.remove(&stamp);
+            self.next_stamp += 1;
+            self.stamps.insert(block, self.next_stamp);
+            self.by_stamp.insert(self.next_stamp, block);
+        }
+    }
+
+    /// Whether `block` is resident; refreshes its LRU position if so.
+    fn probe(&mut self, block: u64) -> bool {
+        if self.stamps.contains_key(&block) {
+            self.touch(block);
+            true
+        } else {
+            false
+        }
+    }
+
+    /// Admits `block` (with its content hash when known), evicting the
+    /// least recently used entries past capacity.
+    fn admit(&mut self, block: u64, hash: Option<u64>) {
+        if self.capacity == 0 {
+            return;
+        }
+        if self.stamps.contains_key(&block) {
+            self.touch(block);
+        } else {
+            self.next_stamp += 1;
+            self.stamps.insert(block, self.next_stamp);
+            self.by_stamp.insert(self.next_stamp, block);
+        }
+        if let Some(h) = hash {
+            self.set_hash(block, h);
+        }
+        self.evict_overflow();
+    }
+
+    /// Records or updates the content hash of a resident block.
+    fn set_hash(&mut self, block: u64, h: u64) {
+        if !self.stamps.contains_key(&block) {
+            return;
+        }
+        if self.hashes.get(&block) == Some(&h) {
+            return;
+        }
+        self.drop_hash(block);
+        self.hashes.insert(block, h);
+        self.by_hash.entry(h).or_default().push(block);
+    }
+
+    /// A resident block holding bytes with content hash `h`, if any.
+    fn resident_with_hash(&self, h: u64) -> Option<u64> {
+        self.by_hash.get(&h).and_then(|l| l.first()).copied()
+    }
+
+    /// Unlinks a block from the content index.
+    fn drop_hash(&mut self, block: u64) {
+        if let Some(h) = self.hashes.remove(&block) {
+            if let Some(list) = self.by_hash.get_mut(&h) {
+                list.retain(|&b| b != block);
+                if list.is_empty() {
+                    self.by_hash.remove(&h);
+                }
+            }
+        }
+    }
+
+    /// Removes a block entirely (freed block, stale entry).
+    pub(crate) fn forget(&mut self, block: u64) {
+        if let Some(stamp) = self.stamps.remove(&block) {
+            self.by_stamp.remove(&stamp);
+        }
+        self.drop_hash(block);
+    }
+
+    fn evict_overflow(&mut self) {
+        while self.stamps.len() > self.capacity {
+            let Some((&stamp, &block)) = self.by_stamp.iter().next() else {
+                break;
+            };
+            self.by_stamp.remove(&stamp);
+            self.stamps.remove(&block);
+            self.drop_hash(block);
+            self.evictions += 1;
+        }
+    }
+
+    /// Drops every entry; the eviction counter is cumulative and stays.
+    fn clear(&mut self) {
+        self.stamps.clear();
+        self.by_stamp.clear();
+        self.hashes.clear();
+        self.by_hash.clear();
+    }
+
+    fn set_capacity(&mut self, capacity: usize) {
+        self.capacity = capacity;
+        if capacity == 0 {
+            self.clear();
+        } else {
+            self.evict_overflow();
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.stamps.len()
+    }
+}
+
+/// One probe against the read cache, resolved under a single lock hold.
+enum ReadProbe {
+    /// The block itself is resident; its contents ride along.
+    Hit(PageData),
+    /// A different resident block holds identical bytes.
+    ContentHit(PageData),
+    /// Device read required.
+    Miss,
+}
+
+impl PageCache {
+    /// Probes the read cache for `block`: identity hit, content hit, or
+    /// miss. Hits hand back the resident bytes; a content hit also
+    /// adopts them under the probed block id so later probes hit
+    /// directly.
+    fn probe_read(&mut self, block: u64) -> ReadProbe {
+        if self.read.probe(block) {
+            if let Some(page) = self.data.get(&block).cloned() {
+                return ReadProbe::Hit(page);
+            }
+            // Contents vanished without eviction bookkeeping (e.g. a
+            // rollback rebuilt the table): drop the stale entry.
+            self.read.forget(block);
+        }
+        if let Some(&h) = self.block_hash.get(&block) {
+            if let Some(twin) = self.read.resident_with_hash(h) {
+                if let Some(page) = self.data.get(&twin).cloned() {
+                    // Guard against hash collisions when the probed
+                    // block's own bytes are recallable.
+                    let collision = self
+                        .data
+                        .get(&block)
+                        .is_some_and(|own| !own.content_eq(&page));
+                    if !collision {
+                        self.data.insert(block, page.clone());
+                        self.read.admit(block, Some(h));
+                        return ReadProbe::ContentHit(page);
+                    }
+                }
+            }
+        }
+        ReadProbe::Miss
+    }
+}
+
+/// A batched read plan: per-target block resolutions plus an extent
+/// schedule over the unique blocks. Built by
+/// [`ObjectStore::plan_reads_at`], executed by
+/// [`ObjectStore::execute_read_plan`].
+#[derive(Debug, Clone, Default)]
+pub struct ReadPlan {
+    /// Per-target resolved block, aligned with the target slice handed
+    /// to the planner; `None` is a hole (the page restores as zeros).
+    /// A target under a redo chain resolves to its chain's *base*
+    /// block — the batched device read fetches bases, and the entry in
+    /// [`ReadPlan::chains`] says which chain to replay on top.
+    pub resolved: Vec<Option<BlockPtr>>,
+    /// Per-target delta-chain head, aligned with `resolved`; `None`
+    /// means the resolved block is the page's full image.
+    pub chains: Vec<Option<Lsn>>,
+    /// Unique referenced blocks, ascending. Dedup-shared blocks appear
+    /// once no matter how many targets they serve — they are read once
+    /// and fanned out.
+    pub blocks: Vec<u64>,
+    /// Extent schedule: `(offset, len)` runs into `blocks`, each read
+    /// with one request spanning its first block to its last — at most
+    /// [`EXTENT_BLOCKS`], holes no longer than the device's
+    /// [`BlockDev::read_gap_blocks`] read through and discarded.
+    pub extents: Vec<(usize, usize)>,
+}
+
+impl ReadPlan {
+    /// Cuts the extent schedule into consecutive batches of whole
+    /// extents, each carrying at most `max_blocks` blocks: index ranges
+    /// into [`ReadPlan::extents`] for
+    /// [`ObjectStore::execute_read_plan_range`].
+    pub fn extent_batches(&self, max_blocks: usize) -> Vec<Range<usize>> {
+        let mut batches = Vec::new();
+        let (mut first, mut blocks) = (0usize, 0usize);
+        for (at, &(_, len)) in self.extents.iter().enumerate() {
+            if at > first && blocks + len > max_blocks {
+                batches.push(first..at);
+                (first, blocks) = (at, 0);
+            }
+            blocks += len;
+        }
+        if first < self.extents.len() {
+            batches.push(first..self.extents.len());
+        }
+        batches
+    }
+}
+
+/// What executing a [`ReadPlan`] produced.
+#[derive(Debug, Default)]
+pub struct ReadOutcome {
+    /// Contents for every planned block.
+    pub pages: HashMap<u64, PageData>,
+    /// Blocks whose contents came off the device (or the timing-mode
+    /// page table) rather than the read cache — the ones the restore
+    /// pipeline still owes a content-hash pass.
+    pub fetched: Vec<u64>,
+    /// Aligned with `fetched`: the block's content hash where the read
+    /// already computed it to check the bytes against the recorded one
+    /// (materialized stores), `None` where the hash pass still has to.
+    pub fetched_hashes: Vec<Option<u64>>,
+    /// Probes served by the bounded read cache (identity or content).
+    pub cache_hits: u64,
+    /// Probes that charged device time.
+    pub cache_misses: u64,
+    /// The subset of hits served through the content index.
+    pub content_hits: u64,
+    /// Vectored extent reads issued.
+    pub extents_read: u64,
+}
+
+/// One wanted block as the checked reader found it: its page and the
+/// recorded content hash the bytes were compared with (`None` for a
+/// block with no hash on record, which nothing can vouch for), or
+/// `None` when the bytes still differ from the recorded hash after the
+/// re-read and the heal.
+type Verdict = Option<(PageData, Option<u64>)>;
+
+impl ObjectStore {
+    /// The one reader of page bytes on a materialized store. Reads
+    /// `run` — ascending blocks of one extent — with a single vectored
+    /// request and compares every block that has a recorded content
+    /// hash with it. Damaged bytes get exactly one re-read: transient
+    /// electronics clear, damaged media re-reads identically, and then
+    /// each block still damaged gets its chance at a mirror twin. A
+    /// block that passed keeps its first verdict, so every block is
+    /// decoded and hashed once per read.
+    ///
+    /// `Err` means a request itself failed (dead device, retries
+    /// exhausted); damage is a `None` verdict for that block alone.
+    /// Nothing is cached, recorded or indexed here: what a verdict is
+    /// worth is the calling policy's decision.
+    fn read_checked(&self, run: &[u64]) -> Result<Vec<Verdict>> {
+        let recorded: Vec<Option<u64>> = {
+            let cache = self.cache.lock();
+            run.iter().map(|b| cache.block_hash.get(b).copied()).collect()
+        };
+        let lba0 = self.sb.data_start();
+        let mut verdicts: Vec<Verdict> = vec![None; run.len()];
+        for _ in 0..2 {
+            let bufs = read_span(self.dev.borrow_mut().as_mut(), lba0, run)?;
+            for ((verdict, buf), &want) in verdicts.iter_mut().zip(&bufs).zip(&recorded) {
+                if verdict.is_none() {
+                    let page = PageData::from_bytes(buf);
+                    if want.is_none_or(|h| page.content_hash() == h) {
+                        *verdict = Some((page, want));
+                    }
+                }
+            }
+            if verdicts.iter().all(Option::is_some) {
+                return Ok(verdicts);
+            }
+        }
+        for ((verdict, &b), &want) in verdicts.iter_mut().zip(run).zip(&recorded) {
+            if let (None, Some(h)) = (&verdict, want) {
+                *verdict = self
+                    .heal_block(lba0 + b, h)?
+                    .map(|golden| (PageData::from_bytes(&golden), want));
+            }
+        }
+        Ok(verdicts)
+    }
+
+    /// Read-repair: asks the device layer to heal `lba` from redundancy,
+    /// accepting only a copy whose content hash is `expect`, and returns
+    /// the verified bytes that now back the block (a device without
+    /// redundancy heals nothing and returns `None`).
+    fn heal_block(&self, lba: u64, expect: u64) -> Result<Option<Vec<u8>>> {
+        let stats = &self.stats;
+        stats.repair_path_entries.set(stats.repair_path_entries.get() + 1);
+        let golden = self
+            .dev
+            .borrow_mut()
+            .repair_block(lba, &mut |bytes: &[u8]| {
+                PageData::from_bytes(bytes).content_hash() == expect
+            })?;
+        if golden.is_some() {
+            stats.read_repairs.set(stats.read_repairs.get() + 1);
+        }
+        Ok(golden)
+    }
+
+    /// The lazy-fault policy: serves the page-table copy when there is
+    /// one (charging the block's transfer), else reads the block off the
+    /// medium as a one-block run and admits it. A block with a recorded
+    /// hash is served only if its bytes match it, and the record is left
+    /// alone; a block with none (a store reopened from the medium) is
+    /// recorded and indexed on this first read, as its write would have.
+    pub(crate) fn fetch_block(&self, ptr: BlockPtr) -> Result<PageData> {
+        let resident = {
+            let mut cache = self.cache.lock();
+            let page = cache.data.get(&ptr.0).cloned();
+            if page.is_some() {
+                let hash = cache.block_hash.get(&ptr.0).copied();
+                cache.read.admit(ptr.0, hash);
+            }
+            page
+        };
+        if let Some(page) = resident {
+            self.dev.borrow_mut().charge_read_timing(BLOCK_SIZE as u64)?;
+            return Ok(page);
+        }
+        if !self.config.materialize_data {
+            return Err(Error::corrupt(format!(
+                "block {} has no recoverable contents",
+                ptr.0
+            )));
+        }
+        let Some((page, recorded)) = self.read_checked(&[ptr.0])?.pop().flatten() else {
+            return Err(Error::corrupt(format!(
+                "block {}: content hash mismatch on read",
+                ptr.0
+            )));
+        };
+        let mut cache = self.cache.lock();
+        let hash = match recorded {
+            Some(h) => {
+                cache.data.insert(ptr.0, page.clone());
+                Some(h)
+            }
+            None => {
+                let h = self.config.dedup.then(|| page.content_hash());
+                cache.install(ptr, &page, h);
+                h
+            }
+        };
+        cache.read.admit(ptr.0, hash);
+        Ok(page)
+    }
+
+    /// Resolves a set of `(object, page)` targets as of a checkpoint
+    /// into a batched read plan: per-target block pointers, the unique
+    /// block set (dedup-shared blocks once), and that set cut into
+    /// extents by [`runs`] at the device's read break-even.
+    pub fn plan_reads_at(&self, ckpt: CkptId, targets: &[(ObjId, u64)]) -> ReadPlan {
+        let mut resolved = Vec::with_capacity(targets.len());
+        let mut chains = Vec::with_capacity(targets.len());
+        let mut uniq = std::collections::BTreeSet::new();
+        for &(oid, idx) in targets {
+            // A chained page plans a read of its *base* block — chain
+            // replay happens after the batched fetch, and twin bases
+            // are still read once and fanned out.
+            let (ptr, head) = match checkpoint::resolve_ref(&self.ckpts, ckpt, oid, idx) {
+                Some(PageRef::Full(p)) => (Some(p), None),
+                Some(PageRef::Delta(lsn)) => (
+                    self.delta.get(lsn).map(|rec| rec.base),
+                    Some(lsn),
+                ),
+                None => (None, None),
+            };
+            if let Some(p) = ptr {
+                uniq.insert(p.0);
+            }
+            resolved.push(ptr);
+            chains.push(head);
+        }
+        let blocks: Vec<u64> = uniq.into_iter().collect();
+        let extents = runs(&blocks, self.dev.borrow().read_gap_blocks(), EXTENT_BLOCKS);
+        ReadPlan {
+            resolved,
+            chains,
+            blocks,
+            extents,
+        }
+    }
+
+    /// Executes a read plan: probes the bounded read cache per block,
+    /// issues one vectored device read per extent that missed, and
+    /// returns contents for every planned block.
+    ///
+    /// Charging: an all-hit extent costs [`RESTORE_CACHE_HIT_NS`] per
+    /// block (index probe + frame adoption); an extent with any miss
+    /// charges one vectored read — a single access latency amortized
+    /// over the run. Materialized reads come through the checked reader
+    /// (compare, one re-read, heal from a twin); a block it cannot vouch
+    /// for aborts the plan with `ErrorKind::Corrupt`, leaving the store
+    /// intact.
+    pub fn execute_read_plan(&mut self, plan: &ReadPlan) -> Result<ReadOutcome> {
+        self.execute_read_plan_range(plan, 0..plan.extents.len())
+    }
+
+    /// Executes the extents `extents` (a range into
+    /// [`ReadPlan::extents`], e.g. one of [`ReadPlan::extent_batches`])
+    /// of a read plan and returns the contents of their blocks. Probes,
+    /// charging and verification are per extent, so executing a plan
+    /// range by range costs and reads exactly what one
+    /// [`ObjectStore::execute_read_plan`] call does.
+    pub fn execute_read_plan_range(
+        &mut self,
+        plan: &ReadPlan,
+        extents: Range<usize>,
+    ) -> Result<ReadOutcome> {
+        let Some(extents) = plan.extents.get(extents) else {
+            return Err(Error::invalid("read plan extent range out of bounds"));
+        };
+        let mut out = ReadOutcome::default();
+        for &(off, len) in extents {
+            let Some(run) = plan.blocks.get(off..off + len) else {
+                return Err(Error::invalid("read plan extent out of range"));
+            };
+            self.read_extent(run, &mut out)?;
+        }
+        self.stats.read_cache_hits += out.cache_hits;
+        self.stats.read_cache_misses += out.cache_misses;
+        self.stats.read_cache_content_hits += out.content_hits;
+        Ok(out)
+    }
+
+    /// The planner's policy for one extent of a plan — `run`, its wanted
+    /// blocks ascending: probe the bounded read cache, read the extent
+    /// on any miss, admit what was fetched. Only `run`'s blocks are
+    /// probed, checked, admitted and returned; a hole the planner
+    /// bridged costs its transfer time and nothing else.
+    fn read_extent(&mut self, run: &[u64], out: &mut ReadOutcome) -> Result<()> {
+        let (Some(&start), Some(&last)) = (run.first(), run.last()) else {
+            return Ok(());
+        };
+        let mut missed = false;
+        {
+            let mut cache = self.cache.lock();
+            for &b in run {
+                match cache.probe_read(b) {
+                    ReadProbe::Hit(page) => {
+                        out.cache_hits += 1;
+                        out.pages.insert(b, page);
+                    }
+                    ReadProbe::ContentHit(page) => {
+                        out.cache_hits += 1;
+                        out.content_hits += 1;
+                        out.pages.insert(b, page);
+                    }
+                    ReadProbe::Miss => {
+                        out.cache_misses += 1;
+                        missed = true;
+                    }
+                }
+            }
+        }
+        if !missed {
+            let dur = SimDuration::from_nanos(RESTORE_CACHE_HIT_NS * run.len() as u64);
+            self.dev.borrow().clock().charge(dur);
+            return Ok(());
+        }
+        // Any miss reads the whole span: the vectored request covers the
+        // extent either way, and hits in it ride along for free.
+        out.extents_read += 1;
+        self.stats.read_extents_coalesced += 1;
+        self.stats.read_blocks_coalesced += run.len() as u64;
+        if self.config.materialize_data {
+            // All or nothing: one damaged block the reader could not
+            // heal aborts the plan with `Corrupt` before anything of its
+            // extent is admitted, leaving the committed store untouched.
+            let Some(checked) = self.read_checked(run)?.into_iter().collect::<Option<Vec<_>>>()
+            else {
+                return Err(Error::corrupt(format!(
+                    "extent at block {start}: content hash mismatch on read"
+                )));
+            };
+            let mut cache = self.cache.lock();
+            for (&b, (page, hash)) in run.iter().zip(checked) {
+                if out.pages.contains_key(&b) {
+                    continue; // probe already served it
+                }
+                cache.data.insert(b, page.clone());
+                cache.read.admit(b, hash);
+                out.fetched.push(b);
+                out.fetched_hashes.push(hash);
+                out.pages.insert(b, page);
+            }
+        } else {
+            {
+                let mut cache = self.cache.lock();
+                for &b in run {
+                    if out.pages.contains_key(&b) {
+                        continue;
+                    }
+                    let Some(page) = cache.data.get(&b).cloned() else {
+                        return Err(Error::corrupt(format!(
+                            "block {b} has no recoverable contents"
+                        )));
+                    };
+                    let hash = cache.block_hash.get(&b).copied();
+                    cache.read.admit(b, hash);
+                    out.fetched.push(b);
+                    out.fetched_hashes.push(None);
+                    out.pages.insert(b, page);
+                }
+            }
+            self.dev
+                .get_mut()
+                .charge_read_timing((last - start + 1) * BLOCK_SIZE as u64)?;
+        }
+        Ok(())
+    }
+
+    /// Records content hashes computed by the restore pipeline's
+    /// parallel hash stage for blocks a read plan fetched: they feed
+    /// the read cache's content index (and, for stores without a
+    /// write-time hash record, the per-block reverse index the
+    /// corruption check and content probes rely on).
+    pub fn note_read_hashes(&mut self, pairs: &[(u64, u64)]) {
+        let cache = self.cache.get_mut();
+        for &(block, h) in pairs {
+            cache.block_hash.entry(block).or_insert(h);
+            cache.read.set_hash(block, h);
+        }
+    }
+
+    /// Sets the bounded read cache's capacity in pages (0 disables it),
+    /// evicting down if needed.
+    pub fn set_read_cache_capacity(&mut self, pages: usize) {
+        self.config.read_cache_pages = pages;
+        self.cache.get_mut().read.set_capacity(pages);
+    }
+
+    /// The bounded read cache's capacity in pages.
+    pub fn read_cache_capacity(&self) -> usize {
+        self.config.read_cache_pages
+    }
+
+    /// Current read-cache occupancy in pages.
+    pub fn read_cache_len(&self) -> usize {
+        self.cache.lock().read.len()
+    }
+
+    /// Lifetime read-cache evictions (capacity pressure).
+    pub fn read_cache_evictions(&self) -> u64 {
+        self.cache.lock().read.evictions
+    }
+
+    /// Drops the read cache alone — the cold-start state for a
+    /// measurement run. Contents and indices are untouched.
+    pub fn clear_read_cache(&mut self) {
+        self.cache.get_mut().read.clear();
+    }
+
+    /// Drops every cached page body and the read cache, forcing
+    /// subsequent reads back to the medium — the state after an image
+    /// lands on a machine that has never run it. Only materialized
+    /// stores can re-read contents; for timing-only stores the page
+    /// table *is* the medium, so dropping it would destroy data.
+    ///
+    /// Recorded content hashes and the dedup index survive: the hashes
+    /// are the read path's corruption check, and the index entries go
+    /// inert until their blocks are re-read.
+    pub fn drop_caches(&mut self) -> Result<()> {
+        if !self.config.materialize_data {
+            return Err(Error::unsupported(
+                "drop_caches requires materialized data; the page table is the only copy",
+            ));
+        }
+        let cache = self.cache.get_mut();
+        cache.data.clear();
+        cache.read.clear();
+        Ok(())
+    }
+
+    /// Verifies that one committed checkpoint is fully restorable:
+    ///
+    /// * its parent chain resolves;
+    /// * every block its effective object maps reference has recoverable
+    ///   contents (in the page table, or readable from the medium with a
+    ///   matching content hash when data is materialized).
+    ///
+    /// Returns the violations (empty = restorable) and the number of
+    /// blocks whose platter copy was hashed for the comparison (zero on
+    /// timing-only stores): the device charges the reads itself, the
+    /// caller owns the clock the hashing is charged to. The checkpoint
+    /// pipeline runs this on the incremental base and degrades to a full
+    /// checkpoint when the base is damaged.
+    pub fn verify_checkpoint(&self, ckpt: CkptId) -> (Vec<String>, u64) {
+        let (problems, hashed) = self.verify_checkpoints(&[ckpt]);
+        (problems.into_iter().map(|(_, p)| p).collect(), hashed)
+    }
+
+    /// [`ObjectStore::verify_checkpoint`] over several checkpoints at
+    /// once, each violation tagged with the checkpoint it belongs to. A
+    /// block is read and compared once however many pages and
+    /// checkpoints share it; its verdict is reported under every one of
+    /// them. The second value counts the blocks hashed.
+    fn verify_checkpoints(&self, ids: &[CkptId]) -> (Vec<(CkptId, String)>, u64) {
+        let mut problems = Vec::new();
+        if !self.config.materialize_data {
+            // The page table is the only copy, so the walk is the whole
+            // check: one lock hold, nothing collected.
+            let table = self.cache.lock();
+            for &ckpt in ids {
+                let mut lost = Vec::new();
+                let walk = self.walk_base_blocks(ckpt, &mut |oid, idx, block| {
+                    if !table.data.contains_key(&block) {
+                        lost.push(format!(
+                            "object {} page {idx}: block {block} unrecoverable",
+                            oid.0
+                        ));
+                    }
+                });
+                problems.extend(walk.into_iter().chain(lost).map(|p| (ckpt, p)));
+            }
+            return (problems, 0);
+        }
+        // Materialized stores check the platter copy even when a clean
+        // copy is cached in memory: a write-time corruption would
+        // otherwise hide until the cache is dropped.
+        let mut blocks = std::collections::BTreeSet::new();
+        for &ckpt in ids {
+            let walk = self.walk_base_blocks(ckpt, &mut |_, _, block| {
+                blocks.insert(block);
+            });
+            problems.extend(walk.into_iter().map(|p| (ckpt, p)));
+        }
+        let blocks: Vec<u64> = blocks.into_iter().collect();
+        let gap = self.dev.borrow().read_gap_blocks();
+        let mut bad: BTreeMap<u64, String> = BTreeMap::new();
+        let mut hashed = 0u64;
+        for (off, len) in runs(&blocks, gap, EXTENT_BLOCKS) {
+            if let Some(run) = blocks.get(off..off + len) {
+                hashed += self.verify_extent(run, &mut bad);
+            }
+        }
+        if !bad.is_empty() {
+            // Name every page that restores from a bad block.
+            for &ckpt in ids {
+                self.walk_base_blocks(ckpt, &mut |oid, idx, block| {
+                    if let Some(what) = bad.get(&block) {
+                        problems.push((
+                            ckpt,
+                            format!("object {} page {idx}: block {block} {what}", oid.0),
+                        ));
+                    }
+                });
+            }
+        }
+        (problems, hashed)
+    }
+
+    /// Walks what restoring `ckpt` depends on: `visit(object, page, block)`
+    /// for the block under every page of its effective object maps — a
+    /// delta-backed page's chain base, since the chain replays over it.
+    /// Returns what is wrong with the walk itself: a parent chain that
+    /// does not resolve (nothing is visited then) or a delta chain with
+    /// records missing.
+    fn walk_base_blocks(
+        &self,
+        ckpt: CkptId,
+        visit: &mut dyn FnMut(ObjId, u64, u64),
+    ) -> Vec<String> {
+        let mut problems = Vec::new();
+        let mut cur = Some(ckpt);
+        while let Some(c) = cur {
+            match self.ckpts.get(&c.0) {
+                Some(ck) => cur = ck.parent,
+                None => {
+                    problems.push(format!("checkpoint {} missing from the table", c.0));
+                    return problems;
+                }
+            }
+        }
+        let objects = match self.objects_at(ckpt) {
+            Ok(o) => o,
+            Err(e) => {
+                problems.push(format!("object walk failed: {e}"));
+                return problems;
+            }
+        };
+        for oid in objects {
+            for (idx, page_ref) in checkpoint::effective_refs(&self.ckpts, ckpt, oid) {
+                match page_ref {
+                    PageRef::Full(ptr) => visit(oid, idx, ptr.0),
+                    PageRef::Delta(lsn) => match self.delta.chain(lsn).and_then(|chain| {
+                        chain.first().map(|r| r.base).ok_or_else(|| {
+                            Error::corrupt(format!("delta chain at lsn {lsn} is empty"))
+                        })
+                    }) {
+                        Ok(base) => visit(oid, idx, base.0),
+                        Err(e) => problems.push(format!(
+                            "object {} page {idx}: delta chain at lsn {lsn} broken: {e}",
+                            oid.0
+                        )),
+                    },
+                }
+            }
+        }
+        problems
+    }
+
+    /// The audits' policy: compares the platter copies of `run` (one
+    /// extent, ascending) with their recorded content hashes past the
+    /// read cache — a clean cached copy says nothing about the medium —
+    /// adds the blocks the reader could not vouch for to `bad`, each
+    /// with what is wrong with it, and returns how many blocks were
+    /// hashed. Nothing is admitted. Only when the request itself fails
+    /// does the run go block by block, so one unreadable block does not
+    /// condemn its neighbours.
+    fn verify_extent(&self, run: &[u64], bad: &mut BTreeMap<u64, String>) -> u64 {
+        match self.read_checked(run) {
+            Ok(verdicts) => {
+                let damaged = run.iter().zip(&verdicts).filter(|(_, v)| v.is_none());
+                bad.extend(damaged.map(|(&b, _)| (b, "content hash mismatch".to_string())));
+                // Every block but those with no hash on record was hashed.
+                verdicts.iter().filter(|v| !matches!(v, Some((_, None)))).count() as u64
+            }
+            Err(_) if run.len() > 1 => run
+                .iter()
+                .map(|b| self.verify_extent(std::slice::from_ref(b), bad))
+                .sum(),
+            Err(e) => {
+                bad.extend(run.iter().map(|&b| (b, format!("unreadable: {e}"))));
+                0
+            }
+        }
+    }
+
+    /// Full offline-quality audit: [`ObjectStore::fsck`] invariants plus
+    /// a restorability check of every committed checkpoint — one pass
+    /// over the union of their blocks, each problem reported under every
+    /// checkpoint it affects. Backs the `sls scrub` CLI command and the
+    /// crash campaign's per-iteration invariant.
+    pub fn scrub(&self) -> Vec<String> {
+        let mut problems = self.fsck();
+        let ids: Vec<CkptId> = self.ckpts.keys().map(|&i| CkptId(i)).collect();
+        problems.extend(
+            self.verify_checkpoints(&ids)
+                .0
+                .into_iter()
+                .map(|(id, p)| format!("ckpt {}: {p}", id.0)),
+        );
+        problems.sort();
+        problems.dedup();
+        problems
+    }
+}

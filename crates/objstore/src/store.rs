@@ -10,13 +10,11 @@
 
 use std::cell::{Cell, Ref, RefCell};
 use std::collections::{BTreeMap, HashMap, HashSet};
-use std::ops::Range;
 
 use aurora_hw::{BlockDev, BLOCK_SIZE};
-use aurora_sim::cost::RESTORE_CACHE_HIT_NS;
 use aurora_sim::error::{Error, Result};
 use aurora_sim::lockdep::{OrderedMutex, RANK_PAGE_CACHE};
-use aurora_sim::time::{SimDuration, SimTime};
+use aurora_sim::time::SimTime;
 use aurora_vm::PageData;
 
 use crate::alloc::BlockAlloc;
@@ -24,6 +22,8 @@ use crate::checkpoint::{self, Checkpoint, CkptId, PageRef};
 use crate::deltalog::{DeltaLog, DeltaRecord, Lsn};
 use crate::journal::{self, JournalRecord};
 use crate::layout::{Superblock, JOURNAL_START};
+use crate::read::ReadCache;
+pub use crate::read::{runs, ReadOutcome, ReadPlan};
 use crate::{BlockPtr, ObjId};
 
 /// Store configuration.
@@ -103,8 +103,10 @@ pub struct StoreStats {
     /// were already resident under a different block id.
     pub read_cache_content_hits: u64,
     /// Blocks healed by read-repair: a copy failed content-hash
-    /// verification and was rewritten from a good mirror twin.
-    pub read_repairs: u64,
+    /// verification and was rewritten from a good mirror twin —
+    /// whichever read found it (lazy fault, batched plan, base check or
+    /// scrub). A `Cell` because the checked reader runs under `&self`.
+    pub read_repairs: Cell<u64>,
     /// Commit-protocol phase transitions: `DirtyTxn → JournalSealed`
     /// (journal records submitted).
     pub journal_seals: u64,
@@ -123,9 +125,7 @@ pub struct StoreStats {
     pub chains_compacted: u64,
     /// Longest redo chain ever committed (high-water mark).
     pub chain_len_max: u64,
-    /// Entries into the device-redundancy repair path (read-repair and
-    /// scrub healing). A `Cell` because scrub-path repair runs under
-    /// `&self`.
+    /// Entries into the device-redundancy repair path, healed or not.
     pub repair_path_entries: Cell<u64>,
 }
 
@@ -235,53 +235,6 @@ pub const DEDUP_SHARDS: usize = 16;
 /// the span of an extent, first block to last.
 pub const EXTENT_BLOCKS: usize = 64;
 
-/// Cuts ascending, unique block ids into extents: `(offset, len)` runs
-/// into `blocks`. A run keeps growing while the next block lies at most
-/// `gap` unwanted blocks past the previous one and the span from the
-/// run's first block to that one stays within `cap`. `gap == 0` yields
-/// runs of strictly adjacent ids — what writes and resilver need, since
-/// neither may touch a block outside its set; the read planner passes
-/// the device's [`BlockDev::read_gap_blocks`].
-pub fn runs(blocks: &[u64], gap: u64, cap: usize) -> Vec<(usize, usize)> {
-    let mut out = Vec::new();
-    let mut it = blocks.iter().copied().enumerate();
-    let Some((mut off, mut first)) = it.next() else {
-        return out;
-    };
-    let mut prev = first;
-    for (at, b) in it {
-        let bridged = b - prev - 1 <= gap && b - first < cap as u64;
-        if !bridged {
-            out.push((off, at - off));
-            (off, first) = (at, b);
-        }
-        prev = b;
-    }
-    out.push((off, blocks.len() - off));
-    out
-}
-
-/// Reads `run` — ascending blocks of one extent, `lba0` the data
-/// region's first LBA — with a single vectored request over the span
-/// from its first block to its last, and returns the wanted blocks'
-/// bytes aligned with `run`. The filler between them is dropped here,
-/// unseen by any caller: it has no recorded hash to be checked against
-/// and no referent to serve.
-fn read_span(dev: &mut dyn BlockDev, lba0: u64, run: &[u64]) -> Result<Vec<Vec<u8>>> {
-    let (Some(&first), Some(&last)) = (run.first(), run.last()) else {
-        return Ok(Vec::new());
-    };
-    let mut span = vec![vec![0u8; BLOCK_SIZE]; (last - first + 1) as usize];
-    dev.read_blocks(lba0 + first, &mut span)?;
-    run.iter()
-        .map(|&b| {
-            span.get_mut((b - first) as usize)
-                .map(std::mem::take)
-                .ok_or_else(|| Error::internal(format!("extent block {b} outside its span")))
-        })
-        .collect()
-}
-
 /// The content-hash dedup index, partitioned into fixed shards by hash.
 ///
 /// Sharding mirrors the parallel hash stage's partitioning of a flush
@@ -338,181 +291,20 @@ impl DedupIndex {
     }
 }
 
-/// The bounded LRU read cache with a content-hash index.
-///
-/// This models the DRAM the paged-in working set occupies: a probe for a
-/// recently read block — or, through the content index, for a block whose
-/// *bytes* are already resident under a different block id — is an index
-/// lookup plus a frame adoption, not a device access. Page contents stay
-/// in the unbounded authoritative table ([`PageCache::data`]); the bound
-/// governs what the cost model treats as resident, never what the
-/// simulation can recall.
-///
-/// Eviction order is a deterministic LRU: a monotonic stamp counter
-/// replaces wall-clock recency, so runs are reproducible byte-for-byte.
-struct ReadCache {
-    /// Capacity in pages; 0 disables the cache.
-    capacity: usize,
-    /// block -> LRU stamp (higher = touched more recently).
-    stamps: HashMap<u64, u64>,
-    /// stamp -> block: oldest-first iteration drives eviction.
-    by_stamp: BTreeMap<u64, u64>,
-    /// block -> content hash of the resident bytes.
-    hashes: HashMap<u64, u64>,
-    /// content hash -> resident blocks holding those bytes.
-    by_hash: HashMap<u64, Vec<u64>>,
-    next_stamp: u64,
-    /// Lifetime evictions (capacity pressure, not explicit removal).
-    evictions: u64,
-}
-
-impl ReadCache {
-    fn new(capacity: usize) -> Self {
-        ReadCache {
-            capacity,
-            stamps: HashMap::new(),
-            by_stamp: BTreeMap::new(),
-            hashes: HashMap::new(),
-            by_hash: HashMap::new(),
-            next_stamp: 0,
-            evictions: 0,
-        }
-    }
-
-    /// Refreshes a resident block's LRU position.
-    fn touch(&mut self, block: u64) {
-        if let Some(stamp) = self.stamps.get(&block).copied() {
-            self.by_stamp.remove(&stamp);
-            self.next_stamp += 1;
-            self.stamps.insert(block, self.next_stamp);
-            self.by_stamp.insert(self.next_stamp, block);
-        }
-    }
-
-    /// Whether `block` is resident; refreshes its LRU position if so.
-    fn probe(&mut self, block: u64) -> bool {
-        if self.stamps.contains_key(&block) {
-            self.touch(block);
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Admits `block` (with its content hash when known), evicting the
-    /// least recently used entries past capacity.
-    fn admit(&mut self, block: u64, hash: Option<u64>) {
-        if self.capacity == 0 {
-            return;
-        }
-        if self.stamps.contains_key(&block) {
-            self.touch(block);
-        } else {
-            self.next_stamp += 1;
-            self.stamps.insert(block, self.next_stamp);
-            self.by_stamp.insert(self.next_stamp, block);
-        }
-        if let Some(h) = hash {
-            self.set_hash(block, h);
-        }
-        self.evict_overflow();
-    }
-
-    /// Records or updates the content hash of a resident block.
-    fn set_hash(&mut self, block: u64, h: u64) {
-        if !self.stamps.contains_key(&block) {
-            return;
-        }
-        if self.hashes.get(&block) == Some(&h) {
-            return;
-        }
-        self.drop_hash(block);
-        self.hashes.insert(block, h);
-        self.by_hash.entry(h).or_default().push(block);
-    }
-
-    /// A resident block holding bytes with content hash `h`, if any.
-    fn resident_with_hash(&self, h: u64) -> Option<u64> {
-        self.by_hash.get(&h).and_then(|l| l.first()).copied()
-    }
-
-    /// Unlinks a block from the content index.
-    fn drop_hash(&mut self, block: u64) {
-        if let Some(h) = self.hashes.remove(&block) {
-            if let Some(list) = self.by_hash.get_mut(&h) {
-                list.retain(|&b| b != block);
-                if list.is_empty() {
-                    self.by_hash.remove(&h);
-                }
-            }
-        }
-    }
-
-    /// Removes a block entirely (freed block, stale entry).
-    fn forget(&mut self, block: u64) {
-        if let Some(stamp) = self.stamps.remove(&block) {
-            self.by_stamp.remove(&stamp);
-        }
-        self.drop_hash(block);
-    }
-
-    fn evict_overflow(&mut self) {
-        while self.stamps.len() > self.capacity {
-            let Some((&stamp, &block)) = self.by_stamp.iter().next() else {
-                break;
-            };
-            self.by_stamp.remove(&stamp);
-            self.stamps.remove(&block);
-            self.drop_hash(block);
-            self.evictions += 1;
-        }
-    }
-
-    /// Drops every entry; the eviction counter is cumulative and stays.
-    fn clear(&mut self) {
-        self.stamps.clear();
-        self.by_stamp.clear();
-        self.hashes.clear();
-        self.by_hash.clear();
-    }
-
-    fn set_capacity(&mut self, capacity: usize) {
-        self.capacity = capacity;
-        if capacity == 0 {
-            self.clear();
-        } else {
-            self.evict_overflow();
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.stamps.len()
-    }
-}
-
-/// One probe against the read cache, resolved under a single lock hold.
-enum ReadProbe {
-    /// The block itself is resident; its contents ride along.
-    Hit(PageData),
-    /// A different resident block holds identical bytes.
-    ContentHit(PageData),
-    /// Device read required.
-    Miss,
-}
-
 /// Page contents plus the dedup index and the bounded read cache,
 /// behind one lock so the read paths can stay `&self`: a cache fill is
 /// not a logical mutation. The lock carries lockdep rank `page_cache`
 /// because flushes take it from inside their group's barrier.
-struct PageCache {
+pub(crate) struct PageCache {
     /// Authoritative page contents by block (compact representation).
-    data: HashMap<u64, PageData>,
+    pub(crate) data: HashMap<u64, PageData>,
     /// Content-hash index: hash -> candidate blocks, sharded by hash.
     dedup: DedupIndex,
-    /// Block -> content hash (reverse index for release).
-    block_hash: HashMap<u64, u64>,
+    /// Block -> content hash (reverse index for release): the recorded
+    /// hash the read side compares what the medium returns with.
+    pub(crate) block_hash: HashMap<u64, u64>,
     /// Bounded LRU over recently read blocks.
-    read: ReadCache,
+    pub(crate) read: ReadCache,
 }
 
 impl PageCache {
@@ -523,39 +315,6 @@ impl PageCache {
             block_hash: HashMap::new(),
             read: ReadCache::new(read_cache_pages),
         }
-    }
-
-    /// Probes the read cache for `block`: identity hit, content hit, or
-    /// miss. Hits hand back the resident bytes; a content hit also
-    /// adopts them under the probed block id so later probes hit
-    /// directly.
-    fn probe_read(&mut self, block: u64) -> ReadProbe {
-        if self.read.probe(block) {
-            if let Some(page) = self.data.get(&block).cloned() {
-                return ReadProbe::Hit(page);
-            }
-            // Contents vanished without eviction bookkeeping (e.g. a
-            // rollback rebuilt the table): drop the stale entry.
-            self.read.forget(block);
-        }
-        if let Some(&h) = self.block_hash.get(&block) {
-            if let Some(twin) = self.read.resident_with_hash(h) {
-                if let Some(page) = self.data.get(&twin).cloned() {
-                    // Guard against hash collisions when the probed
-                    // block's own bytes are recallable.
-                    let collision = self
-                        .data
-                        .get(&block)
-                        .is_some_and(|own| !own.content_eq(&page));
-                    if !collision {
-                        self.data.insert(block, page.clone());
-                        self.read.admit(block, Some(h));
-                        return ReadProbe::ContentHit(page);
-                    }
-                }
-            }
-        }
-        ReadProbe::Miss
     }
 
     /// Rebuilds the dedup index over the current contents, walking
@@ -577,7 +336,7 @@ impl PageCache {
     }
 
     /// Caches freshly written contents and indexes them for dedup.
-    fn install(&mut self, ptr: BlockPtr, page: &PageData, hash: Option<u64>) {
+    pub(crate) fn install(&mut self, ptr: BlockPtr, page: &PageData, hash: Option<u64>) {
         self.data.insert(ptr.0, page.clone());
         if let Some(h) = hash {
             self.dedup.insert(h, ptr);
@@ -610,87 +369,16 @@ pub struct PageWrite {
     pub hash: u64,
 }
 
-/// A batched read plan: per-target block resolutions plus an extent
-/// schedule over the unique blocks. Built by
-/// [`ObjectStore::plan_reads_at`], executed by
-/// [`ObjectStore::execute_read_plan`].
-#[derive(Debug, Clone, Default)]
-pub struct ReadPlan {
-    /// Per-target resolved block, aligned with the target slice handed
-    /// to the planner; `None` is a hole (the page restores as zeros).
-    /// A target under a redo chain resolves to its chain's *base*
-    /// block — the batched device read fetches bases, and the entry in
-    /// [`ReadPlan::chains`] says which chain to replay on top.
-    pub resolved: Vec<Option<BlockPtr>>,
-    /// Per-target delta-chain head, aligned with `resolved`; `None`
-    /// means the resolved block is the page's full image.
-    pub chains: Vec<Option<Lsn>>,
-    /// Unique referenced blocks, ascending. Dedup-shared blocks appear
-    /// once no matter how many targets they serve — they are read once
-    /// and fanned out.
-    pub blocks: Vec<u64>,
-    /// Extent schedule: `(offset, len)` runs into `blocks`, each read
-    /// with one request spanning its first block to its last — at most
-    /// [`EXTENT_BLOCKS`], holes no longer than the device's
-    /// [`BlockDev::read_gap_blocks`] read through and discarded.
-    pub extents: Vec<(usize, usize)>,
-}
-
-impl ReadPlan {
-    /// Cuts the extent schedule into consecutive batches of whole
-    /// extents, each carrying at most `max_blocks` blocks: index ranges
-    /// into [`ReadPlan::extents`] for
-    /// [`ObjectStore::execute_read_plan_range`].
-    pub fn extent_batches(&self, max_blocks: usize) -> Vec<Range<usize>> {
-        let mut batches = Vec::new();
-        let (mut first, mut blocks) = (0usize, 0usize);
-        for (at, &(_, len)) in self.extents.iter().enumerate() {
-            if at > first && blocks + len > max_blocks {
-                batches.push(first..at);
-                (first, blocks) = (at, 0);
-            }
-            blocks += len;
-        }
-        if first < self.extents.len() {
-            batches.push(first..self.extents.len());
-        }
-        batches
-    }
-}
-
-/// What executing a [`ReadPlan`] produced.
-#[derive(Debug, Default)]
-pub struct ReadOutcome {
-    /// Contents for every planned block.
-    pub pages: HashMap<u64, PageData>,
-    /// Blocks whose contents came off the device (or the timing-mode
-    /// page table) rather than the read cache — the ones the restore
-    /// pipeline still owes a content-hash pass.
-    pub fetched: Vec<u64>,
-    /// Aligned with `fetched`: the block's content hash where the read
-    /// already computed it to check the bytes against the recorded one
-    /// (materialized stores), `None` where the hash pass still has to.
-    pub fetched_hashes: Vec<Option<u64>>,
-    /// Probes served by the bounded read cache (identity or content).
-    pub cache_hits: u64,
-    /// Probes that charged device time.
-    pub cache_misses: u64,
-    /// The subset of hits served through the content index.
-    pub content_hits: u64,
-    /// Vectored extent reads issued.
-    pub extents_read: u64,
-}
-
 /// The object store.
 pub struct ObjectStore {
     /// `pub(crate)` for `txn.rs`, the commit protocol's only licensed
     /// journal/superblock writer.
     pub(crate) dev: RefCell<Box<dyn BlockDev>>,
-    config: StoreConfig,
+    pub(crate) config: StoreConfig,
     pub(crate) sb: Superblock,
     alloc: BlockAlloc,
     /// Committed checkpoints by id.
-    ckpts: BTreeMap<u64, Checkpoint>,
+    pub(crate) ckpts: BTreeMap<u64, Checkpoint>,
     head: Option<CkptId>,
     /// Live object state (committed head + pending writes).
     live: HashMap<ObjId, LiveObject>,
@@ -704,9 +392,9 @@ pub struct ObjectStore {
     /// only after the superblock flip succeeds.
     pending_deltas: BTreeMap<(ObjId, u64), DeltaRecord>,
     /// Committed delta records (rebuilt from the journal on recovery).
-    delta: DeltaLog,
+    pub(crate) delta: DeltaLog,
     /// Page contents, the dedup index and the bounded read cache.
-    cache: OrderedMutex<PageCache>,
+    pub(crate) cache: OrderedMutex<PageCache>,
     /// Counters.
     pub stats: StoreStats,
 }
@@ -1339,337 +1027,6 @@ impl ObjectStore {
         checkpoint::resolve_ref(&self.ckpts, ckpt, oid, idx).is_some()
     }
 
-    fn fetch_block(&self, ptr: BlockPtr) -> Result<PageData> {
-        // One lock hold covers lookup, the medium fill-in, and the
-        // read-cache touch, so a concurrent batched restore can never
-        // observe a half-installed block.
-        let mut cache = self.cache.lock();
-        if let Some(page) = cache.data.get(&ptr.0).cloned() {
-            let hash = cache.block_hash.get(&ptr.0).copied();
-            cache.read.admit(ptr.0, hash);
-            drop(cache);
-            self.dev.borrow_mut().charge_read_timing(BLOCK_SIZE as u64)?;
-            return Ok(page);
-        }
-        if self.config.materialize_data {
-            let lba = self.sb.data_start() + ptr.0;
-            let mut buf = vec![0u8; BLOCK_SIZE];
-            self.dev.borrow_mut().read(lba, &mut buf)?;
-            let page = PageData::from_bytes(&buf);
-            let hash = if self.config.dedup {
-                Some(page.content_hash())
-            } else {
-                None
-            };
-            cache.install(ptr, &page, hash);
-            cache.read.admit(ptr.0, hash);
-            return Ok(page);
-        }
-        Err(Error::corrupt(format!(
-            "block {} has no recoverable contents",
-            ptr.0
-        )))
-    }
-
-    /// Resolves a set of `(object, page)` targets as of a checkpoint
-    /// into a batched read plan: per-target block pointers, the unique
-    /// block set (dedup-shared blocks once), and that set cut into
-    /// extents by [`runs`] at the device's read break-even.
-    pub fn plan_reads_at(&self, ckpt: CkptId, targets: &[(ObjId, u64)]) -> ReadPlan {
-        let mut resolved = Vec::with_capacity(targets.len());
-        let mut chains = Vec::with_capacity(targets.len());
-        let mut uniq = std::collections::BTreeSet::new();
-        for &(oid, idx) in targets {
-            // A chained page plans a read of its *base* block — chain
-            // replay happens after the batched fetch, and twin bases
-            // are still read once and fanned out.
-            let (ptr, head) = match checkpoint::resolve_ref(&self.ckpts, ckpt, oid, idx) {
-                Some(PageRef::Full(p)) => (Some(p), None),
-                Some(PageRef::Delta(lsn)) => (
-                    self.delta.get(lsn).map(|rec| rec.base),
-                    Some(lsn),
-                ),
-                None => (None, None),
-            };
-            if let Some(p) = ptr {
-                uniq.insert(p.0);
-            }
-            resolved.push(ptr);
-            chains.push(head);
-        }
-        let blocks: Vec<u64> = uniq.into_iter().collect();
-        let extents = runs(&blocks, self.dev.borrow().read_gap_blocks(), EXTENT_BLOCKS);
-        ReadPlan {
-            resolved,
-            chains,
-            blocks,
-            extents,
-        }
-    }
-
-    /// Executes a read plan: probes the bounded read cache per block,
-    /// issues one vectored device read per extent that missed, and
-    /// returns contents for every planned block.
-    ///
-    /// Charging: an all-hit extent costs [`RESTORE_CACHE_HIT_NS`] per
-    /// block (index probe + frame adoption); an extent with any miss
-    /// charges one vectored read — a single access latency amortized
-    /// over the run. Materialized reads are verified against the
-    /// recorded content hashes; damaged bytes get exactly one re-read
-    /// (transient electronics) before the plan aborts with
-    /// `ErrorKind::Corrupt`, leaving the store intact.
-    pub fn execute_read_plan(&mut self, plan: &ReadPlan) -> Result<ReadOutcome> {
-        self.execute_read_plan_range(plan, 0..plan.extents.len())
-    }
-
-    /// Executes the extents `extents` (a range into
-    /// [`ReadPlan::extents`], e.g. one of [`ReadPlan::extent_batches`])
-    /// of a read plan and returns the contents of their blocks. Probes,
-    /// charging and verification are per extent, so executing a plan
-    /// range by range costs and reads exactly what one
-    /// [`ObjectStore::execute_read_plan`] call does.
-    pub fn execute_read_plan_range(
-        &mut self,
-        plan: &ReadPlan,
-        extents: Range<usize>,
-    ) -> Result<ReadOutcome> {
-        let Some(extents) = plan.extents.get(extents) else {
-            return Err(Error::invalid("read plan extent range out of bounds"));
-        };
-        let mut out = ReadOutcome::default();
-        for &(off, len) in extents {
-            let Some(run) = plan.blocks.get(off..off + len) else {
-                return Err(Error::invalid("read plan extent out of range"));
-            };
-            self.read_extent(run, &mut out)?;
-        }
-        self.stats.read_cache_hits += out.cache_hits;
-        self.stats.read_cache_misses += out.cache_misses;
-        self.stats.read_cache_content_hits += out.content_hits;
-        Ok(out)
-    }
-
-    /// Reads one extent of a plan — `run`, its wanted blocks ascending —
-    /// for [`ObjectStore::execute_read_plan`]. Only `run`'s blocks are
-    /// probed, checked, admitted to the read cache and returned; a hole
-    /// the planner bridged costs its transfer time and nothing else.
-    fn read_extent(&mut self, run: &[u64], out: &mut ReadOutcome) -> Result<()> {
-        let (Some(&start), Some(&last)) = (run.first(), run.last()) else {
-            return Ok(());
-        };
-        let mut missed = false;
-        {
-            let mut cache = self.cache.lock();
-            for &b in run {
-                match cache.probe_read(b) {
-                    ReadProbe::Hit(page) => {
-                        out.cache_hits += 1;
-                        out.pages.insert(b, page);
-                    }
-                    ReadProbe::ContentHit(page) => {
-                        out.cache_hits += 1;
-                        out.content_hits += 1;
-                        out.pages.insert(b, page);
-                    }
-                    ReadProbe::Miss => {
-                        out.cache_misses += 1;
-                        missed = true;
-                    }
-                }
-            }
-        }
-        if !missed {
-            let dur = SimDuration::from_nanos(RESTORE_CACHE_HIT_NS * run.len() as u64);
-            self.dev.borrow().clock().charge(dur);
-            return Ok(());
-        }
-        // Any miss reads the whole span: the vectored request covers the
-        // extent either way, and hits in it ride along for free.
-        out.extents_read += 1;
-        self.stats.read_extents_coalesced += 1;
-        self.stats.read_blocks_coalesced += run.len() as u64;
-        if self.config.materialize_data {
-            let lba0 = self.sb.data_start();
-            let mut bufs = read_span(self.dev.get_mut().as_mut(), lba0, run)?;
-            let mut checked = self.check_extent(run, &bufs);
-            if checked.is_none() {
-                // Damaged bytes came back. One re-read gives transient
-                // electronics the benefit of the doubt; damaged media
-                // re-reads identically, and then a mirror twin gets a
-                // chance to heal the damaged copy (read-repair) before
-                // the restore aborts with the committed store untouched.
-                // Healed bytes are checked like any others.
-                bufs = read_span(self.dev.get_mut().as_mut(), lba0, run)?;
-                checked = self.check_extent(run, &bufs);
-                if checked.is_none() && self.repair_extent(run, &mut bufs)? {
-                    checked = self.check_extent(run, &bufs);
-                }
-            }
-            let Some(checked) = checked else {
-                return Err(Error::corrupt(format!(
-                    "extent at block {start}: content hash mismatch on read"
-                )));
-            };
-            let mut cache = self.cache.lock();
-            for (&b, (page, hash)) in run.iter().zip(checked) {
-                if out.pages.contains_key(&b) {
-                    continue; // probe already served it
-                }
-                cache.data.insert(b, page.clone());
-                cache.read.admit(b, hash);
-                out.fetched.push(b);
-                out.fetched_hashes.push(hash);
-                out.pages.insert(b, page);
-            }
-        } else {
-            {
-                let mut cache = self.cache.lock();
-                for &b in run {
-                    if out.pages.contains_key(&b) {
-                        continue;
-                    }
-                    let Some(page) = cache.data.get(&b).cloned() else {
-                        return Err(Error::corrupt(format!(
-                            "block {b} has no recoverable contents"
-                        )));
-                    };
-                    let hash = cache.block_hash.get(&b).copied();
-                    cache.read.admit(b, hash);
-                    out.fetched.push(b);
-                    out.fetched_hashes.push(None);
-                    out.pages.insert(b, page);
-                }
-            }
-            self.dev
-                .get_mut()
-                .charge_read_timing((last - start + 1) * BLOCK_SIZE as u64)?;
-        }
-        Ok(())
-    }
-
-    /// Read-repair: asks the device layer to heal every block in `run`
-    /// whose bytes in `bufs` fail content-hash verification, patching
-    /// the healed bytes back into `bufs`. Returns `true` only if every
-    /// damaged block was repaired from a verified twin copy (a device
-    /// without redundancy repairs nothing and returns `false`).
-    fn repair_extent(&mut self, run: &[u64], bufs: &mut [Vec<u8>]) -> Result<bool> {
-        // (position in run, block id, expected hash) of damaged blocks.
-        let damaged: Vec<(usize, u64, u64)> = {
-            let cache = self.cache.lock();
-            run.iter()
-                .zip(bufs.iter())
-                .enumerate()
-                .filter_map(|(i, (&b, buf))| {
-                    cache.block_hash.get(&b).and_then(|&h| {
-                        (PageData::from_bytes(buf).content_hash() != h).then_some((i, b, h))
-                    })
-                })
-                .collect()
-        };
-        for (i, b, expect) in damaged {
-            let lba = self.sb.data_start() + b;
-            self.stats
-                .repair_path_entries
-                .set(self.stats.repair_path_entries.get() + 1);
-            let golden = self
-                .dev
-                .get_mut()
-                .repair_block(lba, &mut |bytes: &[u8]| {
-                    PageData::from_bytes(bytes).content_hash() == expect
-                })?;
-            let Some(golden) = golden else {
-                return Ok(false);
-            };
-            if let Some(slot) = bufs.get_mut(i) {
-                *slot = golden;
-            }
-            self.stats.read_repairs += 1;
-        }
-        Ok(true)
-    }
-
-    /// Decodes the bytes the medium returned for `run` and compares
-    /// every block whose content hash is recorded with it: `None` if
-    /// any differs, else each block's page with the hash computed for
-    /// the comparison (`None` for a block with no recorded hash).
-    fn check_extent(&self, run: &[u64], bufs: &[Vec<u8>]) -> Option<Vec<(PageData, Option<u64>)>> {
-        let cache = self.cache.lock();
-        run.iter()
-            .zip(bufs)
-            .map(|(b, buf)| {
-                let page = PageData::from_bytes(buf);
-                match cache.block_hash.get(b) {
-                    Some(&recorded) => {
-                        (page.content_hash() == recorded).then_some((page, Some(recorded)))
-                    }
-                    None => Some((page, None)),
-                }
-            })
-            .collect()
-    }
-
-    /// Records content hashes computed by the restore pipeline's
-    /// parallel hash stage for blocks a read plan fetched: they feed
-    /// the read cache's content index (and, for stores without a
-    /// write-time hash record, the per-block reverse index the
-    /// corruption check and content probes rely on).
-    pub fn note_read_hashes(&mut self, pairs: &[(u64, u64)]) {
-        let cache = self.cache.get_mut();
-        for &(block, h) in pairs {
-            cache.block_hash.entry(block).or_insert(h);
-            cache.read.set_hash(block, h);
-        }
-    }
-
-    /// Sets the bounded read cache's capacity in pages (0 disables it),
-    /// evicting down if needed.
-    pub fn set_read_cache_capacity(&mut self, pages: usize) {
-        self.config.read_cache_pages = pages;
-        self.cache.get_mut().read.set_capacity(pages);
-    }
-
-    /// The bounded read cache's capacity in pages.
-    pub fn read_cache_capacity(&self) -> usize {
-        self.config.read_cache_pages
-    }
-
-    /// Current read-cache occupancy in pages.
-    pub fn read_cache_len(&self) -> usize {
-        self.cache.lock().read.len()
-    }
-
-    /// Lifetime read-cache evictions (capacity pressure).
-    pub fn read_cache_evictions(&self) -> u64 {
-        self.cache.lock().read.evictions
-    }
-
-    /// Drops the read cache alone — the cold-start state for a
-    /// measurement run. Contents and indices are untouched.
-    pub fn clear_read_cache(&mut self) {
-        self.cache.get_mut().read.clear();
-    }
-
-    /// Drops every cached page body and the read cache, forcing
-    /// subsequent reads back to the medium — the state after an image
-    /// lands on a machine that has never run it. Only materialized
-    /// stores can re-read contents; for timing-only stores the page
-    /// table *is* the medium, so dropping it would destroy data.
-    ///
-    /// Recorded content hashes and the dedup index survive: the hashes
-    /// are the read path's corruption check, and the index entries go
-    /// inert until their blocks are re-read.
-    pub fn drop_caches(&mut self) -> Result<()> {
-        if !self.config.materialize_data {
-            return Err(Error::unsupported(
-                "drop_caches requires materialized data; the page table is the only copy",
-            ));
-        }
-        let cache = self.cache.get_mut();
-        cache.data.clear();
-        cache.read.clear();
-        Ok(())
-    }
-
     /// The live page map of an object (restore / export walks).
     pub fn object_map(&self, oid: ObjId) -> Result<Vec<(u64, BlockPtr)>> {
         Ok(self
@@ -1994,7 +1351,7 @@ impl ObjectStore {
 
     /// Objects visible at a checkpoint (born in its chain, not deleted
     /// by a newer chain entry).
-    fn objects_at(&self, ckpt: CkptId) -> Result<Vec<ObjId>> {
+    pub(crate) fn objects_at(&self, ckpt: CkptId) -> Result<Vec<ObjId>> {
         let mut objects: Vec<ObjId> = Vec::new();
         let mut dead: Vec<ObjId> = Vec::new();
         let mut chain = Vec::new();
@@ -2240,183 +1597,6 @@ impl ObjectStore {
         Ok(folded)
     }
 
-    /// Verifies that one committed checkpoint is fully restorable:
-    ///
-    /// * its parent chain resolves;
-    /// * every block its effective object maps reference has recoverable
-    ///   contents (in the page table, or readable from the medium with a
-    ///   matching content hash when data is materialized).
-    ///
-    /// Returns the violations (empty = restorable) and the number of
-    /// blocks whose platter copy was hashed for the comparison (zero on
-    /// timing-only stores): the device charges the reads itself, the
-    /// caller owns the clock the hashing is charged to. The checkpoint
-    /// pipeline runs this on the incremental base and degrades to a full
-    /// checkpoint when the base is damaged.
-    pub fn verify_checkpoint(&self, ckpt: CkptId) -> (Vec<String>, u64) {
-        let (problems, hashed) = self.verify_checkpoints(&[ckpt]);
-        (problems.into_iter().map(|(_, p)| p).collect(), hashed)
-    }
-
-    /// [`ObjectStore::verify_checkpoint`] over several checkpoints at
-    /// once, each violation tagged with the checkpoint it belongs to. A
-    /// block is read and compared once however many pages and
-    /// checkpoints share it; its verdict is reported under every one of
-    /// them. The second value counts the blocks hashed.
-    fn verify_checkpoints(&self, ids: &[CkptId]) -> (Vec<(CkptId, String)>, u64) {
-        let mut problems = Vec::new();
-        if !self.config.materialize_data {
-            // The page table is the only copy, so the walk is the whole
-            // check: one lock hold, nothing collected.
-            let table = self.cache.lock();
-            for &ckpt in ids {
-                let mut lost = Vec::new();
-                let walk = self.walk_base_blocks(ckpt, &mut |oid, idx, block| {
-                    if !table.data.contains_key(&block) {
-                        lost.push(format!(
-                            "object {} page {idx}: block {block} unrecoverable",
-                            oid.0
-                        ));
-                    }
-                });
-                problems.extend(walk.into_iter().chain(lost).map(|p| (ckpt, p)));
-            }
-            return (problems, 0);
-        }
-        // Materialized stores check the platter copy even when a clean
-        // copy is cached in memory: a write-time corruption would
-        // otherwise hide until the cache is dropped.
-        let mut blocks = std::collections::BTreeSet::new();
-        for &ckpt in ids {
-            let walk = self.walk_base_blocks(ckpt, &mut |_, _, block| {
-                blocks.insert(block);
-            });
-            problems.extend(walk.into_iter().map(|p| (ckpt, p)));
-        }
-        let blocks: Vec<u64> = blocks.into_iter().collect();
-        let gap = self.dev.borrow().read_gap_blocks();
-        let mut bad: BTreeMap<u64, String> = BTreeMap::new();
-        let mut hashed = 0u64;
-        for (off, len) in runs(&blocks, gap, EXTENT_BLOCKS) {
-            if let Some(run) = blocks.get(off..off + len) {
-                hashed += self.verify_extent(run, &mut bad);
-            }
-        }
-        if !bad.is_empty() {
-            // Name every page that restores from a bad block.
-            for &ckpt in ids {
-                self.walk_base_blocks(ckpt, &mut |oid, idx, block| {
-                    if let Some(what) = bad.get(&block) {
-                        problems.push((
-                            ckpt,
-                            format!("object {} page {idx}: block {block} {what}", oid.0),
-                        ));
-                    }
-                });
-            }
-        }
-        (problems, hashed)
-    }
-
-    /// Walks what restoring `ckpt` depends on: `visit(object, page, block)`
-    /// for the block under every page of its effective object maps — a
-    /// delta-backed page's chain base, since the chain replays over it.
-    /// Returns what is wrong with the walk itself: a parent chain that
-    /// does not resolve (nothing is visited then) or a delta chain with
-    /// records missing.
-    fn walk_base_blocks(
-        &self,
-        ckpt: CkptId,
-        visit: &mut dyn FnMut(ObjId, u64, u64),
-    ) -> Vec<String> {
-        let mut problems = Vec::new();
-        let mut cur = Some(ckpt);
-        while let Some(c) = cur {
-            match self.ckpts.get(&c.0) {
-                Some(ck) => cur = ck.parent,
-                None => {
-                    problems.push(format!("checkpoint {} missing from the table", c.0));
-                    return problems;
-                }
-            }
-        }
-        let objects = match self.objects_at(ckpt) {
-            Ok(o) => o,
-            Err(e) => {
-                problems.push(format!("object walk failed: {e}"));
-                return problems;
-            }
-        };
-        for oid in objects {
-            for (idx, page_ref) in checkpoint::effective_refs(&self.ckpts, ckpt, oid) {
-                match page_ref {
-                    PageRef::Full(ptr) => visit(oid, idx, ptr.0),
-                    PageRef::Delta(lsn) => match self.delta.chain(lsn).and_then(|chain| {
-                        chain.first().map(|r| r.base).ok_or_else(|| {
-                            Error::corrupt(format!("delta chain at lsn {lsn} is empty"))
-                        })
-                    }) {
-                        Ok(base) => visit(oid, idx, base.0),
-                        Err(e) => problems.push(format!(
-                            "object {} page {idx}: delta chain at lsn {lsn} broken: {e}",
-                            oid.0
-                        )),
-                    },
-                }
-            }
-        }
-        problems
-    }
-
-    /// Compares the platter copies of `run` (one extent, ascending) with
-    /// their recorded content hashes, adds the blocks that fail to `bad`,
-    /// each with what is wrong with it, and returns how many blocks it
-    /// hashed. The read is one vectored request
-    /// past the read cache — a clean cached copy says nothing about the
-    /// medium. Only when that request fails or some block mismatches does
-    /// the run go block by block, so each block gets its own verdict and
-    /// its own chance at repair from a mirror twin.
-    fn verify_extent(&self, run: &[u64], bad: &mut BTreeMap<u64, String>) -> u64 {
-        let expect: Vec<Option<u64>> = {
-            let cache = self.cache.lock();
-            run.iter().map(|b| cache.block_hash.get(b).copied()).collect()
-        };
-        let hashed = expect.iter().flatten().count() as u64;
-        let matches = |buf: &[u8], h: u64| PageData::from_bytes(buf).content_hash() == h;
-        let lba0 = self.sb.data_start();
-        // Bound the device borrow to the read itself: the repair arms
-        // below need to borrow the device again.
-        let span = read_span(self.dev.borrow_mut().as_mut(), lba0, run);
-        if span.is_ok_and(|bufs| {
-            bufs.iter()
-                .zip(&expect)
-                .all(|(buf, e)| e.is_none_or(|h| matches(buf, h)))
-        }) {
-            return hashed;
-        }
-        let mut buf = vec![0u8; BLOCK_SIZE];
-        for (&b, &expect) in run.iter().zip(&expect) {
-            let lba = lba0 + b;
-            let read = self.dev.borrow_mut().read(lba, &mut buf);
-            match (read, expect) {
-                (Ok(()), None) => {}
-                (Ok(()), Some(h)) => {
-                    if !matches(&buf, h) && !self.try_repair(lba, h) {
-                        bad.insert(b, "content hash mismatch".to_string());
-                    }
-                }
-                // A dead preferred copy may still have a healthy twin:
-                // repair before declaring the block lost.
-                (Err(e), expect) => {
-                    if expect.is_none_or(|h| !self.try_repair(lba, h)) {
-                        bad.insert(b, format!("unreadable: {e}"));
-                    }
-                }
-            }
-        }
-        hashed
-    }
-
     /// Background resilver: rebuilds every `Rebuilding` mirror replica
     /// from the live allocation maps, in extent-sized batches charged to
     /// the virtual clock, then promotes the rebuilt replicas to active
@@ -2483,42 +1663,6 @@ impl ObjectStore {
         Ok(report)
     }
 
-    /// Scrub-path read-repair: asks the device layer to heal `lba` from
-    /// redundancy, accepting a copy whose content hash is `expect`.
-    /// Returns `true` if a verified copy now backs the block.
-    fn try_repair(&self, lba: u64, expect: u64) -> bool {
-        self.stats
-            .repair_path_entries
-            .set(self.stats.repair_path_entries.get() + 1);
-        self.dev
-            .borrow_mut()
-            .repair_block(lba, &mut |bytes: &[u8]| {
-                PageData::from_bytes(bytes).content_hash() == expect
-            })
-            .ok()
-            .flatten()
-            .is_some()
-    }
-
-    /// Full offline-quality audit: [`ObjectStore::fsck`] invariants plus
-    /// a restorability check of every committed checkpoint — one pass
-    /// over the union of their blocks, each problem reported under every
-    /// checkpoint it affects. Backs the `sls scrub` CLI command and the
-    /// crash campaign's per-iteration invariant.
-    pub fn scrub(&self) -> Vec<String> {
-        let mut problems = self.fsck();
-        let ids: Vec<CkptId> = self.ckpts.keys().map(|&i| CkptId(i)).collect();
-        problems.extend(
-            self.verify_checkpoints(&ids)
-                .0
-                .into_iter()
-                .map(|(id, p)| format!("ckpt {}: {p}", id.0)),
-        );
-        problems.sort();
-        problems.dedup();
-        problems
-    }
-
     /// Internal: the checkpoint table (export path).
     pub(crate) fn table(&self) -> &BTreeMap<u64, Checkpoint> {
         &self.ckpts
@@ -2532,5 +1676,49 @@ impl core::fmt::Debug for ObjectStore {
             .field("checkpoints", &self.ckpts.len())
             .field("blocks_in_use", &self.alloc.in_use())
             .finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use aurora_hw::ModelDev;
+    use aurora_sim::SimClock;
+
+    /// Re-reading an indexed block off the medium — every `drop_caches`
+    /// followed by a lazy fault, once a round in a cold-start loop —
+    /// leaves the dedup index and the recorded hashes exactly as the
+    /// write left them: no duplicate candidate, no replaced hash.
+    #[test]
+    fn rereading_an_indexed_block_leaves_the_dedup_index_alone() {
+        let dev = Box::new(ModelDev::nvme(SimClock::new(), "nvme0", 64 * 1024));
+        let config = StoreConfig {
+            journal_blocks: 1024,
+            materialize_data: true,
+            ..StoreConfig::default()
+        };
+        let mut s = ObjectStore::format(dev, config).unwrap();
+        s.create_object(ObjId(1), 8).unwrap();
+        let pages: Vec<PageData> = (0..4).map(|i| PageData::Seeded(300 + i)).collect();
+        for (i, page) in pages.iter().enumerate() {
+            s.write_page(ObjId(1), i as u64, page).unwrap();
+        }
+        let (ck, _) = s.commit(None).unwrap();
+        let recorded = s.cache.lock().block_hash.clone();
+        assert_eq!(recorded.len(), 4);
+
+        for cycle in 0..5 {
+            s.drop_caches().unwrap();
+            for (i, page) in pages.iter().enumerate() {
+                let got = s.read_page_at(ck, ObjId(1), i as u64).unwrap().unwrap();
+                assert!(got.content_eq(page));
+            }
+            let cache = s.cache.lock();
+            assert_eq!(cache.block_hash, recorded, "cycle {cycle}");
+            for page in &pages {
+                let candidates = cache.dedup.candidates(page.content_hash()).unwrap();
+                assert_eq!(candidates.len(), 1, "cycle {cycle}: {candidates:?}");
+            }
+        }
     }
 }

@@ -662,7 +662,7 @@ fn at_rest_corruption_is_read_repaired_from_the_twin() {
     let (mut host, addr, ..) = boot_with_rotten_replica0();
     verify_baseline(&mut host, addr);
 
-    let repairs = host.sls.primary.borrow().stats.read_repairs;
+    let repairs = host.sls.primary.borrow().stats.read_repairs.get();
     assert!(repairs > 0, "the restore must have repaired damaged blocks");
     let ms = mirror(&host, |m| m.mirror_stats());
     assert!(ms.read_repairs > 0, "repairs go through the mirror twin");
@@ -960,7 +960,7 @@ fn store_fingerprint(host: &Host) -> (u64, [u64; 5]) {
             s.blocks_coalesced,
             s.bytes_journaled,
             s.commits,
-            s.read_repairs,
+            s.read_repairs.get(),
         ],
     )
 }
@@ -1032,9 +1032,13 @@ fn corrupt_block_in_a_later_restore_batch_is_healed_by_the_mirror() {
 
     // The base check of the image's second checkpoint already found the
     // damage, but its rewrite went through the same rotten electronics.
+    // The store counts that heal too: `read_repairs` is every block
+    // healed from a twin, whichever read found it.
     let before = mirror(&host, |m| m.mirror_stats()).read_repairs;
+    let counted = host.sls.primary.borrow().stats.read_repairs.get();
+    assert_eq!(counted, 1, "the base check's heal");
     verify_wide_image(&mut host, addr, ckpt);
-    assert_eq!(host.sls.primary.borrow().stats.read_repairs, 1);
+    assert_eq!(host.sls.primary.borrow().stats.read_repairs.get(), counted + 1);
     assert_eq!(mirror(&host, |m| m.mirror_stats()).read_repairs, before + 1);
 
     mirror(&host, |m| m.kill_replica(1)).unwrap();
@@ -1237,4 +1241,67 @@ fn base_check_reads_each_shared_block_once() {
         "{} requests for {unique} blocks",
         after.reads - before.reads
     );
+}
+
+// ---------------------------------------------------------------------------
+// Lazy faults go through the same checked reader.
+
+/// Damaged media under a lazy restore: every fault reads one block off
+/// the device, and a block whose bytes do not match its recorded hash
+/// must fail the faulting access — not hand the application a flipped
+/// bit, and not re-record the hash of what it just read. Disarmed, the
+/// same process faults the same page in clean and the committed store
+/// is intact.
+#[test]
+fn lazy_fault_on_damaged_media_errors_instead_of_serving_garbage() {
+    let (mut host, addr, ckpt) = boot_materialized_with_baseline();
+    let store = host.sls.primary.clone();
+    let r = host.restore(&store, ckpt, RestoreMode::Lazy).unwrap();
+    assert_eq!(r.pages_prefetched, 0, "pure lazy: every page is a fault away");
+    let np = r.root_pid().unwrap();
+
+    store
+        .borrow_mut()
+        .device_mut()
+        .install_fault_plan(FaultPlan::corrupt_read_blocks(0, u64::MAX, 100, 3));
+    let mut page = vec![0u8; 4096];
+    let err = host.kernel.mem_read(np, addr + 5 * 4096, &mut page).unwrap_err();
+    assert_eq!(err.kind(), ErrorKind::Corrupt, "{err}");
+
+    store
+        .borrow_mut()
+        .device_mut()
+        .install_fault_plan(FaultPlan::default());
+    assert!(store.borrow().scrub().is_empty(), "the recorded hashes survived the bad read");
+    host.kernel.mem_read(np, addr + 5 * 4096, &mut page).unwrap();
+    let mut want = b"read-fault-p0005".to_vec();
+    want.resize(4096, 0);
+    assert_eq!(page, want);
+    assert!(store.borrow().fsck().is_empty());
+}
+
+/// The same faults on a mirror whose preferred replica is rotten at
+/// rest: each lazy fault heals its block from the twin and serves the
+/// right bytes, and afterwards the once-rotten replica alone scrubs
+/// clean — read-repair no longer needs an eager restore or a scrub to
+/// find the damage.
+#[test]
+fn lazy_faults_heal_a_rotten_replica_from_its_twin() {
+    let (mut host, addr, ..) = boot_with_rotten_replica0();
+    let store = host.sls.primary.clone();
+    let head = store.borrow().head().unwrap();
+    let r = host.restore(&store, head, RestoreMode::Lazy).unwrap();
+    let np = r.root_pid().unwrap();
+    let mut page = vec![0u8; 4096];
+    for p in 0..MPAGES {
+        host.kernel.mem_read(np, addr + p * 4096, &mut page).unwrap();
+        let mut want = format!("mirror-page-{p:04}").into_bytes();
+        want.resize(4096, 0);
+        assert_eq!(page, want, "page {p} damaged");
+    }
+    assert!(store.borrow().stats.read_repairs.get() >= MPAGES, "every fault healed its block");
+
+    mirror(&host, |m| m.kill_replica(1)).unwrap();
+    store.borrow_mut().drop_caches().unwrap();
+    assert!(store.borrow().scrub().is_empty(), "healed replica must scrub clean on its own");
 }
