@@ -22,6 +22,7 @@ use aurora_hw::{BlockDev, ModelDev, ResilientDev};
 use aurora_objstore::{ObjectStore, StoreConfig};
 use aurora_posix::Pid;
 use aurora_sim::error::{Error, Result};
+use aurora_sim::hash::Fnv64;
 use aurora_slsfs::StoreHandle;
 
 use crate::heap::SimHeap;
@@ -163,28 +164,18 @@ pub fn tenant_seed(seed: u64, index: usize) -> u64 {
     aurora_sim::rng::mix64(seed ^ 0x9e37_79b9_7f4a_7c15u64.wrapping_mul(index as u64 + 1))
 }
 
-/// FNV-1a over a byte slice (cheap content digest for comparisons).
-fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
-    let mut h = h;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// Digest of a KV server's visible state over key indices `0..keys`.
 fn kv_digest(host: &mut Host, server: &mut KvServer, keys: u64) -> Result<u64> {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut h = Fnv64::new();
     for idx in 0..keys {
         let key = format!("key{idx:012}").into_bytes();
-        h = fnv1a(h, &key);
+        h.update(&key);
         match server.exec(host, &KvOp::Get(key))? {
-            Some(v) => h = fnv1a(h, &v),
-            None => h = fnv1a(h, b"<absent>"),
+            Some(v) => h.update(&v),
+            None => h.update(b"<absent>"),
         }
     }
-    Ok(h)
+    Ok(h.finish())
 }
 
 /// One tenant of a [`TenantFleet`].

@@ -29,6 +29,7 @@ use aurora_core::restore::RestoreMode;
 use aurora_core::Host;
 use aurora_hw::ModelDev;
 use aurora_objstore::{CkptId, StoreConfig};
+use aurora_sim::hash::Fnv64;
 use aurora_sim::SimClock;
 use criterion::wall_now;
 
@@ -110,20 +111,17 @@ fn arena_digest(host: &mut Host, ckpt: CkptId, arena: u64, workers: usize) -> u6
     let server =
         KvServer::attach(host, np, PersistMode::AuroraTransparent).expect("attach restored server");
     let base = server.heap_base();
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut h = Fnv64::new();
     let mut buf = vec![0u8; 4096];
     for p in 0..arena / 4096 {
         host.kernel
             .mem_read(np, base + p * 4096, &mut buf)
             .expect("read arena");
-        for &b in &buf {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
+        h.update(&buf);
     }
     let _ = host.kernel.exit(np, 0);
     host.kernel.procs.remove(&np);
-    h
+    h.finish()
 }
 
 /// One full trajectory: load the KV set, take a durable full baseline,

@@ -34,6 +34,7 @@ use aurora_hw::{
 };
 use aurora_objstore::{CkptId, ObjectStore, StoreConfig};
 use aurora_sim::error::{Error, Result};
+use aurora_sim::hash::page_hash;
 use aurora_sim::time::SimDuration;
 use aurora_sim::SimClock;
 use aurora_slsfs::StoreHandle;
@@ -544,16 +545,6 @@ fn delta_round_writes(
     Ok(())
 }
 
-/// FNV-1a over a byte slice (cheap content digest for twin comparison).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// Restores checkpoint `id` from the primary store, digests the whole
 /// restored memory region, and tears the restored process back down.
 fn restore_digest(host: &mut Host, id: CkptId, addr: u64, bytes: usize) -> Result<u64> {
@@ -578,7 +569,7 @@ fn restore_digest_on(
     host.kernel.mem_read(np, addr, &mut buf)?;
     let _ = host.kernel.exit(np, 0);
     host.kernel.procs.remove(&np);
-    Ok(fnv1a(&buf))
+    Ok(page_hash(&buf))
 }
 
 /// Runs the delta workload on a fault-free twin host and returns the

@@ -25,6 +25,7 @@ use aurora_core::restore::RestoreMode;
 use aurora_core::{BackendKind, CheckpointBreakdown, Host};
 use aurora_hw::ModelDev;
 use aurora_objstore::{ObjectStore, StoreConfig};
+use aurora_sim::hash::{page_hash, Fnv64};
 use aurora_sim::{cost, SimClock};
 use aurora_slsfs::StoreHandle;
 use proptest::prelude::*;
@@ -45,14 +46,6 @@ type Poke = (u64, u32, u32, u8);
 
 fn poke_strategy() -> impl Strategy<Value = Poke> {
     (0u64..REGION_PAGES, 0u32..4096, 1u32..2048, any::<u8>())
-}
-
-/// FNV-1a, folded into `h`.
-fn fnv(h: &mut u64, bytes: &[u8]) {
-    for &b in bytes {
-        *h ^= b as u64;
-        *h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
 }
 
 fn boot(delta_on: bool) -> Host {
@@ -129,9 +122,7 @@ fn run_variant(pokes: &[Poke], delta_on: bool) -> (BTreeMap<String, u64>, u64) {
         let _ = host.kernel.exit(np, 0);
         host.kernel.procs.remove(&np);
 
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        fnv(&mut h, &buf);
-        digests.insert(name, h);
+        digests.insert(name, page_hash(&buf));
     }
     (digests, staged)
 }
@@ -222,28 +213,28 @@ fn state_of(
     for (id, name) in named {
         let r = host.restore(store, id, RestoreMode::Eager).unwrap();
         let np = r.root_pid().unwrap();
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut h = Fnv64::new();
         for &(addr, pages) in regions {
             let mut buf = vec![0u8; (pages * 4096) as usize];
             // The late mapping does not exist in early checkpoints.
             if host.kernel.mem_read(np, addr, &mut buf).is_ok() {
-                fnv(&mut h, &buf);
+                h.update_u64(page_hash(&buf));
             }
         }
         let _ = host.kernel.exit(np, 0);
         host.kernel.procs.remove(&np);
-        restores.insert(name, h);
+        restores.insert(name, h.finish());
     }
-    let mut device_digest: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut device_digest = Fnv64::new();
     let mut buf = vec![0u8; 4096];
     let mut store = store.borrow_mut();
     for lba in 0..PART_DEV_BLOCKS {
         if store.device_mut().read(lba, &mut buf).is_ok() {
-            fnv(&mut device_digest, &buf);
+            device_digest.update_u64(page_hash(&buf));
         }
     }
     BackendState {
-        device_digest,
+        device_digest: device_digest.finish(),
         stats,
         restores,
     }

@@ -17,6 +17,7 @@ use aurora_core::restore::RestoreMode;
 use aurora_core::Host;
 use aurora_hw::{BlockDev, FaultPlan, FaultRates, ModelDev};
 use aurora_objstore::StoreConfig;
+use aurora_sim::hash::{page_hash, Fnv64};
 use aurora_sim::SimClock;
 use proptest::prelude::*;
 
@@ -125,17 +126,14 @@ fn run_variant(writes: &[Write], width: usize, seed: u64) -> (u64, usize, u64) {
     let r = host.restore(&store, ckpt, RestoreMode::Eager).unwrap();
     let new_pid = r.restored_pid(pid.0).unwrap();
 
-    // Digest the restored region byte for byte.
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    // Digest the restored region page by page.
+    let mut h = Fnv64::new();
     let mut buf = vec![0u8; 4096];
     for i in 0..REGION_PAGES {
         host.kernel
             .mem_read(new_pid, addr + i * 4096, &mut buf)
             .unwrap();
-        for &b in &buf {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
+        h.update_u64(page_hash(&buf));
     }
 
     // After the dust settles the medium itself must be sound: scrub
@@ -146,7 +144,7 @@ fn run_variant(writes: &[Write], width: usize, seed: u64) -> (u64, usize, u64) {
         assert!(problems.is_empty(), "unhealable damage: {problems:?}");
     }
     let objects = store.borrow().live_object_ids().len();
-    (h, objects, r.pages_prefetched)
+    (h.finish(), objects, r.pages_prefetched)
 }
 
 proptest! {

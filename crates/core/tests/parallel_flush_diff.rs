@@ -17,6 +17,7 @@ use std::collections::BTreeMap;
 use aurora_core::{flush, Host};
 use aurora_hw::ModelDev;
 use aurora_objstore::{ObjId, ObjectStore, StoreConfig};
+use aurora_sim::hash::{page_hash, Fnv64};
 use aurora_sim::SimClock;
 use aurora_vm::PageData;
 use proptest::prelude::*;
@@ -46,21 +47,18 @@ fn new_store() -> ObjectStore {
     s
 }
 
-/// FNV-1a digest over the device image from block `from` on.
+/// Digest of the device image from block `from` on, block by block.
 fn device_digest(store: &mut ObjectStore, from: u64) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut h = Fnv64::new();
     let mut buf = vec![0u8; 4096];
     let dev = store.device_mut();
     for lba in from..DEV_BLOCKS {
         if dev.read(lba, &mut buf).is_err() {
             continue;
         }
-        for &b in &buf {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
+        h.update_u64(page_hash(&buf));
     }
-    h
+    h.finish()
 }
 
 /// One workload entry: (object, page index, content seed). Low seed

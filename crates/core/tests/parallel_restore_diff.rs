@@ -19,6 +19,7 @@ use aurora_core::restore::RestoreMode;
 use aurora_core::Host;
 use aurora_hw::ModelDev;
 use aurora_objstore::{StoreConfig, StoreStats};
+use aurora_sim::hash::{page_hash, Fnv64};
 use aurora_sim::SimClock;
 use proptest::prelude::*;
 
@@ -108,18 +109,15 @@ fn agreed(mode: RestoreMode, run: impl Fn(RestoreMode, usize) -> Restored) -> Re
 }
 
 /// Touches every page of the region (lazy modes fault the remainder in)
-/// and returns an FNV-1a digest of its bytes.
+/// and returns a digest of its pages.
 fn memory_digest(host: &mut Host, pid: aurora_posix::Pid, addr: u64, pages: u64) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut h = Fnv64::new();
     let mut buf = vec![0u8; 4096];
     for i in 0..pages {
         host.kernel.mem_read(pid, addr + i * 4096, &mut buf).unwrap();
-        for &b in &buf {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
+        h.update_u64(page_hash(&buf));
     }
-    h
+    h.finish()
 }
 
 proptest! {

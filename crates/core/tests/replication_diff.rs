@@ -17,6 +17,7 @@ use aurora_core::restore::RestoreMode;
 use aurora_core::{Host, ReplConfig};
 use aurora_hw::{LinkFaultRates, ModelDev};
 use aurora_objstore::StoreConfig;
+use aurora_sim::hash::{page_hash, Fnv64};
 use aurora_sim::SimClock;
 use proptest::prelude::*;
 
@@ -44,18 +45,15 @@ fn store_config() -> StoreConfig {
     }
 }
 
-/// Digest of the restored region, FNV-1a over every page's bytes.
+/// Digest of the restored region, page by page.
 fn digest_region(host: &mut Host, pid: aurora_posix::Pid, addr: u64) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut h = Fnv64::new();
     let mut buf = vec![0u8; 4096];
     for i in 0..REGION_PAGES {
         host.kernel.mem_read(pid, addr + i * 4096, &mut buf).unwrap();
-        for &b in &buf {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
+        h.update_u64(page_hash(&buf));
     }
-    h
+    h.finish()
 }
 
 /// Runs the workload with a standby behind a hostile link, converges,

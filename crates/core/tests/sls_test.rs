@@ -17,9 +17,15 @@ use aurora_slsfs::StoreHandle;
 
 const DEV_BLOCKS: u64 = 128 * 1024;
 
+/// A `ModelDev` constructor: the medium a host's primary store sits on.
+type Medium = fn(std::sync::Arc<SimClock>, &str, u64) -> ModelDev;
+
 fn new_host(name: &str) -> Host {
-    let clock = SimClock::new();
-    let dev = Box::new(ModelDev::nvme(clock, &format!("{name}-nvme"), DEV_BLOCKS));
+    host_on(name, ModelDev::nvme)
+}
+
+fn host_on(name: &str, medium: Medium) -> Host {
+    let dev = Box::new(medium(SimClock::new(), &format!("{name}-dev"), DEV_BLOCKS));
     Host::boot(
         name,
         dev,
@@ -147,12 +153,13 @@ fn incremental_checkpoints_capture_only_dirty_pages() {
 
 #[test]
 fn all_delta_flush_does_not_queue_behind_a_busy_hash_lane() {
-    const BIG: u64 = 512;
+    const BIG: u64 = 2048;
     let mut host = new_host("h");
     host.sls.fleet.hash_lanes = 1;
 
-    // Tenant A: a wide region of identical pages — a long hash stage,
-    // and (after dedup) next to nothing for the device to write.
+    // Tenant A: a region of identical pages wide enough that its hash
+    // stage outlasts B's whole commit — and (after dedup) next to
+    // nothing for the device to write.
     let a = host.kernel.spawn("wide");
     let a_addr = host.kernel.mmap_anon(a, BIG * 4096, false).unwrap();
     for i in 0..BIG {
@@ -190,10 +197,15 @@ fn all_delta_flush_does_not_queue_behind_a_busy_hash_lane() {
 }
 
 /// A base checkpoint, then a whole-page rewrite of 4 batches of
-/// distinct pages flushed at `workers`; returns the rewrite's breakdown.
-fn rewrite_flush(workers: usize, pipelined: bool) -> aurora_core::CheckpointBreakdown {
+/// distinct pages flushed to `medium` at `workers`; returns the
+/// rewrite's breakdown.
+fn rewrite_flush(
+    medium: Medium,
+    workers: usize,
+    pipelined: bool,
+) -> aurora_core::CheckpointBreakdown {
     const PAGES: u64 = 4 * aurora_core::flush::FLUSH_BATCH_PAGES as u64;
-    let mut host = new_host("h");
+    let mut host = host_on("h", medium);
     host.sls.flush_workers = workers;
     let pid = host.kernel.spawn("bulk");
     let addr = host.kernel.mmap_anon(pid, PAGES * 4096, false).unwrap();
@@ -225,19 +237,37 @@ fn rewrite_flush(workers: usize, pipelined: bool) -> aurora_core::CheckpointBrea
 
 #[test]
 fn streamed_flush_span_is_the_longer_of_hash_and_write_plus_one_batch() {
+    use aurora_sim::cost::hash_stage;
     let batch = aurora_core::flush::FLUSH_BATCH_PAGES as u64;
-    // The device's own time for this plan's writes and commit: a
+    // The medium's own time for this plan's writes and commit: a
     // pipelined cycle charges no hash to the clock, so every batch is
     // submitted at flush start and the device never idles. The writes
     // do not depend on the worker count.
-    let alone = rewrite_flush(8, true);
-    let device = alone.flush_span;
-    assert!(alone.hash_stage < device, "8 workers out-hash the NVMe");
+    let device_time = |medium: Medium| rewrite_flush(medium, 8, true).flush_span;
 
-    // Hash-bound: the device drains each batch under the next one's
-    // hash, so only the tail of the write is left after the last hash.
-    let slow_hash = rewrite_flush(2, false);
-    assert!(slow_hash.hash_stage > device, "2 workers do not");
+    // Device-bound: one core already out-hashes the NVMe, so at every
+    // worker count the device starts after the first batch's hash and is
+    // busy from then on.
+    let device = device_time(ModelDev::nvme);
+    for workers in [1, 2, 8] {
+        let fast_hash = rewrite_flush(ModelDev::nvme, workers, false);
+        assert!(fast_hash.hash_stage < device, "{workers} workers out-hash the NVMe");
+        assert!(fast_hash.flush_span > device);
+        assert!(
+            fast_hash.flush_span <= device + hash_stage(batch, workers as u64),
+            "span {:?} exceeds write {:?} by more than one batch's hash at {workers} workers",
+            fast_hash.flush_span,
+            device
+        );
+        assert_eq!(fast_hash.flush_span, fast_hash.hash_stage + fast_hash.write_wait);
+    }
+
+    // Hash-bound: an NVDIMM out-runs one core, so it drains each batch
+    // under the next one's hash and only the tail of the write is left
+    // after the last hash.
+    let device = device_time(ModelDev::nvdimm);
+    let slow_hash = rewrite_flush(ModelDev::nvdimm, 1, false);
+    assert!(slow_hash.hash_stage > device, "one worker trails the NVDIMM");
     assert!(slow_hash.flush_span >= slow_hash.hash_stage);
     assert!(
         slow_hash.flush_span < slow_hash.hash_stage + device,
@@ -248,25 +278,13 @@ fn streamed_flush_span_is_the_longer_of_hash_and_write_plus_one_batch() {
     );
     assert_eq!(slow_hash.flush_span, slow_hash.hash_stage + slow_hash.write_wait);
     assert!(slow_hash.write_wait < device);
-
-    // Device-bound: the device starts after the first batch's hash and
-    // is busy from then on.
-    let fast_hash = rewrite_flush(8, false);
-    assert!(fast_hash.flush_span > device);
-    assert!(
-        fast_hash.flush_span <= device + aurora_sim::cost::hash_stage(batch, 8),
-        "span {:?} exceeds write {:?} by more than one batch's hash",
-        fast_hash.flush_span,
-        device
-    );
-    assert_eq!(fast_hash.flush_span, fast_hash.hash_stage + fast_hash.write_wait);
 }
 
 /// A host rebooted cold over a committed image of 4 restore batches of
-/// distinct pages, with the image's checkpoint.
-fn wide_image_host() -> (Host, aurora_objstore::CkptId) {
+/// distinct pages on `medium`, with the image's checkpoint.
+fn wide_image_host(medium: Medium) -> (Host, aurora_objstore::CkptId) {
     const PAGES: u64 = 4 * aurora_core::restore::RESTORE_BATCH_BLOCKS as u64;
-    let mut host = new_host("h");
+    let mut host = host_on("h", medium);
     let pid = host.kernel.spawn("wide");
     let addr = host.kernel.mmap_anon(pid, PAGES * 4096, false).unwrap();
     for p in 0..PAGES {
@@ -296,14 +314,18 @@ fn image_read_plan(store: &ObjectStore, ckpt: aurora_objstore::CkptId) -> aurora
     store.plan_reads_at(ckpt, &targets)
 }
 
-#[test]
-fn streamed_restore_page_in_is_the_longer_of_read_and_hash_plus_one_batch() {
+/// The first batch's read time on `medium`, and a checked eager restore
+/// of the wide image there at `workers`.
+fn streamed_restore(
+    medium: Medium,
+    workers: usize,
+) -> (aurora_sim::time::SimDuration, aurora_core::RestoreBreakdown) {
     use aurora_sim::cost::hash_stage;
     let batch = aurora_core::restore::RESTORE_BATCH_BLOCKS;
 
     // What a restore of this image costs besides paging in: a lazy
     // restore builds the same shells and map entries and reads no page.
-    let (mut lazy_host, ckpt) = wide_image_host();
+    let (mut lazy_host, ckpt) = wide_image_host(medium);
     let store = lazy_host.sls.primary.clone();
     let wire = lazy_host.restore(&store, ckpt, RestoreMode::Lazy).unwrap().memory_state;
     // The first batch's read alone, on the same (still cold) store.
@@ -316,7 +338,7 @@ fn streamed_restore_page_in_is_the_longer_of_read_and_hash_plus_one_batch() {
     };
 
     // The whole plan read in one shot on a twin store.
-    let (twin, ckpt) = wide_image_host();
+    let (twin, ckpt) = wide_image_host(medium);
     let (one_shot, one_shot_read) = {
         let mut st = twin.sls.primary.borrow_mut();
         let plan = image_read_plan(&st, ckpt);
@@ -324,48 +346,59 @@ fn streamed_restore_page_in_is_the_longer_of_read_and_hash_plus_one_batch() {
         twin.clock.measure(|| st.execute_read_plan(&plan).unwrap())
     };
 
-    let restore_at = |workers: usize| {
-        let (mut host, ckpt) = wide_image_host();
-        host.sls.restore_workers = workers;
-        let store = host.sls.primary.clone();
-        let bd = host.restore(&store, ckpt, RestoreMode::Eager).unwrap();
-        // The streamed reads are the one-shot reads.
-        assert_eq!(bd.read_stage, one_shot_read);
-        assert_eq!(bd.extents_read, one_shot.extents_read);
-        assert_eq!(
-            (bd.cache_hits, bd.cache_misses),
-            (one_shot.cache_hits, one_shot.cache_misses)
-        );
-        assert_eq!(bd.pages_hashed, one_shot.fetched.len() as u64);
-        assert_eq!(bd.hash_work, hash_stage(bd.pages_hashed, workers as u64));
-        // Read laps, the verify tail and the wiring partition memory state.
-        assert_eq!(bd.read_stage + bd.hash_stage + wire, bd.memory_state);
-        let page_in = bd.read_stage + bd.hash_stage;
-        assert!(bd.read_stage.max(bd.hash_work) <= page_in);
-        assert!(
-            page_in < bd.read_stage + bd.hash_work,
-            "page-in {page_in:?} is read {:?} + hash {:?} run back to back",
-            bd.read_stage,
-            bd.hash_work
-        );
-        bd
-    };
+    let (mut host, ckpt) = wide_image_host(medium);
+    host.sls.restore_workers = workers;
+    let store = host.sls.primary.clone();
+    let bd = host.restore(&store, ckpt, RestoreMode::Eager).unwrap();
+    // The streamed reads are the one-shot reads.
+    assert_eq!(bd.read_stage, one_shot_read);
+    assert_eq!(bd.extents_read, one_shot.extents_read);
+    assert_eq!(
+        (bd.cache_hits, bd.cache_misses),
+        (one_shot.cache_hits, one_shot.cache_misses)
+    );
+    assert_eq!(bd.pages_hashed, one_shot.fetched.len() as u64);
+    assert_eq!(bd.hash_work, hash_stage(bd.pages_hashed, workers as u64));
+    // Read laps, the verify tail and the wiring partition memory state.
+    assert_eq!(bd.read_stage + bd.hash_stage + wire, bd.memory_state);
+    let page_in = bd.read_stage + bd.hash_stage;
+    assert!(bd.read_stage.max(bd.hash_work) <= page_in);
+    assert!(
+        page_in < bd.read_stage + bd.hash_work,
+        "page-in {page_in:?} is read {:?} + hash {:?} run back to back",
+        bd.read_stage,
+        bd.hash_work
+    );
+    (first_batch_read, bd)
+}
 
-    // Verify-bound: the hash workers start after the first batch's read
-    // and are busy from then on.
-    let slow_hash = restore_at(2);
-    assert!(slow_hash.hash_work > slow_hash.read_stage, "2 workers trail the NVMe");
+#[test]
+fn streamed_restore_page_in_is_the_longer_of_read_and_hash_plus_one_batch() {
+    use aurora_sim::cost::hash_stage;
+    let batch = aurora_core::restore::RESTORE_BATCH_BLOCKS as u64;
+
+    // Read-bound: one core already verifies faster than the NVMe reads,
+    // so at every worker count each batch is verified under the next
+    // one's read and only the last batch's hash is left after the last
+    // read.
+    for workers in [1, 2, 8] {
+        let (_, fast_hash) = streamed_restore(ModelDev::nvme, workers);
+        assert!(
+            fast_hash.hash_work < fast_hash.read_stage,
+            "{workers} workers outrun the NVMe"
+        );
+        assert!(fast_hash.hash_stage <= hash_stage(batch, workers as u64));
+        assert!(fast_hash.hash_stage > aurora_sim::time::SimDuration::ZERO);
+    }
+
+    // Verify-bound: an NVDIMM out-reads one core, so the hash worker
+    // starts after the first batch's read and is busy from then on.
+    let (first_batch_read, slow_hash) = streamed_restore(ModelDev::nvdimm, 1);
+    assert!(slow_hash.hash_work > slow_hash.read_stage, "one worker trails the NVDIMM");
     assert_eq!(
         slow_hash.read_stage + slow_hash.hash_stage,
         first_batch_read + slow_hash.hash_work
     );
-
-    // Read-bound: each batch is verified under the next one's read, so
-    // only the last batch's hash is left after the last read.
-    let fast_hash = restore_at(8);
-    assert!(fast_hash.hash_work < fast_hash.read_stage, "8 workers outrun it");
-    assert!(fast_hash.hash_stage <= hash_stage(batch as u64, 8));
-    assert!(fast_hash.hash_stage > aurora_sim::time::SimDuration::ZERO);
 }
 
 #[test]

@@ -30,6 +30,7 @@ use std::ops::Range;
 use aurora_hw::{BlockDev, BLOCK_SIZE};
 use aurora_sim::cost::RESTORE_CACHE_HIT_NS;
 use aurora_sim::error::{Error, Result};
+use aurora_sim::hash::page_hash;
 use aurora_sim::time::SimDuration;
 use aurora_vm::PageData;
 
@@ -415,9 +416,7 @@ impl ObjectStore {
         let golden = self
             .dev
             .borrow_mut()
-            .repair_block(lba, &mut |bytes: &[u8]| {
-                PageData::from_bytes(bytes).content_hash() == expect
-            })?;
+            .repair_block(lba, &mut |bytes: &[u8]| page_hash(bytes) == expect)?;
         if golden.is_some() {
             stats.read_repairs.set(stats.read_repairs.get() + 1);
         }

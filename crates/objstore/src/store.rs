@@ -365,7 +365,7 @@ pub struct PageWrite {
     pub idx: u64,
     /// Page contents.
     pub page: PageData,
-    /// FNV-1a content hash of `page`.
+    /// Content hash of `page`.
     pub hash: u64,
 }
 

@@ -19,8 +19,8 @@
 //!   from scratch so simulation results do not depend on crate versions.
 //! * [`codec`] — the versioned binary wire format used for checkpoint
 //!   metadata, the object-store journal and send/recv streams.
-//! * [`hash`] — FNV-1a content hashing (page dedup) and CRC-32C
-//!   (on-disk record checksums).
+//! * [`hash`] — the XXH64 page content hash (dedup, verified reads),
+//!   FNV-1a (keys, wire digests) and CRC-32C (on-disk record checksums).
 //! * [`stats`] — counters and log-bucketed histograms.
 //! * [`error`] — the common error type.
 

@@ -19,7 +19,7 @@
 
 use std::sync::Arc;
 
-use aurora_sim::hash::Fnv64;
+use aurora_sim::hash::{page_hash, PageHasher, STRIPE_BYTES};
 use aurora_sim::rng::mix64;
 
 pub use aurora_sim::cost::PAGE_SIZE;
@@ -94,30 +94,27 @@ impl PageData {
         PageData::from_bytes(&bytes)
     }
 
-    /// Content hash over the materialized bytes (FNV-1a 64).
-    ///
-    /// `Zero` and `Seeded` use closed-form fast paths that are verified
-    /// (in tests) to equal the hash of their materialized bytes.
+    /// Content hash over the materialized bytes
+    /// ([`aurora_sim::hash::page_hash`]), equal across representations.
     pub fn content_hash(&self) -> u64 {
         match self {
             PageData::Zero => zero_page_hash(),
             PageData::Seeded(seed) => {
-                // Hash over the deterministic expansion, streamed in
-                // 8-byte chunks to avoid the Vec allocation.
-                let mut h = Fnv64::new();
+                // The generator's words are the page's little-endian
+                // content, so they stream into the hash unmaterialized.
+                let mut h = PageHasher::new();
                 let mut s = *seed;
-                for _ in 0..(PAGE_SIZE / 8) {
-                    s = s.wrapping_add(0x9E37_79B9_7F4A_7C15);
-                    h.update(&mix64(s).to_le_bytes());
-                    s = mix64(s);
+                for _ in 0..(PAGE_SIZE / STRIPE_BYTES) {
+                    h.stripe([
+                        seeded_word(&mut s),
+                        seeded_word(&mut s),
+                        seeded_word(&mut s),
+                        seeded_word(&mut s),
+                    ]);
                 }
-                h.finish()
+                h.finish(&[])
             }
-            PageData::Bytes(b) => {
-                let mut h = Fnv64::new();
-                h.update(b);
-                h.finish()
-            }
+            PageData::Bytes(b) => page_hash(b),
         }
     }
 
@@ -132,29 +129,26 @@ impl PageData {
     }
 }
 
+/// Steps the seeded generator: the next eight bytes of the page, as the
+/// little-endian word that holds them.
+fn seeded_word(s: &mut u64) -> u64 {
+    *s = mix64(s.wrapping_add(0x9E37_79B9_7F4A_7C15));
+    *s
+}
+
 /// Deterministic expansion of a seed into one page of bytes.
-///
-/// Keep in sync with `PageData::content_hash`'s `Seeded` fast path.
 fn seeded_bytes(seed: u64) -> Vec<u8> {
-    let mut out = Vec::with_capacity(PAGE_SIZE);
     let mut s = seed;
-    for _ in 0..(PAGE_SIZE / 8) {
-        s = s.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        out.extend_from_slice(&mix64(s).to_le_bytes());
-        s = mix64(s);
-    }
-    out
+    (0..PAGE_SIZE / 8)
+        .flat_map(|_| seeded_word(&mut s).to_le_bytes())
+        .collect()
 }
 
 /// Hash of the canonical zero page (computed once).
 fn zero_page_hash() -> u64 {
     use std::sync::OnceLock;
     static HASH: OnceLock<u64> = OnceLock::new();
-    *HASH.get_or_init(|| {
-        let mut h = Fnv64::new();
-        h.update(&[0u8; PAGE_SIZE]);
-        h.finish()
-    })
+    *HASH.get_or_init(|| page_hash(&[0u8; PAGE_SIZE]))
 }
 
 impl core::fmt::Debug for PageData {
@@ -201,19 +195,28 @@ mod tests {
     fn seeded_hash_matches_materialized_hash() {
         for seed in [0u64, 1, 42, u64::MAX] {
             let p = PageData::Seeded(seed);
-            let expected = PageData::from_bytes(&p.materialize()).content_hash();
-            assert_eq!(p.content_hash(), expected, "seed {seed}");
+            assert_eq!(p.content_hash(), page_hash(&p.materialize()), "seed {seed}");
         }
     }
 
     #[test]
     fn zero_hash_matches_materialized_hash() {
-        let expected = {
-            let mut h = Fnv64::new();
-            h.update(&[0u8; PAGE_SIZE]);
-            h.finish()
-        };
-        assert_eq!(PageData::Zero.content_hash(), expected);
+        assert_eq!(PageData::Zero.content_hash(), page_hash(&[0u8; PAGE_SIZE]));
+    }
+
+    #[test]
+    fn wrapped_bytes_hash_as_the_bytes_themselves() {
+        // Read-repair hashes the raw block it read; the dedup index holds
+        // `content_hash` of the wrapped page. Canonicalizing zeroes must
+        // not separate the two.
+        let mut nonzero = [0u8; PAGE_SIZE];
+        nonzero[PAGE_SIZE - 1] = 1;
+        for bytes in [[0u8; PAGE_SIZE], nonzero] {
+            assert_eq!(
+                PageData::from_bytes(&bytes).content_hash(),
+                page_hash(&bytes)
+            );
+        }
     }
 
     #[test]

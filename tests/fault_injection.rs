@@ -817,6 +817,7 @@ fn read_corruption_aborts_restore_and_store_survives() {
 use aurora::core::restore::RESTORE_BATCH_BLOCKS;
 use aurora::objstore::CkptId;
 use aurora::sim::error::ErrorKind;
+use aurora::sim::hash::{page_hash, Fnv64};
 
 /// Pages of the wide image: 2¼ restore batches, every page distinct.
 const WIDE_PAGES: u64 = (2 * RESTORE_BATCH_BLOCKS + RESTORE_BATCH_BLOCKS / 4) as u64;
@@ -938,23 +939,20 @@ fn verify_wide_image(host: &mut Host, addr: u64, ckpt: CkptId) {
     host.kernel.procs.remove(&np);
 }
 
-/// FNV-1a digest of the part of the data region the wide image can
-/// occupy, and the store's write-side counters.
+/// Digest of the part of the data region the wide image can
+/// occupy, block by block, and the store's write-side counters.
 fn store_fingerprint(host: &Host) -> (u64, [u64; 5]) {
     let mut store = host.sls.primary.borrow_mut();
     let ds = store.data_start();
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut h = Fnv64::new();
     let mut buf = vec![0u8; 4096];
     for lba in ds..ds + 2 * WIDE_PAGES {
         store.device_mut().read(lba, &mut buf).unwrap();
-        for &b in &buf {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
+        h.update_u64(page_hash(&buf));
     }
     let s = &store.stats;
     (
-        h,
+        h.finish(),
         [
             s.pages_written,
             s.blocks_coalesced,
