@@ -196,6 +196,15 @@ pub trait BlockDev {
     /// Default: ignored. [`ModelDev`] honours it; see [`crate::fault`].
     fn install_fault_plan(&mut self, _plan: FaultPlan) {}
 
+    /// LBA of the last request the installed fault plan acted on, `None`
+    /// while the plan has fired nothing. A campaign reads it to file
+    /// where its fault landed (superblock, journal, data).
+    ///
+    /// Default: `None` — only [`ModelDev`] injects faults.
+    fn last_fault_lba(&self) -> Option<u64> {
+        None
+    }
+
     /// Device health as judged by the resilience layer.
     ///
     /// Default: bare devices report [`DevHealth::Dead`] when unpowered
@@ -269,6 +278,7 @@ pub struct ModelDev {
     fault: Option<FaultPlan>,
     writes_seen: u64,
     reads_seen: u64,
+    last_fault_lba: Option<u64>,
 }
 
 impl ModelDev {
@@ -286,6 +296,7 @@ impl ModelDev {
             fault: None,
             writes_seen: 0,
             reads_seen: 0,
+            last_fault_lba: None,
         }
     }
 
@@ -350,6 +361,7 @@ impl ModelDev {
         self.fault = Some(plan);
         self.writes_seen = 0;
         self.reads_seen = 0;
+        self.last_fault_lba = None;
     }
 
     fn check_powered(&self) -> Result<()> {
@@ -406,10 +418,11 @@ impl ModelDev {
     /// Checks the fault plan before a write; returns the fault action.
     fn fault_action(&mut self, lba: u64) -> FaultAction {
         self.writes_seen += 1;
-        match &self.fault {
+        let action = match &self.fault {
             Some(plan) => plan.action_for_write(self.writes_seen, lba),
             None => FaultAction::None,
-        }
+        };
+        self.note_fault(action, lba)
     }
 
     /// Checks the fault plan before a read; returns the fault action.
@@ -417,10 +430,20 @@ impl ModelDev {
     /// not shift write faults (and vice versa).
     fn read_fault_action(&mut self, lba: u64) -> FaultAction {
         self.reads_seen += 1;
-        match &self.fault {
+        let action = match &self.fault {
             Some(plan) => plan.action_for_read(self.reads_seen, lba),
             None => FaultAction::None,
+        };
+        self.note_fault(action, lba)
+    }
+
+    /// Remembers where the plan last fired; see
+    /// [`BlockDev::last_fault_lba`].
+    fn note_fault(&mut self, action: FaultAction, lba: u64) -> FaultAction {
+        if action != FaultAction::None {
+            self.last_fault_lba = Some(lba);
         }
+        action
     }
 
     /// Fills one block-sized buffer from stable storage with the
@@ -517,8 +540,8 @@ impl BlockDev for ModelDev {
             }
         }
         if let Some((byte, bit)) = corrupt {
-            // Damaged media: the corruption lands in the *returned* data,
-            // so a retry re-reads the same flipped bit.
+            // The corruption lands in the *returned* data, never on the
+            // medium; whether a re-read sees it again is the plan's call.
             let idx = byte % buf.len().max(1);
             if let Some(target) = buf.get_mut(idx) {
                 *target ^= 1 << (bit % 8);
@@ -822,6 +845,10 @@ impl BlockDev for ModelDev {
 
     fn install_fault_plan(&mut self, plan: FaultPlan) {
         self.set_fault_plan(plan);
+    }
+
+    fn last_fault_lba(&self) -> Option<u64> {
+        self.last_fault_lba
     }
 }
 

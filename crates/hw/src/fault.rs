@@ -183,6 +183,12 @@ pub struct FaultPlan {
     /// Fail reads `first..first + count` (1-based) with transient I/O
     /// errors; reads after the window succeed again.
     pub transient_read_window: Option<(u64, u64)>,
+    /// Flip bit `bit` of byte `byte` in the data *returned* by reads
+    /// `first..first + count` (1-based), clean afterwards:
+    /// `(first, count, byte, bit)`. The read-side twin of
+    /// `corrupt_on_write` — transient electronics, which a re-read
+    /// clears, where `corrupt_read_region` is damaged media.
+    pub corrupt_on_read: Option<(u64, u64, usize, u8)>,
     /// Flip one bit in the data *returned* by every read landing in a
     /// block region: damaged media that a retry re-reads unchanged, so
     /// only end-to-end content verification catches it.
@@ -268,6 +274,15 @@ impl FaultPlan {
         }
     }
 
+    /// A plan that flips bit `bit` of byte `byte` in the data returned
+    /// by reads `n..n + count`; later reads are clean.
+    pub fn corrupt_reads(n: u64, count: u64, byte: usize, bit: u8) -> Self {
+        FaultPlan {
+            corrupt_on_read: Some((n, count, byte, bit)),
+            ..FaultPlan::default()
+        }
+    }
+
     /// A plan that corrupts the data returned by every read of a block
     /// in `[start_lba, end_lba)`.
     pub fn corrupt_read_blocks(start_lba: u64, end_lba: u64, byte: usize, bit: u8) -> Self {
@@ -335,6 +350,11 @@ impl FaultPlan {
         if let Some((first, count)) = self.transient_read_window {
             if nth >= first && nth < first.saturating_add(count) {
                 return FaultAction::TransientError;
+            }
+        }
+        if let Some((first, count, byte, bit)) = self.corrupt_on_read {
+            if nth >= first && nth < first.saturating_add(count) {
+                return FaultAction::CorruptBit { byte, bit };
             }
         }
         if let Some(region) = self.corrupt_read_region {
@@ -526,6 +546,20 @@ mod tests {
             FaultAction::PowerCut { torn_bytes: 0 }
         );
         assert_eq!(plan.action_for_write(3, 0), FaultAction::None);
+    }
+
+    #[test]
+    fn read_corruption_window_flips_then_reads_clean() {
+        let plan = FaultPlan::corrupt_reads(2, 2, 100, 3);
+        assert_eq!(plan.action_for_read(1, 0), FaultAction::None);
+        for n in 2..4 {
+            assert_eq!(
+                plan.action_for_read(n, 0),
+                FaultAction::CorruptBit { byte: 100, bit: 3 }
+            );
+        }
+        assert_eq!(plan.action_for_read(4, 0), FaultAction::None);
+        assert_eq!(plan.action_for_write(2, 0), FaultAction::None);
     }
 
     #[test]

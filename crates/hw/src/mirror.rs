@@ -630,6 +630,12 @@ impl BlockDev for MirrorDev {
         }
     }
 
+    fn last_fault_lba(&self) -> Option<u64> {
+        // Mirrored replicas share one LBA space, so whichever replica's
+        // plan fired names the block.
+        self.replicas.iter().find_map(|r| r.last_fault_lba())
+    }
+
     fn health(&self) -> DevHealth {
         if !self.powered() {
             return DevHealth::Dead;

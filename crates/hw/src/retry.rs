@@ -362,6 +362,10 @@ impl BlockDev for ResilientDev {
         self.inner.install_fault_plan(plan);
     }
 
+    fn last_fault_lba(&self) -> Option<u64> {
+        self.inner.last_fault_lba()
+    }
+
     fn health(&self) -> DevHealth {
         // Dead is sticky until power returns, even if the store has not
         // issued a request since the failure.

@@ -781,94 +781,28 @@ fn lazy_read_refuses_damaged_bytes_and_keeps_the_recorded_hash() {
     }
 }
 
-use std::cell::Cell;
-use std::rc::Rc;
-
-use aurora_hw::{BlockDev, DevInfo, DevStats};
-use aurora_sim::error::Result;
-use aurora_sim::SimTime;
-
-/// A device whose next `glitches` vectored reads each hand back one
-/// flipped bit and then read clean: transient electronics, which a
-/// [`FaultPlan`] (damage is a property of the LBA) cannot express.
-struct GlitchDev {
-    inner: ModelDev,
-    glitches: Rc<Cell<u32>>,
-}
-
-impl BlockDev for GlitchDev {
-    fn info(&self) -> &DevInfo {
-        self.inner.info()
-    }
-    fn stats(&self) -> &DevStats {
-        self.inner.stats()
-    }
-    fn read(&mut self, lba: u64, buf: &mut [u8]) -> Result<()> {
-        self.inner.read(lba, buf)
-    }
-    fn read_blocks(&mut self, lba: u64, bufs: &mut [Vec<u8>]) -> Result<()> {
-        self.inner.read_blocks(lba, bufs)?;
-        if self.glitches.get() > 0 {
-            self.glitches.set(self.glitches.get() - 1);
-            bufs[0][100] ^= 1 << 3;
-        }
-        Ok(())
-    }
-    fn submit_write(&mut self, lba: u64, data: &[u8]) -> Result<SimTime> {
-        self.inner.submit_write(lba, data)
-    }
-    fn write(&mut self, lba: u64, data: &[u8]) -> Result<()> {
-        self.inner.write(lba, data)
-    }
-    fn flush(&mut self) -> Result<SimTime> {
-        self.inner.flush()
-    }
-    fn submit_write_timing(&mut self, nbytes: u64) -> Result<SimTime> {
-        self.inner.submit_write_timing(nbytes)
-    }
-    fn charge_read_timing(&mut self, nbytes: u64) -> Result<()> {
-        self.inner.charge_read_timing(nbytes)
-    }
-    fn power_fail(&mut self) {
-        self.inner.power_fail()
-    }
-    fn power_on(&mut self) {
-        self.inner.power_on()
-    }
-    fn powered(&self) -> bool {
-        self.inner.powered()
-    }
-    fn clock(&self) -> &std::sync::Arc<SimClock> {
-        self.inner.clock()
-    }
-}
-
-/// One glitched read: the reader's single re-read clears it, so the lazy
-/// and the batched read both return the clean bytes — at the price of
-/// one extra device request — and nothing about the store changes.
+/// One glitched read — a flip the plan applies to read ordinals, not to
+/// an LBA, so the next read of the same block is clean: the reader's
+/// single re-read clears it, so the lazy and the batched read both
+/// return the clean bytes — at the price of one extra device request —
+/// and nothing about the store changes.
 #[test]
 fn a_transient_flip_is_cleared_by_the_one_re_read() {
-    let glitches = Rc::new(Cell::new(0));
-    let dev = Box::new(GlitchDev {
-        inner: ModelDev::nvme(SimClock::new(), "nvme0", DEV_BLOCKS),
-        glitches: glitches.clone(),
-    });
-    let config = StoreConfig {
-        journal_blocks: 1024,
-        materialize_data: true,
-        ..StoreConfig::default()
-    };
-    let mut s = ObjectStore::format(dev, config).unwrap();
+    let (mut s, _clock) = materialized_store(true);
     let ck = cold_victim(&mut s);
+    let glitch = |s: &mut ObjectStore, reads| {
+        s.device_mut()
+            .install_fault_plan(FaultPlan::corrupt_reads(1, reads, 100, 3));
+    };
 
-    glitches.set(1);
+    glitch(&mut s, 1);
     let reads = s.device().stats().reads;
     let got = s.read_page_at(ck, ObjId(1), 2).unwrap().unwrap();
     assert!(got.content_eq(&PageData::Seeded(202)), "the re-read's bytes, not the glitch");
     assert_eq!(s.device().stats().reads - reads, 2, "one read, one re-read");
 
     s.drop_caches().unwrap();
-    glitches.set(1);
+    glitch(&mut s, 1);
     let targets: Vec<(ObjId, u64)> = (0..4).map(|i| (ObjId(1), i)).collect();
     let plan = s.plan_reads_at(ck, &targets);
     let out = s.execute_read_plan(&plan).unwrap();
@@ -878,7 +812,7 @@ fn a_transient_flip_is_cleared_by_the_one_re_read() {
     // Two glitches in a row are damaged media as far as one read can
     // tell: refused, and still nothing recorded about it.
     s.drop_caches().unwrap();
-    glitches.set(2);
+    glitch(&mut s, 2);
     assert!(s.read_page_at(ck, ObjId(1), 2).is_err());
     assert!(s.scrub().is_empty());
 }
