@@ -293,7 +293,7 @@ pub struct CheckpointBreakdown {
     /// nor `flush_span`, but of the call-to-durable latency. Zero for a
     /// full checkpoint and on timing-only stores, which read nothing.
     pub base_verify: SimDuration,
-    /// Device blocks that pre-pass read (bridged filler included).
+    /// Device blocks that pre-pass read.
     pub base_verify_blocks: u64,
 }
 

@@ -16,12 +16,11 @@ use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::Path;
 use std::sync::Arc;
 
-use aurora_sim::cost::dev as costdev;
 use aurora_sim::error::{Error, Result};
-use aurora_sim::time::{SimDuration, SimTime};
+use aurora_sim::time::SimTime;
 use aurora_sim::SimClock;
 
-use crate::dev::{BlockDev, DevInfo, DevStats};
+use crate::dev::{Access, BlockDev, CostModel, DevInfo, DevStats};
 use crate::BLOCK_SIZE;
 
 /// A host-file-backed block device with NVMe-like virtual costs.
@@ -73,12 +72,24 @@ impl FileDev {
         Ok(())
     }
 
-    fn service(&mut self, bytes: u64, bw: u64) -> SimTime {
-        let start = self.clock.now().max(self.busy_until);
-        let dur =
-            SimDuration::from_nanos(costdev::NVME_LAT_NS) + SimDuration::for_bytes(bytes, bw);
-        self.busy_until = start + dur;
-        self.busy_until
+    /// Charges a request by the NVMe model's service rule.
+    fn service(&mut self, access: Access, bytes: u64, bw: u64) -> SimTime {
+        CostModel::NVME.serve(&mut self.busy_until, self.clock.now(), access, bytes, bw)
+    }
+
+    /// Reads `buf.len()` bytes at block `lba` with one seek and one read,
+    /// charged as one request of kind `access`.
+    fn read_at(&mut self, lba: u64, buf: &mut [u8], access: Access) -> Result<()> {
+        self.check_range(lba, buf.len())?;
+        let done = self.service(access, buf.len() as u64, CostModel::NVME.read_bw);
+        self.clock.advance_to(done);
+        self.file
+            .seek(SeekFrom::Start(lba * BLOCK_SIZE as u64))
+            .and_then(|_| self.file.read_exact(buf))
+            .map_err(|e| Error::io(format!("read lba {lba}: {e}")))?;
+        self.stats.reads += 1;
+        self.stats.bytes_read += buf.len() as u64;
+        Ok(())
     }
 }
 
@@ -92,21 +103,32 @@ impl BlockDev for FileDev {
     }
 
     fn read(&mut self, lba: u64, buf: &mut [u8]) -> Result<()> {
-        self.check_range(lba, buf.len())?;
-        let done = self.service(buf.len() as u64, costdev::NVME_READ_BW);
-        self.clock.advance_to(done);
-        self.file
-            .seek(SeekFrom::Start(lba * BLOCK_SIZE as u64))
-            .and_then(|_| self.file.read_exact(buf))
-            .map_err(|e| Error::io(format!("read lba {lba}: {e}")))?;
-        self.stats.reads += 1;
-        self.stats.bytes_read += buf.len() as u64;
+        self.read_at(lba, buf, Access::Waited)
+    }
+
+    fn read_blocks(&mut self, lba: u64, bufs: &mut [Vec<u8>], access: Access) -> Result<()> {
+        if bufs.is_empty() {
+            return Ok(());
+        }
+        if let Some(b) = bufs.iter().find(|b| b.len() != BLOCK_SIZE) {
+            return Err(Error::invalid(format!(
+                "vectored read block is {} bytes",
+                b.len()
+            )));
+        }
+        // One seek and one read of the span, charged as one request; the
+        // buffers are filled only once the whole span is in.
+        let mut span = vec![0u8; bufs.len() * BLOCK_SIZE];
+        self.read_at(lba, &mut span, access)?;
+        for (buf, chunk) in bufs.iter_mut().zip(span.chunks(BLOCK_SIZE)) {
+            buf.copy_from_slice(chunk);
+        }
         Ok(())
     }
 
     fn submit_write(&mut self, lba: u64, data: &[u8]) -> Result<SimTime> {
         self.check_range(lba, data.len())?;
-        let done = self.service(data.len() as u64, costdev::NVME_WRITE_BW);
+        let done = self.service(Access::Waited, data.len() as u64, CostModel::NVME.write_bw);
         self.file
             .seek(SeekFrom::Start(lba * BLOCK_SIZE as u64))
             .and_then(|_| self.file.write_all(data))
@@ -122,7 +144,7 @@ impl BlockDev for FileDev {
         }
         let total: usize = blocks.iter().map(|b| b.len()).sum();
         self.check_range(lba, total)?;
-        let done = self.service(total as u64, costdev::NVME_WRITE_BW);
+        let done = self.service(Access::Waited, total as u64, CostModel::NVME.write_bw);
         // One seek, one sequential run: the host file sees the extent the
         // way the model charges for it.
         self.file
@@ -149,21 +171,18 @@ impl BlockDev for FileDev {
         self.file
             .sync_data()
             .map_err(|e| Error::io(format!("sync: {e}")))?;
-        let start = self.clock.now().max(self.busy_until);
-        let done = start + SimDuration::from_nanos(costdev::NVME_LAT_NS);
-        self.busy_until = done;
-        Ok(done)
+        Ok(self.service(Access::Waited, 0, CostModel::NVME.write_bw))
     }
 
     fn submit_write_timing(&mut self, nbytes: u64) -> Result<SimTime> {
-        let done = self.service(nbytes, costdev::NVME_WRITE_BW);
+        let done = self.service(Access::Queued, nbytes, CostModel::NVME.write_bw);
         self.stats.writes += 1;
         self.stats.bytes_written += nbytes;
         Ok(done)
     }
 
-    fn charge_read_timing(&mut self, nbytes: u64) -> Result<()> {
-        let done = self.service(nbytes, costdev::NVME_READ_BW);
+    fn charge_read_timing(&mut self, nbytes: u64, access: Access) -> Result<()> {
+        let done = self.service(access, nbytes, CostModel::NVME.read_bw);
         self.clock.advance_to(done);
         self.stats.reads += 1;
         self.stats.bytes_read += nbytes;
@@ -228,6 +247,28 @@ mod tests {
             assert_eq!(&buf, expect, "block {i}");
         }
         assert!(d.write_blocks(15, &refs).is_err(), "extent past device end");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn vectored_read_is_one_request() {
+        let dir = std::env::temp_dir().join(format!("aurora-filedev4-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("disk.img");
+        let clock = SimClock::new();
+        let mut d = FileDev::open(clock, &path, 16).unwrap();
+        let bufs: Vec<Vec<u8>> = (1..=8u8).map(|i| vec![i; BLOCK_SIZE]).collect();
+        let refs: Vec<&[u8]> = bufs.iter().map(|b| b.as_slice()).collect();
+        d.write_blocks(4, &refs).unwrap();
+        let mut out = vec![vec![0u8; BLOCK_SIZE]; 8];
+        d.read_blocks(4, &mut out, Access::Queued).unwrap();
+        assert_eq!(out, bufs, "every block comes back");
+        assert_eq!(d.stats().reads, 1, "one request for the span");
+        assert_eq!(d.stats().bytes_read, 8 * BLOCK_SIZE as u64);
+        assert!(
+            d.read_blocks(12, &mut out, Access::Queued).is_err(),
+            "span past device end"
+        );
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

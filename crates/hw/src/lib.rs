@@ -36,7 +36,7 @@ pub mod net;
 pub mod retry;
 pub mod stripe;
 
-pub use dev::{BlockDev, DevInfo, DevStats, ModelDev};
+pub use dev::{Access, BlockDev, DevInfo, DevStats, ModelDev};
 pub use fault::{FaultPlan, FaultRates};
 pub use mirror::{GoldenCopy, MirrorDev, MirrorStats, ReplicaState, ResilverBarrier};
 pub use net::{Delivery, LinkFaultRates, LinkModel, LinkStats, RemoteDev, ReplLink};

@@ -38,7 +38,7 @@ use aurora_sim::error::{Error, Result};
 use aurora_sim::time::SimTime;
 use aurora_sim::SimClock;
 
-use crate::dev::{BlockDev, DevInfo, DevStats};
+use crate::dev::{Access, BlockDev, DevInfo, DevStats};
 use crate::fault::FaultPlan;
 use crate::retry::{DevHealth, ResilientDev, RetryStats};
 use crate::BLOCK_SIZE;
@@ -357,7 +357,7 @@ impl MirrorDev {
             return Ok(0);
         }
         let mut bufs: Vec<Vec<u8>> = vec![vec![0u8; BLOCK_SIZE]; count];
-        self.read_with_failover(|r| r.read_blocks(lba, &mut bufs))?;
+        self.read_with_failover(|r| r.read_blocks(lba, &mut bufs, Access::Waited))?;
         let refs: Vec<&[u8]> = bufs.iter().map(|b| b.as_slice()).collect();
         let mut done = self.clock.now();
         for (r, s) in self.replicas.iter_mut().zip(self.states.iter()) {
@@ -381,7 +381,7 @@ impl MirrorDev {
             return Ok(0);
         }
         let nbytes = (count * BLOCK_SIZE) as u64;
-        self.read_with_failover(|r| r.charge_read_timing(nbytes))?;
+        self.read_with_failover(|r| r.charge_read_timing(nbytes, Access::Waited))?;
         let mut done = self.clock.now();
         for (r, s) in self.replicas.iter_mut().zip(self.states.iter()) {
             if *s != ReplicaState::Rebuilding {
@@ -535,11 +535,11 @@ impl BlockDev for MirrorDev {
         Ok(())
     }
 
-    fn read_blocks(&mut self, lba: u64, bufs: &mut [Vec<u8>]) -> Result<()> {
+    fn read_blocks(&mut self, lba: u64, bufs: &mut [Vec<u8>], access: Access) -> Result<()> {
         // The per-replica ResilientDev guarantees all-or-error extent
         // reads (failed attempts leave the buffers zeroed), so failing
         // over a whole extent to a twin never mixes replicas.
-        self.read_with_failover(|r| r.read_blocks(lba, bufs))?;
+        self.read_with_failover(|r| r.read_blocks(lba, bufs, access))?;
         self.stats.reads += 1;
         self.stats.bytes_read += bufs.iter().map(|b| b.len() as u64).sum::<u64>();
         Ok(())
@@ -565,16 +565,6 @@ impl BlockDev for MirrorDev {
         Ok(done)
     }
 
-    fn read_gap_blocks(&self) -> u64 {
-        // A read may land on any replica: bridge only what the least
-        // willing of them would.
-        self.replicas
-            .iter()
-            .map(|r| r.read_gap_blocks())
-            .min()
-            .unwrap_or(0)
-    }
-
     fn flush(&mut self) -> Result<SimTime> {
         let done = self.fan_out(|r| r.flush())?;
         self.stats.flushes += 1;
@@ -588,8 +578,8 @@ impl BlockDev for MirrorDev {
         Ok(done)
     }
 
-    fn charge_read_timing(&mut self, nbytes: u64) -> Result<()> {
-        self.read_with_failover(|r| r.charge_read_timing(nbytes))?;
+    fn charge_read_timing(&mut self, nbytes: u64, access: Access) -> Result<()> {
+        self.read_with_failover(|r| r.charge_read_timing(nbytes, access))?;
         self.stats.reads += 1;
         self.stats.bytes_read += nbytes;
         Ok(())
@@ -861,7 +851,7 @@ mod tests {
         m.kill_replica(0).unwrap();
         m.kill_replica(1).unwrap();
         let mut out: Vec<Vec<u8>> = vec![block(0); 4];
-        m.read_blocks(10, &mut out).unwrap();
+        m.read_blocks(10, &mut out, Access::Queued).unwrap();
         assert_eq!(out, bufs);
     }
 }

@@ -15,7 +15,7 @@ use aurora_sim::rng::Xoshiro256;
 use aurora_sim::time::{SimDuration, SimTime};
 use aurora_sim::SimClock;
 
-use crate::dev::{BlockDev, DevInfo, DevStats};
+use crate::dev::{Access, BlockDev, DevInfo, DevStats};
 
 /// A point-to-point network link.
 #[derive(Debug)]
@@ -353,10 +353,10 @@ impl<D: BlockDev> BlockDev for RemoteDev<D> {
         Ok(dev_done.max(arrive))
     }
 
-    fn charge_read_timing(&mut self, nbytes: u64) -> Result<()> {
+    fn charge_read_timing(&mut self, nbytes: u64, access: Access) -> Result<()> {
         let req_arrive = self.link.transfer(64);
         self.link.clock.advance_to(req_arrive);
-        self.inner.charge_read_timing(nbytes)?;
+        self.inner.charge_read_timing(nbytes, access)?;
         self.link.transfer_sync(nbytes);
         Ok(())
     }

@@ -24,7 +24,7 @@ use aurora_sim::time::{SimDuration, SimTime};
 use aurora_sim::SimClock;
 use std::sync::Arc;
 
-use crate::dev::{BlockDev, DevInfo, DevStats};
+use crate::dev::{Access, BlockDev, DevInfo, DevStats};
 use crate::fault::FaultPlan;
 
 /// Transient-vs-permanent classification of an [`ErrorKind`].
@@ -286,7 +286,7 @@ impl BlockDev for ResilientDev {
         self.with_retries(true, |d| d.read(lba, buf))
     }
 
-    fn read_blocks(&mut self, lba: u64, bufs: &mut [Vec<u8>]) -> Result<()> {
+    fn read_blocks(&mut self, lba: u64, bufs: &mut [Vec<u8>], access: Access) -> Result<()> {
         // One retry scope per extent: the model device bounces a
         // transient extent atomically (nothing is filled), so
         // resubmitting the whole extent is idempotent.
@@ -297,7 +297,7 @@ impl BlockDev for ResilientDev {
         // surfaces). Zero every buffer on failure so no caller can
         // mistake a partially-filled extent for data — and so a mirror
         // failing over to a twin starts from clean buffers.
-        let r = self.with_retries(true, |d| d.read_blocks(lba, bufs));
+        let r = self.with_retries(true, |d| d.read_blocks(lba, bufs, access));
         if r.is_err() {
             for b in bufs.iter_mut() {
                 b.fill(0);
@@ -323,10 +323,6 @@ impl BlockDev for ResilientDev {
         self.with_retries(false, |d| d.write_blocks(lba, blocks))
     }
 
-    fn read_gap_blocks(&self) -> u64 {
-        self.inner.read_gap_blocks()
-    }
-
     fn flush(&mut self) -> Result<SimTime> {
         self.with_retries(false, |d| d.flush())
     }
@@ -335,8 +331,8 @@ impl BlockDev for ResilientDev {
         self.inner.submit_write_timing(nbytes)
     }
 
-    fn charge_read_timing(&mut self, nbytes: u64) -> Result<()> {
-        self.inner.charge_read_timing(nbytes)
+    fn charge_read_timing(&mut self, nbytes: u64, access: Access) -> Result<()> {
+        self.inner.charge_read_timing(nbytes, access)
     }
 
     fn power_fail(&mut self) {
@@ -579,7 +575,7 @@ mod tests {
         // Mid-extent bounce on the second per-block consultation.
         d.install_fault_plan(FaultPlan::transient_reads(2, 1));
         let mut out = vec![vec![0u8; BLOCK_SIZE]; 4];
-        d.read_blocks(0, &mut out).unwrap();
+        d.read_blocks(0, &mut out, Access::Queued).unwrap();
         assert_eq!(out, bufs);
         assert_eq!(d.retry_stats().reads_retried, 1);
         assert_eq!(d.retry_stats().failures_surfaced, 0);
@@ -650,7 +646,7 @@ mod tests {
         // attempts, so the whole extent fails after retries.
         d.install_fault_plan(FaultPlan::transient_reads(3, 8));
         let mut out = vec![vec![0x5Au8; BLOCK_SIZE]; 4];
-        assert!(d.read_blocks(0, &mut out).is_err());
+        assert!(d.read_blocks(0, &mut out, Access::Queued).is_err());
         for (i, b) in out.iter().enumerate() {
             assert!(
                 b.iter().all(|&x| x == 0),
@@ -667,7 +663,7 @@ mod tests {
         // Power dies at the 2nd per-block consultation of the extent.
         d.install_fault_plan(FaultPlan::power_cut_on_read(2));
         let mut out = vec![vec![0xA5u8; BLOCK_SIZE]; 4];
-        let err = d.read_blocks(0, &mut out).unwrap_err();
+        let err = d.read_blocks(0, &mut out, Access::Queued).unwrap_err();
         assert_eq!(err.kind(), ErrorKind::DeviceDead);
         assert_eq!(d.health(), DevHealth::Dead);
         for (i, b) in out.iter().enumerate() {

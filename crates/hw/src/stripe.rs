@@ -15,7 +15,7 @@ use aurora_sim::error::{Error, Result};
 use aurora_sim::time::SimTime;
 use aurora_sim::SimClock;
 
-use crate::dev::{BlockDev, DevInfo, DevStats};
+use crate::dev::{Access, BlockDev, DevInfo, DevStats};
 use crate::BLOCK_SIZE;
 
 /// A stripe set over homogeneous members.
@@ -131,16 +131,6 @@ impl<D: BlockDev> BlockDev for StripedDev<D> {
         Ok(())
     }
 
-    fn read_gap_blocks(&self) -> u64 {
-        // A hole of `g` stripe blocks is at most `g` on any one member,
-        // so a member's own break-even is a safe bound for the set.
-        self.members
-            .iter()
-            .map(|m| m.read_gap_blocks())
-            .min()
-            .unwrap_or(0)
-    }
-
     fn flush(&mut self) -> Result<SimTime> {
         let mut done = SimTime::ZERO;
         for m in &mut self.members {
@@ -171,12 +161,12 @@ impl<D: BlockDev> BlockDev for StripedDev<D> {
         Ok(done)
     }
 
-    fn charge_read_timing(&mut self, nbytes: u64) -> Result<()> {
+    fn charge_read_timing(&mut self, nbytes: u64, access: Access) -> Result<()> {
         // Reads also split across members; the caller waits for the max.
         let n = self.members.len() as u64;
         let share = nbytes.div_ceil(n);
         for m in &mut self.members {
-            m.charge_read_timing(share.min(nbytes))?;
+            m.charge_read_timing(share.min(nbytes), access)?;
         }
         self.stats.reads += 1;
         self.stats.bytes_read += nbytes;

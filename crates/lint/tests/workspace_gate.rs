@@ -28,10 +28,11 @@ fn workspace_has_no_unsuppressed_violations() {
 }
 
 /// The suppression ratchet: `lint-allow.toml` may only shrink. The
-/// budget below was set when the typestate commit protocol landed
-/// (burning the serialize.rs and store.rs index suppressions, 10 → 8);
-/// lower it when entries are fixed, never raise it without review.
-const MAX_ALLOW_ENTRIES: usize = 8;
+/// budget below follows the entries as they are fixed (10 → 8 with the
+/// typestate commit protocol, 8 → 6 with the device model's index
+/// sites); lower it when entries are fixed, never raise it without
+/// review.
+const MAX_ALLOW_ENTRIES: usize = 6;
 
 #[test]
 fn allowlist_never_grows() {

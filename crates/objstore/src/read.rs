@@ -11,11 +11,14 @@
 //! verdict per block. Everything else is a *cache policy* over it:
 //!
 //! * a lazy fault (`fetch_block`) serves the page-table copy, else
-//!   reads a one-block run and admits it;
+//!   reads a one-block run and admits it — a waited request, since the
+//!   faulting access cannot proceed without it;
 //! * the planner (`read_extent`) probes the bounded read cache, reads
-//!   the extent on any miss and admits what it fetched;
+//!   the extent on any miss and admits what it fetched — a queued
+//!   request, since the whole plan is known before its first read;
 //! * the audits (`verify_extent`) bypass the cache — a clean cached
-//!   copy says nothing about the medium — and collect the verdicts.
+//!   copy says nothing about the medium — and collect the verdicts,
+//!   queued like the planner's reads.
 //!
 //! A check is only enforceable when one function is licensed to do the
 //! I/O (the argument `txn.rs` makes for writes). In particular no read
@@ -27,7 +30,7 @@
 use std::collections::{BTreeMap, HashMap};
 use std::ops::Range;
 
-use aurora_hw::{BlockDev, BLOCK_SIZE};
+use aurora_hw::{Access, BLOCK_SIZE};
 use aurora_sim::cost::RESTORE_CACHE_HIT_NS;
 use aurora_sim::error::{Error, Result};
 use aurora_sim::hash::page_hash;
@@ -40,50 +43,25 @@ use crate::store::{ObjectStore, PageCache, EXTENT_BLOCKS};
 use crate::{BlockPtr, ObjId};
 
 /// Cuts ascending, unique block ids into extents: `(offset, len)` runs
-/// into `blocks`. A run keeps growing while the next block lies at most
-/// `gap` unwanted blocks past the previous one and the span from the
-/// run's first block to that one stays within `cap`. `gap == 0` yields
-/// runs of strictly adjacent ids — what writes and resilver need, since
-/// neither may touch a block outside its set; the read planner passes
-/// the device's [`BlockDev::read_gap_blocks`].
-pub fn runs(blocks: &[u64], gap: u64, cap: usize) -> Vec<(usize, usize)> {
+/// of strictly adjacent ids into `blocks`, each at most `cap` long. No
+/// run touches a block outside the set — what writes and resilver need,
+/// and at queue depth what reads want too: a queued request's share of
+/// the access latency is less than one block's transfer, so reading
+/// through a hole never pays for the request it saves.
+pub fn runs(blocks: &[u64], cap: usize) -> Vec<(usize, usize)> {
     let mut out = Vec::new();
     let mut it = blocks.iter().copied().enumerate();
     let Some((mut off, mut first)) = it.next() else {
         return out;
     };
-    let mut prev = first;
     for (at, b) in it {
-        let bridged = b - prev - 1 <= gap && b - first < cap as u64;
-        if !bridged {
+        if b - first != (at - off) as u64 || at - off >= cap {
             out.push((off, at - off));
             (off, first) = (at, b);
         }
-        prev = b;
     }
     out.push((off, blocks.len() - off));
     out
-}
-
-/// Reads `run` — ascending blocks of one extent, `lba0` the data
-/// region's first LBA — with a single vectored request over the span
-/// from its first block to its last, and returns the wanted blocks'
-/// bytes aligned with `run`. The filler between them is dropped here,
-/// unseen by any caller: it has no recorded hash to be checked against
-/// and no referent to serve.
-fn read_span(dev: &mut dyn BlockDev, lba0: u64, run: &[u64]) -> Result<Vec<Vec<u8>>> {
-    let (Some(&first), Some(&last)) = (run.first(), run.last()) else {
-        return Ok(Vec::new());
-    };
-    let mut span = vec![vec![0u8; BLOCK_SIZE]; (last - first + 1) as usize];
-    dev.read_blocks(lba0 + first, &mut span)?;
-    run.iter()
-        .map(|&b| {
-            span.get_mut((b - first) as usize)
-                .map(std::mem::take)
-                .ok_or_else(|| Error::internal(format!("extent block {b} outside its span")))
-        })
-        .collect()
 }
 
 /// The bounded LRU read cache with a content-hash index.
@@ -302,10 +280,9 @@ pub struct ReadPlan {
     /// once no matter how many targets they serve — they are read once
     /// and fanned out.
     pub blocks: Vec<u64>,
-    /// Extent schedule: `(offset, len)` runs into `blocks`, each read
-    /// with one request spanning its first block to its last — at most
-    /// [`EXTENT_BLOCKS`], holes no longer than the device's
-    /// [`BlockDev::read_gap_blocks`] read through and discarded.
+    /// Extent schedule: `(offset, len)` runs of adjacent blocks into
+    /// `blocks`, at most [`EXTENT_BLOCKS`] each, each read with one
+    /// request.
     pub extents: Vec<(usize, usize)>,
 }
 
@@ -363,27 +340,34 @@ type Verdict = Option<(PageData, Option<u64>)>;
 
 impl ObjectStore {
     /// The one reader of page bytes on a materialized store. Reads
-    /// `run` — ascending blocks of one extent — with a single vectored
-    /// request and compares every block that has a recorded content
-    /// hash with it. Damaged bytes get exactly one re-read: transient
-    /// electronics clear, damaged media re-reads identically, and then
-    /// each block still damaged gets its chance at a mirror twin. A
-    /// block that passed keeps its first verdict, so every block is
-    /// decoded and hashed once per read.
+    /// `run` — adjacent ascending blocks, one extent — with a single
+    /// vectored request of kind `access` and compares every block that
+    /// has a recorded content hash with it. Damaged bytes get exactly
+    /// one re-read, waited since nothing else is in flight for it:
+    /// transient electronics clear, damaged media re-reads identically,
+    /// and then each block still damaged gets its chance at a mirror
+    /// twin. A block that passed keeps its first verdict, so every block
+    /// is decoded and hashed once per read.
     ///
     /// `Err` means a request itself failed (dead device, retries
     /// exhausted); damage is a `None` verdict for that block alone.
     /// Nothing is cached, recorded or indexed here: what a verdict is
     /// worth is the calling policy's decision.
-    fn read_checked(&self, run: &[u64]) -> Result<Vec<Verdict>> {
+    fn read_checked(&self, run: &[u64], access: Access) -> Result<Vec<Verdict>> {
+        let Some(&first) = run.first() else {
+            return Ok(Vec::new());
+        };
         let recorded: Vec<Option<u64>> = {
             let cache = self.cache.lock();
             run.iter().map(|b| cache.block_hash.get(b).copied()).collect()
         };
         let lba0 = self.sb.data_start();
         let mut verdicts: Vec<Verdict> = vec![None; run.len()];
-        for _ in 0..2 {
-            let bufs = read_span(self.dev.borrow_mut().as_mut(), lba0, run)?;
+        for access in [access, Access::Waited] {
+            let mut bufs = vec![vec![0u8; BLOCK_SIZE]; run.len()];
+            self.dev
+                .borrow_mut()
+                .read_blocks(lba0 + first, &mut bufs, access)?;
             for ((verdict, buf), &want) in verdicts.iter_mut().zip(&bufs).zip(&recorded) {
                 if verdict.is_none() {
                     let page = PageData::from_bytes(buf);
@@ -440,7 +424,9 @@ impl ObjectStore {
             page
         };
         if let Some(page) = resident {
-            self.dev.borrow_mut().charge_read_timing(BLOCK_SIZE as u64)?;
+            self.dev
+                .borrow_mut()
+                .charge_read_timing(BLOCK_SIZE as u64, Access::Waited)?;
             return Ok(page);
         }
         if !self.config.materialize_data {
@@ -449,7 +435,8 @@ impl ObjectStore {
                 ptr.0
             )));
         }
-        let Some((page, recorded)) = self.read_checked(&[ptr.0])?.pop().flatten() else {
+        let Some((page, recorded)) = self.read_checked(&[ptr.0], Access::Waited)?.pop().flatten()
+        else {
             return Err(Error::corrupt(format!(
                 "block {}: content hash mismatch on read",
                 ptr.0
@@ -474,7 +461,7 @@ impl ObjectStore {
     /// Resolves a set of `(object, page)` targets as of a checkpoint
     /// into a batched read plan: per-target block pointers, the unique
     /// block set (dedup-shared blocks once), and that set cut into
-    /// extents by [`runs`] at the device's read break-even.
+    /// extents of adjacent blocks by [`runs`].
     pub fn plan_reads_at(&self, ckpt: CkptId, targets: &[(ObjId, u64)]) -> ReadPlan {
         let mut resolved = Vec::with_capacity(targets.len());
         let mut chains = Vec::with_capacity(targets.len());
@@ -498,7 +485,7 @@ impl ObjectStore {
             chains.push(head);
         }
         let blocks: Vec<u64> = uniq.into_iter().collect();
-        let extents = runs(&blocks, self.dev.borrow().read_gap_blocks(), EXTENT_BLOCKS);
+        let extents = runs(&blocks, EXTENT_BLOCKS);
         ReadPlan {
             resolved,
             chains,
@@ -513,11 +500,12 @@ impl ObjectStore {
     ///
     /// Charging: an all-hit extent costs [`RESTORE_CACHE_HIT_NS`] per
     /// block (index probe + frame adoption); an extent with any miss
-    /// charges one vectored read — a single access latency amortized
-    /// over the run. Materialized reads come through the checked reader
-    /// (compare, one re-read, heal from a twin); a block it cannot vouch
-    /// for aborts the plan with `ErrorKind::Corrupt`, leaving the store
-    /// intact.
+    /// charges one queued vectored read — the plan's extents are
+    /// independent requests, so each pays a queue-depth share of the
+    /// access latency plus its transfer. Materialized reads come through
+    /// the checked reader (compare, one re-read, heal from a twin); a
+    /// block it cannot vouch for aborts the plan with
+    /// `ErrorKind::Corrupt`, leaving the store intact.
     pub fn execute_read_plan(&mut self, plan: &ReadPlan) -> Result<ReadOutcome> {
         self.execute_read_plan_range(plan, 0..plan.extents.len())
     }
@@ -549,13 +537,11 @@ impl ObjectStore {
         Ok(out)
     }
 
-    /// The planner's policy for one extent of a plan — `run`, its wanted
+    /// The planner's policy for one extent of a plan — `run`, adjacent
     /// blocks ascending: probe the bounded read cache, read the extent
-    /// on any miss, admit what was fetched. Only `run`'s blocks are
-    /// probed, checked, admitted and returned; a hole the planner
-    /// bridged costs its transfer time and nothing else.
+    /// on any miss, admit what was fetched.
     fn read_extent(&mut self, run: &[u64], out: &mut ReadOutcome) -> Result<()> {
-        let (Some(&start), Some(&last)) = (run.first(), run.last()) else {
+        let Some(&start) = run.first() else {
             return Ok(());
         };
         let mut missed = false;
@@ -593,7 +579,10 @@ impl ObjectStore {
             // All or nothing: one damaged block the reader could not
             // heal aborts the plan with `Corrupt` before anything of its
             // extent is admitted, leaving the committed store untouched.
-            let Some(checked) = self.read_checked(run)?.into_iter().collect::<Option<Vec<_>>>()
+            let Some(checked) = self
+                .read_checked(run, Access::Queued)?
+                .into_iter()
+                .collect::<Option<Vec<_>>>()
             else {
                 return Err(Error::corrupt(format!(
                     "extent at block {start}: content hash mismatch on read"
@@ -631,7 +620,7 @@ impl ObjectStore {
             }
             self.dev
                 .get_mut()
-                .charge_read_timing((last - start + 1) * BLOCK_SIZE as u64)?;
+                .charge_read_timing((run.len() * BLOCK_SIZE) as u64, Access::Queued)?;
         }
         Ok(())
     }
@@ -752,10 +741,9 @@ impl ObjectStore {
             problems.extend(walk.into_iter().map(|p| (ckpt, p)));
         }
         let blocks: Vec<u64> = blocks.into_iter().collect();
-        let gap = self.dev.borrow().read_gap_blocks();
         let mut bad: BTreeMap<u64, String> = BTreeMap::new();
         let mut hashed = 0u64;
-        for (off, len) in runs(&blocks, gap, EXTENT_BLOCKS) {
+        for (off, len) in runs(&blocks, EXTENT_BLOCKS) {
             if let Some(run) = blocks.get(off..off + len) {
                 hashed += self.verify_extent(run, &mut bad);
             }
@@ -827,15 +815,15 @@ impl ObjectStore {
     }
 
     /// The audits' policy: compares the platter copies of `run` (one
-    /// extent, ascending) with their recorded content hashes past the
-    /// read cache — a clean cached copy says nothing about the medium —
-    /// adds the blocks the reader could not vouch for to `bad`, each
-    /// with what is wrong with it, and returns how many blocks were
-    /// hashed. Nothing is admitted. Only when the request itself fails
-    /// does the run go block by block, so one unreadable block does not
-    /// condemn its neighbours.
+    /// extent, adjacent and ascending, read queued like the planner's)
+    /// with their recorded content hashes past the read cache — a clean
+    /// cached copy says nothing about the medium — adds the blocks the
+    /// reader could not vouch for to `bad`, each with what is wrong with
+    /// it, and returns how many blocks were hashed. Nothing is admitted.
+    /// Only when the request itself fails does the run go block by block,
+    /// so one unreadable block does not condemn its neighbours.
     fn verify_extent(&self, run: &[u64], bad: &mut BTreeMap<u64, String>) -> u64 {
-        match self.read_checked(run) {
+        match self.read_checked(run, Access::Queued) {
             Ok(verdicts) => {
                 let damaged = run.iter().zip(&verdicts).filter(|(_, v)| v.is_none());
                 bad.extend(damaged.map(|(&b, _)| (b, "content hash mismatch".to_string())));

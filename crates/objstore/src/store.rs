@@ -11,7 +11,7 @@
 use std::cell::{Cell, Ref, RefCell};
 use std::collections::{BTreeMap, HashMap, HashSet};
 
-use aurora_hw::{BlockDev, BLOCK_SIZE};
+use aurora_hw::{Access, BlockDev, BLOCK_SIZE};
 use aurora_sim::error::{Error, Result};
 use aurora_sim::lockdep::{OrderedMutex, RANK_PAGE_CACHE};
 use aurora_sim::time::SimTime;
@@ -92,8 +92,7 @@ pub struct StoreStats {
     pub blocks_coalesced: u64,
     /// Vectored extent reads issued by the batched restore path.
     pub read_extents_coalesced: u64,
-    /// Planned blocks those extent reads fetched (bridged filler is in
-    /// the device's `bytes_read` only).
+    /// Planned blocks those extent reads fetched.
     pub read_blocks_coalesced: u64,
     /// Batched-read probes served by the bounded read cache.
     pub read_cache_hits: u64,
@@ -797,7 +796,7 @@ impl ObjectStore {
         // Extent pass: each run of adjacent blocks becomes one
         // vectored write.
         let blocks: Vec<u64> = fresh.keys().copied().collect();
-        for (off, len) in runs(&blocks, 0, EXTENT_BLOCKS) {
+        for (off, len) in runs(&blocks, EXTENT_BLOCKS) {
             let Some(&start) = blocks.get(off) else {
                 continue;
             };
@@ -1058,9 +1057,10 @@ impl ObjectStore {
     pub fn get_blob(&self, ckpt: CkptId, key: &str) -> Result<Option<Vec<u8>>> {
         let found = checkpoint::resolve_blob(&self.ckpts, ckpt, key).map(<[u8]>::to_vec);
         if let Some(v) = &found {
+            let bytes = v.len().div_ceil(BLOCK_SIZE) as u64 * BLOCK_SIZE as u64;
             self.dev
                 .borrow_mut()
-                .charge_read_timing(v.len().div_ceil(BLOCK_SIZE) as u64 * BLOCK_SIZE as u64)?;
+                .charge_read_timing(bytes, Access::Waited)?;
         }
         Ok(found)
     }
@@ -1634,7 +1634,7 @@ impl ObjectStore {
         let data_start = self.sb.data_start();
         let materialized = self.config.materialize_data;
         let live: Vec<u64> = self.alloc.allocated().collect();
-        for (off, count) in runs(&live, 0, EXTENT_BLOCKS) {
+        for (off, count) in runs(&live, EXTENT_BLOCKS) {
             if let Some(&start) = live.get(off) {
                 copies.push((data_start + start, count, materialized));
             }

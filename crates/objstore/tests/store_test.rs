@@ -833,10 +833,12 @@ fn drop_caches_requires_materialized_data() {
 }
 
 // ---------------------------------------------------------------------------
-// Read planner: extents that read through short holes.
+// Read planner: extents of adjacent blocks, read at queue depth.
 
+use aurora_hw::BLOCK_SIZE;
 use aurora_objstore::store::runs;
 use aurora_objstore::EXTENT_BLOCKS;
+use aurora_sim::time::SimDuration;
 
 /// First-to-last span of every run `runs` cut from `blocks`.
 fn spans(blocks: &[u64], cut: &[(usize, usize)]) -> Vec<u64> {
@@ -846,34 +848,17 @@ fn spans(blocks: &[u64], cut: &[(usize, usize)]) -> Vec<u64> {
 }
 
 #[test]
-fn runs_bridge_a_hole_up_to_the_gap_and_no_further() {
-    // A hole of exactly `gap` blocks is read through; one block more
-    // starts a new extent.
-    for gap in [1u64, 6, 20] {
-        let bridged = [100, 100 + gap + 1];
-        assert_eq!(runs(&bridged, gap, EXTENT_BLOCKS), vec![(0, 2)], "gap {gap}");
-        let split = [100, 100 + gap + 2];
-        assert_eq!(runs(&split, gap, EXTENT_BLOCKS), vec![(0, 1), (1, 1)], "gap {gap}");
-    }
-    assert!(runs(&[], 6, EXTENT_BLOCKS).is_empty());
-    assert_eq!(runs(&[9], 6, EXTENT_BLOCKS), vec![(0, 1)]);
-}
-
-#[test]
 fn runs_never_span_more_than_the_cap() {
-    // Every hole is bridgeable, so only the cap ends an extent.
-    let strided: Vec<u64> = (0..200).map(|i| i * 7).collect();
-    let cut = runs(&strided, 6, EXTENT_BLOCKS);
-    assert!(spans(&strided, &cut).iter().all(|&s| s <= EXTENT_BLOCKS as u64));
-    // 10 blocks span 64 (0..=63); the 11th would make it 71.
-    assert_eq!(cut.first(), Some(&(0, 10)));
-    assert_eq!(cut.iter().map(|&(_, len)| len).sum::<usize>(), strided.len());
-    // Dense ids: whole extents and a tail, as before.
+    // Dense ids: whole extents and a tail.
     let dense: Vec<u64> = (5..205).collect();
-    assert_eq!(
-        runs(&dense, 6, EXTENT_BLOCKS),
-        vec![(0, 64), (64, 64), (128, 64), (192, 8)]
-    );
+    let cut = runs(&dense, EXTENT_BLOCKS);
+    assert_eq!(cut, vec![(0, 64), (64, 64), (128, 64), (192, 8)]);
+    assert!(spans(&dense, &cut)
+        .iter()
+        .all(|&s| s <= EXTENT_BLOCKS as u64));
+    // Every hole ends an extent, however short.
+    let strided: Vec<u64> = (0..200).map(|i| i * 2).collect();
+    assert_eq!(runs(&strided, EXTENT_BLOCKS).len(), strided.len());
 }
 
 #[test]
@@ -892,15 +877,23 @@ fn runs_with_no_gap_are_runs_of_adjacent_ids() {
         }
         out
     }
+    assert!(runs(&[], EXTENT_BLOCKS).is_empty());
+    assert_eq!(runs(&[9], EXTENT_BLOCKS), vec![(0, 1)]);
     let mut rng = aurora_sim::rng::Xoshiro256::seed_from(16);
     for density in [2u64, 3, 10] {
-        let blocks: Vec<u64> = (0..2000u64).filter(|_| rng.next_below(density) != 0).collect();
-        assert_eq!(runs(&blocks, 0, EXTENT_BLOCKS), adjacent(&blocks), "density {density}");
+        let blocks: Vec<u64> = (0..2000u64)
+            .filter(|_| rng.next_below(density) != 0)
+            .collect();
+        assert_eq!(
+            runs(&blocks, EXTENT_BLOCKS),
+            adjacent(&blocks),
+            "density {density}"
+        );
     }
 }
 
 /// A store on `dev` holding one 40-page object in adjacent blocks, and
-/// the plan for every third page of it.
+/// the plan for every third page of it: 14 one-block islands.
 fn strided_plan(
     dev: ModelDev,
     materialize: bool,
@@ -927,34 +920,29 @@ fn strided_plan(
         "pages landed in adjacent blocks: {:?}",
         plan.blocks
     );
+    if materialize {
+        s.drop_caches().unwrap();
+    }
+    // Let the commit's writes drain, so every read below finds the
+    // device queue idle.
+    s.device().clock().charge(SimDuration::from_millis(100));
     (s, plan)
 }
 
 #[test]
-fn bridged_extent_returns_and_caches_only_planned_blocks() {
-    for materialize in [true, false] {
-        let clock = SimClock::new();
-        let (mut s, plan) = strided_plan(ModelDev::nvme(clock, "nvme0", DEV_BLOCKS), materialize);
-        // Holes of two blocks are under the NVMe break-even of six.
-        assert_eq!(plan.extents, vec![(0, 14)]);
-        if materialize {
-            s.drop_caches().unwrap();
-        }
+fn a_plan_reads_one_extent_per_island() {
+    for dev in [ModelDev::nvme, ModelDev::nvdimm] {
+        let (mut s, plan) = strided_plan(dev(SimClock::new(), "dev0", DEV_BLOCKS), true);
+        let islands: Vec<(usize, usize)> = (0..14).map(|i| (i, 1)).collect();
+        assert_eq!(plan.extents, islands, "no hole is read through");
         let before = s.device().stats().clone();
         let out = s.execute_read_plan(&plan).unwrap();
         let after = s.device().stats().clone();
-        assert_eq!(after.reads - before.reads, 1, "one request for the span");
-        assert_eq!(
-            after.bytes_read - before.bytes_read,
-            40 * aurora_vm::PAGE_SIZE as u64,
-            "13 × 3 + 1 blocks cross the bus"
-        );
-        assert_eq!(out.extents_read, 1);
-        assert_eq!(out.fetched, plan.blocks, "filler is not fetched");
-        let mut got: Vec<u64> = out.pages.keys().copied().collect();
-        got.sort_unstable();
-        assert_eq!(got, plan.blocks, "filler is not returned");
-        assert_eq!(s.read_cache_len(), 14, "filler is not cached");
+        assert_eq!(out.extents_read, 14);
+        assert_eq!(after.reads - before.reads, 14);
+        assert_eq!(after.bytes_read - before.bytes_read, 14 * BLOCK_SIZE as u64);
+        assert_eq!(out.fetched, plan.blocks);
+        assert_eq!(s.read_cache_len(), 14);
         assert_eq!(s.stats.read_blocks_coalesced, 14);
         for (i, b) in plan.blocks.iter().enumerate() {
             let want = PageData::Seeded(900 + 3 * i as u64);
@@ -963,22 +951,58 @@ fn bridged_extent_returns_and_caches_only_planned_blocks() {
     }
 }
 
+/// The plan's extents are independent requests, known before the first
+/// is issued: each holds the NVMe queue for a queue-depth share of the
+/// access latency. A lazy fault of the same block is waited out alone
+/// and pays all of it. Either way a block read burns one read ordinal.
 #[test]
-fn a_device_that_never_bridges_plans_one_extent_per_island() {
-    let clock = SimClock::new();
-    let (mut s, plan) = strided_plan(ModelDev::nvdimm(clock, "nvd0", DEV_BLOCKS), true);
-    let islands: Vec<(usize, usize)> = (0..14).map(|i| (i, 1)).collect();
-    assert_eq!(plan.extents, islands, "break-even 0: today's extents");
+fn planned_islands_are_queued_requests_and_lazy_faults_waited_ones() {
+    let transfer = SimDuration::for_bytes(BLOCK_SIZE as u64, aurora_sim::cost::dev::NVME_READ_BW);
+    let queued = SimDuration::from_nanos(625) + transfer;
+    let waited = SimDuration::from_nanos(10_000) + transfer;
+    for materialize in [true, false] {
+        let clock = SimClock::new();
+        let (mut s, plan) = strided_plan(
+            ModelDev::nvme(clock.clone(), "nvme0", DEV_BLOCKS),
+            materialize,
+        );
+        let ck = s.head().unwrap();
+        let before = clock.now();
+        let out = s.execute_read_plan(&plan).unwrap();
+        assert_eq!(out.extents_read, 14);
+        let elapsed = clock.now().since(before);
+        assert_eq!(
+            elapsed.as_nanos(),
+            14 * queued.as_nanos(),
+            "materialize {materialize}"
+        );
+
+        if materialize {
+            s.drop_caches().unwrap();
+        }
+        let before = clock.now();
+        for i in (0..40u64).step_by(3) {
+            let got = s.read_page_at(ck, ObjId(1), i).unwrap().unwrap();
+            assert!(got.content_eq(&PageData::Seeded(900 + i)));
+        }
+        let elapsed = clock.now().since(before);
+        assert_eq!(
+            elapsed.as_nanos(),
+            14 * waited.as_nanos(),
+            "materialize {materialize}"
+        );
+    }
+
+    // One ordinal per block read, queued or waited: a cut armed past the
+    // plan's 14 reads fires at the first lazy fault after it.
+    let (mut s, plan) = strided_plan(ModelDev::nvme(SimClock::new(), "nvme0", DEV_BLOCKS), true);
+    let ck = s.head().unwrap();
+    s.device_mut()
+        .install_fault_plan(FaultPlan::power_cut_on_read(15));
+    s.execute_read_plan(&plan).unwrap();
     s.drop_caches().unwrap();
-    let before = s.device().stats().clone();
-    let out = s.execute_read_plan(&plan).unwrap();
-    let after = s.device().stats().clone();
-    assert_eq!(out.extents_read, 14);
-    assert_eq!(after.reads - before.reads, 14);
-    assert_eq!(
-        after.bytes_read - before.bytes_read,
-        14 * aurora_vm::PAGE_SIZE as u64
-    );
+    assert!(s.read_page_at(ck, ObjId(1), 0).is_err());
+    assert!(!s.device().powered());
 }
 
 #[test]
@@ -989,16 +1013,20 @@ fn extent_batches_cut_bridged_plans_at_whole_extents() {
         s.write_page(ObjId(1), i, &PageData::Seeded(5000 + i)).unwrap();
     }
     let (ck, _) = s.commit(Some("wide")).unwrap();
-    // Every other page, and a hole too wide to bridge every 50 pages.
+    // Runs of four pages between one-page holes, and a wider hole every
+    // 50 pages.
     let targets: Vec<(ObjId, u64)> = (0..600)
-        .filter(|i| i % 2 == 0 && i % 50 >= 10)
+        .filter(|i| i % 5 != 0 && i % 50 >= 10)
         .map(|i| (ObjId(1), i))
         .collect();
     let plan = s.plan_reads_at(ck, &targets);
     assert!(spans(&plan.blocks, &plan.extents)
         .iter()
         .all(|&s| s <= EXTENT_BLOCKS as u64));
-    assert!(plan.extents.iter().any(|&(_, len)| len > 1), "holes were bridged");
+    assert!(
+        plan.extents.iter().all(|&(_, len)| len == 4),
+        "extents of adjacent blocks"
+    );
 
     let batches = plan.extent_batches(48);
     let mut next = 0usize;

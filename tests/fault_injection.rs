@@ -842,7 +842,7 @@ struct WideImage {
 /// checkpoint; with a history window of 1 that collects the first
 /// checkpoint, so each run of three surviving blocks is followed by a
 /// freed one and the rewrites sit in a dense tail. The read planner
-/// bridges the one-block holes: most extents of this image carry filler.
+/// cuts it into extents of adjacent blocks, most of them three long.
 fn commit_wide_image(host: &mut Host) -> WideImage {
     let pid = host.kernel.spawn("wide");
     let addr = host.kernel.mmap_anon(pid, WIDE_PAGES * 4096, false).unwrap();
@@ -892,10 +892,10 @@ fn restore_plan(host: &Host, ckpt: CkptId) -> (aurora::objstore::store::ReadPlan
     (store.plan_reads_at(ckpt, &targets), store.data_start())
 }
 
-/// LBAs of the blocks the eager restore of `ckpt` wants from the first
-/// extent of batch `batch` of its read plan — an extent that reads
-/// through holes.
-fn bridged_extent(host: &Host, ckpt: CkptId, batch: usize) -> Vec<u64> {
+/// LBAs of the blocks of the first extent of batch `batch` of the
+/// eager restore's read plan for `ckpt` — a run of adjacent blocks
+/// longer than one.
+fn planned_extent(host: &Host, ckpt: CkptId, batch: usize) -> Vec<u64> {
     let (plan, data_start) = restore_plan(host, ckpt);
     let batches = plan.extent_batches(RESTORE_BATCH_BLOCKS);
     assert!(batches.len() >= 3, "the image spans {} batches", batches.len());
@@ -904,24 +904,20 @@ fn bridged_extent(host: &Host, ckpt: CkptId, batch: usize) -> Vec<u64> {
         .iter()
         .map(|b| data_start + b)
         .collect();
-    assert!(
-        lbas[len - 1] - lbas[0] >= len as u64,
-        "the extent must carry filler: {lbas:?}"
+    assert!(len > 1, "a multi-block extent: {lbas:?}");
+    assert_eq!(
+        lbas[len - 1] - lbas[0],
+        len as u64 - 1,
+        "adjacent blocks: {lbas:?}"
     );
     lbas
 }
 
-/// LBA of a block the eager restore of `ckpt` wants from the middle of
-/// a bridged extent of its second batch.
+/// LBA of a block in the middle of an extent of the second batch of
+/// the eager restore of `ckpt`.
 fn second_batch_lba(host: &Host, ckpt: CkptId) -> u64 {
-    let lbas = bridged_extent(host, ckpt, 1);
+    let lbas = planned_extent(host, ckpt, 1);
     lbas[lbas.len() / 2]
-}
-
-/// LBA of the first hole `lbas` (one extent's wanted blocks) reads
-/// through: a block the device moves and nobody asked for.
-fn first_filler(lbas: &[u64]) -> u64 {
-    lbas.windows(2).find(|w| w[1] - w[0] > 1).unwrap()[0] + 1
 }
 
 /// Restores the wide image eagerly and checks every page.
@@ -990,7 +986,7 @@ fn corrupt_block_in_a_later_restore_batch_aborts_without_damage() {
     assert_eq!(
         store.borrow().read_cache_len(),
         first_batch,
-        "admitted: the first batch's wanted blocks, no filler, nothing of the damaged extent"
+        "admitted: the first batch's blocks, nothing of the damaged extent"
     );
 
     host.sls
@@ -1049,68 +1045,24 @@ fn corrupt_block_in_a_later_restore_batch_is_healed_by_the_mirror() {
 }
 
 // ---------------------------------------------------------------------------
-// Faults under extents that read through holes.
+// A power cut inside a multi-block extent.
 
-/// Damaged media under a *filler* block: the device hands the flipped
-/// bit back inside a bridged extent, nobody asked for that block, and
-/// the restore neither fails nor takes a nanosecond longer than on a
-/// healthy twin.
-#[test]
-fn corrupt_filler_block_in_a_bridged_extent_goes_unnoticed() {
-    let restore = |fault: bool| {
-        let mut host = boot_materialized();
-        let WideImage { addr, ckpt, .. } = commit_wide_image(&mut host);
-        host.sls.restore_workers = 4;
-        if fault {
-            let filler = first_filler(&bridged_extent(&host, ckpt, 1));
-            host.sls
-                .primary
-                .borrow_mut()
-                .device_mut()
-                .install_fault_plan(FaultPlan::corrupt_read_blocks(filler, filler + 1, 100, 3));
-        }
-        let store = host.sls.primary.clone();
-        let r = host.restore(&store, ckpt, RestoreMode::Eager).unwrap();
-        let np = r.root_pid().unwrap();
-        for p in 0..WIDE_PAGES {
-            let want = wide_page(p);
-            let mut buf = vec![0u8; want.len()];
-            host.kernel.mem_read(np, addr + p * 4096, &mut buf).unwrap();
-            assert_eq!(buf, want, "page {p} damaged");
-        }
-        let st = store.borrow();
-        assert_eq!(st.read_cache_len() as u64, WIDE_PAGES, "wanted blocks only");
-        assert_eq!(st.stats.repair_path_entries.get(), 0);
-        assert_eq!(st.device().retry_stats().reads_retried, 0);
-        let bytes_read = st.device().stats().bytes_read;
-        (r.total, r.extents_read, bytes_read)
-    };
-    let (healthy, faulted) = (restore(false), restore(true));
-    assert_eq!(faulted, healthy, "(latency, extents, bytes) with and without the fault");
-    assert!(
-        healthy.2 > WIDE_PAGES * 4096,
-        "the restore moved filler: {} bytes for {WIDE_PAGES} pages",
-        healthy.2
-    );
-}
-
-/// Power dies while the device is moving a filler block of the first
-/// bridged extent: the restore fails with the device dead and nothing
+/// Power dies while the device is moving the second block of the first
+/// planned extent: the restore fails with the device dead and nothing
 /// admitted, and the rebooted store is fsck- and scrub-clean and
 /// restores the image exactly.
 #[test]
-fn power_cut_inside_a_bridged_extent_kills_the_device_and_recovery_is_clean() {
+fn power_cut_inside_a_planned_extent_kills_the_device_and_recovery_is_clean() {
     let mut host = boot_materialized();
     let WideImage { addr, ckpt, .. } = commit_wide_image(&mut host);
     host.sls.restore_workers = 4;
-    let lbas = bridged_extent(&host, ckpt, 0);
+    planned_extent(&host, ckpt, 0);
     // The page-in's first device read is this extent, block by block.
-    let ordinal = first_filler(&lbas) - lbas[0] + 1;
     host.sls
         .primary
         .borrow_mut()
         .device_mut()
-        .install_fault_plan(FaultPlan::power_cut_on_read(ordinal));
+        .install_fault_plan(FaultPlan::power_cut_on_read(2));
 
     let store = host.sls.primary.clone();
     let err = host.restore(&store, ckpt, RestoreMode::Eager).unwrap_err();
@@ -1143,31 +1095,19 @@ fn incremental_over_wide_image(host: &mut Host, img: &WideImage) -> aurora::core
     bd
 }
 
-/// The base check compares every wanted block and only those: damage
-/// under a filler block of a bridged extent leaves the incremental
-/// alone, damage under a wanted block of the same extent degrades it to
-/// a full checkpoint with `base_damaged` set.
+/// The base check compares every block of the extents it reads: damage
+/// under a block in the middle of a multi-block extent degrades the
+/// incremental to a full checkpoint with `base_damaged` set.
 #[test]
-fn base_check_ignores_filler_damage_and_degrades_on_wanted_damage() {
+fn base_check_degrades_on_damage_inside_an_extent() {
     let mut host = boot_materialized();
     let img = commit_wide_image(&mut host);
-    let lbas = bridged_extent(&host, img.ckpt, 1);
-    let arm = |host: &mut Host, lba: u64| {
-        host.sls
-            .primary
-            .borrow_mut()
-            .device_mut()
-            .install_fault_plan(FaultPlan::corrupt_read_blocks(lba, lba + 1, 100, 3));
-    };
-
-    arm(&mut host, first_filler(&lbas));
-    let bd = incremental_over_wide_image(&mut host, &img);
-    assert_eq!(bd.outcome, CheckpointOutcome::Committed, "{:?}", bd.fault);
-    assert!(!bd.base_damaged && !bd.full);
-    assert!(bd.base_verify_blocks > WIDE_PAGES, "the check read through holes");
-    assert!(bd.base_verify > aurora::sim::time::SimDuration::ZERO);
-
-    arm(&mut host, lbas[lbas.len() / 2]);
+    let lba = second_batch_lba(&host, img.ckpt);
+    host.sls
+        .primary
+        .borrow_mut()
+        .device_mut()
+        .install_fault_plan(FaultPlan::corrupt_read_blocks(lba, lba + 1, 100, 3));
     let bd = incremental_over_wide_image(&mut host, &img);
     assert_eq!(bd.outcome, CheckpointOutcome::DegradedToFull);
     assert!(bd.base_damaged && bd.full);
