@@ -139,11 +139,20 @@ mod tests {
     use aurora_hw::ModelDev;
     use aurora_objstore::StoreConfig;
     use aurora_sim::SimClock;
+    use aurora_vm::fault::Access;
+    use aurora_vm::FrameId;
 
     fn host() -> Host {
         let clock = SimClock::new();
         let dev = Box::new(ModelDev::nvme(clock, "nvme0", 512 * 1024));
         Host::boot("h", dev, StoreConfig::default()).unwrap()
+    }
+
+    /// The frame an instance's read of `addr` lands on.
+    fn frame_at(h: &mut Host, pid: Pid, addr: u64) -> FrameId {
+        let k = &mut h.kernel;
+        let proc = k.procs.get_mut(&pid).unwrap();
+        k.vm.fault(&mut proc.map, addr, Access::Read).unwrap()
     }
 
     #[test]
@@ -186,5 +195,101 @@ mod tests {
         invoke(&mut h, &image, i2, 8).unwrap();
         assert_eq!(h.kernel.get_reg(i1.pid, 2).unwrap(), 2);
         assert_eq!(h.kernel.get_reg(i2.pid, 2).unwrap(), 1);
+    }
+
+    #[test]
+    fn a_second_image_maps_the_runtime_frames_a_sibling_image_faulted_in() {
+        let mut h = host();
+        let a = build_image(&mut h, "fn-a", 32, 4, 0xA).unwrap();
+        let b = build_image(&mut h, "fn-b", 32, 4, 0xB).unwrap();
+        let (ia, _) = instantiate(&mut h, &a, RestoreMode::Lazy).unwrap();
+        invoke(&mut h, &a, ia, 16).unwrap();
+
+        // The first instance of B finds the deduplicated runtime resident.
+        let (ib, _) = instantiate(&mut h, &b, RestoreMode::Lazy).unwrap();
+        let majors = h.kernel.vm.stats.major_faults;
+        for i in 0..16 {
+            let shared = frame_at(&mut h, ib.pid, b.runtime_addr + i * 4096);
+            let own = frame_at(&mut h, ia.pid, a.runtime_addr + i * 4096);
+            assert_eq!(shared, own, "runtime page {i}");
+        }
+        assert_eq!(
+            h.kernel.vm.stats.major_faults, majors,
+            "no device read for a shared page"
+        );
+
+        // A write in B copies; A's instance and a fresh A keep the bytes.
+        let mut runtime = [0u8; 8];
+        h.kernel
+            .mem_read(ia.pid, a.runtime_addr, &mut runtime)
+            .unwrap();
+        let cows = h.kernel.vm.stats.cow_faults;
+        h.kernel
+            .mem_write(ib.pid, b.runtime_addr, b"written!")
+            .unwrap();
+        assert_eq!(h.kernel.vm.stats.cow_faults, cows + 1);
+        let (fresh, _) = instantiate(&mut h, &a, RestoreMode::Lazy).unwrap();
+        let mut got = [0u8; 8];
+        for pid in [ia.pid, fresh.pid] {
+            h.kernel.mem_read(pid, a.runtime_addr, &mut got).unwrap();
+            assert_eq!(got, runtime);
+        }
+        h.kernel.mem_read(ib.pid, b.runtime_addr, &mut got).unwrap();
+        assert_eq!(&got, b"written!");
+    }
+
+    #[test]
+    fn a_warm_instance_starts_with_its_siblings_working_set_mapped() {
+        let mut h = host();
+        let image = build_image(&mut h, "fn-a", 32, 8, 0xA).unwrap();
+        let frames = h.kernel.vm.frames.allocated();
+        let (first, _) = instantiate(&mut h, &image, RestoreMode::Lazy).unwrap();
+        // 16 runtime pages and the function region's first 4.
+        invoke(&mut h, &image, first, 16).unwrap();
+        retire(&mut h, first).unwrap();
+
+        let (second, bd) = instantiate(&mut h, &image, RestoreMode::Lazy).unwrap();
+        assert_eq!(
+            bd.pages_prefetched, 20,
+            "the first instance's working set is wired"
+        );
+        let faults = |h: &Host| {
+            (
+                h.kernel.vm.stats.minor_faults,
+                h.kernel.vm.stats.major_faults,
+            )
+        };
+        let before = faults(&h);
+        invoke(&mut h, &image, second, 16).unwrap();
+        assert_eq!(faults(&h), before, "a warm invocation takes no fault");
+
+        retire(&mut h, second).unwrap();
+        h.release_image(&image.store, image.ckpt);
+        assert_eq!(h.kernel.vm.frames.allocated(), frames);
+    }
+
+    #[test]
+    fn releasing_an_image_leaves_its_live_instances_running() {
+        let mut h = host();
+        let image = build_image(&mut h, "fn-a", 32, 4, 0xA).unwrap();
+        let frames = h.kernel.vm.frames.allocated();
+        let (inst, _) = instantiate(&mut h, &image, RestoreMode::Lazy).unwrap();
+        h.release_image(&image.store, image.ckpt);
+        invoke(&mut h, &image, inst, 8).unwrap();
+        assert_eq!(h.kernel.get_reg(inst.pid, 2).unwrap(), 1);
+
+        let (cold, bd) = instantiate(&mut h, &image, RestoreMode::Lazy).unwrap();
+        assert_eq!(
+            bd.pages_prefetched, 0,
+            "a restore after the release starts cold"
+        );
+        retire(&mut h, inst).unwrap();
+        retire(&mut h, cold).unwrap();
+        h.release_image(&image.store, image.ckpt);
+        assert_eq!(
+            h.kernel.vm.frames.allocated(),
+            frames,
+            "the released pager went with its last instance"
+        );
     }
 }

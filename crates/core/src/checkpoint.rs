@@ -403,7 +403,7 @@ impl Host {
             let size = self.kernel.vm.object(v).size_pages;
             // Walk the image's pages; the pager knows which exist.
             // (Ask the store for the page list through the pager's own
-            // has_page; sizes are bounded by the object's page count.)
+            // page_id; sizes are bounded by the object's page count.)
             let resident: HashSet<u64> = self
                 .kernel
                 .vm
@@ -416,7 +416,7 @@ impl Host {
                 if resident.contains(&idx) {
                     continue;
                 }
-                if !self.kernel.vm.pager_mut(pager).has_page(key, idx) {
+                if self.kernel.vm.pager_mut(pager).page_id(key, idx).is_none() {
                     continue;
                 }
                 let data = self.kernel.vm.pager_mut(pager).page_in(key, idx)?;

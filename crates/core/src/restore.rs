@@ -8,8 +8,10 @@
 //! * **Memory state** — recreating the VM object hierarchy and address
 //!   spaces. No page data is copied: objects are bound to a pager over
 //!   the checkpoint image, and pages arrive on demand (lazy restore),
-//!   shared COW between the image and — via the image cache — every
-//!   other instance restored from the same checkpoint.
+//!   shared COW between the image and — via the VM frame index — every
+//!   other instance restored from the same checkpoint, and every image
+//!   that shares a deduplicated block with it. What is already resident
+//!   is wired during the restore, in every mode.
 //! * **Metadata state** — recreating processes, descriptor tables,
 //!   pipes, sockets (including in-flight SCM_RIGHTS descriptors), shared
 //!   memory and message queues, with every identifier remapped into the
@@ -22,7 +24,7 @@
 use std::collections::HashMap;
 use std::rc::Rc;
 
-use aurora_objstore::{CkptId, ObjId};
+use aurora_objstore::{CkptId, ObjId, PageRef};
 use aurora_posix::fd::{FileId, FileKind, OpenFile};
 use aurora_posix::inet::{InetSocket, IsockState};
 use aurora_posix::pipe::{Pipe, PipeId};
@@ -36,7 +38,7 @@ use aurora_sim::time::SimDuration;
 use aurora_slsfs::StoreHandle;
 use aurora_vm::map::RestoreHint;
 use aurora_vm::object::ResidentPage;
-use aurora_vm::{MapEntry, Pager, PageData, Prot, SlsPolicy, VmoId, VmoKind};
+use aurora_vm::{MapEntry, PageData, PageId, Pager, Prot, Residency, SlsPolicy, VmoId, VmoKind};
 
 use crate::flush::hash_pages;
 use crate::metrics::{self, RestoreBreakdown};
@@ -57,11 +59,13 @@ pub enum RestoreMode {
 /// A pager that feeds pages from a checkpoint image in an object store.
 ///
 /// One pager is shared by every instance restored from the same image
-/// (see the pager cache in [`Host::restore`]), which is what lets their
-/// faulted-in frames be shared through the VM image cache. Because it is
-/// shared, it is strictly read-only: eviction never writes dirty pages
-/// back through it (see `aurora-vm`'s pageout policy) — dirty image
-/// pages stay resident until a checkpoint captures them.
+/// (see the pager cache in [`Host::restore`]). It names each full-image
+/// page by its block and recorded content hash, so the VM frame index
+/// shares a faulted-in frame with every instance of every image holding
+/// that block. Because it is shared, it is strictly read-only: eviction
+/// never writes dirty pages back through it (see `aurora-vm`'s pageout
+/// policy) — dirty image pages stay resident until a checkpoint captures
+/// them.
 pub struct StorePager {
     store: StoreHandle,
     at: CkptId,
@@ -89,8 +93,16 @@ impl Pager for StorePager {
         ))
     }
 
-    fn has_page(&self, key: u64, idx: u64) -> bool {
-        self.store.borrow().has_page_at(self.at, ObjId(key), idx)
+    fn page_id(&self, key: u64, idx: u64) -> Option<PageId> {
+        let found = self.store.borrow().page_ref_at(self.at, ObjId(key), idx)?;
+        Some(match found {
+            (PageRef::Full(ptr), Some(hash)) => PageId::Stored {
+                store: Rc::as_ptr(&self.store) as usize as u64,
+                block: ptr.0,
+                hash,
+            },
+            _ => PageId::Private,
+        })
     }
 
     fn shared(&self) -> bool {
@@ -131,8 +143,8 @@ impl Host {
 
         // --- Phase 2: memory state. ----------------------------------------
         // One pager per (store, checkpoint): instances restored from the
-        // same image share it, so their faults share frames through the
-        // VM image cache (the paper's mutual warm-up).
+        // same image share it, and with it their memberships in the VM
+        // frame index (the paper's mutual warm-up).
         let cache_key = (Rc::as_ptr(store) as usize, ckpt.0);
         let pager_id = match self.sls.pager_cache.get(&cache_key) {
             Some(&p) => p,
@@ -233,7 +245,11 @@ impl Host {
         }
 
         // Eager/prefetch page-in: the targets in image order, handed to
-        // the streamed pipeline whatever their number.
+        // the streamed pipeline whatever their number. A lazily restored
+        // object also takes what its image already has resident — the
+        // working set its sibling instances faulted in — since wiring a
+        // page now costs `RESTORE_PAGE_WIRE_NS` and faulting it later a
+        // trap. On a cold host nothing is resident and this adds nothing.
         let mut targets: Vec<(VmoId, u64, u64)> = Vec::new();
         for rec in &vmo_recs {
             let v = *oid_vmo.get(&rec.oid).ok_or_else(|| {
@@ -246,7 +262,11 @@ impl Host {
             if eager {
                 let map = store.borrow_mut().object_refs_at(ckpt, ObjId(rec.oid));
                 targets.extend(map.into_iter().map(|(idx, _)| (v, rec.oid, idx)));
-            } else if mode == RestoreMode::LazyPrefetch && !force_lazy.contains(&rec.oid) {
+                continue;
+            }
+            let resident = self.kernel.vm.resident_pages(pager_id, rec.oid);
+            targets.extend(resident.into_iter().map(|idx| (v, rec.oid, idx)));
+            if mode == RestoreMode::LazyPrefetch && !force_lazy.contains(&rec.oid) {
                 targets.extend(rec.hot.iter().map(|&idx| (v, rec.oid, idx)));
             }
         }
@@ -586,37 +606,34 @@ impl Host {
         let clock = self.clock.clone();
         let mut sw = Stopwatch::start(&clock);
 
-        // Pass 1: wire what is already resident — shared image frames
-        // from sibling restores — and collect the rest for the fetch.
-        let mut fetch: Vec<(VmoId, u64, u64)> = Vec::new();
+        // Pass 1: wire what is already resident — frames of sibling
+        // instances, or of any image holding the same stored block — and
+        // collect the rest, with its identity and once each, for the
+        // fetch.
+        let mut fetch: Vec<(VmoId, u64, u64, PageId)> = Vec::new();
         let mut queued: std::collections::HashSet<(u64, u64)> = std::collections::HashSet::new();
         for &(v, oid, idx) in targets {
-            if self.kernel.vm.object(v).page(idx).is_some() || !queued.insert((oid, idx)) {
+            if self.kernel.vm.object(v).page(idx).is_some() {
                 continue;
             }
-            if let Some(frame) = self
-                .kernel
-                .vm
-                .image_cache_get(pager, oid, idx)
-                .filter(|f| self.kernel.vm.frames.exists(*f))
-            {
-                self.kernel.vm.frames.ref_frame(frame);
-                self.kernel.vm.object_mut(v).insert_page(
-                    idx,
-                    ResidentPage {
-                        frame,
-                        write_epoch: 0,
-                        cow_protected: false,
-                        referenced: true,
-                        heat: 1,
-                    },
-                );
-                self.clock
-                    .charge(SimDuration::from_nanos(cost::RESTORE_PAGE_WIRE_NS));
-                breakdown.pages_prefetched += 1;
-                continue;
+            let id = match self.kernel.vm.find_resident(pager, oid, idx) {
+                Some(Residency::Resident(frame)) => {
+                    self.kernel
+                        .vm
+                        .object_mut(v)
+                        .insert_page(idx, ResidentPage::paged_in(frame));
+                    self.clock
+                        .charge(SimDuration::from_nanos(cost::RESTORE_PAGE_WIRE_NS));
+                    breakdown.pages_prefetched += 1;
+                    continue;
+                }
+                Some(Residency::Absent(id)) => id,
+                // A hole restores as zeros, private to this image.
+                None => PageId::Private,
+            };
+            if queued.insert((oid, idx)) {
+                fetch.push((v, oid, idx, id));
             }
-            fetch.push((v, oid, idx));
         }
         breakdown.restore_workers = workers as u64;
         if fetch.is_empty() {
@@ -627,7 +644,7 @@ impl Host {
         // Pass 2: one read plan for every missing page; dedup-shared
         // blocks resolve once, adjacent blocks coalesce into extents.
         let plan_targets: Vec<(ObjId, u64)> =
-            fetch.iter().map(|&(_, oid, idx)| (ObjId(oid), idx)).collect();
+            fetch.iter().map(|&(_, oid, idx, _)| (ObjId(oid), idx)).collect();
         let plan = store.borrow().plan_reads_at(ckpt, &plan_targets);
 
         // Pass 3: stream the plan, batch by batch. The device read
@@ -686,7 +703,7 @@ impl Host {
         // Pass 4: wire frames in target order. Delta-backed pages
         // fetched their chain's *base* block through the plan; the chain
         // replays over it here.
-        for (i, &(v, oid, idx)) in fetch.iter().enumerate() {
+        for (i, &(v, oid, idx, id)) in fetch.iter().enumerate() {
             let chain = plan.chains.get(i).copied().flatten();
             let data = match plan.resolved.get(i).copied().flatten() {
                 Some(ptr) => {
@@ -710,18 +727,11 @@ impl Host {
                     PageData::Zero
                 }
             };
-            let frame = self.kernel.vm.frames.alloc(data);
-            self.kernel.vm.image_cache_put(pager, oid, idx, frame);
-            self.kernel.vm.object_mut(v).insert_page(
-                idx,
-                ResidentPage {
-                    frame,
-                    write_epoch: 0,
-                    cow_protected: false,
-                    referenced: true,
-                    heat: 1,
-                },
-            );
+            let frame = self.kernel.vm.publish_frame(pager, oid, idx, id, data);
+            self.kernel
+                .vm
+                .object_mut(v)
+                .insert_page(idx, ResidentPage::paged_in(frame));
             breakdown.pages_prefetched += 1;
         }
 
@@ -743,14 +753,16 @@ impl Host {
     }
 
     /// Forgets the shared restore image for (`store`, `ckpt`): the
-    /// cached pager is unregistered and its image-cache frames dropped.
-    /// Subsequent restores from the checkpoint start cold, as on a
-    /// machine that has never run the application — the state warm-start
-    /// benchmarks measure against.
+    /// pager-cache entry goes, and so do the image's memberships in the
+    /// frame index. Subsequent restores from the checkpoint start cold,
+    /// as on a machine that has never run the application — the state
+    /// warm-start benchmarks measure against. An instance still running
+    /// from the image keeps its pager, which is unregistered when the
+    /// last object bound to it dies.
     pub fn release_image(&mut self, store: &StoreHandle, ckpt: CkptId) {
         let cache_key = (Rc::as_ptr(store) as usize, ckpt.0);
         if let Some(pager) = self.sls.pager_cache.remove(&cache_key) {
-            self.kernel.vm.unregister_pager(pager);
+            self.kernel.vm.release_pager(pager);
         }
     }
 

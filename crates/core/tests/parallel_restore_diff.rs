@@ -82,7 +82,7 @@ fn run_variant(based: u64, writes: &[Write], mode: RestoreMode, workers: usize) 
     host.clock.advance_to(bd.durable_at);
     let ckpt = bd.ckpt.unwrap();
 
-    // The machine dies: the image cache, pagers and processes are gone,
+    // The machine dies: the frame index, pagers and processes are gone,
     // so every variant starts from the same cold store.
     let mut host = host.crash_and_reboot().unwrap();
     host.sls.restore_workers = workers;
@@ -345,7 +345,7 @@ fn holey_layout_restores_identically_at_any_worker_count() {
 /// The batched path actually engages: an eager 4-worker restore of a
 /// REGION_PAGES image reports coalesced extent reads and a populated
 /// read cache, and a sibling restore wires straight from the shared
-/// image cache without device reads.
+/// frame index without device reads.
 #[test]
 fn batched_restore_reports_extents_and_shares_frames() {
     let writes: Vec<Write> = (0..REGION_PAGES).map(|i| (i, i % 5)).collect();
@@ -390,7 +390,7 @@ fn batched_restore_reports_extents_and_shares_frames() {
     );
 
     // A sibling instance restored from the same image shares frames
-    // through the image cache: no further device reads at all.
+    // through the frame index: no further device reads at all.
     let second = host.restore(&store, ckpt, RestoreMode::Eager).unwrap();
     assert!(second.pages_prefetched >= REGION_PAGES);
     assert_eq!(second.extents_read, 0, "sibling restore must not touch the device");

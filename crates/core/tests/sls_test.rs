@@ -615,6 +615,62 @@ fn restored_instances_share_frames_and_warm_each_other() {
     assert_eq!(buf, [7u8; 32]);
 }
 
+/// Resident frames are shared by stored block *and* recorded content
+/// hash. History GC frees the blocks of a checkpoint whose restored
+/// instance is still running — its pager registered, its frames
+/// resident — and the next checkpoint writes new bytes into them: a
+/// restore of that checkpoint reads the new bytes, never the old
+/// instance's frames, and the old instance keeps its own.
+#[test]
+fn a_reused_block_never_serves_the_frame_of_its_old_contents() {
+    const PAGES: u64 = 8;
+    let mut host = new_host("h");
+    let pid = host.kernel.spawn("gc");
+    let addr = host.kernel.mmap_anon(pid, PAGES * 4096, false).unwrap();
+    let gid = host.persist("gc", pid).unwrap();
+    let store = host.sls.primary.clone();
+    let commit = |host: &mut Host, tag: u8| {
+        for i in 0..PAGES {
+            host.kernel
+                .mem_write(pid, addr + i * 4096, &[tag + i as u8; 64])
+                .unwrap();
+        }
+        let bd = host.checkpoint(gid, true, None).unwrap();
+        host.clock.advance_to(bd.durable_at);
+        bd.ckpt.unwrap()
+    };
+    let blocks = |c| -> std::collections::HashSet<u64> {
+        let st = store.borrow();
+        st.checkpoint(c).unwrap().pages.values().map(|p| p.0).collect()
+    };
+
+    let old = commit(&mut host, 0x10);
+    let old_blocks = blocks(old);
+    let r = host.restore(&store, old, RestoreMode::Lazy).unwrap();
+    let old_pid = r.root_pid().unwrap();
+    let mut buf = [0u8; 64];
+    for i in 0..PAGES {
+        host.kernel.mem_read(old_pid, addr + i * 4096, &mut buf).unwrap();
+    }
+
+    commit(&mut host, 0x20);
+    store.borrow_mut().delete_checkpoint(old).unwrap();
+    let new = commit(&mut host, 0x30);
+    assert!(
+        !old_blocks.is_disjoint(&blocks(new)),
+        "the new checkpoint must reuse a freed block for the test to bite"
+    );
+
+    let r = host.restore(&store, new, RestoreMode::Lazy).unwrap();
+    let new_pid = r.root_pid().unwrap();
+    for i in 0..PAGES {
+        host.kernel.mem_read(new_pid, addr + i * 4096, &mut buf).unwrap();
+        assert_eq!(buf, [0x30 + i as u8; 64], "page {i} of the new checkpoint");
+        host.kernel.mem_read(old_pid, addr + i * 4096, &mut buf).unwrap();
+        assert_eq!(buf, [0x10 + i as u8; 64], "page {i} of the old instance");
+    }
+}
+
 #[test]
 fn rollback_reverts_and_notifies() {
     let mut host = new_host("h");

@@ -408,8 +408,14 @@ impl ObjectStore {
     }
 
     /// The lazy-fault policy: serves the page-table copy when there is
-    /// one (charging the block's transfer), else reads the block off the
-    /// medium as a one-block run and admits it. A block with a recorded
+    /// one, else reads the block off the medium as a one-block run and
+    /// admits it. Either way the fault pays a waited request — the whole
+    /// access latency plus the block's transfer — and the bounded read
+    /// cache is not probed, so a block the planner would count as a hit
+    /// costs a device read here. Probing it is not a free win: chain
+    /// compaction reads through this function too, and its waited reads
+    /// are what drains the device queue between `fleet_16`'s tenant
+    /// commits (ROADMAP item 4, group commit). A block with a recorded
     /// hash is served only if its bytes match it, and the record is left
     /// alone; a block with none (a store reopened from the medium) is
     /// recorded and indexed on this first read, as its write would have.

@@ -1021,9 +1021,22 @@ impl ObjectStore {
             })
     }
 
-    /// True if checkpoint `ckpt` resolves a page at `(oid, idx)`.
-    pub fn has_page_at(&self, ckpt: CkptId, oid: ObjId, idx: u64) -> bool {
-        checkpoint::resolve_ref(&self.ckpts, ckpt, oid, idx).is_some()
+    /// How checkpoint `ckpt` stores page `(oid, idx)` — a full image or
+    /// a delta-chain head — with the content hash on record for a full
+    /// image's block, if any. Reads nothing and charges nothing; `None`
+    /// when the checkpoint has no page there.
+    pub fn page_ref_at(
+        &self,
+        ckpt: CkptId,
+        oid: ObjId,
+        idx: u64,
+    ) -> Option<(PageRef, Option<u64>)> {
+        let r = checkpoint::resolve_ref(&self.ckpts, ckpt, oid, idx)?;
+        let hash = match r {
+            PageRef::Full(ptr) => self.cache.lock().block_hash.get(&ptr.0).copied(),
+            PageRef::Delta(_) => None,
+        };
+        Some((r, hash))
     }
 
     /// The live page map of an object (restore / export walks).

@@ -23,6 +23,7 @@ use aurora_sim::error::{Error, Result};
 use aurora_sim::time::SimDuration;
 
 use crate::frame::FrameId;
+use crate::index::Residency;
 use crate::map::VmMap;
 use crate::object::{DirtyMask, ResidentPage, VmoId, VmoKind};
 use crate::page::{PageData, PAGE_SIZE};
@@ -100,48 +101,28 @@ impl Vm {
                 break Some((cur, cur_idx, frame));
             }
             if let Some((pager, key)) = pager_binding {
-                // Shared image frame already in memory (another instance
-                // of the same checkpoint faulted it in): wire it up with
-                // a minor fault and no device traffic.
-                if let Some(frame) = self
-                    .image_cache_get(pager, key, cur_idx)
-                    .filter(|f| self.frames.exists(*f))
-                {
-                    self.frames.ref_frame(frame);
-                    // The resident entry owns this new reference; drop the
-                    // alloc-time convention of one ref per resident page.
-                    self.object_mut(cur).insert_page(
-                        cur_idx,
-                        ResidentPage {
-                            frame,
-                            write_epoch: 0,
-                            cow_protected: false,
-                            referenced: true,
-                            heat: 1,
-                        },
-                    );
-                    self.stats.minor_faults += 1;
-                    self.clock
-                        .charge(SimDuration::from_nanos(cost::MINOR_FAULT_NS));
-                    break Some((cur, cur_idx, frame));
-                }
-                if self.pager_mut(pager).has_page(key, cur_idx) {
+                let frame = match self.find_resident(pager, key, cur_idx) {
+                    // Already in memory — faulted in by a sibling
+                    // instance, or by another image holding the same
+                    // stored block: a minor fault, no device traffic.
+                    Some(Residency::Resident(frame)) => {
+                        self.stats.minor_faults += 1;
+                        Some(frame)
+                    }
                     // Major fault: fetch from the backing store and
-                    // publish the frame for sibling instances.
-                    let data = self.pager_mut(pager).page_in(key, cur_idx)?;
-                    let frame = self.frames.alloc(data);
-                    self.image_cache_put(pager, key, cur_idx, frame);
-                    self.object_mut(cur).insert_page(
-                        cur_idx,
-                        ResidentPage {
-                            frame,
-                            write_epoch: 0,
-                            cow_protected: false,
-                            referenced: true,
-                            heat: 1,
-                        },
-                    );
-                    self.stats.major_faults += 1;
+                    // publish the frame for every image that maps it.
+                    Some(Residency::Absent(id)) => {
+                        let data = self.pager_mut(pager).page_in(key, cur_idx)?;
+                        self.stats.major_faults += 1;
+                        Some(self.publish_frame(pager, key, cur_idx, id, data))
+                    }
+                    None => None,
+                };
+                if let Some(frame) = frame {
+                    // The resident entry owns the reference the index
+                    // handed over.
+                    self.object_mut(cur)
+                        .insert_page(cur_idx, ResidentPage::paged_in(frame));
                     self.clock
                         .charge(SimDuration::from_nanos(cost::MINOR_FAULT_NS));
                     break Some((cur, cur_idx, frame));

@@ -27,13 +27,16 @@
 //!   shadow push, Aurora checkpoint COW).
 //! * [`cow`] — checkpoint epochs: arming pages and collecting dirty sets.
 //! * [`pager`] — the backing-store interface used by swap and lazy
-//!   restore.
+//!   restore, and the page identities pagers name their pages by.
+//! * [`index`] — the frame index: one resident frame per page identity,
+//!   shared by every restored image that maps it.
 //! * [`pageout`] — the clock (second-chance) page-replacement algorithm,
 //!   also used to pick the hottest pages for restore prefetch.
 
 pub mod cow;
 pub mod fault;
 pub mod frame;
+pub mod index;
 pub mod map;
 pub mod object;
 pub mod page;
@@ -45,10 +48,11 @@ use std::sync::Arc;
 use aurora_sim::SimClock;
 
 pub use frame::{FrameId, FrameTable};
+pub use index::Residency;
 pub use map::{MapEntry, Prot, SlsPolicy, VmMap};
 pub use object::{DirtyMask, VmObject, VmoId, VmoKind, MAX_DIRTY_RUNS};
 pub use page::{PageData, PAGE_SIZE};
-pub use pager::{Pager, PagerId};
+pub use pager::{PageId, Pager, PagerId};
 
 /// Counters describing VM activity; several feed the paper's tables.
 #[derive(Debug, Default, Clone)]
@@ -78,17 +82,17 @@ pub struct Vm {
     objects: Vec<Option<VmObject>>,
     free_objects: Vec<u32>,
     pagers: Vec<Option<Box<dyn Pager>>>,
+    /// Released pagers some live object is still bound to: each is
+    /// unregistered when the last such object dies.
+    released_pagers: std::collections::HashSet<PagerId>,
     /// Activity counters.
     pub stats: VmStats,
     /// Current checkpoint epoch (bumped by [`cow::begin_epoch`]).
     pub epoch: u64,
     next_uid: u64,
-    /// Image cache: pages faulted in from a checkpoint image are shared
-    /// (one frame, reference counted) among every object backed by the
-    /// same pager key — the mechanism behind "instances warm each other
-    /// up" in the paper's serverless discussion. Each cache entry holds
-    /// one frame reference.
-    image_cache: std::collections::HashMap<(PagerId, u64, u64), FrameId>,
+    /// The frame index: frames paged in through pagers, one per page
+    /// identity, shared by every image that maps them (see [`index`]).
+    index: index::FrameIndex,
 }
 
 impl Vm {
@@ -100,10 +104,11 @@ impl Vm {
             objects: Vec::new(),
             free_objects: Vec::new(),
             pagers: Vec::new(),
+            released_pagers: std::collections::HashSet::new(),
             stats: VmStats::default(),
             epoch: 1,
             next_uid: 1,
-            image_cache: std::collections::HashMap::new(),
+            index: index::FrameIndex::default(),
         }
     }
 
@@ -177,6 +182,11 @@ impl Vm {
             self.frames.unref(frozen.frame);
         }
         self.free_objects.push(id.0);
+        if let Some((pager, _)) = obj.pager {
+            if self.released_pagers.contains(&pager) {
+                self.reap_pager(pager);
+            }
+        }
         if let Some((backing, _)) = obj.backing {
             self.unref_object(backing);
         }
@@ -200,42 +210,30 @@ impl Vm {
             .as_mut()
     }
 
-    /// Removes a pager (its objects must no longer reference it) and
-    /// releases the image-cache frames it contributed.
-    pub fn unregister_pager(&mut self, id: PagerId) {
+    /// Releases a pager: the pages its image maps leave the frame index
+    /// now, so later restores start cold, and the pager is unregistered
+    /// once no live object is bound to it — an instance restored through
+    /// it keeps faulting until it dies.
+    pub fn release_pager(&mut self, id: PagerId) {
+        self.forget_pager_pages(id);
+        self.released_pagers.insert(id);
+        self.reap_pager(id);
+    }
+
+    /// Unregisters a released pager when no live object is bound to it,
+    /// dropping what its last instances faulted in since the release.
+    fn reap_pager(&mut self, id: PagerId) {
+        let bound = self
+            .objects
+            .iter()
+            .flatten()
+            .any(|o| o.pager.is_some_and(|(p, _)| p == id));
+        if bound {
+            return;
+        }
+        self.released_pagers.remove(&id);
+        self.forget_pager_pages(id);
         self.pagers[id.0 as usize] = None;
-        let stale: Vec<_> = self
-            .image_cache
-            .keys()
-            .filter(|(p, _, _)| *p == id)
-            .copied()
-            .collect();
-        for key in stale {
-            if let Some(frame) = self.image_cache.remove(&key) {
-                self.frames.unref(frame);
-            }
-        }
-    }
-
-    /// Looks up a shared image frame (restore/fault paths).
-    pub fn image_cache_get(&self, pager: PagerId, key: u64, idx: u64) -> Option<FrameId> {
-        self.image_cache.get(&(pager, key, idx)).copied()
-    }
-
-    /// Publishes a frame into the image cache (takes one extra ref).
-    pub fn image_cache_put(&mut self, pager: PagerId, key: u64, idx: u64, frame: FrameId) {
-        self.frames.ref_frame(frame);
-        if let Some(old) = self.image_cache.insert((pager, key, idx), frame) {
-            self.frames.unref(old);
-        }
-    }
-
-    /// Drops one image-cache entry (its content was superseded, e.g. by
-    /// a swap write-back).
-    pub fn image_cache_invalidate(&mut self, pager: PagerId, key: u64, idx: u64) {
-        if let Some(frame) = self.image_cache.remove(&(pager, key, idx)) {
-            self.frames.unref(frame);
-        }
     }
 
     /// Number of live objects (leak checking in tests).

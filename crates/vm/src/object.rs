@@ -131,6 +131,20 @@ pub struct ResidentPage {
     pub heat: u32,
 }
 
+impl ResidentPage {
+    /// A clean page just brought in from a pager or the frame index:
+    /// referenced once, never written.
+    pub fn paged_in(frame: FrameId) -> Self {
+        ResidentPage {
+            frame,
+            write_epoch: 0,
+            cow_protected: false,
+            referenced: true,
+            heat: 1,
+        }
+    }
+}
+
 /// A frame frozen at checkpoint time, awaiting flush.
 #[derive(Debug, Clone, Copy)]
 pub struct FrozenPage {

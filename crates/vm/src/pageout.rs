@@ -35,11 +35,11 @@ impl Vm {
     /// Write-back policy depends on the pager:
     ///
     /// * **Private pagers** (swap): dirty contents are written back, and
-    ///   any stale image-cache entry for the page is dropped so the next
-    ///   fault reads the written-back copy.
+    ///   the page leaves the frame index so the next fault reads the
+    ///   written-back copy.
     /// * **Shared pagers** (checkpoint images feeding several restored
     ///   instances): clean pages are simply dropped (the image still has
-    ///   them — and siblings may keep using the cached frame), while
+    ///   them — and siblings may keep using the indexed frame), while
     ///   dirty pages are *pinned* resident: writing them back through a
     ///   shared pager would leak one instance's writes into its siblings.
     ///   Dirty image pages leave residency only via the next checkpoint.
@@ -76,7 +76,7 @@ impl Vm {
                     stats.pinned += 1;
                     continue;
                 }
-                // Clean drop: the image (and possibly the image cache,
+                // Clean drop: the image (and possibly the frame index,
                 // which holds its own frame reference for siblings)
                 // still serves this page; only residency is released.
             } else {
@@ -88,8 +88,8 @@ impl Vm {
                 }
                 let data = self.frames.data(frame).clone();
                 self.pager_mut(pager).page_out(key, idx, &data)?;
-                // The written-back copy supersedes any cached image frame.
-                self.image_cache_invalidate(pager, key, idx);
+                // The written-back copy supersedes any indexed frame.
+                self.forget_page(pager, key, idx);
             }
             self.object_mut(object).pages.remove(&idx);
             self.frames.unref(frame);

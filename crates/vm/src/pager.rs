@@ -19,6 +19,30 @@ use crate::page::PageData;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PagerId(pub(crate) u32);
 
+/// The identity of a page a pager holds: what decides which resident
+/// frame may serve it (see the frame index in [`crate::Vm`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum PageId {
+    /// Block `block` of store `store`, whose content hash on record is
+    /// `hash`. Every pager that names a page this way holds the same
+    /// bytes, so one frame serves them all — two images that share a
+    /// deduplicated block share its frame. The hash is part of the name:
+    /// a block freed and reused with new bytes must never find the frame
+    /// of its old contents.
+    Stored {
+        /// The store, unique among live stores.
+        store: u64,
+        /// The block within it.
+        block: u64,
+        /// The content hash the store recorded for the block.
+        hash: u64,
+    },
+    /// A page only its own pager can vouch for (a delta-chain page, a
+    /// block with no recorded hash, swap): its frame is shared only by
+    /// objects bound to the same pager and key.
+    Private,
+}
+
 /// Supplies and absorbs non-resident pages for VM objects.
 ///
 /// `key` identifies the object within the pager's backing store (assigned
@@ -30,8 +54,9 @@ pub trait Pager {
     /// Writes back page `idx` of object `key` (eviction path).
     fn page_out(&mut self, key: u64, idx: u64, data: &PageData) -> Result<()>;
 
-    /// True if the pager holds data for page `idx` of `key`.
-    fn has_page(&self, key: u64, idx: u64) -> bool;
+    /// The identity of page `idx` of `key`, resolved without reading it;
+    /// `None` when the pager holds no data there.
+    fn page_id(&self, key: u64, idx: u64) -> Option<PageId>;
 
     /// True when several VM objects (e.g. sibling instances restored
     /// from one checkpoint image) share this pager. Shared pagers are
@@ -80,7 +105,9 @@ impl Pager for MemPager {
         Ok(())
     }
 
-    fn has_page(&self, key: u64, idx: u64) -> bool {
-        self.pages.contains_key(&(key, idx))
+    fn page_id(&self, key: u64, idx: u64) -> Option<PageId> {
+        self.pages
+            .contains_key(&(key, idx))
+            .then_some(PageId::Private)
     }
 }

@@ -96,7 +96,7 @@ fn main() {
     }
     println!(
         "  first invocation {} ({} major faults — the cold-start section above already \n\
-         warmed the shared image cache, so instances start hot)",
+         warmed the shared frame index, so instances start hot)",
         first.expect("ran"),
         host.kernel.vm.stats.major_faults - majors0
     );
