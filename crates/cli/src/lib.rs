@@ -60,7 +60,7 @@ COMMANDS (Table 1 of the paper):
 WORLD MANAGEMENT:
   init [--blocks N] [--mirror R]  Create a new world (R-way mirrored when R >= 2)
   run <name> [--steps N]          Advance an application, then checkpoint it
-  info                            Show object-store statistics
+  info                            Show the world: checkpoints, space, health
   scrub                           Verify every checkpoint against its content
                                   hashes and report device health
   mirror [--kill I] [--revive I]  Show replica states; detach or readmit one
@@ -954,7 +954,6 @@ fn cmd_promote(world: &Path, opts: &[&str]) -> Result<String> {
 fn cmd_info(world: &Path) -> Result<String> {
     let host = open_host(world)?;
     let store = host.sls.primary.borrow();
-    let stats = &store.stats;
     let problems = store.fsck();
     let health = if problems.is_empty() {
         "healthy".to_string()
@@ -962,103 +961,33 @@ fn cmd_info(world: &Path) -> Result<String> {
         format!("{} problems: {:?}", problems.len(), problems)
     };
     let dev = store.device();
-    let rs = dev.retry_stats();
     let mirror_note = dev
         .as_mirror()
         .map(|m| {
-            let ms = m.mirror_stats();
-            let states: Vec<String> = (0..m.width())
-                .map(|i| {
-                    m.replica_state(i)
-                        .unwrap_or(ReplicaState::Active)
-                        .as_str()
-                        .to_string()
-                })
+            let states: Vec<&str> = (0..m.width())
+                .map(|i| m.replica_state(i).unwrap_or(ReplicaState::Active).as_str())
                 .collect();
             format!(
-                "  mirror: {} of {} replicas active [{}]; {} failovers, {} read repairs, {} degraded writes\n",
+                "  mirror: {} of {} replicas active [{}]\n",
                 m.active_width(),
                 m.width(),
                 states.join(", "),
-                ms.failovers,
-                ms.read_repairs,
-                ms.degraded_writes,
             )
         })
         .unwrap_or_default();
-    let sls = &host.sls.stats;
-    let m = aurora_core::metrics::global_counters();
     let standby_note = match std::fs::metadata(standby_path(world)) {
         Ok(meta) => format!("image present ({} bytes)", meta.len()),
         Err(_) => "no image".to_string(),
     };
-    let repl_note = format!(
-        "  standby: {standby_note}; session: {} frames sent (+{} retransmitted, {} dropped), {} acks, watermark {} epochs, lag {} epochs / {} bytes, {} degraded-replication commits\n",
-        m.repl_frames_sent,
-        m.repl_frames_retransmitted,
-        m.repl_frames_dropped,
-        m.repl_acks_received,
-        m.repl_epochs_acked,
-        m.repl_lag_epochs,
-        m.repl_lag_bytes,
-        m.checkpoints_degraded_replication,
-    );
     Ok(format!(
-        "world: {}\n  checkpoints: {}\n  blocks in use: {}\n  pages written: {} (dedup hits {})\n  commits: {}, compactions: {}, GC runs: {}\n  fsck: {}\n  device: {} ({} writes retried, {} transient errors absorbed, {} failures surfaced)\n{mirror_note}{repl_note}  checkpoints this session: {} degraded, {} aborted\n  commit-phase: {} journal seals, {} extent barriers, {} superblock flips, {} repair-path entries this session\n  flush pipeline: {} workers configured; {} pages hashed, {} delta-only (hash {:.2}ms + write wait {:.2}ms), {} extents / {} blocks coalesced\n  delta log: {} live records ({} bytes); session: {} delta records ({} bytes) flushed in place of full pages, {} chains folded, longest chain {}\n  restore pipeline: {} workers configured; {} pages hashed, {} extent reads (read {:.2}ms + verify wait {:.2}ms (hash work {:.2}ms))\n  fleet: {} pipelined cycles ({} overlapped), queue depth max {}, {} admission stalls, stop p99 {:.1}us\n  fleet health: {} cycle errors, {} deadline misses, {} cycles skipped under quarantine, {} quarantines, {} re-admissions\n  read cache: {} of {} pages resident, {} hits / {} misses ({} content hits), {} evictions\n",
+        "world: {}\n  checkpoints: {}\n  blocks in use: {}\n  fsck: {}\n  device: {}\n{mirror_note}  standby: {standby_note}\n  delta log: {} live records ({} bytes)\n",
         world.display(),
         store.checkpoints().len(),
         store.blocks_in_use(),
-        stats.pages_written,
-        stats.dedup_hits,
-        stats.commits,
-        stats.compactions,
-        stats.gc_runs,
         health,
         dev.health().as_str(),
-        rs.writes_retried,
-        rs.transient_absorbed,
-        rs.failures_surfaced,
-        sls.checkpoints_degraded,
-        sls.checkpoints_aborted,
-        m.commit_journal_seals,
-        m.commit_extent_barriers,
-        m.commit_superblock_flips,
-        m.commit_repair_entries,
-        host.sls.flush_workers,
-        m.flush_pages_hashed,
-        m.flush_pages - m.flush_pages_hashed,
-        m.flush_hash_ns as f64 / 1e6,
-        m.flush_write_ns as f64 / 1e6,
-        m.flush_extents,
-        m.flush_extent_blocks,
         store.delta_log_len(),
         store.delta_log_bytes(),
-        m.delta_records,
-        m.delta_bytes,
-        m.chains_compacted,
-        m.chain_len_max,
-        host.sls.restore_workers,
-        m.restore_pages_hashed,
-        m.restore_extents,
-        m.restore_read_ns as f64 / 1e6,
-        m.restore_verify_wait_ns as f64 / 1e6,
-        m.restore_hash_ns as f64 / 1e6,
-        m.fleet_cycles_pipelined,
-        m.fleet_overlapped_cycles,
-        m.fleet_queue_depth_max,
-        m.fleet_queue_stalls,
-        m.fleet_stop_p99_ns as f64 / 1e3,
-        m.fleet_cycle_errors,
-        m.fleet_deadline_misses,
-        m.fleet_cycles_skipped,
-        m.fleet_quarantines,
-        m.fleet_readmissions,
-        store.read_cache_len(),
-        store.read_cache_capacity(),
-        stats.read_cache_hits,
-        stats.read_cache_misses,
-        stats.read_cache_content_hits,
-        store.read_cache_evictions(),
     ))
 }
 
@@ -1166,6 +1095,8 @@ fn cmd_fleet(opts: &[&str]) -> Result<String> {
     host.fleet_drain();
 
     writeln!(out, "  tenant  health       fails  misses  skips  quar  readmit").ok();
+    // The fleet line's totals are the sums of these rows.
+    let (mut skipped, mut quarantines, mut readmissions, mut misses) = (0, 0, 0, 0);
     for (i, t) in fleet.tenants.iter().enumerate() {
         let d = host.tenant_domain(t.gid);
         writeln!(
@@ -1179,19 +1110,20 @@ fn cmd_fleet(opts: &[&str]) -> Result<String> {
             d.readmissions,
         )
         .ok();
+        skipped += d.cycles_skipped;
+        quarantines += d.quarantines;
+        readmissions += d.readmissions;
+        misses += d.deadline_misses;
     }
     let stats = &host.sls.fleet.stats;
     writeln!(
         out,
-        "  fleet: {} admitted ({} overlapped), {} skipped, {} quarantines, {} re-admissions, \
-         {} bookings released, {} deadline misses, stop p99 {:.1}us",
+        "  fleet: {} admitted ({} overlapped), {skipped} skipped, {quarantines} quarantines, \
+         {readmissions} re-admissions, {} bookings released, {misses} deadline misses, \
+         stop p99 {:.1}us",
         stats.admitted,
         stats.overlapped,
-        stats.cycles_skipped,
-        stats.quarantines,
-        stats.readmissions,
         stats.bookings_released,
-        stats.deadline_misses,
         stats.stop_hist.p99() as f64 / 1e3,
     )
     .ok();
@@ -1292,8 +1224,10 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// `sls info` surfaces the delta-log footprint next to the other
-    /// commit-phase and pipeline counters.
+    /// `sls info` reports the world, not the process that opened it:
+    /// after a `run`, the checkpoint count, fsck, the device and the
+    /// live delta log's record and byte counts, and no per-session
+    /// counter.
     #[test]
     fn info_reports_delta_log_counters() {
         let dir = world_dir("deltainfo");
@@ -1302,9 +1236,45 @@ mod tests {
         run(&["--world", w, "persist", "demo", "--app", "kv"]).expect("persist");
         run(&["--world", w, "run", "demo", "--steps", "6"]).expect("run");
         let out = run(&["--world", w, "info"]).expect("info");
-        assert!(out.contains("delta log:"), "{out}");
-        assert!(out.contains("chains folded"), "{out}");
-        assert!(out.contains("longest chain"), "{out}");
+        let line = |label: &str| {
+            out.lines()
+                .find_map(|l| l.trim().strip_prefix(label))
+                .unwrap_or_else(|| panic!("no {label:?} line: {out}"))
+                .to_string()
+        };
+        let checkpoints: usize = line("checkpoints: ").parse().expect("count");
+        assert!(checkpoints > 0, "{out}");
+        assert_eq!(line("fsck: "), "healthy", "{out}");
+        assert_eq!(line("device: "), "healthy", "{out}");
+        assert_eq!(line("standby: "), "no image", "{out}");
+        let delta = line("delta log: ");
+        let counts: Vec<&str> = delta.split_whitespace().collect();
+        assert!(
+            matches!(counts[..], [n, "live", "records", b, "bytes)"]
+                if n.parse::<u64>().is_ok()
+                    && b.strip_prefix('(').is_some_and(|b| b.parse::<u64>().is_ok())),
+            "{out}"
+        );
+        assert!(!out.contains("session"), "{out}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The fleet-health counters are owned by the fleet's tenants, not
+    /// the world: `sls info` prints no `fleet health:` line, and
+    /// `sls fleet` reports them per tenant with a summary that sums
+    /// the rows, nonzero once the poisoned tenant is quarantined.
+    #[test]
+    fn info_reports_fleet_health_counters() {
+        let dir = world_dir("fleetinfo");
+        let w = dir.to_str().expect("utf8 path");
+        run(&["--world", w, "init", "--blocks", "8192"]).expect("init");
+        let out = run(&["--world", w, "info"]).expect("info");
+        assert!(!out.contains("fleet health:"), "{out}");
+        assert!(!out.contains("quarantine"), "{out}");
+        let out = run(&["fleet", "--tenants", "3", "--rounds", "8"]).expect("fleet demo");
+        assert!(out.contains("tenant  health"), "{out}");
+        assert!(!out.contains(" 0 quarantines"), "{out}");
+        assert_fleet_line_sums_tenant_rows(&out);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1320,6 +1290,48 @@ mod tests {
         assert!(out.contains("fleet:"), "{out}");
         // The summary table shows the round-trip counters.
         assert!(out.contains("1     1"), "{out}");
+        assert_fleet_line_sums_tenant_rows(&out);
+    }
+
+    /// The `fleet:` summary's skipped / quarantines / re-admissions /
+    /// deadline-miss totals equal the sums of the tenant rows' columns.
+    fn assert_fleet_line_sums_tenant_rows(out: &str) {
+        let (mut skipped, mut quarantines, mut readmissions, mut misses) = (0u64, 0, 0, 0);
+        let is_tenant_row = |l: &&str| {
+            l.split_whitespace()
+                .next()
+                .and_then(|t| t.strip_prefix('t'))
+                .is_some_and(|n| n.parse::<usize>().is_ok())
+        };
+        for row in out.lines().filter(is_tenant_row) {
+            let cols: Vec<u64> = row
+                .split_whitespace()
+                .skip(2)
+                .map(|c| c.parse().expect("numeric column"))
+                .collect();
+            let [_fails, miss, skip, quar, readmit] = cols[..] else {
+                panic!("bad tenant row {row:?}: {out}");
+            };
+            skipped += skip;
+            quarantines += quar;
+            readmissions += readmit;
+            misses += miss;
+        }
+        let fleet = out
+            .lines()
+            .find(|l| l.trim_start().starts_with("fleet:"))
+            .expect("fleet summary line");
+        for want in [
+            format!("{skipped} skipped"),
+            format!("{quarantines} quarantines"),
+            format!("{readmissions} re-admissions"),
+            format!("{misses} deadline misses"),
+        ] {
+            assert!(
+                fleet.contains(&want),
+                "summary {fleet:?} lacks {want:?}: {out}"
+            );
+        }
     }
 
     /// `--healthy` keeps every tenant clean: no transitions, no
@@ -1330,18 +1342,7 @@ mod tests {
         assert!(out.contains("all healthy"), "{out}");
         assert!(!out.contains("-> quarantined"), "{out}");
         assert!(out.contains("0 quarantines, 0 re-admissions"), "{out}");
-    }
-
-    /// `sls info` surfaces the fleet-health counters.
-    #[test]
-    fn info_reports_fleet_health_counters() {
-        let dir = world_dir("fleetinfo");
-        let w = dir.to_str().expect("utf8 path");
-        run(&["--world", w, "init", "--blocks", "8192"]).expect("init");
-        let out = run(&["--world", w, "info"]).expect("info");
-        assert!(out.contains("fleet health:"), "{out}");
-        assert!(out.contains("cycles skipped under quarantine"), "{out}");
-        let _ = std::fs::remove_dir_all(&dir);
+        assert_fleet_line_sums_tenant_rows(&out);
     }
 
     /// `--verify-only` inspects the standby without touching the

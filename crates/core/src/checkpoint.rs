@@ -32,7 +32,7 @@ use crate::fleet::FlushMode;
 use crate::flush::{delta_runs, hash_images, DirtyRuns, PlanEntry, FLUSH_BATCH_PAGES};
 use crate::group::{Group, GroupId};
 use crate::lockdep::OrderedMutex;
-use crate::metrics::{self, CheckpointBreakdown, CheckpointOutcome};
+use crate::metrics::{CheckpointBreakdown, CheckpointOutcome};
 use crate::serialize::*;
 use crate::{Host, Sls};
 
@@ -263,8 +263,6 @@ impl Host {
 
         let group = self.sls.group_mut(gid)?;
         group.ec_outstanding.push_back((ec_seq, durable));
-        self.sls.stats.checkpoints += 1;
-        self.sls.stats.flushed_bytes += breakdown.flush_bytes;
 
         // A checkpoint that committed while a mirror replica was
         // detached, rebuilding, or unhealthy is durable but
@@ -281,13 +279,6 @@ impl Host {
                 breakdown.outcome = CheckpointOutcome::DegradedMirror;
                 breakdown.fault =
                     Some("mirror degraded: a replica is detached or rebuilding".into());
-            }
-        }
-        {
-            let mut m = metrics::METRICS.lock();
-            m.checkpoints_committed += 1;
-            if breakdown.outcome == CheckpointOutcome::DegradedMirror {
-                m.checkpoints_degraded_mirror += 1;
             }
         }
 
@@ -338,7 +329,6 @@ impl Host {
                 .ok_or_else(|| Error::internal("group has no backends"))?
                 .history
                 .clone();
-            metrics::METRICS.lock().chains_compacted += folded;
         }
         Ok(folded)
     }
@@ -368,7 +358,6 @@ impl Host {
             }
         }
         self.sls.stats.checkpoints_aborted += 1;
-        metrics::METRICS.lock().checkpoints_aborted += 1;
         breakdown.outcome = CheckpointOutcome::Aborted;
         breakdown.fault = Some(cause.to_string());
         breakdown.durable_at = SimTime::ZERO;
@@ -998,7 +987,7 @@ fn flush_capture(
         return Err(Error::internal("commit locks out of step with backends"));
     }
 
-    let mut stats0 = Vec::with_capacity(group.backends.len());
+    let mut delta_bytes0 = Vec::with_capacity(group.backends.len());
     for backend in &group.backends {
         let mut store = backend.store.borrow_mut();
         for &(v, oid) in &captured.vmo_oid {
@@ -1006,7 +995,7 @@ fn flush_capture(
                 store.create_object(oid, kernel.vm.object(v).size_pages)?;
             }
         }
-        stats0.push(store.stats.clone());
+        delta_bytes0.push(store.stats.delta_bytes);
     }
 
     // --- Stage 2: stream the plan, batch by batch. --------------------
@@ -1055,22 +1044,13 @@ fn flush_capture(
 
     // --- Stage 3: commit, per backend. --------------------------------
     let mut durable = SimTime::ZERO;
-    let mut extents = 0u64;
-    let mut extent_blocks = 0u64;
-    let mut phase_seals = 0u64;
-    let mut phase_barriers = 0u64;
-    let mut phase_flips = 0u64;
-    let mut phase_repairs = 0u64;
     let mut flush_bytes = 0u64;
-    let mut delta_records = 0u64;
-    let mut delta_bytes = 0u64;
-    let mut chain_len_max = 0u64;
-    for (((backend, &store_commit), backend_deltas), stats0) in group
+    for (((backend, &store_commit), backend_deltas), delta_bytes0) in group
         .backends
         .iter_mut()
         .zip(commit_locks)
         .zip(&deltas)
-        .zip(&stats0)
+        .zip(&delta_bytes0)
     {
         let mut store = backend.store.borrow_mut();
         for (key, bytes) in &captured.blobs {
@@ -1090,21 +1070,11 @@ fn flush_capture(
             let _commit = store_commit.lock();
             store.commit(name)?
         };
-        let stats = &store.stats;
-        extents += stats.extents_coalesced - stats0.extents_coalesced;
-        extent_blocks += stats.blocks_coalesced - stats0.blocks_coalesced;
-        phase_seals += stats.journal_seals - stats0.journal_seals;
-        phase_barriers += stats.extent_barriers - stats0.extent_barriers;
-        phase_flips += stats.superblock_flips - stats0.superblock_flips;
-        phase_repairs += stats.repair_path_entries.get() - stats0.repair_path_entries.get();
         // Real bytes this backend flushed for page data: full images plus
         // the delta records the commit just made durable. The report
         // carries the widest backend.
-        let backend_dbytes = stats.delta_bytes - stats0.delta_bytes;
+        let backend_dbytes = store.stats.delta_bytes - delta_bytes0;
         let images = backend_deltas.iter().filter(|runs| runs.is_none()).count() as u64;
-        delta_records += stats.delta_records - stats0.delta_records;
-        delta_bytes += backend_dbytes;
-        chain_len_max = chain_len_max.max(stats.chain_len_max);
         flush_bytes = flush_bytes.max(images * aurora_vm::PAGE_SIZE as u64 + backend_dbytes);
         backend.history.push(ckpt);
         if full {
@@ -1124,23 +1094,6 @@ fn flush_capture(
 
     let flush_span = durable.since(flush_start);
     let write_wait = durable.since(hash_done);
-    {
-        let mut m = metrics::METRICS.lock();
-        m.flush_workers = workers as u64;
-        m.flush_pages += plan.len() as u64;
-        m.flush_pages_hashed += pages_hashed;
-        m.flush_hash_ns += hash_stage.as_nanos();
-        m.flush_write_ns += write_wait.as_nanos();
-        m.flush_extents += extents;
-        m.flush_extent_blocks += extent_blocks;
-        m.commit_journal_seals += phase_seals;
-        m.commit_extent_barriers += phase_barriers;
-        m.commit_superblock_flips += phase_flips;
-        m.commit_repair_entries += phase_repairs;
-        m.delta_records += delta_records;
-        m.delta_bytes += delta_bytes;
-        m.chain_len_max = m.chain_len_max.max(chain_len_max);
-    }
     Ok((
         durable,
         FlushReport {

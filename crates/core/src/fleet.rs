@@ -68,7 +68,7 @@ use aurora_sim::time::{SimDuration, SimTime};
 use aurora_sim::SimClock;
 
 use crate::group::{Group, GroupId};
-use crate::metrics::{self, CheckpointBreakdown, CheckpointOutcome};
+use crate::metrics::{CheckpointBreakdown, CheckpointOutcome};
 use crate::Host;
 
 /// How `flush_capture` accounts for the hash stage.
@@ -264,21 +264,6 @@ pub(crate) enum CycleGate {
     Skip { until: SimTime },
 }
 
-/// What one recorded cycle did to its tenant's fault domain.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct CycleVerdict {
-    /// Health after recording the cycle.
-    pub health: TenantHealth,
-    /// The cycle was charged as a failure.
-    pub failed: bool,
-    /// The cycle committed but blew the deadline.
-    pub deadline_missed: bool,
-    /// This cycle tipped the tenant into quarantine.
-    pub quarantined_now: bool,
-    /// This cycle was a successful probe: the tenant is re-admitted.
-    pub readmitted_now: bool,
-}
-
 /// Doubles a probe backoff, capped at [`PROBE_BACKOFF_CAP`].
 fn cap_backoff(b: SimDuration) -> SimDuration {
     let doubled = b + b;
@@ -297,7 +282,8 @@ fn push_fault(log: &mut Vec<(u32, String)>, gid: u32, fault: &str) {
     log.push((gid, fault.to_string()));
 }
 
-/// Telemetry of the fleet scheduler (surfaced by `sls info`).
+/// Telemetry of the fleet scheduler. Per-tenant health counts live in
+/// each tenant's [`TenantDomain`]; fleet-wide totals are their sums.
 #[derive(Debug, Clone, Default)]
 pub struct FleetStats {
     /// Cycles admitted through the pipelined path.
@@ -311,17 +297,6 @@ pub struct FleetStats {
     pub queue_depth_max: u64,
     /// Per-tenant stop times of pipelined cycles, in sim ns.
     pub stop_hist: LogHistogram,
-    /// Cycles skipped because their tenant was quarantined.
-    pub cycles_skipped: u64,
-    /// Tenants moved into quarantine by the health state machine.
-    pub quarantines: u64,
-    /// Quarantined tenants re-admitted after a successful probe.
-    pub readmissions: u64,
-    /// Committed cycles that blew the virtual-clock deadline.
-    pub deadline_misses: u64,
-    /// Failed cycles charged to a tenant's fault domain (aborts, hard
-    /// errors, deadline misses, damaged-base degradations).
-    pub cycle_errors: u64,
     /// In-flight lane bookings released when their tenant was
     /// quarantined.
     pub bookings_released: u64,
@@ -506,11 +481,8 @@ impl FleetScheduler {
 
     /// Records a cycle skipped under quarantine.
     pub(crate) fn record_skip(&mut self, gid: u32) {
-        {
-            let mut table = self.health.lock();
-            table.entry(gid).or_default().cycles_skipped += 1;
-        }
-        self.stats.cycles_skipped += 1;
+        let mut table = self.health.lock();
+        table.entry(gid).or_default().cycles_skipped += 1;
     }
 
     /// Defers a quarantined tenant's re-admission probe because its
@@ -555,7 +527,6 @@ impl FleetScheduler {
             }
         };
         if entered {
-            self.stats.quarantines += 1;
             self.release(gid);
         }
     }
@@ -568,7 +539,8 @@ impl FleetScheduler {
     /// failure degrades the tenant, [`QUARANTINE_AFTER`] consecutive
     /// failures quarantine it, and a failed probe doubles the backoff
     /// (capped). An on-time clean commit resets the counter — and
-    /// re-admits a probing quarantined tenant.
+    /// re-admits a probing quarantined tenant. Returns the tenant's
+    /// health after the cycle.
     pub(crate) fn record_cycle(
         &mut self,
         gid: u32,
@@ -577,7 +549,7 @@ impl FleetScheduler {
         on_time: bool,
         base_damaged: bool,
         fault: Option<&str>,
-    ) -> CycleVerdict {
+    ) -> TenantHealth {
         let deadline_missed = committed && !on_time;
         let ok = committed && on_time && !base_damaged;
         let fault = fault.unwrap_or(if deadline_missed {
@@ -585,20 +557,13 @@ impl FleetScheduler {
         } else {
             "cycle failed"
         });
-        let mut verdict = CycleVerdict {
-            health: TenantHealth::Healthy,
-            failed: !ok,
-            deadline_missed,
-            quarantined_now: false,
-            readmitted_now: false,
-        };
-        {
+        let mut quarantined_now = false;
+        let health = {
             let mut table = self.health.lock();
             let d = table.entry(gid).or_default();
             if ok {
                 if d.health == TenantHealth::Quarantined {
                     d.readmissions += 1;
-                    verdict.readmitted_now = true;
                 }
                 d.health = TenantHealth::Healthy;
                 d.consecutive_failures = 0;
@@ -620,28 +585,20 @@ impl FleetScheduler {
                     d.quarantines += 1;
                     d.backoff = PROBE_BACKOFF_BASE;
                     d.next_probe = now + d.backoff;
-                    verdict.quarantined_now = true;
+                    quarantined_now = true;
                 } else {
                     d.health = TenantHealth::Degraded;
                 }
             }
-            verdict.health = d.health;
-        }
-        if verdict.failed {
-            self.stats.cycle_errors += 1;
+            d.health
+        };
+        if !ok {
             push_fault(&mut self.stats.tenant_faults, gid, fault);
         }
-        if deadline_missed {
-            self.stats.deadline_misses += 1;
-        }
-        if verdict.quarantined_now {
-            self.stats.quarantines += 1;
+        if quarantined_now {
             self.release(gid);
         }
-        if verdict.readmitted_now {
-            self.stats.readmissions += 1;
-        }
-        verdict
+        health
     }
 
     /// Drains (and returns) the bounded per-tenant fault log.
@@ -744,24 +701,6 @@ impl Host {
         self.sls.fleet.domain(gid.0)
     }
 
-    /// Mirrors a cycle verdict's health transitions into the global
-    /// counter registry.
-    fn sync_health_metrics(verdict: &CycleVerdict) {
-        let mut m = metrics::METRICS.lock();
-        if verdict.failed {
-            m.fleet_cycle_errors += 1;
-        }
-        if verdict.deadline_missed {
-            m.fleet_deadline_misses += 1;
-        }
-        if verdict.quarantined_now {
-            m.fleet_quarantines += 1;
-        }
-        if verdict.readmitted_now {
-            m.fleet_readmissions += 1;
-        }
-    }
-
     /// Takes a pipelined checkpoint of one tenant: admission through the
     /// fleet scheduler's run queue, capture under the per-group barrier,
     /// hash on a scheduler lane, commit under the per-store locks. The
@@ -786,7 +725,6 @@ impl Host {
             CycleGate::Run { probing } => probing,
             CycleGate::Skip { until } => {
                 self.sls.fleet.record_skip(gid.0);
-                metrics::METRICS.lock().fleet_cycles_skipped += 1;
                 return Ok(Self::quarantined_breakdown(until));
             }
         };
@@ -797,14 +735,9 @@ impl Host {
             if let Some(why) = self.tenant_backend_sick(gid) {
                 let until = self.sls.fleet.defer_probe(gid.0, now, &why);
                 self.sls.fleet.record_skip(gid.0);
-                metrics::METRICS.lock().fleet_cycles_skipped += 1;
                 return Ok(Self::quarantined_breakdown(until));
             }
         }
-        let (overlapped0, stalls0) = {
-            let s = &self.sls.fleet.stats;
-            (s.overlapped, s.queue_stalls)
-        };
         self.sls.fleet.admit(&self.clock);
         let admitted_at = self.clock.now();
         let breakdown = match self.checkpoint_mode(gid, full, name, FlushMode::Pipelined) {
@@ -813,7 +746,7 @@ impl Host {
                 // A hard error is a per-tenant fault, not a fleet
                 // fault: charge the domain, keep the error for the
                 // caller, and let the rest of the fleet proceed.
-                let verdict = self.sls.fleet.record_cycle(
+                self.sls.fleet.record_cycle(
                     gid.0,
                     self.clock.now(),
                     false,
@@ -821,7 +754,6 @@ impl Host {
                     false,
                     Some(&e.to_string()),
                 );
-                Self::sync_health_metrics(&verdict);
                 return Err(e);
             }
         };
@@ -835,7 +767,7 @@ impl Host {
         // right and are not additionally charged as deadline misses.
         let on_time = !breakdown.outcome.committed()
             || breakdown.durable_at <= admitted_at + self.sls.fleet.cycle_deadline;
-        let verdict = self.sls.fleet.record_cycle(
+        self.sls.fleet.record_cycle(
             gid.0,
             self.clock.now(),
             breakdown.outcome.committed(),
@@ -843,16 +775,6 @@ impl Host {
             breakdown.base_damaged,
             breakdown.fault.as_deref(),
         );
-        Self::sync_health_metrics(&verdict);
-        {
-            let s = &self.sls.fleet.stats;
-            let mut m = metrics::METRICS.lock();
-            m.fleet_cycles_pipelined += 1;
-            m.fleet_overlapped_cycles += s.overlapped - overlapped0;
-            m.fleet_queue_stalls += s.queue_stalls - stalls0;
-            m.fleet_queue_depth_max = m.fleet_queue_depth_max.max(s.queue_depth_max);
-            m.fleet_stop_p99_ns = s.stop_hist.p99();
-        }
         Ok(breakdown)
     }
 
@@ -902,8 +824,7 @@ impl Host {
     /// drain — aborts, deadline misses, quarantine transitions — so
     /// sweep drivers see exactly which tenants misbehaved instead of
     /// the faults being dropped on the floor (they are also counted in
-    /// [`FleetStats::cycle_errors`] and the global
-    /// `fleet_cycle_errors`).
+    /// each tenant's [`TenantDomain::failures`]).
     pub fn fleet_drain(&mut self) -> Vec<(u32, String)> {
         let clock = self.clock.clone();
         self.sls.fleet.drain(&clock);
@@ -979,22 +900,20 @@ mod tests {
 
         // Failures degrade first, then quarantine at the threshold.
         for i in 1..=QUARANTINE_AFTER {
-            let v = f.record_cycle(7, now, false, true, false, None);
-            assert!(v.failed);
+            let health = f.record_cycle(7, now, false, true, false, None);
+            assert_eq!(f.domain(7).failures, u64::from(i));
             if i < QUARANTINE_AFTER {
-                assert_eq!(v.health, TenantHealth::Degraded);
-                assert!(!v.quarantined_now);
+                assert_eq!(health, TenantHealth::Degraded);
+                assert_eq!(f.domain(7).quarantines, 0);
             } else {
-                assert_eq!(v.health, TenantHealth::Quarantined);
-                assert!(v.quarantined_now);
+                assert_eq!(health, TenantHealth::Quarantined);
             }
         }
         let d = f.domain(7);
         assert_eq!(d.consecutive_failures, QUARANTINE_AFTER);
         assert_eq!(d.quarantines, 1);
         assert_eq!(d.next_probe, now + PROBE_BACKOFF_BASE);
-        assert_eq!(f.stats.quarantines, 1);
-        assert_eq!(f.stats.cycle_errors, u64::from(QUARANTINE_AFTER));
+        assert_eq!(d.failures, u64::from(QUARANTINE_AFTER));
 
         // The gate skips until the probe instant, then admits a probe.
         assert!(matches!(
@@ -1005,10 +924,10 @@ mod tests {
         assert!(matches!(f.gate(7, probe_at), CycleGate::Run { probing: true }));
 
         // A failed probe stays quarantined and doubles the backoff.
-        let v = f.record_cycle(7, probe_at, false, true, false, Some("probe tanked"));
-        assert_eq!(v.health, TenantHealth::Quarantined);
-        assert!(!v.quarantined_now);
+        let health = f.record_cycle(7, probe_at, false, true, false, Some("probe tanked"));
+        assert_eq!(health, TenantHealth::Quarantined);
         let d = f.domain(7);
+        assert_eq!(d.quarantines, 1);
         assert_eq!(d.next_probe, probe_at + PROBE_BACKOFF_BASE);
         assert_eq!(d.backoff, PROBE_BACKOFF_BASE * 2);
         assert_eq!(d.last_fault.as_deref(), Some("probe tanked"));
@@ -1022,15 +941,13 @@ mod tests {
 
         // An on-time clean commit re-admits and resets the domain.
         let back = probe_at + PROBE_BACKOFF_BASE * 2;
-        let v = f.record_cycle(7, back, true, true, false, None);
-        assert!(v.readmitted_now);
-        assert_eq!(v.health, TenantHealth::Healthy);
+        let health = f.record_cycle(7, back, true, true, false, None);
+        assert_eq!(health, TenantHealth::Healthy);
         let d = f.domain(7);
         assert_eq!(d.consecutive_failures, 0);
         assert_eq!(d.backoff, PROBE_BACKOFF_BASE);
         assert_eq!(d.readmissions, 1);
         assert!(d.last_fault.is_none());
-        assert_eq!(f.stats.readmissions, 1);
         assert!(matches!(f.gate(7, back), CycleGate::Run { probing: false }));
     }
 
@@ -1040,18 +957,15 @@ mod tests {
         let now = SimTime::from_nanos(1_000_000);
 
         // A committed-but-late cycle is a deadline miss.
-        let v = f.record_cycle(3, now, true, false, false, None);
-        assert!(v.failed && v.deadline_missed);
+        f.record_cycle(3, now, true, false, false, None);
         let d = f.domain(3);
-        assert_eq!(d.deadline_misses, 1);
+        assert_eq!((d.failures, d.deadline_misses), (1, 1));
         assert_eq!(d.last_fault.as_deref(), Some("cycle deadline missed"));
-        assert_eq!(f.stats.deadline_misses, 1);
 
         // A commit over a damaged base fails without a deadline miss.
-        let v = f.record_cycle(3, now, true, true, true, None);
-        assert!(v.failed && !v.deadline_missed);
-        assert_eq!(f.domain(3).failures, 2);
-        assert_eq!(f.stats.deadline_misses, 1);
+        f.record_cycle(3, now, true, true, true, None);
+        let d = f.domain(3);
+        assert_eq!((d.failures, d.deadline_misses), (2, 1));
 
         // The bounded fault log drains both entries.
         let faults = f.take_faults();
@@ -1077,7 +991,7 @@ mod tests {
         f.quarantine(9, clock.now(), "device wedged");
         assert_eq!(f.queue_depth(), 0);
         assert_eq!(f.stats.bookings_released, 2);
-        assert_eq!(f.stats.quarantines, 1);
+        assert_eq!(f.domain(9).quarantines, 1);
         assert_eq!(f.health_of(9), TenantHealth::Quarantined);
         assert!(f
             .domain(9)
@@ -1088,11 +1002,10 @@ mod tests {
         assert_eq!(f.stats.queue_stalls, 0);
         assert!(clock.now() < SimTime::from_nanos(40_000_000));
 
-        // Skipped cycles are counted per tenant and fleet-wide.
+        // Skipped cycles are counted per tenant.
         f.record_skip(9);
         f.record_skip(9);
         assert_eq!(f.domain(9).cycles_skipped, 2);
-        assert_eq!(f.stats.cycles_skipped, 2);
 
         // A deferred probe pushes the window out and doubles backoff.
         let at = SimTime::from_nanos(100_000_000);

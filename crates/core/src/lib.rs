@@ -80,14 +80,6 @@ pub const SLSFS_MOUNT: &str = "/sls";
 /// SLS-wide counters.
 #[derive(Debug, Default, Clone)]
 pub struct SlsStats {
-    /// Checkpoints taken.
-    pub checkpoints: u64,
-    /// Restores performed.
-    pub restores: u64,
-    /// Rollbacks performed.
-    pub rollbacks: u64,
-    /// Bytes of page data handed to backends.
-    pub flushed_bytes: u64,
     /// Checkpoints that degraded from incremental to full because the
     /// incremental base was damaged or a backend was recovering.
     pub checkpoints_degraded: u64,

@@ -1,187 +1,6 @@
-//! Phase breakdowns matching the paper's tables, plus the process-wide
-//! counter registry.
+//! Phase breakdowns matching the paper's tables.
 
 use aurora_sim::time::{SimDuration, SimTime};
-
-use crate::lockdep::{OrderedMutex, RANK_METRICS};
-
-/// Process-wide counters, aggregated across every [`crate::Host`] in
-/// the process (a test or campaign binary runs many).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct GlobalCounters {
-    /// Checkpoints that committed (including degraded-to-full).
-    pub checkpoints_committed: u64,
-    /// Checkpoints that aborted without committing.
-    pub checkpoints_aborted: u64,
-    /// Restores that completed.
-    pub restores_completed: u64,
-    /// Worker-thread count of the most recent parallel flush.
-    pub flush_workers: u64,
-    /// Pages content-hashed by the parallel flush hash stage (captured
-    /// pages that took the delta path on every backend are not counted).
-    pub flush_pages_hashed: u64,
-    /// Pages captured by committed flushes (hashed or delta-only).
-    pub flush_pages: u64,
-    /// Hash-stage duration (sim ns): page bytes over the per-core hash
-    /// bandwidth, divided across the workers. Charged to the simulation
-    /// clock, so checkpoint latency reflects the configured parallelism.
-    pub flush_hash_ns: u64,
-    /// Sim time flushes waited for the device after their hash was done
-    /// (ns): Σ `CheckpointBreakdown::write_wait`. Device work that ran
-    /// under a later batch's hash is not in here; the whole span of an
-    /// inline flush is `flush_hash_ns + flush_write_ns`.
-    pub flush_write_ns: u64,
-    /// Vectored extents issued by write coalescing.
-    pub flush_extents: u64,
-    /// Blocks carried by those extents.
-    pub flush_extent_blocks: u64,
-    /// Worker-thread count of the most recent batched restore.
-    pub restore_workers: u64,
-    /// Pages content-hashed by the restore pipeline's hash stage.
-    pub restore_pages_hashed: u64,
-    /// Sim time batched restores spent reading (ns): Σ
-    /// `RestoreBreakdown::read_stage`.
-    pub restore_read_ns: u64,
-    /// Sim time batched restores waited for verification after their
-    /// last read (ns): Σ `RestoreBreakdown::hash_stage`. Hashing that
-    /// ran under a later batch's read is not in here.
-    pub restore_verify_wait_ns: u64,
-    /// Modeled hash work of batched restores (ns): Σ
-    /// `RestoreBreakdown::hash_work`, hidden or not.
-    pub restore_hash_ns: u64,
-    /// Restore read-cache hits (pages served without device access).
-    pub restore_cache_hits: u64,
-    /// Restore read-cache misses (pages that charged device time).
-    pub restore_cache_misses: u64,
-    /// Vectored extent reads issued by batched restores.
-    pub restore_extents: u64,
-    /// Checkpoints that committed while the mirror was degraded (a
-    /// replica detached, rebuilding, or unhealthy).
-    pub checkpoints_degraded_mirror: u64,
-    /// Checkpoints that committed while replication lag exceeded the
-    /// configured bound (standby falling behind the acked watermark).
-    pub checkpoints_degraded_replication: u64,
-    /// Replication data frames offered to the link (first transmissions).
-    pub repl_frames_sent: u64,
-    /// Replication data frames retransmitted after an ack timeout.
-    pub repl_frames_retransmitted: u64,
-    /// Replication frames the faulty link dropped (both directions,
-    /// including transient-partition losses).
-    pub repl_frames_dropped: u64,
-    /// Ack frames received by the primary.
-    pub repl_acks_received: u64,
-    /// Epochs fully acked by the standby (the watermark's advance count).
-    pub repl_epochs_acked: u64,
-    /// Current replication lag, in epochs (shipped minus acked).
-    pub repl_lag_epochs: u64,
-    /// Current replication lag, in unacked payload bytes.
-    pub repl_lag_bytes: u64,
-    /// Commit-protocol phase transitions `DirtyTxn → JournalSealed`
-    /// (journal records submitted), summed across backend and standby
-    /// stores.
-    pub commit_journal_seals: u64,
-    /// Phase transitions `JournalSealed → ExtentsDurable` (flush
-    /// barriers).
-    pub commit_extent_barriers: u64,
-    /// Phase transitions `ExtentsDurable → Committed` (durable
-    /// superblock flips).
-    pub commit_superblock_flips: u64,
-    /// Entries into the repair path (read-repair / scrub healing).
-    pub commit_repair_entries: u64,
-    /// Sub-page delta records committed in place of full 4 KiB images,
-    /// summed across backend stores.
-    pub delta_records: u64,
-    /// Encoded bytes of those delta records (the flushed footprint the
-    /// full-image path would have charged 4096 bytes per page for).
-    pub delta_bytes: u64,
-    /// Delta chains folded back into base images by the background
-    /// compactor.
-    pub chains_compacted: u64,
-    /// Longest delta chain ever committed (high-water across stores).
-    pub chain_len_max: u64,
-    /// Checkpoint cycles run through the fleet scheduler's pipelined
-    /// path (capture admitted while earlier flushes drain).
-    pub fleet_cycles_pipelined: u64,
-    /// Pipelined cycles whose capture overlapped at least one other
-    /// tenant's still-draining flush.
-    pub fleet_overlapped_cycles: u64,
-    /// Admissions that had to retire the oldest in-flight flush first
-    /// because the scheduler's run queue was full.
-    pub fleet_queue_stalls: u64,
-    /// High-water mark of the scheduler's in-flight flush queue.
-    pub fleet_queue_depth_max: u64,
-    /// p99 per-tenant stop time of the most recent fleet scheduler's
-    /// pipelined cycles (sim ns).
-    pub fleet_stop_p99_ns: u64,
-    /// Pipelined cycles skipped because the tenant was quarantined
-    /// (its group barrier was never taken).
-    pub fleet_cycles_skipped: u64,
-    /// Tenants moved into quarantine by the health state machine.
-    pub fleet_quarantines: u64,
-    /// Quarantined tenants re-admitted after a successful probe cycle.
-    pub fleet_readmissions: u64,
-    /// Pipelined cycles that blew their virtual-clock deadline.
-    pub fleet_deadline_misses: u64,
-    /// Pipelined cycles that failed (aborted outcome, damaged base, or
-    /// a hard error) and were charged to the tenant's fault domain.
-    pub fleet_cycle_errors: u64,
-}
-
-/// The global counter registry. Innermost rank in the lock hierarchy,
-/// so any path may bump counters while holding anything else.
-pub static METRICS: OrderedMutex<GlobalCounters> =
-    OrderedMutex::new(RANK_METRICS, "metrics", GlobalCounters {
-        checkpoints_committed: 0,
-        checkpoints_aborted: 0,
-        restores_completed: 0,
-        flush_workers: 0,
-        flush_pages_hashed: 0,
-        flush_pages: 0,
-        flush_hash_ns: 0,
-        flush_write_ns: 0,
-        flush_extents: 0,
-        flush_extent_blocks: 0,
-        restore_workers: 0,
-        restore_pages_hashed: 0,
-        restore_read_ns: 0,
-        restore_verify_wait_ns: 0,
-        restore_hash_ns: 0,
-        restore_cache_hits: 0,
-        restore_cache_misses: 0,
-        restore_extents: 0,
-        checkpoints_degraded_mirror: 0,
-        checkpoints_degraded_replication: 0,
-        repl_frames_sent: 0,
-        repl_frames_retransmitted: 0,
-        repl_frames_dropped: 0,
-        repl_acks_received: 0,
-        repl_epochs_acked: 0,
-        repl_lag_epochs: 0,
-        repl_lag_bytes: 0,
-        commit_journal_seals: 0,
-        commit_extent_barriers: 0,
-        commit_superblock_flips: 0,
-        commit_repair_entries: 0,
-        delta_records: 0,
-        delta_bytes: 0,
-        chains_compacted: 0,
-        chain_len_max: 0,
-        fleet_cycles_pipelined: 0,
-        fleet_overlapped_cycles: 0,
-        fleet_queue_stalls: 0,
-        fleet_queue_depth_max: 0,
-        fleet_stop_p99_ns: 0,
-        fleet_cycles_skipped: 0,
-        fleet_quarantines: 0,
-        fleet_readmissions: 0,
-        fleet_deadline_misses: 0,
-        fleet_cycle_errors: 0,
-    });
-
-/// Snapshot of the global counters.
-pub fn global_counters() -> GlobalCounters {
-    *METRICS.lock()
-}
 
 /// How a checkpoint concluded.
 ///

@@ -45,7 +45,7 @@ use aurora_sim::time::{SimDuration, SimTime};
 use aurora_sim::SimClock;
 use aurora_slsfs::{SlsFs, StoreHandle};
 
-use crate::metrics::{self, CheckpointBreakdown, CheckpointOutcome};
+use crate::metrics::{CheckpointBreakdown, CheckpointOutcome};
 use crate::{load_next_group, Host, Sls, SlsStats, DEFAULT_FLUSH_WORKERS, DEFAULT_RESTORE_WORKERS, SLSFS_MOUNT, SLSFS_NS};
 
 /// Replication frame magic ("SLSREPL1").
@@ -288,17 +288,6 @@ struct Standby {
     partial: BTreeMap<u64, PartialEpoch>,
 }
 
-/// Metric counters already published to [`metrics::METRICS`], so each
-/// publish adds only the delta since the last one.
-#[derive(Debug, Default, Clone, Copy)]
-struct MetricsSnap {
-    frames_sent: u64,
-    frames_retransmitted: u64,
-    acks_received: u64,
-    dropped: u64,
-    epochs_acked: u64,
-}
-
 /// A replication session: primary-side protocol state, both fault-model
 /// link directions, and the simulated standby they connect.
 pub struct Replicator {
@@ -320,7 +309,6 @@ pub struct Replicator {
     backoff: SimDuration,
     data_frames_offered: u64,
     primary_dead: bool,
-    last_published: MetricsSnap,
     /// Protocol counters.
     pub stats: ReplStats,
 }
@@ -376,7 +364,6 @@ impl Replicator {
             backoff,
             data_frames_offered: 0,
             primary_dead: false,
-            last_published: MetricsSnap::default(),
             stats: ReplStats::default(),
         })
     }
@@ -642,29 +629,11 @@ impl Replicator {
             for chunk in p.chunks.values() {
                 payload.extend_from_slice(chunk);
             }
-            // The standby apply runs the same typestate commit protocol
-            // as the primary; surface its phase transitions in the
-            // global counters so `sls info` reports both sides.
-            let (seals0, barriers0, flips0) = {
-                let s = self.standby.store.borrow();
-                (
-                    s.stats.journal_seals,
-                    s.stats.extent_barriers,
-                    s.stats.superblock_flips,
-                )
-            };
             let res = if p.full {
                 self.standby.store.borrow_mut().import_stream(&payload)
             } else {
                 self.standby.store.borrow_mut().import_delta(&payload)
             };
-            {
-                let s = self.standby.store.borrow();
-                let mut m = metrics::METRICS.lock();
-                m.commit_journal_seals += s.stats.journal_seals - seals0;
-                m.commit_extent_barriers += s.stats.extent_barriers - barriers0;
-                m.commit_superblock_flips += s.stats.superblock_flips - flips0;
-            }
             match res {
                 Ok(_) => self.standby.applied_epoch = next,
                 Err(_) => {
@@ -765,34 +734,6 @@ impl Replicator {
         };
         (self.standby.store, report)
     }
-
-    /// Publishes counter deltas (and the lag gauges) to the global
-    /// metrics registry.
-    fn publish_metrics(&mut self, degraded: bool) {
-        let snap = MetricsSnap {
-            frames_sent: self.stats.frames_sent,
-            frames_retransmitted: self.stats.frames_retransmitted,
-            acks_received: self.stats.acks_received,
-            dropped: self.data_link.stats.dropped + self.ack_link.stats.dropped,
-            epochs_acked: self.acked_epoch,
-        };
-        let last = self.last_published;
-        let mut m = metrics::METRICS.lock();
-        m.repl_frames_sent += snap.frames_sent.saturating_sub(last.frames_sent);
-        m.repl_frames_retransmitted += snap
-            .frames_retransmitted
-            .saturating_sub(last.frames_retransmitted);
-        m.repl_acks_received += snap.acks_received.saturating_sub(last.acks_received);
-        m.repl_frames_dropped += snap.dropped.saturating_sub(last.dropped);
-        m.repl_epochs_acked += snap.epochs_acked.saturating_sub(last.epochs_acked);
-        m.repl_lag_epochs = self.shipped_epoch.saturating_sub(self.acked_epoch);
-        m.repl_lag_bytes = self.unacked.values().map(|b| b.payload_bytes).sum();
-        if degraded {
-            m.checkpoints_degraded_replication += 1;
-        }
-        drop(m);
-        self.last_published = snap;
-    }
 }
 
 impl Host {
@@ -871,7 +812,6 @@ impl Host {
                 repl.cfg.max_lag_epochs
             ));
         }
-        repl.publish_metrics(bd.outcome == CheckpointOutcome::DegradedReplication);
         self.sls.replicator = Some(repl);
     }
 
@@ -959,6 +899,45 @@ mod tests {
         };
         let out = ReplFrame::decode(&frame.encode()).unwrap();
         assert_eq!(out, frame);
+    }
+
+    #[test]
+    fn repl_frame_wire_bytes_are_pinned() {
+        let data = ReplFrame {
+            seq: 42,
+            payload: FramePayload::Data {
+                epoch: 7,
+                index: 3,
+                count: 9,
+                full: true,
+                chunk: b"aurora".to_vec(),
+            },
+        };
+        let ack = ReplFrame {
+            seq: 9000,
+            payload: FramePayload::Ack { epoch: 17 },
+        };
+        // Header: magic "SLSREPL1" (LE u64), version 1 (LE u16).
+        let header = [0x31, 0x4C, 0x50, 0x45, 0x52, 0x53, 0x4C, 0x53, 1, 0];
+        let mut want = header.to_vec();
+        want.extend([0xA7, 0x81, 0x48, 0x01, 0x29, 0xB3, 0x53, 0xB4]); // digest
+        want.push(33); // body length
+        want.extend([42, 0, 0, 0, 0, 0, 0, 0]); // seq
+        want.push(0); // kind: data
+        want.extend([7, 0, 0, 0, 0, 0, 0, 0]); // epoch
+        want.extend([3, 0, 0, 0, 9, 0, 0, 0]); // index, count
+        want.push(1); // full
+        want.push(6); // chunk length
+        want.extend(b"aurora");
+        assert_eq!(data.encode(), want);
+
+        let mut want = header.to_vec();
+        want.extend([0x36, 0x8A, 0xB6, 0xFF, 0x44, 0x64, 0xB0, 0x40]); // digest
+        want.push(17); // body length
+        want.extend([0x28, 0x23, 0, 0, 0, 0, 0, 0]); // seq 9000
+        want.push(1); // kind: ack
+        want.extend([17, 0, 0, 0, 0, 0, 0, 0]); // epoch
+        assert_eq!(ack.encode(), want);
     }
 
     #[test]
@@ -1119,9 +1098,9 @@ mod tests {
             CheckpointOutcome::DegradedReplication,
             "a severed link must surface as degraded replication: {outcomes:?}"
         );
-        assert_eq!(host.replication().unwrap().acked_epoch(), 0);
-        let m = metrics::global_counters();
-        assert!(m.checkpoints_degraded_replication > 0);
+        let repl = host.replication().unwrap();
+        assert_eq!(repl.acked_epoch(), 0);
+        assert_eq!(repl.lag_epochs(), 3, "every shipped epoch is still unacked");
     }
 
     #[test]

@@ -41,7 +41,7 @@ use aurora_vm::object::ResidentPage;
 use aurora_vm::{MapEntry, PageData, PageId, Pager, Prot, Residency, SlsPolicy, VmoId, VmoKind};
 
 use crate::flush::hash_pages;
-use crate::metrics::{self, RestoreBreakdown};
+use crate::metrics::RestoreBreakdown;
 use crate::serialize::*;
 use crate::Host;
 
@@ -579,8 +579,6 @@ impl Host {
         let mut pid_pairs: Vec<(u32, u32)> = pid_map.iter().map(|(o, n)| (*o, n.0)).collect();
         pid_pairs.sort();
         breakdown.pid_map = pid_pairs;
-        self.sls.stats.restores += 1;
-        metrics::METRICS.lock().restores_completed += 1;
         Ok(breakdown)
     }
 
@@ -655,7 +653,6 @@ impl Host {
         // itself before it entered the read cache.
         let hash_cost = |pages: u64| cost::hash_stage(pages, workers as u64);
         let mut pages: HashMap<u64, PageData> = HashMap::with_capacity(plan.blocks.len());
-        let (mut cache_hits, mut cache_misses, mut extents_read) = (0u64, 0u64, 0u64);
         let mut pages_hashed = 0u64;
         // Pass 1's wiring counts as read stage.
         let mut read_stage = sw.lap();
@@ -686,18 +683,16 @@ impl Host {
             pages_hashed += outcome.fetched.len() as u64;
             verify_done =
                 verify_done.max(clock.now()) + hash_cost(pages_hashed).saturating_sub(before);
-            cache_hits += outcome.cache_hits;
-            cache_misses += outcome.cache_misses;
-            extents_read += outcome.extents_read;
+            breakdown.cache_hits += outcome.cache_hits;
+            breakdown.cache_misses += outcome.cache_misses;
+            breakdown.extents_read += outcome.extents_read;
             pages.extend(outcome.pages);
         }
         // No frame is wired before the last batch is verified.
         clock.advance_to(verify_done);
-        let verify_wait = sw.lap();
-        let hash_work = hash_cost(pages_hashed);
         breakdown.read_stage += read_stage;
-        breakdown.hash_stage += verify_wait;
-        breakdown.hash_work += hash_work;
+        breakdown.hash_stage += sw.lap();
+        breakdown.hash_work += hash_cost(pages_hashed);
         breakdown.pages_hashed += pages_hashed;
 
         // Pass 4: wire frames in target order. Delta-backed pages
@@ -733,21 +728,6 @@ impl Host {
                 .object_mut(v)
                 .insert_page(idx, ResidentPage::paged_in(frame));
             breakdown.pages_prefetched += 1;
-        }
-
-        breakdown.cache_hits += cache_hits;
-        breakdown.cache_misses += cache_misses;
-        breakdown.extents_read += extents_read;
-        {
-            let mut m = metrics::METRICS.lock();
-            m.restore_workers = workers as u64;
-            m.restore_pages_hashed += pages_hashed;
-            m.restore_read_ns += read_stage.as_nanos();
-            m.restore_verify_wait_ns += verify_wait.as_nanos();
-            m.restore_hash_ns += hash_work.as_nanos();
-            m.restore_cache_hits += cache_hits;
-            m.restore_cache_misses += cache_misses;
-            m.restore_extents += extents_read;
         }
         Ok(())
     }
@@ -811,7 +791,6 @@ impl Host {
                 backend.needs_full = true;
             }
         }
-        self.sls.stats.rollbacks += 1;
         Ok(breakdown)
     }
 }

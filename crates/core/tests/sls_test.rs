@@ -1313,28 +1313,26 @@ fn listener_backlog_survives_checkpoint() {
 
 #[test]
 fn checkpoint_advances_commit_phase_metrics() {
-    // The commit-phase counters feed the `sls info` line; a checkpoint
-    // must fold at least one seal/barrier/flip delta into the global
-    // metrics. METRICS is shared across the test binary, so assert
-    // growth, not absolute values.
-    let before = {
-        let m = aurora_core::metrics::METRICS.lock();
-        (
-            m.commit_journal_seals,
-            m.commit_extent_barriers,
-            m.commit_superblock_flips,
-        )
-    };
+    // One checkpoint is one typestate commit on the checkpointing
+    // store: exactly one journal seal, one extent barrier and one
+    // superblock flip, counted by that store's own `StoreStats`.
     let mut host = new_host("phase-metrics");
     let pid = host.kernel.spawn("app");
     let addr = host.kernel.mmap_anon(pid, 4096, false).unwrap();
     host.kernel.mem_write(pid, addr, b"tick").unwrap();
     let gid = host.persist("app", pid).unwrap();
+    let phases = |host: &Host| {
+        let s = &host.sls.primary.borrow().stats;
+        (s.journal_seals, s.extent_barriers, s.superblock_flips)
+    };
+    let before = phases(&host);
     host.checkpoint(gid, true, None).unwrap();
-    let m = aurora_core::metrics::METRICS.lock();
-    assert!(m.commit_journal_seals > before.0, "seals folded into METRICS");
-    assert!(m.commit_extent_barriers > before.1, "barriers folded into METRICS");
-    assert!(m.commit_superblock_flips > before.2, "flips folded into METRICS");
+    let after = phases(&host);
+    assert_eq!(
+        (after.0 - before.0, after.1 - before.1, after.2 - before.2),
+        (1, 1, 1),
+        "seal, barrier and flip deltas of one checkpoint"
+    );
 }
 
 #[test]

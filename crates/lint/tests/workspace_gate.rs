@@ -52,3 +52,37 @@ fn allowlist_never_grows() {
          silently disable the raw-device-write check"
     );
 }
+
+/// The runtime lock ranks (`aurora_sim::lockdep::RANK_<NAME>`) and the
+/// static hierarchy (`lint-allow.toml [locks] order`) are one table
+/// written twice: every rank constant must equal the index of its
+/// lowercased name in `order`, and the two name sets must be equal.
+#[test]
+fn lock_ranks_match_the_declared_order() {
+    let root = workspace_root();
+    let src = std::fs::read_to_string(root.join("lint-allow.toml"))
+        .expect("lint-allow.toml must be readable");
+    let cfg = aurora_lint::Config::parse(&src).expect("lint-allow.toml must parse");
+    let lockdep = std::fs::read_to_string(root.join("crates/sim/src/lockdep.rs"))
+        .expect("lockdep.rs must be readable");
+    let mut ranks: Vec<(String, usize)> = lockdep
+        .lines()
+        .filter_map(|line| {
+            let rest = line.trim().strip_prefix("pub const RANK_")?;
+            let (name, value) = rest.split_once(": u32 = ")?;
+            let value = value.strip_suffix(';')?.parse().ok()?;
+            Some((name.to_lowercase(), value))
+        })
+        .collect();
+    ranks.sort_by_key(|&(_, rank)| rank);
+    let declared: Vec<(String, usize)> = cfg
+        .lock_order
+        .iter()
+        .enumerate()
+        .map(|(i, name)| (name.clone(), i))
+        .collect();
+    assert_eq!(
+        ranks, declared,
+        "RANK_* constants in crates/sim/src/lockdep.rs disagree with [locks] order"
+    );
+}

@@ -53,16 +53,13 @@ pub const RANK_GROUP_TABLE: u32 = 4;
 /// Rank of per-store metadata.
 pub const RANK_STORE_META: u32 = 5;
 /// Rank of the object store's shared page cache. Flushes take it while
-/// their group's barrier is held; nothing below it but the device queue
-/// and metrics may nest inside.
+/// their group's barrier is held; nothing below it but the journal
+/// buffer and the device queue may nest inside.
 pub const RANK_PAGE_CACHE: u32 = 6;
 /// Rank of the journal append buffer.
 pub const RANK_JOURNAL_BUF: u32 = 7;
-/// Rank of a device submission queue.
+/// Rank of a device submission queue (innermost).
 pub const RANK_DEV_QUEUE: u32 = 8;
-/// Rank of the global metrics registry (innermost: any path may record
-/// counters while holding anything else).
-pub const RANK_METRICS: u32 = 9;
 
 /// A mutex that participates in lock-order verification.
 pub struct OrderedMutex<T> {
@@ -404,25 +401,25 @@ mod tests {
     #[test]
     fn real_hierarchy_registers_cleanly() {
         // The production descent: registry outermost, then a group
-        // barrier, a store commit lock, metrics innermost.
+        // barrier, a store commit lock, the device queue innermost.
         static REGISTRY: OrderedMutex<()> =
             OrderedMutex::new(RANK_FLEET_REGISTRY, "fleet_registry", ());
         static BARRIER: OrderedMutex<()> =
             OrderedMutex::new(RANK_GROUP_BARRIER, "group_barrier", ());
         static COMMIT: OrderedMutex<()> =
             OrderedMutex::new(RANK_STORE_COMMIT, "store_commit", ());
-        static METRICS: OrderedMutex<u64> = OrderedMutex::new(RANK_METRICS, "metrics", 0);
+        static QUEUE: OrderedMutex<u64> = OrderedMutex::new(RANK_DEV_QUEUE, "dev_queue", 0);
         {
             let _r = REGISTRY.lock();
         }
         let _b = BARRIER.lock();
         let _c = COMMIT.lock();
-        let mut m = METRICS.lock();
-        *m += 1;
+        let mut q = QUEUE.lock();
+        *q += 1;
         assert_eq!(REGISTRY.rank(), 0);
         assert_eq!(BARRIER.rank(), 2);
         assert_eq!(COMMIT.rank(), 3);
-        assert_eq!(METRICS.name(), "metrics");
+        assert_eq!(QUEUE.name(), "dev_queue");
     }
 
     #[test]

@@ -101,25 +101,10 @@ fn full_cli_lifecycle() {
     assert!(out.contains("detached backend"));
     assert!(sls(&base, &["detach", "counter", "--index", "5"]).is_err());
 
-    // info: health plus the flush-pipeline telemetry (worker count and
-    // per-stage timing from the global counters).
+    // info: what the world holds.
     let out = sls(&base, &["info"]).unwrap();
-    assert!(out.contains("checkpoints:"));
-    assert!(out.contains("flush pipeline:"), "info flush stage: {out}");
-    assert!(out.contains("workers configured"), "info workers: {out}");
-    assert!(
-        out.contains("pages hashed,") && out.contains("delta-only"),
-        "info hash demand: {out}"
-    );
-    assert!(
-        out.contains("(hash ") && out.contains("ms + write wait "),
-        "info flush span split: {out}"
-    );
-    assert!(
-        out.contains("(read ") && out.contains("ms + verify wait ") && out.contains("(hash work "),
-        "info restore page-in split: {out}"
-    );
-    assert!(out.contains("fleet:"), "info fleet telemetry: {out}");
+    assert!(out.contains("checkpoints:"), "{out}");
+    assert!(out.contains("fsck: healthy"), "{out}");
 }
 
 #[test]
@@ -166,7 +151,6 @@ fn scrub_and_info_report_health() {
 
     let out = sls(&base, &["info"]).unwrap();
     assert!(out.contains("device: healthy"), "info health: {out}");
-    assert!(out.contains("degraded"), "info counters: {out}");
 
     let help = sls(&base, &["--help"]).unwrap();
     assert!(help.contains("scrub"), "help mentions scrub");
