@@ -12,7 +12,7 @@
 // Test code asserts invariants; the workspace unwrap/expect denial is
 // for production flush paths.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use aurora_core::{flush, Host};
 use aurora_hw::ModelDev;
@@ -47,15 +47,27 @@ fn new_store() -> ObjectStore {
     s
 }
 
-/// Digest of the device image from block `from` on, block by block.
+/// Digest of the device image the store can reach: every block below
+/// the data region from `from` on, then each referenced data block with
+/// its index. Unreferenced data blocks are left out on purpose: the
+/// serial loop writes a block that a later write in the same batch
+/// frees, while the coalesced path never writes it, and the allocator's
+/// frontier leaves such a block unoverwritten until it wraps.
 fn device_digest(store: &mut ObjectStore, from: u64) -> u64 {
+    let data_start = store.data_start();
+    let referenced: BTreeSet<u64> = store
+        .checkpoints()
+        .iter()
+        .flat_map(|c| c.pages.values().map(|p| data_start + p.0))
+        .collect();
     let mut h = Fnv64::new();
     let mut buf = vec![0u8; 4096];
     let dev = store.device_mut();
-    for lba in from..DEV_BLOCKS {
+    for lba in (from..data_start).chain(referenced) {
         if dev.read(lba, &mut buf).is_err() {
             continue;
         }
+        h.update_u64(lba);
         h.update_u64(page_hash(&buf));
     }
     h.finish()

@@ -620,11 +620,23 @@ fn restored_instances_share_frames_and_warm_each_other() {
 /// instance is still running — its pager registered, its frames
 /// resident — and the next checkpoint writes new bytes into them: a
 /// restore of that checkpoint reads the new bytes, never the old
-/// instance's frames, and the old instance keeps its own.
+/// instance's frames, and the old instance keeps its own. The data
+/// region holds two checkpoints' pages, so the third one's allocations
+/// wrap the write frontier onto the freed blocks.
 #[test]
 fn a_reused_block_never_serves_the_frame_of_its_old_contents() {
     const PAGES: u64 = 8;
-    let mut host = new_host("h");
+    const JOURNAL_BLOCKS: u64 = 2048;
+    let dev = Box::new(ModelDev::nvme(
+        SimClock::new(),
+        "h-dev",
+        aurora_objstore::layout::JOURNAL_START + JOURNAL_BLOCKS + 2 * PAGES,
+    ));
+    let config = StoreConfig {
+        journal_blocks: JOURNAL_BLOCKS,
+        ..StoreConfig::default()
+    };
+    let mut host = Host::boot("h", dev, config).unwrap();
     let pid = host.kernel.spawn("gc");
     let addr = host.kernel.mmap_anon(pid, PAGES * 4096, false).unwrap();
     let gid = host.persist("gc", pid).unwrap();

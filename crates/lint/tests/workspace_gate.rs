@@ -30,9 +30,9 @@ fn workspace_has_no_unsuppressed_violations() {
 /// The suppression ratchet: `lint-allow.toml` may only shrink. The
 /// budget below follows the entries as they are fixed (10 → 8 with the
 /// typestate commit protocol, 8 → 6 with the device model's index
-/// sites); lower it when entries are fixed, never raise it without
-/// review.
-const MAX_ALLOW_ENTRIES: usize = 6;
+/// sites, 6 → 5 with the block allocator's); lower it when entries are
+/// fixed, never raise it without review.
+const MAX_ALLOW_ENTRIES: usize = 5;
 
 #[test]
 fn allowlist_never_grows() {

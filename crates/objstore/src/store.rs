@@ -502,10 +502,7 @@ impl ObjectStore {
         // Rebuild refcounts: one per checkpoint-delta pointer plus one per
         // live-map pointer.
         let refs = committed_refs(&ckpts, &live);
-        let mut alloc = BlockAlloc::new(sb.data_blocks());
-        for (&b, &r) in &refs {
-            alloc.set_refs(BlockPtr(b), r);
-        }
+        let alloc = BlockAlloc::from_refs(sb.data_blocks(), &refs);
 
         // Retain contents only for referenced blocks; rebuild dedup in
         // ascending block order (deterministic candidate lists).
@@ -788,9 +785,10 @@ impl ObjectStore {
             }
             self.pending_pages.insert((w.oid, w.idx), ptr);
         }
-        // A block allocated for an early write can be released (and
-        // even reallocated) by a later write in the same batch; only
-        // blocks still referenced go to the device.
+        // A block allocated for an early write can be released by a
+        // later write in the same batch (and reallocated within it only
+        // once the allocator's frontier wraps); only blocks still
+        // referenced go to the device.
         fresh.retain(|&b, _| self.alloc.refs(BlockPtr(b)) > 0);
 
         // Extent pass: each run of adjacent blocks becomes one
@@ -1422,7 +1420,8 @@ impl ObjectStore {
     ///
     /// * every block referenced by a checkpoint delta or a live map is
     ///   allocated, and its refcount equals the number of referents;
-    /// * no allocated block is unreachable (a space leak);
+    /// * no allocated block is unreachable, and every unreferenced data
+    ///   block is allocatable (no space leak);
     /// * every reachable block has recoverable contents;
     /// * every checkpoint's parent link resolves.
     ///
@@ -1467,6 +1466,13 @@ impl ObjectStore {
                 "space leak: {} blocks allocated, {} reachable",
                 self.alloc.in_use(),
                 expected.len()
+            ));
+        }
+        let stranded: Vec<u64> = self.alloc.stranded().collect();
+        if let Some(first) = stranded.first() {
+            problems.push(format!(
+                "space leak: {} unreferenced blocks are not allocatable (first: block {first})",
+                stranded.len()
             ));
         }
         // Delta-log invariants: every head a checkpoint or live overlay
@@ -1551,11 +1557,7 @@ impl ObjectStore {
         self.pending_deltas.clear();
         let live = fold_live(&self.ckpts, self.head)?;
         let refs = committed_refs(&self.ckpts, &live);
-        let mut alloc = BlockAlloc::new(self.sb.data_blocks());
-        for (&b, &r) in &refs {
-            alloc.set_refs(BlockPtr(b), r);
-        }
-        self.alloc = alloc;
+        self.alloc = BlockAlloc::from_refs(self.sb.data_blocks(), &refs);
         let cache = self.cache.get_mut();
         cache.data.retain(|b, _| refs.contains_key(b));
         if self.config.dedup {
