@@ -250,7 +250,11 @@ impl Host {
         // working set its sibling instances faulted in — since wiring a
         // page now costs `RESTORE_PAGE_WIRE_NS` and faulting it later a
         // trap. On a cold host nothing is resident and this adds nothing.
+        // Eager objects read the image once: the head's is kept, any
+        // other checkpoint's chain folds once for the whole walk.
         let mut targets: Vec<(VmoId, u64, u64)> = Vec::new();
+        let store_ref = store.borrow();
+        let mut image = None;
         for rec in &vmo_recs {
             let v = *oid_vmo.get(&rec.oid).ok_or_else(|| {
                 Error::internal(format!("vm object for oid {} vanished", rec.oid))
@@ -260,8 +264,12 @@ impl Host {
                 _ => force_eager.contains(&rec.oid),
             };
             if eager {
-                let map = store.borrow_mut().object_refs_at(ckpt, ObjId(rec.oid));
-                targets.extend(map.into_iter().map(|(idx, _)| (v, rec.oid, idx)));
+                let image = match image {
+                    Some(ref image) => image,
+                    None => image.insert(store_ref.image_at(ckpt)?),
+                };
+                let pages = image.object_refs(ObjId(rec.oid));
+                targets.extend(pages.map(|(idx, _)| (v, rec.oid, idx)));
                 continue;
             }
             let resident = self.kernel.vm.resident_pages(pager_id, rec.oid);
@@ -270,6 +278,8 @@ impl Host {
                 targets.extend(rec.hot.iter().map(|&idx| (v, rec.oid, idx)));
             }
         }
+        drop(image);
+        drop(store_ref);
         let workers = self.sls.restore_workers.max(1);
         self.batched_page_in(store, ckpt, pager_id, &targets, workers, &mut breakdown)?;
         breakdown.memory_state = sw.lap();

@@ -1,9 +1,10 @@
-//! Checkpoint deltas and the chain-walk read path.
+//! Checkpoint deltas, the chain-walk read path, and checkpoint images.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{btree_map, BTreeMap};
+use std::ops::RangeInclusive;
 
 use aurora_sim::codec::{Decoder, Encoder};
-use aurora_sim::error::Result;
+use aurora_sim::error::{Error, Result};
 use aurora_sim::time::SimTime;
 
 use crate::deltalog::Lsn;
@@ -37,13 +38,15 @@ pub struct Checkpoint {
     pub new_objects: Vec<(ObjId, u64)>,
     /// Objects deleted in this delta.
     pub deleted_objects: Vec<ObjId>,
-    /// Page-map changes: `(object, page) -> data block`.
-    pub pages: HashMap<(ObjId, u64), BlockPtr>,
-    /// Sub-page delta heads: `(object, page) -> delta-chain head LSN`.
-    /// A fresh commit records a page in `pages` *or* `deltas`; after a
-    /// GC merge a checkpoint may carry both (the inherited chain base in
-    /// `pages`, the newer chain head in `deltas`) — `deltas` wins.
-    pub deltas: HashMap<(ObjId, u64), Lsn>,
+    /// Page-map changes: `(object, page) -> data block`, in key order,
+    /// so one object's entries are one contiguous range.
+    pub pages: BTreeMap<(ObjId, u64), BlockPtr>,
+    /// Sub-page delta heads: `(object, page) -> delta-chain head LSN`, in
+    /// key order. A fresh commit records a page in `pages` *or* `deltas`;
+    /// after a GC merge a checkpoint may carry both (the inherited chain
+    /// base in `pages`, the newer chain head in `deltas`) — `deltas`
+    /// wins.
+    pub deltas: BTreeMap<(ObjId, u64), Lsn>,
     /// Metadata blobs written in this delta (kernel-object records).
     pub blobs: BTreeMap<String, Vec<u8>>,
     /// Virtual instant at which this checkpoint became power-loss-safe
@@ -75,11 +78,9 @@ impl Checkpoint {
             e.varint(*size);
         });
         e.seq(&self.deleted_objects, |e, oid| e.u64(oid.0));
-        // Pages sorted for deterministic images.
-        let mut pages: Vec<(&(ObjId, u64), &BlockPtr)> = self.pages.iter().collect();
-        pages.sort();
-        e.varint(pages.len() as u64);
-        for ((oid, idx), ptr) in pages {
+        // Both maps iterate in key order: the image is deterministic.
+        e.varint(self.pages.len() as u64);
+        for ((oid, idx), ptr) in &self.pages {
             e.u64(oid.0);
             e.varint(*idx);
             e.varint(ptr.0);
@@ -89,11 +90,8 @@ impl Checkpoint {
             e.str(k);
             e.bytes(v);
         }
-        // Delta heads, sorted for deterministic images.
-        let mut deltas: Vec<(&(ObjId, u64), &Lsn)> = self.deltas.iter().collect();
-        deltas.sort();
-        e.varint(deltas.len() as u64);
-        for ((oid, idx), lsn) in deltas {
+        e.varint(self.deltas.len() as u64);
+        for ((oid, idx), lsn) in &self.deltas {
             e.u64(oid.0);
             e.varint(*idx);
             e.varint(*lsn);
@@ -111,14 +109,12 @@ impl Checkpoint {
             Ok((oid, size))
         })?;
         let deleted_objects = d.seq(|d| d.u64().map(ObjId))?;
+        // Both maps were encoded in key order: collecting builds each
+        // in one linear pass.
         let npages = d.varint()? as usize;
-        let mut pages = HashMap::with_capacity(npages);
-        for _ in 0..npages {
-            let oid = ObjId(d.u64()?);
-            let idx = d.varint()?;
-            let ptr = BlockPtr(d.varint()?);
-            pages.insert((oid, idx), ptr);
-        }
+        let pages = (0..npages)
+            .map(|_| Ok(((ObjId(d.u64()?), d.varint()?), BlockPtr(d.varint()?))))
+            .collect::<Result<BTreeMap<_, _>>>()?;
         let nblobs = d.varint()? as usize;
         let mut blobs = BTreeMap::new();
         for _ in 0..nblobs {
@@ -127,13 +123,9 @@ impl Checkpoint {
             blobs.insert(k, v);
         }
         let ndeltas = d.varint()? as usize;
-        let mut deltas = HashMap::with_capacity(ndeltas);
-        for _ in 0..ndeltas {
-            let oid = ObjId(d.u64()?);
-            let idx = d.varint()?;
-            let lsn = d.varint()?;
-            deltas.insert((oid, idx), lsn);
-        }
+        let deltas = (0..ndeltas)
+            .map(|_| Ok(((ObjId(d.u64()?), d.varint()?), d.varint()?)))
+            .collect::<Result<BTreeMap<_, _>>>()?;
         Ok(Checkpoint {
             id,
             parent,
@@ -146,6 +138,131 @@ impl Checkpoint {
             durable_at: SimTime::ZERO,
         })
     }
+
+    /// The objects whose older incarnation this checkpoint ends: its
+    /// deaths and its births. A delete-then-recreate in one epoch
+    /// records both, and every page the checkpoint carries under the id
+    /// belongs to the new incarnation.
+    pub(crate) fn ended_objects(&self) -> impl Iterator<Item = ObjId> + '_ {
+        let births = self.new_objects.iter().map(|(oid, _)| oid);
+        self.deleted_objects.iter().chain(births).copied()
+    }
+
+    /// This checkpoint's own page entries in key order, each resolved:
+    /// a delta head outranks the page entry under the same key.
+    pub(crate) fn own_refs(&self) -> impl Iterator<Item = ((ObjId, u64), PageRef)> + '_ {
+        merge_refs(self.pages.range(..), self.deltas.range(..))
+    }
+}
+
+/// The keys of one object's pages in a key-ordered page map.
+pub(crate) fn object_keys(oid: ObjId) -> RangeInclusive<(ObjId, u64)> {
+    (oid, 0)..=(oid, u64::MAX)
+}
+
+/// Merges a page map with its delta-head overlay in key order; a head
+/// outranks the page entry under the same key.
+fn merge_refs<'a>(
+    pages: btree_map::Range<'a, (ObjId, u64), BlockPtr>,
+    deltas: btree_map::Range<'a, (ObjId, u64), Lsn>,
+) -> impl Iterator<Item = ((ObjId, u64), PageRef)> + 'a {
+    let (mut pages, mut deltas) = (pages.peekable(), deltas.peekable());
+    std::iter::from_fn(move || {
+        let page_key = pages.peek().map(|(k, _)| **k);
+        let delta_key = deltas.peek().map(|(k, _)| **k);
+        match (page_key, delta_key) {
+            (Some(p), d) if d.is_none_or(|d| p < d) => {
+                pages.next().map(|(k, ptr)| (*k, PageRef::Full(*ptr)))
+            }
+            (p, Some(d)) => {
+                if p == Some(d) {
+                    pages.next();
+                }
+                deltas.next().map(|(k, lsn)| (*k, PageRef::Delta(*lsn)))
+            }
+            _ => None,
+        }
+    })
+}
+
+/// A checkpoint's image: every object alive at it, with its size, and
+/// every page of those objects. It is the fold of the checkpoint's
+/// chain, root first, under [`Image::apply`]. The store keeps its
+/// head's image and applies each commit to it, so the audits of the
+/// head never walk the chain.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Image {
+    /// Live objects with their declared sizes in pages.
+    pub(crate) objects: BTreeMap<ObjId, u64>,
+    /// Full page images. Under a delta head this is the chain's base,
+    /// kept for its block reference.
+    pub(crate) pages: BTreeMap<(ObjId, u64), BlockPtr>,
+    /// Delta-chain heads; a head outranks the page entry for its key.
+    pub(crate) deltas: BTreeMap<(ObjId, u64), Lsn>,
+}
+
+impl Image {
+    /// Folds the chain ending at `at`, root first. Fails when a
+    /// checkpoint of the chain is missing from the table.
+    pub fn fold(ckpts: &BTreeMap<u64, Checkpoint>, at: CkptId) -> Result<Image> {
+        let mut chain = Vec::new();
+        let mut cur = Some(at);
+        while let Some(c) = cur {
+            let ck = ckpts.get(&c.0).ok_or_else(|| {
+                Error::corrupt(format!("checkpoint {} missing from the table", c.0))
+            })?;
+            chain.push(ck);
+            cur = ck.parent;
+        }
+        let mut image = Image::default();
+        for ck in chain.iter().rev() {
+            image.apply(ck);
+        }
+        Ok(image)
+    }
+
+    /// The fold step: applies one checkpoint, in O(its delta).
+    pub(crate) fn apply(&mut self, ck: &Checkpoint) {
+        for oid in ck.ended_objects() {
+            if self.objects.remove(&oid).is_some() {
+                take_object(&mut self.pages, oid);
+                take_object(&mut self.deltas, oid);
+            }
+        }
+        self.objects.extend(ck.new_objects.iter().copied());
+        // Pages, then delta heads: a full image truncates its page's
+        // chain, and a head outranks a page entry of its own checkpoint.
+        for (&key, &ptr) in &ck.pages {
+            if self.objects.contains_key(&key.0) {
+                self.pages.insert(key, ptr);
+                self.deltas.remove(&key);
+            }
+        }
+        for (&key, &lsn) in &ck.deltas {
+            if self.objects.contains_key(&key.0) {
+                self.deltas.insert(key, lsn);
+            }
+        }
+    }
+
+    /// Every page in key order, each a full image or a delta-chain head.
+    pub fn refs(&self) -> impl Iterator<Item = ((ObjId, u64), PageRef)> + '_ {
+        merge_refs(self.pages.range(..), self.deltas.range(..))
+    }
+
+    /// One object's pages in index order.
+    pub fn object_refs(&self, oid: ObjId) -> impl Iterator<Item = (u64, PageRef)> + '_ {
+        let keys = object_keys(oid);
+        merge_refs(self.pages.range(keys.clone()), self.deltas.range(keys))
+            .map(|((_, idx), r)| (idx, r))
+    }
+}
+
+/// Removes every entry of `oid` from a key-ordered page map and returns
+/// their values.
+pub(crate) fn take_object<V>(map: &mut BTreeMap<(ObjId, u64), V>, oid: ObjId) -> Vec<V> {
+    let keys: Vec<(ObjId, u64)> = map.range(object_keys(oid)).map(|(k, _)| *k).collect();
+    keys.iter().filter_map(|key| map.remove(key)).collect()
 }
 
 /// Resolves a page through the checkpoint chain: the nearest delta at or
@@ -210,51 +327,6 @@ pub fn resolve_blob<'a>(
     None
 }
 
-/// The effective page map of one object at a checkpoint (chain-merged),
-/// each page resolved to its full image or its delta-chain head.
-pub fn effective_refs(
-    ckpts: &BTreeMap<u64, Checkpoint>,
-    from: CkptId,
-    oid: ObjId,
-) -> BTreeMap<u64, PageRef> {
-    // Walk root-ward collecting deltas, then apply oldest-first.
-    let mut chain = Vec::new();
-    let mut cur = Some(from);
-    while let Some(c) = cur {
-        let Some(ck) = ckpts.get(&c.0) else { break };
-        chain.push(ck);
-        if ck.deleted_objects.contains(&oid) || ck.new_objects.iter().any(|(o, _)| *o == oid) {
-            break;
-        }
-        cur = ck.parent;
-    }
-    let mut map = BTreeMap::new();
-    for ck in chain.iter().rev() {
-        if ck.deleted_objects.contains(&oid) {
-            // The old incarnation dies here. Do NOT skip this
-            // checkpoint's pages: a delete-then-recreate in one epoch
-            // records the death plus the new incarnation's pages, and
-            // the pending-page bookkeeping guarantees every page under
-            // this id belongs to the new incarnation.
-            map.clear();
-        }
-        // Pages first, then delta heads: within one checkpoint a delta
-        // outranks a page entry (the page entry is then the chain's
-        // inherited base image, kept only for its block ref).
-        for ((o, idx), ptr) in &ck.pages {
-            if *o == oid {
-                map.insert(*idx, PageRef::Full(*ptr));
-            }
-        }
-        for ((o, idx), lsn) in &ck.deltas {
-            if *o == oid {
-                map.insert(*idx, PageRef::Delta(*lsn));
-            }
-        }
-    }
-    map
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -266,11 +338,19 @@ mod tests {
             name: None,
             new_objects: Vec::new(),
             deleted_objects: Vec::new(),
-            pages: HashMap::new(),
-            deltas: HashMap::new(),
+            pages: BTreeMap::new(),
+            deltas: BTreeMap::new(),
             blobs: BTreeMap::new(),
             durable_at: SimTime::ZERO,
         }
+    }
+
+    fn refs_at(
+        ckpts: &BTreeMap<u64, Checkpoint>,
+        at: CkptId,
+        oid: ObjId,
+    ) -> BTreeMap<u64, PageRef> {
+        Image::fold(ckpts, at).unwrap().object_refs(oid).collect()
     }
 
     #[test]
@@ -297,6 +377,41 @@ mod tests {
         assert_eq!(d.deleted_objects, c.deleted_objects);
     }
 
+    /// The journal record's bytes, pinned: the page and delta maps are
+    /// key-ordered maps now, and encode in the order the former sort
+    /// produced, so stores written before the change replay unchanged.
+    #[test]
+    fn the_encoding_is_pinned() {
+        let mut c = ck(9, Some(4));
+        c.name = Some("g".into());
+        c.new_objects.push((ObjId(300), 16));
+        c.new_objects.push((ObjId(2), 4));
+        c.deleted_objects.push(ObjId(7));
+        let pages = [(300, 9, 70_000), (2, 1, 5), (300, 0, 1), (2, 0, 129), (300, 200, 2)];
+        for (o, i, b) in pages {
+            c.pages.insert((ObjId(o), i), BlockPtr(b));
+        }
+        for (o, i, l) in [(300, 3, 900), (2, 2, 1), (300, 9, 4)] {
+            c.deltas.insert((ObjId(o), i), l);
+        }
+        c.blobs.insert("proc/1".into(), vec![1, 2, 3]);
+        let mut e = Encoder::new();
+        c.encode(&mut e);
+        let bytes = e.finish();
+        let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(
+            hex,
+            "0900000000000000010400000000000000010167022c01000000000000100200000000\
+             00000004010700000000000000050200000000000000008101020000000000000001052c\
+             0100000000000000012c0100000000000009f0a2042c01000000000000c8010201067072\
+             6f632f310301020303020000000000000002012c010000000000000384072c0100000000\
+             00000904"
+        );
+        let d = Checkpoint::decode(&mut Decoder::new(&bytes)).unwrap();
+        assert_eq!(d.pages, c.pages);
+        assert_eq!(d.deltas, c.deltas);
+    }
+
     #[test]
     fn chain_resolution() {
         let mut ckpts = BTreeMap::new();
@@ -318,7 +433,7 @@ mod tests {
         assert_eq!(resolve_blob(&ckpts, CkptId(2), "m").unwrap(), &[1]);
         assert_eq!(resolve_blob(&ckpts, CkptId(2), "nope"), None);
 
-        let eff = effective_refs(&ckpts, CkptId(2), ObjId(1));
+        let eff = refs_at(&ckpts, CkptId(2), ObjId(1));
         assert_eq!(eff.get(&0), Some(&PageRef::Full(BlockPtr(10))));
         assert_eq!(eff.get(&1), Some(&PageRef::Full(BlockPtr(21))));
     }
@@ -353,7 +468,7 @@ mod tests {
             resolve_ref(&m, CkptId(3), ObjId(1), 0),
             Some(PageRef::Delta(5))
         );
-        let eff = effective_refs(&m, CkptId(3), ObjId(1));
+        let eff = refs_at(&m, CkptId(3), ObjId(1));
         assert_eq!(eff.get(&0), Some(&PageRef::Delta(5)));
     }
 
@@ -369,7 +484,7 @@ mod tests {
         ckpts.insert(2, c2);
         assert_eq!(resolve_page(&ckpts, CkptId(2), ObjId(1), 0), None);
         assert_eq!(resolve_page(&ckpts, CkptId(1), ObjId(1), 0), Some(BlockPtr(10)));
-        assert!(effective_refs(&ckpts, CkptId(2), ObjId(1)).is_empty());
+        assert!(refs_at(&ckpts, CkptId(2), ObjId(1)).is_empty());
     }
 
     #[test]
@@ -384,5 +499,34 @@ mod tests {
         ckpts.insert(1, c1);
         ckpts.insert(2, c2);
         assert_eq!(resolve_page(&ckpts, CkptId(2), ObjId(1), 0), None);
+    }
+
+    #[test]
+    fn a_birth_ends_the_older_incarnation_in_the_same_checkpoint() {
+        // c2 records a delete-then-recreate of object 1: the death, the
+        // birth, and the new incarnation's page 3.
+        let mut ckpts = BTreeMap::new();
+        let mut c1 = ck(1, None);
+        c1.new_objects.push((ObjId(1), 8));
+        c1.pages.insert((ObjId(1), 0), BlockPtr(10));
+        let mut c2 = ck(2, Some(1));
+        c2.deleted_objects.push(ObjId(1));
+        c2.new_objects.push((ObjId(1), 4));
+        c2.pages.insert((ObjId(1), 3), BlockPtr(23));
+        ckpts.insert(1, c1);
+        ckpts.insert(2, c2);
+        let image = Image::fold(&ckpts, CkptId(2)).unwrap();
+        assert_eq!(image.objects.get(&ObjId(1)), Some(&4));
+        let refs: Vec<(u64, PageRef)> = image.object_refs(ObjId(1)).collect();
+        assert_eq!(refs, vec![(3, PageRef::Full(BlockPtr(23)))]);
+        assert_eq!(resolve_ref(&ckpts, CkptId(2), ObjId(1), 0), None);
+    }
+
+    #[test]
+    fn a_missing_checkpoint_fails_the_fold() {
+        let mut ckpts = BTreeMap::new();
+        ckpts.insert(2, ck(2, Some(1)));
+        let err = Image::fold(&ckpts, CkptId(2)).unwrap_err();
+        assert!(err.to_string().contains("checkpoint 1 missing from the table"), "{err}");
     }
 }

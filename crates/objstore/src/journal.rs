@@ -15,7 +15,7 @@ use aurora_sim::error::{Error, Result};
 
 use aurora_hw::BLOCK_SIZE;
 
-use crate::checkpoint::{Checkpoint, CkptId};
+use crate::checkpoint::{take_object, Checkpoint, CkptId};
 use crate::deltalog::{DeltaLog, DeltaRecord, Lsn};
 
 /// Journal record tags.
@@ -234,46 +234,56 @@ pub fn apply_delete(
                 Error::internal(format!("checkpoint {child_id} vanished during delete"))
             })?;
             child.parent = victim.parent;
-            // Delta heads first: a head the child overrides (full page or
-            // newer head) is simply dropped — its records stay reachable
-            // through the child chain's back-pointers when still needed,
-            // and the caller prunes truly dead segments afterwards.
-            for (key, lsn) in victim.deltas {
-                let oid = key.0;
-                let masked = child.deleted_objects.contains(&oid)
-                    || child.new_objects.iter().any(|(o, _)| *o == oid);
-                if !masked && !child.pages.contains_key(&key) && !child.deltas.contains_key(&key)
-                {
-                    child.deltas.insert(key, lsn);
-                }
+            let Checkpoint {
+                mut pages,
+                deltas: mut heads,
+                blobs,
+                new_objects,
+                deleted_objects,
+                ..
+            } = victim;
+            // A child that deleted or re-created an object does not need
+            // the old incarnation's pages or heads.
+            for oid in child.ended_objects() {
+                dropped.extend(take_object(&mut pages, oid));
+                take_object(&mut heads, oid);
             }
-            for (key, ptr) in victim.pages {
-                // A child that deleted or re-created the object does not
-                // need the old pages.
-                let oid = key.0;
-                let masked = child.deleted_objects.contains(&oid)
-                    || child.new_objects.iter().any(|(o, _)| *o == oid);
-                if masked || child.pages.contains_key(&key) {
-                    dropped.push(ptr);
-                } else {
-                    child.pages.insert(key, ptr);
-                }
+            // A full page in the child supersedes the victim's page and
+            // head for its key. A head the child overrides is simply
+            // dropped — its records stay reachable through the child
+            // chain's back-pointers when still needed, and the caller
+            // prunes truly dead segments afterwards. A child head alone
+            // keeps the victim's page: it is that chain's base.
+            for key in child.pages.keys() {
+                dropped.extend(pages.remove(key));
+                heads.remove(key);
             }
-            for (k, v) in victim.blobs {
+            // The child's entries go on top of the victim's: `append`
+            // merges two sorted maps in linear time, the child's entry
+            // winning a shared key.
+            pages.append(&mut child.pages);
+            heads.append(&mut child.deltas);
+            child.pages = pages;
+            child.deltas = heads;
+            for (k, v) in blobs {
                 child.blobs.entry(k).or_insert(v);
             }
-            for (oid, size) in victim.new_objects {
+            for (oid, size) in new_objects {
                 if !child.deleted_objects.contains(&oid) {
                     child.new_objects.push((oid, size));
                 } else {
-                    // Born in the victim, deleted in the child: the object
-                    // never existed as far as later checkpoints care.
+                    // Born in the victim, deleted in the child: that
+                    // incarnation never existed as far as later
+                    // checkpoints care. A child that re-created the id
+                    // keeps the new incarnation's birth and pages.
                     child.deleted_objects.retain(|&o| o != oid);
-                    child.pages.retain(|(o, _), _| *o != oid);
-                    child.deltas.retain(|(o, _), _| *o != oid);
+                    if !child.new_objects.iter().any(|(o, _)| *o == oid) {
+                        child.pages.retain(|(o, _), _| *o != oid);
+                        child.deltas.retain(|(o, _), _| *o != oid);
+                    }
                 }
             }
-            for oid in victim.deleted_objects {
+            for oid in deleted_objects {
                 if !child.deleted_objects.contains(&oid) {
                     child.deleted_objects.push(oid);
                 }
@@ -289,7 +299,6 @@ mod tests {
     use crate::checkpoint::resolve_page;
     use crate::{BlockPtr, ObjId};
     use aurora_sim::time::SimTime;
-    use std::collections::HashMap;
 
     fn ck(id: u64, parent: Option<u64>) -> Checkpoint {
         Checkpoint {
@@ -298,8 +307,8 @@ mod tests {
             name: None,
             new_objects: Vec::new(),
             deleted_objects: Vec::new(),
-            pages: HashMap::new(),
-            deltas: HashMap::new(),
+            pages: BTreeMap::new(),
+            deltas: BTreeMap::new(),
             blobs: BTreeMap::new(),
             durable_at: SimTime::ZERO,
         }
@@ -472,5 +481,31 @@ mod tests {
         ckpts.insert(2, ck(2, Some(1)));
         ckpts.insert(3, ck(3, Some(1)));
         assert!(apply_delete(&mut ckpts, CkptId(1)).is_err());
+    }
+
+    #[test]
+    fn delete_merge_keeps_a_recreated_incarnation() {
+        // c1 births object 1; c2 deletes it and re-creates it with a
+        // page of its own. Merging c1 into c2 cancels c1's incarnation
+        // and must keep c2's.
+        let mut ckpts = BTreeMap::new();
+        let mut c1 = ck(1, None);
+        c1.new_objects.push((ObjId(1), 8));
+        c1.pages.insert((ObjId(1), 0), BlockPtr(10));
+        let mut c2 = ck(2, Some(1));
+        c2.deleted_objects.push(ObjId(1));
+        c2.new_objects.push((ObjId(1), 8));
+        c2.pages.insert((ObjId(1), 3), BlockPtr(23));
+        ckpts.insert(1, c1);
+        ckpts.insert(2, c2);
+        let before = crate::checkpoint::Image::fold(&ckpts, CkptId(2)).unwrap();
+        let dropped = apply_delete(&mut ckpts, CkptId(1)).unwrap();
+        assert_eq!(dropped, vec![BlockPtr(10)]);
+        let c2 = ckpts.get(&2).unwrap();
+        assert!(c2.deleted_objects.is_empty());
+        assert_eq!(c2.new_objects, vec![(ObjId(1), 8)]);
+        assert_eq!(c2.pages.get(&(ObjId(1), 3)), Some(&BlockPtr(23)));
+        let after = crate::checkpoint::Image::fold(&ckpts, CkptId(2)).unwrap();
+        assert_eq!(after, before, "the merge preserves the child's image");
     }
 }

@@ -27,7 +27,7 @@
 //! that believes its own read turns one flipped bit into a store that
 //! fails its own scrub for good.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::ops::Range;
 
 use aurora_hw::{Access, BLOCK_SIZE};
@@ -696,9 +696,9 @@ impl ObjectStore {
     /// Verifies that one committed checkpoint is fully restorable:
     ///
     /// * its parent chain resolves;
-    /// * every block its effective object maps reference has recoverable
-    ///   contents (in the page table, or readable from the medium with a
-    ///   matching content hash when data is materialized).
+    /// * every block its image references has recoverable contents (in
+    ///   the page table, or readable from the medium with a matching
+    ///   content hash when data is materialized).
     ///
     /// Returns the violations (empty = restorable) and the number of
     /// blocks whose platter copy was hashed for the comparison (zero on
@@ -707,76 +707,75 @@ impl ObjectStore {
     /// pipeline runs this on the incremental base and degrades to a full
     /// checkpoint when the base is damaged.
     pub fn verify_checkpoint(&self, ckpt: CkptId) -> (Vec<String>, u64) {
-        let (problems, hashed) = self.verify_checkpoints(&[ckpt]);
+        let (problems, hashed) = self.verify_walk(&[ckpt], |visit| {
+            self.walk_base_blocks(ckpt, &mut |_, _, block| visit(block))
+                .is_empty()
+        });
         (problems.into_iter().map(|(_, p)| p).collect(), hashed)
     }
 
-    /// [`ObjectStore::verify_checkpoint`] over several checkpoints at
-    /// once, each violation tagged with the checkpoint it belongs to. A
-    /// block is read and compared once however many pages and
-    /// checkpoints share it; its verdict is reported under every one of
-    /// them. The second value counts the blocks hashed.
-    fn verify_checkpoints(&self, ids: &[CkptId]) -> (Vec<(CkptId, String)>, u64) {
-        let mut problems = Vec::new();
-        if !self.config.materialize_data {
-            // The page table is the only copy, so the walk is the whole
-            // check: one lock hold, nothing collected.
-            let table = self.cache.lock();
-            for &ckpt in ids {
-                let mut lost = Vec::new();
-                let walk = self.walk_base_blocks(ckpt, &mut |oid, idx, block| {
-                    if !table.data.contains_key(&block) {
-                        lost.push(format!(
-                            "object {} page {idx}: block {block} unrecoverable",
-                            oid.0
-                        ));
-                    }
-                });
-                problems.extend(walk.into_iter().chain(lost).map(|p| (ckpt, p)));
-            }
-            return (problems, 0);
-        }
-        // Materialized stores check the platter copy even when a clean
-        // copy is cached in memory: a write-time corruption would
-        // otherwise hide until the cache is dropped.
-        let mut blocks = std::collections::BTreeSet::new();
-        for &ckpt in ids {
-            let walk = self.walk_base_blocks(ckpt, &mut |_, _, block| {
-                blocks.insert(block);
-            });
-            problems.extend(walk.into_iter().map(|p| (ckpt, p)));
-        }
-        let blocks: Vec<u64> = blocks.into_iter().collect();
+    /// Checks every block `walk` visits — a walk that returns whether it
+    /// resolved cleanly — reading and comparing each block once however
+    /// many pages and checkpoints share it. Only when a block is bad or
+    /// the walk was not clean does it walk the image of each checkpoint
+    /// in `ids` to name the affected pages, each violation tagged with
+    /// its checkpoint. The second value counts the blocks hashed.
+    fn verify_walk(
+        &self,
+        ids: &[CkptId],
+        walk: impl FnOnce(&mut dyn FnMut(u64)) -> bool,
+    ) -> (Vec<(CkptId, String)>, u64) {
         let mut bad: BTreeMap<u64, String> = BTreeMap::new();
         let mut hashed = 0u64;
-        for (off, len) in runs(&blocks, EXTENT_BLOCKS) {
-            if let Some(run) = blocks.get(off..off + len) {
-                hashed += self.verify_extent(run, &mut bad);
+        let clean = if !self.config.materialize_data {
+            // The page table is the only copy, so the walk is the whole
+            // check: one lock hold, only bad blocks collected.
+            let table = self.cache.lock();
+            walk(&mut |block| {
+                if !table.data.contains_key(&block) {
+                    bad.insert(block, "unrecoverable".to_string());
+                }
+            })
+        } else {
+            // Materialized stores check the platter copy even when a
+            // clean copy is cached in memory: a write-time corruption
+            // would otherwise hide until the cache is dropped.
+            let mut blocks = BTreeSet::new();
+            let clean = walk(&mut |block| {
+                blocks.insert(block);
+            });
+            let blocks: Vec<u64> = blocks.into_iter().collect();
+            for (off, len) in runs(&blocks, EXTENT_BLOCKS) {
+                if let Some(run) = blocks.get(off..off + len) {
+                    hashed += self.verify_extent(run, &mut bad);
+                }
             }
+            clean
+        };
+        if clean && bad.is_empty() {
+            return (Vec::new(), hashed);
         }
-        if !bad.is_empty() {
-            // Name every page that restores from a bad block.
-            for &ckpt in ids {
-                self.walk_base_blocks(ckpt, &mut |oid, idx, block| {
-                    if let Some(what) = bad.get(&block) {
-                        problems.push((
-                            ckpt,
-                            format!("object {} page {idx}: block {block} {what}", oid.0),
-                        ));
-                    }
-                });
-            }
+        let mut problems = Vec::new();
+        for &ckpt in ids {
+            let mut named = Vec::new();
+            let walk = self.walk_base_blocks(ckpt, &mut |oid, idx, block| {
+                if let Some(what) = bad.get(&block) {
+                    named.push(format!("object {} page {idx}: block {block} {what}", oid.0));
+                }
+            });
+            problems.extend(walk.into_iter().chain(named).map(|p| (ckpt, p)));
         }
         (problems, hashed)
     }
 
     /// Walks what restoring `ckpt` depends on: `visit(object, page, block)`
-    /// for the block under every page of its effective object maps — a
-    /// delta-backed page's chain base, since the chain replays over it.
+    /// for the block under every page of its image — a delta-backed
+    /// page's chain base, since the chain replays over it. The head's
+    /// image is kept current; any other checkpoint's chain folds once.
     /// Returns what is wrong with the walk itself: a parent chain that
     /// does not resolve (nothing is visited then) or a delta chain with
     /// records missing.
-    fn walk_base_blocks(
+    pub fn walk_base_blocks(
         &self,
         ckpt: CkptId,
         visit: &mut dyn FnMut(ObjId, u64, u64),
@@ -792,32 +791,83 @@ impl ObjectStore {
                 }
             }
         }
-        let objects = match self.objects_at(ckpt) {
-            Ok(o) => o,
+        let image = match self.image_at(ckpt) {
+            Ok(image) => image,
             Err(e) => {
                 problems.push(format!("object walk failed: {e}"));
                 return problems;
             }
         };
-        for oid in objects {
-            for (idx, page_ref) in checkpoint::effective_refs(&self.ckpts, ckpt, oid) {
-                match page_ref {
-                    PageRef::Full(ptr) => visit(oid, idx, ptr.0),
-                    PageRef::Delta(lsn) => match self.delta.chain(lsn).and_then(|chain| {
-                        chain.first().map(|r| r.base).ok_or_else(|| {
-                            Error::corrupt(format!("delta chain at lsn {lsn} is empty"))
-                        })
-                    }) {
-                        Ok(base) => visit(oid, idx, base.0),
-                        Err(e) => problems.push(format!(
-                            "object {} page {idx}: delta chain at lsn {lsn} broken: {e}",
-                            oid.0
-                        )),
-                    },
-                }
+        for ((oid, idx), page_ref) in image.refs() {
+            match self.base_block(oid, idx, page_ref) {
+                Ok(block) => visit(oid, idx, block),
+                Err(p) => problems.push(p),
             }
         }
         problems
+    }
+
+    /// Visits every block some checkpoint's image reaches, without
+    /// folding one. Each image entry is the own entry of one checkpoint,
+    /// its owner, and is visible in the owner's own image; so the own
+    /// entries of every checkpoint, kept where their object is alive at
+    /// it, cover every image. Returns false when a parent chain or a
+    /// delta chain does not resolve.
+    fn walk_owned_blocks(&self, visit: &mut dyn FnMut(u64)) -> bool {
+        let mut clean = true;
+        // Objects alive at each checkpoint whose chain resolves. Ids grow
+        // with every commit, so a parent precedes its children.
+        let mut alive: HashMap<u64, BTreeSet<ObjId>> = HashMap::new();
+        for (&id, ck) in &self.ckpts {
+            let mut objects = match ck.parent {
+                None => BTreeSet::new(),
+                Some(p) => match alive.get(&p.0) {
+                    Some(objects) => objects.clone(),
+                    None => {
+                        clean = false;
+                        continue;
+                    }
+                },
+            };
+            for oid in ck.ended_objects() {
+                objects.remove(&oid);
+            }
+            objects.extend(ck.new_objects.iter().map(|(oid, _)| *oid));
+            for ((oid, idx), page_ref) in ck.own_refs() {
+                if objects.contains(&oid) {
+                    match self.base_block(oid, idx, page_ref) {
+                        Ok(block) => visit(block),
+                        Err(_) => clean = false,
+                    }
+                }
+            }
+            alive.insert(id, objects);
+        }
+        clean
+    }
+
+    /// The block a page restores from — a delta-backed page's chain
+    /// base — or what is wrong with its chain.
+    fn base_block(
+        &self,
+        oid: ObjId,
+        idx: u64,
+        page_ref: PageRef,
+    ) -> std::result::Result<u64, String> {
+        match page_ref {
+            PageRef::Full(ptr) => Ok(ptr.0),
+            PageRef::Delta(lsn) => self
+                .delta
+                .chain(lsn)
+                .and_then(|chain| {
+                    chain.first().map(|r| r.base.0).ok_or_else(|| {
+                        Error::corrupt(format!("delta chain at lsn {lsn} is empty"))
+                    })
+                })
+                .map_err(|e| {
+                    format!("object {} page {idx}: delta chain at lsn {lsn} broken: {e}", oid.0)
+                }),
+        }
     }
 
     /// The audits' policy: compares the platter copies of `run` (one
@@ -849,14 +899,15 @@ impl ObjectStore {
 
     /// Full offline-quality audit: [`ObjectStore::fsck`] invariants plus
     /// a restorability check of every committed checkpoint — one pass
-    /// over the union of their blocks, each problem reported under every
-    /// checkpoint it affects. Backs the `sls scrub` CLI command and the
-    /// crash campaign's per-iteration invariant.
+    /// over the union of their blocks, gathered from each checkpoint's
+    /// own entries, each problem reported under every checkpoint it
+    /// affects. Backs the `sls scrub` CLI command and the crash
+    /// campaign's per-iteration invariant.
     pub fn scrub(&self) -> Vec<String> {
         let mut problems = self.fsck();
         let ids: Vec<CkptId> = self.ckpts.keys().map(|&i| CkptId(i)).collect();
         problems.extend(
-            self.verify_checkpoints(&ids)
+            self.verify_walk(&ids, |visit| self.walk_owned_blocks(visit))
                 .0
                 .into_iter()
                 .map(|(id, p)| format!("ckpt {}: {p}", id.0)),
@@ -864,5 +915,90 @@ impl ObjectStore {
         problems.sort();
         problems.dedup();
         problems
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use aurora_hw::ModelDev;
+    use aurora_sim::SimClock;
+
+    use crate::store::StoreConfig;
+
+    /// A timing-only store: the page table is the only copy of a block.
+    fn timing_store() -> ObjectStore {
+        let dev = Box::new(ModelDev::nvme(SimClock::new(), "nvme0", 64 * 1024));
+        let config = StoreConfig {
+            journal_blocks: 1024,
+            ..StoreConfig::default()
+        };
+        ObjectStore::format(dev, config).unwrap()
+    }
+
+    /// The scrub reads each block once, from the union of every
+    /// checkpoint's own entries, yet still names a lost block under
+    /// every checkpoint whose image restores from it, in the words the
+    /// per-checkpoint walk used.
+    #[test]
+    fn scrub_names_a_shared_lost_block_under_every_checkpoint() {
+        let mut s = timing_store();
+        s.create_object(ObjId(1), 8).unwrap();
+        s.write_page(ObjId(1), 0, &PageData::Seeded(10)).unwrap();
+        let (c1, _) = s.commit(None).unwrap();
+        s.write_page(ObjId(1), 1, &PageData::Seeded(11)).unwrap();
+        let (c2, _) = s.commit(None).unwrap();
+        assert!(s.scrub().is_empty(), "{:?}", s.scrub());
+
+        let block = match s.page_ref_at(c2, ObjId(1), 0) {
+            Some((PageRef::Full(ptr), _)) => ptr.0,
+            other => panic!("page 0 resolves to {other:?}"),
+        };
+        s.cache.get_mut().data.remove(&block);
+        let problems = s.scrub();
+        for ckpt in [c1, c2] {
+            let want = format!("ckpt {}: object 1 page 0: block {block} unrecoverable", ckpt.0);
+            assert!(problems.contains(&want), "{want} missing from {problems:?}");
+        }
+        let named = problems.iter().filter(|p| p.starts_with("ckpt ")).count();
+        assert_eq!(named, 2, "{problems:?}");
+        // The base check of the head names the same page.
+        let (base, hashed) = s.verify_checkpoint(c2);
+        assert_eq!(base, vec![format!("object 1 page 0: block {block} unrecoverable")]);
+        assert_eq!(hashed, 0);
+    }
+
+    /// A delta chain with its records gone is reported under each
+    /// checkpoint whose image holds its head, and under no other.
+    #[test]
+    fn scrub_names_a_broken_delta_chain_under_every_checkpoint() {
+        let mut s = timing_store();
+        s.create_object(ObjId(1), 8).unwrap();
+        s.write_page(ObjId(1), 0, &PageData::Seeded(10)).unwrap();
+        s.commit(None).unwrap();
+        let mut page = PageData::Seeded(10).materialize();
+        page.iter_mut().take(8).for_each(|b| *b = 7);
+        s.stage_delta(ObjId(1), 0, &PageData::from_bytes(&page), &[(0, 8)])
+            .unwrap();
+        let (c2, _) = s.commit(None).unwrap();
+        s.write_page(ObjId(1), 1, &PageData::Seeded(11)).unwrap();
+        let (c3, _) = s.commit(None).unwrap();
+        assert!(s.scrub().is_empty(), "{:?}", s.scrub());
+
+        let lsn = *s.checkpoint(c2).unwrap().deltas.get(&(ObjId(1), 0)).unwrap();
+        s.delta.prune(std::iter::empty());
+        let problems = s.scrub();
+        let prefix = |ckpt: CkptId| {
+            format!("ckpt {}: object 1 page 0: delta chain at lsn {lsn} broken: ", ckpt.0)
+        };
+        for ckpt in [c2, c3] {
+            let want = prefix(ckpt);
+            assert!(
+                problems.iter().any(|p| p.starts_with(&want)),
+                "{want} missing from {problems:?}"
+            );
+        }
+        let named = problems.iter().filter(|p| p.starts_with("ckpt ")).count();
+        assert_eq!(named, 2, "{problems:?}");
     }
 }

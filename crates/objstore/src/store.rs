@@ -8,6 +8,7 @@
 //! application execution. Anything not yet committed is discarded by
 //! [`ObjectStore::recover`], exactly like a real crash.
 
+use std::borrow::Cow;
 use std::cell::{Cell, Ref, RefCell};
 use std::collections::{BTreeMap, HashMap, HashSet};
 
@@ -18,7 +19,7 @@ use aurora_sim::time::SimTime;
 use aurora_vm::PageData;
 
 use crate::alloc::BlockAlloc;
-use crate::checkpoint::{self, Checkpoint, CkptId, PageRef};
+use crate::checkpoint::{self, object_keys, Checkpoint, CkptId, Image, PageRef};
 use crate::deltalog::{DeltaLog, DeltaRecord, Lsn};
 use crate::journal::{self, JournalRecord};
 use crate::layout::{Superblock, JOURNAL_START};
@@ -151,59 +152,22 @@ struct LiveObject {
     size_pages: u64,
 }
 
-/// Folds the committed chain ending at `head` into live object maps —
-/// the authoritative reconstruction used by recovery and by
-/// [`ObjectStore::rollback_pending`].
-fn fold_live(
-    ckpts: &BTreeMap<u64, Checkpoint>,
-    head: Option<CkptId>,
-) -> Result<HashMap<ObjId, LiveObject>> {
-    let mut live: HashMap<ObjId, LiveObject> = HashMap::new();
-    let Some(h) = head else {
-        return Ok(live);
-    };
-    let mut chain = Vec::new();
-    let mut cur = Some(h);
-    while let Some(c) = cur {
-        let ck = ckpts
-            .get(&c.0)
-            .ok_or_else(|| Error::corrupt(format!("dangling parent {}", c.0)))?;
-        chain.push(c.0);
-        cur = ck.parent;
-    }
-    for id in chain.iter().rev() {
-        let ck = ckpts
-            .get(id)
-            .ok_or_else(|| Error::corrupt(format!("checkpoint {id} vanished mid-fold")))?;
-        for (oid, size) in &ck.new_objects {
-            live.insert(
-                *oid,
-                LiveObject {
-                    map: BTreeMap::new(),
-                    deltas: BTreeMap::new(),
-                    size_pages: *size,
-                },
-            );
-        }
-        // Pages before delta heads: a full image truncates the chain,
-        // and a checkpoint carrying both for one key (post-GC-merge) has
-        // the chain's base in `pages` with the newer head in `deltas`.
-        for ((oid, idx), ptr) in &ck.pages {
-            if let Some(obj) = live.get_mut(oid) {
-                obj.map.insert(*idx, *ptr);
-                obj.deltas.remove(idx);
-            }
-        }
-        for ((oid, idx), lsn) in &ck.deltas {
-            if let Some(obj) = live.get_mut(oid) {
-                obj.deltas.insert(*idx, *lsn);
-            }
-        }
-        for oid in &ck.deleted_objects {
-            live.remove(oid);
-        }
-    }
-    Ok(live)
+/// The live object maps of a committed image — what recovery and
+/// [`ObjectStore::rollback_pending`] start from.
+fn live_objects(image: &Image) -> HashMap<ObjId, LiveObject> {
+    image
+        .objects
+        .iter()
+        .map(|(&oid, &size_pages)| {
+            let keys = object_keys(oid);
+            let obj = LiveObject {
+                map: image.pages.range(keys.clone()).map(|(&(_, i), &p)| (i, p)).collect(),
+                deltas: image.deltas.range(keys).map(|(&(_, i), &l)| (i, l)).collect(),
+                size_pages,
+            };
+            (oid, obj)
+        })
+        .collect()
 }
 
 /// Expected block refcounts for committed state: one per
@@ -379,10 +343,15 @@ pub struct ObjectStore {
     /// Committed checkpoints by id.
     pub(crate) ckpts: BTreeMap<u64, Checkpoint>,
     head: Option<CkptId>,
+    /// The head's image, kept current by `commit`: the fold of the
+    /// head's chain without walking it. GC never deletes the head and
+    /// its merge preserves every descendant's image, so nothing else
+    /// changes it.
+    head_image: Image,
     /// Live object state (committed head + pending writes).
     live: HashMap<ObjId, LiveObject>,
-    /// Pending delta since the last commit.
-    pending_pages: HashMap<(ObjId, u64), BlockPtr>,
+    /// Pending delta since the last commit, in key order.
+    pending_pages: BTreeMap<(ObjId, u64), BlockPtr>,
     pending_blobs: BTreeMap<String, Vec<u8>>,
     pending_new_objects: Vec<(ObjId, u64)>,
     pending_deleted: Vec<ObjId>,
@@ -430,8 +399,9 @@ impl ObjectStore {
             alloc: BlockAlloc::new(data_blocks),
             ckpts: BTreeMap::new(),
             head: None,
+            head_image: Image::default(),
             live: HashMap::new(),
-            pending_pages: HashMap::new(),
+            pending_pages: BTreeMap::new(),
             pending_blobs: BTreeMap::new(),
             pending_new_objects: Vec::new(),
             pending_deleted: Vec::new(),
@@ -494,10 +464,14 @@ impl ObjectStore {
             .collect();
         delta.prune(heads);
 
-        // Rebuild live state by folding the chain from the head (the
-        // newest checkpoint).
+        // Rebuild the head's image (the newest checkpoint's) by folding
+        // its chain once; the live state starts as that image.
         let head = ckpts.keys().next_back().map(|&id| CkptId(id));
-        let live = fold_live(&ckpts, head)?;
+        let head_image = match head {
+            Some(h) => Image::fold(&ckpts, h)?,
+            None => Image::default(),
+        };
+        let live = live_objects(&head_image);
 
         // Rebuild refcounts: one per checkpoint-delta pointer plus one per
         // live-map pointer.
@@ -519,8 +493,9 @@ impl ObjectStore {
             alloc,
             ckpts,
             head,
+            head_image,
             live,
-            pending_pages: HashMap::new(),
+            pending_pages: BTreeMap::new(),
             pending_blobs: BTreeMap::new(),
             pending_new_objects: Vec::new(),
             pending_deleted: Vec::new(),
@@ -859,6 +834,11 @@ impl ObjectStore {
         (self.config.delta_max_bytes, self.config.delta_max_chain)
     }
 
+    /// The committed delta records (audits resolve chain bases here).
+    pub fn delta_log(&self) -> &DeltaLog {
+        &self.delta
+    }
+
     /// Committed delta records currently live in the journal.
     pub fn delta_log_len(&self) -> usize {
         self.delta.len()
@@ -1052,10 +1032,21 @@ impl ObjectStore {
     /// The effective page map of an object at a checkpoint, each page a
     /// full image or a delta-chain head (materialize the latter with
     /// [`ObjectStore::read_page_at`] or [`ObjectStore::apply_chain`]).
+    /// Empty when the checkpoint does not exist. A walk over many
+    /// objects takes [`ObjectStore::image_at`] once instead.
     pub fn object_refs_at(&self, ckpt: CkptId, oid: ObjId) -> Vec<(u64, PageRef)> {
-        checkpoint::effective_refs(&self.ckpts, ckpt, oid)
-            .into_iter()
-            .collect()
+        self.image_at(ckpt)
+            .map(|image| image.object_refs(oid).collect())
+            .unwrap_or_default()
+    }
+
+    /// The image of a checkpoint: the kept head image for the head,
+    /// else one fold of the checkpoint's chain.
+    pub fn image_at(&self, ckpt: CkptId) -> Result<Cow<'_, Image>> {
+        if self.head == Some(ckpt) {
+            return Ok(Cow::Borrowed(&self.head_image));
+        }
+        Image::fold(&self.ckpts, ckpt).map(Cow::Owned)
     }
 
     /// Stages a metadata blob for the next checkpoint.
@@ -1143,7 +1134,7 @@ impl ObjectStore {
         // staging map is a BTreeMap, so the order — and therefore the
         // journal image — is deterministic across worker counts).
         let mut new_records: Vec<(Lsn, DeltaRecord)> = Vec::new();
-        let mut delta_heads: HashMap<(ObjId, u64), Lsn> = HashMap::new();
+        let mut delta_heads: BTreeMap<(ObjId, u64), Lsn> = BTreeMap::new();
         let mut lsn = self.delta.next_lsn();
         for (&key, rec) in &self.pending_deltas {
             delta_heads.insert(key, lsn);
@@ -1218,6 +1209,7 @@ impl ObjectStore {
         }
         let mut ck = ck;
         ck.durable_at = durable;
+        self.head_image.apply(&ck);
         self.ckpts.insert(id.0, ck);
         self.head = Some(id);
         self.stats.commits += 1;
@@ -1360,40 +1352,11 @@ impl ObjectStore {
         self.head
     }
 
-    /// Objects visible at a checkpoint (born in its chain, not deleted
-    /// by a newer chain entry).
-    pub(crate) fn objects_at(&self, ckpt: CkptId) -> Result<Vec<ObjId>> {
-        let mut objects: Vec<ObjId> = Vec::new();
-        let mut dead: Vec<ObjId> = Vec::new();
-        let mut chain = Vec::new();
-        let mut cur = Some(ckpt);
-        while let Some(c) = cur {
-            let ck = self.checkpoint(c)?;
-            chain.push(c);
-            cur = ck.parent;
-        }
-        for c in chain.iter().rev() {
-            let ck = self.checkpoint(*c)?;
-            for oid in &ck.deleted_objects {
-                dead.push(*oid);
-            }
-            for (oid, _) in &ck.new_objects {
-                if !dead.contains(oid) {
-                    objects.push(*oid);
-                }
-            }
-        }
-        Ok(objects)
-    }
-
     /// Logical (uncompressed) size of a checkpoint's chain-merged state:
     /// what actually crosses a wire when the image moves, regardless of
     /// how compactly pages encode. Pages count 4 KiB each.
     pub fn logical_size(&self, ckpt: CkptId) -> Result<u64> {
-        let mut total = 0u64;
-        for oid in self.objects_at(ckpt)? {
-            total += self.object_refs_at(ckpt, oid).len() as u64 * BLOCK_SIZE as u64;
-        }
+        let mut total = self.image_at(ckpt)?.refs().count() as u64 * BLOCK_SIZE as u64;
         for key in self.blob_keys_at(ckpt, "") {
             if let Some(v) = checkpoint::resolve_blob(&self.ckpts, ckpt, &key) {
                 total += v.len() as u64;
@@ -1539,7 +1502,7 @@ impl ObjectStore {
     }
 
     /// Discards the staged (uncommitted) delta and rebuilds live maps,
-    /// refcounts and dedup state from the committed chain — the
+    /// refcounts and dedup state from the committed head's image — the
     /// store-side half of aborting a failed checkpoint.
     ///
     /// Afterwards the store is indistinguishable from one freshly
@@ -1555,7 +1518,7 @@ impl ObjectStore {
         self.pending_new_objects.clear();
         self.pending_deleted.clear();
         self.pending_deltas.clear();
-        let live = fold_live(&self.ckpts, self.head)?;
+        let live = live_objects(&self.head_image);
         let refs = committed_refs(&self.ckpts, &live);
         self.alloc = BlockAlloc::from_refs(self.sb.data_blocks(), &refs);
         let cache = self.cache.get_mut();

@@ -67,35 +67,15 @@ impl ObjectStore {
         keep_oid: impl Fn(u64) -> bool,
         keep_blob: impl Fn(&str) -> bool,
     ) -> Result<Vec<u8>> {
-        // Collect the set of objects alive at this checkpoint.
-        let mut objects: Vec<(ObjId, u64)> = Vec::new();
-        {
-            let mut chain = Vec::new();
-            let mut cur = Some(ckpt);
-            while let Some(c) = cur {
-                let ck = self.checkpoint(c)?;
-                chain.push(c);
-                cur = ck.parent;
-            }
-            let mut dead: Vec<ObjId> = Vec::new();
-            for c in &chain {
-                let ck = self.checkpoint(*c)?;
-                // Births before deaths: a checkpoint carrying both for
-                // one id recorded a delete-then-recreate, and the new
-                // incarnation is alive. Its delete entry only kills the
-                // older incarnation in parent checkpoints.
-                for (oid, size) in &ck.new_objects {
-                    if !dead.contains(oid) && keep_oid(oid.0) {
-                        objects.push((*oid, *size));
-                        dead.push(*oid);
-                    }
-                }
-                for oid in &ck.deleted_objects {
-                    dead.push(*oid);
-                }
-            }
-            objects.sort();
-        }
+        // One image serves the whole walk: the head's is kept, any
+        // other checkpoint's chain folds once.
+        let image = self.image_at(ckpt)?;
+        let objects: Vec<(ObjId, u64)> = image
+            .objects
+            .iter()
+            .filter(|(oid, _)| keep_oid(oid.0))
+            .map(|(&oid, &size)| (oid, size))
+            .collect();
 
         let table_name = self.checkpoint(ckpt)?.name.clone();
         let mut e = Encoder::new();
@@ -105,7 +85,7 @@ impl ObjectStore {
         for (oid, size) in &objects {
             e.u64(oid.0);
             e.varint(*size);
-            let map = self.object_refs_at(ckpt, *oid);
+            let map: Vec<(u64, PageRef)> = image.object_refs(*oid).collect();
             e.varint(map.len() as u64);
             for (idx, r) in map {
                 // Delta-backed pages ship materialized: the stream stays
@@ -144,14 +124,7 @@ impl ObjectStore {
             // inherited base (GC merge): the delta entry is the page's
             // content at this checkpoint, so the base image must not
             // shadow it in the stream.
-            let mut pages: Vec<((ObjId, u64), PageRef)> = ck
-                .pages
-                .iter()
-                .filter(|(k, _)| !ck.deltas.contains_key(k))
-                .map(|(k, v)| (*k, PageRef::Full(*v)))
-                .chain(ck.deltas.iter().map(|(k, l)| (*k, PageRef::Delta(*l))))
-                .collect();
-            pages.sort_by_key(|(k, _)| *k);
+            let pages: Vec<((ObjId, u64), PageRef)> = ck.own_refs().collect();
             (
                 ck.new_objects.clone(),
                 ck.deleted_objects.clone(),

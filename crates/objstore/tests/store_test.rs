@@ -5,10 +5,13 @@
 // Test code asserts invariants; the workspace unwrap/expect denial is
 // for production flush paths.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
-use std::collections::HashMap;
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 use aurora_hw::{FaultPlan, ModelDev};
-use aurora_objstore::{ObjId, ObjectStore, PageWrite, StoreConfig, EXTENT_BLOCKS};
+use aurora_objstore::checkpoint::{self, Image};
+use aurora_objstore::{
+    Checkpoint, CkptId, ObjId, ObjectStore, PageRef, PageWrite, StoreConfig, EXTENT_BLOCKS,
+};
 use aurora_sim::SimClock;
 use aurora_vm::PageData;
 use proptest::prelude::*;
@@ -304,26 +307,161 @@ fn commit_durability_is_asynchronous() {
 #[derive(Debug, Clone)]
 enum Op {
     Write { obj: u8, idx: u8, seed: u64 },
+    /// A 16-byte write, staged as a delta record when the page has a
+    /// base image and a chain short enough to extend.
+    Patch { obj: u8, idx: u8, byte: u8 },
     Commit,
     Recover,
     /// GC the oldest checkpoint (in-place merge).
     GcOldest,
+    /// Delete the object and create it again, empty, under the same id.
+    Recreate { obj: u8 },
+    /// Fold every delta chain of two or more records into a full image.
+    CompactChains,
+    /// Discard the staged delta.
+    Rollback,
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
     prop_oneof![
         4 => (0u8..3, 0u8..16, any::<u64>()).prop_map(|(obj, idx, seed)| Op::Write { obj, idx, seed }),
+        3 => (0u8..3, 0u8..16, any::<u8>())
+            .prop_map(|(obj, idx, byte)| Op::Patch { obj, idx, byte }),
         2 => Just(Op::Commit),
         1 => Just(Op::Recover),
         1 => Just(Op::GcOldest),
+        1 => (0u8..3).prop_map(|obj| Op::Recreate { obj }),
+        1 => Just(Op::CompactChains),
+        1 => Just(Op::Rollback),
     ]
+}
+
+/// The per-object walk the store used before it kept the head's image,
+/// kept here as the oracle: for one object, the chain from `from` back
+/// to the object's birth or death, applied oldest first.
+fn effective_refs(
+    ckpts: &BTreeMap<u64, Checkpoint>,
+    from: CkptId,
+    oid: ObjId,
+) -> BTreeMap<u64, PageRef> {
+    let mut chain = Vec::new();
+    let mut cur = Some(from);
+    while let Some(c) = cur {
+        let Some(ck) = ckpts.get(&c.0) else { break };
+        chain.push(ck);
+        if ck.deleted_objects.contains(&oid) || ck.new_objects.iter().any(|(o, _)| *o == oid) {
+            break;
+        }
+        cur = ck.parent;
+    }
+    let mut map = BTreeMap::new();
+    for ck in chain.iter().rev() {
+        if ck.deleted_objects.contains(&oid) {
+            // The old incarnation dies here; this checkpoint's pages
+            // belong to the new one.
+            map.clear();
+        }
+        for ((o, idx), ptr) in &ck.pages {
+            if *o == oid {
+                map.insert(*idx, PageRef::Full(*ptr));
+            }
+        }
+        for ((o, idx), lsn) in &ck.deltas {
+            if *o == oid {
+                map.insert(*idx, PageRef::Delta(*lsn));
+            }
+        }
+    }
+    map
+}
+
+/// The objects the old walk visited at `ckpt`: born in its chain, and
+/// not deleted before that birth.
+fn objects_at(ckpts: &BTreeMap<u64, Checkpoint>, ckpt: CkptId) -> Vec<ObjId> {
+    let mut chain = Vec::new();
+    let mut cur = Some(ckpt);
+    while let Some(c) = cur {
+        let ck = &ckpts[&c.0];
+        chain.push(ck);
+        cur = ck.parent;
+    }
+    let (mut objects, mut dead) = (Vec::new(), Vec::new());
+    for ck in chain.iter().rev() {
+        dead.extend(ck.deleted_objects.iter().copied());
+        for (oid, _) in &ck.new_objects {
+            if !dead.contains(oid) {
+                objects.push(*oid);
+            }
+        }
+    }
+    objects
+}
+
+/// Checks the store's images against fresh folds and the old walk:
+/// the kept head image equals a fold of the head's chain; every page of
+/// every checkpoint's image agrees with `resolve_ref` and with the old
+/// per-object walk; and `walk_base_blocks` visits the same
+/// (object, page, block) set the old walk did.
+fn check_images(store: &ObjectStore) -> Result<(), TestCaseError> {
+    let table: BTreeMap<u64, Checkpoint> =
+        store.checkpoints().into_iter().map(|c| (c.id.0, c.clone())).collect();
+    if let Some(head) = store.head() {
+        // `image_at` serves the head from the kept image.
+        let fresh = Image::fold(&table, head).unwrap();
+        let kept = store.image_at(head).unwrap();
+        prop_assert!(*kept == fresh, "head image drifted from its chain");
+    }
+    for &id in table.keys() {
+        let ckpt = CkptId(id);
+        let image = store.image_at(ckpt).unwrap();
+        for obj in 0..3u64 {
+            let oid = ObjId(obj);
+            let refs: BTreeMap<u64, PageRef> = image.object_refs(oid).collect();
+            prop_assert_eq!(&refs, &effective_refs(&table, ckpt, oid));
+            for idx in 0..16u64 {
+                prop_assert_eq!(
+                    refs.get(&idx).copied(),
+                    checkpoint::resolve_ref(&table, ckpt, oid, idx)
+                );
+            }
+        }
+        let mut walked = BTreeSet::new();
+        let problems = store.walk_base_blocks(ckpt, &mut |oid, idx, block| {
+            walked.insert((oid, idx, block));
+        });
+        prop_assert!(problems.is_empty(), "walk of {}: {:?}", id, problems);
+        let mut oracle = BTreeSet::new();
+        for oid in objects_at(&table, ckpt) {
+            for (idx, r) in effective_refs(&table, ckpt, oid) {
+                let block = match r {
+                    PageRef::Full(ptr) => ptr.0,
+                    PageRef::Delta(lsn) => {
+                        store.delta_log().chain(lsn).unwrap().first().unwrap().base.0
+                    }
+                };
+                oracle.insert((oid, idx, block));
+            }
+        }
+        prop_assert_eq!(walked, oracle);
+    }
+    Ok(())
+}
+
+/// `page` with 16 bytes at an offset chosen by `byte` set to `byte`,
+/// and that run.
+fn patched(page: &PageData, byte: u8) -> (PageData, (u32, u32)) {
+    let mut bytes = page.materialize();
+    let off = (byte as usize * 16) % aurora_vm::PAGE_SIZE;
+    bytes.iter_mut().skip(off).take(16).for_each(|b| *b = byte);
+    (PageData::from_bytes(&bytes), (off as u32, 16))
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// The store behaves like a map that forgets uncommitted writes on
-    /// recovery and never corrupts committed ones.
+    /// recovery and rollback and never corrupts committed ones; and
+    /// every checkpoint image it serves matches the chain it folds.
     #[test]
     fn store_matches_reference_model(ops in proptest::collection::vec(op_strategy(), 1..60)) {
         let mut store = new_store();
@@ -331,23 +469,36 @@ proptest! {
             store.create_object(ObjId(obj), 16).unwrap();
         }
         store.commit(None).unwrap();
+        let (_, max_chain) = store.delta_policy();
 
-        let mut committed: HashMap<(u64, u64), u64> = HashMap::new();
-        let mut pending: HashMap<(u64, u64), u64> = HashMap::new();
+        let mut committed: BTreeMap<(u64, u64), PageData> = BTreeMap::new();
+        let mut live: BTreeMap<(u64, u64), PageData> = BTreeMap::new();
 
         for op in ops {
             match op {
                 Op::Write { obj, idx, seed } => {
                     store.write_page(ObjId(obj as u64), idx as u64, &PageData::Seeded(seed)).unwrap();
-                    pending.insert((obj as u64, idx as u64), seed);
+                    live.insert((obj as u64, idx as u64), PageData::Seeded(seed));
+                }
+                Op::Patch { obj, idx, byte } => {
+                    let (oid, idx) = (ObjId(obj as u64), idx as u64);
+                    let old = live.get(&(obj as u64, idx)).cloned().unwrap_or(PageData::Zero);
+                    let (new, run) = patched(&old, byte);
+                    match store.can_delta(oid, idx) {
+                        Some(len) if len < max_chain => {
+                            store.stage_delta(oid, idx, &new, &[run]).unwrap()
+                        }
+                        _ => store.write_page(oid, idx, &new).unwrap(),
+                    }
+                    live.insert((obj as u64, idx), new);
                 }
                 Op::Commit => {
                     store.commit(None).unwrap();
-                    committed.extend(pending.drain());
+                    committed = live.clone();
                 }
                 Op::Recover => {
                     store = store.recover().unwrap();
-                    pending.clear();
+                    live = committed.clone();
                 }
                 Op::GcOldest => {
                     let (oldest, head) = {
@@ -360,18 +511,51 @@ proptest! {
                         }
                     }
                 }
+                Op::Recreate { obj } => {
+                    store.delete_object(ObjId(obj as u64)).unwrap();
+                    store.create_object(ObjId(obj as u64), 16).unwrap();
+                    live.retain(|&(o, _), _| o != obj as u64);
+                }
+                Op::CompactChains => {
+                    if !store.has_pending() {
+                        store.compact_chains(2).unwrap();
+                    }
+                }
+                Op::Rollback => {
+                    store.rollback_pending().unwrap();
+                    live = committed.clone();
+                }
             }
             // Every mutation leaves the store fsck-clean...
             let problems = store.fsck();
             prop_assert!(problems.is_empty(), "fsck: {:?}", problems);
-            // ...and the live view always equals committed ∪ pending.
-            let mut expect = committed.clone();
-            expect.extend(pending.iter().map(|(k, v)| (*k, *v)));
-            for ((obj, idx), seed) in &expect {
-                let got = store.read_page(ObjId(*obj), *idx).unwrap();
-                prop_assert!(got.is_some(), "page ({obj},{idx}) missing");
-                prop_assert!(got.unwrap().content_eq(&PageData::Seeded(*seed)));
+            // ...the live view always equals the model's...
+            for obj in 0..3u64 {
+                for idx in 0..16u64 {
+                    let got = store.read_page(ObjId(obj), idx).unwrap();
+                    match live.get(&(obj, idx)) {
+                        Some(want) => {
+                            prop_assert!(got.is_some(), "page ({obj},{idx}) missing");
+                            let got = got.unwrap();
+                            prop_assert!(got.content_eq(want), "page ({obj},{idx}) differs");
+                        }
+                        None => prop_assert!(got.is_none(), "page ({obj},{idx}) resurrected"),
+                    }
+                }
             }
+            // ...the head restores the last commit...
+            let head = store.head().unwrap();
+            for obj in 0..3u64 {
+                for idx in 0..16u64 {
+                    let got = store.read_page_at(head, ObjId(obj), idx).unwrap();
+                    prop_assert_eq!(got.is_some(), committed.contains_key(&(obj, idx)));
+                    if let (Some(got), Some(want)) = (got, committed.get(&(obj, idx))) {
+                        prop_assert!(got.content_eq(want), "head page ({obj},{idx}) differs");
+                    }
+                }
+            }
+            // ...and every image matches its chain.
+            check_images(&store)?;
         }
     }
 }
@@ -428,6 +612,37 @@ fn fsck_after_crash_during_commit() {
         let s = s.recover().unwrap();
         assert!(s.fsck().is_empty(), "cut {cut_at}: {:?}", s.fsck());
     }
+}
+
+#[test]
+fn a_delete_and_recreate_in_one_epoch_survives_recovery_and_rollback() {
+    // The commit records the old incarnation's death and the new one's
+    // birth and page. Rebuilding the live state from the chain must
+    // apply the death before the birth, or the object vanishes.
+    let mut s = new_store();
+    s.create_object(ObjId(4), 8).unwrap();
+    s.write_page(ObjId(4), 5, &page(1)).unwrap();
+    s.commit(None).unwrap();
+    s.delete_object(ObjId(4)).unwrap();
+    s.create_object(ObjId(4), 8).unwrap();
+    s.write_page(ObjId(4), 0, &page(2)).unwrap();
+    let (c2, _) = s.commit(None).unwrap();
+
+    let live_after = |s: &ObjectStore, what: &str| {
+        assert!(s.object_exists(ObjId(4)), "{what}: object lost");
+        let got = s.read_page(ObjId(4), 0).unwrap().expect("page 0");
+        assert!(got.content_eq(&page(2)), "{what}: page 0 differs");
+        assert!(s.read_page(ObjId(4), 5).unwrap().is_none(), "{what}: old page back");
+        let refs: Vec<u64> = s.object_refs_at(c2, ObjId(4)).iter().map(|(i, _)| *i).collect();
+        assert_eq!(refs, vec![0], "{what}");
+        assert!(s.fsck().is_empty(), "{what}: {:?}", s.fsck());
+    };
+    live_after(&s, "live");
+    let mut s = s.recover().unwrap();
+    live_after(&s, "recovered");
+    s.write_page(ObjId(4), 1, &page(3)).unwrap();
+    s.rollback_pending().unwrap();
+    live_after(&s, "rolled back");
 }
 
 #[test]
