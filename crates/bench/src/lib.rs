@@ -17,7 +17,7 @@ use aurora_core::restore::RestoreMode;
 use aurora_core::{BackendKind, Host, RestoreBreakdown};
 use aurora_hw::{BlockDev, ModelDev};
 use aurora_objstore::{ObjectStore, StoreConfig};
-use aurora_sim::time::{SimDuration, SimTime};
+use aurora_sim::time::SimDuration;
 use aurora_sim::SimClock;
 use aurora_slsfs::StoreHandle;
 
@@ -820,14 +820,4 @@ impl RecrepReport {
 /// Formats a virtual duration like the paper (microseconds, one decimal).
 pub fn us(d: SimDuration) -> String {
     format!("{:.1}", d.as_micros_f64())
-}
-
-/// Formats a ratio measured/paper.
-pub fn ratio(measured: SimDuration, paper_us: f64) -> String {
-    format!("{:.2}x", measured.as_micros_f64() / paper_us)
-}
-
-/// The virtual instant — convenience for binaries.
-pub fn now(host: &Host) -> SimTime {
-    host.clock.now()
 }

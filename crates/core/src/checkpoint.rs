@@ -31,7 +31,6 @@ use aurora_vm::VmoId;
 use crate::fleet::FlushMode;
 use crate::flush::{delta_runs, hash_images, DirtyRuns, PlanEntry, FLUSH_BATCH_PAGES};
 use crate::group::{Group, GroupId};
-use crate::lockdep::OrderedMutex;
 use crate::metrics::{CheckpointBreakdown, CheckpointOutcome};
 use crate::serialize::*;
 use crate::{Host, Sls};
@@ -92,17 +91,6 @@ impl Host {
                 gid.0
             )));
         }
-        // Resolve each backend's commit lock before entering the group
-        // barrier: the fleet registry ranks outermost, so lookups happen
-        // with nothing held.
-        let commit_locks = crate::fleet::commit_locks_for(self.sls.group_ref(gid)?);
-        // Per-group serialization: only cycles of the *same* group
-        // exclude each other. The capture/flush pipeline mutates this
-        // group's COW epochs and backend chains, which would interleave
-        // incoherently if two of its cycles overlapped — but unrelated
-        // tenants pipeline freely (the per-store commit locks below keep
-        // shared backends coherent).
-        let _cycle = crate::fleet::enter_group(gid.0);
         let requested_full = full;
         let mut full = requested_full
             || self
@@ -240,7 +228,6 @@ impl Host {
             full,
             name,
             mode,
-            &commit_locks,
         ) {
             Ok(d) => d,
             Err(e) if aborts_checkpoint(&e) => {
@@ -906,7 +893,6 @@ pub(crate) struct FlushReport {
 /// Any error propagates without committing; `abort_checkpoint` then
 /// forces the next checkpoint full, so a partially-applied plan on one
 /// backend is never extended incrementally.
-#[allow(clippy::too_many_arguments)]
 fn flush_capture(
     kernel: &mut Kernel,
     sls: &mut Sls,
@@ -915,7 +901,6 @@ fn flush_capture(
     full: bool,
     name: Option<&str>,
     mode: FlushMode,
-    commit_locks: &[&'static OrderedMutex<()>],
 ) -> Result<(SimTime, FlushReport)> {
     let next_group = sls.next_group_value();
     let workers = sls.flush_workers.max(1);
@@ -983,9 +968,6 @@ fn flush_capture(
         .groups
         .get_mut(&gid.0)
         .ok_or_else(|| Error::not_found(format!("persistence group {}", gid.0)))?;
-    if commit_locks.len() != group.backends.len() {
-        return Err(Error::internal("commit locks out of step with backends"));
-    }
 
     let mut delta_bytes0 = Vec::with_capacity(group.backends.len());
     for backend in &group.backends {
@@ -1045,12 +1027,8 @@ fn flush_capture(
     // --- Stage 3: commit, per backend. --------------------------------
     let mut durable = SimTime::ZERO;
     let mut flush_bytes = 0u64;
-    for (((backend, &store_commit), backend_deltas), delta_bytes0) in group
-        .backends
-        .iter_mut()
-        .zip(commit_locks)
-        .zip(&deltas)
-        .zip(&delta_bytes0)
+    for ((backend, backend_deltas), delta_bytes0) in
+        group.backends.iter_mut().zip(&deltas).zip(&delta_bytes0)
     {
         let mut store = backend.store.borrow_mut();
         for (key, bytes) in &captured.blobs {
@@ -1063,13 +1041,7 @@ fn flush_capture(
         // namespace, and colliding object ids would leak stale pages
         // through the checkpoint chain.
         store.put_blob("sls/host", sls_host_blob(next_group));
-        // One typestate commit per store at a time: a store shared by
-        // several groups sees whole seal → barrier → flip sequences even
-        // when unrelated cycles overlap under their own group barriers.
-        let (ckpt, backend_durable) = {
-            let _commit = store_commit.lock();
-            store.commit(name)?
-        };
+        let (ckpt, backend_durable) = store.commit(name)?;
         // Real bytes this backend flushed for page data: full images plus
         // the delta records the commit just made durable. The report
         // carries the widest backend.

@@ -5,17 +5,14 @@
 //! serializes the whole fleet on one cycle at a time, so the sharded
 //! hash/dedup/coalesce pipeline and the delta log idle while unrelated
 //! tenants queue — the aggregation bottleneck stdchk identifies for
-//! checkpoint storage. This module narrows the serialization to what
-//! correctness actually needs:
+//! checkpoint storage. This module overlaps tenants in virtual time
+//! while keeping the exclusion correctness actually needs:
 //!
-//! * a **per-group barrier** ([`enter_group`]) — one group's cycles
-//!   still exclude each other (its COW epochs and backend chains would
-//!   interleave incoherently), but tenant A's flush overlaps tenant B's
-//!   capture;
-//! * a **per-store commit lock** ([`commit_locks_for`]) — a store
-//!   shared by several groups sees one typestate commit
-//!   (seal → barrier → flip) at a time, preserving per-backend commit
-//!   ordering;
+//! * **one driving thread** — the host runs every cycle on the thread
+//!   that holds `&mut Host`, so one group's cycles exclude each other
+//!   and a store shared by several groups sees one typestate commit
+//!   (seal → barrier → flip) at a time through its `RefCell` borrow
+//!   and `ObjectStore::commit(&mut self)`;
 //! * a [`FleetScheduler`] — a bounded run queue of in-flight flushes
 //!   plus a set of hash-lane horizons. Admission retires the oldest
 //!   flush when the queue is full; a pipelined flush's hash stage
@@ -23,51 +20,39 @@
 //!   thread's clock, which is exactly the idle capacity the serialized
 //!   fleet wastes.
 //!
-//! Commit-ordering argument: within one group, the per-group barrier
-//! serializes cycles end-to-end, so its backends' chains grow in cycle
-//! order. Across groups sharing a store, the commit lock makes the
-//! store's journal/superblock sequence a clean interleaving of whole
-//! commits; each group's own chain is still ordered by its barrier.
+//! Commit-ordering argument: cycles run one after the other on the
+//! driving thread, so a group's backends' chains grow in cycle order,
+//! and a shared store's journal/superblock sequence is a clean
+//! interleaving of whole commits. The overlap between tenants is
+//! modelled in virtual time by the hash lanes, not by host threads.
 //! Durability is per-cycle (`durable_at` = max over backends and the
 //! hash lane), so external-consistency release never observes another
 //! tenant's cycle.
-//!
-//! Barriers and commit locks are minted once per group / store and
-//! deliberately leaked: they are `'static` for lockdep, bounded by the
-//! number of groups and stores a process ever creates, and a group id
-//! is never reused across reboots.
 //!
 //! **Fault domains.** Every tenant additionally carries a
 //! [`TenantDomain`]: a health state machine
 //! (`Healthy → Degraded → Quarantined`, mirroring the mirror layer's
 //! replica states) driven by checkpoint outcomes, per-cycle deadlines
 //! on the virtual clock, and consecutive-failure counters. A
-//! quarantined tenant's cycles are skipped before its group barrier is
-//! ever taken and its in-flight lane bookings are released, so one
+//! quarantined tenant's cycles are skipped before the group is ever
+//! stopped and its in-flight lane bookings are released, so one
 //! sick tenant cannot back up the shared run queue — the rest of the
 //! fleet proceeds. Re-admission is probed with capped exponential
 //! backoff, gated on the tenant's backing devices
 //! ([`aurora_hw::ResilientDev`] health / mirror degradation) looking
 //! healthy again; the first committed on-time probe re-admits the
-//! tenant. The table lives behind the `tenant_health` lockdep rank:
-//! the admission gate consults it before any barrier is taken and the
-//! verdict is recorded after the cycle's guard is released, so it is
-//! never held across a capture or flush.
+//! tenant. The admission gate consults the table before the group is
+//! stopped and the verdict is recorded after the cycle ends.
 
 use std::collections::{BTreeMap, VecDeque};
-use std::rc::Rc;
 
 use aurora_hw::DevHealth;
 use aurora_sim::error::Result;
-use aurora_sim::lockdep::{
-    OrderedMutex, RANK_FLEET_REGISTRY, RANK_GROUP_BARRIER, RANK_STORE_COMMIT,
-    RANK_TENANT_HEALTH,
-};
 use aurora_sim::stats::LogHistogram;
 use aurora_sim::time::{SimDuration, SimTime};
 use aurora_sim::SimClock;
 
-use crate::group::{Group, GroupId};
+use crate::group::GroupId;
 use crate::metrics::{CheckpointBreakdown, CheckpointOutcome};
 use crate::Host;
 
@@ -84,81 +69,6 @@ pub(crate) enum FlushMode {
     Pipelined,
 }
 
-/// Lock registry: per-group barriers and per-store commit locks, keyed
-/// by group id and store pointer. Entries are leaked `'static` lock
-/// instances (see the module docs for why that is bounded).
-struct Registry {
-    groups: BTreeMap<u32, &'static OrderedMutex<()>>,
-    stores: BTreeMap<usize, &'static OrderedMutex<()>>,
-}
-
-/// Held only for lookups, and always with nothing else held (it ranks
-/// outermost): callers resolve their locks *before* entering a barrier.
-static REGISTRY: OrderedMutex<Registry> = OrderedMutex::new(
-    RANK_FLEET_REGISTRY,
-    "fleet_registry",
-    Registry {
-        groups: BTreeMap::new(),
-        stores: BTreeMap::new(),
-    },
-);
-
-/// The barrier instance serializing group `gid`'s cycles.
-pub(crate) fn barrier_for(gid: u32) -> &'static OrderedMutex<()> {
-    let mut reg = REGISTRY.lock();
-    if let Some(&b) = reg.groups.get(&gid) {
-        return b;
-    }
-    let minted: &'static OrderedMutex<()> = Box::leak(Box::new(OrderedMutex::new(
-        RANK_GROUP_BARRIER,
-        "group_barrier",
-        (),
-    )));
-    reg.groups.insert(gid, minted);
-    minted
-}
-
-/// Guard for one group's checkpoint/restore cycle.
-pub(crate) struct GroupCycleGuard {
-    _guard: aurora_sim::lockdep::OrderedMutexGuard<'static, ()>,
-}
-
-/// Enters group `gid`'s cycle: takes its per-group barrier. Cycles of
-/// different groups pipeline; two cycles of the same group exclude each
-/// other.
-pub(crate) fn enter_group(gid: u32) -> GroupCycleGuard {
-    let group_barrier = barrier_for(gid);
-    GroupCycleGuard {
-        _guard: group_barrier.lock(),
-    }
-}
-
-/// Resolves the commit lock of every backend of `group`, in backend
-/// order. A store is keyed by its handle's pointer identity: two
-/// backends (of any groups) sharing a `StoreHandle` share the lock. A
-/// pointer reused after a store is dropped aliases the old lock, which
-/// only serializes a little coarser — never less.
-pub(crate) fn commit_locks_for(group: &Group) -> Vec<&'static OrderedMutex<()>> {
-    let mut reg = REGISTRY.lock();
-    group
-        .backends
-        .iter()
-        .map(|b| {
-            let key = Rc::as_ptr(&b.store) as usize;
-            if let Some(&l) = reg.stores.get(&key) {
-                return l;
-            }
-            let minted: &'static OrderedMutex<()> = Box::leak(Box::new(OrderedMutex::new(
-                RANK_STORE_COMMIT,
-                "store_commit",
-                (),
-            )));
-            reg.stores.insert(key, minted);
-            minted
-        })
-        .collect()
-}
-
 /// Health of one tenant's fault domain, mirroring the replica states
 /// of the mirror layer: healthy tenants cycle normally, degraded
 /// tenants failed recently but still cycle, quarantined tenants are
@@ -172,7 +82,7 @@ pub enum TenantHealth {
     /// cycling, [`QUARANTINE_AFTER`] consecutive failures away from
     /// quarantine.
     Degraded,
-    /// Cycles are skipped (the group barrier is never taken);
+    /// Cycles are skipped (the group is never stopped);
     /// re-admission is probed with capped exponential backoff once the
     /// backing devices report healthy again.
     Quarantined,
@@ -328,10 +238,9 @@ pub struct FleetScheduler {
     lanes: Vec<SimTime>,
     /// In-flight flushes, oldest first: `(group id, durable instant)`.
     inflight: VecDeque<(u32, SimTime)>,
-    /// Per-tenant fault domains, keyed by group id, behind the
-    /// `tenant_health` lockdep rank (consulted by the admission gate
-    /// before any barrier is taken, never held across a cycle).
-    health: Rc<OrderedMutex<BTreeMap<u32, TenantDomain>>>,
+    /// Per-tenant fault domains, keyed by group id (consulted by the
+    /// admission gate before the group is stopped).
+    health: BTreeMap<u32, TenantDomain>,
     /// Counters.
     pub stats: FleetStats,
 }
@@ -357,11 +266,7 @@ impl FleetScheduler {
             cycle_deadline: DEFAULT_CYCLE_DEADLINE,
             lanes: Vec::new(),
             inflight: VecDeque::new(),
-            health: Rc::new(OrderedMutex::new(
-                RANK_TENANT_HEALTH,
-                "tenant_health",
-                BTreeMap::new(),
-            )),
+            health: BTreeMap::new(),
             stats: FleetStats::default(),
         }
     }
@@ -446,14 +351,12 @@ impl FleetScheduler {
     /// Snapshot of one tenant's fault domain (default-healthy when the
     /// scheduler has not seen the tenant yet).
     pub fn domain(&self, gid: u32) -> TenantDomain {
-        let table = self.health.lock();
-        table.get(&gid).cloned().unwrap_or_default()
+        self.health.get(&gid).cloned().unwrap_or_default()
     }
 
     /// Snapshots of every tenant fault domain, sorted by group id.
     pub fn domains(&self) -> Vec<(u32, TenantDomain)> {
-        let table = self.health.lock();
-        table.iter().map(|(&g, d)| (g, d.clone())).collect()
+        self.health.iter().map(|(&g, d)| (g, d.clone())).collect()
     }
 
     /// Current health of one tenant.
@@ -461,11 +364,10 @@ impl FleetScheduler {
         self.domain(gid).health
     }
 
-    /// Admission gate: consulted before a cycle takes any lock. A
+    /// Admission gate: consulted before a cycle stops its group. A
     /// quarantined tenant runs only when its probe backoff elapsed.
     pub(crate) fn gate(&self, gid: u32, now: SimTime) -> CycleGate {
-        let table = self.health.lock();
-        match table.get(&gid) {
+        match self.health.get(&gid) {
             Some(d) if d.health == TenantHealth::Quarantined => {
                 if now < d.next_probe {
                     CycleGate::Skip {
@@ -481,16 +383,14 @@ impl FleetScheduler {
 
     /// Records a cycle skipped under quarantine.
     pub(crate) fn record_skip(&mut self, gid: u32) {
-        let mut table = self.health.lock();
-        table.entry(gid).or_default().cycles_skipped += 1;
+        self.health.entry(gid).or_default().cycles_skipped += 1;
     }
 
     /// Defers a quarantined tenant's re-admission probe because its
     /// backing devices are still sick: doubles the backoff (capped)
     /// and returns the new probe instant.
     pub(crate) fn defer_probe(&mut self, gid: u32, now: SimTime, why: &str) -> SimTime {
-        let mut table = self.health.lock();
-        let d = table.entry(gid).or_default();
+        let d = self.health.entry(gid).or_default();
         d.last_fault = Some(format!("probe deferred: {why}"));
         d.next_probe = now + d.backoff;
         d.backoff = cap_backoff(d.backoff);
@@ -512,23 +412,16 @@ impl FleetScheduler {
     /// failure counter had crossed [`QUARANTINE_AFTER`]. The first
     /// re-admission probe is eligible one backoff from `now`.
     pub fn quarantine(&mut self, gid: u32, now: SimTime, reason: &str) {
-        let entered = {
-            let mut table = self.health.lock();
-            let d = table.entry(gid).or_default();
-            if d.health == TenantHealth::Quarantined {
-                false
-            } else {
-                d.health = TenantHealth::Quarantined;
-                d.quarantines += 1;
-                d.backoff = PROBE_BACKOFF_BASE;
-                d.next_probe = now + d.backoff;
-                d.last_fault = Some(format!("operator quarantine: {reason}"));
-                true
-            }
-        };
-        if entered {
-            self.release(gid);
+        let d = self.health.entry(gid).or_default();
+        if d.health == TenantHealth::Quarantined {
+            return;
         }
+        d.health = TenantHealth::Quarantined;
+        d.quarantines += 1;
+        d.backoff = PROBE_BACKOFF_BASE;
+        d.next_probe = now + d.backoff;
+        d.last_fault = Some(format!("operator quarantine: {reason}"));
+        self.release(gid);
     }
 
     /// Records one cycle's outcome against its tenant's fault domain
@@ -559,8 +452,7 @@ impl FleetScheduler {
         });
         let mut quarantined_now = false;
         let health = {
-            let mut table = self.health.lock();
-            let d = table.entry(gid).or_default();
+            let d = self.health.entry(gid).or_default();
             if ok {
                 if d.health == TenantHealth::Quarantined {
                     d.readmissions += 1;
@@ -656,8 +548,8 @@ impl FleetSweep {
 }
 
 impl Host {
-    /// A breakdown for a cycle skipped under quarantine: no barrier was
-    /// taken, no checkpoint exists, the previous durable snapshot is
+    /// A breakdown for a cycle skipped under quarantine: the group was
+    /// never stopped, no checkpoint exists, the previous durable snapshot is
     /// untouched.
     fn quarantined_breakdown(until: SimTime) -> CheckpointBreakdown {
         CheckpointBreakdown {
@@ -702,15 +594,15 @@ impl Host {
     }
 
     /// Takes a pipelined checkpoint of one tenant: admission through the
-    /// fleet scheduler's run queue, capture under the per-group barrier,
-    /// hash on a scheduler lane, commit under the per-store locks. The
+    /// fleet scheduler's run queue, capture while the group is stopped,
+    /// hash on a scheduler lane, then one commit per backend store. The
     /// returned breakdown's `durable_at` gates this cycle exactly like
     /// the serialized path; use [`Host::fleet_drain`] (or
     /// [`Host::wait_durable`]) to wait it out.
     ///
     /// The cycle runs inside the tenant's fault domain: a quarantined
     /// tenant's cycle is skipped (outcome
-    /// [`CheckpointOutcome::Quarantined`], no barrier taken) until its
+    /// [`CheckpointOutcome::Quarantined`], the group never stopped) until its
     /// probe backoff elapses *and* its backing devices report healthy;
     /// failures, deadline misses and damaged-base degradations are
     /// charged against the tenant's health.
@@ -885,12 +777,15 @@ mod tests {
     }
 
     #[test]
-    fn same_group_barrier_instance_is_reused() {
-        let a = barrier_for(90_001);
-        let b = barrier_for(90_001);
-        let c = barrier_for(90_002);
-        assert!(std::ptr::eq(a, b));
-        assert!(!std::ptr::eq(a, c));
+    fn a_cloned_scheduler_owns_its_own_health_table() {
+        let mut a = FleetScheduler::new();
+        let now = SimTime::from_nanos(1_000);
+        let mut b = a.clone();
+        b.quarantine(7, now, "x");
+        assert_eq!(b.health_of(7), TenantHealth::Quarantined);
+        assert_eq!(a.health_of(7), TenantHealth::Healthy);
+        a.record_skip(3);
+        assert_eq!(b.domain(3).cycles_skipped, 0);
     }
 
     #[test]

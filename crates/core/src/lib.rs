@@ -66,10 +66,6 @@ pub use metrics::{CheckpointBreakdown, CheckpointOutcome, RestoreBreakdown};
 pub use replicate::{
     promote_to_host, FramePayload, PromoteReport, ReplConfig, ReplFrame, ReplStats, Replicator,
 };
-// Lockdep moved down to `aurora-sim` so the object store's page-cache
-// lock can carry a rank; existing `aurora_core::lockdep` paths keep
-// working through this re-export.
-pub use aurora_sim::lockdep;
 
 /// Namespace base for SLSFS store objects on the primary store.
 pub const SLSFS_NS: u64 = 1 << 48;

@@ -32,7 +32,7 @@ pub enum CheckpointOutcome {
     /// next checkpoint will be full.
     Aborted,
     /// The cycle never ran: the tenant's fault domain is quarantined
-    /// and its group barrier was not taken. The previous durable
+    /// and its group was never stopped. The previous durable
     /// snapshot is untouched; `fault` names the next re-admission
     /// probe instant.
     Quarantined,

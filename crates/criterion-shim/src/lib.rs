@@ -1,17 +1,9 @@
-//! In-tree stand-in for the `criterion` crate.
+//! The bench harness's wall-clock read point.
 //!
-//! The workspace builds in environments with no access to a crates.io
-//! mirror. This shim keeps the `cargo bench` entry points compiling and
-//! running as lightweight smoke benchmarks: each benchmark executes a
-//! small fixed number of iterations and prints mean wall-clock time. It
-//! does no statistics, warmup tuning, or HTML reporting.
+//! The crate keeps the name `criterion` from the days it stood in for
+//! the external benchmark crate; all that remains is [`wall_now`].
 
-use std::time::{Duration, Instant};
-
-/// Opaque-to-the-optimizer value passthrough.
-pub fn black_box<T>(x: T) -> T {
-    std::hint::black_box(x)
-}
+use std::time::Instant;
 
 /// The bench harness's single wall-clock read point. Benchmark binaries
 /// measure real elapsed time through this helper instead of reading the
@@ -19,165 +11,4 @@ pub fn black_box<T>(x: T) -> T {
 /// at exactly this one site.
 pub fn wall_now() -> Instant {
     Instant::now()
-}
-
-/// How `iter_batched` amortizes setup; accepted and ignored.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BatchSize {
-    /// Small per-iteration inputs.
-    SmallInput,
-    /// Large per-iteration inputs.
-    LargeInput,
-    /// One input per batch.
-    PerIteration,
-}
-
-/// The benchmark manager handed to `criterion_group!` targets.
-#[derive(Debug, Default)]
-pub struct Criterion {
-    _private: (),
-}
-
-impl Criterion {
-    /// Standard configuration.
-    pub fn default() -> Self {
-        Criterion { _private: () }
-    }
-
-    /// Opens a named group of benchmarks.
-    pub fn benchmark_group(&mut self, name: &str) -> BenchmarkGroup<'_> {
-        println!("group: {name}");
-        BenchmarkGroup {
-            _parent: self,
-            iterations: default_iterations(),
-        }
-    }
-
-    /// Registers a standalone benchmark.
-    pub fn bench_function(&mut self, name: &str, f: impl FnMut(&mut Bencher)) -> &mut Self {
-        run_one(name, default_iterations(), f);
-        self
-    }
-}
-
-/// Iterations per benchmark; `CRITERION_ITERS` overrides the default.
-fn default_iterations() -> u64 {
-    std::env::var("CRITERION_ITERS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(10)
-}
-
-/// A named group of benchmarks.
-pub struct BenchmarkGroup<'a> {
-    _parent: &'a mut Criterion,
-    iterations: u64,
-}
-
-impl BenchmarkGroup<'_> {
-    /// Accepted for API compatibility; the shim runs a fixed count.
-    pub fn sample_size(&mut self, n: usize) -> &mut Self {
-        self.iterations = (n as u64).clamp(1, 1000);
-        self
-    }
-
-    /// Registers a benchmark in this group.
-    pub fn bench_function(&mut self, name: &str, f: impl FnMut(&mut Bencher)) -> &mut Self {
-        run_one(name, self.iterations, f);
-        self
-    }
-
-    /// Finishes the group.
-    pub fn finish(self) {}
-}
-
-fn run_one(name: &str, iterations: u64, mut f: impl FnMut(&mut Bencher)) {
-    let mut b = Bencher {
-        iterations,
-        elapsed: Duration::ZERO,
-    };
-    f(&mut b);
-    let per_iter = if iterations > 0 {
-        b.elapsed / iterations as u32
-    } else {
-        Duration::ZERO
-    };
-    println!("  {name}: {per_iter:?}/iter over {iterations} iters");
-}
-
-/// Timing harness passed to each benchmark closure.
-pub struct Bencher {
-    iterations: u64,
-    elapsed: Duration,
-}
-
-impl Bencher {
-    /// Times `routine` over the configured iterations.
-    pub fn iter<R>(&mut self, mut routine: impl FnMut() -> R) {
-        let start = wall_now();
-        for _ in 0..self.iterations {
-            black_box(routine());
-        }
-        self.elapsed = start.elapsed();
-    }
-
-    /// Times `routine` with untimed fresh input from `setup` per iteration.
-    pub fn iter_batched<I, R>(
-        &mut self,
-        mut setup: impl FnMut() -> I,
-        mut routine: impl FnMut(I) -> R,
-        _size: BatchSize,
-    ) {
-        let mut total = Duration::ZERO;
-        for _ in 0..self.iterations {
-            let input = setup();
-            let start = wall_now();
-            black_box(routine(input));
-            total += start.elapsed();
-        }
-        self.elapsed = total;
-    }
-}
-
-/// Collects benchmark functions into a runnable group.
-#[macro_export]
-macro_rules! criterion_group {
-    ($group:ident, $($target:path),+ $(,)?) => {
-        fn $group() {
-            let mut c = $crate::Criterion::default();
-            $($target(&mut c);)+
-        }
-    };
-}
-
-/// Emits `main` running the given groups.
-#[macro_export]
-macro_rules! criterion_main {
-    ($($group:path),+ $(,)?) => {
-        fn main() {
-            $($group();)+
-        }
-    };
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn sample(c: &mut Criterion) {
-        let mut g = c.benchmark_group("shim");
-        g.sample_size(3);
-        g.bench_function("add", |b| b.iter(|| black_box(1 + 1)));
-        g.bench_function("batched", |b| {
-            b.iter_batched(|| vec![1u8; 16], |v| v.len(), BatchSize::SmallInput)
-        });
-        g.finish();
-    }
-
-    criterion_group!(benches, sample);
-
-    #[test]
-    fn group_runs() {
-        benches();
-    }
 }

@@ -21,6 +21,8 @@ use crate::BLOCK_SIZE;
 /// A stripe set over homogeneous members.
 pub struct StripedDev<D: BlockDev> {
     members: Vec<D>,
+    /// The first member's clock, kept at construction.
+    clock: Arc<SimClock>,
     info: DevInfo,
     stats: DevStats,
     /// Round-robin cursor for timing-only submissions.
@@ -35,15 +37,21 @@ impl<D: BlockDev> StripedDev<D> {
     /// Panics if `members` is empty (configuration error).
     pub fn new(members: Vec<D>) -> Self {
         assert!(!members.is_empty(), "stripe needs at least one member");
+        // The assert above rules out the empty fallback.
+        let (first_name, clock) = members.first().map_or_else(
+            || (String::new(), SimClock::new()),
+            |m| (m.info().name.clone(), m.clock().clone()),
+        );
         let blocks: u64 = members.iter().map(|m| m.info().blocks).sum();
         let info = DevInfo {
-            name: format!("stripe{}x-{}", members.len(), members[0].info().name),
+            name: format!("stripe{}x-{first_name}", members.len()),
             blocks,
             persistent: members.iter().all(|m| m.info().persistent),
             persistence_domain: members.iter().all(|m| m.info().persistence_domain),
         };
         StripedDev {
             members,
+            clock,
             info,
             stats: DevStats::default(),
             rr: 0,
@@ -58,6 +66,12 @@ impl<D: BlockDev> StripedDev<D> {
     fn locate(&self, lba: u64) -> (usize, u64) {
         let n = self.members.len() as u64;
         ((lba % n) as usize, lba / n)
+    }
+
+    fn member(&mut self, idx: usize) -> Result<&mut D> {
+        self.members
+            .get_mut(idx)
+            .ok_or_else(|| Error::internal(format!("stripe member {idx} out of range")))
     }
 }
 
@@ -76,7 +90,7 @@ impl<D: BlockDev> BlockDev for StripedDev<D> {
         }
         for (i, chunk) in buf.chunks_mut(BLOCK_SIZE).enumerate() {
             let (member, mlba) = self.locate(lba + i as u64);
-            self.members[member].read(mlba, chunk)?;
+            self.member(member)?.read(mlba, chunk)?;
         }
         self.stats.reads += 1;
         self.stats.bytes_read += buf.len() as u64;
@@ -90,7 +104,7 @@ impl<D: BlockDev> BlockDev for StripedDev<D> {
         let mut done = SimTime::ZERO;
         for (i, chunk) in data.chunks(BLOCK_SIZE).enumerate() {
             let (member, mlba) = self.locate(lba + i as u64);
-            done = done.max(self.members[member].submit_write(mlba, chunk)?);
+            done = done.max(self.member(member)?.submit_write(mlba, chunk)?);
         }
         self.stats.writes += 1;
         self.stats.bytes_written += data.len() as u64;
@@ -152,7 +166,7 @@ impl<D: BlockDev> BlockDev for StripedDev<D> {
             let member = (self.rr + i) % n;
             let bytes = if i == 0 { share + remainder } else { share };
             if bytes > 0 {
-                done = done.max(self.members[member].submit_write_timing(bytes)?);
+                done = done.max(self.member(member)?.submit_write_timing(bytes)?);
             }
         }
         self.rr = (self.rr + 1) % n;
@@ -190,7 +204,7 @@ impl<D: BlockDev> BlockDev for StripedDev<D> {
     }
 
     fn clock(&self) -> &Arc<SimClock> {
-        self.members[0].clock()
+        &self.clock
     }
 }
 

@@ -8,8 +8,8 @@
 pub mod commit_phase;
 pub mod error_class;
 pub mod format;
-pub mod lock_order;
 pub mod no_panic;
+pub mod raw_lock;
 pub mod wall_clock;
 
 /// One diagnostic.

@@ -13,8 +13,6 @@
 //!   file), and a mandatory `reason`. Unused entries are themselves
 //!   violations, so the file can only shrink unless someone consciously
 //!   adds to it.
-//! - `[locks] order = [...]` — the global lock hierarchy, outermost
-//!   first, and `[locks.sites]` mapping static names to ranks.
 //! - `[roundtrip]` — registry mapping every encode/decode type or
 //!   function pair to the file whose tests round-trip it.
 //! - `[format] files = [...]` — the format-bearing files whose token
@@ -42,10 +40,6 @@ pub struct AllowEntry {
 pub struct Config {
     /// Suppressions, in file order.
     pub allows: Vec<AllowEntry>,
-    /// Lock ranks, outermost → innermost.
-    pub lock_order: Vec<String>,
-    /// Static/site name → rank name.
-    pub lock_sites: BTreeMap<String, String>,
     /// Type or pair name → file whose tests round-trip it.
     pub roundtrip: BTreeMap<String, String>,
     /// Format-bearing files (workspace-relative).
@@ -69,9 +63,9 @@ impl Config {
     /// subset parser does not understand.
     pub fn parse(src: &str) -> Result<Config, String> {
         let mut cfg = Config::default();
-        // Current section path, e.g. ["locks", "sites"]; [[allow]] pushes
+        // Current section name, e.g. "commit-phase"; [[allow]] pushes
         // a fresh entry and routes keys to it.
-        let mut section: Vec<String> = Vec::new();
+        let mut section = String::new();
         let mut in_allow = false;
         let lines: Vec<&str> = src.lines().collect();
         let mut idx = 0usize;
@@ -116,7 +110,7 @@ impl Config {
                     .strip_suffix(']')
                     .ok_or_else(|| err("unterminated [table]"))?
                     .trim();
-                section = name.split('.').map(|s| s.trim().to_string()).collect();
+                section = name.to_string();
                 in_allow = false;
             } else {
                 let (key, value) = parse_kv(line).map_err(|e| err(&e))?;
@@ -134,11 +128,7 @@ impl Config {
                         _ => return Err(err(&format!("unknown allow key `{key}`"))),
                     }
                 } else {
-                    match (section_path(&section).as_str(), key.as_str(), &value) {
-                        ("locks", "order", Value::StrArray(a)) => cfg.lock_order = a.clone(),
-                        ("locks.sites", _, Value::Str(s)) => {
-                            cfg.lock_sites.insert(key, s.clone());
-                        }
+                    match (section.as_str(), key.as_str(), &value) {
                         ("roundtrip", _, Value::Str(s)) => {
                             cfg.roundtrip.insert(key, s.clone());
                         }
@@ -171,10 +161,6 @@ impl Config {
         }
         Ok(cfg)
     }
-}
-
-fn section_path(section: &[String]) -> String {
-    section.join(".")
 }
 
 /// Net `[` minus `]` count outside string literals.
@@ -305,13 +291,6 @@ path = "crates/criterion-shim/src/lib.rs"
 count = 2
 reason = "bench harness measures real time"
 
-[locks]
-order = ["ckpt_barrier", "metrics"]
-
-[locks.sites]
-CKPT_BARRIER = "ckpt_barrier"
-METRICS = "metrics"
-
 [roundtrip]
 Checkpoint = "crates/objstore/src/checkpoint.rs"
 
@@ -326,8 +305,6 @@ allow_in = ["seal_journal", "flip_superblock"]
         .unwrap();
         assert_eq!(cfg.allows.len(), 1);
         assert_eq!(cfg.allows[0].count, 2);
-        assert_eq!(cfg.lock_order, vec!["ckpt_barrier", "metrics"]);
-        assert_eq!(cfg.lock_sites["METRICS"], "metrics");
         assert_eq!(
             cfg.roundtrip["Checkpoint"],
             "crates/objstore/src/checkpoint.rs"

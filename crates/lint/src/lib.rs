@@ -8,8 +8,8 @@
 //! - [`checks::no_panic`] — durability paths return typed errors;
 //! - [`checks::format`] — every codec round-trips under test, and
 //!   format-bearing edits are tied to `layout.rs::VERSION`;
-//! - [`checks::lock_order`] — locks are rank-declared and statically
-//!   ordered (the runtime half lives in `aurora_core::lockdep`);
+//! - [`checks::raw_lock`] — no `Mutex`/`RwLock` in production code: the
+//!   host runs on one thread;
 //! - [`checks::error_class`] — every `ErrorKind` is explicitly
 //!   transient or permanent;
 //! - [`checks::commit_phase`] — raw device writes only inside the
@@ -37,7 +37,7 @@ pub fn run_checks(files: &[SourceFile], cfg: &Config, root: &Path) -> Vec<Violat
     out.extend(checks::wall_clock::check(files));
     out.extend(checks::no_panic::check(files));
     out.extend(checks::format::check(files, cfg, root));
-    out.extend(checks::lock_order::check(files, cfg));
+    out.extend(checks::raw_lock::check(files));
     out.extend(checks::error_class::check(files));
     out.extend(checks::commit_phase::check(files, cfg));
     out.sort_by(|a, b| (&a.path, a.line, a.check).cmp(&(&b.path, b.line, b.check)));

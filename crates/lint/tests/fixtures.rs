@@ -62,11 +62,7 @@ fn no_panic_fixture() {
 fn lock_order_fixture() {
     assert_eq!(
         keys(&analyze("lock_order")),
-        vec![
-            ("lock-order", "crates/demo/src/lib.rs", 10),
-            ("raw-lock", "crates/demo/src/lib.rs", 14),
-            ("lock-site", "crates/demo/src/lib.rs", 19),
-        ]
+        vec![("raw-lock", "crates/demo/src/lib.rs", 4)]
     );
 }
 

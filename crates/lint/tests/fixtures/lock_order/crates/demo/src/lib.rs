@@ -1,20 +1,14 @@
-//! Lock nesting, right and wrong.
-
-pub fn in_order() {
-    let _a = A_LOCK.lock();
-    let _b = B_LOCK.lock();
-}
-
-pub fn inverted() {
-    let _b = B_LOCK.lock();
-    let _a = A_LOCK.lock();
-}
+//! A raw lock in production code; the same lock in a test is exempt.
 
 pub fn raw() {
     let m = std::sync::Mutex::new(0u32);
     drop(m);
 }
 
-pub fn unregistered() {
-    let _g = MYSTERY.lock();
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn test_code_may_lock() {
+        let _m = std::sync::Mutex::new(0u32);
+    }
 }

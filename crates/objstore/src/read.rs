@@ -216,7 +216,7 @@ impl ReadCache {
     }
 }
 
-/// One probe against the read cache, resolved under a single lock hold.
+/// One probe against the read cache, resolved under a single borrow.
 enum ReadProbe {
     /// The block itself is resident; its contents ride along.
     Hit(PageData),
@@ -358,7 +358,7 @@ impl ObjectStore {
             return Ok(Vec::new());
         };
         let recorded: Vec<Option<u64>> = {
-            let cache = self.cache.lock();
+            let cache = self.cache.borrow();
             run.iter().map(|b| cache.block_hash.get(b).copied()).collect()
         };
         let lba0 = self.sb.data_start();
@@ -421,7 +421,7 @@ impl ObjectStore {
     /// recorded and indexed on this first read, as its write would have.
     pub(crate) fn fetch_block(&self, ptr: BlockPtr) -> Result<PageData> {
         let resident = {
-            let mut cache = self.cache.lock();
+            let mut cache = self.cache.borrow_mut();
             let page = cache.data.get(&ptr.0).cloned();
             if page.is_some() {
                 let hash = cache.block_hash.get(&ptr.0).copied();
@@ -448,7 +448,7 @@ impl ObjectStore {
                 ptr.0
             )));
         };
-        let mut cache = self.cache.lock();
+        let mut cache = self.cache.borrow_mut();
         let hash = match recorded {
             Some(h) => {
                 cache.data.insert(ptr.0, page.clone());
@@ -552,7 +552,7 @@ impl ObjectStore {
         };
         let mut missed = false;
         {
-            let mut cache = self.cache.lock();
+            let mut cache = self.cache.borrow_mut();
             for &b in run {
                 match cache.probe_read(b) {
                     ReadProbe::Hit(page) => {
@@ -594,7 +594,7 @@ impl ObjectStore {
                     "extent at block {start}: content hash mismatch on read"
                 )));
             };
-            let mut cache = self.cache.lock();
+            let mut cache = self.cache.borrow_mut();
             for (&b, (page, hash)) in run.iter().zip(checked) {
                 if out.pages.contains_key(&b) {
                     continue; // probe already served it
@@ -607,7 +607,7 @@ impl ObjectStore {
             }
         } else {
             {
-                let mut cache = self.cache.lock();
+                let mut cache = self.cache.borrow_mut();
                 for &b in run {
                     if out.pages.contains_key(&b) {
                         continue;
@@ -658,12 +658,12 @@ impl ObjectStore {
 
     /// Current read-cache occupancy in pages.
     pub fn read_cache_len(&self) -> usize {
-        self.cache.lock().read.len()
+        self.cache.borrow().read.len()
     }
 
     /// Lifetime read-cache evictions (capacity pressure).
     pub fn read_cache_evictions(&self) -> u64 {
-        self.cache.lock().read.evictions
+        self.cache.borrow().read.evictions
     }
 
     /// Drops the read cache alone — the cold-start state for a
@@ -730,7 +730,7 @@ impl ObjectStore {
         let clean = if !self.config.materialize_data {
             // The page table is the only copy, so the walk is the whole
             // check: one lock hold, only bad blocks collected.
-            let table = self.cache.lock();
+            let table = self.cache.borrow();
             walk(&mut |block| {
                 if !table.data.contains_key(&block) {
                     bad.insert(block, "unrecoverable".to_string());

@@ -14,7 +14,6 @@ use std::collections::{BTreeMap, HashMap, HashSet};
 
 use aurora_hw::{Access, BlockDev, BLOCK_SIZE};
 use aurora_sim::error::{Error, Result};
-use aurora_sim::lockdep::{OrderedMutex, RANK_PAGE_CACHE};
 use aurora_sim::time::SimTime;
 use aurora_vm::PageData;
 
@@ -254,10 +253,9 @@ impl DedupIndex {
     }
 }
 
-/// Page contents plus the dedup index and the bounded read cache,
-/// behind one lock so the read paths can stay `&self`: a cache fill is
-/// not a logical mutation. The lock carries lockdep rank `page_cache`
-/// because flushes take it from inside their group's barrier.
+/// Page contents plus the dedup index and the bounded read cache, in
+/// one cell so the read paths can stay `&self`: a cache fill is not a
+/// logical mutation.
 pub(crate) struct PageCache {
     /// Authoritative page contents by block (compact representation).
     pub(crate) data: HashMap<u64, PageData>,
@@ -362,7 +360,7 @@ pub struct ObjectStore {
     /// Committed delta records (rebuilt from the journal on recovery).
     pub(crate) delta: DeltaLog,
     /// Page contents, the dedup index and the bounded read cache.
-    pub(crate) cache: OrderedMutex<PageCache>,
+    pub(crate) cache: RefCell<PageCache>,
     /// Counters.
     pub stats: StoreStats,
 }
@@ -407,7 +405,7 @@ impl ObjectStore {
             pending_deleted: Vec::new(),
             pending_deltas: BTreeMap::new(),
             delta: DeltaLog::default(),
-            cache: OrderedMutex::new(RANK_PAGE_CACHE, "page_cache", cache),
+            cache: RefCell::new(cache),
             stats: StoreStats::default(),
         })
     }
@@ -501,7 +499,7 @@ impl ObjectStore {
             pending_deleted: Vec::new(),
             pending_deltas: BTreeMap::new(),
             delta,
-            cache: OrderedMutex::new(RANK_PAGE_CACHE, "page_cache", cache),
+            cache: RefCell::new(cache),
             stats: StoreStats::default(),
         })
     }
@@ -817,7 +815,7 @@ impl ObjectStore {
 
     fn find_dedup(&self, page: &PageData, hash: Option<u64>) -> Option<BlockPtr> {
         let h = hash?;
-        let cache = self.cache.lock();
+        let cache = self.cache.borrow();
         for &cand in cache.dedup.candidates(h)? {
             if let Some(existing) = cache.data.get(&cand.0) {
                 if existing.content_eq(page) {
@@ -1011,7 +1009,7 @@ impl ObjectStore {
     ) -> Option<(PageRef, Option<u64>)> {
         let r = checkpoint::resolve_ref(&self.ckpts, ckpt, oid, idx)?;
         let hash = match r {
-            PageRef::Full(ptr) => self.cache.lock().block_hash.get(&ptr.0).copied(),
+            PageRef::Full(ptr) => self.cache.borrow().block_hash.get(&ptr.0).copied(),
             PageRef::Delta(_) => None,
         };
         Some((r, hash))
@@ -1420,7 +1418,7 @@ impl ObjectStore {
                     "block {block}: refcount {actual}, {refs} referents"
                 ));
             }
-            if !self.cache.lock().data.contains_key(&block) && !self.config.materialize_data {
+            if !self.cache.borrow().data.contains_key(&block) && !self.config.materialize_data {
                 problems.push(format!("block {block}: contents unrecoverable"));
             }
         }
@@ -1682,7 +1680,7 @@ mod tests {
             s.write_page(ObjId(1), i as u64, page).unwrap();
         }
         let (ck, _) = s.commit(None).unwrap();
-        let recorded = s.cache.lock().block_hash.clone();
+        let recorded = s.cache.borrow().block_hash.clone();
         assert_eq!(recorded.len(), 4);
 
         for cycle in 0..5 {
@@ -1691,7 +1689,7 @@ mod tests {
                 let got = s.read_page_at(ck, ObjId(1), i as u64).unwrap().unwrap();
                 assert!(got.content_eq(page));
             }
-            let cache = s.cache.lock();
+            let cache = s.cache.borrow();
             assert_eq!(cache.block_hash, recorded, "cycle {cycle}");
             for page in &pages {
                 let candidates = cache.dedup.candidates(page.content_hash()).unwrap();

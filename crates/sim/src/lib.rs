@@ -12,9 +12,6 @@
 //!   types (nanosecond resolution).
 //! * [`clock`] — the shared virtual clock and scoped timers.
 //! * [`cost`] — the calibrated cost-model constants (see `DESIGN.md` §5).
-//! * [`lockdep`] — rank-ordered locks with runtime lock-order
-//!   verification (debug builds); the only module allowed to name the
-//!   raw `std::sync` lock types.
 //! * [`rng`] — deterministic PRNGs (SplitMix64, Xoshiro256++) implemented
 //!   from scratch so simulation results do not depend on crate versions.
 //! * [`codec`] — the versioned binary wire format used for checkpoint
@@ -29,7 +26,6 @@ pub mod codec;
 pub mod cost;
 pub mod error;
 pub mod hash;
-pub mod lockdep;
 pub mod rng;
 pub mod stats;
 pub mod time;

@@ -513,7 +513,10 @@ impl Filesystem for SlsFs {
                 let page_idx = pos / PAGE_SIZE as u64;
                 let page_off = (pos % PAGE_SIZE as u64) as usize;
                 let n = ((PAGE_SIZE - page_off) as u64).min(end - pos) as usize;
-                let src = &data[(pos - off) as usize..(pos - off) as usize + n];
+                let start = (pos - off) as usize;
+                let src = data
+                    .get(start..start + n)
+                    .ok_or_else(|| Error::internal("file write ran past its buffer"))?;
                 let new_page = if page_off == 0 && n == PAGE_SIZE {
                     PageData::from_bytes(src)
                 } else {
