@@ -7,7 +7,8 @@
 //! through the same op stream with the cycles fully serialized. The
 //! scheduler only reorders *when* flushes complete in virtual time; any
 //! divergence in restored state is a correctness bug in the barrier
-//! narrowing, the per-store commit locks, or the capture itself.
+//! narrowing, the order of commits on the shared store, or the capture
+//! itself.
 
 // Test code asserts invariants; the workspace unwrap/expect denial is
 // for production paths.

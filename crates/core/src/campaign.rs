@@ -723,7 +723,7 @@ impl<'a> World<'a> {
             tenants.push(Tenant { tag, pid, gid, own });
         }
         let arena = arena.ok_or_else(|| Error::internal("scenario has no tenants"))?;
-        let width = host.sls.mirror_width.max(1);
+        let width = host.sls.mirror_width();
         let victim = match sc.site {
             Site::Write { .. } => (n.unwrap_or(1).max(1) as usize - 1) % width,
             Site::ResilverWrite => width - 1,
@@ -1039,7 +1039,7 @@ impl<'a> World<'a> {
             // *other* replica, judge the store from the rebuilt one.
             self.mirror(|m| m.revive_replica(victim))??;
             self.host.resilver()?;
-            let mut others = (0..self.host.sls.mirror_width).filter(|&i| i != victim);
+            let mut others = (0..self.host.sls.mirror_width()).filter(|&i| i != victim);
             self.mirror(|m| others.try_for_each(|i| m.kill_replica(i)))??;
             self.judge();
         }

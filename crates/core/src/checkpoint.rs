@@ -309,14 +309,6 @@ impl Host {
                 }
             }
         }
-        if folded > 0 {
-            group.history = group
-                .backends
-                .first()
-                .ok_or_else(|| Error::internal("group has no backends"))?
-                .history
-                .clone();
-        }
         Ok(folded)
     }
 
@@ -1057,12 +1049,6 @@ fn flush_capture(
     // A flush is not durable before its hash is done: the lane's horizon
     // when pipelined; inline, the clock is already there.
     durable = durable.max(hash_done);
-    group.history = group
-        .backends
-        .first()
-        .ok_or_else(|| Error::internal("group has no backends"))?
-        .history
-        .clone();
 
     let flush_span = durable.since(flush_start);
     let write_wait = durable.since(hash_done);
@@ -1095,15 +1081,12 @@ fn gc_history(sls: &mut Sls, gid: GroupId) -> Result<()> {
     let window = group.history_window;
     for backend in group.backends.iter_mut() {
         while backend.history.len() > window {
-            let victim = backend.history.remove(0);
+            let Some(&victim) = backend.history.first() else { break };
+            // Pop the victim only once its delete is durable: a failed
+            // delete leaves it in the store, so it stays in the history.
             backend.store.borrow_mut().delete_checkpoint(victim)?;
+            backend.history.remove(0);
         }
     }
-    group.history = group
-        .backends
-        .first()
-        .ok_or_else(|| Error::internal("group has no backends"))?
-        .history
-        .clone();
     Ok(())
 }

@@ -689,27 +689,6 @@ impl Host {
         FleetSweep { cycles }
     }
 
-    /// Periodic pipelined driver: checkpoints `gid` when its period
-    /// elapsed, through the scheduler. Returns `None` when not yet due.
-    /// A due-but-quarantined tenant reports a
-    /// [`CheckpointOutcome::Quarantined`] breakdown (its period still
-    /// advances) instead of an error.
-    pub fn fleet_tick(&mut self, gid: GroupId) -> Result<Option<CheckpointBreakdown>> {
-        let now = self.clock.now();
-        let due = {
-            let group = self.sls.group_ref(gid)?;
-            now >= group.next_due
-        };
-        if !due {
-            self.poll_durability();
-            return Ok(None);
-        }
-        let breakdown = self.checkpoint_pipelined(gid, false, None)?;
-        let group = self.sls.group_mut(gid)?;
-        group.next_due = now + group.period;
-        Ok(Some(breakdown))
-    }
-
     /// Waits (advances the virtual clock) until every in-flight
     /// pipelined flush is durable, then releases external-consistency
     /// holds. Returns the per-tenant faults recorded since the last

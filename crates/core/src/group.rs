@@ -62,8 +62,6 @@ pub struct Group {
     pub vmo_oids: HashMap<u64, u64>,
     /// Next object id within this group's namespace.
     pub next_oid: u64,
-    /// Checkpoint history on the primary backend, oldest first.
-    pub history: Vec<CkptId>,
     /// History window: older checkpoints are GC'd beyond this many.
     pub history_window: usize,
     /// External-consistency epochs awaiting durability: `(seq, durable)`.
@@ -95,7 +93,6 @@ impl Group {
             since_epoch: 0,
             vmo_oids: HashMap::new(),
             next_oid: 1,
-            history: Vec::new(),
             history_window: 32,
             ec_outstanding: VecDeque::new(),
             next_ntlog: 1,
@@ -130,8 +127,14 @@ impl Group {
         ObjId(oid)
     }
 
+    /// Checkpoint history on the primary backend, oldest first (empty
+    /// while the group has no backend).
+    pub fn history(&self) -> &[CkptId] {
+        self.backends.first().map_or(&[], |b| &b.history)
+    }
+
     /// The most recent checkpoint, if any.
     pub fn last_checkpoint(&self) -> Option<CkptId> {
-        self.history.last().copied()
+        self.history().last().copied()
     }
 }

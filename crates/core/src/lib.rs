@@ -104,10 +104,6 @@ pub struct Sls {
     /// Worker threads for the restore page-in pipeline's hash stage
     /// (see `crate::restore`). 1 runs the same pipeline on one thread.
     pub restore_workers: usize,
-    /// Replica count of the primary store's mirror (1 = unmirrored).
-    /// Derived from the device at boot and carried across
-    /// [`Host::crash_and_reboot`].
-    pub mirror_width: usize,
     /// Continuous checkpoint shipping to a hot standby, when attached
     /// (see [`crate::replicate`]). A crash loses the session — the
     /// promoted standby is the surviving half.
@@ -125,6 +121,23 @@ pub const DEFAULT_FLUSH_WORKERS: usize = 4;
 
 /// Default worker count for the batched restore pipeline.
 pub const DEFAULT_RESTORE_WORKERS: usize = 4;
+
+/// The host tuning that survives a reboot.
+struct Tuning {
+    flush_workers: usize,
+    restore_workers: usize,
+    fleet: fleet::FleetScheduler,
+}
+
+impl Default for Tuning {
+    fn default() -> Self {
+        Tuning {
+            flush_workers: DEFAULT_FLUSH_WORKERS,
+            restore_workers: DEFAULT_RESTORE_WORKERS,
+            fleet: fleet::FleetScheduler::new(),
+        }
+    }
+}
 
 /// A simulated machine: kernel + SLS.
 pub struct Host {
@@ -145,37 +158,14 @@ impl Host {
     /// errors are absorbed with bounded backoff before the store or the
     /// checkpoint pipeline ever sees them.
     pub fn boot(name: &str, dev: Box<dyn BlockDev>, config: StoreConfig) -> Result<Host> {
-        let clock = dev.clock().clone();
-        let mirror_width = dev.as_mirror().map(|m| m.width()).unwrap_or(1);
         let dev: Box<dyn BlockDev> = Box::new(ResilientDev::with_defaults(dev));
-        let mut kernel = Kernel::boot(clock.clone(), name);
-        let store: StoreHandle = Rc::new(RefCell::new(ObjectStore::format(dev, config)?));
-        let fs = SlsFs::format(store.clone(), SLSFS_NS);
-        let slsfs_mount = kernel.vfs.mount(SLSFS_MOUNT, Box::new(fs))?;
-        Ok(Host {
-            name: name.to_string(),
-            clock,
-            kernel,
-            sls: Sls {
-                primary: store,
-                slsfs_mount,
-                groups: BTreeMap::new(),
-                next_group: 1,
-                rolled_back: HashSet::new(),
-                pager_cache: std::collections::HashMap::new(),
-                flush_workers: DEFAULT_FLUSH_WORKERS,
-                restore_workers: DEFAULT_RESTORE_WORKERS,
-                mirror_width,
-                replicator: None,
-                fleet: fleet::FleetScheduler::new(),
-                stats: SlsStats::default(),
-            },
-        })
+        let store = ObjectStore::format(dev, config)?;
+        Host::assemble(name, Rc::new(RefCell::new(store)), Tuning::default())
     }
 
     /// Boots a host whose primary store sits on an N-way [`MirrorDev`]
     /// over `members` (each member gets its own retry layer inside the
-    /// mirror). `Sls::mirror_width` reports the replica count.
+    /// mirror). [`Sls::mirror_width`] reports the replica count.
     pub fn boot_mirrored(
         name: &str,
         members: Vec<Box<dyn BlockDev>>,
@@ -188,12 +178,52 @@ impl Host {
     /// Re-boots a host from an existing store (after a crash or from a
     /// CLI world file): recovers the store and remounts SLSFS.
     pub fn boot_existing(name: &str, dev: Box<dyn BlockDev>, config: StoreConfig) -> Result<Host> {
-        let clock = dev.clock().clone();
-        let mirror_width = dev.as_mirror().map(|m| m.width()).unwrap_or(1);
         let dev: Box<dyn BlockDev> = Box::new(ResilientDev::with_defaults(dev));
-        let mut kernel = Kernel::boot(clock.clone(), name);
-        let store: StoreHandle = Rc::new(RefCell::new(ObjectStore::open(dev, config)?));
+        let store = ObjectStore::open(dev, config)?;
+        Host::assemble(name, Rc::new(RefCell::new(store)), Tuning::default())
+    }
+
+    /// Simulates a whole-machine crash: the kernel (with every process)
+    /// is lost, the primary store recovers to its last durable
+    /// checkpoint. Group registrations survive in the checkpoint
+    /// metadata; the caller re-registers and restores.
+    pub fn crash_and_reboot(self) -> Result<Host> {
+        let Host { name, kernel, sls, .. } = self;
+        let Sls {
+            primary,
+            groups,
+            replicator,
+            flush_workers,
+            restore_workers,
+            fleet,
+            ..
+        } = sls;
+        // The kernel (VFS's SLSFS mount, restore pagers) and the groups'
+        // backends hold store handles; the crash destroys all of them.
+        // The replication session dies with the machine: its in-flight
+        // frames and standby store are only reachable through promote,
+        // which the operator drives from the surviving side.
+        drop((kernel, groups, replicator));
+        let store = Rc::try_unwrap(primary)
+            .map_err(|_| Error::internal("store handle still shared at crash"))?
+            .into_inner();
+        let tuning = Tuning {
+            flush_workers,
+            restore_workers,
+            // In-flight pipelined flushes died with the machine; the
+            // scheduler's tuning survives.
+            fleet: fleet.fresh_config(),
+        };
+        Host::assemble(&name, Rc::new(RefCell::new(store.recover()?)), tuning)
+    }
+
+    /// The one way a host comes up: a fresh kernel over `store`, SLSFS
+    /// loaded from the store's head (formatted when it has none) and
+    /// mounted at `/sls`, the durable group-id allocator, and `tuning`.
+    fn assemble(name: &str, store: StoreHandle, tuning: Tuning) -> Result<Host> {
+        let clock = store.borrow().device().clock().clone();
         let next_group = load_next_group(&store);
+        let mut kernel = Kernel::boot(clock.clone(), name);
         let fs = SlsFs::load(store.clone(), SLSFS_NS)
             .unwrap_or_else(|_| SlsFs::format(store.clone(), SLSFS_NS));
         let slsfs_mount = kernel.vfs.mount(SLSFS_MOUNT, Box::new(fs))?;
@@ -208,77 +238,10 @@ impl Host {
                 next_group,
                 rolled_back: HashSet::new(),
                 pager_cache: std::collections::HashMap::new(),
-                flush_workers: DEFAULT_FLUSH_WORKERS,
-                restore_workers: DEFAULT_RESTORE_WORKERS,
-                mirror_width,
+                flush_workers: tuning.flush_workers,
+                restore_workers: tuning.restore_workers,
                 replicator: None,
-                fleet: fleet::FleetScheduler::new(),
-                stats: SlsStats::default(),
-            },
-        })
-    }
-
-    /// Simulates a whole-machine crash: the kernel (with every process)
-    /// is lost, the primary store recovers to its last durable
-    /// checkpoint. Group registrations survive in the checkpoint
-    /// metadata; the caller re-registers and restores.
-    pub fn crash_and_reboot(self) -> Result<Host> {
-        let Host {
-            name,
-            clock,
-            sls,
-            kernel,
-        } = self;
-        // The kernel (VFS's SLSFS mount, restore pagers) and the groups'
-        // backends hold store handles; the crash destroys all of them.
-        drop(kernel);
-        let Sls {
-            primary,
-            groups,
-            slsfs_mount: _,
-            next_group: _,
-            rolled_back: _,
-            pager_cache: _,
-            flush_workers,
-            restore_workers,
-            mirror_width,
-            replicator,
-            fleet,
-            stats: _,
-        } = sls;
-        drop(groups);
-        // The replication session dies with the machine: its in-flight
-        // frames and standby store are only reachable through promote,
-        // which the operator drives from the surviving side.
-        drop(replicator);
-        let store = Rc::try_unwrap(primary)
-            .map_err(|_| Error::internal("store handle still shared at crash"))?
-            .into_inner();
-        let store = store.recover()?;
-        let store: StoreHandle = Rc::new(RefCell::new(store));
-        let next_group = load_next_group(&store);
-        let mut kernel = Kernel::boot(clock.clone(), &name);
-        let fs = SlsFs::load(store.clone(), SLSFS_NS)
-            .unwrap_or_else(|_| SlsFs::format(store.clone(), SLSFS_NS));
-        let slsfs_mount = kernel.vfs.mount(SLSFS_MOUNT, Box::new(fs))?;
-        Ok(Host {
-            name,
-            clock,
-            kernel,
-            sls: Sls {
-                primary: store,
-                slsfs_mount,
-                groups: BTreeMap::new(),
-                next_group,
-                rolled_back: HashSet::new(),
-                pager_cache: std::collections::HashMap::new(),
-                flush_workers,
-                restore_workers,
-                mirror_width,
-                replicator: None,
-                // In-flight pipelined flushes died with the machine;
-                // the scheduler's tuning survives.
-                fleet: fleet.fresh_config(),
+                fleet: tuning.fleet,
                 stats: SlsStats::default(),
             },
         })
@@ -361,7 +324,6 @@ impl Host {
         primary.store = store;
         primary.needs_full = true;
         primary.history.clear();
-        group.history.clear();
         Ok(())
     }
 
@@ -399,7 +361,7 @@ impl Host {
                 group: GroupId(g.id),
                 name: g.name.clone(),
                 members: self.group_members(GroupId(g.id)),
-                checkpoints: g.history.clone(),
+                checkpoints: g.history().to_vec(),
                 backends: g.backends.iter().map(|b| b.kind).collect(),
             })
             .collect()
@@ -540,6 +502,12 @@ pub struct PsEntry {
 }
 
 impl Sls {
+    /// Replica count of the primary store's mirror (1 = unmirrored),
+    /// read from its device.
+    pub fn mirror_width(&self) -> usize {
+        self.primary.borrow().device().as_mirror().map_or(1, |m| m.width())
+    }
+
     /// The current group-id allocator value (persisted with every
     /// checkpoint; see `checkpoint.rs`).
     pub(crate) fn next_group_value(&self) -> u32 {

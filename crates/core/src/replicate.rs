@@ -37,16 +37,15 @@ use std::sync::Arc;
 
 use aurora_hw::{BlockDev, LinkFaultRates, LinkModel, LinkStats, ModelDev, ReplLink, ResilientDev};
 use aurora_objstore::{CkptId, ObjectStore, StoreConfig};
-use aurora_posix::Kernel;
 use aurora_sim::codec::{Decoder, Encoder};
 use aurora_sim::error::{Error, Result};
 use aurora_sim::hash::fnv64;
 use aurora_sim::time::{SimDuration, SimTime};
 use aurora_sim::SimClock;
-use aurora_slsfs::{SlsFs, StoreHandle};
+use aurora_slsfs::StoreHandle;
 
 use crate::metrics::{CheckpointBreakdown, CheckpointOutcome};
-use crate::{load_next_group, Host, Sls, SlsStats, DEFAULT_FLUSH_WORKERS, DEFAULT_RESTORE_WORKERS, SLSFS_MOUNT, SLSFS_NS};
+use crate::Host;
 
 /// Replication frame magic ("SLSREPL1").
 pub const REPL_MAGIC: u64 = 0x534C_5352_4550_4C31;
@@ -382,12 +381,6 @@ impl Replicator {
     /// through this epoch, and the primary knows it.
     pub fn acked_epoch(&self) -> u64 {
         self.acked_epoch
-    }
-
-    /// Epoch the standby has actually applied (test observability; the
-    /// primary only ever sees `acked_epoch`).
-    pub fn standby_applied_epoch(&self) -> u64 {
-        self.standby.applied_epoch
     }
 
     /// Replication lag in epochs (shipped minus acked).
@@ -819,40 +812,7 @@ impl Host {
     /// path's final step (the standby store never went through a crash,
     /// so there is nothing to recover).
     pub fn boot_from_store(name: &str, store: StoreHandle) -> Result<Host> {
-        let clock = {
-            let st = store.borrow();
-            let c = st.device().clock().clone();
-            c
-        };
-        let mirror_width = {
-            let st = store.borrow();
-            let w = st.device().as_mirror().map(|m| m.width()).unwrap_or(1);
-            w
-        };
-        let mut kernel = Kernel::boot(clock.clone(), name);
-        let next_group = load_next_group(&store);
-        let fs = SlsFs::load(store.clone(), SLSFS_NS)
-            .unwrap_or_else(|_| SlsFs::format(store.clone(), SLSFS_NS));
-        let slsfs_mount = kernel.vfs.mount(SLSFS_MOUNT, Box::new(fs))?;
-        Ok(Host {
-            name: name.to_string(),
-            clock,
-            kernel,
-            sls: Sls {
-                primary: store,
-                slsfs_mount,
-                groups: BTreeMap::new(),
-                next_group,
-                rolled_back: std::collections::HashSet::new(),
-                pager_cache: std::collections::HashMap::new(),
-                flush_workers: DEFAULT_FLUSH_WORKERS,
-                restore_workers: DEFAULT_RESTORE_WORKERS,
-                mirror_width,
-                replicator: None,
-                fleet: crate::fleet::FleetScheduler::new(),
-                stats: SlsStats::default(),
-            },
-        })
+        Host::assemble(name, store, Default::default())
     }
 }
 

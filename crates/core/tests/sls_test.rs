@@ -869,7 +869,7 @@ fn periodic_checkpointing_at_100hz() {
         (8..=12).contains(&taken),
         "≈10 checkpoints in 100 ms, got {taken}"
     );
-    let history = host.sls.group_ref(gid).unwrap().history.len();
+    let history = host.sls.group_ref(gid).unwrap().history().len();
     assert!(history >= 8);
 }
 
@@ -903,7 +903,7 @@ fn history_window_gc_bounds_store_growth() {
             .unwrap();
         host.checkpoint(gid, round == 0, None).unwrap();
     }
-    assert_eq!(host.sls.group_ref(gid).unwrap().history.len(), 4);
+    assert_eq!(host.sls.group_ref(gid).unwrap().history().len(), 4);
     // The store's checkpoint table is bounded too (plus ntlog slack).
     assert!(host.sls.primary.borrow().checkpoints().len() <= 6);
     // The latest state is still fully restorable.

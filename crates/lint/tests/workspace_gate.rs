@@ -35,6 +35,15 @@ fn workspace_has_no_unsuppressed_violations() {
 /// it without review.
 const MAX_ALLOW_ENTRIES: usize = 3;
 
+/// The durable-write ratchet: every function named in `[commit-phase]
+/// allow_in` may write the device directly, so adding one is adding a
+/// durable path. Today's six are the two journal-phase writers
+/// (`seal_journal`, `flip_superblock`), mkfs `format`, the two
+/// data-extent stagers (`write_page_hashed`, `write_extent`) and the
+/// read-repair `heal_block`. Lower it when a path goes, never raise it
+/// without review.
+const MAX_COMMIT_PHASE_WRITERS: usize = 6;
+
 #[test]
 fn allowlist_never_grows() {
     let src = std::fs::read_to_string(workspace_root().join("lint-allow.toml"))
@@ -46,6 +55,14 @@ fn allowlist_never_grows() {
          fix the underlying site instead of suppressing it (or get review to \
          raise the ratchet alongside the new entry)",
         cfg.allows.len()
+    );
+    assert!(
+        cfg.commit_phase_allow.len() <= MAX_COMMIT_PHASE_WRITERS,
+        "[commit-phase] allow_in names {} functions, ratchet is \
+         {MAX_COMMIT_PHASE_WRITERS}: route the new write through an existing \
+         durable path (or get review to raise the ratchet): {:?}",
+        cfg.commit_phase_allow.len(),
+        cfg.commit_phase_allow
     );
     assert!(
         !cfg.commit_phase_crates.is_empty() && !cfg.commit_phase_allow.is_empty(),

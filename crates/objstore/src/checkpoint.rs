@@ -55,19 +55,6 @@ pub struct Checkpoint {
 }
 
 impl Checkpoint {
-    /// Serialized size estimate (drives journal space accounting).
-    pub fn encoded_len_estimate(&self) -> usize {
-        64 + self.new_objects.len() * 12
-            + self.deleted_objects.len() * 9
-            + self.pages.len() * 20
-            + self.deltas.len() * 24
-            + self
-                .blobs
-                .iter()
-                .map(|(k, v)| k.len() + v.len() + 12)
-                .sum::<usize>()
-    }
-
     /// Encodes the delta into `e` (the journal payload format).
     pub fn encode(&self, e: &mut Encoder) {
         e.u64(self.id.0);

@@ -666,12 +666,6 @@ impl ObjectStore {
         self.cache.borrow().read.evictions
     }
 
-    /// Drops the read cache alone — the cold-start state for a
-    /// measurement run. Contents and indices are untouched.
-    pub fn clear_read_cache(&mut self) {
-        self.cache.get_mut().read.clear();
-    }
-
     /// Drops every cached page body and the read cache, forcing
     /// subsequent reads back to the medium — the state after an image
     /// lands on a machine that has never run it. Only materialized

@@ -23,6 +23,7 @@ use crate::deltalog::{DeltaLog, DeltaRecord, Lsn};
 use crate::journal::{self, JournalRecord};
 use crate::layout::{Superblock, JOURNAL_START};
 use crate::read::ReadCache;
+use crate::txn::DirtyTxn;
 pub use crate::read::{runs, ReadOutcome, ReadPlan};
 use crate::{BlockPtr, ObjId};
 
@@ -549,15 +550,6 @@ impl ObjectStore {
         self.live.contains_key(&oid)
     }
 
-    /// Declared size (in pages) of a live object.
-    pub fn object_size(&self, oid: ObjId) -> Result<u64> {
-        Ok(self
-            .live
-            .get(&oid)
-            .ok_or_else(|| Error::not_found(format!("object {}", oid.0)))?
-            .size_pages)
-    }
-
     /// Live object ids (optionally filtered to a namespace via the
     /// caller). Used by the SLS to prune superseded incarnations.
     pub fn live_object_ids(&self) -> Vec<ObjId> {
@@ -989,14 +981,6 @@ impl ObjectStore {
         }
     }
 
-    /// True if the live state holds a page at `(oid, idx)` (no charge).
-    pub fn has_page(&self, oid: ObjId, idx: u64) -> bool {
-        self.pending_deltas.contains_key(&(oid, idx))
-            || self.live.get(&oid).is_some_and(|obj| {
-                obj.map.contains_key(&idx) || obj.deltas.contains_key(&idx)
-            })
-    }
-
     /// How checkpoint `ckpt` stores page `(oid, idx)` — a full image or
     /// a delta-chain head — with the content hash on record for a full
     /// image's block, if any. Reads nothing and charges nothing; `None`
@@ -1013,18 +997,6 @@ impl ObjectStore {
             PageRef::Delta(_) => None,
         };
         Some((r, hash))
-    }
-
-    /// The live page map of an object (restore / export walks).
-    pub fn object_map(&self, oid: ObjId) -> Result<Vec<(u64, BlockPtr)>> {
-        Ok(self
-            .live
-            .get(&oid)
-            .ok_or_else(|| Error::not_found(format!("object {}", oid.0)))?
-            .map
-            .iter()
-            .map(|(i, p)| (*i, *p))
-            .collect())
     }
 
     /// The effective page map of an object at a checkpoint, each page a
@@ -1124,7 +1096,7 @@ impl ObjectStore {
     /// witnesses the whole mutation, not just its tail.
     pub fn commit_txn(
         &mut self,
-        txn: crate::txn::DirtyTxn,
+        txn: DirtyTxn,
         name: Option<&str>,
     ) -> Result<(CkptId, SimTime)> {
         let id = CkptId(self.sb.next_ckpt);
@@ -1151,39 +1123,11 @@ impl ObjectStore {
             durable_at: SimTime::ZERO,
         };
 
-        let bytes = journal::encode_record(&JournalRecord::Commit(ck.clone(), new_records.clone()));
-        let journal_capacity = self.sb.journal_half_blocks() * BLOCK_SIZE as u64;
-        if self.sb.journal_used + bytes.len() as u64 > journal_capacity {
-            self.compact()?;
-            if self.sb.journal_used + bytes.len() as u64 > journal_capacity {
-                return Err(Error::no_space("journal cannot hold this checkpoint"));
-            }
-        }
-        let lba = self.sb.journal_base + self.sb.journal_used / BLOCK_SIZE as u64;
-        let sealed = self.seal_journal(txn, &[(lba, &bytes)])?;
-        let barrier = self.extent_barrier(sealed)?;
-        // The record is on the platter; account for it only now so a
-        // failed attempt rewrites the same journal offset on retry.
-        self.stats.bytes_journaled += bytes.len() as u64;
-        self.sb.journal_used += bytes.len() as u64;
-        self.sb.next_ckpt += 1;
-
-        let (_committed, durable) = match self.flip_superblock(barrier) {
-            Ok(done) => done,
-            Err(flip) => {
-                if !flip.submitted {
-                    // The record sits in the journal but no durable
-                    // superblock covers it; roll the in-memory geometry
-                    // back so a retried commit overwrites it.
-                    self.stats.bytes_journaled -= bytes.len() as u64;
-                    self.sb.journal_used -= bytes.len() as u64;
-                    self.sb.next_ckpt -= 1;
-                }
-                return Err(flip.error);
-            }
-        };
+        let record = JournalRecord::Commit(ck.clone(), new_records.clone());
+        let (durable, journaled) = self.commit_record(txn, &record)?;
 
         // Every write landed: consume the pending delta and publish.
+        self.stats.bytes_journaled += journaled;
         self.pending_new_objects.clear();
         self.pending_deleted.clear();
         self.pending_pages.clear();
@@ -1214,51 +1158,71 @@ impl ObjectStore {
         Ok((id, durable))
     }
 
-    /// Rewrites the checkpoint table as one snapshot record, resetting
-    /// the journal.
+    /// The one commit step every journal record takes: make room, seal
+    /// the record, run the extent barrier, flip the superblock. Returns
+    /// the durable instant and the record's encoded length.
     ///
-    /// Crash safety: the snapshot lands in the *idle* journal half and
-    /// only the subsequent superblock write switches halves. A power cut
-    /// at any point leaves a durable superblock pointing at an intact
-    /// journal — either the old records or the complete snapshot, never
-    /// a half-overwritten mix.
+    /// A `Commit` or `Delete` appends to the active journal half; when it
+    /// does not fit, the step first compacts, which takes this same step
+    /// with a `Snapshot`. A `Snapshot` lands in the *idle* half and only
+    /// the flip switches halves, so a power cut at any point leaves a
+    /// durable superblock over an intact journal — the old records or the
+    /// complete snapshot, never a half-overwritten mix.
+    ///
+    /// The flip restores the superblock when its write never reaches the
+    /// queue, so a failed step leaves the journal geometry as it was and
+    /// a retry rewrites the same offset. Callers change their in-memory
+    /// state only after `Ok`.
+    fn commit_record(&mut self, txn: DirtyTxn, record: &JournalRecord) -> Result<(SimTime, u64)> {
+        let bytes = journal::encode_record(record);
+        let len = bytes.len() as u64;
+        let capacity = self.sb.journal_half_blocks() * BLOCK_SIZE as u64;
+        let snapshot = matches!(record, JournalRecord::Snapshot(..));
+        let (base, used) = if snapshot {
+            // Snapshot + one guard block + room to grow.
+            if len + BLOCK_SIZE as u64 > capacity {
+                return Err(Error::no_space("journal too small for metadata snapshot"));
+            }
+            (self.sb.journal_other_half(), 0)
+        } else {
+            if self.sb.journal_used + len > capacity {
+                self.compact()?;
+                if self.sb.journal_used + len > capacity {
+                    return Err(Error::no_space("journal cannot hold this record"));
+                }
+            }
+            (self.sb.journal_base, self.sb.journal_used)
+        };
+        // A zero guard block after a snapshot stops recovery from
+        // replaying stale records that happen to align after it.
+        let guard = [0u8; BLOCK_SIZE];
+        let mut writes = vec![(base + used / BLOCK_SIZE as u64, bytes.as_slice())];
+        if snapshot {
+            writes.push((base + len / BLOCK_SIZE as u64, &guard));
+        }
+        let sealed = self.seal_journal(txn, &writes)?;
+        let barrier = self.extent_barrier(sealed)?;
+        let (_committed, durable) = self.flip_superblock(barrier, |sb| {
+            sb.journal_base = base;
+            sb.journal_used = used + len;
+            if let JournalRecord::Commit(ck, _) = record {
+                sb.next_ckpt = ck.id.0 + 1;
+            }
+        })?;
+        Ok((durable, len))
+    }
+
+    /// Rewrites the checkpoint table as one snapshot record in the idle
+    /// journal half, resetting the journal.
     fn compact(&mut self) -> Result<()> {
-        let txn = self.begin_txn();
         let list: Vec<Checkpoint> = self.ckpts.values().cloned().collect();
         // The snapshot carries every still-reachable delta record: "the
         // log is the checkpoint", so compaction must not orphan chains
         // that committed checkpoints still replay through.
         let records: Vec<(Lsn, DeltaRecord)> =
             self.delta.iter().map(|(l, r)| (l, r.clone())).collect();
-        let bytes = journal::encode_record(&JournalRecord::Snapshot(list, records));
-        let capacity = self.sb.journal_half_blocks() * BLOCK_SIZE as u64;
-        // Snapshot + one guard block + room to grow.
-        if bytes.len() as u64 + BLOCK_SIZE as u64 > capacity {
-            return Err(Error::no_space("journal too small for metadata snapshot"));
-        }
-        let base = self.sb.journal_other_half();
-        // A zero guard block stops recovery from replaying stale records
-        // that happen to align after the snapshot.
-        let guard_lba = base + (bytes.len() / BLOCK_SIZE) as u64;
-        let guard = vec![0u8; BLOCK_SIZE];
-        let sealed = self.seal_journal(txn, &[(base, &bytes), (guard_lba, &guard)])?;
-        let barrier = self.extent_barrier(sealed)?;
-        let (old_base, old_used) = (self.sb.journal_base, self.sb.journal_used);
-        self.sb.journal_base = base;
-        self.sb.journal_used = bytes.len() as u64;
-        let (_committed, done) = match self.flip_superblock(barrier) {
-            Ok(done) => done,
-            Err(flip) => {
-                if !flip.submitted {
-                    // The snapshot sits in the idle half but no durable
-                    // superblock points at it; keep describing the old
-                    // half so a retry rewrites the snapshot.
-                    self.sb.journal_base = old_base;
-                    self.sb.journal_used = old_used;
-                }
-                return Err(flip.error);
-            }
-        };
+        let txn = self.begin_txn();
+        let (done, _) = self.commit_record(txn, &JournalRecord::Snapshot(list, records))?;
         self.dev.get_mut().clock().advance_to(done);
         self.stats.compactions += 1;
         Ok(())
@@ -1266,17 +1230,31 @@ impl ObjectStore {
 
     /// Garbage-collects a checkpoint in place: still-needed pointers move
     /// to its sole child (metadata only), the rest are released.
+    ///
+    /// The `Delete` record is durable before anything in memory changes:
+    /// a failed write leaves the checkpoint, its blocks and the delta log
+    /// exactly as they were.
     pub fn delete_checkpoint(&mut self, id: CkptId) -> Result<()> {
         if self.head == Some(id) {
             return Err(Error::invalid("cannot GC the head checkpoint"));
         }
+        self.checkpoint(id)?;
+        let children = self.ckpts.values().filter(|c| c.parent == Some(id)).count();
+        if children > 1 {
+            return Err(Error::invalid(format!(
+                "checkpoint {} has {children} children; GC requires a linear chain",
+                id.0
+            )));
+        }
+        let txn = self.begin_txn();
+        let (done, _) = self.commit_record(txn, &JournalRecord::Delete(id))?;
+        self.dev.get_mut().clock().advance_to(done);
         let dropped = journal::apply_delete(&mut self.ckpts, id)?;
         for ptr in dropped {
             self.release_block(ptr);
         }
         // The merge may have dropped delta heads; chain segments no
-        // surviving head reaches are dead. Prune before any compaction
-        // below snapshots the log.
+        // surviving head reaches are dead.
         let mut heads: Vec<Lsn> = self
             .ckpts
             .values()
@@ -1288,29 +1266,6 @@ impl ObjectStore {
         heads.extend(self.live.values().flat_map(|o| o.deltas.values().copied()));
         heads.extend(self.pending_deltas.values().filter_map(|r| r.prev));
         self.delta.prune(heads);
-        let bytes = journal::encode_record(&JournalRecord::Delete(id));
-        let capacity = self.sb.journal_half_blocks() * BLOCK_SIZE as u64;
-        if self.sb.journal_used + bytes.len() as u64 > capacity {
-            self.compact()?;
-            // The compacted snapshot already reflects the deletion.
-            self.stats.gc_runs += 1;
-            return Ok(());
-        }
-        let txn = self.begin_txn();
-        let lba = self.sb.journal_base + self.sb.journal_used / BLOCK_SIZE as u64;
-        let sealed = self.seal_journal(txn, &[(lba, &bytes)])?;
-        let barrier = self.extent_barrier(sealed)?;
-        self.sb.journal_used += bytes.len() as u64;
-        let (_committed, done) = match self.flip_superblock(barrier) {
-            Ok(done) => done,
-            Err(flip) => {
-                if !flip.submitted {
-                    self.sb.journal_used -= bytes.len() as u64;
-                }
-                return Err(flip.error);
-            }
-        };
-        self.dev.get_mut().clock().advance_to(done);
         self.stats.gc_runs += 1;
         Ok(())
     }

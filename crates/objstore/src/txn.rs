@@ -29,6 +29,15 @@
 //! * [`Committed`] — the alternating superblock carrying the new epoch
 //!   is durable; recovery now replays the new record.
 //!
+//! Every journal record — a checkpoint `Commit`, a GC `Delete`, a
+//! compaction `Snapshot` — takes this sequence through one private
+//! commit step in `store.rs`. The flip receives the new journal geometry
+//! from that step as a closure and owns the rollback: a superblock write
+//! that never reaches the queue restores the previous superblock, so a
+//! retry rewrites the same journal offset. Callers change their
+//! in-memory state (checkpoint table, refcounts, delta log) only after
+//! the step returns `Ok`.
+//!
 //! Each token is consumed **by value** by the next transition, so a
 //! token can be used at most once, and only the transition that does the
 //! corresponding device I/O can mint the next one. The `commit_phase`
@@ -55,40 +64,40 @@
 //! Skipping the flush barrier is a type error — `flip_superblock` wants
 //! [`ExtentsDurable`], not [`JournalSealed`]:
 //!
-//! ```compile_fail
+//! ```compile_fail,E0308
 //! use aurora_objstore::{txn::JournalSealed, ObjectStore};
 //!
 //! fn skip_barrier(s: &mut ObjectStore, sealed: JournalSealed) {
-//!     let _ = s.flip_superblock(sealed); // expected `ExtentsDurable`
+//!     let _ = s.flip_superblock(sealed, |_| {}); // expected `ExtentsDurable`
 //! }
 //! ```
 //!
 //! Reordering — flipping the superblock straight from a dirty
 //! transaction — is equally rejected:
 //!
-//! ```compile_fail
+//! ```compile_fail,E0308
 //! use aurora_objstore::ObjectStore;
 //!
 //! fn flip_first(s: &mut ObjectStore) {
 //!     let txn = s.begin_txn();
-//!     let _ = s.flip_superblock(txn); // expected `ExtentsDurable`, found `DirtyTxn`
+//!     let _ = s.flip_superblock(txn, |_| {}); // expected `ExtentsDurable`, found `DirtyTxn`
 //! }
 //! ```
 //!
 //! Tokens cannot be forged outside this module (private field):
 //!
-//! ```compile_fail
+//! ```compile_fail,E0451
 //! let fake = aurora_objstore::txn::ExtentsDurable { _sealed: () };
 //! ```
 //!
 //! And a consumed token cannot be replayed (moved value):
 //!
-//! ```compile_fail
+//! ```compile_fail,E0382
 //! use aurora_objstore::{txn::ExtentsDurable, ObjectStore};
 //!
 //! fn double_flip(s: &mut ObjectStore, tok: ExtentsDurable) {
-//!     let _ = s.flip_superblock(tok);
-//!     let _ = s.flip_superblock(tok); // use of moved value
+//!     let _ = s.flip_superblock(tok, |_| {});
+//!     let _ = s.flip_superblock(tok, |_| {}); // use of moved value
 //! }
 //! ```
 
@@ -96,7 +105,7 @@ use aurora_hw::BLOCK_SIZE;
 use aurora_sim::error::{Error, Result};
 use aurora_sim::time::SimTime;
 
-use crate::layout::JOURNAL_START;
+use crate::layout::{Superblock, JOURNAL_START};
 use crate::store::ObjectStore;
 
 /// Phase 0: staged mutations, nothing journaled. See the module docs.
@@ -126,22 +135,6 @@ pub struct ExtentsDurable {
 #[derive(Debug)]
 pub struct Committed {
     _sealed: (),
-}
-
-/// A superblock flip that did not complete.
-///
-/// `submitted` distinguishes the two failure points: `false` means the
-/// superblock write never reached the device queue (the epoch was rolled
-/// back; the caller should roll back its own geometry so a retry rewrites
-/// the same journal offset), `true` means the write was queued but the
-/// final flush failed — indistinguishable from a crash, so nothing is
-/// unwound and recovery decides.
-#[derive(Debug)]
-pub struct FlipAbort {
-    /// The underlying device error.
-    pub error: Error,
-    /// Whether the superblock write was accepted before the failure.
-    pub submitted: bool,
 }
 
 impl ObjectStore {
@@ -189,42 +182,36 @@ impl ObjectStore {
         Ok(ExtentsDurable { _sealed: () })
     }
 
-    /// Phase transition `ExtentsDurable → Committed`: bumps the epoch,
+    /// Phase transition `ExtentsDurable → Committed`: applies `next` (the
+    /// caller's new journal geometry) to the superblock, bumps the epoch,
     /// writes the alternating superblock slot and flushes. Returns the
     /// virtual instant at which the transaction is power-loss-safe (the
     /// caller's clock is not advanced).
     ///
     /// Consumes the barrier evidence **by value** — there is no way to
     /// flip the superblock twice from one barrier, or without one.
+    ///
+    /// The flip owns its rollback. A superblock write that never reaches
+    /// the queue restores the previous superblock, so a retry rewrites
+    /// the same journal offset under the same epoch. A flush that fails
+    /// after the write was queued keeps the new superblock: it may or may
+    /// not be on the platter, which is a crash, and recovery decides.
     pub fn flip_superblock(
         &mut self,
         tok: ExtentsDurable,
-    ) -> std::result::Result<(Committed, SimTime), FlipAbort> {
+        next: impl FnOnce(&mut Superblock),
+    ) -> Result<(Committed, SimTime)> {
         let ExtentsDurable { _sealed: () } = tok;
+        let prev = self.sb.clone();
+        next(&mut self.sb);
         self.sb.epoch += 1;
         let slot = self.sb.epoch % 2;
-        let block = self.sb.to_block();
-        if let Err(error) = self.dev.get_mut().submit_write(slot, &block) {
-            // The flip never reached the queue: no durable superblock
-            // covers the sealed record. Roll the epoch back so a retried
-            // transaction reuses it; the caller unwinds its geometry.
-            self.sb.epoch -= 1;
-            return Err(FlipAbort {
-                error,
-                submitted: false,
-            });
+        if let Err(e) = self.dev.get_mut().submit_write(slot, &self.sb.to_block()) {
+            self.sb = prev;
+            return Err(e);
         }
-        match self.dev.get_mut().flush() {
-            Ok(durable) => {
-                self.stats.superblock_flips += 1;
-                Ok((Committed { _sealed: () }, durable))
-            }
-            // Queued but not durably flushed — a crash-equivalent state;
-            // recovery picks whichever superblock made it.
-            Err(error) => Err(FlipAbort {
-                error,
-                submitted: true,
-            }),
-        }
+        let durable = self.dev.get_mut().flush()?;
+        self.stats.superblock_flips += 1;
+        Ok((Committed { _sealed: () }, durable))
     }
 }

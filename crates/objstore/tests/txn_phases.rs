@@ -1,7 +1,7 @@
 //! Phase-boundary crash tests for the typestate commit protocol
 //! (`objstore::txn`): every write ordinal inside a commit must be a
-//! valid power-cut point, the superblock flip must be retryable after a
-//! transient failure without double-journaling, and the per-phase
+//! valid power-cut point, a transient failure on the superblock flip of
+//! any journal record must change nothing, and the per-phase
 //! counters must tick exactly once per commit. The *compile-time* half
 //! of the protocol — skipped or reordered tokens failing to typecheck —
 //! lives in the `compile_fail` doctests on `objstore::txn` and
@@ -12,6 +12,7 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use aurora_hw::{FaultPlan, ModelDev};
+use aurora_objstore::layout::Superblock;
 use aurora_objstore::{ObjId, ObjectStore, StoreConfig};
 use aurora_sim::SimClock;
 use aurora_vm::PageData;
@@ -127,36 +128,157 @@ fn cut_on_superblock_flip_then_redo() {
     assert!(s.fsck().is_empty(), "{:?}", s.fsck());
 }
 
-/// A *transient* failure on the flip write aborts with
-/// `FlipAbort { submitted: false }`: the commit must roll its journal
-/// geometry back so an immediate retry — no recovery, same store —
-/// rewrites the same journal offset. Proven by comparing
-/// `bytes_journaled` against a fault-free twin running the identical
-/// sequence: a retry that double-journaled would diverge.
+/// The record kinds that go through the commit step, each set up so
+/// that one call writes it.
+#[derive(Debug, Clone, Copy)]
+enum Record {
+    /// A checkpoint `Commit` of a staged overwrite.
+    Commit,
+    /// A GC `Delete` of the head's parent.
+    GcDelete,
+    /// A `Commit` that does not fit in the active journal half, so the
+    /// step first writes a compaction `Snapshot`. The fault lands on the
+    /// snapshot's flip.
+    CompactingCommit,
+}
+
+impl Record {
+    /// A store ready for the record: one or more durable checkpoints
+    /// and, for the commits, a staged overwrite.
+    fn store(self, materialize_data: bool) -> ObjectStore {
+        let clock = SimClock::new();
+        let dev = Box::new(ModelDev::nvme(clock, "nvme0", DEV_BLOCKS));
+        let journal_blocks = match self {
+            // Two halves of four blocks: four one-block commits fill one.
+            Record::CompactingCommit => 8,
+            _ => 1024,
+        };
+        let mut s = ObjectStore::format(
+            dev,
+            StoreConfig {
+                journal_blocks,
+                materialize_data,
+                ..StoreConfig::default()
+            },
+        )
+        .unwrap();
+        s.create_object(ObjId(1), 4).unwrap();
+        let commits = match self {
+            Record::Commit => 1,
+            Record::GcDelete => 2,
+            Record::CompactingCommit => 4,
+        };
+        for fill in 1..=commits {
+            s.write_page(ObjId(1), 0, &page(fill)).unwrap();
+            s.commit(None).unwrap();
+        }
+        if !matches!(self, Record::GcDelete) {
+            s.write_page(ObjId(1), 0, &page(commits + 1)).unwrap();
+        }
+        s
+    }
+
+    /// Writes the record.
+    fn write(self, s: &mut ObjectStore) -> aurora_sim::error::Result<()> {
+        match self {
+            Record::Commit | Record::CompactingCommit => s.commit(None).map(|_| ()),
+            Record::GcDelete => {
+                let head = s.head().unwrap();
+                let parent = s.checkpoint(head).unwrap().parent.unwrap();
+                s.delete_checkpoint(parent)
+            }
+        }
+    }
+
+    /// The ordinal of the record's superblock write among the call's
+    /// device writes, counted on a fault-free run.
+    fn flip_ordinal(self, materialize_data: bool) -> u64 {
+        let mut s = self.store(materialize_data);
+        let (writes, compactions) = (s.device().stats().writes, s.stats.compactions);
+        self.write(&mut s).unwrap();
+        let w = s.device().stats().writes - writes;
+        match self {
+            Record::Commit | Record::GcDelete => w,
+            Record::CompactingCommit => {
+                assert_eq!(s.stats.compactions, compactions + 1, "the commit compacts");
+                // The commit's own seal and flip follow the snapshot's.
+                w - 2
+            }
+        }
+    }
+}
+
+/// The checkpoint table, without the in-memory durable instants.
+fn table(s: &ObjectStore) -> Vec<String> {
+    s.checkpoints()
+        .into_iter()
+        .map(|c| {
+            let mut c = c.clone();
+            c.durable_at = aurora_sim::time::SimTime::ZERO;
+            format!("{c:?}")
+        })
+        .collect()
+}
+
+/// The newest valid superblock on the medium.
+fn durable_superblock(s: &mut ObjectStore) -> Superblock {
+    let mut block = vec![0u8; aurora_hw::BLOCK_SIZE];
+    (0..2)
+        .filter_map(|slot| {
+            s.device_mut().read(slot, &mut block).unwrap();
+            Superblock::from_block(&block).ok()
+        })
+        .max_by_key(|sb| sb.epoch)
+        .unwrap()
+}
+
+/// Stages one more page and commits it.
+fn commit_once_more(s: &mut ObjectStore) {
+    s.write_page(ObjId(1), 1, &page(0xEE)).unwrap();
+    s.commit(Some("after")).unwrap();
+}
+
+/// A *transient* failure on the superblock write of any journal record
+/// — a checkpoint commit, a GC delete, a compaction snapshot — changes
+/// nothing: the flip restores the superblock and the caller touches
+/// memory only after the step succeeds. The in-memory table is the one
+/// before the call, and the next commit rewrites the same journal
+/// offset under the same epoch as a twin that never made the call.
+/// Recovery then lands on the in-memory table with a clean fsck and
+/// scrub, on timing-only and materialized stores alike.
 #[test]
 fn transient_flip_failure_retries_at_same_journal_offset() {
-    let w = commit_write_count();
+    for record in [Record::Commit, Record::GcDelete, Record::CompactingCommit] {
+        for materialize in [false, true] {
+            let case = format!("{record:?}, materialize_data {materialize}");
+            let flip = record.flip_ordinal(materialize);
 
-    let (mut faulty, c1) = staged_store();
-    faulty.device_mut().install_fault_plan(FaultPlan::transient(w, 1));
-    faulty.commit(Some("second")).expect_err("transient fault on the flip write");
-    assert_eq!(faulty.head(), Some(c1), "failed flip publishes nothing");
+            let mut faulty = record.store(materialize);
+            let before = table(&faulty);
+            faulty.device_mut().install_fault_plan(FaultPlan::transient(flip, 1));
+            record
+                .write(&mut faulty)
+                .expect_err("transient fault on the flip write");
+            faulty.device_mut().install_fault_plan(FaultPlan::default());
+            assert_eq!(table(&faulty), before, "{case}: a failed flip changes no table");
+            commit_once_more(&mut faulty);
 
-    // Retry on the same live store: the staged delta survived the abort.
-    let (c2, _) = faulty.commit(Some("second")).unwrap();
-    assert_eq!(faulty.head(), Some(c2));
+            let mut twin = record.store(materialize);
+            commit_once_more(&mut twin);
+            assert_eq!(table(&faulty), table(&twin), "{case}: same table as the twin");
+            assert_eq!(
+                durable_superblock(&mut faulty),
+                durable_superblock(&mut twin),
+                "{case}: the retry rewrote the same journal offset under the same epoch"
+            );
 
-    let (mut clean, _) = staged_store();
-    clean.commit(Some("second")).unwrap();
-    assert_eq!(
-        faulty.stats.bytes_journaled, clean.stats.bytes_journaled,
-        "retry rewrote the same journal offset instead of appending twice"
-    );
-
-    // And the retried commit is genuinely durable.
-    let s = faulty.recover().unwrap();
-    assert_eq!(s.head(), Some(c2));
-    assert!(s.read_page(ObjId(1), 0).unwrap().unwrap().content_eq(&page(2)));
+            let live = table(&faulty);
+            let s = faulty.recover().unwrap();
+            assert_eq!(table(&s), live, "{case}: recovery lands on the in-memory table");
+            assert!(s.fsck().is_empty(), "{case}: {:?}", s.fsck());
+            assert!(s.scrub().is_empty(), "{case}: {:?}", s.scrub());
+        }
+    }
 }
 
 /// Each successful commit passes through every phase exactly once.
