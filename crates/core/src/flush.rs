@@ -14,7 +14,7 @@
 //!    hashing a delta-only page buys nothing), sharded over a scoped
 //!    thread pool by [`hash_plan`]; then every backend stages the
 //!    batch's deltas straight from the plan and feeds its images to the
-//!    object store's sharded dedup index (`write_pages_coalesced`).
+//!    object store's dedup index (`write_pages_coalesced`).
 //!    The device drains batch *k* while batch *k+1* is hashed. The
 //!    hashes are computed once and shared by every backend.
 //! 4. **Commit** — one seal → barrier → flip per backend after the last

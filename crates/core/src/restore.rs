@@ -658,9 +658,9 @@ impl Host {
         // Pass 3: stream the plan, batch by batch. The device read
         // advances the clock; the hash of what it fetched runs beside
         // the next batch's read, on a horizon of its own. The hashes
-        // feed the store's content index (warm twin blocks), and every
-        // fetched block was compared with its recorded hash by the read
-        // itself before it entered the read cache.
+        // are recorded for fetched blocks that had none on record, and
+        // every fetched block was compared with its recorded hash by the
+        // read itself before it entered the read cache.
         let hash_cost = |pages: u64| cost::hash_stage(pages, workers as u64);
         let mut pages: HashMap<u64, PageData> = HashMap::with_capacity(plan.blocks.len());
         let mut pages_hashed = 0u64;

@@ -396,26 +396,3 @@ fn batched_restore_reports_extents_and_shares_frames() {
     assert_eq!(second.extents_read, 0, "sibling restore must not touch the device");
     assert_eq!(second.cache_misses, 0);
 }
-
-/// The read-cache capacity knob is part of the store's runtime config:
-/// a capacity set before a crash governs the rebooted store too, and
-/// residency stays bounded by it across warm restores.
-#[test]
-fn read_cache_capacity_knob_survives_reboot() {
-    let clock = SimClock::new();
-    let dev = Box::new(ModelDev::nvme(clock, "nvme0", DEV_BLOCKS));
-    let host = Host::boot(
-        "knob",
-        dev,
-        StoreConfig {
-            journal_blocks: 2048,
-            ..StoreConfig::default()
-        },
-    )
-    .unwrap();
-    host.sls.primary.borrow_mut().set_read_cache_capacity(17);
-    let host = host.crash_and_reboot().unwrap();
-    let store = host.sls.primary.borrow();
-    assert_eq!(store.read_cache_capacity(), 17);
-    assert!(store.read_cache_len() <= 17);
-}

@@ -175,11 +175,6 @@ impl MirrorDev {
         self.replicas.get(i).map(|r| r.info().name.clone())
     }
 
-    /// Retry counters of replica `i`.
-    pub fn replica_retry_stats(&self, i: usize) -> Option<RetryStats> {
-        self.replicas.get(i).map(|r| r.retry_stats())
-    }
-
     /// Self-healing counters.
     pub fn mirror_stats(&self) -> MirrorStats {
         self.mstats

@@ -123,14 +123,6 @@ impl LinkFaultRates {
             partition_msgs: 8,
         }
     }
-
-    /// True when every rate is zero.
-    pub fn is_clean(&self) -> bool {
-        self.drop_ppm == 0
-            && self.dup_ppm == 0
-            && self.reorder_ppm == 0
-            && self.partition_ppm == 0
-    }
 }
 
 /// What a [`ReplLink`] did to the messages offered to it.
@@ -291,11 +283,6 @@ impl<D: BlockDev> RemoteDev<D> {
     /// Access to the inner device.
     pub fn inner(&self) -> &D {
         &self.inner
-    }
-
-    /// Mutable access to the inner device (fault injection in tests).
-    pub fn inner_mut(&mut self) -> &mut D {
-        &mut self.inner
     }
 }
 

@@ -205,11 +205,6 @@ impl ResilientDev {
         self.inner.as_ref()
     }
 
-    /// The wrapped device, mutably.
-    pub fn inner_mut(&mut self) -> &mut dyn BlockDev {
-        self.inner.as_mut()
-    }
-
     fn note_success(&mut self, retries_used: u32) {
         if retries_used > 0 {
             self.retry_stats.transient_absorbed += u64::from(retries_used);

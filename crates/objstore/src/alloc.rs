@@ -1,8 +1,8 @@
 //! The data-region block allocator.
 //!
 //! Blocks are reference counted: a block's count is the number of
-//! pointers at it from the live object maps plus one per checkpoint delta
-//! that references it (dedup adds more). A block returns to the free set
+//! checkpoint page entries plus staged (uncommitted) page entries that
+//! point at it (dedup adds more). A block returns to the free set
 //! at zero — this is the "lower overhead COW layout" that lets old
 //! checkpoints be garbage collected in place.
 //!

@@ -49,7 +49,7 @@ pub use checkpoint::{Checkpoint, CkptId, PageRef};
 pub use deltalog::{DeltaLog, DeltaRecord, Lsn};
 pub use store::{
     ObjectStore, PageWrite, ReadOutcome, ReadPlan, ResilverReport, StoreConfig, StoreStats,
-    DEDUP_SHARDS, DEFAULT_READ_CACHE_PAGES, EXTENT_BLOCKS,
+    EXTENT_BLOCKS, READ_CACHE_PAGES,
 };
 
 /// Identifier of a stored object.

@@ -64,32 +64,24 @@ pub fn runs(blocks: &[u64], cap: usize) -> Vec<(usize, usize)> {
     out
 }
 
-/// The bounded LRU read cache with a content-hash index.
+/// The bounded LRU read cache.
 ///
 /// This models the DRAM the paged-in working set occupies: a probe for a
-/// recently read block — or, through the content index, for a block whose
-/// *bytes* are already resident under a different block id — is an index
-/// lookup plus a frame adoption, not a device access. Page contents stay
-/// in the unbounded authoritative table ([`PageCache::data`]); the bound
-/// governs what the cost model treats as resident, never what the
-/// simulation can recall.
+/// recently read block is an index lookup plus a frame adoption, not a
+/// device access. Page contents stay in the unbounded authoritative
+/// table ([`PageCache::data`]); the bound governs what the cost model
+/// treats as resident, never what the simulation can recall.
 ///
 /// Eviction order is a deterministic LRU: a monotonic stamp counter
 /// replaces wall-clock recency, so runs are reproducible byte-for-byte.
 pub(crate) struct ReadCache {
-    /// Capacity in pages; 0 disables the cache.
+    /// Capacity in pages.
     capacity: usize,
     /// block -> LRU stamp (higher = touched more recently).
     stamps: HashMap<u64, u64>,
     /// stamp -> block: oldest-first iteration drives eviction.
     by_stamp: BTreeMap<u64, u64>,
-    /// block -> content hash of the resident bytes.
-    hashes: HashMap<u64, u64>,
-    /// content hash -> resident blocks holding those bytes.
-    by_hash: HashMap<u64, Vec<u64>>,
     next_stamp: u64,
-    /// Lifetime evictions (capacity pressure, not explicit removal).
-    evictions: u64,
 }
 
 impl ReadCache {
@@ -98,10 +90,7 @@ impl ReadCache {
             capacity,
             stamps: HashMap::new(),
             by_stamp: BTreeMap::new(),
-            hashes: HashMap::new(),
-            by_hash: HashMap::new(),
             next_stamp: 0,
-            evictions: 0,
         }
     }
 
@@ -125,12 +114,9 @@ impl ReadCache {
         }
     }
 
-    /// Admits `block` (with its content hash when known), evicting the
-    /// least recently used entries past capacity.
-    fn admit(&mut self, block: u64, hash: Option<u64>) {
-        if self.capacity == 0 {
-            return;
-        }
+    /// Admits `block`, evicting the least recently used entries past
+    /// capacity.
+    fn admit(&mut self, block: u64) {
         if self.stamps.contains_key(&block) {
             self.touch(block);
         } else {
@@ -138,40 +124,7 @@ impl ReadCache {
             self.stamps.insert(block, self.next_stamp);
             self.by_stamp.insert(self.next_stamp, block);
         }
-        if let Some(h) = hash {
-            self.set_hash(block, h);
-        }
         self.evict_overflow();
-    }
-
-    /// Records or updates the content hash of a resident block.
-    fn set_hash(&mut self, block: u64, h: u64) {
-        if !self.stamps.contains_key(&block) {
-            return;
-        }
-        if self.hashes.get(&block) == Some(&h) {
-            return;
-        }
-        self.drop_hash(block);
-        self.hashes.insert(block, h);
-        self.by_hash.entry(h).or_default().push(block);
-    }
-
-    /// A resident block holding bytes with content hash `h`, if any.
-    fn resident_with_hash(&self, h: u64) -> Option<u64> {
-        self.by_hash.get(&h).and_then(|l| l.first()).copied()
-    }
-
-    /// Unlinks a block from the content index.
-    fn drop_hash(&mut self, block: u64) {
-        if let Some(h) = self.hashes.remove(&block) {
-            if let Some(list) = self.by_hash.get_mut(&h) {
-                list.retain(|&b| b != block);
-                if list.is_empty() {
-                    self.by_hash.remove(&h);
-                }
-            }
-        }
     }
 
     /// Removes a block entirely (freed block, stale entry).
@@ -179,7 +132,6 @@ impl ReadCache {
         if let Some(stamp) = self.stamps.remove(&block) {
             self.by_stamp.remove(&stamp);
         }
-        self.drop_hash(block);
     }
 
     fn evict_overflow(&mut self) {
@@ -189,26 +141,13 @@ impl ReadCache {
             };
             self.by_stamp.remove(&stamp);
             self.stamps.remove(&block);
-            self.drop_hash(block);
-            self.evictions += 1;
         }
     }
 
-    /// Drops every entry; the eviction counter is cumulative and stays.
+    /// Drops every entry.
     fn clear(&mut self) {
         self.stamps.clear();
         self.by_stamp.clear();
-        self.hashes.clear();
-        self.by_hash.clear();
-    }
-
-    fn set_capacity(&mut self, capacity: usize) {
-        self.capacity = capacity;
-        if capacity == 0 {
-            self.clear();
-        } else {
-            self.evict_overflow();
-        }
     }
 
     fn len(&self) -> usize {
@@ -216,48 +155,20 @@ impl ReadCache {
     }
 }
 
-/// One probe against the read cache, resolved under a single borrow.
-enum ReadProbe {
-    /// The block itself is resident; its contents ride along.
-    Hit(PageData),
-    /// A different resident block holds identical bytes.
-    ContentHit(PageData),
-    /// Device read required.
-    Miss,
-}
-
 impl PageCache {
-    /// Probes the read cache for `block`: identity hit, content hit, or
-    /// miss. Hits hand back the resident bytes; a content hit also
-    /// adopts them under the probed block id so later probes hit
-    /// directly.
-    fn probe_read(&mut self, block: u64) -> ReadProbe {
-        if self.read.probe(block) {
-            if let Some(page) = self.data.get(&block).cloned() {
-                return ReadProbe::Hit(page);
-            }
+    /// Probes the read cache for `block`: a hit hands back the resident
+    /// bytes.
+    fn probe_read(&mut self, block: u64) -> Option<PageData> {
+        if !self.read.probe(block) {
+            return None;
+        }
+        let page = self.data.get(&block).cloned();
+        if page.is_none() {
             // Contents vanished without eviction bookkeeping (e.g. a
             // rollback rebuilt the table): drop the stale entry.
             self.read.forget(block);
         }
-        if let Some(&h) = self.block_hash.get(&block) {
-            if let Some(twin) = self.read.resident_with_hash(h) {
-                if let Some(page) = self.data.get(&twin).cloned() {
-                    // Guard against hash collisions when the probed
-                    // block's own bytes are recallable.
-                    let collision = self
-                        .data
-                        .get(&block)
-                        .is_some_and(|own| !own.content_eq(&page));
-                    if !collision {
-                        self.data.insert(block, page.clone());
-                        self.read.admit(block, Some(h));
-                        return ReadProbe::ContentHit(page);
-                    }
-                }
-            }
-        }
-        ReadProbe::Miss
+        page
     }
 }
 
@@ -321,12 +232,10 @@ pub struct ReadOutcome {
     /// already computed it to check the bytes against the recorded one
     /// (materialized stores), `None` where the hash pass still has to.
     pub fetched_hashes: Vec<Option<u64>>,
-    /// Probes served by the bounded read cache (identity or content).
+    /// Probes served by the bounded read cache.
     pub cache_hits: u64,
     /// Probes that charged device time.
     pub cache_misses: u64,
-    /// The subset of hits served through the content index.
-    pub content_hits: u64,
     /// Vectored extent reads issued.
     pub extents_read: u64,
 }
@@ -424,8 +333,7 @@ impl ObjectStore {
             let mut cache = self.cache.borrow_mut();
             let page = cache.data.get(&ptr.0).cloned();
             if page.is_some() {
-                let hash = cache.block_hash.get(&ptr.0).copied();
-                cache.read.admit(ptr.0, hash);
+                cache.read.admit(ptr.0);
             }
             page
         };
@@ -449,18 +357,16 @@ impl ObjectStore {
             )));
         };
         let mut cache = self.cache.borrow_mut();
-        let hash = match recorded {
-            Some(h) => {
+        match recorded {
+            Some(_) => {
                 cache.data.insert(ptr.0, page.clone());
-                Some(h)
             }
             None => {
                 let h = self.config.dedup.then(|| page.content_hash());
                 cache.install(ptr, &page, h);
-                h
             }
-        };
-        cache.read.admit(ptr.0, hash);
+        }
+        cache.read.admit(ptr.0);
         Ok(page)
     }
 
@@ -539,7 +445,6 @@ impl ObjectStore {
         }
         self.stats.read_cache_hits += out.cache_hits;
         self.stats.read_cache_misses += out.cache_misses;
-        self.stats.read_cache_content_hits += out.content_hits;
         Ok(out)
     }
 
@@ -555,16 +460,11 @@ impl ObjectStore {
             let mut cache = self.cache.borrow_mut();
             for &b in run {
                 match cache.probe_read(b) {
-                    ReadProbe::Hit(page) => {
+                    Some(page) => {
                         out.cache_hits += 1;
                         out.pages.insert(b, page);
                     }
-                    ReadProbe::ContentHit(page) => {
-                        out.cache_hits += 1;
-                        out.content_hits += 1;
-                        out.pages.insert(b, page);
-                    }
-                    ReadProbe::Miss => {
+                    None => {
                         out.cache_misses += 1;
                         missed = true;
                     }
@@ -600,7 +500,7 @@ impl ObjectStore {
                     continue; // probe already served it
                 }
                 cache.data.insert(b, page.clone());
-                cache.read.admit(b, hash);
+                cache.read.admit(b);
                 out.fetched.push(b);
                 out.fetched_hashes.push(hash);
                 out.pages.insert(b, page);
@@ -617,8 +517,7 @@ impl ObjectStore {
                             "block {b} has no recoverable contents"
                         )));
                     };
-                    let hash = cache.block_hash.get(&b).copied();
-                    cache.read.admit(b, hash);
+                    cache.read.admit(b);
                     out.fetched.push(b);
                     out.fetched_hashes.push(None);
                     out.pages.insert(b, page);
@@ -632,38 +531,20 @@ impl ObjectStore {
     }
 
     /// Records content hashes computed by the restore pipeline's
-    /// parallel hash stage for blocks a read plan fetched: they feed
-    /// the read cache's content index (and, for stores without a
-    /// write-time hash record, the per-block reverse index the
-    /// corruption check and content probes rely on).
+    /// parallel hash stage for blocks a read plan fetched, for blocks
+    /// that had none on record (a store without a write-time hash
+    /// record): later reads of those blocks are checked against them.
+    /// A recorded hash is never replaced.
     pub fn note_read_hashes(&mut self, pairs: &[(u64, u64)]) {
         let cache = self.cache.get_mut();
         for &(block, h) in pairs {
             cache.block_hash.entry(block).or_insert(h);
-            cache.read.set_hash(block, h);
         }
-    }
-
-    /// Sets the bounded read cache's capacity in pages (0 disables it),
-    /// evicting down if needed.
-    pub fn set_read_cache_capacity(&mut self, pages: usize) {
-        self.config.read_cache_pages = pages;
-        self.cache.get_mut().read.set_capacity(pages);
-    }
-
-    /// The bounded read cache's capacity in pages.
-    pub fn read_cache_capacity(&self) -> usize {
-        self.config.read_cache_pages
     }
 
     /// Current read-cache occupancy in pages.
     pub fn read_cache_len(&self) -> usize {
         self.cache.borrow().read.len()
-    }
-
-    /// Lifetime read-cache evictions (capacity pressure).
-    pub fn read_cache_evictions(&self) -> u64 {
-        self.cache.borrow().read.evictions
     }
 
     /// Drops every cached page body and the read cache, forcing
@@ -928,6 +809,26 @@ mod tests {
             ..StoreConfig::default()
         };
         ObjectStore::format(dev, config).unwrap()
+    }
+
+    /// Residency never exceeds the capacity, and eviction is a
+    /// deterministic LRU: admitting four blocks in ascending order into
+    /// a two-page cache leaves the two highest resident, and a probe
+    /// refreshes its block so the other one goes next.
+    #[test]
+    fn read_cache_capacity_bounds_residency_with_deterministic_lru() {
+        let mut cache = ReadCache::new(2);
+        for b in 0..4 {
+            cache.admit(b);
+        }
+        assert_eq!(cache.len(), 2, "capacity caps residency");
+        assert!(!cache.probe(0) && !cache.probe(1), "the two lowest are out");
+        assert!(cache.probe(2) && cache.probe(3), "the two highest are in");
+
+        // Probing 2 again makes 3 the least recently used.
+        assert!(cache.probe(2));
+        cache.admit(0);
+        assert!(cache.probe(2) && cache.probe(0) && !cache.probe(3));
     }
 
     /// The scrub reads each block once, from the union of every

@@ -1,4 +1,12 @@
-//! The object store proper: live maps, dedup, commits, recovery, GC.
+//! The object store proper: the live state, dedup, commits, recovery,
+//! GC.
+//!
+//! The live state is the staged delta over the kept head image: a page
+//! resolves to its staged delta record, else its staged page, else the
+//! head image's delta head or page (skipped for an object deleted or
+//! created this epoch). A block's refcount is its checkpoint page
+//! entries plus its staged page entries; a commit hands each staged
+//! reference to the new checkpoint.
 //!
 //! See the crate docs for the design overview. The durability contract:
 //! [`ObjectStore::commit`] appends the delta to the journal, flushes,
@@ -10,7 +18,7 @@
 
 use std::borrow::Cow;
 use std::cell::{Cell, Ref, RefCell};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 
 use aurora_hw::{Access, BlockDev, BLOCK_SIZE};
 use aurora_sim::error::{Error, Result};
@@ -18,7 +26,7 @@ use aurora_sim::time::SimTime;
 use aurora_vm::PageData;
 
 use crate::alloc::BlockAlloc;
-use crate::checkpoint::{self, object_keys, Checkpoint, CkptId, Image, PageRef};
+use crate::checkpoint::{self, object_keys, take_object, Checkpoint, CkptId, Image, PageRef};
 use crate::deltalog::{DeltaLog, DeltaRecord, Lsn};
 use crate::journal::{self, JournalRecord};
 use crate::layout::{Superblock, JOURNAL_START};
@@ -38,8 +46,6 @@ pub struct StoreConfig {
     /// must be reopened from the medium alone, e.g. the CLI's file-backed
     /// worlds). Off for simulation-scale benchmarks.
     pub materialize_data: bool,
-    /// Capacity of the bounded read cache in pages (0 disables it).
-    pub read_cache_pages: usize,
     /// Largest dirty footprint (bytes per page) the flush pipeline may
     /// record as a sub-page delta instead of a full image. 0 disables
     /// the delta path entirely.
@@ -49,8 +55,8 @@ pub struct StoreConfig {
     pub delta_max_chain: u32,
 }
 
-/// Default bounded read-cache capacity: 4096 pages = 16 MiB of DRAM.
-pub const DEFAULT_READ_CACHE_PAGES: usize = 4096;
+/// Bounded read-cache capacity: 4096 pages = 16 MiB of DRAM.
+pub const READ_CACHE_PAGES: usize = 4096;
 
 /// Default delta-vs-full threshold: a quarter page. Above this, the
 /// record overhead stops paying for itself against a 4 KiB image.
@@ -65,7 +71,6 @@ impl Default for StoreConfig {
             journal_blocks: 16 * 1024, // 64 MiB of metadata journal
             dedup: true,
             materialize_data: false,
-            read_cache_pages: DEFAULT_READ_CACHE_PAGES,
             delta_max_bytes: DEFAULT_DELTA_MAX_BYTES,
             delta_max_chain: DEFAULT_DELTA_MAX_CHAIN,
         }
@@ -99,9 +104,6 @@ pub struct StoreStats {
     pub read_cache_hits: u64,
     /// Batched-read probes that charged device time.
     pub read_cache_misses: u64,
-    /// Hits served through the content index: the probed block's bytes
-    /// were already resident under a different block id.
-    pub read_cache_content_hits: u64,
     /// Blocks healed by read-repair: a copy failed content-hash
     /// verification and was rewritten from a good mirror twin —
     /// whichever read found it (lazy fault, batched plan, base check or
@@ -140,119 +142,19 @@ pub struct ResilverReport {
     pub replicas_promoted: usize,
 }
 
-/// One live object.
-#[derive(Debug, Default, Clone)]
-struct LiveObject {
-    map: BTreeMap<u64, BlockPtr>,
-    /// Delta overlay: pages whose live contents are a redo chain over
-    /// the base image still held in `map`. A head here outranks the
-    /// `map` entry; a full write clears it (chain truncation). Entries
-    /// hold no block refs — the base's ref lives in `map`.
-    deltas: BTreeMap<u64, Lsn>,
-    size_pages: u64,
-}
-
-/// The live object maps of a committed image — what recovery and
-/// [`ObjectStore::rollback_pending`] start from.
-fn live_objects(image: &Image) -> HashMap<ObjId, LiveObject> {
-    image
-        .objects
-        .iter()
-        .map(|(&oid, &size_pages)| {
-            let keys = object_keys(oid);
-            let obj = LiveObject {
-                map: image.pages.range(keys.clone()).map(|(&(_, i), &p)| (i, p)).collect(),
-                deltas: image.deltas.range(keys).map(|(&(_, i), &l)| (i, l)).collect(),
-                size_pages,
-            };
-            (oid, obj)
-        })
-        .collect()
-}
-
-/// Expected block refcounts for committed state: one per
-/// checkpoint-delta pointer plus one per live-map pointer.
-fn committed_refs(
-    ckpts: &BTreeMap<u64, Checkpoint>,
-    live: &HashMap<ObjId, LiveObject>,
-) -> HashMap<u64, u32> {
+/// Expected block refcounts for committed state: one per checkpoint
+/// page entry.
+fn committed_refs(ckpts: &BTreeMap<u64, Checkpoint>) -> HashMap<u64, u32> {
     let mut refs: HashMap<u64, u32> = HashMap::new();
-    for ck in ckpts.values() {
-        for ptr in ck.pages.values() {
-            *refs.entry(ptr.0).or_insert(0) += 1;
-        }
-    }
-    for obj in live.values() {
-        for ptr in obj.map.values() {
-            *refs.entry(ptr.0).or_insert(0) += 1;
-        }
+    for ptr in ckpts.values().flat_map(|ck| ck.pages.values()) {
+        *refs.entry(ptr.0).or_insert(0) += 1;
     }
     refs
 }
 
-/// Number of shards in the dedup index — a power of two so a shard is
-/// selected by masking the content hash.
-pub const DEDUP_SHARDS: usize = 16;
-
 /// Most blocks one vectored device request covers, read or written:
 /// the span of an extent, first block to last.
 pub const EXTENT_BLOCKS: usize = 64;
-
-/// The content-hash dedup index, partitioned into fixed shards by hash.
-///
-/// Sharding mirrors the parallel hash stage's partitioning of a flush
-/// plan, so a shard's candidate lists are only ever touched for hashes
-/// it owns. All mutation still happens on the store's owning thread;
-/// determinism across worker counts comes from rebuilds walking blocks
-/// in ascending id order, which fixes candidate-list order regardless
-/// of who computed the hashes.
-struct DedupIndex {
-    shards: Vec<HashMap<u64, Vec<BlockPtr>>>,
-}
-
-impl DedupIndex {
-    fn new() -> Self {
-        DedupIndex {
-            shards: (0..DEDUP_SHARDS).map(|_| HashMap::new()).collect(),
-        }
-    }
-
-    /// The shard owning hash `h` (mask — always in range).
-    fn shard_of(h: u64) -> usize {
-        (h as usize) & (DEDUP_SHARDS - 1)
-    }
-
-    /// Candidate blocks for hash `h`, in insertion order.
-    fn candidates(&self, h: u64) -> Option<&[BlockPtr]> {
-        self.shards
-            .get(Self::shard_of(h))
-            .and_then(|s| s.get(&h))
-            .map(Vec::as_slice)
-    }
-
-    fn insert(&mut self, h: u64, ptr: BlockPtr) {
-        if let Some(s) = self.shards.get_mut(Self::shard_of(h)) {
-            s.entry(h).or_default().push(ptr);
-        }
-    }
-
-    fn remove(&mut self, h: u64, ptr: BlockPtr) {
-        if let Some(s) = self.shards.get_mut(Self::shard_of(h)) {
-            if let Some(cands) = s.get_mut(&h) {
-                cands.retain(|&c| c != ptr);
-                if cands.is_empty() {
-                    s.remove(&h);
-                }
-            }
-        }
-    }
-
-    fn clear(&mut self) {
-        for s in &mut self.shards {
-            s.clear();
-        }
-    }
-}
 
 /// Page contents plus the dedup index and the bounded read cache, in
 /// one cell so the read paths can stay `&self`: a cache fill is not a
@@ -260,8 +162,9 @@ impl DedupIndex {
 pub(crate) struct PageCache {
     /// Authoritative page contents by block (compact representation).
     pub(crate) data: HashMap<u64, PageData>,
-    /// Content-hash index: hash -> candidate blocks, sharded by hash.
-    dedup: DedupIndex,
+    /// Content-hash dedup index: hash -> candidate blocks, in insertion
+    /// order (rebuilds insert in ascending block order).
+    dedup: HashMap<u64, Vec<BlockPtr>>,
     /// Block -> content hash (reverse index for release): the recorded
     /// hash the read side compares what the medium returns with.
     pub(crate) block_hash: HashMap<u64, u64>,
@@ -270,12 +173,12 @@ pub(crate) struct PageCache {
 }
 
 impl PageCache {
-    fn new(data: HashMap<u64, PageData>, read_cache_pages: usize) -> Self {
+    fn new(data: HashMap<u64, PageData>) -> Self {
         PageCache {
             data,
-            dedup: DedupIndex::new(),
+            dedup: HashMap::new(),
             block_hash: HashMap::new(),
-            read: ReadCache::new(read_cache_pages),
+            read: ReadCache::new(READ_CACHE_PAGES),
         }
     }
 
@@ -291,7 +194,7 @@ impl PageCache {
         for b in blocks {
             if let Some(page) = self.data.get(&b) {
                 let h = page.content_hash();
-                self.dedup.insert(h, BlockPtr(b));
+                self.dedup.entry(h).or_default().push(BlockPtr(b));
                 self.block_hash.insert(b, h);
             }
         }
@@ -301,7 +204,7 @@ impl PageCache {
     pub(crate) fn install(&mut self, ptr: BlockPtr, page: &PageData, hash: Option<u64>) {
         self.data.insert(ptr.0, page.clone());
         if let Some(h) = hash {
-            self.dedup.insert(h, ptr);
+            self.dedup.entry(h).or_default().push(ptr);
             self.block_hash.insert(ptr.0, h);
         }
     }
@@ -310,7 +213,12 @@ impl PageCache {
     fn evict(&mut self, ptr: BlockPtr) {
         self.data.remove(&ptr.0);
         if let Some(h) = self.block_hash.remove(&ptr.0) {
-            self.dedup.remove(h, ptr);
+            if let Some(cands) = self.dedup.get_mut(&h) {
+                cands.retain(|&c| c != ptr);
+                if cands.is_empty() {
+                    self.dedup.remove(&h);
+                }
+            }
         }
         self.read.forget(ptr.0);
     }
@@ -331,6 +239,14 @@ pub struct PageWrite {
     pub hash: u64,
 }
 
+/// How the live state holds one page.
+enum LivePage<'a> {
+    /// A delta record staged this epoch: the newest state of all.
+    Staged(&'a DeltaRecord),
+    /// A staged page or a head-image entry.
+    Ref(PageRef),
+}
+
 /// The object store.
 pub struct ObjectStore {
     /// `pub(crate)` for `txn.rs`, the commit protocol's only licensed
@@ -341,15 +257,14 @@ pub struct ObjectStore {
     alloc: BlockAlloc,
     /// Committed checkpoints by id.
     pub(crate) ckpts: BTreeMap<u64, Checkpoint>,
-    head: Option<CkptId>,
     /// The head's image, kept current by `commit`: the fold of the
     /// head's chain without walking it. GC never deletes the head and
     /// its merge preserves every descendant's image, so nothing else
     /// changes it.
     head_image: Image,
-    /// Live object state (committed head + pending writes).
-    live: HashMap<ObjId, LiveObject>,
-    /// Pending delta since the last commit, in key order.
+    /// The staged delta since the last commit, in key order: the live
+    /// state is these over the head image. Each staged page holds one
+    /// reference on its block.
     pending_pages: BTreeMap<(ObjId, u64), BlockPtr>,
     pending_blobs: BTreeMap<String, Vec<u8>>,
     pending_new_objects: Vec<(ObjId, u64)>,
@@ -390,16 +305,14 @@ impl ObjectStore {
         let done = dev.flush()?;
         dev.clock().advance_to(done);
         let data_blocks = sb.data_blocks();
-        let cache = PageCache::new(HashMap::new(), config.read_cache_pages);
+        let cache = PageCache::new(HashMap::new());
         Ok(ObjectStore {
             dev: RefCell::new(dev),
             config,
             sb,
             alloc: BlockAlloc::new(data_blocks),
             ckpts: BTreeMap::new(),
-            head: None,
             head_image: Image::default(),
-            live: HashMap::new(),
             pending_pages: BTreeMap::new(),
             pending_blobs: BTreeMap::new(),
             pending_new_objects: Vec::new(),
@@ -465,21 +378,18 @@ impl ObjectStore {
 
         // Rebuild the head's image (the newest checkpoint's) by folding
         // its chain once; the live state starts as that image.
-        let head = ckpts.keys().next_back().map(|&id| CkptId(id));
-        let head_image = match head {
-            Some(h) => Image::fold(&ckpts, h)?,
+        let head_image = match ckpts.keys().next_back() {
+            Some(&h) => Image::fold(&ckpts, CkptId(h))?,
             None => Image::default(),
         };
-        let live = live_objects(&head_image);
 
-        // Rebuild refcounts: one per checkpoint-delta pointer plus one per
-        // live-map pointer.
-        let refs = committed_refs(&ckpts, &live);
+        // Rebuild refcounts: one per checkpoint page entry.
+        let refs = committed_refs(&ckpts);
         let alloc = BlockAlloc::from_refs(sb.data_blocks(), &refs);
 
         // Retain contents only for referenced blocks; rebuild dedup in
         // ascending block order (deterministic candidate lists).
-        let mut cache = PageCache::new(data, config.read_cache_pages);
+        let mut cache = PageCache::new(data);
         cache.data.retain(|b, _| refs.contains_key(b));
         if config.dedup {
             cache.rebuild_dedup();
@@ -491,9 +401,7 @@ impl ObjectStore {
             sb,
             alloc,
             ckpts,
-            head,
             head_image,
-            live,
             pending_pages: BTreeMap::new(),
             pending_blobs: BTreeMap::new(),
             pending_new_objects: Vec::new(),
@@ -530,48 +438,82 @@ impl ObjectStore {
     /// that checkpoint metadata can reference objects stably across
     /// machines).
     pub fn create_object(&mut self, oid: ObjId, size_pages: u64) -> Result<()> {
-        if self.live.contains_key(&oid) {
+        if self.object_exists(oid) {
             return Err(Error::already_exists(format!("object {}", oid.0)));
         }
-        self.live.insert(
-            oid,
-            LiveObject {
-                map: BTreeMap::new(),
-                deltas: BTreeMap::new(),
-                size_pages,
-            },
-        );
         self.pending_new_objects.push((oid, size_pages));
         Ok(())
     }
 
+    /// Whether the head image speaks for `oid` in the live state: not
+    /// when the object was deleted or created this epoch.
+    fn head_covers(&self, oid: ObjId) -> bool {
+        !self.pending_deleted.contains(&oid)
+            && !self.pending_new_objects.iter().any(|(o, _)| *o == oid)
+    }
+
+    /// A live object's declared size in pages.
+    fn object_size(&self, oid: ObjId) -> Option<u64> {
+        match self.pending_new_objects.iter().find(|(o, _)| *o == oid) {
+            Some(&(_, size)) => Some(size),
+            None if self.pending_deleted.contains(&oid) => None,
+            None => self.head_image.objects.get(&oid).copied(),
+        }
+    }
+
     /// True if the object exists in the live state.
     pub fn object_exists(&self, oid: ObjId) -> bool {
-        self.live.contains_key(&oid)
+        self.object_size(oid).is_some()
     }
 
     /// Live object ids (optionally filtered to a namespace via the
     /// caller). Used by the SLS to prune superseded incarnations.
     pub fn live_object_ids(&self) -> Vec<ObjId> {
-        let mut ids: Vec<ObjId> = self.live.keys().copied().collect();
-        ids.sort();
-        ids
+        let mut ids: BTreeSet<ObjId> = self
+            .head_image
+            .objects
+            .keys()
+            .filter(|oid| !self.pending_deleted.contains(oid))
+            .copied()
+            .collect();
+        ids.extend(self.pending_new_objects.iter().map(|(oid, _)| *oid));
+        ids.into_iter().collect()
+    }
+
+    /// How the live state holds page `(oid, idx)`: the staged delta
+    /// record, else the staged page, else the head image's delta head or
+    /// page. `None` for a hole or a missing object.
+    fn live_page(&self, oid: ObjId, idx: u64) -> Option<LivePage<'_>> {
+        let key = (oid, idx);
+        if let Some(rec) = self.pending_deltas.get(&key) {
+            return Some(LivePage::Staged(rec));
+        }
+        if let Some(&ptr) = self.pending_pages.get(&key) {
+            return Some(LivePage::Ref(PageRef::Full(ptr)));
+        }
+        if !self.head_covers(oid) {
+            return None;
+        }
+        if let Some(&lsn) = self.head_image.deltas.get(&key) {
+            return Some(LivePage::Ref(PageRef::Delta(lsn)));
+        }
+        let ptr = self.head_image.pages.get(&key)?;
+        Some(LivePage::Ref(PageRef::Full(*ptr)))
     }
 
     /// Deletes an object from the live state (history stays readable
     /// through older checkpoints).
     pub fn delete_object(&mut self, oid: ObjId) -> Result<()> {
-        let obj = self
-            .live
-            .remove(&oid)
-            .ok_or_else(|| Error::not_found(format!("object {}", oid.0)))?;
-        for (_, ptr) in obj.map {
+        if !self.object_exists(oid) {
+            return Err(Error::not_found(format!("object {}", oid.0)));
+        }
+        // Pages written this epoch can never be read: drop their staged
+        // entries and references. If the object was also born this
+        // epoch, it never existed as far as the next checkpoint is
+        // concerned.
+        for ptr in take_object(&mut self.pending_pages, oid) {
             self.release_block(ptr);
         }
-        // Pages written this epoch can never be read: drop their pending
-        // delta entries. If the object was also born this epoch, it never
-        // existed as far as the next checkpoint is concerned.
-        self.pending_pages.retain(|(o, _), _| *o != oid);
         self.pending_deltas.retain(|(o, _), _| *o != oid);
         if let Some(pos) = self.pending_new_objects.iter().position(|(o, _)| *o == oid) {
             self.pending_new_objects.remove(pos);
@@ -586,36 +528,35 @@ impl ObjectStore {
     /// for SLSFS's zero-copy file/subtree clones and for `sls restore`
     /// images branching off a running application.
     pub fn clone_object(&mut self, src: ObjId, dst: ObjId) -> Result<()> {
-        if self.live.contains_key(&dst) {
+        if self.object_exists(dst) {
             return Err(Error::already_exists(format!("object {}", dst.0)));
         }
-        let src_obj = self
-            .live
-            .get(&src)
-            .ok_or_else(|| Error::not_found(format!("object {}", src.0)))?
-            .clone();
-        // Pages under a redo chain (committed overlay or staged this
-        // epoch) can't be pointer-shared — the share would lose the
-        // chain. Materialize those few into full pages for `dst`.
-        let mut chained: std::collections::BTreeSet<u64> =
-            src_obj.deltas.keys().copied().collect();
-        chained.extend(
-            self.pending_deltas
-                .keys()
-                .filter(|(o, _)| *o == src)
-                .map(|(_, i)| *i),
-        );
-        let mut shared = src_obj.clone();
-        shared.deltas.clear();
-        shared.map.retain(|i, _| !chained.contains(i));
-        for ptr in shared.map.values() {
-            self.alloc.incref(*ptr);
+        let size_pages = self
+            .object_size(src)
+            .ok_or_else(|| Error::not_found(format!("object {}", src.0)))?;
+        let keys = object_keys(src);
+        let mut idxs: BTreeSet<u64> =
+            self.pending_pages.range(keys.clone()).map(|(k, _)| k.1).collect();
+        idxs.extend(self.pending_deltas.range(keys.clone()).map(|(k, _)| k.1));
+        if self.head_covers(src) {
+            idxs.extend(self.head_image.pages.range(keys.clone()).map(|(k, _)| k.1));
+            idxs.extend(self.head_image.deltas.range(keys).map(|(k, _)| k.1));
         }
-        for (idx, ptr) in shared.map.iter().map(|(i, p)| (*i, *p)) {
-            self.pending_pages.insert((dst, idx), ptr);
+        self.pending_new_objects.push((dst, size_pages));
+        // Pages under a redo chain (committed or staged this epoch)
+        // can't be pointer-shared — the share would lose the chain.
+        // Materialize those few into full pages for `dst`.
+        let mut chained = Vec::new();
+        for idx in idxs {
+            match self.live_page(src, idx) {
+                Some(LivePage::Ref(PageRef::Full(ptr))) => {
+                    self.alloc.incref(ptr);
+                    self.pending_pages.insert((dst, idx), ptr);
+                }
+                Some(_) => chained.push(idx),
+                None => {}
+            }
         }
-        self.pending_new_objects.push((dst, src_obj.size_pages));
-        self.live.insert(dst, shared);
         for idx in chained {
             let page = self.read_page(src, idx)?.ok_or_else(|| {
                 Error::internal(format!("chained page {}/{idx} vanished during clone", src.0))
@@ -652,7 +593,7 @@ impl ObjectStore {
         page: &PageData,
         hash: Option<u64>,
     ) -> Result<()> {
-        if !self.live.contains_key(&oid) {
+        if !self.object_exists(oid) {
             return Err(Error::not_found(format!("object {}", oid.0)));
         }
         self.stats.pages_written += 1;
@@ -679,25 +620,25 @@ impl ObjectStore {
                 ptr
             }
         };
-        let obj = self
-            .live
-            .get_mut(&oid)
-            .ok_or_else(|| Error::internal(format!("object {} vanished during write", oid.0)))?;
-        let old = obj.map.insert(idx, ptr);
-        // A full image truncates the page's redo chain.
-        obj.deltas.remove(&idx);
+        self.stage_page(oid, idx, ptr);
+        Ok(())
+    }
+
+    /// Stages a full image of `(oid, idx)` at `ptr`, whose reference the
+    /// caller took. It truncates the page's redo chain, and only a staged
+    /// block it replaces loses a reference: a head-image block keeps its
+    /// checkpoint's.
+    fn stage_page(&mut self, oid: ObjId, idx: u64, ptr: BlockPtr) {
         self.pending_deltas.remove(&(oid, idx));
-        if let Some(old) = old {
+        if let Some(old) = self.pending_pages.insert((oid, idx), ptr) {
             self.release_block(old);
         }
-        self.pending_pages.insert((oid, idx), ptr);
-        Ok(())
     }
 
     /// Writes a batch of pages, coalescing adjacent fresh blocks into
     /// extent-sized vectored device writes.
     ///
-    /// Dedup decisions, allocations and live-map updates happen in plan
+    /// Dedup decisions, allocations and staging happen in plan
     /// order — exactly the sequence a `write_page` loop produces — so
     /// the resulting store state (and, for materialized stores, the
     /// device image) is identical to the serial path; only the shape of
@@ -714,10 +655,10 @@ impl ObjectStore {
         &mut self,
         writes: impl IntoIterator<Item = &'a PageWrite>,
     ) -> Result<()> {
-        // Plan-order pass: dedup, allocation, live-map publication.
+        // Plan-order pass: dedup, allocation, staging.
         let mut fresh: BTreeMap<u64, PageData> = BTreeMap::new();
         for w in writes {
-            if !self.live.contains_key(&w.oid) {
+            if !self.object_exists(w.oid) {
                 return Err(Error::not_found(format!("object {}", w.oid.0)));
             }
             self.stats.pages_written += 1;
@@ -735,20 +676,7 @@ impl ObjectStore {
                     ptr
                 }
             };
-            let obj = self
-                .live
-                .get_mut(&w.oid)
-                .ok_or_else(|| {
-                    Error::internal(format!("object {} vanished during write", w.oid.0))
-                })?;
-            let old = obj.map.insert(w.idx, ptr);
-            // A full image truncates the page's redo chain.
-            obj.deltas.remove(&w.idx);
-            self.pending_deltas.remove(&(w.oid, w.idx));
-            if let Some(old) = old {
-                self.release_block(old);
-            }
-            self.pending_pages.insert((w.oid, w.idx), ptr);
+            self.stage_page(w.oid, w.idx, ptr);
         }
         // A block allocated for an early write can be released by a
         // later write in the same batch (and reallocated within it only
@@ -808,7 +736,7 @@ impl ObjectStore {
     fn find_dedup(&self, page: &PageData, hash: Option<u64>) -> Option<BlockPtr> {
         let h = hash?;
         let cache = self.cache.borrow();
-        for &cand in cache.dedup.candidates(h)? {
+        for &cand in cache.dedup.get(&h)? {
             if let Some(existing) = cache.data.get(&cand.0) {
                 if existing.content_eq(page) {
                     return Some(cand);
@@ -847,14 +775,11 @@ impl ObjectStore {
         if self.config.delta_max_bytes == 0 {
             return None;
         }
-        let obj = self.live.get(&oid)?;
-        if let Some(rec) = self.pending_deltas.get(&(oid, idx)) {
-            return Some(rec.chain_len);
+        match self.live_page(oid, idx)? {
+            LivePage::Staged(rec) => Some(rec.chain_len),
+            LivePage::Ref(PageRef::Delta(head)) => self.delta.chain_len(head).ok(),
+            LivePage::Ref(PageRef::Full(_)) => Some(0),
         }
-        if let Some(&head) = obj.deltas.get(&idx) {
-            return self.delta.chain_len(head).ok();
-        }
-        obj.map.get(&idx).map(|_| 0)
     }
 
     /// Stages a sub-page delta for the next commit: `runs` are the dirty
@@ -891,22 +816,23 @@ impl ObjectStore {
             rec.extents.extend(extents);
             return Ok(());
         }
-        let obj = self
-            .live
-            .get(&oid)
-            .ok_or_else(|| Error::not_found(format!("object {}", oid.0)))?;
-        let (base, prev, chain_len) = if let Some(&head) = obj.deltas.get(&idx) {
-            let head_rec = self.delta.get(head).ok_or_else(|| {
-                Error::corrupt(format!("delta head {head} missing from log"))
-            })?;
-            (head_rec.base, Some(head), head_rec.chain_len + 1)
-        } else if let Some(&ptr) = obj.map.get(&idx) {
-            (ptr, None, 1)
-        } else {
-            return Err(Error::invalid(format!(
-                "delta for {}/{idx} without a base image",
-                oid.0
-            )));
+        if !self.object_exists(oid) {
+            return Err(Error::not_found(format!("object {}", oid.0)));
+        }
+        let (base, prev, chain_len) = match self.live_page(oid, idx) {
+            Some(LivePage::Ref(PageRef::Delta(head))) => {
+                let head_rec = self.delta.get(head).ok_or_else(|| {
+                    Error::corrupt(format!("delta head {head} missing from log"))
+                })?;
+                (head_rec.base, Some(head), head_rec.chain_len + 1)
+            }
+            Some(LivePage::Ref(PageRef::Full(ptr))) => (ptr, None, 1),
+            Some(LivePage::Staged(_)) | None => {
+                return Err(Error::invalid(format!(
+                    "delta for {}/{idx} without a base image",
+                    oid.0
+                )));
+            }
         };
         self.pending_deltas.insert(
             (oid, idx),
@@ -949,25 +875,21 @@ impl ObjectStore {
 
     /// Reads a page from the live state, charging device time.
     pub fn read_page(&self, oid: ObjId, idx: u64) -> Result<Option<PageData>> {
-        let obj = self
-            .live
-            .get(&oid)
-            .ok_or_else(|| Error::not_found(format!("object {}", oid.0)))?;
-        // A record staged this epoch is the newest state: its chain (if
-        // any) replays first, then its own extents.
-        if let Some(rec) = self.pending_deltas.get(&(oid, idx)) {
-            let base_page = self.fetch_block(rec.base)?;
-            let chained = match rec.prev {
-                Some(prev) => self.delta.materialize(&base_page, prev)?,
-                None => base_page,
-            };
-            return Ok(Some(rec.apply(&chained)));
+        if !self.object_exists(oid) {
+            return Err(Error::not_found(format!("object {}", oid.0)));
         }
-        if let Some(&head) = obj.deltas.get(&idx) {
-            return self.materialize_ref(PageRef::Delta(head)).map(Some);
-        }
-        match obj.map.get(&idx) {
-            Some(&p) => self.fetch_block(p).map(Some),
+        match self.live_page(oid, idx) {
+            // A record staged this epoch is the newest state: its chain
+            // (if any) replays first, then its own extents.
+            Some(LivePage::Staged(rec)) => {
+                let base_page = self.fetch_block(rec.base)?;
+                let chained = match rec.prev {
+                    Some(prev) => self.delta.materialize(&base_page, prev)?,
+                    None => base_page,
+                };
+                Ok(Some(rec.apply(&chained)))
+            }
+            Some(LivePage::Ref(r)) => self.materialize_ref(r).map(Some),
             None => Ok(None),
         }
     }
@@ -1013,7 +935,7 @@ impl ObjectStore {
     /// The image of a checkpoint: the kept head image for the head,
     /// else one fold of the checkpoint's chain.
     pub fn image_at(&self, ckpt: CkptId) -> Result<Cow<'_, Image>> {
-        if self.head == Some(ckpt) {
+        if self.head() == Some(ckpt) {
             return Ok(Cow::Borrowed(&self.head_image));
         }
         Image::fold(&self.ckpts, ckpt).map(Cow::Owned)
@@ -1113,7 +1035,7 @@ impl ObjectStore {
         }
         let ck = Checkpoint {
             id,
-            parent: self.head,
+            parent: self.head(),
             name: name.map(str::to_string),
             new_objects: self.pending_new_objects.clone(),
             deleted_objects: self.pending_deleted.clone(),
@@ -1133,27 +1055,19 @@ impl ObjectStore {
         self.pending_pages.clear();
         self.pending_blobs.clear();
         self.pending_deltas.clear();
-        // Checkpoint references on every delta block.
-        for ptr in ck.pages.values() {
-            self.alloc.incref(*ptr);
-        }
-        // The sealed journal record is durable: the delta records are
-        // committed, and the live overlay now reads through them.
+        // Each staged page's reference passes to the checkpoint. The
+        // sealed journal record is durable: the delta records are
+        // committed, and the head image now reads through them.
         for (l, rec) in new_records {
             self.stats.delta_records += 1;
             self.stats.delta_bytes += rec.encoded_len() as u64;
             self.stats.chain_len_max = self.stats.chain_len_max.max(rec.chain_len as u64);
-            let key_idx = (rec.oid, rec.idx);
             self.delta.insert(l, rec)?;
-            if let Some(obj) = self.live.get_mut(&key_idx.0) {
-                obj.deltas.insert(key_idx.1, l);
-            }
         }
         let mut ck = ck;
         ck.durable_at = durable;
         self.head_image.apply(&ck);
         self.ckpts.insert(id.0, ck);
-        self.head = Some(id);
         self.stats.commits += 1;
         Ok((id, durable))
     }
@@ -1235,7 +1149,7 @@ impl ObjectStore {
     /// a failed write leaves the checkpoint, its blocks and the delta log
     /// exactly as they were.
     pub fn delete_checkpoint(&mut self, id: CkptId) -> Result<()> {
-        if self.head == Some(id) {
+        if self.head() == Some(id) {
             return Err(Error::invalid("cannot GC the head checkpoint"));
         }
         self.checkpoint(id)?;
@@ -1254,16 +1168,13 @@ impl ObjectStore {
             self.release_block(ptr);
         }
         // The merge may have dropped delta heads; chain segments no
-        // surviving head reaches are dead.
+        // surviving head reaches are dead. Staged records chain onto
+        // committed heads, so their links root the walk too.
         let mut heads: Vec<Lsn> = self
             .ckpts
             .values()
             .flat_map(|c| c.deltas.values().copied())
             .collect();
-        // Live overlay heads are always covered by a committed
-        // checkpoint's heads, but root the walk on them too so a
-        // bookkeeping slip can only leak, never dangle.
-        heads.extend(self.live.values().flat_map(|o| o.deltas.values().copied()));
         heads.extend(self.pending_deltas.values().filter_map(|r| r.prev));
         self.delta.prune(heads);
         self.stats.gc_runs += 1;
@@ -1300,9 +1211,10 @@ impl ObjectStore {
             .find(|c| c.name.as_deref() == Some(name))
     }
 
-    /// The most recent checkpoint.
+    /// The most recent checkpoint: ids only grow, and GC refuses the
+    /// head.
     pub fn head(&self) -> Option<CkptId> {
-        self.head
+        self.ckpts.keys().next_back().map(|&id| CkptId(id))
     }
 
     /// Logical (uncompressed) size of a checkpoint's chain-merged state:
@@ -1334,8 +1246,9 @@ impl ObjectStore {
 
     /// Audits the store's invariants (an online `fsck`):
     ///
-    /// * every block referenced by a checkpoint delta or a live map is
-    ///   allocated, and its refcount equals the number of referents;
+    /// * every block referenced by a checkpoint page entry or a staged
+    ///   page is allocated, and its refcount equals the number of those
+    ///   entries;
     /// * no allocated block is unreachable, and every unreferenced data
     ///   block is allocatable (no space leak);
     /// * every reachable block has recoverable contents;
@@ -1359,13 +1272,9 @@ impl ObjectStore {
                 }
             }
         }
-        for obj in self.live.values() {
-            for ptr in obj.map.values() {
-                *expected.entry(ptr.0).or_insert(0) += 1;
-            }
+        for ptr in self.pending_pages.values() {
+            *expected.entry(ptr.0).or_insert(0) += 1;
         }
-        // Pending (uncommitted) deltas will incref at commit; they do not
-        // add to the current expected counts.
         for (&block, &refs) in &expected {
             let actual = self.alloc.refs(BlockPtr(block));
             if actual != refs {
@@ -1391,18 +1300,15 @@ impl ObjectStore {
                 stranded.len()
             ));
         }
-        // Delta-log invariants: every head a checkpoint or live overlay
-        // names must walk to its base without a dangling prev link, each
-        // chain's base block must itself be reachable, and no record may
-        // survive in the log without a head rooting it (a log leak).
+        // Delta-log invariants: every head a checkpoint names must walk
+        // to its base without a dangling prev link, each chain's base
+        // block must itself be reachable, and no record may survive in
+        // the log without a head rooting it (a log leak).
         let mut reachable: HashSet<Lsn> = HashSet::new();
         let heads = self
             .ckpts
             .values()
-            .flat_map(|c| c.deltas.iter().map(|(k, l)| (*k, *l)))
-            .chain(self.live.iter().flat_map(|(&oid, o)| {
-                o.deltas.iter().map(move |(&idx, &l)| ((oid, idx), l))
-            }));
+            .flat_map(|c| c.deltas.iter().map(|(k, l)| (*k, *l)));
         for ((oid, idx), head) in heads {
             match self.delta.chain(head) {
                 Ok(chain) => {
@@ -1419,7 +1325,7 @@ impl ObjectStore {
                         if !expected.contains_key(&base.base.0) {
                             problems.push(format!(
                                 "object {} page {idx}: delta chain base block {} \
-                                 not referenced by any checkpoint or live map",
+                                 not referenced by any checkpoint or staged page",
                                 oid.0, base.base.0
                             ));
                         }
@@ -1454,9 +1360,9 @@ impl ObjectStore {
             || !self.pending_deltas.is_empty()
     }
 
-    /// Discards the staged (uncommitted) delta and rebuilds live maps,
-    /// refcounts and dedup state from the committed head's image — the
-    /// store-side half of aborting a failed checkpoint.
+    /// Discards the staged (uncommitted) delta and rebuilds refcounts
+    /// (checkpoint page entries only, now nothing is staged) and dedup
+    /// state — the store-side half of aborting a failed checkpoint.
     ///
     /// Afterwards the store is indistinguishable from one freshly
     /// recovered at the current head: [`ObjectStore::fsck`] is clean and
@@ -1471,8 +1377,7 @@ impl ObjectStore {
         self.pending_new_objects.clear();
         self.pending_deleted.clear();
         self.pending_deltas.clear();
-        let live = live_objects(&self.head_image);
-        let refs = committed_refs(&self.ckpts, &live);
+        let refs = committed_refs(&self.ckpts);
         self.alloc = BlockAlloc::from_refs(self.sb.data_blocks(), &refs);
         let cache = self.cache.get_mut();
         cache.data.retain(|b, _| refs.contains_key(b));
@@ -1482,7 +1387,6 @@ impl ObjectStore {
             cache.dedup.clear();
             cache.block_hash.clear();
         }
-        self.live = live;
         Ok(())
     }
 
@@ -1505,22 +1409,21 @@ impl ObjectStore {
             ));
         }
         let min_len = min_len.max(1);
-        let mut victims: Vec<(ObjId, u64, Lsn)> = Vec::new();
-        for (&oid, obj) in &self.live {
-            for (&idx, &head) in &obj.deltas {
-                if self.delta.chain_len(head)? >= min_len {
-                    victims.push((oid, idx, head));
-                }
+        // Nothing is staged, so the head image is the live state; its
+        // chains fold in key order.
+        let mut victims: Vec<((ObjId, u64), Lsn)> = Vec::new();
+        for (&key, &head) in &self.head_image.deltas {
+            if self.delta.chain_len(head)? >= min_len {
+                victims.push((key, head));
             }
         }
         if victims.is_empty() {
             return Ok(0);
         }
         let folded = victims.len();
-        for (oid, idx, head) in victims {
+        for ((oid, idx), head) in victims {
             let page = self.materialize_ref(PageRef::Delta(head))?;
-            // A full write truncates the chain: write_page drops the
-            // live overlay entry for the key.
+            // A full write truncates the chain.
             self.write_page(oid, idx, &page)?;
         }
         self.commit(Some("chain-compact"))?;
@@ -1603,7 +1506,7 @@ impl ObjectStore {
 impl core::fmt::Debug for ObjectStore {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         f.debug_struct("ObjectStore")
-            .field("objects", &self.live.len())
+            .field("objects", &self.live_object_ids().len())
             .field("checkpoints", &self.ckpts.len())
             .field("blocks_in_use", &self.alloc.in_use())
             .finish()
@@ -1647,7 +1550,7 @@ mod tests {
             let cache = s.cache.borrow();
             assert_eq!(cache.block_hash, recorded, "cycle {cycle}");
             for page in &pages {
-                let candidates = cache.dedup.candidates(page.content_hash()).unwrap();
+                let candidates = cache.dedup.get(&page.content_hash()).unwrap();
                 assert_eq!(candidates.len(), 1, "cycle {cycle}: {candidates:?}");
             }
         }

@@ -320,6 +320,8 @@ enum Op {
     CompactChains,
     /// Discard the staged delta.
     Rollback,
+    /// Delete object 3 if it exists, then clone `src` into it.
+    CloneInto { src: u8 },
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
@@ -333,6 +335,7 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         1 => (0u8..3).prop_map(|obj| Op::Recreate { obj }),
         1 => Just(Op::CompactChains),
         1 => Just(Op::Rollback),
+        1 => (0u8..3).prop_map(|src| Op::CloneInto { src }),
     ]
 }
 
@@ -414,7 +417,7 @@ fn check_images(store: &ObjectStore) -> Result<(), TestCaseError> {
     for &id in table.keys() {
         let ckpt = CkptId(id);
         let image = store.image_at(ckpt).unwrap();
-        for obj in 0..3u64 {
+        for obj in 0..4u64 {
             let oid = ObjId(obj);
             let refs: BTreeMap<u64, PageRef> = image.object_refs(oid).collect();
             prop_assert_eq!(&refs, &effective_refs(&table, ckpt, oid));
@@ -473,6 +476,8 @@ proptest! {
 
         let mut committed: BTreeMap<(u64, u64), PageData> = BTreeMap::new();
         let mut live: BTreeMap<(u64, u64), PageData> = BTreeMap::new();
+        let mut committed_objs: BTreeSet<u64> = (0..3).collect();
+        let mut live_objs = committed_objs.clone();
 
         for op in ops {
             match op {
@@ -495,10 +500,12 @@ proptest! {
                 Op::Commit => {
                     store.commit(None).unwrap();
                     committed = live.clone();
+                    committed_objs = live_objs.clone();
                 }
                 Op::Recover => {
                     store = store.recover().unwrap();
                     live = committed.clone();
+                    live_objs = committed_objs.clone();
                 }
                 Op::GcOldest => {
                     let (oldest, head) = {
@@ -524,13 +531,29 @@ proptest! {
                 Op::Rollback => {
                     store.rollback_pending().unwrap();
                     live = committed.clone();
+                    live_objs = committed_objs.clone();
+                }
+                Op::CloneInto { src } => {
+                    if live_objs.remove(&3) {
+                        store.delete_object(ObjId(3)).unwrap();
+                        live.retain(|&(o, _), _| o != 3);
+                    }
+                    store.clone_object(ObjId(src as u64), ObjId(3)).unwrap();
+                    let pages: Vec<(u64, PageData)> = live
+                        .range((src as u64, 0)..=(src as u64, u64::MAX))
+                        .map(|(&(_, idx), page)| (idx, page.clone()))
+                        .collect();
+                    live.extend(pages.into_iter().map(|(idx, page)| ((3, idx), page)));
+                    live_objs.insert(3);
                 }
             }
             // Every mutation leaves the store fsck-clean...
             let problems = store.fsck();
             prop_assert!(problems.is_empty(), "fsck: {:?}", problems);
             // ...the live view always equals the model's...
-            for obj in 0..3u64 {
+            let ids: Vec<u64> = store.live_object_ids().iter().map(|o| o.0).collect();
+            prop_assert_eq!(&ids, &live_objs.iter().copied().collect::<Vec<_>>());
+            for &obj in &live_objs {
                 for idx in 0..16u64 {
                     let got = store.read_page(ObjId(obj), idx).unwrap();
                     match live.get(&(obj, idx)) {
@@ -545,7 +568,7 @@ proptest! {
             }
             // ...the head restores the last commit...
             let head = store.head().unwrap();
-            for obj in 0..3u64 {
+            for &obj in &committed_objs {
                 for idx in 0..16u64 {
                     let got = store.read_page_at(head, ObjId(obj), idx).unwrap();
                     prop_assert_eq!(got.is_some(), committed.contains_key(&(obj, idx)));
@@ -687,6 +710,36 @@ fn delete_then_recreate_in_one_epoch() {
     let (hm, _) = mirror.import_delta(&delta).unwrap();
     assert!(mirror.read_page_at(hm, ObjId(4), 3).unwrap().is_some());
     assert!(mirror.read_page_at(hm, ObjId(4), 0).unwrap().is_none());
+}
+
+/// Folding several chains in one pass places their new blocks in the
+/// same order in every store: two stores built by the same calls end
+/// with every folded page on the same block.
+#[test]
+fn chain_folding_places_blocks_deterministically() {
+    let build = || {
+        let mut s = new_store();
+        let oids: Vec<ObjId> = (1..=8).map(ObjId).collect();
+        for &oid in &oids {
+            s.create_object(oid, 4).unwrap();
+            s.write_page(oid, 0, &PageData::Seeded(oid.0)).unwrap();
+        }
+        s.commit(None).unwrap();
+        for round in 0..3u8 {
+            for &oid in &oids {
+                let old = s.read_page(oid, 0).unwrap().unwrap();
+                let (new, run) = patched(&old, oid.0 as u8 * 16 + round);
+                s.stage_delta(oid, 0, &new, &[run]).unwrap();
+            }
+            s.commit(None).unwrap();
+        }
+        assert_eq!(s.compact_chains(3).unwrap(), oids.len());
+        let head = s.head().unwrap();
+        let refs: Vec<_> = oids.iter().map(|&oid| s.page_ref_at(head, oid, 0)).collect();
+        assert!(refs.iter().all(|r| matches!(r, Some((PageRef::Full(_), _)))), "{refs:?}");
+        refs
+    };
+    assert_eq!(build(), build());
 }
 
 #[test]
@@ -849,68 +902,6 @@ fn read_plan_coalesces_extents_and_dedups_shared_blocks() {
     );
     assert_eq!(s.stats.read_cache_hits, 100);
     assert_eq!(s.stats.read_cache_misses, 100);
-}
-
-#[test]
-fn read_cache_content_index_serves_twin_blocks_without_dedup() {
-    let (mut s, _clock) = materialized_store(false);
-    s.create_object(ObjId(1), 4).unwrap();
-    s.create_object(ObjId(2), 4).unwrap();
-    // Dedup is off, so identical bytes land in two distinct blocks.
-    s.write_page(ObjId(1), 0, &page(0x5A)).unwrap();
-    s.write_page(ObjId(2), 0, &page(0x5A)).unwrap();
-    let (ck, _) = s.commit(Some("twins")).unwrap();
-
-    let plan_a = s.plan_reads_at(ck, &[(ObjId(1), 0)]);
-    let plan_b = s.plan_reads_at(ck, &[(ObjId(2), 0)]);
-    let a = plan_a.resolved[0].unwrap().0;
-    let b = plan_b.resolved[0].unwrap().0;
-    assert_ne!(a, b, "dedup off: twin pages occupy separate blocks");
-
-    s.drop_caches().unwrap();
-    let out_a = s.execute_read_plan(&plan_a).unwrap();
-    assert_eq!(out_a.fetched, vec![a]);
-
-    // The restore pipeline's hash stage reports content hashes; the
-    // store wires them into the content index.
-    let h = page(0x5A).content_hash();
-    s.note_read_hashes(&[(a, h), (b, h)]);
-
-    // Block b was never read, but its bytes are resident under a.
-    let out_b = s.execute_read_plan(&plan_b).unwrap();
-    assert_eq!(out_b.cache_hits, 1);
-    assert_eq!(out_b.content_hits, 1);
-    assert_eq!(out_b.extents_read, 0, "no device read for a content hit");
-    assert!(out_b.pages.get(&b).unwrap().content_eq(&page(0x5A)));
-    assert_eq!(s.stats.read_cache_content_hits, 1);
-}
-
-#[test]
-fn read_cache_capacity_bounds_residency_with_deterministic_lru() {
-    let (mut s, _clock) = materialized_store(true);
-    s.create_object(ObjId(1), 8).unwrap();
-    for i in 0..4u64 {
-        s.write_page(ObjId(1), i, &PageData::Seeded(100 + i)).unwrap();
-    }
-    let (ck, _) = s.commit(Some("lru")).unwrap();
-    s.set_read_cache_capacity(2);
-    assert_eq!(s.read_cache_capacity(), 2);
-
-    let targets: Vec<(ObjId, u64)> = (0..4).map(|i| (ObjId(1), i)).collect();
-    let plan = s.plan_reads_at(ck, &targets);
-    s.drop_caches().unwrap();
-    s.execute_read_plan(&plan).unwrap();
-    assert_eq!(s.read_cache_len(), 2, "capacity caps residency");
-    assert_eq!(s.read_cache_evictions(), 2);
-
-    // LRU admits blocks in ascending run order, so the two lowest are
-    // out and the two highest are in — deterministically.
-    let first = s.plan_reads_at(ck, &[(ObjId(1), 0)]);
-    let out = s.execute_read_plan(&first).unwrap();
-    assert_eq!(out.cache_misses, 1, "evicted block must re-read");
-    let last = s.plan_reads_at(ck, &[(ObjId(1), 3)]);
-    let out = s.execute_read_plan(&last).unwrap();
-    assert_eq!(out.cache_hits, 1, "most recent block stays resident");
 }
 
 #[test]

@@ -154,12 +154,6 @@ impl Kernel {
             .get_mut(&pid)
             .ok_or_else(|| Error::not_found(format!("pid {}", pid.0)))
     }
-
-    /// Restore-path hook: reserves pid allocation above `pid` so restored
-    /// processes keep their original identifiers.
-    pub fn reserve_pid(&mut self, pid: Pid) {
-        self.next_pid = self.next_pid.max(pid.0 + 1);
-    }
 }
 
 impl core::fmt::Debug for Kernel {

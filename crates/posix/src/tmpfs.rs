@@ -87,11 +87,6 @@ impl Tmpfs {
             self.nodes.remove(&id);
         }
     }
-
-    /// Number of live nodes (tests).
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
 }
 
 impl Filesystem for Tmpfs {

@@ -150,11 +150,6 @@ impl Vfs {
         self.mounts[id.0 as usize].fs.as_ref()
     }
 
-    /// All mount ids.
-    pub fn mount_ids(&self) -> Vec<MountId> {
-        (0..self.mounts.len() as u32).map(MountId).collect()
-    }
-
     /// Splits an absolute path into its mount and in-fs components.
     ///
     /// Picks the longest mount-point prefix (so `/sls/db` resolves inside

@@ -131,20 +131,6 @@ pub fn hash_stage(pages: u64, workers: u64) -> SimDuration {
 /// access and no data copy.
 pub const RESTORE_CACHE_HIT_NS: u64 = 400;
 
-/// Read-cost model for extent-coalesced restore reads.
-///
-/// The serial page-in loop pays one full device access latency per 4 KiB
-/// page; the batched read pipeline issues one vectored request per
-/// extent, so the access latency amortizes over up to `EXTENT` blocks
-/// while the payload still moves at the device's sequential read
-/// bandwidth. The duration returned here is what the restore pipeline
-/// charges the virtual clock for one extent read of `blocks` blocks on a
-/// device with access latency `lat_ns` and read bandwidth `read_bw`.
-pub fn extent_read(blocks: u64, lat_ns: u64, read_bw: u64) -> SimDuration {
-    SimDuration::from_nanos(lat_ns)
-        + SimDuration::for_bytes(blocks * PAGE_SIZE as u64, read_bw.max(1))
-}
-
 /// Returns the serialization cost for a metadata record of `bytes` bytes.
 pub fn meta_serialize(bytes: usize) -> SimDuration {
     SimDuration::from_nanos(META_OBJ_BASE_NS + (bytes as u64).div_ceil(64) * META_BYTE_NS_PER_64)

@@ -311,11 +311,6 @@ impl SlsFs {
             }
         }
     }
-
-    /// Number of live inodes (tests).
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
 }
 
 impl Filesystem for SlsFs {

@@ -186,8 +186,8 @@ fn time_travel_loads_old_filesystem() {
     let mut old = SlsFs::load_at(store.clone(), NS, c1).unwrap();
     let of = old.lookup(old.root(), "versioned").unwrap();
     // NOTE: load_at reads through checkpoint-resolved pages only for
-    // metadata; file reads go through the live map, so read the page via
-    // the store directly.
+    // metadata; file reads go through the store's live state, so read
+    // the page via the store directly.
     let oid_page = store
         .borrow_mut()
         .read_page_at(c1, aurora_objstore::ObjId(NS | of), 0)

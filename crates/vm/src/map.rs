@@ -117,11 +117,6 @@ impl VmMap {
         self.entries.values()
     }
 
-    /// Iterates entries mutably.
-    pub fn entries_mut(&mut self) -> impl Iterator<Item = &mut MapEntry> {
-        self.entries.values_mut()
-    }
-
     /// Number of map entries.
     pub fn len(&self) -> usize {
         self.entries.len()

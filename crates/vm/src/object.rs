@@ -22,11 +22,6 @@ impl VmoId {
     pub fn index(self) -> u32 {
         self.0
     }
-
-    /// Reconstructs an id from a raw index (restore path).
-    pub fn from_index(i: u32) -> VmoId {
-        VmoId(i)
-    }
 }
 
 /// What kind of memory an object represents.
