@@ -239,6 +239,27 @@ const SWEEP_PAGES: u64 = 96;
 /// Pages of the sub-page sweeps, small on purpose: the point is many
 /// delta records per round, not extent width.
 const DELTA_PAGES: u64 = 24;
+/// What a torn cut lands of its write: past a frame header, short of
+/// its CRC.
+const TORN_BYTES: usize = 100;
+/// Journal blocks of the half-switch sweeps.
+const SMALL_JOURNAL_BLOCKS: u64 = 12;
+/// The round of those sweeps whose commit switches halves first.
+const SWITCH_ROUND: u32 = 4;
+/// Rounds of the stale-generation sweep: the last one appends to the
+/// first half after its reuse (the second switch is in round 6).
+const STALE_ROUNDS: u32 = 8;
+
+/// How a [`Site::Write`] point's power cut treats the interrupted write.
+#[derive(Debug, Clone, Copy)]
+enum Cut {
+    /// Nothing of it lands.
+    Clean,
+    /// Its first this many bytes land. At `usize::MAX` it lands whole
+    /// while every earlier unflushed write is lost: the device persisted
+    /// out of order.
+    Torn(usize),
+}
 
 /// A code path the fault-free run must show it reached — or the sweep
 /// cuts something other than what it claims.
@@ -280,7 +301,13 @@ pub struct Scenario {
     /// Flush and restore worker count.
     workers: usize,
     chain_cap: Option<u32>,
+    /// Journal region blocks (both halves).
+    journal_blocks: u64,
+    /// Each group's history window: past it, every checkpoint GCs the
+    /// oldest. `None` keeps the group default, which no sweep reaches.
+    history_window: Option<usize>,
     site: Site,
+    cut: Cut,
     /// Recover by whole-machine crash and journal replay; else the
     /// machine never went down and the live host is judged.
     reboot: bool,
@@ -308,7 +335,10 @@ const BASE: Scenario = Scenario {
     pipelined_from: None,
     workers: 4,
     chain_cap: None,
+    journal_blocks: 512,
+    history_window: None,
     site: Site::Write { round: 1 },
+    cut: Cut::Clean,
     reboot: true,
     rebuild: false,
     twin: false,
@@ -382,7 +412,8 @@ impl Scenario {
     /// are rebuilt by replaying journal-resident delta records over a
     /// base image: a full baseline, a fault-free delta round, the cut
     /// round. Survivors must match the fault-free twin — replay
-    /// equivalence, not just prefix equality.
+    /// equivalence, not just prefix equality. The round's commits are
+    /// journal records alone: no superblock is written.
     pub fn delta_cut() -> Scenario {
         Scenario {
             label: "delta_cut",
@@ -392,8 +423,73 @@ impl Scenario {
             site: Site::Write { round: 2 },
             twin: true,
             engage: &[Engage::DeltaStaged],
-            targets: &[Hit::Journal, Hit::Superblock],
+            targets: &[Hit::Journal],
             ..BASE
+        }
+    }
+
+    /// The delta round's cuts, each landing the first bytes of the
+    /// interrupted write — inside a journal record, a frame whose header
+    /// made it and whose CRC did not. The tail scan must stop there.
+    pub fn tail_torn() -> Scenario {
+        Scenario {
+            label: "tail_torn",
+            cut: Cut::Torn(TORN_BYTES),
+            ..Scenario::delta_cut()
+        }
+    }
+
+    /// The reordering cut inside a whole-page flush: the interrupted
+    /// write reaches the platter and every unflushed write before it is
+    /// lost. Landed on a commit record, that is a record durable over
+    /// data that is not; recovery's page-digest check must drop it and
+    /// land on the old head, and the oracle's scrub is what would see
+    /// the lost pages if it did not.
+    pub fn tail_data_lost() -> Scenario {
+        Scenario {
+            label: "tail_data_lost",
+            cut: Cut::Torn(usize::MAX),
+            targets: &[Hit::Data, Hit::Journal],
+            ..Scenario::flush_cut(SWEEP_PAGES)
+        }
+    }
+
+    /// A journal small enough that the rounds switch halves twice, so
+    /// the first half is reused with its previous generation's records
+    /// behind the new tail — CRC-valid, and never to be replayed. A
+    /// history window of two makes them matter: each round GCs, so a
+    /// stale `Commit` would resurrect a deleted checkpoint over freed
+    /// blocks and a stale `Delete` would delete one twice. The cut walks
+    /// the last round. No twin: the twin's GC deletes checkpoints a cut
+    /// round keeps.
+    pub fn stale_generation() -> Scenario {
+        Scenario {
+            label: "stale_generation",
+            journal_blocks: SMALL_JOURNAL_BLOCKS,
+            history_window: Some(2),
+            rounds: STALE_ROUNDS,
+            site: Site::Write {
+                round: STALE_ROUNDS - 1,
+            },
+            twin: false,
+            engage: &[],
+            ..Scenario::delta_cut()
+        }
+    }
+
+    /// The same small journal, cut through the round whose commit does
+    /// not fit and switches halves: the snapshot write, the superblock
+    /// flip's two slots — the only superblock writes after format — and
+    /// the record appended to the new half.
+    pub fn journal_switch_cut() -> Scenario {
+        Scenario {
+            label: "journal_switch_cut",
+            rounds: SWITCH_ROUND + 1,
+            site: Site::Write {
+                round: SWITCH_ROUND,
+            },
+            targets: &[Hit::Journal, Hit::Superblock],
+            ..Scenario::stale_generation()
         }
     }
 
@@ -402,7 +498,7 @@ impl Scenario {
     /// cut must leave the old chain or the folded image, never a mix.
     /// The fourth delta round reaches the cap of 4, so its checkpoint
     /// commits the capping delta and auto-folds: the ordinal walks the
-    /// delta seal, the flip and every write of the fold.
+    /// delta record and every write of the fold.
     pub fn compaction_cut() -> Scenario {
         Scenario {
             label: "compaction_cut",
@@ -411,7 +507,7 @@ impl Scenario {
             chain_cap: Some(4),
             site: Site::Write { round: 4 },
             engage: &[Engage::DeltaStaged, Engage::ChainFolded],
-            targets: &[Hit::Journal, Hit::Superblock, Hit::Data],
+            targets: &[Hit::Journal, Hit::Data],
             ..Scenario::delta_cut()
         }
     }
@@ -668,7 +764,7 @@ impl<'a> World<'a> {
         report: &'a mut CampaignReport,
     ) -> Result<Self> {
         let mut config = StoreConfig {
-            journal_blocks: 512,
+            journal_blocks: sc.journal_blocks,
             materialize_data: true,
             ..StoreConfig::default()
         };
@@ -707,6 +803,9 @@ impl<'a> World<'a> {
             let pid = host.kernel.spawn(tag);
             let addr = host.kernel.mmap_anon(pid, sc.pages * 4096, false)?;
             let gid = host.persist(tag, pid)?;
+            if let Some(window) = sc.history_window {
+                host.sls.group_mut(gid)?.history_window = window;
+            }
             let mut own = None;
             if let HostShape::TenantStores = sc.host {
                 let dev = ResilientDev::with_defaults(nvme(&host.clock, &format!("tenant{i}")));
@@ -779,7 +878,10 @@ impl<'a> World<'a> {
     /// The plan point `n` arms while the workload runs.
     fn plan(&self, n: u64) -> Result<FaultPlan> {
         let Site::TenantStore = self.sc.site else {
-            return Ok(FaultPlan::power_cut(n));
+            return Ok(match self.sc.cut {
+                Cut::Clean => FaultPlan::power_cut(n),
+                Cut::Torn(bytes) => FaultPlan::torn_write(n, bytes),
+            });
         };
         Ok(match n {
             1 => FaultPlan::power_cut(1),
@@ -884,6 +986,11 @@ impl<'a> World<'a> {
             let pipelined = sc.pipelined_from.is_some_and(|k| round >= k);
             for i in 0..self.tenants.len() {
                 self.attempt(i, round, pipelined);
+            }
+            // Checkpoints the workload's own GC deleted are not owed.
+            if sc.history_window.is_some() {
+                let live = named_checkpoints(&self.host.sls.primary);
+                self.acked.retain(|a| live.iter().any(|(_, name)| name == a));
             }
             // The tenant-store plan stays armed until the revival.
             if armed.is_some() && !matches!(sc.site, Site::TenantStore) {
@@ -1467,6 +1574,52 @@ mod tests {
             r.restores_verified >= 11,
             "the baseline survives every cut: {r:?}"
         );
+    }
+
+    #[test]
+    fn tail_torn_sweep_stops_the_scan_at_the_torn_record() {
+        let r = sweep(Scenario::tail_torn(), 1..=4);
+        assert_eq!(r.hits_on(Hit::Journal), 1, "the delta round's one record: {r:?}");
+        assert!(r.restores_verified >= 8, "twin-equal survivors: {r:?}");
+    }
+
+    #[test]
+    fn tail_data_lost_sweep_drops_the_record_and_lands_on_the_old_head() {
+        // Cuts on the last data blocks of the round's extents, then on
+        // its commit record and past it.
+        let r = sweep(
+            Scenario::tail_data_lost(),
+            SWEEP_PAGES - 2..=SWEEP_PAGES + 2,
+        );
+        assert_eq!(r.hits_on(Hit::Data), 3, "{r:?}");
+        assert_eq!(r.hits_on(Hit::Journal), 1, "the record lands over lost data: {r:?}");
+        assert_eq!(r.crashes, 5);
+        assert_eq!(r.aborted, 4, "no point whose cut fired commits its round: {r:?}");
+    }
+
+    #[test]
+    fn stale_generation_sweep_never_replays_the_half_s_previous_use() {
+        // The fault-free run reaches the state the sweep needs: two
+        // switches, the GC that makes stale records matter, and the cut
+        // round's appends landing in the reused half.
+        let sc = Scenario::stale_generation();
+        let mut report = CampaignReport::default();
+        let mut world = World::boot(&sc, None, None, "clean".into(), &mut report).unwrap();
+        world.workload().unwrap();
+        let stats = world.host.sls.primary.borrow().stats.clone();
+        assert_eq!(stats.superblock_flips, 2, "{stats:?}");
+        assert!(stats.gc_runs > 0, "{stats:?}");
+
+        let r = sweep(sc, 1..=3);
+        assert_eq!(r.hits_on(Hit::Journal), 2, "the commit and its GC delete: {r:?}");
+        assert_eq!(r.crashes, 3);
+    }
+
+    #[test]
+    fn journal_switch_cut_sweep_covers_the_superblock_flip() {
+        let r = sweep(Scenario::journal_switch_cut(), 1..=4);
+        assert_eq!(r.hits_on(Hit::Superblock), 2, "the flip's two slots: {r:?}");
+        assert_eq!(r.hits_on(Hit::Journal), 2, "the snapshot and the record: {r:?}");
     }
 
     #[test]

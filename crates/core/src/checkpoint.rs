@@ -878,7 +878,7 @@ pub(crate) struct FlushReport {
 ///    fresh blocks into extent-sized vectored device writes. Device
 ///    submissions complete asynchronously, so batch *k* drains while
 ///    batch *k+1* is hashed.
-/// 3. **Commit** — one seal → barrier → flip per backend; the
+/// 3. **Commit** — one appended record and one flush per backend; the
 ///    checkpoint is durable at the max of the backends' durable
 ///    instants. Only the commit barrier waits for the device.
 ///

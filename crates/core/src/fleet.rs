@@ -11,7 +11,7 @@
 //! * **one driving thread** — the host runs every cycle on the thread
 //!   that holds `&mut Host`, so one group's cycles exclude each other
 //!   and a store shared by several groups sees one typestate commit
-//!   (seal → barrier → flip) at a time through its `RefCell` borrow
+//!   (append → flush) at a time through its `RefCell` borrow
 //!   and `ObjectStore::commit(&mut self)`;
 //! * a [`FleetScheduler`] — a bounded run queue of in-flight flushes
 //!   plus a set of hash-lane horizons. Admission retires the oldest
@@ -22,7 +22,7 @@
 //!
 //! Commit-ordering argument: cycles run one after the other on the
 //! driving thread, so a group's backends' chains grow in cycle order,
-//! and a shared store's journal/superblock sequence is a clean
+//! and a shared store's journal is a clean
 //! interleaving of whole commits. The overlap between tenants is
 //! modelled in virtual time by the hash lanes, not by host threads.
 //! Durability is per-cycle (`durable_at` = max over backends and the

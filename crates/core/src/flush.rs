@@ -17,8 +17,8 @@
 //!    object store's dedup index (`write_pages_coalesced`).
 //!    The device drains batch *k* while batch *k+1* is hashed. The
 //!    hashes are computed once and shared by every backend.
-//! 4. **Commit** — one seal → barrier → flip per backend after the last
-//!    batch.
+//! 4. **Commit** — one appended record and one flush per backend after
+//!    the last batch.
 //!
 //! Determinism: batch boundaries depend only on the plan length, shard
 //! boundaries only on the number of pages hashed in the batch and the

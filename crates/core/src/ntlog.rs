@@ -6,7 +6,7 @@
 //! reads the log tail and repairs its structures — exactly the
 //! RocksDB/Redis port strategy of §4.
 //!
-//! Each flush is a store mini-commit (journal append + superblock flip);
+//! Each flush is a store mini-commit (one journal record, one flush);
 //! the previous mini-commit is garbage-collected in place, so the log
 //! adds a bounded number of checkpoints to the store.
 

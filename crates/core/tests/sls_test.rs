@@ -1326,8 +1326,9 @@ fn listener_backlog_survives_checkpoint() {
 #[test]
 fn checkpoint_advances_commit_phase_metrics() {
     // One checkpoint is one typestate commit on the checkpointing
-    // store: exactly one journal seal, one extent barrier and one
-    // superblock flip, counted by that store's own `StoreStats`.
+    // store: exactly one journal record and one flush, and no
+    // superblock flip — only a journal half switch writes one —
+    // counted by that store's own `StoreStats`.
     let mut host = new_host("phase-metrics");
     let pid = host.kernel.spawn("app");
     let addr = host.kernel.mmap_anon(pid, 4096, false).unwrap();
@@ -1342,8 +1343,8 @@ fn checkpoint_advances_commit_phase_metrics() {
     let after = phases(&host);
     assert_eq!(
         (after.0 - before.0, after.1 - before.1, after.2 - before.2),
-        (1, 1, 1),
-        "seal, barrier and flip deltas of one checkpoint"
+        (1, 1, 0),
+        "record, flush and flip deltas of one checkpoint"
     );
 }
 

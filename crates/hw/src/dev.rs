@@ -913,6 +913,37 @@ mod tests {
     }
 
     #[test]
+    fn full_length_torn_cut_lands_the_newest_write_and_loses_the_earlier_cached_ones() {
+        let mut d = ModelDev::nvme(SimClock::new(), "nvme0", 128);
+        d.write(1, &block(0x11)).unwrap();
+        d.flush().unwrap();
+        d.set_fault_plan(crate::fault::FaultPlan::torn_write(3, usize::MAX));
+        d.write(1, &block(0x22)).unwrap(); // cached over the flushed 0x11
+        // Writes 2 and 3: the cut lands on 0x55.
+        d.write_blocks(4, &[&block(0x44), &block(0x55)]).unwrap_err();
+        assert!(!d.powered(), "the third write cuts power");
+        d.power_on();
+        let mut buf = vec![0u8; BLOCK_SIZE];
+        d.read(5, &mut buf).unwrap();
+        assert_eq!(buf, block(0x55), "the cut write landed whole");
+        d.read(4, &mut buf).unwrap();
+        assert_eq!(buf, vec![0u8; BLOCK_SIZE], "its extent's earlier block was lost");
+        d.read(1, &mut buf).unwrap();
+        assert_eq!(buf, block(0x11), "the earlier cached write was lost, the flushed one kept");
+
+        // The serial path lands a whole multi-block write.
+        d.set_fault_plan(crate::fault::FaultPlan::torn_write(2, usize::MAX));
+        d.write(8, &block(0x66)).unwrap();
+        let two = [block(0x77), block(0x78)].concat();
+        let err = d.submit_write(9, &two).unwrap_err();
+        assert!(err.to_string().contains("power cut"), "{err}");
+        d.power_on();
+        let mut got = vec![0u8; 3 * BLOCK_SIZE];
+        d.read(8, &mut got).unwrap();
+        assert_eq!(got, [vec![0u8; BLOCK_SIZE], two].concat());
+    }
+
+    #[test]
     fn reads_see_cached_writes() {
         let clock = SimClock::new();
         let mut d = ModelDev::nvme(clock, "nvme0", 128);

@@ -205,6 +205,9 @@ impl FaultPlan {
     }
 
     /// A plan that cuts power on write `n`, landing only `torn` bytes.
+    /// With `torn` at least the write's length it lands whole while every
+    /// earlier write still in the volatile cache is lost: the device
+    /// persisted its writes out of order.
     pub fn torn_write(n: u64, torn: usize) -> Self {
         FaultPlan {
             power_cut_on_write: Some(n),

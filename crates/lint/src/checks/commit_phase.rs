@@ -1,9 +1,10 @@
 //! Check `commit-phase`: raw device mutations are confined to the
 //! typestate commit protocol.
 //!
-//! The objstore's crash consistency rests on the token chain `DirtyTxn →
-//! JournalSealed → ExtentsDurable → Committed` (`crates/objstore/src/
-//! txn.rs`): rustc rejects a *reordered* protocol, but nothing in the
+//! The objstore's crash consistency rests on the token chains `DirtyTxn →
+//! Submitted → Committed` and `DirtyTxn → SnapshotDurable → Committed`
+//! (`crates/objstore/src/txn.rs`): rustc rejects a *reordered* protocol,
+//! but nothing in the
 //! type system stops a new code path from bypassing the tokens entirely
 //! with a raw `submit_write`. This check closes that hole: in the crates
 //! listed under `[commit-phase] crates`, the raw mutation entry points
@@ -14,7 +15,7 @@
 //! ```toml
 //! [commit-phase]
 //! crates = ["objstore", "core", "cli"]
-//! allow_in = ["seal_journal", "flip_superblock", "write_extent"]
+//! allow_in = ["submit_journal", "flip_superblock", "write_extent"]
 //! ```
 //!
 //! The device layer itself (`crates/hw`) is deliberately not listed: it
@@ -116,8 +117,9 @@ pub fn check(files: &[SourceFile], cfg: &Config) -> Vec<Violation> {
                 msg: format!(
                     "raw device write `{}` in `{enclosing}` bypasses the commit \
                      protocol; drive it through the typestate tokens in \
-                     `objstore::txn` (seal_journal → extent_barrier → \
-                     flip_superblock), or add `{enclosing}` to [commit-phase] \
+                     `objstore::txn` (append_record → commit_flush, or \
+                     write_snapshot → flip_superblock), or add `{enclosing}` \
+                     to [commit-phase] \
                      allow_in in lint-allow.toml with review",
                     t[i].text
                 ),

@@ -299,7 +299,7 @@ files = ["crates/objstore/src/layout.rs"]
 
 [commit-phase]
 crates = ["objstore"]
-allow_in = ["seal_journal", "flip_superblock"]
+allow_in = ["submit_journal", "flip_superblock"]
 "#,
         )
         .unwrap();
@@ -313,7 +313,7 @@ allow_in = ["seal_journal", "flip_superblock"]
         assert_eq!(cfg.commit_phase_crates, vec!["objstore"]);
         assert_eq!(
             cfg.commit_phase_allow,
-            vec!["seal_journal", "flip_superblock"]
+            vec!["submit_journal", "flip_superblock"]
         );
     }
 

@@ -102,7 +102,7 @@ fn commit_phase_fixture() {
             ("commit-phase", "crates/demo/src/lib.rs", 20),
         ],
         "raw writes outside allowlisted fns flagged; the licensed \
-         `seal_journal` and test code exempt: {:?}",
+         `submit_journal` and test code exempt: {:?}",
         violations.iter().map(|v| v.render()).collect::<Vec<_>>()
     );
     assert!(

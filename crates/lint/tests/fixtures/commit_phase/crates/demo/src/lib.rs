@@ -1,8 +1,8 @@
-// Commit-phase fixture. `seal_journal` is allowlisted; every other raw
+// Commit-phase fixture. `submit_journal` is allowlisted; every other raw
 // device write must be flagged, while test code stays exempt.
 pub struct Dev;
 
-pub fn seal_journal(dev: &mut Dev) {
+pub fn submit_journal(dev: &mut Dev) {
     dev.submit_write(7, b"journal record"); // licensed
 }
 

@@ -364,9 +364,9 @@ mod tests {
         assert_eq!(d.deleted_objects, c.deleted_objects);
     }
 
-    /// The journal record's bytes, pinned: the page and delta maps are
-    /// key-ordered maps now, and encode in the order the former sort
-    /// produced, so stores written before the change replay unchanged.
+    /// The journal record's bytes, pinned: the checkpoint's page and
+    /// delta maps encode in key order, inside a commit frame whose
+    /// header, page digest and CRC are pinned around them.
     #[test]
     fn the_encoding_is_pinned() {
         let mut c = ck(9, Some(4));
@@ -397,6 +397,25 @@ mod tests {
         let d = Checkpoint::decode(&mut Decoder::new(&bytes)).unwrap();
         assert_eq!(d.pages, c.pages);
         assert_eq!(d.deltas, c.deltas);
+
+        // The journal frame around it: tag 1, record version 3, payload
+        // length, generation 7; the page digest ahead of the checkpoint,
+        // an empty delta section after it; the CRC over all of that; zero
+        // padding to the block.
+        let record = crate::journal::JournalRecord::Commit {
+            ckpt: c,
+            deltas: Vec::new(),
+            digest: 0x0123_4567_89ab_cdef,
+        };
+        let frame = crate::journal::encode_frame(&record, 7);
+        let used = 16 + 8 + bytes.len() + 1 + 4;
+        let frame_hex: String = frame[..used].iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(
+            frame_hex,
+            format!("010003009c0000000700000000000000efcdab8967452301{hex}0007a995f7")
+        );
+        assert!(frame[used..].iter().all(|&b| b == 0));
+        assert_eq!(frame.len(), aurora_hw::BLOCK_SIZE);
     }
 
     #[test]

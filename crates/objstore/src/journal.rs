@@ -1,19 +1,37 @@
 //! The metadata journal.
 //!
-//! Every commit appends one CRC-protected record (block-aligned) to the
-//! journal region; recovery replays records in order, stopping cleanly at
-//! a torn tail. When the journal fills past half its capacity, the store
-//! *compacts*: it rewrites the whole committed checkpoint table as a
-//! single snapshot record at the journal start. Snapshot + deltas is what
-//! keeps per-checkpoint metadata cost low — the property the paper needs
-//! to take "hundreds of checkpoints per second".
+//! Every commit appends one CRC-framed record (block-aligned) to the
+//! active journal half, and that record is the commit point: the flush
+//! queued behind it makes it, and every data extent submitted before it,
+//! durable. Recovery finds the records by scanning the half frame by
+//! frame and stops at the first frame that fails its checks — the torn
+//! or never-written tail. When a record does not fit, the store
+//! *compacts*: it writes the whole committed checkpoint table as one
+//! snapshot record at the start of the idle half, and a superblock flip
+//! switches halves. Snapshot + appended records is what keeps
+//! per-checkpoint metadata cost low — the property the paper needs to
+//! take "hundreds of checkpoints per second".
+//!
+//! A frame is one codec record ([`Encoder::record`]), padded with zeros
+//! to whole blocks:
+//!
+//! ```text
+//! tag:u16 version:u16 len:u32 generation:u64 payload[len] crc32c:u32
+//! ```
+//!
+//! The CRC covers everything before it. `generation` is the active
+//! half's generation — the superblock epoch that switched to it — so a
+//! CRC-valid record left in a half by its previous use never replays.
+//! A `Commit` payload starts with the record's page digest (see
+//! [`page_digest`]), which recovery checks on the tail record.
 
 use std::collections::BTreeMap;
 
 use aurora_sim::codec::{Decoder, Encoder};
 use aurora_sim::error::{Error, Result};
+use aurora_sim::rng::mix64;
 
-use aurora_hw::BLOCK_SIZE;
+use aurora_hw::{Access, BlockDev, BLOCK_SIZE};
 
 use crate::checkpoint::{take_object, Checkpoint, CkptId};
 use crate::deltalog::{DeltaLog, DeltaRecord, Lsn};
@@ -27,20 +45,46 @@ pub const TAG_SNAPSHOT: u16 = 3;
 
 /// Record format version. v2 added the delta-record sections (the
 /// sub-page delta log rides in the journal: a commit carries the records
-/// it appended, a snapshot carries every record still reachable).
-pub const REC_VERSION: u16 = 2;
+/// it appended, a snapshot carries every record still reachable). v3
+/// frames carry the half's generation under a CRC over header and
+/// payload, and a commit carries its page digest.
+pub const REC_VERSION: u16 = 3;
+
+/// The page digest of a `Commit` that recovery cannot check.
+pub const UNCHECKED: u64 = 0;
 
 /// A decoded journal record.
 #[derive(Debug)]
 pub enum JournalRecord {
     /// One committed checkpoint delta plus the sub-page delta records it
     /// appended, in ascending LSN order.
-    Commit(Checkpoint, Vec<(Lsn, DeltaRecord)>),
+    Commit {
+        /// The checkpoint.
+        ckpt: Checkpoint,
+        /// The delta records it appended.
+        deltas: Vec<(Lsn, DeltaRecord)>,
+        /// The [`page_digest`] of the blocks `ckpt.pages` references.
+        digest: u64,
+    },
     /// A checkpoint deletion (GC).
     Delete(CkptId),
     /// A compaction snapshot: the whole checkpoint table plus every
     /// still-reachable delta record.
     Snapshot(Vec<Checkpoint>, Vec<(Lsn, DeltaRecord)>),
+}
+
+/// A `Commit`'s page digest: the content hashes of the full-page blocks
+/// its `pages` map references, folded in key order. [`UNCHECKED`] when
+/// any block has no hash to give (a store without dedup, or a block of a
+/// store reopened from the medium and not yet read back).
+pub fn page_digest(hashes: impl IntoIterator<Item = Option<u64>>) -> u64 {
+    let mut acc = 0x6a09_e667_f3bc_c908;
+    for h in hashes {
+        let Some(h) = h else { return UNCHECKED };
+        acc = mix64(acc ^ h);
+    }
+    // A fold that lands on the sentinel is moved off it.
+    acc.max(UNCHECKED + 1)
 }
 
 fn encode_delta_section(e: &mut Encoder, records: &[(Lsn, DeltaRecord)]) {
@@ -62,12 +106,18 @@ fn decode_delta_section(d: &mut Decoder<'_>) -> Result<Vec<(Lsn, DeltaRecord)>> 
     Ok(out)
 }
 
-/// Encodes a record, padded to a whole number of blocks.
-pub fn encode_record(rec: &JournalRecord) -> Vec<u8> {
+/// Encodes a record as a frame of `generation`, padded to a whole number
+/// of blocks.
+pub fn encode_frame(rec: &JournalRecord, generation: u64) -> Vec<u8> {
     let mut payload = Encoder::new();
     let tag = match rec {
-        JournalRecord::Commit(c, deltas) => {
-            c.encode(&mut payload);
+        JournalRecord::Commit {
+            ckpt,
+            deltas,
+            digest,
+        } => {
+            payload.u64(*digest);
+            ckpt.encode(&mut payload);
             encode_delta_section(&mut payload, deltas);
             TAG_COMMIT
         }
@@ -85,59 +135,155 @@ pub fn encode_record(rec: &JournalRecord) -> Vec<u8> {
         }
     };
     let payload = payload.into_vec();
-    let mut e = Encoder::with_capacity(payload.len() + 16);
-    e.record(tag, REC_VERSION, &payload);
+    let mut e = Encoder::with_capacity(payload.len() + 32);
+    e.record(tag, REC_VERSION, generation, &payload);
     let mut bytes = e.into_vec();
-    let padded = bytes.len().div_ceil(BLOCK_SIZE) * BLOCK_SIZE;
-    bytes.resize(padded, 0);
+    bytes.resize(padded(bytes.len()), 0);
     bytes
 }
 
-/// Decodes every valid record from the journal bytes.
-///
-/// A CRC failure or short record is treated as the torn tail: everything
-/// before it is returned, everything after is ignored. `used` bounds the
-/// region the superblock vouches for.
-pub fn decode_records(journal: &[u8], used: u64) -> Vec<JournalRecord> {
-    let valid = &journal[..(used as usize).min(journal.len())];
-    let mut records = Vec::new();
-    let mut off = 0usize;
-    while off + 12 <= valid.len() {
-        let mut d = Decoder::new(&valid[off..]);
-        let rec = match d.record() {
-            Ok(r) => r,
-            Err(_) => break, // Torn tail.
-        };
-        let consumed = d.position();
-        let parsed = match rec.tag {
-            TAG_COMMIT => {
-                let mut pd = Decoder::new(rec.payload);
-                Checkpoint::decode(&mut pd).and_then(|c| {
-                    let deltas = decode_delta_section(&mut pd)?;
-                    Ok(JournalRecord::Commit(c, deltas))
-                })
+/// `len` rounded up to whole blocks.
+fn padded(len: usize) -> usize {
+    len.div_ceil(BLOCK_SIZE) * BLOCK_SIZE
+}
+
+/// The padded length of the frame that starts `block`, if its header
+/// claims this record version and `generation`; its CRC is not checked
+/// yet.
+fn frame_len(block: &[u8], generation: u64) -> Option<u64> {
+    let h = Decoder::new(block).record_header().ok()?;
+    let ours = h.version == REC_VERSION && h.generation == generation;
+    ours.then_some(padded(h.record_len()) as u64)
+}
+
+/// Decodes one whole frame. `Ok(None)` when its CRC fails (a torn
+/// frame); an error when a frame whose CRC holds does not decode.
+pub fn decode_frame(frame: &[u8]) -> Result<Option<JournalRecord>> {
+    let Ok(rec) = Decoder::new(frame).record() else {
+        return Ok(None);
+    };
+    let mut pd = Decoder::new(rec.payload);
+    let record = match rec.tag {
+        TAG_COMMIT => {
+            let digest = pd.u64()?;
+            let ckpt = Checkpoint::decode(&mut pd)?;
+            let deltas = decode_delta_section(&mut pd)?;
+            JournalRecord::Commit {
+                ckpt,
+                deltas,
+                digest,
             }
-            TAG_DELETE => {
-                let mut pd = Decoder::new(rec.payload);
-                pd.u64().map(|id| JournalRecord::Delete(CkptId(id)))
-            }
-            TAG_SNAPSHOT => {
-                let mut pd = Decoder::new(rec.payload);
-                pd.seq(Checkpoint::decode).and_then(|cks| {
-                    let deltas = decode_delta_section(&mut pd)?;
-                    Ok(JournalRecord::Snapshot(cks, deltas))
-                })
-            }
-            _ => break, // Unknown tag: stop conservatively.
-        };
-        match parsed {
-            Ok(r) => records.push(r),
-            Err(_) => break,
         }
-        // Records are block-aligned on disk.
-        off += consumed.div_ceil(BLOCK_SIZE) * BLOCK_SIZE;
+        TAG_DELETE => JournalRecord::Delete(CkptId(pd.u64()?)),
+        TAG_SNAPSHOT => {
+            let cks = pd.seq(Checkpoint::decode)?;
+            JournalRecord::Snapshot(cks, decode_delta_section(&mut pd)?)
+        }
+        tag => return Err(Error::corrupt(format!("journal frame with unknown tag {tag}"))),
+    };
+    Ok(Some(record))
+}
+
+/// A record recovered by [`scan`].
+#[derive(Debug)]
+pub struct Frame {
+    /// The record.
+    pub record: JournalRecord,
+    /// Where its frame ends, in bytes from the start of the half.
+    pub end: u64,
+}
+
+/// Bytes the scan reads ahead per request: 64 blocks.
+const SCAN_WINDOW: u64 = 64 * BLOCK_SIZE as u64;
+
+/// Reads the journal half at `base` (`half_bytes` long) frame by frame
+/// from its start, stopping at the first frame whose header, length,
+/// generation or CRC does not check out: that is the tail. Reads go
+/// ahead in windows of [`SCAN_WINDOW`] bytes; a frame running past the
+/// window extends it by its missing bytes plus the next window, so the
+/// scan pays one request per window, not per frame, reads no byte
+/// twice, and holds at most a window and a frame, never the whole half.
+/// The windows are sequential and none waits on the frames of another,
+/// so they are queued requests.
+pub fn scan(
+    dev: &mut dyn BlockDev,
+    base: u64,
+    half_bytes: u64,
+    generation: u64,
+) -> Result<Vec<Frame>> {
+    let block = BLOCK_SIZE as u64;
+    let mut window = Window {
+        base,
+        half_bytes,
+        at: 0,
+        bytes: Vec::new(),
+    };
+    let mut frames = Vec::new();
+    let mut off = 0u64;
+    while off + block <= half_bytes {
+        let head = window.read(dev, off, block)?;
+        let Some(len) = head.and_then(|b| frame_len(b, generation)) else {
+            break;
+        };
+        if off + len > half_bytes {
+            break;
+        }
+        let Some(frame) = window.read(dev, off, len)? else {
+            break;
+        };
+        let Some(record) = decode_frame(frame)? else { break };
+        off += len;
+        frames.push(Frame { record, end: off });
     }
-    records
+    Ok(frames)
+}
+
+/// The generation of the frame at the start of the half at `base`, if
+/// one checks out. Each generation writes its half from the start, so no
+/// frame in the half carries a later one.
+pub fn first_generation(dev: &mut dyn BlockDev, base: u64, half_bytes: u64) -> Result<Option<u64>> {
+    let mut head = vec![0u8; BLOCK_SIZE];
+    dev.read(base, &mut head)?;
+    let Ok(h) = Decoder::new(&head).record_header() else {
+        return Ok(None);
+    };
+    let Some(len) = frame_len(&head, h.generation).filter(|&len| len <= half_bytes) else {
+        return Ok(None);
+    };
+    let mut bufs = vec![vec![0u8; BLOCK_SIZE]; (len / BLOCK_SIZE as u64) as usize];
+    dev.read_blocks(base, &mut bufs, Access::Queued)?;
+    Ok(Decoder::new(&bufs.concat()).record().ok().map(|r| r.generation))
+}
+
+/// The scan's read-ahead over one journal half: `bytes` are the half's
+/// from offset `at`.
+struct Window {
+    base: u64,
+    half_bytes: u64,
+    at: u64,
+    bytes: Vec<u8>,
+}
+
+impl Window {
+    /// The half's `len` bytes at `off`, reading on from the window's end
+    /// when they run past it (dropping what lies before `off`). `None`
+    /// past the end of the half.
+    fn read(&mut self, dev: &mut dyn BlockDev, off: u64, len: u64) -> Result<Option<&[u8]>> {
+        let block = BLOCK_SIZE as u64;
+        let end = (off + len).min(self.half_bytes);
+        if end > self.at + self.bytes.len() as u64 {
+            let consumed = ((off - self.at) as usize).min(self.bytes.len());
+            self.bytes.drain(..consumed);
+            self.at = off;
+            let from = off + self.bytes.len() as u64;
+            let to = end.max(from + SCAN_WINDOW).min(self.half_bytes);
+            let mut bufs = vec![vec![0u8; BLOCK_SIZE]; ((to - from) / block) as usize];
+            dev.read_blocks(self.base + from / block, &mut bufs, Access::Queued)?;
+            bufs.iter().for_each(|b| self.bytes.extend_from_slice(b));
+        }
+        let start = (off - self.at) as usize;
+        Ok(self.bytes.get(start..start + len as usize))
+    }
 }
 
 /// Replays records into a checkpoint table plus the delta-record log,
@@ -154,8 +300,8 @@ pub fn replay(records: Vec<JournalRecord>) -> Result<(BTreeMap<u64, Checkpoint>,
                     log.insert(lsn, d)?;
                 }
             }
-            JournalRecord::Commit(c, deltas) => {
-                ckpts.insert(c.id.0, c);
+            JournalRecord::Commit { ckpt, deltas, .. } => {
+                ckpts.insert(ckpt.id.0, ckpt);
                 for (lsn, d) in deltas {
                     log.insert(lsn, d)?;
                 }
@@ -166,36 +312,6 @@ pub fn replay(records: Vec<JournalRecord>) -> Result<(BTreeMap<u64, Checkpoint>,
         }
     }
     Ok((ckpts, log))
-}
-
-/// Replay that tolerates stale records (recovery path): a delete of a
-/// checkpoint that is already gone is skipped rather than fatal. This can
-/// only arise from stale-but-CRC-valid tails after compaction, whose
-/// content was already folded into the snapshot.
-pub fn replay_lossy(records: Vec<JournalRecord>) -> (BTreeMap<u64, Checkpoint>, DeltaLog) {
-    let mut ckpts: BTreeMap<u64, Checkpoint> = BTreeMap::new();
-    let mut log = DeltaLog::default();
-    for rec in records {
-        match rec {
-            JournalRecord::Snapshot(list, deltas) => {
-                ckpts = list.into_iter().map(|c| (c.id.0, c)).collect();
-                log = DeltaLog::default();
-                for (lsn, d) in deltas {
-                    let _ = log.insert(lsn, d);
-                }
-            }
-            JournalRecord::Commit(c, deltas) => {
-                ckpts.insert(c.id.0, c);
-                for (lsn, d) in deltas {
-                    let _ = log.insert(lsn, d);
-                }
-            }
-            JournalRecord::Delete(id) => {
-                let _ = apply_delete(&mut ckpts, id);
-            }
-        }
-    }
-    (ckpts, log)
 }
 
 /// Merges checkpoint `id` into its sole child and removes it.
@@ -326,28 +442,145 @@ mod tests {
         }
     }
 
+    fn commit(c: Checkpoint, deltas: Vec<(Lsn, DeltaRecord)>) -> JournalRecord {
+        JournalRecord::Commit {
+            ckpt: c,
+            deltas,
+            digest: UNCHECKED,
+        }
+    }
+
+    /// A device holding `frames` back to back from block `BASE`.
+    const BASE: u64 = 2;
+    const HALF: u64 = 256 * BLOCK_SIZE as u64;
+    fn device(frames: &[Vec<u8>]) -> aurora_hw::ModelDev {
+        let clock = aurora_sim::SimClock::new();
+        let mut dev = aurora_hw::ModelDev::nvme(clock, "nvme0", 1024);
+        let mut lba = BASE;
+        for f in frames {
+            dev.write(lba, f).unwrap();
+            lba += (f.len() / BLOCK_SIZE) as u64;
+        }
+        dev
+    }
+
+    fn scanned(frames: &[Vec<u8>], generation: u64) -> Vec<Frame> {
+        scan(&mut device(frames), BASE, HALF, generation).unwrap()
+    }
+
+    /// Encodes each record as a frame of generation 1 and scans them back.
+    fn through_frames(records: &[JournalRecord]) -> Vec<JournalRecord> {
+        let frames: Vec<Vec<u8>> = records.iter().map(|r| encode_frame(r, 1)).collect();
+        scanned(&frames, 1).into_iter().map(|f| f.record).collect()
+    }
+
+    #[test]
+    fn frame_roundtrip_carries_the_generation_and_the_digest() {
+        let mut c1 = ck(1, None);
+        c1.pages.insert((ObjId(1), 0), BlockPtr(5));
+        let digest = page_digest([Some(0xfeed), Some(7)]);
+        let rec = JournalRecord::Commit {
+            ckpt: c1,
+            deltas: vec![(1, dr(1, 0, None, 1))],
+            digest,
+        };
+        let bytes = encode_frame(&rec, 0x1234_5678_9abc);
+        assert_eq!(bytes.len() % BLOCK_SIZE, 0);
+        assert_eq!(frame_len(&bytes, 0x1234_5678_9abc), Some(bytes.len() as u64));
+        assert_eq!(frame_len(&bytes, 0x1234_5678_9abd), None, "another generation's");
+        match decode_frame(&bytes).unwrap().unwrap() {
+            JournalRecord::Commit {
+                ckpt,
+                deltas,
+                digest: d,
+            } => {
+                assert_eq!(d, digest);
+                assert_eq!(ckpt.pages.get(&(ObjId(1), 0)), Some(&BlockPtr(5)));
+                assert_eq!(deltas.len(), 1);
+            }
+            other => panic!("decoded {other:?}"),
+        }
+        // The generation is under the CRC: a rewritten one is a torn frame.
+        let mut forged = bytes.clone();
+        forged[8] ^= 1;
+        assert!(decode_frame(&forged).unwrap().is_none());
+    }
+
+    #[test]
+    fn page_digest_is_ordered_and_never_the_sentinel() {
+        let ab = page_digest([Some(1), Some(2)]);
+        assert_ne!(ab, page_digest([Some(2), Some(1)]), "key order matters");
+        assert_ne!(ab, page_digest([Some(1), Some(3)]));
+        assert_ne!(page_digest([]), UNCHECKED);
+        assert_eq!(page_digest([Some(1), None]), UNCHECKED);
+    }
+
     #[test]
     fn record_roundtrip_and_torn_tail() {
         let mut c1 = ck(1, None);
         c1.pages.insert((ObjId(1), 0), BlockPtr(5));
-        let bytes1 = encode_record(&JournalRecord::Commit(c1, Vec::new()));
-        let bytes2 = encode_record(&JournalRecord::Delete(CkptId(1)));
-        assert_eq!(bytes1.len() % BLOCK_SIZE, 0);
+        let f1 = encode_frame(&commit(c1, Vec::new()), 1);
+        let f2 = encode_frame(&JournalRecord::Delete(CkptId(1)), 1);
+        let mut torn = encode_frame(&JournalRecord::Delete(CkptId(2)), 1);
+        torn[20] ^= 0xff;
+        let frames = scanned(&[f1.clone(), f2.clone(), torn, f2.clone()], 1);
+        assert_eq!(frames.len(), 2, "nothing past the torn frame replays");
+        assert!(matches!(frames[0].record, JournalRecord::Commit { .. }));
+        assert!(matches!(frames[1].record, JournalRecord::Delete(CkptId(1))));
+        assert_eq!(frames[1].end, (f1.len() + f2.len()) as u64);
+    }
 
-        let mut journal = Vec::new();
-        journal.extend_from_slice(&bytes1);
-        journal.extend_from_slice(&bytes2);
-        // Append garbage that looks like a torn record.
-        journal.extend_from_slice(&[0xFFu8; BLOCK_SIZE]);
+    #[test]
+    fn scan_never_replays_a_stale_generation() {
+        let old = encode_frame(&JournalRecord::Delete(CkptId(9)), 1);
+        let snap = encode_frame(&JournalRecord::Snapshot(vec![ck(1, None)], Vec::new()), 2);
+        // Records of the half's previous use sit behind its new snapshot:
+        // their CRCs hold, but they are of generation 1.
+        let frames = scanned(&[snap, old.clone(), old], 2);
+        assert_eq!(frames.len(), 1);
+        assert!(matches!(frames[0].record, JournalRecord::Snapshot(..)));
+        assert!(scanned(&[encode_frame(&JournalRecord::Delete(CkptId(9)), 1)], 2).is_empty());
+    }
 
-        let recs = decode_records(&journal, journal.len() as u64);
-        assert_eq!(recs.len(), 2);
-        assert!(matches!(recs[0], JournalRecord::Commit(_, _)));
-        assert!(matches!(recs[1], JournalRecord::Delete(CkptId(1))));
+    #[test]
+    fn scan_stops_at_a_rotten_length() {
+        let f1 = encode_frame(&JournalRecord::Delete(CkptId(1)), 1);
+        let mut rotten = encode_frame(&JournalRecord::Delete(CkptId(2)), 1);
+        // A length running past the end of the half is never read.
+        rotten[4..8].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert_eq!(scanned(&[f1.clone(), rotten], 1).len(), 1);
+        // A wrong length inside the half fails the CRC.
+        let mut short = encode_frame(&JournalRecord::Delete(CkptId(2)), 1);
+        short[4..8].copy_from_slice(&4u32.to_le_bytes());
+        assert_eq!(scanned(&[f1, short], 1).len(), 1);
+    }
 
-        // Truncated `used` hides the second record.
-        let recs = decode_records(&journal, bytes1.len() as u64);
-        assert_eq!(recs.len(), 1);
+    #[test]
+    fn scan_reads_frames_across_and_past_its_window() {
+        // A small frame, one straddling the first read-ahead window and
+        // one larger than a window, then the tail.
+        let big = |id: u64, blocks: usize| {
+            let mut c = ck(id, None);
+            c.blobs.insert("big".into(), vec![id as u8; blocks * BLOCK_SIZE]);
+            encode_frame(&commit(c, Vec::new()), 1)
+        };
+        let small = encode_frame(&JournalRecord::Delete(CkptId(1)), 1);
+        let (straddle, huge) = (big(2, 60), big(3, 70));
+        assert!(huge.len() as u64 > SCAN_WINDOW);
+        let frames = scanned(&[small.clone(), straddle.clone(), huge.clone()], 1);
+        assert_eq!(frames.len(), 3);
+        let ends: Vec<u64> = frames.iter().map(|f| f.end).collect();
+        let (a, b) = (small.len() as u64, straddle.len() as u64);
+        assert_eq!(ends, vec![a, a + b, a + b + huge.len() as u64]);
+        let JournalRecord::Commit { ckpt, .. } = &frames[2].record else {
+            panic!("decoded {:?}", frames[2].record);
+        };
+        assert_eq!(ckpt.blobs["big"], vec![3u8; 70 * BLOCK_SIZE]);
+    }
+
+    #[test]
+    fn replay_refuses_a_delete_of_a_missing_checkpoint() {
+        assert!(replay(vec![JournalRecord::Delete(CkptId(4))]).is_err());
     }
 
     #[test]
@@ -357,10 +590,11 @@ mod tests {
         c1.pages.insert((ObjId(1), 0), BlockPtr(10));
         let mut c2 = ck(2, Some(1));
         c2.pages.insert((ObjId(1), 0), BlockPtr(20));
-        let mut journal = Vec::new();
-        journal.extend_from_slice(&encode_record(&JournalRecord::Snapshot(vec![c1], Vec::new())));
-        journal.extend_from_slice(&encode_record(&JournalRecord::Commit(c2, Vec::new())));
-        let (ckpts, log) = replay(decode_records(&journal, journal.len() as u64)).unwrap();
+        let records = through_frames(&[
+            JournalRecord::Snapshot(vec![c1], Vec::new()),
+            commit(c2, Vec::new()),
+        ]);
+        let (ckpts, log) = replay(records).unwrap();
         assert_eq!(ckpts.len(), 2);
         assert!(log.is_empty());
         assert_eq!(resolve_page(&ckpts, CkptId(2), ObjId(1), 0), Some(BlockPtr(20)));
@@ -375,17 +609,12 @@ mod tests {
         c2.deltas.insert((ObjId(1), 0), 1);
         let mut c3 = ck(3, Some(2));
         c3.deltas.insert((ObjId(1), 0), 2);
-        let mut journal = Vec::new();
-        journal.extend_from_slice(&encode_record(&JournalRecord::Commit(c1, Vec::new())));
-        journal.extend_from_slice(&encode_record(&JournalRecord::Commit(
-            c2,
-            vec![(1, dr(1, 0, None, 1))],
-        )));
-        journal.extend_from_slice(&encode_record(&JournalRecord::Commit(
-            c3,
-            vec![(2, dr(1, 0, Some(1), 2))],
-        )));
-        let (ckpts, log) = replay(decode_records(&journal, journal.len() as u64)).unwrap();
+        let records = through_frames(&[
+            commit(c1, Vec::new()),
+            commit(c2, vec![(1, dr(1, 0, None, 1))]),
+            commit(c3, vec![(2, dr(1, 0, Some(1), 2))]),
+        ]);
+        let (ckpts, log) = replay(records).unwrap();
         assert_eq!(ckpts.len(), 3);
         assert_eq!(log.len(), 2);
         assert_eq!(log.next_lsn(), 3);
@@ -396,11 +625,11 @@ mod tests {
             Some(PageRef::Delta(2))
         );
         // A compaction snapshot carries the records forward verbatim.
-        let snap = encode_record(&JournalRecord::Snapshot(
+        let snap = JournalRecord::Snapshot(
             ckpts.values().cloned().collect(),
             log.iter().map(|(l, r)| (l, r.clone())).collect(),
-        ));
-        let (ckpts2, log2) = replay(decode_records(&snap, snap.len() as u64)).unwrap();
+        );
+        let (ckpts2, log2) = replay(through_frames(&[snap])).unwrap();
         assert_eq!(ckpts2.len(), 3);
         assert_eq!(log2.len(), 2);
         assert_eq!(log2.next_lsn(), 3);

@@ -1,13 +1,15 @@
 //! On-disk layout: superblocks and region geometry.
 //!
 //! ```text
-//! block 0      superblock slot A \  alternating commits; recovery picks
-//! block 1      superblock slot B /  the valid slot with the higher epoch
+//! block 0      superblock slot A \  both written, in turn, at each half
+//! block 1      superblock slot B /  switch; recovery picks the valid
+//!                                   slot with the higher epoch
 //! block 2..J   metadata journal (two ping-pong halves; records append
-//!              into the active half, compaction writes its snapshot to
-//!              the idle half and the superblock flip switches halves,
-//!              so a power cut mid-compaction never destroys the journal
-//!              the durable superblock points at)
+//!              into the active half and each is committed by its own
+//!              flush, compaction writes its snapshot to the idle half
+//!              and the superblock flip switches halves, so a power cut
+//!              mid-compaction never destroys the journal the durable
+//!              superblock points at)
 //! block J..    data region (refcounted 4 KiB blocks)
 //! ```
 
@@ -22,8 +24,13 @@ pub const MAGIC: u64 = 0x4155_524F_5253_4C53;
 
 /// On-disk format version. v3: journal record format v2 (checkpoints
 /// carry sub-page delta heads; commit/snapshot records carry delta-log
-/// sections). The superblock body is unchanged.
-pub const VERSION: u16 = 3;
+/// sections). v4: journal record format v3 — the appended record is the
+/// commit point: frames carry the half's generation (the superblock
+/// `epoch` that switched to it) and a commit carries its page digest;
+/// the superblock is written only at half switches, so its
+/// `journal_used` and `next_ckpt` are as of the last switch. The
+/// superblock body is unchanged.
+pub const VERSION: u16 = 4;
 
 /// First journal block.
 pub const JOURNAL_START: u64 = 2;
@@ -31,17 +38,21 @@ pub const JOURNAL_START: u64 = 2;
 /// The superblock.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Superblock {
-    /// Commit epoch (monotonic across the store's life).
+    /// Half-switch epoch (monotonic across the store's life): the
+    /// active journal half's generation.
     pub epoch: u64,
     /// Journal length in blocks (both halves).
     pub journal_blocks: u64,
-    /// Bytes of valid journal content in the active half.
+    /// Bytes of the active half in use. On the medium, the snapshot the
+    /// last half switch wrote, which recovery scans past; in a live
+    /// store, the tail where the next record appends.
     pub journal_used: u64,
     /// First block of the active journal half.
     pub journal_base: u64,
     /// Total device blocks.
     pub total_blocks: u64,
-    /// Next checkpoint id to assign.
+    /// Next checkpoint id to assign (recovery takes the larger of this
+    /// and the replayed head's successor).
     pub next_ckpt: u64,
     /// Next object id to assign.
     pub next_obj: u64,
@@ -56,6 +67,11 @@ impl Superblock {
     /// Blocks in one journal half (records must fit in a half).
     pub fn journal_half_blocks(&self) -> u64 {
         self.journal_blocks / 2
+    }
+
+    /// Bytes in one journal half.
+    pub fn journal_half_bytes(&self) -> u64 {
+        self.journal_half_blocks() * BLOCK_SIZE as u64
     }
 
     /// First block of the idle journal half (compaction's target).

@@ -9,12 +9,12 @@
 //! reference to the new checkpoint.
 //!
 //! See the crate docs for the design overview. The durability contract:
-//! [`ObjectStore::commit`] appends the delta to the journal, flushes,
-//! updates the alternating superblock and flushes again, returning the
-//! virtual instant at which the checkpoint is power-loss-safe — without
-//! advancing the caller's clock, so the SLS overlaps flushing with
-//! application execution. Anything not yet committed is discarded by
-//! [`ObjectStore::recover`], exactly like a real crash.
+//! [`ObjectStore::commit`] appends the delta to the journal and flushes
+//! once, returning the virtual instant at which the checkpoint is
+//! power-loss-safe — without advancing the caller's clock, so the SLS
+//! overlaps flushing with application execution. Anything not yet
+//! committed is discarded by [`ObjectStore::recover`], exactly like a
+//! real crash.
 
 use std::borrow::Cow;
 use std::cell::{Cell, Ref, RefCell};
@@ -22,6 +22,7 @@ use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 
 use aurora_hw::{Access, BlockDev, BLOCK_SIZE};
 use aurora_sim::error::{Error, Result};
+use aurora_sim::hash::page_hash;
 use aurora_sim::time::SimTime;
 use aurora_vm::PageData;
 
@@ -109,14 +110,13 @@ pub struct StoreStats {
     /// whichever read found it (lazy fault, batched plan, base check or
     /// scrub). A `Cell` because the checked reader runs under `&self`.
     pub read_repairs: Cell<u64>,
-    /// Commit-protocol phase transitions: `DirtyTxn → JournalSealed`
-    /// (journal records submitted).
+    /// Journal frames submitted: appended records and compaction
+    /// snapshots.
     pub journal_seals: u64,
-    /// Phase transitions `JournalSealed → ExtentsDurable` (flush
-    /// barriers covering the record and all prior data extents).
+    /// Commit-protocol flushes: each makes a record (or a snapshot) and
+    /// every data extent submitted before it durable.
     pub extent_barriers: u64,
-    /// Phase transitions `ExtentsDurable → Committed` (durable
-    /// alternating-superblock flips).
+    /// Journal half switches: the only superblock writes after format.
     pub superblock_flips: u64,
     /// Sub-page delta records committed to the journal.
     pub delta_records: u64,
@@ -150,6 +150,42 @@ fn committed_refs(ckpts: &BTreeMap<u64, Checkpoint>) -> HashMap<u64, u32> {
         *refs.entry(ptr.0).or_insert(0) += 1;
     }
     refs
+}
+
+/// Whether the data a tail record references reached the medium: the
+/// content hashes of a `Commit`'s full-page blocks, read back, must fold
+/// to its page digest. Only a materialized store's medium holds page
+/// bytes; a timing-only store's page table *is* its medium, and a
+/// timing-only write cannot be lost. A digest of
+/// [`journal::UNCHECKED`] has nothing to compare with.
+fn tail_backed(
+    dev: &mut dyn BlockDev,
+    config: &StoreConfig,
+    data_start: u64,
+    record: &JournalRecord,
+) -> Result<bool> {
+    let JournalRecord::Commit { ckpt, digest, .. } = record else {
+        return Ok(true);
+    };
+    if !config.materialize_data || *digest == journal::UNCHECKED {
+        return Ok(true);
+    }
+    // Every block is known up front: read them as queued extents in
+    // block order, then fold their hashes in key order.
+    let mut blocks: Vec<u64> = ckpt.pages.values().map(|p| p.0).collect();
+    blocks.sort_unstable();
+    blocks.dedup();
+    let mut hashes: HashMap<u64, u64> = HashMap::with_capacity(blocks.len());
+    for (off, len) in runs(&blocks, EXTENT_BLOCKS) {
+        let Some(run @ [first, ..]) = blocks.get(off..off + len) else {
+            continue;
+        };
+        let mut bufs = vec![vec![0u8; BLOCK_SIZE]; len];
+        dev.read_blocks(data_start + first, &mut bufs, Access::Queued)?;
+        hashes.extend(run.iter().zip(&bufs).map(|(&b, buf)| (b, page_hash(buf))));
+    }
+    let read_back = ckpt.pages.values().map(|p| hashes.get(&p.0).copied());
+    Ok(journal::page_digest(read_back) == *digest)
 }
 
 /// Most blocks one vectored device request covers, read or written:
@@ -291,8 +327,27 @@ impl ObjectStore {
                 "device too small: {total_blocks} blocks < {min}"
             )));
         }
+        // Start above every generation an earlier store left on the
+        // device — its superblocks' epochs, plus one for a snapshot
+        // written ahead of a flip that never landed, and the first frame
+        // of each half — so none of its frames passes the tail scan.
+        let mut last = 0;
+        let mut block = vec![0u8; BLOCK_SIZE];
+        for slot in 0..2u64 {
+            dev.read(slot, &mut block)?;
+            if let Ok(old) = Superblock::from_block(&block) {
+                last = last.max(old.epoch + 1);
+            }
+        }
+        let half_blocks = config.journal_blocks / 2;
+        let half_bytes = half_blocks * BLOCK_SIZE as u64;
+        for base in [JOURNAL_START, JOURNAL_START + half_blocks] {
+            if let Some(generation) = journal::first_generation(dev.as_mut(), base, half_bytes)? {
+                last = last.max(generation);
+            }
+        }
         let sb = Superblock {
-            epoch: 1,
+            epoch: last + 1,
             journal_blocks: config.journal_blocks,
             journal_used: 0,
             journal_base: JOURNAL_START,
@@ -360,16 +415,39 @@ impl ObjectStore {
         }
         let sb = best.ok_or_else(|| Error::corrupt("no valid superblock"))?;
 
-        // Replay the journal.
-        let used = sb.journal_used as usize;
-        let mut journal_bytes = vec![0u8; used.div_ceil(BLOCK_SIZE) * BLOCK_SIZE];
-        if !journal_bytes.is_empty() {
-            dev.read(sb.journal_base, &mut journal_bytes)?;
+        // Scan the active half frame by frame. The superblock vouches for
+        // its first `journal_used` bytes (the snapshot the half switch
+        // wrote); past them, each record whose frame checks out was
+        // committed by its own flush.
+        let half = sb.journal_half_bytes();
+        let mut frames = journal::scan(dev.as_mut(), sb.journal_base, half, sb.epoch)?;
+        let end = |frames: &[journal::Frame]| frames.last().map_or(0, |f| f.end);
+        if end(&frames) < sb.journal_used {
+            return Err(Error::corrupt(format!(
+                "journal half at block {} ends at byte {}, inside the {} bytes the \
+                 superblock vouches for",
+                sb.journal_base,
+                end(&frames),
+                sb.journal_used
+            )));
         }
-        let records = journal::decode_records(&journal_bytes, sb.journal_used);
-        let (ckpts, mut delta) = journal::replay_lossy(records);
-        // Drop chain segments no committed checkpoint can reach (stale
-        // tails from GC merges folded into the replayed table).
+        // Only the tail record can have been persisted ahead of its data:
+        // every earlier one was followed in the queue by its own flush.
+        if let Some(tail) = frames.last().filter(|f| f.end > sb.journal_used) {
+            if !tail_backed(dev.as_mut(), &config, sb.data_start(), &tail.record)? {
+                frames.pop();
+            }
+        }
+        let mut sb = sb;
+        sb.journal_used = end(&frames);
+        let records = frames.into_iter().map(|f| f.record).collect();
+        let (ckpts, mut delta) = journal::replay(records)
+            .map_err(|e| Error::corrupt(format!("journal replay: {e}")))?;
+        if let Some(&head) = ckpts.keys().next_back() {
+            sb.next_ckpt = sb.next_ckpt.max(head + 1);
+        }
+        // Drop chain segments no committed checkpoint can reach (GC
+        // merges drop heads whose older records nothing else names).
         let heads: Vec<Lsn> = ckpts
             .values()
             .flat_map(|c| c.deltas.values().copied())
@@ -1045,10 +1123,21 @@ impl ObjectStore {
             durable_at: SimTime::ZERO,
         };
 
-        let record = JournalRecord::Commit(ck.clone(), new_records.clone());
+        // The digest covers the blocks the record names, from the hashes
+        // dedup recorded when they were written.
+        let digest = {
+            let cache = self.cache.borrow();
+            journal::page_digest(ck.pages.values().map(|p| cache.block_hash.get(&p.0).copied()))
+        };
+        let record = JournalRecord::Commit {
+            ckpt: ck.clone(),
+            deltas: new_records.clone(),
+            digest,
+        };
         let (durable, journaled) = self.commit_record(txn, &record)?;
 
-        // Every write landed: consume the pending delta and publish.
+        // The record is durable: consume the pending delta and publish.
+        self.sb.next_ckpt = id.0 + 1;
         self.stats.bytes_journaled += journaled;
         self.pending_new_objects.clear();
         self.pending_deleted.clear();
@@ -1056,8 +1145,8 @@ impl ObjectStore {
         self.pending_blobs.clear();
         self.pending_deltas.clear();
         // Each staged page's reference passes to the checkpoint. The
-        // sealed journal record is durable: the delta records are
-        // committed, and the head image now reads through them.
+        // delta records are committed, and the head image now reads
+        // through them.
         for (l, rec) in new_records {
             self.stats.delta_records += 1;
             self.stats.delta_bytes += rec.encoded_len() as u64;
@@ -1072,62 +1161,36 @@ impl ObjectStore {
         Ok((id, durable))
     }
 
-    /// The one commit step every journal record takes: make room, seal
-    /// the record, run the extent barrier, flip the superblock. Returns
-    /// the durable instant and the record's encoded length.
+    /// The one commit step every appended record takes: make room,
+    /// append the record at the active half's tail, flush once. Returns
+    /// the durable instant — the flush's completion — and the record's
+    /// encoded length.
     ///
-    /// A `Commit` or `Delete` appends to the active journal half; when it
-    /// does not fit, the step first compacts, which takes this same step
-    /// with a `Snapshot`. A `Snapshot` lands in the *idle* half and only
-    /// the flip switches halves, so a power cut at any point leaves a
-    /// durable superblock over an intact journal — the old records or the
-    /// complete snapshot, never a half-overwritten mix.
+    /// A record that does not fit first compacts: the snapshot lands in
+    /// the *idle* half and only the superblock flip switches halves, so a
+    /// power cut at any point leaves a durable superblock over an intact
+    /// half — the old records or the complete snapshot, never a
+    /// half-overwritten mix. Frames carry the active half's generation,
+    /// the superblock epoch.
     ///
-    /// The flip restores the superblock when its write never reaches the
-    /// queue, so a failed step leaves the journal geometry as it was and
-    /// a retry rewrites the same offset. Callers change their in-memory
-    /// state only after `Ok`.
+    /// The tail moves only when the flush succeeds, so a failed step
+    /// leaves the journal geometry as it was and a retry rewrites the
+    /// same offset. Callers change their in-memory state only after `Ok`.
     fn commit_record(&mut self, txn: DirtyTxn, record: &JournalRecord) -> Result<(SimTime, u64)> {
-        let bytes = journal::encode_record(record);
-        let len = bytes.len() as u64;
-        let capacity = self.sb.journal_half_blocks() * BLOCK_SIZE as u64;
-        let snapshot = matches!(record, JournalRecord::Snapshot(..));
-        let (base, used) = if snapshot {
-            // Snapshot + one guard block + room to grow.
-            if len + BLOCK_SIZE as u64 > capacity {
-                return Err(Error::no_space("journal too small for metadata snapshot"));
-            }
-            (self.sb.journal_other_half(), 0)
-        } else {
-            if self.sb.journal_used + len > capacity {
-                self.compact()?;
-                if self.sb.journal_used + len > capacity {
-                    return Err(Error::no_space("journal cannot hold this record"));
-                }
-            }
-            (self.sb.journal_base, self.sb.journal_used)
-        };
-        // A zero guard block after a snapshot stops recovery from
-        // replaying stale records that happen to align after it.
-        let guard = [0u8; BLOCK_SIZE];
-        let mut writes = vec![(base + used / BLOCK_SIZE as u64, bytes.as_slice())];
-        if snapshot {
-            writes.push((base + len / BLOCK_SIZE as u64, &guard));
+        let mut frame = journal::encode_frame(record, self.sb.epoch);
+        let len = frame.len() as u64;
+        if self.sb.journal_used + len > self.sb.journal_half_bytes() {
+            // A record that still does not fit is refused by the append.
+            self.compact()?;
+            frame = journal::encode_frame(record, self.sb.epoch);
         }
-        let sealed = self.seal_journal(txn, &writes)?;
-        let barrier = self.extent_barrier(sealed)?;
-        let (_committed, durable) = self.flip_superblock(barrier, |sb| {
-            sb.journal_base = base;
-            sb.journal_used = used + len;
-            if let JournalRecord::Commit(ck, _) = record {
-                sb.next_ckpt = ck.id.0 + 1;
-            }
-        })?;
+        let submitted = self.append_record(txn, &frame)?;
+        let (_committed, durable) = self.commit_flush(submitted)?;
         Ok((durable, len))
     }
 
     /// Rewrites the checkpoint table as one snapshot record in the idle
-    /// journal half, resetting the journal.
+    /// journal half and switches halves.
     fn compact(&mut self) -> Result<()> {
         let list: Vec<Checkpoint> = self.ckpts.values().cloned().collect();
         // The snapshot carries every still-reachable delta record: "the
@@ -1135,8 +1198,11 @@ impl ObjectStore {
         // that committed checkpoints still replay through.
         let records: Vec<(Lsn, DeltaRecord)> =
             self.delta.iter().map(|(l, r)| (l, r.clone())).collect();
+        // The flip gives the idle half the next epoch as its generation.
+        let frame = journal::encode_frame(&JournalRecord::Snapshot(list, records), self.sb.epoch + 1);
         let txn = self.begin_txn();
-        let (done, _) = self.commit_record(txn, &JournalRecord::Snapshot(list, records))?;
+        let snapshot = self.write_snapshot(txn, &frame)?;
+        let (_committed, done) = self.flip_superblock(snapshot)?;
         self.dev.get_mut().clock().advance_to(done);
         self.stats.compactions += 1;
         Ok(())
@@ -1518,6 +1584,52 @@ mod tests {
     use super::*;
     use aurora_hw::ModelDev;
     use aurora_sim::SimClock;
+
+    /// Formatting over an earlier store leaves its CRC-valid records in
+    /// the journal. None of them may replay: not on the next open, not
+    /// behind the new store's first record, and not when the earlier
+    /// store's superblocks are gone (a store whose open failed).
+    #[test]
+    fn format_over_a_used_store_replays_none_of_its_records() {
+        let config = StoreConfig {
+            journal_blocks: 64,
+            materialize_data: true,
+            ..StoreConfig::default()
+        };
+        let used = || {
+            let dev = Box::new(ModelDev::nvme(SimClock::new(), "nvme0", 4096));
+            let mut s = ObjectStore::format(dev, config.clone()).unwrap();
+            s.create_object(ObjId(1), 8).unwrap();
+            for i in 0..4 {
+                s.write_page(ObjId(1), i, &PageData::Seeded(700 + i)).unwrap();
+                s.commit(None).unwrap();
+            }
+            assert_eq!(s.sb.epoch, 1, "no half switch: the records are generation 1");
+            s.dev.into_inner()
+        };
+        let wiped = || {
+            let mut dev = used();
+            for slot in 0..2 {
+                dev.write(slot, &[0u8; BLOCK_SIZE]).unwrap();
+            }
+            dev.flush().unwrap();
+            dev
+        };
+        for (case, dev) in [("superblocks intact", used()), ("superblocks wiped", wiped())] {
+            let s = ObjectStore::format(dev, config.clone()).unwrap();
+            let s = ObjectStore::open(s.dev.into_inner(), config.clone()).unwrap();
+            assert!(s.checkpoints().is_empty(), "{case}: {:?}", s.checkpoints());
+
+            let mut s = s;
+            s.create_object(ObjId(2), 1).unwrap();
+            s.write_page(ObjId(2), 0, &PageData::Seeded(9)).unwrap();
+            let (ck, _) = s.commit(None).unwrap();
+            let s = ObjectStore::open(s.dev.into_inner(), config.clone()).unwrap();
+            let ids: Vec<CkptId> = s.checkpoints().iter().map(|c| c.id).collect();
+            assert_eq!(ids, [ck], "{case}: only the new store's record replays");
+            assert!(s.fsck().is_empty(), "{case}: {:?}", s.fsck());
+        }
+    }
 
     /// Re-reading an indexed block off the medium — every `drop_caches`
     /// followed by a lazy fault, once a round in a cold-start loop —

@@ -1,8 +1,9 @@
 //! Phase-boundary crash tests for the typestate commit protocol
 //! (`objstore::txn`): every write ordinal inside a commit must be a
-//! valid power-cut point, a transient failure on the superblock flip of
-//! any journal record must change nothing, and the per-phase
-//! counters must tick exactly once per commit. The *compile-time* half
+//! valid power-cut point, a cut on the half switch's superblock flip
+//! must redo cleanly, a transient failure on the last write of any
+//! journal record's commit step must change nothing, and an ordinary
+//! commit must pass its phases once and write no superblock. The *compile-time* half
 //! of the protocol — skipped or reordered tokens failing to typecheck —
 //! lives in the `compile_fail` doctests on `objstore::txn` and
 //! `aurora_hw::mirror::ResilverBarrier`.
@@ -48,27 +49,22 @@ fn staged_store() -> (ObjectStore, aurora_objstore::CkptId) {
 }
 
 /// The number of device writes a clean second commit issues. The last
-/// ordinal is always the superblock flip; everything before it is the
-/// journal-seal phase (the staged data extents were already submitted
-/// by `write_page`).
+/// ordinal is always the journal record, the commit point once flushed
+/// (the staged data extents were already submitted by `write_page`).
 fn commit_write_count() -> u64 {
     let (mut s, _) = staged_store();
     let before = s.device().stats().writes;
     s.commit(Some("clean")).unwrap();
     let w = s.device().stats().writes - before;
-    assert!(
-        w >= 2,
-        "a commit writes at least one journal record and one superblock, got {w}"
-    );
+    assert!(w >= 1, "a commit writes at least its journal record, got {w}");
     w
 }
 
-/// The sweep: cut power on every write ordinal of the commit. Cuts
-/// anywhere in the seal phase leave a journal tail no durable
-/// superblock covers; the cut on the flip write itself is the
-/// "ExtentsDurable reached, Committed not" boundary. In every case
-/// recovery must land exactly on the old head with a clean fsck, and
-/// the torn checkpoint must not exist.
+/// The sweep: cut power on every write ordinal of the commit. A cut on
+/// the record write is the "Submitted reached, Committed not" boundary:
+/// the record never reached the platter, so the tail scan stops before
+/// it. In every case recovery must land exactly on the old head with a
+/// clean fsck, and the torn checkpoint must not exist.
 #[test]
 fn every_commit_write_ordinal_is_a_valid_cut_point() {
     let w = commit_write_count();
@@ -101,31 +97,40 @@ fn every_commit_write_ordinal_is_a_valid_cut_point() {
     }
 }
 
-/// The flip boundary specifically: a power cut on the superblock write
-/// (the commit's final ordinal) happens with the journal sealed and the
-/// extent barrier flushed — `ExtentsDurable` in token terms. Recovery
-/// must replay to the old head, and redoing the whole transaction
-/// afterwards must produce the new state: the flip is idempotent with
-/// respect to a crash between barrier and superblock.
+/// The flip boundary: a power cut on either of the half switch's
+/// superblock writes happens with the snapshot flushed into the idle
+/// half — `SnapshotDurable` in token terms — and the commit that needed
+/// the room not yet appended. A cut on the first copy leaves the old
+/// half current, a cut on the second the new one; either way recovery
+/// must land on the old head, and redoing the commit afterwards must
+/// produce the new state: the flip is idempotent with respect to a
+/// crash between the snapshot's flush and the superblock.
 #[test]
 fn cut_on_superblock_flip_then_redo() {
-    let w = commit_write_count();
-    let (mut s, c1) = staged_store();
-    s.device_mut().install_fault_plan(FaultPlan::power_cut(w));
-    s.commit(Some("torn")).expect_err("cut on the flip write fails the commit");
+    let flip = Record::CompactingCommit.flip_ordinal(false);
+    for (cut, switched) in [(flip, false), (flip + 1, true)] {
+        let mut s = Record::CompactingCommit.store(false);
+        let old_head = s.head().unwrap();
+        s.device_mut().install_fault_plan(FaultPlan::power_cut(cut));
+        s.commit(Some("torn")).expect_err("cut on a flip write fails the commit");
 
-    let mut s = s.recover().unwrap();
-    s.device_mut().install_fault_plan(FaultPlan::default());
-    assert_eq!(s.head(), Some(c1), "flip never became durable");
+        let mut s = s.recover().unwrap();
+        s.device_mut().install_fault_plan(FaultPlan::default());
+        assert_eq!(s.head(), Some(old_head), "cut {cut}: the commit never appended");
 
-    // Redo: recovery dropped the staged delta, so stage it again and
-    // commit; the journal tail left by the cut run is overwritten.
-    s.write_page(ObjId(1), 0, &page(2)).unwrap();
-    let (c2, _) = s.commit(Some("redo")).unwrap();
-    let s = s.recover().unwrap();
-    assert_eq!(s.head(), Some(c2), "redone flip is durable");
-    assert!(s.read_page(ObjId(1), 0).unwrap().unwrap().content_eq(&page(2)));
-    assert!(s.fsck().is_empty(), "{:?}", s.fsck());
+        // Redo: recovery dropped the staged delta, so stage it again and
+        // commit. With the first copy cut, the redo switches halves and
+        // rewrites the snapshot the cut run left in the idle half; with
+        // the second cut, the switch was already durable.
+        s.write_page(ObjId(1), 0, &page(0x42)).unwrap();
+        let (c2, _) = s.commit(Some("redo")).unwrap();
+        let flips = u64::from(!switched);
+        assert_eq!(s.stats.superblock_flips, flips, "cut {cut}: redo flips");
+        let s = s.recover().unwrap();
+        assert_eq!(s.head(), Some(c2), "cut {cut}: redone commit is durable");
+        assert!(s.read_page(ObjId(1), 0).unwrap().unwrap().content_eq(&page(0x42)));
+        assert!(s.fsck().is_empty(), "cut {cut}: {:?}", s.fsck());
+    }
 }
 
 /// The record kinds that go through the commit step, each set up so
@@ -137,8 +142,8 @@ enum Record {
     /// A GC `Delete` of the head's parent.
     GcDelete,
     /// A `Commit` that does not fit in the active journal half, so the
-    /// step first writes a compaction `Snapshot`. The fault lands on the
-    /// snapshot's flip.
+    /// step first writes a compaction `Snapshot` and switches halves.
+    /// The fault lands on the switch's superblock flip.
     CompactingCommit,
 }
 
@@ -190,8 +195,9 @@ impl Record {
         }
     }
 
-    /// The ordinal of the record's superblock write among the call's
-    /// device writes, counted on a fault-free run.
+    /// The ordinal of the step's last durable-making write among the
+    /// call's device writes, counted on a fault-free run: the record of
+    /// a `Commit` or `Delete`, the superblock of a half switch.
     fn flip_ordinal(self, materialize_data: bool) -> u64 {
         let mut s = self.store(materialize_data);
         let (writes, compactions) = (s.device().stats().writes, s.stats.compactions);
@@ -201,7 +207,8 @@ impl Record {
             Record::Commit | Record::GcDelete => w,
             Record::CompactingCommit => {
                 assert_eq!(s.stats.compactions, compactions + 1, "the commit compacts");
-                // The commit's own seal and flip follow the snapshot's.
+                // The switch writes both superblock slots, slot 0 first;
+                // the commit's own record follows.
                 w - 2
             }
         }
@@ -238,27 +245,39 @@ fn commit_once_more(s: &mut ObjectStore) {
     s.commit(Some("after")).unwrap();
 }
 
-/// A *transient* failure on the superblock write of any journal record
-/// — a checkpoint commit, a GC delete, a compaction snapshot — changes
-/// nothing: the flip restores the superblock and the caller touches
-/// memory only after the step succeeds. The in-memory table is the one
-/// before the call, and the next commit rewrites the same journal
-/// offset under the same epoch as a twin that never made the call.
+/// A *transient* failure on the last write of any journal record's
+/// step — a checkpoint commit's record, a GC delete's record, a
+/// compaction's superblock flip — changes nothing: the tail only moves
+/// after the flush, the flip restores the superblock, and the caller
+/// touches memory only after the step succeeds. The in-memory table is
+/// the one before the call, and the next commit rewrites the same
+/// journal offset under the same epoch as a twin that never made the
+/// call.
+/// A failure on the flip's slot-1 write comes after slot 0 made the
+/// switch durable: the call still fails and changes no table, slot 1
+/// keeps the previous superblock, and the next commit appends to the
+/// new half just where the twin's own switch puts its record.
 /// Recovery then lands on the in-memory table with a clean fsck and
 /// scrub, on timing-only and materialized stores alike.
 #[test]
 fn transient_flip_failure_retries_at_same_journal_offset() {
-    for record in [Record::Commit, Record::GcDelete, Record::CompactingCommit] {
+    let cases = [
+        (Record::Commit, 0),
+        (Record::GcDelete, 0),
+        (Record::CompactingCommit, 0),
+        (Record::CompactingCommit, 1),
+    ];
+    for (record, past_flip) in cases {
         for materialize in [false, true] {
-            let case = format!("{record:?}, materialize_data {materialize}");
-            let flip = record.flip_ordinal(materialize);
+            let case = format!("{record:?} + {past_flip}, materialize_data {materialize}");
+            let flip = record.flip_ordinal(materialize) + past_flip;
 
             let mut faulty = record.store(materialize);
             let before = table(&faulty);
             faulty.device_mut().install_fault_plan(FaultPlan::transient(flip, 1));
             record
                 .write(&mut faulty)
-                .expect_err("transient fault on the flip write");
+                .expect_err("transient fault on the step's last write");
             faulty.device_mut().install_fault_plan(FaultPlan::default());
             assert_eq!(table(&faulty), before, "{case}: a failed flip changes no table");
             commit_once_more(&mut faulty);
@@ -266,11 +285,18 @@ fn transient_flip_failure_retries_at_same_journal_offset() {
             let mut twin = record.store(materialize);
             commit_once_more(&mut twin);
             assert_eq!(table(&faulty), table(&twin), "{case}: same table as the twin");
+            let durable = durable_superblock(&mut faulty);
             assert_eq!(
-                durable_superblock(&mut faulty),
+                durable,
                 durable_superblock(&mut twin),
                 "{case}: the retry rewrote the same journal offset under the same epoch"
             );
+            if past_flip == 1 {
+                let mut block = vec![0u8; aurora_hw::BLOCK_SIZE];
+                faulty.device_mut().read(1, &mut block).unwrap();
+                let slot1 = Superblock::from_block(&block).unwrap();
+                assert_eq!(slot1.epoch + 1, durable.epoch, "{case}: slot 1 kept the previous one");
+            }
 
             let live = table(&faulty);
             let s = faulty.recover().unwrap();
@@ -281,7 +307,8 @@ fn transient_flip_failure_retries_at_same_journal_offset() {
     }
 }
 
-/// Each successful commit passes through every phase exactly once.
+/// Each successful commit appends one record and flushes once, and
+/// writes no superblock: only a half switch flips one.
 #[test]
 fn phase_counters_tick_once_per_commit() {
     let (mut s, _) = staged_store();
@@ -290,14 +317,33 @@ fn phase_counters_tick_once_per_commit() {
         s.stats.extent_barriers,
         s.stats.superblock_flips,
     );
+    let (flushes, writes) = (s.device().stats().flushes, s.device().stats().writes);
     s.commit(None).unwrap();
-    assert_eq!(s.stats.journal_seals, seals + 1, "one seal per commit");
-    assert_eq!(s.stats.extent_barriers, barriers + 1, "one barrier per commit");
-    assert_eq!(s.stats.superblock_flips, flips + 1, "one flip per commit");
+    assert_eq!(s.stats.journal_seals, seals + 1, "one record per commit");
+    assert_eq!(s.stats.extent_barriers, barriers + 1, "one flush per commit");
+    assert_eq!(s.stats.superblock_flips, flips, "no flip per commit");
+    assert_eq!(s.device().stats().flushes, flushes + 1, "one device flush");
+    assert_eq!(s.device().stats().writes, writes + 1, "the record is the only write");
 
     // The baseline itself went through the protocol too: format does
     // not count (it predates the store), so two commits → two of each.
     assert_eq!(s.stats.journal_seals, 2);
     assert_eq!(s.stats.extent_barriers, 2);
-    assert_eq!(s.stats.superblock_flips, 2);
+    assert_eq!(s.stats.superblock_flips, 0);
+
+    // A half switch is the one flip: its snapshot and flush, the
+    // superblock in both slots, then the commit's own record and flush.
+    let mut s = Record::CompactingCommit.store(false);
+    let (seals, barriers, flips) = (
+        s.stats.journal_seals,
+        s.stats.extent_barriers,
+        s.stats.superblock_flips,
+    );
+    let (flushes, writes) = (s.device().stats().flushes, s.device().stats().writes);
+    s.commit(None).unwrap();
+    assert_eq!(s.device().stats().writes, writes + 4, "snapshot, both slots, record");
+    assert_eq!(s.device().stats().flushes, flushes + 4, "one flush behind each");
+    assert_eq!(s.stats.journal_seals, seals + 2);
+    assert_eq!(s.stats.extent_barriers, barriers + 2);
+    assert_eq!(s.stats.superblock_flips, flips + 1);
 }

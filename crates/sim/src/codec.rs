@@ -147,17 +147,22 @@ impl Encoder {
         }
     }
 
-    /// Writes a tagged, versioned, CRC-protected record.
+    /// Writes a tagged, versioned, CRC-protected record of `generation`.
     ///
-    /// Layout: `tag:u16 version:u16 len:u32 payload crc32c(payload):u32`.
-    /// This is the framing used for every on-disk record; recovery walks
-    /// records and stops at the first CRC mismatch (a torn tail).
-    pub fn record(&mut self, tag: u16, version: u16, payload: &[u8]) {
+    /// Layout: `tag:u16 version:u16 len:u32 generation:u64 payload
+    /// crc32c:u32`, the CRC over the record's header and payload. This is
+    /// the metadata journal's frame: recovery walks records and stops at
+    /// the first whose CRC (a torn tail) or generation (a stale one)
+    /// fails.
+    pub fn record(&mut self, tag: u16, version: u16, generation: u64, payload: &[u8]) {
+        let start = self.buf.len();
         self.u16(tag);
         self.u16(version);
         self.u32(payload.len() as u32);
+        self.u64(generation);
         self.raw(payload);
-        self.u32(crc32c(payload));
+        let crc = crc32c(self.buf.get(start..).unwrap_or_default());
+        self.u32(crc);
     }
 }
 
@@ -168,13 +173,37 @@ pub struct Decoder<'a> {
     pos: usize,
 }
 
-/// A decoded record header (see [`Encoder::record`]).
+/// What a record's header claims before its CRC is checked (see
+/// [`Encoder::record`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RecordHeader {
+    /// Record type tag.
+    pub tag: u16,
+    /// Format version of this record.
+    pub version: u16,
+    /// The generation the record was written under.
+    pub generation: u64,
+    /// Payload bytes.
+    pub payload_len: usize,
+}
+
+impl RecordHeader {
+    /// Bytes of the whole record: the 16-byte header, the payload and
+    /// the 4-byte CRC.
+    pub fn record_len(&self) -> usize {
+        16 + self.payload_len + 4
+    }
+}
+
+/// A decoded record (see [`Encoder::record`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Record<'a> {
     /// Record type tag.
     pub tag: u16,
     /// Format version of this record.
     pub version: u16,
+    /// The generation the record was written under.
+    pub generation: u64,
     /// Payload bytes (CRC already verified).
     pub payload: &'a [u8],
 }
@@ -310,19 +339,31 @@ impl<'a> Decoder<'a> {
         Ok(out)
     }
 
+    /// Reads a record's header (see [`Encoder::record`]) and nothing
+    /// more.
+    pub fn record_header(&mut self) -> Result<RecordHeader> {
+        Ok(RecordHeader {
+            tag: self.u16()?,
+            version: self.u16()?,
+            payload_len: self.u32()? as usize,
+            generation: self.u64()?,
+        })
+    }
+
     /// Reads and CRC-verifies a record written by [`Encoder::record`].
     pub fn record(&mut self) -> Result<Record<'a>> {
-        let tag = self.u16()?;
-        let version = self.u16()?;
-        let len = self.u32()? as usize;
-        let payload = self.take(len)?;
-        let crc = self.u32()?;
-        if crc != crc32c(payload) {
+        let start = self.pos;
+        let header = self.record_header()?;
+        let payload = self.take(header.payload_len)?;
+        let covered = self.buf.get(start..self.pos).unwrap_or_default();
+        if self.u32()? != crc32c(covered) {
+            let tag = header.tag;
             return Err(Error::corrupt(format!("record tag {tag} failed CRC")));
         }
         Ok(Record {
-            tag,
-            version,
+            tag: header.tag,
+            version: header.version,
+            generation: header.generation,
             payload,
         })
     }
@@ -380,16 +421,27 @@ mod tests {
     #[test]
     fn record_crc_detects_corruption() {
         let mut e = Encoder::new();
-        e.record(3, 1, b"payload-bytes");
+        e.u8(0xEE); // The CRC covers the record alone, not what precedes it.
+        e.record(3, 1, 77, b"payload-bytes");
         let mut b = e.into_vec();
         // Clean decode first.
-        let rec = Decoder::new(&b).record().unwrap();
+        let mut d = Decoder::new(&b);
+        assert_eq!(d.u8().unwrap(), 0xEE);
+        let rec = d.record().unwrap();
         assert_eq!(rec.tag, 3);
         assert_eq!(rec.version, 1);
+        assert_eq!(rec.generation, 77);
         assert_eq!(rec.payload, b"payload-bytes");
-        // Flip a payload bit: CRC must fail.
-        b[9] ^= 0x40;
-        assert!(Decoder::new(&b).record().is_err());
+        let header = Decoder::new(&b[1..]).record_header().unwrap();
+        assert_eq!(header.record_len(), b.len() - 1);
+        // Flip a generation bit, then a payload bit: CRC must fail.
+        for at in [9, 20] {
+            b[at] ^= 0x40;
+            let mut d = Decoder::new(&b);
+            d.u8().unwrap();
+            assert!(d.record().is_err(), "flip at {at}");
+            b[at] ^= 0x40;
+        }
     }
 
     #[test]

@@ -47,27 +47,28 @@ proptest! {
     }
 
     #[test]
-    fn record_roundtrip(tag in any::<u16>(), version in any::<u16>(),
+    fn record_roundtrip(tag in any::<u16>(), version in any::<u16>(), generation in any::<u64>(),
                         payload in proptest::collection::vec(any::<u8>(), 0..512)) {
         let mut e = Encoder::new();
-        e.record(tag, version, &payload);
+        e.record(tag, version, generation, &payload);
         let b = e.finish();
         let rec = Decoder::new(&b).record().unwrap();
         prop_assert_eq!(rec.tag, tag);
         prop_assert_eq!(rec.version, version);
+        prop_assert_eq!(rec.generation, generation);
         prop_assert_eq!(rec.payload, &payload[..]);
+        prop_assert_eq!(Decoder::new(&b).record_header().unwrap().record_len(), b.len());
     }
 
-    /// Any single-bit flip in a record is detected (CRC) or changes
-    /// header fields — payload corruption is never silently accepted.
+    /// Any single-bit flip in a record's header or payload is detected:
+    /// the CRC covers both, so corruption is never silently accepted.
     #[test]
     fn record_bit_flips_detected(payload in proptest::collection::vec(any::<u8>(), 1..128),
                                  byte_sel in any::<usize>(), bit in 0u8..8) {
         let mut e = Encoder::new();
-        e.record(7, 1, &payload);
+        e.record(7, 1, 3, &payload);
         let mut b = e.into_vec();
-        // Flip a bit inside the payload region (skip the 8-byte header).
-        let idx = 8 + byte_sel % payload.len();
+        let idx = byte_sel % (16 + payload.len());
         b[idx] ^= 1 << bit;
         prop_assert!(Decoder::new(&b).record().is_err());
     }

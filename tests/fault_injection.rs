@@ -5,17 +5,22 @@
 use aurora::core::restore::RestoreMode;
 use aurora::core::Host;
 use aurora::hw::{FaultPlan, ModelDev};
+use aurora::objstore::layout::Superblock;
 use aurora::objstore::StoreConfig;
 use aurora::sim::SimClock;
 
 fn boot() -> Host {
+    boot_with_journal(512)
+}
+
+fn boot_with_journal(journal_blocks: u64) -> Host {
     let clock = SimClock::new();
     let dev = Box::new(ModelDev::nvme(clock, "nvme0", 64 * 1024));
     Host::boot(
         "fault",
         dev,
         StoreConfig {
-            journal_blocks: 512,
+            journal_blocks,
             ..StoreConfig::default()
         },
     )
@@ -71,7 +76,7 @@ fn power_cut_sweep_over_checkpoint_writes() {
     let mut recovered_v1 = 0;
     let mut recovered_v2 = 0;
     // The second checkpoint issues a handful of metadata writes
-    // (journal record, superblock) — cut at each of the first eight.
+    // (its journal records) — cut at each of the first eight.
     for cut_at in 1..=8 {
         let v = run_with_cut(cut_at, 0);
         if v == b"state-v1" {
@@ -372,7 +377,7 @@ fn power_cut_sweep_during_journal_gc() {
     };
 
     // Sweep: cut power at each of the writes the compacting commit
-    // issues (snapshot, guard block, journal record, superblock).
+    // issues (snapshot, both superblock slots, journal record).
     for cut_at in 1..=6u64 {
         let mut s = small_store();
         s.create_object(ObjId(1), 4).unwrap();
@@ -445,12 +450,15 @@ fn power_cut_sweep_during_slsfs_file_writes() {
     }
 }
 
-/// A corrupted superblock slot must not take the store down: recovery
-/// falls back to the other (older but valid) slot and lands on a
-/// committed state.
+/// A corrupted superblock slot must not take the store down. From the
+/// fourth round on, every write to slot 0 is silently corrupted, and the
+/// journal is small enough that those rounds switch halves — a half
+/// switch is the only superblock write after format, and it writes both
+/// slots. Recovery rejects slot 0 (CRC), takes slot 1, and lands on the
+/// last committed round.
 #[test]
 fn corrupted_superblock_falls_back_to_the_other_slot() {
-    let mut host = boot();
+    let mut host = boot_with_journal(8);
     let pid = host.kernel.spawn("app");
     let addr = host.kernel.mmap_anon(pid, 4096, false).unwrap();
     let gid = host.persist("app", pid).unwrap();
@@ -468,13 +476,15 @@ fn corrupted_superblock_falls_back_to_the_other_slot() {
     }
 
     // From now on every write to superblock slot 0 (LBA 0) is silently
-    // corrupted on the platter; slot 1 stays good.
+    // corrupted on the platter (byte 10 is inside its CRC-covered
+    // epoch); slot 1 stays good.
+    let flips = host.sls.primary.borrow().stats.superblock_flips;
     host.sls
         .primary
         .borrow_mut()
         .device_mut()
-        .install_fault_plan(FaultPlan::corrupt_blocks(0, 1, 100, 2));
-    for round in 3..5u64 {
+        .install_fault_plan(FaultPlan::corrupt_blocks(0, 1, 10, 2));
+    for round in 3..6u64 {
         host.kernel
             .mem_write(pid, addr, format!("round-{round}").as_bytes())
             .unwrap();
@@ -483,6 +493,19 @@ fn corrupted_superblock_falls_back_to_the_other_slot() {
             .unwrap();
         host.clock.advance_to(bd.durable_at);
         committed.push(format!("round-{round}"));
+    }
+    {
+        let mut store = host.sls.primary.borrow_mut();
+        assert!(
+            store.stats.superblock_flips > flips,
+            "the armed rounds switch halves"
+        );
+        let mut block = vec![0u8; 4096];
+        store.device_mut().read(0, &mut block).unwrap();
+        assert!(Superblock::from_block(&block).is_err(), "the plan corrupted slot 0");
+        store.device_mut().read(1, &mut block).unwrap();
+        let slot1 = Superblock::from_block(&block).expect("slot 1 is whole");
+        assert!(slot1.epoch > 1, "slot 1 carries the switch");
     }
 
     // Recovery must reject the corrupt slot (CRC) and pick the other.
@@ -499,10 +522,13 @@ fn corrupted_superblock_falls_back_to_the_other_slot() {
         "recovered state {:?} is not a committed round",
         String::from_utf8_lossy(&buf)
     );
+    assert_eq!(
+        committed.last().map(String::as_bytes),
+        Some(&buf[..]),
+        "slot 1 carries the switch: no committed round is lost"
+    );
 }
 
-/// Boots a host on a materialized store: page bytes really live on the
-/// device, and data writes consult the fault plan block by block.
 fn boot_materialized() -> Host {
     let clock = SimClock::new();
     let dev = Box::new(ModelDev::nvme(clock, "nvme0", 64 * 1024));
