@@ -282,7 +282,7 @@ fn cmd_init(world: &Path, opts: &[&str]) -> Result<String> {
 /// Finds the newest checkpoint whose manifest carries `name`.
 fn find_app(host: &mut Host, name: &str) -> Result<(CkptId, ManifestRec)> {
     let store = host.sls.primary.clone();
-    let st = store.borrow_mut();
+    let mut st = store.borrow_mut();
     let ids: Vec<CkptId> = st.checkpoints().iter().map(|c| c.id).collect();
     for id in ids.into_iter().rev() {
         // Only the manifest this checkpoint's group committed (nearest in
@@ -549,7 +549,7 @@ fn cmd_ps(world: &Path) -> Result<String> {
             .collect()
     };
     for (id, tag) in infos {
-        let st = store.borrow_mut();
+        let mut st = store.borrow_mut();
         let keys = st.blob_keys_at(id, "g");
         for key in keys.into_iter().filter(|k| k.ends_with("/manifest")) {
             if let Some(blob) = st.get_blob(id, &key)? {
@@ -769,7 +769,7 @@ fn standby_path(world: &Path) -> PathBuf {
 /// Finds the newest checkpoint carrying any application manifest.
 fn newest_app(host: &mut Host) -> Result<(CkptId, ManifestRec)> {
     let store = host.sls.primary.clone();
-    let st = store.borrow_mut();
+    let mut st = store.borrow_mut();
     let ids: Vec<CkptId> = st.checkpoints().iter().map(|c| c.id).collect();
     for id in ids.into_iter().rev() {
         let keys = st.blob_keys_at(id, "g");

@@ -533,7 +533,7 @@ impl Sls {
 /// Reads the durable group-id allocator from the store head (group ids
 /// are never reused across reboots; see `checkpoint.rs`).
 fn load_next_group(store: &StoreHandle) -> u32 {
-    let st = store.borrow_mut();
+    let mut st = store.borrow_mut();
     let Some(head) = st.head() else { return 1 };
     st.get_blob(head, "sls/host")
         .ok()

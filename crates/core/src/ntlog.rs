@@ -86,7 +86,7 @@ impl Host {
         }
         // Restored group: recover the state from the store head.
         let state = {
-            let store = self.sls.primary.borrow_mut();
+            let mut store = self.sls.primary.borrow_mut();
             let head = store
                 .head()
                 .ok_or_else(|| Error::not_found("store has no checkpoints"))?;

@@ -4,7 +4,12 @@
 //!
 //! * **Object Store Read** — fetching the manifest and every metadata
 //!   record from the backend (the only phase that differs between
-//!   memory-backend and disk-backend restores).
+//!   memory-backend and disk-backend restores). Each record read goes
+//!   through the store's bounded read cache: the first restore of an
+//!   image after its commit, a `drop_caches` or a reboot pays a waited
+//!   device read per record, and a warm image — one whose records an
+//!   earlier instance read and the cache still holds — pays
+//!   `RESTORE_CACHE_HIT_NS` per record block and no device read.
 //! * **Memory state** — recreating the VM object hierarchy and address
 //!   spaces. No page data is copied: objects are bound to a pager over
 //!   the checkpoint image, and pages arrive on demand (lazy restore),
@@ -128,8 +133,18 @@ impl Host {
         let mut sw = Stopwatch::start(&clock);
 
         // --- Phase 1: object store read. -----------------------------------
-        let (manifest, vmo_recs, proc_recs, file_recs, pipe_recs, usock_recs, isock_recs, shm_recs, msgq_recs, pshm_recs) =
-            fetch_records(store, ckpt)?;
+        let Records {
+            manifest,
+            vmos: vmo_recs,
+            procs: proc_recs,
+            files: file_recs,
+            pipes: pipe_recs,
+            usocks: usock_recs,
+            isocks: isock_recs,
+            shms: shm_recs,
+            msgqs: msgq_recs,
+            pshms: pshm_recs,
+        } = fetch_records(store, ckpt)?;
         breakdown.objstore_read = sw.lap();
         // High-latency backend reads implicitly perform part of the
         // parsing work; discount the later phases accordingly (the
@@ -171,9 +186,9 @@ impl Host {
             oid_vmo.insert(rec.oid, v);
             self.clock.charge(scaled(cost::RESTORE_VMO_NS));
         }
-        // Wire shadow-chain backings (the backing reference is the
-        // chain's ownership; also drop the pager on shadowed levels? No:
-        // every level keeps its own image pages).
+        // Wire shadow-chain backings: the backing reference is the
+        // chain's ownership, and every level keeps its pager because it
+        // has image pages of its own.
         for rec in &vmo_recs {
             if let Some((boid, off)) = rec.backing {
                 let v = *oid_vmo.get(&rec.oid).ok_or_else(|| {
@@ -814,25 +829,25 @@ impl Host {
 /// no longer get a shard worth a thread each (DESIGN §12 has the sweep).
 pub const RESTORE_BATCH_BLOCKS: usize = 256;
 
-/// Fetches and parses every record of a checkpoint. All device read
+/// Every metadata record of a checkpoint, parsed: its manifest and the
+/// records the manifest names.
+struct Records {
+    manifest: ManifestRec,
+    vmos: Vec<VmoRec>,
+    procs: Vec<ProcRec>,
+    files: Vec<FileRec>,
+    pipes: Vec<PipeRec>,
+    usocks: Vec<UsockRec>,
+    isocks: Vec<IsockRec>,
+    shms: Vec<ShmRec>,
+    msgqs: Vec<MsgqRec>,
+    pshms: Vec<PshmRec>,
+}
+
+/// Fetches and parses every record of a checkpoint. All record read
 /// charges happen here (the "Object Store Read" phase).
-#[allow(clippy::type_complexity)]
-fn fetch_records(
-    store: &StoreHandle,
-    ckpt: CkptId,
-) -> Result<(
-    ManifestRec,
-    Vec<VmoRec>,
-    Vec<ProcRec>,
-    Vec<FileRec>,
-    Vec<PipeRec>,
-    Vec<UsockRec>,
-    Vec<IsockRec>,
-    Vec<ShmRec>,
-    Vec<MsgqRec>,
-    Vec<PshmRec>,
-)> {
-    let st = store.borrow_mut();
+fn fetch_records(store: &StoreHandle, ckpt: CkptId) -> Result<Records> {
+    let mut st = store.borrow_mut();
     // The manifest key embeds the group id. Several groups can share a
     // store, so take the manifest written nearest to this checkpoint in
     // its chain — that is the group the checkpoint belongs to.
@@ -845,7 +860,7 @@ fn fetch_records(
     )?;
     let gid = manifest.gid;
 
-    let fetch = |key: String| -> Result<Vec<u8>> {
+    let mut fetch = |key: String| -> Result<Vec<u8>> {
         st.get_blob(ckpt, &key)?
             .ok_or_else(|| Error::bad_image(format!("missing record {key}")))
     };
@@ -885,7 +900,16 @@ fn fetch_records(
     for name in &manifest.pshms {
         pshms.push(PshmRec::decode(&fetch(key_pshm(gid, name))?)?);
     }
-    Ok((
-        manifest, vmos, procs, files, pipes, usocks, isocks, shms, msgqs, pshms,
-    ))
+    Ok(Records {
+        manifest,
+        vmos,
+        procs,
+        files,
+        pipes,
+        usocks,
+        isocks,
+        shms,
+        msgqs,
+        pshms,
+    })
 }

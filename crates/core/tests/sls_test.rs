@@ -9,7 +9,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use aurora_core::restore::RestoreMode;
-use aurora_core::{BackendKind, Host};
+use aurora_core::{BackendKind, Host, RestoreBreakdown};
 use aurora_hw::ModelDev;
 use aurora_objstore::{ObjectStore, StoreConfig};
 use aurora_sim::SimClock;
@@ -319,7 +319,7 @@ fn image_read_plan(store: &ObjectStore, ckpt: aurora_objstore::CkptId) -> aurora
 fn streamed_restore(
     medium: Medium,
     workers: usize,
-) -> (aurora_sim::time::SimDuration, aurora_core::RestoreBreakdown) {
+) -> (aurora_sim::time::SimDuration, RestoreBreakdown) {
     use aurora_sim::cost::hash_stage;
     let batch = aurora_core::restore::RESTORE_BATCH_BLOCKS;
 
@@ -570,6 +570,93 @@ fn lazy_restore_faults_pages_on_demand() {
         eager_time > lazy_time,
         "eager {eager_time} should exceed lazy {lazy_time}"
     );
+}
+
+/// A warm image's restore reads its metadata records from the read
+/// cache. The first lazy restore after a commit reads every record off
+/// the device; the second hits on each one, so its object-store read
+/// is exactly the records' hit cost, and it restores the same memory.
+/// Once the image is released and the caches dropped, a third restore
+/// is cold again, phase for phase.
+#[test]
+fn a_warm_restore_reads_its_records_from_the_read_cache() {
+    let dev = Box::new(ModelDev::nvme(SimClock::new(), "warm-dev", DEV_BLOCKS));
+    let config = StoreConfig {
+        journal_blocks: 2048,
+        materialize_data: true,
+        ..StoreConfig::default()
+    };
+    let mut host = Host::boot("warm", dev, config).unwrap();
+    let pid = host.kernel.spawn("fn");
+    let pages = 16u64;
+    let addr = host.kernel.mmap_anon(pid, pages * 4096, false).unwrap();
+    for i in 0..pages {
+        host.kernel
+            .mem_write(pid, addr + i * 4096, &[i as u8 + 1; 32])
+            .unwrap();
+    }
+    let gid = host.persist("fn", pid).unwrap();
+    let bd = host.checkpoint(gid, true, None).unwrap();
+    host.clock.advance_to(bd.durable_at);
+    let ckpt = bd.ckpt.unwrap();
+    let store = host.sls.primary.clone();
+
+    let digest = |host: &mut Host, r: &RestoreBreakdown| {
+        let np = r.restored_pid(pid.0).unwrap();
+        let mut h = aurora_sim::hash::Fnv64::new();
+        let mut buf = vec![0u8; 4096];
+        for i in 0..pages {
+            host.kernel.mem_read(np, addr + i * 4096, &mut buf).unwrap();
+            h.update(&buf);
+        }
+        h.finish()
+    };
+    let retire = |host: &mut Host, r: &RestoreBreakdown| {
+        let np = r.restored_pid(pid.0).unwrap();
+        host.kernel.exit(np, 0).unwrap();
+        host.kernel.procs.remove(&np);
+    };
+    let phases = |r: &RestoreBreakdown| {
+        let mut r = r.clone();
+        r.pid_map.clear();
+        format!("{r:?}")
+    };
+    // A cold lazy restore reads nothing but records: their blocks are
+    // what the device read.
+    let device_bytes = |host: &Host| host.sls.primary.borrow().device().stats().bytes_read;
+    let stats = |host: &Host| {
+        let st = host.sls.primary.borrow();
+        (st.stats.read_cache_hits, st.stats.read_cache_misses)
+    };
+
+    let (bytes0, probes0) = (device_bytes(&host), stats(&host));
+    let first = host.restore(&store, ckpt, RestoreMode::Lazy).unwrap();
+    let record_blocks = (device_bytes(&host) - bytes0) / aurora_hw::BLOCK_SIZE as u64;
+    let records = stats(&host).1 - probes0.1;
+    assert!(records >= 2 && record_blocks >= records, "{records} records, {record_blocks} blocks");
+    assert_eq!(stats(&host).0, probes0.0, "no record was resident");
+    let want = digest(&mut host, &first);
+
+    let (bytes1, probes1) = (device_bytes(&host), stats(&host));
+    let second = host.restore(&store, ckpt, RestoreMode::Lazy).unwrap();
+    assert_eq!(
+        second.objstore_read,
+        aurora_sim::time::SimDuration::from_nanos(
+            aurora_sim::cost::RESTORE_CACHE_HIT_NS * record_blocks
+        ),
+        "a warm restore's object-store read is its records' hit cost"
+    );
+    assert_eq!(device_bytes(&host), bytes1, "the warm restore read nothing");
+    assert_eq!(stats(&host), (probes1.0 + records, probes1.1));
+    assert_eq!(digest(&mut host, &second), want);
+
+    retire(&mut host, &first);
+    retire(&mut host, &second);
+    host.release_image(&store, ckpt);
+    store.borrow_mut().drop_caches().unwrap();
+    let third = host.restore(&store, ckpt, RestoreMode::Lazy).unwrap();
+    assert_eq!(phases(&third), phases(&first), "a dropped image restores cold");
+    assert_eq!(digest(&mut host, &third), want);
 }
 
 #[test]

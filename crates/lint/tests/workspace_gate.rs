@@ -31,9 +31,10 @@ fn workspace_has_no_unsuppressed_violations() {
 /// budget below follows the entries as they are fixed (10 → 8 with the
 /// typestate commit protocol, 8 → 6 with the device model's index
 /// sites, 6 → 5 with the block allocator's, 5 → 3 with the stripe
-/// layer's and SLSFS's, 3 → 2 with the journal's frame-by-frame scan);
-/// lower it when entries are fixed, never raise it without review.
-const MAX_ALLOW_ENTRIES: usize = 2;
+/// layer's and SLSFS's, 3 → 2 with the journal's frame-by-frame scan,
+/// 2 → 1 with the superblock decoder's); lower it when entries are
+/// fixed, never raise it without review.
+const MAX_ALLOW_ENTRIES: usize = 1;
 
 /// The durable-write ratchet: every function named in `[commit-phase]
 /// allow_in` may write the device directly, so adding one is adding a

@@ -297,17 +297,18 @@ pub fn resolve_page(
     }
 }
 
-/// Resolves a blob through the chain (latest write at or above `from`).
+/// Resolves a blob through the chain (latest write at or above `from`):
+/// the checkpoint whose delta holds it, and its bytes.
 pub fn resolve_blob<'a>(
     ckpts: &'a BTreeMap<u64, Checkpoint>,
     from: CkptId,
     key: &str,
-) -> Option<&'a [u8]> {
+) -> Option<(CkptId, &'a [u8])> {
     let mut cur = Some(from);
     while let Some(c) = cur {
         let ck = ckpts.get(&c.0)?;
         if let Some(v) = ck.blobs.get(key) {
-            return Some(v);
+            return Some((c, v));
         }
         cur = ck.parent;
     }
@@ -436,7 +437,7 @@ mod tests {
         assert_eq!(resolve_page(&ckpts, CkptId(2), ObjId(1), 1), Some(BlockPtr(21)));
         assert_eq!(resolve_page(&ckpts, CkptId(1), ObjId(1), 1), Some(BlockPtr(11)));
         assert_eq!(resolve_page(&ckpts, CkptId(2), ObjId(1), 5), None);
-        assert_eq!(resolve_blob(&ckpts, CkptId(2), "m").unwrap(), &[1]);
+        assert_eq!(resolve_blob(&ckpts, CkptId(2), "m").unwrap(), (CkptId(1), &[1][..]));
         assert_eq!(resolve_blob(&ckpts, CkptId(2), "nope"), None);
 
         let eff = refs_at(&ckpts, CkptId(2), ObjId(1));

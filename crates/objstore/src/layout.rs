@@ -111,17 +111,17 @@ impl Superblock {
     pub fn from_block(block: &[u8]) -> Result<Superblock> {
         // Body length: 8 + 2 + 7*8 = 66 bytes, then 4 bytes CRC.
         const BODY: usize = 66;
-        if block.len() < BODY + 4 {
+        let Some((body, crc)) = block.get(..BODY + 4).map(|head| head.split_at(BODY)) else {
             return Err(Error::corrupt("superblock too short"));
-        }
-        let crc_stored = block[BODY..BODY + 4]
+        };
+        let crc_stored = crc
             .try_into()
             .map(u32::from_le_bytes)
             .map_err(|_| Error::corrupt("superblock CRC field truncated"))?;
-        if crc32c(&block[..BODY]) != crc_stored {
+        if crc32c(body) != crc_stored {
             return Err(Error::corrupt("superblock CRC mismatch"));
         }
-        let mut d = Decoder::new(&block[..BODY]);
+        let mut d = Decoder::new(body);
         if d.u64()? != MAGIC {
             return Err(Error::corrupt("bad store magic"));
         }

@@ -8,7 +8,8 @@
 //! wanted block compared with its recorded content hash, one re-read
 //! for transient electronics, then a per-block heal from a mirror twin
 //! (the single `BlockDev::repair_block` call site) — and hands back a
-//! verdict per block. Everything else is a *cache policy* over it:
+//! verdict per block. Everything else is a *cache policy*, over it or,
+//! for metadata records, over the device charge alone:
 //!
 //! * a lazy fault (`fetch_block`) serves the page-table copy, else
 //!   reads a one-block run and admits it — a waited request, since the
@@ -18,7 +19,13 @@
 //!   request, since the whole plan is known before its first read;
 //! * the audits (`verify_extent`) bypass the cache — a clean cached
 //!   copy says nothing about the medium — and collect the verdicts,
-//!   queued like the planner's reads.
+//!   queued like the planner's reads;
+//! * a metadata-record read (`ObjectStore::get_blob`) probes the same
+//!   bounded cache under the record's name — the checkpoint whose delta
+//!   holds it plus its key — and on a miss pays a waited read of the
+//!   record's journal blocks and admits it. The record's bytes come
+//!   from the checkpoint table, so what the cache decides is what the
+//!   read costs.
 //!
 //! A check is only enforceable when one function is licensed to do the
 //! I/O (the argument `txn.rs` makes for writes). In particular no read
@@ -33,7 +40,7 @@ use std::ops::Range;
 use aurora_hw::{Access, BLOCK_SIZE};
 use aurora_sim::cost::RESTORE_CACHE_HIT_NS;
 use aurora_sim::error::{Error, Result};
-use aurora_sim::hash::page_hash;
+use aurora_sim::hash::{page_hash, Words};
 use aurora_sim::time::SimDuration;
 use aurora_vm::PageData;
 
@@ -64,23 +71,37 @@ pub fn runs(blocks: &[u64], cap: usize) -> Vec<(usize, usize)> {
     out
 }
 
+/// What one read-cache entry names: a data block, or a metadata record
+/// — the checkpoint whose delta holds it plus its key.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub(crate) enum CacheKey {
+    Block(u64),
+    Record(CkptId, String),
+}
+
 /// The bounded LRU read cache.
 ///
-/// This models the DRAM the paged-in working set occupies: a probe for a
-/// recently read block is an index lookup plus a frame adoption, not a
-/// device access. Page contents stay in the unbounded authoritative
-/// table ([`PageCache::data`]); the bound governs what the cost model
-/// treats as resident, never what the simulation can recall.
+/// This models the DRAM the paged-in working set and the restored
+/// images' metadata records occupy: a probe for a recently read block
+/// or record is an index lookup plus a frame adoption, not a device
+/// access. Page contents stay in the unbounded authoritative table
+/// ([`PageCache::data`]) and records in the checkpoint table; the bound
+/// governs what the cost model treats as resident, never what the
+/// simulation can recall.
 ///
 /// Eviction order is a deterministic LRU: a monotonic stamp counter
 /// replaces wall-clock recency, so runs are reproducible byte-for-byte.
 pub(crate) struct ReadCache {
-    /// Capacity in pages.
+    /// Capacity in blocks.
     capacity: usize,
-    /// block -> LRU stamp (higher = touched more recently).
-    stamps: HashMap<u64, u64>,
-    /// stamp -> block: oldest-first iteration drives eviction.
-    by_stamp: BTreeMap<u64, u64>,
+    /// Blocks the resident entries occupy: one per data block, a
+    /// record's length in blocks per record.
+    used: usize,
+    /// entry -> (LRU stamp, blocks it occupies); a higher stamp was
+    /// touched more recently.
+    stamps: HashMap<CacheKey, (u64, usize), Words>,
+    /// stamp -> entry: oldest-first iteration drives eviction.
+    by_stamp: BTreeMap<u64, CacheKey>,
     next_stamp: u64,
 }
 
@@ -88,59 +109,52 @@ impl ReadCache {
     pub(crate) fn new(capacity: usize) -> Self {
         ReadCache {
             capacity,
-            stamps: HashMap::new(),
+            used: 0,
+            stamps: HashMap::default(),
             by_stamp: BTreeMap::new(),
             next_stamp: 0,
         }
     }
 
-    /// Refreshes a resident block's LRU position.
-    fn touch(&mut self, block: u64) {
-        if let Some(stamp) = self.stamps.get(&block).copied() {
-            self.by_stamp.remove(&stamp);
-            self.next_stamp += 1;
-            self.stamps.insert(block, self.next_stamp);
-            self.by_stamp.insert(self.next_stamp, block);
+    /// Whether `key` is resident; refreshes its LRU position if so.
+    pub(crate) fn probe(&mut self, key: &CacheKey) -> bool {
+        let Some((stamp, _)) = self.stamps.get_mut(key) else {
+            return false;
+        };
+        self.next_stamp += 1;
+        let old = std::mem::replace(stamp, self.next_stamp);
+        if let Some(key) = self.by_stamp.remove(&old) {
+            self.by_stamp.insert(self.next_stamp, key);
         }
+        true
     }
 
-    /// Whether `block` is resident; refreshes its LRU position if so.
-    fn probe(&mut self, block: u64) -> bool {
-        if self.stamps.contains_key(&block) {
-            self.touch(block);
-            true
-        } else {
-            false
+    /// Admits `key` occupying `blocks` blocks, evicting the least
+    /// recently used entries past capacity. An entry larger than the
+    /// whole cache is not admitted: it would only evict everything else.
+    pub(crate) fn admit(&mut self, key: CacheKey, blocks: usize) {
+        if blocks > self.capacity || self.probe(&key) {
+            return;
         }
-    }
-
-    /// Admits `block`, evicting the least recently used entries past
-    /// capacity.
-    fn admit(&mut self, block: u64) {
-        if self.stamps.contains_key(&block) {
-            self.touch(block);
-        } else {
-            self.next_stamp += 1;
-            self.stamps.insert(block, self.next_stamp);
-            self.by_stamp.insert(self.next_stamp, block);
-        }
-        self.evict_overflow();
-    }
-
-    /// Removes a block entirely (freed block, stale entry).
-    pub(crate) fn forget(&mut self, block: u64) {
-        if let Some(stamp) = self.stamps.remove(&block) {
-            self.by_stamp.remove(&stamp);
-        }
-    }
-
-    fn evict_overflow(&mut self) {
-        while self.stamps.len() > self.capacity {
-            let Some((&stamp, &block)) = self.by_stamp.iter().next() else {
+        self.next_stamp += 1;
+        self.used += blocks;
+        self.by_stamp.insert(self.next_stamp, key.clone());
+        self.stamps.insert(key, (self.next_stamp, blocks));
+        while self.used > self.capacity {
+            let Some((_, oldest)) = self.by_stamp.pop_first() else {
                 break;
             };
+            if let Some((_, n)) = self.stamps.remove(&oldest) {
+                self.used -= n;
+            }
+        }
+    }
+
+    /// Removes an entry entirely (freed block, GC'd record, stale entry).
+    pub(crate) fn forget(&mut self, key: &CacheKey) {
+        if let Some((stamp, n)) = self.stamps.remove(key) {
             self.by_stamp.remove(&stamp);
-            self.stamps.remove(&block);
+            self.used -= n;
         }
     }
 
@@ -148,10 +162,12 @@ impl ReadCache {
     fn clear(&mut self) {
         self.stamps.clear();
         self.by_stamp.clear();
+        self.used = 0;
     }
 
+    /// Occupancy in blocks.
     fn len(&self) -> usize {
-        self.stamps.len()
+        self.used
     }
 }
 
@@ -159,14 +175,14 @@ impl PageCache {
     /// Probes the read cache for `block`: a hit hands back the resident
     /// bytes.
     fn probe_read(&mut self, block: u64) -> Option<PageData> {
-        if !self.read.probe(block) {
+        if !self.read.probe(&CacheKey::Block(block)) {
             return None;
         }
         let page = self.data.get(&block).cloned();
         if page.is_none() {
             // Contents vanished without eviction bookkeeping (e.g. a
             // rollback rebuilt the table): drop the stale entry.
-            self.read.forget(block);
+            self.read.forget(&CacheKey::Block(block));
         }
         page
     }
@@ -333,7 +349,7 @@ impl ObjectStore {
             let mut cache = self.cache.borrow_mut();
             let page = cache.data.get(&ptr.0).cloned();
             if page.is_some() {
-                cache.read.admit(ptr.0);
+                cache.read.admit(CacheKey::Block(ptr.0), 1);
             }
             page
         };
@@ -366,7 +382,7 @@ impl ObjectStore {
                 cache.install(ptr, &page, h);
             }
         }
-        cache.read.admit(ptr.0);
+        cache.read.admit(CacheKey::Block(ptr.0), 1);
         Ok(page)
     }
 
@@ -500,7 +516,7 @@ impl ObjectStore {
                     continue; // probe already served it
                 }
                 cache.data.insert(b, page.clone());
-                cache.read.admit(b);
+                cache.read.admit(CacheKey::Block(b), 1);
                 out.fetched.push(b);
                 out.fetched_hashes.push(hash);
                 out.pages.insert(b, page);
@@ -517,7 +533,7 @@ impl ObjectStore {
                             "block {b} has no recoverable contents"
                         )));
                     };
-                    cache.read.admit(b);
+                    cache.read.admit(CacheKey::Block(b), 1);
                     out.fetched.push(b);
                     out.fetched_hashes.push(None);
                     out.pages.insert(b, page);
@@ -542,16 +558,18 @@ impl ObjectStore {
         }
     }
 
-    /// Current read-cache occupancy in pages.
+    /// Current read-cache occupancy in blocks: one per data block, a
+    /// record's length in blocks per record.
     pub fn read_cache_len(&self) -> usize {
         self.cache.borrow().read.len()
     }
 
-    /// Drops every cached page body and the read cache, forcing
-    /// subsequent reads back to the medium — the state after an image
-    /// lands on a machine that has never run it. Only materialized
-    /// stores can re-read contents; for timing-only stores the page
-    /// table *is* the medium, so dropping it would destroy data.
+    /// Drops every cached page body and the read cache, record entries
+    /// included, forcing subsequent reads back to the medium — the
+    /// state after an image lands on a machine that has never run it.
+    /// Only materialized stores can re-read contents; for timing-only
+    /// stores the page table *is* the medium, so dropping it would
+    /// destroy data.
     ///
     /// Recorded content hashes and the dedup index survive: the hashes
     /// are the read path's corruption check, and the index entries go
@@ -819,16 +837,39 @@ mod tests {
     fn read_cache_capacity_bounds_residency_with_deterministic_lru() {
         let mut cache = ReadCache::new(2);
         for b in 0..4 {
-            cache.admit(b);
+            cache.admit(CacheKey::Block(b), 1);
         }
+        let probe = |cache: &mut ReadCache, b: u64| cache.probe(&CacheKey::Block(b));
         assert_eq!(cache.len(), 2, "capacity caps residency");
-        assert!(!cache.probe(0) && !cache.probe(1), "the two lowest are out");
-        assert!(cache.probe(2) && cache.probe(3), "the two highest are in");
+        assert!(!probe(&mut cache, 0) && !probe(&mut cache, 1), "the two lowest are out");
+        assert!(probe(&mut cache, 2) && probe(&mut cache, 3), "the two highest are in");
 
         // Probing 2 again makes 3 the least recently used.
-        assert!(cache.probe(2));
-        cache.admit(0);
-        assert!(cache.probe(2) && cache.probe(0) && !cache.probe(3));
+        assert!(probe(&mut cache, 2));
+        cache.admit(CacheKey::Block(0), 1);
+        assert!(probe(&mut cache, 2) && probe(&mut cache, 0) && !probe(&mut cache, 3));
+    }
+
+    /// A record occupies its length in blocks: admitting a two-block
+    /// record into a three-block cache holding three blocks evicts the
+    /// two oldest, and a record larger than the cache is not admitted.
+    #[test]
+    fn a_record_occupies_its_length_in_blocks() {
+        let mut cache = ReadCache::new(3);
+        for b in 0..3 {
+            cache.admit(CacheKey::Block(b), 1);
+        }
+        let record = CacheKey::Record(CkptId(1), "g1/manifest".to_string());
+        cache.admit(record.clone(), 2);
+        assert_eq!(cache.len(), 3);
+        assert!(cache.probe(&record) && cache.probe(&CacheKey::Block(2)));
+        assert!(!cache.probe(&CacheKey::Block(0)) && !cache.probe(&CacheKey::Block(1)));
+
+        cache.forget(&record);
+        assert_eq!(cache.len(), 1);
+        let huge = CacheKey::Record(CkptId(1), "g1/vmo/1".to_string());
+        cache.admit(huge.clone(), 4);
+        assert!(!cache.probe(&huge) && cache.probe(&CacheKey::Block(2)));
     }
 
     /// The scrub reads each block once, from the union of every

@@ -21,9 +21,10 @@ use std::cell::{Cell, Ref, RefCell};
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 
 use aurora_hw::{Access, BlockDev, BLOCK_SIZE};
+use aurora_sim::cost::RESTORE_CACHE_HIT_NS;
 use aurora_sim::error::{Error, Result};
 use aurora_sim::hash::page_hash;
-use aurora_sim::time::SimTime;
+use aurora_sim::time::{SimDuration, SimTime};
 use aurora_vm::PageData;
 
 use crate::alloc::BlockAlloc;
@@ -31,7 +32,7 @@ use crate::checkpoint::{self, object_keys, take_object, Checkpoint, CkptId, Imag
 use crate::deltalog::{DeltaLog, DeltaRecord, Lsn};
 use crate::journal::{self, JournalRecord};
 use crate::layout::{Superblock, JOURNAL_START};
-use crate::read::ReadCache;
+use crate::read::{CacheKey, ReadCache};
 use crate::txn::DirtyTxn;
 pub use crate::read::{runs, ReadOutcome, ReadPlan};
 use crate::{BlockPtr, ObjId};
@@ -256,7 +257,7 @@ impl PageCache {
                 }
             }
         }
-        self.read.forget(ptr.0);
+        self.read.forget(&CacheKey::Block(ptr.0));
     }
 }
 
@@ -1024,17 +1025,36 @@ impl ObjectStore {
         self.pending_blobs.insert(key.to_string(), bytes);
     }
 
-    /// Reads a blob as of a checkpoint, charging device time for its
-    /// size (blobs live in journal blocks).
-    pub fn get_blob(&self, ckpt: CkptId, key: &str) -> Result<Option<Vec<u8>>> {
-        let found = checkpoint::resolve_blob(&self.ckpts, ckpt, key).map(<[u8]>::to_vec);
-        if let Some(v) = &found {
-            let bytes = v.len().div_ceil(BLOCK_SIZE) as u64 * BLOCK_SIZE as u64;
+    /// Reads a metadata record (blob) as of a checkpoint: the one in
+    /// the nearest checkpoint of its chain whose delta holds `key`.
+    /// Records live in journal blocks, and this is the one reader of
+    /// them — a cache policy over the bounded read cache, where a record
+    /// is named by the checkpoint holding it plus its key and occupies
+    /// its length in blocks. A resident record costs
+    /// [`RESTORE_CACHE_HIT_NS`] per block and no device I/O; a miss pays
+    /// a waited read of its blocks and admits it. A commit admits
+    /// nothing, so a record's first read after its commit, a
+    /// `drop_caches` or a reboot pays the device. Each read is one
+    /// probe in `read_cache_{hits,misses}`.
+    pub fn get_blob(&mut self, ckpt: CkptId, key: &str) -> Result<Option<Vec<u8>>> {
+        let Some((owner, found)) = checkpoint::resolve_blob(&self.ckpts, ckpt, key) else {
+            return Ok(None);
+        };
+        let found = found.to_vec();
+        let blocks = found.len().div_ceil(BLOCK_SIZE);
+        let entry = CacheKey::Record(owner, key.to_string());
+        if self.cache.get_mut().read.probe(&entry) {
+            self.stats.read_cache_hits += 1;
+            let hit = SimDuration::from_nanos(RESTORE_CACHE_HIT_NS * blocks as u64);
+            self.dev.get_mut().clock().charge(hit);
+        } else {
+            self.stats.read_cache_misses += 1;
             self.dev
-                .borrow_mut()
-                .charge_read_timing(bytes, Access::Waited)?;
+                .get_mut()
+                .charge_read_timing((blocks * BLOCK_SIZE) as u64, Access::Waited)?;
+            self.cache.get_mut().read.admit(entry, blocks);
         }
-        Ok(found)
+        Ok(Some(found))
     }
 
     /// Finds the blob key with `suffix` written *nearest* to `ckpt` in
@@ -1229,6 +1249,14 @@ impl ObjectStore {
         let txn = self.begin_txn();
         let (done, _) = self.commit_record(txn, &JournalRecord::Delete(id))?;
         self.dev.get_mut().clock().advance_to(done);
+        // The victim's records move to its child or go: their read-cache
+        // entries name a checkpoint that no longer exists.
+        if let Some(victim) = self.ckpts.get(&id.0) {
+            let read = &mut self.cache.get_mut().read;
+            for key in victim.blobs.keys() {
+                read.forget(&CacheKey::Record(id, key.clone()));
+            }
+        }
         let dropped = journal::apply_delete(&mut self.ckpts, id)?;
         for ptr in dropped {
             self.release_block(ptr);
@@ -1289,7 +1317,7 @@ impl ObjectStore {
     pub fn logical_size(&self, ckpt: CkptId) -> Result<u64> {
         let mut total = self.image_at(ckpt)?.refs().count() as u64 * BLOCK_SIZE as u64;
         for key in self.blob_keys_at(ckpt, "") {
-            if let Some(v) = checkpoint::resolve_blob(&self.ckpts, ckpt, &key) {
+            if let Some((_, v)) = checkpoint::resolve_blob(&self.ckpts, ckpt, &key) {
                 total += v.len() as u64;
             }
         }

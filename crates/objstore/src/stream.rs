@@ -103,11 +103,10 @@ impl ObjectStore {
             .collect();
         e.varint(keys.len() as u64);
         for key in keys {
-            let v = checkpoint::resolve_blob(self.table(), ckpt, &key)
-                .ok_or_else(|| {
-                    Error::internal(format!("blob `{key}` vanished while streaming"))
-                })?
-                .to_vec();
+            let (_, v) = checkpoint::resolve_blob(self.table(), ckpt, &key).ok_or_else(|| {
+                Error::internal(format!("blob `{key}` vanished while streaming"))
+            })?;
+            let v = v.to_vec();
             e.str(&key);
             e.bytes(&v);
         }

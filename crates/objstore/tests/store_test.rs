@@ -904,6 +904,70 @@ fn read_plan_coalesces_extents_and_dedups_shared_blocks() {
     assert_eq!(s.stats.read_cache_misses, 100);
 }
 
+/// A metadata record's read is a cache policy over the read cache. The
+/// first read after its commit is one waited device read; the second
+/// is a hit that costs `RESTORE_CACHE_HIT_NS` per block and reads
+/// nothing. `drop_caches`, a reboot and a GC that merges the checkpoint
+/// holding the record into its child each make the next read a miss.
+#[test]
+fn a_record_read_misses_once_then_hits_until_its_residency_goes() {
+    let (mut s, clock) = materialized_store(true);
+    let record = vec![7u8; 2 * aurora_hw::BLOCK_SIZE + 1];
+    let blocks = 3u64;
+    s.put_blob("g1/manifest", record.clone());
+    let (c1, _) = s.commit(None).unwrap();
+    s.put_blob("g1/other", vec![1]);
+    let (c2, _) = s.commit(None).unwrap();
+    s.put_blob("g1/other", vec![2]);
+    s.commit(None).unwrap();
+
+    // (hits, misses, device reads, virtual time) one read of the
+    // record as of `at` adds.
+    let read = |s: &mut ObjectStore, at: CkptId| {
+        let (hits, misses) = (s.stats.read_cache_hits, s.stats.read_cache_misses);
+        let reads = s.device().stats().reads;
+        let t0 = clock.now();
+        assert_eq!(s.get_blob(at, "g1/manifest").unwrap().unwrap(), record);
+        (
+            s.stats.read_cache_hits - hits,
+            s.stats.read_cache_misses - misses,
+            s.device().stats().reads - reads,
+            clock.now() - t0,
+        )
+    };
+    let hit = (
+        1,
+        0,
+        0,
+        aurora_sim::time::SimDuration::from_nanos(
+            aurora_sim::cost::RESTORE_CACHE_HIT_NS * blocks,
+        ),
+    );
+    let is_miss = |(hits, misses, reads, _): (u64, u64, u64, _)| (hits, misses, reads) == (0, 1, 1);
+
+    let first = read(&mut s, c1);
+    assert!(is_miss(first), "a committed record is not resident: {first:?}");
+    assert_eq!(read(&mut s, c1), hit);
+    assert!(first.3 > hit.3, "a miss {:?} must cost more than a hit", first.3);
+    assert_eq!(s.read_cache_len(), blocks as usize, "a record holds its blocks");
+
+    s.drop_caches().unwrap();
+    assert!(is_miss(read(&mut s, c1)), "drop_caches empties the cache");
+    assert_eq!(read(&mut s, c1), hit);
+
+    let mut s = s.recover().unwrap();
+    assert_eq!(s.read_cache_len(), 0, "a reboot starts with an empty cache");
+    assert!(is_miss(read(&mut s, c1)), "a reboot empties the cache");
+    assert_eq!(read(&mut s, c2), hit, "c2 reads the record c1 holds");
+
+    // GC merges c1 into c2: the record now belongs to c2, and c1's
+    // entry is forgotten with it.
+    s.delete_checkpoint(c1).unwrap();
+    assert_eq!(s.read_cache_len(), 0, "the merged checkpoint's entry is gone");
+    assert!(is_miss(read(&mut s, c2)), "the merged record is read anew");
+    assert_eq!(read(&mut s, c2), hit);
+}
+
 #[test]
 fn batched_read_detects_wire_corruption_and_leaves_store_intact() {
     let (mut s, _clock) = materialized_store(true);

@@ -1,6 +1,6 @@
 //! Content hashing, keyed digests and on-disk checksums.
 //!
-//! Three distinct needs, three distinct functions:
+//! Four distinct needs, four distinct functions:
 //!
 //! * [`page_hash`] / [`PageHasher`] — the 64-bit content hash of page
 //!   data: the object store's dedup index, the verify on every checked
@@ -13,6 +13,10 @@
 //! * [`fnv64`] / [`Fnv64`] — byte-serial FNV-1a for what is not page
 //!   content: short keys (the shared hash map) and the wire digests of
 //!   the migration and replication frames, which are format.
+//! * [`WordHasher`] / [`Words`] — one multiply per integer word, the
+//!   `HashMap` hasher of the host's hottest in-memory indexes (the VM
+//!   frame index, the object store's read cache), whose keys the system
+//!   assigns or computes itself and never takes as given.
 //! * [`crc32c`] — the Castagnoli CRC used to checksum every on-disk record
 //!   (superblocks, journal entries, checkpoint manifests) so that torn or
 //!   corrupted writes are detected during crash recovery.
@@ -200,6 +204,37 @@ impl Fnv64 {
         self.0
     }
 }
+
+/// A `HashMap` hasher that costs one multiply per integer word. With
+/// SipHash, the probes a restore makes per page (frame index, read
+/// cache) cost `cold_start` several percent of its host rate. Not
+/// collision-resistant: only for keys the system assigns or computes —
+/// ids, block numbers, recorded content hashes, keys it wrote itself.
+#[derive(Debug, Default, Clone, Copy)]
+pub struct WordHasher(u64);
+
+impl std::hash::Hasher for WordHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.write_u64(u64::from(n));
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// The `BuildHasher` of [`WordHasher`]: `HashMap<K, V, Words>`.
+pub type Words = std::hash::BuildHasherDefault<WordHasher>;
 
 /// CRC-32C (Castagnoli) polynomial, reflected.
 const CRC32C_POLY: u32 = 0x82F6_3B78;

@@ -94,7 +94,7 @@ impl SlsFs {
     /// Loads the filesystem from the store's newest checkpoint.
     pub fn load(store: StoreHandle, ns: u64) -> Result<SlsFs> {
         let (head, blob) = {
-            let st = store.borrow_mut();
+            let mut st = store.borrow_mut();
             let head = st
                 .head()
                 .ok_or_else(|| Error::not_found("store has no checkpoints"))?;

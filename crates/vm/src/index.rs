@@ -20,42 +20,13 @@
 //! handler's COW path: a filed frame is never written in place.
 
 use std::collections::{BTreeMap, HashMap};
-use std::hash::{BuildHasherDefault, Hasher};
+
+use aurora_sim::hash::Words;
 
 use crate::frame::{FrameId, FrameTable};
 use crate::page::PageData;
 use crate::pager::{PageId, PagerId};
 use crate::Vm;
-
-/// The index's hasher: one multiply per integer word. Restores probe the
-/// index for every page they wire, and with SipHash those probes cost
-/// `cold_start` about 7 % of its host rate. The keys are integers the
-/// kernel assigns or computes — pager ids, object keys, block numbers,
-/// recorded content hashes — never input taken as given.
-#[derive(Default, Clone, Copy)]
-struct WordHasher(u64);
-
-impl Hasher for WordHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u64(u64::from(b));
-        }
-    }
-
-    fn write_u32(&mut self, n: u32) {
-        self.write_u64(u64::from(n));
-    }
-
-    fn write_u64(&mut self, n: u64) {
-        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x517c_c1b7_2722_0a95);
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-type Words = BuildHasherDefault<WordHasher>;
 
 /// A stored page's name in the index: (store, block, recorded hash).
 type StoredName = (u64, u64, u64);

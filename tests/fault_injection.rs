@@ -981,6 +981,19 @@ fn store_fingerprint(host: &Host) -> (u64, [u64; 5]) {
     )
 }
 
+/// Restores `ckpt` lazily on a cold host: it reads the image's metadata
+/// records and no page, so what it leaves in the read cache is their
+/// share of it. Returns that share in blocks.
+fn image_records_resident(host: &mut Host, ckpt: aurora::objstore::CkptId) -> usize {
+    let store = host.sls.primary.clone();
+    assert_eq!(store.borrow().read_cache_len(), 0, "the cache starts empty");
+    let lazy = host.restore(&store, ckpt, RestoreMode::Lazy).unwrap();
+    assert_eq!(lazy.pages_prefetched, 0, "a cold lazy restore reads no page");
+    let records = store.borrow().read_cache_len();
+    assert!(records > 0, "the image's records are resident");
+    records
+}
+
 /// One damaged block in the page-in's second batch, no mirror: the
 /// first batch is already verified and in the read cache when the
 /// damaged extent comes back, and the restore still aborts with
@@ -993,13 +1006,14 @@ fn corrupt_block_in_a_later_restore_batch_aborts_without_damage() {
     host.sls.restore_workers = 4;
     let victim = second_batch_lba(&host, ckpt);
     let before = store_fingerprint(&host);
+    let store = host.sls.primary.clone();
+    let records = image_records_resident(&mut host, ckpt);
 
     host.sls
         .primary
         .borrow_mut()
         .device_mut()
         .install_fault_plan(FaultPlan::corrupt_read_blocks(victim, victim + 1, 100, 3));
-    let store = host.sls.primary.clone();
     let err = host.restore(&store, ckpt, RestoreMode::Eager).unwrap_err();
     assert_eq!(err.kind(), ErrorKind::Corrupt, "{err}");
     let (plan, _) = restore_plan(&host, ckpt);
@@ -1007,7 +1021,7 @@ fn corrupt_block_in_a_later_restore_batch_aborts_without_damage() {
     let first_batch: usize = plan.extents[first_batch].iter().map(|&(_, len)| len).sum();
     assert_eq!(
         store.borrow().read_cache_len(),
-        first_batch,
+        records + first_batch,
         "admitted: the first batch's blocks, nothing of the damaged extent"
     );
 
@@ -1079,6 +1093,8 @@ fn power_cut_inside_a_planned_extent_kills_the_device_and_recovery_is_clean() {
     let WideImage { addr, ckpt, .. } = commit_wide_image(&mut host);
     host.sls.restore_workers = 4;
     planned_extent(&host, ckpt, 0);
+    let store = host.sls.primary.clone();
+    let records = image_records_resident(&mut host, ckpt);
     // The page-in's first device read is this extent, block by block.
     host.sls
         .primary
@@ -1086,11 +1102,14 @@ fn power_cut_inside_a_planned_extent_kills_the_device_and_recovery_is_clean() {
         .device_mut()
         .install_fault_plan(FaultPlan::power_cut_on_read(2));
 
-    let store = host.sls.primary.clone();
     let err = host.restore(&store, ckpt, RestoreMode::Eager).unwrap_err();
     assert_eq!(err.kind(), ErrorKind::DeviceDead, "{err}");
     assert!(!store.borrow().device().powered());
-    assert_eq!(store.borrow().read_cache_len(), 0, "nothing of a failed extent is kept");
+    assert_eq!(
+        store.borrow().read_cache_len(),
+        records,
+        "nothing of a failed extent is kept"
+    );
     drop(store);
 
     host.sls
