@@ -276,7 +276,11 @@ pub fn dedup_density(images: u64, runtime_pages: u64, fn_pages: u64) -> DedupRep
 
 /// E6 with the content-hash dedup design choice toggleable — the
 /// ablation behind the paper's "one order of magnitude lower disk
-/// usage" claim for high-density serverless images.
+/// usage" claim for high-density serverless images. The store always
+/// deduplicates; with `dedup` off the footprint also counts every write
+/// dedup absorbed, each the block a store without dedup would have
+/// allocated for it (building an image releases no reference, so none
+/// of those blocks would have been freed again).
 pub fn dedup_density_with(
     dedup: bool,
     images: u64,
@@ -290,12 +294,16 @@ pub fn dedup_density_with(
         dev,
         StoreConfig {
             journal_blocks: 8 * 1024,
-            dedup,
             ..StoreConfig::default()
         },
     )
     .expect("host boot");
-    let blocks0 = host.sls.primary.borrow().blocks_in_use();
+    let footprint = |host: &Host| {
+        let store = host.sls.primary.borrow();
+        let absorbed = if dedup { 0 } else { store.stats.dedup_hits };
+        store.blocks_in_use() + absorbed
+    };
+    let blocks0 = footprint(&host);
     let mut first_image_blocks = 0;
     let mut last = blocks0;
     let mut image0 = None;
@@ -303,7 +311,7 @@ pub fn dedup_density_with(
         let image =
             serverless::build_image(&mut host, &format!("fn-{i}"), runtime_pages, fn_pages, i)
                 .expect("image");
-        let now = host.sls.primary.borrow().blocks_in_use();
+        let now = footprint(&host);
         if i == 0 {
             first_image_blocks = now - blocks0;
             image0 = Some(image);

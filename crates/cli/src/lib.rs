@@ -195,7 +195,6 @@ fn save_mirror_states(world: &Path, host: &Host) -> Result<()> {
 fn store_config() -> StoreConfig {
     StoreConfig {
         journal_blocks: 2048,
-        dedup: true,
         materialize_data: true,
         ..StoreConfig::default()
     }

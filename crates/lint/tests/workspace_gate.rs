@@ -38,12 +38,11 @@ const MAX_ALLOW_ENTRIES: usize = 1;
 
 /// The durable-write ratchet: every function named in `[commit-phase]
 /// allow_in` may write the device directly, so adding one is adding a
-/// durable path. Today's six are the two journal-region writers
-/// (`submit_journal`, `flip_superblock`), mkfs `format`, the two
-/// data-extent stagers (`write_page_hashed`, `write_extent`) and the
-/// read-repair `heal_block`. Lower it when a path goes, never raise it
-/// without review.
-const MAX_COMMIT_PHASE_WRITERS: usize = 6;
+/// durable path. Today's five are the two journal-region writers
+/// (`submit_journal`, `flip_superblock`), mkfs `format`, the one page
+/// writer's `write_extent` and the read-repair `heal_block`. Lower it
+/// when a path goes, never raise it without review.
+const MAX_COMMIT_PHASE_WRITERS: usize = 5;
 
 #[test]
 fn allowlist_never_grows() {

@@ -37,6 +37,7 @@
 
 pub mod alloc;
 pub mod checkpoint;
+mod commit;
 pub mod deltalog;
 pub mod journal;
 pub mod layout;
@@ -44,13 +45,15 @@ pub mod read;
 pub mod store;
 pub mod stream;
 pub mod txn;
+mod write;
 
 pub use checkpoint::{Checkpoint, CkptId, PageRef};
 pub use deltalog::{DeltaLog, DeltaRecord, Lsn};
 pub use store::{
-    ObjectStore, PageWrite, ReadOutcome, ReadPlan, ResilverReport, StoreConfig, StoreStats,
-    EXTENT_BLOCKS, READ_CACHE_PAGES,
+    ObjectStore, ReadOutcome, ReadPlan, ResilverReport, StoreConfig, StoreStats, EXTENT_BLOCKS,
+    READ_CACHE_PAGES,
 };
+pub use write::PageWrite;
 
 /// Identifier of a stored object.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]

@@ -377,10 +377,7 @@ impl ObjectStore {
             Some(_) => {
                 cache.data.insert(ptr.0, page.clone());
             }
-            None => {
-                let h = self.config.dedup.then(|| page.content_hash());
-                cache.install(ptr, &page, h);
-            }
+            None => cache.install(ptr, &page, page.content_hash()),
         }
         cache.read.admit(CacheKey::Block(ptr.0), 1);
         Ok(page)

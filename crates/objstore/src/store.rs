@@ -1,40 +1,35 @@
-//! The object store proper: the live state, dedup, commits, recovery,
-//! GC.
+//! The object store proper: its state, formatting and recovery, the
+//! page reads that resolve through it, and the audits. The write side
+//! lives in `write.rs`, the commit step in `commit.rs`, the read
+//! planner and the checked reader in `read.rs`.
 //!
 //! The live state is the staged delta over the kept head image: a page
 //! resolves to its staged delta record, else its staged page, else the
 //! head image's delta head or page (skipped for an object deleted or
 //! created this epoch). A block's refcount is its checkpoint page
 //! entries plus its staged page entries; a commit hands each staged
-//! reference to the new checkpoint.
-//!
-//! See the crate docs for the design overview. The durability contract:
-//! [`ObjectStore::commit`] appends the delta to the journal and flushes
-//! once, returning the virtual instant at which the checkpoint is
-//! power-loss-safe — without advancing the caller's clock, so the SLS
-//! overlaps flushing with application execution. Anything not yet
-//! committed is discarded by [`ObjectStore::recover`], exactly like a
-//! real crash.
+//! reference to the new checkpoint. Anything not yet committed is
+//! discarded by [`ObjectStore::recover`], exactly like a real crash.
 
 use std::borrow::Cow;
 use std::cell::{Cell, Ref, RefCell};
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 
 use aurora_hw::{Access, BlockDev, BLOCK_SIZE};
 use aurora_sim::cost::RESTORE_CACHE_HIT_NS;
 use aurora_sim::error::{Error, Result};
 use aurora_sim::hash::page_hash;
-use aurora_sim::time::{SimDuration, SimTime};
+use aurora_sim::time::SimDuration;
 use aurora_vm::PageData;
 
 use crate::alloc::BlockAlloc;
-use crate::checkpoint::{self, object_keys, take_object, Checkpoint, CkptId, Image, PageRef};
+use crate::checkpoint::{self, Checkpoint, CkptId, Image, PageRef};
 use crate::deltalog::{DeltaLog, DeltaRecord, Lsn};
 use crate::journal::{self, JournalRecord};
 use crate::layout::{Superblock, JOURNAL_START};
 use crate::read::{CacheKey, ReadCache};
-use crate::txn::DirtyTxn;
 pub use crate::read::{runs, ReadOutcome, ReadPlan};
+use crate::write::LivePage;
 use crate::{BlockPtr, ObjId};
 
 /// Store configuration.
@@ -42,8 +37,6 @@ use crate::{BlockPtr, ObjId};
 pub struct StoreConfig {
     /// Journal region size in blocks.
     pub journal_blocks: u64,
-    /// Enable content-hash page deduplication.
-    pub dedup: bool,
     /// Write real page bytes through the device (needed when the store
     /// must be reopened from the medium alone, e.g. the CLI's file-backed
     /// worlds). Off for simulation-scale benchmarks.
@@ -71,7 +64,6 @@ impl Default for StoreConfig {
     fn default() -> Self {
         StoreConfig {
             journal_blocks: 16 * 1024, // 64 MiB of metadata journal
-            dedup: true,
             materialize_data: false,
             delta_max_bytes: DEFAULT_DELTA_MAX_BYTES,
             delta_max_chain: DEFAULT_DELTA_MAX_CHAIN,
@@ -82,7 +74,8 @@ impl Default for StoreConfig {
 /// Store activity counters.
 #[derive(Debug, Default, Clone)]
 pub struct StoreStats {
-    /// Pages accepted by `write_page`.
+    /// Pages handed to the writer (one per `PageWrite`, a `write_page`
+    /// included, dedup hits too) plus sub-page deltas staged.
     pub pages_written: u64,
     /// Writes satisfied by dedup (no device I/O).
     pub dedup_hits: u64,
@@ -94,7 +87,8 @@ pub struct StoreStats {
     pub gc_runs: u64,
     /// Journal bytes written.
     pub bytes_journaled: u64,
-    /// Vectored extent writes issued by the batch flush path.
+    /// Extent writes the page writer issued: every data write, a lone
+    /// `write_page`'s single-block extent included.
     pub extents_coalesced: u64,
     /// Blocks carried by those extents.
     pub blocks_coalesced: u64,
@@ -145,7 +139,7 @@ pub struct ResilverReport {
 
 /// Expected block refcounts for committed state: one per checkpoint
 /// page entry.
-fn committed_refs(ckpts: &BTreeMap<u64, Checkpoint>) -> HashMap<u64, u32> {
+pub(crate) fn committed_refs(ckpts: &BTreeMap<u64, Checkpoint>) -> HashMap<u64, u32> {
     let mut refs: HashMap<u64, u32> = HashMap::new();
     for ptr in ckpts.values().flat_map(|ck| ck.pages.values()) {
         *refs.entry(ptr.0).or_insert(0) += 1;
@@ -201,7 +195,7 @@ pub(crate) struct PageCache {
     pub(crate) data: HashMap<u64, PageData>,
     /// Content-hash dedup index: hash -> candidate blocks, in insertion
     /// order (rebuilds insert in ascending block order).
-    dedup: HashMap<u64, Vec<BlockPtr>>,
+    pub(crate) dedup: HashMap<u64, Vec<BlockPtr>>,
     /// Block -> content hash (reverse index for release): the recorded
     /// hash the read side compares what the medium returns with.
     pub(crate) block_hash: HashMap<u64, u64>,
@@ -223,7 +217,7 @@ impl PageCache {
     /// blocks in ascending id order: candidate lists come out identical
     /// no matter the `HashMap` iteration order or how many flush
     /// workers produced the hashes.
-    fn rebuild_dedup(&mut self) {
+    pub(crate) fn rebuild_dedup(&mut self) {
         self.dedup.clear();
         self.block_hash.clear();
         let mut blocks: Vec<u64> = self.data.keys().copied().collect();
@@ -238,16 +232,14 @@ impl PageCache {
     }
 
     /// Caches freshly written contents and indexes them for dedup.
-    pub(crate) fn install(&mut self, ptr: BlockPtr, page: &PageData, hash: Option<u64>) {
+    pub(crate) fn install(&mut self, ptr: BlockPtr, page: &PageData, hash: u64) {
         self.data.insert(ptr.0, page.clone());
-        if let Some(h) = hash {
-            self.dedup.entry(h).or_default().push(ptr);
-            self.block_hash.insert(ptr.0, h);
-        }
+        self.dedup.entry(hash).or_default().push(ptr);
+        self.block_hash.insert(ptr.0, hash);
     }
 
     /// Drops a freed block's contents and index entries.
-    fn evict(&mut self, ptr: BlockPtr) {
+    pub(crate) fn evict(&mut self, ptr: BlockPtr) {
         self.data.remove(&ptr.0);
         if let Some(h) = self.block_hash.remove(&ptr.0) {
             if let Some(cands) = self.dedup.get_mut(&h) {
@@ -261,29 +253,6 @@ impl PageCache {
     }
 }
 
-/// One page of a flush plan with its content hash already computed (by
-/// the parallel hash stage) — the unit of
-/// [`ObjectStore::write_pages_coalesced`].
-#[derive(Debug, Clone)]
-pub struct PageWrite {
-    /// Destination object.
-    pub oid: ObjId,
-    /// Page index within the object.
-    pub idx: u64,
-    /// Page contents.
-    pub page: PageData,
-    /// Content hash of `page`.
-    pub hash: u64,
-}
-
-/// How the live state holds one page.
-enum LivePage<'a> {
-    /// A delta record staged this epoch: the newest state of all.
-    Staged(&'a DeltaRecord),
-    /// A staged page or a head-image entry.
-    Ref(PageRef),
-}
-
 /// The object store.
 pub struct ObjectStore {
     /// `pub(crate)` for `txn.rs`, the commit protocol's only licensed
@@ -291,25 +260,25 @@ pub struct ObjectStore {
     pub(crate) dev: RefCell<Box<dyn BlockDev>>,
     pub(crate) config: StoreConfig,
     pub(crate) sb: Superblock,
-    alloc: BlockAlloc,
+    pub(crate) alloc: BlockAlloc,
     /// Committed checkpoints by id.
     pub(crate) ckpts: BTreeMap<u64, Checkpoint>,
     /// The head's image, kept current by `commit`: the fold of the
     /// head's chain without walking it. GC never deletes the head and
     /// its merge preserves every descendant's image, so nothing else
     /// changes it.
-    head_image: Image,
+    pub(crate) head_image: Image,
     /// The staged delta since the last commit, in key order: the live
     /// state is these over the head image. Each staged page holds one
     /// reference on its block.
-    pending_pages: BTreeMap<(ObjId, u64), BlockPtr>,
-    pending_blobs: BTreeMap<String, Vec<u8>>,
-    pending_new_objects: Vec<(ObjId, u64)>,
-    pending_deleted: Vec<ObjId>,
+    pub(crate) pending_pages: BTreeMap<(ObjId, u64), BlockPtr>,
+    pub(crate) pending_blobs: BTreeMap<String, Vec<u8>>,
+    pub(crate) pending_new_objects: Vec<(ObjId, u64)>,
+    pub(crate) pending_deleted: Vec<ObjId>,
     /// Sub-page delta records staged this epoch, keyed by page. LSNs
     /// are assigned at commit in key order; the records enter `delta`
-    /// only after the superblock flip succeeds.
-    pending_deltas: BTreeMap<(ObjId, u64), DeltaRecord>,
+    /// only after the commit's flush succeeds.
+    pub(crate) pending_deltas: BTreeMap<(ObjId, u64), DeltaRecord>,
     /// Committed delta records (rebuilt from the journal on recovery).
     pub(crate) delta: DeltaLog,
     /// Page contents, the dedup index and the bounded read cache.
@@ -470,9 +439,7 @@ impl ObjectStore {
         // ascending block order (deterministic candidate lists).
         let mut cache = PageCache::new(data);
         cache.data.retain(|b, _| refs.contains_key(b));
-        if config.dedup {
-            cache.rebuild_dedup();
-        }
+        cache.rebuild_dedup();
 
         Ok(ObjectStore {
             dev: RefCell::new(dev),
@@ -513,318 +480,6 @@ impl ObjectStore {
         self.alloc.in_use()
     }
 
-    /// Creates an object under a caller-chosen id (the SLS assigns ids so
-    /// that checkpoint metadata can reference objects stably across
-    /// machines).
-    pub fn create_object(&mut self, oid: ObjId, size_pages: u64) -> Result<()> {
-        if self.object_exists(oid) {
-            return Err(Error::already_exists(format!("object {}", oid.0)));
-        }
-        self.pending_new_objects.push((oid, size_pages));
-        Ok(())
-    }
-
-    /// Whether the head image speaks for `oid` in the live state: not
-    /// when the object was deleted or created this epoch.
-    fn head_covers(&self, oid: ObjId) -> bool {
-        !self.pending_deleted.contains(&oid)
-            && !self.pending_new_objects.iter().any(|(o, _)| *o == oid)
-    }
-
-    /// A live object's declared size in pages.
-    fn object_size(&self, oid: ObjId) -> Option<u64> {
-        match self.pending_new_objects.iter().find(|(o, _)| *o == oid) {
-            Some(&(_, size)) => Some(size),
-            None if self.pending_deleted.contains(&oid) => None,
-            None => self.head_image.objects.get(&oid).copied(),
-        }
-    }
-
-    /// True if the object exists in the live state.
-    pub fn object_exists(&self, oid: ObjId) -> bool {
-        self.object_size(oid).is_some()
-    }
-
-    /// Live object ids (optionally filtered to a namespace via the
-    /// caller). Used by the SLS to prune superseded incarnations.
-    pub fn live_object_ids(&self) -> Vec<ObjId> {
-        let mut ids: BTreeSet<ObjId> = self
-            .head_image
-            .objects
-            .keys()
-            .filter(|oid| !self.pending_deleted.contains(oid))
-            .copied()
-            .collect();
-        ids.extend(self.pending_new_objects.iter().map(|(oid, _)| *oid));
-        ids.into_iter().collect()
-    }
-
-    /// How the live state holds page `(oid, idx)`: the staged delta
-    /// record, else the staged page, else the head image's delta head or
-    /// page. `None` for a hole or a missing object.
-    fn live_page(&self, oid: ObjId, idx: u64) -> Option<LivePage<'_>> {
-        let key = (oid, idx);
-        if let Some(rec) = self.pending_deltas.get(&key) {
-            return Some(LivePage::Staged(rec));
-        }
-        if let Some(&ptr) = self.pending_pages.get(&key) {
-            return Some(LivePage::Ref(PageRef::Full(ptr)));
-        }
-        if !self.head_covers(oid) {
-            return None;
-        }
-        if let Some(&lsn) = self.head_image.deltas.get(&key) {
-            return Some(LivePage::Ref(PageRef::Delta(lsn)));
-        }
-        let ptr = self.head_image.pages.get(&key)?;
-        Some(LivePage::Ref(PageRef::Full(*ptr)))
-    }
-
-    /// Deletes an object from the live state (history stays readable
-    /// through older checkpoints).
-    pub fn delete_object(&mut self, oid: ObjId) -> Result<()> {
-        if !self.object_exists(oid) {
-            return Err(Error::not_found(format!("object {}", oid.0)));
-        }
-        // Pages written this epoch can never be read: drop their staged
-        // entries and references. If the object was also born this
-        // epoch, it never existed as far as the next checkpoint is
-        // concerned.
-        for ptr in take_object(&mut self.pending_pages, oid) {
-            self.release_block(ptr);
-        }
-        self.pending_deltas.retain(|(o, _), _| *o != oid);
-        if let Some(pos) = self.pending_new_objects.iter().position(|(o, _)| *o == oid) {
-            self.pending_new_objects.remove(pos);
-        } else {
-            self.pending_deleted.push(oid);
-        }
-        Ok(())
-    }
-
-    /// Clones `src` into a new object `dst` without copying any data:
-    /// every page pointer is shared and reference counted — the substrate
-    /// for SLSFS's zero-copy file/subtree clones and for `sls restore`
-    /// images branching off a running application.
-    pub fn clone_object(&mut self, src: ObjId, dst: ObjId) -> Result<()> {
-        if self.object_exists(dst) {
-            return Err(Error::already_exists(format!("object {}", dst.0)));
-        }
-        let size_pages = self
-            .object_size(src)
-            .ok_or_else(|| Error::not_found(format!("object {}", src.0)))?;
-        let keys = object_keys(src);
-        let mut idxs: BTreeSet<u64> =
-            self.pending_pages.range(keys.clone()).map(|(k, _)| k.1).collect();
-        idxs.extend(self.pending_deltas.range(keys.clone()).map(|(k, _)| k.1));
-        if self.head_covers(src) {
-            idxs.extend(self.head_image.pages.range(keys.clone()).map(|(k, _)| k.1));
-            idxs.extend(self.head_image.deltas.range(keys).map(|(k, _)| k.1));
-        }
-        self.pending_new_objects.push((dst, size_pages));
-        // Pages under a redo chain (committed or staged this epoch)
-        // can't be pointer-shared — the share would lose the chain.
-        // Materialize those few into full pages for `dst`.
-        let mut chained = Vec::new();
-        for idx in idxs {
-            match self.live_page(src, idx) {
-                Some(LivePage::Ref(PageRef::Full(ptr))) => {
-                    self.alloc.incref(ptr);
-                    self.pending_pages.insert((dst, idx), ptr);
-                }
-                Some(_) => chained.push(idx),
-                None => {}
-            }
-        }
-        for idx in chained {
-            let page = self.read_page(src, idx)?.ok_or_else(|| {
-                Error::internal(format!("chained page {}/{idx} vanished during clone", src.0))
-            })?;
-            self.write_page(dst, idx, &page)?;
-        }
-        Ok(())
-    }
-
-    fn release_block(&mut self, ptr: BlockPtr) {
-        if self.alloc.decref(ptr) {
-            self.cache.get_mut().evict(ptr);
-        }
-    }
-
-    /// Writes one page of an object.
-    ///
-    /// Dedup hit: refcount bump, no device traffic. Miss: allocates a
-    /// block and submits the 4 KiB payload asynchronously (the commit's
-    /// flush barrier covers it).
-    pub fn write_page(&mut self, oid: ObjId, idx: u64, page: &PageData) -> Result<()> {
-        self.write_page_hashed(oid, idx, page, None)
-    }
-
-    /// Like [`ObjectStore::write_page`] with the content hash already
-    /// computed — the parallel flush pipeline hashes pages off-thread
-    /// before touching the store. `hash` is ignored when dedup is off
-    /// and computed here when dedup is on but `None` was passed, so the
-    /// resulting state never depends on which variant the caller used.
-    pub fn write_page_hashed(
-        &mut self,
-        oid: ObjId,
-        idx: u64,
-        page: &PageData,
-        hash: Option<u64>,
-    ) -> Result<()> {
-        if !self.object_exists(oid) {
-            return Err(Error::not_found(format!("object {}", oid.0)));
-        }
-        self.stats.pages_written += 1;
-        let hash = if self.config.dedup {
-            hash.or_else(|| Some(page.content_hash()))
-        } else {
-            None
-        };
-        let ptr = match self.find_dedup(page, hash) {
-            Some(existing) => {
-                self.alloc.incref(existing);
-                self.stats.dedup_hits += 1;
-                existing
-            }
-            None => {
-                let ptr = self.alloc.alloc()?;
-                if self.config.materialize_data {
-                    let lba = self.sb.data_start() + ptr.0;
-                    self.dev.get_mut().submit_write(lba, &page.materialize())?;
-                } else {
-                    self.dev.get_mut().submit_write_timing(BLOCK_SIZE as u64)?;
-                }
-                self.cache.get_mut().install(ptr, page, hash);
-                ptr
-            }
-        };
-        self.stage_page(oid, idx, ptr);
-        Ok(())
-    }
-
-    /// Stages a full image of `(oid, idx)` at `ptr`, whose reference the
-    /// caller took. It truncates the page's redo chain, and only a staged
-    /// block it replaces loses a reference: a head-image block keeps its
-    /// checkpoint's.
-    fn stage_page(&mut self, oid: ObjId, idx: u64, ptr: BlockPtr) {
-        self.pending_deltas.remove(&(oid, idx));
-        if let Some(old) = self.pending_pages.insert((oid, idx), ptr) {
-            self.release_block(old);
-        }
-    }
-
-    /// Writes a batch of pages, coalescing adjacent fresh blocks into
-    /// extent-sized vectored device writes.
-    ///
-    /// Dedup decisions, allocations and staging happen in plan
-    /// order — exactly the sequence a `write_page` loop produces — so
-    /// the resulting store state (and, for materialized stores, the
-    /// device image) is identical to the serial path; only the shape of
-    /// the device traffic changes. Fresh blocks then sort into runs of
-    /// adjacent lbas, each submitted with one
-    /// [`BlockDev::write_blocks`] extent of at most [`EXTENT_BLOCKS`].
-    ///
-    /// If an extent write fails, contents that never reached the
-    /// platter are dropped from the page cache before the error
-    /// surfaces, so no later dedup hit or cache read can serve bytes
-    /// the medium does not hold. The checkpoint pipeline then aborts
-    /// without committing and forces the next checkpoint full.
-    pub fn write_pages_coalesced<'a>(
-        &mut self,
-        writes: impl IntoIterator<Item = &'a PageWrite>,
-    ) -> Result<()> {
-        // Plan-order pass: dedup, allocation, staging.
-        let mut fresh: BTreeMap<u64, PageData> = BTreeMap::new();
-        for w in writes {
-            if !self.object_exists(w.oid) {
-                return Err(Error::not_found(format!("object {}", w.oid.0)));
-            }
-            self.stats.pages_written += 1;
-            let hash = self.config.dedup.then_some(w.hash);
-            let ptr = match self.find_dedup(&w.page, hash) {
-                Some(existing) => {
-                    self.alloc.incref(existing);
-                    self.stats.dedup_hits += 1;
-                    existing
-                }
-                None => {
-                    let ptr = self.alloc.alloc()?;
-                    self.cache.get_mut().install(ptr, &w.page, hash);
-                    fresh.insert(ptr.0, w.page.clone());
-                    ptr
-                }
-            };
-            self.stage_page(w.oid, w.idx, ptr);
-        }
-        // A block allocated for an early write can be released by a
-        // later write in the same batch (and reallocated within it only
-        // once the allocator's frontier wraps); only blocks still
-        // referenced go to the device.
-        fresh.retain(|&b, _| self.alloc.refs(BlockPtr(b)) > 0);
-
-        // Extent pass: each run of adjacent blocks becomes one
-        // vectored write.
-        let blocks: Vec<u64> = fresh.keys().copied().collect();
-        for (off, len) in runs(&blocks, EXTENT_BLOCKS) {
-            let Some(&start) = blocks.get(off) else {
-                continue;
-            };
-            if let Err(e) = self.write_extent(&fresh, start, len) {
-                // Nothing from this run onward reached the platter:
-                // drop the unbacked contents so the cache never claims
-                // bytes the medium does not hold.
-                for &b in blocks.iter().skip(off) {
-                    self.cache.get_mut().evict(BlockPtr(b));
-                }
-                return Err(e);
-            }
-            self.stats.extents_coalesced += 1;
-            self.stats.blocks_coalesced += len as u64;
-        }
-        Ok(())
-    }
-
-    /// Submits one run of adjacent fresh blocks as a vectored write.
-    fn write_extent(
-        &mut self,
-        fresh: &BTreeMap<u64, PageData>,
-        start: u64,
-        len: usize,
-    ) -> Result<()> {
-        if self.config.materialize_data {
-            let bufs: Vec<Vec<u8>> = (start..start + len as u64)
-                .map(|b| {
-                    fresh
-                        .get(&b)
-                        .map(PageData::materialize)
-                        .ok_or_else(|| Error::internal(format!("extent block {b} missing")))
-                })
-                .collect::<Result<_>>()?;
-            let refs: Vec<&[u8]> = bufs.iter().map(Vec::as_slice).collect();
-            let lba = self.sb.data_start() + start;
-            self.dev.get_mut().write_blocks(lba, &refs)?;
-        } else {
-            self.dev
-                .get_mut()
-                .submit_write_timing((len * BLOCK_SIZE) as u64)?;
-        }
-        Ok(())
-    }
-
-    fn find_dedup(&self, page: &PageData, hash: Option<u64>) -> Option<BlockPtr> {
-        let h = hash?;
-        let cache = self.cache.borrow();
-        for &cand in cache.dedup.get(&h)? {
-            if let Some(existing) = cache.data.get(&cand.0) {
-                if existing.content_eq(page) {
-                    return Some(cand);
-                }
-            }
-        }
-        None
-    }
-
     /// The store's delta-vs-full policy: `(max dirty bytes, max chain
     /// length)`. `max_bytes == 0` means the delta path is disabled.
     pub fn delta_policy(&self) -> (u32, u32) {
@@ -844,88 +499,6 @@ impl ObjectStore {
     /// Encoded journal bytes of the live delta records.
     pub fn delta_log_bytes(&self) -> u64 {
         self.delta.bytes()
-    }
-
-    /// Whether a delta record may be staged for `(oid, idx)`: requires
-    /// the delta path enabled and a live base image to chain onto.
-    /// Returns the page's current chain length (0 = no chain yet) so
-    /// the caller can apply the `delta_max_chain` bound.
-    pub fn can_delta(&self, oid: ObjId, idx: u64) -> Option<u32> {
-        if self.config.delta_max_bytes == 0 {
-            return None;
-        }
-        match self.live_page(oid, idx)? {
-            LivePage::Staged(rec) => Some(rec.chain_len),
-            LivePage::Ref(PageRef::Delta(head)) => self.delta.chain_len(head).ok(),
-            LivePage::Ref(PageRef::Full(_)) => Some(0),
-        }
-    }
-
-    /// Stages a sub-page delta for the next commit: `runs` are the dirty
-    /// `(offset, len)` byte ranges of `page` (the page's complete new
-    /// contents). The record chains onto the page's current state —
-    /// caller must have checked [`ObjectStore::can_delta`].
-    ///
-    /// No device write happens here: the record rides in the commit's
-    /// journal payload, so its durability ordering is the sealed
-    /// journal's (the same typestate-checked path as the checkpoint
-    /// metadata itself).
-    pub fn stage_delta(
-        &mut self,
-        oid: ObjId,
-        idx: u64,
-        page: &PageData,
-        runs: &[(u32, u32)],
-    ) -> Result<()> {
-        let mut extents = Vec::with_capacity(runs.len());
-        for &(off, len) in runs {
-            if off as usize + len as usize > BLOCK_SIZE || len == 0 {
-                return Err(Error::invalid(format!(
-                    "dirty run {off}+{len} outside the page"
-                )));
-            }
-            let mut buf = vec![0u8; len as usize];
-            page.read(off as usize, &mut buf);
-            extents.push((off, buf));
-        }
-        self.stats.pages_written += 1;
-        // Fold into an already-staged record for this page: extents
-        // apply in order, so appending preserves last-writer-wins.
-        if let Some(rec) = self.pending_deltas.get_mut(&(oid, idx)) {
-            rec.extents.extend(extents);
-            return Ok(());
-        }
-        if !self.object_exists(oid) {
-            return Err(Error::not_found(format!("object {}", oid.0)));
-        }
-        let (base, prev, chain_len) = match self.live_page(oid, idx) {
-            Some(LivePage::Ref(PageRef::Delta(head))) => {
-                let head_rec = self.delta.get(head).ok_or_else(|| {
-                    Error::corrupt(format!("delta head {head} missing from log"))
-                })?;
-                (head_rec.base, Some(head), head_rec.chain_len + 1)
-            }
-            Some(LivePage::Ref(PageRef::Full(ptr))) => (ptr, None, 1),
-            Some(LivePage::Staged(_)) | None => {
-                return Err(Error::invalid(format!(
-                    "delta for {}/{idx} without a base image",
-                    oid.0
-                )));
-            }
-        };
-        self.pending_deltas.insert(
-            (oid, idx),
-            DeltaRecord {
-                oid,
-                idx,
-                epoch: self.sb.next_ckpt,
-                base,
-                prev,
-                chain_len,
-                extents,
-            },
-        );
-        Ok(())
     }
 
     /// Materializes a page by replaying the chain ending at `head` over
@@ -1095,186 +668,6 @@ impl ObjectStore {
         keys.into_iter().collect()
     }
 
-    /// Commits the pending delta as a checkpoint.
-    ///
-    /// Returns the checkpoint id and the virtual instant at which it is
-    /// durable. The caller's clock is *not* advanced to that instant.
-    ///
-    /// Failure atomicity: the pending delta, refcounts and checkpoint
-    /// table are only mutated after every device write has succeeded. A
-    /// commit that fails mid-flush (transient fault, dead device) leaves
-    /// the store exactly as it was — still consistent, still holding the
-    /// staged delta — so the caller can retry or abandon it.
-    pub fn commit(&mut self, name: Option<&str>) -> Result<(CkptId, SimTime)> {
-        let txn = self.begin_txn();
-        self.commit_txn(txn, name)
-    }
-
-    /// [`ObjectStore::commit`] with a caller-minted [`DirtyTxn`] — the
-    /// entry point for paths (stream import, replication apply) that
-    /// open the transaction before staging their writes, so the token
-    /// witnesses the whole mutation, not just its tail.
-    pub fn commit_txn(
-        &mut self,
-        txn: DirtyTxn,
-        name: Option<&str>,
-    ) -> Result<(CkptId, SimTime)> {
-        let id = CkptId(self.sb.next_ckpt);
-        // Assign LSNs to the staged delta records in key order (the
-        // staging map is a BTreeMap, so the order — and therefore the
-        // journal image — is deterministic across worker counts).
-        let mut new_records: Vec<(Lsn, DeltaRecord)> = Vec::new();
-        let mut delta_heads: BTreeMap<(ObjId, u64), Lsn> = BTreeMap::new();
-        let mut lsn = self.delta.next_lsn();
-        for (&key, rec) in &self.pending_deltas {
-            delta_heads.insert(key, lsn);
-            new_records.push((lsn, rec.clone()));
-            lsn += 1;
-        }
-        let ck = Checkpoint {
-            id,
-            parent: self.head(),
-            name: name.map(str::to_string),
-            new_objects: self.pending_new_objects.clone(),
-            deleted_objects: self.pending_deleted.clone(),
-            pages: self.pending_pages.clone(),
-            deltas: delta_heads,
-            blobs: self.pending_blobs.clone(),
-            durable_at: SimTime::ZERO,
-        };
-
-        // The digest covers the blocks the record names, from the hashes
-        // dedup recorded when they were written.
-        let digest = {
-            let cache = self.cache.borrow();
-            journal::page_digest(ck.pages.values().map(|p| cache.block_hash.get(&p.0).copied()))
-        };
-        let record = JournalRecord::Commit {
-            ckpt: ck.clone(),
-            deltas: new_records.clone(),
-            digest,
-        };
-        let (durable, journaled) = self.commit_record(txn, &record)?;
-
-        // The record is durable: consume the pending delta and publish.
-        self.sb.next_ckpt = id.0 + 1;
-        self.stats.bytes_journaled += journaled;
-        self.pending_new_objects.clear();
-        self.pending_deleted.clear();
-        self.pending_pages.clear();
-        self.pending_blobs.clear();
-        self.pending_deltas.clear();
-        // Each staged page's reference passes to the checkpoint. The
-        // delta records are committed, and the head image now reads
-        // through them.
-        for (l, rec) in new_records {
-            self.stats.delta_records += 1;
-            self.stats.delta_bytes += rec.encoded_len() as u64;
-            self.stats.chain_len_max = self.stats.chain_len_max.max(rec.chain_len as u64);
-            self.delta.insert(l, rec)?;
-        }
-        let mut ck = ck;
-        ck.durable_at = durable;
-        self.head_image.apply(&ck);
-        self.ckpts.insert(id.0, ck);
-        self.stats.commits += 1;
-        Ok((id, durable))
-    }
-
-    /// The one commit step every appended record takes: make room,
-    /// append the record at the active half's tail, flush once. Returns
-    /// the durable instant — the flush's completion — and the record's
-    /// encoded length.
-    ///
-    /// A record that does not fit first compacts: the snapshot lands in
-    /// the *idle* half and only the superblock flip switches halves, so a
-    /// power cut at any point leaves a durable superblock over an intact
-    /// half — the old records or the complete snapshot, never a
-    /// half-overwritten mix. Frames carry the active half's generation,
-    /// the superblock epoch.
-    ///
-    /// The tail moves only when the flush succeeds, so a failed step
-    /// leaves the journal geometry as it was and a retry rewrites the
-    /// same offset. Callers change their in-memory state only after `Ok`.
-    fn commit_record(&mut self, txn: DirtyTxn, record: &JournalRecord) -> Result<(SimTime, u64)> {
-        let mut frame = journal::encode_frame(record, self.sb.epoch);
-        let len = frame.len() as u64;
-        if self.sb.journal_used + len > self.sb.journal_half_bytes() {
-            // A record that still does not fit is refused by the append.
-            self.compact()?;
-            frame = journal::encode_frame(record, self.sb.epoch);
-        }
-        let submitted = self.append_record(txn, &frame)?;
-        let (_committed, durable) = self.commit_flush(submitted)?;
-        Ok((durable, len))
-    }
-
-    /// Rewrites the checkpoint table as one snapshot record in the idle
-    /// journal half and switches halves.
-    fn compact(&mut self) -> Result<()> {
-        let list: Vec<Checkpoint> = self.ckpts.values().cloned().collect();
-        // The snapshot carries every still-reachable delta record: "the
-        // log is the checkpoint", so compaction must not orphan chains
-        // that committed checkpoints still replay through.
-        let records: Vec<(Lsn, DeltaRecord)> =
-            self.delta.iter().map(|(l, r)| (l, r.clone())).collect();
-        // The flip gives the idle half the next epoch as its generation.
-        let frame = journal::encode_frame(&JournalRecord::Snapshot(list, records), self.sb.epoch + 1);
-        let txn = self.begin_txn();
-        let snapshot = self.write_snapshot(txn, &frame)?;
-        let (_committed, done) = self.flip_superblock(snapshot)?;
-        self.dev.get_mut().clock().advance_to(done);
-        self.stats.compactions += 1;
-        Ok(())
-    }
-
-    /// Garbage-collects a checkpoint in place: still-needed pointers move
-    /// to its sole child (metadata only), the rest are released.
-    ///
-    /// The `Delete` record is durable before anything in memory changes:
-    /// a failed write leaves the checkpoint, its blocks and the delta log
-    /// exactly as they were.
-    pub fn delete_checkpoint(&mut self, id: CkptId) -> Result<()> {
-        if self.head() == Some(id) {
-            return Err(Error::invalid("cannot GC the head checkpoint"));
-        }
-        self.checkpoint(id)?;
-        let children = self.ckpts.values().filter(|c| c.parent == Some(id)).count();
-        if children > 1 {
-            return Err(Error::invalid(format!(
-                "checkpoint {} has {children} children; GC requires a linear chain",
-                id.0
-            )));
-        }
-        let txn = self.begin_txn();
-        let (done, _) = self.commit_record(txn, &JournalRecord::Delete(id))?;
-        self.dev.get_mut().clock().advance_to(done);
-        // The victim's records move to its child or go: their read-cache
-        // entries name a checkpoint that no longer exists.
-        if let Some(victim) = self.ckpts.get(&id.0) {
-            let read = &mut self.cache.get_mut().read;
-            for key in victim.blobs.keys() {
-                read.forget(&CacheKey::Record(id, key.clone()));
-            }
-        }
-        let dropped = journal::apply_delete(&mut self.ckpts, id)?;
-        for ptr in dropped {
-            self.release_block(ptr);
-        }
-        // The merge may have dropped delta heads; chain segments no
-        // surviving head reaches are dead. Staged records chain onto
-        // committed heads, so their links root the walk too.
-        let mut heads: Vec<Lsn> = self
-            .ckpts
-            .values()
-            .flat_map(|c| c.deltas.values().copied())
-            .collect();
-        heads.extend(self.pending_deltas.values().filter_map(|r| r.prev));
-        self.delta.prune(heads);
-        self.stats.gc_runs += 1;
-        Ok(())
-    }
-
     /// Issues an ordered flush barrier against the device and waits for
     /// it — the extra data/metadata ordering point a filesystem fsync
     /// pays that Aurora's log flush does not.
@@ -1352,20 +745,15 @@ impl ObjectStore {
     /// after crash-recovery sweeps and exposed through `sls info`.
     pub fn fsck(&self) -> Vec<String> {
         let mut problems = Vec::new();
-        let mut expected: HashMap<u64, u32> = HashMap::new();
         for ck in self.ckpts.values() {
-            for ptr in ck.pages.values() {
-                *expected.entry(ptr.0).or_insert(0) += 1;
-            }
-            if let Some(parent) = ck.parent {
-                if !self.ckpts.contains_key(&parent.0) {
-                    problems.push(format!(
-                        "checkpoint {} has dangling parent {}",
-                        ck.id.0, parent.0
-                    ));
-                }
+            if let Some(parent) = ck.parent.filter(|p| !self.ckpts.contains_key(&p.0)) {
+                problems.push(format!(
+                    "checkpoint {} has dangling parent {}",
+                    ck.id.0, parent.0
+                ));
             }
         }
+        let mut expected = committed_refs(&self.ckpts);
         for ptr in self.pending_pages.values() {
             *expected.entry(ptr.0).or_insert(0) += 1;
         }
@@ -1442,46 +830,6 @@ impl ObjectStore {
             }
         }
         problems
-    }
-
-    /// True if an uncommitted delta is staged (pages, blobs, object
-    /// births or deletions since the last commit).
-    pub fn has_pending(&self) -> bool {
-        !self.pending_pages.is_empty()
-            || !self.pending_blobs.is_empty()
-            || !self.pending_new_objects.is_empty()
-            || !self.pending_deleted.is_empty()
-            || !self.pending_deltas.is_empty()
-    }
-
-    /// Discards the staged (uncommitted) delta and rebuilds refcounts
-    /// (checkpoint page entries only, now nothing is staged) and dedup
-    /// state — the store-side half of aborting a failed checkpoint.
-    ///
-    /// Afterwards the store is indistinguishable from one freshly
-    /// recovered at the current head: [`ObjectStore::fsck`] is clean and
-    /// every committed checkpoint restores. Callers that share the store
-    /// with live clients holding uncommitted state (SLSFS file writes on
-    /// the primary store) must resynchronize those clients; the SLS
-    /// checkpoint pipeline therefore aborts by forcing the next
-    /// checkpoint full instead of rolling the primary store back.
-    pub fn rollback_pending(&mut self) -> Result<()> {
-        self.pending_pages.clear();
-        self.pending_blobs.clear();
-        self.pending_new_objects.clear();
-        self.pending_deleted.clear();
-        self.pending_deltas.clear();
-        let refs = committed_refs(&self.ckpts);
-        self.alloc = BlockAlloc::from_refs(self.sb.data_blocks(), &refs);
-        let cache = self.cache.get_mut();
-        cache.data.retain(|b, _| refs.contains_key(b));
-        if self.config.dedup {
-            cache.rebuild_dedup();
-        } else {
-            cache.dedup.clear();
-            cache.block_hash.clear();
-        }
-        Ok(())
     }
 
     /// Background chain compactor: folds every live delta chain of at

@@ -32,7 +32,7 @@
 //!   durable.
 //!
 //! Every appended record — a checkpoint `Commit`, a GC `Delete` — takes
-//! the first path through one private commit step in `store.rs`;
+//! the first path through one private commit step in `commit.rs`;
 //! compaction's `Snapshot` takes the second. The tail only advances
 //! when the flush succeeds, so a failed step leaves the journal geometry
 //! as it was and a retry rewrites the same offset. The flip owns its

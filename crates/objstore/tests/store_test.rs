@@ -7,7 +7,7 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
-use aurora_hw::{FaultPlan, ModelDev};
+use aurora_hw::{FaultPlan, ModelDev, ResilientDev};
 use aurora_objstore::checkpoint::{self, Image};
 use aurora_objstore::{
     Checkpoint, CkptId, ObjId, ObjectStore, PageRef, PageWrite, StoreConfig, EXTENT_BLOCKS,
@@ -109,7 +109,6 @@ fn power_cut_during_commit_preserves_previous_checkpoint() {
             StoreConfig {
                 journal_blocks: 512,
                 materialize_data: false,
-                dedup: true,
                 ..StoreConfig::default()
             },
         )
@@ -258,7 +257,6 @@ fn journal_compaction_preserves_state() {
         dev,
         StoreConfig {
             journal_blocks: 8, // 32 KiB: compacts every few commits
-            dedup: true,
             materialize_data: false,
             ..StoreConfig::default()
         },
@@ -322,6 +320,9 @@ enum Op {
     Rollback,
     /// Delete object 3 if it exists, then clone `src` into it.
     CloneInto { src: u8 },
+    /// Cut power, write a batch, restore power: the writer refuses the
+    /// batch and stages nothing.
+    RefusedWrite { obj: u8, idx: u8 },
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
@@ -336,6 +337,7 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         1 => Just(Op::CompactChains),
         1 => Just(Op::Rollback),
         1 => (0u8..3).prop_map(|src| Op::CloneInto { src }),
+        1 => (0u8..3, 0u8..16).prop_map(|(obj, idx)| Op::RefusedWrite { obj, idx }),
     ]
 }
 
@@ -545,6 +547,22 @@ proptest! {
                         .collect();
                     live.extend(pages.into_iter().map(|(idx, page)| ((3, idx), page)));
                     live_objs.insert(3);
+                }
+                Op::RefusedWrite { obj, idx } => {
+                    // No other op ever stages `page(0xEE)`, so the batch
+                    // needs a fresh block; its second write shares that
+                    // block and its third, if the page is live, a live one.
+                    let key = (obj as u64, idx as u64);
+                    let mut pages = vec![(key.1, page(0xEE)), ((key.1 + 1) % 16, page(0xEE))];
+                    pages.extend(live.get(&key).map(|old| ((key.1 + 2) % 16, old.clone())));
+                    let batch: Vec<PageWrite> = pages
+                        .into_iter()
+                        .map(|(idx, page)| PageWrite { oid: ObjId(key.0), idx, hash: page.content_hash(), page })
+                        .collect();
+                    store.device_mut().power_fail();
+                    let refused = store.write_pages_coalesced(&batch);
+                    store.device_mut().power_on();
+                    prop_assert!(refused.is_err(), "a write with the power off was accepted");
                 }
             }
             // Every mutation leaves the store fsck-clean...
@@ -766,7 +784,6 @@ fn scrub_detects_silent_data_corruption_on_the_platter() {
         dev,
         StoreConfig {
             journal_blocks: 1024,
-            dedup: true,
             materialize_data: true,
             ..StoreConfig::default()
         },
@@ -820,14 +837,13 @@ fn rollback_pending_discards_staged_writes() {
     assert!(s.scrub().is_empty());
 }
 
-fn materialized_store(dedup: bool) -> (ObjectStore, std::sync::Arc<SimClock>) {
+fn materialized_store() -> (ObjectStore, std::sync::Arc<SimClock>) {
     let clock = SimClock::new();
     let dev = Box::new(ModelDev::nvme(clock.clone(), "nvme0", DEV_BLOCKS));
     let s = ObjectStore::format(
         dev,
         StoreConfig {
             journal_blocks: 1024,
-            dedup,
             materialize_data: true,
             ..StoreConfig::default()
         },
@@ -838,7 +854,7 @@ fn materialized_store(dedup: bool) -> (ObjectStore, std::sync::Arc<SimClock>) {
 
 #[test]
 fn read_plan_coalesces_extents_and_dedups_shared_blocks() {
-    let (mut s, clock) = materialized_store(true);
+    let (mut s, clock) = materialized_store();
     s.create_object(ObjId(1), 128).unwrap();
     s.create_object(ObjId(2), 4).unwrap();
     for i in 0..100u64 {
@@ -911,7 +927,7 @@ fn read_plan_coalesces_extents_and_dedups_shared_blocks() {
 /// holding the record into its child each make the next read a miss.
 #[test]
 fn a_record_read_misses_once_then_hits_until_its_residency_goes() {
-    let (mut s, clock) = materialized_store(true);
+    let (mut s, clock) = materialized_store();
     let record = vec![7u8; 2 * aurora_hw::BLOCK_SIZE + 1];
     let blocks = 3u64;
     s.put_blob("g1/manifest", record.clone());
@@ -970,7 +986,7 @@ fn a_record_read_misses_once_then_hits_until_its_residency_goes() {
 
 #[test]
 fn batched_read_detects_wire_corruption_and_leaves_store_intact() {
-    let (mut s, _clock) = materialized_store(true);
+    let (mut s, _clock) = materialized_store();
     s.create_object(ObjId(1), 8).unwrap();
     for i in 0..4u64 {
         s.write_page(ObjId(1), i, &PageData::Seeded(200 + i)).unwrap();
@@ -1024,7 +1040,7 @@ fn cold_victim(s: &mut ObjectStore) -> aurora_objstore::CkptId {
 /// read — the store is exactly as healthy afterwards as the platter is.
 #[test]
 fn lazy_read_refuses_damaged_bytes_and_keeps_the_recorded_hash() {
-    let (mut s, _clock) = materialized_store(true);
+    let (mut s, _clock) = materialized_store();
     let ck = cold_victim(&mut s);
     s.device_mut()
         .install_fault_plan(FaultPlan::corrupt_read_blocks(0, u64::MAX, 100, 3));
@@ -1058,7 +1074,7 @@ fn lazy_read_refuses_damaged_bytes_and_keeps_the_recorded_hash() {
 /// and nothing about the store changes.
 #[test]
 fn a_transient_flip_is_cleared_by_the_one_re_read() {
-    let (mut s, _clock) = materialized_store(true);
+    let (mut s, _clock) = materialized_store();
     let ck = cold_victim(&mut s);
     let glitch = |s: &mut ObjectStore, reads| {
         s.device_mut()
@@ -1276,7 +1292,7 @@ fn planned_islands_are_queued_requests_and_lazy_faults_waited_ones() {
 
 #[test]
 fn extent_batches_cut_bridged_plans_at_whole_extents() {
-    let (mut s, _clock) = materialized_store(true);
+    let (mut s, _clock) = materialized_store();
     s.create_object(ObjId(1), 1024).unwrap();
     for i in 0..600u64 {
         s.write_page(ObjId(1), i, &PageData::Seeded(5000 + i)).unwrap();
@@ -1327,7 +1343,6 @@ fn small_store(data_blocks: u64) -> ObjectStore {
         dev,
         StoreConfig {
             journal_blocks,
-            dedup: true,
             materialize_data: true,
             ..StoreConfig::default()
         },
@@ -1348,6 +1363,68 @@ fn fresh_writes(idxs: impl IntoIterator<Item = u64>, seed: u64) -> Vec<PageWrite
             }
         })
         .collect()
+}
+
+/// A write the device refuses stages nothing. On a timing-only store a
+/// refused `write_page` leaks no block, and a refused batch leaves no
+/// page staged at a block whose contents were never written: the live
+/// page still reads as committed, and the next commit seals it again.
+#[test]
+fn a_refused_write_stages_nothing_on_a_timing_only_store() {
+    let mut s = new_store();
+    s.create_object(ObjId(1), 4).unwrap();
+    s.write_page(ObjId(1), 0, &page(1)).unwrap();
+    s.commit(None).unwrap();
+
+    s.device_mut().power_fail();
+    assert!(s.write_page(ObjId(1), 0, &page(2)).is_err());
+    let batch = [PageWrite {
+        oid: ObjId(1),
+        idx: 0,
+        hash: page(3).content_hash(),
+        page: page(3),
+    }];
+    assert!(s.write_pages_coalesced(&batch).is_err());
+    s.device_mut().power_on();
+
+    assert_eq!(s.fsck(), Vec::<String>::new());
+    assert!(!s.has_pending(), "a refused write left a page staged");
+    let live = s.read_page(ObjId(1), 0).unwrap().unwrap();
+    assert!(live.content_eq(&page(1)), "the live page is not the committed one");
+    let (ck, _) = s.commit(None).unwrap();
+    assert!(s.read_page_at(ck, ObjId(1), 0).unwrap().unwrap().content_eq(&page(1)));
+    assert_eq!(s.fsck(), Vec::<String>::new());
+}
+
+/// A batch refused past the retry budget never reaches a checkpoint: on
+/// a materialized store behind `ResilientDev`, the next commit seals the
+/// old page, which still reads back from the medium once the caches are
+/// dropped.
+#[test]
+fn a_batch_refused_past_the_retry_budget_never_reaches_a_checkpoint() {
+    let model = ModelDev::nvme(SimClock::new(), "nvme0", DEV_BLOCKS);
+    let dev = Box::new(ResilientDev::with_defaults(Box::new(model)));
+    let config = StoreConfig {
+        journal_blocks: 1024,
+        materialize_data: true,
+        ..StoreConfig::default()
+    };
+    let mut s = ObjectStore::format(dev, config).unwrap();
+    s.create_object(ObjId(1), 4).unwrap();
+    s.write_page(ObjId(1), 0, &page(1)).unwrap();
+    s.commit(None).unwrap();
+
+    s.device_mut().install_fault_plan(FaultPlan::transient(1, 1000));
+    assert!(s.write_pages_coalesced(&fresh_writes(0..2, 900)).is_err());
+    s.device_mut().install_fault_plan(FaultPlan::default());
+    let (ck, _) = s.commit(None).unwrap();
+    s.drop_caches().unwrap();
+
+    let got = s.read_page_at(ck, ObjId(1), 0).unwrap().unwrap();
+    assert!(got.content_eq(&page(1)), "the refused page replaced the old one");
+    assert!(s.read_page_at(ck, ObjId(1), 1).unwrap().is_none());
+    assert_eq!(s.fsck(), Vec::<String>::new());
+    assert_eq!(s.scrub(), Vec::<String>::new());
 }
 
 /// Rebuilding the allocator from replayed refcounts (rollback and

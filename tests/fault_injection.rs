@@ -352,7 +352,6 @@ fn power_cut_sweep_during_journal_gc() {
             dev,
             StoreConfig {
                 journal_blocks: 8, // tiny: half = 16 KiB, compacts quickly
-                dedup: true,
                 materialize_data: false,
                 ..StoreConfig::default()
             },
