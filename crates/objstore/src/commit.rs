@@ -96,6 +96,7 @@ impl ObjectStore {
             self.stats.chain_len_max = self.stats.chain_len_max.max(rec.chain_len as u64);
             self.delta.insert(l, rec)?;
         }
+        ck.deltas.values().for_each(|&head| self.delta.hold(head));
         let mut ck = ck;
         ck.durable_at = durable;
         self.head_image.apply(&ck);
@@ -181,19 +182,23 @@ impl ObjectStore {
             }
         }
         let dropped = journal::apply_delete(&mut self.ckpts, id)?;
-        for ptr in dropped {
+        for ptr in dropped.blocks {
             self.release_block(ptr);
         }
-        // The merge may have dropped delta heads; chain segments no
-        // surviving head reaches are dead. Staged records chain onto
-        // committed heads, so their links root the walk too.
-        let mut heads: Vec<Lsn> = self
-            .ckpts
-            .values()
-            .flat_map(|c| c.deltas.values().copied())
-            .collect();
-        heads.extend(self.pending_deltas.values().filter_map(|r| r.prev));
-        self.delta.prune(heads);
+        // Only the chains under the heads the merge dropped can die: the
+        // release walks each one down while its counts reach zero.
+        for head in dropped.heads {
+            self.delta.release(head);
+        }
+        // A staged record's `prev` is the head image's entry: a head some
+        // checkpoint holds, which the merge moves but never drops.
+        debug_assert!(
+            self.pending_deltas
+                .values()
+                .filter_map(|r| r.prev)
+                .all(|p| self.delta.refs(p) > 0),
+            "GC freed a delta record a staged record chains onto"
+        );
         self.stats.gc_runs += 1;
         Ok(())
     }

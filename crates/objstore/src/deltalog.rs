@@ -16,10 +16,15 @@
 //!   never by the records themselves.
 //! * `chain_len` counts records from the base (head record holds the
 //!   chain's length); a full-image write truncates the chain.
-//! * Records unreachable from any committed checkpoint's delta heads are
-//!   dead and pruned ([`DeltaLog::prune`]); the journal bytes they
-//!   occupied are reclaimed at the next compaction snapshot.
+//! * Every live record carries a reference count: the checkpoint
+//!   `deltas` entries that name it plus the live records whose `prev`
+//!   names it. A commit holds each head it adds, and GC releases the heads
+//!   its merge drops ([`DeltaLog::release`]); a record whose count reaches
+//!   zero is dead and leaves the log, releasing its `prev` in turn. The
+//!   journal bytes it occupied are reclaimed at the next compaction
+//!   snapshot.
 
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 
 use aurora_sim::codec::{Decoder, Encoder};
@@ -117,10 +122,22 @@ impl DeltaRecord {
 /// checkpoint and its delta records together.
 #[derive(Debug, Default)]
 pub struct DeltaLog {
-    records: BTreeMap<Lsn, DeltaRecord>,
+    records: BTreeMap<Lsn, LiveRecord>,
     next_lsn: Lsn,
     /// Encoded bytes of all live records (journal footprint accounting).
     bytes: u64,
+}
+
+/// A live record with its reference count and encoded length.
+#[derive(Debug)]
+struct LiveRecord {
+    rec: DeltaRecord,
+    /// Checkpoint `deltas` entries naming the record plus live records
+    /// whose `prev` names it; never zero while the record is live.
+    refs: u32,
+    /// Encoded length: what the record adds to `bytes`. It fits, as a
+    /// record rides inside one journal frame, whose length is a `u32`.
+    len: u32,
 }
 
 impl DeltaLog {
@@ -146,11 +163,17 @@ impl DeltaLog {
 
     /// Looks up a record.
     pub fn get(&self, lsn: Lsn) -> Option<&DeltaRecord> {
-        self.records.get(&lsn)
+        self.records.get(&lsn).map(|e| &e.rec)
+    }
+
+    /// A record's reference count (0 for a record not in the log).
+    pub(crate) fn refs(&self, lsn: Lsn) -> u32 {
+        self.records.get(&lsn).map_or(0, |e| e.refs)
     }
 
     /// Inserts a committed record at an explicit LSN (commit apply and
-    /// journal replay). Enforces `prev < lsn` monotonicity.
+    /// journal replay), unreferenced until a checkpoint holds it. Enforces
+    /// `prev < lsn` monotonicity and counts the `prev` edge.
     pub fn insert(&mut self, lsn: Lsn, rec: DeltaRecord) -> Result<()> {
         if let Some(p) = rec.prev {
             if p >= lsn {
@@ -159,10 +182,56 @@ impl DeltaLog {
                 )));
             }
         }
-        self.bytes += rec.encoded_len() as u64;
-        self.records.insert(lsn, rec);
+        let len = rec.encoded_len() as u32;
+        let prev = rec.prev;
+        match self.records.entry(lsn) {
+            Entry::Occupied(_) => {
+                return Err(Error::corrupt(format!("delta lsn {lsn} committed twice")));
+            }
+            Entry::Vacant(slot) => {
+                slot.insert(LiveRecord { rec, refs: 0, len });
+            }
+        }
+        // A dangling `prev` counts nothing: the chain walk reports it.
+        if let Some(e) = prev.and_then(|p| self.records.get_mut(&p)) {
+            e.refs += 1;
+        }
+        self.bytes += len as u64;
         self.next_lsn = self.next_lsn.max(lsn + 1);
         Ok(())
+    }
+
+    /// Counts one more checkpoint `deltas` entry naming `head`. A head
+    /// naming no record holds nothing: fsck and scrub report its chain
+    /// as broken.
+    pub(crate) fn hold(&mut self, head: Lsn) {
+        if let Some(e) = self.records.get_mut(&head) {
+            e.refs += 1;
+        }
+    }
+
+    /// Drops one checkpoint `deltas` entry's hold on `head`. A record
+    /// whose count reaches zero leaves the log and releases its `prev`,
+    /// so the walk stops at the first record something else still
+    /// names. Returns the number of records freed.
+    pub(crate) fn release(&mut self, head: Lsn) -> usize {
+        let mut freed = 0;
+        let mut cur = Some(head);
+        while let Some(lsn) = cur {
+            let Entry::Occupied(mut slot) = self.records.entry(lsn) else {
+                break;
+            };
+            let refs = &mut slot.get_mut().refs;
+            *refs = refs.saturating_sub(1);
+            if *refs > 0 {
+                break;
+            }
+            let e = slot.remove();
+            self.bytes -= e.len as u64;
+            freed += 1;
+            cur = e.rec.prev;
+        }
+        freed
     }
 
     /// The records of the chain ending at `head`, base-first (ascending
@@ -174,6 +243,7 @@ impl DeltaLog {
             .records
             .get(&head)
             .ok_or_else(|| Error::corrupt(format!("delta head {head} missing from log")))?
+            .rec
             .chain_len as usize;
         if expected == 0 {
             return Err(Error::corrupt(format!("delta head {head} has chain_len 0")));
@@ -181,7 +251,7 @@ impl DeltaLog {
         let mut out = Vec::with_capacity(expected);
         let mut cur = Some(head);
         while let Some(lsn) = cur {
-            let rec = self.records.get(&lsn).ok_or_else(|| {
+            let rec = self.get(lsn).ok_or_else(|| {
                 Error::corrupt(format!("delta chain references missing lsn {lsn}"))
             })?;
             if out.len() >= expected {
@@ -202,8 +272,7 @@ impl DeltaLog {
 
     /// Length of the chain ending at `head` per its head record.
     pub fn chain_len(&self, head: Lsn) -> Result<u32> {
-        self.records
-            .get(&head)
+        self.get(head)
             .map(|r| r.chain_len)
             .ok_or_else(|| Error::corrupt(format!("delta head {head} missing from log")))
     }
@@ -218,38 +287,17 @@ impl DeltaLog {
         Ok(page)
     }
 
-    /// Drops every record unreachable from `heads` (walking `prev`
-    /// chains). Returns `(records, bytes)` reclaimed.
-    pub fn prune(&mut self, heads: impl IntoIterator<Item = Lsn>) -> (usize, u64) {
-        let mut live = std::collections::HashSet::new();
-        let mut stack: Vec<Lsn> = heads.into_iter().collect();
-        while let Some(lsn) = stack.pop() {
-            if !live.insert(lsn) {
-                continue;
-            }
-            if let Some(rec) = self.records.get(&lsn) {
-                if let Some(p) = rec.prev {
-                    stack.push(p);
-                }
-            }
-        }
-        // Dead chain segments: their journal bytes are reclaimed at the
-        // next compaction snapshot.
-        let dead: Vec<Lsn> =
-            self.records.keys().copied().filter(|l| !live.contains(l)).collect();
-        let mut freed = 0u64;
-        for lsn in &dead {
-            if let Some(rec) = self.records.remove(lsn) {
-                freed += rec.encoded_len() as u64;
-            }
-        }
-        self.bytes -= freed;
-        (dead.len(), freed)
-    }
-
     /// All live records, ascending LSN (compaction snapshots carry them).
     pub fn iter(&self) -> impl Iterator<Item = (Lsn, &DeltaRecord)> {
-        self.records.iter().map(|(l, r)| (*l, r))
+        self.records.iter().map(|(l, e)| (*l, &e.rec))
+    }
+
+    /// Removes every record whatever its count, keeping `next_lsn`: a
+    /// log that lost its records, for tests of the broken-chain checks.
+    #[cfg(test)]
+    pub(crate) fn lose_records(&mut self) {
+        self.records.clear();
+        self.bytes = 0;
     }
 }
 
@@ -350,20 +398,73 @@ mod tests {
         assert!(log.chain(20).is_err());
     }
 
-    #[test]
-    fn prune_keeps_reachable_chains() {
+    /// A log holding records `lsns` as one chain on a single page, with
+    /// each of `heads` held once.
+    fn held_chain(lsns: &[Lsn], heads: &[Lsn]) -> DeltaLog {
         let mut log = DeltaLog::default();
-        log.insert(1, rec(None, 1, vec![(0, vec![1])])).unwrap();
-        log.insert(2, rec(Some(1), 2, vec![(1, vec![2])])).unwrap();
-        log.insert(3, rec(None, 1, vec![(2, vec![3])])).unwrap();
-        let total = log.bytes();
-        assert!(total > 0);
-        let (dropped, freed) = log.prune([2]);
-        assert_eq!(dropped, 1);
-        assert!(freed > 0);
+        let mut prev = None;
+        for (i, &lsn) in lsns.iter().enumerate() {
+            log.insert(
+                lsn,
+                rec(prev, i as u32 + 1, vec![(i as u32, vec![i as u8])]),
+            )
+            .unwrap();
+            prev = Some(lsn);
+        }
+        heads.iter().for_each(|&h| log.hold(h));
+        log
+    }
+
+    #[test]
+    fn counts_are_heads_plus_prev_edges() {
+        // 1 <- 2 <- 3, with 2 and 3 both heads.
+        let log = held_chain(&[1, 2, 3], &[2, 3]);
+        assert_eq!([log.refs(1), log.refs(2), log.refs(3)], [1, 2, 1]);
+        assert_eq!(log.refs(9), 0, "a record not in the log");
+        let mut log = log;
+        assert!(
+            log.insert(3, rec(None, 1, vec![])).is_err(),
+            "an lsn committed twice"
+        );
+        assert_eq!(log.refs(3), 1);
+    }
+
+    #[test]
+    fn a_prefix_shared_by_two_heads_survives_the_first_release() {
+        // 1 <- 2 <- 3 and 1 <- 4: two chains sharing record 1.
+        let mut log = held_chain(&[1, 2, 3], &[3]);
+        log.insert(4, rec(Some(1), 2, vec![(9, vec![9])])).unwrap();
+        log.hold(4);
+        assert_eq!(log.release(3), 2, "3 and 2 go; 1 is still named by 4");
+        assert!(log.get(1).is_some() && log.get(4).is_some());
         assert_eq!(log.len(), 2);
-        assert!(log.get(1).is_some() && log.get(2).is_some() && log.get(3).is_none());
-        // next_lsn is not rewound by pruning.
-        assert_eq!(log.next_lsn(), 4);
+        assert_eq!(log.release(4), 2);
+        assert!(log.is_empty());
+    }
+
+    #[test]
+    fn releasing_a_record_another_prev_names_frees_nothing() {
+        // 2 is a head, and 3's prev names it too.
+        let mut log = held_chain(&[1, 2, 3], &[2, 3]);
+        let bytes = log.bytes();
+        assert_eq!(log.release(2), 0);
+        assert_eq!(log.len(), 3);
+        assert_eq!(log.bytes(), bytes);
+        assert_eq!(log.refs(2), 1);
+    }
+
+    #[test]
+    fn releasing_every_head_empties_the_log_without_rewinding_it() {
+        let mut log = held_chain(&[1, 2, 5], &[2, 5]);
+        log.insert(6, rec(None, 1, vec![(0, vec![6; 32])])).unwrap();
+        log.hold(6);
+        assert!(log.bytes() > 0);
+        for head in [6, 2, 5] {
+            log.release(head);
+        }
+        assert!(log.is_empty());
+        assert_eq!(log.bytes(), 0);
+        // next_lsn is not rewound by freeing records.
+        assert_eq!(log.next_lsn(), 7);
     }
 }

@@ -288,6 +288,11 @@ impl Window {
 
 /// Replays records into a checkpoint table plus the delta-record log,
 /// applying deletions via the same merge logic the live GC path uses.
+///
+/// The log's reference counts are rebuilt as the records go: each
+/// replayed checkpoint holds its heads (a snapshot, every head of its
+/// table), and each replayed delete releases the heads its merge drops,
+/// so the log comes out holding exactly the records the table reaches.
 pub fn replay(records: Vec<JournalRecord>) -> Result<(BTreeMap<u64, Checkpoint>, DeltaLog)> {
     let mut ckpts: BTreeMap<u64, Checkpoint> = BTreeMap::new();
     let mut log = DeltaLog::default();
@@ -299,31 +304,47 @@ pub fn replay(records: Vec<JournalRecord>) -> Result<(BTreeMap<u64, Checkpoint>,
                 for (lsn, d) in deltas {
                     log.insert(lsn, d)?;
                 }
+                for ck in ckpts.values() {
+                    ck.deltas.values().for_each(|&head| log.hold(head));
+                }
             }
             JournalRecord::Commit { ckpt, deltas, .. } => {
-                ckpts.insert(ckpt.id.0, ckpt);
                 for (lsn, d) in deltas {
                     log.insert(lsn, d)?;
                 }
+                ckpt.deltas.values().for_each(|&head| log.hold(head));
+                ckpts.insert(ckpt.id.0, ckpt);
             }
             JournalRecord::Delete(id) => {
-                apply_delete(&mut ckpts, id)?;
+                for head in apply_delete(&mut ckpts, id)?.heads {
+                    log.release(head);
+                }
             }
         }
     }
     Ok((ckpts, log))
 }
 
+/// What a merge drops: the references no surviving checkpoint holds.
+#[derive(Debug, Default, PartialEq, Eq)]
+pub struct Dropped {
+    /// Page pointers whose block references the caller releases.
+    pub blocks: Vec<crate::BlockPtr>,
+    /// Delta heads whose holds the caller releases
+    /// ([`DeltaLog::release`]).
+    pub heads: Vec<Lsn>,
+}
+
 /// Merges checkpoint `id` into its sole child and removes it.
 ///
 /// Entries (pages, blobs, object births/deaths) the child does not
 /// override are transferred — pointer moves only, no data rewrites. The
-/// caller adjusts block refcounts for the dropped (overridden) pointers;
-/// this function returns them.
-pub fn apply_delete(
-    ckpts: &mut BTreeMap<u64, Checkpoint>,
-    id: CkptId,
-) -> Result<Vec<crate::BlockPtr>> {
+/// entries the merge drops — the victim's pages and heads the child
+/// overrides with a page or a head, the pages and heads of objects the
+/// child ended, a born-in-victim, deleted-in-child incarnation's, and
+/// everything the victim holds when it has no child — are returned for
+/// the caller to release.
+pub fn apply_delete(ckpts: &mut BTreeMap<u64, Checkpoint>, id: CkptId) -> Result<Dropped> {
     let children: Vec<u64> = ckpts
         .values()
         .filter(|c| c.parent == Some(id))
@@ -339,11 +360,12 @@ pub fn apply_delete(
     let victim = ckpts
         .remove(&id.0)
         .ok_or_else(|| Error::not_found(format!("checkpoint {}", id.0)))?;
-    let mut dropped = Vec::new();
+    let mut dropped = Dropped::default();
     match children.first() {
         None => {
-            // No child: every pointer the victim held is released.
-            dropped.extend(victim.pages.values().copied());
+            // No child: every pointer and head the victim held goes.
+            dropped.blocks.extend(victim.pages.values().copied());
+            dropped.heads.extend(victim.deltas.values().copied());
         }
         Some(&child_id) => {
             let child = ckpts.get_mut(&child_id).ok_or_else(|| {
@@ -361,22 +383,23 @@ pub fn apply_delete(
             // A child that deleted or re-created an object does not need
             // the old incarnation's pages or heads.
             for oid in child.ended_objects() {
-                dropped.extend(take_object(&mut pages, oid));
-                take_object(&mut heads, oid);
+                dropped.blocks.extend(take_object(&mut pages, oid));
+                dropped.heads.extend(take_object(&mut heads, oid));
             }
             // A full page in the child supersedes the victim's page and
-            // head for its key. A head the child overrides is simply
-            // dropped — its records stay reachable through the child
-            // chain's back-pointers when still needed, and the caller
-            // prunes truly dead segments afterwards. A child head alone
+            // head for its key, and a child head supersedes the victim's
+            // head. A dropped head's records stay live while the child
+            // chain's back-pointers still name them. A child head alone
             // keeps the victim's page: it is that chain's base.
             for key in child.pages.keys() {
-                dropped.extend(pages.remove(key));
-                heads.remove(key);
+                dropped.blocks.extend(pages.remove(key));
+                dropped.heads.extend(heads.remove(key));
+            }
+            for key in child.deltas.keys() {
+                dropped.heads.extend(heads.remove(key));
             }
             // The child's entries go on top of the victim's: `append`
-            // merges two sorted maps in linear time, the child's entry
-            // winning a shared key.
+            // merges two sorted maps in linear time.
             pages.append(&mut child.pages);
             heads.append(&mut child.deltas);
             child.pages = pages;
@@ -394,8 +417,8 @@ pub fn apply_delete(
                     // keeps the new incarnation's birth and pages.
                     child.deleted_objects.retain(|&o| o != oid);
                     if !child.new_objects.iter().any(|(o, _)| *o == oid) {
-                        child.pages.retain(|(o, _), _| *o != oid);
-                        child.deltas.retain(|(o, _), _| *o != oid);
+                        dropped.blocks.extend(take_object(&mut child.pages, oid));
+                        dropped.heads.extend(take_object(&mut child.deltas, oid));
                     }
                 }
             }
@@ -653,7 +676,7 @@ mod tests {
         // Deleting c1 inherits the chain's base block into c2 — the base
         // must NOT be released while a chain still replays over it.
         let dropped = apply_delete(&mut ckpts, CkptId(1)).unwrap();
-        assert!(dropped.is_empty());
+        assert_eq!(dropped, Dropped::default());
         let c2 = ckpts.get(&2).unwrap();
         assert_eq!(c2.pages.get(&(ObjId(1), 0)), Some(&BlockPtr(10)));
         assert_eq!(c2.deltas.get(&(ObjId(1), 0)), Some(&1));
@@ -661,7 +684,8 @@ mod tests {
         // Deleting c2 drops its (older) head: c3's chain still reaches
         // lsn 1 through its back-pointer, and the base moves to c3.
         let dropped = apply_delete(&mut ckpts, CkptId(2)).unwrap();
-        assert!(dropped.is_empty());
+        assert!(dropped.blocks.is_empty());
+        assert_eq!(dropped.heads, vec![1]);
         let c3 = ckpts.get(&3).unwrap();
         assert_eq!(c3.pages.get(&(ObjId(1), 0)), Some(&BlockPtr(10)));
         assert_eq!(c3.deltas.get(&(ObjId(1), 0)), Some(&2));
@@ -682,7 +706,7 @@ mod tests {
 
         let dropped = apply_delete(&mut ckpts, CkptId(1)).unwrap();
         // Page 1 was overridden by the child: its old block is released.
-        assert_eq!(dropped, vec![BlockPtr(11)]);
+        assert_eq!(dropped.blocks, vec![BlockPtr(11)]);
         // Page 0 and the blob transferred; reads still resolve.
         assert_eq!(resolve_page(&ckpts, CkptId(2), ObjId(1), 0), Some(BlockPtr(10)));
         assert_eq!(resolve_page(&ckpts, CkptId(2), ObjId(1), 1), Some(BlockPtr(21)));
@@ -697,9 +721,11 @@ mod tests {
         let mut ckpts = BTreeMap::new();
         let mut c1 = ck(1, None);
         c1.pages.insert((ObjId(1), 0), BlockPtr(10));
+        c1.deltas.insert((ObjId(1), 0), 4);
         ckpts.insert(1, c1);
         let dropped = apply_delete(&mut ckpts, CkptId(1)).unwrap();
-        assert_eq!(dropped, vec![BlockPtr(10)]);
+        assert_eq!(dropped.blocks, vec![BlockPtr(10)]);
+        assert_eq!(dropped.heads, vec![4]);
         assert!(ckpts.is_empty());
     }
 
@@ -729,12 +755,97 @@ mod tests {
         ckpts.insert(2, c2);
         let before = crate::checkpoint::Image::fold(&ckpts, CkptId(2)).unwrap();
         let dropped = apply_delete(&mut ckpts, CkptId(1)).unwrap();
-        assert_eq!(dropped, vec![BlockPtr(10)]);
+        assert_eq!(dropped.blocks, vec![BlockPtr(10)]);
         let c2 = ckpts.get(&2).unwrap();
         assert!(c2.deleted_objects.is_empty());
         assert_eq!(c2.new_objects, vec![(ObjId(1), 8)]);
         assert_eq!(c2.pages.get(&(ObjId(1), 3)), Some(&BlockPtr(23)));
         let after = crate::checkpoint::Image::fold(&ckpts, CkptId(2)).unwrap();
         assert_eq!(after, before, "the merge preserves the child's image");
+    }
+
+    /// The heads of every checkpoint in `ckpts`, sorted: a multiset.
+    fn all_heads(ckpts: &BTreeMap<u64, Checkpoint>) -> Vec<Lsn> {
+        let mut heads: Vec<Lsn> = ckpts
+            .values()
+            .flat_map(|c| c.deltas.values().copied())
+            .collect();
+        heads.sort_unstable();
+        heads
+    }
+
+    #[test]
+    fn delete_reports_exactly_the_heads_its_merge_drops() {
+        // c1: heads on objects 1 and 2; c2 (the child) overrides object
+        // 1 page 0 with a page and page 1 with a head, and ends object 2.
+        let mut c1 = ck(1, None);
+        c1.new_objects.extend([(ObjId(1), 8), (ObjId(2), 8)]);
+        let entries = [
+            ((1, 0), 10, 1),
+            ((1, 1), 11, 2),
+            ((1, 2), 12, 3),
+            ((2, 0), 13, 4),
+        ];
+        for ((oid, idx), ptr, lsn) in entries {
+            c1.pages.insert((ObjId(oid), idx), BlockPtr(ptr));
+            c1.deltas.insert((ObjId(oid), idx), lsn);
+        }
+        let mut c2 = ck(2, Some(1));
+        c2.pages.insert((ObjId(1), 0), BlockPtr(20));
+        c2.deltas.insert((ObjId(1), 1), 5);
+        c2.deleted_objects.push(ObjId(2));
+        let mut ckpts: BTreeMap<u64, Checkpoint> = [(1, c1), (2, c2)].into();
+        let before = all_heads(&ckpts);
+        let dropped = apply_delete(&mut ckpts, CkptId(1)).unwrap();
+        let mut heads = dropped.heads.clone();
+        heads.sort_unstable();
+        assert_eq!(heads, vec![1, 2, 4]);
+        // Dropped plus surviving heads is the multiset the two held.
+        let mut after = all_heads(&ckpts);
+        after.extend(&dropped.heads);
+        after.sort_unstable();
+        assert_eq!(after, before);
+        let moved = ckpts.get(&2).unwrap().deltas.get(&(ObjId(1), 2));
+        assert_eq!(moved, Some(&3), "moved, not dropped");
+    }
+
+    #[test]
+    fn replayed_deletes_free_the_chains_their_merges_drop() {
+        // lsn 1 <- 2 is object 1 page 0's chain, headed in c2 and c3; c4
+        // overwrites the page with a full image.
+        let mut c1 = ck(1, None);
+        c1.new_objects.push((ObjId(1), 4));
+        c1.pages.insert((ObjId(1), 0), BlockPtr(10));
+        let mut c2 = ck(2, Some(1));
+        c2.deltas.insert((ObjId(1), 0), 1);
+        let mut c3 = ck(3, Some(2));
+        c3.deltas.insert((ObjId(1), 0), 2);
+        let mut c4 = ck(4, Some(3));
+        c4.pages.insert((ObjId(1), 0), BlockPtr(40));
+        let commits = [
+            commit(c1, Vec::new()),
+            commit(c2, vec![(1, dr(1, 0, None, 1))]),
+            commit(c3, vec![(2, dr(1, 0, Some(1), 2))]),
+            commit(c4, Vec::new()),
+        ];
+        let frames: Vec<Vec<u8>> = commits.iter().map(|r| encode_frame(r, 1)).collect();
+        let replayed = |deletes: &[u64]| {
+            let mut frames = frames.clone();
+            let delete = |&d: &u64| encode_frame(&JournalRecord::Delete(CkptId(d)), 1);
+            frames.extend(deletes.iter().map(delete));
+            let records = scanned(&frames, 1).into_iter().map(|f| f.record).collect();
+            replay(records).unwrap().1
+        };
+        let log = replayed(&[]);
+        assert_eq!([log.refs(1), log.refs(2)], [2, 1]);
+        // c2's head goes, but record 2's back-pointer still names lsn 1.
+        let log = replayed(&[2]);
+        assert_eq!(log.len(), 2);
+        assert_eq!([log.refs(1), log.refs(2)], [1, 1]);
+        // c3 merges into c4, whose page supersedes the whole chain.
+        let log = replayed(&[2, 3]);
+        assert!(log.is_empty());
+        assert_eq!(log.bytes(), 0);
+        assert_eq!(log.next_lsn(), 3);
     }
 }

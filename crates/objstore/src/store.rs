@@ -411,18 +411,11 @@ impl ObjectStore {
         let mut sb = sb;
         sb.journal_used = end(&frames);
         let records = frames.into_iter().map(|f| f.record).collect();
-        let (ckpts, mut delta) = journal::replay(records)
+        let (ckpts, delta) = journal::replay(records)
             .map_err(|e| Error::corrupt(format!("journal replay: {e}")))?;
         if let Some(&head) = ckpts.keys().next_back() {
             sb.next_ckpt = sb.next_ckpt.max(head + 1);
         }
-        // Drop chain segments no committed checkpoint can reach (GC
-        // merges drop heads whose older records nothing else names).
-        let heads: Vec<Lsn> = ckpts
-            .values()
-            .flat_map(|c| c.deltas.values().copied())
-            .collect();
-        delta.prune(heads);
 
         // Rebuild the head's image (the newest checkpoint's) by folding
         // its chain once; the live state starts as that image.
@@ -829,6 +822,26 @@ impl ObjectStore {
                 problems.push(format!("delta log leak: lsn {lsn} unreachable"));
             }
         }
+        // One audit map at a time keeps fsck's peak memory at one.
+        drop(reachable);
+        // Each record's count is its in-degree: the heads naming it plus
+        // the live records whose `prev` names it.
+        let mut referents: HashMap<Lsn, u32> = HashMap::new();
+        let named = self.ckpts.values().flat_map(|c| c.deltas.values().copied());
+        for lsn in named.chain(self.delta.iter().filter_map(|(_, r)| r.prev)) {
+            *referents.entry(lsn).or_insert(0) += 1;
+        }
+        for (lsn, _) in self.delta.iter() {
+            let (actual, want) = (
+                self.delta.refs(lsn),
+                referents.get(&lsn).copied().unwrap_or(0),
+            );
+            if actual != want {
+                problems.push(format!(
+                    "delta lsn {lsn}: refcount {actual}, {want} referents"
+                ));
+            }
+        }
         problems
     }
 
@@ -1042,5 +1055,38 @@ mod tests {
                 assert_eq!(candidates.len(), 1, "cycle {cycle}: {candidates:?}");
             }
         }
+    }
+
+    /// fsck recounts every delta record's in-degree — the heads naming
+    /// it plus the records whose `prev` names it — and reports a count
+    /// that drifted from it in the block check's form.
+    #[test]
+    fn fsck_reports_a_skewed_delta_refcount() {
+        let dev = Box::new(ModelDev::nvme(SimClock::new(), "nvme0", 64 * 1024));
+        let config = StoreConfig {
+            journal_blocks: 1024,
+            ..StoreConfig::default()
+        };
+        let mut s = ObjectStore::format(dev, config).unwrap();
+        s.create_object(ObjId(1), 8).unwrap();
+        s.write_page(ObjId(1), 0, &PageData::Seeded(10)).unwrap();
+        s.commit(None).unwrap();
+        let mut page = PageData::Seeded(10).materialize();
+        for byte in [7u8, 8] {
+            page.iter_mut().take(8).for_each(|b| *b = byte);
+            s.stage_delta(ObjId(1), 0, &PageData::from_bytes(&page), &[(0, 8)])
+                .unwrap();
+            s.commit(None).unwrap();
+        }
+        // The first record is a head and the second record's `prev`.
+        let (first, _) = s.delta.iter().next().unwrap();
+        assert_eq!(s.delta.refs(first), 2);
+        assert!(s.fsck().is_empty(), "{:?}", s.fsck());
+
+        s.delta.hold(first);
+        assert_eq!(
+            s.fsck(),
+            vec![format!("delta lsn {first}: refcount 3, 2 referents")]
+        );
     }
 }

@@ -305,13 +305,18 @@ fn commit_durability_is_asynchronous() {
 #[derive(Debug, Clone)]
 enum Op {
     Write { obj: u8, idx: u8, seed: u64 },
-    /// A 16-byte write, staged as a delta record when the page has a
-    /// base image and a chain short enough to extend.
-    Patch { obj: u8, idx: u8, byte: u8 },
+    /// A 16-byte write to the `pick`-th live page (wrapping; page
+    /// `pick % 16` of object 0 while none is live), staged as a delta
+    /// record when the page has a base image and a chain short enough to
+    /// extend. Aiming at live pages grows chains across commits.
+    Patch { pick: u16, byte: u8 },
     Commit,
     Recover,
     /// GC the oldest checkpoint (in-place merge).
     GcOldest,
+    /// GC the head's parent: the merge of a durable-log flush, whose
+    /// heads the head's own heads and pages override.
+    GcMiddle,
     /// Delete the object and create it again, empty, under the same id.
     Recreate { obj: u8 },
     /// Fold every delta chain of two or more records into a full image.
@@ -328,11 +333,11 @@ enum Op {
 fn op_strategy() -> impl Strategy<Value = Op> {
     prop_oneof![
         4 => (0u8..3, 0u8..16, any::<u64>()).prop_map(|(obj, idx, seed)| Op::Write { obj, idx, seed }),
-        3 => (0u8..3, 0u8..16, any::<u8>())
-            .prop_map(|(obj, idx, byte)| Op::Patch { obj, idx, byte }),
+        3 => (any::<u16>(), any::<u8>()).prop_map(|(pick, byte)| Op::Patch { pick, byte }),
         2 => Just(Op::Commit),
         1 => Just(Op::Recover),
         1 => Just(Op::GcOldest),
+        1 => Just(Op::GcMiddle),
         1 => (0u8..3).prop_map(|obj| Op::Recreate { obj }),
         1 => Just(Op::CompactChains),
         1 => Just(Op::Rollback),
@@ -487,9 +492,13 @@ proptest! {
                     store.write_page(ObjId(obj as u64), idx as u64, &PageData::Seeded(seed)).unwrap();
                     live.insert((obj as u64, idx as u64), PageData::Seeded(seed));
                 }
-                Op::Patch { obj, idx, byte } => {
-                    let (oid, idx) = (ObjId(obj as u64), idx as u64);
-                    let old = live.get(&(obj as u64, idx)).cloned().unwrap_or(PageData::Zero);
+                Op::Patch { pick, byte } => {
+                    let key = match live.len() {
+                        0 => (0, pick as u64 % 16),
+                        n => *live.keys().nth(pick as usize % n).unwrap(),
+                    };
+                    let (oid, idx) = (ObjId(key.0), key.1);
+                    let old = live.get(&key).cloned().unwrap_or(PageData::Zero);
                     let (new, run) = patched(&old, byte);
                     match store.can_delta(oid, idx) {
                         Some(len) if len < max_chain => {
@@ -497,7 +506,7 @@ proptest! {
                         }
                         _ => store.write_page(oid, idx, &new).unwrap(),
                     }
-                    live.insert((obj as u64, idx), new);
+                    live.insert(key, new);
                 }
                 Op::Commit => {
                     store.commit(None).unwrap();
@@ -505,7 +514,13 @@ proptest! {
                     committed_objs = live_objs.clone();
                 }
                 Op::Recover => {
+                    let log = |s: &ObjectStore| {
+                        let lsns: Vec<_> = s.delta_log().iter().map(|(l, _)| l).collect();
+                        (lsns, s.delta_log().bytes())
+                    };
+                    let before = log(&store);
                     store = store.recover().unwrap();
+                    prop_assert_eq!(log(&store), before, "recovery rebuilt another delta log");
                     live = committed.clone();
                     live_objs = committed_objs.clone();
                 }
@@ -518,6 +533,12 @@ proptest! {
                         if o != h {
                             store.delete_checkpoint(o).unwrap();
                         }
+                    }
+                }
+                Op::GcMiddle => {
+                    let head = store.head().unwrap();
+                    if let Some(parent) = store.checkpoint(head).unwrap().parent {
+                        store.delete_checkpoint(parent).unwrap();
                     }
                 }
                 Op::Recreate { obj } => {
