@@ -637,11 +637,10 @@ fn cmd_send(world: &Path, opts: &[&str]) -> Result<String> {
     let (ckpt, manifest) = find_app(&mut host, name)?;
     // Ship exactly this application's namespace (its group's objects and
     // records), not the world's whole history.
-    let ns = (0x100 + manifest.gid as u64) << 48;
     let prefix = format!("g{}/", manifest.gid);
     let stream = host.sls.primary.borrow_mut().export_checkpoint_filtered(
         ckpt,
-        |oid| oid & !0xFFFF_FFFF_FFFF == ns,
+        GroupId(manifest.gid).objects(),
         |key| key.starts_with(&prefix),
     )?;
     // Seal the stream in the image envelope: magic, version, and a

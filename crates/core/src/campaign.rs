@@ -1699,6 +1699,57 @@ mod tests {
         );
     }
 
+    /// Two pipelined tenants share one materialized store, and a block
+    /// under tenant A's head pages rots. A's base check finds it and
+    /// degrades A to a full checkpoint; B's base is B's own pages, so B
+    /// commits incrementally and stays healthy.
+    #[test]
+    fn fleet_fault_domain_shared_store_keeps_rot_in_its_tenant() {
+        let config = StoreConfig {
+            materialize_data: true,
+            ..StoreConfig::default()
+        };
+        let mut host = Host::boot("shared", nvme(&SimClock::new(), "nvme0"), config).unwrap();
+        let tenants = ["tenant-a", "tenant-b"].map(|tag| {
+            let pid = host.kernel.spawn(tag);
+            let addr = host.kernel.mmap_anon(pid, 8 * 4096, false).unwrap();
+            for p in 0..8 {
+                let body = format!("{tag} page {p}");
+                host.kernel.mem_write(pid, addr + p * 4096, body.as_bytes()).unwrap();
+            }
+            let gid = host.persist(tag, pid).unwrap();
+            host.checkpoint_pipelined(gid, true, None).unwrap();
+            (pid, addr, gid)
+        });
+        host.fleet_drain();
+
+        let [(_, _, a), (_, _, b)] = tenants;
+        let store = host.sls.primary.clone();
+        let lba = {
+            let s = store.borrow();
+            let image = s.image_at(head(&store).unwrap()).unwrap();
+            let mut blocks = image.refs(a.objects()).filter_map(|(_, r)| match r {
+                aurora_objstore::PageRef::Full(ptr) => Some(ptr.0),
+                aurora_objstore::PageRef::Delta(_) => None,
+            });
+            s.data_start() + blocks.next().expect("tenant A has a page image")
+        };
+        install(&store, FaultPlan::corrupt_read_blocks(lba, lba + 1, 11, 2));
+        for &(pid, addr, _) in &tenants {
+            host.kernel.mem_write(pid, addr, b"dirty").unwrap();
+        }
+
+        let bd = host.checkpoint_pipelined(b, false, None).unwrap();
+        assert_eq!(bd.outcome, CheckpointOutcome::Committed, "{:?}", bd.fault);
+        assert!(!bd.base_damaged && !bd.full);
+        let bd = host.checkpoint_pipelined(a, false, None).unwrap();
+        assert_eq!(bd.outcome, CheckpointOutcome::DegradedToFull, "{:?}", bd.fault);
+        assert!(bd.base_damaged && bd.full);
+        host.fleet_drain();
+        assert_eq!(host.tenant_domain(b).health, TenantHealth::Healthy);
+        assert_eq!(host.tenant_domain(a).health, TenantHealth::Degraded);
+    }
+
     #[test]
     fn mirror_kill_sweep_mid_flush_loses_nothing() {
         let r = sweep(Scenario::mirror_kill(2), 1..=12);

@@ -110,10 +110,14 @@ impl Host {
         }
 
         // An incremental checkpoint is only as good as the base it
-        // extends: if any backend's head chain has unreadable or corrupt
-        // blocks, every later incremental would be unrestorable too.
-        // Degrade to a full checkpoint, which rewrites the whole working
-        // set and does not depend on the damaged base.
+        // extends: if the group's pages at any backend's head have
+        // unreadable or corrupt blocks, every later incremental would be
+        // unrestorable too. Degrade to a full checkpoint, which rewrites
+        // the group's whole working set and does not depend on the
+        // damaged base. The check covers the group's own objects only:
+        // they are what that full checkpoint rewrites and what restoring
+        // the group reads. Other groups' damage is theirs to find, so it
+        // does not degrade this one.
         let mut base_damaged = false;
         let mut base_verify_blocks = 0u64;
         let verify_sw = Stopwatch::start(&self.clock);
@@ -123,7 +127,7 @@ impl Host {
                 let store = backend.store.borrow_mut();
                 let Some(head) = store.head() else { continue };
                 let read_before = store.device().stats().bytes_read;
-                let (problems, hashed) = store.verify_checkpoint(head);
+                let (problems, hashed) = store.verify_checkpoint(head, gid.objects());
                 base_verify_blocks +=
                     (store.device().stats().bytes_read - read_before) / cost::PAGE_SIZE as u64;
                 // The device charged the reads; the comparison hashes

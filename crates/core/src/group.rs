@@ -13,6 +13,16 @@ use aurora_posix::Pid;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct GroupId(pub u32);
 
+impl GroupId {
+    /// The group's store objects, `ns ..= ns | 0xFFFF_FFFF_FFFF` with
+    /// `ns = (0x100 + gid) << 48`: what its checkpoints write, its
+    /// restores read and `send` ships as "this application".
+    pub fn objects(self) -> std::ops::RangeInclusive<ObjId> {
+        let ns = (0x100 + self.0 as u64) << 48;
+        ObjId(ns)..=ObjId(ns | 0xFFFF_FFFF_FFFF)
+    }
+}
+
 /// Backend kinds (the paper's local flash / NVDIMM, memory, and network
 /// backends).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -103,26 +113,20 @@ impl Group {
         }
     }
 
-    /// The store-object namespace of this group.
-    pub fn ns(&self) -> u64 {
-        (0x100 + self.id as u64) << 48
-    }
-
     /// Assigns (or returns the existing) store object id for a VM object,
     /// keyed by its `uid`.
     pub fn oid_for_vmo(&mut self, vmo_uid: u64) -> ObjId {
         if let Some(&oid) = self.vmo_oids.get(&vmo_uid) {
             return ObjId(oid);
         }
-        let oid = self.ns() | self.next_oid;
-        self.next_oid += 1;
-        self.vmo_oids.insert(vmo_uid, oid);
-        ObjId(oid)
+        let oid = self.alloc_oid();
+        self.vmo_oids.insert(vmo_uid, oid.0);
+        oid
     }
 
     /// Allocates a fresh object id outside the VM mapping (ntlogs etc.).
     pub fn alloc_oid(&mut self) -> ObjId {
-        let oid = self.ns() | self.next_oid;
+        let oid = GroupId(self.id).objects().start().0 | self.next_oid;
         self.next_oid += 1;
         ObjId(oid)
     }

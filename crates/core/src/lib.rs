@@ -385,13 +385,9 @@ impl Host {
     /// without pruning, every restart would leak the previous
     /// incarnation's live objects.
     pub fn prune_incarnation(&mut self, old_gid: u32) -> Result<u64> {
-        let ns = (0x100 + old_gid as u64) << 48;
         let mut store = self.sls.primary.borrow_mut();
-        let victims: Vec<aurora_objstore::ObjId> = store
-            .live_object_ids()
-            .into_iter()
-            .filter(|oid| oid.0 & !0xFFFF_FFFF_FFFF == ns)
-            .collect();
+        let mut victims = store.live_object_ids();
+        victims.retain(|oid| GroupId(old_gid).objects().contains(oid));
         let n = victims.len() as u64;
         for oid in victims {
             store.delete_object(oid)?;

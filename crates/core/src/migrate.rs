@@ -105,7 +105,7 @@ impl Host {
     /// the whole machine's history, so the receiver sees one
     /// unambiguous application.
     pub fn send_checkpoint(&mut self, gid: GroupId, ckpt: Option<CkptId>) -> Result<Vec<u8>> {
-        let (store, ckpt, ns) = {
+        let (store, ckpt) = {
             let group = self.sls.group_ref(gid)?;
             let ckpt = match ckpt {
                 Some(c) => c,
@@ -117,12 +117,12 @@ impl Host {
                 .backends
                 .first()
                 .ok_or_else(|| Error::invalid("group has no backends"))?;
-            (backend.store.clone(), ckpt, group.ns())
+            (backend.store.clone(), ckpt)
         };
         let prefix = format!("g{}/", gid.0);
         let stream = store.borrow_mut().export_checkpoint_filtered(
             ckpt,
-            |oid| oid & !0xFFFF_FFFF_FFFF == ns,
+            gid.objects(),
             |key| key.starts_with(&prefix),
         )?;
         Ok(encode_image(&stream))

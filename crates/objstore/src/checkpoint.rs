@@ -1,7 +1,7 @@
 //! Checkpoint deltas, the chain-walk read path, and checkpoint images.
 
 use std::collections::{btree_map, BTreeMap};
-use std::ops::RangeInclusive;
+use std::ops::{Bound, RangeBounds};
 
 use aurora_sim::codec::{Decoder, Encoder};
 use aurora_sim::error::{Error, Result};
@@ -142,9 +142,22 @@ impl Checkpoint {
     }
 }
 
-/// The keys of one object's pages in a key-ordered page map.
-pub(crate) fn object_keys(oid: ObjId) -> RangeInclusive<(ObjId, u64)> {
-    (oid, 0)..=(oid, u64::MAX)
+/// The keys of the pages of the objects in `objects`, in a key-ordered
+/// page map.
+pub(crate) fn page_keys(
+    objects: impl RangeBounds<ObjId>,
+) -> impl RangeBounds<(ObjId, u64)> + Copy {
+    let start = match objects.start_bound() {
+        Bound::Included(&oid) => Bound::Included((oid, 0)),
+        Bound::Excluded(&oid) => Bound::Excluded((oid, u64::MAX)),
+        Bound::Unbounded => Bound::Unbounded,
+    };
+    let end = match objects.end_bound() {
+        Bound::Included(&oid) => Bound::Included((oid, u64::MAX)),
+        Bound::Excluded(&oid) => Bound::Excluded((oid, 0)),
+        Bound::Unbounded => Bound::Unbounded,
+    };
+    (start, end)
 }
 
 /// Merges a page map with its delta-head overlay in key order; a head
@@ -232,23 +245,26 @@ impl Image {
         }
     }
 
-    /// Every page in key order, each a full image or a delta-chain head.
-    pub fn refs(&self) -> impl Iterator<Item = ((ObjId, u64), PageRef)> + '_ {
-        merge_refs(self.pages.range(..), self.deltas.range(..))
+    /// The pages of the objects in `objects` in key order, each a full
+    /// image or a delta-chain head.
+    pub fn refs(
+        &self,
+        objects: impl RangeBounds<ObjId>,
+    ) -> impl Iterator<Item = ((ObjId, u64), PageRef)> + '_ {
+        let keys = page_keys(objects);
+        merge_refs(self.pages.range(keys), self.deltas.range(keys))
     }
 
     /// One object's pages in index order.
     pub fn object_refs(&self, oid: ObjId) -> impl Iterator<Item = (u64, PageRef)> + '_ {
-        let keys = object_keys(oid);
-        merge_refs(self.pages.range(keys.clone()), self.deltas.range(keys))
-            .map(|((_, idx), r)| (idx, r))
+        self.refs(oid..=oid).map(|((_, idx), r)| (idx, r))
     }
 }
 
 /// Removes every entry of `oid` from a key-ordered page map and returns
 /// their values.
 pub(crate) fn take_object<V>(map: &mut BTreeMap<(ObjId, u64), V>, oid: ObjId) -> Vec<V> {
-    let keys: Vec<(ObjId, u64)> = map.range(object_keys(oid)).map(|(k, _)| *k).collect();
+    let keys: Vec<(ObjId, u64)> = map.range(page_keys(oid..=oid)).map(|(k, _)| *k).collect();
     keys.iter().filter_map(|key| map.remove(key)).collect()
 }
 

@@ -24,11 +24,12 @@
 //!   journal bytes it occupied are reclaimed at the next compaction
 //!   snapshot.
 
-use std::collections::btree_map::Entry;
-use std::collections::BTreeMap;
+use std::collections::hash_map::Entry;
+use std::collections::HashMap;
 
 use aurora_sim::codec::{Decoder, Encoder};
 use aurora_sim::error::{Error, Result};
+use aurora_sim::hash::Words;
 use aurora_vm::PageData;
 
 use crate::{BlockPtr, ObjId};
@@ -120,9 +121,13 @@ impl DeltaRecord {
 /// recovery. Records are committed only by a sealed journal write (the
 /// same typestate path as checkpoint metadata), so a torn commit drops a
 /// checkpoint and its delta records together.
+///
+/// The table is hashed by LSN: chain walks, compaction's per-head
+/// `chain_len` probes and GC's releases each find a record in O(1).
+/// Only [`DeltaLog::iter`] needs LSN order, and it sorts.
 #[derive(Debug, Default)]
 pub struct DeltaLog {
-    records: BTreeMap<Lsn, LiveRecord>,
+    records: HashMap<Lsn, LiveRecord, Words>,
     next_lsn: Lsn,
     /// Encoded bytes of all live records (journal footprint accounting).
     bytes: u64,
@@ -287,9 +292,13 @@ impl DeltaLog {
         Ok(page)
     }
 
-    /// All live records, ascending LSN (compaction snapshots carry them).
+    /// All live records, ascending LSN (compaction snapshots carry them,
+    /// and fsck reports in this order).
     pub fn iter(&self) -> impl Iterator<Item = (Lsn, &DeltaRecord)> {
-        self.records.iter().map(|(l, e)| (*l, &e.rec))
+        let mut records: Vec<(Lsn, &DeltaRecord)> =
+            self.records.iter().map(|(l, e)| (*l, &e.rec)).collect();
+        records.sort_unstable_by_key(|&(lsn, _)| lsn);
+        records.into_iter()
     }
 
     /// Removes every record whatever its count, keeping `next_lsn`: a
@@ -304,6 +313,7 @@ impl DeltaLog {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::journal::JournalRecord;
 
     fn rec(prev: Option<Lsn>, chain_len: u32, extents: Vec<(u32, Vec<u8>)>) -> DeltaRecord {
         DeltaRecord {
@@ -451,6 +461,45 @@ mod tests {
         assert_eq!(log.len(), 3);
         assert_eq!(log.bytes(), bytes);
         assert_eq!(log.refs(2), 1);
+    }
+
+    /// `n` distinct LSNs from 1 to `n`, in an order far from ascending.
+    fn scrambled(n: u64) -> Vec<Lsn> {
+        (0..n).map(|i| (i * 29) % n + 1).collect()
+    }
+
+    #[test]
+    fn iter_ascends_whatever_order_records_arrive_and_leave_in() {
+        let mut log = DeltaLog::default();
+        for lsn in scrambled(64) {
+            log.insert(lsn, rec(None, 1, vec![(0, vec![lsn as u8])])).unwrap();
+            log.hold(lsn);
+        }
+        for lsn in scrambled(64).into_iter().filter(|l| l % 3 == 0) {
+            assert_eq!(log.release(lsn), 1);
+        }
+        let lsns: Vec<Lsn> = log.iter().map(|(l, _)| l).collect();
+        let want: Vec<Lsn> = (1..=64).filter(|l| l % 3 != 0).collect();
+        assert_eq!(lsns, want);
+    }
+
+    /// A compaction snapshot carries `iter()`'s records, so its frame is
+    /// the same bytes whatever order the log was filled in.
+    #[test]
+    fn a_snapshot_frame_does_not_depend_on_insertion_order() {
+        let frame = |order: &[Lsn]| {
+            let mut log = DeltaLog::default();
+            for &lsn in order {
+                let extent = (lsn as u32 * 8, vec![lsn as u8; 3]);
+                log.insert(lsn, rec(None, 1, vec![extent])).unwrap();
+            }
+            let records = log.iter().map(|(l, r)| (l, r.clone())).collect();
+            crate::journal::encode_frame(&JournalRecord::Snapshot(Vec::new(), records), 5)
+        };
+        let ascending: Vec<Lsn> = (1..=64).collect();
+        let descending: Vec<Lsn> = (1..=64).rev().collect();
+        assert_eq!(frame(&scrambled(64)), frame(&ascending));
+        assert_eq!(frame(&descending), frame(&ascending));
     }
 
     #[test]

@@ -35,7 +35,7 @@
 //! fails its own scrub for good.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
-use std::ops::Range;
+use std::ops::{Range, RangeBounds};
 
 use aurora_hw::{Access, BLOCK_SIZE};
 use aurora_sim::cost::RESTORE_CACHE_HIT_NS;
@@ -583,22 +583,28 @@ impl ObjectStore {
         Ok(())
     }
 
-    /// Verifies that one committed checkpoint is fully restorable:
+    /// Verifies that the objects in `objects` are fully restorable at one
+    /// committed checkpoint:
     ///
     /// * its parent chain resolves;
-    /// * every block its image references has recoverable contents (in
-    ///   the page table, or readable from the medium with a matching
-    ///   content hash when data is materialized).
+    /// * every block the image of those objects references has
+    ///   recoverable contents (in the page table, or readable from the
+    ///   medium with a matching content hash when data is materialized).
     ///
     /// Returns the violations (empty = restorable) and the number of
     /// blocks whose platter copy was hashed for the comparison (zero on
     /// timing-only stores): the device charges the reads itself, the
     /// caller owns the clock the hashing is charged to. The checkpoint
-    /// pipeline runs this on the incremental base and degrades to a full
-    /// checkpoint when the base is damaged.
-    pub fn verify_checkpoint(&self, ckpt: CkptId) -> (Vec<String>, u64) {
-        let (problems, hashed) = self.verify_walk(&[ckpt], |visit| {
-            self.walk_base_blocks(ckpt, &mut |_, _, block| visit(block))
+    /// pipeline runs this on the incremental base, over the objects of
+    /// the group it checkpoints, and degrades to a full checkpoint when
+    /// that base is damaged; `..` checks the whole image.
+    pub fn verify_checkpoint(
+        &self,
+        ckpt: CkptId,
+        objects: impl RangeBounds<ObjId> + Clone,
+    ) -> (Vec<String>, u64) {
+        let (problems, hashed) = self.verify_walk(&[ckpt], objects.clone(), |visit| {
+            self.walk_base_blocks(ckpt, objects, &mut |_, _, block| visit(block))
                 .is_empty()
         });
         (problems.into_iter().map(|(_, p)| p).collect(), hashed)
@@ -607,12 +613,14 @@ impl ObjectStore {
     /// Checks every block `walk` visits — a walk that returns whether it
     /// resolved cleanly — reading and comparing each block once however
     /// many pages and checkpoints share it. Only when a block is bad or
-    /// the walk was not clean does it walk the image of each checkpoint
-    /// in `ids` to name the affected pages, each violation tagged with
-    /// its checkpoint. The second value counts the blocks hashed.
+    /// the walk was not clean does it walk the pages of `objects` in the
+    /// image of each checkpoint in `ids` to name the affected pages, each
+    /// violation tagged with its checkpoint. The second value counts the
+    /// blocks hashed.
     fn verify_walk(
         &self,
         ids: &[CkptId],
+        objects: impl RangeBounds<ObjId> + Clone,
         walk: impl FnOnce(&mut dyn FnMut(u64)) -> bool,
     ) -> (Vec<(CkptId, String)>, u64) {
         let mut bad: BTreeMap<u64, String> = BTreeMap::new();
@@ -648,7 +656,7 @@ impl ObjectStore {
         let mut problems = Vec::new();
         for &ckpt in ids {
             let mut named = Vec::new();
-            let walk = self.walk_base_blocks(ckpt, &mut |oid, idx, block| {
+            let walk = self.walk_base_blocks(ckpt, objects.clone(), &mut |oid, idx, block| {
                 if let Some(what) = bad.get(&block) {
                     named.push(format!("object {} page {idx}: block {block} {what}", oid.0));
                 }
@@ -658,16 +666,17 @@ impl ObjectStore {
         (problems, hashed)
     }
 
-    /// Walks what restoring `ckpt` depends on: `visit(object, page, block)`
-    /// for the block under every page of its image — a delta-backed
-    /// page's chain base, since the chain replays over it. The head's
-    /// image is kept current; any other checkpoint's chain folds once.
-    /// Returns what is wrong with the walk itself: a parent chain that
-    /// does not resolve (nothing is visited then) or a delta chain with
-    /// records missing.
+    /// Walks what restoring the objects in `objects` at `ckpt` depends
+    /// on: `visit(object, page, block)` for the block under every page of
+    /// those objects in its image — a delta-backed page's chain base,
+    /// since the chain replays over it. The head's image is kept current;
+    /// any other checkpoint's chain folds once. Returns what is wrong with
+    /// the walk itself: a parent chain that does not resolve (nothing is
+    /// visited then) or a delta chain of those pages with records missing.
     pub fn walk_base_blocks(
         &self,
         ckpt: CkptId,
+        objects: impl RangeBounds<ObjId>,
         visit: &mut dyn FnMut(ObjId, u64, u64),
     ) -> Vec<String> {
         let mut problems = Vec::new();
@@ -688,7 +697,7 @@ impl ObjectStore {
                 return problems;
             }
         };
-        for ((oid, idx), page_ref) in image.refs() {
+        for ((oid, idx), page_ref) in image.refs(objects) {
             match self.base_block(oid, idx, page_ref) {
                 Ok(block) => visit(oid, idx, block),
                 Err(p) => problems.push(p),
@@ -797,7 +806,7 @@ impl ObjectStore {
         let mut problems = self.fsck();
         let ids: Vec<CkptId> = self.ckpts.keys().map(|&i| CkptId(i)).collect();
         problems.extend(
-            self.verify_walk(&ids, |visit| self.walk_owned_blocks(visit))
+            self.verify_walk(&ids, .., |visit| self.walk_owned_blocks(visit))
                 .0
                 .into_iter()
                 .map(|(id, p)| format!("ckpt {}: {p}", id.0)),
@@ -896,9 +905,36 @@ mod tests {
         let named = problems.iter().filter(|p| p.starts_with("ckpt ")).count();
         assert_eq!(named, 2, "{problems:?}");
         // The base check of the head names the same page.
-        let (base, hashed) = s.verify_checkpoint(c2);
+        let (base, hashed) = s.verify_checkpoint(c2, ..);
         assert_eq!(base, vec![format!("object 1 page 0: block {block} unrecoverable")]);
         assert_eq!(hashed, 0);
+    }
+
+    /// The base check of a range of objects names a lost block under a
+    /// page in the range and says nothing of one outside it.
+    #[test]
+    fn a_ranged_base_check_sees_only_damage_in_its_range() {
+        let mut s = timing_store();
+        for oid in [ObjId(1), ObjId(2)] {
+            s.create_object(oid, 4).unwrap();
+            for idx in 0..4 {
+                s.write_page(oid, idx, &PageData::Seeded(oid.0 * 10 + idx)).unwrap();
+            }
+        }
+        let (head, _) = s.commit(None).unwrap();
+        let block = match s.page_ref_at(head, ObjId(2), 3) {
+            Some((PageRef::Full(ptr), _)) => ptr.0,
+            other => panic!("page 3 resolves to {other:?}"),
+        };
+        s.cache.get_mut().data.remove(&block);
+
+        let lost = vec![format!("object 2 page 3: block {block} unrecoverable")];
+        assert_eq!(s.verify_checkpoint(head, ObjId(2)..=ObjId(2)).0, lost);
+        assert_eq!(s.verify_checkpoint(head, ObjId(2)..).0, lost);
+        assert_eq!(s.verify_checkpoint(head, ..).0, lost);
+        assert!(s.verify_checkpoint(head, ObjId(1)..=ObjId(1)).0.is_empty());
+        assert!(s.verify_checkpoint(head, ..ObjId(2)).0.is_empty());
+        assert!(s.verify_checkpoint(head, ObjId(3)..).0.is_empty());
     }
 
     /// A delta chain with its records gone is reported under each

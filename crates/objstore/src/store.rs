@@ -701,7 +701,7 @@ impl ObjectStore {
     /// what actually crosses a wire when the image moves, regardless of
     /// how compactly pages encode. Pages count 4 KiB each.
     pub fn logical_size(&self, ckpt: CkptId) -> Result<u64> {
-        let mut total = self.image_at(ckpt)?.refs().count() as u64 * BLOCK_SIZE as u64;
+        let mut total = self.image_at(ckpt)?.refs(..).count() as u64 * BLOCK_SIZE as u64;
         for key in self.blob_keys_at(ckpt, "") {
             if let Some((_, v)) = checkpoint::resolve_blob(&self.ckpts, ckpt, &key) {
                 total += v.len() as u64;

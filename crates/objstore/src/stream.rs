@@ -7,6 +7,8 @@
 //! pages cost nine), so streams of benchmark-scale images stay small
 //! while real data round-trips verbatim.
 
+use std::ops::RangeBounds;
+
 use aurora_sim::codec::{Decoder, Encoder};
 use aurora_sim::error::{Error, Result};
 use aurora_sim::time::SimTime;
@@ -55,16 +57,17 @@ impl ObjectStore {
     ///
     /// Charges device reads for every exported page.
     pub fn export_checkpoint(&self, ckpt: CkptId) -> Result<Vec<u8>> {
-        self.export_checkpoint_filtered(ckpt, |_| true, |_| true)
+        self.export_checkpoint_filtered(ckpt, .., |_| true)
     }
 
-    /// Exports a checkpoint restricted to the objects and blobs the
-    /// filters accept — how the SLS ships *one application* (its group's
-    /// namespace) rather than the whole machine's history.
+    /// Exports a checkpoint restricted to the objects in `objects` and
+    /// the blobs `keep_blob` accepts — how the SLS ships *one
+    /// application* (its group's namespace) rather than the whole
+    /// machine's history.
     pub fn export_checkpoint_filtered(
         &self,
         ckpt: CkptId,
-        keep_oid: impl Fn(u64) -> bool,
+        objects: impl RangeBounds<ObjId>,
         keep_blob: impl Fn(&str) -> bool,
     ) -> Result<Vec<u8>> {
         // One image serves the whole walk: the head's is kept, any
@@ -72,8 +75,7 @@ impl ObjectStore {
         let image = self.image_at(ckpt)?;
         let objects: Vec<(ObjId, u64)> = image
             .objects
-            .iter()
-            .filter(|(oid, _)| keep_oid(oid.0))
+            .range(objects)
             .map(|(&oid, &size)| (oid, size))
             .collect();
 

@@ -11,7 +11,7 @@ use aurora_hw::BLOCK_SIZE;
 use aurora_sim::error::{Error, Result};
 use aurora_vm::PageData;
 
-use crate::checkpoint::{object_keys, take_object, PageRef};
+use crate::checkpoint::{page_keys, take_object, PageRef};
 use crate::deltalog::DeltaRecord;
 use crate::read::runs;
 use crate::store::{ObjectStore, EXTENT_BLOCKS};
@@ -145,12 +145,12 @@ impl ObjectStore {
         let size_pages = self
             .object_size(src)
             .ok_or_else(|| Error::not_found(format!("object {}", src.0)))?;
-        let keys = object_keys(src);
+        let keys = page_keys(src..=src);
         let mut idxs: BTreeSet<u64> =
-            self.pending_pages.range(keys.clone()).map(|(k, _)| k.1).collect();
-        idxs.extend(self.pending_deltas.range(keys.clone()).map(|(k, _)| k.1));
+            self.pending_pages.range(keys).map(|(k, _)| k.1).collect();
+        idxs.extend(self.pending_deltas.range(keys).map(|(k, _)| k.1));
         if self.head_covers(src) {
-            idxs.extend(self.head_image.pages.range(keys.clone()).map(|(k, _)| k.1));
+            idxs.extend(self.head_image.pages.range(keys).map(|(k, _)| k.1));
             idxs.extend(self.head_image.deltas.range(keys).map(|(k, _)| k.1));
         }
         self.pending_new_objects.push((dst, size_pages));

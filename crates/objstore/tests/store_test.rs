@@ -436,7 +436,7 @@ fn check_images(store: &ObjectStore) -> Result<(), TestCaseError> {
             }
         }
         let mut walked = BTreeSet::new();
-        let problems = store.walk_base_blocks(ckpt, &mut |oid, idx, block| {
+        let problems = store.walk_base_blocks(ckpt, .., &mut |oid, idx, block| {
             walked.insert((oid, idx, block));
         });
         prop_assert!(problems.is_empty(), "walk of {}: {:?}", id, problems);
