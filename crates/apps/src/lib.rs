@@ -15,8 +15,6 @@
 //!   fork-based snapshots (Redis RDB), a write-ahead log with fsync
 //!   (Redis AOF), and the Aurora port built on `sls_ntflush` +
 //!   checkpoints + barriers.
-//! * [`lsm`] — a RocksDB-flavoured LSM tree over SLSFS (memtable,
-//!   sorted-run files, compaction), with WAL vs. Aurora-log persistence.
 //! * [`pool`] — a multi-process worker-pool KV store on System V shared
 //!   memory (the Firefox-class "processes sharing memory in arbitrary
 //!   ways" case).
@@ -31,7 +29,6 @@
 pub mod heap;
 pub mod hello;
 pub mod kv;
-pub mod lsm;
 pub mod pool;
 pub mod profiles;
 pub mod serverless;

@@ -1,9 +1,8 @@
 //! Application-level integration tests: every KV persistence strategy
-//! survives a machine crash; the LSM tree recovers through both log
-//! strategies; transparent persistence needs zero application code.
+//! survives a machine crash; transparent persistence needs zero
+//! application code.
 
 use aurora_apps::kv::{KvOp, KvServer, PersistMode};
-use aurora_apps::lsm::{LsmLog, LsmTree};
 use aurora_apps::workload::{KeyDist, Workload};
 use aurora_core::restore::RestoreMode;
 use aurora_core::{GroupId, Host};
@@ -178,51 +177,6 @@ fn aurora_port_faster_than_wal_per_op() {
 }
 
 #[test]
-fn lsm_wal_mode_recovers() {
-    let mut host = new_host();
-    let mut tree = LsmTree::create(&mut host, LsmLog::WalFsync, 128).unwrap();
-    for i in 0..30u32 {
-        tree.put(&mut host, format!("k{i:03}").as_bytes(), format!("v{i}").as_bytes())
-            .unwrap();
-    }
-    tree.delete(&mut host, b"k005").unwrap();
-    assert!(tree.flushes > 0, "memtable flushed at least once");
-    assert_eq!(tree.get(&mut host, b"k010").unwrap().unwrap(), b"v10");
-    assert_eq!(tree.get(&mut host, b"k005").unwrap(), None);
-
-    let mut host = host.crash_and_reboot().unwrap();
-    let mut tree = LsmTree::recover(&mut host, LsmLog::WalFsync, 256).unwrap();
-    assert_eq!(tree.get(&mut host, b"k010").unwrap().unwrap(), b"v10");
-    assert_eq!(tree.get(&mut host, b"k029").unwrap().unwrap(), b"v29");
-    assert_eq!(tree.get(&mut host, b"k005").unwrap(), None);
-}
-
-#[test]
-fn lsm_aurora_mode_recovers_and_compacts() {
-    let mut host = new_host();
-    let mut tree = LsmTree::create(&mut host, LsmLog::Aurora, 200).unwrap();
-    for i in 0..40u32 {
-        tree.put(&mut host, format!("k{i:03}").as_bytes(), format!("v{i}").as_bytes())
-            .unwrap();
-    }
-    // Overwrite some keys so compaction has duplicates to squash.
-    for i in 0..10u32 {
-        tree.put(&mut host, format!("k{i:03}").as_bytes(), b"rewritten")
-            .unwrap();
-    }
-    assert!(tree.run_count() >= 2);
-    tree.compact(&mut host).unwrap();
-    assert_eq!(tree.run_count(), 1);
-    assert_eq!(tree.get(&mut host, b"k003").unwrap().unwrap(), b"rewritten");
-    assert_eq!(tree.get(&mut host, b"k030").unwrap().unwrap(), b"v30");
-
-    let mut host = host.crash_and_reboot().unwrap();
-    let mut tree = LsmTree::recover(&mut host, LsmLog::Aurora, 200).unwrap();
-    assert_eq!(tree.get(&mut host, b"k003").unwrap().unwrap(), b"rewritten");
-    assert_eq!(tree.get(&mut host, b"k039").unwrap().unwrap(), b"v39");
-}
-
-#[test]
 fn zipfian_workload_dirty_set_shrinks_incrementals() {
     // Skewed writes concentrate on few pages, so incremental checkpoints
     // stay small — the mechanism behind sustained 100 Hz checkpointing.
@@ -250,53 +204,3 @@ fn zipfian_workload_dirty_set_shrinks_incrementals() {
     );
 }
 
-#[test]
-fn lsm_survives_power_cuts_at_any_point() {
-    // Sweep power cuts across the device-write stream while an LSM tree
-    // (WAL mode) ingests; after every cut, recovery must yield a tree
-    // that contains exactly the acknowledged (fsync'd) writes.
-    use aurora_hw::FaultPlan;
-
-    for cut_at in [3u64, 7, 15, 31, 63] {
-        let mut host = new_host();
-        let mut tree = LsmTree::create(&mut host, LsmLog::WalFsync, 200).unwrap();
-        host.sls
-            .primary
-            .borrow_mut()
-            .device_mut()
-            .install_fault_plan(FaultPlan::power_cut(cut_at));
-
-        // Ingest until the power dies; remember what was acknowledged.
-        let mut acked = Vec::new();
-        for i in 0..200u32 {
-            let key = format!("k{i:03}");
-            match tree.put(&mut host, key.as_bytes(), b"v") {
-                Ok(()) => acked.push(key),
-                Err(_) => break,
-            }
-        }
-        assert!(
-            acked.len() < 200,
-            "cut {cut_at}: the fault plan should have fired"
-        );
-
-        let mut host = host.crash_and_reboot().unwrap();
-        let mut tree = match LsmTree::recover(&mut host, LsmLog::WalFsync, 200) {
-            Ok(t) => t,
-            Err(_) => {
-                // Nothing ever became durable (cut before the first
-                // manifest commit): acceptable only if nothing was acked.
-                assert!(acked.is_empty(), "cut {cut_at}: acked writes lost");
-                continue;
-            }
-        };
-        // Every acknowledged write must be present...
-        for key in &acked {
-            assert_eq!(
-                tree.get(&mut host, key.as_bytes()).unwrap().as_deref(),
-                Some(b"v".as_ref()),
-                "cut {cut_at}: acked key {key} lost"
-            );
-        }
-    }
-}

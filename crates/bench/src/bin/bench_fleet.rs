@@ -28,7 +28,8 @@
 //!   must confine the damage). The pipelined ÷ serialized aggregate is
 //!   reported and not gated: it measures how much of a serialized cycle
 //!   is flush the scheduler can overlap, so a faster flush lowers it.
-//! * `--out <path>` — output path (default `BENCH_fleet.json`).
+//! * `--out <path>` — output path (default `BENCH_fleet.json`, or
+//!   `BENCH_fleet.quick.json` with `--quick`).
 //!
 //! The **blast-radius** pair runs a pipelined fleet on isolated
 //! per-tenant stores twice: once all-healthy, once with tenant 0's
@@ -357,7 +358,15 @@ fn main() {
         .iter()
         .position(|a| a == "--out")
         .and_then(|i| args.get(i + 1).cloned())
-        .unwrap_or_else(|| "BENCH_fleet.json".to_string());
+        .unwrap_or_else(|| {
+            // A quick run never overwrites the committed full-run numbers.
+            let stem = if quick {
+                "BENCH_fleet.quick"
+            } else {
+                "BENCH_fleet"
+            };
+            format!("{stem}.json")
+        });
     let cfg = if quick {
         BenchConfig::quick()
     } else {

@@ -19,7 +19,8 @@
 //! * `--gate <min>` — exit non-zero unless the flush-byte reduction is
 //!   ≥ `min` (default 5.0) AND every restored-arena digest — across
 //!   worker counts and across the two variants — is byte-identical.
-//! * `--out <path>` — output path (default `BENCH_wal.json`).
+//! * `--out <path>` — output path (default `BENCH_wal.json`, or
+//!   `BENCH_wal.quick.json` with `--quick`).
 
 use std::fmt::Write as _;
 
@@ -236,7 +237,15 @@ fn main() {
         .iter()
         .position(|a| a == "--out")
         .and_then(|i| args.get(i + 1).cloned())
-        .unwrap_or_else(|| "BENCH_wal.json".to_string());
+        .unwrap_or_else(|| {
+            // A quick run never overwrites the committed full-run numbers.
+            let stem = if quick {
+                "BENCH_wal.quick"
+            } else {
+                "BENCH_wal"
+            };
+            format!("{stem}.json")
+        });
     let cfg = if quick {
         BenchConfig::quick()
     } else {

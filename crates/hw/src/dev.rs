@@ -135,66 +135,34 @@ pub trait BlockDev {
     /// Operation counters.
     fn stats(&self) -> &DevStats;
 
-    /// Synchronously reads `buf.len()` bytes starting at block `lba`.
-    ///
-    /// Advances the virtual clock to the request's completion.
-    fn read(&mut self, lba: u64, buf: &mut [u8]) -> Result<()>;
-
-    /// Submits a write without waiting; returns its completion instant.
-    ///
-    /// The caller's clock is *not* advanced — this is how checkpoint data
-    /// is flushed in the background while the application keeps running.
-    fn submit_write(&mut self, lba: u64, data: &[u8]) -> Result<SimTime>;
-
-    /// Synchronously writes and waits for completion (not durability).
-    fn write(&mut self, lba: u64, data: &[u8]) -> Result<()>;
-
     /// Submits a run of adjacent blocks starting at `lba` as one vectored
     /// request; returns the completion instant of the whole extent. Does
-    /// not advance the caller's clock.
+    /// not advance the caller's clock — this is how checkpoint data is
+    /// flushed in the background while the application keeps running; a
+    /// caller that must wait advances its clock to the returned instant.
     ///
-    /// Coalescing changes cost, never contents: the default
-    /// implementation degenerates to one [`BlockDev::submit_write`] per
-    /// block. [`ModelDev`] overrides it to charge a single access latency
-    /// for the extent while still consulting the fault plan once per
-    /// block, so power cuts and transient errors land mid-extent exactly
-    /// where they would on the serial path.
-    fn write_blocks(&mut self, lba: u64, blocks: &[&[u8]]) -> Result<SimTime> {
-        let mut done = self.clock().now();
-        for (i, b) in blocks.iter().enumerate() {
-            done = done.max(self.submit_write(lba + i as u64, b)?);
-        }
-        Ok(done)
-    }
+    /// Every block is `BLOCK_SIZE` bytes and is one write ordinal of an
+    /// installed fault plan, so a power cut or a transient error can land
+    /// on any block of the extent (see [`crate::fault`]).
+    fn write_blocks(&mut self, lba: u64, blocks: &[&[u8]]) -> Result<SimTime>;
 
     /// Reads a run of adjacent blocks starting at `lba` as one vectored
     /// request of kind `access`, filling each buffer in `bufs` with one
     /// block. Advances the virtual clock to the request's completion.
-    ///
-    /// Coalescing changes cost, never contents: the default
-    /// implementation degenerates to one waited [`BlockDev::read`] per
-    /// block. [`ModelDev`] overrides it to charge the extent as a single
-    /// request while still consulting the fault plan once per block, so
-    /// read faults land mid-extent exactly where they would on the
-    /// serial path.
+    /// Every block is one read ordinal of an installed fault plan.
     ///
     /// # Partial-failure contract (all-or-error)
     ///
     /// On `Err`, **no buffer in `bufs` holds authoritative data** — a
     /// mid-extent fault must not leave earlier buffers ambiguously
     /// filled. [`ModelDev`] upholds this by consulting every per-block
-    /// fault before filling any buffer; the default per-block loop here
-    /// may partially fill `bufs` before erroring, so
+    /// fault before filling any buffer; the stripe and the file device
+    /// fill `bufs` only once the whole extent is in; and
     /// [`crate::retry::ResilientDev`] (which every store-facing device
-    /// sits behind) re-establishes the contract by zeroing the buffers
-    /// on a failed extent. Callers must treat `bufs` as unspecified
-    /// after an error and never consume it.
-    fn read_blocks(&mut self, lba: u64, bufs: &mut [Vec<u8>], _access: Access) -> Result<()> {
-        for (i, b) in bufs.iter_mut().enumerate() {
-            self.read(lba + i as u64, b)?;
-        }
-        Ok(())
-    }
+    /// and every mirror replica sits behind) zeroes the buffers on a
+    /// failed extent. Callers must treat `bufs` as unspecified after an
+    /// error and never consume it.
+    fn read_blocks(&mut self, lba: u64, bufs: &mut [Vec<u8>], access: Access) -> Result<()>;
 
     /// Issues a flush barrier; returns the instant at which every write
     /// submitted so far is durable. Does not advance the caller's clock.
@@ -206,7 +174,7 @@ pub trait BlockDev {
     /// The object store uses this for bulk page payloads whose
     /// authoritative contents it tracks itself in a compact
     /// representation (see `aurora-objstore`); metadata records always go
-    /// through the real [`BlockDev::submit_write`]. Keeping gigabyte
+    /// through the real [`BlockDev::write_blocks`]. Keeping gigabyte
     /// working sets out of the device's byte store is what lets the
     /// paper-scale benchmarks run on laptop memory.
     fn submit_write_timing(&mut self, nbytes: u64) -> Result<SimTime>;
@@ -289,7 +257,7 @@ pub trait BlockDev {
     }
 }
 
-/// A pending cached write (acknowledged, not yet durable).
+/// A pending cached block write (acknowledged, not yet durable).
 #[derive(Debug, Clone)]
 struct CachedWrite {
     lba: u64,
@@ -430,23 +398,16 @@ impl ModelDev {
         self.busy_until = self.clock.now().max(self.busy_until) + SimDuration::from_nanos(extra_ns);
     }
 
-    /// Applies a write directly to stable storage, possibly torn at
+    /// Applies one block directly to stable storage, possibly torn at
     /// `torn_at` bytes (the prefix is applied, the rest keeps old data).
     fn apply_stable(&mut self, lba: u64, data: &[u8], torn_at: Option<usize>) {
-        let limit = torn_at.unwrap_or(data.len());
-        for (i, chunk) in data.chunks(BLOCK_SIZE).enumerate() {
-            let block_off = i * BLOCK_SIZE;
-            if block_off >= limit {
-                break;
-            }
-            let entry = self
-                .stable
-                .entry(lba + i as u64)
-                .or_insert_with(|| vec![0u8; BLOCK_SIZE]);
-            let n = (limit - block_off).min(BLOCK_SIZE);
-            if let (Some(dst), Some(src)) = (entry.get_mut(..n), chunk.get(..n)) {
-                dst.copy_from_slice(src);
-            }
+        let n = torn_at.unwrap_or(BLOCK_SIZE).min(data.len());
+        let entry = self
+            .stable
+            .entry(lba)
+            .or_insert_with(|| vec![0u8; BLOCK_SIZE]);
+        if let (Some(dst), Some(src)) = (entry.get_mut(..n), data.get(..n)) {
+            dst.copy_from_slice(src);
         }
     }
 
@@ -504,21 +465,13 @@ impl ModelDev {
         action
     }
 
-    /// Fills one block-sized buffer from stable storage with the
-    /// volatile write cache overlaid in submission order.
+    /// Fills one block-sized buffer with the newest cached write of
+    /// `block`, else its stable contents.
     fn fill_block(&self, block: u64, out: &mut [u8]) {
-        match self.stable.get(&block) {
+        let cached = self.cache.iter().rev().find(|w| w.lba == block);
+        match cached.map(|w| &w.data).or_else(|| self.stable.get(&block)) {
             Some(data) => out.copy_from_slice(data),
             None => out.fill(0),
-        }
-        for w in &self.cache {
-            let wblocks = (w.data.len() / BLOCK_SIZE) as u64;
-            if block >= w.lba && block < w.lba + wblocks {
-                let off = ((block - w.lba) as usize) * BLOCK_SIZE;
-                if let Some(src) = w.data.get(off..off + BLOCK_SIZE) {
-                    out.copy_from_slice(src);
-                }
-            }
         }
     }
 
@@ -545,24 +498,6 @@ impl BlockDev for ModelDev {
         &self.stats
     }
 
-    fn read(&mut self, lba: u64, buf: &mut [u8]) -> Result<()> {
-        self.check_powered()?;
-        self.check_range(lba, buf.len())?;
-        // One fault ordinal per request, like `submit_write`.
-        let corrupt = self.read_fault(lba)?;
-        let done = self.service(Access::Waited, buf.len() as u64, self.model.read_bw);
-        self.clock.advance_to(done);
-        for (i, chunk) in buf.chunks_mut(BLOCK_SIZE).enumerate() {
-            self.fill_block(lba + i as u64, chunk);
-        }
-        if let Some((byte, bit)) = corrupt {
-            flip_bit(buf, byte, bit);
-        }
-        self.stats.reads += 1;
-        self.stats.bytes_read += buf.len() as u64;
-        Ok(())
-    }
-
     fn read_blocks(&mut self, lba: u64, bufs: &mut [Vec<u8>], access: Access) -> Result<()> {
         self.check_powered()?;
         if bufs.is_empty() {
@@ -580,10 +515,10 @@ impl BlockDev for ModelDev {
             total += b.len();
         }
         self.check_range(lba, total)?;
-        // The fault plan is consulted once per block — the same read
-        // ordinals the serial path would burn — before any data moves,
-        // so a transient error bounces the whole extent atomically and
-        // a retry may resubmit the identical request.
+        // The fault plan is consulted once per block — one read ordinal
+        // each — before any data moves, so a transient error bounces the
+        // whole extent atomically and a retry may resubmit the identical
+        // request.
         let mut corrupt: Vec<(usize, usize, u8)> = Vec::new();
         for i in 0..bufs.len() {
             if let Some((byte, bit)) = self.read_fault(lba + i as u64)? {
@@ -608,52 +543,6 @@ impl BlockDev for ModelDev {
         Ok(())
     }
 
-    fn submit_write(&mut self, lba: u64, data: &[u8]) -> Result<SimTime> {
-        self.check_powered()?;
-        self.check_range(lba, data.len())?;
-        let mut payload = data.to_vec();
-        match self.fault_action(lba) {
-            FaultAction::None => {}
-            FaultAction::TransientError => {
-                // The request bounces with a retryable error: no data
-                // lands, the device stays powered, and a retry of the
-                // same write may succeed.
-                return Err(Error::io(format!(
-                    "{}: transient write error at lba {lba}",
-                    self.info.name
-                )));
-            }
-            FaultAction::LatencySpike { extra_ns } => {
-                // The write itself proceeds behind the stall.
-                self.stall(extra_ns);
-            }
-            FaultAction::PowerCut { torn_bytes } => {
-                // The interrupted write lands torn directly in stable
-                // storage (it raced the capacitors), then power dies.
-                let torn = torn_bytes.min(data.len());
-                if self.info.persistent {
-                    self.apply_stable(lba, data, Some(torn));
-                }
-                self.power_fail();
-                return Err(Error::device_dead(format!(
-                    "{}: power cut during write",
-                    self.info.name
-                )));
-            }
-            FaultAction::CorruptBit { byte, bit } => flip_bit(&mut payload, byte, bit),
-        }
-        let done = self.service(Access::Waited, data.len() as u64, self.model.write_bw);
-        if self.info.persistence_domain {
-            // Persistence-domain devices are durable at completion.
-            self.apply_stable(lba, &payload, None);
-        } else {
-            self.cache.push(CachedWrite { lba, data: payload });
-        }
-        self.stats.writes += 1;
-        self.stats.bytes_written += data.len() as u64;
-        Ok(done)
-    }
-
     fn write_blocks(&mut self, lba: u64, blocks: &[&[u8]]) -> Result<SimTime> {
         self.check_powered()?;
         if blocks.is_empty() {
@@ -671,9 +560,9 @@ impl BlockDev for ModelDev {
             total += b.len();
         }
         self.check_range(lba, total)?;
-        // The fault plan is consulted once per block — the same write
-        // ordinals the serial path would burn — so a schedule that cuts
-        // power on write N lands mid-extent here.
+        // The fault plan is consulted once per block — one write ordinal
+        // each — so a schedule that cuts power on write N lands
+        // mid-extent here.
         let mut payload: Vec<(u64, Vec<u8>)> = Vec::with_capacity(blocks.len());
         for (i, b) in blocks.iter().enumerate() {
             let blba = lba + i as u64;
@@ -693,10 +582,10 @@ impl BlockDev for ModelDev {
                     payload.push((blba, b.to_vec()));
                 }
                 FaultAction::PowerCut { torn_bytes } => {
-                    // Blocks ahead of the interrupted one behave as on the
-                    // serial path: durable inside the persistence domain,
-                    // lost with the volatile cache otherwise. The
-                    // interrupted block itself lands torn.
+                    // Blocks ahead of the interrupted one are durable
+                    // inside the persistence domain and lost with the
+                    // volatile cache otherwise. The interrupted block
+                    // itself lands torn (it raced the capacitors).
                     if self.info.persistent {
                         if self.info.persistence_domain {
                             for (plba, pdata) in &payload {
@@ -734,12 +623,6 @@ impl BlockDev for ModelDev {
         self.stats.writes += 1;
         self.stats.bytes_written += total as u64;
         Ok(done)
-    }
-
-    fn write(&mut self, lba: u64, data: &[u8]) -> Result<()> {
-        let done = self.submit_write(lba, data)?;
-        self.clock.advance_to(done);
-        Ok(())
     }
 
     fn flush(&mut self) -> Result<SimTime> {
@@ -817,9 +700,36 @@ impl core::fmt::Debug for ModelDev {
     }
 }
 
+/// Test shorthand over the extent calls: a waited write of whole blocks
+/// as one extent, and a waited extent read into one contiguous buffer.
+#[cfg(test)]
+pub(crate) mod test_io {
+    use super::*;
+
+    /// Writes `data` at `lba` as one extent of its `BLOCK_SIZE` chunks and
+    /// waits for its completion.
+    pub(crate) fn write<D: BlockDev + ?Sized>(d: &mut D, lba: u64, data: &[u8]) -> Result<()> {
+        let blocks: Vec<&[u8]> = data.chunks(BLOCK_SIZE).collect();
+        let done = d.write_blocks(lba, &blocks)?;
+        d.clock().advance_to(done);
+        Ok(())
+    }
+
+    /// Reads `buf.len()` bytes at `lba` as one waited extent.
+    pub(crate) fn read<D: BlockDev + ?Sized>(d: &mut D, lba: u64, buf: &mut [u8]) -> Result<()> {
+        let mut bufs: Vec<Vec<u8>> = buf.chunks(BLOCK_SIZE).map(|c| vec![0u8; c.len()]).collect();
+        d.read_blocks(lba, &mut bufs, Access::Waited)?;
+        for (dst, src) in buf.chunks_mut(BLOCK_SIZE).zip(&bufs) {
+            dst.copy_from_slice(src);
+        }
+        Ok(())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use test_io::{read, write};
 
     fn block(fill: u8) -> Vec<u8> {
         vec![fill; BLOCK_SIZE]
@@ -829,12 +739,12 @@ mod tests {
     fn write_read_roundtrip() {
         let clock = SimClock::new();
         let mut d = ModelDev::nvme(clock, "nvme0", 128);
-        d.write(3, &block(0xAA)).unwrap();
+        write(&mut d, 3, &block(0xAA)).unwrap();
         let mut buf = block(0);
-        d.read(3, &mut buf).unwrap();
+        read(&mut d, 3, &mut buf).unwrap();
         assert_eq!(buf, block(0xAA));
         // Unwritten blocks read zero.
-        d.read(4, &mut buf).unwrap();
+        read(&mut d, 4, &mut buf).unwrap();
         assert_eq!(buf, block(0));
     }
 
@@ -844,7 +754,7 @@ mod tests {
         let mut d = ModelDev::nvme(clock.clone(), "nvme0", 128);
         let before = clock.now();
         let mut buf = block(0);
-        d.read(0, &mut buf).unwrap();
+        read(&mut d, 0, &mut buf).unwrap();
         let elapsed = clock.now().since(before);
         // At least the 10us access latency.
         assert!(elapsed.as_micros() >= 10);
@@ -855,7 +765,7 @@ mod tests {
         let clock = SimClock::new();
         let mut d = ModelDev::nvme(clock.clone(), "nvme0", 128);
         let before = clock.now();
-        let done = d.submit_write(0, &block(1)).unwrap();
+        let done = d.write_blocks(0, &[&block(1)]).unwrap();
         assert_eq!(clock.now(), before);
         assert!(done > before);
     }
@@ -864,8 +774,8 @@ mod tests {
     fn queueing_serializes_requests() {
         let clock = SimClock::new();
         let mut d = ModelDev::nvme(clock, "nvme0", 128);
-        let first = d.submit_write(0, &block(1)).unwrap();
-        let second = d.submit_write(1, &block(2)).unwrap();
+        let first = d.write_blocks(0, &[&block(1)]).unwrap();
+        let second = d.write_blocks(1, &[&block(2)]).unwrap();
         assert!(second > first, "second request queues behind the first");
     }
 
@@ -873,16 +783,16 @@ mod tests {
     fn unflushed_writes_lost_on_power_failure() {
         let clock = SimClock::new();
         let mut d = ModelDev::nvme(clock, "nvme0", 128);
-        d.write(0, &block(0x11)).unwrap();
+        write(&mut d, 0, &block(0x11)).unwrap();
         let flush_done = d.flush().unwrap();
         d.clock().advance_to(flush_done);
-        d.write(1, &block(0x22)).unwrap(); // never flushed
+        write(&mut d, 1, &block(0x22)).unwrap(); // never flushed
         d.power_fail();
         d.power_on();
         let mut buf = block(0);
-        d.read(0, &mut buf).unwrap();
+        read(&mut d, 0, &mut buf).unwrap();
         assert_eq!(buf, block(0x11), "flushed block survives");
-        d.read(1, &mut buf).unwrap();
+        read(&mut d, 1, &mut buf).unwrap();
         assert_eq!(buf, block(0), "unflushed block lost");
     }
 
@@ -890,11 +800,11 @@ mod tests {
     fn nvdimm_durable_without_flush() {
         let clock = SimClock::new();
         let mut d = ModelDev::nvdimm(clock, "nvd0", 128);
-        d.write(0, &block(0x33)).unwrap();
+        write(&mut d, 0, &block(0x33)).unwrap();
         d.power_fail();
         d.power_on();
         let mut buf = block(0);
-        d.read(0, &mut buf).unwrap();
+        read(&mut d, 0, &mut buf).unwrap();
         assert_eq!(buf, block(0x33));
     }
 
@@ -902,54 +812,43 @@ mod tests {
     fn ramdisk_loses_everything() {
         let clock = SimClock::new();
         let mut d = ModelDev::ramdisk(clock, "md0", 128);
-        d.write(0, &block(0x44)).unwrap();
+        write(&mut d, 0, &block(0x44)).unwrap();
         let done = d.flush().unwrap();
         d.clock().advance_to(done);
         d.power_fail();
         d.power_on();
         let mut buf = block(9);
-        d.read(0, &mut buf).unwrap();
+        read(&mut d, 0, &mut buf).unwrap();
         assert_eq!(buf, block(0));
     }
 
     #[test]
     fn full_length_torn_cut_lands_the_newest_write_and_loses_the_earlier_cached_ones() {
         let mut d = ModelDev::nvme(SimClock::new(), "nvme0", 128);
-        d.write(1, &block(0x11)).unwrap();
+        write(&mut d, 1, &block(0x11)).unwrap();
         d.flush().unwrap();
         d.set_fault_plan(crate::fault::FaultPlan::torn_write(3, usize::MAX));
-        d.write(1, &block(0x22)).unwrap(); // cached over the flushed 0x11
+        write(&mut d, 1, &block(0x22)).unwrap(); // cached over the flushed 0x11
         // Writes 2 and 3: the cut lands on 0x55.
         d.write_blocks(4, &[&block(0x44), &block(0x55)]).unwrap_err();
         assert!(!d.powered(), "the third write cuts power");
         d.power_on();
         let mut buf = vec![0u8; BLOCK_SIZE];
-        d.read(5, &mut buf).unwrap();
+        read(&mut d, 5, &mut buf).unwrap();
         assert_eq!(buf, block(0x55), "the cut write landed whole");
-        d.read(4, &mut buf).unwrap();
+        read(&mut d, 4, &mut buf).unwrap();
         assert_eq!(buf, vec![0u8; BLOCK_SIZE], "its extent's earlier block was lost");
-        d.read(1, &mut buf).unwrap();
+        read(&mut d, 1, &mut buf).unwrap();
         assert_eq!(buf, block(0x11), "the earlier cached write was lost, the flushed one kept");
-
-        // The serial path lands a whole multi-block write.
-        d.set_fault_plan(crate::fault::FaultPlan::torn_write(2, usize::MAX));
-        d.write(8, &block(0x66)).unwrap();
-        let two = [block(0x77), block(0x78)].concat();
-        let err = d.submit_write(9, &two).unwrap_err();
-        assert!(err.to_string().contains("power cut"), "{err}");
-        d.power_on();
-        let mut got = vec![0u8; 3 * BLOCK_SIZE];
-        d.read(8, &mut got).unwrap();
-        assert_eq!(got, [vec![0u8; BLOCK_SIZE], two].concat());
     }
 
     #[test]
     fn reads_see_cached_writes() {
         let clock = SimClock::new();
         let mut d = ModelDev::nvme(clock, "nvme0", 128);
-        d.write(5, &block(0x55)).unwrap(); // still in cache, no flush
+        write(&mut d, 5, &block(0x55)).unwrap(); // still in cache, no flush
         let mut buf = block(0);
-        d.read(5, &mut buf).unwrap();
+        read(&mut d, 5, &mut buf).unwrap();
         assert_eq!(buf, block(0x55));
     }
 
@@ -957,10 +856,10 @@ mod tests {
     fn out_of_range_and_unaligned_rejected() {
         let clock = SimClock::new();
         let mut d = ModelDev::nvme(clock, "nvme0", 4);
-        assert!(d.write(4, &block(0)).is_err());
-        assert!(d.write(0, &[0u8; 100]).is_err());
+        assert!(write(&mut d, 4, &block(0)).is_err());
+        assert!(write(&mut d, 0, &[0u8; 100]).is_err());
         let mut small = [0u8; 7];
-        assert!(d.read(0, &mut small).is_err());
+        assert!(read(&mut d, 0, &mut small).is_err());
     }
 
     #[test]
@@ -968,12 +867,12 @@ mod tests {
         let clock = SimClock::new();
         let mut d = ModelDev::nvme(clock, "nvme0", 4);
         d.power_fail();
-        assert!(d.write(0, &block(0)).is_err());
+        assert!(write(&mut d, 0, &block(0)).is_err());
         let mut buf = block(0);
-        assert!(d.read(0, &mut buf).is_err());
+        assert!(read(&mut d, 0, &mut buf).is_err());
         assert!(d.flush().is_err());
         d.power_on();
-        assert!(d.write(0, &block(0)).is_ok());
+        assert!(write(&mut d, 0, &block(0)).is_ok());
     }
 
     #[test]
@@ -988,7 +887,7 @@ mod tests {
         d.clock().advance_to(flushed);
         for (i, expect) in bufs.iter().enumerate() {
             let mut buf = block(0);
-            d.read(8 + i as u64, &mut buf).unwrap();
+            read(&mut d, 8 + i as u64, &mut buf).unwrap();
             assert_eq!(&buf, expect, "block {i}");
         }
         assert_eq!(d.stats().writes, 1, "one request for the whole extent");
@@ -1004,7 +903,7 @@ mod tests {
         let refs: Vec<&[u8]> = bufs.iter().map(|b| b.as_slice()).collect();
         let mut serial_done = SimTime::ZERO;
         for (i, b) in bufs.iter().enumerate() {
-            serial_done = serial_done.max(serial.submit_write(i as u64, b).unwrap());
+            serial_done = serial_done.max(serial.write_blocks(i as u64, &[b]).unwrap());
         }
         let vectored_done = vectored.write_blocks(0, &refs).unwrap();
         assert!(
@@ -1018,7 +917,7 @@ mod tests {
         let clock = SimClock::new();
         let mut d = ModelDev::nvme(clock, "nvme0", 128);
         // Durable old contents on the block the cut will tear.
-        d.write(2, &block(0xAA)).unwrap();
+        write(&mut d, 2, &block(0xAA)).unwrap();
         let done = d.flush().unwrap();
         d.clock().advance_to(done);
         // The first block of the extent is write ordinal 1 post-install.
@@ -1033,12 +932,12 @@ mod tests {
         // block had never been written); blocks 1 and 2 never landed —
         // block 2 keeps its old durable contents.
         let mut buf = block(0);
-        d.read(0, &mut buf).unwrap();
+        read(&mut d, 0, &mut buf).unwrap();
         assert!(buf[..100].iter().all(|&b| b == 0xB0), "torn prefix landed");
         assert!(buf[100..].iter().all(|&b| b == 0), "suffix untouched");
-        d.read(1, &mut buf).unwrap();
+        read(&mut d, 1, &mut buf).unwrap();
         assert_eq!(buf, block(0), "block behind the cut never landed");
-        d.read(2, &mut buf).unwrap();
+        read(&mut d, 2, &mut buf).unwrap();
         assert_eq!(buf, block(0xAA), "old durable data survives");
     }
 
@@ -1058,7 +957,7 @@ mod tests {
         let flushed = d.flush().unwrap();
         d.clock().advance_to(flushed);
         let mut buf = block(0);
-        d.read(1, &mut buf).unwrap();
+        read(&mut d, 1, &mut buf).unwrap();
         assert_eq!(buf, block(2));
     }
 
@@ -1072,9 +971,9 @@ mod tests {
         d.power_fail();
         d.power_on();
         let mut buf = block(0);
-        d.read(4, &mut buf).unwrap();
+        read(&mut d, 4, &mut buf).unwrap();
         assert_eq!(buf, block(0x61));
-        d.read(5, &mut buf).unwrap();
+        read(&mut d, 5, &mut buf).unwrap();
         assert_eq!(buf, block(0x62));
     }
 
@@ -1121,7 +1020,7 @@ mod tests {
         let before = serial_clock.now();
         let mut buf = block(0);
         for i in 0..8u64 {
-            serial.read(i, &mut buf).unwrap();
+            read(&mut serial, i, &mut buf).unwrap();
         }
         let serial_elapsed = serial_clock.now().since(before);
         let before = vectored.clock().now();
@@ -1186,7 +1085,7 @@ mod tests {
     fn read_blocks_transient_bounces_whole_extent_then_recovers() {
         let clock = SimClock::new();
         let mut d = ModelDev::nvme(clock, "nvme0", 128);
-        d.write(3, &block(0x77)).unwrap();
+        write(&mut d, 3, &block(0x77)).unwrap();
         let done = d.flush().unwrap();
         d.clock().advance_to(done);
         d.set_fault_plan(crate::fault::FaultPlan::transient_reads(1, 2));
@@ -1220,7 +1119,7 @@ mod tests {
     fn read_blocks_region_corruption_flips_returned_bit() {
         let clock = SimClock::new();
         let mut d = ModelDev::nvme(clock, "nvme0", 128);
-        d.write(5, &block(0)).unwrap();
+        write(&mut d, 5, &block(0)).unwrap();
         let done = d.flush().unwrap();
         d.clock().advance_to(done);
         d.set_fault_plan(crate::fault::FaultPlan::corrupt_read_blocks(5, 6, 10, 3));
@@ -1252,10 +1151,10 @@ mod tests {
     fn stats_accumulate() {
         let clock = SimClock::new();
         let mut d = ModelDev::nvme(clock, "nvme0", 16);
-        d.write(0, &block(1)).unwrap();
-        d.write(1, &block(2)).unwrap();
+        write(&mut d, 0, &block(1)).unwrap();
+        write(&mut d, 1, &block(2)).unwrap();
         let mut buf = block(0);
-        d.read(0, &mut buf).unwrap();
+        read(&mut d, 0, &mut buf).unwrap();
         d.flush().unwrap();
         assert_eq!(d.stats().writes, 2);
         assert_eq!(d.stats().reads, 1);

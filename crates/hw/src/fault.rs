@@ -4,9 +4,11 @@
 //! journal records, torn-tail tolerance) and the checkpoint pipeline's
 //! retry/degradation machinery only earn trust if they are exercised
 //! against real failures. A [`FaultPlan`] is installed on a device and
-//! decides, per write, whether power is cut (optionally tearing the
-//! interrupted write), a bit is silently corrupted, the write fails with
-//! a transient I/O error, or the device stalls.
+//! decides, per written block, whether power is cut (optionally tearing
+//! the interrupted block), a bit is silently corrupted, the write fails
+//! with a transient I/O error, or the device stalls. Ordinals count
+//! blocks: the `nth` write (or read) is the nth block written (or read)
+//! since installation, whatever extent request carried it.
 //!
 //! Plans are **stateless**: the decision for the `nth` write is a pure
 //! function of the plan, so replaying the same schedule against the same
@@ -17,7 +19,7 @@
 
 use aurora_sim::rng::mix64;
 
-/// What happens to a particular write request.
+/// What happens to one written block.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultAction {
     /// The write proceeds normally.
@@ -375,6 +377,7 @@ impl FaultPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dev::test_io::{read, write};
     use crate::dev::{BlockDev, ModelDev};
     use crate::BLOCK_SIZE;
     use aurora_sim::error::ErrorKind;
@@ -396,8 +399,8 @@ mod tests {
         let clock = SimClock::new();
         let mut d = ModelDev::nvme(clock, "nvme0", 64);
         d.set_fault_plan(FaultPlan::power_cut(2));
-        d.write(0, &vec![1u8; BLOCK_SIZE]).unwrap();
-        assert!(d.write(1, &vec![2u8; BLOCK_SIZE]).is_err());
+        write(&mut d, 0, &vec![1u8; BLOCK_SIZE]).unwrap();
+        assert!(write(&mut d, 1, &vec![2u8; BLOCK_SIZE]).is_err());
         assert!(!d.powered());
     }
 
@@ -406,14 +409,14 @@ mod tests {
         let clock = SimClock::new();
         let mut d = ModelDev::nvme(clock, "nvme0", 64);
         // First write flushed to make it durable, then a torn second write.
-        d.write(0, &vec![0xAAu8; BLOCK_SIZE]).unwrap();
+        write(&mut d, 0, &vec![0xAAu8; BLOCK_SIZE]).unwrap();
         let done = d.flush().unwrap();
         d.clock().advance_to(done);
         d.set_fault_plan(FaultPlan::torn_write(1, 100));
-        assert!(d.write(0, &vec![0xBBu8; BLOCK_SIZE]).is_err());
+        assert!(write(&mut d, 0, &vec![0xBBu8; BLOCK_SIZE]).is_err());
         d.power_on();
         let mut buf = vec![0u8; BLOCK_SIZE];
-        d.read(0, &mut buf).unwrap();
+        read(&mut d, 0, &mut buf).unwrap();
         assert!(buf[..100].iter().all(|&b| b == 0xBB), "prefix landed");
         assert!(buf[100..].iter().all(|&b| b == 0xAA), "suffix is old data");
     }
@@ -423,9 +426,9 @@ mod tests {
         let clock = SimClock::new();
         let mut d = ModelDev::nvme(clock, "nvme0", 64);
         d.set_fault_plan(FaultPlan::corrupt(1, 10, 3));
-        d.write(0, &vec![0u8; BLOCK_SIZE]).unwrap();
+        write(&mut d, 0, &vec![0u8; BLOCK_SIZE]).unwrap();
         let mut buf = vec![0u8; BLOCK_SIZE];
-        d.read(0, &mut buf).unwrap();
+        read(&mut d, 0, &mut buf).unwrap();
         let flipped: Vec<usize> = buf.iter().enumerate().filter(|(_, &b)| b != 0).map(|(i, _)| i).collect();
         assert_eq!(flipped, vec![10]);
         assert_eq!(buf[10], 1 << 3);
@@ -446,14 +449,14 @@ mod tests {
         let clock = SimClock::new();
         let mut d = ModelDev::nvme(clock, "nvme0", 64);
         d.set_fault_plan(FaultPlan::transient(1, 2));
-        let err = d.write(0, &vec![1u8; BLOCK_SIZE]).unwrap_err();
+        let err = write(&mut d, 0, &vec![1u8; BLOCK_SIZE]).unwrap_err();
         assert_eq!(err.kind(), ErrorKind::Io);
         assert!(d.powered(), "transient errors do not kill the device");
         // Second write still inside the window, third succeeds.
-        assert!(d.write(0, &vec![1u8; BLOCK_SIZE]).is_err());
-        d.write(0, &vec![1u8; BLOCK_SIZE]).unwrap();
+        assert!(write(&mut d, 0, &vec![1u8; BLOCK_SIZE]).is_err());
+        write(&mut d, 0, &vec![1u8; BLOCK_SIZE]).unwrap();
         let mut buf = vec![0u8; BLOCK_SIZE];
-        d.read(0, &mut buf).unwrap();
+        read(&mut d, 0, &mut buf).unwrap();
         assert_eq!(buf, vec![1u8; BLOCK_SIZE]);
     }
 
@@ -463,11 +466,11 @@ mod tests {
         let mut d = ModelDev::nvme(clock.clone(), "nvme0", 64);
         d.set_fault_plan(FaultPlan::latency_spike(1, 1, 5_000_000));
         let before = clock.now();
-        d.write(0, &vec![1u8; BLOCK_SIZE]).unwrap();
+        write(&mut d, 0, &vec![1u8; BLOCK_SIZE]).unwrap();
         let spiked = clock.now().since(before);
         assert!(spiked.as_nanos() >= 5_000_000, "spike charged: {spiked:?}");
         let mut buf = vec![0u8; BLOCK_SIZE];
-        d.read(0, &mut buf).unwrap();
+        read(&mut d, 0, &mut buf).unwrap();
         assert_eq!(buf, vec![1u8; BLOCK_SIZE], "data landed despite stall");
     }
 

@@ -76,21 +76,6 @@ impl FileDev {
     fn service(&mut self, access: Access, bytes: u64, bw: u64) -> SimTime {
         CostModel::NVME.serve(&mut self.busy_until, self.clock.now(), access, bytes, bw)
     }
-
-    /// Reads `buf.len()` bytes at block `lba` with one seek and one read,
-    /// charged as one request of kind `access`.
-    fn read_at(&mut self, lba: u64, buf: &mut [u8], access: Access) -> Result<()> {
-        self.check_range(lba, buf.len())?;
-        let done = self.service(access, buf.len() as u64, CostModel::NVME.read_bw);
-        self.clock.advance_to(done);
-        self.file
-            .seek(SeekFrom::Start(lba * BLOCK_SIZE as u64))
-            .and_then(|_| self.file.read_exact(buf))
-            .map_err(|e| Error::io(format!("read lba {lba}: {e}")))?;
-        self.stats.reads += 1;
-        self.stats.bytes_read += buf.len() as u64;
-        Ok(())
-    }
 }
 
 impl BlockDev for FileDev {
@@ -100,10 +85,6 @@ impl BlockDev for FileDev {
 
     fn stats(&self) -> &DevStats {
         &self.stats
-    }
-
-    fn read(&mut self, lba: u64, buf: &mut [u8]) -> Result<()> {
-        self.read_at(lba, buf, Access::Waited)
     }
 
     fn read_blocks(&mut self, lba: u64, bufs: &mut [Vec<u8>], access: Access) -> Result<()> {
@@ -119,23 +100,19 @@ impl BlockDev for FileDev {
         // One seek and one read of the span, charged as one request; the
         // buffers are filled only once the whole span is in.
         let mut span = vec![0u8; bufs.len() * BLOCK_SIZE];
-        self.read_at(lba, &mut span, access)?;
+        self.check_range(lba, span.len())?;
+        let done = self.service(access, span.len() as u64, CostModel::NVME.read_bw);
+        self.clock.advance_to(done);
+        self.file
+            .seek(SeekFrom::Start(lba * BLOCK_SIZE as u64))
+            .and_then(|_| self.file.read_exact(&mut span))
+            .map_err(|e| Error::io(format!("read lba {lba}: {e}")))?;
         for (buf, chunk) in bufs.iter_mut().zip(span.chunks(BLOCK_SIZE)) {
             buf.copy_from_slice(chunk);
         }
+        self.stats.reads += 1;
+        self.stats.bytes_read += span.len() as u64;
         Ok(())
-    }
-
-    fn submit_write(&mut self, lba: u64, data: &[u8]) -> Result<SimTime> {
-        self.check_range(lba, data.len())?;
-        let done = self.service(Access::Waited, data.len() as u64, CostModel::NVME.write_bw);
-        self.file
-            .seek(SeekFrom::Start(lba * BLOCK_SIZE as u64))
-            .and_then(|_| self.file.write_all(data))
-            .map_err(|e| Error::io(format!("write lba {lba}: {e}")))?;
-        self.stats.writes += 1;
-        self.stats.bytes_written += data.len() as u64;
-        Ok(done)
     }
 
     fn write_blocks(&mut self, lba: u64, blocks: &[&[u8]]) -> Result<SimTime> {
@@ -158,12 +135,6 @@ impl BlockDev for FileDev {
         self.stats.writes += 1;
         self.stats.bytes_written += total as u64;
         Ok(done)
-    }
-
-    fn write(&mut self, lba: u64, data: &[u8]) -> Result<()> {
-        let done = self.submit_write(lba, data)?;
-        self.clock.advance_to(done);
-        Ok(())
     }
 
     fn flush(&mut self) -> Result<SimTime> {
@@ -207,6 +178,7 @@ impl BlockDev for FileDev {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dev::test_io::{read, write};
 
     #[test]
     fn persists_across_reopen() {
@@ -217,14 +189,14 @@ mod tests {
         {
             let clock = SimClock::new();
             let mut d = FileDev::open(clock, &path, 16).unwrap();
-            d.write(7, &data).unwrap();
+            write(&mut d, 7, &data).unwrap();
             d.flush().unwrap();
         }
         {
             let clock = SimClock::new();
             let mut d = FileDev::open(clock, &path, 16).unwrap();
             let mut buf = vec![0u8; BLOCK_SIZE];
-            d.read(7, &mut buf).unwrap();
+            read(&mut d, 7, &mut buf).unwrap();
             assert_eq!(buf, data);
         }
         std::fs::remove_dir_all(&dir).unwrap();
@@ -243,7 +215,7 @@ mod tests {
         d.flush().unwrap();
         for (i, expect) in bufs.iter().enumerate() {
             let mut buf = vec![0u8; BLOCK_SIZE];
-            d.read(5 + i as u64, &mut buf).unwrap();
+            read(&mut d, 5 + i as u64, &mut buf).unwrap();
             assert_eq!(&buf, expect, "block {i}");
         }
         assert!(d.write_blocks(15, &refs).is_err(), "extent past device end");
@@ -279,8 +251,8 @@ mod tests {
         let path = dir.join("disk.img");
         let clock = SimClock::new();
         let mut d = FileDev::open(clock, &path, 4).unwrap();
-        assert!(d.write(4, &vec![0u8; BLOCK_SIZE]).is_err());
-        assert!(d.write(0, &[1, 2, 3]).is_err());
+        assert!(write(&mut d, 4, &vec![0u8; BLOCK_SIZE]).is_err());
+        assert!(write(&mut d, 0, &[1, 2, 3]).is_err());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -22,11 +22,12 @@
 //!   a twin, and background resilver of a revived replica; the
 //!   self-healing layer under the object store.
 //!
-//! All devices implement [`dev::BlockDev`]. Reads are synchronous (they
-//! advance the virtual clock); writes may be *submitted* asynchronously,
-//! returning the virtual completion instant so the SLS can flush
-//! checkpoints in the background — the separation the paper relies on to
-//! keep application stop times under a millisecond.
+//! All devices implement [`dev::BlockDev`], which takes extents only:
+//! one read request (`read_blocks`, synchronous — it advances the
+//! virtual clock) and one write request (`write_blocks`, submitted
+//! asynchronously, returning the virtual completion instant so the SLS
+//! can flush checkpoints in the background — the separation the paper
+//! relies on to keep application stop times under a millisecond).
 
 pub mod dev;
 pub mod fault;

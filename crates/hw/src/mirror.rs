@@ -433,7 +433,7 @@ impl MirrorDev {
                 continue;
             }
             let mut buf = vec![0u8; BLOCK_SIZE];
-            match r.read(lba, &mut buf) {
+            match r.read_blocks(lba, std::slice::from_mut(&mut buf), Access::Waited) {
                 Ok(()) if verify(&buf) => {
                     if golden.is_none() {
                         golden = Some(GoldenCopy { lba, bytes: buf });
@@ -455,8 +455,11 @@ impl MirrorDev {
             let Some(r) = self.replicas.get_mut(i) else {
                 continue;
             };
-            match r.write(lba, &bytes) {
-                Ok(()) => self.mstats.read_repairs += 1,
+            match r.write_blocks(lba, &[&bytes]) {
+                Ok(done) => {
+                    self.clock.advance_to(done);
+                    self.mstats.read_repairs += 1;
+                }
                 Err(_) => detach.push(i),
             }
         }
@@ -523,13 +526,6 @@ impl BlockDev for MirrorDev {
         &self.stats
     }
 
-    fn read(&mut self, lba: u64, buf: &mut [u8]) -> Result<()> {
-        self.read_with_failover(|r| r.read(lba, buf))?;
-        self.stats.reads += 1;
-        self.stats.bytes_read += buf.len() as u64;
-        Ok(())
-    }
-
     fn read_blocks(&mut self, lba: u64, bufs: &mut [Vec<u8>], access: Access) -> Result<()> {
         // The per-replica ResilientDev guarantees all-or-error extent
         // reads (failed attempts leave the buffers zeroed), so failing
@@ -537,19 +533,6 @@ impl BlockDev for MirrorDev {
         self.read_with_failover(|r| r.read_blocks(lba, bufs, access))?;
         self.stats.reads += 1;
         self.stats.bytes_read += bufs.iter().map(|b| b.len() as u64).sum::<u64>();
-        Ok(())
-    }
-
-    fn submit_write(&mut self, lba: u64, data: &[u8]) -> Result<SimTime> {
-        let done = self.fan_out(|r| r.submit_write(lba, data))?;
-        self.stats.writes += 1;
-        self.stats.bytes_written += data.len() as u64;
-        Ok(done)
-    }
-
-    fn write(&mut self, lba: u64, data: &[u8]) -> Result<()> {
-        let done = self.submit_write(lba, data)?;
-        self.clock.advance_to(done);
         Ok(())
     }
 
@@ -664,6 +647,7 @@ impl BlockDev for MirrorDev {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dev::test_io::{read, write};
     use crate::dev::ModelDev;
     use crate::fault::FaultPlan;
 
@@ -691,11 +675,11 @@ mod tests {
     fn writes_land_on_every_replica_and_roundtrip() {
         let mut m = mirror(3, 128);
         let data = block(0xA5);
-        m.write(7, &data).unwrap();
+        write(&mut m, 7, &data).unwrap();
         let done = m.flush().unwrap();
         m.clock().advance_to(done);
         let mut buf = block(0);
-        m.read(7, &mut buf).unwrap();
+        read(&mut m, 7, &mut buf).unwrap();
         assert_eq!(buf, data);
         assert_eq!(m.active_width(), 3);
         assert_eq!(m.health(), DevHealth::Healthy);
@@ -706,9 +690,9 @@ mod tests {
         let mut m = mirror(2, 128);
         // Replica 0 dies at its 2nd write; replica 1 keeps going.
         m.install_replica_fault_plan(0, FaultPlan::power_cut(2)).unwrap();
-        m.write(1, &block(0x11)).unwrap();
-        m.write(2, &block(0x22)).unwrap();
-        m.write(3, &block(0x33)).unwrap();
+        write(&mut m, 1, &block(0x11)).unwrap();
+        write(&mut m, 2, &block(0x22)).unwrap();
+        write(&mut m, 3, &block(0x33)).unwrap();
         assert_eq!(m.replica_state(0), Some(ReplicaState::Detached));
         assert_eq!(m.active_width(), 1);
         assert_eq!(m.health(), DevHealth::Degraded);
@@ -718,7 +702,7 @@ mod tests {
         m.clock().advance_to(done);
         for (lba, fill) in [(1, 0x11u8), (2, 0x22), (3, 0x33)] {
             let mut buf = block(0);
-            m.read(lba, &mut buf).unwrap();
+            read(&mut m, lba, &mut buf).unwrap();
             assert_eq!(buf, block(fill), "lba {lba}");
         }
     }
@@ -726,29 +710,29 @@ mod tests {
     #[test]
     fn read_fails_over_to_twin_and_detaches_the_failed_replica() {
         let mut m = mirror(2, 128);
-        m.write(5, &block(0x5A)).unwrap();
+        write(&mut m, 5, &block(0x5A)).unwrap();
         let done = m.flush().unwrap();
         m.clock().advance_to(done);
         // Preferred replica (0) loses power on its next read.
         m.install_replica_fault_plan(0, FaultPlan::power_cut_on_read(1)).unwrap();
         let mut buf = block(0);
-        m.read(5, &mut buf).unwrap();
+        read(&mut m, 5, &mut buf).unwrap();
         assert_eq!(buf, block(0x5A));
         assert_eq!(m.mirror_stats().failovers, 1);
         assert_eq!(m.replica_state(0), Some(ReplicaState::Detached));
         // Subsequent reads go straight to the survivor.
         let mut buf = block(0);
-        m.read(5, &mut buf).unwrap();
+        read(&mut m, 5, &mut buf).unwrap();
         assert_eq!(buf, block(0x5A));
     }
 
     #[test]
     fn whole_machine_power_cut_keeps_replica_states() {
         let mut m = mirror(2, 128);
-        m.write(1, &block(0xBB)).unwrap();
+        write(&mut m, 1, &block(0xBB)).unwrap();
         // Same plan on every replica: the machine dies at the next write.
         m.install_fault_plan(FaultPlan::power_cut(1));
-        assert!(m.write(2, &block(0xCC)).is_err());
+        assert!(write(&mut m, 2, &block(0xCC)).is_err());
         assert_eq!(m.health(), DevHealth::Dead);
         assert!(!m.powered());
         // No replica was singled out: both stay Active for recovery.
@@ -762,7 +746,7 @@ mod tests {
     fn repair_block_rewrites_a_corrupt_replica_from_its_twin() {
         let mut m = mirror(2, 128);
         let good = block(0x77);
-        m.write(9, &good).unwrap();
+        write(&mut m, 9, &good).unwrap();
         let done = m.flush().unwrap();
         m.clock().advance_to(done);
         // Replica 0 serves corrupted reads of every block.
@@ -778,7 +762,7 @@ mod tests {
         // The rewrite went through; disarm the read corruption and check.
         m.install_replica_fault_plan(0, FaultPlan::default()).unwrap();
         let mut buf = block(0);
-        m.read(9, &mut buf).unwrap();
+        read(&mut m, 9, &mut buf).unwrap();
         assert_eq!(buf, good);
         // Both replicas still active: corruption was healed, not fatal.
         assert_eq!(m.active_width(), 2);
@@ -788,18 +772,18 @@ mod tests {
     fn resilver_rebuilds_a_revived_replica() {
         let mut m = mirror(2, 256);
         for lba in 0..8u64 {
-            m.write(lba, &block(lba as u8 + 1)).unwrap();
+            write(&mut m, lba, &block(lba as u8 + 1)).unwrap();
         }
         let done = m.flush().unwrap();
         m.clock().advance_to(done);
         m.kill_replica(0).unwrap();
         // Writes while degraded only land on replica 1.
-        m.write(8, &block(0x99)).unwrap();
+        write(&mut m, 8, &block(0x99)).unwrap();
         m.revive_replica(0).unwrap();
         assert_eq!(m.replica_state(0), Some(ReplicaState::Rebuilding));
         assert!(m.needs_resilver());
         // A rebuilding replica receives new writes...
-        m.write(9, &block(0xAA)).unwrap();
+        write(&mut m, 9, &block(0xAA)).unwrap();
         // ...but serves no reads until promoted.
         assert_eq!(m.active_width(), 1);
         let copied = m.resilver_extent(0, 10).unwrap();
@@ -812,7 +796,7 @@ mod tests {
         m.kill_replica(1).unwrap();
         for (lba, fill) in (0..8u64).map(|l| (l, l as u8 + 1)).chain([(8, 0x99), (9, 0xAA)]) {
             let mut buf = block(0);
-            m.read(lba, &mut buf).unwrap();
+            read(&mut m, lba, &mut buf).unwrap();
             assert_eq!(buf, block(fill), "lba {lba} after resilver");
         }
     }
@@ -820,7 +804,7 @@ mod tests {
     #[test]
     fn rebuilding_replica_survives_power_cycle_without_promotion() {
         let mut m = mirror(2, 128);
-        m.write(0, &block(0x42)).unwrap();
+        write(&mut m, 0, &block(0x42)).unwrap();
         m.kill_replica(0).unwrap();
         m.revive_replica(0).unwrap();
         assert_eq!(m.replica_state(0), Some(ReplicaState::Rebuilding));

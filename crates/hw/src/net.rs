@@ -295,21 +295,15 @@ impl<D: BlockDev> BlockDev for RemoteDev<D> {
         self.inner.stats()
     }
 
-    fn read(&mut self, lba: u64, buf: &mut [u8]) -> Result<()> {
-        // Request goes out (small), response carries the payload back.
+    fn read_blocks(&mut self, lba: u64, bufs: &mut [Vec<u8>], access: Access) -> Result<()> {
+        // One small request out, one response carrying the whole extent
+        // back: like `write_blocks`, the extent is one message each way.
         let req_arrive = self.link.transfer(64);
         self.link.clock.advance_to(req_arrive);
-        self.inner.read(lba, buf)?;
-        self.link.transfer_sync(buf.len() as u64);
+        self.inner.read_blocks(lba, bufs, access)?;
+        self.link
+            .transfer_sync(bufs.iter().map(|b| b.len() as u64).sum());
         Ok(())
-    }
-
-    fn submit_write(&mut self, lba: u64, data: &[u8]) -> Result<SimTime> {
-        // The payload must cross the wire before the device sees it, but
-        // the submitter does not wait for either.
-        let arrive = self.link.transfer(data.len() as u64);
-        let dev_done = self.inner.submit_write(lba, data)?;
-        Ok(dev_done.max(arrive))
     }
 
     fn write_blocks(&mut self, lba: u64, blocks: &[&[u8]]) -> Result<SimTime> {
@@ -319,12 +313,6 @@ impl<D: BlockDev> BlockDev for RemoteDev<D> {
         let arrive = self.link.transfer(total);
         let dev_done = self.inner.write_blocks(lba, blocks)?;
         Ok(dev_done.max(arrive))
-    }
-
-    fn write(&mut self, lba: u64, data: &[u8]) -> Result<()> {
-        let done = self.submit_write(lba, data)?;
-        self.link.clock.advance_to(done);
-        Ok(())
     }
 
     fn flush(&mut self) -> Result<SimTime> {
@@ -368,6 +356,7 @@ impl<D: BlockDev> BlockDev for RemoteDev<D> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dev::test_io::{read, write};
     use crate::dev::ModelDev;
     use crate::BLOCK_SIZE;
 
@@ -393,11 +382,11 @@ mod tests {
         let data = vec![7u8; BLOCK_SIZE];
 
         let t0 = clock.now();
-        local.write(0, &data).unwrap();
+        write(&mut local, 0, &data).unwrap();
         let local_cost = clock.now().since(t0);
 
         let t1 = clock.now();
-        remote.write(0, &data).unwrap();
+        write(&mut remote, 0, &data).unwrap();
         let remote_cost = clock.now().since(t1);
 
         assert!(
@@ -414,9 +403,9 @@ mod tests {
             ModelDev::nvme(clock, "nvme-remote", 64),
         );
         let data = vec![0x5Au8; BLOCK_SIZE];
-        remote.write(3, &data).unwrap();
+        write(&mut remote, 3, &data).unwrap();
         let mut buf = vec![0u8; BLOCK_SIZE];
-        remote.read(3, &mut buf).unwrap();
+        read(&mut remote, 3, &mut buf).unwrap();
         assert_eq!(buf, data);
     }
 
@@ -459,11 +448,11 @@ mod tests {
             ModelDev::nvme(clock, "nvme-remote", 64),
         );
         let data = vec![9u8; BLOCK_SIZE];
-        remote.write(0, &data).unwrap();
+        write(&mut remote, 0, &data).unwrap();
         // A write ships exactly the payload.
         assert_eq!(remote.link().bytes_moved, BLOCK_SIZE as u64);
         let mut buf = vec![0u8; BLOCK_SIZE];
-        remote.read(0, &mut buf).unwrap();
+        read(&mut remote, 0, &mut buf).unwrap();
         // A read adds a 64-byte request plus the payload response.
         assert_eq!(remote.link().bytes_moved, 2 * BLOCK_SIZE as u64 + 64);
         remote.flush().unwrap();
@@ -571,7 +560,7 @@ mod tests {
             LinkModel::ten_gbe(clock.clone()),
             ModelDev::nvme(clock.clone(), "nvme-remote", 64),
         );
-        remote.write(0, &vec![1u8; BLOCK_SIZE]).unwrap();
+        write(&mut remote, 0, &vec![1u8; BLOCK_SIZE]).unwrap();
         let durable = remote.flush().unwrap();
         // Ack must arrive at least one link latency after "now".
         assert!(durable.since(clock.now()).as_nanos() >= costdev::NET_LAT_NS);

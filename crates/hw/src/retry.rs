@@ -273,25 +273,19 @@ impl BlockDev for ResilientDev {
         self.inner.stats()
     }
 
-    fn read(&mut self, lba: u64, buf: &mut [u8]) -> Result<()> {
-        // Reads are idempotent, so transient bounces retry like writes.
-        // Corruption is *not* retried here: the model flips bits in the
-        // returned data of a successful read, so detection belongs to the
-        // content-hash verification above the device layer.
-        self.with_retries(true, |d| d.read(lba, buf))
-    }
-
     fn read_blocks(&mut self, lba: u64, bufs: &mut [Vec<u8>], access: Access) -> Result<()> {
-        // One retry scope per extent: the model device bounces a
-        // transient extent atomically (nothing is filled), so
-        // resubmitting the whole extent is idempotent.
+        // One retry scope per extent: reads are idempotent and the model
+        // device bounces a transient extent atomically (nothing is
+        // filled), so resubmitting the whole extent is safe. Corruption
+        // is *not* retried here: the model flips bits in the returned
+        // data of a successful read, so detection belongs to the
+        // content-hash verification above the device layer.
         //
-        // All-or-error contract (see `BlockDev::read_blocks`): a device
-        // behind this layer may not uphold it (the default trait loop
-        // fills buffers one block at a time before a mid-extent fault
-        // surfaces). Zero every buffer on failure so no caller can
-        // mistake a partially-filled extent for data — and so a mirror
-        // failing over to a twin starts from clean buffers.
+        // All-or-error contract (see `BlockDev::read_blocks`): zero
+        // every buffer on failure, whatever the device behind this layer
+        // left in them, so no caller can mistake a partially-filled
+        // extent for data — and so a mirror failing over to a twin
+        // starts from clean buffers.
         let r = self.with_retries(true, |d| d.read_blocks(lba, bufs, access));
         if r.is_err() {
             for b in bufs.iter_mut() {
@@ -299,16 +293,6 @@ impl BlockDev for ResilientDev {
             }
         }
         r
-    }
-
-    fn submit_write(&mut self, lba: u64, data: &[u8]) -> Result<SimTime> {
-        self.with_retries(false, |d| d.submit_write(lba, data))
-    }
-
-    fn write(&mut self, lba: u64, data: &[u8]) -> Result<()> {
-        let done = self.submit_write(lba, data)?;
-        self.inner.clock().advance_to(done);
-        Ok(())
     }
 
     fn write_blocks(&mut self, lba: u64, blocks: &[&[u8]]) -> Result<SimTime> {
@@ -403,6 +387,7 @@ impl core::fmt::Debug for ResilientDev {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dev::test_io::{read, write};
     use crate::dev::ModelDev;
     use crate::fault::FaultRates;
     use crate::BLOCK_SIZE;
@@ -449,13 +434,13 @@ mod tests {
         let mut d = resilient(64);
         d.install_fault_plan(FaultPlan::transient(1, 2));
         // Two bounces, then success — the caller never sees an error.
-        d.write(0, &vec![0x5Au8; BLOCK_SIZE]).unwrap();
+        write(&mut d, 0, &vec![0x5Au8; BLOCK_SIZE]).unwrap();
         assert_eq!(d.retry_stats().writes_retried, 2);
         assert_eq!(d.retry_stats().transient_absorbed, 2);
         assert_eq!(d.retry_stats().failures_surfaced, 0);
         assert_eq!(d.health(), DevHealth::Healthy);
         let mut buf = vec![0u8; BLOCK_SIZE];
-        d.read(0, &mut buf).unwrap();
+        read(&mut d, 0, &mut buf).unwrap();
         assert_eq!(buf, vec![0x5Au8; BLOCK_SIZE]);
     }
 
@@ -465,7 +450,7 @@ mod tests {
         let clock = d.clock().clone();
         d.install_fault_plan(FaultPlan::transient(1, 1));
         let before = clock.now();
-        d.write(0, &vec![1u8; BLOCK_SIZE]).unwrap();
+        write(&mut d, 0, &vec![1u8; BLOCK_SIZE]).unwrap();
         let elapsed = clock.now().since(before);
         // At least the base backoff's jitter floor.
         assert!(elapsed.as_nanos() >= 25_000, "backoff charged: {elapsed:?}");
@@ -476,7 +461,7 @@ mod tests {
         let mut d = resilient(64);
         // Longer than max_attempts; the error escapes.
         d.install_fault_plan(FaultPlan::transient(1, 100));
-        let err = d.write(0, &vec![1u8; BLOCK_SIZE]).unwrap_err();
+        let err = write(&mut d, 0, &vec![1u8; BLOCK_SIZE]).unwrap_err();
         assert_eq!(err.kind(), ErrorKind::Io);
         assert_eq!(d.retry_stats().writes_retried, 3);
         assert_eq!(d.retry_stats().failures_surfaced, 1);
@@ -487,12 +472,12 @@ mod tests {
         let mut d = resilient(64);
         d.install_fault_plan(FaultPlan::transient(1, 1000));
         for _ in 0..DEGRADE_THRESHOLD {
-            assert!(d.write(0, &vec![1u8; BLOCK_SIZE]).is_err());
+            assert!(write(&mut d, 0, &vec![1u8; BLOCK_SIZE]).is_err());
         }
         assert_eq!(d.health(), DevHealth::Degraded);
         // Clear the plan: the next success restores health.
         d.install_fault_plan(FaultPlan::default());
-        d.write(0, &vec![1u8; BLOCK_SIZE]).unwrap();
+        write(&mut d, 0, &vec![1u8; BLOCK_SIZE]).unwrap();
         assert_eq!(d.health(), DevHealth::Healthy);
         assert_eq!(d.retry_stats().consecutive_failures, 0);
     }
@@ -512,7 +497,7 @@ mod tests {
         d.clock().advance_to(flushed);
         for (i, expect) in bufs.iter().enumerate() {
             let mut buf = vec![0u8; BLOCK_SIZE];
-            d.read(i as u64, &mut buf).unwrap();
+            read(&mut d, i as u64, &mut buf).unwrap();
             assert_eq!(&buf, expect, "block {i} after extent retry");
         }
     }
@@ -533,7 +518,7 @@ mod tests {
     fn power_cut_is_permanent_and_marks_dead() {
         let mut d = resilient(64);
         d.install_fault_plan(FaultPlan::power_cut(1));
-        let err = d.write(0, &vec![1u8; BLOCK_SIZE]).unwrap_err();
+        let err = write(&mut d, 0, &vec![1u8; BLOCK_SIZE]).unwrap_err();
         assert_eq!(err.kind(), ErrorKind::DeviceDead);
         // No retries burned on a permanent fault.
         assert_eq!(d.retry_stats().writes_retried, 0);
@@ -545,12 +530,12 @@ mod tests {
     #[test]
     fn transient_read_faults_absorbed_by_retry() {
         let mut d = resilient(64);
-        d.write(0, &vec![0x5Au8; BLOCK_SIZE]).unwrap();
+        write(&mut d, 0, &vec![0x5Au8; BLOCK_SIZE]).unwrap();
         let done = d.flush().unwrap();
         d.clock().advance_to(done);
         d.install_fault_plan(FaultPlan::transient_reads(1, 2));
         let mut buf = vec![0u8; BLOCK_SIZE];
-        d.read(0, &mut buf).unwrap();
+        read(&mut d, 0, &mut buf).unwrap();
         assert_eq!(buf, vec![0x5Au8; BLOCK_SIZE]);
         assert_eq!(d.retry_stats().reads_retried, 2);
         assert_eq!(d.retry_stats().writes_retried, 0);
@@ -581,7 +566,7 @@ mod tests {
         let mut d = resilient(64);
         d.install_fault_plan(FaultPlan::power_cut_on_read(1));
         let mut buf = vec![0u8; BLOCK_SIZE];
-        let err = d.read(0, &mut buf).unwrap_err();
+        let err = read(&mut d, 0, &mut buf).unwrap_err();
         assert_eq!(err.kind(), ErrorKind::DeviceDead);
         assert_eq!(d.retry_stats().reads_retried, 0);
         assert_eq!(d.health(), DevHealth::Dead);
@@ -592,7 +577,7 @@ mod tests {
         let mut d = resilient(64);
         d.install_fault_plan(FaultPlan::transient_reads(1, 100));
         let mut buf = vec![0u8; BLOCK_SIZE];
-        let err = d.read(0, &mut buf).unwrap_err();
+        let err = read(&mut d, 0, &mut buf).unwrap_err();
         assert_eq!(err.kind(), ErrorKind::Io);
         assert_eq!(d.retry_stats().reads_retried, 3);
         assert_eq!(d.retry_stats().failures_surfaced, 1);
@@ -609,7 +594,7 @@ mod tests {
         d.install_fault_plan(FaultPlan::random(11, rates));
         let mut ok = 0u32;
         for i in 0..500u64 {
-            if d.write(i % 4096, &vec![i as u8; BLOCK_SIZE]).is_ok() {
+            if write(&mut d, i % 4096, &vec![i as u8; BLOCK_SIZE]).is_ok() {
                 ok += 1;
             }
         }

@@ -16,7 +16,6 @@ use aurora_sim::time::SimTime;
 use aurora_sim::SimClock;
 
 use crate::dev::{Access, BlockDev, DevInfo, DevStats};
-use crate::BLOCK_SIZE;
 
 /// A stripe set over homogeneous members.
 pub struct StripedDev<D: BlockDev> {
@@ -68,6 +67,25 @@ impl<D: BlockDev> StripedDev<D> {
         ((lba % n) as usize, lba / n)
     }
 
+    /// Splits the extent of `blocks` at `lba` into one run per member,
+    /// each with its starting member lba (`None` for a member the extent
+    /// misses). Round-robin placement means the blocks of a contiguous
+    /// extent land on each member as one contiguous inner run, so the
+    /// split preserves coalescing: each member gets a single vectored
+    /// request.
+    fn runs<B>(&self, lba: u64, blocks: impl Iterator<Item = B>) -> Vec<(Option<u64>, Vec<B>)> {
+        let mut runs: Vec<(Option<u64>, Vec<B>)> =
+            self.members.iter().map(|_| (None, Vec::new())).collect();
+        for (i, b) in blocks.enumerate() {
+            let (member, mlba) = self.locate(lba + i as u64);
+            if let Some(run) = runs.get_mut(member) {
+                run.0.get_or_insert(mlba);
+                run.1.push(b);
+            }
+        }
+        runs
+    }
+
     fn member(&mut self, idx: usize) -> Result<&mut D> {
         self.members
             .get_mut(idx)
@@ -84,50 +102,35 @@ impl<D: BlockDev> BlockDev for StripedDev<D> {
         &self.stats
     }
 
-    fn read(&mut self, lba: u64, buf: &mut [u8]) -> Result<()> {
-        if !buf.len().is_multiple_of(BLOCK_SIZE) {
-            return Err(Error::invalid("unaligned stripe read"));
+    fn read_blocks(&mut self, lba: u64, bufs: &mut [Vec<u8>], access: Access) -> Result<()> {
+        if bufs.is_empty() {
+            return Ok(());
         }
-        for (i, chunk) in buf.chunks_mut(BLOCK_SIZE).enumerate() {
-            let (member, mlba) = self.locate(lba + i as u64);
-            self.member(member)?.read(mlba, chunk)?;
+        // The same split as `write_blocks`: each member reads its share
+        // as one run, and `bufs` is filled only once every run is in.
+        let mut runs = self.runs(lba, bufs.iter().map(|b| vec![0u8; b.len()]));
+        for (m, (start, run)) in self.members.iter_mut().zip(runs.iter_mut()) {
+            if let Some(start) = start {
+                m.read_blocks(*start, run, access)?;
+            }
+        }
+        let mut runs: Vec<_> = runs.into_iter().map(|(_, run)| run.into_iter()).collect();
+        for (i, buf) in bufs.iter_mut().enumerate() {
+            let (member, _) = self.locate(lba + i as u64);
+            if let Some(block) = runs.get_mut(member).and_then(Iterator::next) {
+                *buf = block;
+            }
         }
         self.stats.reads += 1;
-        self.stats.bytes_read += buf.len() as u64;
+        self.stats.bytes_read += bufs.iter().map(|b| b.len() as u64).sum::<u64>();
         Ok(())
-    }
-
-    fn submit_write(&mut self, lba: u64, data: &[u8]) -> Result<SimTime> {
-        if !data.len().is_multiple_of(BLOCK_SIZE) {
-            return Err(Error::invalid("unaligned stripe write"));
-        }
-        let mut done = SimTime::ZERO;
-        for (i, chunk) in data.chunks(BLOCK_SIZE).enumerate() {
-            let (member, mlba) = self.locate(lba + i as u64);
-            done = done.max(self.member(member)?.submit_write(mlba, chunk)?);
-        }
-        self.stats.writes += 1;
-        self.stats.bytes_written += data.len() as u64;
-        Ok(done)
     }
 
     fn write_blocks(&mut self, lba: u64, blocks: &[&[u8]]) -> Result<SimTime> {
         if blocks.is_empty() {
             return Ok(self.clock().now());
         }
-        // Round-robin placement means the blocks of a contiguous extent
-        // land on each member as one contiguous inner run, so the split
-        // preserves coalescing: each member gets a single vectored write.
-        let mut runs: Vec<(Option<u64>, Vec<&[u8]>)> = vec![(None, Vec::new()); self.members.len()];
-        for (i, b) in blocks.iter().enumerate() {
-            let (member, mlba) = self.locate(lba + i as u64);
-            if let Some(run) = runs.get_mut(member) {
-                if run.0.is_none() {
-                    run.0 = Some(mlba);
-                }
-                run.1.push(b);
-            }
-        }
+        let runs = self.runs(lba, blocks.iter().copied());
         let mut done = SimTime::ZERO;
         for (m, (start, run)) in self.members.iter_mut().zip(runs) {
             if let Some(start) = start {
@@ -137,12 +140,6 @@ impl<D: BlockDev> BlockDev for StripedDev<D> {
         self.stats.writes += 1;
         self.stats.bytes_written += blocks.iter().map(|b| b.len() as u64).sum::<u64>();
         Ok(done)
-    }
-
-    fn write(&mut self, lba: u64, data: &[u8]) -> Result<()> {
-        let done = self.submit_write(lba, data)?;
-        self.clock().advance_to(done);
-        Ok(())
     }
 
     fn flush(&mut self) -> Result<SimTime> {
@@ -211,7 +208,9 @@ impl<D: BlockDev> BlockDev for StripedDev<D> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dev::test_io::{read, write};
     use crate::dev::ModelDev;
+    use crate::BLOCK_SIZE;
 
     fn stripe(n: usize) -> StripedDev<ModelDev> {
         let clock = SimClock::new();
@@ -226,13 +225,13 @@ mod tests {
         let mut s = stripe(4);
         assert_eq!(s.info().blocks, 4096);
         for i in 0..16u64 {
-            s.write(i, &vec![i as u8; BLOCK_SIZE]).unwrap();
+            write(&mut s, i, &vec![i as u8; BLOCK_SIZE]).unwrap();
         }
         let done = s.flush().unwrap();
         s.clock().advance_to(done);
         for i in 0..16u64 {
             let mut buf = vec![0u8; BLOCK_SIZE];
-            s.read(i, &mut buf).unwrap();
+            read(&mut s, i, &mut buf).unwrap();
             assert_eq!(buf, vec![i as u8; BLOCK_SIZE], "block {i}");
         }
     }
@@ -268,7 +267,7 @@ mod tests {
         s.clock().advance_to(flushed);
         for (i, expect) in bufs.iter().enumerate() {
             let mut buf = vec![0u8; BLOCK_SIZE];
-            s.read(6 + i as u64, &mut buf).unwrap();
+            read(&mut s, 6 + i as u64, &mut buf).unwrap();
             assert_eq!(&buf, expect, "block {i}");
         }
         // Each member serviced its share as a single vectored request.
@@ -279,13 +278,13 @@ mod tests {
     #[test]
     fn durability_follows_the_slowest_member() {
         let mut s = stripe(2);
-        s.write(0, &vec![1u8; BLOCK_SIZE]).unwrap();
+        write(&mut s, 0, &vec![1u8; BLOCK_SIZE]).unwrap();
         let done = s.flush().unwrap();
         assert!(done >= s.clock().now());
         // Power semantics fan out.
         s.power_fail();
         assert!(!s.powered());
-        assert!(s.write(0, &vec![1u8; BLOCK_SIZE]).is_err());
+        assert!(write(&mut s, 0, &vec![1u8; BLOCK_SIZE]).is_err());
         s.power_on();
         assert!(s.powered());
     }

@@ -6,11 +6,11 @@
 //! (`crates/objstore/src/txn.rs`): rustc rejects a *reordered* protocol,
 //! but nothing in the
 //! type system stops a new code path from bypassing the tokens entirely
-//! with a raw `submit_write`. This check closes that hole: in the crates
-//! listed under `[commit-phase] crates`, the raw mutation entry points
-//! of `BlockDev` — `submit_write`, `submit_write_timing`, `write_blocks`
-//! and `repair_block` — may only be *called* inside the token-bearing
-//! functions enumerated in `allow_in`:
+//! with a raw `write_blocks`. This check closes that hole: in the crates
+//! listed under `[commit-phase] crates`, every mutation entry point of
+//! `BlockDev` — `write_blocks`, `submit_write_timing` and `repair_block`
+//! — may only be *called* inside the token-bearing functions enumerated
+//! in `allow_in`:
 //!
 //! ```toml
 //! [commit-phase]
@@ -28,9 +28,8 @@ use crate::source::SourceFile;
 
 use super::Violation;
 
-/// The raw `BlockDev` mutation entry points.
+/// The `BlockDev` mutation entry points.
 const FORBIDDEN: &[&str] = &[
-    "submit_write",
     "submit_write_timing",
     "write_blocks",
     "repair_block",

@@ -107,7 +107,7 @@ fn commit_phase_fixture() {
     );
     assert!(
         violations[0].msg.contains("rogue_flip")
-            && violations[0].msg.contains("submit_write"),
+            && violations[0].msg.contains("write_blocks"),
         "diagnostic names the function and the call: {}",
         violations[0].msg
     );

@@ -3,11 +3,11 @@
 pub struct Dev;
 
 pub fn submit_journal(dev: &mut Dev) {
-    dev.submit_write(7, b"journal record"); // licensed
+    dev.write_blocks(7, &[b"journal record"]); // licensed
 }
 
 pub fn rogue_flip(dev: &mut Dev) {
-    dev.submit_write(0, b"superblock"); // line 10: bypasses the protocol
+    dev.write_blocks(0, &[b"superblock"]); // line 10: bypasses the protocol
 }
 
 pub fn rogue_extent(dev: &mut Dev, sizes: [u8; 4]) {
@@ -25,6 +25,6 @@ mod tests {
     #[test]
     fn exempt() {
         let mut d = super::Dev;
-        d.submit_write(1, b"test code may poke the device");
+        d.write_blocks(1, &[b"test code may poke the device"]);
     }
 }

@@ -243,7 +243,7 @@ pub fn scan(
 /// frame in the half carries a later one.
 pub fn first_generation(dev: &mut dyn BlockDev, base: u64, half_bytes: u64) -> Result<Option<u64>> {
     let mut head = vec![0u8; BLOCK_SIZE];
-    dev.read(base, &mut head)?;
+    dev.read_blocks(base, std::slice::from_mut(&mut head), Access::Waited)?;
     let Ok(h) = Decoder::new(&head).record_header() else {
         return Ok(None);
     };
@@ -481,7 +481,8 @@ mod tests {
         let mut dev = aurora_hw::ModelDev::nvme(clock, "nvme0", 1024);
         let mut lba = BASE;
         for f in frames {
-            dev.write(lba, f).unwrap();
+            let blocks: Vec<&[u8]> = f.chunks(BLOCK_SIZE).collect();
+            dev.write_blocks(lba, &blocks).unwrap();
             lba += (f.len() / BLOCK_SIZE) as u64;
         }
         dev

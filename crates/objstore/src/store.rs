@@ -304,7 +304,7 @@ impl ObjectStore {
         let mut last = 0;
         let mut block = vec![0u8; BLOCK_SIZE];
         for slot in 0..2u64 {
-            dev.read(slot, &mut block)?;
+            dev.read_blocks(slot, std::slice::from_mut(&mut block), Access::Waited)?;
             if let Ok(old) = Superblock::from_block(&block) {
                 last = last.max(old.epoch + 1);
             }
@@ -325,8 +325,9 @@ impl ObjectStore {
             next_ckpt: 1,
             next_obj: 1,
         };
-        dev.submit_write(0, &sb.to_block())?;
-        dev.submit_write(1, &sb.to_block())?;
+        let slot = sb.to_block();
+        dev.write_blocks(0, &[&slot])?;
+        dev.write_blocks(1, &[&slot])?;
         let done = dev.flush()?;
         dev.clock().advance_to(done);
         let data_blocks = sb.data_blocks();
@@ -376,7 +377,7 @@ impl ObjectStore {
         let mut block = vec![0u8; BLOCK_SIZE];
         let mut best: Option<Superblock> = None;
         for slot in 0..2u64 {
-            dev.read(slot, &mut block)?;
+            dev.read_blocks(slot, std::slice::from_mut(&mut block), Access::Waited)?;
             if let Ok(sb) = Superblock::from_block(&block) {
                 if best.as_ref().is_none_or(|b| sb.epoch > b.epoch) {
                     best = Some(sb);
@@ -999,7 +1000,7 @@ mod tests {
         let wiped = || {
             let mut dev = used();
             for slot in 0..2 {
-                dev.write(slot, &[0u8; BLOCK_SIZE]).unwrap();
+                dev.write_blocks(slot, &[&[0u8; BLOCK_SIZE]]).unwrap();
             }
             dev.flush().unwrap();
             dev

@@ -44,8 +44,8 @@
 //! Each token is consumed **by value** by the next transition, so a
 //! token can be used at most once, and only the transition that does the
 //! corresponding device I/O can mint the next one. The `commit_phase`
-//! lint (crates/lint) closes the remaining hole: raw `submit_write`/
-//! `write_blocks`/`repair_block` calls are forbidden outside the
+//! lint (crates/lint) closes the remaining hole: raw `write_blocks`/
+//! `submit_write_timing`/`repair_block` calls are forbidden outside the
 //! functions allowlisted in `lint-allow.toml`.
 //!
 //! A valid sequence compiles and runs (this is `ObjectStore::commit`):
@@ -240,12 +240,12 @@ impl ObjectStore {
         self.sb.journal_used = used;
         self.sb.epoch += 1;
         let block = self.sb.to_block();
-        if let Err(e) = self.dev.get_mut().submit_write(0, &block) {
+        if let Err(e) = self.dev.get_mut().write_blocks(0, &[&block]) {
             self.sb = prev;
             return Err(e);
         }
         self.dev.get_mut().flush()?;
-        self.dev.get_mut().submit_write(1, &block)?;
+        self.dev.get_mut().write_blocks(1, &[&block])?;
         let durable = self.dev.get_mut().flush()?;
         self.stats.superblock_flips += 1;
         Ok((Committed { _sealed: () }, durable))
@@ -263,7 +263,8 @@ impl ObjectStore {
                 "journal write at lba {lba} (+{blocks} blocks) crosses a journal half"
             )));
         }
-        self.dev.get_mut().submit_write(lba, frame)?;
+        let chunks: Vec<&[u8]> = frame.chunks(BLOCK_SIZE).collect();
+        self.dev.get_mut().write_blocks(lba, &chunks)?;
         self.stats.journal_seals += 1;
         Ok(())
     }

@@ -97,6 +97,72 @@ fn every_commit_write_ordinal_is_a_valid_cut_point() {
     }
 }
 
+/// A record longer than one block is one write ordinal per block, so a
+/// cut can land inside it: the blocks ahead of the cut are lost with the
+/// volatile cache, the cut block lands torn, and the blocks after it
+/// never reach the device. That torn tail fails the frame's CRC, so for
+/// a cut on every block of the record recovery must land on the old
+/// head.
+#[test]
+fn a_cut_on_any_block_of_a_multi_block_record_leaves_the_old_head() {
+    // Enough page-table entries that the commit record spans blocks.
+    const PAGES: u64 = 1024;
+    let staged = || {
+        let clock = SimClock::new();
+        let dev = Box::new(ModelDev::nvme(clock, "nvme0", DEV_BLOCKS));
+        let config = StoreConfig {
+            journal_blocks: 1024,
+            ..StoreConfig::default()
+        };
+        let mut s = ObjectStore::format(dev, config).unwrap();
+        s.create_object(ObjId(1), PAGES).unwrap();
+        for i in 0..PAGES {
+            s.write_page(ObjId(1), i, &page(1)).unwrap();
+        }
+        let (c1, _) = s.commit(Some("base")).unwrap();
+        for i in 0..PAGES {
+            s.write_page(ObjId(1), i, &page(2)).unwrap();
+        }
+        (s, c1)
+    };
+    // On a clean run the commit's one write is the record.
+    let (mut s, _) = staged();
+    let before = s.device().stats().clone();
+    s.commit(Some("clean")).unwrap();
+    let after = s.device().stats().clone();
+    assert_eq!(
+        after.writes,
+        before.writes + 1,
+        "the record is the only write"
+    );
+    let blocks = (after.bytes_written - before.bytes_written) / aurora_hw::BLOCK_SIZE as u64;
+    assert!(blocks > 1, "the record spans {blocks} block(s)");
+
+    for cut in 1..=blocks {
+        let (mut s, c1) = staged();
+        s.device_mut().install_fault_plan(FaultPlan::power_cut(cut));
+        s.commit(Some("torn"))
+            .expect_err("a cut inside the record fails the commit");
+        let mut s = s.recover().unwrap();
+        s.device_mut().install_fault_plan(FaultPlan::default());
+        assert_eq!(
+            s.head(),
+            Some(c1),
+            "cut on block {cut} of {blocks}: old head"
+        );
+        assert!(
+            s.checkpoint_by_name("torn").is_none(),
+            "cut on block {cut}: the torn record is invisible"
+        );
+        assert!(s
+            .read_page(ObjId(1), 7)
+            .unwrap()
+            .unwrap()
+            .content_eq(&page(1)));
+        assert!(s.fsck().is_empty(), "cut on block {cut}: {:?}", s.fsck());
+    }
+}
+
 /// The flip boundary: a power cut on either of the half switch's
 /// superblock writes happens with the snapshot flushed into the idle
 /// half — `SnapshotDurable` in token terms — and the commit that needed
@@ -232,7 +298,7 @@ fn durable_superblock(s: &mut ObjectStore) -> Superblock {
     let mut block = vec![0u8; aurora_hw::BLOCK_SIZE];
     (0..2)
         .filter_map(|slot| {
-            s.device_mut().read(slot, &mut block).unwrap();
+            s.device_mut().read_blocks(slot, std::slice::from_mut(&mut block), aurora_hw::Access::Waited).unwrap();
             Superblock::from_block(&block).ok()
         })
         .max_by_key(|sb| sb.epoch)
@@ -293,7 +359,7 @@ fn transient_flip_failure_retries_at_same_journal_offset() {
             );
             if past_flip == 1 {
                 let mut block = vec![0u8; aurora_hw::BLOCK_SIZE];
-                faulty.device_mut().read(1, &mut block).unwrap();
+                faulty.device_mut().read_blocks(1, std::slice::from_mut(&mut block), aurora_hw::Access::Waited).unwrap();
                 let slot1 = Superblock::from_block(&block).unwrap();
                 assert_eq!(slot1.epoch + 1, durable.epoch, "{case}: slot 1 kept the previous one");
             }

@@ -8,8 +8,6 @@
 //! that old images stay readable as the format evolves (the paper stresses
 //! that checkpoints are self-contained and portable across machines).
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
-
 use crate::error::{Error, Result};
 use crate::hash::crc32c;
 
@@ -31,21 +29,19 @@ use crate::hash::crc32c;
 /// ```
 #[derive(Debug, Default)]
 pub struct Encoder {
-    buf: BytesMut,
+    buf: Vec<u8>,
 }
 
 impl Encoder {
     /// Creates an empty encoder.
     pub fn new() -> Self {
-        Encoder {
-            buf: BytesMut::new(),
-        }
+        Encoder { buf: Vec::new() }
     }
 
     /// Creates an encoder with pre-allocated capacity.
     pub fn with_capacity(cap: usize) -> Self {
         Encoder {
-            buf: BytesMut::with_capacity(cap),
+            buf: Vec::with_capacity(cap),
         }
     }
 
@@ -60,43 +56,43 @@ impl Encoder {
     }
 
     /// Finishes encoding and returns the bytes.
-    pub fn finish(self) -> Bytes {
-        self.buf.freeze()
+    pub fn finish(self) -> Vec<u8> {
+        self.buf
     }
 
     /// Finishes encoding and returns a plain vector.
     pub fn into_vec(self) -> Vec<u8> {
-        self.buf.to_vec()
+        self.buf
     }
 
     /// Writes a single byte.
     pub fn u8(&mut self, v: u8) {
-        self.buf.put_u8(v);
+        self.buf.push(v);
     }
 
     /// Writes a bool as one byte.
     pub fn bool(&mut self, v: bool) {
-        self.buf.put_u8(v as u8);
+        self.buf.push(v as u8);
     }
 
     /// Writes a little-endian u16.
     pub fn u16(&mut self, v: u16) {
-        self.buf.put_u16_le(v);
+        self.raw(&v.to_le_bytes());
     }
 
     /// Writes a little-endian u32.
     pub fn u32(&mut self, v: u32) {
-        self.buf.put_u32_le(v);
+        self.raw(&v.to_le_bytes());
     }
 
     /// Writes a little-endian u64.
     pub fn u64(&mut self, v: u64) {
-        self.buf.put_u64_le(v);
+        self.raw(&v.to_le_bytes());
     }
 
     /// Writes a little-endian i64.
     pub fn i64(&mut self, v: i64) {
-        self.buf.put_i64_le(v);
+        self.raw(&v.to_le_bytes());
     }
 
     /// Writes an LEB128 varint.
@@ -105,17 +101,17 @@ impl Encoder {
             let byte = (v & 0x7F) as u8;
             v >>= 7;
             if v == 0 {
-                self.buf.put_u8(byte);
+                self.buf.push(byte);
                 return;
             }
-            self.buf.put_u8(byte | 0x80);
+            self.buf.push(byte | 0x80);
         }
     }
 
     /// Writes a length-prefixed byte string.
     pub fn bytes(&mut self, v: &[u8]) {
         self.varint(v.len() as u64);
-        self.buf.put_slice(v);
+        self.raw(v);
     }
 
     /// Writes a length-prefixed UTF-8 string.
@@ -125,7 +121,7 @@ impl Encoder {
 
     /// Writes raw bytes with no length prefix.
     pub fn raw(&mut self, v: &[u8]) {
-        self.buf.put_slice(v);
+        self.buf.extend_from_slice(v);
     }
 
     /// Writes an `Option` as a presence byte plus payload.
@@ -241,6 +237,13 @@ impl<'a> Decoder<'a> {
         Ok(s)
     }
 
+    /// Reads `N` bytes as an array, for the fixed-width integers.
+    fn array<const N: usize>(&mut self) -> Result<[u8; N]> {
+        let mut out = [0u8; N];
+        out.copy_from_slice(self.take(N)?);
+        Ok(out)
+    }
+
     /// Reads one byte.
     pub fn u8(&mut self) -> Result<u8> {
         Ok(self.take(1)?[0])
@@ -257,26 +260,22 @@ impl<'a> Decoder<'a> {
 
     /// Reads a little-endian u16.
     pub fn u16(&mut self) -> Result<u16> {
-        let mut s = self.take(2)?;
-        Ok(s.get_u16_le())
+        Ok(u16::from_le_bytes(self.array()?))
     }
 
     /// Reads a little-endian u32.
     pub fn u32(&mut self) -> Result<u32> {
-        let mut s = self.take(4)?;
-        Ok(s.get_u32_le())
+        Ok(u32::from_le_bytes(self.array()?))
     }
 
     /// Reads a little-endian u64.
     pub fn u64(&mut self) -> Result<u64> {
-        let mut s = self.take(8)?;
-        Ok(s.get_u64_le())
+        Ok(u64::from_le_bytes(self.array()?))
     }
 
     /// Reads a little-endian i64.
     pub fn i64(&mut self) -> Result<i64> {
-        let mut s = self.take(8)?;
-        Ok(s.get_i64_le())
+        Ok(i64::from_le_bytes(self.array()?))
     }
 
     /// Reads an LEB128 varint.
