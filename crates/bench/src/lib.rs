@@ -695,6 +695,9 @@ pub struct StripeRow {
     pub achieved_1khz: u64,
     /// End-of-second flush backlog at that rate.
     pub backlog: SimDuration,
+    /// Read stage of an eager restore of the last image: its extents,
+    /// submitted back to back, each split across the drives.
+    pub restore_read: SimDuration,
 }
 
 /// E12 (ablation): striping checkpoints across multiple NVMe drives —
@@ -753,11 +756,21 @@ pub fn stripe_sweep(data_bytes: u64, widths: &[usize]) -> Vec<StripeRow> {
             .back()
             .map(|&(_, at)| at.since(host.clock.now()))
             .unwrap_or(SimDuration::ZERO);
+
+        // Read the last image back: each extent of the plan splits
+        // across the drives' queues, so reads aggregate bandwidth too.
+        host.wait_durable(gid).expect("durable");
+        let store = host.sls.primary.clone();
+        let head = store.borrow().head().expect("head");
+        let restored = host
+            .restore(&store, head, RestoreMode::Eager)
+            .expect("restore");
         rows.push(StripeRow {
             width,
             durability_lag: lag,
             achieved_1khz: taken,
             backlog,
+            restore_read: restored.read_stage,
         });
     }
     rows

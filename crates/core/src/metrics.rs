@@ -131,13 +131,14 @@ pub struct RestoreBreakdown {
     pub total: SimDuration,
     /// Pages eagerly paged in (prefetch/eager modes).
     pub pages_prefetched: u64,
-    /// Sim time spent in the page-in's read stage (device extents plus
-    /// cache hits), summed over the batches; zero when nothing was left
-    /// to fetch.
+    /// Sim time from the start of the page-in to the completion of its
+    /// last device read (device extents, submitted back to back, plus
+    /// cache hits); zero when nothing was left to fetch.
     pub read_stage: SimDuration,
-    /// Sim time from the end of the last batch's read to the end of its
-    /// verification: the hash work no later batch's read was left to
-    /// hide (the restore-side twin of `CheckpointBreakdown::write_wait`).
+    /// Sim time from the last read's completion to the end of the last
+    /// batch's verification: the hash work no later batch's read was
+    /// left to hide (the restore-side twin of
+    /// `CheckpointBreakdown::write_wait`).
     /// `read_stage`, `hash_stage` and the wiring that follows partition
     /// the page-in's share of `memory_state`.
     pub hash_stage: SimDuration,

@@ -670,21 +670,22 @@ impl Host {
             fetch.iter().map(|&(_, oid, idx, _)| (ObjId(oid), idx)).collect();
         let plan = store.borrow().plan_reads_at(ckpt, &plan_targets);
 
-        // Pass 3: stream the plan, batch by batch. The device read
-        // advances the clock; the hash of what it fetched runs beside
-        // the next batch's read, on a horizon of its own. The hashes
-        // are recorded for fetched blocks that had none on record, and
-        // every fetched block was compared with its recorded hash by the
-        // read itself before it entered the read cache.
+        // Pass 3: stream the plan, batch by batch. All extents go to the
+        // device back to back, unwaited; the hash of what a batch fetched
+        // starts when its reads complete and runs beside the later
+        // batches' reads, on a horizon of its own. The hashes are
+        // recorded for fetched blocks that had none on record, and every
+        // fetched block was compared with its recorded hash by the read
+        // itself before it entered the read cache.
         let hash_cost = |pages: u64| cost::hash_stage(pages, workers as u64);
         let mut pages: HashMap<u64, PageData> = HashMap::with_capacity(plan.blocks.len());
         let mut pages_hashed = 0u64;
-        // Pass 1's wiring counts as read stage.
-        let mut read_stage = sw.lap();
+        let mut read_done = clock.now();
         let mut verify_done = clock.now();
         for batch in plan.extent_batches(RESTORE_BATCH_BLOCKS) {
             let outcome = store.borrow_mut().execute_read_plan_range(&plan, batch)?;
-            read_stage += sw.lap();
+            // Cache hits are in once their probes are charged.
+            read_done = read_done.max(outcome.done).max(clock.now());
             // The read already hashed the blocks it had a recorded hash
             // to check against; the workers hash the rest.
             let unhashed: Vec<&PageData> = outcome
@@ -707,15 +708,18 @@ impl Host {
             let before = hash_cost(pages_hashed);
             pages_hashed += outcome.fetched.len() as u64;
             verify_done =
-                verify_done.max(clock.now()) + hash_cost(pages_hashed).saturating_sub(before);
+                verify_done.max(read_done) + hash_cost(pages_hashed).saturating_sub(before);
             breakdown.cache_hits += outcome.cache_hits;
             breakdown.cache_misses += outcome.cache_misses;
             breakdown.extents_read += outcome.extents_read;
             pages.extend(outcome.pages);
         }
-        // No frame is wired before the last batch is verified.
+        // The read stage (with pass 1's wiring) ends when the last read
+        // completes, the hash stage when the last batch is verified; no
+        // frame is wired before that.
+        clock.advance_to(read_done);
+        breakdown.read_stage += sw.lap();
         clock.advance_to(verify_done);
-        breakdown.read_stage += read_stage;
         breakdown.hash_stage += sw.lap();
         breakdown.hash_work += hash_cost(pages_hashed);
         breakdown.pages_hashed += pages_hashed;

@@ -229,7 +229,7 @@ fn state_of(
     let mut buf = vec![0u8; 4096];
     let mut store = store.borrow_mut();
     for lba in 0..PART_DEV_BLOCKS {
-        if store.device_mut().read_blocks(lba, std::slice::from_mut(&mut buf), aurora_hw::Access::Waited).is_ok() {
+        if store.device_mut().read_blocks(lba, std::slice::from_mut(&mut buf)).is_ok() {
             device_digest.update_u64(page_hash(&buf));
         }
     }

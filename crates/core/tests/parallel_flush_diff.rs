@@ -64,7 +64,7 @@ fn device_digest(store: &mut ObjectStore, from: u64) -> u64 {
     let mut buf = vec![0u8; 4096];
     let dev = store.device_mut();
     for lba in (from..data_start).chain(referenced) {
-        if dev.read_blocks(lba, std::slice::from_mut(&mut buf), aurora_hw::Access::Waited).is_err() {
+        if dev.read_blocks(lba, std::slice::from_mut(&mut buf)).is_err() {
             continue;
         }
         h.update_u64(lba);

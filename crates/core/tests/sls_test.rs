@@ -10,8 +10,10 @@ use std::rc::Rc;
 
 use aurora_core::restore::RestoreMode;
 use aurora_core::{BackendKind, Host, RestoreBreakdown};
+use aurora_hw::dev::{CostModel, QUEUE_DEPTH};
 use aurora_hw::ModelDev;
 use aurora_objstore::{ObjectStore, StoreConfig};
+use aurora_sim::time::SimDuration;
 use aurora_sim::SimClock;
 use aurora_slsfs::StoreHandle;
 
@@ -314,12 +316,33 @@ fn image_read_plan(store: &ObjectStore, ckpt: aurora_objstore::CkptId) -> aurora
     store.plan_reads_at(ckpt, &targets)
 }
 
-/// The first batch's read time on `medium`, and a checked eager restore
-/// of the wide image there at `workers`.
+/// What the device's queue rule charges the extents `batch` of `plan`
+/// on `model`, submitted back to back to an idle queue: the whole access
+/// latency for the first, a queue-depth share for each one behind it,
+/// and every extent's transfer.
+fn back_to_back(
+    plan: &aurora_objstore::ReadPlan,
+    batch: std::ops::Range<usize>,
+    model: CostModel,
+) -> SimDuration {
+    let mut total = SimDuration::ZERO;
+    for (i, &(_, len)) in plan.extents[batch].iter().enumerate() {
+        let latency = match i {
+            0 => model.latency_ns,
+            _ => model.latency_ns / QUEUE_DEPTH,
+        };
+        let bytes = (len * aurora_hw::BLOCK_SIZE) as u64;
+        total += SimDuration::from_nanos(latency) + SimDuration::for_bytes(bytes, model.read_bw);
+    }
+    total
+}
+
+/// The first batch's read time on `medium` (charged as `model`), and a
+/// checked eager restore of the wide image there at `workers`.
 fn streamed_restore(
-    medium: Medium,
+    (medium, model): (Medium, CostModel),
     workers: usize,
-) -> (aurora_sim::time::SimDuration, RestoreBreakdown) {
+) -> (SimDuration, RestoreBreakdown) {
     use aurora_sim::cost::hash_stage;
     let batch = aurora_core::restore::RESTORE_BATCH_BLOCKS;
 
@@ -328,13 +351,18 @@ fn streamed_restore(
     let (mut lazy_host, ckpt) = wide_image_host(medium);
     let store = lazy_host.sls.primary.clone();
     let wire = lazy_host.restore(&store, ckpt, RestoreMode::Lazy).unwrap().memory_state;
-    // The first batch's read alone, on the same (still cold) store.
+    // The first batch's read alone, on the same (still cold) store: the
+    // reads move no clock, and complete when the rule says.
     let first_batch_read = {
         let mut st = store.borrow_mut();
         let plan = image_read_plan(&st, ckpt);
         let first = plan.extent_batches(batch).remove(0);
-        let clock = lazy_host.clock.clone();
-        clock.measure(|| st.execute_read_plan_range(&plan, first).unwrap()).1
+        let before = lazy_host.clock.now();
+        let out = st.execute_read_plan_range(&plan, first.clone()).unwrap();
+        assert_eq!(lazy_host.clock.now(), before);
+        let read = out.done.since(before);
+        assert_eq!(read, back_to_back(&plan, first, model));
+        read
     };
 
     // The whole plan read in one shot on a twin store.
@@ -343,14 +371,19 @@ fn streamed_restore(
         let mut st = twin.sls.primary.borrow_mut();
         let plan = image_read_plan(&st, ckpt);
         assert!(plan.extent_batches(batch).len() >= 4, "the image spans 4 batches");
-        twin.clock.measure(|| st.execute_read_plan(&plan).unwrap())
+        let before = twin.clock.now();
+        let out = st.execute_read_plan(&plan).unwrap();
+        let read = out.done.since(before);
+        assert_eq!(read, back_to_back(&plan, 0..plan.extents.len(), model));
+        (out, read)
     };
 
     let (mut host, ckpt) = wide_image_host(medium);
     host.sls.restore_workers = workers;
     let store = host.sls.primary.clone();
     let bd = host.restore(&store, ckpt, RestoreMode::Eager).unwrap();
-    // The streamed reads are the one-shot reads.
+    // The streamed reads are the one-shot reads: every batch's extents
+    // go back to back, so only the first pays the whole latency.
     assert_eq!(bd.read_stage, one_shot_read);
     assert_eq!(bd.extents_read, one_shot.extents_read);
     assert_eq!(
@@ -359,7 +392,8 @@ fn streamed_restore(
     );
     assert_eq!(bd.pages_hashed, one_shot.fetched.len() as u64);
     assert_eq!(bd.hash_work, hash_stage(bd.pages_hashed, workers as u64));
-    // Read laps, the verify tail and the wiring partition memory state.
+    // The read stage, the verify tail and the wiring partition memory
+    // state.
     assert_eq!(bd.read_stage + bd.hash_stage + wire, bd.memory_state);
     let page_in = bd.read_stage + bd.hash_stage;
     assert!(bd.read_stage.max(bd.hash_work) <= page_in);
@@ -374,30 +408,35 @@ fn streamed_restore(
 
 #[test]
 fn streamed_restore_page_in_is_the_longer_of_read_and_hash_plus_one_batch() {
+    use aurora_sim::cost::dev::{NVDIMM_BW, NVDIMM_LAT_NS};
     use aurora_sim::cost::hash_stage;
     let batch = aurora_core::restore::RESTORE_BATCH_BLOCKS as u64;
+    let nvdimm = CostModel {
+        latency_ns: NVDIMM_LAT_NS,
+        read_bw: NVDIMM_BW,
+        write_bw: NVDIMM_BW,
+    };
 
     // Read-bound: one core already verifies faster than the NVMe reads
-    // (683 ns a block against 1648 ns a block for a queued 64-block
-    // extent: 625 ns of latency share plus 64 × 1638.4 ns of transfer),
-    // so at every worker count each batch is verified under the next
-    // one's read and only the last batch's hash is left after the last
-    // read.
+    // (683 ns a block against 1648 ns a block for a 64-block extent
+    // queued behind the first: 625 ns of latency share plus 64 × 1638.4
+    // ns of transfer), so at every worker count each batch is verified
+    // under the next one's read and only the last batch's hash is left
+    // after the last read.
     for workers in [1, 2, 8] {
-        let (_, fast_hash) = streamed_restore(ModelDev::nvme, workers);
+        let (_, fast_hash) = streamed_restore((ModelDev::nvme, CostModel::NVME), workers);
         assert!(
             fast_hash.hash_work < fast_hash.read_stage,
             "{workers} workers outrun the NVMe"
         );
-        assert!(fast_hash.hash_stage <= hash_stage(batch, workers as u64));
-        assert!(fast_hash.hash_stage > aurora_sim::time::SimDuration::ZERO);
+        assert_eq!(fast_hash.hash_stage, hash_stage(batch, workers as u64));
     }
 
     // Verify-bound: an NVDIMM out-reads one core (512 ns a block for a
     // queued 64-block extent against 683 ns of hashing), so the hash
     // worker starts after the first batch's read and is busy from then
     // on.
-    let (first_batch_read, slow_hash) = streamed_restore(ModelDev::nvdimm, 1);
+    let (first_batch_read, slow_hash) = streamed_restore((ModelDev::nvdimm, nvdimm), 1);
     assert!(slow_hash.hash_work > slow_hash.read_stage, "one worker trails the NVDIMM");
     assert_eq!(
         slow_hash.read_stage + slow_hash.hash_stage,

@@ -1,12 +1,17 @@
 //! The block-device model.
 //!
 //! A [`ModelDev`] charges every request by one service rule
-//! (`CostModel::serve`) against a single service queue (`busy_until`):
-//! back-to-back requests pipeline behind one another the way a real NVMe
-//! submission queue does, and a request is either [`Access::Queued`] (one
-//! of many independent requests in flight, its access latency overlapped
-//! `QUEUE_DEPTH` ways) or [`Access::Waited`] (its issuer waits it out
-//! alone and pays the full latency).
+//! (`CostModel::serve`) against a single service queue (`busy_until`),
+//! the way a real NVMe submission queue pipelines back-to-back requests:
+//! a request that finds the queue idle pays the whole access latency plus
+//! its transfer, and a request submitted behind a busy queue has its
+//! latency overlapped by the requests in flight, so it pays
+//! `latency / QUEUE_DEPTH` plus its transfer. The device applies the rule
+//! itself, to reads and writes, real and timing-only alike. No data call
+//! moves the clock: each returns its completion instant, and a caller
+//! that needs the bytes waits with `clock.advance_to(done)`. A `flush` is
+//! a barrier and completes one whole access latency after everything
+//! queued.
 //!
 //! Durability semantics mirror real hardware:
 //!
@@ -45,6 +50,31 @@ pub struct DevInfo {
     pub persistence_domain: bool,
 }
 
+impl DevInfo {
+    /// Checks an extent of buffers of lengths `lens` at `lba`: each
+    /// buffer one block, the whole extent on the device. Returns its
+    /// bytes.
+    pub(crate) fn check_extent(&self, lba: u64, lens: impl Iterator<Item = usize>) -> Result<u64> {
+        let mut blocks = 0u64;
+        for len in lens {
+            if len != BLOCK_SIZE {
+                let name = &self.name;
+                return Err(Error::invalid(format!(
+                    "extent block is {len} bytes on {name}"
+                )));
+            }
+            blocks += 1;
+        }
+        if lba + blocks > self.blocks {
+            return Err(Error::no_space(format!(
+                "i/o beyond device end: lba {lba} + {blocks} > {}",
+                self.blocks
+            )));
+        }
+        Ok(blocks * BLOCK_SIZE as u64)
+    }
+}
+
 /// Operation counters for a device.
 #[derive(Debug, Default, Clone)]
 pub struct DevStats {
@@ -71,23 +101,9 @@ pub struct CostModel {
     pub write_bw: u64,
 }
 
-/// Submission-queue depth: how many independent requests overlap their
+/// Submission-queue depth: how many requests in flight overlap their
 /// access latency.
-const QUEUE_DEPTH: u64 = 16;
-
-/// How a request meets the device queue.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Access {
-    /// One of many independent requests known before the first is issued
-    /// — a read plan's extents, the audits' extents, bulk timing-only
-    /// writes: its access latency overlaps theirs, so it occupies the
-    /// queue for `latency / QUEUE_DEPTH + bytes / bw`.
-    Queued,
-    /// A request whose issuer waits for it before deciding what to issue
-    /// next — a lazy fault, a blob or metadata read, the checked reader's
-    /// re-read, a synchronous write: it pays `latency + bytes / bw`.
-    Waited,
-}
+pub const QUEUE_DEPTH: u64 = 16;
 
 impl CostModel {
     /// An Optane 900P-class NVMe device.
@@ -98,23 +114,27 @@ impl CostModel {
     };
 
     /// The one service rule: a request of `bytes` at `bw`, arriving at
-    /// `now`, starts when the queue drains (`*queue`) and occupies it for
-    /// its share of the access latency plus its transfer. Advances
+    /// `now`, starts when the queue drains (`*queue`). On an idle queue
+    /// (`now >= *queue`) it pays the whole access latency; behind a busy
+    /// one its latency overlaps the requests in flight, so it pays a
+    /// `QUEUE_DEPTH` share. Either way its transfer follows. Advances
     /// `*queue` to the completion instant and returns it.
-    pub(crate) fn serve(
-        &self,
-        queue: &mut SimTime,
-        now: SimTime,
-        access: Access,
-        bytes: u64,
-        bw: u64,
-    ) -> SimTime {
-        let latency = match access {
-            Access::Queued => self.latency_ns / QUEUE_DEPTH,
-            Access::Waited => self.latency_ns,
+    pub(crate) fn serve(&self, queue: &mut SimTime, now: SimTime, bytes: u64, bw: u64) -> SimTime {
+        let latency = if now >= *queue {
+            self.latency_ns
+        } else {
+            self.latency_ns / QUEUE_DEPTH
         };
-        let start = now.max(*queue);
-        *queue = start + SimDuration::from_nanos(latency) + SimDuration::for_bytes(bytes, bw);
+        *queue =
+            now.max(*queue) + SimDuration::from_nanos(latency) + SimDuration::for_bytes(bytes, bw);
+        *queue
+    }
+
+    /// A flush barrier: completes one whole access latency after
+    /// everything queued. Advances `*queue` to that instant and returns
+    /// it.
+    pub(crate) fn barrier(&self, queue: &mut SimTime, now: SimTime) -> SimTime {
+        *queue = now.max(*queue) + SimDuration::from_nanos(self.latency_ns);
         *queue
     }
 }
@@ -146,10 +166,13 @@ pub trait BlockDev {
     /// on any block of the extent (see [`crate::fault`]).
     fn write_blocks(&mut self, lba: u64, blocks: &[&[u8]]) -> Result<SimTime>;
 
-    /// Reads a run of adjacent blocks starting at `lba` as one vectored
-    /// request of kind `access`, filling each buffer in `bufs` with one
-    /// block. Advances the virtual clock to the request's completion.
-    /// Every block is one read ordinal of an installed fault plan.
+    /// Submits a run of adjacent blocks starting at `lba` as one vectored
+    /// read request, filling each buffer in `bufs` with one block, and
+    /// returns the request's completion instant. Does not advance the
+    /// caller's clock: a caller that needs the bytes before it goes on
+    /// advances its clock to the returned instant, and one that has more
+    /// requests to issue submits them first, behind this one. Every block
+    /// is one read ordinal of an installed fault plan.
     ///
     /// # Partial-failure contract (all-or-error)
     ///
@@ -162,7 +185,7 @@ pub trait BlockDev {
     /// and every mirror replica sits behind) zeroes the buffers on a
     /// failed extent. Callers must treat `bufs` as unspecified after an
     /// error and never consume it.
-    fn read_blocks(&mut self, lba: u64, bufs: &mut [Vec<u8>], access: Access) -> Result<()>;
+    fn read_blocks(&mut self, lba: u64, bufs: &mut [Vec<u8>]) -> Result<SimTime>;
 
     /// Issues a flush barrier; returns the instant at which every write
     /// submitted so far is durable. Does not advance the caller's clock.
@@ -179,9 +202,10 @@ pub trait BlockDev {
     /// paper-scale benchmarks run on laptop memory.
     fn submit_write_timing(&mut self, nbytes: u64) -> Result<SimTime>;
 
-    /// Charges a timing-only read of `nbytes` as one request of kind
-    /// `access`, advancing the clock to its completion.
-    fn charge_read_timing(&mut self, nbytes: u64, access: Access) -> Result<()>;
+    /// Submits a *timing-only* read of `nbytes` as one request: occupies
+    /// the device queue and returns the completion instant, but moves no
+    /// data. Like every data call, it does not advance the clock.
+    fn charge_read_timing(&mut self, nbytes: u64) -> Result<SimTime>;
 
     /// Cuts power: loses the volatile cache (torn interrupted write) and
     /// makes the device fail until [`BlockDev::power_on`].
@@ -369,27 +393,10 @@ impl ModelDev {
         }
     }
 
-    fn check_range(&self, lba: u64, len: usize) -> Result<()> {
-        if !len.is_multiple_of(BLOCK_SIZE) {
-            return Err(Error::invalid(format!(
-                "unaligned i/o length {len} on {}",
-                self.info.name
-            )));
-        }
-        let nblocks = (len / BLOCK_SIZE) as u64;
-        if lba + nblocks > self.info.blocks {
-            return Err(Error::no_space(format!(
-                "i/o beyond device end: lba {lba} + {nblocks} > {}",
-                self.info.blocks
-            )));
-        }
-        Ok(())
-    }
-
     /// Computes a request's completion instant and occupies the queue.
-    fn service(&mut self, access: Access, bytes: u64, bw: u64) -> SimTime {
+    fn service(&mut self, bytes: u64, bw: u64) -> SimTime {
         self.model
-            .serve(&mut self.busy_until, self.clock.now(), access, bytes, bw)
+            .serve(&mut self.busy_until, self.clock.now(), bytes, bw)
     }
 
     /// A firmware stall: the queue blocks for `extra_ns` before the next
@@ -498,23 +505,12 @@ impl BlockDev for ModelDev {
         &self.stats
     }
 
-    fn read_blocks(&mut self, lba: u64, bufs: &mut [Vec<u8>], access: Access) -> Result<()> {
+    fn read_blocks(&mut self, lba: u64, bufs: &mut [Vec<u8>]) -> Result<SimTime> {
         self.check_powered()?;
         if bufs.is_empty() {
-            return Ok(());
+            return Ok(self.clock.now());
         }
-        let mut total = 0usize;
-        for b in bufs.iter() {
-            if b.len() != BLOCK_SIZE {
-                return Err(Error::invalid(format!(
-                    "vectored read block is {} bytes on {}",
-                    b.len(),
-                    self.info.name
-                )));
-            }
-            total += b.len();
-        }
-        self.check_range(lba, total)?;
+        let total = self.info.check_extent(lba, bufs.iter().map(Vec::len))?;
         // The fault plan is consulted once per block — one read ordinal
         // each — before any data moves, so a transient error bounces the
         // whole extent atomically and a retry may resubmit the identical
@@ -525,11 +521,10 @@ impl BlockDev for ModelDev {
                 corrupt.push((i, byte, bit));
             }
         }
-        // One queue occupancy for the whole extent — one request's share
-        // of the access latency plus the extent's bytes. This is the
-        // coalescing win.
-        let done = self.service(access, total as u64, self.model.read_bw);
-        self.clock.advance_to(done);
+        // One queue occupancy for the whole extent — one request's
+        // access latency plus the extent's bytes. This is the coalescing
+        // win.
+        let done = self.service(total, self.model.read_bw);
         for (i, chunk) in bufs.iter_mut().enumerate() {
             self.fill_block(lba + i as u64, chunk);
         }
@@ -539,8 +534,8 @@ impl BlockDev for ModelDev {
             }
         }
         self.stats.reads += 1;
-        self.stats.bytes_read += total as u64;
-        Ok(())
+        self.stats.bytes_read += total;
+        Ok(done)
     }
 
     fn write_blocks(&mut self, lba: u64, blocks: &[&[u8]]) -> Result<SimTime> {
@@ -548,18 +543,9 @@ impl BlockDev for ModelDev {
         if blocks.is_empty() {
             return Ok(self.clock.now());
         }
-        let mut total = 0usize;
-        for b in blocks {
-            if b.len() != BLOCK_SIZE {
-                return Err(Error::invalid(format!(
-                    "vectored write block is {} bytes on {}",
-                    b.len(),
-                    self.info.name
-                )));
-            }
-            total += b.len();
-        }
-        self.check_range(lba, total)?;
+        let total = self
+            .info
+            .check_extent(lba, blocks.iter().map(|b| b.len()))?;
         // The fault plan is consulted once per block — one write ordinal
         // each — so a schedule that cuts power on write N lands
         // mid-extent here.
@@ -610,7 +596,7 @@ impl BlockDev for ModelDev {
         }
         // One queue occupancy for the whole extent — a single access
         // latency plus the extent's bytes. This is the coalescing win.
-        let done = self.service(Access::Waited, total as u64, self.model.write_bw);
+        let done = self.service(total, self.model.write_bw);
         if self.info.persistence_domain {
             for (blba, data) in &payload {
                 self.apply_stable(*blba, data, None);
@@ -621,7 +607,7 @@ impl BlockDev for ModelDev {
             }
         }
         self.stats.writes += 1;
-        self.stats.bytes_written += total as u64;
+        self.stats.bytes_written += total;
         Ok(done)
     }
 
@@ -630,28 +616,25 @@ impl BlockDev for ModelDev {
         self.stats.flushes += 1;
         // A flush is a barrier behind everything queued, plus one access
         // latency for the cache drain itself.
-        let done = self.service(Access::Waited, 0, self.model.write_bw);
+        let done = self.model.barrier(&mut self.busy_until, self.clock.now());
         self.drain_cache_to_stable();
         Ok(done)
     }
 
     fn submit_write_timing(&mut self, nbytes: u64) -> Result<SimTime> {
         self.check_powered()?;
-        // Bulk asynchronous writes ride deep submission queues: access
-        // latency pipelines across in-flight requests.
-        let done = self.service(Access::Queued, nbytes, self.model.write_bw);
+        let done = self.service(nbytes, self.model.write_bw);
         self.stats.writes += 1;
         self.stats.bytes_written += nbytes;
         Ok(done)
     }
 
-    fn charge_read_timing(&mut self, nbytes: u64, access: Access) -> Result<()> {
+    fn charge_read_timing(&mut self, nbytes: u64) -> Result<SimTime> {
         self.check_powered()?;
-        let done = self.service(access, nbytes, self.model.read_bw);
-        self.clock.advance_to(done);
+        let done = self.service(nbytes, self.model.read_bw);
         self.stats.reads += 1;
         self.stats.bytes_read += nbytes;
-        Ok(())
+        Ok(done)
     }
 
     fn power_fail(&mut self) {
@@ -700,8 +683,8 @@ impl core::fmt::Debug for ModelDev {
     }
 }
 
-/// Test shorthand over the extent calls: a waited write of whole blocks
-/// as one extent, and a waited extent read into one contiguous buffer.
+/// Test shorthand over the extent calls: a write of whole blocks as one
+/// extent and an extent read into one contiguous buffer, each waited for.
 #[cfg(test)]
 pub(crate) mod test_io {
     use super::*;
@@ -715,10 +698,11 @@ pub(crate) mod test_io {
         Ok(())
     }
 
-    /// Reads `buf.len()` bytes at `lba` as one waited extent.
+    /// Reads `buf.len()` bytes at `lba` as one extent and waits for it.
     pub(crate) fn read<D: BlockDev + ?Sized>(d: &mut D, lba: u64, buf: &mut [u8]) -> Result<()> {
         let mut bufs: Vec<Vec<u8>> = buf.chunks(BLOCK_SIZE).map(|c| vec![0u8; c.len()]).collect();
-        d.read_blocks(lba, &mut bufs, Access::Waited)?;
+        let done = d.read_blocks(lba, &mut bufs)?;
+        d.clock().advance_to(done);
         for (dst, src) in buf.chunks_mut(BLOCK_SIZE).zip(&bufs) {
             dst.copy_from_slice(src);
         }
@@ -1002,7 +986,7 @@ mod tests {
         d.clock().advance_to(done);
         let reads_before = d.stats().reads;
         let mut out = vec![block(0); 3];
-        d.read_blocks(8, &mut out, Access::Queued).unwrap();
+        d.read_blocks(8, &mut out).unwrap();
         assert_eq!(out, bufs.to_vec());
         assert_eq!(
             d.stats().reads,
@@ -1025,8 +1009,7 @@ mod tests {
         let serial_elapsed = serial_clock.now().since(before);
         let before = vectored.clock().now();
         let mut out = vec![block(0); 8];
-        vectored.read_blocks(0, &mut out, Access::Waited).unwrap();
-        let vectored_elapsed = vectored.clock().now().since(before);
+        let vectored_elapsed = vectored.read_blocks(0, &mut out).unwrap().since(before);
         assert!(
             vectored_elapsed < serial_elapsed,
             "extent read {vectored_elapsed:?} should beat serial {serial_elapsed:?}"
@@ -1038,36 +1021,35 @@ mod tests {
         // 4 KiB at 2.5 GB/s is 1638.4 ns, charged rounded up.
         let transfer = SimDuration::for_bytes(BLOCK_SIZE as u64, costdev::NVME_READ_BW);
         assert_eq!(transfer.as_nanos(), 1_639);
-        // A one-block read on an idle NVMe, vectored and timing-only.
-        let elapsed = |access| {
-            let clock = SimClock::new();
-            let mut d = ModelDev::nvme(clock.clone(), "nvme0", 128);
-            d.read_blocks(0, &mut [block(0)], access).unwrap();
-            let vectored = clock.now().since(SimTime::ZERO);
-            let before = clock.now();
-            d.charge_read_timing(BLOCK_SIZE as u64, access).unwrap();
-            assert_eq!(clock.now().since(before), vectored, "{access:?}");
-            vectored
-        };
-        let queued = elapsed(Access::Queued);
-        assert_eq!(queued, SimDuration::from_nanos(625) + transfer);
-        assert_eq!(
-            elapsed(Access::Waited),
-            SimDuration::from_nanos(10_000) + transfer
-        );
-        // A queued read and a bulk write of the same size hold the queue
-        // for the same share of the access latency.
-        let clock = SimClock::new();
-        let mut d = ModelDev::nvme(clock, "nvme0", 128);
-        let write = d
-            .submit_write_timing(BLOCK_SIZE as u64)
-            .unwrap()
-            .since(SimTime::ZERO);
         let write_transfer = SimDuration::for_bytes(BLOCK_SIZE as u64, costdev::NVME_WRITE_BW);
-        assert_eq!(
-            write.saturating_sub(write_transfer),
-            queued.saturating_sub(transfer)
+        let (whole, share) = (
+            SimDuration::from_nanos(10_000),
+            SimDuration::from_nanos(625),
         );
+        // Back to back on one clock instant: the first request finds the
+        // queue idle and pays the whole latency; each one behind it pays
+        // the queue-depth share, vectored or timing-only, read or write.
+        let clock = SimClock::new();
+        let mut d = ModelDev::nvme(clock.clone(), "nvme0", 128);
+        let first = d.read_blocks(0, &mut [block(0)]).unwrap();
+        assert_eq!(first.since(SimTime::ZERO), whole + transfer);
+        let timed = d.charge_read_timing(BLOCK_SIZE as u64).unwrap();
+        assert_eq!(timed.since(first), share + transfer);
+        let vectored = d.read_blocks(1, &mut [block(0)]).unwrap();
+        assert_eq!(vectored.since(timed), share + transfer);
+        let bulk = d.submit_write_timing(BLOCK_SIZE as u64).unwrap();
+        assert_eq!(bulk.since(vectored), share + write_transfer);
+        let real = d.write_blocks(2, &[&block(1)]).unwrap();
+        assert_eq!(real.since(bulk), share + write_transfer);
+        assert_eq!(clock.now(), SimTime::ZERO, "no request moved the clock");
+        // Once the caller waits the queue out, the next request, of
+        // either kind, finds it idle again.
+        clock.advance_to(real);
+        let bulk = d.submit_write_timing(BLOCK_SIZE as u64).unwrap();
+        assert_eq!(bulk.since(real), whole + write_transfer);
+        clock.advance_to(bulk);
+        let timed = d.charge_read_timing(BLOCK_SIZE as u64).unwrap();
+        assert_eq!(timed.since(bulk), whole + transfer);
         // So reading through even a one-block hole costs more than the
         // queued request it would save, on every modelled device: the
         // read break-even is under one block.
@@ -1092,9 +1074,9 @@ mod tests {
         let mut out = vec![block(0); 4];
         // Each bounced attempt burns one read ordinal (the faulting first
         // block); the third attempt clears the window and succeeds.
-        assert!(d.read_blocks(0, &mut out, Access::Queued).is_err());
-        assert!(d.read_blocks(0, &mut out, Access::Queued).is_err());
-        d.read_blocks(0, &mut out, Access::Queued).unwrap();
+        assert!(d.read_blocks(0, &mut out).is_err());
+        assert!(d.read_blocks(0, &mut out).is_err());
+        d.read_blocks(0, &mut out).unwrap();
         assert_eq!(out.get(3), Some(&block(0x77)));
         assert!(d.powered());
     }
@@ -1105,14 +1087,14 @@ mod tests {
         let mut d = ModelDev::nvme(clock, "nvme0", 128);
         d.set_fault_plan(crate::fault::FaultPlan::power_cut_on_read(2));
         let mut out = vec![block(0); 4];
-        let err = d.read_blocks(0, &mut out, Access::Queued).unwrap_err();
+        let err = d.read_blocks(0, &mut out).unwrap_err();
         assert!(err.to_string().contains("power cut"), "{err}");
         assert!(!d.powered());
         d.power_on();
         // Ordinals restart on power-on and the plan is still armed, so
         // only the first read is safe.
         let mut one = vec![block(0); 1];
-        d.read_blocks(0, &mut one, Access::Queued).unwrap();
+        d.read_blocks(0, &mut one).unwrap();
     }
 
     #[test]
@@ -1124,14 +1106,14 @@ mod tests {
         d.clock().advance_to(done);
         d.set_fault_plan(crate::fault::FaultPlan::corrupt_read_blocks(5, 6, 10, 3));
         let mut out = vec![block(0); 2];
-        d.read_blocks(4, &mut out, Access::Queued).unwrap();
+        d.read_blocks(4, &mut out).unwrap();
         assert_eq!(out.first(), Some(&block(0)), "block outside region clean");
         let hit = out.get(1).cloned().unwrap_or_default();
         assert_eq!(hit.get(10), Some(&(1u8 << 3)), "one bit flipped");
         assert_eq!(hit.iter().filter(|&&b| b != 0).count(), 1);
         // A retry re-reads the same damaged media.
         let mut again = vec![block(0); 2];
-        d.read_blocks(4, &mut again, Access::Queued).unwrap();
+        d.read_blocks(4, &mut again).unwrap();
         assert_eq!(again.get(1), Some(&hit));
     }
 
@@ -1140,11 +1122,11 @@ mod tests {
         let clock = SimClock::new();
         let mut d = ModelDev::nvme(clock, "nvme0", 4);
         let mut short = vec![block(0), vec![0u8; 100]];
-        assert!(d.read_blocks(0, &mut short, Access::Queued).is_err());
+        assert!(d.read_blocks(0, &mut short).is_err());
         let mut past_end = vec![block(0); 3];
-        assert!(d.read_blocks(2, &mut past_end, Access::Queued).is_err());
+        assert!(d.read_blocks(2, &mut past_end).is_err());
         let mut empty: Vec<Vec<u8>> = Vec::new();
-        assert!(d.read_blocks(0, &mut empty, Access::Queued).is_ok());
+        assert!(d.read_blocks(0, &mut empty).is_ok());
     }
 
     #[test]

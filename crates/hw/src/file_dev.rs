@@ -20,7 +20,7 @@ use aurora_sim::error::{Error, Result};
 use aurora_sim::time::SimTime;
 use aurora_sim::SimClock;
 
-use crate::dev::{Access, BlockDev, CostModel, DevInfo, DevStats};
+use crate::dev::{BlockDev, CostModel, DevInfo, DevStats};
 use crate::BLOCK_SIZE;
 
 /// A host-file-backed block device with NVMe-like virtual costs.
@@ -58,23 +58,9 @@ impl FileDev {
         })
     }
 
-    fn check_range(&self, lba: u64, len: usize) -> Result<()> {
-        if !len.is_multiple_of(BLOCK_SIZE) {
-            return Err(Error::invalid(format!("unaligned i/o length {len}")));
-        }
-        let nblocks = (len / BLOCK_SIZE) as u64;
-        if lba + nblocks > self.info.blocks {
-            return Err(Error::no_space(format!(
-                "i/o beyond device end: lba {lba} + {nblocks} > {}",
-                self.info.blocks
-            )));
-        }
-        Ok(())
-    }
-
     /// Charges a request by the NVMe model's service rule.
-    fn service(&mut self, access: Access, bytes: u64, bw: u64) -> SimTime {
-        CostModel::NVME.serve(&mut self.busy_until, self.clock.now(), access, bytes, bw)
+    fn service(&mut self, bytes: u64, bw: u64) -> SimTime {
+        CostModel::NVME.serve(&mut self.busy_until, self.clock.now(), bytes, bw)
     }
 }
 
@@ -87,22 +73,15 @@ impl BlockDev for FileDev {
         &self.stats
     }
 
-    fn read_blocks(&mut self, lba: u64, bufs: &mut [Vec<u8>], access: Access) -> Result<()> {
+    fn read_blocks(&mut self, lba: u64, bufs: &mut [Vec<u8>]) -> Result<SimTime> {
         if bufs.is_empty() {
-            return Ok(());
-        }
-        if let Some(b) = bufs.iter().find(|b| b.len() != BLOCK_SIZE) {
-            return Err(Error::invalid(format!(
-                "vectored read block is {} bytes",
-                b.len()
-            )));
+            return Ok(self.clock.now());
         }
         // One seek and one read of the span, charged as one request; the
         // buffers are filled only once the whole span is in.
-        let mut span = vec![0u8; bufs.len() * BLOCK_SIZE];
-        self.check_range(lba, span.len())?;
-        let done = self.service(access, span.len() as u64, CostModel::NVME.read_bw);
-        self.clock.advance_to(done);
+        let total = self.info.check_extent(lba, bufs.iter().map(Vec::len))?;
+        let mut span = vec![0u8; total as usize];
+        let done = self.service(total, CostModel::NVME.read_bw);
         self.file
             .seek(SeekFrom::Start(lba * BLOCK_SIZE as u64))
             .and_then(|_| self.file.read_exact(&mut span))
@@ -111,17 +90,18 @@ impl BlockDev for FileDev {
             buf.copy_from_slice(chunk);
         }
         self.stats.reads += 1;
-        self.stats.bytes_read += span.len() as u64;
-        Ok(())
+        self.stats.bytes_read += total;
+        Ok(done)
     }
 
     fn write_blocks(&mut self, lba: u64, blocks: &[&[u8]]) -> Result<SimTime> {
         if blocks.is_empty() {
             return Ok(self.clock.now());
         }
-        let total: usize = blocks.iter().map(|b| b.len()).sum();
-        self.check_range(lba, total)?;
-        let done = self.service(Access::Waited, total as u64, CostModel::NVME.write_bw);
+        let total = self
+            .info
+            .check_extent(lba, blocks.iter().map(|b| b.len()))?;
+        let done = self.service(total, CostModel::NVME.write_bw);
         // One seek, one sequential run: the host file sees the extent the
         // way the model charges for it.
         self.file
@@ -133,7 +113,7 @@ impl BlockDev for FileDev {
                 .map_err(|e| Error::io(format!("write extent at lba {lba}: {e}")))?;
         }
         self.stats.writes += 1;
-        self.stats.bytes_written += total as u64;
+        self.stats.bytes_written += total;
         Ok(done)
     }
 
@@ -142,22 +122,21 @@ impl BlockDev for FileDev {
         self.file
             .sync_data()
             .map_err(|e| Error::io(format!("sync: {e}")))?;
-        Ok(self.service(Access::Waited, 0, CostModel::NVME.write_bw))
+        Ok(CostModel::NVME.barrier(&mut self.busy_until, self.clock.now()))
     }
 
     fn submit_write_timing(&mut self, nbytes: u64) -> Result<SimTime> {
-        let done = self.service(Access::Queued, nbytes, CostModel::NVME.write_bw);
+        let done = self.service(nbytes, CostModel::NVME.write_bw);
         self.stats.writes += 1;
         self.stats.bytes_written += nbytes;
         Ok(done)
     }
 
-    fn charge_read_timing(&mut self, nbytes: u64, access: Access) -> Result<()> {
-        let done = self.service(access, nbytes, CostModel::NVME.read_bw);
-        self.clock.advance_to(done);
+    fn charge_read_timing(&mut self, nbytes: u64) -> Result<SimTime> {
+        let done = self.service(nbytes, CostModel::NVME.read_bw);
         self.stats.reads += 1;
         self.stats.bytes_read += nbytes;
-        Ok(())
+        Ok(done)
     }
 
     fn power_fail(&mut self) {
@@ -233,14 +212,11 @@ mod tests {
         let refs: Vec<&[u8]> = bufs.iter().map(|b| b.as_slice()).collect();
         d.write_blocks(4, &refs).unwrap();
         let mut out = vec![vec![0u8; BLOCK_SIZE]; 8];
-        d.read_blocks(4, &mut out, Access::Queued).unwrap();
+        d.read_blocks(4, &mut out).unwrap();
         assert_eq!(out, bufs, "every block comes back");
         assert_eq!(d.stats().reads, 1, "one request for the span");
         assert_eq!(d.stats().bytes_read, 8 * BLOCK_SIZE as u64);
-        assert!(
-            d.read_blocks(12, &mut out, Access::Queued).is_err(),
-            "span past device end"
-        );
+        assert!(d.read_blocks(12, &mut out).is_err(), "span past device end");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

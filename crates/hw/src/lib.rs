@@ -23,11 +23,13 @@
 //!   self-healing layer under the object store.
 //!
 //! All devices implement [`dev::BlockDev`], which takes extents only:
-//! one read request (`read_blocks`, synchronous — it advances the
-//! virtual clock) and one write request (`write_blocks`, submitted
-//! asynchronously, returning the virtual completion instant so the SLS
-//! can flush checkpoints in the background — the separation the paper
-//! relies on to keep application stop times under a millisecond).
+//! one read request (`read_blocks`) and one write request
+//! (`write_blocks`). Both are submissions: each returns the virtual
+//! instant it completes and leaves the clock alone, so the SLS can flush
+//! checkpoints in the background — the separation the paper relies on
+//! to keep application stop times under a millisecond — and stream a
+//! restore's extents at queue depth. One queue rule charges every
+//! request (see [`dev`]).
 
 pub mod dev;
 pub mod fault;
@@ -37,7 +39,7 @@ pub mod net;
 pub mod retry;
 pub mod stripe;
 
-pub use dev::{Access, BlockDev, DevInfo, DevStats, ModelDev};
+pub use dev::{BlockDev, DevInfo, DevStats, ModelDev};
 pub use fault::{FaultPlan, FaultRates};
 pub use mirror::{GoldenCopy, MirrorDev, MirrorStats, ReplicaState, ResilverBarrier};
 pub use net::{Delivery, LinkFaultRates, LinkModel, LinkStats, RemoteDev, ReplLink};

@@ -38,7 +38,7 @@ use aurora_sim::error::{Error, Result};
 use aurora_sim::time::SimTime;
 use aurora_sim::SimClock;
 
-use crate::dev::{Access, BlockDev, DevInfo, DevStats};
+use crate::dev::{BlockDev, DevInfo, DevStats};
 use crate::fault::FaultPlan;
 use crate::retry::{DevHealth, ResilientDev, RetryStats};
 use crate::BLOCK_SIZE;
@@ -344,45 +344,31 @@ impl MirrorDev {
     }
 
     /// Copies `count` blocks starting at `lba` from a good active replica
-    /// onto every rebuilding replica, as one vectored read plus one
-    /// vectored write per target — all charged to the virtual clock.
-    /// Returns the number of blocks copied (0 if nothing is rebuilding).
-    pub fn resilver_extent(&mut self, lba: u64, count: usize) -> Result<u64> {
-        if !self.needs_resilver() || count == 0 {
-            return Ok(0);
-        }
-        let mut bufs: Vec<Vec<u8>> = vec![vec![0u8; BLOCK_SIZE]; count];
-        self.read_with_failover(|r| r.read_blocks(lba, &mut bufs, Access::Waited))?;
-        let refs: Vec<&[u8]> = bufs.iter().map(|b| b.as_slice()).collect();
-        let mut done = self.clock.now();
-        for (r, s) in self.replicas.iter_mut().zip(self.states.iter()) {
-            if *s != ReplicaState::Rebuilding {
-                continue;
-            }
-            done = done.max(r.write_blocks(lba, &refs)?);
-        }
-        self.clock.advance_to(done);
-        self.mstats.resilvered_extents += 1;
-        self.mstats.resilvered_blocks += count as u64;
-        Ok(count as u64)
-    }
-
-    /// Timing-only resilver charge for data whose authoritative contents
-    /// live above the device (non-materialized stores): occupies the
-    /// source read path and each rebuilding replica's write path for
-    /// `count` blocks without moving bytes.
-    pub fn resilver_extent_timing(&mut self, count: usize) -> Result<u64> {
+    /// onto every rebuilding replica: one vectored read, then, once its
+    /// bytes are in, one vectored write per target, and the copy waits
+    /// for the writes. With `real` false the data's authoritative
+    /// contents live above the device (a timing-only store), so the copy
+    /// is charged without moving bytes. Returns the number of blocks
+    /// copied (0 if nothing is rebuilding).
+    pub fn resilver_extent(&mut self, lba: u64, count: usize, real: bool) -> Result<u64> {
         if !self.needs_resilver() || count == 0 {
             return Ok(0);
         }
         let nbytes = (count * BLOCK_SIZE) as u64;
-        self.read_with_failover(|r| r.charge_read_timing(nbytes, Access::Waited))?;
-        let mut done = self.clock.now();
+        let mut bufs = vec![vec![0u8; BLOCK_SIZE]; if real { count } else { 0 }];
+        let mut done = self.read_with_failover(|r| match real {
+            true => r.read_blocks(lba, &mut bufs),
+            false => r.charge_read_timing(nbytes),
+        })?;
+        self.clock.advance_to(done);
+        let refs: Vec<&[u8]> = bufs.iter().map(Vec::as_slice).collect();
         for (r, s) in self.replicas.iter_mut().zip(self.states.iter()) {
-            if *s != ReplicaState::Rebuilding {
-                continue;
+            if *s == ReplicaState::Rebuilding {
+                done = done.max(match real {
+                    true => r.write_blocks(lba, &refs)?,
+                    false => r.submit_write_timing(nbytes)?,
+                });
             }
-            done = done.max(r.submit_write_timing(nbytes)?);
         }
         self.clock.advance_to(done);
         self.mstats.resilvered_extents += 1;
@@ -432,9 +418,12 @@ impl MirrorDev {
             if *s != ReplicaState::Active {
                 continue;
             }
+            // Each verdict waits for its copy's bytes.
             let mut buf = vec![0u8; BLOCK_SIZE];
-            match r.read_blocks(lba, std::slice::from_mut(&mut buf), Access::Waited) {
-                Ok(()) if verify(&buf) => {
+            let read = r.read_blocks(lba, std::slice::from_mut(&mut buf));
+            read.iter().for_each(|&done| self.clock.advance_to(done));
+            match read {
+                Ok(_) if verify(&buf) => {
                     if golden.is_none() {
                         golden = Some(GoldenCopy { lba, bytes: buf });
                     }
@@ -526,14 +515,14 @@ impl BlockDev for MirrorDev {
         &self.stats
     }
 
-    fn read_blocks(&mut self, lba: u64, bufs: &mut [Vec<u8>], access: Access) -> Result<()> {
+    fn read_blocks(&mut self, lba: u64, bufs: &mut [Vec<u8>]) -> Result<SimTime> {
         // The per-replica ResilientDev guarantees all-or-error extent
         // reads (failed attempts leave the buffers zeroed), so failing
         // over a whole extent to a twin never mixes replicas.
-        self.read_with_failover(|r| r.read_blocks(lba, bufs, access))?;
+        let done = self.read_with_failover(|r| r.read_blocks(lba, bufs))?;
         self.stats.reads += 1;
         self.stats.bytes_read += bufs.iter().map(|b| b.len() as u64).sum::<u64>();
-        Ok(())
+        Ok(done)
     }
 
     fn write_blocks(&mut self, lba: u64, blocks: &[&[u8]]) -> Result<SimTime> {
@@ -556,11 +545,11 @@ impl BlockDev for MirrorDev {
         Ok(done)
     }
 
-    fn charge_read_timing(&mut self, nbytes: u64, access: Access) -> Result<()> {
-        self.read_with_failover(|r| r.charge_read_timing(nbytes, access))?;
+    fn charge_read_timing(&mut self, nbytes: u64) -> Result<SimTime> {
+        let done = self.read_with_failover(|r| r.charge_read_timing(nbytes))?;
         self.stats.reads += 1;
         self.stats.bytes_read += nbytes;
-        Ok(())
+        Ok(done)
     }
 
     fn power_fail(&mut self) {
@@ -786,7 +775,7 @@ mod tests {
         write(&mut m, 9, &block(0xAA)).unwrap();
         // ...but serves no reads until promoted.
         assert_eq!(m.active_width(), 1);
-        let copied = m.resilver_extent(0, 10).unwrap();
+        let copied = m.resilver_extent(0, 10, true).unwrap();
         assert_eq!(copied, 10);
         let barrier = m.resilver_barrier().unwrap();
         assert_eq!(m.promote_rebuilt(barrier).unwrap(), 1);
@@ -830,7 +819,7 @@ mod tests {
         m.kill_replica(0).unwrap();
         m.kill_replica(1).unwrap();
         let mut out: Vec<Vec<u8>> = vec![block(0); 4];
-        m.read_blocks(10, &mut out, Access::Queued).unwrap();
+        m.read_blocks(10, &mut out).unwrap();
         assert_eq!(out, bufs);
     }
 }

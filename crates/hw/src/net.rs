@@ -15,7 +15,8 @@ use aurora_sim::rng::Xoshiro256;
 use aurora_sim::time::{SimDuration, SimTime};
 use aurora_sim::SimClock;
 
-use crate::dev::{Access, BlockDev, DevInfo, DevStats};
+use crate::dev::{BlockDev, DevInfo, DevStats};
+use crate::BLOCK_SIZE;
 
 /// A point-to-point network link.
 #[derive(Debug)]
@@ -52,7 +53,14 @@ impl LinkModel {
     /// Transfers pipeline: bandwidth is consumed serially, latency is
     /// added once per message.
     pub fn transfer(&mut self, bytes: u64) -> SimTime {
-        let start = self.clock.now().max(self.busy_until);
+        self.transfer_from(self.clock.now(), bytes)
+    }
+
+    /// Schedules a transfer of `bytes` that cannot start before `at`
+    /// (say, a response whose payload is ready then); returns its
+    /// arrival instant.
+    pub fn transfer_from(&mut self, at: SimTime, bytes: u64) -> SimTime {
+        let start = at.max(self.busy_until);
         let serialize = SimDuration::for_bytes(bytes, self.bandwidth);
         self.busy_until = start + serialize;
         self.bytes_moved += bytes;
@@ -279,11 +287,6 @@ impl<D: BlockDev> RemoteDev<D> {
     pub fn link(&self) -> &LinkModel {
         &self.link
     }
-
-    /// Access to the inner device.
-    pub fn inner(&self) -> &D {
-        &self.inner
-    }
 }
 
 impl<D: BlockDev> BlockDev for RemoteDev<D> {
@@ -295,15 +298,16 @@ impl<D: BlockDev> BlockDev for RemoteDev<D> {
         self.inner.stats()
     }
 
-    fn read_blocks(&mut self, lba: u64, bufs: &mut [Vec<u8>], access: Access) -> Result<()> {
+    fn read_blocks(&mut self, lba: u64, bufs: &mut [Vec<u8>]) -> Result<SimTime> {
         // One small request out, one response carrying the whole extent
         // back: like `write_blocks`, the extent is one message each way.
-        let req_arrive = self.link.transfer(64);
-        self.link.clock.advance_to(req_arrive);
-        self.inner.read_blocks(lba, bufs, access)?;
-        self.link
-            .transfer_sync(bufs.iter().map(|b| b.len() as u64).sum());
-        Ok(())
+        // The device serves the request once it arrives, so its service
+        // time counts from the arrival.
+        let sent = self.link.transfer(64).since(self.link.clock.now());
+        let read = self.inner.read_blocks(lba, bufs)? + sent;
+        Ok(self
+            .link
+            .transfer_from(read, (bufs.len() * BLOCK_SIZE) as u64))
     }
 
     fn write_blocks(&mut self, lba: u64, blocks: &[&[u8]]) -> Result<SimTime> {
@@ -328,12 +332,10 @@ impl<D: BlockDev> BlockDev for RemoteDev<D> {
         Ok(dev_done.max(arrive))
     }
 
-    fn charge_read_timing(&mut self, nbytes: u64, access: Access) -> Result<()> {
-        let req_arrive = self.link.transfer(64);
-        self.link.clock.advance_to(req_arrive);
-        self.inner.charge_read_timing(nbytes, access)?;
-        self.link.transfer_sync(nbytes);
-        Ok(())
+    fn charge_read_timing(&mut self, nbytes: u64) -> Result<SimTime> {
+        let sent = self.link.transfer(64).since(self.link.clock.now());
+        let read = self.inner.charge_read_timing(nbytes)? + sent;
+        Ok(self.link.transfer_from(read, nbytes))
     }
 
     fn power_fail(&mut self) {

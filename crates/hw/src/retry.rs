@@ -10,7 +10,9 @@
 //!
 //! Backoff delays are charged to the device's [`SimClock`] — never
 //! wall-clock — and jitter is derived from `mix64`, so a run with a given
-//! fault schedule is exactly reproducible.
+//! fault schedule is exactly reproducible. The backoff is the issuer's
+//! own wait before it resubmits, so it is the one clock charge a data
+//! call can make, and only after a transient fault bounced a request.
 //!
 //! The wrapper also tracks health: consecutive failures mark the device
 //! [`DevHealth::Degraded`]; power loss or a dead inner device marks it
@@ -24,7 +26,7 @@ use aurora_sim::time::{SimDuration, SimTime};
 use aurora_sim::SimClock;
 use std::sync::Arc;
 
-use crate::dev::{Access, BlockDev, DevInfo, DevStats};
+use crate::dev::{BlockDev, DevInfo, DevStats};
 use crate::fault::FaultPlan;
 
 /// Transient-vs-permanent classification of an [`ErrorKind`].
@@ -200,11 +202,6 @@ impl ResilientDev {
         ResilientDev::new(inner, RetryPolicy::default())
     }
 
-    /// The wrapped device.
-    pub fn inner(&self) -> &dyn BlockDev {
-        self.inner.as_ref()
-    }
-
     fn note_success(&mut self, retries_used: u32) {
         if retries_used > 0 {
             self.retry_stats.transient_absorbed += u64::from(retries_used);
@@ -273,7 +270,7 @@ impl BlockDev for ResilientDev {
         self.inner.stats()
     }
 
-    fn read_blocks(&mut self, lba: u64, bufs: &mut [Vec<u8>], access: Access) -> Result<()> {
+    fn read_blocks(&mut self, lba: u64, bufs: &mut [Vec<u8>]) -> Result<SimTime> {
         // One retry scope per extent: reads are idempotent and the model
         // device bounces a transient extent atomically (nothing is
         // filled), so resubmitting the whole extent is safe. Corruption
@@ -286,7 +283,7 @@ impl BlockDev for ResilientDev {
         // left in them, so no caller can mistake a partially-filled
         // extent for data — and so a mirror failing over to a twin
         // starts from clean buffers.
-        let r = self.with_retries(true, |d| d.read_blocks(lba, bufs, access));
+        let r = self.with_retries(true, |d| d.read_blocks(lba, bufs));
         if r.is_err() {
             for b in bufs.iter_mut() {
                 b.fill(0);
@@ -310,8 +307,8 @@ impl BlockDev for ResilientDev {
         self.inner.submit_write_timing(nbytes)
     }
 
-    fn charge_read_timing(&mut self, nbytes: u64, access: Access) -> Result<()> {
-        self.inner.charge_read_timing(nbytes, access)
+    fn charge_read_timing(&mut self, nbytes: u64) -> Result<SimTime> {
+        self.inner.charge_read_timing(nbytes)
     }
 
     fn power_fail(&mut self) {
@@ -555,7 +552,7 @@ mod tests {
         // Mid-extent bounce on the second per-block consultation.
         d.install_fault_plan(FaultPlan::transient_reads(2, 1));
         let mut out = vec![vec![0u8; BLOCK_SIZE]; 4];
-        d.read_blocks(0, &mut out, Access::Queued).unwrap();
+        d.read_blocks(0, &mut out).unwrap();
         assert_eq!(out, bufs);
         assert_eq!(d.retry_stats().reads_retried, 1);
         assert_eq!(d.retry_stats().failures_surfaced, 0);
@@ -626,7 +623,7 @@ mod tests {
         // attempts, so the whole extent fails after retries.
         d.install_fault_plan(FaultPlan::transient_reads(3, 8));
         let mut out = vec![vec![0x5Au8; BLOCK_SIZE]; 4];
-        assert!(d.read_blocks(0, &mut out, Access::Queued).is_err());
+        assert!(d.read_blocks(0, &mut out).is_err());
         for (i, b) in out.iter().enumerate() {
             assert!(
                 b.iter().all(|&x| x == 0),
@@ -643,7 +640,7 @@ mod tests {
         // Power dies at the 2nd per-block consultation of the extent.
         d.install_fault_plan(FaultPlan::power_cut_on_read(2));
         let mut out = vec![vec![0xA5u8; BLOCK_SIZE]; 4];
-        let err = d.read_blocks(0, &mut out, Access::Queued).unwrap_err();
+        let err = d.read_blocks(0, &mut out).unwrap_err();
         assert_eq!(err.kind(), ErrorKind::DeviceDead);
         assert_eq!(d.health(), DevHealth::Dead);
         for (i, b) in out.iter().enumerate() {

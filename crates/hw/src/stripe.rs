@@ -15,7 +15,7 @@ use aurora_sim::error::{Error, Result};
 use aurora_sim::time::SimTime;
 use aurora_sim::SimClock;
 
-use crate::dev::{Access, BlockDev, DevInfo, DevStats};
+use crate::dev::{BlockDev, DevInfo, DevStats};
 
 /// A stripe set over homogeneous members.
 pub struct StripedDev<D: BlockDev> {
@@ -24,7 +24,7 @@ pub struct StripedDev<D: BlockDev> {
     clock: Arc<SimClock>,
     info: DevInfo,
     stats: DevStats,
-    /// Round-robin cursor for timing-only submissions.
+    /// Round-robin cursor for timing-only requests.
     rr: usize,
 }
 
@@ -57,11 +57,6 @@ impl<D: BlockDev> StripedDev<D> {
         }
     }
 
-    /// Number of members.
-    pub fn width(&self) -> usize {
-        self.members.len()
-    }
-
     fn locate(&self, lba: u64) -> (usize, u64) {
         let n = self.members.len() as u64;
         ((lba % n) as usize, lba / n)
@@ -86,10 +81,31 @@ impl<D: BlockDev> StripedDev<D> {
         runs
     }
 
-    fn member(&mut self, idx: usize) -> Result<&mut D> {
-        self.members
-            .get_mut(idx)
-            .ok_or_else(|| Error::internal(format!("stripe member {idx} out of range")))
+    /// Spreads a timing-only request of `nbytes` across the members
+    /// round-robin, so their queues serve it in parallel — this is where
+    /// the bandwidth aggregation shows up, for reads and writes alike.
+    /// Completes with the last share.
+    fn split(
+        &mut self,
+        nbytes: u64,
+        mut op: impl FnMut(&mut D, u64) -> Result<SimTime>,
+    ) -> Result<SimTime> {
+        let n = self.members.len();
+        let share = nbytes / n as u64;
+        let remainder = nbytes - share * n as u64;
+        let mut done = SimTime::ZERO;
+        for i in 0..n {
+            let member = (self.rr + i) % n;
+            let bytes = if i == 0 { share + remainder } else { share };
+            if bytes > 0 {
+                let m = self.members.get_mut(member).ok_or_else(|| {
+                    Error::internal(format!("stripe member {member} out of range"))
+                })?;
+                done = done.max(op(m, bytes)?);
+            }
+        }
+        self.rr = (self.rr + 1) % n;
+        Ok(done)
     }
 }
 
@@ -102,16 +118,18 @@ impl<D: BlockDev> BlockDev for StripedDev<D> {
         &self.stats
     }
 
-    fn read_blocks(&mut self, lba: u64, bufs: &mut [Vec<u8>], access: Access) -> Result<()> {
+    fn read_blocks(&mut self, lba: u64, bufs: &mut [Vec<u8>]) -> Result<SimTime> {
         if bufs.is_empty() {
-            return Ok(());
+            return Ok(self.clock.now());
         }
         // The same split as `write_blocks`: each member reads its share
-        // as one run, and `bufs` is filled only once every run is in.
+        // as one run on its own queue, the extent is in when the last
+        // run is, and `bufs` is filled only once every run is in.
         let mut runs = self.runs(lba, bufs.iter().map(|b| vec![0u8; b.len()]));
+        let mut done = SimTime::ZERO;
         for (m, (start, run)) in self.members.iter_mut().zip(runs.iter_mut()) {
             if let Some(start) = start {
-                m.read_blocks(*start, run, access)?;
+                done = done.max(m.read_blocks(*start, run)?);
             }
         }
         let mut runs: Vec<_> = runs.into_iter().map(|(_, run)| run.into_iter()).collect();
@@ -123,7 +141,7 @@ impl<D: BlockDev> BlockDev for StripedDev<D> {
         }
         self.stats.reads += 1;
         self.stats.bytes_read += bufs.iter().map(|b| b.len() as u64).sum::<u64>();
-        Ok(())
+        Ok(done)
     }
 
     fn write_blocks(&mut self, lba: u64, blocks: &[&[u8]]) -> Result<SimTime> {
@@ -152,36 +170,17 @@ impl<D: BlockDev> BlockDev for StripedDev<D> {
     }
 
     fn submit_write_timing(&mut self, nbytes: u64) -> Result<SimTime> {
-        // Spread bulk payloads across the members round-robin so their
-        // queues drain in parallel — this is where the bandwidth
-        // aggregation shows up.
-        let n = self.members.len();
-        let share = nbytes / n as u64;
-        let remainder = nbytes - share * n as u64;
-        let mut done = SimTime::ZERO;
-        for i in 0..n {
-            let member = (self.rr + i) % n;
-            let bytes = if i == 0 { share + remainder } else { share };
-            if bytes > 0 {
-                done = done.max(self.member(member)?.submit_write_timing(bytes)?);
-            }
-        }
-        self.rr = (self.rr + 1) % n;
+        let done = self.split(nbytes, |m, bytes| m.submit_write_timing(bytes))?;
         self.stats.writes += 1;
         self.stats.bytes_written += nbytes;
         Ok(done)
     }
 
-    fn charge_read_timing(&mut self, nbytes: u64, access: Access) -> Result<()> {
-        // Reads also split across members; the caller waits for the max.
-        let n = self.members.len() as u64;
-        let share = nbytes.div_ceil(n);
-        for m in &mut self.members {
-            m.charge_read_timing(share.min(nbytes), access)?;
-        }
+    fn charge_read_timing(&mut self, nbytes: u64) -> Result<SimTime> {
+        let done = self.split(nbytes, |m, bytes| m.charge_read_timing(bytes))?;
         self.stats.reads += 1;
         self.stats.bytes_read += nbytes;
-        Ok(())
+        Ok(done)
     }
 
     fn power_fail(&mut self) {

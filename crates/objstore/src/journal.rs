@@ -31,7 +31,7 @@ use aurora_sim::codec::{Decoder, Encoder};
 use aurora_sim::error::{Error, Result};
 use aurora_sim::rng::mix64;
 
-use aurora_hw::{Access, BlockDev, BLOCK_SIZE};
+use aurora_hw::{BlockDev, BLOCK_SIZE};
 
 use crate::checkpoint::{take_object, Checkpoint, CkptId};
 use crate::deltalog::{DeltaLog, DeltaRecord, Lsn};
@@ -203,8 +203,8 @@ const SCAN_WINDOW: u64 = 64 * BLOCK_SIZE as u64;
 /// window extends it by its missing bytes plus the next window, so the
 /// scan pays one request per window, not per frame, reads no byte
 /// twice, and holds at most a window and a frame, never the whole half.
-/// The windows are sequential and none waits on the frames of another,
-/// so they are queued requests.
+/// Whether the scan reads on past a window depends on the frames in it,
+/// so it waits for each window's bytes.
 pub fn scan(
     dev: &mut dyn BlockDev,
     base: u64,
@@ -243,7 +243,8 @@ pub fn scan(
 /// frame in the half carries a later one.
 pub fn first_generation(dev: &mut dyn BlockDev, base: u64, half_bytes: u64) -> Result<Option<u64>> {
     let mut head = vec![0u8; BLOCK_SIZE];
-    dev.read_blocks(base, std::slice::from_mut(&mut head), Access::Waited)?;
+    let done = dev.read_blocks(base, std::slice::from_mut(&mut head))?;
+    dev.clock().advance_to(done);
     let Ok(h) = Decoder::new(&head).record_header() else {
         return Ok(None);
     };
@@ -251,7 +252,8 @@ pub fn first_generation(dev: &mut dyn BlockDev, base: u64, half_bytes: u64) -> R
         return Ok(None);
     };
     let mut bufs = vec![vec![0u8; BLOCK_SIZE]; (len / BLOCK_SIZE as u64) as usize];
-    dev.read_blocks(base, &mut bufs, Access::Queued)?;
+    let done = dev.read_blocks(base, &mut bufs)?;
+    dev.clock().advance_to(done);
     Ok(Decoder::new(&bufs.concat()).record().ok().map(|r| r.generation))
 }
 
@@ -278,7 +280,8 @@ impl Window {
             let from = off + self.bytes.len() as u64;
             let to = end.max(from + SCAN_WINDOW).min(self.half_bytes);
             let mut bufs = vec![vec![0u8; BLOCK_SIZE]; ((to - from) / block) as usize];
-            dev.read_blocks(self.base + from / block, &mut bufs, Access::Queued)?;
+            let done = dev.read_blocks(self.base + from / block, &mut bufs)?;
+            dev.clock().advance_to(done);
             bufs.iter().for_each(|b| self.bytes.extend_from_slice(b));
         }
         let start = (off - self.at) as usize;

@@ -12,17 +12,18 @@
 //! for metadata records, over the device charge alone:
 //!
 //! * a lazy fault (`fetch_block`) serves the page-table copy, else
-//!   reads a one-block run and admits it — a waited request, since the
+//!   reads a one-block run and admits it — and waits for it, since the
 //!   faulting access cannot proceed without it;
 //! * the planner (`read_extent`) probes the bounded read cache, reads
-//!   the extent on any miss and admits what it fetched — a queued
-//!   request, since the whole plan is known before its first read;
+//!   the extent on any miss and admits what it fetched — without
+//!   waiting: the whole plan is known before its first read, so its
+//!   extents go to the device back to back and the caller waits once;
 //! * the audits (`verify_extent`) bypass the cache — a clean cached
 //!   copy says nothing about the medium — and collect the verdicts,
-//!   queued like the planner's reads;
+//!   submitted back to back like the planner's reads;
 //! * a metadata-record read (`ObjectStore::get_blob`) probes the same
 //!   bounded cache under the record's name — the checkpoint whose delta
-//!   holds it plus its key — and on a miss pays a waited read of the
+//!   holds it plus its key — and on a miss waits for a read of the
 //!   record's journal blocks and admits it. The record's bytes come
 //!   from the checkpoint table, so what the cache decides is what the
 //!   read costs.
@@ -37,11 +38,11 @@
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::ops::{Range, RangeBounds};
 
-use aurora_hw::{Access, BLOCK_SIZE};
+use aurora_hw::BLOCK_SIZE;
 use aurora_sim::cost::RESTORE_CACHE_HIT_NS;
 use aurora_sim::error::{Error, Result};
 use aurora_sim::hash::{page_hash, Words};
-use aurora_sim::time::SimDuration;
+use aurora_sim::time::{SimDuration, SimTime};
 use aurora_vm::PageData;
 
 use crate::checkpoint::{self, CkptId, PageRef};
@@ -254,6 +255,10 @@ pub struct ReadOutcome {
     pub cache_misses: u64,
     /// Vectored extent reads issued.
     pub extents_read: u64,
+    /// When the last device read issued completes; `SimTime::ZERO` when
+    /// none was. The clock is not advanced: a caller that needs the
+    /// pages waits for this instant.
+    pub done: SimTime,
 }
 
 /// One wanted block as the checked reader found it: its page and the
@@ -266,21 +271,23 @@ type Verdict = Option<(PageData, Option<u64>)>;
 impl ObjectStore {
     /// The one reader of page bytes on a materialized store. Reads
     /// `run` — adjacent ascending blocks, one extent — with a single
-    /// vectored request of kind `access` and compares every block that
-    /// has a recorded content hash with it. Damaged bytes get exactly
-    /// one re-read, waited since nothing else is in flight for it:
-    /// transient electronics clear, damaged media re-reads identically,
-    /// and then each block still damaged gets its chance at a mirror
-    /// twin. A block that passed keeps its first verdict, so every block
-    /// is decoded and hashed once per read.
+    /// vectored request and compares every block that has a recorded
+    /// content hash with it. Damaged bytes get exactly one re-read,
+    /// submitted behind the first: transient electronics clear, damaged
+    /// media re-reads identically, and then each block still damaged
+    /// gets its chance at a mirror twin. A block that passed keeps its
+    /// first verdict, so every block is decoded and hashed once per
+    /// read. Returns the verdicts and when the last read completes; the
+    /// clock is the caller's to advance.
     ///
     /// `Err` means a request itself failed (dead device, retries
     /// exhausted); damage is a `None` verdict for that block alone.
     /// Nothing is cached, recorded or indexed here: what a verdict is
     /// worth is the calling policy's decision.
-    fn read_checked(&self, run: &[u64], access: Access) -> Result<Vec<Verdict>> {
+    fn read_checked(&self, run: &[u64]) -> Result<(Vec<Verdict>, SimTime)> {
+        let mut done = SimTime::ZERO;
         let Some(&first) = run.first() else {
-            return Ok(Vec::new());
+            return Ok((Vec::new(), done));
         };
         let recorded: Vec<Option<u64>> = {
             let cache = self.cache.borrow();
@@ -288,11 +295,9 @@ impl ObjectStore {
         };
         let lba0 = self.sb.data_start();
         let mut verdicts: Vec<Verdict> = vec![None; run.len()];
-        for access in [access, Access::Waited] {
+        for _ in 0..2 {
             let mut bufs = vec![vec![0u8; BLOCK_SIZE]; run.len()];
-            self.dev
-                .borrow_mut()
-                .read_blocks(lba0 + first, &mut bufs, access)?;
+            done = done.max(self.dev.borrow_mut().read_blocks(lba0 + first, &mut bufs)?);
             for ((verdict, buf), &want) in verdicts.iter_mut().zip(&bufs).zip(&recorded) {
                 if verdict.is_none() {
                     let page = PageData::from_bytes(buf);
@@ -302,7 +307,7 @@ impl ObjectStore {
                 }
             }
             if verdicts.iter().all(Option::is_some) {
-                return Ok(verdicts);
+                return Ok((verdicts, done));
             }
         }
         for ((verdict, &b), &want) in verdicts.iter_mut().zip(run).zip(&recorded) {
@@ -312,7 +317,7 @@ impl ObjectStore {
                     .map(|golden| (PageData::from_bytes(&golden), want));
             }
         }
-        Ok(verdicts)
+        Ok((verdicts, done))
     }
 
     /// Read-repair: asks the device layer to heal `lba` from redundancy,
@@ -334,16 +339,18 @@ impl ObjectStore {
 
     /// The lazy-fault policy: serves the page-table copy when there is
     /// one, else reads the block off the medium as a one-block run and
-    /// admits it. Either way the fault pays a waited request — the whole
-    /// access latency plus the block's transfer — and the bounded read
-    /// cache is not probed, so a block the planner would count as a hit
-    /// costs a device read here. Probing it is not a free win: chain
-    /// compaction reads through this function too, and its waited reads
-    /// are what drains the device queue between `fleet_16`'s tenant
-    /// commits (ROADMAP item 4, group commit). A block with a recorded
-    /// hash is served only if its bytes match it, and the record is left
-    /// alone; a block with none (a store reopened from the medium) is
-    /// recorded and indexed on this first read, as its write would have.
+    /// admits it. Either way the fault submits one request and waits for
+    /// it, and the bounded read cache is not probed, so a block the
+    /// planner would count as a hit costs a device read here. Probing it
+    /// is not a free win: chain compaction reads through this function
+    /// too, and its waits are what drains the device queue between
+    /// `fleet_16`'s tenant commits (ROADMAP item 4, group commit): at
+    /// `--seed 42` its `durable_us_mean` is 76.9 µs (p90 104.9 µs), and
+    /// probing the cache first takes it to 103.3 µs (p90 176.2 µs). A
+    /// block with a recorded hash is served only if its bytes match it,
+    /// and the record is left alone; a block with none (a store reopened
+    /// from the medium) is recorded and indexed on this first read, as
+    /// its write would have.
     pub(crate) fn fetch_block(&self, ptr: BlockPtr) -> Result<PageData> {
         let resident = {
             let mut cache = self.cache.borrow_mut();
@@ -354,9 +361,9 @@ impl ObjectStore {
             page
         };
         if let Some(page) = resident {
-            self.dev
-                .borrow_mut()
-                .charge_read_timing(BLOCK_SIZE as u64, Access::Waited)?;
+            let mut dev = self.dev.borrow_mut();
+            let done = dev.charge_read_timing(BLOCK_SIZE as u64)?;
+            dev.clock().advance_to(done);
             return Ok(page);
         }
         if !self.config.materialize_data {
@@ -365,8 +372,9 @@ impl ObjectStore {
                 ptr.0
             )));
         }
-        let Some((page, recorded)) = self.read_checked(&[ptr.0], Access::Waited)?.pop().flatten()
-        else {
+        let (mut verdicts, done) = self.read_checked(&[ptr.0])?;
+        self.dev.borrow().clock().advance_to(done);
+        let Some((page, recorded)) = verdicts.pop().flatten() else {
             return Err(Error::corrupt(format!(
                 "block {}: content hash mismatch on read",
                 ptr.0
@@ -420,17 +428,18 @@ impl ObjectStore {
     }
 
     /// Executes a read plan: probes the bounded read cache per block,
-    /// issues one vectored device read per extent that missed, and
+    /// submits one vectored device read per extent that missed, and
     /// returns contents for every planned block.
     ///
     /// Charging: an all-hit extent costs [`RESTORE_CACHE_HIT_NS`] per
-    /// block (index probe + frame adoption); an extent with any miss
-    /// charges one queued vectored read — the plan's extents are
-    /// independent requests, so each pays a queue-depth share of the
-    /// access latency plus its transfer. Materialized reads come through
-    /// the checked reader (compare, one re-read, heal from a twin); a
-    /// block it cannot vouch for aborts the plan with
-    /// `ErrorKind::Corrupt`, leaving the store intact.
+    /// block (index probe + frame adoption) on the clock; an extent with
+    /// any miss is one vectored read, submitted behind the plan's
+    /// earlier ones and not waited for — [`ReadOutcome::done`] says when
+    /// the last completes. On an idle device the first read pays the
+    /// whole access latency and each one behind it a queue-depth share.
+    /// Materialized reads come through the checked reader (compare, one
+    /// re-read, heal from a twin); a block it cannot vouch for aborts the
+    /// plan with `ErrorKind::Corrupt`, leaving the store intact.
     pub fn execute_read_plan(&mut self, plan: &ReadPlan) -> Result<ReadOutcome> {
         self.execute_read_plan_range(plan, 0..plan.extents.len())
     }
@@ -439,8 +448,8 @@ impl ObjectStore {
     /// [`ReadPlan::extents`], e.g. one of [`ReadPlan::extent_batches`])
     /// of a read plan and returns the contents of their blocks. Probes,
     /// charging and verification are per extent, so executing a plan
-    /// range by range costs and reads exactly what one
-    /// [`ObjectStore::execute_read_plan`] call does.
+    /// range by range without waiting in between costs and reads exactly
+    /// what one [`ObjectStore::execute_read_plan`] call does.
     pub fn execute_read_plan_range(
         &mut self,
         plan: &ReadPlan,
@@ -498,11 +507,9 @@ impl ObjectStore {
             // All or nothing: one damaged block the reader could not
             // heal aborts the plan with `Corrupt` before anything of its
             // extent is admitted, leaving the committed store untouched.
-            let Some(checked) = self
-                .read_checked(run, Access::Queued)?
-                .into_iter()
-                .collect::<Option<Vec<_>>>()
-            else {
+            let (verdicts, done) = self.read_checked(run)?;
+            out.done = out.done.max(done);
+            let Some(checked) = verdicts.into_iter().collect::<Option<Vec<_>>>() else {
                 return Err(Error::corrupt(format!(
                     "extent at block {start}: content hash mismatch on read"
                 )));
@@ -536,9 +543,11 @@ impl ObjectStore {
                     out.pages.insert(b, page);
                 }
             }
-            self.dev
+            let done = self
+                .dev
                 .get_mut()
-                .charge_read_timing((run.len() * BLOCK_SIZE) as u64, Access::Queued)?;
+                .charge_read_timing((run.len() * BLOCK_SIZE) as u64)?;
+            out.done = out.done.max(done);
         }
         Ok(())
     }
@@ -593,8 +602,9 @@ impl ObjectStore {
     ///
     /// Returns the violations (empty = restorable) and the number of
     /// blocks whose platter copy was hashed for the comparison (zero on
-    /// timing-only stores): the device charges the reads itself, the
-    /// caller owns the clock the hashing is charged to. The checkpoint
+    /// timing-only stores): the reads go to the device back to back and
+    /// the check waits for the last, the caller owns the clock the
+    /// hashing is charged to. The checkpoint
     /// pipeline runs this on the incremental base, over the objects of
     /// the group it checkpoints, and degrades to a full checkpoint when
     /// that base is damaged; `..` checks the whole image.
@@ -643,11 +653,13 @@ impl ObjectStore {
                 blocks.insert(block);
             });
             let blocks: Vec<u64> = blocks.into_iter().collect();
+            let mut done = SimTime::ZERO;
             for (off, len) in runs(&blocks, EXTENT_BLOCKS) {
                 if let Some(run) = blocks.get(off..off + len) {
-                    hashed += self.verify_extent(run, &mut bad);
+                    hashed += self.verify_extent(run, &mut bad, &mut done);
                 }
             }
+            self.dev.borrow().clock().advance_to(done);
             clean
         };
         if clean && bad.is_empty() {
@@ -770,16 +782,23 @@ impl ObjectStore {
     }
 
     /// The audits' policy: compares the platter copies of `run` (one
-    /// extent, adjacent and ascending, read queued like the planner's)
-    /// with their recorded content hashes past the read cache — a clean
-    /// cached copy says nothing about the medium — adds the blocks the
-    /// reader could not vouch for to `bad`, each with what is wrong with
-    /// it, and returns how many blocks were hashed. Nothing is admitted.
-    /// Only when the request itself fails does the run go block by block,
-    /// so one unreadable block does not condemn its neighbours.
-    fn verify_extent(&self, run: &[u64], bad: &mut BTreeMap<u64, String>) -> u64 {
-        match self.read_checked(run, Access::Queued) {
-            Ok(verdicts) => {
+    /// extent, adjacent and ascending, submitted without waiting like the
+    /// planner's) with their recorded content hashes past the read cache
+    /// — a clean cached copy says nothing about the medium — adds the
+    /// blocks the reader could not vouch for to `bad`, each with what is
+    /// wrong with it, raises `done` to when its reads complete, and
+    /// returns how many blocks were hashed. Nothing is admitted. Only
+    /// when the request itself fails does the run go block by block, so
+    /// one unreadable block does not condemn its neighbours.
+    fn verify_extent(
+        &self,
+        run: &[u64],
+        bad: &mut BTreeMap<u64, String>,
+        done: &mut SimTime,
+    ) -> u64 {
+        match self.read_checked(run) {
+            Ok((verdicts, at)) => {
+                *done = (*done).max(at);
                 let damaged = run.iter().zip(&verdicts).filter(|(_, v)| v.is_none());
                 bad.extend(damaged.map(|(&b, _)| (b, "content hash mismatch".to_string())));
                 // Every block but those with no hash on record was hashed.
@@ -787,7 +806,7 @@ impl ObjectStore {
             }
             Err(_) if run.len() > 1 => run
                 .iter()
-                .map(|b| self.verify_extent(std::slice::from_ref(b), bad))
+                .map(|b| self.verify_extent(std::slice::from_ref(b), bad, done))
                 .sum(),
             Err(e) => {
                 bad.extend(run.iter().map(|&b| (b, format!("unreadable: {e}"))));

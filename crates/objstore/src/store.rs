@@ -15,7 +15,7 @@ use std::borrow::Cow;
 use std::cell::{Cell, Ref, RefCell};
 use std::collections::{BTreeMap, HashMap, HashSet};
 
-use aurora_hw::{Access, BlockDev, BLOCK_SIZE};
+use aurora_hw::{BlockDev, BLOCK_SIZE};
 use aurora_sim::cost::RESTORE_CACHE_HIT_NS;
 use aurora_sim::error::{Error, Result};
 use aurora_sim::hash::page_hash;
@@ -165,20 +165,23 @@ fn tail_backed(
     if !config.materialize_data || *digest == journal::UNCHECKED {
         return Ok(true);
     }
-    // Every block is known up front: read them as queued extents in
-    // block order, then fold their hashes in key order.
+    // Every block is known up front: submit their extents back to back
+    // in block order, wait once for the last, then fold their hashes in
+    // key order.
     let mut blocks: Vec<u64> = ckpt.pages.values().map(|p| p.0).collect();
     blocks.sort_unstable();
     blocks.dedup();
     let mut hashes: HashMap<u64, u64> = HashMap::with_capacity(blocks.len());
+    let mut done = dev.clock().now();
     for (off, len) in runs(&blocks, EXTENT_BLOCKS) {
         let Some(run @ [first, ..]) = blocks.get(off..off + len) else {
             continue;
         };
         let mut bufs = vec![vec![0u8; BLOCK_SIZE]; len];
-        dev.read_blocks(data_start + first, &mut bufs, Access::Queued)?;
+        done = done.max(dev.read_blocks(data_start + first, &mut bufs)?);
         hashes.extend(run.iter().zip(&bufs).map(|(&b, buf)| (b, page_hash(buf))));
     }
+    dev.clock().advance_to(done);
     let read_back = ckpt.pages.values().map(|p| hashes.get(&p.0).copied());
     Ok(journal::page_digest(read_back) == *digest)
 }
@@ -304,7 +307,8 @@ impl ObjectStore {
         let mut last = 0;
         let mut block = vec![0u8; BLOCK_SIZE];
         for slot in 0..2u64 {
-            dev.read_blocks(slot, std::slice::from_mut(&mut block), Access::Waited)?;
+            let done = dev.read_blocks(slot, std::slice::from_mut(&mut block))?;
+            dev.clock().advance_to(done);
             if let Ok(old) = Superblock::from_block(&block) {
                 last = last.max(old.epoch + 1);
             }
@@ -377,7 +381,8 @@ impl ObjectStore {
         let mut block = vec![0u8; BLOCK_SIZE];
         let mut best: Option<Superblock> = None;
         for slot in 0..2u64 {
-            dev.read_blocks(slot, std::slice::from_mut(&mut block), Access::Waited)?;
+            let done = dev.read_blocks(slot, std::slice::from_mut(&mut block))?;
+            dev.clock().advance_to(done);
             if let Ok(sb) = Superblock::from_block(&block) {
                 if best.as_ref().is_none_or(|b| sb.epoch > b.epoch) {
                     best = Some(sb);
@@ -598,8 +603,8 @@ impl ObjectStore {
     /// them — a cache policy over the bounded read cache, where a record
     /// is named by the checkpoint holding it plus its key and occupies
     /// its length in blocks. A resident record costs
-    /// [`RESTORE_CACHE_HIT_NS`] per block and no device I/O; a miss pays
-    /// a waited read of its blocks and admits it. A commit admits
+    /// [`RESTORE_CACHE_HIT_NS`] per block and no device I/O; a miss waits
+    /// for a read of its blocks and admits it. A commit admits
     /// nothing, so a record's first read after its commit, a
     /// `drop_caches` or a reboot pays the device. Each read is one
     /// probe in `read_cache_{hits,misses}`.
@@ -616,9 +621,9 @@ impl ObjectStore {
             self.dev.get_mut().clock().charge(hit);
         } else {
             self.stats.read_cache_misses += 1;
-            self.dev
-                .get_mut()
-                .charge_read_timing((blocks * BLOCK_SIZE) as u64, Access::Waited)?;
+            let dev = self.dev.get_mut();
+            let done = dev.charge_read_timing((blocks * BLOCK_SIZE) as u64)?;
+            dev.clock().advance_to(done);
             self.cache.get_mut().read.admit(entry, blocks);
         }
         Ok(Some(found))
@@ -934,12 +939,7 @@ impl ObjectStore {
             let m = dev.as_mirror_mut().ok_or_else(|| {
                 Error::internal("resilver target vanished mid-walk")
             })?;
-            let copied = if real {
-                m.resilver_extent(lba, count)?
-            } else {
-                m.resilver_extent_timing(count)?
-            };
-            report.blocks += copied;
+            report.blocks += m.resilver_extent(lba, count, real)?;
             report.extents += 1;
         }
         let dev = self.dev.get_mut();

@@ -905,10 +905,12 @@ fn read_plan_coalesces_extents_and_dedups_shared_blocks() {
         plan.blocks.len()
     );
 
-    // Cold: every block comes off the device in vectored extent reads.
+    // Cold: every block comes off the device in vectored extent reads,
+    // which the caller waits for.
     s.drop_caches().unwrap();
     let t0 = clock.now();
     let cold = s.execute_read_plan(&plan).unwrap();
+    clock.advance_to(cold.done);
     let cold_elapsed = clock.now() - t0;
     assert_eq!(cold.cache_hits, 0);
     assert_eq!(cold.cache_misses, 100);
@@ -1257,10 +1259,12 @@ fn a_plan_reads_one_extent_per_island() {
     }
 }
 
-/// The plan's extents are independent requests, known before the first
-/// is issued: each holds the NVMe queue for a queue-depth share of the
-/// access latency. A lazy fault of the same block is waited out alone
-/// and pays all of it. Either way a block read burns one read ordinal.
+/// The plan's extents are submitted back to back and waited for once:
+/// on an idle NVMe the first pays the whole access latency and each of
+/// the other 13 a queue-depth share, and the clock stays put until the
+/// caller waits. A lazy fault of the same block waits for its read, so
+/// each one finds the queue idle and pays the whole latency. Timing-only
+/// reads follow the same rule.
 #[test]
 fn planned_islands_are_queued_requests_and_lazy_faults_waited_ones() {
     let transfer = SimDuration::for_bytes(BLOCK_SIZE as u64, aurora_sim::cost::dev::NVME_READ_BW);
@@ -1276,12 +1280,17 @@ fn planned_islands_are_queued_requests_and_lazy_faults_waited_ones() {
         let before = clock.now();
         let out = s.execute_read_plan(&plan).unwrap();
         assert_eq!(out.extents_read, 14);
-        let elapsed = clock.now().since(before);
         assert_eq!(
-            elapsed.as_nanos(),
-            14 * queued.as_nanos(),
+            clock.now(),
+            before,
+            "materialize {materialize}: no read waited"
+        );
+        assert_eq!(
+            out.done.since(before).as_nanos(),
+            waited.as_nanos() + 13 * queued.as_nanos(),
             "materialize {materialize}"
         );
+        clock.advance_to(out.done);
 
         if materialize {
             s.drop_caches().unwrap();
@@ -1299,8 +1308,8 @@ fn planned_islands_are_queued_requests_and_lazy_faults_waited_ones() {
         );
     }
 
-    // One ordinal per block read, queued or waited: a cut armed past the
-    // plan's 14 reads fires at the first lazy fault after it.
+    // One ordinal per block read, planned or faulted: a cut armed past
+    // the plan's 14 reads fires at the first lazy fault after it.
     let (mut s, plan) = strided_plan(ModelDev::nvme(SimClock::new(), "nvme0", DEV_BLOCKS), true);
     let ck = s.head().unwrap();
     s.device_mut()

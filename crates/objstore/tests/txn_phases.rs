@@ -298,7 +298,7 @@ fn durable_superblock(s: &mut ObjectStore) -> Superblock {
     let mut block = vec![0u8; aurora_hw::BLOCK_SIZE];
     (0..2)
         .filter_map(|slot| {
-            s.device_mut().read_blocks(slot, std::slice::from_mut(&mut block), aurora_hw::Access::Waited).unwrap();
+            s.device_mut().read_blocks(slot, std::slice::from_mut(&mut block)).unwrap();
             Superblock::from_block(&block).ok()
         })
         .max_by_key(|sb| sb.epoch)
@@ -359,7 +359,7 @@ fn transient_flip_failure_retries_at_same_journal_offset() {
             );
             if past_flip == 1 {
                 let mut block = vec![0u8; aurora_hw::BLOCK_SIZE];
-                faulty.device_mut().read_blocks(1, std::slice::from_mut(&mut block), aurora_hw::Access::Waited).unwrap();
+                faulty.device_mut().read_blocks(1, std::slice::from_mut(&mut block)).unwrap();
                 let slot1 = Superblock::from_block(&block).unwrap();
                 assert_eq!(slot1.epoch + 1, durable.epoch, "{case}: slot 1 kept the previous one");
             }

@@ -500,9 +500,9 @@ fn corrupted_superblock_falls_back_to_the_other_slot() {
             "the armed rounds switch halves"
         );
         let mut block = vec![0u8; 4096];
-        store.device_mut().read_blocks(0, std::slice::from_mut(&mut block), aurora_hw::Access::Waited).unwrap();
+        store.device_mut().read_blocks(0, std::slice::from_mut(&mut block)).unwrap();
         assert!(Superblock::from_block(&block).is_err(), "the plan corrupted slot 0");
-        store.device_mut().read_blocks(1, std::slice::from_mut(&mut block), aurora_hw::Access::Waited).unwrap();
+        store.device_mut().read_blocks(1, std::slice::from_mut(&mut block)).unwrap();
         let slot1 = Superblock::from_block(&block).expect("slot 1 is whole");
         assert!(slot1.epoch > 1, "slot 1 carries the switch");
     }
@@ -964,7 +964,7 @@ fn store_fingerprint(host: &Host) -> (u64, [u64; 5]) {
     let mut h = Fnv64::new();
     let mut buf = vec![0u8; 4096];
     for lba in ds..ds + 2 * WIDE_PAGES {
-        store.device_mut().read_blocks(lba, std::slice::from_mut(&mut buf), aurora_hw::Access::Waited).unwrap();
+        store.device_mut().read_blocks(lba, std::slice::from_mut(&mut buf)).unwrap();
         h.update_u64(page_hash(&buf));
     }
     let s = &store.stats;
