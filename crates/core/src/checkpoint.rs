@@ -127,16 +127,15 @@ impl Host {
                 let store = backend.store.borrow_mut();
                 let Some(head) = store.head() else { continue };
                 let read_before = store.device().stats().bytes_read;
-                let (problems, hashed) = store.verify_checkpoint(head, gid.objects());
+                // The reads go to the device back to back; each batch of
+                // them is compared on the flush workers as soon as it is
+                // in, beside the later batches' reads, and the clock waits
+                // for the last batch's compare. This runs on the driving
+                // thread before the barrier in every flush mode.
+                let problems =
+                    store.verify_checkpoint(head, gid.objects(), self.sls.flush_workers.max(1));
                 base_verify_blocks +=
                     (store.device().stats().bytes_read - read_before) / cost::PAGE_SIZE as u64;
-                // The device charged the reads; the comparison hashes
-                // every block it checked. The store does that on the
-                // calling thread, an extent at a time between one read
-                // and the next, so it is charged at one core's hash
-                // bandwidth and after the reads, not spread over the
-                // flush workers or hidden under the device.
-                self.clock.charge(cost::hash_stage(hashed, 1));
                 if let Some(p) = problems.first() {
                     fault = Some(format!("incremental base damaged: {p}"));
                     full = true;

@@ -28,14 +28,8 @@
 //! differential tests in `tests/parallel_flush_diff.rs` and
 //! `tests/delta_diff.rs` check exactly this.
 
-use std::thread;
-
 use aurora_objstore::{ObjId, ObjectStore, PageWrite};
-use aurora_vm::{DirtyMask, FrameId, FrameTable, PageData};
-
-/// Plans smaller than this are hashed inline: spawning threads costs
-/// more than hashing a handful of 4 KiB pages.
-pub const PARALLEL_THRESHOLD: usize = 64;
+use aurora_vm::{hash_pages, DirtyMask, FrameId, FrameTable, PageData};
 
 /// Plan pages hashed and handed to the backends per batch of the
 /// streamed flush: 4 × `EXTENT_BLOCKS`. The flush is done one batch's
@@ -121,44 +115,10 @@ pub fn hash_plan(pages: Vec<PlanPage>, workers: usize) -> Vec<PageWrite> {
         .collect()
 }
 
-/// Content-hashes the page of every item on `workers` threads and
-/// returns the hashes in input order — the one sharded hasher under the
-/// flush's and the restore's hash stages. Shard boundaries depend only
-/// on the input length and the worker count, and shards are joined in
-/// shard order, so the output equals a serial pass for any worker count.
-pub(crate) fn hash_pages<T: Sync>(
-    items: &[T],
-    page: impl Fn(&T) -> &PageData + Sync,
-    workers: usize,
-) -> Vec<u64> {
-    let hash_shard = &|shard: &[T]| -> Vec<u64> {
-        shard.iter().map(|item| page(item).content_hash()).collect()
-    };
-    let workers = workers.max(1);
-    if workers == 1 || items.len() < PARALLEL_THRESHOLD {
-        return hash_shard(items);
-    }
-    let shard_len = items.len().div_ceil(workers);
-    thread::scope(|s| {
-        // The driving thread would only wait: it hashes the first shard
-        // itself, which also saves a spawn per call.
-        let mut shards = items.chunks(shard_len);
-        let first = shards.next().unwrap_or_default();
-        let rest: Vec<_> = shards
-            .map(|shard| s.spawn(move || hash_shard(shard)))
-            .collect();
-        let mut hashes = hash_shard(first);
-        // Joined in shard order; a worker's panic is this thread's.
-        for shard in rest {
-            hashes.extend(shard.join().unwrap_or_else(|p| std::panic::resume_unwind(p)));
-        }
-        hashes
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use aurora_vm::PARALLEL_THRESHOLD;
 
     /// The single-threaded reference pass.
     fn hash_serial(pages: Vec<PlanPage>) -> Vec<PageWrite> {

@@ -80,8 +80,10 @@ pub struct Group {
     pub next_ntlog: u64,
     /// Live persistent logs by id.
     pub ntlogs: HashMap<u64, NtLogState>,
-    /// Most recent `sls_ntflush` mini-commit (GC'd by the next one).
-    pub last_ntflush_ckpt: Option<CkptId>,
+    /// `sls_ntflush` mini-commits not yet garbage-collected, oldest
+    /// first: the newest, which the next flush or truncate GCs, behind
+    /// any whose GC failed and is retried then.
+    pub ntflush_ckpts: Vec<CkptId>,
     /// System V message queues registered with this group (queues are
     /// system-wide objects, so membership is explicit).
     pub msgq_keys: Vec<i32>,
@@ -107,7 +109,7 @@ impl Group {
             ec_outstanding: VecDeque::new(),
             next_ntlog: 1,
             ntlogs: HashMap::new(),
-            last_ntflush_ckpt: None,
+            ntflush_ckpts: Vec::new(),
             msgq_keys: Vec::new(),
             supersedes: None,
         }

@@ -10,6 +10,7 @@
 //! the previous mini-commit is garbage-collected in place, so the log
 //! adds a bounded number of checkpoints to the store.
 
+use aurora_objstore::{CkptId, ObjectStore};
 use aurora_posix::fd::{FileKind, OpenFile};
 use aurora_posix::{Fd, Pid};
 use aurora_sim::codec::{Decoder, Encoder};
@@ -150,18 +151,13 @@ impl Host {
             // Low-latency durability: mini-commit and wait for it.
             let (ckpt, durable) = store.commit(None)?;
             self.clock.advance_to(durable);
-            // GC the previous mini-commit (bounded store growth). The
-            // group may be unregistered (log addressed by its original
-            // namespace after a reboot); skip the GC bookkeeping then.
-            let prev = self.sls.groups.get_mut(&gid.0).map(|group| {
-                let prev = group.last_ntflush_ckpt.replace(ckpt);
+            // The group may be unregistered (log addressed by its
+            // original namespace after a reboot); skip the GC
+            // bookkeeping then.
+            if let Some(group) = self.sls.groups.get_mut(&gid.0) {
                 group.ntlogs.insert(log_id, state);
-                prev
-            });
-            if let Some(Some(prev)) = prev {
-                if Some(prev) != store.head() {
-                    let _ = store.delete_checkpoint(prev);
-                }
+                group.ntflush_ckpts.push(ckpt);
+                gc_mini_commits(&mut group.ntflush_ckpts, &mut store);
             }
         }
         Ok(())
@@ -197,17 +193,23 @@ impl Host {
         store.put_blob(&key_ntlog(gid.0, log_id), state.encode());
         let (ckpt, durable) = store.commit(None)?;
         self.clock.advance_to(durable);
-        let prev = self.sls.groups.get_mut(&gid.0).map(|group| {
+        if let Some(group) = self.sls.groups.get_mut(&gid.0) {
             group.ntlogs.insert(log_id, state);
-            group.last_ntflush_ckpt.replace(ckpt)
-        });
-        if let Some(Some(prev)) = prev {
-            if Some(prev) != store.head() {
-                let _ = store.delete_checkpoint(prev);
-            }
+            group.ntflush_ckpts.push(ckpt);
+            gc_mini_commits(&mut group.ntflush_ckpts, &mut store);
         }
         Ok(())
     }
+}
+
+/// Garbage-collects every mini-commit in `pending` but the newest
+/// (bounded store growth). One whose delete fails stays listed, so the
+/// next flush or truncate retries it instead of leaking it; one that is
+/// no longer in the store is dropped.
+fn gc_mini_commits(pending: &mut Vec<CkptId>, store: &mut ObjectStore) {
+    let Some(newest) = pending.pop() else { return };
+    pending.retain(|&c| store.delete_checkpoint(c).is_err() && store.checkpoint(c).is_ok());
+    pending.push(newest);
 }
 
 #[cfg(test)]

@@ -43,9 +43,10 @@ use aurora_sim::time::SimDuration;
 use aurora_slsfs::StoreHandle;
 use aurora_vm::map::RestoreHint;
 use aurora_vm::object::ResidentPage;
-use aurora_vm::{MapEntry, PageData, PageId, Pager, Prot, Residency, SlsPolicy, VmoId, VmoKind};
+use aurora_vm::{
+    hash_pages, MapEntry, PageData, PageId, Pager, Prot, Residency, SlsPolicy, VmoId, VmoKind,
+};
 
-use crate::flush::hash_pages;
 use crate::metrics::RestoreBreakdown;
 use crate::serialize::*;
 use crate::Host;
@@ -677,11 +678,9 @@ impl Host {
         // recorded for fetched blocks that had none on record, and every
         // fetched block was compared with its recorded hash by the read
         // itself before it entered the read cache.
-        let hash_cost = |pages: u64| cost::hash_stage(pages, workers as u64);
         let mut pages: HashMap<u64, PageData> = HashMap::with_capacity(plan.blocks.len());
-        let mut pages_hashed = 0u64;
         let mut read_done = clock.now();
-        let mut verify_done = clock.now();
+        let mut trail = cost::HashTrail::new(clock.now(), workers as u64);
         for batch in plan.extent_batches(RESTORE_BATCH_BLOCKS) {
             let outcome = store.borrow_mut().execute_read_plan_range(&plan, batch)?;
             // Cache hits are in once their probes are charged.
@@ -703,12 +702,7 @@ impl Host {
                 .filter_map(|(&b, known)| Some((b, known.or_else(|| computed.next())?)))
                 .collect();
             store.borrow_mut().note_read_hashes(&pairs);
-            // The difference of the cumulative cost, so the per-batch
-            // charges telescope to `hash_work` to the nanosecond.
-            let before = hash_cost(pages_hashed);
-            pages_hashed += outcome.fetched.len() as u64;
-            verify_done =
-                verify_done.max(read_done) + hash_cost(pages_hashed).saturating_sub(before);
+            trail.fold(read_done, outcome.fetched.len() as u64);
             breakdown.cache_hits += outcome.cache_hits;
             breakdown.cache_misses += outcome.cache_misses;
             breakdown.extents_read += outcome.extents_read;
@@ -719,10 +713,10 @@ impl Host {
         // frame is wired before that.
         clock.advance_to(read_done);
         breakdown.read_stage += sw.lap();
-        clock.advance_to(verify_done);
+        clock.advance_to(trail.done());
         breakdown.hash_stage += sw.lap();
-        breakdown.hash_work += hash_cost(pages_hashed);
-        breakdown.pages_hashed += pages_hashed;
+        breakdown.hash_work += trail.work();
+        breakdown.pages_hashed += trail.pages();
 
         // Pass 4: wire frames in target order. Delta-backed pages
         // fetched their chain's *base* block through the plan; the chain
@@ -825,13 +819,8 @@ impl Host {
 }
 
 /// Blocks of the read plan fetched and verified per batch of the
-/// streamed page-in, a batch being whole extents: 4 × `EXTENT_BLOCKS`,
-/// the flush's batch. Memory state is done one batch's read or hash
-/// after `max(read, hash)`, so a smaller batch shortens the modelled
-/// restore — but `cost::hash_stage` divides a batch evenly over the
-/// workers, and below 4 × `PARALLEL_THRESHOLD` the default four workers
-/// no longer get a shard worth a thread each (DESIGN §12 has the sweep).
-pub const RESTORE_BATCH_BLOCKS: usize = 256;
+/// streamed page-in; the base check streams in the same batches.
+pub use aurora_objstore::read::RESTORE_BATCH_BLOCKS;
 
 /// Every metadata record of a checkpoint, parsed: its manifest and the
 /// records the manifest names.

@@ -163,7 +163,7 @@ fn sub_page_workload_engages_the_delta_path() {
 /// digested block by block).
 const PART_DEV_BLOCKS: u64 = 4096;
 
-/// Pages of the first mapping: past `flush::PARALLEL_THRESHOLD`, so the
+/// Pages of the first mapping: past `aurora_vm::PARALLEL_THRESHOLD`, so the
 /// 2- and 8-worker runs shard the hash stage.
 const ARENA_PAGES: u64 = 96;
 

@@ -11,7 +11,7 @@ use std::rc::Rc;
 use aurora_core::restore::RestoreMode;
 use aurora_core::{BackendKind, Host, RestoreBreakdown};
 use aurora_hw::dev::{CostModel, QUEUE_DEPTH};
-use aurora_hw::ModelDev;
+use aurora_hw::{FaultPlan, ModelDev, RetryPolicy};
 use aurora_objstore::{ObjectStore, StoreConfig};
 use aurora_sim::time::SimDuration;
 use aurora_sim::SimClock;
@@ -969,6 +969,64 @@ fn ntflush_log_survives_crash_without_checkpoint() {
     // Truncation after the application checkpoints its state.
     host.ntlog_truncate(gid, pid2, fd2).unwrap();
     assert!(host.ntlog_read(gid, pid2, fd2).unwrap().is_empty());
+}
+
+/// A mini-commit whose GC fails is not forgotten: the next flush or
+/// truncate deletes it, so the log's checkpoints stay bounded. On a
+/// materialized store every block written is a write ordinal, and a
+/// flush's last one is its GC's `Delete` record: a fault-free twin
+/// counts them, and the fault fails that one request through every
+/// retry the host's device layer makes.
+#[test]
+fn a_failed_ntflush_gc_is_retried_by_the_next_flush_or_truncate() {
+    let setup = || {
+        let dev = Box::new(ModelDev::nvme(SimClock::new(), "h-dev", DEV_BLOCKS));
+        let config = StoreConfig {
+            journal_blocks: 2048,
+            materialize_data: true,
+            ..StoreConfig::default()
+        };
+        let mut host = Host::boot("h", dev, config).unwrap();
+        let pid = host.kernel.spawn("kv");
+        let gid = host.persist("kv", pid).unwrap();
+        host.checkpoint(gid, true, None).unwrap();
+        let (fd, _) = host.ntlog_create(gid, pid).unwrap();
+        host.sls_ntflush(gid, pid, fd, b"put k1=v1;").unwrap();
+        (host, gid, pid, fd)
+    };
+    let written = |host: &Host| host.sls.primary.borrow().device().stats().bytes_written;
+    let (mut twin, gid, pid, fd) = setup();
+    let before = written(&twin);
+    twin.sls_ntflush(gid, pid, fd, b"put k2=v2;").unwrap();
+    let gc_write = (written(&twin) - before) / 4096;
+    let attempts = u64::from(RetryPolicy::default().max_attempts);
+
+    for retry_by_truncate in [false, true] {
+        let (mut host, gid, pid, fd) = setup();
+        let store = host.sls.primary.clone();
+        let bound = store.borrow().checkpoints().len();
+        let victim = store.borrow().head().unwrap();
+        store
+            .borrow_mut()
+            .device_mut()
+            .install_fault_plan(FaultPlan::transient(gc_write, attempts));
+        host.sls_ntflush(gid, pid, fd, b"put k2=v2;").unwrap();
+        assert!(store.borrow().checkpoint(victim).is_ok(), "the GC failed");
+        assert_eq!(store.borrow().checkpoints().len(), bound + 1);
+
+        if retry_by_truncate {
+            host.ntlog_truncate(gid, pid, fd).unwrap();
+            assert!(host.ntlog_read(gid, pid, fd).unwrap().is_empty());
+        } else {
+            host.sls_ntflush(gid, pid, fd, b"put k3=v3;").unwrap();
+            let log = host.ntlog_read(gid, pid, fd).unwrap();
+            assert_eq!(log, b"put k1=v1;put k2=v2;put k3=v3;");
+        }
+        let store = store.borrow();
+        assert!(store.checkpoint(victim).is_err(), "victim deleted");
+        assert_eq!(store.checkpoints().len(), bound, "back to one mini-commit");
+        assert!(store.fsck().is_empty(), "{:?}", store.fsck());
+    }
 }
 
 #[test]

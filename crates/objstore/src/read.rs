@@ -20,7 +20,8 @@
 //!   extents go to the device back to back and the caller waits once;
 //! * the audits (`verify_extent`) bypass the cache — a clean cached
 //!   copy says nothing about the medium — and collect the verdicts,
-//!   submitted back to back like the planner's reads;
+//!   submitted back to back like the planner's reads and compared batch
+//!   by batch behind them, as the restore's page-in hashes;
 //! * a metadata-record read (`ObjectStore::get_blob`) probes the same
 //!   bounded cache under the record's name — the checkpoint whose delta
 //!   holds it plus its key — and on a miss waits for a read of the
@@ -39,11 +40,11 @@ use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::ops::{Range, RangeBounds};
 
 use aurora_hw::BLOCK_SIZE;
-use aurora_sim::cost::RESTORE_CACHE_HIT_NS;
+use aurora_sim::cost::{HashTrail, RESTORE_CACHE_HIT_NS};
 use aurora_sim::error::{Error, Result};
 use aurora_sim::hash::{page_hash, Words};
 use aurora_sim::time::{SimDuration, SimTime};
-use aurora_vm::PageData;
+use aurora_vm::{hash_pages, PageData};
 
 use crate::checkpoint::{self, CkptId, PageRef};
 use crate::deltalog::Lsn;
@@ -70,6 +71,36 @@ pub fn runs(blocks: &[u64], cap: usize) -> Vec<(usize, usize)> {
     }
     out.push((off, blocks.len() - off));
     out
+}
+
+/// Blocks read per batch of a two-stage stream, a batch being whole
+/// extents: 4 × `EXTENT_BLOCKS`, the flush's batch. The restore's
+/// page-in and the base check both hash batch *k* while the device reads
+/// batch *k+1*, so each is done one batch's hash after its last read —
+/// a smaller batch shortens both. But `cost::hash_stage` divides a batch
+/// evenly over the workers, and below 4 × `PARALLEL_THRESHOLD` the
+/// default four workers no longer get a shard worth a thread each
+/// (DESIGN §12 has the sweep).
+pub const RESTORE_BATCH_BLOCKS: usize = 256;
+
+/// Cuts an extent schedule — `(offset, len)` runs — into consecutive
+/// batches of whole extents, each carrying at most `max_blocks` blocks
+/// (an extent longer than that is a batch of its own): index ranges
+/// into `extents`.
+pub fn extent_batches(extents: &[(usize, usize)], max_blocks: usize) -> Vec<Range<usize>> {
+    let mut batches = Vec::new();
+    let (mut first, mut blocks) = (0usize, 0usize);
+    for (at, &(_, len)) in extents.iter().enumerate() {
+        if at > first && blocks + len > max_blocks {
+            batches.push(first..at);
+            (first, blocks) = (at, 0);
+        }
+        blocks += len;
+    }
+    if first < extents.len() {
+        batches.push(first..extents.len());
+    }
+    batches
 }
 
 /// What one read-cache entry names: a data block, or a metadata record
@@ -220,19 +251,7 @@ impl ReadPlan {
     /// into [`ReadPlan::extents`] for
     /// [`ObjectStore::execute_read_plan_range`].
     pub fn extent_batches(&self, max_blocks: usize) -> Vec<Range<usize>> {
-        let mut batches = Vec::new();
-        let (mut first, mut blocks) = (0usize, 0usize);
-        for (at, &(_, len)) in self.extents.iter().enumerate() {
-            if at > first && blocks + len > max_blocks {
-                batches.push(first..at);
-                (first, blocks) = (at, 0);
-            }
-            blocks += len;
-        }
-        if first < self.extents.len() {
-            batches.push(first..self.extents.len());
-        }
-        batches
+        extent_batches(&self.extents, max_blocks)
     }
 }
 
@@ -272,7 +291,8 @@ impl ObjectStore {
     /// The one reader of page bytes on a materialized store. Reads
     /// `run` — adjacent ascending blocks, one extent — with a single
     /// vectored request and compares every block that has a recorded
-    /// content hash with it. Damaged bytes get exactly one re-read,
+    /// content hash with it, hashing on `workers` threads through
+    /// [`hash_pages`]. Damaged bytes get exactly one re-read,
     /// submitted behind the first: transient electronics clear, damaged
     /// media re-reads identically, and then each block still damaged
     /// gets its chance at a mirror twin. A block that passed keeps its
@@ -284,7 +304,7 @@ impl ObjectStore {
     /// exhausted); damage is a `None` verdict for that block alone.
     /// Nothing is cached, recorded or indexed here: what a verdict is
     /// worth is the calling policy's decision.
-    fn read_checked(&self, run: &[u64]) -> Result<(Vec<Verdict>, SimTime)> {
+    fn read_checked(&self, run: &[u64], workers: usize) -> Result<(Vec<Verdict>, SimTime)> {
         let mut done = SimTime::ZERO;
         let Some(&first) = run.first() else {
             return Ok((Vec::new(), done));
@@ -298,12 +318,22 @@ impl ObjectStore {
         for _ in 0..2 {
             let mut bufs = vec![vec![0u8; BLOCK_SIZE]; run.len()];
             done = done.max(self.dev.borrow_mut().read_blocks(lba0 + first, &mut bufs)?);
+            // A block with no hash on record is taken as read; the
+            // others still undecided are compared.
+            let mut checked = Vec::with_capacity(run.len());
             for ((verdict, buf), &want) in verdicts.iter_mut().zip(&bufs).zip(&recorded) {
                 if verdict.is_none() {
                     let page = PageData::from_bytes(buf);
-                    if want.is_none_or(|h| page.content_hash() == h) {
-                        *verdict = Some((page, want));
+                    match want {
+                        None => *verdict = Some((page, None)),
+                        Some(h) => checked.push((verdict, page, h)),
                     }
+                }
+            }
+            let hashes = hash_pages(&checked, |(_, page, _)| page, workers);
+            for ((verdict, page, want), h) in checked.into_iter().zip(hashes) {
+                if h == want {
+                    *verdict = Some((page, Some(want)));
                 }
             }
             if verdicts.iter().all(Option::is_some) {
@@ -372,7 +402,7 @@ impl ObjectStore {
                 ptr.0
             )));
         }
-        let (mut verdicts, done) = self.read_checked(&[ptr.0])?;
+        let (mut verdicts, done) = self.read_checked(&[ptr.0], 1)?;
         self.dev.borrow().clock().advance_to(done);
         let Some((page, recorded)) = verdicts.pop().flatten() else {
             return Err(Error::corrupt(format!(
@@ -507,7 +537,7 @@ impl ObjectStore {
             // All or nothing: one damaged block the reader could not
             // heal aborts the plan with `Corrupt` before anything of its
             // extent is admitted, leaving the committed store untouched.
-            let (verdicts, done) = self.read_checked(run)?;
+            let (verdicts, done) = self.read_checked(run, 1)?;
             out.done = out.done.max(done);
             let Some(checked) = verdicts.into_iter().collect::<Option<Vec<_>>>() else {
                 return Err(Error::corrupt(format!(
@@ -600,24 +630,24 @@ impl ObjectStore {
     ///   recoverable contents (in the page table, or readable from the
     ///   medium with a matching content hash when data is materialized).
     ///
-    /// Returns the violations (empty = restorable) and the number of
-    /// blocks whose platter copy was hashed for the comparison (zero on
-    /// timing-only stores): the reads go to the device back to back and
-    /// the check waits for the last, the caller owns the clock the
-    /// hashing is charged to. The checkpoint
-    /// pipeline runs this on the incremental base, over the objects of
-    /// the group it checkpoints, and degrades to a full checkpoint when
+    /// Returns the violations (empty = restorable). On a materialized
+    /// store the comparison streams like the restore's page-in, its
+    /// batches hashed on `workers` threads, and the clock waits for the
+    /// last batch's hash. The checkpoint pipeline runs this on the
+    /// incremental base, over the objects of the group it checkpoints,
+    /// with its flush workers, and degrades to a full checkpoint when
     /// that base is damaged; `..` checks the whole image.
     pub fn verify_checkpoint(
         &self,
         ckpt: CkptId,
         objects: impl RangeBounds<ObjId> + Clone,
-    ) -> (Vec<String>, u64) {
-        let (problems, hashed) = self.verify_walk(&[ckpt], objects.clone(), |visit| {
+        workers: usize,
+    ) -> Vec<String> {
+        let problems = self.verify_walk(&[ckpt], objects.clone(), workers, |visit| {
             self.walk_base_blocks(ckpt, objects, &mut |_, _, block| visit(block))
                 .is_empty()
         });
-        (problems.into_iter().map(|(_, p)| p).collect(), hashed)
+        problems.into_iter().map(|(_, p)| p).collect()
     }
 
     /// Checks every block `walk` visits — a walk that returns whether it
@@ -625,16 +655,24 @@ impl ObjectStore {
     /// many pages and checkpoints share it. Only when a block is bad or
     /// the walk was not clean does it walk the pages of `objects` in the
     /// image of each checkpoint in `ids` to name the affected pages, each
-    /// violation tagged with its checkpoint. The second value counts the
-    /// blocks hashed.
+    /// violation tagged with its checkpoint.
+    ///
+    /// On a materialized store every extent goes to the device back to
+    /// back, and the extents are cut into [`RESTORE_BATCH_BLOCKS`]
+    /// batches, the restore's stream. Each extent is compared on
+    /// `workers` threads as its read returns (a damaged extent's re-read
+    /// follows its own first read); the clock charges a batch's compare
+    /// from when its reads complete, beside the next batch's reads, and
+    /// waits until the last batch is compared — one batch's hash after
+    /// the last read.
     fn verify_walk(
         &self,
         ids: &[CkptId],
         objects: impl RangeBounds<ObjId> + Clone,
+        workers: usize,
         walk: impl FnOnce(&mut dyn FnMut(u64)) -> bool,
-    ) -> (Vec<(CkptId, String)>, u64) {
+    ) -> Vec<(CkptId, String)> {
         let mut bad: BTreeMap<u64, String> = BTreeMap::new();
-        let mut hashed = 0u64;
         let clean = if !self.config.materialize_data {
             // The page table is the only copy, so the walk is the whole
             // check: one lock hold, only bad blocks collected.
@@ -653,17 +691,23 @@ impl ObjectStore {
                 blocks.insert(block);
             });
             let blocks: Vec<u64> = blocks.into_iter().collect();
-            let mut done = SimTime::ZERO;
-            for (off, len) in runs(&blocks, EXTENT_BLOCKS) {
-                if let Some(run) = blocks.get(off..off + len) {
-                    hashed += self.verify_extent(run, &mut bad, &mut done);
+            let extents = runs(&blocks, EXTENT_BLOCKS);
+            let start = self.dev.borrow().clock().now();
+            let mut trail = HashTrail::new(start, workers as u64);
+            for batch in extent_batches(&extents, RESTORE_BATCH_BLOCKS) {
+                let (mut read_done, mut compared) = (start, 0u64);
+                for &(off, len) in extents.get(batch).unwrap_or_default() {
+                    if let Some(run) = blocks.get(off..off + len) {
+                        compared += self.verify_extent(run, &mut bad, &mut read_done, workers);
+                    }
                 }
+                trail.fold(read_done, compared);
             }
-            self.dev.borrow().clock().advance_to(done);
+            self.dev.borrow().clock().advance_to(trail.done());
             clean
         };
         if clean && bad.is_empty() {
-            return (Vec::new(), hashed);
+            return Vec::new();
         }
         let mut problems = Vec::new();
         for &ckpt in ids {
@@ -675,7 +719,7 @@ impl ObjectStore {
             });
             problems.extend(walk.into_iter().chain(named).map(|p| (ckpt, p)));
         }
-        (problems, hashed)
+        problems
     }
 
     /// Walks what restoring the objects in `objects` at `ckpt` depends
@@ -783,8 +827,9 @@ impl ObjectStore {
 
     /// The audits' policy: compares the platter copies of `run` (one
     /// extent, adjacent and ascending, submitted without waiting like the
-    /// planner's) with their recorded content hashes past the read cache
-    /// — a clean cached copy says nothing about the medium — adds the
+    /// planner's) with their recorded content hashes on `workers`
+    /// threads, past the read cache — a clean cached copy says nothing
+    /// about the medium — adds the
     /// blocks the reader could not vouch for to `bad`, each with what is
     /// wrong with it, raises `done` to when its reads complete, and
     /// returns how many blocks were hashed. Nothing is admitted. Only
@@ -795,8 +840,9 @@ impl ObjectStore {
         run: &[u64],
         bad: &mut BTreeMap<u64, String>,
         done: &mut SimTime,
+        workers: usize,
     ) -> u64 {
-        match self.read_checked(run) {
+        match self.read_checked(run, workers) {
             Ok((verdicts, at)) => {
                 *done = (*done).max(at);
                 let damaged = run.iter().zip(&verdicts).filter(|(_, v)| v.is_none());
@@ -806,7 +852,7 @@ impl ObjectStore {
             }
             Err(_) if run.len() > 1 => run
                 .iter()
-                .map(|b| self.verify_extent(std::slice::from_ref(b), bad, done))
+                .map(|b| self.verify_extent(std::slice::from_ref(b), bad, done, workers))
                 .sum(),
             Err(e) => {
                 bad.extend(run.iter().map(|&b| (b, format!("unreadable: {e}"))));
@@ -820,13 +866,14 @@ impl ObjectStore {
     /// over the union of their blocks, gathered from each checkpoint's
     /// own entries, each problem reported under every checkpoint it
     /// affects. Backs the `sls scrub` CLI command and the crash
-    /// campaign's per-iteration invariant.
+    /// campaign's per-iteration invariant. A store method has no worker
+    /// pool, so the stream's compare runs on one core, trailing the
+    /// reads, and the clock waits for it.
     pub fn scrub(&self) -> Vec<String> {
         let mut problems = self.fsck();
         let ids: Vec<CkptId> = self.ckpts.keys().map(|&i| CkptId(i)).collect();
         problems.extend(
-            self.verify_walk(&ids, .., |visit| self.walk_owned_blocks(visit))
-                .0
+            self.verify_walk(&ids, .., 1, |visit| self.walk_owned_blocks(visit))
                 .into_iter()
                 .map(|(id, p)| format!("ckpt {}: {p}", id.0)),
         );
@@ -924,9 +971,8 @@ mod tests {
         let named = problems.iter().filter(|p| p.starts_with("ckpt ")).count();
         assert_eq!(named, 2, "{problems:?}");
         // The base check of the head names the same page.
-        let (base, hashed) = s.verify_checkpoint(c2, ..);
+        let base = s.verify_checkpoint(c2, .., 1);
         assert_eq!(base, vec![format!("object 1 page 0: block {block} unrecoverable")]);
-        assert_eq!(hashed, 0);
     }
 
     /// The base check of a range of objects names a lost block under a
@@ -948,12 +994,12 @@ mod tests {
         s.cache.get_mut().data.remove(&block);
 
         let lost = vec![format!("object 2 page 3: block {block} unrecoverable")];
-        assert_eq!(s.verify_checkpoint(head, ObjId(2)..=ObjId(2)).0, lost);
-        assert_eq!(s.verify_checkpoint(head, ObjId(2)..).0, lost);
-        assert_eq!(s.verify_checkpoint(head, ..).0, lost);
-        assert!(s.verify_checkpoint(head, ObjId(1)..=ObjId(1)).0.is_empty());
-        assert!(s.verify_checkpoint(head, ..ObjId(2)).0.is_empty());
-        assert!(s.verify_checkpoint(head, ObjId(3)..).0.is_empty());
+        assert_eq!(s.verify_checkpoint(head, ObjId(2)..=ObjId(2), 1), lost);
+        assert_eq!(s.verify_checkpoint(head, ObjId(2).., 1), lost);
+        assert_eq!(s.verify_checkpoint(head, .., 1), lost);
+        assert!(s.verify_checkpoint(head, ObjId(1)..=ObjId(1), 1).is_empty());
+        assert!(s.verify_checkpoint(head, ..ObjId(2), 1).is_empty());
+        assert!(s.verify_checkpoint(head, ObjId(3).., 1).is_empty());
     }
 
     /// A delta chain with its records gone is reported under each

@@ -11,7 +11,7 @@
 //! deterministic, and keeping the model in one file makes the calibration
 //! auditable.
 
-use crate::time::SimDuration;
+use crate::time::{SimDuration, SimTime};
 
 /// Base-2 logarithm of the page size.
 pub const PAGE_SHIFT: u32 = 12;
@@ -126,6 +126,55 @@ pub fn hash_stage(pages: u64, workers: u64) -> SimDuration {
     SimDuration::for_bytes(pages * PAGE_SIZE as u64, bw)
 }
 
+/// The hash horizon of a two-stage stream: the device reads batch
+/// *k+1* while `workers` cores hash what batch *k* fetched. A batch's
+/// hash starts once its reads have completed and the previous batch's
+/// hash is done. Each batch is charged the difference of the cumulative
+/// [`hash_stage`] cost, so the charges telescope to
+/// `hash_stage(pages, workers)` to the nanosecond. The restore's
+/// page-in and the object store's base check fold their batches
+/// through it.
+#[derive(Debug, Clone, Copy)]
+pub struct HashTrail {
+    workers: u64,
+    pages: u64,
+    done: SimTime,
+}
+
+impl HashTrail {
+    /// A stream that starts at `start`, hashing on `workers` cores.
+    pub fn new(start: SimTime, workers: u64) -> HashTrail {
+        HashTrail {
+            workers,
+            pages: 0,
+            done: start,
+        }
+    }
+
+    /// Folds in a batch of `pages` whose reads complete at `read_done`.
+    pub fn fold(&mut self, read_done: SimTime, pages: u64) {
+        let before = hash_stage(self.pages, self.workers);
+        self.pages += pages;
+        let share = hash_stage(self.pages, self.workers).saturating_sub(before);
+        self.done = self.done.max(read_done) + share;
+    }
+
+    /// When the last batch folded in is hashed.
+    pub fn done(&self) -> SimTime {
+        self.done
+    }
+
+    /// Pages hashed so far.
+    pub fn pages(&self) -> u64 {
+        self.pages
+    }
+
+    /// The hash work of every batch so far, as if run back to back.
+    pub fn work(&self) -> SimDuration {
+        hash_stage(self.pages, self.workers)
+    }
+}
+
 /// Cost of serving one 4 KiB restore read out of the shared page cache:
 /// an index probe plus a reference-counted frame adoption, no device
 /// access and no data copy.
@@ -184,6 +233,28 @@ mod tests {
         let pages = (2u64 << 30) >> PAGE_SHIFT;
         let total = SimDuration::from_nanos(pages * PTE_COW_ARM_NS);
         assert!(total.as_millis_f64() > 4.0 && total.as_millis_f64() < 7.0);
+    }
+
+    /// Batches whose reads arrive faster than they hash queue behind
+    /// each other, so the horizon is the start plus the whole hash work
+    /// to the nanosecond; a batch read after the hash drained starts
+    /// fresh at its read's completion.
+    #[test]
+    fn hash_trail_telescopes_and_waits_for_reads() {
+        let start = SimTime::ZERO;
+        let mut trail = HashTrail::new(start, 3);
+        for _ in 0..7 {
+            trail.fold(start, 5);
+        }
+        assert_eq!(trail.pages(), 35);
+        assert_eq!(trail.work(), hash_stage(35, 3));
+        assert_eq!(trail.done(), start + hash_stage(35, 3));
+
+        let late = trail.done() + SimDuration::from_micros(100);
+        trail.fold(late, 9);
+        let share = hash_stage(44, 3).saturating_sub(hash_stage(35, 3));
+        assert_eq!(trail.done(), late + share);
+        assert_eq!(trail.work(), hash_stage(44, 3));
     }
 
     #[test]

@@ -51,7 +51,7 @@ pub use frame::{FrameId, FrameTable};
 pub use index::Residency;
 pub use map::{MapEntry, Prot, SlsPolicy, VmMap};
 pub use object::{DirtyMask, VmObject, VmoId, VmoKind, MAX_DIRTY_RUNS};
-pub use page::{PageData, PAGE_SIZE};
+pub use page::{hash_pages, PageData, PAGE_SIZE, PARALLEL_THRESHOLD};
 pub use pager::{PageId, Pager, PagerId};
 
 /// Counters describing VM activity; several feed the paper's tables.

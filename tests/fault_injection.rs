@@ -836,9 +836,13 @@ fn read_corruption_aborts_restore_and_store_survives() {
 // Streamed page-in: damage in a batch after the first.
 
 use aurora::core::restore::RESTORE_BATCH_BLOCKS;
+use aurora::hw::dev::{CostModel, QUEUE_DEPTH};
+use aurora::objstore::read::runs;
 use aurora::objstore::CkptId;
+use aurora::objstore::EXTENT_BLOCKS;
 use aurora::sim::error::ErrorKind;
 use aurora::sim::hash::{page_hash, Fnv64};
+use aurora::sim::time::SimDuration;
 
 /// Pages of the wide image: 2¼ restore batches, every page distinct.
 const WIDE_PAGES: u64 = (2 * RESTORE_BATCH_BLOCKS + RESTORE_BATCH_BLOCKS / 4) as u64;
@@ -1183,9 +1187,33 @@ fn base_check_repairs_a_rotten_mirror_copy_and_fails_over_a_dead_one() {
     assert!(mirror(&host, |m| m.mirror_stats()).failovers >= 1);
 }
 
+/// The extents the base check of `gid` at `host`'s head reads — the
+/// group's blocks, each once, cut the way the check cuts them — with
+/// when the last read completes, counted from an idle queue by the
+/// device's one rule: the first request pays the whole access latency,
+/// each one queued behind it a `QUEUE_DEPTH` share, and every request
+/// its transfer.
+fn base_check_reads(host: &Host, gid: aurora::core::GroupId) -> (Vec<(usize, usize)>, SimDuration) {
+    let store = host.sls.primary.borrow();
+    let head = store.head().unwrap();
+    let mut blocks = Vec::new();
+    store.walk_base_blocks(head, gid.objects(), &mut |_, _, b| blocks.push(b));
+    blocks.sort_unstable();
+    blocks.dedup();
+    let extents = runs(&blocks, EXTENT_BLOCKS);
+    let nvme = CostModel::NVME;
+    let mut done = SimDuration::from_nanos(nvme.latency_ns - nvme.latency_ns / QUEUE_DEPTH);
+    for &(_, len) in &extents {
+        done += SimDuration::from_nanos(nvme.latency_ns / QUEUE_DEPTH)
+            + SimDuration::for_bytes(len as u64 * 4096, nvme.read_bw);
+    }
+    (extents, done)
+}
+
 /// A base of N pages over U < N unique blocks is checked with reads
 /// that cover U blocks: a dedup-shared block is compared once, not once
-/// per page that maps it.
+/// per page that maps it. The check is one batch, so it ends when its
+/// last read completes plus the flush workers' hash of the U blocks.
 #[test]
 fn base_check_reads_each_shared_block_once() {
     let mut host = boot_materialized();
@@ -1201,6 +1229,8 @@ fn base_check_reads_each_shared_block_once() {
     host.clock.advance_to(bd.durable_at);
     let unique = host.sls.primary.borrow().blocks_in_use();
     assert!(unique < pages / 2, "{unique} blocks back {pages} pages");
+    let (_, reads) = base_check_reads(&host, gid);
+    let workers = host.sls.flush_workers as u64;
 
     host.kernel.mem_write(pid, addr, b"dirty").unwrap();
     let before = host.sls.primary.borrow().device().stats().clone();
@@ -1208,10 +1238,10 @@ fn base_check_reads_each_shared_block_once() {
     let after = host.sls.primary.borrow().device().stats().clone();
     assert_eq!(bd.outcome, CheckpointOutcome::Committed, "{:?}", bd.fault);
     assert_eq!(bd.base_verify_blocks, unique, "U blocks, not N");
-    assert!(
-        bd.base_verify > aurora::sim::cost::hash_stage(unique, 1),
-        "reads plus one core hashing U blocks: {}",
-        bd.base_verify
+    assert_eq!(
+        bd.base_verify,
+        reads + aurora::sim::cost::hash_stage(unique, workers),
+        "the queued reads, then {workers} workers hashing U blocks"
     );
     assert_eq!(after.bytes_read - before.bytes_read, unique * 4096);
     assert!(
@@ -1219,6 +1249,69 @@ fn base_check_reads_each_shared_block_once() {
         "{} requests for {unique} blocks",
         after.reads - before.reads
     );
+}
+
+/// A base of two batches streams: the first is hashed on the flush
+/// workers while the device reads the second, which takes longer than
+/// that hash even on one worker. So the check ends when its last read
+/// completes plus the last batch's share of the hash — its n blocks'
+/// `hash_stage(n, workers)`, to the nanosecond of rounding — not plus
+/// the whole base hashed on one core. `scrub` streams the same reads
+/// (the store holds only this group's blocks) and compares each batch
+/// on one core whatever the flush workers, so it ends the one-core tail
+/// after its last read.
+#[test]
+fn base_check_ends_one_batch_hash_after_its_last_read() {
+    let pages = (RESTORE_BATCH_BLOCKS + 3 * EXTENT_BLOCKS) as u64;
+    for workers in [1u64, 4] {
+        let mut host = boot_materialized();
+        host.sls.flush_workers = workers as usize;
+        let pid = host.kernel.spawn("wide");
+        let addr = host.kernel.mmap_anon(pid, pages * 4096, false).unwrap();
+        for p in 0..pages {
+            host.kernel
+                .mem_write(pid, addr + p * 4096, &wide_page(p))
+                .unwrap();
+        }
+        let gid = host.persist("wide", pid).unwrap();
+        let bd = host.checkpoint(gid, true, None).unwrap();
+        host.clock.advance_to(bd.durable_at);
+        let (extents, reads) = base_check_reads(&host, gid);
+        let batches = aurora::objstore::read::extent_batches(&extents, RESTORE_BATCH_BLOCKS);
+        assert_eq!(batches.len(), 2, "{workers} workers: two batches");
+        let last: u64 = extents[batches[1].clone()]
+            .iter()
+            .map(|&(_, len)| len as u64)
+            .sum();
+        let tail_on = |w: u64| {
+            let hash = |n: u64| aurora::sim::cost::hash_stage(n, w);
+            hash(pages).saturating_sub(hash(pages - last))
+        };
+
+        let before = host.clock.now();
+        let problems = host.sls.primary.borrow().scrub();
+        assert!(problems.is_empty(), "{problems:?}");
+        let scrub = host.clock.now().since(before);
+        assert_eq!(
+            scrub,
+            reads + tail_on(1),
+            "scrub at {workers} flush workers"
+        );
+
+        host.kernel.mem_write(pid, addr, b"dirty").unwrap();
+        let bd = host.checkpoint(gid, false, None).unwrap();
+        assert_eq!(bd.outcome, CheckpointOutcome::Committed, "{:?}", bd.fault);
+        assert_eq!(bd.base_verify_blocks, pages);
+        let hash = |n: u64| aurora::sim::cost::hash_stage(n, workers);
+        let tail = tail_on(workers);
+        assert_eq!(bd.base_verify, reads + tail, "{workers} workers");
+        let rounding = tail.as_nanos().abs_diff(hash(last).as_nanos());
+        assert!(
+            rounding <= 1,
+            "{workers} workers: {tail} is not the last batch's"
+        );
+        assert!(bd.base_verify < reads + hash(pages), "{workers} workers");
+    }
 }
 
 // ---------------------------------------------------------------------------
