@@ -491,11 +491,9 @@ fn cmd_checkpoint(world: &Path, opts: &[&str]) -> Result<String> {
         host.prune_incarnation(old)?;
     }
     Ok(format!(
-        "checkpointed {name}: id {}{}, base verify {} ({} blocks), metadata {}, stop {}{}\n",
+        "checkpointed {name}: id {}{}, metadata {}, stop {}{}\n",
         bd.ckpt.map(|c| c.0).unwrap_or(0),
         tag.map(|t| format!(" (tag {t})")).unwrap_or_default(),
-        bd.base_verify,
-        bd.base_verify_blocks,
         bd.metadata_copy,
         bd.stop_time,
         outcome_note(&bd),
@@ -1055,13 +1053,16 @@ fn cmd_fleet(opts: &[&str]) -> Result<String> {
         // Once the poisoned tenant is quarantined, the fault "clears"
         // (an operator swapped the disk). The next round runs inside
         // the backoff window so the skip path shows; after that the
-        // demo jumps the clock to each re-admission probe window.
+        // demo waits out the old disk's stalled flushes — no cycle
+        // waits for the device on its own — and jumps the clock to each
+        // re-admission probe window.
         if !healthy_only && host.tenant_domain(gid0).health == TenantHealth::Quarantined {
             store0
                 .borrow_mut()
                 .device_mut()
                 .install_fault_plan(FaultPlan::default());
             if skipped_once {
+                host.wait_durable(gid0)?;
                 host.clock.advance_to(host.tenant_domain(gid0).next_probe);
             } else {
                 skipped_once = true;

@@ -113,6 +113,9 @@ pub struct CampaignReport {
     pub committed: u64,
     /// Checkpoints that degraded from incremental to full.
     pub degraded: u64,
+    /// Pages committed checkpoints rewrote from memory because a scrub
+    /// step found their stored copy damaged.
+    pub rewritten: u64,
     /// Checkpoints that committed with a replica detached or rebuilding.
     pub degraded_mirror: u64,
     /// Checkpoints, restores and resilvers given up to exhausted
@@ -152,13 +155,14 @@ impl CampaignReport {
     /// One-line summary for logs and the CLI, hit histogram included.
     pub fn summary(&self) -> String {
         format!(
-            "{} schedules: {} committed ({} degraded, {} degraded-mirror), \
-             {} aborted, {} crashes, {} restores verified, \
+            "{} schedules: {} committed ({} degraded, {} degraded-mirror, \
+             {} pages rewritten), {} aborted, {} crashes, {} restores verified, \
              {} transient errors absorbed, hits {:?}, {} violations",
             self.schedules,
             self.committed,
             self.degraded,
             self.degraded_mirror,
+            self.rewritten,
             self.aborted,
             self.crashes,
             self.restores_verified,
@@ -1309,6 +1313,7 @@ fn tally(
         }
     }
     report.committed += 1;
+    report.rewritten += bd.rewritten;
     Some(bd)
 }
 
@@ -1697,12 +1702,19 @@ mod tests {
             r.committed > 0,
             "healthy tenants must keep committing throughout"
         );
+        assert!(
+            r.rewritten > 0,
+            "the read-corruption plan's damage is rewritten from memory: {}",
+            r.summary()
+        );
     }
 
     /// Two pipelined tenants share one materialized store, and a block
-    /// under tenant A's head pages rots. A's base check finds it and
-    /// degrades A to a full checkpoint; B's base is B's own pages, so B
-    /// commits incrementally and stays healthy.
+    /// under tenant A's head pages rots. A's scrub step finds it after
+    /// A's incremental commits, which degrades A's fault domain; B's
+    /// step reads B's own pages, so B stays healthy. A's next cycle
+    /// rewrites the page from memory, incrementally, and A is healthy
+    /// again.
     #[test]
     fn fleet_fault_domain_shared_store_keeps_rot_in_its_tenant() {
         let config = StoreConfig {
@@ -1741,13 +1753,26 @@ mod tests {
 
         let bd = host.checkpoint_pipelined(b, false, None).unwrap();
         assert_eq!(bd.outcome, CheckpointOutcome::Committed, "{:?}", bd.fault);
-        assert!(!bd.base_damaged && !bd.full);
+        assert!(!bd.holds_damage() && !bd.full);
         let bd = host.checkpoint_pipelined(a, false, None).unwrap();
-        assert_eq!(bd.outcome, CheckpointOutcome::DegradedToFull, "{:?}", bd.fault);
-        assert!(bd.base_damaged && bd.full);
+        assert_eq!(bd.outcome, CheckpointOutcome::Committed, "{:?}", bd.fault);
+        assert!(bd.scrub_damaged == 1 && !bd.full, "{:?}", bd.fault);
         host.fleet_drain();
         assert_eq!(host.tenant_domain(b).health, TenantHealth::Healthy);
         assert_eq!(host.tenant_domain(a).health, TenantHealth::Degraded);
+
+        host.clock.advance_to(bd.scrub_ready_at);
+        let (pid, addr, _) = tenants[0];
+        host.kernel.mem_write(pid, addr, b"dirty again").unwrap();
+        let bd = host.checkpoint_pipelined(a, false, None).unwrap();
+        assert_eq!(bd.outcome, CheckpointOutcome::Committed, "{:?}", bd.fault);
+        assert!(
+            bd.rewritten == 1 && !bd.holds_damage() && !bd.full,
+            "{:?}",
+            bd.fault
+        );
+        host.fleet_drain();
+        assert_eq!(host.tenant_domain(a).health, TenantHealth::Healthy);
     }
 
     #[test]

@@ -30,7 +30,7 @@ use aurora_vm::VmoId;
 
 use crate::fleet::FlushMode;
 use crate::flush::{delta_runs, hash_images, DirtyRuns, PlanEntry, FLUSH_BATCH_PAGES};
-use crate::group::{Group, GroupId};
+use crate::group::{Group, GroupId, ScrubFinding};
 use crate::metrics::{CheckpointBreakdown, CheckpointOutcome};
 use crate::serialize::*;
 use crate::{Host, Sls};
@@ -92,7 +92,7 @@ impl Host {
             )));
         }
         let requested_full = full;
-        let mut full = requested_full
+        let full = requested_full
             || self
                 .sls
                 .group_ref(gid)?
@@ -100,67 +100,24 @@ impl Host {
                 .iter()
                 .any(|b| b.needs_full);
 
+        let mut breakdown = CheckpointBreakdown {
+            full,
+            ..CheckpointBreakdown::default()
+        };
         // The caller asked for an incremental checkpoint but a backend
         // needs a full base (fresh attach, or recovery from an earlier
         // abort): report the degradation instead of silently upgrading.
-        let mut fault: Option<String> = None;
         if full && !requested_full {
-            fault = Some("backend requires a full base: degraded to full".into());
+            breakdown.outcome = CheckpointOutcome::DegradedToFull;
+            breakdown.fault = Some("backend requires a full base: degraded to full".into());
             self.sls.stats.checkpoints_degraded += 1;
         }
-
         // An incremental checkpoint is only as good as the base it
-        // extends: if the group's pages at any backend's head have
-        // unreadable or corrupt blocks, every later incremental would be
-        // unrestorable too. Degrade to a full checkpoint, which rewrites
-        // the group's whole working set and does not depend on the
-        // damaged base. The check covers the group's own objects only:
-        // they are what that full checkpoint rewrites and what restoring
-        // the group reads. Other groups' damage is theirs to find, so it
-        // does not degrade this one.
-        let mut base_damaged = false;
-        let mut base_verify_blocks = 0u64;
-        let verify_sw = Stopwatch::start(&self.clock);
-        if !full {
-            let group = self.sls.group_ref(gid)?;
-            for backend in &group.backends {
-                let store = backend.store.borrow_mut();
-                let Some(head) = store.head() else { continue };
-                let read_before = store.device().stats().bytes_read;
-                // The reads go to the device back to back; each batch of
-                // them is compared on the flush workers as soon as it is
-                // in, beside the later batches' reads, and the clock waits
-                // for the last batch's compare. This runs on the driving
-                // thread before the barrier in every flush mode.
-                let problems =
-                    store.verify_checkpoint(head, gid.objects(), self.sls.flush_workers.max(1));
-                base_verify_blocks +=
-                    (store.device().stats().bytes_read - read_before) / cost::PAGE_SIZE as u64;
-                if let Some(p) = problems.first() {
-                    fault = Some(format!("incremental base damaged: {p}"));
-                    full = true;
-                    base_damaged = true;
-                    break;
-                }
-            }
-            if full {
-                self.sls.stats.checkpoints_degraded += 1;
-            }
-        }
-
-        let mut breakdown = CheckpointBreakdown {
-            full,
-            base_damaged,
-            base_verify: verify_sw.elapsed(),
-            base_verify_blocks,
-            outcome: if fault.is_some() {
-                CheckpointOutcome::DegradedToFull
-            } else {
-                CheckpointOutcome::Committed
-            },
-            fault,
-            ..CheckpointBreakdown::default()
-        };
+        // extends, but the base is not re-read here: the running
+        // application's memory already holds the newest bytes of every
+        // page it references. Each cycle's post-commit scrub step checks
+        // one batch of the group's head instead, and the damage it found
+        // is healed forward below, by rewriting those pages from memory.
 
         // Full checkpoints consolidate lazily-restored images: every
         // pager-backed page is faulted in *before* the barrier (off the
@@ -170,6 +127,7 @@ impl Host {
         if full {
             self.consolidate_images(&members)?;
         }
+        let rewrites = self.mark_rewrites(gid, &members, &mut breakdown)?;
 
         let mut sw = Stopwatch::start(&self.clock);
 
@@ -253,6 +211,11 @@ impl Host {
 
         let group = self.sls.group_mut(gid)?;
         group.ec_outstanding.push_back((ec_seq, durable));
+        // The marked pages are durable as full images now.
+        for page in &rewrites {
+            group.rewrite.remove(page);
+        }
+        breakdown.rewritten = rewrites.len() as u64;
 
         // A checkpoint that committed while a mirror replica was
         // detached, rebuilding, or unhealthy is durable but
@@ -267,8 +230,7 @@ impl Host {
             });
             if degraded_mirror {
                 breakdown.outcome = CheckpointOutcome::DegradedMirror;
-                breakdown.fault =
-                    Some("mirror degraded: a replica is detached or rebuilding".into());
+                breakdown.note_fault("mirror degraded: a replica is detached or rebuilding".into());
             }
         }
 
@@ -277,23 +239,150 @@ impl Host {
         // falls behind degrades the outcome instead.
         self.replicate_after_checkpoint(&mut breakdown);
 
-        // History-window GC on every backend, then release holds whose
-        // checkpoints already became durable.
-        gc_history(&mut self.sls, gid)?;
+        // Post-commit maintenance. The checkpoint is durable and in every
+        // backend's history already, so a failure here is reported on
+        // the committed outcome, never as an error: history-window GC
+        // keeps an undeleted victim for the next cycle, and a chain left
+        // unfolded is folded by it.
+        if let Err(e) = gc_history(&mut self.sls, gid) {
+            breakdown.note_fault(format!("history GC failed: {e}"));
+        }
         // Background chain compaction: a chain at the policy cap can
         // never grow another delta (the next write takes the full-image
         // path), but a *cold* page's capped chain would otherwise tax
         // every future restore with replay. Fold those now.
-        self.compact_chains(gid)?;
+        if let Err(e) = self.compact_chains(gid) {
+            breakdown.note_fault(format!("chain compaction failed: {e}"));
+        }
+        self.scrub_step(gid, &mut breakdown)?;
+        breakdown.unhealed = self.sls.group_ref(gid)?.rewrite.len() as u64;
         self.poll_durability();
         Ok(breakdown)
     }
 
-    /// Folds every live delta chain that reached the policy cap back
-    /// into a full base image, on every backend of the group. Each
-    /// folding backend commits one `chain-compact` checkpoint through
-    /// the typestate protocol (recorded in its history, windowed out by
-    /// the next GC pass like any other). Returns the number of chains
+    /// Heals forward from memory, before the barrier. The damage scrub
+    /// steps found whose verdicts are in by now joins the group's
+    /// rewrite set, and each damaged block leaves its store's dedup
+    /// index, so the rewrite gets a fresh block rather than a dedup hit
+    /// on the bad one. Every page of the set with a resident frame is
+    /// then marked dirty in whole: the capture takes it as a full image,
+    /// and a delta over a bad base becomes an image. Returns the pages
+    /// marked. A page with no resident frame (pager-backed, or not a VM
+    /// page) cannot be healed from memory: it stays in the set and is
+    /// named in the breakdown's fault.
+    fn mark_rewrites(
+        &mut self,
+        gid: GroupId,
+        members: &[Pid],
+        breakdown: &mut CheckpointBreakdown,
+    ) -> Result<Vec<(ObjId, u64)>> {
+        let now = self.clock.now();
+        let group = self.sls.group_mut(gid)?;
+        for backend in group.backends.iter_mut() {
+            let (ready, later) = std::mem::take(&mut backend.scrub_findings)
+                .into_iter()
+                .partition(|f| f.ready_at <= now);
+            backend.scrub_findings = later;
+            let mut store = backend.store.borrow_mut();
+            for damage in ready.iter().flat_map(|f: &ScrubFinding| &f.damaged) {
+                if let Some(block) = damage.block {
+                    store.condemn_block(block);
+                }
+                group.rewrite.insert((damage.oid, damage.idx));
+            }
+        }
+        if group.rewrite.is_empty() {
+            return Ok(Vec::new());
+        }
+
+        // The store object of every VM object the members reach.
+        let mut vmo_of: HashMap<ObjId, VmoId> = HashMap::new();
+        for &pid in members {
+            for entry in self.kernel.proc_ref(pid)?.map.entries() {
+                let mut cur = Some(entry.object);
+                while let Some(v) = cur {
+                    let obj = self.kernel.vm.object(v);
+                    if let Some(&oid) = group.vmo_oids.get(&obj.uid) {
+                        if vmo_of.insert(ObjId(oid), v).is_some() {
+                            break;
+                        }
+                    }
+                    cur = obj.backing.map(|(b, _)| b);
+                }
+            }
+        }
+        let vm_oids: HashSet<u64> = group.vmo_oids.values().copied().collect();
+        let epoch = self.kernel.vm.epoch;
+        let (mut marked, mut unhealed) = (Vec::new(), Vec::new());
+        let mut gone = Vec::new();
+        for &(oid, idx) in &group.rewrite {
+            match vmo_of.get(&oid) {
+                Some(&v) if self.kernel.vm.object_mut(v).mark_dirty_full(idx, epoch) => {
+                    marked.push((oid, idx));
+                }
+                Some(_) => unhealed.push((oid, idx)),
+                // A VM object no member reaches any more died: its
+                // store object goes with this capture.
+                None if vm_oids.contains(&oid.0) => gone.push((oid, idx)),
+                None => unhealed.push((oid, idx)),
+            }
+        }
+        for page in &gone {
+            group.rewrite.remove(page);
+        }
+        if let Some(&(oid, idx)) = unhealed.first() {
+            breakdown.note_fault(format!(
+                "{} damaged page(s) have no resident frame to rewrite from, first object {} \
+                 page {idx}",
+                unhealed.len(),
+                oid.0
+            ));
+        }
+        Ok(marked)
+    }
+
+    /// The post-commit scrub step: on every backend, checks one
+    /// `RESTORE_BATCH_BLOCKS` batch of the group's head, resuming where
+    /// the last step stopped and wrapping at the end, and files what it
+    /// found damaged for the first checkpoint that starts after its
+    /// verdicts are in. Its reads are queued behind the commit on a
+    /// materialized store, hashed on the flush workers, and the clock
+    /// does not wait for them; a timing-only store checks its page
+    /// table and charges no device time.
+    fn scrub_step(&mut self, gid: GroupId, breakdown: &mut CheckpointBreakdown) -> Result<()> {
+        let workers = self.sls.flush_workers.max(1);
+        let group = self.sls.group_mut(gid)?;
+        let mut first = None;
+        for backend in group.backends.iter_mut() {
+            let step =
+                backend
+                    .store
+                    .borrow()
+                    .scrub_step(gid.objects(), backend.scrub_from, workers);
+            backend.scrub_from = step.next;
+            breakdown.scrub_ready_at = breakdown.scrub_ready_at.max(step.ready_at);
+            if step.damaged.is_empty() {
+                continue;
+            }
+            breakdown.scrub_damaged += step.damaged.len() as u64;
+            first = first.or_else(|| step.damaged.first().map(ToString::to_string));
+            backend.scrub_findings.push(ScrubFinding {
+                ready_at: step.ready_at,
+                damaged: step.damaged,
+            });
+        }
+        if let Some(first) = first {
+            let found = breakdown.scrub_damaged;
+            breakdown.note_fault(format!("scrub found {found} damaged page(s): {first}"));
+        }
+        Ok(())
+    }
+
+    /// Folds every live delta chain of the group's objects that reached
+    /// the policy cap back into a full base image, on every backend of
+    /// the group. Each folding backend commits one `chain-compact`
+    /// checkpoint through the typestate protocol (recorded in its
+    /// history, windowed out by the next GC pass like any other). Returns the number of chains
     /// folded across all backends.
     pub fn compact_chains(&mut self, gid: GroupId) -> Result<u64> {
         let group = self.sls.group_mut(gid)?;
@@ -304,7 +393,7 @@ impl Host {
             if delta_max_bytes == 0 {
                 continue;
             }
-            let n = store.compact_chains(delta_max_chain)? as u64;
+            let n = store.compact_chains(gid.objects(), delta_max_chain)? as u64;
             if n > 0 {
                 folded += n;
                 if let Some(head) = store.head() {

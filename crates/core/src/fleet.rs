@@ -427,8 +427,9 @@ impl FleetScheduler {
     /// Records one cycle's outcome against its tenant's fault domain
     /// and runs the health state machine.
     ///
-    /// A cycle succeeds when it committed, met the deadline, and did
-    /// not find its base damaged; anything else is a failure. One
+    /// A cycle succeeds when it committed, met the deadline, and
+    /// neither found damage under the tenant's head nor still holds
+    /// damage it could not rewrite; anything else is a failure. One
     /// failure degrades the tenant, [`QUARANTINE_AFTER`] consecutive
     /// failures quarantine it, and a failed probe doubles the backoff
     /// (capped). An on-time clean commit resets the counter — and
@@ -440,11 +441,11 @@ impl FleetScheduler {
         now: SimTime,
         committed: bool,
         on_time: bool,
-        base_damaged: bool,
+        damaged: bool,
         fault: Option<&str>,
     ) -> TenantHealth {
         let deadline_missed = committed && !on_time;
-        let ok = committed && on_time && !base_damaged;
+        let ok = committed && on_time && !damaged;
         let fault = fault.unwrap_or(if deadline_missed {
             "cycle deadline missed"
         } else {
@@ -604,7 +605,7 @@ impl Host {
     /// tenant's cycle is skipped (outcome
     /// [`CheckpointOutcome::Quarantined`], the group never stopped) until its
     /// probe backoff elapses *and* its backing devices report healthy;
-    /// failures, deadline misses and damaged-base degradations are
+    /// failures, deadline misses and damage its scrub step finds are
     /// charged against the tenant's health.
     pub fn checkpoint_pipelined(
         &mut self,
@@ -664,7 +665,7 @@ impl Host {
             self.clock.now(),
             breakdown.outcome.committed(),
             on_time,
-            breakdown.base_damaged,
+            breakdown.holds_damage(),
             breakdown.fault.as_deref(),
         );
         Ok(breakdown)

@@ -1,10 +1,10 @@
 //! Persistence groups and backends.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeSet, HashMap, VecDeque};
 
 use crate::ntlog::NtLogState;
 
-use aurora_objstore::{CkptId, ObjId};
+use aurora_objstore::{CkptId, ObjId, PageDamage};
 use aurora_sim::time::{SimDuration, SimTime};
 use aurora_slsfs::StoreHandle;
 use aurora_posix::Pid;
@@ -48,6 +48,36 @@ pub struct Backend {
     pub needs_full: bool,
     /// Checkpoints this backend holds for the group, oldest first.
     pub history: Vec<CkptId>,
+    /// The page key of the group's head where the next scrub step on
+    /// this backend resumes; `None` starts at the group's first page.
+    pub scrub_from: Option<(ObjId, u64)>,
+    /// Damage scrub steps found under the group's head on this backend
+    /// whose verdicts no checkpoint has acted on yet, oldest first.
+    pub scrub_findings: Vec<ScrubFinding>,
+}
+
+impl Backend {
+    /// A backend with no history: its next checkpoint is full.
+    pub fn new(kind: BackendKind, store: StoreHandle) -> Backend {
+        Backend {
+            kind,
+            store,
+            needs_full: true,
+            history: Vec::new(),
+            scrub_from: None,
+            scrub_findings: Vec::new(),
+        }
+    }
+}
+
+/// What one scrub step found damaged under a group's head.
+#[derive(Debug, Clone)]
+pub struct ScrubFinding {
+    /// When the step's verdicts are in: no checkpoint that starts
+    /// earlier acts on them.
+    pub ready_at: SimTime,
+    /// The damaged pages.
+    pub damaged: Vec<PageDamage>,
 }
 
 /// A persistence group.
@@ -90,6 +120,10 @@ pub struct Group {
     /// Group id of the incarnation this group superseded at restore time
     /// (pruned by the caller once the new group is fully checkpointed).
     pub supersedes: Option<u32>,
+    /// The rewrite set: pages whose stored copy a scrub step found
+    /// damaged. The next checkpoint takes each one with a resident frame
+    /// as a full image from memory; the rest stay until one can.
+    pub rewrite: BTreeSet<(ObjId, u64)>,
 }
 
 impl Group {
@@ -112,6 +146,7 @@ impl Group {
             ntflush_ckpts: Vec::new(),
             msgq_keys: Vec::new(),
             supersedes: None,
+            rewrite: BTreeSet::new(),
         }
     }
 

@@ -76,8 +76,8 @@ pub const SLSFS_MOUNT: &str = "/sls";
 /// SLS-wide counters.
 #[derive(Debug, Default, Clone)]
 pub struct SlsStats {
-    /// Checkpoints that degraded from incremental to full because the
-    /// incremental base was damaged or a backend was recovering.
+    /// Checkpoints that degraded from incremental to full because a
+    /// backend needed a full base (fresh attach, or an earlier abort).
     pub checkpoints_degraded: u64,
     /// Checkpoints aborted by a permanent flush failure (the previous
     /// durable snapshot remains the latest).
@@ -275,12 +275,9 @@ impl Host {
             self.kernel.proc_mut(pid)?.persist_group = Some(gid);
         }
         let mut group = Group::new(gid, name, root);
-        group.backends.push(Backend {
-            kind: BackendKind::Disk,
-            store: self.sls.primary.clone(),
-            needs_full: true,
-            history: Vec::new(),
-        });
+        group
+            .backends
+            .push(Backend::new(BackendKind::Disk, self.sls.primary.clone()));
         self.sls.groups.insert(gid, group);
         Ok(GroupId(gid))
     }
@@ -301,12 +298,7 @@ impl Host {
     /// Attaches an additional backend (`sls attach`).
     pub fn attach_backend(&mut self, gid: GroupId, kind: BackendKind, store: StoreHandle) -> Result<()> {
         let group = self.sls.group_mut(gid)?;
-        group.backends.push(Backend {
-            kind,
-            store,
-            needs_full: true,
-            history: Vec::new(),
-        });
+        group.backends.push(Backend::new(kind, store));
         Ok(())
     }
 
@@ -321,9 +313,7 @@ impl Host {
             .backends
             .first_mut()
             .ok_or_else(|| Error::invalid("group has no primary backend"))?;
-        primary.store = store;
-        primary.needs_full = true;
-        primary.history.clear();
+        *primary = Backend::new(primary.kind, store);
         Ok(())
     }
 

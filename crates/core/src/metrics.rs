@@ -14,8 +14,9 @@ pub enum CheckpointOutcome {
     #[default]
     Committed,
     /// The caller asked for an incremental checkpoint but the pipeline
-    /// degraded to a full one (damaged incremental base, or a backend
-    /// recovering from an earlier abort). The result is still durable.
+    /// degraded to a full one: a backend needed a full base (a fresh
+    /// attach, or recovery from an earlier abort). The result is still
+    /// durable.
     DegradedToFull,
     /// Committed and durable, but the mirror under a backend was running
     /// degraded (a replica detached, rebuilding, or unhealthy): the data
@@ -65,7 +66,11 @@ impl CheckpointOutcome {
 pub struct CheckpointBreakdown {
     /// How the checkpoint concluded (committed / degraded / aborted).
     pub outcome: CheckpointOutcome,
-    /// Human-readable cause when `outcome` is not `Committed`.
+    /// Human-readable cause when `outcome` is not `Committed`; on a
+    /// committed cycle, what went wrong around the commit: a failed
+    /// history GC or chain compaction (retried by the next cycle),
+    /// damage the scrub step found, and damaged pages memory could not
+    /// rewrite.
     pub fault: Option<String>,
     /// Whether this was a full or incremental checkpoint.
     pub full: bool,
@@ -102,18 +107,38 @@ pub struct CheckpointBreakdown {
     /// that no later batch's hash was left to hide. For an inline
     /// checkpoint `flush_span == hash_stage + write_wait`.
     pub write_wait: SimDuration,
-    /// The incremental pre-pass found the base chain damaged
-    /// (unreadable or corrupt blocks) and degraded to full. Committed
-    /// cycles with this set still signal a sick backend: the fleet's
-    /// health machine counts them against the tenant's fault domain.
-    pub base_damaged: bool,
-    /// Sim time the incremental pre-pass spent checking the base on the
-    /// device, before the group was stopped: part of neither `stop_time`
-    /// nor `flush_span`, but of the call-to-durable latency. Zero for a
-    /// full checkpoint and on timing-only stores, which read nothing.
-    pub base_verify: SimDuration,
-    /// Device blocks that pre-pass read.
-    pub base_verify_blocks: u64,
+    /// Pages of the rewrite set this checkpoint took as full images
+    /// from memory: damage an earlier scrub step found, healed.
+    pub rewritten: u64,
+    /// Pages this cycle's post-commit scrub step found damaged under
+    /// the group's head on some backend. They join the rewrite set at
+    /// the first checkpoint after the step's verdicts are in.
+    pub scrub_damaged: u64,
+    /// Pages left in the rewrite set after this cycle: damaged pages
+    /// with no resident frame to rewrite them from.
+    pub unhealed: u64,
+    /// When the verdicts of this cycle's scrub step are in, on its
+    /// slowest backend: after `durable_at` on a materialized store,
+    /// whose step reads queue behind the commit; the caller's clock does
+    /// not wait for it.
+    pub scrub_ready_at: SimTime,
+}
+
+impl CheckpointBreakdown {
+    /// Whether the cycle found damage under the group or still holds
+    /// some: the fleet's health machine counts such a cycle against the
+    /// tenant's fault domain even when it committed.
+    pub fn holds_damage(&self) -> bool {
+        self.scrub_damaged > 0 || self.unhealed > 0
+    }
+
+    /// Adds `what` to the fault, after any cause already there.
+    pub(crate) fn note_fault(&mut self, what: String) {
+        self.fault = Some(match self.fault.take() {
+            Some(earlier) => format!("{earlier}; {what}"),
+            None => what,
+        });
+    }
 }
 
 /// Restore-time breakdown (the rows of Table 4).

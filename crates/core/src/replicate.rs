@@ -791,7 +791,7 @@ impl Host {
                     repl.stats.ship_errors += 1;
                     if bd.outcome == CheckpointOutcome::Committed {
                         bd.outcome = CheckpointOutcome::DegradedReplication;
-                        bd.fault = Some(format!("replication export failed: {e}"));
+                        bd.note_fault(format!("replication export failed: {e}"));
                     }
                 }
             }
@@ -800,7 +800,7 @@ impl Host {
         let lag = repl.lag_epochs();
         if lag > repl.cfg.max_lag_epochs && bd.outcome == CheckpointOutcome::Committed {
             bd.outcome = CheckpointOutcome::DegradedReplication;
-            bd.fault = Some(format!(
+            bd.note_fault(format!(
                 "replication lag {lag} epochs exceeds max {}: standby falling behind",
                 repl.cfg.max_lag_epochs
             ));

@@ -819,7 +819,8 @@ impl Host {
 }
 
 /// Blocks of the read plan fetched and verified per batch of the
-/// streamed page-in; the base check streams in the same batches.
+/// streamed page-in; the audits stream in the same batches, and one
+/// post-commit scrub step checks one of them.
 pub use aurora_objstore::read::RESTORE_BATCH_BLOCKS;
 
 /// Every metadata record of a checkpoint, parsed: its manifest and the

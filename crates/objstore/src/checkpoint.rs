@@ -251,7 +251,16 @@ impl Image {
         &self,
         objects: impl RangeBounds<ObjId>,
     ) -> impl Iterator<Item = ((ObjId, u64), PageRef)> + '_ {
-        let keys = page_keys(objects);
+        self.refs_in(page_keys(objects))
+    }
+
+    /// The pages under the page keys `keys` in key order, each a full
+    /// image or a delta-chain head: a walk of [`Image::refs`] resumed
+    /// part way through an object.
+    pub(crate) fn refs_in(
+        &self,
+        keys: impl RangeBounds<(ObjId, u64)> + Copy,
+    ) -> impl Iterator<Item = ((ObjId, u64), PageRef)> + '_ {
         merge_refs(self.pages.range(keys), self.deltas.range(keys))
     }
 

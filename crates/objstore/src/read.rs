@@ -37,7 +37,7 @@
 //! fails its own scrub for good.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
-use std::ops::{Range, RangeBounds};
+use std::ops::{Bound, Range, RangeBounds};
 
 use aurora_hw::BLOCK_SIZE;
 use aurora_sim::cost::{HashTrail, RESTORE_CACHE_HIT_NS};
@@ -46,7 +46,7 @@ use aurora_sim::hash::{page_hash, Words};
 use aurora_sim::time::{SimDuration, SimTime};
 use aurora_vm::{hash_pages, PageData};
 
-use crate::checkpoint::{self, CkptId, PageRef};
+use crate::checkpoint::{self, page_keys, CkptId, PageRef};
 use crate::deltalog::Lsn;
 use crate::store::{ObjectStore, PageCache, EXTENT_BLOCKS};
 use crate::{BlockPtr, ObjId};
@@ -75,9 +75,10 @@ pub fn runs(blocks: &[u64], cap: usize) -> Vec<(usize, usize)> {
 
 /// Blocks read per batch of a two-stage stream, a batch being whole
 /// extents: 4 × `EXTENT_BLOCKS`, the flush's batch. The restore's
-/// page-in and the base check both hash batch *k* while the device reads
-/// batch *k+1*, so each is done one batch's hash after its last read —
-/// a smaller batch shortens both. But `cost::hash_stage` divides a batch
+/// page-in and the audits hash batch *k* while the device reads batch
+/// *k+1*, so each is done one batch's hash after its last read — a
+/// smaller batch shortens both — and one post-commit scrub step checks
+/// one batch. But `cost::hash_stage` divides a batch
 /// evenly over the workers, and below 4 × `PARALLEL_THRESHOLD` the
 /// default four workers no longer get a shard worth a thread each
 /// (DESIGN §12 has the sweep).
@@ -286,6 +287,58 @@ pub struct ReadOutcome {
 /// `None` when the bytes still differ from the recorded hash after the
 /// re-read and the heal.
 type Verdict = Option<(PageData, Option<u64>)>;
+
+/// What checking the blocks of a walk found: each block the checked
+/// reader could not vouch for with what is wrong with it, whether the
+/// walk itself resolved, and when the verdicts are in.
+struct WalkCheck {
+    bad: BTreeMap<u64, String>,
+    clean: bool,
+    done: SimTime,
+}
+
+/// A page of the head that cannot be restored as recorded.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PageDamage {
+    /// The page's object.
+    pub oid: ObjId,
+    /// The page's index in it.
+    pub idx: u64,
+    /// The block it restores from, `None` when its delta chain does not
+    /// resolve to one.
+    pub block: Option<u64>,
+    /// What is wrong.
+    pub what: String,
+}
+
+impl std::fmt::Display for PageDamage {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self.block {
+            Some(block) => {
+                let (oid, idx, what) = (self.oid.0, self.idx, &self.what);
+                write!(f, "object {oid} page {idx}: block {block} {what}")
+            }
+            // A broken chain's message names its page already.
+            None => f.write_str(&self.what),
+        }
+    }
+}
+
+/// What one [`ObjectStore::scrub_step`] found.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct ScrubStep {
+    /// The damaged pages, in key order.
+    pub damaged: Vec<PageDamage>,
+    /// Distinct blocks the step checked.
+    pub blocks: u64,
+    /// The page key the next step resumes from; `None` when this step
+    /// reached the end of its objects, so the next one starts over.
+    pub next: Option<(ObjId, u64)>,
+    /// When the step's verdicts are in: its last read plus the last
+    /// batch's hash on a materialized store, the instant it was taken
+    /// on a timing-only one.
+    pub ready_at: SimTime,
+}
 
 impl ObjectStore {
     /// The one reader of page bytes on a materialized store. Reads
@@ -622,104 +675,139 @@ impl ObjectStore {
         Ok(())
     }
 
-    /// Verifies that the objects in `objects` are fully restorable at one
-    /// committed checkpoint:
+    /// One step of the background scrub of the objects in `objects` at
+    /// the head: checks the blocks under their pages from page key
+    /// `from` on (the start of `objects` for `None`), at most one
+    /// [`RESTORE_BATCH_BLOCKS`] batch of distinct blocks, and names
+    /// every page of `objects` at the head whose block failed, plus each
+    /// page of the step whose delta chain does not resolve.
     ///
-    /// * its parent chain resolves;
-    /// * every block the image of those objects references has
-    ///   recoverable contents (in the page table, or readable from the
-    ///   medium with a matching content hash when data is materialized).
-    ///
-    /// Returns the violations (empty = restorable). On a materialized
-    /// store the comparison streams like the restore's page-in, its
-    /// batches hashed on `workers` threads, and the clock waits for the
-    /// last batch's hash. The checkpoint pipeline runs this on the
-    /// incremental base, over the objects of the group it checkpoints,
-    /// with its flush workers, and degrades to a full checkpoint when
-    /// that base is damaged; `..` checks the whole image.
-    pub fn verify_checkpoint(
+    /// On a materialized store the step is the audits' stream: the
+    /// batch's extents go to the device queued behind whatever it holds,
+    /// past the read cache, compared on `workers` threads. On a
+    /// timing-only store it is a page-table lookup. Either way the step
+    /// does not advance the clock (only the device layers' own waits do:
+    /// a transient read's retry backoff, a mirror heal's rewrite):
+    /// [`ScrubStep::ready_at`] says when the verdicts are in, and a
+    /// caller must not act on them before.
+    pub fn scrub_step(
         &self,
-        ckpt: CkptId,
         objects: impl RangeBounds<ObjId> + Clone,
+        from: Option<(ObjId, u64)>,
         workers: usize,
-    ) -> Vec<String> {
-        let problems = self.verify_walk(&[ckpt], objects.clone(), workers, |visit| {
-            self.walk_base_blocks(ckpt, objects, &mut |_, _, block| visit(block))
-                .is_empty()
+    ) -> ScrubStep {
+        let keys = page_keys(objects.clone());
+        let start = from.map_or(keys.start_bound().cloned(), Bound::Included);
+        let mut blocks = BTreeSet::new();
+        let mut damaged = Vec::new();
+        let mut next = None;
+        for ((oid, idx), page_ref) in self.head_image.refs_in((start, keys.end_bound().cloned())) {
+            match self.base_block(oid, idx, page_ref) {
+                Ok(block) if blocks.len() == RESTORE_BATCH_BLOCKS && !blocks.contains(&block) => {
+                    next = Some((oid, idx));
+                    break;
+                }
+                Ok(block) => {
+                    blocks.insert(block);
+                }
+                Err(what) => damaged.push(PageDamage {
+                    oid,
+                    idx,
+                    block: None,
+                    what,
+                }),
+            }
+        }
+        let checked = self.verify_walk(workers, |visit| {
+            blocks.iter().for_each(|&b| visit(b));
+            true
         });
-        problems.into_iter().map(|(_, p)| p).collect()
+        if !checked.bad.is_empty() {
+            // Name every page the bad blocks back, in or out of the step.
+            for ((oid, idx), page_ref) in self.head_image.refs(objects) {
+                let Ok(block) = self.base_block(oid, idx, page_ref) else {
+                    continue;
+                };
+                if let Some(what) = checked.bad.get(&block) {
+                    damaged.push(PageDamage {
+                        oid,
+                        idx,
+                        block: Some(block),
+                        what: what.clone(),
+                    });
+                }
+            }
+            damaged.sort_by_key(|d| (d.oid, d.idx));
+        }
+        ScrubStep {
+            damaged,
+            blocks: blocks.len() as u64,
+            next,
+            ready_at: checked.done,
+        }
     }
 
     /// Checks every block `walk` visits — a walk that returns whether it
     /// resolved cleanly — reading and comparing each block once however
-    /// many pages and checkpoints share it. Only when a block is bad or
-    /// the walk was not clean does it walk the pages of `objects` in the
-    /// image of each checkpoint in `ids` to name the affected pages, each
-    /// violation tagged with its checkpoint.
+    /// many pages and checkpoints share it, and returns the blocks the
+    /// checked reader could not vouch for, whether the walk was clean
+    /// and when the verdicts are in. The clock does not move.
     ///
     /// On a materialized store every extent goes to the device back to
     /// back, and the extents are cut into [`RESTORE_BATCH_BLOCKS`]
     /// batches, the restore's stream. Each extent is compared on
     /// `workers` threads as its read returns (a damaged extent's re-read
-    /// follows its own first read); the clock charges a batch's compare
-    /// from when its reads complete, beside the next batch's reads, and
-    /// waits until the last batch is compared — one batch's hash after
-    /// the last read.
+    /// follows its own first read); a batch's compare starts when its
+    /// reads complete, beside the next batch's reads, so the verdicts
+    /// are in one batch's hash after the last read. On a timing-only
+    /// store the walk is the whole check, and its verdicts are in at
+    /// once.
     fn verify_walk(
         &self,
-        ids: &[CkptId],
-        objects: impl RangeBounds<ObjId> + Clone,
         workers: usize,
         walk: impl FnOnce(&mut dyn FnMut(u64)) -> bool,
-    ) -> Vec<(CkptId, String)> {
+    ) -> WalkCheck {
         let mut bad: BTreeMap<u64, String> = BTreeMap::new();
-        let clean = if !self.config.materialize_data {
+        let start = self.dev.borrow().clock().now();
+        if !self.config.materialize_data {
             // The page table is the only copy, so the walk is the whole
             // check: one lock hold, only bad blocks collected.
             let table = self.cache.borrow();
-            walk(&mut |block| {
+            let clean = walk(&mut |block| {
                 if !table.data.contains_key(&block) {
                     bad.insert(block, "unrecoverable".to_string());
                 }
-            })
-        } else {
-            // Materialized stores check the platter copy even when a
-            // clean copy is cached in memory: a write-time corruption
-            // would otherwise hide until the cache is dropped.
-            let mut blocks = BTreeSet::new();
-            let clean = walk(&mut |block| {
-                blocks.insert(block);
             });
-            let blocks: Vec<u64> = blocks.into_iter().collect();
-            let extents = runs(&blocks, EXTENT_BLOCKS);
-            let start = self.dev.borrow().clock().now();
-            let mut trail = HashTrail::new(start, workers as u64);
-            for batch in extent_batches(&extents, RESTORE_BATCH_BLOCKS) {
-                let (mut read_done, mut compared) = (start, 0u64);
-                for &(off, len) in extents.get(batch).unwrap_or_default() {
-                    if let Some(run) = blocks.get(off..off + len) {
-                        compared += self.verify_extent(run, &mut bad, &mut read_done, workers);
-                    }
+            return WalkCheck {
+                bad,
+                clean,
+                done: start,
+            };
+        }
+        // Materialized stores check the platter copy even when a clean
+        // copy is cached in memory: a write-time corruption would
+        // otherwise hide until the cache is dropped.
+        let mut blocks = BTreeSet::new();
+        let clean = walk(&mut |block| {
+            blocks.insert(block);
+        });
+        let blocks: Vec<u64> = blocks.into_iter().collect();
+        let extents = runs(&blocks, EXTENT_BLOCKS);
+        let mut trail = HashTrail::new(start, workers as u64);
+        for batch in extent_batches(&extents, RESTORE_BATCH_BLOCKS) {
+            let (mut read_done, mut compared) = (start, 0u64);
+            for &(off, len) in extents.get(batch).unwrap_or_default() {
+                if let Some(run) = blocks.get(off..off + len) {
+                    compared += self.verify_extent(run, &mut bad, &mut read_done, workers);
                 }
-                trail.fold(read_done, compared);
             }
-            self.dev.borrow().clock().advance_to(trail.done());
-            clean
-        };
-        if clean && bad.is_empty() {
-            return Vec::new();
+            trail.fold(read_done, compared);
         }
-        let mut problems = Vec::new();
-        for &ckpt in ids {
-            let mut named = Vec::new();
-            let walk = self.walk_base_blocks(ckpt, objects.clone(), &mut |oid, idx, block| {
-                if let Some(what) = bad.get(&block) {
-                    named.push(format!("object {} page {idx}: block {block} {what}", oid.0));
-                }
-            });
-            problems.extend(walk.into_iter().chain(named).map(|p| (ckpt, p)));
+        WalkCheck {
+            bad,
+            clean,
+            done: trail.done(),
         }
-        problems
     }
 
     /// Walks what restoring the objects in `objects` at `ckpt` depends
@@ -871,12 +959,24 @@ impl ObjectStore {
     /// reads, and the clock waits for it.
     pub fn scrub(&self) -> Vec<String> {
         let mut problems = self.fsck();
-        let ids: Vec<CkptId> = self.ckpts.keys().map(|&i| CkptId(i)).collect();
-        problems.extend(
-            self.verify_walk(&ids, .., 1, |visit| self.walk_owned_blocks(visit))
-                .into_iter()
-                .map(|(id, p)| format!("ckpt {}: {p}", id.0)),
-        );
+        let checked = self.verify_walk(1, |visit| self.walk_owned_blocks(visit));
+        self.dev.borrow().clock().advance_to(checked.done);
+        if !checked.clean || !checked.bad.is_empty() {
+            // Name the damage under every checkpoint it affects.
+            for &id in self.ckpts.keys() {
+                let mut named = Vec::new();
+                let walk = self.walk_base_blocks(CkptId(id), .., &mut |oid, idx, block| {
+                    if let Some(what) = checked.bad.get(&block) {
+                        named.push(format!("object {} page {idx}: block {block} {what}", oid.0));
+                    }
+                });
+                problems.extend(
+                    walk.into_iter()
+                        .chain(named)
+                        .map(|p| format!("ckpt {id}: {p}")),
+                );
+            }
+        }
         problems.sort();
         problems.dedup();
         problems
@@ -970,13 +1070,18 @@ mod tests {
         }
         let named = problems.iter().filter(|p| p.starts_with("ckpt ")).count();
         assert_eq!(named, 2, "{problems:?}");
-        // The base check of the head names the same page.
-        let base = s.verify_checkpoint(c2, .., 1);
-        assert_eq!(base, vec![format!("object 1 page 0: block {block} unrecoverable")]);
+        // A scrub step over the head names the same page.
+        let step = s.scrub_step(.., None, 1);
+        let named: Vec<String> = step.damaged.iter().map(ToString::to_string).collect();
+        assert_eq!(
+            named,
+            vec![format!("object 1 page 0: block {block} unrecoverable")]
+        );
     }
 
-    /// The base check of a range of objects names a lost block under a
-    /// page in the range and says nothing of one outside it.
+    /// A scrub step over a range of objects, the check of the base the
+    /// next incremental of their group extends, names a lost block under
+    /// a page in the range and says nothing of one outside it.
     #[test]
     fn a_ranged_base_check_sees_only_damage_in_its_range() {
         let mut s = timing_store();
@@ -993,13 +1098,50 @@ mod tests {
         };
         s.cache.get_mut().data.remove(&block);
 
+        assert_eq!(s.head(), Some(head));
         let lost = vec![format!("object 2 page 3: block {block} unrecoverable")];
-        assert_eq!(s.verify_checkpoint(head, ObjId(2)..=ObjId(2), 1), lost);
-        assert_eq!(s.verify_checkpoint(head, ObjId(2).., 1), lost);
-        assert_eq!(s.verify_checkpoint(head, .., 1), lost);
-        assert!(s.verify_checkpoint(head, ObjId(1)..=ObjId(1), 1).is_empty());
-        assert!(s.verify_checkpoint(head, ..ObjId(2), 1).is_empty());
-        assert!(s.verify_checkpoint(head, ObjId(3).., 1).is_empty());
+        let named = |objects: (Bound<ObjId>, Bound<ObjId>)| -> Vec<String> {
+            let step = s.scrub_step(objects, None, 1);
+            assert_eq!(step.next, None, "one step covers the range");
+            step.damaged.iter().map(ToString::to_string).collect()
+        };
+        use Bound::{Excluded, Included, Unbounded};
+        let (one, two, three) = (ObjId(1), ObjId(2), ObjId(3));
+        assert_eq!(named((Included(two), Included(two))), lost);
+        assert_eq!(named((Included(two), Unbounded)), lost);
+        assert_eq!(named((Unbounded, Unbounded)), lost);
+        assert!(named((Included(one), Included(one))).is_empty());
+        assert!(named((Unbounded, Excluded(two))).is_empty());
+        assert!(named((Included(three), Unbounded)).is_empty());
+    }
+
+    /// The scrub step walks its range one batch of distinct blocks at a
+    /// time: each step resumes where the last stopped, a dedup-shared
+    /// block counts once, and the step that reaches the end hands back
+    /// no cursor, so the next one starts over.
+    #[test]
+    fn scrub_steps_walk_their_range_one_batch_at_a_time() {
+        let mut s = timing_store();
+        let pages = RESTORE_BATCH_BLOCKS as u64 + 10;
+        s.create_object(ObjId(1), pages).unwrap();
+        for idx in 0..pages {
+            // Page 1 is a second copy of page 0 and shares its block.
+            s.write_page(ObjId(1), idx, &PageData::Seeded(idx.max(1) - 1))
+                .unwrap();
+        }
+        s.commit(None).unwrap();
+        let first = s.scrub_step(.., None, 1);
+        assert_eq!(first.blocks, RESTORE_BATCH_BLOCKS as u64);
+        let resume = RESTORE_BATCH_BLOCKS as u64 + 1;
+        assert_eq!(
+            first.next,
+            Some((ObjId(1), resume)),
+            "pages 0 and 1 are one block"
+        );
+        let second = s.scrub_step(.., first.next, 1);
+        assert_eq!(second.blocks, pages - resume);
+        assert_eq!(second.next, None);
+        assert!(first.damaged.is_empty() && second.damaged.is_empty());
     }
 
     /// A delta chain with its records gone is reported under each

@@ -14,6 +14,7 @@
 use std::borrow::Cow;
 use std::cell::{Cell, Ref, RefCell};
 use std::collections::{BTreeMap, HashMap, HashSet};
+use std::ops::RangeBounds;
 
 use aurora_hw::{BlockDev, BLOCK_SIZE};
 use aurora_sim::cost::RESTORE_CACHE_HIT_NS;
@@ -23,7 +24,7 @@ use aurora_sim::time::SimDuration;
 use aurora_vm::PageData;
 
 use crate::alloc::BlockAlloc;
-use crate::checkpoint::{self, Checkpoint, CkptId, Image, PageRef};
+use crate::checkpoint::{self, page_keys, Checkpoint, CkptId, Image, PageRef};
 use crate::deltalog::{DeltaLog, DeltaRecord, Lsn};
 use crate::journal::{self, JournalRecord};
 use crate::layout::{Superblock, JOURNAL_START};
@@ -102,7 +103,7 @@ pub struct StoreStats {
     pub read_cache_misses: u64,
     /// Blocks healed by read-repair: a copy failed content-hash
     /// verification and was rewritten from a good mirror twin —
-    /// whichever read found it (lazy fault, batched plan, base check or
+    /// whichever read found it (lazy fault, batched plan, scrub step or
     /// scrub). A `Cell` because the checked reader runs under `&self`.
     pub read_repairs: Cell<u64>,
     /// Journal frames submitted: appended records and compaction
@@ -245,14 +246,19 @@ impl PageCache {
     pub(crate) fn evict(&mut self, ptr: BlockPtr) {
         self.data.remove(&ptr.0);
         if let Some(h) = self.block_hash.remove(&ptr.0) {
-            if let Some(cands) = self.dedup.get_mut(&h) {
-                cands.retain(|&c| c != ptr);
-                if cands.is_empty() {
-                    self.dedup.remove(&h);
-                }
-            }
+            self.unindex(ptr, h);
         }
         self.read.forget(&CacheKey::Block(ptr.0));
+    }
+
+    /// Takes `ptr` out of the dedup candidates for `hash`.
+    fn unindex(&mut self, ptr: BlockPtr, hash: u64) {
+        if let Some(cands) = self.dedup.get_mut(&hash) {
+            cands.retain(|&c| c != ptr);
+            if cands.is_empty() {
+                self.dedup.remove(&hash);
+            }
+        }
     }
 }
 
@@ -863,17 +869,21 @@ impl ObjectStore {
     /// checkpoint committed). Refuses to run with a staged delta
     /// pending: the compaction commit must not smuggle unrelated
     /// uncommitted work into its checkpoint.
-    pub fn compact_chains(&mut self, min_len: u32) -> Result<usize> {
+    pub fn compact_chains(
+        &mut self,
+        objects: impl RangeBounds<ObjId>,
+        min_len: u32,
+    ) -> Result<usize> {
         if self.has_pending() {
             return Err(Error::invalid(
                 "cannot compact chains with a staged delta pending",
             ));
         }
         let min_len = min_len.max(1);
-        // Nothing is staged, so the head image is the live state; its
-        // chains fold in key order.
+        // Nothing is staged, so the head image is the live state; the
+        // chains of `objects` fold in key order.
         let mut victims: Vec<((ObjId, u64), Lsn)> = Vec::new();
-        for (&key, &head) in &self.head_image.deltas {
+        for (&key, &head) in self.head_image.deltas.range(page_keys(objects)) {
             if self.delta.chain_len(head)? >= min_len {
                 victims.push((key, head));
             }
@@ -890,6 +900,18 @@ impl ObjectStore {
         self.commit(Some("chain-compact"))?;
         self.stats.chains_compacted += folded as u64;
         Ok(folded)
+    }
+
+    /// Takes `block`, whose platter copy failed a check, out of the
+    /// dedup index, so a later write of the same bytes gets a fresh
+    /// block instead of a reference to the bad one. Its contents and
+    /// recorded hash stay: older checkpoints still restore from it, and
+    /// the hash is the witness their reads are checked against.
+    pub fn condemn_block(&mut self, block: u64) {
+        let cache = self.cache.get_mut();
+        if let Some(&h) = cache.block_hash.get(&block) {
+            cache.unindex(BlockPtr(block), h);
+        }
     }
 
     /// Background resilver: rebuilds every `Rebuilding` mirror replica

@@ -548,7 +548,7 @@ proptest! {
                 }
                 Op::CompactChains => {
                     if !store.has_pending() {
-                        store.compact_chains(2).unwrap();
+                        store.compact_chains(.., 2).unwrap();
                     }
                 }
                 Op::Rollback => {
@@ -772,13 +772,73 @@ fn chain_folding_places_blocks_deterministically() {
             }
             s.commit(None).unwrap();
         }
-        assert_eq!(s.compact_chains(3).unwrap(), oids.len());
+        assert_eq!(s.compact_chains(.., 3).unwrap(), oids.len());
         let head = s.head().unwrap();
         let refs: Vec<_> = oids.iter().map(|&oid| s.page_ref_at(head, oid, 0)).collect();
         assert!(refs.iter().all(|r| matches!(r, Some((PageRef::Full(_), _)))), "{refs:?}");
         refs
     };
     assert_eq!(build(), build());
+}
+
+/// Compaction scoped to one namespace folds only that namespace's
+/// capped chains: two namespaces each hold capped chains, and
+/// compacting the first leaves the second's chains as they were, still
+/// folded by its own call later.
+#[test]
+fn chain_folding_scoped_to_a_namespace_leaves_the_others_alone() {
+    let mut s = new_store();
+    let ns = |n: u64, k: u64| ObjId((0x100 + n) << 48 | k);
+    let oids = [ns(1, 1), ns(1, 2), ns(2, 1), ns(2, 2)];
+    for &oid in &oids {
+        s.create_object(oid, 4).unwrap();
+        s.write_page(oid, 0, &PageData::Seeded(oid.0)).unwrap();
+    }
+    s.commit(None).unwrap();
+    for round in 0..3u8 {
+        for (i, &oid) in oids.iter().enumerate() {
+            let old = s.read_page(oid, 0).unwrap().unwrap();
+            let (new, run) = patched(&old, i as u8 * 16 + round);
+            s.stage_delta(oid, 0, &new, &[run]).unwrap();
+        }
+        s.commit(None).unwrap();
+    }
+    let first = ns(1, 0)..=ns(1, u64::MAX >> 16);
+    let second = ns(2, 0)..=ns(2, u64::MAX >> 16);
+    let chained = |s: &ObjectStore, oid: ObjId| {
+        let head = s.head().unwrap();
+        matches!(s.page_ref_at(head, oid, 0), Some((PageRef::Delta(_), _)))
+    };
+    let before: Vec<PageData> = oids
+        .iter()
+        .map(|&o| s.read_page(o, 0).unwrap().unwrap())
+        .collect();
+
+    assert_eq!(s.compact_chains(first.clone(), 3).unwrap(), 2);
+    assert!(
+        !chained(&s, oids[0]) && !chained(&s, oids[1]),
+        "the first namespace folded"
+    );
+    assert!(
+        chained(&s, oids[2]) && chained(&s, oids[3]),
+        "the second is untouched"
+    );
+    assert_eq!(
+        s.compact_chains(first, 3).unwrap(),
+        0,
+        "nothing left to fold there"
+    );
+    assert_eq!(s.compact_chains(second, 3).unwrap(), 2);
+    assert!(oids.iter().all(|&o| !chained(&s, o)));
+    let after: Vec<PageData> = oids
+        .iter()
+        .map(|&o| s.read_page(o, 0).unwrap().unwrap())
+        .collect();
+    assert!(
+        before.iter().zip(&after).all(|(b, a)| b.content_eq(a)),
+        "folding keeps the bytes"
+    );
+    assert!(s.fsck().is_empty(), "{:?}", s.fsck());
 }
 
 #[test]

@@ -132,8 +132,8 @@ pub fn hash_stage(pages: u64, workers: u64) -> SimDuration {
 /// hash is done. Each batch is charged the difference of the cumulative
 /// [`hash_stage`] cost, so the charges telescope to
 /// `hash_stage(pages, workers)` to the nanosecond. The restore's
-/// page-in and the object store's base check fold their batches
-/// through it.
+/// page-in and the object store's audits fold their batches through
+/// it.
 #[derive(Debug, Clone, Copy)]
 pub struct HashTrail {
     workers: u64,

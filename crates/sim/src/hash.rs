@@ -4,7 +4,7 @@
 //!
 //! * [`page_hash`] / [`PageHasher`] — the 64-bit content hash of page
 //!   data: the object store's dedup index, the verify on every checked
-//!   read, the base check and scrub all key on it. It is the XXH64
+//!   read, the scrub step and scrub all key on it. It is the XXH64
 //!   construction: four independent 64-bit lanes over 32-byte stripes,
 //!   so the multiplies of one stripe overlap instead of queueing on one
 //!   dependency chain. Collisions are tolerable (the store compares

@@ -213,6 +213,19 @@ impl VmObject {
         self.pages.insert(idx, page)
     }
 
+    /// Marks resident page `idx` as written whole in `epoch`, so the
+    /// next capture from that epoch on takes it as a full image — how a
+    /// page whose stored copy went bad is rewritten from memory.
+    /// Returns false, marking nothing, when the page is not resident.
+    pub fn mark_dirty_full(&mut self, idx: u64, epoch: u64) -> bool {
+        let Some(page) = self.pages.get_mut(&idx) else {
+            return false;
+        };
+        page.write_epoch = epoch;
+        self.dirty.insert(idx, DirtyMask::Full);
+        true
+    }
+
     /// Pages whose `write_epoch` is at least `since` (the incremental
     /// checkpoint dirty set).
     pub fn dirty_since(&self, since: u64) -> impl Iterator<Item = (u64, &ResidentPage)> {
@@ -273,6 +286,20 @@ mod tests {
         // Full is absorbing.
         m.note(0, 1);
         assert_eq!(m, DirtyMask::Full);
+    }
+
+    #[test]
+    fn marking_a_page_dirty_full_puts_it_in_the_next_capture_whole() {
+        let mut o = VmObject::new(VmoKind::Anonymous, 4);
+        o.insert_page(0, rp(0, 1));
+        o.insert_page(1, rp(1, 1));
+        o.dirty.entry(1).or_default().note(8, 8);
+        assert!(o.mark_dirty_full(1, 5));
+        assert!(!o.mark_dirty_full(2, 5), "page 2 is not resident");
+        let dirty: Vec<u64> = o.dirty_since(5).map(|(i, _)| i).collect();
+        assert_eq!(dirty, vec![1]);
+        assert_eq!(o.dirty.get(&1), Some(&DirtyMask::Full));
+        assert!(!o.dirty.contains_key(&2));
     }
 
     #[test]

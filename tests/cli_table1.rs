@@ -78,8 +78,8 @@ fn full_cli_lifecycle() {
     let out = sls(&base, &["checkpoint", "counter", "--tag", "golden"]).unwrap();
     assert!(out.contains("tag golden"));
     assert!(
-        out.contains("base verify ") && out.contains(" blocks), metadata "),
-        "checkpoint line names the pre-flush base check: {out}"
+        out.contains("(tag golden), metadata ") && out.contains(", stop "),
+        "checkpoint line names the stop-time phases: {out}"
     );
     let out = sls(&base, &["run", "counter", "--steps", "4"]).unwrap();
     assert!(out.contains("hello, world #12"));

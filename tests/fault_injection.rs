@@ -1063,13 +1063,14 @@ fn corrupt_block_in_a_later_restore_batch_is_healed_by_the_mirror() {
     host.sls.restore_workers = 4;
     assert_eq!(second_batch_lba(&host, ckpt), victim);
 
-    // The base check of the image's second checkpoint already found the
-    // damage, but its rewrite went through the same rotten electronics.
+    // A scrub step after one of the image's checkpoints already found
+    // the damage, but its rewrite went through the same rotten
+    // electronics.
     // The store counts that heal too: `read_repairs` is every block
     // healed from a twin, whichever read found it.
     let before = mirror(&host, |m| m.mirror_stats()).read_repairs;
     let counted = host.sls.primary.borrow().stats.read_repairs.get();
-    assert_eq!(counted, 1, "the base check's heal");
+    assert_eq!(counted, 1, "the scrub step's heal");
     verify_wide_image(&mut host, addr, ckpt);
     assert_eq!(host.sls.primary.borrow().stats.read_repairs.get(), counted + 1);
     assert_eq!(mirror(&host, |m| m.mirror_stats()).read_repairs, before + 1);
@@ -1128,92 +1129,164 @@ fn power_cut_inside_a_planned_extent_kills_the_device_and_recovery_is_clean() {
 }
 
 // ---------------------------------------------------------------------------
-// The incremental-base check reads extents too.
+// The post-commit scrub step reads extents too.
 
-/// Dirties one page of the wide image and takes an incremental
-/// checkpoint, whose pre-flush check reads the whole base.
-fn incremental_over_wide_image(host: &mut Host, img: &WideImage) -> aurora::core::CheckpointBreakdown {
-    host.kernel.mem_write(img.pid, img.addr, b"dirty").unwrap();
+/// Dirties one page of the wide image past the bytes its check reads,
+/// takes an incremental checkpoint and waits for its commit and for its
+/// scrub step's verdicts.
+fn incremental_over_wide_image(
+    host: &mut Host,
+    img: &WideImage,
+) -> aurora::core::CheckpointBreakdown {
+    host.kernel
+        .mem_write(img.pid, img.addr + 2048, b"dirty")
+        .unwrap();
     let bd = host.checkpoint(img.gid, false, None).unwrap();
-    host.clock.advance_to(bd.durable_at);
+    host.clock.advance_to(bd.durable_at.max(bd.scrub_ready_at));
     bd
 }
 
-/// The base check compares every block of the extents it reads: damage
-/// under a block in the middle of a multi-block extent degrades the
-/// incremental to a full checkpoint with `base_damaged` set.
+/// The blocks the next scrub step over `gid`'s head reads, ascending:
+/// from the primary backend's cursor on, the first
+/// `RESTORE_BATCH_BLOCKS` distinct blocks under the pages in key order.
+fn next_step_blocks(host: &Host, gid: aurora::core::GroupId) -> Vec<u64> {
+    let from = host.sls.group_ref(gid).unwrap().backends[0].scrub_from;
+    let store = host.sls.primary.borrow();
+    let head = store.head().unwrap();
+    let mut blocks = std::collections::BTreeSet::new();
+    let mut done = false;
+    store.walk_base_blocks(head, gid.objects(), &mut |oid, idx, b| {
+        if done || from.is_some_and(|from| (oid, idx) < from) {
+            return;
+        }
+        done = blocks.len() == RESTORE_BATCH_BLOCKS && !blocks.contains(&b);
+        if !done {
+            blocks.insert(b);
+        }
+    });
+    blocks.into_iter().collect()
+}
+
+/// When reads of `extents` complete, submitted back to back from an
+/// idle queue (`idle`) or behind a busy one, counted by the device's
+/// one rule: a request on an idle queue pays the whole access latency,
+/// each one queued behind another a `QUEUE_DEPTH` share, and every
+/// request its transfer.
+fn queued_reads(extents: &[(usize, usize)], idle: bool) -> SimDuration {
+    let nvme = CostModel::NVME;
+    let share = nvme.latency_ns / QUEUE_DEPTH;
+    let mut done = SimDuration::from_nanos(if idle { nvme.latency_ns - share } else { 0 });
+    for &(_, len) in extents {
+        done += SimDuration::from_nanos(share)
+            + SimDuration::for_bytes(len as u64 * 4096, nvme.read_bw);
+    }
+    done
+}
+
+/// Damage under a block in the middle of a multi-block extent of a
+/// scrub step is found by that step, after the commit it follows: the
+/// checkpoint stays an incremental, and the next one rewrites exactly
+/// the damaged page from memory into a fresh block, so the head
+/// restores from a cold cache with the damaged block still on the
+/// platter.
 #[test]
-fn base_check_degrades_on_damage_inside_an_extent() {
+fn scrub_step_condemns_damage_inside_an_extent() {
     let mut host = boot_materialized();
     let img = commit_wide_image(&mut host);
-    let lba = second_batch_lba(&host, img.ckpt);
+    let blocks = next_step_blocks(&host, img.gid);
+    let extents = runs(&blocks, EXTENT_BLOCKS);
+    let &(off, len) = extents
+        .iter()
+        .find(|&&(_, len)| len >= 3)
+        .expect("a multi-block extent in the step");
+    let block = blocks[off + len / 2];
+    let lba = host.sls.primary.borrow().data_start() + block;
     host.sls
         .primary
         .borrow_mut()
         .device_mut()
         .install_fault_plan(FaultPlan::corrupt_read_blocks(lba, lba + 1, 100, 3));
     let bd = incremental_over_wide_image(&mut host, &img);
-    assert_eq!(bd.outcome, CheckpointOutcome::DegradedToFull);
-    assert!(bd.base_damaged && bd.full);
+    assert_eq!(bd.outcome, CheckpointOutcome::Committed, "{:?}", bd.fault);
+    assert!(!bd.full && bd.rewritten == 0);
+    assert_eq!(bd.scrub_damaged, 1, "{:?}", bd.fault);
     let fault = bd.fault.unwrap_or_default();
     assert!(
-        fault.contains("incremental base damaged") && fault.contains("content hash mismatch"),
+        fault.contains(&format!("block {block} content hash mismatch")),
         "{fault}"
     );
+
+    let bd = incremental_over_wide_image(&mut host, &img);
+    assert_eq!(bd.outcome, CheckpointOutcome::Committed, "{:?}", bd.fault);
+    assert!(!bd.full && !bd.holds_damage(), "{:?}", bd.fault);
+    assert_eq!(bd.rewritten, 1, "exactly the damaged page");
+    let head = bd.ckpt.unwrap();
+    let mut referenced = false;
+    host.sls
+        .primary
+        .borrow()
+        .walk_base_blocks(head, img.gid.objects(), &mut |_, _, b| {
+            referenced |= b == block
+        });
+    assert!(
+        !referenced,
+        "the head no longer restores from block {block}"
+    );
+    host.sls.primary.borrow_mut().drop_caches().unwrap();
+    verify_wide_image(&mut host, img.addr, head);
 }
 
-/// On a mirror the base check heals what it finds. A rotten copy on the
+/// On a mirror the scrub step heals what it finds. A rotten copy on the
 /// preferred replica is rewritten from its twin, block by block, once
 /// the extent read shows a mismatch; a preferred replica that dies
-/// under the extent read is failed over. Neither damages the base.
+/// under the step's extent read is failed over, and the next cycle
+/// reports the mirror degraded. Neither damages the head.
 #[test]
 fn base_check_repairs_a_rotten_mirror_copy_and_fails_over_a_dead_one() {
     let (mut host, addr, pid, gid) = boot_with_rotten_replica0();
     host.kernel.mem_write(pid, addr, b"dirty").unwrap();
     let bd = host.checkpoint(gid, false, None).unwrap();
     assert_eq!(bd.outcome, CheckpointOutcome::Committed, "{:?}", bd.fault);
-    assert!(!bd.base_damaged);
+    assert!(!bd.holds_damage(), "{:?}", bd.fault);
     let healed = mirror(&host, |m| m.mirror_stats()).read_repairs;
     assert!(healed >= MPAGES, "every rotten block rewritten: {healed}");
-    host.clock.advance_to(bd.durable_at);
+    host.clock.advance_to(bd.durable_at.max(bd.scrub_ready_at));
 
-    // Replica 0 dies at its next read — the base check's first extent.
+    // Replica 0 dies at its next read — the next step's first extent,
+    // after the commit it follows.
     mirror(&host, |m| m.install_replica_fault_plan(0, FaultPlan::power_cut_on_read(1))).unwrap();
     host.kernel.mem_write(pid, addr, b"dirty again").unwrap();
     let bd = host.checkpoint(gid, false, None).unwrap();
-    assert_eq!(bd.outcome, CheckpointOutcome::DegradedMirror, "{:?}", bd.fault);
-    assert!(!bd.base_damaged && !bd.full, "the twin served the whole base");
-    assert_eq!(mirror(&host, |m| m.replica_state(0)), Some(ReplicaState::Detached));
+    assert_eq!(bd.outcome, CheckpointOutcome::Committed, "{:?}", bd.fault);
+    assert!(
+        !bd.holds_damage() && !bd.full,
+        "the twin served the whole step"
+    );
+    assert_eq!(
+        mirror(&host, |m| m.replica_state(0)),
+        Some(ReplicaState::Detached)
+    );
     assert!(mirror(&host, |m| m.mirror_stats()).failovers >= 1);
+    host.clock.advance_to(bd.durable_at.max(bd.scrub_ready_at));
+
+    host.kernel
+        .mem_write(pid, addr, b"dirty once more")
+        .unwrap();
+    let bd = host.checkpoint(gid, false, None).unwrap();
+    assert_eq!(
+        bd.outcome,
+        CheckpointOutcome::DegradedMirror,
+        "{:?}",
+        bd.fault
+    );
 }
 
-/// The extents the base check of `gid` at `host`'s head reads — the
-/// group's blocks, each once, cut the way the check cuts them — with
-/// when the last read completes, counted from an idle queue by the
-/// device's one rule: the first request pays the whole access latency,
-/// each one queued behind it a `QUEUE_DEPTH` share, and every request
-/// its transfer.
-fn base_check_reads(host: &Host, gid: aurora::core::GroupId) -> (Vec<(usize, usize)>, SimDuration) {
-    let store = host.sls.primary.borrow();
-    let head = store.head().unwrap();
-    let mut blocks = Vec::new();
-    store.walk_base_blocks(head, gid.objects(), &mut |_, _, b| blocks.push(b));
-    blocks.sort_unstable();
-    blocks.dedup();
-    let extents = runs(&blocks, EXTENT_BLOCKS);
-    let nvme = CostModel::NVME;
-    let mut done = SimDuration::from_nanos(nvme.latency_ns - nvme.latency_ns / QUEUE_DEPTH);
-    for &(_, len) in &extents {
-        done += SimDuration::from_nanos(nvme.latency_ns / QUEUE_DEPTH)
-            + SimDuration::for_bytes(len as u64 * 4096, nvme.read_bw);
-    }
-    (extents, done)
-}
-
-/// A base of N pages over U < N unique blocks is checked with reads
+/// A head of N pages over U < N unique blocks is scrubbed with reads
 /// that cover U blocks: a dedup-shared block is compared once, not once
-/// per page that maps it. The check is one batch, so it ends when its
-/// last read completes plus the flush workers' hash of the U blocks.
+/// per page that maps it. The step is one batch, queued behind the
+/// commit: its verdicts are in when its last read completes plus the
+/// flush workers' hash of the U blocks, and the caller's clock does not
+/// wait for them.
 #[test]
 fn base_check_reads_each_shared_block_once() {
     let mut host = boot_materialized();
@@ -1226,10 +1299,12 @@ fn base_check_reads_each_shared_block_once() {
     }
     let gid = host.persist("dup", pid).unwrap();
     let bd = host.checkpoint(gid, true, None).unwrap();
-    host.clock.advance_to(bd.durable_at);
+    host.clock.advance_to(bd.durable_at.max(bd.scrub_ready_at));
     let unique = host.sls.primary.borrow().blocks_in_use();
     assert!(unique < pages / 2, "{unique} blocks back {pages} pages");
-    let (_, reads) = base_check_reads(&host, gid);
+    let blocks = next_step_blocks(&host, gid);
+    assert_eq!(blocks.len() as u64, unique);
+    let reads = queued_reads(&runs(&blocks, EXTENT_BLOCKS), false);
     let workers = host.sls.flush_workers as u64;
 
     host.kernel.mem_write(pid, addr, b"dirty").unwrap();
@@ -1237,11 +1312,11 @@ fn base_check_reads_each_shared_block_once() {
     let bd = host.checkpoint(gid, false, None).unwrap();
     let after = host.sls.primary.borrow().device().stats().clone();
     assert_eq!(bd.outcome, CheckpointOutcome::Committed, "{:?}", bd.fault);
-    assert_eq!(bd.base_verify_blocks, unique, "U blocks, not N");
+    assert!(host.clock.now() < bd.durable_at, "the caller does not wait");
     assert_eq!(
-        bd.base_verify,
-        reads + aurora::sim::cost::hash_stage(unique, workers),
-        "the queued reads, then {workers} workers hashing U blocks"
+        bd.scrub_ready_at,
+        bd.durable_at + reads + aurora::sim::cost::hash_stage(unique, workers),
+        "the reads queued behind the commit, then {workers} workers hashing U blocks"
     );
     assert_eq!(after.bytes_read - before.bytes_read, unique * 4096);
     assert!(
@@ -1251,15 +1326,14 @@ fn base_check_reads_each_shared_block_once() {
     );
 }
 
-/// A base of two batches streams: the first is hashed on the flush
-/// workers while the device reads the second, which takes longer than
-/// that hash even on one worker. So the check ends when its last read
-/// completes plus the last batch's share of the hash — its n blocks'
-/// `hash_stage(n, workers)`, to the nanosecond of rounding — not plus
-/// the whole base hashed on one core. `scrub` streams the same reads
-/// (the store holds only this group's blocks) and compares each batch
-/// on one core whatever the flush workers, so it ends the one-core tail
-/// after its last read.
+/// A head of two batches takes two steps, the first after the full
+/// checkpoint that writes it and the second after the next incremental.
+/// Each is one batch: its verdicts are in one batch's hash on the flush
+/// workers — `hash_stage(n, workers)` for its n blocks — after its last
+/// read, which queues behind the commit. `scrub` streams the whole
+/// store's reads from an idle queue (the store holds only this group's
+/// blocks) and compares each batch on one core whatever the flush
+/// workers, so it ends the one-core tail after its last read.
 #[test]
 fn base_check_ends_one_batch_hash_after_its_last_read() {
     let pages = (RESTORE_BATCH_BLOCKS + 3 * EXTENT_BLOCKS) as u64;
@@ -1275,43 +1349,246 @@ fn base_check_ends_one_batch_hash_after_its_last_read() {
         }
         let gid = host.persist("wide", pid).unwrap();
         let bd = host.checkpoint(gid, true, None).unwrap();
-        host.clock.advance_to(bd.durable_at);
-        let (extents, reads) = base_check_reads(&host, gid);
+        host.clock.advance_to(bd.durable_at.max(bd.scrub_ready_at));
+
+        let store = host.sls.primary.borrow();
+        let mut blocks = Vec::new();
+        store.walk_base_blocks(store.head().unwrap(), gid.objects(), &mut |_, _, b| {
+            blocks.push(b)
+        });
+        drop(store);
+        blocks.sort_unstable();
+        blocks.dedup();
+        let extents = runs(&blocks, EXTENT_BLOCKS);
         let batches = aurora::objstore::read::extent_batches(&extents, RESTORE_BATCH_BLOCKS);
         assert_eq!(batches.len(), 2, "{workers} workers: two batches");
         let last: u64 = extents[batches[1].clone()]
             .iter()
             .map(|&(_, len)| len as u64)
             .sum();
-        let tail_on = |w: u64| {
-            let hash = |n: u64| aurora::sim::cost::hash_stage(n, w);
-            hash(pages).saturating_sub(hash(pages - last))
-        };
-
+        let hash = |n: u64, w: u64| aurora::sim::cost::hash_stage(n, w);
+        let tail = hash(pages, 1).saturating_sub(hash(pages - last, 1));
         let before = host.clock.now();
         let problems = host.sls.primary.borrow().scrub();
         assert!(problems.is_empty(), "{problems:?}");
         let scrub = host.clock.now().since(before);
         assert_eq!(
             scrub,
-            reads + tail_on(1),
+            queued_reads(&extents, true) + tail,
             "scrub at {workers} flush workers"
         );
 
-        host.kernel.mem_write(pid, addr, b"dirty").unwrap();
+        let step = next_step_blocks(&host, gid);
+        assert_eq!(
+            step.len() as u64,
+            pages - RESTORE_BATCH_BLOCKS as u64,
+            "the second step"
+        );
+        let reads = queued_reads(&runs(&step, EXTENT_BLOCKS), false);
+        host.kernel.mem_write(pid, addr + 2048, b"dirty").unwrap();
         let bd = host.checkpoint(gid, false, None).unwrap();
         assert_eq!(bd.outcome, CheckpointOutcome::Committed, "{:?}", bd.fault);
-        assert_eq!(bd.base_verify_blocks, pages);
-        let hash = |n: u64| aurora::sim::cost::hash_stage(n, workers);
-        let tail = tail_on(workers);
-        assert_eq!(bd.base_verify, reads + tail, "{workers} workers");
-        let rounding = tail.as_nanos().abs_diff(hash(last).as_nanos());
-        assert!(
-            rounding <= 1,
-            "{workers} workers: {tail} is not the last batch's"
+        assert!(host.clock.now() < bd.durable_at, "the caller does not wait");
+        assert_eq!(
+            bd.scrub_ready_at,
+            bd.durable_at + reads + hash(step.len() as u64, workers),
+            "{workers} workers: the last read plus the batch's hash"
         );
-        assert!(bd.base_verify < reads + hash(pages), "{workers} workers");
     }
+}
+
+/// Pages of the rot-at-rest row's image, every page distinct: one step
+/// covers them.
+const ROT_PAGES: u64 = 64;
+/// The page whose block rots.
+const ROT_PAGE: u64 = 17;
+
+/// One run of the rot-at-rest row: a base and an incremental of
+/// `ROT_PAGES` pages, then — with `rot` — the block under `ROT_PAGE` at
+/// the head rots on the platter, and three more incrementals follow,
+/// each dirtying page 0 and waiting for its commit and its scrub step.
+/// Returns a digest of the head restored eagerly from a cold cache, and
+/// per incremental after the rot whether it was full, what its step
+/// found damaged, what it rewrote and the pages it captured.
+fn rot_at_rest_run(rot: bool) -> (u64, Vec<(bool, u64, u64, u64)>) {
+    let mut host = boot_materialized();
+    let pid = host.kernel.spawn("rot");
+    let addr = host.kernel.mmap_anon(pid, ROT_PAGES * 4096, false).unwrap();
+    for p in 0..ROT_PAGES {
+        host.kernel
+            .mem_write(pid, addr + p * 4096, format!("rot-page-{p:04}").as_bytes())
+            .unwrap();
+    }
+    let gid = host.persist("rot", pid).unwrap();
+    let cycle = |host: &mut Host, full: bool, n: u64| {
+        let body = format!("cycle-{n}");
+        host.kernel
+            .mem_write(pid, addr + 2048, body.as_bytes())
+            .unwrap();
+        let bd = host.checkpoint(gid, full, None).unwrap();
+        assert!(bd.outcome.committed(), "{:?}", bd.fault);
+        host.clock.advance_to(bd.durable_at.max(bd.scrub_ready_at));
+        bd
+    };
+    cycle(&mut host, true, 0);
+    cycle(&mut host, false, 1);
+    if rot {
+        let store = host.sls.primary.borrow();
+        let head = store.head().unwrap();
+        let Some((aurora::objstore::PageRef::Full(ptr), _)) = store.page_ref_at(
+            head,
+            aurora::objstore::ObjId(gid.objects().start().0 | 1),
+            ROT_PAGE,
+        ) else {
+            panic!("page {ROT_PAGE} is a full image at the head");
+        };
+        let lba = store.data_start() + ptr.0;
+        drop(store);
+        host.sls
+            .primary
+            .borrow_mut()
+            .device_mut()
+            .install_fault_plan(FaultPlan::corrupt_read_blocks(lba, lba + 1, 100, 3));
+    }
+    let cycles = (2..5)
+        .map(|n| {
+            let bd = cycle(&mut host, false, n);
+            (bd.full, bd.scrub_damaged, bd.rewritten, bd.pages)
+        })
+        .collect();
+    let store = host.sls.primary.clone();
+    let head = store.borrow().head().unwrap();
+    store.borrow_mut().drop_caches().unwrap();
+    let r = host.restore(&store, head, RestoreMode::Eager).unwrap();
+    let np = r.root_pid().unwrap();
+    let mut buf = vec![0u8; (ROT_PAGES * 4096) as usize];
+    host.kernel.mem_read(np, addr, &mut buf).unwrap();
+    let mut h = Fnv64::new();
+    h.update(&buf);
+    (h.finish(), cycles)
+}
+
+/// Rot at rest between two incrementals: a block under the head goes
+/// bad on the platter after it was written. The next incremental's
+/// scrub step finds it; the checkpoint after that — the next one due
+/// once the step's verdicts are in — rewrites exactly that page from
+/// memory, into a fresh block rather than a dedup hit on the bad one.
+/// No checkpoint is full, and the head restores from a cold cache
+/// digest-equal to the same run without the rot.
+#[test]
+fn rot_at_rest_between_incrementals_is_rewritten_from_memory() {
+    let (twin, twin_cycles) = rot_at_rest_run(false);
+    assert_eq!(
+        twin_cycles,
+        vec![(false, 0, 0, 1); 3],
+        "the fault-free twin captures page 0 alone"
+    );
+    let (digest, cycles) = rot_at_rest_run(true);
+    assert_eq!(
+        cycles,
+        vec![(false, 1, 0, 1), (false, 0, 1, 2), (false, 0, 0, 1)],
+        "found, then page {ROT_PAGE} rewritten beside page 0, then clean"
+    );
+    assert_eq!(digest, twin, "the head restores the twin's bytes");
+}
+
+/// Post-commit maintenance never turns a durable checkpoint into an
+/// error. A fault plan fails the history GC's delete record through
+/// every retry: the checkpoint that ran the GC is committed, the head
+/// advanced, the victim stays in the history, and the next cycle's GC
+/// deletes it. The store is consistent throughout.
+#[test]
+fn failed_history_gc_keeps_the_committed_checkpoint() {
+    let setup = || {
+        let mut host = boot();
+        let pid = host.kernel.spawn("gc");
+        let addr = host.kernel.mmap_anon(pid, 4 * 4096, false).unwrap();
+        let gid = host.persist("gc", pid).unwrap();
+        host.sls.group_mut(gid).unwrap().history_window = 2;
+        let mut ids = Vec::new();
+        for v in 0..2u8 {
+            host.kernel.mem_write(pid, addr, &[v + 1; 64]).unwrap();
+            let bd = host.checkpoint(gid, v == 0, None).unwrap();
+            host.clock.advance_to(bd.durable_at);
+            ids.push(bd.ckpt.unwrap());
+        }
+        host.kernel.mem_write(pid, addr, &[3; 64]).unwrap();
+        (host, pid, addr, gid, ids)
+    };
+    let mut gc_failed = 0;
+    // The third checkpoint's commit and its GC delete write a handful
+    // of journal blocks: fail each in turn through every retry.
+    for n in 1..=6u64 {
+        let (mut host, pid, addr, gid, ids) = setup();
+        let store = host.sls.primary.clone();
+        store
+            .borrow_mut()
+            .device_mut()
+            .install_fault_plan(FaultPlan::transient(n, 10_000));
+        let bd = host.checkpoint(gid, false, None).unwrap();
+        store
+            .borrow_mut()
+            .device_mut()
+            .install_fault_plan(FaultPlan::default());
+        assert!(
+            store.borrow().fsck().is_empty(),
+            "{:?}",
+            store.borrow().fsck()
+        );
+        let fault = bd.fault.clone().unwrap_or_default();
+        if bd.outcome == CheckpointOutcome::Aborted {
+            assert_eq!(
+                store.borrow().head(),
+                Some(ids[1]),
+                "write {n}: nothing committed"
+            );
+            continue;
+        }
+        assert_eq!(
+            bd.outcome,
+            CheckpointOutcome::Committed,
+            "write {n}: {fault}"
+        );
+        let head = bd.ckpt.unwrap();
+        assert_eq!(
+            store.borrow().head(),
+            Some(head),
+            "write {n}: the head advanced"
+        );
+        if !fault.contains("history GC failed") {
+            continue;
+        }
+        gc_failed += 1;
+        let history = host.sls.group_ref(gid).unwrap().history().to_vec();
+        assert_eq!(
+            history,
+            vec![ids[0], ids[1], head],
+            "write {n}: the victim stays"
+        );
+        assert!(store.borrow().checkpoint(ids[0]).is_ok());
+        host.clock.advance_to(bd.durable_at);
+
+        host.kernel.mem_write(pid, addr, &[4; 64]).unwrap();
+        let bd = host.checkpoint(gid, false, None).unwrap();
+        assert_eq!(bd.outcome, CheckpointOutcome::Committed, "{:?}", bd.fault);
+        let next = bd.ckpt.unwrap();
+        let history = host.sls.group_ref(gid).unwrap().history().to_vec();
+        assert_eq!(
+            history,
+            vec![head, next],
+            "write {n}: the next GC caught up"
+        );
+        assert!(
+            store.borrow().checkpoint(ids[0]).is_err(),
+            "the victim is deleted"
+        );
+        assert!(
+            store.borrow().fsck().is_empty(),
+            "{:?}",
+            store.borrow().fsck()
+        );
+    }
+    assert!(gc_failed > 0, "some write of the sweep is the GC's delete");
 }
 
 // ---------------------------------------------------------------------------
