@@ -560,12 +560,15 @@ impl Scenario {
     /// checkpoint commits flagged `DegradedMirror`, and after resilver
     /// the store verifies served by the *rebuilt replica alone* — the
     /// rebuild copied every live extent, not just the failed write's.
+    /// Every round rewrites whole pages, so each round's flush fans a
+    /// data extent out to the replicas and every kill lands in one.
     pub fn mirror_kill(width: usize) -> Scenario {
         Scenario {
             label: "mirror_kill",
             host: HostShape::Mirror(width),
             reboot: false,
             rebuild: true,
+            whole_pages: true,
             targets: &[Hit::Replica],
             ..BASE
         }
@@ -1782,6 +1785,7 @@ mod tests {
             r.degraded_mirror > 0,
             "some kills must land inside the flush"
         );
+        assert_eq!(r.hits_on(Hit::Replica), 12, "every kill lands:\n{}", r.summary());
         assert_eq!(
             r.degraded_mirror,
             r.hits_on(Hit::Replica),

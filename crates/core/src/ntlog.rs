@@ -138,10 +138,9 @@ impl Host {
                 let page = if page_off == 0 && n == PAGE_SIZE {
                     PageData::from_bytes(src)
                 } else {
-                    store
-                        .read_page(oid, page_idx)?
-                        .unwrap_or(PageData::Zero)
-                        .write(page_off, src)
+                    let mut page = store.read_page(oid, page_idx)?.unwrap_or(PageData::Zero);
+                    page.write(page_off, src);
+                    page
                 };
                 store.write_page(oid, page_idx, &page)?;
                 pos += n as u64;

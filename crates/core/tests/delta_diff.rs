@@ -26,7 +26,7 @@ use aurora_core::{BackendKind, CheckpointBreakdown, Host};
 use aurora_hw::ModelDev;
 use aurora_objstore::{ObjectStore, StoreConfig};
 use aurora_sim::hash::{page_hash, Fnv64};
-use aurora_sim::{cost, SimClock};
+use aurora_sim::{cost, PageData, SimClock};
 use aurora_slsfs::StoreHandle;
 use proptest::prelude::*;
 
@@ -226,11 +226,11 @@ fn state_of(
         restores.insert(name, h.finish());
     }
     let mut device_digest = Fnv64::new();
-    let mut buf = vec![0u8; 4096];
+    let mut buf = PageData::Zero;
     let mut store = store.borrow_mut();
     for lba in 0..PART_DEV_BLOCKS {
         if store.device_mut().read_blocks(lba, std::slice::from_mut(&mut buf)).is_ok() {
-            device_digest.update_u64(page_hash(&buf));
+            device_digest.update_u64(buf.content_hash());
         }
     }
     BackendState {

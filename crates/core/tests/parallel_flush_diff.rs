@@ -17,7 +17,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use aurora_core::{flush, Host};
 use aurora_hw::ModelDev;
 use aurora_objstore::{ObjId, ObjectStore, StoreConfig};
-use aurora_sim::hash::{page_hash, Fnv64};
+use aurora_sim::hash::Fnv64;
 use aurora_sim::SimClock;
 use aurora_vm::PageData;
 use proptest::prelude::*;
@@ -61,14 +61,14 @@ fn device_digest(store: &mut ObjectStore, from: u64) -> u64 {
         .flat_map(|c| c.pages.values().map(|p| data_start + p.0))
         .collect();
     let mut h = Fnv64::new();
-    let mut buf = vec![0u8; 4096];
+    let mut buf = PageData::Zero;
     let dev = store.device_mut();
     for lba in (from..data_start).chain(referenced) {
         if dev.read_blocks(lba, std::slice::from_mut(&mut buf)).is_err() {
             continue;
         }
         h.update_u64(lba);
-        h.update_u64(page_hash(&buf));
+        h.update_u64(buf.content_hash());
     }
     h.finish()
 }

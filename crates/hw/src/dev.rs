@@ -23,6 +23,12 @@
 //!   barrier.
 //! * Volatile devices (ramdisk) never persist across power failure; they
 //!   model the paper's in-memory ephemeral checkpoint backend.
+//!
+//! The unit of data is a page body ([`PageData`]): a write hands the
+//! device the bodies the caller holds, the device keeps them by
+//! reference, and a read returns the body the medium holds. Bodies are
+//! shared, never mutated: a torn write and a bit flip, at write or read
+//! time, each build a new body from a copy of the old one.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -30,7 +36,7 @@ use std::sync::Arc;
 use aurora_sim::cost::dev as costdev;
 use aurora_sim::error::{Error, Result};
 use aurora_sim::time::{SimDuration, SimTime};
-use aurora_sim::SimClock;
+use aurora_sim::{PageData, SimClock};
 
 use crate::fault::{FaultAction, FaultPlan};
 use crate::mirror::MirrorDev;
@@ -51,12 +57,12 @@ pub struct DevInfo {
 }
 
 impl DevInfo {
-    /// Checks an extent of buffers of lengths `lens` at `lba`: each
-    /// buffer one block, the whole extent on the device. Returns its
-    /// bytes.
-    pub(crate) fn check_extent(&self, lba: u64, lens: impl Iterator<Item = usize>) -> Result<u64> {
+    /// Checks an extent of `bodies` at `lba`: each body one block, the
+    /// whole extent on the device. Returns its bytes.
+    pub(crate) fn check_extent(&self, lba: u64, bodies: &[PageData]) -> Result<u64> {
         let mut blocks = 0u64;
-        for len in lens {
+        for body in bodies {
+            let len = body.byte_len();
             if len != BLOCK_SIZE {
                 let name = &self.name;
                 return Err(Error::invalid(format!(
@@ -139,12 +145,15 @@ impl CostModel {
     }
 }
 
-/// Flips bit `bit` of byte `byte` (both wrapped into range) of `buf`.
-fn flip_bit(buf: &mut [u8], byte: usize, bit: u8) {
+/// A copy of `body` with bit `bit` of byte `byte` (both wrapped into
+/// range) flipped. The body itself is left alone: others may share it.
+fn flipped(body: &PageData, byte: usize, bit: u8) -> PageData {
+    let mut buf = body.materialize();
     let idx = byte % buf.len().max(1);
     if let Some(target) = buf.get_mut(idx) {
         *target ^= 1 << (bit % 8);
     }
+    PageData::from_bytes(&buf)
 }
 
 /// The block-device interface used by the object store and backends.
@@ -161,13 +170,14 @@ pub trait BlockDev {
     /// flushed in the background while the application keeps running; a
     /// caller that must wait advances its clock to the returned instant.
     ///
-    /// Every block is `BLOCK_SIZE` bytes and is one write ordinal of an
-    /// installed fault plan, so a power cut or a transient error can land
-    /// on any block of the extent (see [`crate::fault`]).
-    fn write_blocks(&mut self, lba: u64, blocks: &[&[u8]]) -> Result<SimTime>;
+    /// Every block is one body of `BLOCK_SIZE` bytes, which the device
+    /// may keep by reference (never mutating it), and is one write
+    /// ordinal of an installed fault plan, so a power cut or a transient
+    /// error can land on any block of the extent (see [`crate::fault`]).
+    fn write_blocks(&mut self, lba: u64, blocks: &[PageData]) -> Result<SimTime>;
 
     /// Submits a run of adjacent blocks starting at `lba` as one vectored
-    /// read request, filling each buffer in `bufs` with one block, and
+    /// read request, replacing each body in `bufs` with one block's, and
     /// returns the request's completion instant. Does not advance the
     /// caller's clock: a caller that needs the bytes before it goes on
     /// advances its clock to the returned instant, and one that has more
@@ -176,16 +186,16 @@ pub trait BlockDev {
     ///
     /// # Partial-failure contract (all-or-error)
     ///
-    /// On `Err`, **no buffer in `bufs` holds authoritative data** — a
-    /// mid-extent fault must not leave earlier buffers ambiguously
+    /// On `Err`, **no body in `bufs` holds authoritative data** — a
+    /// mid-extent fault must not leave earlier bodies ambiguously
     /// filled. [`ModelDev`] upholds this by consulting every per-block
-    /// fault before filling any buffer; the stripe and the file device
+    /// fault before filling any body; the stripe and the file device
     /// fill `bufs` only once the whole extent is in; and
     /// [`crate::retry::ResilientDev`] (which every store-facing device
-    /// and every mirror replica sits behind) zeroes the buffers on a
+    /// and every mirror replica sits behind) zeroes the bodies on a
     /// failed extent. Callers must treat `bufs` as unspecified after an
     /// error and never consume it.
-    fn read_blocks(&mut self, lba: u64, bufs: &mut [Vec<u8>]) -> Result<SimTime>;
+    fn read_blocks(&mut self, lba: u64, bufs: &mut [PageData]) -> Result<SimTime>;
 
     /// Issues a flush barrier; returns the instant at which every write
     /// submitted so far is durable. Does not advance the caller's clock.
@@ -256,7 +266,7 @@ pub trait BlockDev {
 
     /// Attempts to repair block `lba` from redundancy: reads each stored
     /// copy, and if one passes `verify`, rewrites the copies that do not
-    /// and returns the verified bytes.
+    /// and returns the verified body.
     ///
     /// Default: `Ok(None)` — a single device has no twin to repair from.
     /// [`MirrorDev`] implements real read-repair; the object store calls
@@ -265,8 +275,8 @@ pub trait BlockDev {
     fn repair_block(
         &mut self,
         _lba: u64,
-        _verify: &mut dyn FnMut(&[u8]) -> bool,
-    ) -> Result<Option<Vec<u8>>> {
+        _verify: &mut dyn FnMut(&PageData) -> bool,
+    ) -> Result<Option<PageData>> {
         Ok(None)
     }
 
@@ -285,7 +295,7 @@ pub trait BlockDev {
 #[derive(Debug, Clone)]
 struct CachedWrite {
     lba: u64,
-    data: Vec<u8>,
+    data: PageData,
 }
 
 /// The standard modelled device. See module docs for semantics.
@@ -294,8 +304,9 @@ pub struct ModelDev {
     model: CostModel,
     clock: Arc<SimClock>,
     busy_until: SimTime,
-    /// Durable contents, by block number. Sparse: absent blocks read zero.
-    stable: HashMap<u64, Vec<u8>>,
+    /// Durable contents, by block number: the bodies written, shared
+    /// with their writers. Sparse: absent blocks read zero.
+    stable: HashMap<u64, PageData>,
     /// Writes acknowledged but not yet flushed (volatile-cache devices).
     cache: Vec<CachedWrite>,
     powered: bool,
@@ -405,17 +416,27 @@ impl ModelDev {
         self.busy_until = self.clock.now().max(self.busy_until) + SimDuration::from_nanos(extra_ns);
     }
 
-    /// Applies one block directly to stable storage, possibly torn at
-    /// `torn_at` bytes (the prefix is applied, the rest keeps old data).
-    fn apply_stable(&mut self, lba: u64, data: &[u8], torn_at: Option<usize>) {
-        let n = torn_at.unwrap_or(BLOCK_SIZE).min(data.len());
-        let entry = self
+    /// Lands one block on stable storage.
+    fn apply_stable(&mut self, lba: u64, data: PageData) {
+        self.stable.insert(lba, data);
+    }
+
+    /// Lands the first `torn_at` bytes of `data` on block `lba`, the rest
+    /// keeping the old stable contents: a new body, built from a copy of
+    /// the old one.
+    fn apply_torn(&mut self, lba: u64, data: &PageData, torn_at: usize) {
+        if torn_at >= BLOCK_SIZE {
+            self.apply_stable(lba, data.clone());
+            return;
+        }
+        let mut torn = self
             .stable
-            .entry(lba)
-            .or_insert_with(|| vec![0u8; BLOCK_SIZE]);
-        if let (Some(dst), Some(src)) = (entry.get_mut(..n), data.get(..n)) {
+            .get(&lba)
+            .map_or_else(|| vec![0u8; BLOCK_SIZE], PageData::materialize);
+        if let (Some(dst), Some(src)) = (torn.get_mut(..torn_at), data.bytes().get(..torn_at)) {
             dst.copy_from_slice(src);
         }
+        self.apply_stable(lba, PageData::from_bytes(&torn));
     }
 
     /// Checks the fault plan before a write; returns the fault action.
@@ -472,27 +493,45 @@ impl ModelDev {
         action
     }
 
-    /// Fills one block-sized buffer with the newest cached write of
-    /// `block`, else its stable contents.
-    fn fill_block(&self, block: u64, out: &mut [u8]) {
+    /// The body of `block`: its newest cached write, else its stable
+    /// contents, else zero.
+    fn body(&self, block: u64) -> PageData {
         let cached = self.cache.iter().rev().find(|w| w.lba == block);
-        match cached.map(|w| &w.data).or_else(|| self.stable.get(&block)) {
-            Some(data) => out.copy_from_slice(data),
-            None => out.fill(0),
-        }
+        cached
+            .map(|w| &w.data)
+            .or_else(|| self.stable.get(&block))
+            .cloned()
+            .unwrap_or(PageData::Zero)
     }
 
     fn drain_cache_to_stable(&mut self) {
         let cache = core::mem::take(&mut self.cache);
         for w in cache {
-            self.apply_stable(w.lba, &w.data, None);
+            self.apply_stable(w.lba, w.data);
         }
     }
 
     /// Test/introspection hook: bytes currently sitting in the volatile
     /// write cache.
     pub fn cached_bytes(&self) -> usize {
-        self.cache.iter().map(|w| w.data.len()).sum()
+        self.cache.iter().map(|w| w.data.byte_len()).sum()
+    }
+
+    /// Writes byte blocks as one extent: wraps each block in a body
+    /// ([`PageData::from_bytes`]) and submits the extent through
+    /// [`BlockDev::write_blocks`], which charges and faults it. For
+    /// callers that hold their blocks as byte buffers, such as a host
+    /// cost probe timing a write of ready-made blocks.
+    pub fn write_blocks(&mut self, lba: u64, blocks: &[&[u8]]) -> Result<SimTime> {
+        if let Some(b) = blocks.iter().find(|b| b.len() != BLOCK_SIZE) {
+            return Err(Error::invalid(format!(
+                "extent block is {} bytes on {}",
+                b.len(),
+                self.info.name
+            )));
+        }
+        let bodies: Vec<PageData> = blocks.iter().map(|b| PageData::from_bytes(b)).collect();
+        BlockDev::write_blocks(self, lba, &bodies)
     }
 }
 
@@ -505,12 +544,12 @@ impl BlockDev for ModelDev {
         &self.stats
     }
 
-    fn read_blocks(&mut self, lba: u64, bufs: &mut [Vec<u8>]) -> Result<SimTime> {
+    fn read_blocks(&mut self, lba: u64, bufs: &mut [PageData]) -> Result<SimTime> {
         self.check_powered()?;
         if bufs.is_empty() {
             return Ok(self.clock.now());
         }
-        let total = self.info.check_extent(lba, bufs.iter().map(Vec::len))?;
+        let total = self.info.check_extent(lba, bufs)?;
         // The fault plan is consulted once per block — one read ordinal
         // each — before any data moves, so a transient error bounces the
         // whole extent atomically and a retry may resubmit the identical
@@ -525,12 +564,12 @@ impl BlockDev for ModelDev {
         // access latency plus the extent's bytes. This is the coalescing
         // win.
         let done = self.service(total, self.model.read_bw);
-        for (i, chunk) in bufs.iter_mut().enumerate() {
-            self.fill_block(lba + i as u64, chunk);
+        for (i, buf) in bufs.iter_mut().enumerate() {
+            *buf = self.body(lba + i as u64);
         }
         for (i, byte, bit) in corrupt {
             if let Some(buf) = bufs.get_mut(i) {
-                flip_bit(buf, byte, bit);
+                *buf = flipped(buf, byte, bit);
             }
         }
         self.stats.reads += 1;
@@ -538,22 +577,20 @@ impl BlockDev for ModelDev {
         Ok(done)
     }
 
-    fn write_blocks(&mut self, lba: u64, blocks: &[&[u8]]) -> Result<SimTime> {
+    fn write_blocks(&mut self, lba: u64, blocks: &[PageData]) -> Result<SimTime> {
         self.check_powered()?;
         if blocks.is_empty() {
             return Ok(self.clock.now());
         }
-        let total = self
-            .info
-            .check_extent(lba, blocks.iter().map(|b| b.len()))?;
+        let total = self.info.check_extent(lba, blocks)?;
         // The fault plan is consulted once per block — one write ordinal
         // each — so a schedule that cuts power on write N lands
         // mid-extent here.
-        let mut payload: Vec<(u64, Vec<u8>)> = Vec::with_capacity(blocks.len());
+        let mut payload: Vec<(u64, PageData)> = Vec::with_capacity(blocks.len());
         for (i, b) in blocks.iter().enumerate() {
             let blba = lba + i as u64;
             match self.fault_action(blba) {
-                FaultAction::None => payload.push((blba, b.to_vec())),
+                FaultAction::None => payload.push((blba, b.clone())),
                 FaultAction::TransientError => {
                     // The whole extent bounces atomically: nothing before
                     // the faulting block has landed, so a retry may
@@ -565,7 +602,7 @@ impl BlockDev for ModelDev {
                 }
                 FaultAction::LatencySpike { extra_ns } => {
                     self.stall(extra_ns);
-                    payload.push((blba, b.to_vec()));
+                    payload.push((blba, b.clone()));
                 }
                 FaultAction::PowerCut { torn_bytes } => {
                     // Blocks ahead of the interrupted one are durable
@@ -574,12 +611,11 @@ impl BlockDev for ModelDev {
                     // itself lands torn (it raced the capacitors).
                     if self.info.persistent {
                         if self.info.persistence_domain {
-                            for (plba, pdata) in &payload {
-                                self.apply_stable(*plba, pdata, None);
+                            for (plba, pdata) in payload {
+                                self.apply_stable(plba, pdata);
                             }
                         }
-                        let torn = torn_bytes.min(b.len());
-                        self.apply_stable(blba, b, Some(torn));
+                        self.apply_torn(blba, b, torn_bytes);
                     }
                     self.power_fail();
                     return Err(Error::device_dead(format!(
@@ -588,9 +624,7 @@ impl BlockDev for ModelDev {
                     )));
                 }
                 FaultAction::CorruptBit { byte, bit } => {
-                    let mut corrupted = b.to_vec();
-                    flip_bit(&mut corrupted, byte, bit);
-                    payload.push((blba, corrupted));
+                    payload.push((blba, flipped(b, byte, bit)));
                 }
             }
         }
@@ -598,8 +632,8 @@ impl BlockDev for ModelDev {
         // latency plus the extent's bytes. This is the coalescing win.
         let done = self.service(total, self.model.write_bw);
         if self.info.persistence_domain {
-            for (blba, data) in &payload {
-                self.apply_stable(*blba, data, None);
+            for (blba, data) in payload {
+                self.apply_stable(blba, data);
             }
         } else {
             for (blba, data) in payload {
@@ -689,10 +723,19 @@ impl core::fmt::Debug for ModelDev {
 pub(crate) mod test_io {
     use super::*;
 
+    /// The body of one chunk: a page when the chunk is one, else a
+    /// body of the chunk's own length, which every device rejects.
+    pub(crate) fn body(chunk: &[u8]) -> PageData {
+        match chunk.len() {
+            BLOCK_SIZE => PageData::from_bytes(chunk),
+            _ => PageData::Bytes(Arc::from(chunk)),
+        }
+    }
+
     /// Writes `data` at `lba` as one extent of its `BLOCK_SIZE` chunks and
     /// waits for its completion.
     pub(crate) fn write<D: BlockDev + ?Sized>(d: &mut D, lba: u64, data: &[u8]) -> Result<()> {
-        let blocks: Vec<&[u8]> = data.chunks(BLOCK_SIZE).collect();
+        let blocks: Vec<PageData> = data.chunks(BLOCK_SIZE).map(body).collect();
         let done = d.write_blocks(lba, &blocks)?;
         d.clock().advance_to(done);
         Ok(())
@@ -700,11 +743,11 @@ pub(crate) mod test_io {
 
     /// Reads `buf.len()` bytes at `lba` as one extent and waits for it.
     pub(crate) fn read<D: BlockDev + ?Sized>(d: &mut D, lba: u64, buf: &mut [u8]) -> Result<()> {
-        let mut bufs: Vec<Vec<u8>> = buf.chunks(BLOCK_SIZE).map(|c| vec![0u8; c.len()]).collect();
+        let mut bufs: Vec<PageData> = buf.chunks(BLOCK_SIZE).map(body).collect();
         let done = d.read_blocks(lba, &mut bufs)?;
         d.clock().advance_to(done);
         for (dst, src) in buf.chunks_mut(BLOCK_SIZE).zip(&bufs) {
-            dst.copy_from_slice(src);
+            dst.copy_from_slice(&src.bytes());
         }
         Ok(())
     }
@@ -717,6 +760,14 @@ mod tests {
 
     fn block(fill: u8) -> Vec<u8> {
         vec![fill; BLOCK_SIZE]
+    }
+
+    fn page(fill: u8) -> PageData {
+        PageData::from_bytes(&block(fill))
+    }
+
+    fn pages(n: usize) -> Vec<PageData> {
+        vec![PageData::Zero; n]
     }
 
     #[test]
@@ -965,15 +1016,14 @@ mod tests {
     fn write_blocks_rejects_bad_geometry() {
         let clock = SimClock::new();
         let mut d = ModelDev::nvme(clock, "nvme0", 4);
-        let ok = block(0);
-        let short = vec![0u8; 100];
-        assert!(d.write_blocks(0, &[ok.as_slice(), short.as_slice()]).is_err());
+        let short = [PageData::Zero, test_io::body(&[0u8; 100])];
+        assert!(BlockDev::write_blocks(&mut d, 0, &short).is_err());
+        assert!(d.write_blocks(0, &[&block(0), &[0u8; 100]]).is_err());
         // Extent running past the device end.
-        let bufs: Vec<Vec<u8>> = (0..3u8).map(block).collect();
-        let refs: Vec<&[u8]> = bufs.iter().map(|b| b.as_slice()).collect();
-        assert!(d.write_blocks(2, &refs).is_err());
+        let bufs: Vec<PageData> = (0..3u8).map(page).collect();
+        assert!(BlockDev::write_blocks(&mut d, 2, &bufs).is_err());
         // Empty extent is a no-op.
-        assert!(d.write_blocks(0, &[]).is_ok());
+        assert!(BlockDev::write_blocks(&mut d, 0, &[]).is_ok());
     }
 
     #[test]
@@ -985,9 +1035,9 @@ mod tests {
         let done = d.write_blocks(8, &refs).unwrap();
         d.clock().advance_to(done);
         let reads_before = d.stats().reads;
-        let mut out = vec![block(0); 3];
+        let mut out = pages(3);
         d.read_blocks(8, &mut out).unwrap();
-        assert_eq!(out, bufs.to_vec());
+        assert_eq!(out, [page(0x20), page(0x21), page(0x22)]);
         assert_eq!(
             d.stats().reads,
             reads_before + 1,
@@ -1008,7 +1058,7 @@ mod tests {
         }
         let serial_elapsed = serial_clock.now().since(before);
         let before = vectored.clock().now();
-        let mut out = vec![block(0); 8];
+        let mut out = pages(8);
         let vectored_elapsed = vectored.read_blocks(0, &mut out).unwrap().since(before);
         assert!(
             vectored_elapsed < serial_elapsed,
@@ -1031,11 +1081,11 @@ mod tests {
         // the queue-depth share, vectored or timing-only, read or write.
         let clock = SimClock::new();
         let mut d = ModelDev::nvme(clock.clone(), "nvme0", 128);
-        let first = d.read_blocks(0, &mut [block(0)]).unwrap();
+        let first = d.read_blocks(0, &mut pages(1)).unwrap();
         assert_eq!(first.since(SimTime::ZERO), whole + transfer);
         let timed = d.charge_read_timing(BLOCK_SIZE as u64).unwrap();
         assert_eq!(timed.since(first), share + transfer);
-        let vectored = d.read_blocks(1, &mut [block(0)]).unwrap();
+        let vectored = d.read_blocks(1, &mut pages(1)).unwrap();
         assert_eq!(vectored.since(timed), share + transfer);
         let bulk = d.submit_write_timing(BLOCK_SIZE as u64).unwrap();
         assert_eq!(bulk.since(vectored), share + write_transfer);
@@ -1071,13 +1121,13 @@ mod tests {
         let done = d.flush().unwrap();
         d.clock().advance_to(done);
         d.set_fault_plan(crate::fault::FaultPlan::transient_reads(1, 2));
-        let mut out = vec![block(0); 4];
+        let mut out = pages(4);
         // Each bounced attempt burns one read ordinal (the faulting first
         // block); the third attempt clears the window and succeeds.
         assert!(d.read_blocks(0, &mut out).is_err());
         assert!(d.read_blocks(0, &mut out).is_err());
         d.read_blocks(0, &mut out).unwrap();
-        assert_eq!(out.get(3), Some(&block(0x77)));
+        assert_eq!(out.get(3), Some(&page(0x77)));
         assert!(d.powered());
     }
 
@@ -1086,15 +1136,14 @@ mod tests {
         let clock = SimClock::new();
         let mut d = ModelDev::nvme(clock, "nvme0", 128);
         d.set_fault_plan(crate::fault::FaultPlan::power_cut_on_read(2));
-        let mut out = vec![block(0); 4];
+        let mut out = pages(4);
         let err = d.read_blocks(0, &mut out).unwrap_err();
         assert!(err.to_string().contains("power cut"), "{err}");
         assert!(!d.powered());
         d.power_on();
         // Ordinals restart on power-on and the plan is still armed, so
         // only the first read is safe.
-        let mut one = vec![block(0); 1];
-        d.read_blocks(0, &mut one).unwrap();
+        d.read_blocks(0, &mut pages(1)).unwrap();
     }
 
     #[test]
@@ -1105,28 +1154,26 @@ mod tests {
         let done = d.flush().unwrap();
         d.clock().advance_to(done);
         d.set_fault_plan(crate::fault::FaultPlan::corrupt_read_blocks(5, 6, 10, 3));
-        let mut out = vec![block(0); 2];
+        let mut out = pages(2);
         d.read_blocks(4, &mut out).unwrap();
-        assert_eq!(out.first(), Some(&block(0)), "block outside region clean");
-        let hit = out.get(1).cloned().unwrap_or_default();
+        assert_eq!(out.first(), Some(&PageData::Zero), "block outside region clean");
+        let hit = out.get(1).map(PageData::materialize).unwrap_or_default();
         assert_eq!(hit.get(10), Some(&(1u8 << 3)), "one bit flipped");
         assert_eq!(hit.iter().filter(|&&b| b != 0).count(), 1);
         // A retry re-reads the same damaged media.
-        let mut again = vec![block(0); 2];
+        let mut again = pages(2);
         d.read_blocks(4, &mut again).unwrap();
-        assert_eq!(again.get(1), Some(&hit));
+        assert_eq!(again.get(1).map(PageData::materialize), Some(hit));
     }
 
     #[test]
     fn read_blocks_rejects_bad_geometry() {
         let clock = SimClock::new();
         let mut d = ModelDev::nvme(clock, "nvme0", 4);
-        let mut short = vec![block(0), vec![0u8; 100]];
+        let mut short = vec![PageData::Zero, test_io::body(&[0u8; 100])];
         assert!(d.read_blocks(0, &mut short).is_err());
-        let mut past_end = vec![block(0); 3];
-        assert!(d.read_blocks(2, &mut past_end).is_err());
-        let mut empty: Vec<Vec<u8>> = Vec::new();
-        assert!(d.read_blocks(0, &mut empty).is_ok());
+        assert!(d.read_blocks(2, &mut pages(3)).is_err());
+        assert!(d.read_blocks(0, &mut []).is_ok());
     }
 
     #[test]

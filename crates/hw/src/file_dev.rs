@@ -18,7 +18,7 @@ use std::sync::Arc;
 
 use aurora_sim::error::{Error, Result};
 use aurora_sim::time::SimTime;
-use aurora_sim::SimClock;
+use aurora_sim::{PageData, SimClock};
 
 use crate::dev::{BlockDev, CostModel, DevInfo, DevStats};
 use crate::BLOCK_SIZE;
@@ -73,43 +73,41 @@ impl BlockDev for FileDev {
         &self.stats
     }
 
-    fn read_blocks(&mut self, lba: u64, bufs: &mut [Vec<u8>]) -> Result<SimTime> {
+    fn read_blocks(&mut self, lba: u64, bufs: &mut [PageData]) -> Result<SimTime> {
         if bufs.is_empty() {
             return Ok(self.clock.now());
         }
         // One seek and one read of the span, charged as one request; the
-        // buffers are filled only once the whole span is in.
-        let total = self.info.check_extent(lba, bufs.iter().map(Vec::len))?;
+        // bodies are filled only once the whole span is in.
+        let total = self.info.check_extent(lba, bufs)?;
         let mut span = vec![0u8; total as usize];
         let done = self.service(total, CostModel::NVME.read_bw);
         self.file
             .seek(SeekFrom::Start(lba * BLOCK_SIZE as u64))
             .and_then(|_| self.file.read_exact(&mut span))
             .map_err(|e| Error::io(format!("read lba {lba}: {e}")))?;
-        for (buf, chunk) in bufs.iter_mut().zip(span.chunks(BLOCK_SIZE)) {
-            buf.copy_from_slice(chunk);
+        for (buf, chunk) in bufs.iter_mut().zip(span.chunks_exact(BLOCK_SIZE)) {
+            *buf = PageData::from_bytes(chunk);
         }
         self.stats.reads += 1;
         self.stats.bytes_read += total;
         Ok(done)
     }
 
-    fn write_blocks(&mut self, lba: u64, blocks: &[&[u8]]) -> Result<SimTime> {
+    fn write_blocks(&mut self, lba: u64, blocks: &[PageData]) -> Result<SimTime> {
         if blocks.is_empty() {
             return Ok(self.clock.now());
         }
-        let total = self
-            .info
-            .check_extent(lba, blocks.iter().map(|b| b.len()))?;
+        let total = self.info.check_extent(lba, blocks)?;
         let done = self.service(total, CostModel::NVME.write_bw);
         // One seek, one sequential run: the host file sees the extent the
-        // way the model charges for it.
+        // way the model charges for it, each body materialized as it goes.
         self.file
             .seek(SeekFrom::Start(lba * BLOCK_SIZE as u64))
             .map_err(|e| Error::io(format!("seek lba {lba}: {e}")))?;
         for b in blocks {
             self.file
-                .write_all(b)
+                .write_all(&b.bytes())
                 .map_err(|e| Error::io(format!("write extent at lba {lba}: {e}")))?;
         }
         self.stats.writes += 1;
@@ -157,7 +155,7 @@ impl BlockDev for FileDev {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dev::test_io::{read, write};
+    use crate::dev::test_io::{body, read, write};
 
     #[test]
     fn persists_across_reopen() {
@@ -189,7 +187,7 @@ mod tests {
         let clock = SimClock::new();
         let mut d = FileDev::open(clock, &path, 16).unwrap();
         let bufs: Vec<Vec<u8>> = (1..=3u8).map(|i| vec![i; BLOCK_SIZE]).collect();
-        let refs: Vec<&[u8]> = bufs.iter().map(|b| b.as_slice()).collect();
+        let refs: Vec<PageData> = bufs.iter().map(|b| body(b)).collect();
         d.write_blocks(5, &refs).unwrap();
         d.flush().unwrap();
         for (i, expect) in bufs.iter().enumerate() {
@@ -208,10 +206,9 @@ mod tests {
         let path = dir.join("disk.img");
         let clock = SimClock::new();
         let mut d = FileDev::open(clock, &path, 16).unwrap();
-        let bufs: Vec<Vec<u8>> = (1..=8u8).map(|i| vec![i; BLOCK_SIZE]).collect();
-        let refs: Vec<&[u8]> = bufs.iter().map(|b| b.as_slice()).collect();
-        d.write_blocks(4, &refs).unwrap();
-        let mut out = vec![vec![0u8; BLOCK_SIZE]; 8];
+        let bufs: Vec<PageData> = (1..=8u8).map(|i| body(&[i; BLOCK_SIZE])).collect();
+        d.write_blocks(4, &bufs).unwrap();
+        let mut out = vec![PageData::Zero; 8];
         d.read_blocks(4, &mut out).unwrap();
         assert_eq!(out, bufs, "every block comes back");
         assert_eq!(d.stats().reads, 1, "one request for the span");

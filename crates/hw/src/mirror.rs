@@ -36,7 +36,7 @@ use std::sync::Arc;
 
 use aurora_sim::error::{Error, Result};
 use aurora_sim::time::SimTime;
-use aurora_sim::SimClock;
+use aurora_sim::{PageData, SimClock};
 
 use crate::dev::{BlockDev, DevInfo, DevStats};
 use crate::fault::FaultPlan;
@@ -355,17 +355,16 @@ impl MirrorDev {
             return Ok(0);
         }
         let nbytes = (count * BLOCK_SIZE) as u64;
-        let mut bufs = vec![vec![0u8; BLOCK_SIZE]; if real { count } else { 0 }];
+        let mut bufs = vec![PageData::Zero; if real { count } else { 0 }];
         let mut done = self.read_with_failover(|r| match real {
             true => r.read_blocks(lba, &mut bufs),
             false => r.charge_read_timing(nbytes),
         })?;
         self.clock.advance_to(done);
-        let refs: Vec<&[u8]> = bufs.iter().map(Vec::as_slice).collect();
         for (r, s) in self.replicas.iter_mut().zip(self.states.iter()) {
             if *s == ReplicaState::Rebuilding {
                 done = done.max(match real {
-                    true => r.write_blocks(lba, &refs)?,
+                    true => r.write_blocks(lba, &bufs)?,
                     false => r.submit_write_timing(nbytes)?,
                 });
             }
@@ -410,7 +409,7 @@ impl MirrorDev {
     fn acquire_golden(
         &mut self,
         lba: u64,
-        verify: &mut dyn FnMut(&[u8]) -> bool,
+        verify: &mut dyn FnMut(&PageData) -> bool,
     ) -> Option<(GoldenCopy, Vec<usize>)> {
         let mut golden: Option<GoldenCopy> = None;
         let mut failed: Vec<usize> = Vec::new();
@@ -419,13 +418,13 @@ impl MirrorDev {
                 continue;
             }
             // Each verdict waits for its copy's bytes.
-            let mut buf = vec![0u8; BLOCK_SIZE];
+            let mut buf = PageData::Zero;
             let read = r.read_blocks(lba, std::slice::from_mut(&mut buf));
             read.iter().for_each(|&done| self.clock.advance_to(done));
             match read {
                 Ok(_) if verify(&buf) => {
                     if golden.is_none() {
-                        golden = Some(GoldenCopy { lba, bytes: buf });
+                        golden = Some(GoldenCopy { lba, body: buf });
                     }
                 }
                 _ => failed.push(i),
@@ -435,16 +434,17 @@ impl MirrorDev {
     }
 
     /// Rewrites the replicas in `failed` from a verified golden copy,
-    /// consuming the token and returning its bytes. Replicas that
+    /// consuming the token and returning its body. Each replica gets the
+    /// golden body by reference; none is written into. Replicas that
     /// reject the rewrite are detached (they missed data).
-    fn rewrite_from_golden(&mut self, golden: GoldenCopy, failed: &[usize]) -> Vec<u8> {
-        let GoldenCopy { lba, bytes } = golden;
+    fn rewrite_from_golden(&mut self, golden: GoldenCopy, failed: &[usize]) -> PageData {
+        let GoldenCopy { lba, body } = golden;
         let mut detach: Vec<usize> = Vec::new();
         for &i in failed {
             let Some(r) = self.replicas.get_mut(i) else {
                 continue;
             };
-            match r.write_blocks(lba, &[&bytes]) {
+            match r.write_blocks(lba, std::slice::from_ref(&body)) {
                 Ok(done) => {
                     self.clock.advance_to(done);
                     self.mstats.read_repairs += 1;
@@ -453,20 +453,20 @@ impl MirrorDev {
             }
         }
         self.detach_failed(&detach);
-        bytes
+        body
     }
 
     /// Read-repair entry point: if any active replica's copy of `lba`
     /// passes `verify`, rewrites the replicas whose copies failed from
-    /// that golden copy. Returns the golden bytes, or `None` when no
+    /// that golden copy. Returns the golden body, or `None` when no
     /// replica has a good copy. The two phases are bridged by a
     /// [`GoldenCopy`] token, so a rewrite without a verified source
     /// does not typecheck.
     pub fn repair_block_from_twin(
         &mut self,
         lba: u64,
-        verify: &mut dyn FnMut(&[u8]) -> bool,
-    ) -> Result<Option<Vec<u8>>> {
+        verify: &mut dyn FnMut(&PageData) -> bool,
+    ) -> Result<Option<PageData>> {
         let Some((golden, failed)) = self.acquire_golden(lba, verify) else {
             return Ok(None);
         };
@@ -503,7 +503,7 @@ pub struct ResilverBarrier {
 #[derive(Debug)]
 pub struct GoldenCopy {
     lba: u64,
-    bytes: Vec<u8>,
+    body: PageData,
 }
 
 impl BlockDev for MirrorDev {
@@ -515,20 +515,21 @@ impl BlockDev for MirrorDev {
         &self.stats
     }
 
-    fn read_blocks(&mut self, lba: u64, bufs: &mut [Vec<u8>]) -> Result<SimTime> {
+    fn read_blocks(&mut self, lba: u64, bufs: &mut [PageData]) -> Result<SimTime> {
         // The per-replica ResilientDev guarantees all-or-error extent
-        // reads (failed attempts leave the buffers zeroed), so failing
+        // reads (failed attempts leave the bodies zeroed), so failing
         // over a whole extent to a twin never mixes replicas.
         let done = self.read_with_failover(|r| r.read_blocks(lba, bufs))?;
         self.stats.reads += 1;
-        self.stats.bytes_read += bufs.iter().map(|b| b.len() as u64).sum::<u64>();
+        self.stats.bytes_read += bufs.iter().map(|b| b.byte_len() as u64).sum::<u64>();
         Ok(done)
     }
 
-    fn write_blocks(&mut self, lba: u64, blocks: &[&[u8]]) -> Result<SimTime> {
+    fn write_blocks(&mut self, lba: u64, blocks: &[PageData]) -> Result<SimTime> {
+        // Every replica keeps the same bodies by reference.
         let done = self.fan_out(|r| r.write_blocks(lba, blocks))?;
         self.stats.writes += 1;
-        self.stats.bytes_written += blocks.iter().map(|b| b.len() as u64).sum::<u64>();
+        self.stats.bytes_written += blocks.iter().map(|b| b.byte_len() as u64).sum::<u64>();
         Ok(done)
     }
 
@@ -619,8 +620,8 @@ impl BlockDev for MirrorDev {
     fn repair_block(
         &mut self,
         lba: u64,
-        verify: &mut dyn FnMut(&[u8]) -> bool,
-    ) -> Result<Option<Vec<u8>>> {
+        verify: &mut dyn FnMut(&PageData) -> bool,
+    ) -> Result<Option<PageData>> {
         self.repair_block_from_twin(lba, verify)
     }
 
@@ -636,7 +637,7 @@ impl BlockDev for MirrorDev {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dev::test_io::{read, write};
+    use crate::dev::test_io::{body, read, write};
     use crate::dev::ModelDev;
     use crate::fault::FaultPlan;
 
@@ -741,12 +742,12 @@ mod tests {
         // Replica 0 serves corrupted reads of every block.
         m.install_replica_fault_plan(0, FaultPlan::corrupt_read_blocks(0, u64::MAX, 100, 3))
             .unwrap();
-        let expect = good.clone();
+        let expect = body(&good);
         let golden = m
-            .repair_block_from_twin(9, &mut |b: &[u8]| b == expect.as_slice())
+            .repair_block_from_twin(9, &mut |b: &PageData| b == &expect)
             .unwrap()
             .expect("twin had a good copy");
-        assert_eq!(golden, good);
+        assert_eq!(golden, expect);
         assert_eq!(m.mirror_stats().read_repairs, 1);
         // The rewrite went through; disarm the read corruption and check.
         m.install_replica_fault_plan(0, FaultPlan::default()).unwrap();
@@ -809,16 +810,15 @@ mod tests {
     #[test]
     fn vectored_ops_mirror_across_replicas() {
         let mut m = mirror(3, 128);
-        let bufs: Vec<Vec<u8>> = (1..=4u8).map(block).collect();
-        let refs: Vec<&[u8]> = bufs.iter().map(|b| b.as_slice()).collect();
-        let done = m.write_blocks(10, &refs).unwrap();
+        let bufs: Vec<PageData> = (1..=4u8).map(|i| body(&block(i))).collect();
+        let done = m.write_blocks(10, &bufs).unwrap();
         m.clock().advance_to(done);
         let done = m.flush().unwrap();
         m.clock().advance_to(done);
         // Kill two replicas; the third serves the whole extent.
         m.kill_replica(0).unwrap();
         m.kill_replica(1).unwrap();
-        let mut out: Vec<Vec<u8>> = vec![block(0); 4];
+        let mut out = vec![PageData::Zero; 4];
         m.read_blocks(10, &mut out).unwrap();
         assert_eq!(out, bufs);
     }

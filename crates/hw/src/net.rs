@@ -13,7 +13,7 @@ use aurora_sim::cost::dev as costdev;
 use aurora_sim::error::Result;
 use aurora_sim::rng::Xoshiro256;
 use aurora_sim::time::{SimDuration, SimTime};
-use aurora_sim::SimClock;
+use aurora_sim::{PageData, SimClock};
 
 use crate::dev::{BlockDev, DevInfo, DevStats};
 use crate::BLOCK_SIZE;
@@ -298,7 +298,7 @@ impl<D: BlockDev> BlockDev for RemoteDev<D> {
         self.inner.stats()
     }
 
-    fn read_blocks(&mut self, lba: u64, bufs: &mut [Vec<u8>]) -> Result<SimTime> {
+    fn read_blocks(&mut self, lba: u64, bufs: &mut [PageData]) -> Result<SimTime> {
         // One small request out, one response carrying the whole extent
         // back: like `write_blocks`, the extent is one message each way.
         // The device serves the request once it arrives, so its service
@@ -310,10 +310,10 @@ impl<D: BlockDev> BlockDev for RemoteDev<D> {
             .transfer_from(read, (bufs.len() * BLOCK_SIZE) as u64))
     }
 
-    fn write_blocks(&mut self, lba: u64, blocks: &[&[u8]]) -> Result<SimTime> {
+    fn write_blocks(&mut self, lba: u64, blocks: &[PageData]) -> Result<SimTime> {
         // The whole extent crosses the wire as one message — coalescing
         // saves per-message latency on the link as well as on the device.
-        let total: u64 = blocks.iter().map(|b| b.len() as u64).sum();
+        let total: u64 = blocks.iter().map(|b| b.byte_len() as u64).sum();
         let arrive = self.link.transfer(total);
         let dev_done = self.inner.write_blocks(lba, blocks)?;
         Ok(dev_done.max(arrive))

@@ -23,7 +23,7 @@
 use aurora_sim::error::{Error, ErrorKind, Result};
 use aurora_sim::rng::mix64;
 use aurora_sim::time::{SimDuration, SimTime};
-use aurora_sim::SimClock;
+use aurora_sim::{PageData, SimClock};
 use std::sync::Arc;
 
 use crate::dev::{BlockDev, DevInfo, DevStats};
@@ -270,7 +270,7 @@ impl BlockDev for ResilientDev {
         self.inner.stats()
     }
 
-    fn read_blocks(&mut self, lba: u64, bufs: &mut [Vec<u8>]) -> Result<SimTime> {
+    fn read_blocks(&mut self, lba: u64, bufs: &mut [PageData]) -> Result<SimTime> {
         // One retry scope per extent: reads are idempotent and the model
         // device bounces a transient extent atomically (nothing is
         // filled), so resubmitting the whole extent is safe. Corruption
@@ -279,20 +279,18 @@ impl BlockDev for ResilientDev {
         // content-hash verification above the device layer.
         //
         // All-or-error contract (see `BlockDev::read_blocks`): zero
-        // every buffer on failure, whatever the device behind this layer
+        // every body on failure, whatever the device behind this layer
         // left in them, so no caller can mistake a partially-filled
         // extent for data — and so a mirror failing over to a twin
-        // starts from clean buffers.
+        // starts from clean bodies.
         let r = self.with_retries(true, |d| d.read_blocks(lba, bufs));
         if r.is_err() {
-            for b in bufs.iter_mut() {
-                b.fill(0);
-            }
+            bufs.fill(PageData::Zero);
         }
         r
     }
 
-    fn write_blocks(&mut self, lba: u64, blocks: &[&[u8]]) -> Result<SimTime> {
+    fn write_blocks(&mut self, lba: u64, blocks: &[PageData]) -> Result<SimTime> {
         // One retry scope per extent: the model device bounces a
         // transient extent atomically (nothing lands), so resubmitting
         // the whole extent is idempotent.
@@ -355,8 +353,8 @@ impl BlockDev for ResilientDev {
     fn repair_block(
         &mut self,
         lba: u64,
-        verify: &mut dyn FnMut(&[u8]) -> bool,
-    ) -> Result<Option<Vec<u8>>> {
+        verify: &mut dyn FnMut(&PageData) -> bool,
+    ) -> Result<Option<PageData>> {
         // No retry wrapper: a mirror underneath runs its own per-replica
         // retries, and repair is already a recovery path.
         self.inner.repair_block(lba, verify)
@@ -384,7 +382,7 @@ impl core::fmt::Debug for ResilientDev {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dev::test_io::{read, write};
+    use crate::dev::test_io::{body, read, write};
     use crate::dev::ModelDev;
     use crate::fault::FaultRates;
     use crate::BLOCK_SIZE;
@@ -485,7 +483,7 @@ mod tests {
         // The second per-block fault consultation bounces: mid-extent.
         d.install_fault_plan(FaultPlan::transient(2, 1));
         let bufs: Vec<Vec<u8>> = (0..4u8).map(|i| vec![i; BLOCK_SIZE]).collect();
-        let refs: Vec<&[u8]> = bufs.iter().map(|b| b.as_slice()).collect();
+        let refs: Vec<PageData> = bufs.iter().map(|b| body(b)).collect();
         let done = d.write_blocks(0, &refs).unwrap();
         d.clock().advance_to(done);
         assert_eq!(d.retry_stats().writes_retried, 1);
@@ -504,7 +502,7 @@ mod tests {
         let mut d = resilient(64);
         d.install_fault_plan(FaultPlan::power_cut(3));
         let bufs: Vec<Vec<u8>> = (0..4u8).map(|i| vec![i; BLOCK_SIZE]).collect();
-        let refs: Vec<&[u8]> = bufs.iter().map(|b| b.as_slice()).collect();
+        let refs: Vec<PageData> = bufs.iter().map(|b| body(b)).collect();
         let err = d.write_blocks(0, &refs).unwrap_err();
         assert_eq!(err.kind(), ErrorKind::DeviceDead);
         assert_eq!(d.retry_stats().writes_retried, 0);
@@ -544,16 +542,16 @@ mod tests {
     fn transient_read_extent_fault_absorbed_by_retry() {
         let mut d = resilient(64);
         let bufs: Vec<Vec<u8>> = (0..4u8).map(|i| vec![i; BLOCK_SIZE]).collect();
-        let refs: Vec<&[u8]> = bufs.iter().map(|b| b.as_slice()).collect();
+        let refs: Vec<PageData> = bufs.iter().map(|b| body(b)).collect();
         let done = d.write_blocks(0, &refs).unwrap();
         d.clock().advance_to(done);
         let flushed = d.flush().unwrap();
         d.clock().advance_to(flushed);
         // Mid-extent bounce on the second per-block consultation.
         d.install_fault_plan(FaultPlan::transient_reads(2, 1));
-        let mut out = vec![vec![0u8; BLOCK_SIZE]; 4];
+        let mut out = vec![PageData::Zero; 4];
         d.read_blocks(0, &mut out).unwrap();
-        assert_eq!(out, bufs);
+        assert_eq!(out, refs);
         assert_eq!(d.retry_stats().reads_retried, 1);
         assert_eq!(d.retry_stats().failures_surfaced, 0);
     }
@@ -604,7 +602,7 @@ mod tests {
     /// Writes 4 distinct blocks, flushes, and returns their contents.
     fn seed_extent(d: &mut ResilientDev) -> Vec<Vec<u8>> {
         let bufs: Vec<Vec<u8>> = (1..=4u8).map(|i| vec![i; BLOCK_SIZE]).collect();
-        let refs: Vec<&[u8]> = bufs.iter().map(|b| b.as_slice()).collect();
+        let refs: Vec<PageData> = bufs.iter().map(|b| body(b)).collect();
         let done = d.write_blocks(0, &refs).unwrap();
         d.clock().advance_to(done);
         let flushed = d.flush().unwrap();
@@ -622,11 +620,11 @@ mod tests {
         // The 3rd per-block consultation bounces on every one of the 4
         // attempts, so the whole extent fails after retries.
         d.install_fault_plan(FaultPlan::transient_reads(3, 8));
-        let mut out = vec![vec![0x5Au8; BLOCK_SIZE]; 4];
+        let mut out = vec![body(&[0x5Au8; BLOCK_SIZE]); 4];
         assert!(d.read_blocks(0, &mut out).is_err());
         for (i, b) in out.iter().enumerate() {
             assert!(
-                b.iter().all(|&x| x == 0),
+                b.is_zero(),
                 "buffer {i} holds data after a failed extent read"
             );
         }
@@ -639,13 +637,13 @@ mod tests {
         seed_extent(&mut d);
         // Power dies at the 2nd per-block consultation of the extent.
         d.install_fault_plan(FaultPlan::power_cut_on_read(2));
-        let mut out = vec![vec![0xA5u8; BLOCK_SIZE]; 4];
+        let mut out = vec![body(&[0xA5u8; BLOCK_SIZE]); 4];
         let err = d.read_blocks(0, &mut out).unwrap_err();
         assert_eq!(err.kind(), ErrorKind::DeviceDead);
         assert_eq!(d.health(), DevHealth::Dead);
         for (i, b) in out.iter().enumerate() {
             assert!(
-                b.iter().all(|&x| x == 0),
+                b.is_zero(),
                 "buffer {i} holds data after a power-cut extent read"
             );
         }

@@ -13,7 +13,7 @@ use std::sync::Arc;
 
 use aurora_sim::error::{Error, Result};
 use aurora_sim::time::SimTime;
-use aurora_sim::SimClock;
+use aurora_sim::{PageData, SimClock};
 
 use crate::dev::{BlockDev, DevInfo, DevStats};
 
@@ -118,14 +118,14 @@ impl<D: BlockDev> BlockDev for StripedDev<D> {
         &self.stats
     }
 
-    fn read_blocks(&mut self, lba: u64, bufs: &mut [Vec<u8>]) -> Result<SimTime> {
+    fn read_blocks(&mut self, lba: u64, bufs: &mut [PageData]) -> Result<SimTime> {
         if bufs.is_empty() {
             return Ok(self.clock.now());
         }
         // The same split as `write_blocks`: each member reads its share
         // as one run on its own queue, the extent is in when the last
         // run is, and `bufs` is filled only once every run is in.
-        let mut runs = self.runs(lba, bufs.iter().map(|b| vec![0u8; b.len()]));
+        let mut runs = self.runs(lba, bufs.iter().cloned());
         let mut done = SimTime::ZERO;
         for (m, (start, run)) in self.members.iter_mut().zip(runs.iter_mut()) {
             if let Some(start) = start {
@@ -140,15 +140,15 @@ impl<D: BlockDev> BlockDev for StripedDev<D> {
             }
         }
         self.stats.reads += 1;
-        self.stats.bytes_read += bufs.iter().map(|b| b.len() as u64).sum::<u64>();
+        self.stats.bytes_read += bufs.iter().map(|b| b.byte_len() as u64).sum::<u64>();
         Ok(done)
     }
 
-    fn write_blocks(&mut self, lba: u64, blocks: &[&[u8]]) -> Result<SimTime> {
+    fn write_blocks(&mut self, lba: u64, blocks: &[PageData]) -> Result<SimTime> {
         if blocks.is_empty() {
             return Ok(self.clock().now());
         }
-        let runs = self.runs(lba, blocks.iter().copied());
+        let runs = self.runs(lba, blocks.iter().cloned());
         let mut done = SimTime::ZERO;
         for (m, (start, run)) in self.members.iter_mut().zip(runs) {
             if let Some(start) = start {
@@ -156,7 +156,7 @@ impl<D: BlockDev> BlockDev for StripedDev<D> {
             }
         }
         self.stats.writes += 1;
-        self.stats.bytes_written += blocks.iter().map(|b| b.len() as u64).sum::<u64>();
+        self.stats.bytes_written += blocks.iter().map(|b| b.byte_len() as u64).sum::<u64>();
         Ok(done)
     }
 
@@ -207,7 +207,7 @@ impl<D: BlockDev> BlockDev for StripedDev<D> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dev::test_io::{read, write};
+    use crate::dev::test_io::{body, read, write};
     use crate::dev::ModelDev;
     use crate::BLOCK_SIZE;
 
@@ -258,7 +258,7 @@ mod tests {
     fn vectored_write_splits_across_members() {
         let mut s = stripe(4);
         let bufs: Vec<Vec<u8>> = (0..10u8).map(|i| vec![i; BLOCK_SIZE]).collect();
-        let refs: Vec<&[u8]> = bufs.iter().map(|b| b.as_slice()).collect();
+        let refs: Vec<PageData> = bufs.iter().map(|b| body(b)).collect();
         // Start off-stripe-boundary so inner runs begin at differing lbas.
         let done = s.write_blocks(6, &refs).unwrap();
         s.clock().advance_to(done);

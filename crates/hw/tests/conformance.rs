@@ -6,7 +6,8 @@
 //! idle pays the whole access latency plus its transfer, a request
 //! submitted behind a busy queue pays `latency / QUEUE_DEPTH` plus its
 //! transfer, and a flush completes one whole latency after the queue
-//! drains.
+//! drains. And the body rule: a device keeps the bodies it is given by
+//! reference and never writes into one.
 
 // Test code asserts invariants; the workspace unwrap denial is for
 // production flush paths.
@@ -17,10 +18,11 @@ use std::sync::Arc;
 use aurora_hw::dev::{CostModel, QUEUE_DEPTH};
 use aurora_hw::file_dev::FileDev;
 use aurora_hw::{
-    BlockDev, LinkModel, MirrorDev, ModelDev, RemoteDev, ResilientDev, StripedDev, BLOCK_SIZE,
+    BlockDev, FaultPlan, LinkModel, MirrorDev, ModelDev, RemoteDev, ResilientDev, StripedDev,
+    BLOCK_SIZE,
 };
 use aurora_sim::time::{SimDuration, SimTime};
-use aurora_sim::SimClock;
+use aurora_sim::{PageData, SimClock};
 
 /// Blocks in the scripted extent.
 const EXTENT: usize = 6;
@@ -31,6 +33,13 @@ const BYTES: u64 = (EXTENT * BLOCK_SIZE) as u64;
 
 fn nvme(clock: &Arc<SimClock>, name: &str) -> ModelDev {
     ModelDev::nvme(clock.clone(), name, 64)
+}
+
+/// The scripted extent: block `i` filled with byte `i + 1`.
+fn extent() -> Vec<PageData> {
+    (1..=EXTENT as u8)
+        .map(|i| PageData::from_bytes(&[i; BLOCK_SIZE]))
+        .collect()
 }
 
 /// One device under test, with what its requests cost past a member's
@@ -128,15 +137,14 @@ fn cases(clock: &Arc<SimClock>, dir: &std::path::Path) -> Vec<Case> {
 }
 
 fn extent_script(name: &str, dev: &mut dyn BlockDev) {
-    let data: Vec<Vec<u8>> = (1..=EXTENT as u8).map(|i| vec![i; BLOCK_SIZE]).collect();
-    let refs: Vec<&[u8]> = data.iter().map(Vec::as_slice).collect();
+    let data = extent();
     let before = dev.stats().clone();
-    let done = dev.write_blocks(LBA, &refs).unwrap();
+    let done = dev.write_blocks(LBA, &data).unwrap();
     dev.clock().advance_to(done);
     let durable = dev.flush().unwrap();
     dev.clock().advance_to(durable);
 
-    let mut out = vec![vec![0u8; BLOCK_SIZE]; EXTENT];
+    let mut out = vec![PageData::Zero; EXTENT];
     let start = dev.clock().now();
     let done = dev.read_blocks(LBA, &mut out).unwrap();
     let extent = done.since(start);
@@ -176,13 +184,12 @@ fn queue_script(case: &mut Case) {
     let share = SimDuration::from_nanos(model.latency_ns / QUEUE_DEPTH);
     let read = SimDuration::for_bytes(BYTES / case.width, model.read_bw);
     let write = SimDuration::for_bytes(BYTES / case.width, model.write_bw);
-    let data: Vec<Vec<u8>> = (1..=EXTENT as u8).map(|i| vec![i; BLOCK_SIZE]).collect();
-    let refs: Vec<&[u8]> = data.iter().map(Vec::as_slice).collect();
+    let data = extent();
     let now = clock.now();
 
     // Idle: the whole latency.
     let mut queue = now + whole + read;
-    let mut out = vec![vec![0u8; BLOCK_SIZE]; EXTENT];
+    let mut out = vec![PageData::Zero; EXTENT];
     let done = case.dev.read_blocks(LBA, &mut out).unwrap();
     assert_eq!(done, case.read(now, queue), "{name}: an idle read");
     assert_eq!(clock.now(), now, "{name}: read_blocks leaves the clock");
@@ -205,7 +212,7 @@ fn queue_script(case: &mut Case) {
         "{name}: submit_write_timing leaves the clock"
     );
     queue += share + write;
-    let done = case.dev.write_blocks(LBA, &refs).unwrap();
+    let done = case.dev.write_blocks(LBA, &data).unwrap();
     assert_eq!(done, case.write(queue), "{name}: a queued write");
     assert_eq!(clock.now(), now, "{name}: write_blocks leaves the clock");
 
@@ -257,10 +264,122 @@ fn a_stripe_read_costs_one_members_share() {
     let clock = SimClock::new();
     let mut stripe = StripedDev::new(vec![nvme(&clock, "nvme0"), nvme(&clock, "nvme1")]);
     let mut lone = nvme(&clock, "nvme2");
-    let mut six = vec![vec![0u8; BLOCK_SIZE]; 6];
-    let mut three = vec![vec![0u8; BLOCK_SIZE]; 3];
+    let mut six = vec![PageData::Zero; 6];
+    let mut three = vec![PageData::Zero; 3];
     let striped = stripe.read_blocks(0, &mut six).unwrap().since(clock.now());
     let member = lone.read_blocks(0, &mut three).unwrap().since(clock.now());
     assert_eq!(striped, member);
     assert_eq!(striped.as_nanos(), 14_916);
+}
+
+/// A bytes body, a seeded body and the zero page, as one extent.
+fn mixed() -> Vec<PageData> {
+    let mut bytes = [0u8; BLOCK_SIZE];
+    bytes[7] = 0x5A;
+    vec![PageData::from_bytes(&bytes), PageData::Seeded(42), PageData::Zero]
+}
+
+/// Writes `bodies` at `lba` and waits for the write and a flush.
+fn write_durably(dev: &mut dyn BlockDev, lba: u64, bodies: &[PageData]) {
+    let done = dev.write_blocks(lba, bodies).unwrap();
+    dev.clock().advance_to(done);
+    let done = dev.flush().unwrap();
+    dev.clock().advance_to(done);
+}
+
+/// Reads `n` blocks at `lba` and waits for them.
+fn read_back(dev: &mut dyn BlockDev, lba: u64, n: usize) -> Vec<PageData> {
+    let mut out = vec![PageData::Zero; n];
+    let done = dev.read_blocks(lba, &mut out).unwrap();
+    dev.clock().advance_to(done);
+    out
+}
+
+/// The bytes body's allocation, to tell it apart from an equal copy.
+fn arc(body: &PageData) -> Arc<[u8]> {
+    match body {
+        PageData::Bytes(b) => Arc::clone(b),
+        other => panic!("expected a bytes body, got {other:?}"),
+    }
+}
+
+/// Asserts that `body` still holds exactly the bytes `before`, in the
+/// allocation `ptr`: nothing wrote into it.
+fn untouched(body: &PageData, before: &[u8], ptr: *const u8, what: &str) {
+    assert_eq!(body.materialize(), before, "{what} wrote into the caller's body");
+    assert_eq!(arc(body).as_ptr(), ptr, "{what} replaced the caller's body");
+}
+
+#[test]
+fn every_device_reads_back_its_bodies_and_the_model_never_writes_into_one() {
+    let dir = std::env::temp_dir().join(format!("aurora-bodies-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let clock = SimClock::new();
+    for mut case in cases(&clock, &dir) {
+        let bodies = mixed();
+        write_durably(case.dev.as_mut(), LBA, &bodies);
+        let out = read_back(case.dev.as_mut(), LBA, bodies.len());
+        assert_eq!(out, bodies, "{}: the bodies read back content-equal", case.name);
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+
+    // The model keeps the very bodies it was given.
+    let mut dev = nvme(&clock, "nvme0");
+    let bodies = mixed();
+    write_durably(&mut dev, LBA, &bodies);
+    let [body, ..] = &bodies[..] else { panic!("three bodies written") };
+    let [bytes, seeded, zero] = &read_back(&mut dev, LBA, bodies.len())[..] else {
+        panic!("three bodies read")
+    };
+    assert!(Arc::ptr_eq(&arc(bytes), &arc(body)), "a read returns the written body");
+    assert!(matches!(seeded, PageData::Seeded(42)), "a seeded body stays seeded");
+    assert!(zero.is_zero());
+
+    let body = body.clone();
+    let (before, ptr) = (body.materialize(), arc(&body).as_ptr());
+
+    // A power cut tears the block over its old contents.
+    dev.install_fault_plan(FaultPlan::torn_write(1, 100));
+    let old = PageData::Seeded(7);
+    assert!(BlockDev::write_blocks(&mut dev, LBA, std::slice::from_ref(&old)).is_err());
+    dev.power_on();
+    let torn = read_back(&mut dev, LBA, 1).remove(0).materialize();
+    assert_eq!(torn.get(..100), old.materialize().get(..100), "the torn prefix landed");
+    assert_eq!(torn.get(100..), before.get(100..), "the suffix kept the old block");
+    untouched(&body, &before, ptr, "a torn write");
+
+    // A write-time flip lands a damaged copy.
+    dev.install_fault_plan(FaultPlan::corrupt(1, 7, 0));
+    write_durably(&mut dev, LBA + 1, std::slice::from_ref(&body));
+    let landed = read_back(&mut dev, LBA + 1, 1).remove(0);
+    assert_eq!(landed.materialize().get(7), Some(&0x5B), "the bit flipped on the medium");
+    untouched(&body, &before, ptr, "a write-time flip");
+
+    // A read-time flip damages the returned copy, not the medium's body.
+    dev.install_fault_plan(FaultPlan::default());
+    write_durably(&mut dev, LBA + 2, std::slice::from_ref(&body));
+    dev.install_fault_plan(FaultPlan::corrupt_read_blocks(LBA + 2, LBA + 3, 7, 0));
+    let flipped = read_back(&mut dev, LBA + 2, 1).remove(0);
+    assert_eq!(flipped.materialize().get(7), Some(&0x5B), "the read flipped a bit");
+    dev.install_fault_plan(FaultPlan::default());
+    let clean = read_back(&mut dev, LBA + 2, 1).remove(0);
+    assert!(Arc::ptr_eq(&arc(&clean), &arc(&body)), "the medium kept the written body");
+    untouched(&body, &before, ptr, "a read-time flip");
+
+    // A mirror repair rewrites the damaged replica from its twin.
+    let mut mirror =
+        MirrorDev::new(vec![Box::new(nvme(&clock, "nvme0")), Box::new(nvme(&clock, "nvme1"))])
+            .unwrap();
+    write_durably(&mut mirror, LBA, std::slice::from_ref(&body));
+    mirror
+        .install_replica_fault_plan(0, FaultPlan::corrupt_read_blocks(LBA, LBA + 1, 7, 0))
+        .unwrap();
+    let want = body.content_hash();
+    let golden = mirror
+        .repair_block(LBA, &mut |b: &PageData| b.content_hash() == want)
+        .unwrap()
+        .expect("the twin holds a good copy");
+    assert_eq!(golden, body);
+    assert_eq!(mirror.mirror_stats().read_repairs, 1);
+    untouched(&body, &before, ptr, "a mirror repair");
 }

@@ -27,7 +27,7 @@
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
-use aurora_sim::codec::{Decoder, Encoder};
+use aurora_sim::codec::{varint_len, Decoder, Encoder};
 use aurora_sim::error::{Error, Result};
 use aurora_sim::hash::Words;
 use aurora_vm::PageData;
@@ -95,11 +95,24 @@ impl DeltaRecord {
         Ok(DeltaRecord { oid, idx, epoch, base, prev, chain_len, extents })
     }
 
-    /// Encoded size in bytes (what the record costs in the journal).
+    /// Encoded size in bytes (what the record costs in the journal),
+    /// summed field by field as [`DeltaRecord::encode`] writes them.
     pub fn encoded_len(&self) -> usize {
-        let mut e = Encoder::new();
-        self.encode(&mut e);
-        e.finish().len()
+        let extents: usize = self
+            .extents
+            .iter()
+            .map(|(off, bytes)| {
+                varint_len(*off as u64) + varint_len(bytes.len() as u64) + bytes.len()
+            })
+            .sum();
+        8 + varint_len(self.idx)
+            + varint_len(self.epoch)
+            + varint_len(self.base.0)
+            + 1
+            + self.prev.map_or(0, varint_len)
+            + varint_len(self.chain_len as u64)
+            + varint_len(self.extents.len() as u64)
+            + extents
     }
 
     /// Total dirty payload bytes across the record's extents.
@@ -107,13 +120,12 @@ impl DeltaRecord {
         self.extents.iter().map(|(_, b)| b.len()).sum()
     }
 
-    /// Applies the record's extents on top of `page`.
-    pub fn apply(&self, page: &PageData) -> PageData {
-        let mut out = page.clone();
+    /// Applies the record's extents on top of `page`, in place
+    /// ([`PageData::write`]).
+    pub fn apply(&self, page: &mut PageData) {
         for (off, bytes) in &self.extents {
-            out = out.write(*off as usize, bytes);
+            page.write(*off as usize, bytes);
         }
-        out
     }
 }
 
@@ -283,11 +295,13 @@ impl DeltaLog {
     }
 
     /// Materializes a page: applies the chain ending at `head` (base
-    /// image first, then ascending LSN) on top of `base`.
+    /// image first, then ascending LSN) on top of `base`. The first
+    /// extent copies the shared base once; the rest of the chain is
+    /// written into that one buffer.
     pub fn materialize(&self, base: &PageData, head: Lsn) -> Result<PageData> {
         let mut page = base.clone();
         for rec in self.chain(head)? {
-            page = rec.apply(&page);
+            rec.apply(&mut page);
         }
         Ok(page)
     }
@@ -337,6 +351,37 @@ mod tests {
         assert_eq!(out, r);
         assert_eq!(r.encoded_len(), bytes.len());
         assert_eq!(r.payload_bytes(), 9);
+    }
+
+    #[test]
+    fn encoded_len_is_the_encoding_length_without_encoding() {
+        let encoded = |r: &DeltaRecord| {
+            let mut e = Encoder::new();
+            r.encode(&mut e);
+            e.finish().len()
+        };
+        let mut records = vec![
+            rec(None, 1, vec![(0, vec![1])]),
+            rec(Some(5), 2, vec![(0, vec![1])]),
+            rec(Some(1 << 40), 3, Vec::new()),
+        ];
+        // Varints at the one- and two-byte boundaries, in every field.
+        for v in [0u64, 127, 128, 16_383, 16_384] {
+            let mut r = rec(Some(v), v as u32, vec![(v as u32, vec![7; (v as usize).min(4096)])]);
+            r.idx = v;
+            r.epoch = v;
+            r.base = BlockPtr(v);
+            records.push(r);
+        }
+        // A record with several extents of assorted lengths.
+        records.push(rec(
+            Some(9),
+            4,
+            vec![(0, vec![1; 127]), (200, vec![2; 128]), (1000, Vec::new()), (4000, vec![3; 96])],
+        ));
+        for r in &records {
+            assert_eq!(r.encoded_len(), encoded(r), "{r:?}");
+        }
     }
 
     #[test]

@@ -32,6 +32,7 @@ use aurora_sim::error::{Error, Result};
 use aurora_sim::rng::mix64;
 
 use aurora_hw::{BlockDev, BLOCK_SIZE};
+use aurora_vm::PageData;
 
 use crate::checkpoint::{take_object, Checkpoint, CkptId};
 use crate::deltalog::{DeltaLog, DeltaRecord, Lsn};
@@ -242,19 +243,21 @@ pub fn scan(
 /// one checks out. Each generation writes its half from the start, so no
 /// frame in the half carries a later one.
 pub fn first_generation(dev: &mut dyn BlockDev, base: u64, half_bytes: u64) -> Result<Option<u64>> {
-    let mut head = vec![0u8; BLOCK_SIZE];
+    let mut head = PageData::Zero;
     let done = dev.read_blocks(base, std::slice::from_mut(&mut head))?;
     dev.clock().advance_to(done);
+    let head = head.bytes();
     let Ok(h) = Decoder::new(&head).record_header() else {
         return Ok(None);
     };
     let Some(len) = frame_len(&head, h.generation).filter(|&len| len <= half_bytes) else {
         return Ok(None);
     };
-    let mut bufs = vec![vec![0u8; BLOCK_SIZE]; (len / BLOCK_SIZE as u64) as usize];
+    let mut bufs = vec![PageData::Zero; (len / BLOCK_SIZE as u64) as usize];
     let done = dev.read_blocks(base, &mut bufs)?;
     dev.clock().advance_to(done);
-    Ok(Decoder::new(&bufs.concat()).record().ok().map(|r| r.generation))
+    let frame: Vec<u8> = bufs.iter().flat_map(PageData::materialize).collect();
+    Ok(Decoder::new(&frame).record().ok().map(|r| r.generation))
 }
 
 /// The scan's read-ahead over one journal half: `bytes` are the half's
@@ -279,10 +282,10 @@ impl Window {
             self.at = off;
             let from = off + self.bytes.len() as u64;
             let to = end.max(from + SCAN_WINDOW).min(self.half_bytes);
-            let mut bufs = vec![vec![0u8; BLOCK_SIZE]; ((to - from) / block) as usize];
+            let mut bufs = vec![PageData::Zero; ((to - from) / block) as usize];
             let done = dev.read_blocks(self.base + from / block, &mut bufs)?;
             dev.clock().advance_to(done);
-            bufs.iter().for_each(|b| self.bytes.extend_from_slice(b));
+            bufs.iter().for_each(|b| self.bytes.extend_from_slice(&b.bytes()));
         }
         let start = (off - self.at) as usize;
         Ok(self.bytes.get(start..start + len as usize))
@@ -401,10 +404,11 @@ pub fn apply_delete(ckpts: &mut BTreeMap<u64, Checkpoint>, id: CkptId) -> Result
             for key in child.deltas.keys() {
                 dropped.heads.extend(heads.remove(key));
             }
-            // The child's entries go on top of the victim's: `append`
-            // merges two sorted maps in linear time.
-            pages.append(&mut child.pages);
-            heads.append(&mut child.deltas);
+            // The child's entries go on top of the victim's, inserted
+            // one by one: O(child · log image), where `append` would
+            // rebuild the victim's maps, which hold the whole image.
+            pages.extend(std::mem::take(&mut child.pages));
+            heads.extend(std::mem::take(&mut child.deltas));
             child.pages = pages;
             child.deltas = heads;
             for (k, v) in blobs {
@@ -484,8 +488,8 @@ mod tests {
         let mut dev = aurora_hw::ModelDev::nvme(clock, "nvme0", 1024);
         let mut lba = BASE;
         for f in frames {
-            let blocks: Vec<&[u8]> = f.chunks(BLOCK_SIZE).collect();
-            dev.write_blocks(lba, &blocks).unwrap();
+            let blocks: Vec<PageData> = f.chunks(BLOCK_SIZE).map(PageData::from_bytes).collect();
+            BlockDev::write_blocks(&mut dev, lba, &blocks).unwrap();
             lba += (f.len() / BLOCK_SIZE) as u64;
         }
         dev

@@ -42,7 +42,7 @@ use std::ops::{Bound, Range, RangeBounds};
 use aurora_hw::BLOCK_SIZE;
 use aurora_sim::cost::{HashTrail, RESTORE_CACHE_HIT_NS};
 use aurora_sim::error::{Error, Result};
-use aurora_sim::hash::{page_hash, Words};
+use aurora_sim::hash::Words;
 use aurora_sim::time::{SimDuration, SimTime};
 use aurora_vm::{hash_pages, PageData};
 
@@ -369,14 +369,14 @@ impl ObjectStore {
         let lba0 = self.sb.data_start();
         let mut verdicts: Vec<Verdict> = vec![None; run.len()];
         for _ in 0..2 {
-            let mut bufs = vec![vec![0u8; BLOCK_SIZE]; run.len()];
-            done = done.max(self.dev.borrow_mut().read_blocks(lba0 + first, &mut bufs)?);
+            let mut bodies = vec![PageData::Zero; run.len()];
+            done = done.max(self.dev.borrow_mut().read_blocks(lba0 + first, &mut bodies)?);
             // A block with no hash on record is taken as read; the
-            // others still undecided are compared.
+            // others still undecided are compared. Each verdict keeps
+            // the body the device returned.
             let mut checked = Vec::with_capacity(run.len());
-            for ((verdict, buf), &want) in verdicts.iter_mut().zip(&bufs).zip(&recorded) {
+            for ((verdict, page), &want) in verdicts.iter_mut().zip(bodies).zip(&recorded) {
                 if verdict.is_none() {
-                    let page = PageData::from_bytes(buf);
                     match want {
                         None => *verdict = Some((page, None)),
                         Some(h) => checked.push((verdict, page, h)),
@@ -395,9 +395,7 @@ impl ObjectStore {
         }
         for ((verdict, &b), &want) in verdicts.iter_mut().zip(run).zip(&recorded) {
             if let (None, Some(h)) = (&verdict, want) {
-                *verdict = self
-                    .heal_block(lba0 + b, h)?
-                    .map(|golden| (PageData::from_bytes(&golden), want));
+                *verdict = self.heal_block(lba0 + b, h)?.map(|golden| (golden, want));
             }
         }
         Ok((verdicts, done))
@@ -405,15 +403,15 @@ impl ObjectStore {
 
     /// Read-repair: asks the device layer to heal `lba` from redundancy,
     /// accepting only a copy whose content hash is `expect`, and returns
-    /// the verified bytes that now back the block (a device without
+    /// the verified body that now backs the block (a device without
     /// redundancy heals nothing and returns `None`).
-    fn heal_block(&self, lba: u64, expect: u64) -> Result<Option<Vec<u8>>> {
+    fn heal_block(&self, lba: u64, expect: u64) -> Result<Option<PageData>> {
         let stats = &self.stats;
         stats.repair_path_entries.set(stats.repair_path_entries.get() + 1);
         let golden = self
             .dev
             .borrow_mut()
-            .repair_block(lba, &mut |bytes: &[u8]| page_hash(bytes) == expect)?;
+            .repair_block(lba, &mut |body: &PageData| body.content_hash() == expect)?;
         if golden.is_some() {
             stats.read_repairs.set(stats.read_repairs.get() + 1);
         }

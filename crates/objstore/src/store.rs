@@ -19,7 +19,6 @@ use std::ops::RangeBounds;
 use aurora_hw::{BlockDev, BLOCK_SIZE};
 use aurora_sim::cost::RESTORE_CACHE_HIT_NS;
 use aurora_sim::error::{Error, Result};
-use aurora_sim::hash::page_hash;
 use aurora_sim::time::SimDuration;
 use aurora_vm::PageData;
 
@@ -178,9 +177,9 @@ fn tail_backed(
         let Some(run @ [first, ..]) = blocks.get(off..off + len) else {
             continue;
         };
-        let mut bufs = vec![vec![0u8; BLOCK_SIZE]; len];
-        done = done.max(dev.read_blocks(data_start + first, &mut bufs)?);
-        hashes.extend(run.iter().zip(&bufs).map(|(&b, buf)| (b, page_hash(buf))));
+        let mut bodies = vec![PageData::Zero; len];
+        done = done.max(dev.read_blocks(data_start + first, &mut bodies)?);
+        hashes.extend(run.iter().zip(&bodies).map(|(&b, body)| (b, body.content_hash())));
     }
     dev.clock().advance_to(done);
     let read_back = ckpt.pages.values().map(|p| hashes.get(&p.0).copied());
@@ -311,11 +310,11 @@ impl ObjectStore {
         // written ahead of a flip that never landed, and the first frame
         // of each half — so none of its frames passes the tail scan.
         let mut last = 0;
-        let mut block = vec![0u8; BLOCK_SIZE];
+        let mut block = PageData::Zero;
         for slot in 0..2u64 {
             let done = dev.read_blocks(slot, std::slice::from_mut(&mut block))?;
             dev.clock().advance_to(done);
-            if let Ok(old) = Superblock::from_block(&block) {
+            if let Ok(old) = Superblock::from_block(&block.bytes()) {
                 last = last.max(old.epoch + 1);
             }
         }
@@ -335,9 +334,9 @@ impl ObjectStore {
             next_ckpt: 1,
             next_obj: 1,
         };
-        let slot = sb.to_block();
-        dev.write_blocks(0, &[&slot])?;
-        dev.write_blocks(1, &[&slot])?;
+        let slot = [PageData::from_bytes(&sb.to_block())];
+        dev.write_blocks(0, &slot)?;
+        dev.write_blocks(1, &slot)?;
         let done = dev.flush()?;
         dev.clock().advance_to(done);
         let data_blocks = sb.data_blocks();
@@ -384,12 +383,12 @@ impl ObjectStore {
         data: HashMap<u64, PageData>,
     ) -> Result<Self> {
         // Pick the valid superblock with the highest epoch.
-        let mut block = vec![0u8; BLOCK_SIZE];
+        let mut block = PageData::Zero;
         let mut best: Option<Superblock> = None;
         for slot in 0..2u64 {
             let done = dev.read_blocks(slot, std::slice::from_mut(&mut block))?;
             dev.clock().advance_to(done);
-            if let Ok(sb) = Superblock::from_block(&block) {
+            if let Ok(sb) = Superblock::from_block(&block.bytes()) {
                 if best.as_ref().is_none_or(|b| sb.epoch > b.epoch) {
                     best = Some(sb);
                 }
@@ -540,11 +539,12 @@ impl ObjectStore {
             // (if any) replays first, then its own extents.
             Some(LivePage::Staged(rec)) => {
                 let base_page = self.fetch_block(rec.base)?;
-                let chained = match rec.prev {
+                let mut page = match rec.prev {
                     Some(prev) => self.delta.materialize(&base_page, prev)?,
                     None => base_page,
                 };
-                Ok(Some(rec.apply(&chained)))
+                rec.apply(&mut page);
+                Ok(Some(page))
             }
             Some(LivePage::Ref(r)) => self.materialize_ref(r).map(Some),
             None => Ok(None),
@@ -1022,7 +1022,7 @@ mod tests {
         let wiped = || {
             let mut dev = used();
             for slot in 0..2 {
-                dev.write_blocks(slot, &[&[0u8; BLOCK_SIZE]]).unwrap();
+                dev.write_blocks(slot, &[PageData::Zero]).unwrap();
             }
             dev.flush().unwrap();
             dev

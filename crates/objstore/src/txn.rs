@@ -119,6 +119,7 @@
 use aurora_hw::BLOCK_SIZE;
 use aurora_sim::error::{Error, Result};
 use aurora_sim::time::SimTime;
+use aurora_vm::PageData;
 
 use crate::layout::JOURNAL_START;
 use crate::store::ObjectStore;
@@ -239,13 +240,13 @@ impl ObjectStore {
         self.sb.journal_base = self.sb.journal_other_half();
         self.sb.journal_used = used;
         self.sb.epoch += 1;
-        let block = self.sb.to_block();
-        if let Err(e) = self.dev.get_mut().write_blocks(0, &[&block]) {
+        let block = [PageData::from_bytes(&self.sb.to_block())];
+        if let Err(e) = self.dev.get_mut().write_blocks(0, &block) {
             self.sb = prev;
             return Err(e);
         }
         self.dev.get_mut().flush()?;
-        self.dev.get_mut().write_blocks(1, &[&block])?;
+        self.dev.get_mut().write_blocks(1, &block)?;
         let durable = self.dev.get_mut().flush()?;
         self.stats.superblock_flips += 1;
         Ok((Committed { _sealed: () }, durable))
@@ -263,7 +264,13 @@ impl ObjectStore {
                 "journal write at lba {lba} (+{blocks} blocks) crosses a journal half"
             )));
         }
-        let chunks: Vec<&[u8]> = frame.chunks(BLOCK_SIZE).collect();
+        if !frame.len().is_multiple_of(BLOCK_SIZE) {
+            return Err(Error::internal(format!(
+                "journal frame of {} bytes is not whole blocks",
+                frame.len()
+            )));
+        }
+        let chunks: Vec<PageData> = frame.chunks(BLOCK_SIZE).map(PageData::from_bytes).collect();
         self.dev.get_mut().write_blocks(lba, &chunks)?;
         self.stats.journal_seals += 1;
         Ok(())

@@ -297,16 +297,18 @@ impl ObjectStore {
         Ok(())
     }
 
-    /// Submits one run of adjacent fresh blocks as a vectored write.
+    /// Submits one run of adjacent fresh blocks as a vectored write. A
+    /// materialized store hands the device the staged bodies by
+    /// reference: the medium shares them with the page cache and the
+    /// frames they came from.
     fn write_extent(&mut self, run: &[(u64, &PageData)]) -> Result<()> {
         let Some(&(first, _)) = run.first() else {
             return Ok(());
         };
         if self.config.materialize_data {
-            let bufs: Vec<Vec<u8>> = run.iter().map(|(_, page)| page.materialize()).collect();
-            let refs: Vec<&[u8]> = bufs.iter().map(Vec::as_slice).collect();
+            let bodies: Vec<PageData> = run.iter().map(|&(_, page)| page.clone()).collect();
             let lba = self.sb.data_start() + first;
-            self.dev.get_mut().write_blocks(lba, &refs)?;
+            self.dev.get_mut().write_blocks(lba, &bodies)?;
         } else {
             self.dev
                 .get_mut()

@@ -295,11 +295,11 @@ fn table(s: &ObjectStore) -> Vec<String> {
 
 /// The newest valid superblock on the medium.
 fn durable_superblock(s: &mut ObjectStore) -> Superblock {
-    let mut block = vec![0u8; aurora_hw::BLOCK_SIZE];
+    let mut block = PageData::Zero;
     (0..2)
         .filter_map(|slot| {
             s.device_mut().read_blocks(slot, std::slice::from_mut(&mut block)).unwrap();
-            Superblock::from_block(&block).ok()
+            Superblock::from_block(&block.bytes()).ok()
         })
         .max_by_key(|sb| sb.epoch)
         .unwrap()
@@ -358,9 +358,9 @@ fn transient_flip_failure_retries_at_same_journal_offset() {
                 "{case}: the retry rewrote the same journal offset under the same epoch"
             );
             if past_flip == 1 {
-                let mut block = vec![0u8; aurora_hw::BLOCK_SIZE];
+                let mut block = PageData::Zero;
                 faulty.device_mut().read_blocks(1, std::slice::from_mut(&mut block)).unwrap();
-                let slot1 = Superblock::from_block(&block).unwrap();
+                let slot1 = Superblock::from_block(&block.bytes()).unwrap();
                 assert_eq!(slot1.epoch + 1, durable.epoch, "{case}: slot 1 kept the previous one");
             }
 

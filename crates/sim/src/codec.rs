@@ -11,6 +11,11 @@
 use crate::error::{Error, Result};
 use crate::hash::crc32c;
 
+/// Bytes [`Encoder::varint`] writes for `v`: one per started 7 bits.
+pub fn varint_len(v: u64) -> usize {
+    (64 - v.max(1).leading_zeros() as usize).div_ceil(7)
+}
+
 /// Encoder over a growable byte buffer.
 ///
 /// # Examples

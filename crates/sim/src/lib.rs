@@ -18,6 +18,8 @@
 //!   metadata, the object-store journal and send/recv streams.
 //! * [`hash`] — the XXH64 page content hash (dedup, verified reads),
 //!   FNV-1a (keys, wire digests) and CRC-32C (on-disk record checksums).
+//! * [`page`] — [`page::PageData`], one page's body: the unit of data of
+//!   a VM frame, the object store and the block device alike.
 //! * [`stats`] — counters and log-bucketed histograms.
 //! * [`error`] — the common error type.
 
@@ -26,6 +28,7 @@ pub mod codec;
 pub mod cost;
 pub mod error;
 pub mod hash;
+pub mod page;
 pub mod rng;
 pub mod stats;
 pub mod time;
@@ -33,4 +36,5 @@ pub mod time;
 pub use clock::SimClock;
 pub use codec::{Decoder, Encoder};
 pub use error::{Error, Result};
+pub use page::PageData;
 pub use time::{SimDuration, SimTime};

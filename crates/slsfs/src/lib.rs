@@ -515,8 +515,9 @@ impl Filesystem for SlsFs {
                 let new_page = if page_off == 0 && n == PAGE_SIZE {
                     PageData::from_bytes(src)
                 } else {
-                    let existing = store.read_page(oid, page_idx)?.unwrap_or(PageData::Zero);
-                    existing.write(page_off, src)
+                    let mut page = store.read_page(oid, page_idx)?.unwrap_or(PageData::Zero);
+                    page.write(page_off, src);
+                    page
                 };
                 store.write_page(oid, page_idx, &new_page)?;
                 pos += n as u64;
@@ -542,9 +543,9 @@ impl Filesystem for SlsFs {
             if !len.is_multiple_of(PAGE_SIZE as u64) {
                 let page_idx = len / PAGE_SIZE as u64;
                 let page_off = (len % PAGE_SIZE as u64) as usize;
-                if let Some(page) = store.read_page(oid, page_idx)? {
-                    let zeros = vec![0u8; PAGE_SIZE - page_off];
-                    store.write_page(oid, page_idx, &page.write(page_off, &zeros))?;
+                if let Some(mut page) = store.read_page(oid, page_idx)? {
+                    page.write(page_off, &vec![0u8; PAGE_SIZE - page_off]);
+                    store.write_page(oid, page_idx, &page)?;
                 }
             }
         }

@@ -262,8 +262,7 @@ impl Vm {
             let frame =
                 self.fault_tracked(map, cur, Access::Write, Some((page_off as u32, n as u32)))?;
             // The fault guaranteed exclusivity (refs == 1) for writes.
-            let new_data = self.frames.data(frame).write(page_off, &data[off..off + n]);
-            self.frames.set_data(frame, new_data);
+            self.frames.write(frame, page_off, &data[off..off + n]);
             off += n;
         }
         Ok(())

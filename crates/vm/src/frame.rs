@@ -108,6 +108,24 @@ impl FrameTable {
         frame.data = data;
     }
 
+    /// Writes `data` at `off` into the contents of a frame
+    /// ([`PageData::write`]): in place while the frame's body is
+    /// referenced by nothing else, through one copy when the body is
+    /// shared with a frozen flush, the object store or the medium.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the frame has more than one reference, as
+    /// [`FrameTable::set_data`] does.
+    pub fn write(&mut self, id: FrameId, off: usize, data: &[u8]) {
+        let frame = self.frame_mut(id);
+        assert_eq!(
+            frame.refs, 1,
+            "in-place write to a shared frame (COW violation)"
+        );
+        frame.data.write(off, data);
+    }
+
     /// True if the frame id refers to a live frame.
     pub fn exists(&self, id: FrameId) -> bool {
         self.frames
@@ -166,6 +184,38 @@ mod tests {
         let f = t.alloc(PageData::Zero);
         t.ref_frame(f);
         t.set_data(f, PageData::Seeded(1));
+    }
+
+    #[test]
+    fn writes_land_in_place_on_an_unshared_body_and_copy_a_shared_one() {
+        use std::sync::Arc;
+        let body = |t: &FrameTable, f| match t.data(f) {
+            PageData::Bytes(b) => Arc::clone(b),
+            other => panic!("a written frame holds bytes, not {other:?}"),
+        };
+        let mut t = FrameTable::new();
+        let f = t.alloc(PageData::Zero);
+        t.write(f, 0, b"first");
+        let ptr = Arc::as_ptr(&body(&t, f));
+        t.write(f, 8, b"second");
+        assert_eq!(Arc::as_ptr(&body(&t, f)), ptr, "an unshared body keeps its allocation");
+
+        // A flush, the page cache or the medium holds the body too.
+        let held = t.data(f).clone();
+        t.write(f, 0, b"third");
+        let PageData::Bytes(theirs) = &held else { panic!("the held body is bytes") };
+        assert!(!Arc::ptr_eq(&body(&t, f), theirs), "a shared body is copied");
+        let mut buf = [0u8; 5];
+        held.read(0, &mut buf);
+        assert_eq!(&buf, b"first", "the other holder's bytes are unchanged");
+        t.data(f).read(0, &mut buf);
+        assert_eq!(&buf, b"third");
+
+        // Zeroing the last non-zero bytes yields the canonical zero page.
+        t.write(f, 0, &[0u8; 5]);
+        t.write(f, 8, &[0u8; 6]);
+        assert!(t.data(f).is_zero());
+        assert!(!held.is_zero());
     }
 
     #[test]

@@ -7,7 +7,7 @@ use aurora::core::Host;
 use aurora::hw::{FaultPlan, ModelDev};
 use aurora::objstore::layout::Superblock;
 use aurora::objstore::StoreConfig;
-use aurora::sim::SimClock;
+use aurora::sim::{PageData, SimClock};
 
 fn boot() -> Host {
     boot_with_journal(512)
@@ -499,11 +499,11 @@ fn corrupted_superblock_falls_back_to_the_other_slot() {
             store.stats.superblock_flips > flips,
             "the armed rounds switch halves"
         );
-        let mut block = vec![0u8; 4096];
+        let mut block = PageData::Zero;
         store.device_mut().read_blocks(0, std::slice::from_mut(&mut block)).unwrap();
-        assert!(Superblock::from_block(&block).is_err(), "the plan corrupted slot 0");
+        assert!(Superblock::from_block(&block.bytes()).is_err(), "the plan corrupted slot 0");
         store.device_mut().read_blocks(1, std::slice::from_mut(&mut block)).unwrap();
-        let slot1 = Superblock::from_block(&block).expect("slot 1 is whole");
+        let slot1 = Superblock::from_block(&block.bytes()).expect("slot 1 is whole");
         assert!(slot1.epoch > 1, "slot 1 carries the switch");
     }
 
@@ -841,7 +841,7 @@ use aurora::objstore::read::runs;
 use aurora::objstore::CkptId;
 use aurora::objstore::EXTENT_BLOCKS;
 use aurora::sim::error::ErrorKind;
-use aurora::sim::hash::{page_hash, Fnv64};
+use aurora::sim::hash::Fnv64;
 use aurora::sim::time::SimDuration;
 
 /// Pages of the wide image: 2¼ restore batches, every page distinct.
@@ -966,10 +966,10 @@ fn store_fingerprint(host: &Host) -> (u64, [u64; 5]) {
     let mut store = host.sls.primary.borrow_mut();
     let ds = store.data_start();
     let mut h = Fnv64::new();
-    let mut buf = vec![0u8; 4096];
+    let mut buf = PageData::Zero;
     for lba in ds..ds + 2 * WIDE_PAGES {
         store.device_mut().read_blocks(lba, std::slice::from_mut(&mut buf)).unwrap();
-        h.update_u64(page_hash(&buf));
+        h.update_u64(buf.content_hash());
     }
     let s = &store.stats;
     (
