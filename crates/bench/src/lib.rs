@@ -696,7 +696,8 @@ pub struct StripeRow {
     /// End-of-second flush backlog at that rate.
     pub backlog: SimDuration,
     /// Read stage of an eager restore of the last image: its extents,
-    /// submitted back to back, each split across the drives.
+    /// submitted back to back, each split across the drives, less what
+    /// the restore's metadata phase hid.
     pub restore_read: SimDuration,
 }
 

@@ -522,12 +522,15 @@ fn cmd_restore(world: &Path, opts: &[&str]) -> Result<String> {
         .root_pid()
         .ok_or_else(|| Error::bad_image("image restored no process"))?;
     Ok(format!(
-        "restored {name} from checkpoint {} in {} (read {}, memory {}, metadata {})\n  state: {}\n",
+        "restored {name} from checkpoint {} in {} (read {}, memory {}, metadata {})\n  \
+         page-in: stream {}, {} hidden under metadata\n  state: {}\n",
         ckpt.0,
         r.total,
         r.objstore_read,
         r.memory_state,
         r.metadata_state,
+        r.stream.total(),
+        r.stream.hidden,
         describe(&mut host, pid),
     ))
 }

@@ -62,7 +62,7 @@ use aurora_sim::SimClock;
 use aurora_slsfs::{SlsFs, StoreHandle};
 
 pub use group::{Backend, BackendKind, Group, GroupId};
-pub use metrics::{CheckpointBreakdown, CheckpointOutcome, RestoreBreakdown};
+pub use metrics::{CheckpointBreakdown, CheckpointOutcome, PageInStream, RestoreBreakdown};
 pub use replicate::{
     promote_to_host, FramePayload, PromoteReport, ReplConfig, ReplFrame, ReplStats, Replicator,
 };

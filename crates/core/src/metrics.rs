@@ -156,17 +156,19 @@ pub struct RestoreBreakdown {
     pub total: SimDuration,
     /// Pages eagerly paged in (prefetch/eager modes).
     pub pages_prefetched: u64,
-    /// Sim time from the start of the page-in to the completion of its
-    /// last device read (device extents, submitted back to back, plus
-    /// cache hits); zero when nothing was left to fetch.
+    /// The caller's share of the page-in's reads: the submission itself
+    /// (wiring what is resident, charging cache hits) plus the wait for
+    /// the last device read left after the metadata phase.
     pub read_stage: SimDuration,
-    /// Sim time from the last read's completion to the end of the last
-    /// batch's verification: the hash work no later batch's read was
-    /// left to hide (the restore-side twin of
-    /// `CheckpointBreakdown::write_wait`).
-    /// `read_stage`, `hash_stage` and the wiring that follows partition
-    /// the page-in's share of `memory_state`.
+    /// The wait for the last batch's verification left after both the
+    /// last read and the metadata phase. `read_stage` and `hash_stage`
+    /// are the page-in's exposed share of `memory_state`; the rest of
+    /// `memory_state` builds the address spaces.
     pub hash_stage: SimDuration,
+    /// The page-in stream as it runs with the caller waiting, and the
+    /// part of it the metadata phase hid: `stream.total() ==
+    /// stream.hidden + read_stage + hash_stage`.
+    pub stream: PageInStream,
     /// Modeled cost of content-hashing `pages_hashed` pages on
     /// `restore_workers` workers, whether a read hid it or not.
     pub hash_work: SimDuration,
@@ -183,6 +185,34 @@ pub struct RestoreBreakdown {
     pub extents_read: u64,
     /// The pid map: original pid -> restored pid.
     pub pid_map: Vec<(u32, u32)>,
+}
+
+/// A restore's page-in, from its start to its last batch's
+/// verification. The caller submits it and rebuilds the metadata state
+/// while the device reads it, then waits once for its last batch's
+/// verification. The caller's core is one of the hash lanes, so only
+/// the reads and the other lanes' hashing run under that phase. `read`
+/// and `verify` time the stream as it runs with the caller waiting.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PageInStream {
+    /// From the start of the page-in to the completion of its last
+    /// device read (device extents, submitted back to back, plus cache
+    /// hits).
+    pub read: SimDuration,
+    /// From the last read's completion to the end of the last batch's
+    /// verification: the hash work no later batch's read was left to
+    /// hide (the restore-side twin of `CheckpointBreakdown::write_wait`).
+    pub verify: SimDuration,
+    /// The restore time the metadata phase hid: `read + verify` less the
+    /// waits left exposed after the phase. At most the phase's length.
+    pub hidden: SimDuration,
+}
+
+impl PageInStream {
+    /// The whole stream: its reads and its verify tail.
+    pub fn total(&self) -> SimDuration {
+        self.read + self.verify
+    }
 }
 
 impl RestoreBreakdown {

@@ -16,7 +16,11 @@
 //!   shared COW between the image and — via the VM frame index — every
 //!   other instance restored from the same checkpoint, and every image
 //!   that shares a deduplicated block with it. What is already resident
-//!   is wired during the restore, in every mode.
+//!   is wired during the restore, in every mode. An eager page-in is a
+//!   submission: the device streams it while the caller runs the
+//!   metadata phase, the restore workers other than the caller verify
+//!   it meanwhile, and the restore waits once, at the phase's end, for
+//!   the last batch's verification.
 //! * **Metadata state** — recreating processes, descriptor tables,
 //!   pipes, sockets (including in-flight SCM_RIGHTS descriptors), shared
 //!   memory and message queues, with every identifier remapped into the
@@ -39,7 +43,7 @@ use aurora_posix::{Fd, IsockId, Pid, UsockId, VnodeRef};
 use aurora_sim::clock::Stopwatch;
 use aurora_sim::cost;
 use aurora_sim::error::{Error, Result};
-use aurora_sim::time::SimDuration;
+use aurora_sim::time::{SimDuration, SimTime};
 use aurora_slsfs::StoreHandle;
 use aurora_vm::map::RestoreHint;
 use aurora_vm::object::ResidentPage;
@@ -47,7 +51,7 @@ use aurora_vm::{
     hash_pages, MapEntry, PageData, PageId, Pager, Prot, Residency, SlsPolicy, VmoId, VmoKind,
 };
 
-use crate::metrics::RestoreBreakdown;
+use crate::metrics::{PageInStream, RestoreBreakdown};
 use crate::serialize::*;
 use crate::Host;
 
@@ -297,309 +301,329 @@ impl Host {
         drop(image);
         drop(store_ref);
         let workers = self.sls.restore_workers.max(1);
-        self.batched_page_in(store, ckpt, pager_id, &targets, workers, &mut breakdown)?;
+        let page_in =
+            self.batched_page_in(store, ckpt, pager_id, &targets, workers, &mut breakdown)?;
+        let submitted = clock.now();
         breakdown.memory_state = sw.lap();
 
         // --- Phase 3: metadata state. ----------------------------------------
-        // Pipes first (no dependencies).
-        let mut pipe_map: HashMap<u32, PipeId> = HashMap::new();
-        for rec in &pipe_recs {
-            let mut pipe = Pipe::new();
-            pipe.buf = rec.buf.iter().copied().collect();
-            pipe.read_open = rec.read_open;
-            pipe.write_open = rec.write_open;
-            pipe_map.insert(rec.id, PipeId(self.kernel.pipes.insert(pipe)));
-        }
-        // Socket shells (peers wired after).
-        let mut usock_map: HashMap<u32, UsockId> = HashMap::new();
-        for rec in &usock_recs {
-            usock_map.insert(rec.id, UsockId(self.kernel.usocks.insert(UnixSocket::new())));
-        }
-        let mut isock_map: HashMap<u32, IsockId> = HashMap::new();
-        for rec in &isock_recs {
-            let owner = pid_map
-                .get(&rec.owner)
-                .copied()
-                .unwrap_or(aurora_posix::Pid(0));
-            let sock = InetSocket {
-                state: IsockState::Unbound,
-                local_port: None,
-                owner,
-                recv: rec.recv.iter().copied().collect(),
-                backlog: Default::default(),
-                held: Default::default(),
-            };
-            isock_map.insert(rec.id, IsockId(self.kernel.isocks.insert(sock)));
-        }
-
-        // Open-file descriptions (need pipe/sock maps).
-        let mut file_map: HashMap<u32, FileId> = HashMap::new();
-        for rec in &file_recs {
-            let kind = match &rec.kind {
-                FileKindRec::Vnode(node) => FileKind::Vnode(VnodeRef {
-                    mount: self.sls.slsfs_mount,
-                    node: *node,
-                }),
-                FileKindRec::PipeRead(p) => FileKind::PipeRead(
-                    *pipe_map
-                        .get(p)
-                        .ok_or_else(|| Error::bad_image("file references unknown pipe"))?,
-                ),
-                FileKindRec::PipeWrite(p) => FileKind::PipeWrite(
-                    *pipe_map
-                        .get(p)
-                        .ok_or_else(|| Error::bad_image("file references unknown pipe"))?,
-                ),
-                FileKindRec::UnixSock(s) => FileKind::UnixSock(
-                    *usock_map
-                        .get(s)
-                        .ok_or_else(|| Error::bad_image("file references unknown usock"))?,
-                ),
-                FileKindRec::InetSock(s) => FileKind::InetSock(
-                    *isock_map
-                        .get(s)
-                        .ok_or_else(|| Error::bad_image("file references unknown isock"))?,
-                ),
-                FileKindRec::PosixShm(n) => FileKind::PosixShm(n.clone()),
-                FileKindRec::NtLog(id) => FileKind::NtLog(*id),
-            };
-            // Restored with zero references; each install adds one.
-            let mut file = OpenFile::new(kind);
-            file.offset = rec.offset;
-            file.flags = rec.flags;
-            file.external_consistency = rec.ec;
-            file.refs = 0;
-            let fid = FileId(self.kernel.files.insert(file));
-            file_map.insert(rec.id, fid);
-            // Vnodes re-acquire their on-disk open reference.
-            if let FileKindRec::Vnode(node) = &rec.kind {
-                self.kernel.vfs.fs(self.sls.slsfs_mount).open_ref(*node, 1)?;
+        // Runs on the caller's core while the page-in streams. Its frames
+        // are published, so an error here still waits for the stream
+        // below before it returns.
+        let metadata = (|| -> Result<()> {
+            // Pipes first (no dependencies).
+            let mut pipe_map: HashMap<u32, PipeId> = HashMap::new();
+            for rec in &pipe_recs {
+                let mut pipe = Pipe::new();
+                pipe.buf = rec.buf.iter().copied().collect();
+                pipe.read_open = rec.read_open;
+                pipe.write_open = rec.write_open;
+                pipe_map.insert(rec.id, PipeId(self.kernel.pipes.insert(pipe)));
             }
-        }
+            // Socket shells (peers wired after).
+            let mut usock_map: HashMap<u32, UsockId> = HashMap::new();
+            for rec in &usock_recs {
+                usock_map.insert(
+                    rec.id,
+                    UsockId(self.kernel.usocks.insert(UnixSocket::new())),
+                );
+            }
+            let mut isock_map: HashMap<u32, IsockId> = HashMap::new();
+            for rec in &isock_recs {
+                let owner = pid_map
+                    .get(&rec.owner)
+                    .copied()
+                    .unwrap_or(aurora_posix::Pid(0));
+                let sock = InetSocket {
+                    state: IsockState::Unbound,
+                    local_port: None,
+                    owner,
+                    recv: rec.recv.iter().copied().collect(),
+                    backlog: Default::default(),
+                    held: Default::default(),
+                };
+                isock_map.insert(rec.id, IsockId(self.kernel.isocks.insert(sock)));
+            }
 
-        // Wire socket state, queues and bindings.
-        for rec in &usock_recs {
-            let sid = *usock_map.get(&rec.id).ok_or_else(|| {
-                Error::internal(format!("unix socket {} missing from shell pass", rec.id))
-            })?;
-            let state = match &rec.state {
-                SockStateRec::Unbound => UsockState::Unbound,
-                SockStateRec::Listening => UsockState::Listening,
-                SockStateRec::Connected(p) => match usock_map.get(p) {
-                    Some(np) => UsockState::Connected(*np),
-                    None => UsockState::Disconnected,
-                },
-                SockStateRec::Disconnected => UsockState::Disconnected,
-            };
-            let recv = rec
-                .recv
-                .iter()
-                .map(|(bytes, fds)| {
-                    let fds = fds
-                        .iter()
-                        .filter_map(|f| file_map.get(f).copied())
-                        .collect::<Vec<_>>();
-                    // In-flight descriptors hold references.
-                    UnixMsg {
-                        bytes: bytes.clone(),
-                        fds,
+            // Open-file descriptions (need pipe/sock maps).
+            let mut file_map: HashMap<u32, FileId> = HashMap::new();
+            for rec in &file_recs {
+                let kind = match &rec.kind {
+                    FileKindRec::Vnode(node) => FileKind::Vnode(VnodeRef {
+                        mount: self.sls.slsfs_mount,
+                        node: *node,
+                    }),
+                    FileKindRec::PipeRead(p) => FileKind::PipeRead(
+                        *pipe_map
+                            .get(p)
+                            .ok_or_else(|| Error::bad_image("file references unknown pipe"))?,
+                    ),
+                    FileKindRec::PipeWrite(p) => FileKind::PipeWrite(
+                        *pipe_map
+                            .get(p)
+                            .ok_or_else(|| Error::bad_image("file references unknown pipe"))?,
+                    ),
+                    FileKindRec::UnixSock(s) => FileKind::UnixSock(
+                        *usock_map
+                            .get(s)
+                            .ok_or_else(|| Error::bad_image("file references unknown usock"))?,
+                    ),
+                    FileKindRec::InetSock(s) => FileKind::InetSock(
+                        *isock_map
+                            .get(s)
+                            .ok_or_else(|| Error::bad_image("file references unknown isock"))?,
+                    ),
+                    FileKindRec::PosixShm(n) => FileKind::PosixShm(n.clone()),
+                    FileKindRec::NtLog(id) => FileKind::NtLog(*id),
+                };
+                // Restored with zero references; each install adds one.
+                let mut file = OpenFile::new(kind);
+                file.offset = rec.offset;
+                file.flags = rec.flags;
+                file.external_consistency = rec.ec;
+                file.refs = 0;
+                let fid = FileId(self.kernel.files.insert(file));
+                file_map.insert(rec.id, fid);
+                // Vnodes re-acquire their on-disk open reference.
+                if let FileKindRec::Vnode(node) = &rec.kind {
+                    self.kernel
+                        .vfs
+                        .fs(self.sls.slsfs_mount)
+                        .open_ref(*node, 1)?;
+                }
+            }
+
+            // Wire socket state, queues and bindings.
+            for rec in &usock_recs {
+                let sid = *usock_map.get(&rec.id).ok_or_else(|| {
+                    Error::internal(format!("unix socket {} missing from shell pass", rec.id))
+                })?;
+                let state = match &rec.state {
+                    SockStateRec::Unbound => UsockState::Unbound,
+                    SockStateRec::Listening => UsockState::Listening,
+                    SockStateRec::Connected(p) => match usock_map.get(p) {
+                        Some(np) => UsockState::Connected(*np),
+                        None => UsockState::Disconnected,
+                    },
+                    SockStateRec::Disconnected => UsockState::Disconnected,
+                };
+                let recv = rec
+                    .recv
+                    .iter()
+                    .map(|(bytes, fds)| {
+                        let fds = fds
+                            .iter()
+                            .filter_map(|f| file_map.get(f).copied())
+                            .collect::<Vec<_>>();
+                        // In-flight descriptors hold references.
+                        UnixMsg {
+                            bytes: bytes.clone(),
+                            fds,
+                        }
+                    })
+                    .collect::<Vec<_>>();
+                for msg in &recv {
+                    for f in &msg.fds {
+                        if let Some(file) = self.kernel.files.get_mut(f.0) {
+                            file.refs += 1;
+                        }
                     }
-                })
-                .collect::<Vec<_>>();
-            for msg in &recv {
-                for f in &msg.fds {
-                    if let Some(file) = self.kernel.files.get_mut(f.0) {
+                }
+                let backlog = rec
+                    .backlog
+                    .iter()
+                    .filter_map(|b| usock_map.get(b).copied())
+                    .collect();
+                let bound_path = match &rec.bound_path {
+                    Some(path) if !self.kernel.usock_binds.contains_key(path) => {
+                        self.kernel.usock_binds.insert(path.clone(), sid);
+                        Some(path.clone())
+                    }
+                    other => other.clone(),
+                };
+                let sock = self.kernel.usocks.get_mut(sid.0).ok_or_else(|| {
+                    Error::internal(format!("unix socket {} missing after shell pass", sid.0))
+                })?;
+                sock.state = state;
+                sock.recv = recv.into();
+                sock.backlog = backlog;
+                sock.bound_path = bound_path;
+            }
+            for rec in &isock_recs {
+                let sid = *isock_map.get(&rec.id).ok_or_else(|| {
+                    Error::internal(format!("inet socket {} missing from shell pass", rec.id))
+                })?;
+                let state = match &rec.state {
+                    SockStateRec::Unbound => IsockState::Unbound,
+                    SockStateRec::Listening => IsockState::Listening,
+                    SockStateRec::Connected(p) => match isock_map.get(p) {
+                        Some(np) => IsockState::Connected(*np),
+                        None => IsockState::Disconnected,
+                    },
+                    SockStateRec::Disconnected => IsockState::Disconnected,
+                };
+                let backlog = rec
+                    .backlog
+                    .iter()
+                    .filter_map(|b| isock_map.get(b).copied())
+                    .collect();
+                // Rebind the port when free; otherwise the socket restores
+                // degraded (listening without a port registration).
+                let port = match rec.port {
+                    Some(p) if !self.kernel.ports.contains_key(&p) => {
+                        self.kernel.ports.insert(p, sid);
+                        Some(p)
+                    }
+                    other => other,
+                };
+                let sock = self.kernel.isocks.get_mut(sid.0).ok_or_else(|| {
+                    Error::internal(format!("inet socket {} missing after shell pass", sid.0))
+                })?;
+                sock.state = state;
+                sock.backlog = backlog;
+                sock.local_port = port;
+            }
+
+            // Descriptor tables, threads, credentials, signals, parenthood.
+            for rec in &proc_recs {
+                let new_pid = *pid_map.get(&rec.pid).ok_or_else(|| {
+                    Error::internal(format!("pid {} missing from shell pass", rec.pid))
+                })?;
+                {
+                    let proc = self.kernel.proc_mut(new_pid)?;
+                    proc.cwd = rec.cwd.clone();
+                    proc.cred.uid = rec.uid;
+                    proc.cred.gid = rec.gid;
+                    proc.sig.pending = rec.sig_pending;
+                    proc.sig.blocked = rec.sig_blocked;
+                    proc.sig.actions = rec.sig_actions_array();
+                    proc.threads.clear();
+                    for (tid, cpu) in &rec.threads {
+                        proc.threads.push(aurora_posix::types::Thread {
+                            tid: Tid(*tid),
+                            cpu: cpu.clone(),
+                        });
+                    }
+                    if let Some(&parent) = pid_map.get(&rec.ppid) {
+                        proc.ppid = parent;
+                    }
+                }
+                for (fd, old_fid) in &rec.fds {
+                    let fid = *file_map
+                        .get(old_fid)
+                        .ok_or_else(|| Error::bad_image("fd references unknown file"))?;
+                    self.kernel
+                        .proc_mut(new_pid)?
+                        .fds
+                        .install_at(Fd(*fd), fid)?;
+                    if let Some(file) = self.kernel.files.get_mut(fid.0) {
                         file.refs += 1;
                     }
                 }
-            }
-            let backlog = rec
-                .backlog
-                .iter()
-                .filter_map(|b| usock_map.get(b).copied())
-                .collect();
-            let bound_path = match &rec.bound_path {
-                Some(path) if !self.kernel.usock_binds.contains_key(path) => {
-                    self.kernel.usock_binds.insert(path.clone(), sid);
-                    Some(path.clone())
-                }
-                other => other.clone(),
-            };
-            let sock = self.kernel.usocks.get_mut(sid.0).ok_or_else(|| {
-                Error::internal(format!("unix socket {} missing after shell pass", sid.0))
-            })?;
-            sock.state = state;
-            sock.recv = recv.into();
-            sock.backlog = backlog;
-            sock.bound_path = bound_path;
-        }
-        for rec in &isock_recs {
-            let sid = *isock_map.get(&rec.id).ok_or_else(|| {
-                Error::internal(format!("inet socket {} missing from shell pass", rec.id))
-            })?;
-            let state = match &rec.state {
-                SockStateRec::Unbound => IsockState::Unbound,
-                SockStateRec::Listening => IsockState::Listening,
-                SockStateRec::Connected(p) => match isock_map.get(p) {
-                    Some(np) => IsockState::Connected(*np),
-                    None => IsockState::Disconnected,
-                },
-                SockStateRec::Disconnected => IsockState::Disconnected,
-            };
-            let backlog = rec
-                .backlog
-                .iter()
-                .filter_map(|b| isock_map.get(b).copied())
-                .collect();
-            // Rebind the port when free; otherwise the socket restores
-            // degraded (listening without a port registration).
-            let port = match rec.port {
-                Some(p) if !self.kernel.ports.contains_key(&p) => {
-                    self.kernel.ports.insert(p, sid);
-                    Some(p)
-                }
-                other => other,
-            };
-            let sock = self.kernel.isocks.get_mut(sid.0).ok_or_else(|| {
-                Error::internal(format!("inet socket {} missing after shell pass", sid.0))
-            })?;
-            sock.state = state;
-            sock.backlog = backlog;
-            sock.local_port = port;
-        }
-
-        // Descriptor tables, threads, credentials, signals, parenthood.
-        for rec in &proc_recs {
-            let new_pid = *pid_map.get(&rec.pid).ok_or_else(|| {
-                Error::internal(format!("pid {} missing from shell pass", rec.pid))
-            })?;
-            {
-                let proc = self.kernel.proc_mut(new_pid)?;
-                proc.cwd = rec.cwd.clone();
-                proc.cred.uid = rec.uid;
-                proc.cred.gid = rec.gid;
-                proc.sig.pending = rec.sig_pending;
-                proc.sig.blocked = rec.sig_blocked;
-                proc.sig.actions = rec.sig_actions_array();
-                proc.threads.clear();
-                for (tid, cpu) in &rec.threads {
-                    proc.threads.push(aurora_posix::types::Thread {
-                        tid: Tid(*tid),
-                        cpu: cpu.clone(),
-                    });
-                }
                 if let Some(&parent) = pid_map.get(&rec.ppid) {
-                    proc.ppid = parent;
+                    self.kernel.proc_mut(parent)?.children.push(new_pid);
                 }
             }
-            for (fd, old_fid) in &rec.fds {
-                let fid = *file_map
-                    .get(old_fid)
-                    .ok_or_else(|| Error::bad_image("fd references unknown file"))?;
-                self.kernel
-                    .proc_mut(new_pid)?
-                    .fds
-                    .install_at(Fd(*fd), fid)?;
-                if let Some(file) = self.kernel.files.get_mut(fid.0) {
-                    file.refs += 1;
+
+            // SysV shared memory.
+            for rec in &shm_recs {
+                let v = *oid_vmo
+                    .get(&rec.oid)
+                    .ok_or_else(|| Error::bad_image("shm references unknown object"))?;
+                if self.kernel.sysv_shms.contains_key(&rec.key) {
+                    continue; // Restored alongside a live segment: keep live.
+                }
+                self.kernel.vm.ref_object(v);
+                self.kernel.sysv_shms.insert(
+                    rec.key,
+                    aurora_posix::SysvShm {
+                        key: rec.key,
+                        size: rec.size,
+                        object: v,
+                        nattch: 0,
+                        removed: rec.removed,
+                    },
+                );
+            }
+            // POSIX shared memory.
+            for rec in &pshm_recs {
+                let v = *oid_vmo
+                    .get(&rec.oid)
+                    .ok_or_else(|| Error::bad_image("pshm references unknown object"))?;
+                if self.kernel.posix_shms.contains_key(&rec.name) {
+                    continue;
+                }
+                self.kernel.vm.ref_object(v);
+                self.kernel.posix_shms.insert(
+                    rec.name.clone(),
+                    aurora_posix::PosixShm {
+                        object: v,
+                        size: rec.size,
+                        unlinked: rec.unlinked,
+                        open_refs: rec.open_refs,
+                    },
+                );
+            }
+            // Message queues.
+            for rec in &msgq_recs {
+                let q = self.kernel.msgqs.entry(rec.key).or_default();
+                if q.capacity == 0 {
+                    q.capacity = aurora_posix::sysv::MSGMNB;
+                }
+                q.msgs = rec
+                    .msgs
+                    .iter()
+                    .map(|(t, data)| aurora_posix::sysv::SysvMsg {
+                        mtype: *t,
+                        data: data.clone(),
+                    })
+                    .collect();
+            }
+            // Container.
+            if let Some((name, root)) = &manifest.container {
+                let ct = self.kernel.container_create(name, root);
+                for (_, &new_pid) in pid_map.iter() {
+                    self.kernel.container_add(ct, new_pid)?;
                 }
             }
-            if let Some(&parent) = pid_map.get(&rec.ppid) {
-                self.kernel.proc_mut(parent)?.children.push(new_pid);
-            }
-        }
 
-        // SysV shared memory.
-        for rec in &shm_recs {
-            let v = *oid_vmo
-                .get(&rec.oid)
-                .ok_or_else(|| Error::bad_image("shm references unknown object"))?;
-            if self.kernel.sysv_shms.contains_key(&rec.key) {
-                continue; // Restored alongside a live segment: keep live.
-            }
-            self.kernel.vm.ref_object(v);
-            self.kernel.sysv_shms.insert(
-                rec.key,
-                aurora_posix::SysvShm {
-                    key: rec.key,
-                    size: rec.size,
-                    object: v,
-                    nattch: 0,
-                    removed: rec.removed,
-                },
-            );
-        }
-        // POSIX shared memory.
-        for rec in &pshm_recs {
-            let v = *oid_vmo
-                .get(&rec.oid)
-                .ok_or_else(|| Error::bad_image("pshm references unknown object"))?;
-            if self.kernel.posix_shms.contains_key(&rec.name) {
-                continue;
-            }
-            self.kernel.vm.ref_object(v);
-            self.kernel.posix_shms.insert(
-                rec.name.clone(),
-                aurora_posix::PosixShm {
-                    object: v,
-                    size: rec.size,
-                    unlinked: rec.unlinked,
-                    open_refs: rec.open_refs,
-                },
-            );
-        }
-        // Message queues.
-        for rec in &msgq_recs {
-            let q = self.kernel.msgqs.entry(rec.key).or_default();
-            if q.capacity == 0 {
-                q.capacity = aurora_posix::sysv::MSGMNB;
-            }
-            q.msgs = rec
-                .msgs
-                .iter()
-                .map(|(t, data)| aurora_posix::sysv::SysvMsg {
-                    mtype: *t,
-                    data: data.clone(),
-                })
-                .collect();
-        }
-        // Container.
-        if let Some((name, root)) = &manifest.container {
-            let ct = self.kernel.container_create(name, root);
-            for (_, &new_pid) in pid_map.iter() {
-                self.kernel.container_add(ct, new_pid)?;
-            }
-        }
-
-        // Charge the recreation cost: a fixed orchestration component
-        // plus one parse/wire cost per record.
-        self.clock.charge(scaled(cost::RESTORE_GROUP_FIXED_NS));
-        for bytes in proc_recs.iter().map(|r| r.encode().len()) {
-            self.clock
-                .charge(scaled(cost::meta_restore(bytes).as_nanos()));
-        }
-        for n in [
-            file_recs.len(),
-            pipe_recs.len(),
-            usock_recs.len(),
-            isock_recs.len(),
-            shm_recs.len(),
-            msgq_recs.len(),
-            pshm_recs.len(),
-        ] {
-            for _ in 0..n {
+            // Charge the recreation cost: a fixed orchestration component
+            // plus one parse/wire cost per record.
+            self.clock.charge(scaled(cost::RESTORE_GROUP_FIXED_NS));
+            for bytes in proc_recs.iter().map(|r| r.encode().len()) {
                 self.clock
-                    .charge(scaled(cost::meta_restore(96).as_nanos()));
+                    .charge(scaled(cost::meta_restore(bytes).as_nanos()));
             }
-        }
+            for n in [
+                file_recs.len(),
+                pipe_recs.len(),
+                usock_recs.len(),
+                isock_recs.len(),
+                shm_recs.len(),
+                msgq_recs.len(),
+                pshm_recs.len(),
+            ] {
+                for _ in 0..n {
+                    self.clock.charge(scaled(cost::meta_restore(96).as_nanos()));
+                }
+            }
 
-        // Drop the pager-less object references we created above: each
-        // object was born with one reference that nothing owns.
-        for (_, &v) in oid_vmo.iter() {
-            self.kernel.vm.unref_object(v);
-        }
-
+            // Drop the pager-less object references we created above: each
+            // object was born with one reference that nothing owns.
+            for (_, &v) in oid_vmo.iter() {
+                self.kernel.vm.unref_object(v);
+            }
+            Ok(())
+        })();
         breakdown.metadata_state = sw.lap();
+
+        // The one wait: for the page-in's last verification, unless the
+        // metadata phase outlasted it. What the phase hid is reported in
+        // `breakdown.stream`; the wait left counts as memory state.
+        let verified = page_in.settle(submitted, clock.now(), &mut breakdown);
+        clock.advance_to(verified);
+        metadata?;
+        breakdown.memory_state += sw.lap();
         breakdown.total =
             breakdown.objstore_read + breakdown.memory_state + breakdown.metadata_state;
         let mut pid_pairs: Vec<(u32, u32)> = pid_map.iter().map(|(o, n)| (*o, n.0)).collect();
@@ -618,6 +642,11 @@ impl Host {
     /// same pages in one by one produces, for any worker count (the
     /// differential test in `tests/parallel_restore_diff.rs` checks
     /// exactly this against the lazy path).
+    ///
+    /// A submission: the clock moves only by the caller's own work
+    /// (wiring resident frames, cache-hit probes). Returns the stream in
+    /// flight, which the caller settles and waits for once its own work
+    /// is done. No frame is used before that wait.
     fn batched_page_in(
         &mut self,
         store: &StoreHandle,
@@ -626,9 +655,13 @@ impl Host {
         targets: &[(VmoId, u64, u64)],
         workers: usize,
         breakdown: &mut RestoreBreakdown,
-    ) -> Result<()> {
+    ) -> Result<PageInFlight> {
         let clock = self.clock.clone();
-        let mut sw = Stopwatch::start(&clock);
+        let mut flight = PageInFlight {
+            start: clock.now(),
+            workers: workers as u64,
+            batches: Vec::new(),
+        };
 
         // Pass 1: wire what is already resident — frames of sibling
         // instances, or of any image holding the same stored block — and
@@ -661,8 +694,7 @@ impl Host {
         }
         breakdown.restore_workers = workers as u64;
         if fetch.is_empty() {
-            breakdown.read_stage += sw.lap();
-            return Ok(());
+            return Ok(flight);
         }
 
         // Pass 2: one read plan for every missing page; dedup-shared
@@ -680,7 +712,6 @@ impl Host {
         // itself before it entered the read cache.
         let mut pages: HashMap<u64, PageData> = HashMap::with_capacity(plan.blocks.len());
         let mut read_done = clock.now();
-        let mut trail = cost::HashTrail::new(clock.now(), workers as u64);
         for batch in plan.extent_batches(RESTORE_BATCH_BLOCKS) {
             let outcome = store.borrow_mut().execute_read_plan_range(&plan, batch)?;
             // Cache hits are in once their probes are charged.
@@ -702,25 +733,20 @@ impl Host {
                 .filter_map(|(&b, known)| Some((b, known.or_else(|| computed.next())?)))
                 .collect();
             store.borrow_mut().note_read_hashes(&pairs);
-            trail.fold(read_done, outcome.fetched.len() as u64);
+            flight.batches.push((read_done, outcome.fetched.len() as u64));
             breakdown.cache_hits += outcome.cache_hits;
             breakdown.cache_misses += outcome.cache_misses;
             breakdown.extents_read += outcome.extents_read;
             pages.extend(outcome.pages);
         }
-        // The read stage (with pass 1's wiring) ends when the last read
-        // completes, the hash stage when the last batch is verified; no
-        // frame is wired before that.
-        clock.advance_to(read_done);
-        breakdown.read_stage += sw.lap();
-        clock.advance_to(trail.done());
-        breakdown.hash_stage += sw.lap();
-        breakdown.hash_work += trail.work();
-        breakdown.pages_hashed += trail.pages();
+        let hashed = flight.batches.iter().map(|&(_, pages)| pages).sum();
+        breakdown.hash_work += cost::hash_stage(hashed, flight.workers);
+        breakdown.pages_hashed += hashed;
 
         // Pass 4: wire frames in target order. Delta-backed pages
         // fetched their chain's *base* block through the plan; the chain
-        // replays over it here.
+        // replays over it here. Nothing runs on the restored objects
+        // before the caller's wait for the stream.
         for (i, &(v, oid, idx, id)) in fetch.iter().enumerate() {
             let chain = plan.chains.get(i).copied().flatten();
             let data = match plan.resolved.get(i).copied().flatten() {
@@ -752,7 +778,7 @@ impl Host {
                 .insert_page(idx, ResidentPage::paged_in(frame));
             breakdown.pages_prefetched += 1;
         }
-        Ok(())
+        Ok(flight)
     }
 
     /// Forgets the shared restore image for (`store`, `ckpt`): the
@@ -815,6 +841,63 @@ impl Host {
             }
         }
         Ok(breakdown)
+    }
+}
+
+/// A page-in submitted to the device and the restore workers: when it
+/// started, and when each batch's reads completed and how many pages it
+/// fetched.
+struct PageInFlight {
+    start: SimTime,
+    workers: u64,
+    batches: Vec<(SimTime, u64)>,
+}
+
+impl PageInFlight {
+    /// When the last batch is verified if the caller's core is busy from
+    /// `from` to `until`.
+    fn verified(&self, from: SimTime, until: SimTime) -> SimTime {
+        let mut trail =
+            cost::HashTrail::new(self.start, self.workers).with_caller_busy(from, until);
+        for &(read_done, pages) in &self.batches {
+            trail.fold(read_done, pages);
+        }
+        trail.done()
+    }
+
+    /// Settles the stream around the metadata phase the caller ran from
+    /// `submitted` to `metadata_end` and returns when its last batch is
+    /// verified. The device reads on whatever the caller does, but the
+    /// caller's core is one of the hash lanes: the phase slows the
+    /// verification to the other lanes' pace, and at one worker stops
+    /// it. `breakdown.stream` is the stream as it runs with the caller
+    /// waiting, and the part of it the phase hid: what is left once the
+    /// waits exposed after the phase, `read_stage` (with the
+    /// submission's own wiring and probes) and `hash_stage`, are taken
+    /// off.
+    fn settle(
+        &self,
+        submitted: SimTime,
+        metadata_end: SimTime,
+        breakdown: &mut RestoreBreakdown,
+    ) -> SimTime {
+        let read_done = self
+            .batches
+            .last()
+            .map_or(submitted, |&(done, _)| done)
+            .max(submitted);
+        let alone = self.verified(submitted, submitted).max(read_done);
+        let verified = self.verified(submitted, metadata_end).max(read_done);
+        breakdown.read_stage = submitted.since(self.start) + read_done.since(metadata_end);
+        breakdown.hash_stage = verified.since(read_done.max(metadata_end));
+        breakdown.stream = PageInStream {
+            read: read_done.since(self.start),
+            verify: alone.since(read_done),
+            hidden: alone
+                .since(self.start)
+                .saturating_sub(breakdown.read_stage + breakdown.hash_stage),
+        };
+        verified
     }
 }
 

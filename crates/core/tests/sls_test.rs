@@ -384,7 +384,7 @@ fn streamed_restore(
     let bd = host.restore(&store, ckpt, RestoreMode::Eager).unwrap();
     // The streamed reads are the one-shot reads: every batch's extents
     // go back to back, so only the first pays the whole latency.
-    assert_eq!(bd.read_stage, one_shot_read);
+    assert_eq!(bd.stream.read, one_shot_read);
     assert_eq!(bd.extents_read, one_shot.extents_read);
     assert_eq!(
         (bd.cache_hits, bd.cache_misses),
@@ -392,15 +392,17 @@ fn streamed_restore(
     );
     assert_eq!(bd.pages_hashed, one_shot.fetched.len() as u64);
     assert_eq!(bd.hash_work, hash_stage(bd.pages_hashed, workers as u64));
-    // The read stage, the verify tail and the wiring partition memory
-    // state.
+    // The exposed read and verify waits and the wiring partition memory
+    // state; the rest of the stream ran under the metadata phase.
     assert_eq!(bd.read_stage + bd.hash_stage + wire, bd.memory_state);
-    let page_in = bd.read_stage + bd.hash_stage;
-    assert!(bd.read_stage.max(bd.hash_work) <= page_in);
+    assert_eq!(bd.stream.total(), bd.stream.hidden + bd.read_stage + bd.hash_stage);
+    assert!(bd.stream.hidden <= bd.metadata_state);
+    let page_in = bd.stream.total();
+    assert!(bd.stream.read.max(bd.hash_work) <= page_in);
     assert!(
-        page_in < bd.read_stage + bd.hash_work,
+        page_in < bd.stream.read + bd.hash_work,
         "page-in {page_in:?} is read {:?} + hash {:?} run back to back",
-        bd.read_stage,
+        bd.stream.read,
         bd.hash_work
     );
     (first_batch_read, bd)
@@ -422,14 +424,16 @@ fn streamed_restore_page_in_is_the_longer_of_read_and_hash_plus_one_batch() {
     // queued behind the first: 625 ns of latency share plus 64 × 1638.4
     // ns of transfer), so at every worker count each batch is verified
     // under the next one's read and only the last batch's hash is left
-    // after the last read.
+    // after the last read. The hash the metadata phase holds up catches
+    // up under the later reads, so the whole phase runs under the stream.
     for workers in [1, 2, 8] {
         let (_, fast_hash) = streamed_restore((ModelDev::nvme, CostModel::NVME), workers);
         assert!(
-            fast_hash.hash_work < fast_hash.read_stage,
+            fast_hash.hash_work < fast_hash.stream.read,
             "{workers} workers outrun the NVMe"
         );
-        assert_eq!(fast_hash.hash_stage, hash_stage(batch, workers as u64));
+        assert_eq!(fast_hash.stream.verify, hash_stage(batch, workers as u64));
+        assert_eq!(fast_hash.stream.hidden, fast_hash.metadata_state);
     }
 
     // Verify-bound: an NVDIMM out-reads one core (512 ns a block for a
@@ -437,11 +441,14 @@ fn streamed_restore_page_in_is_the_longer_of_read_and_hash_plus_one_batch() {
     // worker starts after the first batch's read and is busy from then
     // on.
     let (first_batch_read, slow_hash) = streamed_restore((ModelDev::nvdimm, nvdimm), 1);
-    assert!(slow_hash.hash_work > slow_hash.read_stage, "one worker trails the NVDIMM");
-    assert_eq!(
-        slow_hash.read_stage + slow_hash.hash_stage,
-        first_batch_read + slow_hash.hash_work
-    );
+    assert!(slow_hash.hash_work > slow_hash.stream.read, "one worker trails the NVDIMM");
+    assert_eq!(slow_hash.stream.total(), first_batch_read + slow_hash.hash_work);
+    // That one worker is the caller's core: it hashes nothing while it
+    // rebuilds the metadata state, so only the first batch's read hides
+    // under the phase and the whole hash work is left after it.
+    assert!(first_batch_read < slow_hash.metadata_state);
+    assert_eq!(slow_hash.stream.hidden, first_batch_read);
+    assert_eq!(slow_hash.read_stage + slow_hash.hash_stage, slow_hash.hash_work);
 }
 
 #[test]

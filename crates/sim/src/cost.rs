@@ -134,20 +134,36 @@ pub fn hash_stage(pages: u64, workers: u64) -> SimDuration {
 /// `hash_stage(pages, workers)` to the nanosecond. The restore's
 /// page-in and the object store's audits fold their batches through
 /// it.
+///
+/// One of the `workers` lanes is the caller's core. While the caller is
+/// busy elsewhere ([`HashTrail::with_caller_busy`]), the hash runs on
+/// the other `workers - 1` lanes at their pace; at one worker it waits
+/// for the caller.
 #[derive(Debug, Clone, Copy)]
 pub struct HashTrail {
     workers: u64,
     pages: u64,
     done: SimTime,
+    caller_busy: (SimTime, SimTime),
 }
 
 impl HashTrail {
     /// A stream that starts at `start`, hashing on `workers` cores.
     pub fn new(start: SimTime, workers: u64) -> HashTrail {
         HashTrail {
-            workers,
+            workers: workers.max(1),
             pages: 0,
             done: start,
+            caller_busy: (start, start),
+        }
+    }
+
+    /// The same stream with the caller's lane busy from `from` to
+    /// `until`.
+    pub fn with_caller_busy(self, from: SimTime, until: SimTime) -> HashTrail {
+        HashTrail {
+            caller_busy: (from, until.max(from)),
+            ..self
         }
     }
 
@@ -156,7 +172,33 @@ impl HashTrail {
         let before = hash_stage(self.pages, self.workers);
         self.pages += pages;
         let share = hash_stage(self.pages, self.workers).saturating_sub(before);
-        self.done = self.done.max(read_done) + share;
+        self.done = self.run(self.done.max(read_done), share);
+    }
+
+    /// When `work`, timed on all `workers` lanes, started at `start`
+    /// ends: at full pace outside the caller's busy window, on the
+    /// other lanes inside it.
+    fn run(&self, mut start: SimTime, mut work: SimDuration) -> SimTime {
+        let (from, until) = self.caller_busy;
+        if start < from {
+            let before = from.since(start);
+            if work <= before {
+                return start + work;
+            }
+            work -= before;
+            start = from;
+        }
+        if start < until && work > SimDuration::ZERO {
+            let lanes = self.workers - 1;
+            let fits = until.since(start).as_nanos() * lanes / self.workers;
+            if work.as_nanos() <= fits {
+                let slowed = (work.as_nanos() * self.workers).div_ceil(lanes);
+                return start + SimDuration::from_nanos(slowed);
+            }
+            work -= SimDuration::from_nanos(fits);
+            start = until;
+        }
+        start + work
     }
 
     /// When the last batch folded in is hashed.
@@ -255,6 +297,53 @@ mod tests {
         let share = hash_stage(44, 3).saturating_sub(hash_stage(35, 3));
         assert_eq!(trail.done(), late + share);
         assert_eq!(trail.work(), hash_stage(44, 3));
+    }
+
+    /// While the caller is busy, one worker's hash waits for it and two
+    /// workers' runs on one lane at half pace; work that ends before
+    /// the window or starts after it is untouched, and the window
+    /// delays the horizon by at most its length.
+    #[test]
+    fn hash_trail_runs_on_the_other_lanes_while_the_caller_is_busy() {
+        let at = |us: u64| SimTime::ZERO + SimDuration::from_micros(us);
+        let (from, until) = (at(100), at(300));
+        for workers in [1, 2, 4] {
+            let mut free = HashTrail::new(at(0), workers);
+            let mut busy = HashTrail::new(at(0), workers).with_caller_busy(from, until);
+            free.fold(at(0), 64);
+            busy.fold(at(0), 64);
+            assert_eq!(busy.done(), free.done(), "{workers}: ends before the window");
+            free.fold(at(400), 64);
+            busy.fold(at(400), 64);
+            assert_eq!(busy.done(), free.done(), "{workers}: starts after it");
+        }
+
+        let work = hash_stage(64, 1);
+        let mut one = HashTrail::new(at(0), 1).with_caller_busy(from, until);
+        one.fold(at(150), 64);
+        assert_eq!(one.done(), until + work, "one worker waits for the caller");
+
+        let work = hash_stage(64, 2);
+        let mut two = HashTrail::new(at(0), 2).with_caller_busy(from, until);
+        two.fold(at(150), 64);
+        assert_eq!(two.done(), at(150) + work * 2, "one of two lanes hashes");
+
+        // Work straddling the window's start finishes what the window
+        // does not hold after it.
+        let work = hash_stage(64, 1);
+        let mut one = HashTrail::new(at(0), 1).with_caller_busy(from, until);
+        one.fold(from - work / 2, 64);
+        assert_eq!(one.done(), until + work.saturating_sub(work / 2));
+
+        let mut free = HashTrail::new(at(0), 4);
+        let mut busy = HashTrail::new(at(0), 4).with_caller_busy(from, until);
+        for k in 0..40 {
+            free.fold(at(10 * k), 400);
+            busy.fold(at(10 * k), 400);
+        }
+        assert!(busy.done() >= free.done());
+        assert!(busy.done() <= free.done() + until.since(from));
+        assert_eq!(busy.work(), free.work());
     }
 
     #[test]

@@ -239,13 +239,16 @@ pub type Words = std::hash::BuildHasherDefault<WordHasher>;
 /// CRC-32C (Castagnoli) polynomial, reflected.
 const CRC32C_POLY: u32 = 0x82F6_3B78;
 
-/// Lazily built 8-bit lookup table for CRC-32C.
-fn crc_table() -> &'static [u32; 256] {
+/// Lazily built slicing-by-8 tables for CRC-32C: `tables[0]` is the
+/// bytewise table, and `tables[k][b]` is the CRC of byte `b` followed
+/// by `k` zero bytes, so eight table lookups advance the CRC by eight
+/// bytes at once.
+fn crc_tables() -> &'static [[u32; 256]; 8] {
     use std::sync::OnceLock;
-    static TABLE: OnceLock<[u32; 256]> = OnceLock::new();
-    TABLE.get_or_init(|| {
-        let mut table = [0u32; 256];
-        for (i, slot) in table.iter_mut().enumerate() {
+    static TABLES: OnceLock<[[u32; 256]; 8]> = OnceLock::new();
+    TABLES.get_or_init(|| {
+        let mut tables = [[0u32; 256]; 8];
+        for (i, slot) in tables[0].iter_mut().enumerate() {
             let mut crc = i as u32;
             for _ in 0..8 {
                 crc = if crc & 1 != 0 {
@@ -256,18 +259,41 @@ fn crc_table() -> &'static [u32; 256] {
             }
             *slot = crc;
         }
-        table
+        for k in 1..8 {
+            for i in 0..256 {
+                let prev = tables[k - 1][i];
+                tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            }
+        }
+        tables
     })
+}
+
+/// Folds `bytes` into `crc` one byte at a time through `table`.
+fn crc_bytewise(table: &[u32; 256], mut crc: u32, bytes: &[u8]) -> u32 {
+    for &b in bytes {
+        crc = (crc >> 8) ^ table[((crc ^ b as u32) & 0xFF) as usize];
+    }
+    crc
 }
 
 /// Computes the CRC-32C checksum of `data`.
 pub fn crc32c(data: &[u8]) -> u32 {
-    let table = crc_table();
+    let t = crc_tables();
     let mut crc = !0u32;
-    for &b in data {
-        crc = (crc >> 8) ^ table[((crc ^ b as u32) & 0xFF) as usize];
+    let mut words = data.chunks_exact(8);
+    for w in &mut words {
+        let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][w[4] as usize]
+            ^ t[2][w[5] as usize]
+            ^ t[1][w[6] as usize]
+            ^ t[0][w[7] as usize];
     }
-    !crc
+    !crc_bytewise(&t[0], crc, words.remainder())
 }
 
 #[cfg(test)]
@@ -384,6 +410,30 @@ mod tests {
         let ascending: Vec<u8> = (0u8..32).collect();
         assert_eq!(crc32c(&ascending), 0x46DD_794E);
         assert_eq!(crc32c(b"123456789"), 0xE306_9283);
+    }
+
+    /// The byte-at-a-time loop `crc32c` slices by eight.
+    fn crc32c_bytewise(data: &[u8]) -> u32 {
+        !crc_bytewise(&crc_tables()[0], !0, data)
+    }
+
+    #[test]
+    fn crc32c_matches_the_bytewise_loop_at_any_length_and_alignment() {
+        let buf: Vec<u8> = (0..4).flat_map(noise_page).collect();
+        let mut s = 0x5EED_u64;
+        for _ in 0..2000 {
+            s = crate::rng::mix64(s);
+            let start = (s % 64) as usize;
+            let len = ((s >> 8) % 4200) as usize;
+            let data = &buf[start..start + len];
+            assert_eq!(crc32c(data), crc32c_bytewise(data), "start {start}, len {len}");
+        }
+        for len in 0..=64 {
+            for start in 0..8 {
+                let data = &buf[start..start + len];
+                assert_eq!(crc32c(data), crc32c_bytewise(data), "start {start}, len {len}");
+            }
+        }
     }
 
     #[test]

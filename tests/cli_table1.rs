@@ -87,6 +87,16 @@ fn full_cli_lifecycle() {
     assert!(out.contains("hello, world #12"));
     let out = sls(&base, &["restore", "counter", "--tag", "golden"]).unwrap();
     assert!(out.contains("hello, world #8"), "tagged restore: {out}");
+    let page_in = out
+        .lines()
+        .find_map(|l| l.trim().strip_prefix("page-in: stream "))
+        .unwrap_or_else(|| panic!("restore names its page-in stream: {out}"));
+    let (stream, hidden) = page_in
+        .split_once(", ")
+        .and_then(|(s, h)| Some((s, h.strip_suffix(" hidden under metadata")?)))
+        .unwrap_or_else(|| panic!("stream and hidden part: {page_in}"));
+    assert_ne!(stream, "0ns", "an eager restore of a fresh world reads pages: {out}");
+    assert_ne!(hidden, "0ns", "the metadata phase runs under the stream: {out}");
 
     // ps lists the application and its history.
     let out = sls(&base, &["ps"]).unwrap();
