@@ -331,9 +331,8 @@ impl TenantFleet {
     ///
     /// One tenant's failure never aborts the wave: each entry carries
     /// that tenant's own outcome (committed breakdown, quarantine skip,
-    /// or hard error), mirroring [`Host::checkpoint_all`]. The outer
-    /// `Result` only reports harness errors (an unknown tenant
-    /// position).
+    /// or hard error). The outer `Result` only reports harness errors
+    /// (an unknown tenant position).
     pub fn checkpoint_wave(
         &mut self,
         host: &mut Host,

@@ -237,3 +237,40 @@ fn interleaved_run_engages_the_scheduler() {
     assert!(host.sls.fleet.stats.admitted >= 8);
     host.fleet_drain();
 }
+
+/// A wave never aborts early. The middle tenant's process exited, so its
+/// group has no live members and its cycle returns a hard error; the
+/// error lands in that tenant's own entry and fault domain, and the
+/// tenants on either side still commit.
+#[test]
+fn fleet_sweep_survives_one_tenant_hard_error() {
+    let mut host = new_host();
+    let mut fleet = TenantFleet::start(&mut host, 3, 0x5eed, HEAP, KEYS, VALUE_LEN).unwrap();
+    host.kernel.exit(fleet.tenants[1].server.pid, 0).unwrap();
+    for t in [0, 2] {
+        fleet.touch(&mut host, t, 4).unwrap();
+    }
+    let cycles = fleet.checkpoint_wave(&mut host, &[0, 1, 2], 0).unwrap();
+    assert_eq!(cycles.len(), 3);
+    // The wave keeps request order: the error sits between two commits,
+    // so the first error did not end the loop.
+    let committed = |i: usize| matches!(&cycles[i].result, Ok(bd) if bd.outcome.committed());
+    assert!(
+        committed(0) && committed(2),
+        "the tenants on either side must still commit"
+    );
+    let gid = fleet.tenants[1].gid;
+    assert_eq!(cycles[1].gid, gid);
+    let err = cycles[1].result.as_ref().unwrap_err().to_string();
+    assert!(err.contains("no live members"), "{err}");
+    assert_eq!(fleet.tenants[0].last_ckpt, "t0-r0");
+    assert_eq!(fleet.tenants[1].last_ckpt, "t1-base");
+    // Charged to the middle tenant alone.
+    assert_eq!(host.tenant_domain(gid).failures, 1);
+    for t in [0, 2] {
+        assert_eq!(host.tenant_domain(fleet.tenants[t].gid).failures, 0);
+    }
+    let faults = host.fleet_drain();
+    assert_eq!(faults.len(), 1);
+    assert_eq!(faults[0].0, gid.0);
+}

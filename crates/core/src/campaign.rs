@@ -299,8 +299,10 @@ pub struct Scenario {
     /// images, the plan spans several extents), not a short prefix
     /// (later rounds stage one sub-page delta per page; chains grow).
     whole_pages: bool,
-    /// Rounds from this one on go through the fleet scheduler's
-    /// pipelined cycle; earlier ones (and `None`) checkpoint inline.
+    /// Rounds from this one on go through the fleet scheduler
+    /// (`Host::checkpoint_pipelined`: admission gate, run queue, health
+    /// verdict); earlier ones (and `None`) call `Host::checkpoint`
+    /// directly. The cycle itself is the same checkpoint either way.
     pipelined_from: Option<u32>,
     /// Flush and restore worker count.
     workers: usize,

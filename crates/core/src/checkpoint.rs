@@ -24,11 +24,10 @@ use aurora_posix::{FileId, Kernel, Pid};
 use aurora_sim::clock::Stopwatch;
 use aurora_sim::cost;
 use aurora_sim::error::{Error, Result};
-use aurora_sim::time::{SimDuration, SimTime};
+use aurora_sim::time::SimTime;
 use aurora_vm::cow::{self, Capture};
 use aurora_vm::VmoId;
 
-use crate::fleet::FlushMode;
 use crate::flush::{delta_runs, hash_images, DirtyRuns, PlanEntry, FLUSH_BATCH_PAGES};
 use crate::group::{Group, GroupId, ScrubFinding};
 use crate::metrics::{CheckpointBreakdown, CheckpointOutcome};
@@ -65,24 +64,14 @@ impl Host {
     /// `full` captures every resident page; otherwise only pages dirtied
     /// since the previous checkpoint are captured (incremental). A
     /// freshly attached backend forces the next checkpoint to be full.
+    ///
+    /// This is also the cycle [`Host::checkpoint_pipelined`] runs once
+    /// the fleet scheduler admits it (see `crate::fleet`).
     pub fn checkpoint(
         &mut self,
         gid: GroupId,
         full: bool,
         name: Option<&str>,
-    ) -> Result<CheckpointBreakdown> {
-        self.checkpoint_mode(gid, full, name, FlushMode::Inline)
-    }
-
-    /// The checkpoint cycle behind both [`Host::checkpoint`] (inline
-    /// flush accounting) and [`Host::checkpoint_pipelined`] (the fleet
-    /// scheduler's overlapped accounting; see `crate::fleet`).
-    pub(crate) fn checkpoint_mode(
-        &mut self,
-        gid: GroupId,
-        full: bool,
-        name: Option<&str>,
-        mode: FlushMode,
     ) -> Result<CheckpointBreakdown> {
         let members = self.group_members(gid);
         if members.is_empty() {
@@ -181,28 +170,20 @@ impl Host {
             barrier_entry + breakdown.metadata_copy + breakdown.lazy_data_copy + resume;
 
         // --- Background flush to every backend. ------------------------------
-        let (durable, flush_report) = match flush_capture(
+        if let Err(e) = flush_capture(
             &mut self.kernel,
             &mut self.sls,
             gid,
             &captured,
             full,
             name,
-            mode,
+            &mut breakdown,
         ) {
-            Ok(d) => d,
-            Err(e) if aborts_checkpoint(&e) => {
+            if aborts_checkpoint(&e) {
                 return self.abort_checkpoint(gid, &captured, breakdown, e);
             }
-            Err(e) => return Err(e),
-        };
-        breakdown.flush_bytes = flush_report.flush_bytes;
-        breakdown.flush_workers = flush_report.workers;
-        breakdown.hash_stage = flush_report.hash_stage;
-        breakdown.pages_hashed = flush_report.pages_hashed;
-        breakdown.flush_span = flush_report.flush_span;
-        breakdown.write_wait = flush_report.write_wait;
-        breakdown.durable_at = durable;
+            return Err(e);
+        }
         breakdown.ckpt = self.sls.group_ref(gid)?.last_checkpoint();
 
         // Release the frozen frames: their contents now live in the
@@ -210,7 +191,7 @@ impl Host {
         cow::release_flushed(&mut self.kernel.vm, &captured.plan);
 
         let group = self.sls.group_mut(gid)?;
-        group.ec_outstanding.push_back((ec_seq, durable));
+        group.ec_outstanding.push_back((ec_seq, breakdown.durable_at));
         // The marked pages are durable as full images now.
         for page in &rewrites {
             group.rewrite.remove(page);
@@ -935,27 +916,10 @@ fn capture_metadata(
     })
 }
 
-/// Per-checkpoint telemetry from the parallel flush pipeline.
-pub(crate) struct FlushReport {
-    /// Worker threads used by the hash stage.
-    pub workers: u64,
-    /// Hash-stage duration charged to the virtual clock.
-    pub hash_stage: SimDuration,
-    /// Pages the hash stage content-hashed.
-    pub pages_hashed: u64,
-    /// Sim-time span from flush submission to the durable instant.
-    pub flush_span: SimDuration,
-    /// Sim time from the end of the last batch's hash to the durable
-    /// instant: device work no later batch's hash was left to hide.
-    pub write_wait: SimDuration,
-    /// Bytes actually flushed on the widest backend: full 4 KiB images
-    /// plus encoded delta records (sub-page dirty extents make this far
-    /// smaller than `armed_pages * 4096`).
-    pub flush_bytes: u64,
-}
-
-/// Writes captured pages and records to every backend and commits;
-/// returns the instant at which all backends are durable.
+/// Writes captured pages and records to every backend and commits.
+/// Once every backend committed, fills the breakdown's flush fields:
+/// `durable_at`, the max of the backends' durable instants, and the
+/// hash, span and byte telemetry; a failed flush leaves them unset.
 ///
 /// The pipeline runs in plan order (see `crate::flush`):
 ///
@@ -972,7 +936,8 @@ pub(crate) struct FlushReport {
 ///    batch *k+1* is hashed.
 /// 3. **Commit** — one appended record and one flush per backend; the
 ///    checkpoint is durable at the max of the backends' durable
-///    instants. Only the commit barrier waits for the device.
+///    instants. The clock does not wait for the commit: it completes
+///    at `durable_at`, ahead of the clock.
 ///
 /// Any error propagates without committing; `abort_checkpoint` then
 /// forces the next checkpoint full, so a partially-applied plan on one
@@ -984,8 +949,8 @@ fn flush_capture(
     captured: &CapturedState,
     full: bool,
     name: Option<&str>,
-    mode: FlushMode,
-) -> Result<(SimTime, FlushReport)> {
+    breakdown: &mut CheckpointBreakdown,
+) -> Result<()> {
     let next_group = sls.next_group_value();
     let workers = sls.flush_workers.max(1);
 
@@ -1031,23 +996,12 @@ fn flush_capture(
     // divided by the worker count, for the pages some backend stores as
     // an image, so checkpoint latency and the flush span reflect the
     // configured parallelism regardless of how many physical CPUs the
-    // harness happens to have.
+    // harness happens to have. It is charged to the driving clock batch
+    // by batch below; the charges sum to exactly `hash_stage`.
     let flush_start = kernel.clock.now();
     let hash_cost = |pages: u64| cost::hash_stage(pages, workers as u64);
     let pages_hashed = wants_image.iter().filter(|&&wanted| wanted).count() as u64;
     let hash_stage = hash_cost(pages_hashed);
-    let hash_done = match mode {
-        // Charged to the driving clock batch by batch below; the charges
-        // sum to exactly `hash_stage`.
-        FlushMode::Inline => flush_start + hash_stage,
-        // Pipelined cycles hash on the fleet scheduler's lane horizons
-        // instead: the driving thread returns to the next tenant's
-        // capture while this flush's hash occupies an idle lane, and the
-        // durable instant below waits for the lane to finish. The lane
-        // is booked once for the whole plan; a flush with nothing to
-        // hash books no lane.
-        FlushMode::Pipelined => sls.fleet.hash_slot(flush_start, hash_stage),
-    };
     let group = sls
         .groups
         .get_mut(&gid.0)
@@ -1077,13 +1031,11 @@ fn flush_capture(
         .zip(wants_image.chunks(FLUSH_BATCH_PAGES))
     {
         let images = hash_images(&kernel.vm.frames, pages, wanted, workers);
-        if mode == FlushMode::Inline {
-            // The difference of the cumulative cost, so the per-batch
-            // charges telescope to `hash_stage` to the nanosecond.
-            let before = hash_cost(hashed);
-            hashed += wanted.iter().filter(|&&wanted| wanted).count() as u64;
-            kernel.clock.charge(hash_cost(hashed).saturating_sub(before));
-        }
+        // The difference of the cumulative cost, so the per-batch
+        // charges telescope to `hash_stage` to the nanosecond.
+        let before = hash_cost(hashed);
+        hashed += wanted.iter().filter(|&&wanted| wanted).count() as u64;
+        kernel.clock.charge(hash_cost(hashed).saturating_sub(before));
         for (backend, batches) in group.backends.iter().zip(&mut delta_batches) {
             let runs = batches
                 .next()
@@ -1138,23 +1090,19 @@ fn flush_capture(
         }
         durable = durable.max(backend_durable);
     }
-    // A flush is not durable before its hash is done: the lane's horizon
-    // when pipelined; inline, the clock is already there.
+    // A flush is not durable before its hash is done.
+    let hash_done = flush_start + hash_stage;
     durable = durable.max(hash_done);
 
-    let flush_span = durable.since(flush_start);
-    let write_wait = durable.since(hash_done);
-    Ok((
-        durable,
-        FlushReport {
-            workers: workers as u64,
-            hash_stage,
-            pages_hashed,
-            flush_span,
-            write_wait,
-            flush_bytes,
-        },
-    ))
+    breakdown.durable_at = durable;
+    breakdown.flush_workers = workers as u64;
+    breakdown.hash_stage = hash_stage;
+    breakdown.pages_hashed = pages_hashed;
+    breakdown.flush_span = durable.since(flush_start);
+    // Device work no later batch's hash was left to hide.
+    breakdown.write_wait = durable.since(hash_done);
+    breakdown.flush_bytes = flush_bytes;
+    Ok(())
 }
 
 /// Encodes the durable host state blob.

@@ -1,33 +1,35 @@
-//! Fleet-scale tenant scheduler: pipelined per-group checkpoint cycles.
+//! Fleet-scale tenant scheduler: per-group checkpoint cycles that
+//! overlap on the device.
 //!
 //! The serverless warm-start story (§4 of the paper) runs thousands of
 //! tenants, each checkpointed at high rate. A single global barrier
-//! serializes the whole fleet on one cycle at a time, so the sharded
-//! hash/dedup/coalesce pipeline and the delta log idle while unrelated
-//! tenants queue — the aggregation bottleneck stdchk identifies for
-//! checkpoint storage. This module overlaps tenants in virtual time
-//! while keeping the exclusion correctness actually needs:
+//! serializes the whole fleet on one cycle at a time, so the device
+//! idles while unrelated tenants queue — the aggregation bottleneck
+//! stdchk identifies for checkpoint storage. This module overlaps
+//! tenants on the device while keeping the exclusion correctness
+//! actually needs:
 //!
 //! * **one driving thread** — the host runs every cycle on the thread
 //!   that holds `&mut Host`, so one group's cycles exclude each other
 //!   and a store shared by several groups sees one typestate commit
 //!   (append → flush) at a time through its `RefCell` borrow
 //!   and `ObjectStore::commit(&mut self)`;
-//! * a [`FleetScheduler`] — a bounded run queue of in-flight flushes
-//!   plus a set of hash-lane horizons. Admission retires the oldest
-//!   flush when the queue is full; a pipelined flush's hash stage
-//!   occupies the earliest-free lane instead of charging the driving
-//!   thread's clock, which is exactly the idle capacity the serialized
-//!   fleet wastes.
+//! * **one flush** — a fleet cycle is [`Host::checkpoint`]: capture
+//!   while the group is stopped, then the flush workers hash each batch
+//!   while the driving thread waits, and the batch's writes and the
+//!   commit are submitted to the device without waiting for them;
+//! * a [`FleetScheduler`] — a bounded run queue of in-flight flushes.
+//!   The driving thread moves on to the next tenant's capture while
+//!   the device drains this one's writes and commit; admission retires
+//!   the oldest flush when the queue is full.
 //!
 //! Commit-ordering argument: cycles run one after the other on the
 //! driving thread, so a group's backends' chains grow in cycle order,
-//! and a shared store's journal is a clean
-//! interleaving of whole commits. The overlap between tenants is
-//! modelled in virtual time by the hash lanes, not by host threads.
-//! Durability is per-cycle (`durable_at` = max over backends and the
-//! hash lane), so external-consistency release never observes another
-//! tenant's cycle.
+//! and a shared store's journal is a clean interleaving of whole
+//! commits. The overlap between tenants is the device queue's and the
+//! run queue's, not host threads'. Durability is per-cycle
+//! (`durable_at` = max over backends), so external-consistency release
+//! never observes another tenant's cycle.
 //!
 //! **Fault domains.** Every tenant additionally carries a
 //! [`TenantDomain`]: a health state machine
@@ -35,7 +37,7 @@
 //! replica states) driven by checkpoint outcomes, per-cycle deadlines
 //! on the virtual clock, and consecutive-failure counters. A
 //! quarantined tenant's cycles are skipped before the group is ever
-//! stopped and its in-flight lane bookings are released, so one
+//! stopped and its in-flight flushes leave the run queue, so one
 //! sick tenant cannot back up the shared run queue — the rest of the
 //! fleet proceeds. Re-admission is probed with capped exponential
 //! backoff, gated on the tenant's backing devices
@@ -55,19 +57,6 @@ use aurora_sim::SimClock;
 use crate::group::GroupId;
 use crate::metrics::{CheckpointBreakdown, CheckpointOutcome};
 use crate::Host;
-
-/// How `flush_capture` accounts for the hash stage.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum FlushMode {
-    /// Charge the hash stage to the driving thread's clock (the classic
-    /// serialized cycle: capture, hash, flush, commit, one after the
-    /// other).
-    Inline,
-    /// Book the hash stage on a fleet-scheduler lane horizon; the
-    /// driving thread moves on to the next tenant and the cycle's
-    /// durable instant waits for the lane.
-    Pipelined,
-}
 
 /// Health of one tenant's fault domain, mirroring the replica states
 /// of the mirror layer: healthy tenants cycle normally, degraded
@@ -207,8 +196,8 @@ pub struct FleetStats {
     pub queue_depth_max: u64,
     /// Per-tenant stop times of pipelined cycles, in sim ns.
     pub stop_hist: LogHistogram,
-    /// In-flight lane bookings released when their tenant was
-    /// quarantined.
+    /// In-flight flushes dropped from the run queue when their tenant
+    /// was quarantined.
     pub bookings_released: u64,
     /// Recent per-tenant faults, bounded; drained (and returned) by
     /// [`Host::fleet_drain`] instead of being dropped on the floor.
@@ -217,9 +206,8 @@ pub struct FleetStats {
 
 /// Pipelines checkpoint cycles across tenants.
 ///
-/// The scheduler holds two pieces of virtual-time state: the bounded
-/// queue of in-flight flushes (group id, durable instant) and the
-/// per-lane horizons of the hash stage. It is rebuilt empty on reboot —
+/// The scheduler's virtual-time state is the bounded queue of in-flight
+/// flushes (group id, durable instant). It is rebuilt empty on reboot —
 /// in-flight flushes die with the machine like any other undurable
 /// state.
 #[derive(Debug, Clone)]
@@ -227,15 +215,10 @@ pub struct FleetScheduler {
     /// In-flight flushes the run queue admits before stalling a
     /// capture on the oldest drain.
     pub queue_cap: usize,
-    /// Hash lanes available to overlapped flushes: the idle cores a
-    /// serialized fleet leaves unused while one tenant's cycle runs.
-    pub hash_lanes: usize,
     /// Per-cycle deadline on the virtual clock: a committed cycle
     /// whose durable instant lands later than admission + deadline is
     /// charged as a deadline miss against its tenant's fault domain.
     pub cycle_deadline: SimDuration,
-    /// Busy-until horizon per hash lane.
-    lanes: Vec<SimTime>,
     /// In-flight flushes, oldest first: `(group id, durable instant)`.
     inflight: VecDeque<(u32, SimTime)>,
     /// Per-tenant fault domains, keyed by group id (consulted by the
@@ -248,9 +231,6 @@ pub struct FleetScheduler {
 /// Default bound on in-flight flushes.
 pub const DEFAULT_FLEET_QUEUE_CAP: usize = 32;
 
-/// Default hash-lane count for overlapped flushes.
-pub const DEFAULT_HASH_LANES: usize = 4;
-
 impl Default for FleetScheduler {
     fn default() -> Self {
         FleetScheduler::new()
@@ -258,13 +238,11 @@ impl Default for FleetScheduler {
 }
 
 impl FleetScheduler {
-    /// A scheduler with the default queue bound and lane count.
+    /// A scheduler with the default queue bound and cycle deadline.
     pub fn new() -> FleetScheduler {
         FleetScheduler {
             queue_cap: DEFAULT_FLEET_QUEUE_CAP,
-            hash_lanes: DEFAULT_HASH_LANES,
             cycle_deadline: DEFAULT_CYCLE_DEADLINE,
-            lanes: Vec::new(),
             inflight: VecDeque::new(),
             health: BTreeMap::new(),
             stats: FleetStats::default(),
@@ -278,7 +256,6 @@ impl FleetScheduler {
     pub(crate) fn fresh_config(&self) -> FleetScheduler {
         FleetScheduler {
             queue_cap: self.queue_cap,
-            hash_lanes: self.hash_lanes,
             cycle_deadline: self.cycle_deadline,
             ..FleetScheduler::new()
         }
@@ -307,29 +284,6 @@ impl FleetScheduler {
         if !self.inflight.is_empty() {
             self.stats.overlapped += 1;
         }
-    }
-
-    /// Books `cost` on the earliest-free hash lane at or after `now`;
-    /// returns the lane's completion instant. A flush with nothing to
-    /// hash books no lane and never waits behind other tenants' work.
-    pub(crate) fn hash_slot(&mut self, now: SimTime, cost: SimDuration) -> SimTime {
-        if cost == SimDuration::ZERO {
-            return now;
-        }
-        self.lanes.resize(self.hash_lanes.max(1), SimTime::ZERO);
-        let lane = match self
-            .lanes
-            .iter_mut()
-            .min_by_key(|horizon| horizon.as_nanos())
-        {
-            Some(l) => l,
-            // Unreachable: resize above guarantees at least one lane.
-            None => return now + cost,
-        };
-        let start = now.max(*lane);
-        let done = start + cost;
-        *lane = done;
-        done
     }
 
     /// Records a committed pipelined cycle.
@@ -397,7 +351,7 @@ impl FleetScheduler {
         d.next_probe
     }
 
-    /// Releases every in-flight lane booking of `gid`: the rest of the
+    /// Releases every in-flight flush of `gid`: the rest of the
     /// fleet must not stall its admissions on a quarantined tenant's
     /// flushes. Returns the number of bookings released.
     pub(crate) fn release(&mut self, gid: u32) -> usize {
@@ -500,52 +454,17 @@ impl FleetScheduler {
     }
 }
 
-/// One tenant's outcome within a fleet sweep: the breakdown of its
-/// cycle (committed, degraded, aborted, or a quarantine skip), or the
-/// hard error it failed with. One tenant's error never aborts the
-/// sweep for the others.
+/// One tenant's outcome within a fleet wave
+/// (`aurora_apps::pool::TenantFleet::checkpoint_wave`): the breakdown of
+/// its cycle (committed, degraded, aborted, or a quarantine skip), or
+/// the hard error it failed with. One tenant's error never aborts the
+/// wave for the others.
 #[derive(Debug)]
 pub struct TenantCycle {
     /// The tenant's group.
     pub gid: GroupId,
     /// Its cycle's result.
     pub result: Result<CheckpointBreakdown>,
-}
-
-/// Per-tenant outcomes of one fleet sweep ([`Host::checkpoint_all`]).
-#[derive(Debug, Default)]
-pub struct FleetSweep {
-    /// One entry per requested tenant, in request order.
-    pub cycles: Vec<TenantCycle>,
-}
-
-impl FleetSweep {
-    /// Tenants whose cycle committed a new durable checkpoint.
-    pub fn committed(&self) -> usize {
-        self.cycles
-            .iter()
-            .filter(|c| matches!(&c.result, Ok(b) if b.outcome.committed()))
-            .count()
-    }
-
-    /// Tenants whose cycle was skipped under quarantine.
-    pub fn skipped(&self) -> usize {
-        self.cycles
-            .iter()
-            .filter(|c| matches!(&c.result, Ok(b) if b.outcome == CheckpointOutcome::Quarantined))
-            .count()
-    }
-
-    /// Tenants whose cycle returned a hard error, with the error text.
-    pub fn errors(&self) -> Vec<(GroupId, String)> {
-        self.cycles
-            .iter()
-            .filter_map(|c| match &c.result {
-                Err(e) => Some((c.gid, e.to_string())),
-                Ok(_) => None,
-            })
-            .collect()
-    }
 }
 
 impl Host {
@@ -595,11 +514,13 @@ impl Host {
     }
 
     /// Takes a pipelined checkpoint of one tenant: admission through the
-    /// fleet scheduler's run queue, capture while the group is stopped,
-    /// hash on a scheduler lane, then one commit per backend store. The
-    /// returned breakdown's `durable_at` gates this cycle exactly like
-    /// the serialized path; use [`Host::fleet_drain`] (or
-    /// [`Host::wait_durable`]) to wait it out.
+    /// fleet scheduler's run queue, then [`Host::checkpoint`] — capture
+    /// while the group is stopped, the flush hashed on the flush workers
+    /// while the driving thread waits, one commit per backend store. The
+    /// scheduler only decides whether and when the cycle runs; the cycle
+    /// and its breakdown are the plain checkpoint's. Its `durable_at`
+    /// lies ahead of the clock while the device drains; use
+    /// [`Host::fleet_drain`] (or [`Host::wait_durable`]) to wait it out.
     ///
     /// The cycle runs inside the tenant's fault domain: a quarantined
     /// tenant's cycle is skipped (outcome
@@ -633,7 +554,7 @@ impl Host {
         }
         self.sls.fleet.admit(&self.clock);
         let admitted_at = self.clock.now();
-        let breakdown = match self.checkpoint_mode(gid, full, name, FlushMode::Pipelined) {
+        let breakdown = match self.checkpoint(gid, full, name) {
             Ok(b) => b,
             Err(e) => {
                 // A hard error is a per-tenant fault, not a fleet
@@ -671,25 +592,6 @@ impl Host {
         Ok(breakdown)
     }
 
-    /// Checkpoints a wave of tenants through the scheduler, incremental
-    /// by default (`full` forces full captures). Captures interleave
-    /// with earlier tenants' flushes; nothing waits for global
-    /// durability — drain explicitly when the wave must be on disk.
-    ///
-    /// The sweep never aborts early: every tenant gets its cycle and
-    /// the [`FleetSweep`] carries each one's outcome — committed
-    /// breakdowns, quarantine skips, and hard errors alike.
-    pub fn checkpoint_all(&mut self, gids: &[GroupId], full: bool) -> FleetSweep {
-        let mut cycles = Vec::with_capacity(gids.len());
-        for &gid in gids {
-            cycles.push(TenantCycle {
-                gid,
-                result: self.checkpoint_pipelined(gid, full, None),
-            });
-        }
-        FleetSweep { cycles }
-    }
-
     /// Waits (advances the virtual clock) until every in-flight
     /// pipelined flush is durable, then releases external-consistency
     /// holds. Returns the per-tenant faults recorded since the last
@@ -708,33 +610,6 @@ impl Host {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn hash_lanes_overlap_in_virtual_time() {
-        let mut f = FleetScheduler::new();
-        f.hash_lanes = 2;
-        let t0 = SimTime::ZERO;
-        let c = SimDuration::from_micros(10);
-        // Two flushes at t0 land on distinct lanes: both end at t0+c.
-        assert_eq!(f.hash_slot(t0, c), t0 + c);
-        assert_eq!(f.hash_slot(t0, c), t0 + c);
-        // The third queues behind the earliest lane.
-        assert_eq!(f.hash_slot(t0, c), t0 + c + c);
-    }
-
-    #[test]
-    fn flush_with_nothing_to_hash_books_no_lane() {
-        let mut f = FleetScheduler::new();
-        f.hash_lanes = 2;
-        let t0 = SimTime::ZERO;
-        let c = SimDuration::from_micros(10);
-        f.hash_slot(t0, c);
-        f.hash_slot(t0, c);
-        // Both lanes are busy until t0+c; an all-delta flush is done at once
-        // and leaves the horizons where they were.
-        assert_eq!(f.hash_slot(t0, SimDuration::ZERO), t0);
-        assert_eq!(f.hash_slot(t0, c), t0 + c + c);
-    }
 
     #[test]
     fn admit_bounds_the_queue() {

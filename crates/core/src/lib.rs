@@ -98,8 +98,9 @@ pub struct Sls {
     /// One pager per (store, checkpoint): restores from the same image
     /// share it, which is what lets sibling instances share frames.
     pub(crate) pager_cache: std::collections::HashMap<(usize, u64), aurora_vm::PagerId>,
-    /// Worker threads for the parallel flush hash stage (see
-    /// `crate::flush`). 1 selects the serial path.
+    /// Worker threads for the flush pipeline's hash stage and the
+    /// post-commit scrub step (see `crate::flush`). 1 runs the same
+    /// pipeline on one thread.
     pub flush_workers: usize,
     /// Worker threads for the restore page-in pipeline's hash stage
     /// (see `crate::restore`). 1 runs the same pipeline on one thread.

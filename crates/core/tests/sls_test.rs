@@ -11,10 +11,10 @@ use std::rc::Rc;
 use aurora_core::restore::RestoreMode;
 use aurora_core::{BackendKind, Host, RestoreBreakdown};
 use aurora_hw::dev::{CostModel, QUEUE_DEPTH};
-use aurora_hw::{FaultPlan, ModelDev, RetryPolicy};
+use aurora_hw::{BlockDev, DevInfo, DevStats, FaultPlan, ModelDev, RetryPolicy};
 use aurora_objstore::{ObjectStore, StoreConfig};
-use aurora_sim::time::SimDuration;
-use aurora_sim::SimClock;
+use aurora_sim::time::{SimDuration, SimTime};
+use aurora_sim::{PageData, SimClock};
 use aurora_slsfs::StoreHandle;
 
 const DEV_BLOCKS: u64 = 128 * 1024;
@@ -154,60 +154,179 @@ fn incremental_checkpoints_capture_only_dirty_pages() {
 }
 
 #[test]
-fn all_delta_flush_does_not_queue_behind_a_busy_hash_lane() {
-    const BIG: u64 = 2048;
-    let mut host = new_host("h");
-    host.sls.fleet.hash_lanes = 1;
+fn a_fleet_cycle_flushes_like_a_checkpoint() {
+    const PAGES: u64 = 3 * aurora_core::flush::FLUSH_BATCH_PAGES as u64 / 2;
+    // One cycle on a fresh twin: an idle host hashing on `workers`,
+    // one tenant with a committed full base. An image plan rewrites
+    // every page whole, an all-delta plan pokes 4 bytes into one page.
+    // Returns the breakdown and its durable instant less the instant of
+    // the call.
+    let cycle = |workers: usize, image: bool, fleet: bool| {
+        let mut host = new_host("h");
+        host.sls.flush_workers = workers;
+        let pid = host.kernel.spawn("app");
+        let addr = host.kernel.mmap_anon(pid, PAGES * 4096, false).unwrap();
+        for p in 0..PAGES {
+            host.kernel
+                .mem_write(pid, addr + p * 4096, format!("base {p}").as_bytes())
+                .unwrap();
+        }
+        let gid = host.persist("app", pid).unwrap();
+        let base = host.checkpoint(gid, true, None).unwrap();
+        host.clock.advance_to(base.durable_at);
 
-    // Tenant A: a region of identical pages wide enough that its hash
-    // stage outlasts B's whole commit — and (after dedup) next to
-    // nothing for the device to write.
-    let a = host.kernel.spawn("wide");
-    let a_addr = host.kernel.mmap_anon(a, BIG * 4096, false).unwrap();
-    for i in 0..BIG {
-        host.kernel.mem_write(a, a_addr + i * 4096, b"same").unwrap();
+        if image {
+            for p in 0..PAGES {
+                let mut page = [2u8; 4096];
+                page[..8].copy_from_slice(&p.to_le_bytes());
+                host.kernel.mem_write(pid, addr + p * 4096, &page).unwrap();
+            }
+        } else {
+            host.kernel.mem_write(pid, addr, b"poke").unwrap();
+        }
+        let call = host.clock.now();
+        let bd = if fleet {
+            host.checkpoint_pipelined(gid, false, None).unwrap()
+        } else {
+            host.checkpoint(gid, false, None).unwrap()
+        };
+        assert!(bd.outcome.committed());
+        assert!(bd.durable_at > SimTime::ZERO);
+        let to_durable = bd.durable_at.since(call);
+        (bd, to_durable)
+    };
+    for workers in [1, 4] {
+        for image in [true, false] {
+            let (plain, plain_durable) = cycle(workers, image, false);
+            let (fleet, fleet_durable) = cycle(workers, image, true);
+            if image {
+                assert_eq!((plain.pages, plain.pages_hashed), (PAGES, PAGES));
+                assert!(plain.hash_stage > SimDuration::ZERO);
+            } else {
+                // A 4-byte poke is a delta record: nothing to hash.
+                assert_eq!((fleet.pages, fleet.pages_hashed), (1, 0));
+                assert_eq!(fleet.hash_stage, SimDuration::ZERO);
+            }
+            assert_eq!(
+                (
+                    fleet.hash_stage,
+                    fleet.flush_span,
+                    fleet.write_wait,
+                    fleet_durable
+                ),
+                (
+                    plain.hash_stage,
+                    plain.flush_span,
+                    plain.write_wait,
+                    plain_durable
+                ),
+                "{} plan at {workers} workers: the fleet cycle's flush is the checkpoint's",
+                if image { "image" } else { "all-delta" }
+            );
+        }
     }
-    let gid_a = host.persist("wide", a).unwrap();
+}
 
-    // Tenant B: one page with a committed base.
-    let b = host.kernel.spawn("small");
-    let b_addr = host.kernel.mmap_anon(b, 4096, false).unwrap();
-    host.kernel.mem_write(b, b_addr, b"base").unwrap();
-    let gid_b = host.persist("small", b).unwrap();
-    host.checkpoint_pipelined(gid_b, true, None).unwrap();
-    host.fleet_drain();
+/// The write side's requests a device served, in order: each write's
+/// bytes, `None` for a flush barrier.
+type WriteLog = Rc<RefCell<Vec<Option<u64>>>>;
 
-    // A's full flush books the only lane for its whole hash stage.
-    let wide = host.checkpoint_pipelined(gid_a, true, None).unwrap();
-    assert_eq!(wide.pages_hashed, BIG);
-    let lane_busy_until = wide.durable_at;
+/// A `ModelDev` that logs its write requests.
+struct Logged {
+    dev: ModelDev,
+    log: WriteLog,
+}
 
-    // B's 4-byte poke is a delta record: nothing to hash, so it neither
-    // waits for the lane nor pushes its horizon.
-    host.kernel.mem_write(b, b_addr, b"poke").unwrap();
-    let small = host.checkpoint_pipelined(gid_b, false, None).unwrap();
-    assert!(small.outcome.committed());
-    assert_eq!((small.pages, small.pages_hashed), (1, 0));
-    assert_eq!(small.hash_stage, aurora_sim::time::SimDuration::ZERO);
-    assert!(
-        small.durable_at < lane_busy_until,
-        "all-delta flush durable at {:?}, lane busy until {:?}",
-        small.durable_at,
-        lane_busy_until
-    );
-    host.fleet_drain();
+impl BlockDev for Logged {
+    fn info(&self) -> &DevInfo {
+        self.dev.info()
+    }
+    fn stats(&self) -> &DevStats {
+        self.dev.stats()
+    }
+    fn write_blocks(
+        &mut self,
+        lba: u64,
+        blocks: &[PageData],
+    ) -> aurora_sim::error::Result<SimTime> {
+        let bytes = blocks.len() as u64 * aurora_hw::BLOCK_SIZE as u64;
+        self.log.borrow_mut().push(Some(bytes));
+        BlockDev::write_blocks(&mut self.dev, lba, blocks)
+    }
+    fn read_blocks(
+        &mut self,
+        lba: u64,
+        bufs: &mut [PageData],
+    ) -> aurora_sim::error::Result<SimTime> {
+        self.dev.read_blocks(lba, bufs)
+    }
+    fn flush(&mut self) -> aurora_sim::error::Result<SimTime> {
+        self.log.borrow_mut().push(None);
+        self.dev.flush()
+    }
+    fn submit_write_timing(&mut self, nbytes: u64) -> aurora_sim::error::Result<SimTime> {
+        self.log.borrow_mut().push(Some(nbytes));
+        self.dev.submit_write_timing(nbytes)
+    }
+    fn charge_read_timing(&mut self, nbytes: u64) -> aurora_sim::error::Result<SimTime> {
+        self.dev.charge_read_timing(nbytes)
+    }
+    fn power_fail(&mut self) {
+        self.dev.power_fail()
+    }
+    fn power_on(&mut self) {
+        self.dev.power_on()
+    }
+    fn powered(&self) -> bool {
+        self.dev.powered()
+    }
+    fn clock(&self) -> &std::sync::Arc<SimClock> {
+        self.dev.clock()
+    }
+}
+
+/// What the device's queue rule charges `requests` on `model`, all
+/// submitted at once to an idle queue: the whole access latency for the
+/// first, a queue-depth share for each write behind it, every write's
+/// transfer, and a whole latency for each flush barrier.
+fn writes_back_to_back(requests: &[Option<u64>], model: CostModel) -> SimDuration {
+    let mut total = SimDuration::ZERO;
+    for (i, request) in requests.iter().enumerate() {
+        total += match request {
+            Some(bytes) if i > 0 => {
+                SimDuration::from_nanos(model.latency_ns / QUEUE_DEPTH)
+                    + SimDuration::for_bytes(*bytes, model.write_bw)
+            }
+            Some(bytes) => {
+                SimDuration::from_nanos(model.latency_ns)
+                    + SimDuration::for_bytes(*bytes, model.write_bw)
+            }
+            None => SimDuration::from_nanos(model.latency_ns),
+        };
+    }
+    total
 }
 
 /// A base checkpoint, then a whole-page rewrite of 4 batches of
-/// distinct pages flushed to `medium` at `workers`; returns the
-/// rewrite's breakdown.
+/// distinct pages flushed to `medium` (charged as `model`) at
+/// `workers`. Returns the rewrite's breakdown and the medium's own time
+/// for the rewrite's writes and commit, had they all been submitted at
+/// flush start: they do not depend on the worker count.
 fn rewrite_flush(
-    medium: Medium,
+    (medium, model): (Medium, CostModel),
     workers: usize,
-    pipelined: bool,
-) -> aurora_core::CheckpointBreakdown {
+) -> (aurora_core::CheckpointBreakdown, SimDuration) {
     const PAGES: u64 = 4 * aurora_core::flush::FLUSH_BATCH_PAGES as u64;
-    let mut host = host_on("h", medium);
+    let log = WriteLog::default();
+    let dev = Logged {
+        dev: medium(SimClock::new(), "h-dev", DEV_BLOCKS),
+        log: log.clone(),
+    };
+    let config = StoreConfig {
+        journal_blocks: 2048,
+        ..StoreConfig::default()
+    };
+    let mut host = Host::boot("h", Box::new(dev), config).unwrap();
     host.sls.flush_workers = workers;
     let pid = host.kernel.spawn("bulk");
     let addr = host.kernel.mmap_anon(pid, PAGES * 4096, false).unwrap();
@@ -224,36 +343,44 @@ fn rewrite_flush(
     host.clock.advance_to(base.durable_at);
 
     rewrite(&mut host, 2);
-    let bd = if pipelined {
-        let bd = host.checkpoint_pipelined(gid, false, None).unwrap();
-        host.fleet_drain();
-        bd
-    } else {
-        host.checkpoint(gid, false, None).unwrap()
-    };
+    log.borrow_mut().clear();
+    let bd = host.checkpoint(gid, false, None).unwrap();
     assert!(bd.outcome.committed());
     assert_eq!((bd.pages, bd.pages_hashed), (PAGES, PAGES));
-    assert_eq!(bd.hash_stage, aurora_sim::cost::hash_stage(PAGES, workers as u64));
-    bd
+    assert_eq!(
+        bd.hash_stage,
+        aurora_sim::cost::hash_stage(PAGES, workers as u64)
+    );
+    // The rewrite's requests end at its commit's flush.
+    let log = log.borrow();
+    let commit = log.iter().position(Option::is_none).unwrap();
+    assert!(
+        commit > 1,
+        "image writes and a journal record precede the commit flush"
+    );
+    (bd, writes_back_to_back(&log[..=commit], model))
 }
 
 #[test]
 fn streamed_flush_span_is_the_longer_of_hash_and_write_plus_one_batch() {
+    use aurora_sim::cost::dev::{NVDIMM_BW, NVDIMM_LAT_NS};
     use aurora_sim::cost::hash_stage;
     let batch = aurora_core::flush::FLUSH_BATCH_PAGES as u64;
-    // The medium's own time for this plan's writes and commit: a
-    // pipelined cycle charges no hash to the clock, so every batch is
-    // submitted at flush start and the device never idles. The writes
-    // do not depend on the worker count.
-    let device_time = |medium: Medium| rewrite_flush(medium, 8, true).flush_span;
+    let nvdimm = CostModel {
+        latency_ns: NVDIMM_LAT_NS,
+        read_bw: NVDIMM_BW,
+        write_bw: NVDIMM_BW,
+    };
 
     // Device-bound: one core already out-hashes the NVMe, so at every
     // worker count the device starts after the first batch's hash and is
     // busy from then on.
-    let device = device_time(ModelDev::nvme);
     for workers in [1, 2, 8] {
-        let fast_hash = rewrite_flush(ModelDev::nvme, workers, false);
-        assert!(fast_hash.hash_stage < device, "{workers} workers out-hash the NVMe");
+        let (fast_hash, device) = rewrite_flush((ModelDev::nvme, CostModel::NVME), workers);
+        assert!(
+            fast_hash.hash_stage < device,
+            "{workers} workers out-hash the NVMe"
+        );
         assert!(fast_hash.flush_span > device);
         assert!(
             fast_hash.flush_span <= device + hash_stage(batch, workers as u64),
@@ -261,15 +388,20 @@ fn streamed_flush_span_is_the_longer_of_hash_and_write_plus_one_batch() {
             fast_hash.flush_span,
             device
         );
-        assert_eq!(fast_hash.flush_span, fast_hash.hash_stage + fast_hash.write_wait);
+        assert_eq!(
+            fast_hash.flush_span,
+            fast_hash.hash_stage + fast_hash.write_wait
+        );
     }
 
     // Hash-bound: an NVDIMM out-runs one core, so it drains each batch
     // under the next one's hash and only the tail of the write is left
     // after the last hash.
-    let device = device_time(ModelDev::nvdimm);
-    let slow_hash = rewrite_flush(ModelDev::nvdimm, 1, false);
-    assert!(slow_hash.hash_stage > device, "one worker trails the NVDIMM");
+    let (slow_hash, device) = rewrite_flush((ModelDev::nvdimm, nvdimm), 1);
+    assert!(
+        slow_hash.hash_stage > device,
+        "one worker trails the NVDIMM"
+    );
     assert!(slow_hash.flush_span >= slow_hash.hash_stage);
     assert!(
         slow_hash.flush_span < slow_hash.hash_stage + device,
@@ -278,7 +410,10 @@ fn streamed_flush_span_is_the_longer_of_hash_and_write_plus_one_batch() {
         slow_hash.hash_stage,
         device
     );
-    assert_eq!(slow_hash.flush_span, slow_hash.hash_stage + slow_hash.write_wait);
+    assert_eq!(
+        slow_hash.flush_span,
+        slow_hash.hash_stage + slow_hash.write_wait
+    );
     assert!(slow_hash.write_wait < device);
 }
 
@@ -1539,33 +1674,4 @@ fn checkpoint_advances_commit_phase_metrics() {
         (1, 1, 0),
         "record, flush and flip deltas of one checkpoint"
     );
-}
-
-#[test]
-fn fleet_sweep_survives_one_tenant_hard_error() {
-    // Regression: `checkpoint_all` used to abort the remaining tenants
-    // when one cycle returned a hard error. A sweep over two live
-    // groups with a nonexistent group wedged between them must still
-    // checkpoint both live tenants and report the error per-tenant.
-    let mut host = new_host("sweep");
-    let mut gids = Vec::new();
-    for name in ["alpha", "omega"] {
-        let pid = host.kernel.spawn(name);
-        let addr = host.kernel.mmap_anon(pid, 4096, false).unwrap();
-        host.kernel.mem_write(pid, addr, name.as_bytes()).unwrap();
-        gids.push(host.persist(name, pid).unwrap());
-    }
-    let bogus = aurora_core::GroupId(9_999);
-    let sweep = host.checkpoint_all(&[gids[0], bogus, gids[1]], true);
-    assert_eq!(sweep.cycles.len(), 3);
-    assert_eq!(sweep.committed(), 2, "live tenants must still checkpoint");
-    assert_eq!(sweep.skipped(), 0);
-    let errors = sweep.errors();
-    assert_eq!(errors.len(), 1);
-    assert_eq!(errors[0].0, bogus);
-    // The sweep order is the request order: the error sits between the
-    // two commits, proving the first error did not end the loop.
-    assert!(sweep.cycles[0].result.is_ok());
-    assert!(sweep.cycles[1].result.is_err());
-    assert!(sweep.cycles[2].result.is_ok());
 }
