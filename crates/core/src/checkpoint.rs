@@ -26,7 +26,7 @@ use aurora_sim::cost;
 use aurora_sim::error::{Error, Result};
 use aurora_sim::time::SimTime;
 use aurora_vm::cow::{self, Capture};
-use aurora_vm::VmoId;
+use aurora_vm::{PagerId, VmoId};
 
 use crate::flush::{delta_runs, hash_images, DirtyRuns, PlanEntry, FLUSH_BATCH_PAGES};
 use crate::group::{Group, GroupId, ScrubFinding};
@@ -423,7 +423,7 @@ impl Host {
     fn consolidate_images(&mut self, members: &[Pid]) -> Result<()> {
         use aurora_vm::object::ResidentPage;
         // Collect (object, pager, key) bindings reachable from members.
-        let mut bindings: Vec<(VmoId, aurora_vm::PagerId, u64)> = Vec::new();
+        let mut bindings: Vec<(VmoId, PagerId, u64)> = Vec::new();
         let mut seen: HashSet<VmoId> = HashSet::new();
         for &pid in members {
             for entry in self.kernel.proc_ref(pid)?.map.entries() {
@@ -440,24 +440,27 @@ impl Host {
                 }
             }
         }
+        // The pages each pager holds, asked once per pager.
+        let mut keys: HashMap<PagerId, Vec<u64>> = HashMap::new();
+        for &(_, pager, key) in &bindings {
+            let keys = keys.entry(pager).or_default();
+            if !keys.contains(&key) {
+                keys.push(key);
+            }
+        }
+        let mut held: HashMap<(PagerId, u64), Vec<u64>> = HashMap::new();
+        for (pager, keys) in keys {
+            for (key, idx) in self.kernel.vm.pager_mut(pager).held_pages(&keys) {
+                held.entry((pager, key)).or_default().push(idx);
+            }
+        }
         for (v, pager, key) in bindings {
-            let size = self.kernel.vm.object(v).size_pages;
-            // Walk the image's pages; the pager knows which exist.
-            // (Ask the store for the page list through the pager's own
-            // page_id; sizes are bounded by the object's page count.)
-            let resident: HashSet<u64> = self
-                .kernel
-                .vm
-                .object(v)
-                .pages
-                .keys()
-                .copied()
-                .collect();
-            for idx in 0..size.min(1 << 22) {
+            let object = self.kernel.vm.object(v);
+            let size = object.size_pages;
+            let resident: HashSet<u64> = object.pages.keys().copied().collect();
+            let pages = held.get(&(pager, key)).into_iter().flatten();
+            for &idx in pages.take_while(|&&idx| idx < size) {
                 if resident.contains(&idx) {
-                    continue;
-                }
-                if self.kernel.vm.pager_mut(pager).page_id(key, idx).is_none() {
                     continue;
                 }
                 let data = self.kernel.vm.pager_mut(pager).page_in(key, idx)?;

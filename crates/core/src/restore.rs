@@ -115,6 +115,15 @@ impl Pager for StorePager {
         })
     }
 
+    fn held_pages(&self, keys: &[u64]) -> Vec<(u64, u64)> {
+        let store = self.store.borrow();
+        let Ok(image) = store.image_at(self.at) else {
+            return Vec::new();
+        };
+        let pages = |key: u64| image.object_refs(ObjId(key)).map(move |(idx, _)| (key, idx));
+        keys.iter().flat_map(|&key| pages(key)).collect()
+    }
+
     fn shared(&self) -> bool {
         true
     }

@@ -753,6 +753,33 @@ fn lazy_restore_faults_pages_on_demand() {
     );
 }
 
+/// A full checkpoint of a lazily restored process carries every page
+/// its image holds, however far into the object: consolidation walks
+/// the pages the pager lists, not a bounded prefix of indices.
+#[test]
+fn full_checkpoint_of_a_lazy_restore_keeps_pages_past_16_gib() {
+    let mut host = new_host("h");
+    let pid = host.kernel.spawn("far");
+    let far = (1u64 << 22) + 1;
+    let addr = host.kernel.mmap_anon(pid, (far + 1) * 4096, false).unwrap();
+    let far_addr = addr + far * 4096;
+    host.kernel.mem_write(pid, far_addr, b"far-page!").unwrap();
+    let gid = host.persist("far", pid).unwrap();
+    let bd = host.checkpoint(gid, true, None).unwrap();
+    host.clock.advance_to(bd.durable_at);
+    let store = host.sls.primary.clone();
+
+    let lazy = host.restore(&store, bd.ckpt.unwrap(), RestoreMode::Lazy).unwrap();
+    let gid = host.persist("far", lazy.root_pid().unwrap()).unwrap();
+    let bd = host.checkpoint(gid, true, None).unwrap();
+    host.clock.advance_to(bd.durable_at);
+
+    let eager = host.restore(&store, bd.ckpt.unwrap(), RestoreMode::Eager).unwrap();
+    let mut buf = [0u8; 9];
+    host.kernel.mem_read(eager.root_pid().unwrap(), far_addr, &mut buf).unwrap();
+    assert_eq!(&buf, b"far-page!");
+}
+
 /// A warm image's restore reads its metadata records from the read
 /// cache. The first lazy restore after a commit reads every record off
 /// the device; the second hits on each one, so its object-store read

@@ -30,7 +30,7 @@
 //! shared, never mutated: a torn write and a bit flip, at write or read
 //! time, each build a new body from a copy of the old one.
 
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
 use aurora_sim::cost::dev as costdev;
@@ -244,6 +244,16 @@ pub trait BlockDev {
         None
     }
 
+    /// LBAs whose durable body is a write an installed fault plan
+    /// silently corrupted, ascending; a later clean write of the block
+    /// takes it off the list. A campaign excuses damage to these blocks,
+    /// which the device lied about, and to no others.
+    ///
+    /// Default: empty — only [`ModelDev`] injects faults.
+    fn corrupted_lbas(&self) -> Vec<u64> {
+        Vec::new()
+    }
+
     /// Device health as judged by the resilience layer.
     ///
     /// Default: bare devices report [`DevHealth::Dead`] when unpowered
@@ -296,6 +306,8 @@ pub trait BlockDev {
 struct CachedWrite {
     lba: u64,
     data: PageData,
+    /// The fault plan corrupted it.
+    lied: bool,
 }
 
 /// The standard modelled device. See module docs for semantics.
@@ -315,6 +327,9 @@ pub struct ModelDev {
     writes_seen: u64,
     reads_seen: u64,
     last_fault_lba: Option<u64>,
+    /// Stable blocks whose body is a corrupted write; see
+    /// [`BlockDev::corrupted_lbas`].
+    lied: BTreeSet<u64>,
 }
 
 impl ModelDev {
@@ -333,6 +348,7 @@ impl ModelDev {
             writes_seen: 0,
             reads_seen: 0,
             last_fault_lba: None,
+            lied: BTreeSet::new(),
         }
     }
 
@@ -416,17 +432,24 @@ impl ModelDev {
         self.busy_until = self.clock.now().max(self.busy_until) + SimDuration::from_nanos(extra_ns);
     }
 
-    /// Lands one block on stable storage.
-    fn apply_stable(&mut self, lba: u64, data: PageData) {
+    /// Lands one block on stable storage; `lied` says the fault plan
+    /// corrupted it.
+    fn apply_stable(&mut self, lba: u64, data: PageData, lied: bool) {
         self.stable.insert(lba, data);
+        if lied {
+            self.lied.insert(lba);
+        } else {
+            self.lied.remove(&lba);
+        }
     }
 
     /// Lands the first `torn_at` bytes of `data` on block `lba`, the rest
     /// keeping the old stable contents: a new body, built from a copy of
-    /// the old one.
+    /// the old one. A torn block keeps its place on the corrupted list:
+    /// the old body's tail survives.
     fn apply_torn(&mut self, lba: u64, data: &PageData, torn_at: usize) {
         if torn_at >= BLOCK_SIZE {
-            self.apply_stable(lba, data.clone());
+            self.apply_stable(lba, data.clone(), false);
             return;
         }
         let mut torn = self
@@ -436,7 +459,7 @@ impl ModelDev {
         if let (Some(dst), Some(src)) = (torn.get_mut(..torn_at), data.bytes().get(..torn_at)) {
             dst.copy_from_slice(src);
         }
-        self.apply_stable(lba, PageData::from_bytes(&torn));
+        self.stable.insert(lba, PageData::from_bytes(&torn));
     }
 
     /// Checks the fault plan before a write; returns the fault action.
@@ -507,7 +530,7 @@ impl ModelDev {
     fn drain_cache_to_stable(&mut self) {
         let cache = core::mem::take(&mut self.cache);
         for w in cache {
-            self.apply_stable(w.lba, w.data);
+            self.apply_stable(w.lba, w.data, w.lied);
         }
     }
 
@@ -586,11 +609,11 @@ impl BlockDev for ModelDev {
         // The fault plan is consulted once per block — one write ordinal
         // each — so a schedule that cuts power on write N lands
         // mid-extent here.
-        let mut payload: Vec<(u64, PageData)> = Vec::with_capacity(blocks.len());
+        let mut payload: Vec<(u64, PageData, bool)> = Vec::with_capacity(blocks.len());
         for (i, b) in blocks.iter().enumerate() {
             let blba = lba + i as u64;
             match self.fault_action(blba) {
-                FaultAction::None => payload.push((blba, b.clone())),
+                FaultAction::None => payload.push((blba, b.clone(), false)),
                 FaultAction::TransientError => {
                     // The whole extent bounces atomically: nothing before
                     // the faulting block has landed, so a retry may
@@ -602,7 +625,7 @@ impl BlockDev for ModelDev {
                 }
                 FaultAction::LatencySpike { extra_ns } => {
                     self.stall(extra_ns);
-                    payload.push((blba, b.clone()));
+                    payload.push((blba, b.clone(), false));
                 }
                 FaultAction::PowerCut { torn_bytes } => {
                     // Blocks ahead of the interrupted one are durable
@@ -611,8 +634,8 @@ impl BlockDev for ModelDev {
                     // itself lands torn (it raced the capacitors).
                     if self.info.persistent {
                         if self.info.persistence_domain {
-                            for (plba, pdata) in payload {
-                                self.apply_stable(plba, pdata);
+                            for (plba, pdata, lied) in payload {
+                                self.apply_stable(plba, pdata, lied);
                             }
                         }
                         self.apply_torn(blba, b, torn_bytes);
@@ -624,7 +647,7 @@ impl BlockDev for ModelDev {
                     )));
                 }
                 FaultAction::CorruptBit { byte, bit } => {
-                    payload.push((blba, flipped(b, byte, bit)));
+                    payload.push((blba, flipped(b, byte, bit), true));
                 }
             }
         }
@@ -632,12 +655,12 @@ impl BlockDev for ModelDev {
         // latency plus the extent's bytes. This is the coalescing win.
         let done = self.service(total, self.model.write_bw);
         if self.info.persistence_domain {
-            for (blba, data) in payload {
-                self.apply_stable(blba, data);
+            for (blba, data, lied) in payload {
+                self.apply_stable(blba, data, lied);
             }
         } else {
-            for (blba, data) in payload {
-                self.cache.push(CachedWrite { lba: blba, data });
+            for (lba, data, lied) in payload {
+                self.cache.push(CachedWrite { lba, data, lied });
             }
         }
         self.stats.writes += 1;
@@ -678,6 +701,7 @@ impl BlockDev for ModelDev {
         self.cache.clear();
         if !self.info.persistent {
             self.stable.clear();
+            self.lied.clear();
         }
         self.powered = false;
         self.busy_until = SimTime::ZERO;
@@ -703,6 +727,10 @@ impl BlockDev for ModelDev {
 
     fn last_fault_lba(&self) -> Option<u64> {
         self.last_fault_lba
+    }
+
+    fn corrupted_lbas(&self) -> Vec<u64> {
+        self.lied.iter().copied().collect()
     }
 }
 

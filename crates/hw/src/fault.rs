@@ -435,6 +435,25 @@ mod tests {
     }
 
     #[test]
+    fn the_device_lists_the_blocks_it_lied_about_until_rewritten() {
+        let clock = SimClock::new();
+        let mut d = ModelDev::nvme(clock, "nvme0", 64);
+        // Writes 1 and 3 are corrupted; a power cut loses the second
+        // while it sits in the volatile cache.
+        d.set_fault_plan(FaultPlan::corrupt_blocks(4, 6, 10, 3));
+        write(&mut d, 4, &vec![0u8; BLOCK_SIZE]).unwrap();
+        d.flush().unwrap();
+        write(&mut d, 5, &vec![0u8; BLOCK_SIZE]).unwrap();
+        d.power_fail();
+        d.power_on();
+        assert_eq!(d.corrupted_lbas(), vec![4], "only what reached the medium");
+        d.set_fault_plan(FaultPlan::default());
+        write(&mut d, 4, &vec![0u8; BLOCK_SIZE]).unwrap();
+        d.flush().unwrap();
+        assert!(d.corrupted_lbas().is_empty(), "a clean rewrite takes it off");
+    }
+
+    #[test]
     fn transient_window_fails_then_recovers() {
         let plan = FaultPlan::transient(2, 3);
         assert_eq!(plan.action_for_write(1, 0), FaultAction::None);

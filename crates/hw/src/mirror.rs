@@ -32,6 +32,7 @@
 //! real hardware this information would live in an on-disk mirror label;
 //! here the device object itself persists across the simulated reboot.
 
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use aurora_sim::error::{Error, Result};
@@ -592,6 +593,12 @@ impl BlockDev for MirrorDev {
         // Mirrored replicas share one LBA space, so whichever replica's
         // plan fired names the block.
         self.replicas.iter().find_map(|r| r.last_fault_lba())
+    }
+
+    fn corrupted_lbas(&self) -> Vec<u64> {
+        // A block any replica lied about.
+        let lied = self.replicas.iter().flat_map(|r| r.corrupted_lbas());
+        lied.collect::<BTreeSet<u64>>().into_iter().collect()
     }
 
     fn health(&self) -> DevHealth {

@@ -336,6 +336,10 @@ impl BlockDev for ResilientDev {
         self.inner.last_fault_lba()
     }
 
+    fn corrupted_lbas(&self) -> Vec<u64> {
+        self.inner.corrupted_lbas()
+    }
+
     fn health(&self) -> DevHealth {
         // Dead is sticky until power returns, even if the store has not
         // issued a request since the failure.

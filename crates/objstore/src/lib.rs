@@ -49,7 +49,7 @@ mod write;
 
 pub use checkpoint::{Checkpoint, CkptId, PageRef};
 pub use deltalog::{DeltaLog, DeltaRecord, Lsn};
-pub use read::{PageDamage, ScrubStep};
+pub use read::{PageDamage, ScrubFinding, ScrubStep};
 pub use store::{
     ObjectStore, ReadOutcome, ReadPlan, ResilverReport, StoreConfig, StoreStats, EXTENT_BLOCKS,
     READ_CACHE_PAGES,

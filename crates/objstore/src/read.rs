@@ -297,6 +297,18 @@ struct WalkCheck {
     done: SimTime,
 }
 
+/// One problem [`ObjectStore::scrub`] found.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+pub struct ScrubFinding {
+    /// The problem, as `scrub` reports it.
+    pub what: String,
+    /// The checkpoint it is reported under, if any.
+    pub ckpt: Option<CkptId>,
+    /// The damaged data block (relative to the data region), if the
+    /// problem is one.
+    pub block: Option<u64>,
+}
+
 /// A page of the head that cannot be restored as recorded.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PageDamage {
@@ -956,28 +968,36 @@ impl ObjectStore {
     /// pool, so the stream's compare runs on one core, trailing the
     /// reads, and the clock waits for it.
     pub fn scrub(&self) -> Vec<String> {
-        let mut problems = self.fsck();
+        let findings = self.scrub_findings().into_iter();
+        findings.map(|f| f.what).collect()
+    }
+
+    /// [`ObjectStore::scrub`]'s problems with what each is about: damage
+    /// to a stored block names the block and the checkpoint it is
+    /// reported under, so a caller can tell one block's damage from
+    /// another's without reading the text.
+    pub fn scrub_findings(&self) -> Vec<ScrubFinding> {
+        let finding = |ckpt, block, what| ScrubFinding { what, ckpt, block };
+        let fsck = self.fsck().into_iter();
+        let mut findings: Vec<ScrubFinding> = fsck.map(|p| finding(None, None, p)).collect();
         let checked = self.verify_walk(1, |visit| self.walk_owned_blocks(visit));
         self.dev.borrow().clock().advance_to(checked.done);
         if !checked.clean || !checked.bad.is_empty() {
             // Name the damage under every checkpoint it affects.
             for &id in self.ckpts.keys() {
-                let mut named = Vec::new();
+                let at = Some(CkptId(id));
                 let walk = self.walk_base_blocks(CkptId(id), .., &mut |oid, idx, block| {
                     if let Some(what) = checked.bad.get(&block) {
-                        named.push(format!("object {} page {idx}: block {block} {what}", oid.0));
+                        let what = format!("object {} page {idx}: block {block} {what}", oid.0);
+                        findings.push(finding(at, Some(block), format!("ckpt {id}: {what}")));
                     }
                 });
-                problems.extend(
-                    walk.into_iter()
-                        .chain(named)
-                        .map(|p| format!("ckpt {id}: {p}")),
-                );
+                findings.extend(walk.into_iter().map(|p| finding(at, None, format!("ckpt {id}: {p}"))));
             }
         }
-        problems.sort();
-        problems.dedup();
-        problems
+        findings.sort();
+        findings.dedup();
+        findings
     }
 }
 

@@ -147,6 +147,29 @@ pub(crate) fn committed_refs(ckpts: &BTreeMap<u64, Checkpoint>) -> HashMap<u64, 
     refs
 }
 
+/// The number of `frames` that hang together: the first `Commit` that
+/// extends a delta chain no record before it wrote is where they end.
+/// Such a record was written past an earlier tail (one that rotted or
+/// tore ahead of it) and cut off from the chain it extends, and appends
+/// after that recovery have reached its offset again. Replaying it
+/// would resurrect a checkpoint over records that are gone.
+fn cut_off(frames: &[journal::Frame]) -> usize {
+    let mut written: HashSet<Lsn> = HashSet::new();
+    let cut = frames.iter().position(|f| match &f.record {
+        JournalRecord::Snapshot(_, deltas) => {
+            written = deltas.iter().map(|&(lsn, _)| lsn).collect();
+            false
+        }
+        JournalRecord::Commit { deltas, .. } => deltas.iter().any(|(lsn, d)| {
+            let orphan = d.prev.is_some_and(|prev| !written.contains(&prev));
+            written.insert(*lsn);
+            orphan
+        }),
+        JournalRecord::Delete(_) => false,
+    });
+    cut.unwrap_or(frames.len())
+}
+
 /// Whether the data a tail record references reached the medium: the
 /// content hashes of a `Commit`'s full-page blocks, read back, must fold
 /// to its page digest. Only a materialized store's medium holds page
@@ -412,6 +435,7 @@ impl ObjectStore {
                 sb.journal_used
             )));
         }
+        frames.truncate(cut_off(&frames));
         // Only the tail record can have been persisted ahead of its data:
         // every earlier one was followed in the queue by its own flush.
         if let Some(tail) = frames.last().filter(|f| f.end > sb.journal_used) {

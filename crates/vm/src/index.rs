@@ -213,8 +213,12 @@ mod tests {
     use super::*;
     use aurora_sim::SimClock;
 
-    /// A pager whose every page is stored block `idx` of one store, with
-    /// the block number as its recorded hash.
+    /// Pages every key of a [`StoredPager`] holds.
+    const STORED_PAGES: u64 = 8;
+
+    /// A pager whose every key holds pages `0..STORED_PAGES`, page `idx`
+    /// stored block `idx` of one store, with the block number as its
+    /// recorded hash.
     struct StoredPager;
 
     impl crate::Pager for StoredPager {
@@ -225,11 +229,15 @@ mod tests {
             Ok(())
         }
         fn page_id(&self, _key: u64, idx: u64) -> Option<PageId> {
-            Some(PageId::Stored {
+            (idx < STORED_PAGES).then_some(PageId::Stored {
                 store: 1,
                 block: idx,
                 hash: idx,
             })
+        }
+        fn held_pages(&self, keys: &[u64]) -> Vec<(u64, u64)> {
+            let pages = |key: u64| (0..STORED_PAGES).map(move |idx| (key, idx));
+            keys.iter().flat_map(|&key| pages(key)).collect()
         }
     }
 

@@ -58,6 +58,12 @@ pub trait Pager {
     /// `None` when the pager holds no data there.
     fn page_id(&self, key: u64, idx: u64) -> Option<PageId>;
 
+    /// Every page the pager holds data for under `keys`, as `(key, idx)`
+    /// pairs, each key's indices ascending: the pages
+    /// [`Pager::page_id`] names. One call answers for all of `keys`, so
+    /// a pager over a checkpoint image resolves the image once.
+    fn held_pages(&self, keys: &[u64]) -> Vec<(u64, u64)>;
+
     /// True when several VM objects (e.g. sibling instances restored
     /// from one checkpoint image) share this pager. Shared pagers are
     /// read-mostly: eviction never writes dirty pages back through them
@@ -109,5 +115,12 @@ impl Pager for MemPager {
         self.pages
             .contains_key(&(key, idx))
             .then_some(PageId::Private)
+    }
+
+    fn held_pages(&self, keys: &[u64]) -> Vec<(u64, u64)> {
+        let mut held: Vec<(u64, u64)> = self.pages.keys().copied().collect();
+        held.retain(|(key, _)| keys.contains(key));
+        held.sort_unstable();
+        held
     }
 }

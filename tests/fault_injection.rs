@@ -1,6 +1,10 @@
-//! Crash-consistency sweep: cut device power at every interesting write
-//! during checkpoint flushes and verify that recovery always lands on a
-//! consistent committed state — never a torn or mixed one.
+//! Fault-injection cases the scenario table (`campaign::run`, DESIGN
+//! §9) does not express, each asserting something specific about one
+//! fault: aborts that leave the previous snapshot intact, SLSFS file
+//! writes under a power cut, the superblock slot fallback, read repair
+//! from a mirror twin and rot healed from memory. The power-cut sweeps
+//! over checkpoint writes, torn records, journal GC and repeated
+//! crashes are rows of that table.
 
 use aurora::core::restore::RestoreMode;
 use aurora::core::Host;
@@ -25,133 +29,6 @@ fn boot_with_journal(journal_blocks: u64) -> Host {
         },
     )
     .unwrap()
-}
-
-/// Runs the scenario with power cut at metadata write `cut_at` of the
-/// second checkpoint; returns the value recovered after reboot.
-fn run_with_cut(cut_at: u64, torn: usize) -> Vec<u8> {
-    let mut host = boot();
-    let pid = host.kernel.spawn("app");
-    let addr = host.kernel.mmap_anon(pid, 4 * 4096, false).unwrap();
-    host.kernel.mem_write(pid, addr, b"state-v1").unwrap();
-    let gid = host.persist("app", pid).unwrap();
-    let bd = host.checkpoint(gid, true, Some("v1")).unwrap();
-    host.clock.advance_to(bd.durable_at);
-
-    // Second checkpoint, with the device set to die mid-flush.
-    host.kernel.mem_write(pid, addr, b"state-v2").unwrap();
-    host.sls
-        .primary
-        .borrow_mut()
-        .device_mut()
-        .install_fault_plan(if torn > 0 {
-            FaultPlan::torn_write(cut_at, torn)
-        } else {
-            FaultPlan::power_cut(cut_at)
-        });
-    // The cut may land before, inside, or after the commit record; the
-    // call's success says nothing about what survived on the platter.
-    let _ = host.checkpoint(gid, false, Some("v2"));
-
-    // Reboot and restore whatever survived.
-    let mut host = host.crash_and_reboot().unwrap();
-    let store = host.sls.primary.clone();
-    let head = store.borrow().head().expect("v1 at minimum");
-    let r = host.restore(&store, head, RestoreMode::Eager).unwrap();
-    let np = r.root_pid().unwrap();
-    let mut buf = [0u8; 8];
-    host.kernel.mem_read(np, addr, &mut buf).unwrap();
-
-    // Whichever checkpoint recovery chose, it must be one of the two
-    // committed states — never a mixture.
-    assert!(
-        &buf == b"state-v1" || &buf == b"state-v2",
-        "recovered garbage {buf:?} (cut at {cut_at})"
-    );
-    buf.to_vec()
-}
-
-#[test]
-fn power_cut_sweep_over_checkpoint_writes() {
-    let mut recovered_v1 = 0;
-    let mut recovered_v2 = 0;
-    // The second checkpoint issues a handful of metadata writes
-    // (its journal records) — cut at each of the first eight.
-    for cut_at in 1..=8 {
-        let v = run_with_cut(cut_at, 0);
-        if v == b"state-v1" {
-            recovered_v1 += 1;
-        } else {
-            recovered_v2 += 1;
-        }
-    }
-    // Early cuts must lose v2; late cuts may keep it. Both classes must
-    // appear across the sweep for it to be meaningful.
-    assert!(recovered_v1 > 0, "some cut should drop the torn checkpoint");
-    assert!(
-        recovered_v2 > 0,
-        "some cut should land after the commit point"
-    );
-}
-
-#[test]
-fn torn_writes_are_detected_by_crcs() {
-    for cut_at in 1..=4 {
-        // Tear the interrupted write halfway: CRCs must reject the torn
-        // record and recovery must fall back cleanly.
-        let v = run_with_cut(cut_at, 2048);
-        assert!(v == b"state-v1" || v == b"state-v2");
-    }
-}
-
-#[test]
-fn repeated_crashes_never_lose_committed_history() {
-    let mut host = boot();
-    let mut pid = host.kernel.spawn("app");
-    let addr = host.kernel.mmap_anon(pid, 4096, false).unwrap();
-    let mut gid = host.persist("app", pid).unwrap();
-
-    let mut committed = Vec::new();
-    for round in 0..5u32 {
-        host.kernel
-            .mem_write(pid, addr, format!("round-{round}").as_bytes())
-            .unwrap();
-        let bd = host
-            .checkpoint(gid, round == 0, Some(&format!("r{round}")))
-            .unwrap();
-        host.clock.advance_to(bd.durable_at);
-        committed.push((round, bd.ckpt.unwrap()));
-
-        // Crash, reboot, verify EVERY committed checkpoint.
-        host = host.crash_and_reboot().unwrap();
-        let store = host.sls.primary.clone();
-        for &(r_no, ckpt) in &committed {
-            let r = host.restore(&store, ckpt, RestoreMode::Eager).unwrap();
-            let np = r.root_pid().unwrap();
-            let mut buf = [0u8; 7];
-            host.kernel.mem_read(np, addr, &mut buf).unwrap();
-            assert_eq!(&buf, format!("round-{r_no}").as_bytes());
-            let _ = host.kernel.exit(np, 0);
-            host.kernel.procs.remove(&np);
-        }
-        // Resume the app from the newest state for the next round.
-        let r = host
-            .restore(&store, committed.last().unwrap().1, RestoreMode::Eager)
-            .unwrap();
-        pid = r.root_pid().unwrap();
-        gid = host.persist("app", pid).unwrap();
-    }
-
-    // Silent-corruption detection: flip a bit in the next journal write;
-    // the CRC rejects the record at recovery and the prior state stands.
-    host.sls
-        .primary
-        .borrow_mut()
-        .device_mut()
-        .install_fault_plan(FaultPlan::corrupt(1, 100, 3));
-    let _ = host.checkpoint(gid, false, Some("corrupted"));
-    let host = host.crash_and_reboot().unwrap();
-    assert!(host.sls.primary.borrow().head().is_some());
 }
 
 /// A permanent run of transient faults exhausts the retry budget: the
@@ -335,79 +212,6 @@ fn write_fault_in_a_later_batch_aborts_without_damage() {
     let r = host.restore(&store, head, RestoreMode::Eager).unwrap();
     let np = r.root_pid().unwrap();
     assert!(region(&mut host, np) == v2_state, "v3 restores the rewritten state");
-}
-
-/// Power-cut sweep during journal garbage collection: compaction writes
-/// its snapshot into the idle journal half, so a cut at ANY write during
-/// GC must leave a durable superblock pointing at an intact journal.
-#[test]
-fn power_cut_sweep_during_journal_gc() {
-    use aurora::objstore::{ObjId, ObjectStore};
-    use aurora::vm::PageData;
-
-    fn small_store() -> ObjectStore {
-        let clock = SimClock::new();
-        let dev = Box::new(aurora::hw::ModelDev::nvme(clock, "nvme0", 64 * 1024));
-        ObjectStore::format(
-            dev,
-            StoreConfig {
-                journal_blocks: 8, // tiny: half = 16 KiB, compacts quickly
-                materialize_data: false,
-                ..StoreConfig::default()
-            },
-        )
-        .unwrap()
-    }
-
-    // Probe: find the commit that triggers the first compaction.
-    let trigger = {
-        let mut s = small_store();
-        s.create_object(ObjId(1), 4).unwrap();
-        let mut n = 0u64;
-        loop {
-            s.write_page(ObjId(1), n % 4, &PageData::Seeded(n)).unwrap();
-            s.commit(Some(&format!("c{n}"))).unwrap();
-            n += 1;
-            if s.stats.compactions > 0 {
-                break n;
-            }
-            assert!(n < 10_000, "compaction never triggered");
-        }
-    };
-
-    // Sweep: cut power at each of the writes the compacting commit
-    // issues (snapshot, both superblock slots, journal record).
-    for cut_at in 1..=6u64 {
-        let mut s = small_store();
-        s.create_object(ObjId(1), 4).unwrap();
-        for n in 0..trigger - 1 {
-            s.write_page(ObjId(1), n % 4, &PageData::Seeded(n)).unwrap();
-            s.commit(Some(&format!("c{n}"))).unwrap();
-        }
-        s.device_mut().install_fault_plan(FaultPlan::power_cut(cut_at));
-        s.write_page(ObjId(1), (trigger - 1) % 4, &PageData::Seeded(trigger - 1))
-            .unwrap();
-        let _ = s.commit(Some(&format!("c{}", trigger - 1)));
-
-        let s = s.recover().unwrap();
-        let problems = s.scrub();
-        assert!(
-            problems.is_empty(),
-            "cut at {cut_at} during GC left damage: {problems:?}"
-        );
-        let head = s.head().expect("committed history survives GC cut");
-        // The head must be a complete committed state: its page readable
-        // and matching the round that committed it.
-        let name = s.checkpoint(head).unwrap().name.clone().unwrap();
-        let round: u64 = name[1..].parse().unwrap();
-        assert!(
-            s.read_page(ObjId(1), round % 4)
-                .unwrap()
-                .unwrap()
-                .content_eq(&PageData::Seeded(round)),
-            "cut at {cut_at}: head {name} torn"
-        );
-    }
 }
 
 /// Power-cut sweep while SLSFS file writes are being checkpointed: after
