@@ -180,8 +180,10 @@ pub struct ReplConfig {
     pub backoff_cap: SimDuration,
     /// Standby device capacity in blocks.
     pub standby_blocks: u64,
-    /// Standby store configuration (match the primary's `materialize_data`
-    /// so promoted state survives reopening).
+    /// Standby store configuration. Every store keeps its page bodies on
+    /// its medium, so promoted state survives reopening whatever its
+    /// `materialize_data`; match the primary's so the standby's audits
+    /// read the medium when the primary's do.
     pub standby_store: StoreConfig,
     /// Test/campaign hook: the primary "dies" immediately after offering
     /// its N-th data frame (retransmissions count); no frame after the

@@ -264,12 +264,11 @@ impl BlockDev for Logged {
         self.log.borrow_mut().push(None);
         self.dev.flush()
     }
-    fn submit_write_timing(&mut self, nbytes: u64) -> aurora_sim::error::Result<SimTime> {
-        self.log.borrow_mut().push(Some(nbytes));
-        self.dev.submit_write_timing(nbytes)
-    }
     fn charge_read_timing(&mut self, nbytes: u64) -> aurora_sim::error::Result<SimTime> {
         self.dev.charge_read_timing(nbytes)
+    }
+    fn discard(&mut self, lba: u64, count: u64) {
+        self.dev.discard(lba, count)
     }
     fn power_fail(&mut self) {
         self.dev.power_fail()

@@ -7,7 +7,7 @@
 //! its transfer, and a request submitted behind a busy queue has its
 //! latency overlapped by the requests in flight, so it pays
 //! `latency / QUEUE_DEPTH` plus its transfer. The device applies the rule
-//! itself, to reads and writes, real and timing-only alike. No data call
+//! itself, to every read and write, a timing-only read included. No data call
 //! moves the clock: each returns its completion instant, and a caller
 //! that needs the bytes waits with `clock.advance_to(done)`. A `flush` is
 //! a barrier and completes one whole access latency after everything
@@ -94,6 +94,8 @@ pub struct DevStats {
     pub bytes_written: u64,
     /// Flush barriers issued.
     pub flushes: u64,
+    /// Blocks handed to [`BlockDev::discard`].
+    pub blocks_discarded: u64,
 }
 
 /// Cost model for a device.
@@ -201,21 +203,27 @@ pub trait BlockDev {
     /// submitted so far is durable. Does not advance the caller's clock.
     fn flush(&mut self) -> Result<SimTime>;
 
-    /// Submits a *timing-only* write of `nbytes`: occupies the device
-    /// queue and returns the completion instant, but stores no data.
-    ///
-    /// The object store uses this for bulk page payloads whose
-    /// authoritative contents it tracks itself in a compact
-    /// representation (see `aurora-objstore`); metadata records always go
-    /// through the real [`BlockDev::write_blocks`]. Keeping gigabyte
-    /// working sets out of the device's byte store is what lets the
-    /// paper-scale benchmarks run on laptop memory.
-    fn submit_write_timing(&mut self, nbytes: u64) -> Result<SimTime>;
-
     /// Submits a *timing-only* read of `nbytes` as one request: occupies
     /// the device queue and returns the completion instant, but moves no
-    /// data. Like every data call, it does not advance the clock.
+    /// data. Like every data call, it does not advance the clock. The
+    /// object store charges its metadata-record reads this way; page
+    /// bodies are always read with [`BlockDev::read_blocks`].
     fn charge_read_timing(&mut self, nbytes: u64) -> Result<SimTime>;
+
+    /// Forgets the bodies of the `count` blocks from `lba` on: the
+    /// caller has freed them, and nothing it will read names them again
+    /// before it writes them anew. A discarded block reads zero.
+    ///
+    /// Charges nothing and is not a fault-plan ordinal: the object store
+    /// discards a block only once the record that frees it is durable,
+    /// off every measured path, so the call costs the model nothing a
+    /// real TRIM would make it wait for. Its only job is to keep the
+    /// medium no larger than what the store references.
+    ///
+    /// Default: a no-op — a device that keeps its bodies elsewhere (a
+    /// host file) may keep stale bytes. [`ModelDev`] drops them, unless
+    /// it is unpowered: a dead device takes no command.
+    fn discard(&mut self, _lba: u64, _count: u64) {}
 
     /// Cuts power: loses the volatile cache (torn interrupted write) and
     /// makes the device fail until [`BlockDev::power_on`].
@@ -678,20 +686,25 @@ impl BlockDev for ModelDev {
         Ok(done)
     }
 
-    fn submit_write_timing(&mut self, nbytes: u64) -> Result<SimTime> {
-        self.check_powered()?;
-        let done = self.service(nbytes, self.model.write_bw);
-        self.stats.writes += 1;
-        self.stats.bytes_written += nbytes;
-        Ok(done)
-    }
-
     fn charge_read_timing(&mut self, nbytes: u64) -> Result<SimTime> {
         self.check_powered()?;
         let done = self.service(nbytes, self.model.read_bw);
         self.stats.reads += 1;
         self.stats.bytes_read += nbytes;
         Ok(done)
+    }
+
+    fn discard(&mut self, lba: u64, count: u64) {
+        if !self.powered {
+            return; // a dead device takes no command
+        }
+        let range = lba..lba.saturating_add(count);
+        for block in range.clone() {
+            self.stable.remove(&block);
+            self.lied.remove(&block);
+        }
+        self.cache.retain(|w| !range.contains(&w.lba));
+        self.stats.blocks_discarded += count;
     }
 
     fn power_fail(&mut self) {
@@ -1115,19 +1128,17 @@ mod tests {
         assert_eq!(timed.since(first), share + transfer);
         let vectored = d.read_blocks(1, &mut pages(1)).unwrap();
         assert_eq!(vectored.since(timed), share + transfer);
-        let bulk = d.submit_write_timing(BLOCK_SIZE as u64).unwrap();
-        assert_eq!(bulk.since(vectored), share + write_transfer);
-        let real = d.write_blocks(2, &[&block(1)]).unwrap();
-        assert_eq!(real.since(bulk), share + write_transfer);
+        let written = d.write_blocks(2, &[&block(1)]).unwrap();
+        assert_eq!(written.since(vectored), share + write_transfer);
         assert_eq!(clock.now(), SimTime::ZERO, "no request moved the clock");
         // Once the caller waits the queue out, the next request, of
         // either kind, finds it idle again.
-        clock.advance_to(real);
-        let bulk = d.submit_write_timing(BLOCK_SIZE as u64).unwrap();
-        assert_eq!(bulk.since(real), whole + write_transfer);
-        clock.advance_to(bulk);
+        clock.advance_to(written);
+        let again = d.write_blocks(3, &[&block(2)]).unwrap();
+        assert_eq!(again.since(written), whole + write_transfer);
+        clock.advance_to(again);
         let timed = d.charge_read_timing(BLOCK_SIZE as u64).unwrap();
-        assert_eq!(timed.since(bulk), whole + transfer);
+        assert_eq!(timed.since(again), whole + transfer);
         // So reading through even a one-block hole costs more than the
         // queued request it would save, on every modelled device: the
         // read break-even is under one block.
@@ -1202,6 +1213,45 @@ mod tests {
         assert!(d.read_blocks(0, &mut short).is_err());
         assert!(d.read_blocks(2, &mut pages(3)).is_err());
         assert!(d.read_blocks(0, &mut []).is_ok());
+    }
+
+    #[test]
+    fn discard_forgets_a_block_everywhere_and_charges_nothing() {
+        let clock = SimClock::new();
+        let mut d = ModelDev::nvme(clock.clone(), "nvme0", 16);
+        // Block 2 is stable and the plan lied about it; block 3 sits in
+        // the volatile cache; block 4 is stable and clean.
+        d.set_fault_plan(crate::fault::FaultPlan::corrupt(1, 0, 0));
+        write(&mut d, 2, &block(0x22)).unwrap();
+        write(&mut d, 4, &block(0x44)).unwrap();
+        let done = d.flush().unwrap();
+        clock.advance_to(done);
+        write(&mut d, 3, &block(0x33)).unwrap();
+        assert_eq!(d.corrupted_lbas(), vec![2]);
+        assert!(d.cached_bytes() > 0);
+
+        let (now, busy) = (clock.now(), d.busy_until);
+        d.discard(2, 2);
+        assert_eq!(
+            (clock.now(), d.busy_until),
+            (now, busy),
+            "a discard is free"
+        );
+        assert!(!d.stable.contains_key(&2), "the stable body is gone");
+        assert_eq!(d.cached_bytes(), 0, "the cached write is gone");
+        assert!(d.corrupted_lbas().is_empty(), "off the corrupted list");
+        assert_eq!(d.stats().blocks_discarded, 2);
+        let mut out = pages(3);
+        d.read_blocks(2, &mut out).unwrap();
+        assert_eq!(out, vec![PageData::Zero, PageData::Zero, page(0x44)]);
+
+        // A later write of the block lands normally.
+        write(&mut d, 2, &block(0x55)).unwrap();
+        let done = d.flush().unwrap();
+        clock.advance_to(done);
+        let mut buf = block(0);
+        read(&mut d, 2, &mut buf).unwrap();
+        assert_eq!(buf, block(0x55));
     }
 
     #[test]

@@ -123,13 +123,6 @@ impl BlockDev for FileDev {
         Ok(CostModel::NVME.barrier(&mut self.busy_until, self.clock.now()))
     }
 
-    fn submit_write_timing(&mut self, nbytes: u64) -> Result<SimTime> {
-        let done = self.service(nbytes, CostModel::NVME.write_bw);
-        self.stats.writes += 1;
-        self.stats.bytes_written += nbytes;
-        Ok(done)
-    }
-
     fn charge_read_timing(&mut self, nbytes: u64) -> Result<SimTime> {
         let done = self.service(nbytes, CostModel::NVME.read_bw);
         self.stats.reads += 1;

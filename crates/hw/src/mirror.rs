@@ -42,7 +42,6 @@ use aurora_sim::{PageData, SimClock};
 use crate::dev::{BlockDev, DevInfo, DevStats};
 use crate::fault::FaultPlan;
 use crate::retry::{DevHealth, ResilientDev, RetryStats};
-use crate::BLOCK_SIZE;
 
 /// Lifecycle of one replica inside a mirror.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -347,27 +346,18 @@ impl MirrorDev {
     /// Copies `count` blocks starting at `lba` from a good active replica
     /// onto every rebuilding replica: one vectored read, then, once its
     /// bytes are in, one vectored write per target, and the copy waits
-    /// for the writes. With `real` false the data's authoritative
-    /// contents live above the device (a timing-only store), so the copy
-    /// is charged without moving bytes. Returns the number of blocks
-    /// copied (0 if nothing is rebuilding).
-    pub fn resilver_extent(&mut self, lba: u64, count: usize, real: bool) -> Result<u64> {
+    /// for the writes. Returns the number of blocks copied (0 if nothing
+    /// is rebuilding).
+    pub fn resilver_extent(&mut self, lba: u64, count: usize) -> Result<u64> {
         if !self.needs_resilver() || count == 0 {
             return Ok(0);
         }
-        let nbytes = (count * BLOCK_SIZE) as u64;
-        let mut bufs = vec![PageData::Zero; if real { count } else { 0 }];
-        let mut done = self.read_with_failover(|r| match real {
-            true => r.read_blocks(lba, &mut bufs),
-            false => r.charge_read_timing(nbytes),
-        })?;
+        let mut bufs = vec![PageData::Zero; count];
+        let mut done = self.read_with_failover(|r| r.read_blocks(lba, &mut bufs))?;
         self.clock.advance_to(done);
         for (r, s) in self.replicas.iter_mut().zip(self.states.iter()) {
             if *s == ReplicaState::Rebuilding {
-                done = done.max(match real {
-                    true => r.write_blocks(lba, &bufs)?,
-                    false => r.submit_write_timing(nbytes)?,
-                });
+                done = done.max(r.write_blocks(lba, &bufs)?);
             }
         }
         self.clock.advance_to(done);
@@ -540,18 +530,20 @@ impl BlockDev for MirrorDev {
         Ok(done)
     }
 
-    fn submit_write_timing(&mut self, nbytes: u64) -> Result<SimTime> {
-        let done = self.fan_out(|r| r.submit_write_timing(nbytes))?;
-        self.stats.writes += 1;
-        self.stats.bytes_written += nbytes;
-        Ok(done)
-    }
-
     fn charge_read_timing(&mut self, nbytes: u64) -> Result<SimTime> {
         let done = self.read_with_failover(|r| r.charge_read_timing(nbytes))?;
         self.stats.reads += 1;
         self.stats.bytes_read += nbytes;
         Ok(done)
+    }
+
+    fn discard(&mut self, lba: u64, count: u64) {
+        // Every replica, whatever its state: a detached or rebuilding one
+        // must not keep a body the store freed either.
+        for r in self.replicas.iter_mut() {
+            r.discard(lba, count);
+        }
+        self.stats.blocks_discarded += count;
     }
 
     fn power_fail(&mut self) {
@@ -647,6 +639,7 @@ mod tests {
     use crate::dev::test_io::{body, read, write};
     use crate::dev::ModelDev;
     use crate::fault::FaultPlan;
+    use crate::BLOCK_SIZE;
 
     fn mirror(width: usize, blocks: u64) -> MirrorDev {
         let clock = SimClock::new();
@@ -783,7 +776,7 @@ mod tests {
         write(&mut m, 9, &block(0xAA)).unwrap();
         // ...but serves no reads until promoted.
         assert_eq!(m.active_width(), 1);
-        let copied = m.resilver_extent(0, 10, true).unwrap();
+        let copied = m.resilver_extent(0, 10).unwrap();
         assert_eq!(copied, 10);
         let barrier = m.resilver_barrier().unwrap();
         assert_eq!(m.promote_rebuilt(barrier).unwrap(), 1);

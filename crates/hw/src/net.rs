@@ -326,16 +326,15 @@ impl<D: BlockDev> BlockDev for RemoteDev<D> {
         Ok(dev_done.max(cmd_arrive) + SimDuration::from_nanos(self.link.latency_ns))
     }
 
-    fn submit_write_timing(&mut self, nbytes: u64) -> Result<SimTime> {
-        let arrive = self.link.transfer(nbytes);
-        let dev_done = self.inner.submit_write_timing(nbytes)?;
-        Ok(dev_done.max(arrive))
-    }
-
     fn charge_read_timing(&mut self, nbytes: u64) -> Result<SimTime> {
         let sent = self.link.transfer(64).since(self.link.clock.now());
         let read = self.inner.charge_read_timing(nbytes)? + sent;
         Ok(self.link.transfer_from(read, nbytes))
+    }
+
+    fn discard(&mut self, lba: u64, count: u64) {
+        // Uncharged like every discard: no message is modelled.
+        self.inner.discard(lba, count);
     }
 
     fn power_fail(&mut self) {

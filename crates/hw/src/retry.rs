@@ -301,12 +301,12 @@ impl BlockDev for ResilientDev {
         self.with_retries(false, |d| d.flush())
     }
 
-    fn submit_write_timing(&mut self, nbytes: u64) -> Result<SimTime> {
-        self.inner.submit_write_timing(nbytes)
-    }
-
     fn charge_read_timing(&mut self, nbytes: u64) -> Result<SimTime> {
         self.inner.charge_read_timing(nbytes)
+    }
+
+    fn discard(&mut self, lba: u64, count: u64) {
+        self.inner.discard(lba, count);
     }
 
     fn power_fail(&mut self) {

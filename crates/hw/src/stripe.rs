@@ -24,7 +24,7 @@ pub struct StripedDev<D: BlockDev> {
     clock: Arc<SimClock>,
     info: DevInfo,
     stats: DevStats,
-    /// Round-robin cursor for timing-only requests.
+    /// Round-robin cursor for timing-only reads.
     rr: usize,
 }
 
@@ -81,10 +81,9 @@ impl<D: BlockDev> StripedDev<D> {
         runs
     }
 
-    /// Spreads a timing-only request of `nbytes` across the members
-    /// round-robin, so their queues serve it in parallel — this is where
-    /// the bandwidth aggregation shows up, for reads and writes alike.
-    /// Completes with the last share.
+    /// Spreads a timing-only read of `nbytes` across the members
+    /// round-robin, so their queues serve it in parallel. Completes with
+    /// the last share.
     fn split(
         &mut self,
         nbytes: u64,
@@ -169,18 +168,22 @@ impl<D: BlockDev> BlockDev for StripedDev<D> {
         Ok(done)
     }
 
-    fn submit_write_timing(&mut self, nbytes: u64) -> Result<SimTime> {
-        let done = self.split(nbytes, |m, bytes| m.submit_write_timing(bytes))?;
-        self.stats.writes += 1;
-        self.stats.bytes_written += nbytes;
-        Ok(done)
-    }
-
     fn charge_read_timing(&mut self, nbytes: u64) -> Result<SimTime> {
         let done = self.split(nbytes, |m, bytes| m.charge_read_timing(bytes))?;
         self.stats.reads += 1;
         self.stats.bytes_read += nbytes;
         Ok(done)
+    }
+
+    fn discard(&mut self, lba: u64, count: u64) {
+        // Each member forgets its own share of the span, as one run.
+        let runs = self.runs(lba, 0..count);
+        for (m, (start, run)) in self.members.iter_mut().zip(runs) {
+            if let Some(start) = start {
+                m.discard(start, run.len() as u64);
+            }
+        }
+        self.stats.blocks_discarded += count;
     }
 
     fn power_fail(&mut self) {
@@ -237,14 +240,15 @@ mod tests {
 
     #[test]
     fn bulk_write_bandwidth_scales_with_width() {
-        // 64 MiB of timing-only writes: a 4-wide stripe should finish
-        // roughly 4x sooner than a single device.
+        // A 4 MiB extent: a 4-wide stripe should finish roughly 4x
+        // sooner than a single device.
+        let extent = vec![PageData::Seeded(7); 1024];
         let mut single = stripe(1);
-        let t1 = single.submit_write_timing(64 << 20).unwrap();
+        let t1 = single.write_blocks(0, &extent).unwrap();
         let lone = t1.since(single.clock().now());
 
         let mut quad = stripe(4);
-        let t4 = quad.submit_write_timing(64 << 20).unwrap();
+        let t4 = quad.write_blocks(0, &extent).unwrap();
         let wide = t4.since(quad.clock().now());
 
         let speedup = lone.as_nanos() as f64 / wide.as_nanos() as f64;

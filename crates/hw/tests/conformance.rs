@@ -7,7 +7,8 @@
 //! submitted behind a busy queue pays `latency / QUEUE_DEPTH` plus its
 //! transfer, and a flush completes one whole latency after the queue
 //! drains. And the body rule: a device keeps the bodies it is given by
-//! reference and never writes into one.
+//! reference and never writes into one. A discard is free and forgets
+//! exactly the blocks it names, on every copy that holds them.
 
 // Test code asserts invariants; the workspace unwrap denial is for
 // production flush paths.
@@ -204,14 +205,6 @@ fn queue_script(case: &mut Case) {
         "{name}: charge_read_timing leaves the clock"
     );
     queue += share + write;
-    let done = case.dev.submit_write_timing(BYTES).unwrap();
-    assert_eq!(done, case.write(queue), "{name}: a queued timing write");
-    assert_eq!(
-        clock.now(),
-        now,
-        "{name}: submit_write_timing leaves the clock"
-    );
-    queue += share + write;
     let done = case.dev.write_blocks(LBA, &data).unwrap();
     assert_eq!(done, case.write(queue), "{name}: a queued write");
     assert_eq!(clock.now(), now, "{name}: write_blocks leaves the clock");
@@ -382,4 +375,65 @@ fn every_device_reads_back_its_bodies_and_the_model_never_writes_into_one() {
     assert_eq!(golden, body);
     assert_eq!(mirror.mirror_stats().read_repairs, 1);
     untouched(&body, &before, ptr, "a mirror repair");
+}
+
+/// A discard charges nothing and forgets exactly the blocks it names:
+/// the next request still finds the queue idle, the discarded block
+/// reads zero and its neighbours keep their bodies. A stripe forgets
+/// the block on the member that holds it; a mirror forgets it on every
+/// replica, so the twin left after a replica dies reads zero too. The
+/// file device keeps its bytes: its discard is the no-op default.
+#[test]
+fn every_device_discards_for_free_and_forgets_only_what_it_names() {
+    let dir = std::env::temp_dir().join(format!("aurora-discard-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let clock = SimClock::new();
+    let gone = LBA + 1;
+    for mut case in cases(&clock, &dir) {
+        let name = case.name;
+        let data = extent();
+        write_durably(case.dev.as_mut(), LBA, &data);
+        let before = clock.now();
+        case.dev.discard(gone, 1);
+        assert_eq!(clock.now(), before, "{name}: discard leaves the clock");
+        let mut out = vec![PageData::Zero; EXTENT];
+        let done = case.dev.read_blocks(LBA, &mut out).unwrap();
+        let model = CostModel::NVME;
+        let idle = before
+            + SimDuration::from_nanos(model.latency_ns)
+            + SimDuration::for_bytes(BYTES / case.width, model.read_bw);
+        assert_eq!(
+            done,
+            case.read(before, idle),
+            "{name}: discard occupies no queue"
+        );
+        clock.advance_to(done);
+        let want: Vec<PageData> = (LBA..)
+            .zip(data)
+            .map(|(lba, body)| match lba == gone && name != "file" {
+                true => PageData::Zero,
+                false => body,
+            })
+            .collect();
+        assert_eq!(out, want, "{name}: only the named block is forgotten");
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+
+    for dead in 0..2 {
+        let mut mirror = MirrorDev::new(vec![
+            Box::new(nvme(&clock, "nvme0")),
+            Box::new(nvme(&clock, "nvme1")),
+        ])
+        .unwrap();
+        write_durably(&mut mirror, LBA, &extent());
+        mirror.discard(gone, 1);
+        mirror.kill_replica(dead).unwrap();
+        let out = read_back(&mut mirror, gone, 1);
+        assert_eq!(
+            out,
+            vec![PageData::Zero],
+            "replica {} kept the block",
+            1 - dead
+        );
+    }
 }

@@ -8,9 +8,9 @@
 //! type system stops a new code path from bypassing the tokens entirely
 //! with a raw `write_blocks`. This check closes that hole: in the crates
 //! listed under `[commit-phase] crates`, every mutation entry point of
-//! `BlockDev` — `write_blocks`, `submit_write_timing` and `repair_block`
-//! — may only be *called* inside the token-bearing functions enumerated
-//! in `allow_in`:
+//! `BlockDev` — `write_blocks`, `repair_block` and `discard` — may only
+//! be *called* inside the token-bearing functions enumerated in
+//! `allow_in`:
 //!
 //! ```toml
 //! [commit-phase]
@@ -30,9 +30,9 @@ use super::Violation;
 
 /// The `BlockDev` mutation entry points.
 const FORBIDDEN: &[&str] = &[
-    "submit_write_timing",
     "write_blocks",
     "repair_block",
+    "discard",
 ];
 
 /// Runs the commit-phase check.

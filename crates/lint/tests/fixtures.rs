@@ -100,6 +100,7 @@ fn commit_phase_fixture() {
             ("commit-phase", "crates/demo/src/lib.rs", 10),
             ("commit-phase", "crates/demo/src/lib.rs", 15),
             ("commit-phase", "crates/demo/src/lib.rs", 20),
+            ("commit-phase", "crates/demo/src/lib.rs", 24),
         ],
         "raw writes outside allowlisted fns flagged; the licensed \
          `submit_journal` and test code exempt: {:?}",

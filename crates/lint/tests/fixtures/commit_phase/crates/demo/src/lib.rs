@@ -20,6 +20,10 @@ pub fn sneaky_repair(dev: &mut Dev) {
     let _ = dev.repair_block(3); // line 20
 }
 
+pub fn rogue_free(dev: &mut Dev) {
+    dev.discard(5, 1); // line 24: a discard changes what the medium holds
+}
+
 #[cfg(test)]
 mod tests {
     #[test]

@@ -26,14 +26,15 @@
 //!   for small mutations (see `DESIGN.md` §16).
 //! * **Durability**: metadata (journal records + dual superblocks) is
 //!   written through the device with CRCs and recovered after crashes;
-//!   bulk page payloads charge real device time through the timing
-//!   interface while their authoritative contents stay in the store's
-//!   compact page table (see `BlockDev::submit_write_timing` for why).
-//!   Commits return the virtual instant at which the checkpoint is
-//!   power-loss-safe, so the SLS can flush asynchronously.
+//!   page bodies go to the device as extents, which keeps each body by
+//!   reference, so the medium shares them with the store's page table
+//!   at the cost of one map entry per block. Commits return the virtual
+//!   instant at which the checkpoint is power-loss-safe, so the SLS can
+//!   flush asynchronously.
 //! * **GC**: deleting the oldest checkpoint merges its still-needed
 //!   pointers into its child (metadata only — no data is rewritten) and
-//!   releases the rest.
+//!   releases the rest; a block whose last reference goes is discarded
+//!   from the medium.
 
 pub mod alloc;
 pub mod checkpoint;

@@ -39,7 +39,6 @@
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::ops::{Bound, Range, RangeBounds};
 
-use aurora_hw::BLOCK_SIZE;
 use aurora_sim::cost::{HashTrail, RESTORE_CACHE_HIT_NS};
 use aurora_sim::error::{Error, Result};
 use aurora_sim::hash::Words;
@@ -261,13 +260,14 @@ impl ReadPlan {
 pub struct ReadOutcome {
     /// Contents for every planned block.
     pub pages: HashMap<u64, PageData>,
-    /// Blocks whose contents came off the device (or the timing-mode
-    /// page table) rather than the read cache — the ones the restore
-    /// pipeline still owes a content-hash pass.
+    /// Blocks whose contents came off the device rather than the read
+    /// cache — the ones the restore pipeline still owes a content-hash
+    /// pass.
     pub fetched: Vec<u64>,
     /// Aligned with `fetched`: the block's content hash where the read
-    /// already computed it to check the bytes against the recorded one
-    /// (materialized stores), `None` where the hash pass still has to.
+    /// already computed it to check the bytes against the recorded one,
+    /// `None` where the block had none on record and the hash pass still
+    /// has to.
     pub fetched_hashes: Vec<Option<u64>>,
     /// Probes served by the bounded read cache.
     pub cache_hits: u64,
@@ -348,16 +348,16 @@ pub struct ScrubStep {
     pub next: Option<(ObjId, u64)>,
     /// When the step's verdicts are in: its last read plus the last
     /// batch's hash on a materialized store, the instant it was taken
-    /// on a timing-only one.
+    /// on one whose audits trust the page table.
     pub ready_at: SimTime,
 }
 
 impl ObjectStore {
-    /// The one reader of page bytes on a materialized store. Reads
-    /// `run` — adjacent ascending blocks, one extent — with a single
-    /// vectored request and compares every block that has a recorded
-    /// content hash with it, hashing on `workers` threads through
-    /// [`hash_pages`]. Damaged bytes get exactly one re-read,
+    /// The one reader of page bytes. Reads `run` — adjacent ascending
+    /// blocks, one extent — with a single vectored request and compares
+    /// every block that has a recorded content hash with it, hashing on
+    /// `workers` threads through [`hash_pages`]. Damaged bytes get
+    /// exactly one re-read,
     /// submitted behind the first: transient electronics clear, damaged
     /// media re-reads identically, and then each block still damaged
     /// gets its chance at a mirror twin. A block that passed keeps its
@@ -430,12 +430,11 @@ impl ObjectStore {
         Ok(golden)
     }
 
-    /// The lazy-fault policy: serves the page-table copy when there is
-    /// one, else reads the block off the medium as a one-block run and
-    /// admits it. Either way the fault submits one request and waits for
-    /// it, and the bounded read cache is not probed, so a block the
-    /// planner would count as a hit costs a device read here. Probing it
-    /// is not a free win: chain compaction reads through this function
+    /// The lazy-fault policy: reads the block off the medium through the
+    /// checked reader as a one-block run, waits for it and admits it.
+    /// The bounded read cache is not probed, so a block the planner
+    /// would count as a hit costs a device read here. Probing it is not
+    /// a free win: chain compaction reads through this function
     /// too, and its waits are what drains the device queue between
     /// `fleet_16`'s tenant commits (ROADMAP item 4, group commit): at
     /// `--seed 42` its `durable_us_mean` is 76.9 µs (p90 104.9 µs), and
@@ -445,26 +444,6 @@ impl ObjectStore {
     /// from the medium) is recorded and indexed on this first read, as
     /// its write would have.
     pub(crate) fn fetch_block(&self, ptr: BlockPtr) -> Result<PageData> {
-        let resident = {
-            let mut cache = self.cache.borrow_mut();
-            let page = cache.data.get(&ptr.0).cloned();
-            if page.is_some() {
-                cache.read.admit(CacheKey::Block(ptr.0), 1);
-            }
-            page
-        };
-        if let Some(page) = resident {
-            let mut dev = self.dev.borrow_mut();
-            let done = dev.charge_read_timing(BLOCK_SIZE as u64)?;
-            dev.clock().advance_to(done);
-            return Ok(page);
-        }
-        if !self.config.materialize_data {
-            return Err(Error::corrupt(format!(
-                "block {} has no recoverable contents",
-                ptr.0
-            )));
-        }
         let (mut verdicts, done) = self.read_checked(&[ptr.0], 1)?;
         self.dev.borrow().clock().advance_to(done);
         let Some((page, recorded)) = verdicts.pop().flatten() else {
@@ -530,9 +509,9 @@ impl ObjectStore {
     /// earlier ones and not waited for — [`ReadOutcome::done`] says when
     /// the last completes. On an idle device the first read pays the
     /// whole access latency and each one behind it a queue-depth share.
-    /// Materialized reads come through the checked reader (compare, one
-    /// re-read, heal from a twin); a block it cannot vouch for aborts the
-    /// plan with `ErrorKind::Corrupt`, leaving the store intact.
+    /// Reads come through the checked reader (compare, one re-read, heal
+    /// from a twin); a block it cannot vouch for aborts the plan with
+    /// `ErrorKind::Corrupt`, leaving the store intact.
     pub fn execute_read_plan(&mut self, plan: &ReadPlan) -> Result<ReadOutcome> {
         self.execute_read_plan_range(plan, 0..plan.extents.len())
     }
@@ -596,51 +575,26 @@ impl ObjectStore {
         out.extents_read += 1;
         self.stats.read_extents_coalesced += 1;
         self.stats.read_blocks_coalesced += run.len() as u64;
-        if self.config.materialize_data {
-            // All or nothing: one damaged block the reader could not
-            // heal aborts the plan with `Corrupt` before anything of its
-            // extent is admitted, leaving the committed store untouched.
-            let (verdicts, done) = self.read_checked(run, 1)?;
-            out.done = out.done.max(done);
-            let Some(checked) = verdicts.into_iter().collect::<Option<Vec<_>>>() else {
-                return Err(Error::corrupt(format!(
-                    "extent at block {start}: content hash mismatch on read"
-                )));
-            };
-            let mut cache = self.cache.borrow_mut();
-            for (&b, (page, hash)) in run.iter().zip(checked) {
-                if out.pages.contains_key(&b) {
-                    continue; // probe already served it
-                }
-                cache.data.insert(b, page.clone());
-                cache.read.admit(CacheKey::Block(b), 1);
-                out.fetched.push(b);
-                out.fetched_hashes.push(hash);
-                out.pages.insert(b, page);
+        // All or nothing: one damaged block the reader could not heal
+        // aborts the plan with `Corrupt` before anything of its extent is
+        // admitted, leaving the committed store untouched.
+        let (verdicts, done) = self.read_checked(run, 1)?;
+        out.done = out.done.max(done);
+        let Some(checked) = verdicts.into_iter().collect::<Option<Vec<_>>>() else {
+            return Err(Error::corrupt(format!(
+                "extent at block {start}: content hash mismatch on read"
+            )));
+        };
+        let mut cache = self.cache.borrow_mut();
+        for (&b, (page, hash)) in run.iter().zip(checked) {
+            if out.pages.contains_key(&b) {
+                continue; // probe already served it
             }
-        } else {
-            {
-                let mut cache = self.cache.borrow_mut();
-                for &b in run {
-                    if out.pages.contains_key(&b) {
-                        continue;
-                    }
-                    let Some(page) = cache.data.get(&b).cloned() else {
-                        return Err(Error::corrupt(format!(
-                            "block {b} has no recoverable contents"
-                        )));
-                    };
-                    cache.read.admit(CacheKey::Block(b), 1);
-                    out.fetched.push(b);
-                    out.fetched_hashes.push(None);
-                    out.pages.insert(b, page);
-                }
-            }
-            let done = self
-                .dev
-                .get_mut()
-                .charge_read_timing((run.len() * BLOCK_SIZE) as u64)?;
-            out.done = out.done.max(done);
+            cache.data.insert(b, page.clone());
+            cache.read.admit(CacheKey::Block(b), 1);
+            out.fetched.push(b);
+            out.fetched_hashes.push(hash);
+            out.pages.insert(b, page);
         }
         Ok(())
     }
@@ -666,9 +620,9 @@ impl ObjectStore {
     /// Drops every cached page body and the read cache, record entries
     /// included, forcing subsequent reads back to the medium — the
     /// state after an image lands on a machine that has never run it.
-    /// Only materialized stores can re-read contents; for timing-only
-    /// stores the page table *is* the medium, so dropping it would
-    /// destroy data.
+    /// Refused unless the store materializes data: a timing-only store's
+    /// audits trust its page table instead of reading the medium, so
+    /// dropping the table would blind them.
     ///
     /// Recorded content hashes and the dedup index survive: the hashes
     /// are the read path's corruption check, and the index entries go
@@ -676,7 +630,7 @@ impl ObjectStore {
     pub fn drop_caches(&mut self) -> Result<()> {
         if !self.config.materialize_data {
             return Err(Error::unsupported(
-                "drop_caches requires materialized data; the page table is the only copy",
+                "drop_caches requires materialized data; the audits trust the page table",
             ));
         }
         let cache = self.cache.get_mut();
@@ -695,8 +649,9 @@ impl ObjectStore {
     /// On a materialized store the step is the audits' stream: the
     /// batch's extents go to the device queued behind whatever it holds,
     /// past the read cache, compared on `workers` threads. On a
-    /// timing-only store it is a page-table lookup. Either way the step
-    /// does not advance the clock (only the device layers' own waits do:
+    /// timing-only store, whose audits trust the page table, it is a
+    /// page-table lookup. Either way the step does not advance the
+    /// clock (only the device layers' own waits do:
     /// a transient read's retry backoff, a mirror heal's rewrite):
     /// [`ScrubStep::ready_at`] says when the verdicts are in, and a
     /// caller must not act on them before.
@@ -769,9 +724,9 @@ impl ObjectStore {
     /// `workers` threads as its read returns (a damaged extent's re-read
     /// follows its own first read); a batch's compare starts when its
     /// reads complete, beside the next batch's reads, so the verdicts
-    /// are in one batch's hash after the last read. On a timing-only
-    /// store the walk is the whole check, and its verdicts are in at
-    /// once.
+    /// are in one batch's hash after the last read. A timing-only store
+    /// trusts its page table: the walk is the whole check, and its
+    /// verdicts are in at once.
     fn verify_walk(
         &self,
         workers: usize,
@@ -780,7 +735,7 @@ impl ObjectStore {
         let mut bad: BTreeMap<u64, String> = BTreeMap::new();
         let start = self.dev.borrow().clock().now();
         if !self.config.materialize_data {
-            // The page table is the only copy, so the walk is the whole
+            // The audits trust the page table, so the walk is the whole
             // check: one lock hold, only bad blocks collected.
             let table = self.cache.borrow();
             let clean = walk(&mut |block| {
@@ -1009,7 +964,7 @@ mod tests {
 
     use crate::store::StoreConfig;
 
-    /// A timing-only store: the page table is the only copy of a block.
+    /// A timing-only store: its audits trust the page table.
     fn timing_store() -> ObjectStore {
         let dev = Box::new(ModelDev::nvme(SimClock::new(), "nvme0", 64 * 1024));
         let config = StoreConfig {

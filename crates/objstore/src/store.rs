@@ -37,9 +37,14 @@ use crate::{BlockPtr, ObjId};
 pub struct StoreConfig {
     /// Journal region size in blocks.
     pub journal_blocks: u64,
-    /// Write real page bytes through the device (needed when the store
-    /// must be reopened from the medium alone, e.g. the CLI's file-backed
-    /// worlds). Off for simulation-scale benchmarks.
+    /// Whether the audits read the medium. Every store writes its page
+    /// bodies to the device and reads them back from it. On, `scrub`
+    /// and the scrub step compare what the medium holds with the
+    /// recorded hashes, `fsck` does not ask the page table for a body,
+    /// and `drop_caches` is allowed. Off, the audits trust the page
+    /// table, a lookup where reading the medium costs a materialized
+    /// `fleet_16` 6.4× its durable time (E29), and `drop_caches` is
+    /// refused, since dropping the table would blind them.
     pub materialize_data: bool,
     /// Largest dirty footprint (bytes per page) the flush pipeline may
     /// record as a sub-page delta instead of a full image. 0 disables
@@ -172,20 +177,13 @@ fn cut_off(frames: &[journal::Frame]) -> usize {
 
 /// Whether the data a tail record references reached the medium: the
 /// content hashes of a `Commit`'s full-page blocks, read back, must fold
-/// to its page digest. Only a materialized store's medium holds page
-/// bytes; a timing-only store's page table *is* its medium, and a
-/// timing-only write cannot be lost. A digest of
-/// [`journal::UNCHECKED`] has nothing to compare with.
-fn tail_backed(
-    dev: &mut dyn BlockDev,
-    config: &StoreConfig,
-    data_start: u64,
-    record: &JournalRecord,
-) -> Result<bool> {
+/// to its page digest. A digest of [`journal::UNCHECKED`] has nothing to
+/// compare with.
+fn tail_backed(dev: &mut dyn BlockDev, data_start: u64, record: &JournalRecord) -> Result<bool> {
     let JournalRecord::Commit { ckpt, digest, .. } = record else {
         return Ok(true);
     };
-    if !config.materialize_data || *digest == journal::UNCHECKED {
+    if *digest == journal::UNCHECKED {
         return Ok(true);
     }
     // Every block is known up front: submit their extents back to back
@@ -217,7 +215,8 @@ pub const EXTENT_BLOCKS: usize = 64;
 /// one cell so the read paths can stay `&self`: a cache fill is not a
 /// logical mutation.
 pub(crate) struct PageCache {
-    /// Authoritative page contents by block (compact representation).
+    /// Page bodies by block, shared with the medium: what the store
+    /// wrote or read back.
     pub(crate) data: HashMap<u64, PageData>,
     /// Content-hash dedup index: hash -> candidate blocks, in insertion
     /// order (rebuilds insert in ascending block order).
@@ -382,18 +381,18 @@ impl ObjectStore {
         })
     }
 
-    /// Opens an existing store from the device (full recovery).
-    ///
-    /// Page contents are only recoverable when the store was written with
-    /// `materialize_data` (or via [`ObjectStore::recover`], which keeps
-    /// the in-memory page table across the simulated crash).
+    /// Opens an existing store from the device (full recovery). Every
+    /// committed page reads back from the medium, whatever the store's
+    /// `materialize_data`: the page table starts empty and fills as
+    /// pages are read ([`ObjectStore::recover`] keeps it across the
+    /// simulated crash instead).
     pub fn open(dev: Box<dyn BlockDev>, config: StoreConfig) -> Result<Self> {
         Self::open_with_data(dev, config, HashMap::new())
     }
 
     /// Simulates a reboot: power-cycles the device and rebuilds all
-    /// metadata from the medium. Uncommitted state is lost; committed
-    /// page contents are retained (they stand for what is on disk).
+    /// metadata from the medium. Uncommitted state is lost; the page
+    /// table keeps its committed bodies, copies of what the medium holds.
     pub fn recover(self) -> Result<Self> {
         let mut dev = self.dev.into_inner();
         dev.power_on();
@@ -439,7 +438,7 @@ impl ObjectStore {
         // Only the tail record can have been persisted ahead of its data:
         // every earlier one was followed in the queue by its own flush.
         if let Some(tail) = frames.last().filter(|f| f.end > sb.journal_used) {
-            if !tail_backed(dev.as_mut(), &config, sb.data_start(), &tail.record)? {
+            if !tail_backed(dev.as_mut(), sb.data_start(), &tail.record)? {
                 frames.pop();
             }
         }
@@ -944,10 +943,7 @@ impl ObjectStore {
     /// behind a flush barrier.
     ///
     /// The walk covers the whole metadata region (superblocks plus both
-    /// journal halves — always real bytes on the medium) and every
-    /// allocated data block. Data extents move real bytes on
-    /// materialized stores and timing-only charges otherwise (the
-    /// authoritative contents live above the device). A crash at any
+    /// journal halves) and every allocated data block. A crash at any
     /// point is safe: the replica stays `Rebuilding` across the reboot
     /// and a rerun repeats the idempotent copies.
     ///
@@ -964,28 +960,27 @@ impl ObjectStore {
         }
         // Metadata region: blocks 0..data_start, extent-sized batches.
         let meta_end = self.sb.data_start();
-        let mut copies: Vec<(u64, usize, bool)> = Vec::new(); // (lba, count, real bytes)
+        let mut copies: Vec<(u64, usize)> = Vec::new(); // (lba, count)
         let mut lba = 0u64;
         while lba < meta_end {
             let count = (meta_end - lba).min(EXTENT_BLOCKS as u64) as usize;
-            copies.push((lba, count, true));
+            copies.push((lba, count));
             lba += count as u64;
         }
         // Live data blocks, adjacent ids coalesced into extents.
         let data_start = self.sb.data_start();
-        let materialized = self.config.materialize_data;
         let live: Vec<u64> = self.alloc.allocated().collect();
         for (off, count) in runs(&live, EXTENT_BLOCKS) {
             if let Some(&start) = live.get(off) {
-                copies.push((data_start + start, count, materialized));
+                copies.push((data_start + start, count));
             }
         }
-        for (lba, count, real) in copies {
+        for (lba, count) in copies {
             let dev = self.dev.get_mut();
             let m = dev.as_mirror_mut().ok_or_else(|| {
                 Error::internal("resilver target vanished mid-walk")
             })?;
-            report.blocks += m.resilver_extent(lba, count, real)?;
+            report.blocks += m.resilver_extent(lba, count)?;
             report.extents += 1;
         }
         let dev = self.dev.get_mut();
@@ -1135,5 +1130,105 @@ mod tests {
             s.fsck(),
             vec![format!("delta lsn {first}: refcount 3, 2 referents")]
         );
+    }
+
+    /// Every store keeps its page bodies on the medium: a timing-only
+    /// store, dropped and reopened from its device alone, reads back
+    /// every page of every checkpoint it committed.
+    #[test]
+    fn the_medium_serves_a_reopened_timing_only_store() {
+        let config = StoreConfig {
+            journal_blocks: 64,
+            ..StoreConfig::default()
+        };
+        assert!(!config.materialize_data);
+        let dev = Box::new(ModelDev::nvme(SimClock::new(), "nvme0", 4096));
+        let mut s = ObjectStore::format(dev, config.clone()).unwrap();
+        s.create_object(ObjId(1), 8).unwrap();
+        let mut want: Vec<PageData> = (0..8).map(|i| PageData::Seeded(500 + i)).collect();
+        for (i, page) in want.iter().enumerate() {
+            s.write_page(ObjId(1), i as u64, page).unwrap();
+        }
+        let (first, _) = s.commit(None).unwrap();
+        let old = want.clone();
+        for (i, page) in want.iter_mut().enumerate().step_by(5) {
+            *page = PageData::Seeded(900 + i as u64);
+            s.write_page(ObjId(1), i as u64, page).unwrap();
+        }
+        let (head, _) = s.commit(None).unwrap();
+
+        let s = ObjectStore::open(s.dev.into_inner(), config).unwrap();
+        assert!(
+            s.cache.borrow().data.is_empty(),
+            "no page table crossed the reopen"
+        );
+        for (ckpt, pages) in [(first, &old), (head, &want)] {
+            for (i, page) in pages.iter().enumerate() {
+                let got = s.read_page_at(ckpt, ObjId(1), i as u64).unwrap();
+                assert!(
+                    got.is_some_and(|g| g.content_eq(page)),
+                    "checkpoint {} page {i}",
+                    ckpt.0
+                );
+            }
+        }
+        assert!(s.fsck().is_empty(), "{:?}", s.fsck());
+    }
+
+    /// Each block history GC frees leaves the medium: the device counts
+    /// one discarded block per block the allocator freed, and a freed
+    /// block reads zero.
+    #[test]
+    fn the_medium_forgets_what_history_gc_frees() {
+        let config = StoreConfig {
+            journal_blocks: 256,
+            ..StoreConfig::default()
+        };
+        let dev = Box::new(ModelDev::nvme(SimClock::new(), "nvme0", 4096));
+        let mut s = ObjectStore::format(dev, config).unwrap();
+        s.create_object(ObjId(1), 8).unwrap();
+        let (mut freed, mut discarded, mut zeroed) = (0, 0, 0);
+        for round in 0..12u64 {
+            for i in 0..4 {
+                let page = PageData::Seeded(round * 8 + i);
+                s.write_page(ObjId(1), (round + i) % 8, &page).unwrap();
+            }
+            s.commit(None).unwrap();
+            let Some(victim) = s.checkpoints().first().map(|c| c.id) else {
+                continue;
+            };
+            if s.checkpoints().len() <= 3 {
+                continue;
+            }
+            let blocks: Vec<u64> = s
+                .checkpoint(victim)
+                .unwrap()
+                .pages
+                .values()
+                .map(|p| p.0)
+                .collect();
+            let (in_use, before) = (s.blocks_in_use(), s.device().stats().blocks_discarded);
+            s.delete_checkpoint(victim).unwrap();
+            freed += in_use - s.blocks_in_use();
+            discarded += s.device().stats().blocks_discarded - before;
+            for b in blocks
+                .into_iter()
+                .filter(|&b| s.alloc.refs(BlockPtr(b)) == 0)
+            {
+                let mut body = [PageData::Seeded(1)];
+                let lba = s.data_start() + b;
+                let done = s.dev.get_mut().read_blocks(lba, &mut body).unwrap();
+                s.dev.get_mut().clock().advance_to(done);
+                assert_eq!(
+                    body,
+                    [PageData::Zero],
+                    "freed block {b} still on the medium"
+                );
+                zeroed += 1;
+            }
+        }
+        assert!(freed > 0 && zeroed > 0, "GC freed nothing");
+        assert_eq!(discarded, freed, "one discard per freed block");
+        assert!(s.fsck().is_empty(), "{:?}", s.fsck());
     }
 }

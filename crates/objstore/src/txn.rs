@@ -45,8 +45,8 @@
 //! token can be used at most once, and only the transition that does the
 //! corresponding device I/O can mint the next one. The `commit_phase`
 //! lint (crates/lint) closes the remaining hole: raw `write_blocks`/
-//! `submit_write_timing`/`repair_block` calls are forbidden outside the
-//! functions allowlisted in `lint-allow.toml`.
+//! `repair_block`/`discard` calls are forbidden outside the functions
+//! allowlisted in `lint-allow.toml`.
 //!
 //! A valid sequence compiles and runs (this is `ObjectStore::commit`):
 //!

@@ -177,10 +177,15 @@ impl ObjectStore {
         Ok(())
     }
 
-    /// Drops one reference on `ptr`, evicting its body at the last.
+    /// Drops one reference on `ptr`. At the last, its body leaves the
+    /// page cache and the medium: nothing durable names the block any
+    /// more (a checkpoint's blocks are released only once the record
+    /// that frees them is), and its next write replaces it.
     pub(crate) fn release_block(&mut self, ptr: BlockPtr) {
         if self.alloc.decref(ptr) {
             self.cache.get_mut().evict(ptr);
+            let lba = self.sb.data_start() + ptr.0;
+            self.dev.get_mut().discard(lba, 1);
         }
     }
 
@@ -200,8 +205,7 @@ impl ObjectStore {
     /// and the last write of a page wins. The fresh blocks still
     /// referenced then sort into runs of adjacent lbas, each submitted
     /// as one [`BlockDev::write_blocks`] extent of at most
-    /// [`EXTENT_BLOCKS`] (a timing-only charge on a store that does not
-    /// materialize data).
+    /// [`EXTENT_BLOCKS`].
     ///
     /// A failed call stages nothing. Whatever failed — a missing object,
     /// a full data region, a refused extent — every page gets its
@@ -297,23 +301,16 @@ impl ObjectStore {
         Ok(())
     }
 
-    /// Submits one run of adjacent fresh blocks as a vectored write. A
-    /// materialized store hands the device the staged bodies by
-    /// reference: the medium shares them with the page cache and the
-    /// frames they came from.
+    /// Submits one run of adjacent fresh blocks as a vectored write,
+    /// handing the device the staged bodies by reference: the medium
+    /// shares them with the page cache and the frames they came from.
     fn write_extent(&mut self, run: &[(u64, &PageData)]) -> Result<()> {
         let Some(&(first, _)) = run.first() else {
             return Ok(());
         };
-        if self.config.materialize_data {
-            let bodies: Vec<PageData> = run.iter().map(|&(_, page)| page.clone()).collect();
-            let lba = self.sb.data_start() + first;
-            self.dev.get_mut().write_blocks(lba, &bodies)?;
-        } else {
-            self.dev
-                .get_mut()
-                .submit_write_timing((run.len() * BLOCK_SIZE) as u64)?;
-        }
+        let bodies: Vec<PageData> = run.iter().map(|&(_, page)| page.clone()).collect();
+        let lba = self.sb.data_start() + first;
+        self.dev.get_mut().write_blocks(lba, &bodies)?;
         Ok(())
     }
 

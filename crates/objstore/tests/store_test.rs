@@ -118,8 +118,8 @@ fn power_cut_during_commit_preserves_previous_checkpoint() {
         let (c1, _) = s.commit(Some("good")).unwrap();
 
         s.write_page(ObjId(1), 0, &page(2)).unwrap();
-        // Note: write_page uses timing-only submissions, so the fault plan
-        // triggers on the *metadata* writes of the commit itself.
+        // The page's body reached the device before the plan was armed,
+        // so the cut lands on the commit's own writes.
         s.device_mut().install_fault_plan(FaultPlan::power_cut(cut_at));
         let result = s.commit(Some("torn"));
         if result.is_ok() {
@@ -325,8 +325,8 @@ enum Op {
     Rollback,
     /// Delete object 3 if it exists, then clone `src` into it.
     CloneInto { src: u8 },
-    /// Cut power, write a batch, restore power: the writer refuses the
-    /// batch and stages nothing.
+    /// Write a batch whose first device write an installed fault plan
+    /// refuses: the writer refuses the batch and stages nothing.
     RefusedWrite { obj: u8, idx: u8 },
 }
 
@@ -580,10 +580,13 @@ proptest! {
                         .into_iter()
                         .map(|(idx, page)| PageWrite { oid: ObjId(key.0), idx, hash: page.content_hash(), page })
                         .collect();
-                    store.device_mut().power_fail();
+                    // A transient error, not a power cut: a cut would
+                    // also drop the staged bodies still in the device's
+                    // volatile cache, which the live view reads back.
+                    store.device_mut().install_fault_plan(FaultPlan::transient(1, 1));
                     let refused = store.write_pages_coalesced(&batch);
-                    store.device_mut().power_on();
-                    prop_assert!(refused.is_err(), "a write with the power off was accepted");
+                    store.device_mut().install_fault_plan(FaultPlan::default());
+                    prop_assert!(refused.is_err(), "a refused write was accepted");
                 }
             }
             // Every mutation leaves the store fsck-clean...
@@ -1194,7 +1197,7 @@ fn drop_caches_requires_materialized_data() {
     s.commit(Some("timing-only")).unwrap();
     let err = s.drop_caches().unwrap_err();
     assert!(err.to_string().contains("materialized"));
-    // Timing-only stores still serve batched plans from the page table.
+    // Timing-only stores still read batched plans off the medium.
     let ck = s.head().unwrap();
     let plan = s.plan_reads_at(ck, &[(ObjId(1), 0)]);
     let out = s.execute_read_plan(&plan).unwrap();
@@ -1323,8 +1326,8 @@ fn a_plan_reads_one_extent_per_island() {
 /// on an idle NVMe the first pays the whole access latency and each of
 /// the other 13 a queue-depth share, and the clock stays put until the
 /// caller waits. A lazy fault of the same block waits for its read, so
-/// each one finds the queue idle and pays the whole latency. Timing-only
-/// reads follow the same rule.
+/// each one finds the queue idle and pays the whole latency. A
+/// timing-only store reads the medium the same way.
 #[test]
 fn planned_islands_are_queued_requests_and_lazy_faults_waited_ones() {
     let transfer = SimDuration::for_bytes(BLOCK_SIZE as u64, aurora_sim::cost::dev::NVME_READ_BW);

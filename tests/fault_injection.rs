@@ -219,6 +219,7 @@ fn write_fault_in_a_later_batch_aborts_without_damage() {
 /// and the store must scrub clean.
 #[test]
 fn power_cut_sweep_during_slsfs_file_writes() {
+    let mut cuts_in_data = 0;
     for cut_at in 1..=8u64 {
         let mut host = boot();
         let pid = host.kernel.spawn("app");
@@ -228,14 +229,21 @@ fn power_cut_sweep_during_slsfs_file_writes() {
         let bd = host.checkpoint(gid, true, Some("v1")).unwrap();
         host.clock.advance_to(bd.durable_at);
 
-        // Append more file data, then cut power mid-checkpoint.
-        host.kernel.write(pid, fd, b"file-v2").unwrap();
+        // Append more file data and checkpoint it, the cut armed across
+        // both: the file write's page body is write 1, the checkpoint's
+        // journal writes follow.
         host.sls
             .primary
             .borrow_mut()
             .device_mut()
             .install_fault_plan(FaultPlan::power_cut(cut_at));
+        let _ = host.kernel.write(pid, fd, b"file-v2");
         let _ = host.checkpoint(gid, false, Some("v2"));
+        {
+            let store = host.sls.primary.borrow();
+            let landed = store.device().last_fault_lba();
+            cuts_in_data += usize::from(landed.is_some_and(|lba| lba >= store.data_start()));
+        }
 
         let mut host = host.crash_and_reboot().unwrap();
         assert!(
@@ -251,6 +259,9 @@ fn power_cut_sweep_during_slsfs_file_writes() {
             String::from_utf8_lossy(&content)
         );
     }
+    // The file's page bodies are write ordinals too, so the sweep cuts
+    // inside the data region, not only in journal writes.
+    assert!(cuts_in_data > 0, "no cut landed in the data region");
 }
 
 /// A corrupted superblock slot must not take the store down. From the
