@@ -140,7 +140,7 @@ fn build_world(
 fn restore_round(host: &mut Host, cfg: &BenchConfig, addr: u64, ckpt: CkptId) -> f64 {
     let store = host.sls.primary.clone();
     host.release_image(&store, ckpt);
-    store.borrow_mut().drop_caches().expect("materialized store");
+    store.borrow_mut().drop_caches().expect("drop caches");
     let t0 = host.clock.now();
     let r = host
         .restore(&store, ckpt, RestoreMode::Eager)

@@ -186,8 +186,8 @@ impl Host {
         }
         breakdown.ckpt = self.sls.group_ref(gid)?.last_checkpoint();
 
-        // Release the frozen frames: their contents now live in the
-        // stores' page tables.
+        // Release the frozen frames: their contents are on the stores'
+        // media now.
         cow::release_flushed(&mut self.kernel.vm, &captured.plan);
 
         let group = self.sls.group_mut(gid)?;
@@ -328,8 +328,8 @@ impl Host {
     /// found damaged for the first checkpoint that starts after its
     /// verdicts are in. Its reads are queued behind the commit on a
     /// materialized store, hashed on the flush workers, and the clock
-    /// does not wait for them; a timing-only store checks its page
-    /// table and charges no device time.
+    /// does not wait for them; a timing-only store checks only the walk
+    /// to the blocks and charges no device time.
     fn scrub_step(&mut self, gid: GroupId, breakdown: &mut CheckpointBreakdown) -> Result<()> {
         let workers = self.sls.flush_workers.max(1);
         let group = self.sls.group_mut(gid)?;

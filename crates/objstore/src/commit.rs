@@ -214,8 +214,9 @@ impl ObjectStore {
     }
 
     /// Discards the staged (uncommitted) delta and rebuilds refcounts
-    /// (checkpoint page entries only, now nothing is staged) and dedup
-    /// state — the store-side half of aborting a failed checkpoint.
+    /// (checkpoint page entries only, now nothing is staged) and the
+    /// dedup index, from the recorded hashes of the blocks still held —
+    /// the store-side half of aborting a failed checkpoint.
     ///
     /// Afterwards the store is indistinguishable from one freshly
     /// recovered at the current head: [`ObjectStore::fsck`] is clean and
@@ -232,9 +233,7 @@ impl ObjectStore {
         self.pending_deltas.clear();
         let refs = committed_refs(&self.ckpts);
         self.alloc = BlockAlloc::from_refs(self.sb.data_blocks(), &refs);
-        let cache = self.cache.get_mut();
-        cache.data.retain(|b, _| refs.contains_key(b));
-        cache.rebuild_dedup();
+        self.cache.get_mut().keep_allocated(&self.alloc);
         Ok(())
     }
 }

@@ -11,9 +11,9 @@
 //! verdict per block. Everything else is a *cache policy*, over it or,
 //! for metadata records, over the device charge alone:
 //!
-//! * a lazy fault (`fetch_block`) serves the page-table copy, else
-//!   reads a one-block run and admits it — and waits for it, since the
-//!   faulting access cannot proceed without it;
+//! * a lazy fault (`fetch_block`) reads a one-block run and admits it
+//!   — and waits for it, since the faulting access cannot proceed
+//!   without it;
 //! * the planner (`read_extent`) probes the bounded read cache, reads
 //!   the extent on any miss and admits what it fetched — without
 //!   waiting: the whole plan is known before its first read, so its
@@ -116,10 +116,10 @@ pub(crate) enum CacheKey {
 /// This models the DRAM the paged-in working set and the restored
 /// images' metadata records occupy: a probe for a recently read block
 /// or record is an index lookup plus a frame adoption, not a device
-/// access. Page contents stay in the unbounded authoritative table
-/// ([`PageCache::data`]) and records in the checkpoint table; the bound
-/// governs what the cost model treats as resident, never what the
-/// simulation can recall.
+/// access. The bytes of a resident block are its body in the page table
+/// ([`PageCache::data`]), a cache of the medium, and a record's are in
+/// the checkpoint table; the bound governs what the cost model treats
+/// as resident, never what the simulation can recall.
 ///
 /// Eviction order is a deterministic LRU: a monotonic stamp counter
 /// replaces wall-clock recency, so runs are reproducible byte-for-byte.
@@ -348,7 +348,7 @@ pub struct ScrubStep {
     pub next: Option<(ObjId, u64)>,
     /// When the step's verdicts are in: its last read plus the last
     /// batch's hash on a materialized store, the instant it was taken
-    /// on one whose audits trust the page table.
+    /// on one whose audits do not read the medium.
     pub ready_at: SimTime,
 }
 
@@ -620,19 +620,13 @@ impl ObjectStore {
     /// Drops every cached page body and the read cache, record entries
     /// included, forcing subsequent reads back to the medium — the
     /// state after an image lands on a machine that has never run it.
-    /// Refused unless the store materializes data: a timing-only store's
-    /// audits trust its page table instead of reading the medium, so
-    /// dropping the table would blind them.
+    /// Works on every store: the medium holds every body, and no audit
+    /// asks the page table. Always `Ok`.
     ///
     /// Recorded content hashes and the dedup index survive: the hashes
     /// are the read path's corruption check, and the index entries go
     /// inert until their blocks are re-read.
     pub fn drop_caches(&mut self) -> Result<()> {
-        if !self.config.materialize_data {
-            return Err(Error::unsupported(
-                "drop_caches requires materialized data; the audits trust the page table",
-            ));
-        }
         let cache = self.cache.get_mut();
         cache.data.clear();
         cache.read.clear();
@@ -649,8 +643,8 @@ impl ObjectStore {
     /// On a materialized store the step is the audits' stream: the
     /// batch's extents go to the device queued behind whatever it holds,
     /// past the read cache, compared on `workers` threads. On a
-    /// timing-only store, whose audits trust the page table, it is a
-    /// page-table lookup. Either way the step does not advance the
+    /// timing-only store, whose audits do not read the medium, only the
+    /// walk is checked. Either way the step does not advance the
     /// clock (only the device layers' own waits do:
     /// a transient read's retry backoff, a mirror heal's rewrite):
     /// [`ScrubStep::ready_at`] says when the verdicts are in, and a
@@ -725,30 +719,22 @@ impl ObjectStore {
     /// follows its own first read); a batch's compare starts when its
     /// reads complete, beside the next batch's reads, so the verdicts
     /// are in one batch's hash after the last read. A timing-only store
-    /// trusts its page table: the walk is the whole check, and its
-    /// verdicts are in at once.
+    /// takes the medium's bodies on trust: the walk is the whole check,
+    /// and its verdicts are in at once.
     fn verify_walk(
         &self,
         workers: usize,
         walk: impl FnOnce(&mut dyn FnMut(u64)) -> bool,
     ) -> WalkCheck {
-        let mut bad: BTreeMap<u64, String> = BTreeMap::new();
         let start = self.dev.borrow().clock().now();
         if !self.config.materialize_data {
-            // The audits trust the page table, so the walk is the whole
-            // check: one lock hold, only bad blocks collected.
-            let table = self.cache.borrow();
-            let clean = walk(&mut |block| {
-                if !table.data.contains_key(&block) {
-                    bad.insert(block, "unrecoverable".to_string());
-                }
-            });
             return WalkCheck {
-                bad,
-                clean,
+                bad: BTreeMap::new(),
+                clean: walk(&mut |_| {}),
                 done: start,
             };
         }
+        let mut bad: BTreeMap<u64, String> = BTreeMap::new();
         // Materialized stores check the platter copy even when a clean
         // copy is cached in memory: a write-time corruption would
         // otherwise hide until the cache is dropped.
@@ -959,16 +945,17 @@ impl ObjectStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aurora_hw::ModelDev;
+    use aurora_hw::{FaultPlan, ModelDev};
     use aurora_sim::SimClock;
 
     use crate::store::StoreConfig;
 
-    /// A timing-only store: its audits trust the page table.
-    fn timing_store() -> ObjectStore {
+    /// A store whose audits read the medium when `materialize_data`.
+    fn store(materialize_data: bool) -> ObjectStore {
         let dev = Box::new(ModelDev::nvme(SimClock::new(), "nvme0", 64 * 1024));
         let config = StoreConfig {
             journal_blocks: 1024,
+            materialize_data,
             ..StoreConfig::default()
         };
         ObjectStore::format(dev, config).unwrap()
@@ -1018,12 +1005,12 @@ mod tests {
     }
 
     /// The scrub reads each block once, from the union of every
-    /// checkpoint's own entries, yet still names a lost block under
-    /// every checkpoint whose image restores from it, in the words the
-    /// per-checkpoint walk used.
+    /// checkpoint's own entries, yet still names a lost block — one the
+    /// medium no longer holds — under every checkpoint whose image
+    /// restores from it, in the words the per-checkpoint walk used.
     #[test]
     fn scrub_names_a_shared_lost_block_under_every_checkpoint() {
-        let mut s = timing_store();
+        let mut s = store(true);
         s.create_object(ObjId(1), 8).unwrap();
         s.write_page(ObjId(1), 0, &PageData::Seeded(10)).unwrap();
         let (c1, _) = s.commit(None).unwrap();
@@ -1035,10 +1022,14 @@ mod tests {
             Some((PageRef::Full(ptr), _)) => ptr.0,
             other => panic!("page 0 resolves to {other:?}"),
         };
-        s.cache.get_mut().data.remove(&block);
+        let lba = s.data_start() + block;
+        s.device_mut().discard(lba, 1);
         let problems = s.scrub();
         for ckpt in [c1, c2] {
-            let want = format!("ckpt {}: object 1 page 0: block {block} unrecoverable", ckpt.0);
+            let want = format!(
+                "ckpt {}: object 1 page 0: block {block} content hash mismatch",
+                ckpt.0
+            );
             assert!(problems.contains(&want), "{want} missing from {problems:?}");
         }
         let named = problems.iter().filter(|p| p.starts_with("ckpt ")).count();
@@ -1048,16 +1039,17 @@ mod tests {
         let named: Vec<String> = step.damaged.iter().map(ToString::to_string).collect();
         assert_eq!(
             named,
-            vec![format!("object 1 page 0: block {block} unrecoverable")]
+            vec![format!("object 1 page 0: block {block} content hash mismatch")]
         );
     }
 
     /// A scrub step over a range of objects, the check of the base the
-    /// next incremental of their group extends, names a lost block under
-    /// a page in the range and says nothing of one outside it.
+    /// next incremental of their group extends, names a block the medium
+    /// returns flipped under a page in the range and says nothing of one
+    /// outside it.
     #[test]
     fn a_ranged_base_check_sees_only_damage_in_its_range() {
-        let mut s = timing_store();
+        let mut s = store(true);
         for oid in [ObjId(1), ObjId(2)] {
             s.create_object(oid, 4).unwrap();
             for idx in 0..4 {
@@ -1069,10 +1061,12 @@ mod tests {
             Some((PageRef::Full(ptr), _)) => ptr.0,
             other => panic!("page 3 resolves to {other:?}"),
         };
-        s.cache.get_mut().data.remove(&block);
+        let lba = s.data_start() + block;
+        let flip = FaultPlan::corrupt_read_blocks(lba, lba + 1, 100, 3);
+        s.device_mut().install_fault_plan(flip);
 
         assert_eq!(s.head(), Some(head));
-        let lost = vec![format!("object 2 page 3: block {block} unrecoverable")];
+        let flipped = vec![format!("object 2 page 3: block {block} content hash mismatch")];
         let named = |objects: (Bound<ObjId>, Bound<ObjId>)| -> Vec<String> {
             let step = s.scrub_step(objects, None, 1);
             assert_eq!(step.next, None, "one step covers the range");
@@ -1080,9 +1074,9 @@ mod tests {
         };
         use Bound::{Excluded, Included, Unbounded};
         let (one, two, three) = (ObjId(1), ObjId(2), ObjId(3));
-        assert_eq!(named((Included(two), Included(two))), lost);
-        assert_eq!(named((Included(two), Unbounded)), lost);
-        assert_eq!(named((Unbounded, Unbounded)), lost);
+        assert_eq!(named((Included(two), Included(two))), flipped);
+        assert_eq!(named((Included(two), Unbounded)), flipped);
+        assert_eq!(named((Unbounded, Unbounded)), flipped);
         assert!(named((Included(one), Included(one))).is_empty());
         assert!(named((Unbounded, Excluded(two))).is_empty());
         assert!(named((Included(three), Unbounded)).is_empty());
@@ -1094,7 +1088,7 @@ mod tests {
     /// no cursor, so the next one starts over.
     #[test]
     fn scrub_steps_walk_their_range_one_batch_at_a_time() {
-        let mut s = timing_store();
+        let mut s = store(false);
         let pages = RESTORE_BATCH_BLOCKS as u64 + 10;
         s.create_object(ObjId(1), pages).unwrap();
         for idx in 0..pages {
@@ -1121,7 +1115,7 @@ mod tests {
     /// checkpoint whose image holds its head, and under no other.
     #[test]
     fn scrub_names_a_broken_delta_chain_under_every_checkpoint() {
-        let mut s = timing_store();
+        let mut s = store(false);
         s.create_object(ObjId(1), 8).unwrap();
         s.write_page(ObjId(1), 0, &PageData::Seeded(10)).unwrap();
         s.commit(None).unwrap();

@@ -38,13 +38,12 @@ pub struct StoreConfig {
     /// Journal region size in blocks.
     pub journal_blocks: u64,
     /// Whether the audits read the medium. Every store writes its page
-    /// bodies to the device and reads them back from it. On, `scrub`
-    /// and the scrub step compare what the medium holds with the
-    /// recorded hashes, `fsck` does not ask the page table for a body,
-    /// and `drop_caches` is allowed. Off, the audits trust the page
-    /// table, a lookup where reading the medium costs a materialized
-    /// `fleet_16` 6.4× its durable time (E29), and `drop_caches` is
-    /// refused, since dropping the table would blind them.
+    /// bodies to the device and reads them back from it, and the page
+    /// table only caches them. On, `scrub` and the scrub step compare
+    /// what the medium holds with the recorded hashes. Off, they take
+    /// the bodies on trust and check only the walk to them: reading the
+    /// medium costs a materialized `fleet_16` 6.4× its durable time
+    /// (E29).
     pub materialize_data: bool,
     /// Largest dirty footprint (bytes per page) the flush pipeline may
     /// record as a sub-page delta instead of a full image. 0 disables
@@ -229,30 +228,30 @@ pub(crate) struct PageCache {
 }
 
 impl PageCache {
-    fn new(data: HashMap<u64, PageData>) -> Self {
+    fn new() -> Self {
         PageCache {
-            data,
+            data: HashMap::new(),
             dedup: HashMap::new(),
             block_hash: HashMap::new(),
             read: ReadCache::new(READ_CACHE_PAGES),
         }
     }
 
-    /// Rebuilds the dedup index over the current contents, walking
-    /// blocks in ascending id order: candidate lists come out identical
-    /// no matter the `HashMap` iteration order or how many flush
-    /// workers produced the hashes.
-    pub(crate) fn rebuild_dedup(&mut self) {
+    /// Keeps the bodies and recorded hashes of the blocks `alloc` holds
+    /// and rebuilds the dedup index from those hashes, in ascending
+    /// block order: candidate lists come out identical no matter the
+    /// `HashMap` iteration order or how many flush workers produced the
+    /// hashes. No body is hashed.
+    pub(crate) fn keep_allocated(&mut self, alloc: &BlockAlloc) {
+        let live = |b: &u64| alloc.refs(BlockPtr(*b)) > 0;
+        self.data.retain(|b, _| live(b));
+        self.block_hash.retain(|b, _| live(b));
+        let mut recorded: Vec<(u64, u64)> =
+            self.block_hash.iter().map(|(&b, &h)| (b, h)).collect();
+        recorded.sort_unstable();
         self.dedup.clear();
-        self.block_hash.clear();
-        let mut blocks: Vec<u64> = self.data.keys().copied().collect();
-        blocks.sort_unstable();
-        for b in blocks {
-            if let Some(page) = self.data.get(&b) {
-                let h = page.content_hash();
-                self.dedup.entry(h).or_default().push(BlockPtr(b));
-                self.block_hash.insert(b, h);
-            }
+        for (b, h) in recorded {
+            self.dedup.entry(h).or_default().push(BlockPtr(b));
         }
     }
 
@@ -362,7 +361,6 @@ impl ObjectStore {
         let done = dev.flush()?;
         dev.clock().advance_to(done);
         let data_blocks = sb.data_blocks();
-        let cache = PageCache::new(HashMap::new());
         Ok(ObjectStore {
             dev: RefCell::new(dev),
             config,
@@ -376,34 +374,16 @@ impl ObjectStore {
             pending_deleted: Vec::new(),
             pending_deltas: BTreeMap::new(),
             delta: DeltaLog::default(),
-            cache: RefCell::new(cache),
+            cache: RefCell::new(PageCache::new()),
             stats: StoreStats::default(),
         })
     }
 
     /// Opens an existing store from the device (full recovery). Every
-    /// committed page reads back from the medium, whatever the store's
-    /// `materialize_data`: the page table starts empty and fills as
-    /// pages are read ([`ObjectStore::recover`] keeps it across the
-    /// simulated crash instead).
-    pub fn open(dev: Box<dyn BlockDev>, config: StoreConfig) -> Result<Self> {
-        Self::open_with_data(dev, config, HashMap::new())
-    }
-
-    /// Simulates a reboot: power-cycles the device and rebuilds all
-    /// metadata from the medium. Uncommitted state is lost; the page
-    /// table keeps its committed bodies, copies of what the medium holds.
-    pub fn recover(self) -> Result<Self> {
-        let mut dev = self.dev.into_inner();
-        dev.power_on();
-        Self::open_with_data(dev, self.config, self.cache.into_inner().data)
-    }
-
-    fn open_with_data(
-        mut dev: Box<dyn BlockDev>,
-        config: StoreConfig,
-        data: HashMap<u64, PageData>,
-    ) -> Result<Self> {
+    /// committed page reads back from the medium: the page table starts
+    /// empty and fills as pages are read, and a block's content hash is
+    /// recorded on its first read.
+    pub fn open(mut dev: Box<dyn BlockDev>, config: StoreConfig) -> Result<Self> {
         // Pick the valid superblock with the highest epoch.
         let mut block = PageData::Zero;
         let mut best: Option<Superblock> = None;
@@ -462,12 +442,6 @@ impl ObjectStore {
         let refs = committed_refs(&ckpts);
         let alloc = BlockAlloc::from_refs(sb.data_blocks(), &refs);
 
-        // Retain contents only for referenced blocks; rebuild dedup in
-        // ascending block order (deterministic candidate lists).
-        let mut cache = PageCache::new(data);
-        cache.data.retain(|b, _| refs.contains_key(b));
-        cache.rebuild_dedup();
-
         Ok(ObjectStore {
             dev: RefCell::new(dev),
             config,
@@ -481,9 +455,25 @@ impl ObjectStore {
             pending_deleted: Vec::new(),
             pending_deltas: BTreeMap::new(),
             delta,
-            cache: RefCell::new(cache),
+            cache: RefCell::new(PageCache::new()),
             stats: StoreStats::default(),
         })
+    }
+
+    /// Simulates a reboot: power-cycles the device and opens the store
+    /// from the medium. Uncommitted state is lost. What survives in the
+    /// model's RAM carries over for the committed blocks: their bodies,
+    /// copies of what the medium holds, and their recorded content
+    /// hashes, which rebuild the dedup index.
+    pub fn recover(self) -> Result<Self> {
+        let PageCache { data, block_hash, .. } = self.cache.into_inner();
+        let mut dev = self.dev.into_inner();
+        dev.power_on();
+        let mut s = Self::open(dev, self.config)?;
+        let cache = s.cache.get_mut();
+        (cache.data, cache.block_hash) = (data, block_hash);
+        cache.keep_allocated(&s.alloc);
+        Ok(s)
     }
 
     /// The device (stats, fault injection in tests).
@@ -766,7 +756,6 @@ impl ObjectStore {
     ///   entries;
     /// * no allocated block is unreachable, and every unreferenced data
     ///   block is allocatable (no space leak);
-    /// * every reachable block has recoverable contents;
     /// * every checkpoint's parent link resolves.
     ///
     /// Returns the list of violations (empty = healthy). Used by tests
@@ -791,9 +780,6 @@ impl ObjectStore {
                 problems.push(format!(
                     "block {block}: refcount {actual}, {refs} referents"
                 ));
-            }
-            if !self.cache.borrow().data.contains_key(&block) && !self.config.materialize_data {
-                problems.push(format!("block {block}: contents unrecoverable"));
             }
         }
         if self.alloc.in_use() != expected.len() as u64 {
@@ -1099,6 +1085,51 @@ mod tests {
         }
     }
 
+    /// A block's recorded content hash outlives its body in the page
+    /// table: after `drop_caches`, a reboot and a rollback each keep the
+    /// hash of every committed block, so a flipped read of one is
+    /// refused and the checkpoint still names its hash.
+    #[test]
+    fn recorded_hashes_survive_drop_caches_then_a_reboot_or_a_rollback() {
+        use aurora_hw::FaultPlan;
+        use aurora_sim::error::ErrorKind;
+        let config = StoreConfig {
+            journal_blocks: 64,
+            materialize_data: true,
+            ..StoreConfig::default()
+        };
+        for reboot in [true, false] {
+            let dev = Box::new(ModelDev::nvme(SimClock::new(), "nvme0", 4096));
+            let mut s = ObjectStore::format(dev, config.clone()).unwrap();
+            s.create_object(ObjId(1), 4).unwrap();
+            for i in 0..4 {
+                s.write_page(ObjId(1), i, &PageData::Seeded(40 + i)).unwrap();
+            }
+            let (ck, _) = s.commit(None).unwrap();
+            let Some((PageRef::Full(ptr), Some(hash))) = s.page_ref_at(ck, ObjId(1), 2) else {
+                panic!("page 2 is a full image with its hash on record");
+            };
+            s.drop_caches().unwrap();
+            if reboot {
+                s = s.recover().unwrap();
+            } else {
+                s.write_page(ObjId(1), 3, &PageData::Seeded(99)).unwrap();
+                s.rollback_pending().unwrap();
+            }
+            let case = if reboot { "reboot" } else { "rollback" };
+            assert_eq!(
+                s.page_ref_at(ck, ObjId(1), 2),
+                Some((PageRef::Full(ptr), Some(hash))),
+                "{case}"
+            );
+            let lba = s.data_start() + ptr.0;
+            s.device_mut()
+                .install_fault_plan(FaultPlan::corrupt_read_blocks(lba, lba + 1, 100, 3));
+            let err = s.read_page(ObjId(1), 2).unwrap_err();
+            assert_eq!(err.kind(), ErrorKind::Corrupt, "{case}: {err}");
+        }
+    }
+
     /// fsck recounts every delta record's in-degree — the heads naming
     /// it plus the records whose `prev` names it — and reports a count
     /// that drifted from it in the block check's form.
@@ -1133,8 +1164,9 @@ mod tests {
     }
 
     /// Every store keeps its page bodies on the medium: a timing-only
-    /// store, dropped and reopened from its device alone, reads back
-    /// every page of every checkpoint it committed.
+    /// store, dropped and reopened from its device alone, passes its
+    /// audits before any page is read — none asks the empty page table
+    /// — and reads back every page of every checkpoint it committed.
     #[test]
     fn the_medium_serves_a_reopened_timing_only_store() {
         let config = StoreConfig {
@@ -1162,6 +1194,11 @@ mod tests {
             s.cache.borrow().data.is_empty(),
             "no page table crossed the reopen"
         );
+        assert!(s.fsck().is_empty(), "{:?}", s.fsck());
+        assert!(s.scrub().is_empty(), "{:?}", s.scrub());
+        let step = s.scrub_step(.., None, 1);
+        assert!(step.damaged.is_empty(), "{:?}", step.damaged);
+        assert_eq!(step.next, None, "one step covers the store");
         for (ckpt, pages) in [(first, &old), (head, &want)] {
             for (i, page) in pages.iter().enumerate() {
                 let got = s.read_page_at(ckpt, ObjId(1), i as u64).unwrap();

@@ -1189,19 +1189,48 @@ fn a_transient_flip_is_cleared_by_the_one_re_read() {
     assert!(s.scrub().is_empty());
 }
 
+/// `drop_caches` works on a default (timing-only) store: the medium
+/// holds every body, so each page reads back from it, checked against
+/// the hash recorded at its write, and a flipped read is refused.
 #[test]
-fn drop_caches_requires_materialized_data() {
+fn a_default_store_drops_its_caches_and_reads_back_verified() {
     let mut s = new_store();
     s.create_object(ObjId(1), 4).unwrap();
-    s.write_page(ObjId(1), 0, &page(0x33)).unwrap();
-    s.commit(Some("timing-only")).unwrap();
-    let err = s.drop_caches().unwrap_err();
-    assert!(err.to_string().contains("materialized"));
-    // Timing-only stores still read batched plans off the medium.
-    let ck = s.head().unwrap();
-    let plan = s.plan_reads_at(ck, &[(ObjId(1), 0)]);
+    for i in 0..4u64 {
+        s.write_page(ObjId(1), i, &page(0x30 + i as u8)).unwrap();
+    }
+    let ck = s.commit(Some("timing-only")).unwrap().0;
+    let targets: Vec<(ObjId, u64)> = (0..4).map(|i| (ObjId(1), i)).collect();
+    let plan = s.plan_reads_at(ck, &targets);
+    s.execute_read_plan(&plan).unwrap();
+    assert_eq!(s.read_cache_len(), 4);
+
+    s.drop_caches().unwrap();
+    assert_eq!(s.read_cache_len(), 0, "nothing stays resident");
     let out = s.execute_read_plan(&plan).unwrap();
-    assert_eq!(out.pages.len(), 1);
+    assert_eq!((out.cache_hits, out.fetched.len()), (0, 4), "all four off the medium");
+    assert!(
+        out.fetched_hashes.iter().all(Option::is_some),
+        "each read was checked against its recorded hash: {:?}",
+        out.fetched_hashes
+    );
+    for i in 0..4u64 {
+        let want = page(0x30 + i as u8);
+        assert!(out.pages.values().filter(|p| p.content_eq(&want)).count() == 1);
+    }
+
+    s.drop_caches().unwrap();
+    s.device_mut()
+        .install_fault_plan(FaultPlan::corrupt_read_blocks(0, u64::MAX, 100, 3));
+    for i in 0..4u64 {
+        assert!(s.read_page(ObjId(1), i).is_err(), "page {i}: a flipped read is refused");
+    }
+    s.device_mut().install_fault_plan(FaultPlan::default());
+    for i in 0..4u64 {
+        let got = s.read_page(ObjId(1), i).unwrap().unwrap();
+        assert!(got.content_eq(&page(0x30 + i as u8)), "page {i}");
+    }
+    assert!(s.scrub().is_empty(), "{:?}", s.scrub());
 }
 
 // ---------------------------------------------------------------------------
