@@ -1716,7 +1716,7 @@ mod tests {
         let store = host.sls.primary.clone();
         let lba = {
             let s = store.borrow();
-            let image = s.image_at(head(&store).unwrap()).unwrap();
+            let image = s.image_at(head(&store).unwrap(), ..).unwrap();
             let mut blocks = image.refs(a.objects()).filter_map(|(_, r)| match r {
                 aurora_objstore::PageRef::Full(ptr) => Some(ptr.0),
                 aurora_objstore::PageRef::Delta(_) => None,
@@ -1872,7 +1872,7 @@ mod tests {
                 .find(|(_, name)| name == "app-r0")
                 .unwrap();
             let mut s = store.borrow_mut();
-            let block = s.image_at(r0).unwrap().refs(..).find_map(|(_, r)| match r {
+            let block = s.image_at(r0, ..).unwrap().refs(..).find_map(|(_, r)| match r {
                 aurora_objstore::PageRef::Full(ptr) => Some(ptr.0),
                 aurora_objstore::PageRef::Delta(_) => None,
             });

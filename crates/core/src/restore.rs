@@ -53,7 +53,12 @@ use aurora_vm::{
 
 use crate::metrics::{PageInStream, RestoreBreakdown};
 use crate::serialize::*;
-use crate::Host;
+use crate::{GroupId, Host};
+
+/// A page a restore pages in: the VM object it wires into, its store
+/// object and page, and how the checkpoint holds it (`None`: a hole, or
+/// a page the image has resident, which is wired and never fetched).
+type Target = (VmoId, u64, u64, Option<PageRef>);
 
 /// How memory is brought back.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -88,6 +93,22 @@ impl StorePager {
     }
 }
 
+/// The frame-index identity of an image page held as `r` in `store`,
+/// with `hash` the content hash on record for its block: a full image
+/// with a recorded hash is named by its store, block and hash, so every
+/// image holding that block shares one frame; any other page is private
+/// to its image.
+fn page_identity(store: &StoreHandle, r: PageRef, hash: Option<u64>) -> PageId {
+    match (r, hash) {
+        (PageRef::Full(ptr), Some(hash)) => PageId::Stored {
+            store: Rc::as_ptr(store) as usize as u64,
+            block: ptr.0,
+            hash,
+        },
+        _ => PageId::Private,
+    }
+}
+
 impl Pager for StorePager {
     fn page_in(&mut self, key: u64, idx: u64) -> aurora_sim::error::Result<PageData> {
         Ok(self
@@ -104,20 +125,21 @@ impl Pager for StorePager {
     }
 
     fn page_id(&self, key: u64, idx: u64) -> Option<PageId> {
-        let found = self.store.borrow().page_ref_at(self.at, ObjId(key), idx)?;
-        Some(match found {
-            (PageRef::Full(ptr), Some(hash)) => PageId::Stored {
-                store: Rc::as_ptr(&self.store) as usize as u64,
-                block: ptr.0,
-                hash,
-            },
-            _ => PageId::Private,
-        })
+        // A page that does not resolve (its checkpoint was deleted) is
+        // named private, not a hole: the fault then reads it through
+        // `page_in`, which reports why.
+        match self.store.borrow().page_ref_at(self.at, ObjId(key), idx) {
+            Ok(found) => found.map(|(r, hash)| page_identity(&self.store, r, hash)),
+            Err(_) => Some(PageId::Private),
+        }
     }
 
     fn held_pages(&self, keys: &[u64]) -> Vec<(u64, u64)> {
+        let (Some(&lo), Some(&hi)) = (keys.iter().min(), keys.iter().max()) else {
+            return Vec::new();
+        };
         let store = self.store.borrow();
-        let Ok(image) = store.image_at(self.at) else {
+        let Ok(image) = store.image_at(self.at, ObjId(lo)..=ObjId(hi)) else {
             return Vec::new();
         };
         let pages = |key: u64| image.object_refs(ObjId(key)).map(move |(idx, _)| (key, idx));
@@ -274,20 +296,31 @@ impl Host {
         }
 
         // Eager/prefetch page-in: the targets in image order, handed to
-        // the streamed pipeline whatever their number. A lazily restored
-        // object also takes what its image already has resident — the
-        // working set its sibling instances faulted in — since wiring a
-        // page now costs `RESTORE_PAGE_WIRE_NS` and faulting it later a
-        // trap. On a cold host nothing is resident and this adds nothing.
-        // Eager objects read the image once: the head's is kept, any
-        // other checkpoint's chain folds once for the whole walk.
-        let mut targets: Vec<(VmoId, u64, u64)> = Vec::new();
+        // the streamed pipeline whatever their number, each with how the
+        // checkpoint holds it. An eager object takes every page of its
+        // image: the head's is kept, any other checkpoint's chain folds
+        // once for the whole restore, over the group's own objects. A
+        // lazily restored object takes what its image already has
+        // resident — the working set its sibling instances faulted in —
+        // since wiring a page now costs `RESTORE_PAGE_WIRE_NS` and
+        // faulting it later a trap; on a cold host nothing is resident
+        // and this adds nothing. Its recorded hot pages (`LazyPrefetch`)
+        // resolve one by one.
+        let group = GroupId(manifest.gid).objects();
+        let mut targets: Vec<Target> = Vec::new();
         let store_ref = store.borrow();
         let mut image = None;
         for rec in &vmo_recs {
             let v = *oid_vmo.get(&rec.oid).ok_or_else(|| {
                 Error::internal(format!("vm object for oid {} vanished", rec.oid))
             })?;
+            let oid = ObjId(rec.oid);
+            if !group.contains(&oid) {
+                return Err(Error::bad_image(format!(
+                    "object {} lies outside group {}'s objects",
+                    rec.oid, manifest.gid
+                )));
+            }
             let eager = match mode {
                 RestoreMode::Eager => !force_lazy.contains(&rec.oid),
                 _ => force_eager.contains(&rec.oid),
@@ -295,23 +328,27 @@ impl Host {
             if eager {
                 let image = match image {
                     Some(ref image) => image,
-                    None => image.insert(store_ref.image_at(ckpt)?),
+                    None => image.insert(store_ref.image_at(ckpt, group.clone())?),
                 };
-                let pages = image.object_refs(ObjId(rec.oid));
-                targets.extend(pages.map(|(idx, _)| (v, rec.oid, idx)));
+                let refs = image.object_refs(oid);
+                targets.extend(refs.map(|(idx, r)| (v, rec.oid, idx, Some(r))));
                 continue;
             }
+            // A resident page is wired from the frame index, unresolved.
             let resident = self.kernel.vm.resident_pages(pager_id, rec.oid);
-            targets.extend(resident.into_iter().map(|idx| (v, rec.oid, idx)));
+            targets.extend(resident.iter().map(|&idx| (v, rec.oid, idx, None)));
             if mode == RestoreMode::LazyPrefetch && !force_lazy.contains(&rec.oid) {
-                targets.extend(rec.hot.iter().map(|&idx| (v, rec.oid, idx)));
+                let hot = rec.hot.iter().filter(|idx| resident.binary_search(idx).is_err());
+                for &idx in hot {
+                    let found = store_ref.page_ref_at(ckpt, oid, idx)?;
+                    targets.push((v, rec.oid, idx, found.map(|(r, _)| r)));
+                }
             }
         }
         drop(image);
         drop(store_ref);
         let workers = self.sls.restore_workers.max(1);
-        let page_in =
-            self.batched_page_in(store, ckpt, pager_id, &targets, workers, &mut breakdown)?;
+        let page_in = self.batched_page_in(store, pager_id, &targets, workers, &mut breakdown)?;
         let submitted = clock.now();
         breakdown.memory_state = sw.lap();
 
@@ -641,8 +678,8 @@ impl Host {
         Ok(breakdown)
     }
 
-    /// The page-in pipeline, restore's only eager path: resolves every
-    /// target against the checkpoint in one read plan, then streams it
+    /// The page-in pipeline, restore's only eager path: plans every
+    /// target from its resolved reference in one read plan, then streams it
     /// in batches of [`RESTORE_BATCH_BLOCKS`] — the device reads batch
     /// *k+1*'s extents (through the store's bounded read cache) while
     /// `workers` threads content-hash what batch *k* fetched — and wires
@@ -659,9 +696,8 @@ impl Host {
     fn batched_page_in(
         &mut self,
         store: &StoreHandle,
-        ckpt: CkptId,
         pager: aurora_vm::PagerId,
-        targets: &[(VmoId, u64, u64)],
+        targets: &[Target],
         workers: usize,
         breakdown: &mut RestoreBreakdown,
     ) -> Result<PageInFlight> {
@@ -675,15 +711,20 @@ impl Host {
         // Pass 1: wire what is already resident — frames of sibling
         // instances, or of any image holding the same stored block — and
         // collect the rest, with its identity and once each, for the
-        // fetch.
+        // fetch. Each identity comes from the target's own reference.
         let mut fetch: Vec<(VmoId, u64, u64, PageId)> = Vec::new();
+        let mut refs: Vec<Option<PageRef>> = Vec::new();
         let mut queued: std::collections::HashSet<(u64, u64)> = std::collections::HashSet::new();
-        for &(v, oid, idx) in targets {
+        for &(v, oid, idx, page_ref) in targets {
             if self.kernel.vm.object(v).page(idx).is_some() {
                 continue;
             }
-            let id = match self.kernel.vm.find_resident(pager, oid, idx) {
-                Some(Residency::Resident(frame)) => {
+            // A hole restores as zeros, private to this image.
+            let id = page_ref.map_or(PageId::Private, |r| {
+                page_identity(store, r, store.borrow().recorded_hash(r))
+            });
+            let id = match self.kernel.vm.find_resident_as(pager, oid, idx, id) {
+                Residency::Resident(frame) => {
                     self.kernel
                         .vm
                         .object_mut(v)
@@ -693,12 +734,11 @@ impl Host {
                     breakdown.pages_prefetched += 1;
                     continue;
                 }
-                Some(Residency::Absent(id)) => id,
-                // A hole restores as zeros, private to this image.
-                None => PageId::Private,
+                Residency::Absent(id) => id,
             };
             if queued.insert((oid, idx)) {
                 fetch.push((v, oid, idx, id));
+                refs.push(page_ref);
             }
         }
         breakdown.restore_workers = workers as u64;
@@ -706,11 +746,10 @@ impl Host {
             return Ok(flight);
         }
 
-        // Pass 2: one read plan for every missing page; dedup-shared
-        // blocks resolve once, adjacent blocks coalesce into extents.
-        let plan_targets: Vec<(ObjId, u64)> =
-            fetch.iter().map(|&(_, oid, idx, _)| (ObjId(oid), idx)).collect();
-        let plan = store.borrow().plan_reads_at(ckpt, &plan_targets);
+        // Pass 2: one read plan for every missing page, from the same
+        // references; dedup-shared blocks resolve once, adjacent blocks
+        // coalesce into extents.
+        let plan = store.borrow().plan_reads(&refs);
 
         // Pass 3: stream the plan, batch by batch. All extents go to the
         // device back to back, unwaited; the hash of what a batch fetched

@@ -752,6 +752,36 @@ fn lazy_restore_faults_pages_on_demand() {
     );
 }
 
+/// A lazily restored instance whose source checkpoint history GC has
+/// deleted cannot serve a page it never faulted in: the fault reports
+/// the missing checkpoint instead of filling the page with zeros.
+#[test]
+fn a_lazy_fault_after_history_gc_reports_the_missing_checkpoint() {
+    let mut host = new_host("h");
+    let pid = host.kernel.spawn("lazyapp");
+    let addr = host.kernel.mmap_anon(pid, 64 * 4096, false).unwrap();
+    for i in 0..64u64 {
+        host.kernel
+            .mem_write(pid, addr + i * 4096, &[i as u8 + 1; 64])
+            .unwrap();
+    }
+    let gid = host.persist("lazyapp", pid).unwrap();
+    host.sls.group_mut(gid).unwrap().history_window = 2;
+    let ckpt = host.checkpoint(gid, true, None).unwrap().ckpt.unwrap();
+    let store = host.sls.primary.clone();
+    let lazy = host.restore(&store, ckpt, RestoreMode::Lazy).unwrap();
+    let np = lazy.restored_pid(pid.0).unwrap();
+    for _ in 0..4 {
+        host.checkpoint(gid, false, None).unwrap();
+    }
+    assert!(store.borrow().checkpoint(ckpt).is_err(), "history GC kept checkpoint {}", ckpt.0);
+
+    let mut buf = [0u8; 64];
+    let read = host.kernel.mem_read(np, addr + 40 * 4096, &mut buf);
+    let err = read.expect_err("page 40 holds [41; 64], not a hole");
+    assert!(err.to_string().contains(&format!("checkpoint {}", ckpt.0)), "{err}");
+}
+
 /// A full checkpoint of a lazily restored process carries every page
 /// its image holds, however far into the object: consolidation walks
 /// the pages the pager lists, not a bounded prefix of indices.

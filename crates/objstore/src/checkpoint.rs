@@ -186,10 +186,11 @@ fn merge_refs<'a>(
 }
 
 /// A checkpoint's image: every object alive at it, with its size, and
-/// every page of those objects. It is the fold of the checkpoint's
-/// chain, root first, under [`Image::apply`]. The store keeps its
-/// head's image and applies each commit to it, so the audits of the
-/// head never walk the chain.
+/// every page of those objects — or of the objects in one range, when
+/// it is the fold of that range alone. It is the fold of the
+/// checkpoint's chain, root first, under [`Image::apply`]. The store
+/// keeps its head's image and applies each commit to it, so the audits
+/// of the head never walk the chain.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Image {
     /// Live objects with their declared sizes in pages.
@@ -202,9 +203,16 @@ pub struct Image {
 }
 
 impl Image {
-    /// Folds the chain ending at `at`, root first. Fails when a
-    /// checkpoint of the chain is missing from the table.
-    pub fn fold(ckpts: &BTreeMap<u64, Checkpoint>, at: CkptId) -> Result<Image> {
+    /// Folds the chain ending at `at`, root first, over the objects in
+    /// `objects` only: each checkpoint contributes its births, deaths,
+    /// pages and delta heads in that range, so the fold costs the
+    /// chain's length plus the range's entries, not the store's. Fails
+    /// when a checkpoint of the chain is missing from the table.
+    pub fn fold(
+        ckpts: &BTreeMap<u64, Checkpoint>,
+        at: CkptId,
+        objects: impl RangeBounds<ObjId> + Clone,
+    ) -> Result<Image> {
         let mut chain = Vec::new();
         let mut cur = Some(at);
         while let Some(c) = cur {
@@ -216,33 +224,55 @@ impl Image {
         }
         let mut image = Image::default();
         for ck in chain.iter().rev() {
-            image.apply(ck);
+            image.apply(ck, objects.clone());
         }
         Ok(image)
     }
 
-    /// The fold step: applies one checkpoint, in O(its delta).
-    pub(crate) fn apply(&mut self, ck: &Checkpoint) {
-        for oid in ck.ended_objects() {
+    /// The fold step: applies the part of one checkpoint that falls in
+    /// `objects`, in O(that part of its delta).
+    pub(crate) fn apply(&mut self, ck: &Checkpoint, objects: impl RangeBounds<ObjId>) {
+        for oid in ck.ended_objects().filter(|oid| objects.contains(oid)) {
             if self.objects.remove(&oid).is_some() {
                 take_object(&mut self.pages, oid);
                 take_object(&mut self.deltas, oid);
             }
         }
-        self.objects.extend(ck.new_objects.iter().copied());
+        let births = ck.new_objects.iter().filter(|(oid, _)| objects.contains(oid));
+        self.objects.extend(births.copied());
         // Pages, then delta heads: a full image truncates its page's
         // chain, and a head outranks a page entry of its own checkpoint.
-        for (&key, &ptr) in &ck.pages {
+        let keys = page_keys(objects);
+        for (&key, &ptr) in ck.pages.range(keys) {
             if self.objects.contains_key(&key.0) {
                 self.pages.insert(key, ptr);
                 self.deltas.remove(&key);
             }
         }
-        for (&key, &lsn) in &ck.deltas {
+        for (&key, &lsn) in ck.deltas.range(keys) {
             if self.objects.contains_key(&key.0) {
                 self.deltas.insert(key, lsn);
             }
         }
+    }
+
+    /// How the image holds page `(oid, idx)`: its delta head, else its
+    /// full image; `None` for a hole or an object not alive here.
+    pub fn page_ref(&self, oid: ObjId, idx: u64) -> Option<PageRef> {
+        let key = (oid, idx);
+        match self.deltas.get(&key) {
+            Some(&lsn) => Some(PageRef::Delta(lsn)),
+            None => self.pages.get(&key).map(|&ptr| PageRef::Full(ptr)),
+        }
+    }
+
+    /// The objects in `objects` alive in the image, with their sizes in
+    /// pages, in id order.
+    pub fn live_objects(
+        &self,
+        objects: impl RangeBounds<ObjId>,
+    ) -> impl Iterator<Item = (ObjId, u64)> + '_ {
+        self.objects.range(objects).map(|(&oid, &size)| (oid, size))
     }
 
     /// The pages of the objects in `objects` in key order, each a full
@@ -280,36 +310,45 @@ pub(crate) fn take_object<V>(map: &mut BTreeMap<(ObjId, u64), V>, oid: ObjId) ->
 /// Resolves a page through the checkpoint chain: the nearest delta at or
 /// above `from` that covers `(oid, idx)` wins; a deletion of the object
 /// masks older data. Within one checkpoint a delta head outranks a page
-/// entry (the entry is then the chain's inherited base image).
+/// entry (the entry is then the chain's inherited base image). `None` is
+/// a hole; a checkpoint of the walk missing from the table (one history
+/// GC deleted) is `not_found`, naming it.
+///
+/// One page per chain walk: a caller resolving many pages of one
+/// checkpoint folds the image of their objects once instead
+/// ([`Image::fold`]).
 pub fn resolve_ref(
     ckpts: &BTreeMap<u64, Checkpoint>,
     from: CkptId,
     oid: ObjId,
     idx: u64,
-) -> Option<PageRef> {
+) -> Result<Option<PageRef>> {
     let mut cur = Some(from);
     while let Some(c) = cur {
-        let ck = ckpts.get(&c.0)?;
+        let ck = ckpts
+            .get(&c.0)
+            .ok_or_else(|| Error::not_found(format!("checkpoint {}", c.0)))?;
         if let Some(lsn) = ck.deltas.get(&(oid, idx)) {
-            return Some(PageRef::Delta(*lsn));
+            return Ok(Some(PageRef::Delta(*lsn)));
         }
         if let Some(ptr) = ck.pages.get(&(oid, idx)) {
-            return Some(PageRef::Full(*ptr));
+            return Ok(Some(PageRef::Full(*ptr)));
         }
         if ck.deleted_objects.contains(&oid) {
-            return None;
+            return Ok(None);
         }
         if ck.new_objects.iter().any(|(o, _)| *o == oid) {
             // The object was born here and the page was never written.
-            return None;
+            return Ok(None);
         }
         cur = ck.parent;
     }
-    None
+    Ok(None)
 }
 
-/// Full-image-only page resolution. Returns `None` when the page is
-/// covered by a delta chain — delta-aware callers use [`resolve_ref`].
+/// Full-image-only page resolution. Returns `None` when the page is a
+/// hole, is covered by a delta chain (delta-aware callers use
+/// [`resolve_ref`]) or does not resolve.
 pub fn resolve_page(
     ckpts: &BTreeMap<u64, Checkpoint>,
     from: CkptId,
@@ -317,7 +356,7 @@ pub fn resolve_page(
     idx: u64,
 ) -> Option<BlockPtr> {
     match resolve_ref(ckpts, from, oid, idx) {
-        Some(PageRef::Full(ptr)) => Some(ptr),
+        Ok(Some(PageRef::Full(ptr))) => Some(ptr),
         _ => None,
     }
 }
@@ -363,7 +402,7 @@ mod tests {
         at: CkptId,
         oid: ObjId,
     ) -> BTreeMap<u64, PageRef> {
-        Image::fold(ckpts, at).unwrap().object_refs(oid).collect()
+        Image::fold(ckpts, at, ..).unwrap().object_refs(oid).collect()
     }
 
     #[test]
@@ -482,7 +521,7 @@ mod tests {
         ckpts.insert(2, c2);
         assert_eq!(
             resolve_ref(&ckpts, CkptId(2), ObjId(1), 0),
-            Some(PageRef::Delta(5))
+            Ok(Some(PageRef::Delta(5)))
         );
         // resolve_page is full-image-only.
         assert_eq!(resolve_page(&ckpts, CkptId(2), ObjId(1), 0), None);
@@ -498,7 +537,7 @@ mod tests {
         m.insert(3, merged);
         assert_eq!(
             resolve_ref(&m, CkptId(3), ObjId(1), 0),
-            Some(PageRef::Delta(5))
+            Ok(Some(PageRef::Delta(5)))
         );
         let eff = refs_at(&m, CkptId(3), ObjId(1));
         assert_eq!(eff.get(&0), Some(&PageRef::Delta(5)));
@@ -547,18 +586,21 @@ mod tests {
         c2.pages.insert((ObjId(1), 3), BlockPtr(23));
         ckpts.insert(1, c1);
         ckpts.insert(2, c2);
-        let image = Image::fold(&ckpts, CkptId(2)).unwrap();
+        let image = Image::fold(&ckpts, CkptId(2), ..).unwrap();
         assert_eq!(image.objects.get(&ObjId(1)), Some(&4));
         let refs: Vec<(u64, PageRef)> = image.object_refs(ObjId(1)).collect();
         assert_eq!(refs, vec![(3, PageRef::Full(BlockPtr(23)))]);
-        assert_eq!(resolve_ref(&ckpts, CkptId(2), ObjId(1), 0), None);
+        assert_eq!(resolve_ref(&ckpts, CkptId(2), ObjId(1), 0), Ok(None));
     }
 
     #[test]
     fn a_missing_checkpoint_fails_the_fold() {
         let mut ckpts = BTreeMap::new();
         ckpts.insert(2, ck(2, Some(1)));
-        let err = Image::fold(&ckpts, CkptId(2)).unwrap_err();
+        let err = Image::fold(&ckpts, CkptId(2), ..).unwrap_err();
         assert!(err.to_string().contains("checkpoint 1 missing from the table"), "{err}");
+        let err = resolve_ref(&ckpts, CkptId(2), ObjId(1), 0).unwrap_err();
+        assert_eq!(err.kind(), aurora_sim::error::ErrorKind::NotFound);
+        assert!(err.to_string().contains("checkpoint 1"), "{err}");
     }
 }

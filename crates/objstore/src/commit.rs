@@ -99,7 +99,7 @@ impl ObjectStore {
         ck.deltas.values().for_each(|&head| self.delta.hold(head));
         let mut ck = ck;
         ck.durable_at = durable;
-        self.head_image.apply(&ck);
+        self.head_image.apply(&ck, ..);
         self.ckpts.insert(id.0, ck);
         self.stats.commits += 1;
         Ok((id, durable))

@@ -653,7 +653,7 @@ mod tests {
         use crate::checkpoint::{resolve_ref, PageRef};
         assert_eq!(
             resolve_ref(&ckpts, CkptId(3), ObjId(1), 0),
-            Some(PageRef::Delta(2))
+            Ok(Some(PageRef::Delta(2)))
         );
         // A compaction snapshot carries the records forward verbatim.
         let snap = JournalRecord::Snapshot(
@@ -761,14 +761,14 @@ mod tests {
         c2.pages.insert((ObjId(1), 3), BlockPtr(23));
         ckpts.insert(1, c1);
         ckpts.insert(2, c2);
-        let before = crate::checkpoint::Image::fold(&ckpts, CkptId(2)).unwrap();
+        let before = crate::checkpoint::Image::fold(&ckpts, CkptId(2), ..).unwrap();
         let dropped = apply_delete(&mut ckpts, CkptId(1)).unwrap();
         assert_eq!(dropped.blocks, vec![BlockPtr(10)]);
         let c2 = ckpts.get(&2).unwrap();
         assert!(c2.deleted_objects.is_empty());
         assert_eq!(c2.new_objects, vec![(ObjId(1), 8)]);
         assert_eq!(c2.pages.get(&(ObjId(1), 3)), Some(&BlockPtr(23)));
-        let after = crate::checkpoint::Image::fold(&ckpts, CkptId(2)).unwrap();
+        let after = crate::checkpoint::Image::fold(&ckpts, CkptId(2), ..).unwrap();
         assert_eq!(after, before, "the merge preserves the child's image");
     }
 

@@ -45,7 +45,7 @@ use aurora_sim::hash::Words;
 use aurora_sim::time::{SimDuration, SimTime};
 use aurora_vm::{hash_pages, PageData};
 
-use crate::checkpoint::{self, page_keys, CkptId, PageRef};
+use crate::checkpoint::{page_keys, CkptId, PageRef};
 use crate::deltalog::Lsn;
 use crate::store::{ObjectStore, PageCache, EXTENT_BLOCKS};
 use crate::{BlockPtr, ObjId};
@@ -222,8 +222,8 @@ impl PageCache {
 
 /// A batched read plan: per-target block resolutions plus an extent
 /// schedule over the unique blocks. Built by
-/// [`ObjectStore::plan_reads_at`], executed by
-/// [`ObjectStore::execute_read_plan`].
+/// [`ObjectStore::plan_reads_at`] or [`ObjectStore::plan_reads`],
+/// executed by [`ObjectStore::execute_read_plan`].
 #[derive(Debug, Clone, Default)]
 pub struct ReadPlan {
     /// Per-target resolved block, aligned with the target slice handed
@@ -464,18 +464,35 @@ impl ObjectStore {
     }
 
     /// Resolves a set of `(object, page)` targets as of a checkpoint
-    /// into a batched read plan: per-target block pointers, the unique
-    /// block set (dedup-shared blocks once), and that set cut into
-    /// extents of adjacent blocks by [`runs`].
+    /// into a batched read plan (see [`ObjectStore::plan_reads`]). The
+    /// checkpoint's image folds once, over the span of the targets'
+    /// objects; a checkpoint whose chain does not resolve plans every
+    /// target as a hole.
     pub fn plan_reads_at(&self, ckpt: CkptId, targets: &[(ObjId, u64)]) -> ReadPlan {
-        let mut resolved = Vec::with_capacity(targets.len());
-        let mut chains = Vec::with_capacity(targets.len());
+        let oids = targets.iter().map(|&(oid, _)| oid);
+        let (Some(lo), Some(hi)) = (oids.clone().min(), oids.max()) else {
+            return self.plan_reads(&[]);
+        };
+        let refs: Vec<Option<PageRef>> = match self.image_at(ckpt, lo..=hi) {
+            Ok(image) => targets.iter().map(|&(oid, idx)| image.page_ref(oid, idx)).collect(),
+            Err(_) => vec![None; targets.len()],
+        };
+        self.plan_reads(&refs)
+    }
+
+    /// Plans reads of pages already resolved against their checkpoint,
+    /// one [`PageRef`] per target (`None` for a hole): per-target block
+    /// pointers, the unique block set (dedup-shared blocks once), and
+    /// that set cut into extents of adjacent blocks by [`runs`].
+    pub fn plan_reads(&self, refs: &[Option<PageRef>]) -> ReadPlan {
+        let mut resolved = Vec::with_capacity(refs.len());
+        let mut chains = Vec::with_capacity(refs.len());
         let mut uniq = std::collections::BTreeSet::new();
-        for &(oid, idx) in targets {
+        for &page_ref in refs {
             // A chained page plans a read of its *base* block — chain
             // replay happens after the batched fetch, and twin bases
             // are still read once and fanned out.
-            let (ptr, head) = match checkpoint::resolve_ref(&self.ckpts, ckpt, oid, idx) {
+            let (ptr, head) = match page_ref {
                 Some(PageRef::Full(p)) => (Some(p), None),
                 Some(PageRef::Delta(lsn)) => (
                     self.delta.get(lsn).map(|rec| rec.base),
@@ -765,13 +782,14 @@ impl ObjectStore {
     /// on: `visit(object, page, block)` for the block under every page of
     /// those objects in its image — a delta-backed page's chain base,
     /// since the chain replays over it. The head's image is kept current;
-    /// any other checkpoint's chain folds once. Returns what is wrong with
-    /// the walk itself: a parent chain that does not resolve (nothing is
-    /// visited then) or a delta chain of those pages with records missing.
+    /// any other checkpoint's chain folds once, over `objects` only.
+    /// Returns what is wrong with the walk itself: a parent chain that
+    /// does not resolve (nothing is visited then) or a delta chain of
+    /// those pages with records missing.
     pub fn walk_base_blocks(
         &self,
         ckpt: CkptId,
-        objects: impl RangeBounds<ObjId>,
+        objects: impl RangeBounds<ObjId> + Clone,
         visit: &mut dyn FnMut(ObjId, u64, u64),
     ) -> Vec<String> {
         let mut problems = Vec::new();
@@ -785,7 +803,7 @@ impl ObjectStore {
                 }
             }
         }
-        let image = match self.image_at(ckpt) {
+        let image = match self.image_at(ckpt, objects.clone()) {
             Ok(image) => image,
             Err(e) => {
                 problems.push(format!("object walk failed: {e}"));
@@ -1018,7 +1036,7 @@ mod tests {
         let (c2, _) = s.commit(None).unwrap();
         assert!(s.scrub().is_empty(), "{:?}", s.scrub());
 
-        let block = match s.page_ref_at(c2, ObjId(1), 0) {
+        let block = match s.page_ref_at(c2, ObjId(1), 0).unwrap() {
             Some((PageRef::Full(ptr), _)) => ptr.0,
             other => panic!("page 0 resolves to {other:?}"),
         };
@@ -1057,7 +1075,7 @@ mod tests {
             }
         }
         let (head, _) = s.commit(None).unwrap();
-        let block = match s.page_ref_at(head, ObjId(2), 3) {
+        let block = match s.page_ref_at(head, ObjId(2), 3).unwrap() {
             Some((PageRef::Full(ptr), _)) => ptr.0,
             other => panic!("page 3 resolves to {other:?}"),
         };

@@ -434,7 +434,7 @@ impl ObjectStore {
         // Rebuild the head's image (the newest checkpoint's) by folding
         // its chain once; the live state starts as that image.
         let head_image = match ckpts.keys().next_back() {
-            Some(&h) => Image::fold(&ckpts, CkptId(h))?,
+            Some(&h) => Image::fold(&ckpts, CkptId(h), ..)?,
             None => Image::default(),
         };
 
@@ -566,8 +566,10 @@ impl ObjectStore {
 
     /// Reads a page as of a checkpoint, charging device time. Pages
     /// under a redo chain are materialized (base image + chain replay).
+    /// `None` is a hole; a checkpoint that is not in the table (history
+    /// GC deleted it) is `not_found`.
     pub fn read_page_at(&self, ckpt: CkptId, oid: ObjId, idx: u64) -> Result<Option<PageData>> {
-        match checkpoint::resolve_ref(&self.ckpts, ckpt, oid, idx) {
+        match checkpoint::resolve_ref(&self.ckpts, ckpt, oid, idx)? {
             Some(r) => self.materialize_ref(r).map(Some),
             None => Ok(None),
         }
@@ -576,39 +578,50 @@ impl ObjectStore {
     /// How checkpoint `ckpt` stores page `(oid, idx)` — a full image or
     /// a delta-chain head — with the content hash on record for a full
     /// image's block, if any. Reads nothing and charges nothing; `None`
-    /// when the checkpoint has no page there.
+    /// when the checkpoint has no page there, `not_found` when the
+    /// checkpoint is not in the table.
     pub fn page_ref_at(
         &self,
         ckpt: CkptId,
         oid: ObjId,
         idx: u64,
-    ) -> Option<(PageRef, Option<u64>)> {
-        let r = checkpoint::resolve_ref(&self.ckpts, ckpt, oid, idx)?;
-        let hash = match r {
+    ) -> Result<Option<(PageRef, Option<u64>)>> {
+        let found = checkpoint::resolve_ref(&self.ckpts, ckpt, oid, idx)?;
+        Ok(found.map(|r| (r, self.recorded_hash(r))))
+    }
+
+    /// The content hash on record for the block of a full-image page;
+    /// `None` for a delta-chain head or a block with none recorded.
+    pub fn recorded_hash(&self, r: PageRef) -> Option<u64> {
+        match r {
             PageRef::Full(ptr) => self.cache.borrow().block_hash.get(&ptr.0).copied(),
             PageRef::Delta(_) => None,
-        };
-        Some((r, hash))
+        }
     }
 
     /// The effective page map of an object at a checkpoint, each page a
     /// full image or a delta-chain head (materialize the latter with
     /// [`ObjectStore::read_page_at`] or [`ObjectStore::apply_chain`]).
-    /// Empty when the checkpoint does not exist. A walk over many
-    /// objects takes [`ObjectStore::image_at`] once instead.
+    /// Empty when the checkpoint does not exist.
     pub fn object_refs_at(&self, ckpt: CkptId, oid: ObjId) -> Vec<(u64, PageRef)> {
-        self.image_at(ckpt)
+        self.image_at(ckpt, oid..=oid)
             .map(|image| image.object_refs(oid).collect())
             .unwrap_or_default()
     }
 
-    /// The image of a checkpoint: the kept head image for the head,
-    /// else one fold of the checkpoint's chain.
-    pub fn image_at(&self, ckpt: CkptId) -> Result<Cow<'_, Image>> {
+    /// The image of a checkpoint over the objects in `objects`: the kept
+    /// head image (every object) for the head, else one fold of the
+    /// checkpoint's chain over `objects` alone. A caller reads only
+    /// `objects` from it either way.
+    pub fn image_at(
+        &self,
+        ckpt: CkptId,
+        objects: impl RangeBounds<ObjId> + Clone,
+    ) -> Result<Cow<'_, Image>> {
         if self.head() == Some(ckpt) {
             return Ok(Cow::Borrowed(&self.head_image));
         }
-        Image::fold(&self.ckpts, ckpt).map(Cow::Owned)
+        Image::fold(&self.ckpts, ckpt, objects).map(Cow::Owned)
     }
 
     /// Stages a metadata blob for the next checkpoint.
@@ -726,7 +739,7 @@ impl ObjectStore {
     /// what actually crosses a wire when the image moves, regardless of
     /// how compactly pages encode. Pages count 4 KiB each.
     pub fn logical_size(&self, ckpt: CkptId) -> Result<u64> {
-        let mut total = self.image_at(ckpt)?.refs(..).count() as u64 * BLOCK_SIZE as u64;
+        let mut total = self.image_at(ckpt, ..)?.refs(..).count() as u64 * BLOCK_SIZE as u64;
         for key in self.blob_keys_at(ckpt, "") {
             if let Some((_, v)) = checkpoint::resolve_blob(&self.ckpts, ckpt, &key) {
                 total += v.len() as u64;
@@ -1106,7 +1119,8 @@ mod tests {
                 s.write_page(ObjId(1), i, &PageData::Seeded(40 + i)).unwrap();
             }
             let (ck, _) = s.commit(None).unwrap();
-            let Some((PageRef::Full(ptr), Some(hash))) = s.page_ref_at(ck, ObjId(1), 2) else {
+            let found = s.page_ref_at(ck, ObjId(1), 2).unwrap();
+            let Some((PageRef::Full(ptr), Some(hash))) = found else {
                 panic!("page 2 is a full image with its hash on record");
             };
             s.drop_caches().unwrap();
@@ -1119,7 +1133,7 @@ mod tests {
             let case = if reboot { "reboot" } else { "rollback" };
             assert_eq!(
                 s.page_ref_at(ck, ObjId(1), 2),
-                Some((PageRef::Full(ptr), Some(hash))),
+                Ok(Some((PageRef::Full(ptr), Some(hash)))),
                 "{case}"
             );
             let lba = s.data_start() + ptr.0;

@@ -67,17 +67,13 @@ impl ObjectStore {
     pub fn export_checkpoint_filtered(
         &self,
         ckpt: CkptId,
-        objects: impl RangeBounds<ObjId>,
+        objects: impl RangeBounds<ObjId> + Clone,
         keep_blob: impl Fn(&str) -> bool,
     ) -> Result<Vec<u8>> {
         // One image serves the whole walk: the head's is kept, any
-        // other checkpoint's chain folds once.
-        let image = self.image_at(ckpt)?;
-        let objects: Vec<(ObjId, u64)> = image
-            .objects
-            .range(objects)
-            .map(|(&oid, &size)| (oid, size))
-            .collect();
+        // other checkpoint's chain folds once, over the shipped objects.
+        let image = self.image_at(ckpt, objects.clone())?;
+        let objects: Vec<(ObjId, u64)> = image.live_objects(objects).collect();
 
         let table_name = self.checkpoint(ckpt)?.name.clone();
         let mut e = Encoder::new();

@@ -6,6 +6,7 @@
 // for production flush paths.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::ops::Bound;
 
 use aurora_hw::{FaultPlan, ModelDev, ResilientDev};
 use aurora_objstore::checkpoint::{self, Image};
@@ -407,23 +408,46 @@ fn objects_at(ckpts: &BTreeMap<u64, Checkpoint>, ckpt: CkptId) -> Vec<ObjId> {
     objects
 }
 
+type ObjRange = (Bound<ObjId>, Bound<ObjId>);
+
+/// The part of an image a fold over `r` must hold: the live objects in
+/// `r` with their sizes, and their pages.
+type Restricted = (Vec<(ObjId, u64)>, Vec<((ObjId, u64), PageRef)>);
+
+fn restrict(image: &Image, r: ObjRange) -> Restricted {
+    (image.live_objects(r).collect(), image.refs(r).collect())
+}
+
+/// The object ranges a scoped fold is checked over: every object, one
+/// object, a namespace of several, and an empty range.
+const RANGES: [ObjRange; 4] = [
+    (Bound::Unbounded, Bound::Unbounded),
+    (Bound::Included(ObjId(2)), Bound::Included(ObjId(2))),
+    (Bound::Excluded(ObjId(0)), Bound::Excluded(ObjId(3))),
+    (Bound::Included(ObjId(1)), Bound::Excluded(ObjId(1))),
+];
+
 /// Checks the store's images against fresh folds and the old walk:
 /// the kept head image equals a fold of the head's chain; every page of
 /// every checkpoint's image agrees with `resolve_ref` and with the old
-/// per-object walk; and `walk_base_blocks` visits the same
-/// (object, page, block) set the old walk did.
+/// per-object walk; a fold over a range of objects is the full fold
+/// restricted to that range; a read plan from one fold per checkpoint
+/// is the plan of one `resolve_ref` per target; and `walk_base_blocks`
+/// visits the same (object, page, block) set the old walk did.
 fn check_images(store: &ObjectStore) -> Result<(), TestCaseError> {
     let table: BTreeMap<u64, Checkpoint> =
         store.checkpoints().into_iter().map(|c| (c.id.0, c.clone())).collect();
     if let Some(head) = store.head() {
         // `image_at` serves the head from the kept image.
-        let fresh = Image::fold(&table, head).unwrap();
-        let kept = store.image_at(head).unwrap();
+        let fresh = Image::fold(&table, head, ..).unwrap();
+        let kept = store.image_at(head, ..).unwrap();
         prop_assert!(*kept == fresh, "head image drifted from its chain");
     }
+    let targets: Vec<(ObjId, u64)> =
+        (0..4u64).flat_map(|obj| (0..16u64).map(move |idx| (ObjId(obj), idx))).collect();
     for &id in table.keys() {
         let ckpt = CkptId(id);
-        let image = store.image_at(ckpt).unwrap();
+        let image = store.image_at(ckpt, ..).unwrap();
         for obj in 0..4u64 {
             let oid = ObjId(obj);
             let refs: BTreeMap<u64, PageRef> = image.object_refs(oid).collect();
@@ -431,10 +455,29 @@ fn check_images(store: &ObjectStore) -> Result<(), TestCaseError> {
             for idx in 0..16u64 {
                 prop_assert_eq!(
                     refs.get(&idx).copied(),
-                    checkpoint::resolve_ref(&table, ckpt, oid, idx)
+                    checkpoint::resolve_ref(&table, ckpt, oid, idx).unwrap()
                 );
             }
         }
+        // A scoped fold holds exactly the range's part of the full one,
+        // and `image_at` serves that part for any range.
+        for r in RANGES {
+            let want = restrict(&image, r);
+            let scoped = Image::fold(&table, ckpt, r).unwrap();
+            prop_assert_eq!(restrict(&scoped, (Bound::Unbounded, Bound::Unbounded)), want.clone());
+            prop_assert_eq!(restrict(&store.image_at(ckpt, r).unwrap(), r), want);
+        }
+        // The planner resolves from one fold what one chain walk per
+        // target resolves.
+        let walked: Vec<Option<PageRef>> = targets
+            .iter()
+            .map(|&(oid, idx)| checkpoint::resolve_ref(&table, ckpt, oid, idx).unwrap())
+            .collect();
+        let (folded, per_target) = (store.plan_reads_at(ckpt, &targets), store.plan_reads(&walked));
+        prop_assert_eq!(&folded.resolved, &per_target.resolved);
+        prop_assert_eq!(&folded.chains, &per_target.chains);
+        prop_assert_eq!(&folded.blocks, &per_target.blocks);
+        prop_assert_eq!(&folded.extents, &per_target.extents);
         let mut walked = BTreeSet::new();
         let problems = store.walk_base_blocks(ckpt, .., &mut |oid, idx, block| {
             walked.insert((oid, idx, block));
@@ -777,7 +820,7 @@ fn chain_folding_places_blocks_deterministically() {
         }
         assert_eq!(s.compact_chains(.., 3).unwrap(), oids.len());
         let head = s.head().unwrap();
-        let refs: Vec<_> = oids.iter().map(|&oid| s.page_ref_at(head, oid, 0)).collect();
+        let refs: Vec<_> = oids.iter().map(|&oid| s.page_ref_at(head, oid, 0).unwrap()).collect();
         assert!(refs.iter().all(|r| matches!(r, Some((PageRef::Full(_), _)))), "{refs:?}");
         refs
     };
@@ -810,7 +853,7 @@ fn chain_folding_scoped_to_a_namespace_leaves_the_others_alone() {
     let second = ns(2, 0)..=ns(2, u64::MAX >> 16);
     let chained = |s: &ObjectStore, oid: ObjId| {
         let head = s.head().unwrap();
-        matches!(s.page_ref_at(head, oid, 0), Some((PageRef::Delta(_), _)))
+        matches!(s.page_ref_at(head, oid, 0), Ok(Some((PageRef::Delta(_), _))))
     };
     let before: Vec<PageData> = oids
         .iter()

@@ -118,14 +118,31 @@ impl Vm {
     /// the stored pages of every image. `None` when the pager holds no
     /// page there.
     pub fn find_resident(&mut self, pager: PagerId, key: u64, idx: u64) -> Option<Residency> {
+        let id = match self.index.member(pager, key, idx) {
+            // Mapped already: the identity is not consulted.
+            Some(_) => PageId::Private,
+            None => self.pager_mut(pager).page_id(key, idx)?,
+        };
+        Some(self.find_resident_as(pager, key, idx, id))
+    }
+
+    /// [`Vm::find_resident`] for a page whose identity `id` the caller
+    /// has already resolved (a restore that folded its image): the
+    /// pager is not asked.
+    pub fn find_resident_as(
+        &mut self,
+        pager: PagerId,
+        key: u64,
+        idx: u64,
+        id: PageId,
+    ) -> Residency {
         let frame = match self.index.member(pager, key, idx) {
             Some(frame) => frame,
             None => {
-                let id = self.pager_mut(pager).page_id(key, idx)?;
                 let Some((name, frame)) =
                     stored_name(id).and_then(|name| Some((name, self.index.share(name)?)))
                 else {
-                    return Some(Residency::Absent(id));
+                    return Residency::Absent(id);
                 };
                 let member = Member {
                     frame,
@@ -136,7 +153,7 @@ impl Vm {
             }
         };
         self.frames.ref_frame(frame);
-        Some(Residency::Resident(frame))
+        Residency::Resident(frame)
     }
 
     /// Files `data`, fetched for page `idx` of `(pager, key)`, under its

@@ -1256,7 +1256,8 @@ fn rot_at_rest_run(rot: bool) -> (u64, Vec<(bool, u64, u64, u64)>) {
             head,
             aurora::objstore::ObjId(gid.objects().start().0 | 1),
             ROT_PAGE,
-        ) else {
+        )
+        .unwrap() else {
             panic!("page {ROT_PAGE} is a full image at the head");
         };
         let lba = store.data_start() + ptr.0;
